@@ -33,11 +33,11 @@ echo "== cargo doc (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== doc-tests (README quickstart + API examples) =="
-cargo test --doc -q
+cargo test --workspace --doc -q
 
-echo "== tier-1: cargo build --release && cargo test -q =="
+echo "== tier-1: cargo build --release && cargo test -q (every crate: default-members) =="
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 
 echo "== verify_all: every tool x every workload, zero diagnostics =="
 # Lifts and instruments every bundled tool against every workload kernel
@@ -45,7 +45,7 @@ echo "== verify_all: every tool x every workload, zero diagnostics =="
 # static verifier to accept every generated image.
 cargo test --release -q -p nvbit-tools --test verify_all -- --include-ignored
 
-echo "== differential: liveness-reduced saves vs full-tier =="
+echo "== differential: liveness-reduced saves vs full-tier; order-free tools at 1/2/4/8 workers =="
 cargo test --release -q -p nvbit-tools --test differential_saves
 
 echo "== pressure: splice cost-model unit tests =="
@@ -54,10 +54,10 @@ cargo test --release -q -p nvbit-sass --lib pressure
 echo "== occupancy: SM-model unit tests (Volta golden points, curve monotonicity) =="
 cargo test --release -q -p nvbit-sass --lib occupancy
 
-echo "== differential: all six plan configs (naive/coalesced/+inline/+region+after/+pressure/+occupancy) =="
+echo "== differential: every rung of the plan ladder (naive/block/region/spliced, +occupancy) =="
 cargo test --release -q -p nvbit-tools --test differential_plan
 
-echo "== savereduce: liveness save-slot reduction (>=30% gate, incl. declined-splice run) =="
+echo "== savereduce: liveness save-slot reduction (>=30% gate, incl. declined-splice run no worse than the out-of-line rung) =="
 cargo run --release -q -p nvbit-bench --bin savereduce
 
 echo "== inject_overhead: multi-workload sweep (>=25% fft gate, region wins on >=2 of fft/stencil/spmv, occupancy curve re-accepts a tier-declined splice at every swept block shape) =="
@@ -75,7 +75,7 @@ cargo test --release -q -p nvbit-tools --test channel_determinism
 echo "== per-launch occupancy: sentinel matches explicit shape, shape change replans =="
 cargo test --release -q -p nvbit-tools --test per_launch_occupancy
 
-echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription and >=2x record throughput vs bounded at 4Ki =="
+echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw
 
 echo "CI OK"

@@ -3,16 +3,16 @@
 //! SpecAccel suite (medium size).
 //!
 //! Reports, per benchmark: the six-component breakdown of the
-//! JIT-compilation time and that time as a percentage of the *native*
-//! execution time of the application (the paper's "overhead": < 5 % on
-//! average, up to ~20 % for `ilbdc`, disassembly dominant).
+//! JIT-compilation time — read from the pipeline's own `common::obs`
+//! spans, the one timing source — and that time as a percentage of the
+//! *native* execution time of the application (the paper's "overhead":
+//! < 5 % on average, up to ~20 % for `ilbdc`, disassembly dominant).
 //!
 //! ```text
 //! cargo run --release -p nvbit-bench --bin fig5 [-- --size medium]
 //! ```
 
-use bench_harness::{print_table, size_arg, timed, titan_v, OverheadCapture};
-use nvbit::JitComponent;
+use bench_harness::{print_table, size_arg, timed, titan_v, ObsCapture, JIT_COMPONENTS};
 use nvbit_tools::InstrCount;
 use workloads::specaccel::suite;
 
@@ -34,33 +34,35 @@ fn main() {
         // Instrumented run: every instruction of every kernel, once.
         let drv = titan_v();
         let (count_tool, _results) = InstrCount::new();
-        let (tool, report) = OverheadCapture::new(count_tool);
+        let (tool, totals) = ObsCapture::new(count_tool);
         nvbit::attach_tool(&drv, tool);
         b.run(&drv, size).expect("instrumented benchmark runs");
         drv.shutdown();
 
-        let report = report.borrow().clone().expect("overhead captured");
-        let jit = report.total.total();
-        let pct = 100.0 * jit.as_secs_f64() / native_wall.as_secs_f64().max(1e-9);
+        let totals = totals.borrow();
+        let parts = totals.jit_ns();
+        for ((label, _), ns) in JIT_COMPONENTS.iter().zip(parts) {
+            assert!(ns > 0, "{}: component {label} not attributed", b.name);
+        }
+        // One decode per lift: nothing re-decodes a function to time it.
+        assert_eq!(
+            totals.counter_events.get("sass.decode"),
+            totals.phase_count.get("lift"),
+            "{}: every lift decodes its function exactly once",
+            b.name
+        );
+        let jit_ns: u64 = parts.iter().sum();
+        let pct = 100.0 * (jit_ns as f64 * 1e-9) / native_wall.as_secs_f64().max(1e-9);
         pct_sum += pct;
         if pct > pct_max.0 {
             pct_max = (pct, b.name);
         }
-        let share = |c: JitComponent| {
-            100.0 * report.total.of(c).as_secs_f64() / jit.as_secs_f64().max(1e-12)
-        };
-        dis_share_sum += share(JitComponent::Disassemble);
-        rows.push(vec![
-            b.name.to_string(),
-            format!("{:.3}", jit.as_secs_f64() * 1e3),
-            format!("{:.1}", share(JitComponent::Retrieve)),
-            format!("{:.1}", share(JitComponent::Disassemble)),
-            format!("{:.1}", share(JitComponent::Convert)),
-            format!("{:.1}", share(JitComponent::UserCode)),
-            format!("{:.1}", share(JitComponent::Codegen)),
-            format!("{:.1}", share(JitComponent::Swap)),
-            format!("{:.2}", pct),
-        ]);
+        let share = |i: usize| 100.0 * parts[i] as f64 / (jit_ns as f64).max(1.0);
+        dis_share_sum += share(1);
+        let mut row = vec![b.name.to_string(), format!("{:.3}", jit_ns as f64 * 1e-6)];
+        row.extend((0..parts.len()).map(|i| format!("{:.1}", share(i))));
+        row.push(format!("{:.2}", pct));
+        rows.push(row);
     }
 
     print_table(

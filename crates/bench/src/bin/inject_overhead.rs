@@ -1,12 +1,11 @@
-//! Instrumentation-plan optimization passes across the workload sweep:
+//! The instrumentation-plan pass ladder across the workload sweep:
 //! instrument each workload with the coalesced instruction-count tool and
-//! compare the instrumented run's executed instructions and cycles under
-//! the naive per-site plan, with basic-block call coalescing, with
-//! coalescing plus leaf-tool inlining, with the full pipeline adding
-//! dominator-region coalescing and after-point lowering, and with the
-//! occupancy-aware pressure gate on top. A final section stacks grid-dim
-//! sampling of the opcode histogram on the region+after plan and reports
-//! the multiplied speedup of the two levers.
+//! compare the instrumented run's executed instructions and cycles at each
+//! rung — the naive per-site plan, basic-block call coalescing, adding
+//! dominator-region coalescing and after-point lowering, and adding priced
+//! leaf-tool splicing on top. A further section stacks grid-dim sampling
+//! of the opcode histogram on the top rung and reports the multiplied
+//! speedup of the two levers.
 //!
 //! ```text
 //! cargo run --release -p nvbit-bench --bin inject_overhead
@@ -29,7 +28,7 @@
 use common::json::Json;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanOpts, PlanStats};
+use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats};
 use nvbit_tools::{CoalescedInstrCount, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
@@ -77,64 +76,18 @@ impl<T: NvbitTool> NvbitTool for PlanAccounting<T> {
     }
 }
 
-/// The five plan configurations, in pass-pipeline order.
-const CONFIGS: [(&str, PlanOpts); 5] = [
-    (
-        "naive",
-        PlanOpts {
-            coalesce: false,
-            inline: false,
-            region_coalesce: false,
-            after_lower: false,
-            pressure: false,
-            occupancy: None,
-        },
-    ),
-    (
-        "coalesced",
-        PlanOpts {
-            coalesce: true,
-            inline: false,
-            region_coalesce: false,
-            after_lower: false,
-            pressure: false,
-            occupancy: None,
-        },
-    ),
-    (
-        "+inlined",
-        PlanOpts {
-            coalesce: true,
-            inline: true,
-            region_coalesce: false,
-            after_lower: false,
-            pressure: false,
-            occupancy: None,
-        },
-    ),
-    (
-        "+region+after",
-        PlanOpts {
-            coalesce: true,
-            inline: true,
-            region_coalesce: true,
-            after_lower: true,
-            pressure: false,
-            occupancy: None,
-        },
-    ),
-    (
-        "+pressure",
-        PlanOpts {
-            coalesce: true,
-            inline: true,
-            region_coalesce: true,
-            after_lower: true,
-            pressure: true,
-            occupancy: None,
-        },
-    ),
+/// The rungs of the plan ladder, bottom up.
+const CONFIGS: [(&str, PlanOpts); 4] = [
+    ("naive", PlanOpts { level: PlanLevel::Naive, occupancy: None }),
+    ("block", PlanOpts { level: PlanLevel::Block, occupancy: None }),
+    ("region", PlanOpts { level: PlanLevel::Region, occupancy: None }),
+    ("spliced", PlanOpts { level: PlanLevel::Spliced, occupancy: None }),
 ];
+/// Indices into [`CONFIGS`] (and every [`Sweep::runs`]).
+const NAIVE: usize = 0;
+const BLOCK: usize = 1;
+const REGION: usize = 2;
+const SPLICED: usize = 3;
 
 /// One configuration's measurements on one workload.
 struct Run {
@@ -390,11 +343,7 @@ fn main() {
             );
             cfgs.push(Json::obj(vec![
                 ("label", Json::Str(r.label.into())),
-                ("coalesce", Json::Bool(r.opts.coalesce)),
-                ("inline", Json::Bool(r.opts.inline)),
-                ("region_coalesce", Json::Bool(r.opts.region_coalesce)),
-                ("after_lower", Json::Bool(r.opts.after_lower)),
-                ("pressure", Json::Bool(r.opts.pressure)),
+                ("level", Json::Str(format!("{:?}", r.opts.level))),
                 ("thread_instructions", Json::Num(r.instructions as f64)),
                 ("cycles", Json::Num(r.cycles as f64)),
                 ("overhead_vs_native", Json::Num(overhead)),
@@ -420,7 +369,11 @@ fn main() {
         // The differential invariant also holds here: the plan never
         // changes what the tool measures.
         for r in &s.runs[1..] {
-            assert_eq!(s.runs[0].count, r.count, "{}: {} changed the tool output", s.name, r.label);
+            assert_eq!(
+                s.runs[NAIVE].count, r.count,
+                "{}: {} changed the tool output",
+                s.name, r.label
+            );
         }
     }
 
@@ -439,16 +392,16 @@ fn main() {
     }
 
     // Sampling × plan interaction (§6.2 stacked on Fig. 9): run the
-    // opcode histogram with grid-dim sampling over the region+after plan
-    // and report how the two levers multiply. Each kernel launches
+    // opcode histogram with grid-dim sampling over the top-rung plan and
+    // report how the two levers multiply. Each kernel launches
     // SAMPLING_ROUNDS times with identical dimensions, so sampling
     // instruments one launch and extrapolates the rest exactly.
-    println!("\n== sampling × plan: OpcodeHistogram grid-dim sampling over region+after ==\n");
+    println!("\n== sampling × plan: OpcodeHistogram grid-dim sampling over the spliced plan ==\n");
     println!(
         "{:10}  {:>12}  {:>12}  {:>12}  {:>7}  {:>8}  {:>8}",
         "workload", "full+naive", "full+plan", "samp+plan", "plan", "sampling", "combined"
     );
-    let plan_opts = CONFIGS[3].1;
+    let plan_opts = CONFIGS[SPLICED].1;
     let sampling_apps: [(&str, App); 3] =
         [("fft", run_fft_multi), ("stencil", run_stencil_multi), ("spmv", run_spmv_multi)];
     let mut sampling_rows = Vec::new();
@@ -461,7 +414,7 @@ fn main() {
             drv.shutdown();
             (results.histogram(), results.instrumented_launches(), drv.total_stats().cycles)
         };
-        let (h_naive, _, c_naive) = run_hist(SamplingMode::Full, CONFIGS[0].1);
+        let (h_naive, _, c_naive) = run_hist(SamplingMode::Full, CONFIGS[NAIVE].1);
         let (h_plan, _, c_plan) = run_hist(SamplingMode::Full, plan_opts);
         let (h_samp, sampled_launches, c_samp) = run_hist(SamplingMode::GridDim, plan_opts);
         assert_eq!(h_naive, h_plan, "{name}: the plan changed the histogram");
@@ -503,7 +456,7 @@ fn main() {
     );
     let occ_apps: [(&str, App); 3] =
         [("fft", run_fft_app), ("stencil", run_stencil_app), ("spmv", run_spmv_app)];
-    let tier_opts = CONFIGS[4].1;
+    let tier_opts = CONFIGS[SPLICED].1;
     let run_wide = |opts: PlanOpts, app: App| -> (u64, Vec<(String, PlanStats)>) {
         let drv = Driver::new(DeviceSpec::test(Arch::Volta));
         let (tool, results) = CoalescedInstrCount::executed_wide(opts);
@@ -580,7 +533,8 @@ fn main() {
     // thread-instructions on the FFT pipeline.
     let fft = &sweeps[0];
     assert_eq!(fft.name, "fft");
-    let total_reduction = 1.0 - fft.runs[1].instructions as f64 / fft.runs[0].instructions as f64;
+    let total_reduction =
+        1.0 - fft.runs[BLOCK].instructions as f64 / fft.runs[NAIVE].instructions as f64;
     assert!(
         total_reduction >= 0.25,
         "coalescing must cut ≥25% of instrumented thread-instructions on the FFT pipeline \
@@ -588,10 +542,10 @@ fn main() {
         total_reduction * 100.0
     );
     let total_inline_reduction =
-        1.0 - fft.runs[2].instructions as f64 / fft.runs[0].instructions as f64;
+        1.0 - fft.runs[SPLICED].instructions as f64 / fft.runs[NAIVE].instructions as f64;
     assert!(
         total_inline_reduction >= total_reduction,
-        "inlining must not regress the coalesced plan ({:.1}% vs {:.1}%)",
+        "splicing must not regress the coalesced plan ({:.1}% vs {:.1}%)",
         total_inline_reduction * 100.0,
         total_reduction * 100.0
     );
@@ -600,7 +554,9 @@ fn main() {
     // coalescing on at least two of fft/stencil/spmv.
     let region_wins = sweeps[..3]
         .iter()
-        .filter(|s| s.runs[3].sum(|st| st.emitted_calls) < s.runs[1].sum(|st| st.emitted_calls))
+        .filter(|s| {
+            s.runs[REGION].sum(|st| st.emitted_calls) < s.runs[BLOCK].sum(|st| st.emitted_calls)
+        })
         .count();
     assert!(
         region_wins >= 2,

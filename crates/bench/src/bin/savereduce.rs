@@ -14,7 +14,7 @@
 use common::json::Json;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanOpts, SavePolicy, SaveStats};
+use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy, SaveStats};
 use nvbit_tools::{CoalescedInstrCount, InstrCount};
 use sass::Arch;
 use std::cell::RefCell;
@@ -133,25 +133,24 @@ fn main() {
 
     // Declined-splice gate: the wide executed-counter body raises register
     // pressure past the save tier at every FFT splice site, so the cost model
-    // declines the splices and codegen falls back to out-of-line calls. The
-    // liveness policy must still cut ≥30% of saved slots in that regime —
+    // declines the splices and codegen falls back to out-of-line calls —
+    // exactly what the `Region` rung (no splicing, 16 slots per call) emits.
+    // The liveness policy must still cut ≥30% of saved slots in that regime,
+    // and the priced top rung must not save a slot more than `Region`:
     // declining an inline must never cost us the save-sizing win.
-    let wide_opts = PlanOpts {
-        coalesce: true,
-        region_coalesce: true,
-        after_lower: true,
-        inline: true,
-        pressure: true,
-        occupancy: None,
+    let wide = |policy, level| -> u64 {
+        let opts = PlanOpts { level, occupancy: None };
+        let stats = run_fft(policy, CoalescedInstrCount::executed_wide(opts).0);
+        stats.iter().map(|(_, s)| s.saved_slots).sum()
     };
-    let wide_live = run_fft(SavePolicy::Liveness, CoalescedInstrCount::executed_wide(wide_opts).0);
-    let wide_full = run_fft(SavePolicy::FullTier, CoalescedInstrCount::executed_wide(wide_opts).0);
-    let wide_saved: u64 = wide_live.iter().map(|(_, s)| s.saved_slots).sum();
-    let wide_baseline: u64 = wide_full.iter().map(|(_, s)| s.saved_slots).sum();
+    let wide_saved = wide(SavePolicy::Liveness, PlanLevel::Spliced);
+    let wide_baseline = wide(SavePolicy::FullTier, PlanLevel::Spliced);
+    let wide_called = wide(SavePolicy::Liveness, PlanLevel::Region);
     let wide_reduction =
         if wide_baseline == 0 { 0.0 } else { 1.0 - wide_saved as f64 / wide_baseline as f64 };
     println!(
-        "declined-splice (wide tool, pressure on): {wide_saved} vs {wide_baseline} ({:.1}% reduction)",
+        "declined-splice (wide tool): {wide_saved} vs {wide_baseline} ({:.1}% reduction; \
+         out-of-line baseline {wide_called})",
         wide_reduction * 100.0
     );
 
@@ -170,6 +169,7 @@ fn main() {
                 ("tool", Json::Str("coalesced_instr_count/executed_wide".into())),
                 ("saved_slots_liveness", Json::Num(wide_saved as f64)),
                 ("saved_slots_full_tier", Json::Num(wide_baseline as f64)),
+                ("saved_slots_out_of_line", Json::Num(wide_called as f64)),
                 ("reduction", Json::Num(wide_reduction)),
             ]),
         ),
@@ -188,5 +188,10 @@ fn main() {
         wide_reduction >= 0.30,
         "declined splices must not regress the saved-slot reduction below 30% (got {:.1}%)",
         wide_reduction * 100.0
+    );
+    assert!(
+        wide_saved <= wide_called,
+        "priced splicing must not save more than the out-of-line rung \
+         ({wide_saved} vs {wide_called})"
     );
 }

@@ -20,6 +20,9 @@
 //! * [`channel`] — the streaming GPU→host tool channel: double-buffered
 //!   flush, doorbell flip, dedicated receiver thread, `Block`/`DropCount`
 //!   backpressure;
+//! * [`graph`] — Cooper–Harvey–Kennedy immediate dominators and
+//!   post-dominators over successor lists, shared by `ptx::cfg` and
+//!   `sass::dom`;
 //! * [`Dim3`] — the single definition of a 3-component launch dimension,
 //!   re-exported by the `gpu` and `driver` crates.
 
@@ -28,6 +31,7 @@
 pub mod bench;
 pub mod channel;
 pub mod dim3;
+pub mod graph;
 pub mod json;
 pub mod obs;
 pub mod prop;

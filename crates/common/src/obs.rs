@@ -552,19 +552,52 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Other unit tests in this binary (the channel's) emit `chan.*`
+    /// events whenever an obs test has collection switched on, and their
+    /// drain threads can wrap their own rings. Each obs test therefore
+    /// asserts only on events it created: every test uses names no other
+    /// code emits, and [`mine`] narrows a capture to those names.
+    /// Ring-level accounting (`dropped`, `open_spans`) is checked through
+    /// the recording thread's own ring, never the process-wide sums.
+    fn mine(r: &Report, names: &[&str]) -> Report {
+        let keep = |n: &&'static str| names.contains(n);
+        Report {
+            phases: r
+                .phases
+                .iter()
+                .filter(|(n, _)| keep(n))
+                .map(|(n, p)| (*n, p.clone()))
+                .collect(),
+            counters: r
+                .counters
+                .iter()
+                .filter(|(n, _)| keep(n))
+                .map(|(n, c)| (*n, c.clone()))
+                .collect(),
+            spans: r.spans.iter().filter(|s| keep(&s.name)).cloned().collect(),
+            counter_events: r.counter_events.iter().filter(|c| keep(&c.name)).cloned().collect(),
+            dropped: 0,
+            open_spans: 0,
+        }
+    }
+
+    /// The calling thread's ring after recording (registered by then).
+    fn my_ring() -> Arc<Ring> {
+        LOCAL.with(|l| l.borrow().ring.clone().expect("this thread has recorded an event"))
+    }
+
     #[test]
     fn disabled_mode_records_nothing() {
         let _g = locked();
         reset();
         set_enabled(false);
         {
-            let _s = span("launch");
-            counter("decode.hit", 10);
+            let _s = span("t.disabled.launch");
+            counter("t.disabled.hit", 10);
         }
-        let r = Report::capture();
+        let r = mine(&Report::capture(), &["t.disabled.launch", "t.disabled.hit"]);
         assert!(r.phases.is_empty(), "{:?}", r.phases);
         assert!(r.counters.is_empty());
-        assert_eq!(r.dropped, 0);
     }
 
     #[test]
@@ -573,22 +606,22 @@ mod tests {
         reset();
         set_enabled(true);
         {
-            let _outer = span("outer");
+            let _outer = span("t.nest.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = span("inner");
+                let _inner = span("t.nest.inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        let r = Report::capture();
+        let r = mine(&Report::capture(), &["t.nest.outer", "t.nest.inner"]);
         set_enabled(false);
-        let outer = &r.phases["outer"];
-        let inner = &r.phases["inner"];
+        let outer = &r.phases["t.nest.outer"];
+        let inner = &r.phases["t.nest.inner"];
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 1);
         assert!(outer.total_ns >= inner.total_ns, "outer includes inner");
         assert!(outer.self_ns <= outer.total_ns - inner.total_ns, "self excludes inner");
-        assert_eq!(r.open_spans, 0);
+        assert_eq!(r.spans.len(), 2, "both spans closed");
     }
 
     #[test]
@@ -600,21 +633,20 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10 {
-                        let _sp = span("worker");
-                        counter("work.items", 2);
+                        let _sp = span("t.threads.worker");
+                        counter("t.threads.items", 2);
                     }
                 });
             }
         });
-        let r = Report::capture();
+        let r = mine(&Report::capture(), &["t.threads.worker", "t.threads.items"]);
         set_enabled(false);
-        assert_eq!(r.phases["worker"].count, 40);
-        assert_eq!(r.counters["work.items"].sum, 80);
-        assert_eq!(r.counters["work.items"].count, 40);
-        // Four worker rings → four distinct tids among the span events.
+        assert_eq!(r.phases["t.threads.worker"].count, 40);
+        assert_eq!(r.counters["t.threads.items"].sum, 80);
+        assert_eq!(r.counters["t.threads.items"].count, 40);
+        // Four worker rings → four distinct tids among this test's spans.
         let tids: std::collections::HashSet<u64> = r.spans.iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 4);
-        assert_eq!(r.open_spans, 0);
     }
 
     #[test]
@@ -624,13 +656,14 @@ mod tests {
         set_enabled(true);
         let n = (RING_CAPACITY + 100) as u64;
         for i in 0..n {
-            counter("wrap.test", i);
+            counter("t.wrap", i);
         }
-        let r = Report::capture();
+        let r = mine(&Report::capture(), &["t.wrap"]);
+        let (_, dropped) = my_ring().read();
         set_enabled(false);
-        let c = &r.counters["wrap.test"];
+        let c = &r.counters["t.wrap"];
         assert_eq!(c.count, RING_CAPACITY as u64, "ring keeps the newest window");
-        assert_eq!(r.dropped, 100);
+        assert_eq!(dropped, 100, "this thread's ring lost exactly the overwritten events");
         // The survivors are the newest events: 100..n sum.
         let expect: u64 = (100..n).sum();
         assert_eq!(c.sum, expect);
@@ -641,13 +674,13 @@ mod tests {
         let _g = locked();
         reset();
         set_enabled(true);
-        counter("before.reset", 1);
+        counter("t.reset.before", 1);
         reset();
-        counter("after.reset", 1);
+        counter("t.reset.after", 1);
         let r = Report::capture();
         set_enabled(false);
-        assert!(!r.counters.contains_key("before.reset"));
-        assert_eq!(r.counters["after.reset"].sum, 1);
+        assert!(!r.counters.contains_key("t.reset.before"));
+        assert_eq!(r.counters["t.reset.after"].sum, 1);
     }
 
     #[test]
@@ -656,10 +689,10 @@ mod tests {
         reset();
         set_enabled(true);
         {
-            let _s = span("execute");
-            counter("decode.miss", 7);
+            let _s = span("t.trace.execute");
+            counter("t.trace.miss", 7);
         }
-        let r = Report::capture();
+        let r = mine(&Report::capture(), &["t.trace.execute", "t.trace.miss"]);
         set_enabled(false);
         // Golden schema check: round-trip through the JSON parser and
         // verify the trace_event fields Perfetto requires.
@@ -671,7 +704,7 @@ mod tests {
             .iter()
             .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
             .expect("one complete event");
-        assert_eq!(span_ev.get("name").unwrap().as_str(), Some("execute"));
+        assert_eq!(span_ev.get("name").unwrap().as_str(), Some("t.trace.execute"));
         assert!(span_ev.get("ts").unwrap().as_f64().is_some());
         assert!(span_ev.get("dur").unwrap().as_f64().is_some());
         assert!(span_ev.get("tid").unwrap().as_u64().is_some());
@@ -682,10 +715,8 @@ mod tests {
         assert_eq!(ctr_ev.get("args").unwrap().get("value").unwrap().as_u64(), Some(7));
         // The JSON summary parses too.
         let summary = Json::parse(&r.to_json().to_pretty()).unwrap();
-        assert_eq!(
-            summary.get("phases").unwrap().get("execute").unwrap().get("count").unwrap().as_u64(),
-            Some(1)
-        );
+        let phase = summary.get("phases").unwrap().get("t.trace.execute").unwrap();
+        assert_eq!(phase.get("count").unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -693,11 +724,11 @@ mod tests {
         let _g = locked();
         reset();
         set_enabled(true);
-        let guard = span("toggled");
+        let guard = span("t.toggled");
         set_enabled(false);
         drop(guard); // end event must still record: the begin did
-        let r = Report::capture();
-        assert_eq!(r.phases["toggled"].count, 1);
-        assert_eq!(r.open_spans, 0);
+        let r = mine(&Report::capture(), &["t.toggled"]);
+        assert_eq!(r.phases["t.toggled"].count, 1);
+        assert_eq!(r.spans.len(), 1, "the span closed");
     }
 }

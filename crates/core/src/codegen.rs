@@ -264,7 +264,8 @@ pub struct CallMeta {
     pub inline: Option<(usize, usize)>,
     /// `(tier_before, tier_after)` the pressure verdict claimed for an
     /// accepted splice; the verifier re-prices the claim on the occupancy
-    /// curve from original bytes. `None` for unvetted calls.
+    /// curve from original bytes. `None` for calls the verdict did not
+    /// price (out of line, or no dataflow solution).
     pub occ: Option<(u16, u16)>,
 }
 
@@ -320,7 +321,7 @@ pub struct InstrumentedImage {
     /// accounting).
     pub plan: PlanStats,
     /// The options the plan was built with — the verifier reads the
-    /// pressure/occupancy configuration from here to re-price splice
+    /// level and occupancy configuration from here to re-price splice
     /// claims against the same model.
     pub opts: PlanOpts,
 }
@@ -418,18 +419,10 @@ pub fn generate(
     let mut max_frame = 0u32;
     for (&idx, calls) in &plan.sites {
         let uses_reg_api = calls.iter().any(|c| tool_fns[&c.func].uses_reg_api);
-        // A guarded-diamond splice is only sized from liveness when the
-        // pressure pass vetted it (DESIGN §4h): without the cost model,
-        // guarded-flow bodies spliced into the trampoline are charged the
-        // conservative whole-function tier, like register-API tools.
-        let unvetted_diamond = !plan.opts.pressure
-            && calls
-                .iter()
-                .any(|c| c.inline && matches!(tool_fns[&c.func].shape, Some(BodyShape::Diamond)));
         let tier = match dataflow {
             // Register-device-API tools index save-area slots computed at
             // run time; only the whole-function tier is safe for them.
-            Some(df) if !uses_reg_api && !unvetted_diamond => {
+            Some(df) if !uses_reg_api => {
                 // The trampoline only clobbers R0 (the frame pointer), the
                 // ABI argument window from R4 up, and the injected
                 // functions' own registers — shrunk to the registers the
@@ -843,7 +836,7 @@ fn emit_regval(r: u8, slot: u8, frame: u32, out: &mut Vec<Instruction>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{self, Analyses, PlanOpts};
+    use crate::plan::{self, Analyses, PlanLevel, PlanOpts};
     use crate::saverestore::TIERS;
     use crate::spec::FuncSpec;
     use cuda::{CuFunction, CuModule};
@@ -1422,14 +1415,8 @@ mod tests {
         let fns = leaf_fns(&hal, 8);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "leaf", IPoint::Before);
-        let plan = plan::build(
-            &spec,
-            instrs.len(),
-            Analyses::none(),
-            &fns,
-            PlanOpts { inline: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let plan =
+            plan::build(&spec, instrs.len(), Analyses::none(), &fns, PlanOpts::default()).unwrap();
         let img = generate(
             &hal,
             &info,
@@ -1479,14 +1466,8 @@ mod tests {
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "leaf", IPoint::Before);
         spec.set_pred_filter(1);
-        let plan = plan::build(
-            &spec,
-            instrs.len(),
-            Analyses::none(),
-            &fns,
-            PlanOpts { inline: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let plan =
+            plan::build(&spec, instrs.len(), Analyses::none(), &fns, PlanOpts::default()).unwrap();
         let routines = fake_routines();
         let (out, _, metas) =
             emit_site(&hal, &info, &instrs, &plan, &fns, &routines[&16], 16, 1, 0x9000).unwrap();
@@ -1519,7 +1500,7 @@ mod tests {
             instrs.len(),
             Analyses::with_blocks(&blocks),
             &tool_fns(),
-            PlanOpts { coalesce: true, ..PlanOpts::naive() },
+            PlanOpts { level: PlanLevel::Block, occupancy: None },
         )
         .unwrap();
         let img = generate(

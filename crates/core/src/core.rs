@@ -28,7 +28,6 @@ use crate::codegen::{generate, InstrumentedImage, LivenessInput, SavePolicy, Too
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
-use crate::overhead::{JitComponent, OverheadReport};
 use crate::plan::{self, PlanOpts, PlanStats};
 use crate::saverestore::{restore_text, save_text, Routines, TIERS};
 use crate::spec::{Arg, FuncSpec, IPoint};
@@ -38,7 +37,6 @@ use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
 /// A user instrumentation tool — the analog of an NVBit tool shared
 /// library. Implement the callbacks you need; defaults are no-ops.
@@ -154,7 +152,6 @@ struct BuildOutcome {
     /// The lifted view used (newly created when the input carried none).
     lifted: Option<Arc<Lifted>>,
     result: Result<(InstrumentedImage, Vec<Diagnostic>)>,
-    timings: Vec<(JitComponent, Duration)>,
 }
 
 /// Advances the allocation turnstile past `next` on drop, so a build that
@@ -187,20 +184,13 @@ fn build_one(
 ) -> BuildOutcome {
     let _span = common::obs::span("instrument");
     common::obs::counter("instr_image.build", 1);
-    let mut timings = Vec::new();
     let mut lifted = input.lifted.clone();
     let result = (|| -> Result<(InstrumentedImage, Vec<Diagnostic>)> {
         let l = match lifted.clone() {
             Some(l) => l,
             None => {
                 let _lspan = common::obs::span("lift");
-                let t1 = Instant::now();
-                let raw = hal.disassemble(&input.code)?;
-                let t2 = Instant::now();
-                drop(raw); // the lifter re-decodes; keep attribution honest
                 let l = Arc::new(lift(hal, &input.info, &input.code)?);
-                timings.push((JitComponent::Disassemble, t2 - t1));
-                timings.push((JitComponent::Convert, t2.elapsed()));
                 lifted = Some(l.clone());
                 l
             }
@@ -212,7 +202,6 @@ fn build_one(
             (None, Some(reason)) => LivenessInput::Unavailable(reason),
             (None, None) => LivenessInput::Unavailable("dataflow analysis unavailable"),
         };
-        let t0 = Instant::now();
         // Lower the spec into the plan IR, running the coalescing and
         // inlining passes the image key's options select.
         let plan = {
@@ -271,10 +260,9 @@ fn build_one(
             let _vspan = common::obs::span("verify");
             verify::verify(hal, input.info.addr, &image, &input.ext)?
         };
-        timings.push((JitComponent::Codegen, t0.elapsed()));
         Ok((image, diags))
     })();
-    BuildOutcome { idx, lifted, result, timings }
+    BuildOutcome { idx, lifted, result }
 }
 
 /// Shared core state (see the module docs for the concurrency contract).
@@ -283,7 +271,6 @@ pub(crate) struct CoreState {
     tool_fns: RwLock<HashMap<String, ToolFn>>,
     routines: RwLock<HashMap<u16, Routines>>,
     shards: Vec<Mutex<HashMap<u32, FuncEntry>>>,
-    overhead: Mutex<OverheadReport>,
     save_policy: Mutex<SavePolicy>,
     plan_opts: Mutex<PlanOpts>,
     /// Worker threads for batch instrumentation; 0 = one per hardware
@@ -305,7 +292,6 @@ impl CoreState {
             tool_fns: RwLock::new(HashMap::new()),
             routines: RwLock::new(HashMap::new()),
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            overhead: Mutex::new(OverheadReport::default()),
             save_policy: Mutex::new(SavePolicy::default()),
             plan_opts: Mutex::new(PlanOpts::default()),
             jit_workers: AtomicUsize::new(workers),
@@ -405,8 +391,7 @@ impl CoreState {
         Ok(())
     }
 
-    /// Lifts (and caches) a function, timing the retrieve/disassemble/
-    /// convert components.
+    /// Lifts (and caches) a function.
     fn lifted_for(&self, drv: &Driver, func: CuFunction) -> Result<Arc<Lifted>> {
         let raw = func.raw();
         if let Some(l) = self.shard(raw).lock().unwrap().get(&raw).and_then(|e| e.lifted.clone()) {
@@ -417,22 +402,8 @@ impl CoreState {
         let _span = common::obs::span("lift");
         let hal = self.hal(drv);
         let info = drv.function_info(func)?;
-
-        let t0 = Instant::now();
         let code = drv.read_code(func)?;
-        let t1 = Instant::now();
-        let raw_stream = hal.disassemble(&code)?;
-        let t2 = Instant::now();
-        drop(raw_stream); // the lifter re-decodes; keep attribution honest
         let lifted = Arc::new(lift(&hal, &info, &code)?);
-        let t3 = Instant::now();
-
-        {
-            let mut o = self.overhead.lock().unwrap();
-            o.add(&info.name, JitComponent::Retrieve, t1 - t0);
-            o.add(&info.name, JitComponent::Disassemble, t2 - t1);
-            o.add(&info.name, JitComponent::Convert, t3 - t2);
-        }
         self.shard(raw).lock().unwrap().entry(raw).or_insert_with(|| FuncEntry::new(func)).lifted =
             Some(lifted.clone());
         Ok(lifted)
@@ -505,16 +476,7 @@ impl CoreState {
                 let info = drv.function_info(func)?;
                 let code = match pristine {
                     Some(c) => c,
-                    None => {
-                        let t0 = Instant::now();
-                        let code = drv.read_code(func)?;
-                        self.overhead.lock().unwrap().add(
-                            &info.name,
-                            JitComponent::Retrieve,
-                            t0.elapsed(),
-                        );
-                        code
-                    }
+                    None => drv.read_code(func)?,
                 };
                 let ext = self.external_code(drv, &info);
                 Ok(BuildInput { func, key, info, code, lifted, spec, ext })
@@ -531,12 +493,6 @@ impl CoreState {
         for out in self.build_all(drv, &inputs) {
             let input = &inputs[out.idx];
             let raw = input.func.raw();
-            {
-                let mut o = self.overhead.lock().unwrap();
-                for (c, d) in &out.timings {
-                    o.add(&input.info.name, *c, *d);
-                }
-            }
             match out.result {
                 Err(e) => {
                     errors.insert(raw, e);
@@ -697,7 +653,6 @@ impl CoreState {
         }
         let info = drv.function_info(func)?;
         let _swap_span = common::obs::span("swap");
-        let t0 = Instant::now();
         match target {
             Some(k) => {
                 let img = &entry.images[&k];
@@ -718,8 +673,6 @@ impl CoreState {
             }
         }
         entry.current = target;
-        drop(shard);
-        self.overhead.lock().unwrap().add(&info.name, JitComponent::Swap, t0.elapsed());
         Ok(())
     }
 
@@ -782,9 +735,9 @@ impl CoreState {
         }
     }
 
-    /// Launch-entry instrumentation: attribute the user callback, then
-    /// batch-build every pending function (first launch after a module
-    /// load fans out across all of them) and reconcile versions.
+    /// Launch-entry instrumentation: batch-build every pending function
+    /// (first launch after a module load fans out across all of them) and
+    /// reconcile versions.
     ///
     /// `block_threads` is the intercepted launch's block thread count;
     /// it resolves [`sass::occupancy::OccupancyCfg::PER_LAUNCH`]
@@ -792,13 +745,7 @@ impl CoreState {
     /// plan-cache key, so a launch at a new shape replans while
     /// repeated shapes hit the cached image — the same shape-keyed
     /// reuse the sampling cache applies.
-    fn instrument_for_launch(
-        &self,
-        drv: &Driver,
-        func: CuFunction,
-        user: Duration,
-        block_threads: u32,
-    ) {
+    fn instrument_for_launch(&self, drv: &Driver, func: CuFunction, block_threads: u32) {
         let raw = func.raw();
         let tracked = self
             .shard(raw)
@@ -807,11 +754,6 @@ impl CoreState {
             .get(&raw)
             .map(|e| !e.spec.is_empty() || !e.images.is_empty())
             .unwrap_or(false);
-        if tracked {
-            if let Ok(info) = drv.function_info(func) {
-                self.overhead.lock().unwrap().add(&info.name, JitComponent::UserCode, user);
-            }
-        }
         self.launch_threads.store(block_threads.max(1), Ordering::Relaxed);
         let policy = *self.save_policy.lock().unwrap();
         let raw_opts = *self.plan_opts.lock().unwrap();
@@ -881,18 +823,16 @@ impl Interposer for NvbitCore {
     fn at_cuda_event(&mut self, drv: &Driver, is_exit: bool, cbid: CbId, params: &CbParams<'_>) {
         let api = NvbitApi { drv, state: &self.state };
 
-        let t0 = Instant::now();
         {
             let _span = common::obs::span("user_code");
             self.tool.at_cuda_event(&api, is_exit, cbid, params);
         }
-        let user = t0.elapsed();
 
         if !is_exit {
             match (cbid, params) {
                 (CbId::LaunchKernel, CbParams::LaunchKernel { func, block, .. }) => {
                     let threads = u32::try_from(block.count()).unwrap_or(u32::MAX);
-                    self.state.instrument_for_launch(drv, *func, user, threads);
+                    self.state.instrument_for_launch(drv, *func, threads);
                 }
                 (CbId::ModuleUnload, CbParams::Module { module, .. }) => {
                     self.state.evict_module(drv, module);
@@ -1343,11 +1283,10 @@ impl<'a> NvbitApi<'a> {
         *self.state.save_policy.lock().unwrap() = policy;
     }
 
-    /// Selects which plan-level optimization passes subsequent image builds
-    /// run (basic-block call coalescing and leaf-tool inlining; both on by
-    /// default). Images are cached per (spec, policy, plan options) version,
-    /// so flipping options swaps between already-built images without
-    /// re-running code generation.
+    /// Selects how far up the [`crate::plan::PlanLevel`] ladder subsequent
+    /// image builds climb (the top rung by default). Images are cached per
+    /// (spec, policy, plan options) version, so flipping options swaps
+    /// between already-built images without re-running code generation.
     pub fn set_plan_opts(&self, opts: PlanOpts) {
         *self.state.plan_opts.lock().unwrap() = opts;
     }
@@ -1455,13 +1394,6 @@ impl<'a> NvbitApi<'a> {
             .get(&raw)
             .map(|e| !e.images.is_empty() || !e.spec.is_empty())
             .unwrap_or(false)
-    }
-
-    // ----- Overhead accounting (paper §5.2) ---------------------------------
-
-    /// The accumulated JIT-compilation overhead report.
-    pub fn overhead(&self) -> OverheadReport {
-        self.state.overhead.lock().unwrap().clone()
     }
 }
 

@@ -125,7 +125,6 @@ pub mod core;
 pub mod hal;
 pub mod instr;
 pub mod lift;
-pub mod overhead;
 pub mod plan;
 pub mod saverestore;
 pub mod spec;
@@ -135,8 +134,7 @@ pub use crate::core::{attach_tool, NvbitApi, NvbitCore, NvbitTool, SaveStats};
 pub use codegen::SavePolicy;
 pub use hal::Hal;
 pub use instr::Instr;
-pub use overhead::{JitComponent, JitOverhead, OverheadReport};
-pub use plan::{PlanOpts, PlanStats};
+pub use plan::{PlanLevel, PlanOpts, PlanStats};
 pub use spec::{Arg, IPoint};
 pub use verify::{DiagKind, Diagnostic};
 

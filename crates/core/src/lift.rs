@@ -23,13 +23,21 @@ pub struct Lifted {
     pub dom: Option<sass::Dom>,
 }
 
-/// Lifts the function's current code bytes.
+/// Lifts the function's current code bytes: one decode (`disassemble`
+/// span, counted on `sass.decode`), then the CFG/dataflow/dominator
+/// analyses and the [`Instr`] views (`convert` span).
 ///
 /// # Errors
 ///
 /// Propagates decode failures (corrupt code).
 pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
-    let raw = hal.disassemble(code)?;
+    let raw = {
+        let _span = common::obs::span("disassemble");
+        let raw = hal.disassemble(code)?;
+        common::obs::counter("sass.decode", raw.len() as u64);
+        raw
+    };
+    let _span = common::obs::span("convert");
     let isize = hal.instruction_size();
     let blocks = sass::cfg::basic_blocks(&raw, hal.arch());
     let dataflow = sass::Dataflow::analyze(&raw, hal.arch()).ok();

@@ -3,10 +3,13 @@
 //!
 //! The spec is *what the tool asked for*; the plan is *what will be
 //! emitted*. [`build`] validates the request, groups injection sites by
-//! `sass::cfg` basic block, and runs two optimization passes over the
-//! result — the callback-coalescing and inlining levers every mature DBI
-//! framework applies (Pin, DynamoRIO; see the DBI survey), mapped onto the
-//! paper's Fig. 9 overhead breakdown:
+//! `sass::cfg` basic block, and climbs the [`PlanLevel`] ladder of
+//! optimization passes over the result — the callback-coalescing and
+//! inlining levers every mature DBI framework applies (Pin, DynamoRIO; see
+//! the DBI survey), mapped onto the paper's Fig. 9 overhead breakdown
+//! (block coalescing from [`PlanLevel::Block`]; after-point lowering and
+//! region coalescing from [`PlanLevel::Region`]; leaf inlining at
+//! [`PlanLevel::Spliced`]):
 //!
 //! 1. **After-point lowering** (paper Fig. 4 — the trampoline's
 //!    post-original slot): an `IPoint::After` injection at a mid-block
@@ -37,7 +40,9 @@
 //! 4. **Leaf inlining**: tool functions classified as inlinable leaves
 //!    (small, call-free, no `nvbit.readreg`/`writereg` use — see
 //!    [`crate::codegen::ToolFn::inlinable`]) have their bodies spliced
-//!    directly into the trampoline, eliminating the CALL/RET pair.
+//!    directly into the trampoline, eliminating the CALL/RET pair — unless
+//!    [`sass::pressure::splice_verdict`] prices the splice as raising the
+//!    site's save tier, in which case the call stays out of line.
 //!
 //! Every coalesce-marked injection follows the **multiplicity protocol**:
 //! the plan appends one trailing `Imm32` argument — 1 when the call stands
@@ -51,60 +56,49 @@ use sass::cfg::{block_of, BasicBlock};
 use sass::{Dataflow, Dom};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
+/// How far up the pass ladder [`build`] climbs. Each rung runs every pass
+/// of the rungs below it, so the legal configurations are exactly the
+/// rungs (paper Fig. 9: each rung removes more of the per-site overhead).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum PlanLevel {
+    /// One call per requested site — no pass runs.
+    Naive,
+    /// Block coalescing over coalesce-marked injections.
+    Block,
+    /// Adds after-point lowering and dominator-region coalescing.
+    Region,
+    /// Adds leaf splicing, each splice priced by
+    /// [`sass::pressure::splice_verdict`]: one that would raise the site's
+    /// save tier is declined and stays an out-of-line call.
+    Spliced,
+}
+
 /// Which optimization passes [`build`] runs. Part of the image-cache key:
 /// different options produce different trampolines for the same spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanOpts {
-    /// Run the basic-block coalescing pass over coalesce-marked injections.
-    pub coalesce: bool,
-    /// Splice inlinable leaf tool functions into the trampoline instead of
-    /// calling them.
-    pub inline: bool,
-    /// Hoist per-block merged calls into one call per dominator region
-    /// (needs `coalesce` groups to be meaningful, but runs independently).
-    pub region_coalesce: bool,
-    /// Lower coalesce-marked `IPoint::After` injections at mid-block sites
-    /// to the equivalent `Before` position on the fall-through edge.
-    pub after_lower: bool,
-    /// Gate each inline splice with the register-pressure cost model
-    /// ([`sass::pressure::splice_verdict`]): splices whose body write
-    /// window would raise the site's save tier are declined and stay
-    /// out-of-line calls. Without the gate, spliced guarded-diamond bodies
-    /// are charged the conservative whole-function tier.
-    pub pressure: bool,
+    /// The highest rung of the pass ladder to run.
+    pub level: PlanLevel,
     /// Price save-tier growth on the SM occupancy curve instead of
     /// declining it outright: with a model and the launch's block shape
     /// supplied, a splice whose raised tier keeps the same blocks/SM
     /// (a flat step of the curve) is accepted, and only splices that
     /// would drop resident blocks are declined. `None` keeps the binary
-    /// tier-only gate. Only consulted when `pressure` is on.
+    /// tier-only gate. Only consulted at [`PlanLevel::Spliced`].
     pub occupancy: Option<sass::occupancy::OccupancyCfg>,
 }
 
 impl Default for PlanOpts {
+    /// The top rung with the tier-only splice gate.
     fn default() -> Self {
-        PlanOpts {
-            coalesce: true,
-            inline: true,
-            region_coalesce: true,
-            after_lower: true,
-            pressure: true,
-            occupancy: None,
-        }
+        PlanOpts { level: PlanLevel::Spliced, occupancy: None }
     }
 }
 
 impl PlanOpts {
     /// Every pass disabled — the naive one-call-per-site pipeline.
     pub fn naive() -> Self {
-        PlanOpts {
-            coalesce: false,
-            inline: false,
-            region_coalesce: false,
-            after_lower: false,
-            pressure: false,
-            occupancy: None,
-        }
+        PlanOpts { level: PlanLevel::Naive, occupancy: None }
     }
 }
 
@@ -137,7 +131,8 @@ pub struct PlannedCall {
     pub inline: bool,
     /// `(tier_before, tier_after)` claimed by the pressure verdict for an
     /// accepted splice — the occupancy claim the verifier re-prices from
-    /// original bytes. `None` when the splice was not pressure-vetted.
+    /// original bytes. `None` when the verdict did not price the call (out
+    /// of line, or no dataflow solution).
     pub occ: Option<(u16, u16)>,
 }
 
@@ -172,8 +167,7 @@ pub struct PlanStats {
     /// under the ICF exception ([`sass::cfg::partial_blocks`]) — merges
     /// the naive fallback would have lost.
     pub icf_recovered: u64,
-    /// Inline candidates the pressure verdict accepted (only counted when
-    /// [`PlanOpts::pressure`] is on).
+    /// Inline candidates the pressure verdict accepted.
     pub inline_accepted: u64,
     /// Inline candidates the pressure verdict declined: the body's write
     /// window would have raised the site's save tier, so the call stays
@@ -283,15 +277,15 @@ fn arg_read_back(args: &[Arg]) -> u16 {
 }
 
 /// Builds the plan: validates the spec against the function body and the
-/// loaded tool functions, then runs the passes enabled in `opts`.
+/// loaded tool functions, then runs the passes up to `opts.level`.
 ///
 /// `analyses` carries the optional static analyses: coalescing needs the
 /// block partition (falling back to the partial partition under the ICF
 /// exception, with [`PlanStats::cfg_available`] and
 /// [`PlanStats::icf_recovered`] recording what happened), region
 /// coalescing additionally needs the dominator analysis, and the pressure
-/// verdict needs the dataflow solution (without it, every eligible splice
-/// is accepted, as before).
+/// verdict needs the dataflow solution (without it every eligible splice
+/// is accepted and the code generator charges the whole-function tier).
 ///
 /// # Errors
 ///
@@ -354,7 +348,7 @@ pub fn build(
 
     // Pass 1: after-point lowering (must precede coalescing so the lowered
     // calls participate in it).
-    if opts.after_lower {
+    if opts.level >= PlanLevel::Region {
         if let Some(blocks) = blocks {
             after_lower_pass(&mut sites, blocks, &mut stats);
         }
@@ -365,7 +359,7 @@ pub fn build(
     // line code between statically known leaders, so per-block merging
     // applies there too; `icf_recovered` counts what the naive fallback
     // would have lost.
-    if opts.coalesce {
+    if opts.level >= PlanLevel::Block {
         if let Some(blocks) = blocks {
             stats.coalesced_groups += merge_calls(&mut sites, &|site| block_of(blocks, site));
         } else if let Some(partial) = partial {
@@ -378,7 +372,7 @@ pub fn build(
     // Pass 3: region coalescing — merge across control-equivalent,
     // cycle-equivalent blocks. Identity regions under irreducible control
     // flow make this a no-op, so skip the walk entirely.
-    if opts.region_coalesce {
+    if opts.level >= PlanLevel::Region {
         if let (Some(blocks), Some(dom)) = (blocks, dom) {
             if !dom.irreducible() {
                 stats.region_groups += merge_calls(&mut sites, &|site| {
@@ -399,38 +393,36 @@ pub fn build(
         sites.remove(&idx);
     }
 
-    // Pass 4: inline splicing, gated per call by the pressure verdict when
-    // the cost model is enabled and the dataflow solution is available.
+    // Pass 4: inline splicing, each splice priced by the pressure verdict
+    // (when the dataflow solution is unavailable the code generator charges
+    // the whole-function tier anyway, so there is nothing to price).
     for (&idx, calls) in sites.iter_mut() {
         for call in calls.iter_mut() {
             stats.emitted_calls += 1;
-            if !opts.inline || !tool_fns[&call.func].inlinable {
+            let tf = &tool_fns[&call.func];
+            if opts.level < PlanLevel::Spliced || !tf.inlinable {
                 continue;
             }
-            if opts.pressure {
-                let tf = &tool_fns[&call.func];
-                if let (Some(df), Some(ceiling)) = (dataflow, tf.write_ceiling) {
-                    let site = sass::pressure::SpliceSite {
-                        index: idx,
-                        scaffold_window: scaffold_window(&call.args),
-                        body_window: ceiling,
-                        arg_demand: arg_read_back(&call.args),
-                    };
-                    let verdict =
-                        sass::pressure::splice_verdict(df, &site, opts.occupancy.as_ref());
-                    match verdict.rule {
-                        sass::pressure::VerdictRule::OccupancyFlat => stats.occ_accepted += 1,
-                        sass::pressure::VerdictRule::OccupancyDrop => stats.occ_declined += 1,
-                        _ => {}
-                    }
-                    if !verdict.accept {
-                        stats.inline_declined += 1;
-                        continue;
-                    }
-                    call.occ = Some((verdict.tier_before, verdict.tier_after));
+            if let (Some(df), Some(ceiling)) = (dataflow, tf.write_ceiling) {
+                let site = sass::pressure::SpliceSite {
+                    index: idx,
+                    scaffold_window: scaffold_window(&call.args),
+                    body_window: ceiling,
+                    arg_demand: arg_read_back(&call.args),
+                };
+                let verdict = sass::pressure::splice_verdict(df, &site, opts.occupancy.as_ref());
+                match verdict.rule {
+                    sass::pressure::VerdictRule::OccupancyFlat => stats.occ_accepted += 1,
+                    sass::pressure::VerdictRule::OccupancyDrop => stats.occ_declined += 1,
+                    _ => {}
                 }
-                stats.inline_accepted += 1;
+                if !verdict.accept {
+                    stats.inline_declined += 1;
+                    continue;
+                }
+                call.occ = Some((verdict.tier_before, verdict.tier_after));
             }
+            stats.inline_accepted += 1;
             call.inline = true;
             stats.inlined_calls += 1;
         }
@@ -586,6 +578,10 @@ skip:
     EXIT ;
 ";
 
+    fn at(level: PlanLevel) -> PlanOpts {
+        PlanOpts { level, occupancy: None }
+    }
+
     fn body_blocks() -> (usize, Vec<BasicBlock>) {
         let prog = assemble_arch(BODY, Arch::Volta).unwrap();
         let blocks = sass::cfg::basic_blocks(&prog, Arch::Volta).unwrap();
@@ -621,14 +617,9 @@ skip:
     fn coalescing_merges_per_block_and_appends_multiplicity() {
         let (n, blocks) = body_blocks();
         let spec = count_spec(n, 0xdead);
-        let plan = build(
-            &spec,
-            n,
-            Analyses::with_blocks(&blocks),
-            &fns(false),
-            PlanOpts { coalesce: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let plan =
+            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
+                .unwrap();
         // Blocks are 0..3, 3..5, 5..6 → one call each, at the block heads.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3, 5]);
@@ -674,14 +665,9 @@ skip:
         spec.insert_call(2, "f", IPoint::Before);
         spec.set_coalesce(2);
         spec.set_pred_filter(2);
-        let plan = build(
-            &spec,
-            n,
-            Analyses::with_blocks(&blocks),
-            &fns(false),
-            PlanOpts { coalesce: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let plan =
+            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
+                .unwrap();
         assert_eq!(plan.sites.len(), 3, "nothing merged");
         assert_eq!(plan.stats.coalesced_groups, 0);
     }
@@ -695,14 +681,9 @@ skip:
             spec.add_arg(idx, Arg::Imm64(ctr));
             spec.set_coalesce(idx);
         }
-        let plan = build(
-            &spec,
-            n,
-            Analyses::with_blocks(&blocks),
-            &fns(false),
-            PlanOpts { coalesce: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let plan =
+            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
+                .unwrap();
         // Sites 0 and 1 merge (same counter); site 2 stands alone.
         assert_eq!(plan.sites[&0][0].multiplicity, 2);
         assert_eq!(plan.sites[&2][0].multiplicity, 1);
@@ -722,23 +703,18 @@ skip:
     }
 
     #[test]
-    fn inline_pass_marks_inlinable_leaves_only_when_enabled() {
+    fn inline_pass_marks_inlinable_leaves_only_at_the_top_rung() {
         let (n, blocks) = body_blocks();
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "f", IPoint::Before);
-        let on = build(
-            &spec,
-            n,
-            Analyses::with_blocks(&blocks),
-            &fns(true),
-            PlanOpts { inline: true, ..PlanOpts::naive() },
-        )
-        .unwrap();
+        let on = build(&spec, n, Analyses::with_blocks(&blocks), &fns(true), PlanOpts::default())
+            .unwrap();
         assert!(on.sites[&0][0].inline);
         assert_eq!(on.stats.inlined_calls, 1);
         let off =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(true), PlanOpts::naive()).unwrap();
-        assert!(!off.sites[&0][0].inline);
+            build(&spec, n, Analyses::with_blocks(&blocks), &fns(true), at(PlanLevel::Region))
+                .unwrap();
+        assert!(!off.sites[&0][0].inline, "splicing is the top rung only");
         let opaque =
             build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default())
                 .unwrap();
@@ -768,7 +744,7 @@ skip:
         spec.insert_call(1, "f", IPoint::Before);
 
         // Tier-only gate: declined.
-        let tier_opts = PlanOpts { inline: true, pressure: true, ..PlanOpts::naive() };
+        let tier_opts = PlanOpts::default();
         let tier = build(&spec, prog.len(), analyses(), &tool_fns, tier_opts).unwrap();
         assert!(!tier.sites[&1][0].inline);
         assert_eq!((tier.stats.inline_declined, tier.stats.inlined_calls), (1, 0));
@@ -838,7 +814,7 @@ skip:
     fn region_pass_hoists_control_equivalent_blocks() {
         let (prog, blocks, dom) = body_dom(BODY);
         let spec = count_spec(prog.len(), 0xdead);
-        let opts = PlanOpts { coalesce: true, region_coalesce: true, ..PlanOpts::naive() };
+        let opts = at(PlanLevel::Region);
         let plan =
             build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
@@ -868,7 +844,7 @@ body:
     fn region_pass_skips_loop_bodies() {
         let (prog, blocks, dom) = body_dom(LOOP);
         let spec = count_spec(prog.len(), 1);
-        let opts = PlanOpts { coalesce: true, region_coalesce: true, ..PlanOpts::naive() };
+        let opts = at(PlanLevel::Region);
         let plan =
             build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), opts).unwrap();
         // Setup (instr 0) and tail (instrs 4,5) merge; the loop body
@@ -897,8 +873,8 @@ b:
         let (prog, blocks, dom) = body_dom(IRREDUCIBLE);
         assert!(dom.irreducible());
         let spec = count_spec(prog.len(), 1);
-        let with_region = PlanOpts { coalesce: true, region_coalesce: true, ..PlanOpts::naive() };
-        let block_only = PlanOpts { coalesce: true, ..PlanOpts::naive() };
+        let with_region = at(PlanLevel::Region);
+        let block_only = at(PlanLevel::Block);
         let a =
             build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), with_region)
                 .unwrap();
@@ -908,9 +884,10 @@ b:
         assert_eq!(a.stats.region_groups, 0);
     }
 
-    fn after_spec(idxs: &[usize], ctr: u64) -> FuncSpec {
+    /// One coalesce-marked `After` injection per `(site, counter)` pair.
+    fn after_spec(sites: &[(usize, u64)]) -> FuncSpec {
         let mut s = FuncSpec::default();
-        for &idx in idxs {
+        for &(idx, ctr) in sites {
             s.insert_call(idx, "f", IPoint::After);
             s.add_arg(idx, Arg::Imm64(ctr));
             s.set_coalesce(idx);
@@ -922,8 +899,10 @@ b:
     fn after_points_lower_to_fall_through_slots() {
         let (n, blocks) = body_blocks();
         // Sites 0 and 1 are mid-block; site 2 is the block terminator.
-        let spec = after_spec(&[0, 1, 2], 9);
-        let opts = PlanOpts { after_lower: true, ..PlanOpts::naive() };
+        // Distinct counters keep the lowered calls from merging, so the
+        // lowering is visible on its own.
+        let spec = after_spec(&[(0, 9), (1, 10), (2, 11)]);
+        let opts = at(PlanLevel::Region);
         let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
         let c1 = &plan.sites[&1][0];
         assert_eq!(c1.ipoint, IPoint::Before);
@@ -942,8 +921,8 @@ b:
     #[test]
     fn lowered_after_points_coalesce_under_the_multiplicity_protocol() {
         let (n, blocks) = body_blocks();
-        let spec = after_spec(&[0, 1], 9);
-        let opts = PlanOpts { after_lower: true, coalesce: true, ..PlanOpts::naive() };
+        let spec = after_spec(&[(0, 9), (1, 9)]);
+        let opts = at(PlanLevel::Region);
         let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![1], "anchored at origin 0's fall-through slot");
@@ -983,7 +962,7 @@ b:
             spec.add_arg(0, Arg::Imm64(9));
             spec.set_coalesce(0);
         }
-        let opts = PlanOpts { after_lower: true, coalesce: true, ..PlanOpts::naive() };
+        let opts = at(PlanLevel::Region);
         let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
         assert_eq!(plan.stats.emitted_calls, 2);
         assert_eq!(plan.stats.coalesced_groups, 0);

@@ -22,7 +22,7 @@
 
 use crate::codegen::SiteMeta;
 use crate::hal::Hal;
-use crate::plan::PlanOpts;
+use crate::plan::{PlanLevel, PlanOpts};
 use crate::saverestore::frame_slots;
 use sass::cfg::block_of;
 use sass::op::{CfClass, OKind};
@@ -689,7 +689,7 @@ pub fn verify_plan_instrs(
                     // model, and (c) covers the demand recomputed from the
                     // original bytes under the emitted splice's write
                     // ceiling — none of it trusted from the planner.
-                    if opts.pressure {
+                    if opts.level >= PlanLevel::Spliced {
                         if let Some(cfg) = opts.occupancy.as_ref() {
                             let claim_ok = call.occ.is_some_and(|(tb, ta)| {
                                 let on_ladder = sass::pressure::tier_of(tb) == Some(tb)

@@ -3,9 +3,13 @@
 //! re-run codegen (version swaps are O(memcpy) — paper §6.2), and a module
 //! unload must show up as cache evictions.
 //!
-//! This test owns process-global state twice over: it flips the obs
-//! switch, and `Report::capture` destructively drains every thread's ring.
-//! It therefore lives alone in its own integration-test binary.
+//! The same capture also proves the JIT breakdown of paper Fig. 5 comes
+//! from obs spans alone: all six phases are attributed, and a function is
+//! decoded exactly once per lift.
+//!
+//! These tests own process-global state: they flip the obs switch and
+//! reset the rings. They therefore live in their own integration-test
+//! binary and serialize on one lock.
 
 use common::obs;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
@@ -84,8 +88,11 @@ impl NvbitTool for Flipper {
     }
 }
 
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn version_flips_reuse_cached_images_and_unload_evicts() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     obs::set_enabled(true);
     obs::reset();
 
@@ -122,4 +129,38 @@ fn version_flips_reuse_cached_images_and_unload_evicts() {
     assert_eq!(report.counter_sum("lift_cache.evict"), 1);
     assert_eq!(report.counter_sum("instr_image.evict"), 2);
     assert_eq!(report.counter_sum("tramp.free_fail"), 0, "all trampolines free cleanly");
+}
+
+/// The six JIT-overhead components of paper Fig. 5 — retrieve,
+/// disassemble, convert, user code, code generation, swap — each show up
+/// as an obs phase with non-zero time, and the lifter decodes a function
+/// once (no second decode feeding a stopwatch).
+#[test]
+fn jit_phases_attribute_all_six_components() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    obs::reset();
+
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(&drv, Flipper { launches: 0 });
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let out = drv.mem_alloc(128).unwrap();
+    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+    drv.shutdown();
+
+    let report = obs::Report::capture();
+    obs::set_enabled(false);
+
+    for phase in ["retrieve", "disassemble", "convert", "user_code", "codegen", "swap"] {
+        let p = report.phases.get(phase).unwrap_or_else(|| panic!("phase {phase} missing"));
+        assert!(p.count > 0 && p.total_ns > 0, "phase {phase} not attributed: {p:?}");
+    }
+    // One function, lifted once, decoded once.
+    assert_eq!(report.counter_sum("lift_cache.miss"), 1);
+    assert_eq!(report.phases["lift"].count, 1);
+    assert_eq!(report.phases["disassemble"].count, 1);
+    assert_eq!(report.counters["sass.decode"].count, 1, "one decode per lift");
+    assert_eq!(report.open_spans, 0);
 }

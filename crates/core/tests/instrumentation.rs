@@ -691,50 +691,6 @@ fn kernels_with_device_function_calls_can_be_instrumented_throughout() {
 }
 
 #[test]
-fn overhead_report_attributes_all_six_components() {
-    let counter = Rc::new(RefCell::new(0u64));
-    let report = Rc::new(RefCell::new(None));
-    struct OverheadTool {
-        inner: Box<dyn NvbitTool>,
-        report: Rc<RefCell<Option<nvbit::OverheadReport>>>,
-    }
-    impl NvbitTool for OverheadTool {
-        fn at_init(&mut self, api: &NvbitApi<'_>) {
-            self.inner.at_init(api);
-        }
-        fn at_term(&mut self, api: &NvbitApi<'_>) {
-            *self.report.borrow_mut() = Some(api.overhead());
-            self.inner.at_term(api);
-        }
-        fn at_cuda_event(
-            &mut self,
-            api: &NvbitApi<'_>,
-            is_exit: bool,
-            cbid: CbId,
-            params: &CbParams<'_>,
-        ) {
-            self.inner.at_cuda_event(api, is_exit, cbid, params);
-        }
-    }
-
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    attach_tool(
-        &drv,
-        OverheadTool { inner: Box::new(instr_count_tool(counter)), report: report.clone() },
-    );
-    run_vecadd(&drv, 100);
-    drv.shutdown();
-
-    let report = report.borrow().clone().unwrap();
-    use nvbit::JitComponent as C;
-    for c in [C::Retrieve, C::Disassemble, C::Convert, C::UserCode, C::Codegen, C::Swap] {
-        assert!(report.total.of(c) > std::time::Duration::ZERO, "component {c:?} not attributed");
-    }
-    assert_eq!(report.per_function.len(), 1);
-    assert!(report.per_function.contains_key("vecadd"));
-}
-
-#[test]
 fn cbank_predval_and_sp_arguments_materialize_correctly() {
     // A tool function that records its three arguments into a buffer:
     // arg0 = a constant-bank value (the kernel's own `n` parameter),

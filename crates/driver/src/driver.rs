@@ -531,8 +531,10 @@ impl Driver {
             .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))
     }
 
-    /// Reads the function's current code bytes from device memory.
+    /// Reads the function's current code bytes from device memory (the
+    /// `retrieve` phase of the JIT breakdown, paper Fig. 5).
     pub fn read_code(&self, func: CuFunction) -> Result<Vec<u8>> {
+        let _span = common::obs::span("retrieve");
         let info = self.function_info(func)?;
         let mut buf = vec![0u8; info.code_len as usize];
         self.state.borrow().device.read(info.addr, &mut buf)?;

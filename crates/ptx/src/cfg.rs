@@ -142,137 +142,19 @@ impl FnCfg {
     }
 }
 
-/// Dominator (or post-dominator) tree over an arbitrary graph, computed with
-/// the Cooper–Harvey–Kennedy iterative algorithm.
-#[derive(Debug)]
-pub struct Dominators {
-    /// Immediate dominator of each node (`idom[root] == root`); `usize::MAX`
-    /// for unreachable nodes.
-    pub idom: Vec<usize>,
-}
-
-impl Dominators {
-    /// Computes dominators of a graph given its successor function.
-    pub fn compute(num: usize, root: usize, succs: impl Fn(usize) -> Vec<usize>) -> Dominators {
-        // Reverse postorder from root.
-        let mut order = Vec::with_capacity(num);
-        let mut state = vec![0u8; num]; // 0 unvisited, 1 on stack, 2 done
-        let mut stack = vec![(root, 0usize)];
-        state[root] = 1;
-        while let Some((node, child)) = stack.pop() {
-            let ss = succs(node);
-            if child < ss.len() {
-                stack.push((node, child + 1));
-                let next = ss[child];
-                if state[next] == 0 {
-                    state[next] = 1;
-                    stack.push((next, 0));
-                }
-            } else {
-                state[node] = 2;
-                order.push(node);
-            }
-        }
-        order.reverse(); // reverse postorder
-        let mut rpo_index = vec![usize::MAX; num];
-        for (i, &node) in order.iter().enumerate() {
-            rpo_index[node] = i;
-        }
-
-        // Predecessor lists restricted to reachable nodes.
-        let mut preds = vec![Vec::new(); num];
-        for &node in &order {
-            for s in succs(node) {
-                if rpo_index[s] != usize::MAX {
-                    preds[s].push(node);
-                }
-            }
-        }
-
-        let mut idom = vec![usize::MAX; num];
-        idom[root] = root;
-        let intersect = |idom: &[usize], rpo: &[usize], mut a: usize, mut b: usize| -> usize {
-            while a != b {
-                while rpo[a] > rpo[b] {
-                    a = idom[a];
-                }
-                while rpo[b] > rpo[a] {
-                    b = idom[b];
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &node in &order {
-                if node == root {
-                    continue;
-                }
-                let mut new_idom = usize::MAX;
-                for &p in &preds[node] {
-                    if idom[p] == usize::MAX {
-                        continue;
-                    }
-                    new_idom = if new_idom == usize::MAX {
-                        p
-                    } else {
-                        intersect(&idom, &rpo_index, new_idom, p)
-                    };
-                }
-                if new_idom != usize::MAX && idom[node] != new_idom {
-                    idom[node] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        Dominators { idom }
-    }
-
-    /// True if `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
-        let mut x = b;
-        loop {
-            if x == a {
-                return true;
-            }
-            if self.idom[x] == usize::MAX || self.idom[x] == x {
-                return x == a;
-            }
-            x = self.idom[x];
-        }
-    }
-}
-
-/// Computes immediate post-dominators of a CFG by running the dominator
-/// algorithm on the reversed graph rooted at a virtual exit node.
+/// Computes immediate post-dominators of a CFG ([`common::graph`] on the
+/// reversed graph rooted at a virtual exit node fed by every
+/// successor-less block).
 ///
 /// Returns, per block, the immediate post-dominator block id, or `None` for
 /// blocks post-dominated only by the virtual exit (e.g. blocks ending in
 /// `exit` themselves).
 pub fn ipostdom(cfg: &FnCfg) -> Vec<Option<usize>> {
-    let n = cfg.blocks.len();
-    let exit = n; // virtual exit node
-    let succs_rev = |node: usize| -> Vec<usize> {
-        if node == exit {
-            // Virtual exit's "successors" in the reversed graph are the real
-            // exit blocks (no successors) — i.e. its predecessors in the
-            // forward graph.
-            (0..n).filter(|&b| cfg.blocks[b].succs.is_empty()).collect()
-        } else {
-            cfg.blocks[node].preds.clone()
-        }
-    };
-    let dom = Dominators::compute(n + 1, exit, succs_rev);
-    (0..n)
-        .map(|b| {
-            let id = dom.idom[b];
-            if id == usize::MAX || id == exit {
-                None
-            } else {
-                Some(id)
-            }
-        })
+    let succ: Vec<Vec<usize>> = cfg.blocks.iter().map(|b| b.succs.clone()).collect();
+    let exit = succ.len();
+    common::graph::post_idoms(&succ, |b| succ[b].is_empty())
+        .into_iter()
+        .map(|ip| ip.filter(|&p| p != exit))
         .collect()
 }
 
@@ -343,17 +225,6 @@ TOP:
         assert_eq!(succs[1], vec![1, 2]); // backedge + exit
         assert_eq!(ipd[1], Some(2)); // loop body reconverges after the loop
         assert!(succs[2].is_empty());
-    }
-
-    #[test]
-    fn dominators_on_diamond() {
-        let m = parse(DIAMOND).unwrap();
-        let lin = Linear::of(&m.functions[0]);
-        let cfg = FnCfg::build(&lin);
-        let dom = Dominators::compute(cfg.blocks.len(), 0, |b| cfg.blocks[b].succs.clone());
-        assert!(dom.dominates(0, 3));
-        assert!(!dom.dominates(1, 3));
-        assert!(dom.dominates(3, 3));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Three results are computed over the block graph:
 //!
 //! * **immediate dominators** (and, against a virtual exit node, immediate
-//!   post-dominators) via the Cooper–Harvey–Kennedy iterative algorithm
-//!   ("A Simple, Fast Dominance Algorithm");
+//!   post-dominators) from the shared [`common::graph`] implementation of
+//!   the Cooper–Harvey–Kennedy iterative algorithm;
 //! * **reducibility**: a depth-first search classifies retreating edges;
 //!   a retreating edge whose target does not dominate its source makes the
 //!   graph irreducible and the region analysis falls back to the
@@ -163,38 +163,18 @@ impl Dom {
             return dom;
         }
 
-        // --- Dominators (CHK over the forward graph, entry = block 0) ---
-        let rpo = reverse_postorder(&dom.succ, &[0], nb);
+        // --- Dominators (forward graph, entry = block 0) ----------------
+        let common::graph::DomTree { idom, rpo } = common::graph::idoms(&dom.succ, 0);
         for &b in &rpo {
             dom.reachable[b] = true;
         }
-        let preds = predecessors(&dom.succ, nb);
-        dom.idom = chk(&dom.succ, &preds, &rpo, 0);
+        dom.idom = idom;
 
-        // --- Post-dominators (CHK over the reverse graph from a virtual
-        // exit node nb, fed by every exit block) ------------------------
-        {
-            let mut rsucc: Vec<Vec<usize>> = vec![Vec::new(); nb + 1];
-            for (b, ss) in dom.succ.iter().enumerate() {
-                for &s in ss {
-                    rsucc[s].push(b);
-                }
-            }
-            for (b, is_exit) in exits.iter().enumerate() {
-                if *is_exit {
-                    rsucc[nb].push(b);
-                }
-            }
-            let rrpo = reverse_postorder(&rsucc, &[nb], nb + 1);
-            let rpreds = predecessors(&rsucc, nb + 1);
-            let ipdom_full = chk(&rsucc, &rpreds, &rrpo, nb);
-            for (b, ip) in ipdom_full.iter().take(nb).enumerate() {
-                dom.pdom_valid[b] = rrpo.contains(&b);
-                dom.ipdom[b] = match *ip {
-                    Some(p) if p < nb => Some(p),
-                    _ => None,
-                };
-            }
+        // --- Post-dominators (reverse graph from a virtual exit node nb,
+        // fed by every exit block) --------------------------------------
+        for (b, ip) in common::graph::post_idoms(&dom.succ, |b| exits[b]).into_iter().enumerate() {
+            dom.pdom_valid[b] = ip.is_some();
+            dom.ipdom[b] = ip.filter(|&p| p < nb);
         }
 
         // --- Reducibility: every retreating DFS edge must target a
@@ -345,45 +325,6 @@ impl Dom {
     }
 }
 
-/// Reverse postorder of the graph reachable from `roots`.
-fn reverse_postorder(succ: &[Vec<usize>], roots: &[usize], n: usize) -> Vec<usize> {
-    let mut post = Vec::with_capacity(n);
-    let mut state = vec![0u8; n];
-    for &root in roots {
-        if state[root] != 0 {
-            continue;
-        }
-        let mut stack = vec![(root, 0usize)];
-        state[root] = 1;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succ[b].len() {
-                let s = succ[b][*i];
-                *i += 1;
-                if state[s] == 0 {
-                    state[s] = 1;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-    }
-    post.reverse();
-    post
-}
-
-/// Predecessor lists of `succ`.
-fn predecessors(succ: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (b, ss) in succ.iter().enumerate() {
-        for &s in ss {
-            preds[s].push(b);
-        }
-    }
-    preds
-}
-
 /// Exact per-lane successors for every `SYNC`-terminated block, found by
 /// abstractly interpreting the per-lane reconvergence stack: each `SSY`
 /// pushes its target block, a `SYNC` pops the innermost enclosing target
@@ -472,59 +413,6 @@ fn matched_sync_edges(
         }
     }
     Some(sync_succ)
-}
-
-/// Cooper–Harvey–Kennedy iterative immediate dominators over the nodes in
-/// `rpo` (a reverse postorder from `root`). Nodes absent from `rpo` keep
-/// `None`.
-fn chk(
-    succ: &[Vec<usize>],
-    preds: &[Vec<usize>],
-    rpo: &[usize],
-    root: usize,
-) -> Vec<Option<usize>> {
-    let n = succ.len();
-    let mut order = vec![usize::MAX; n]; // position in rpo; MAX = unreachable
-    for (pos, &b) in rpo.iter().enumerate() {
-        order[b] = pos;
-    }
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    idom[root] = Some(root); // self-loop sentinel during iteration
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new: Option<usize> = None;
-            for &p in &preds[b] {
-                if idom[p].is_none() {
-                    continue; // not yet processed or unreachable
-                }
-                new = Some(match new {
-                    None => p,
-                    Some(cur) => intersect(&idom, &order, cur, p),
-                });
-            }
-            if new.is_some() && idom[b] != new {
-                idom[b] = new;
-                changed = true;
-            }
-        }
-    }
-    idom[root] = None; // drop the sentinel
-    idom
-}
-
-/// The CHK two-finger walk: nearest common dominator of `a` and `b`.
-fn intersect(idom: &[Option<usize>], order: &[usize], mut a: usize, mut b: usize) -> usize {
-    while a != b {
-        while order[a] > order[b] {
-            a = idom[a].expect("walk stays above the root");
-        }
-        while order[b] > order[a] {
-            b = idom[b].expect("walk stays above the root");
-        }
-    }
-    a
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! feeds each record into the model *while the kernel runs*, so the
 //! full trace never has to be materialised.
 
-use common::channel::{Backpressure, ChannelHost};
+use crate::mem_trace::TraceChannel;
+use common::channel::Backpressure;
 use cuda::{CbId, CbParams};
-use nvbit::{IPoint, NvbitApi, NvbitTool};
-use std::collections::HashSet;
+use nvbit::{NvbitApi, NvbitTool};
 use std::sync::{Arc, Mutex};
 
 /// Cache geometry.
@@ -119,18 +119,16 @@ impl CacheSim {
 /// The online cache-simulation tool: instruments every global memory
 /// access to `chan.push` its effective address, and accumulates
 /// hits/misses in the channel's host drain thread as records arrive —
-/// the paper §6.1 receiver pattern. Uses [`Backpressure::Block`] so the
-/// simulated counts cover every access.
+/// the paper §6.1 receiver pattern. It is [`crate::MemTrace`]'s transport
+/// with a cache model as the drain consumer, and uses
+/// [`Backpressure::Block`] so the simulated counts cover every access.
 ///
 /// Records are simulated in delivery order. With one CTA (one
 /// producer) that is program order; with parallel CTAs the interleave
 /// between CTAs follows drain timing, mirroring how a real streaming
 /// receiver observes concurrent warps.
 pub struct ChannelCacheSim {
-    buf_records: usize,
-    sim: Arc<Mutex<CacheSim>>,
-    host: Option<ChannelHost>,
-    seen: HashSet<u32>,
+    chan: TraceChannel,
 }
 
 impl ChannelCacheSim {
@@ -139,33 +137,29 @@ impl ChannelCacheSim {
     /// model; read final results after `Driver::shutdown`.
     pub fn new(config: CacheConfig, buf_records: usize) -> (ChannelCacheSim, Arc<Mutex<CacheSim>>) {
         let sim = Arc::new(Mutex::new(CacheSim::new(config)));
-        (ChannelCacheSim { buf_records, sim: sim.clone(), host: None, seen: HashSet::new() }, sim)
+        let model = sim.clone();
+        let chan = TraceChannel::new(
+            Backpressure::Block,
+            buf_records,
+            "tool.cache_sim.sites",
+            Box::new(move |batch| {
+                let mut model = model.lock().unwrap();
+                for r in batch {
+                    model.access(r.payload);
+                }
+            }),
+        );
+        (ChannelCacheSim { chan }, sim)
     }
 }
 
 impl NvbitTool for ChannelCacheSim {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        api.load_tool_functions(crate::mem_trace::TRACE_CHAN_FN).expect("tool functions compile");
-        let sim = self.sim.clone();
-        let (host, dev) = ChannelHost::spawn(
-            self.buf_records,
-            Backpressure::Block,
-            Box::new(move |batch| {
-                let mut sim = sim.lock().unwrap();
-                for r in batch {
-                    sim.access(r.payload);
-                }
-            }),
-        );
-        api.driver().with_device(|d| d.attach_channel(dev));
-        self.host = Some(host);
+        self.chan.at_init(api);
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        api.driver().with_device(|d| d.detach_channel());
-        if let Some(host) = self.host.take() {
-            host.shutdown();
-        }
+        self.chan.at_term(api);
     }
 
     fn at_cuda_event(
@@ -176,25 +170,9 @@ impl NvbitTool for ChannelCacheSim {
         params: &CbParams<'_>,
     ) {
         let CbParams::LaunchKernel { func, .. } = params else { return };
-        if cbid != CbId::LaunchKernel || is_exit {
-            return;
+        if cbid == CbId::LaunchKernel && !is_exit {
+            self.chan.instrument(api, *func);
         }
-        if !self.seen.insert(func.raw()) {
-            return;
-        }
-        let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection") {
-            if instr.mem_space() != Some(sass::MemSpace::Global) {
-                continue;
-            }
-            let Some((base, offset)) = instr.mref() else { continue };
-            api.insert_call(*func, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
-            api.add_call_arg_reg_val64(*func, instr.idx, base.0).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, offset).unwrap();
-            sites += 1;
-        }
-        common::obs::counter("tool.cache_sim.sites", sites);
     }
 }
 
@@ -257,7 +235,7 @@ mod tests {
 }
 "#;
         let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (tool, trace) = crate::MemTrace::new(8192);
+        let (tool, trace) = crate::MemTrace::channel(Backpressure::Block, 8192);
         attach_tool(&drv, tool);
         let ctx = drv.ctx_create().unwrap();
         let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();

@@ -2,7 +2,7 @@
 //! optimized variant.
 
 use crate::{read_u64, COUNT_BB_FN, COUNT_FN, COUNT_MULT_FN, COUNT_PMULT_FN, COUNT_WIDE_FN};
-use cuda::{CbId, CbParams, Driver};
+use cuda::{CbId, CbParams, CuFunction, Driver};
 use nvbit::{IPoint, NvbitApi, NvbitTool, PlanOpts};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
@@ -45,29 +45,29 @@ impl InstrCountResults {
     }
 }
 
-/// Per-instruction instruction counter (paper Listing 1), with per-kernel
-/// and per-module-origin attribution.
-pub struct InstrCount {
+/// The per-kernel device counters every counting tool keeps, and the
+/// results handle they are published to.
+struct KernelCounters {
     results: Rc<InstrCountResults>,
-    /// kernel → (counter address, is-library).
+    /// kernel → (counter address, is-library, name).
     counters: BTreeMap<u32, (u64, bool, String)>,
-    seen: HashSet<u32>,
 }
 
-impl InstrCount {
-    /// Creates the tool and its results handle.
-    pub fn new() -> (InstrCount, Rc<InstrCountResults>) {
+impl KernelCounters {
+    fn new() -> (KernelCounters, Rc<InstrCountResults>) {
         let results = Rc::new(InstrCountResults::default());
-        (
-            InstrCount {
-                results: results.clone(),
-                counters: BTreeMap::new(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
+        (KernelCounters { results: results.clone(), counters: BTreeMap::new() }, results)
     }
 
+    /// Allocates the launched kernel's counter and returns its address.
+    fn alloc(&mut self, api: &NvbitApi<'_>, func: CuFunction) -> u64 {
+        let info = api.driver().function_info(func).expect("launched function exists");
+        let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
+        self.counters.insert(func.raw(), (ctr, info.library, info.name));
+        ctr
+    }
+
+    /// Reads every counter back into the results handle.
     fn publish(&self, drv: &Driver) {
         let mut total = 0u64;
         let mut library = 0u64;
@@ -86,13 +86,28 @@ impl InstrCount {
     }
 }
 
+/// Per-instruction instruction counter (paper Listing 1), with per-kernel
+/// and per-module-origin attribution.
+pub struct InstrCount {
+    counters: KernelCounters,
+    seen: HashSet<u32>,
+}
+
+impl InstrCount {
+    /// Creates the tool and its results handle.
+    pub fn new() -> (InstrCount, Rc<InstrCountResults>) {
+        let (counters, results) = KernelCounters::new();
+        (InstrCount { counters, seen: HashSet::new() }, results)
+    }
+}
+
 impl NvbitTool for InstrCount {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.load_tool_functions(COUNT_FN).expect("tool functions compile");
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.publish(api.driver());
+        self.counters.publish(api.driver());
     }
 
     fn at_cuda_event(
@@ -108,15 +123,13 @@ impl NvbitTool for InstrCount {
         }
         if is_exit {
             // Keep results fresh so callers can also read mid-run.
-            self.publish(api.driver());
+            self.counters.publish(api.driver());
             return;
         }
         if !self.seen.insert(func.raw()) {
             return;
         }
-        let info = api.driver().function_info(*func).expect("launched function exists");
-        let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
-        self.counters.insert(func.raw(), (ctr, info.library, info.name.clone()));
+        let ctr = self.counters.alloc(api, *func);
         // Instrument the kernel and every function it can call.
         let mut targets = vec![*func];
         targets.extend(api.get_related_funcs(*func).unwrap_or_default());
@@ -142,40 +155,15 @@ impl NvbitTool for InstrCount {
 /// suggested optimization. Falls back to per-instruction instrumentation
 /// for functions with indirect control flow (the ICF flat-view case).
 pub struct BbInstrCount {
-    results: Rc<InstrCountResults>,
-    counters: BTreeMap<u32, (u64, bool, String)>,
+    counters: KernelCounters,
     seen: HashSet<u32>,
 }
 
 impl BbInstrCount {
     /// Creates the tool and its results handle.
     pub fn new() -> (BbInstrCount, Rc<InstrCountResults>) {
-        let results = Rc::new(InstrCountResults::default());
-        (
-            BbInstrCount {
-                results: results.clone(),
-                counters: BTreeMap::new(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
-    }
-
-    fn publish(&self, drv: &Driver) {
-        let mut total = 0u64;
-        let mut library = 0u64;
-        let mut per_kernel = BTreeMap::new();
-        for (addr, is_lib, name) in self.counters.values() {
-            let v = read_u64(drv, *addr);
-            total += v;
-            if *is_lib {
-                library += v;
-            }
-            *per_kernel.entry(name.clone()).or_insert(0) += v;
-        }
-        *self.results.total.borrow_mut() = total;
-        *self.results.library.borrow_mut() = library;
-        *self.results.per_kernel.borrow_mut() = per_kernel;
+        let (counters, results) = KernelCounters::new();
+        (BbInstrCount { counters, seen: HashSet::new() }, results)
     }
 }
 
@@ -186,7 +174,7 @@ impl NvbitTool for BbInstrCount {
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.publish(api.driver());
+        self.counters.publish(api.driver());
     }
 
     fn at_cuda_event(
@@ -200,9 +188,7 @@ impl NvbitTool for BbInstrCount {
         if is_exit || cbid != CbId::LaunchKernel || !self.seen.insert(func.raw()) {
             return;
         }
-        let info = api.driver().function_info(*func).expect("launched function exists");
-        let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
-        self.counters.insert(func.raw(), (ctr, info.library, info.name.clone()));
+        let ctr = self.counters.alloc(api, *func);
 
         let mut sites = 0u64;
         match api.get_basic_blocks(*func).expect("inspection") {
@@ -236,9 +222,9 @@ impl NvbitTool for BbInstrCount {
 
 /// Issue-level instruction counter built for the planner's optimization
 /// passes: every site injects `nvbit_count_mult` under the multiplicity
-/// protocol and opts into coalescing, so with [`PlanOpts::coalesce`] the
+/// protocol and opts into coalescing, so from [`nvbit::PlanLevel::Block`] up the
 /// planner merges each basic block's sites into one call whose multiplicity
-/// is the block's site count, and with [`PlanOpts::inline`] the counting
+/// is the block's site count, and at [`nvbit::PlanLevel::Spliced`] the counting
 /// body is spliced into the trampoline (no `CALL`/`RET`).
 ///
 /// Unlike [`InstrCount`] there is no guard argument — a predicated-off
@@ -248,8 +234,7 @@ impl NvbitTool for BbInstrCount {
 /// [`PlanOpts`] the plan is built with; the passes only change how many
 /// trampoline calls execute to produce it.
 pub struct CoalescedInstrCount {
-    results: Rc<InstrCountResults>,
-    counters: BTreeMap<u32, (u64, bool, String)>,
+    counters: KernelCounters,
     seen: HashSet<u32>,
     opts: PlanOpts,
     ipoint: IPoint,
@@ -319,9 +304,8 @@ impl CoalescedInstrCount {
 
     /// [`CoalescedInstrCount::executed`] through `nvbit_count_wide`, the
     /// semantically identical but register-hungry counting body: its write
-    /// window reaches past the first save tier, so with
-    /// [`PlanOpts::pressure`] the cost model declines the splice at sites
-    /// where that would raise the save tier.
+    /// window reaches past the first save tier, so the cost model declines
+    /// the splice at sites where that would raise the save tier.
     pub fn executed_wide(opts: PlanOpts) -> (CoalescedInstrCount, Rc<InstrCountResults>) {
         Self::build(opts, IPoint::Before, CountBody::ExecutedWide)
     }
@@ -331,35 +315,8 @@ impl CoalescedInstrCount {
         ipoint: IPoint,
         body: CountBody,
     ) -> (CoalescedInstrCount, Rc<InstrCountResults>) {
-        let results = Rc::new(InstrCountResults::default());
-        (
-            CoalescedInstrCount {
-                results: results.clone(),
-                counters: BTreeMap::new(),
-                seen: HashSet::new(),
-                opts,
-                ipoint,
-                body,
-            },
-            results,
-        )
-    }
-
-    fn publish(&self, drv: &Driver) {
-        let mut total = 0u64;
-        let mut library = 0u64;
-        let mut per_kernel = BTreeMap::new();
-        for (addr, is_lib, name) in self.counters.values() {
-            let v = read_u64(drv, *addr);
-            total += v;
-            if *is_lib {
-                library += v;
-            }
-            *per_kernel.entry(name.clone()).or_insert(0) += v;
-        }
-        *self.results.total.borrow_mut() = total;
-        *self.results.library.borrow_mut() = library;
-        *self.results.per_kernel.borrow_mut() = per_kernel;
+        let (counters, results) = KernelCounters::new();
+        (CoalescedInstrCount { counters, seen: HashSet::new(), opts, ipoint, body }, results)
     }
 }
 
@@ -370,7 +327,7 @@ impl NvbitTool for CoalescedInstrCount {
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.publish(api.driver());
+        self.counters.publish(api.driver());
     }
 
     fn at_cuda_event(
@@ -385,15 +342,13 @@ impl NvbitTool for CoalescedInstrCount {
             return;
         }
         if is_exit {
-            self.publish(api.driver());
+            self.counters.publish(api.driver());
             return;
         }
         if !self.seen.insert(func.raw()) {
             return;
         }
-        let info = api.driver().function_info(*func).expect("launched function exists");
-        let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
-        self.counters.insert(func.raw(), (ctr, info.library, info.name.clone()));
+        let ctr = self.counters.alloc(api, *func);
         let mut targets = vec![*func];
         targets.extend(api.get_related_funcs(*func).unwrap_or_default());
         let mut sites = 0u64;
@@ -429,7 +384,7 @@ mod tests {
     use super::*;
     use cuda::{FatBinary, KernelArg};
     use gpu::{DeviceSpec, Dim3};
-    use nvbit::attach_tool;
+    use nvbit::{attach_tool, PlanLevel};
     use sass::Arch;
 
     const APP: &str = r#"
@@ -531,9 +486,9 @@ DONE:
             (results.total(), drv.total_stats().cycles)
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
-        let (merged, merged_cycles) = run_with(PlanOpts { coalesce: true, ..PlanOpts::naive() });
-        let (inlined, inlined_cycles) =
-            run_with(PlanOpts { coalesce: true, inline: true, ..PlanOpts::naive() });
+        let (merged, merged_cycles) =
+            run_with(PlanOpts { level: PlanLevel::Block, occupancy: None });
+        let (inlined, inlined_cycles) = run_with(PlanOpts::default());
         // The multiplicity protocol makes the total independent of whether
         // the passes actually ran.
         assert_eq!(naive, merged);

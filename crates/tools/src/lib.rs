@@ -65,13 +65,6 @@ pub(crate) fn read_u64(drv: &cuda::Driver, addr: u64) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Reads an `f32` device counter.
-pub(crate) fn read_f32(drv: &cuda::Driver, addr: u64) -> f32 {
-    let mut b = [0u8; 4];
-    drv.memcpy_dtoh(&mut b, addr).expect("counter readback");
-    f32::from_bits(u32::from_le_bytes(b))
-}
-
 /// The shared `count_one` instrumentation device function (Listing 1's
 /// counting body): bumps a `u64` counter once per executing thread.
 pub(crate) const COUNT_FN: &str = r#"

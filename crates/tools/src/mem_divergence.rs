@@ -1,17 +1,20 @@
 //! The memory-address-divergence tool (paper Listing 8 / Figure 6).
 //!
 //! For every warp-level global memory instruction, the injected device
-//! function reconstructs each lane's effective address, counts how many
-//! active lanes touch the same 128-byte cache line, and adds `1/cnt` to a
-//! global unique-lines accumulator while the warp leader bumps the memory-
-//! instruction counter. The reported metric is *average unique cache lines
+//! function reconstructs each lane's effective address and finds the active
+//! lanes touching the same 128-byte cache line; the lowest such lane of
+//! each distinct line adds 1 to a global unique-lines counter while the
+//! warp leader bumps the memory-instruction counter. (Listing 8 has every
+//! lane add `1/cnt` in floating point — the same quantity, but its sum
+//! depends on the order CTAs retire; the integer count is exact and
+//! order-free.) The reported metric is *average unique cache lines
 //! requested per warp-level global memory instruction*.
 //!
 //! `include_libraries = false` reproduces the compiler-based-instrumentation
 //! view: pre-compiled library kernels are left uninstrumented, which
 //! distorts the result exactly as Figure 6 shows.
 
-use crate::{read_f32, read_u64};
+use crate::read_u64;
 use cuda::{CbId, CbParams, Driver};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::cell::RefCell;
@@ -20,13 +23,12 @@ use std::rc::Rc;
 
 /// The injected device function. Arguments: guard predicate, 64-bit base
 /// register value, immediate offset, counter-block address
-/// (`u64 mem_instrs` at +0, `f32 uniq_lines` at +8).
+/// (`u64 mem_instrs` at +0, `u64 uniq_lines` at +8).
 const MDIV_FN: &str = r#"
 .func nvbit_mdiv(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off, .reg .u64 %ctrs)
 {
     .reg .u32 %r<16>;
     .reg .u64 %rd<8>;
-    .reg .f32 %f<4>;
     .reg .pred %p<4>;
     // A false predicate value means the instrumented instruction is not
     // actually executing (Listing 8, line 9).
@@ -51,7 +53,7 @@ const MDIV_FN: &str = r#"
     setp.eq.u32 %p2, %r6, %r4;
     mov.u64 %rd5, 1;
     @%p2 atom.global.add.u64 %rd6, [%ctrs], %rd5;
-    // Count active lanes sharing my cache line.
+    // Count active lanes *below me* sharing my cache line.
     mov.u32 %r7, 0;             // cnt
     mov.u32 %r8, 0;             // l
 LOOP:
@@ -66,15 +68,18 @@ LOOP:
     shr.u32 %r11, %r3, %r8;
     and.b32 %r11, %r11, 1;      // lane l active?
     selp.b32 %r12, %r11, 0, %p3;
+    setp.lt.u32 %p3, %r8, %r5;  // lane l below mine?
+    selp.b32 %r12, %r12, 0, %p3;
     add.u32 %r7, %r7, %r12;
     add.u32 %r8, %r8, 1;
     bra LOOP;
 REDUCE:
-    // Each thread contributes 1/cnt (Listing 8, line 29).
-    cvt.rn.f32.u32 %f1, %r7;
-    rcp.approx.f32 %f2, %f1;
+    // The lowest active lane of each distinct line counts it once (the
+    // integer form of Listing 8, line 29's per-thread 1/cnt).
+    setp.ne.u32 %p3, %r7, 0;
+    @%p3 ret;
     add.u64 %rd7, %ctrs, 8;
-    red.global.add.f32 [%rd7], %f2;
+    atom.global.add.u64 %rd6, [%rd7], %rd5;
     ret;
 }
 "#;
@@ -83,7 +88,7 @@ REDUCE:
 #[derive(Debug, Default)]
 pub struct MemDivergenceResults {
     mem_instrs: RefCell<u64>,
-    uniq_lines: RefCell<f32>,
+    uniq_lines: RefCell<u64>,
 }
 
 impl MemDivergenceResults {
@@ -92,8 +97,9 @@ impl MemDivergenceResults {
         *self.mem_instrs.borrow()
     }
 
-    /// Sum of unique-line contributions.
-    pub fn unique_lines(&self) -> f32 {
+    /// Distinct cache lines requested, summed over every warp-level
+    /// global memory instruction.
+    pub fn unique_lines(&self) -> u64 {
         *self.uniq_lines.borrow()
     }
 
@@ -139,7 +145,7 @@ impl MemDivergence {
             return;
         }
         *self.results.mem_instrs.borrow_mut() = read_u64(drv, self.counters);
-        *self.results.uniq_lines.borrow_mut() = read_f32(drv, self.counters + 8);
+        *self.results.uniq_lines.borrow_mut() = read_u64(drv, self.counters + 8);
     }
 }
 

@@ -1,61 +1,28 @@
 //! Global-memory address tracing (the substrate for trace-driven cache
 //! simulation, paper §6.1).
 //!
-//! Two capture modes share the results contract:
-//!
-//! * **Bounded** ([`MemTrace::new`]) — the original design: every lane
-//!   appends to a fixed device buffer via an atomic slot claim; records
-//!   past capacity are dropped (demand is still counted). Simple, but
-//!   the trace size is capped up front and the readback happens only at
-//!   launch exit.
-//! * **Channel** ([`MemTrace::channel`]) — lanes push through the
-//!   streaming [`common::channel`] to a host drain thread, so the trace
-//!   size is unbounded under [`Backpressure::Block`] (lossless) and the
-//!   host consumes records *while the kernel runs*. Under
-//!   [`Backpressure::DropCount`] the bounded-buffer truncation contract
-//!   is preserved with exact drop accounting.
+//! There is one transport: every instrumented lane pushes its effective
+//! address through the streaming [`common::channel`] to a host drain
+//! thread (`TraceChannel`), so the host consumes records *while the
+//! kernel runs*. Under [`Backpressure::Block`] the trace is lossless
+//! whatever its size relative to the flush buffer; under
+//! [`Backpressure::DropCount`] kernel-side stalls are bounded and every
+//! drop is accounted exactly. [`MemTrace`] stores the records;
+//! [`crate::ChannelCacheSim`] feeds them straight into a cache model.
 
-use crate::read_u64;
-use common::channel::{Backpressure, ChannelHost, Record};
-use cuda::{CbId, CbParams, Driver};
+use common::channel::{Backpressure, ChannelHost, Consumer, Record};
+use cuda::{CbId, CbParams, CuFunction};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-/// The bounded trace-append device function: every executing lane
-/// appends its effective address to a bounded device buffer
-/// (`u64 count` at +0, records at +8).
-const TRACE_FN: &str = r#"
-.func nvbit_trace(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off, .reg .u64 %buf,
-                  .reg .u32 %cap)
-{
-    .reg .u32 %r<6>;
-    .reg .u64 %rd<10>;
-    .reg .pred %p<3>;
-    setp.eq.u32 %p1, %pred, 0;
-    @%p1 ret;
-    cvt.s64.s32 %rd1, %off;
-    add.u64 %rd2, %base, %rd1;
-    mov.u64 %rd3, 1;
-    atom.global.add.u64 %rd4, [%buf], %rd3;
-    // slot >= cap => drop (the count still records demand).
-    cvt.u32.u64 %r2, %rd4;
-    setp.ge.u32 %p2, %r2, %cap;
-    @%p2 ret;
-    shl.b64 %rd6, %rd4, 3;
-    add.u64 %rd7, %buf, %rd6;
-    st.global.u64 [%rd7+8], %rd2;
-    ret;
-}
-"#;
-
-/// The streaming trace-append device function: every executing lane
-/// pushes its effective address into the launch's host-side record
-/// channel. No buffer pointer or capacity — backpressure lives in the
-/// channel, and the host drains concurrently.
-pub(crate) const TRACE_CHAN_FN: &str = r#"
+/// The trace-append device function: every executing lane pushes its
+/// effective address into the launch's host-side record channel. No
+/// buffer pointer or capacity — backpressure lives in the channel, and
+/// the host drains concurrently.
+const TRACE_CHAN_FN: &str = r#"
 .func nvbit_trace_chan(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off)
 {
     .reg .u64 %rd<4>;
@@ -69,42 +36,101 @@ pub(crate) const TRACE_CHAN_FN: &str = r#"
 }
 "#;
 
+/// The address-trace transport shared by [`MemTrace`] and
+/// [`crate::ChannelCacheSim`]: loads the push function, owns the channel
+/// and its drain thread, and instruments every global memory access of
+/// each launched kernel once. The tools differ only in the drain
+/// `consumer` they hand it.
+pub(crate) struct TraceChannel {
+    policy: Backpressure,
+    buf_records: usize,
+    /// Moved into the drain thread at `at_init`.
+    consumer: Option<Consumer>,
+    /// The live channel, between `at_init` and `at_term`.
+    host: Option<ChannelHost>,
+    seen: HashSet<u32>,
+    /// Obs counter the instrumented-site count is reported on.
+    sites_counter: &'static str,
+}
+
+impl TraceChannel {
+    pub(crate) fn new(
+        policy: Backpressure,
+        buf_records: usize,
+        sites_counter: &'static str,
+        consumer: Consumer,
+    ) -> TraceChannel {
+        TraceChannel {
+            policy,
+            buf_records,
+            consumer: Some(consumer),
+            host: None,
+            seen: HashSet::new(),
+            sites_counter,
+        }
+    }
+
+    pub(crate) fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.load_tool_functions(TRACE_CHAN_FN).expect("tool functions compile");
+        let consumer = self.consumer.take().expect("at_init runs once");
+        let (host, dev) = ChannelHost::spawn(self.buf_records, self.policy, consumer);
+        api.driver().with_device(|d| d.attach_channel(dev));
+        self.host = Some(host);
+    }
+
+    pub(crate) fn at_term(&mut self, api: &NvbitApi<'_>) {
+        api.driver().with_device(|d| d.detach_channel());
+        if let Some(host) = self.host.take() {
+            host.shutdown();
+        }
+    }
+
+    /// Launch-entry hook: instruments `func` on its first launch.
+    pub(crate) fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) {
+        if !self.seen.insert(func.raw()) {
+            return;
+        }
+        let mut sites = 0u64;
+        for instr in api.get_instrs(func).expect("inspection") {
+            if instr.mem_space() != Some(sass::MemSpace::Global) {
+                continue;
+            }
+            let Some((base, offset)) = instr.mref() else { continue };
+            api.insert_call(func, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
+            api.add_call_arg_guard_pred(func, instr.idx).unwrap();
+            api.add_call_arg_reg_val64(func, instr.idx, base.0).unwrap();
+            api.add_call_arg_imm32(func, instr.idx, offset).unwrap();
+            sites += 1;
+        }
+        common::obs::counter(self.sites_counter, sites);
+    }
+}
+
 /// Results handle of [`MemTrace`].
 #[derive(Debug, Default)]
 pub struct MemTraceResults {
-    addresses: RefCell<Vec<u64>>,
+    /// Every delivered record, in drain order (the drain thread appends).
+    store: Arc<Mutex<Vec<Record>>>,
     demanded: RefCell<u64>,
     dropped: RefCell<u64>,
 }
 
 impl MemTraceResults {
-    /// The single source of the exact-fill boundary: of `demanded`
-    /// records offered to a `capacity`-record store, how many are
-    /// captured. A trace that fills the store *exactly*
-    /// (`demanded == capacity`) is complete — truncation begins at the
-    /// first record past capacity.
-    ///
-    /// Both capture modes and [`truncated`](Self::truncated) derive
-    /// from this predicate; it is deliberately not hand-rolled at the
-    /// call sites.
-    pub fn captured(demanded: u64, capacity: u64) -> u64 {
-        demanded.min(capacity)
-    }
-
-    /// True when every demanded record fits: `captured == demanded`.
-    pub fn complete(demanded: u64, capacity: u64) -> bool {
-        Self::captured(demanded, capacity) == demanded
-    }
-
-    /// The captured addresses. Bounded mode reports them in device
-    /// append order; channel mode reassembles the canonical stream
-    /// (CTA-linear major, per-CTA push order), which is identical
-    /// across scheduler configurations.
+    /// The captured addresses as the canonical stream (CTA-linear major,
+    /// per-CTA push order), which is identical across scheduler
+    /// configurations: a stable sort by CTA tag keeps each CTA's
+    /// push-ordered subsequence intact, so the result is independent of
+    /// worker interleaving. Complete once the launch has returned — the
+    /// kernel-completion flush inside `Device::launch` pushes every record
+    /// through the drain thread first.
     pub fn addresses(&self) -> Vec<u64> {
-        self.addresses.borrow().clone()
+        let mut records = self.store.lock().unwrap().clone();
+        records.sort_by_key(|r| r.tag);
+        records.iter().map(|r| r.payload).collect()
     }
 
-    /// Total records the kernel tried to append, whether or not they fit.
+    /// Total records the kernel tried to append, whether or not they were
+    /// delivered.
     ///
     /// `demanded() >= addresses().len()` always holds; the excess (if any)
     /// is [`dropped`](Self::dropped).
@@ -112,147 +138,57 @@ impl MemTraceResults {
         *self.demanded.borrow()
     }
 
-    /// Records dropped by the capture path. Always
-    /// `demanded() - addresses().len()`: bounded mode drops past
-    /// capacity, channel mode drops only under
+    /// Records dropped by the channel. Always
+    /// `demanded() - addresses().len()`, and non-zero only under
     /// [`Backpressure::DropCount`] with both flush buffers full.
     pub fn dropped(&self) -> u64 {
         *self.dropped.borrow()
     }
 
-    /// True when at least one record was dropped. Defined through the
-    /// shared boundary predicate ([`complete`](Self::complete)) with
-    /// the captured count standing in for capacity: the stored
-    /// addresses are exactly the captured records, so an exactly-full
-    /// capture is complete, not truncated.
+    /// True when at least one record was dropped.
     pub fn truncated(&self) -> bool {
-        !Self::complete(self.demanded(), self.addresses.borrow().len() as u64)
+        self.dropped() > 0
     }
-}
-
-/// Capture backend of [`MemTrace`].
-enum Mode {
-    /// Fixed device buffer, readback at launch exit.
-    Bounded { capacity: u32, buf: u64 },
-    /// Streaming channel with a host drain thread.
-    Channel {
-        policy: Backpressure,
-        buf_records: usize,
-        host: Option<ChannelHost>,
-        store: Arc<Mutex<Vec<Record>>>,
-    },
 }
 
 /// The tracing tool.
 pub struct MemTrace {
-    mode: Mode,
+    chan: TraceChannel,
     results: Rc<MemTraceResults>,
-    seen: HashSet<u32>,
 }
 
 impl MemTrace {
-    /// Creates the tool with a bounded record capacity.
-    pub fn new(capacity: u32) -> (MemTrace, Rc<MemTraceResults>) {
-        let results = Rc::new(MemTraceResults::default());
-        (
-            MemTrace {
-                mode: Mode::Bounded { capacity, buf: 0 },
-                results: results.clone(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
-    }
-
-    /// Creates the tool in streaming-channel mode with a flush-buffer
-    /// capacity of `buf_records` records. `Backpressure::Block` makes
-    /// the trace lossless regardless of its size relative to the
-    /// buffer; `Backpressure::DropCount` bounds kernel-side stalls and
-    /// accounts every drop exactly.
+    /// Creates the tool with a flush-buffer capacity of `buf_records`
+    /// records. `Backpressure::Block` makes the trace lossless regardless
+    /// of its size relative to the buffer; `Backpressure::DropCount`
+    /// bounds kernel-side stalls and accounts every drop exactly.
     pub fn channel(policy: Backpressure, buf_records: usize) -> (MemTrace, Rc<MemTraceResults>) {
         let results = Rc::new(MemTraceResults::default());
-        (
-            MemTrace {
-                mode: Mode::Channel {
-                    policy,
-                    buf_records,
-                    host: None,
-                    store: Arc::new(Mutex::new(Vec::new())),
-                },
-                results: results.clone(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
+        let sink = results.store.clone();
+        let chan = TraceChannel::new(
+            policy,
+            buf_records,
+            "tool.mem_trace.sites",
+            Box::new(move |batch| sink.lock().unwrap().extend_from_slice(batch)),
+        );
+        (MemTrace { chan, results: results.clone() }, results)
     }
 
-    fn publish(&self, drv: &Driver) {
-        match &self.mode {
-            Mode::Bounded { capacity, buf } => {
-                if *buf == 0 {
-                    return;
-                }
-                let demanded = read_u64(drv, *buf);
-                let n = MemTraceResults::captured(demanded, *capacity as u64) as usize;
-                let mut bytes = vec![0u8; n * 8];
-                if n > 0 {
-                    drv.memcpy_dtoh(&mut bytes, *buf + 8).expect("trace readback");
-                }
-                *self.results.addresses.borrow_mut() =
-                    bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-                *self.results.demanded.borrow_mut() = demanded;
-                *self.results.dropped.borrow_mut() = demanded - n as u64;
-            }
-            Mode::Channel { host, store, .. } => {
-                let Some(host) = host else { return };
-                // The kernel-completion flush inside `Device::launch`
-                // already pushed every record through the consumer, so
-                // the store is complete here. Reassemble the canonical
-                // stream: stable sort by CTA tag keeps each CTA's
-                // push-ordered subsequence intact, making the result
-                // independent of worker interleaving.
-                let mut records = store.lock().unwrap().clone();
-                records.sort_by_key(|r| r.tag);
-                *self.results.addresses.borrow_mut() = records.iter().map(|r| r.payload).collect();
-                *self.results.demanded.borrow_mut() = host.demanded();
-                *self.results.dropped.borrow_mut() = host.dropped();
-            }
-        }
+    fn publish(&self) {
+        let Some(host) = &self.chan.host else { return };
+        *self.results.demanded.borrow_mut() = host.demanded();
+        *self.results.dropped.borrow_mut() = host.dropped();
     }
 }
 
 impl NvbitTool for MemTrace {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        match &mut self.mode {
-            Mode::Bounded { capacity, buf } => {
-                api.load_tool_functions(TRACE_FN).expect("tool functions compile");
-                *buf = api
-                    .driver()
-                    .with_device(|d| d.alloc(8 + *capacity as u64 * 8))
-                    .expect("trace buffer alloc");
-            }
-            Mode::Channel { policy, buf_records, host, store } => {
-                api.load_tool_functions(TRACE_CHAN_FN).expect("tool functions compile");
-                let sink = store.clone();
-                let (h, dev) = ChannelHost::spawn(
-                    *buf_records,
-                    *policy,
-                    Box::new(move |batch| sink.lock().unwrap().extend_from_slice(batch)),
-                );
-                api.driver().with_device(|d| d.attach_channel(dev));
-                *host = Some(h);
-            }
-        }
+        self.chan.at_init(api);
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.publish(api.driver());
-        if let Mode::Channel { host, .. } = &mut self.mode {
-            api.driver().with_device(|d| d.detach_channel());
-            if let Some(host) = host.take() {
-                host.shutdown();
-            }
-        }
+        self.publish();
+        self.chan.at_term(api);
     }
 
     fn at_cuda_event(
@@ -267,41 +203,17 @@ impl NvbitTool for MemTrace {
             return;
         }
         if is_exit {
-            self.publish(api.driver());
-            return;
+            self.publish();
+        } else {
+            self.chan.instrument(api, *func);
         }
-        if !self.seen.insert(func.raw()) {
-            return;
-        }
-        let (fn_name, bounded) = match &self.mode {
-            Mode::Bounded { .. } => ("nvbit_trace", true),
-            Mode::Channel { .. } => ("nvbit_trace_chan", false),
-        };
-        let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection") {
-            if instr.mem_space() != Some(sass::MemSpace::Global) {
-                continue;
-            }
-            let Some((base, offset)) = instr.mref() else { continue };
-            api.insert_call(*func, instr.idx, fn_name, IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
-            api.add_call_arg_reg_val64(*func, instr.idx, base.0).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, offset).unwrap();
-            if bounded {
-                let Mode::Bounded { capacity, buf } = &self.mode else { unreachable!() };
-                api.add_call_arg_imm64(*func, instr.idx, *buf).unwrap();
-                api.add_call_arg_imm32(*func, instr.idx, *capacity as i32).unwrap();
-            }
-            sites += 1;
-        }
-        common::obs::counter("tool.mem_trace.sites", sites);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuda::{FatBinary, KernelArg};
+    use cuda::{Driver, FatBinary, KernelArg};
     use gpu::{DeviceSpec, Dim3};
     use nvbit::attach_tool;
     use sass::Arch;
@@ -320,65 +232,6 @@ mod tests {
     exit;
 }
 "#;
-
-    #[test]
-    fn trace_captures_every_lane_address() {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (tool, results) = MemTrace::new(4096);
-        attach_tool(&drv, tool);
-        let ctx = drv.ctx_create().unwrap();
-        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
-        let f = drv.module_get_function(&m, "k").unwrap();
-        let buf = drv.mem_alloc(1024).unwrap();
-        drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
-        drv.shutdown();
-
-        let addrs = results.addresses();
-        assert_eq!(addrs.len(), 64, "32 loads + 32 stores");
-        assert!(!results.truncated());
-        assert_eq!(results.dropped(), 0);
-        // Loads at buf + 4t, stores at buf + 4t + 64.
-        for t in 0..32u64 {
-            assert!(addrs.contains(&(buf + 4 * t)), "missing load address of lane {t}");
-            assert!(addrs.contains(&(buf + 4 * t + 64)), "missing store address of lane {t}");
-        }
-    }
-
-    #[test]
-    fn overflow_is_reported_as_truncation() {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (tool, results) = MemTrace::new(16);
-        attach_tool(&drv, tool);
-        let ctx = drv.ctx_create().unwrap();
-        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
-        let f = drv.module_get_function(&m, "k").unwrap();
-        let buf = drv.mem_alloc(1024).unwrap();
-        drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
-        drv.shutdown();
-        assert!(results.truncated());
-        assert_eq!(results.addresses().len(), 16);
-        assert_eq!(results.demanded(), 64);
-        assert_eq!(results.dropped(), 48);
-    }
-
-    /// Boundary contract: a trace that fills the buffer *exactly* is
-    /// complete, not truncated. The app demands exactly 64 records
-    /// (32 loads + 32 stores) into a capacity-64 buffer.
-    #[test]
-    fn exactly_full_buffer_is_complete_not_truncated() {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (tool, results) = MemTrace::new(64);
-        attach_tool(&drv, tool);
-        let ctx = drv.ctx_create().unwrap();
-        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
-        let f = drv.module_get_function(&m, "k").unwrap();
-        let buf = drv.mem_alloc(1024).unwrap();
-        drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
-        drv.shutdown();
-        assert_eq!(results.demanded(), 64, "demand equals capacity exactly");
-        assert_eq!(results.addresses().len(), 64, "every record captured");
-        assert!(!results.truncated(), "an exactly-full buffer is not truncated");
-    }
 
     /// Channel mode with `Block` is lossless even when the trace
     /// exceeds the flush buffer many times over: a 4-record buffer

@@ -355,8 +355,7 @@ mod tests {
             (results.histogram(), drv.total_stats().cycles)
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
-        let (merged, merged_cycles) =
-            run_with(PlanOpts { coalesce: true, inline: true, ..PlanOpts::naive() });
+        let (merged, merged_cycles) = run_with(PlanOpts::default());
         assert!(!naive.is_empty());
         assert_eq!(naive, merged, "multiplicity protocol keeps the histogram exact");
         assert!(merged_cycles < naive_cycles, "{merged_cycles} vs {naive_cycles}");

@@ -1,15 +1,17 @@
-//! Differential testing of the instrumentation-plan optimization passes:
-//! for every tool × workload pair, a run with basic-block call coalescing
-//! (and leaf-tool inlining, dominator-region coalescing and after-point
-//! lowering) enabled must produce bit-identical guest memory and identical
-//! tool output to a run with the naive per-site plan. The only observable
+//! Differential testing of the instrumentation-plan pass ladder: for
+//! every tool × workload pair, a run at every rung above `Naive`
+//! (basic-block call coalescing; after-point lowering and dominator-region
+//! coalescing; priced leaf-tool splicing, with and without the occupancy
+//! curve) must produce bit-identical guest memory and identical tool
+//! output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
 //! register-save policies.
 
+use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanOpts, PlanStats, SaveStats};
+use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
 use nvbit_tools::{CoalescedInstrCount, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
@@ -162,62 +164,18 @@ type App = fn(&Driver) -> Vec<u8>;
 
 const APPS: [(&str, App); 3] = [("fft", fft_app), ("stencil", stencil_app), ("spmv", spmv_app)];
 
-/// The six plan configurations under test: naive, block-coalesced,
-/// block-coalesced + inlined, everything (adding dominator-region
-/// coalescing and after-point lowering), everything with the
-/// register-pressure cost model gating each splice, and the cost model
-/// pricing tier raises against the Volta occupancy curve instead of
-/// declining them outright.
-const CONFIGS: [PlanOpts; 6] = [
-    PlanOpts {
-        coalesce: false,
-        inline: false,
-        region_coalesce: false,
-        after_lower: false,
-        pressure: false,
-        occupancy: None,
-    },
-    PlanOpts {
-        coalesce: true,
-        inline: false,
-        region_coalesce: false,
-        after_lower: false,
-        pressure: false,
-        occupancy: None,
-    },
-    PlanOpts {
-        coalesce: true,
-        inline: true,
-        region_coalesce: false,
-        after_lower: false,
-        pressure: false,
-        occupancy: None,
-    },
-    PlanOpts {
-        coalesce: true,
-        inline: true,
-        region_coalesce: true,
-        after_lower: true,
-        pressure: false,
-        occupancy: None,
-    },
-    PlanOpts {
-        coalesce: true,
-        inline: true,
-        region_coalesce: true,
-        after_lower: true,
-        pressure: true,
-        occupancy: None,
-    },
-    PlanOpts {
-        coalesce: true,
-        inline: true,
-        region_coalesce: true,
-        after_lower: true,
-        pressure: true,
-        occupancy: Some(sass::OccupancyCfg::volta(128)),
-    },
-];
+/// The rungs of the plan ladder by name, plus the top rung pricing tier
+/// raises against the Volta occupancy curve instead of declining them
+/// outright.
+const NAIVE: PlanOpts = PlanOpts { level: PlanLevel::Naive, occupancy: None };
+const BLOCK: PlanOpts = PlanOpts { level: PlanLevel::Block, occupancy: None };
+const REGION: PlanOpts = PlanOpts { level: PlanLevel::Region, occupancy: None };
+const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced, occupancy: None };
+const SPLICED_OCC: PlanOpts =
+    PlanOpts { level: PlanLevel::Spliced, occupancy: Some(sass::OccupancyCfg::volta(128)) };
+
+/// Every configuration above the naive baseline.
+const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, SPLICED_OCC];
 
 /// Runs `app` under `tool` with the given plan options; returns the guest
 /// output bytes, a string signature of the tool's own results, and the
@@ -251,7 +209,7 @@ fn run_case(tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
             Box::new(move || format!("{:?}", r.histogram()))
         }
         "mem_trace" => {
-            let (t, r) = MemTrace::new(4096);
+            let (t, r) = MemTrace::channel(Backpressure::Block, 4096);
             attach_tool(&drv, WithOpts { opts, inner: t });
             Box::new(move || format!("{} {:?}", r.demanded(), r.addresses()))
         }
@@ -267,8 +225,8 @@ fn run_case(tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
 /// the tool output, for every workload.
 fn differential(tool: &str) {
     for (app_name, app) in APPS {
-        let (mem_naive, sig_naive, _) = run_case(tool, CONFIGS[0], app);
-        for opts in &CONFIGS[1..] {
+        let (mem_naive, sig_naive, _) = run_case(tool, NAIVE, app);
+        for opts in &OPTIMIZED {
             let (mem_opt, sig_opt, _) = run_case(tool, *opts, app);
             assert_eq!(mem_opt, mem_naive, "guest memory differs: {tool} × {app_name} × {opts:?}");
             assert_eq!(sig_opt, sig_naive, "tool output differs: {tool} × {app_name} × {opts:?}");
@@ -288,9 +246,9 @@ fn coalesced_opcode_hist_is_plan_invariant() {
 
 #[test]
 fn after_point_instr_count_is_plan_invariant() {
-    // Every site injects at `IPoint::After`; the fourth configuration
-    // lowers the mid-block ones to fall-through `Before` slots and merges
-    // them, which must not change the count by a single event.
+    // Every site injects at `IPoint::After`; from the `Region` rung up the
+    // mid-block ones are lowered to fall-through `Before` slots and
+    // merged, which must not change the count by a single event.
     differential("after_instr_count");
 }
 
@@ -306,12 +264,12 @@ fn executed_instr_count_is_plan_invariant() {
 
 #[test]
 fn wide_instr_count_is_plan_invariant() {
-    // Same, through the register-hungry `nvbit_count_wide` body. Under the
-    // fifth configuration the pressure verdict declines some splices; the
+    // Same, through the register-hungry `nvbit_count_wide` body. At the
+    // `Spliced` rung the pressure verdict declines some splices; the
     // declined-splice fallback (an out-of-line call) must be bit-identical
-    // to the unconditional-inline run in both guest memory and tool output.
-    // The sixth configuration re-accepts the occupancy-flat subset of those
-    // declines, which must be equally invisible.
+    // to the all-out-of-line `Region` run in both guest memory and tool
+    // output. The occupancy curve re-accepts the occupancy-flat subset of
+    // those declines, which must be equally invisible.
     differential("wide_instr_count");
 }
 
@@ -326,13 +284,15 @@ fn mem_trace_is_plan_invariant() {
 #[test]
 fn optimized_plans_are_cheaper_on_every_workload() {
     for (app_name, app) in APPS {
-        let (_, _, naive) = run_case("coalesced_instr_count", CONFIGS[0], app);
-        let (_, _, merged) = run_case("coalesced_instr_count", CONFIGS[1], app);
-        let (_, _, inlined) = run_case("coalesced_instr_count", CONFIGS[2], app);
+        let (_, _, naive) = run_case("coalesced_instr_count", NAIVE, app);
+        let (_, _, merged) = run_case("coalesced_instr_count", BLOCK, app);
+        let (_, _, region) = run_case("coalesced_instr_count", REGION, app);
+        let (_, _, spliced) = run_case("coalesced_instr_count", SPLICED, app);
         assert!(merged < naive, "{app_name}: coalescing should cut cycles: {merged} vs {naive}");
+        assert!(region <= merged, "{app_name}: regions must not add cycles: {region} vs {merged}");
         assert!(
-            inlined <= merged,
-            "{app_name}: inlining must not add cycles: {inlined} vs {merged}"
+            spliced <= region,
+            "{app_name}: splicing must not add cycles: {spliced} vs {region}"
         );
     }
 }
@@ -400,19 +360,19 @@ fn captured_stats(opts: PlanOpts) -> PlanStats {
 
 #[test]
 fn the_passes_actually_fire_on_the_fft_kernel() {
-    let naive = captured_stats(CONFIGS[0]);
+    let naive = captured_stats(NAIVE);
     assert_eq!(naive.emitted_calls, naive.requested_calls);
     assert_eq!(naive.coalesced_away, 0);
     assert_eq!(naive.inlined_calls, 0);
 
-    let merged = captured_stats(CONFIGS[1]);
+    let merged = captured_stats(BLOCK);
     assert!(merged.cfg_available, "the FFT kernel has a static CFG");
     assert!(merged.coalesced_groups > 0, "{merged:?}");
     assert!(merged.coalesced_away > 0, "{merged:?}");
     assert_eq!(merged.emitted_calls, merged.requested_calls - merged.coalesced_away);
 
-    let inlined = captured_stats(CONFIGS[2]);
-    assert_eq!(inlined.coalesced_away, merged.coalesced_away);
+    let inlined = captured_stats(SPLICED);
+    assert_eq!(inlined.coalesced_away, merged.coalesced_away, "fft is one block");
     assert_eq!(
         inlined.inlined_calls, inlined.emitted_calls,
         "the counting body is an inlinable leaf, so every emitted call inlines"
@@ -422,15 +382,15 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
     // has nothing left to hoist there; spmv's loops leave control- and
     // cycle-equivalent blocks (setup, post-loop store) that only the
     // region pass can merge.
-    let spmv_merged = captured_stats_with(CONFIGS[1], false, spmv_app);
-    let spmv_full = captured_stats_with(CONFIGS[3], false, spmv_app);
+    let spmv_merged = captured_stats_with(BLOCK, false, spmv_app);
+    let spmv_full = captured_stats_with(REGION, false, spmv_app);
     assert!(spmv_full.region_groups > 0, "{spmv_full:?}");
     assert!(
         spmv_full.emitted_calls < spmv_merged.emitted_calls,
         "region coalescing must merge beyond per-block groups: {spmv_full:?} vs {spmv_merged:?}"
     );
 
-    let after = captured_stats_with(CONFIGS[3], true, fft_app);
+    let after = captured_stats_with(REGION, true, fft_app);
     assert!(after.after_lowered > 0, "{after:?}");
     assert!(after.coalesced_groups > 0, "lowered calls participate in merging: {after:?}");
 }
@@ -439,8 +399,8 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
 fn guarded_diamond_bodies_are_spliced() {
     // `nvbit_count_pmult` is a single guarded diamond — past the straight
     // leaf threshold, but accepted by the body classifier — so every
-    // emitted call still inlines, with or without the cost model.
-    for opts in [CONFIGS[2], CONFIGS[4]] {
+    // emitted call still inlines, with or without the occupancy curve.
+    for opts in [SPLICED, SPLICED_OCC] {
         let (p, _) = captured_with(move || CoalescedInstrCount::executed(opts).0, fft_app);
         assert!(p.emitted_calls > 0, "{p:?}");
         assert_eq!(
@@ -453,11 +413,12 @@ fn guarded_diamond_bodies_are_spliced() {
 #[test]
 fn pressure_declines_wide_splices_the_old_policy_took() {
     // The register-hungry `nvbit_count_wide` body writes past the first
-    // save tier. The unconditional policy (CONFIGS[3]) splices it at every
-    // site and the save policy must then charge the whole function's
-    // ceiling everywhere; with the cost model on (CONFIGS[4]) the sites
-    // whose live set crosses into the body's write window keep the
-    // out-of-line call and everything else inlines at its liveness tier.
+    // save tier. The baseline is the `Region` rung: every call stays out
+    // of line, where the standard-ABI copy restores its callee-saved
+    // registers, so each site saves the 16-slot tier. At the `Spliced`
+    // rung the sites whose live set crosses into the body's write window
+    // keep that out-of-line call (a decline) and everything else inlines —
+    // so pricing must never cost a single saved slot over the baseline.
     // fft is one straight-line block: everything coalesces into a single
     // call whose site sits where the kernel's live set peaks, so the one
     // verdict declines. spmv's loops leave several emitted calls with a
@@ -465,12 +426,14 @@ fn pressure_declines_wide_splices_the_old_policy_took() {
     for (app_name, app, expect_accepts) in
         [("fft", fft_app as App, false), ("spmv", spmv_app as App, true)]
     {
-        let (unvetted, saves_unvetted) =
-            captured_with(move || CoalescedInstrCount::executed_wide(CONFIGS[3]).0, app);
+        let (called, saves_called) =
+            captured_with(move || CoalescedInstrCount::executed_wide(REGION).0, app);
         let (vetted, saves_vetted) =
-            captured_with(move || CoalescedInstrCount::executed_wide(CONFIGS[4]).0, app);
+            captured_with(move || CoalescedInstrCount::executed_wide(SPLICED).0, app);
 
-        assert_eq!(unvetted.inline_declined, 0, "{app_name}: no verdicts without the cost model");
+        assert_eq!(called.inlined_calls, 0, "{app_name}: nothing splices below the top rung");
+        assert_eq!(called.inline_declined, 0, "{app_name}: no verdicts below the top rung");
+        assert_eq!(called.emitted_calls, vetted.emitted_calls, "{app_name}: same merged calls");
         assert!(vetted.inline_declined >= 1, "{app_name}: a decline must fire: {vetted:?}");
         if expect_accepts {
             assert!(vetted.inline_accepted >= 1, "{app_name}: some sites inline: {vetted:?}");
@@ -481,20 +444,21 @@ fn pressure_declines_wide_splices_the_old_policy_took() {
             "{app_name}: every emitted call gets a verdict: {vetted:?}"
         );
         assert_eq!(vetted.inlined_calls, vetted.inline_accepted, "{app_name}: {vetted:?}");
-        assert!(
-            vetted.inlined_calls < unvetted.inlined_calls,
-            "{app_name}: the cost model must decline a splice the unconditional policy took"
+        assert_eq!(
+            saves_called.saved_slots,
+            16 * called.emitted_calls,
+            "{app_name}: an out-of-line call saves the 16-slot tier: {saves_called:?}"
         );
         assert!(
-            saves_vetted.saved_slots < saves_unvetted.saved_slots,
-            "{app_name}: declining pressure-raising splices must shrink the save footprint: \
-             {saves_vetted:?} vs {saves_unvetted:?}"
+            saves_vetted.saved_slots <= saves_called.saved_slots,
+            "{app_name}: priced splicing must never grow the save footprint: \
+             {saves_vetted:?} vs {saves_called:?}"
         );
     }
 
     // Stencil's live ranges never reach the wide body's write window, so
     // the verdict accepts everywhere and nothing is left out of line.
-    let (p, _) = captured_with(|| CoalescedInstrCount::executed_wide(CONFIGS[4]).0, stencil_app);
+    let (p, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED).0, stencil_app);
     assert_eq!(p.inline_declined, 0, "stencil: no live register crosses a tier: {p:?}");
     assert_eq!(p.inlined_calls, p.emitted_calls, "{p:?}");
 }
@@ -504,12 +468,11 @@ fn the_occupancy_curve_reprices_tier_declines() {
     // Every splice the tier-only gate declines on the fft workload is a
     // 16→32 save-tier raise, and on a Volta SM at 128-thread blocks the
     // 16→32 step is occupancy-flat (16 blocks either way). Pricing against
-    // the curve (CONFIGS[5]) must therefore accept what the tier gate
-    // (CONFIGS[4]) declined — more inlined calls, fewer declines — while
+    // the curve (`SPLICED_OCC`) must therefore accept what the tier gate
+    // (`SPLICED`) declined — more inlined calls, fewer declines — while
     // the differential above proves the output cannot tell.
-    let (tier_only, _) =
-        captured_with(|| CoalescedInstrCount::executed_wide(CONFIGS[4]).0, fft_app);
-    let (curved, _) = captured_with(|| CoalescedInstrCount::executed_wide(CONFIGS[5]).0, fft_app);
+    let (tier_only, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED).0, fft_app);
+    let (curved, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED_OCC).0, fft_app);
 
     assert!(tier_only.inline_declined >= 1, "{tier_only:?}");
     assert_eq!(

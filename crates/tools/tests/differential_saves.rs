@@ -4,8 +4,9 @@
 //! identical tool output to a run under the conservative full-tier policy.
 //! The only observable difference may be cost (fewer saved register slots).
 
+use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
+use gpu::{DeviceSpec, Dim3, Scheduler};
 use nvbit::{attach_tool, NvbitApi, NvbitTool, SavePolicy, SaveStats};
 use nvbit_tools::{
     BbInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode, WfftEmu,
@@ -161,10 +162,17 @@ type App = fn(&Driver) -> Vec<u8>;
 
 const APPS: [(&str, App); 3] = [("fft", fft_app), ("stencil", stencil_app), ("spmv", spmv_app)];
 
-/// Runs `app` under `tool` with the given save policy; returns the guest
-/// output bytes and a string signature of the tool's own results.
-fn run_case(tool: &str, policy: SavePolicy, app: fn(&Driver) -> Vec<u8>) -> (Vec<u8>, String) {
+/// Runs `app` under `tool` with the given save policy on the default
+/// scheduler; returns the guest output bytes and a string signature of the
+/// tool's own results.
+fn run_case(tool: &str, policy: SavePolicy, app: App) -> (Vec<u8>, String) {
+    run_case_on(tool, policy, app, Scheduler::default())
+}
+
+/// [`run_case`] on an explicit CTA scheduler.
+fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (Vec<u8>, String) {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    drv.with_device(|d| d.scheduler = sched);
     let sig: Box<dyn Fn() -> String> = match tool {
         "instr_count" => {
             let (t, r) = InstrCount::new();
@@ -182,7 +190,7 @@ fn run_case(tool: &str, policy: SavePolicy, app: fn(&Driver) -> Vec<u8>) -> (Vec
             Box::new(move || format!("{:?}", r.histogram()))
         }
         "mem_trace" => {
-            let (t, r) = MemTrace::new(4096);
+            let (t, r) = MemTrace::channel(Backpressure::Block, 4096);
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || format!("{} {:?}", r.demanded(), r.addresses()))
         }
@@ -232,6 +240,29 @@ fn mem_trace_is_policy_invariant() {
 #[test]
 fn mem_divergence_is_policy_invariant() {
     differential("mem_divergence");
+}
+
+/// The address trace and the divergence counters are order-free: the
+/// canonical `(cta_linear, push-order)` stream and the integer line count
+/// do not depend on which worker retires which CTA first. Proven at fixed
+/// worker counts, so the result does not depend on how wide the host
+/// running the suite happens to be.
+#[test]
+fn order_free_tools_are_invariant_at_every_scheduler_width() {
+    for tool in ["mem_trace", "mem_divergence"] {
+        for (app_name, app) in APPS {
+            let serial = run_case_on(tool, SavePolicy::Liveness, app, Scheduler::Serial);
+            for threads in [1, 2, 4, 8] {
+                for policy in [SavePolicy::FullTier, SavePolicy::Liveness] {
+                    let got = run_case_on(tool, policy, app, Scheduler::Parallel { threads });
+                    assert!(
+                        got == serial,
+                        "{tool} × {app_name} × {policy:?} diverges at {threads} worker(s)"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

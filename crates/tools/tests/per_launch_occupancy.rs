@@ -5,6 +5,7 @@
 //! image and changing it replans — the same shape-keyed behaviour the
 //! sampling cache has for save policies.
 
+use common::channel::Backpressure;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanOpts, PlanStats, SaveStats};
@@ -52,7 +53,7 @@ impl NvbitTool for Probe {
 /// captured per-launch stats.
 fn run(opts: PlanOpts, shapes: &[u32]) -> Vec<(PlanStats, SaveStats)> {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    let (tool, _results) = MemTrace::new(1 << 16);
+    let (tool, _results) = MemTrace::channel(Backpressure::Block, 1 << 16);
     let stats = Rc::new(RefCell::new(Vec::new()));
     attach_tool(&drv, Probe { opts, inner: tool, stats: stats.clone() });
     let (h, w) = (16u32, 128u32);
@@ -84,7 +85,6 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn per_launch_opts() -> PlanOpts {
     PlanOpts {
-        pressure: true,
         occupancy: Some(sass::occupancy::OccupancyCfg::volta_per_launch()),
         ..PlanOpts::default()
     }
@@ -96,7 +96,6 @@ fn per_launch_opts() -> PlanOpts {
 fn per_launch_matches_the_explicit_shape() {
     let _serial = SERIAL.lock().unwrap();
     let explicit = PlanOpts {
-        pressure: true,
         occupancy: Some(sass::occupancy::OccupancyCfg::volta(128)),
         ..PlanOpts::default()
     };

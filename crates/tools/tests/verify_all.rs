@@ -7,6 +7,7 @@
 //! The full sweep is heavy and runs in release under `ci.sh` (the debug
 //! `cargo test` run covers a single-workload slice).
 
+use common::channel::Backpressure;
 use cuda::{CbId, CbParams, Driver};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::{attach_tool, NvbitApi, NvbitTool};
@@ -80,7 +81,7 @@ fn run_verified(tool: &str, app: &dyn Fn(&Driver)) -> usize {
             attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
         }
         "mem_trace" => {
-            let (t, _r) = MemTrace::new(1024);
+            let (t, _r) = MemTrace::channel(Backpressure::Block, 1024);
             attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
         }
         "mem_divergence" => {

@@ -7,6 +7,7 @@
 //! cargo run --release --example cache_sim
 //! ```
 
+use common::channel::Backpressure;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::attach_tool;
@@ -43,7 +44,7 @@ DONE:
 
 fn trace(stride_shift: u32) -> Vec<u64> {
     let drv = Driver::new(DeviceSpec::preset(Arch::Volta));
-    let (tool, results) = MemTrace::new(1 << 16);
+    let (tool, results) = MemTrace::channel(Backpressure::Block, 1 << 16);
     attach_tool(&drv, tool);
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("walk", kernel(stride_shift))).unwrap();

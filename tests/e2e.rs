@@ -144,61 +144,3 @@ fn library_instruction_fractions_are_in_the_papers_range() {
     let avg: f64 = fractions.iter().map(|(_, f)| f).sum::<f64>() / fractions.len() as f64;
     assert!((0.80..=0.95).contains(&avg), "average fraction {avg:.2} (paper: 0.88)");
 }
-
-/// JIT-overhead accounting spans the stack: every component is attributed
-/// on a multi-kernel benchmark and `ilbdc` (many unique short kernels)
-/// pays more JIT time per native instruction than a single-kernel stencil.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "heavy; run with --release")]
-fn jit_overhead_shape_matches_figure5() {
-    use nvbit::{NvbitApi, NvbitTool, OverheadReport};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Capture {
-        inner: InstrCount,
-        out: Rc<RefCell<Option<OverheadReport>>>,
-    }
-    impl NvbitTool for Capture {
-        fn at_init(&mut self, api: &NvbitApi<'_>) {
-            self.inner.at_init(api);
-        }
-        fn at_term(&mut self, api: &NvbitApi<'_>) {
-            *self.out.borrow_mut() = Some(api.overhead());
-            self.inner.at_term(api);
-        }
-        fn at_cuda_event(
-            &mut self,
-            api: &NvbitApi<'_>,
-            is_exit: bool,
-            cbid: cuda::CbId,
-            params: &cuda::CbParams<'_>,
-        ) {
-            self.inner.at_cuda_event(api, is_exit, cbid, params);
-        }
-    }
-
-    let measure = |name: &str| -> (f64, u64) {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (inner, _r) = InstrCount::new();
-        let out = Rc::new(RefCell::new(None));
-        attach_tool(&drv, Capture { inner, out: out.clone() });
-        benchmark(name).unwrap().run(&drv, Size::Small).unwrap();
-        drv.shutdown();
-        let report = out.borrow().clone().unwrap();
-        let native_instrs = drv.total_stats().thread_instructions;
-        (report.total.total().as_secs_f64(), native_instrs)
-    };
-
-    let (stencil_jit, stencil_work) = measure("ostencil");
-    let (ilbdc_jit, ilbdc_work) = measure("ilbdc");
-    assert!(stencil_jit > 0.0 && ilbdc_jit > 0.0);
-    // JIT cost per unit of work must be higher for the many-unique-kernels
-    // benchmark.
-    let stencil_rate = stencil_jit / stencil_work as f64;
-    let ilbdc_rate = ilbdc_jit / ilbdc_work as f64;
-    assert!(
-        ilbdc_rate > stencil_rate,
-        "ilbdc should pay more JIT per instruction: {ilbdc_rate:.3e} vs {stencil_rate:.3e}"
-    );
-}

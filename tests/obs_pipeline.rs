@@ -17,8 +17,9 @@ use nvbit_tools::InstrCount;
 use sass::Arch;
 use std::sync::{Mutex, MutexGuard};
 use workloads::fft::soft_fft_kernel_ptx;
+use workloads::specaccel::{benchmark, Size};
 
-/// Both tests flip the process-global observability switch; serialize
+/// All tests flip the process-global observability switch; serialize
 /// them (poison-tolerant: a panicking test must not wedge the other).
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -110,4 +111,49 @@ fn disabled_pipeline_records_nothing() {
     let report = obs::Report::capture();
     assert!(report.phases.is_empty(), "disabled mode must record no spans");
     assert!(report.counters.is_empty(), "disabled mode must record no counters");
+}
+
+/// The JIT phases span the stack and have the shape of paper Fig. 5:
+/// `ilbdc` (many unique short kernels) pays more JIT time per native
+/// instruction than a single-kernel stencil. The JIT time is read from the
+/// pipeline's own spans — the six Fig. 5 components.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "heavy; run with --release")]
+fn jit_overhead_shape_matches_figure5() {
+    let _guard = locked();
+    let measure = |name: &str| -> (u64, u64) {
+        let bench = benchmark(name).unwrap();
+        let native = Driver::new(DeviceSpec::test(Arch::Volta));
+        bench.run(&native, Size::Small).unwrap();
+        native.shutdown();
+        let native_instrs = native.total_stats().thread_instructions;
+
+        obs::set_enabled(true);
+        obs::reset();
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        let (tool, _results) = InstrCount::new();
+        attach_tool(&drv, tool);
+        bench.run(&drv, Size::Small).unwrap();
+        drv.shutdown();
+        let report = obs::Report::capture();
+        obs::set_enabled(false);
+        assert_eq!(report.dropped, 0, "{name}: the rings must hold the whole run");
+        let jit_ns = ["retrieve", "disassemble", "convert", "plan", "codegen", "verify", "swap"]
+            .iter()
+            .map(|p| report.phase_ns(p))
+            .sum();
+        (jit_ns, native_instrs)
+    };
+
+    let (stencil_jit, stencil_work) = measure("ostencil");
+    let (ilbdc_jit, ilbdc_work) = measure("ilbdc");
+    assert!(stencil_jit > 0 && ilbdc_jit > 0);
+    // JIT cost per unit of work must be higher for the many-unique-kernels
+    // benchmark.
+    let stencil_rate = stencil_jit as f64 / stencil_work as f64;
+    let ilbdc_rate = ilbdc_jit as f64 / ilbdc_work as f64;
+    assert!(
+        ilbdc_rate > stencil_rate,
+        "ilbdc should pay more JIT per instruction: {ilbdc_rate:.3e} vs {stencil_rate:.3e}"
+    );
 }
