@@ -23,6 +23,23 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "== non-test line count =="
+# Lines of crates/*/src/**/*.rs before the first `#[cfg(test)]`, per crate:
+# the unit ROADMAP item 4's gate and CHANGES.md's before/after figures are
+# quoted in.
+total=0
+for crate in crates/*/; do
+    n=$(find "$crate/src" -name '*.rs' -exec awk '
+        FNR == 1 { counting = 1 }
+        /#\[cfg\(test\)\]/ { counting = 0 }
+        counting { n++ }
+        END { print n + 0 }
+    ' {} +)
+    printf '  %-10s %6d\n' "$(basename "$crate")" "$n"
+    total=$((total + n))
+done
+printf '  %-10s %6d\n' total "$total"
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

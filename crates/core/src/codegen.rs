@@ -19,7 +19,7 @@
 use crate::hal::Hal;
 use crate::plan::{InstrumentationPlan, PlanOpts, PlanStats, PlannedCall};
 use crate::saverestore::{frame_bytes, tier_for, Routines};
-use crate::spec::{Arg, IPoint};
+use crate::spec::{abi_slots, arg_window, Arg, IPoint};
 use crate::{NvbitError, Result};
 use cuda::FunctionInfo;
 use sass::op::CfClass;
@@ -231,19 +231,6 @@ pub enum SavePolicy {
     FullTier,
 }
 
-/// Liveness input to [`generate`]: the dataflow analysis of the function
-/// being instrumented, or the reason it is unavailable.
-#[derive(Debug, Clone, Copy)]
-pub enum LivenessInput<'a> {
-    /// Analysis available — per-site tiers may shrink below the
-    /// whole-function demand under [`SavePolicy::Liveness`].
-    Analysis(&'a sass::Dataflow),
-    /// Analysis unavailable (irreducible control flow, indirect
-    /// branches, …); every site uses the conservative whole-function tier
-    /// and the reason is recorded in [`InstrumentedImage::fallback`].
-    Unavailable(&'a str),
-}
-
 /// Layout record for one emitted call within a site's trampoline, used by
 /// the plan-consistency checks of the pre-swap verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -348,13 +335,18 @@ pub(crate) fn arg_demand(arg: &Arg) -> u32 {
 /// [`crate::plan::build`], which also runs the coalescing and inlining
 /// passes). `alloc` provides device memory for the trampoline region (the
 /// bulk allocation the paper mentions); `routines` must cover every tier.
-/// `liveness` and `policy` control per-site save sizing: under
-/// [`SavePolicy::Liveness`] with [`LivenessInput::Analysis`], each site
-/// saves only the registers that are both live across it and inside the
-/// trampoline's clobber window (frame pointer, ABI argument slots and the
-/// injected functions' registers — shrunk to the body's write ceiling when
-/// known), plus any saved value an argument reads back; otherwise every
-/// site uses the conservative whole-function tier.
+/// `analysis` and `policy` control per-site save sizing: under
+/// [`SavePolicy::Liveness`] with the body's [`sass::Analysis`] available,
+/// each site saves only the registers that are both live across it and
+/// inside the trampoline's clobber window (frame pointer, ABI argument
+/// slots and the injected functions' registers — shrunk to the body's write
+/// ceiling when known), plus any saved value an argument reads back;
+/// otherwise every site uses the conservative whole-function tier and
+/// [`InstrumentedImage::fallback`] records why.
+///
+/// Each site's trampoline is emitted once, position-independently; after
+/// the single `alloc` the relocated originals' relative targets are rebased
+/// onto their final addresses.
 ///
 /// # Errors
 ///
@@ -371,7 +363,7 @@ pub fn generate(
     plan: &InstrumentationPlan,
     tool_fns: &HashMap<String, ToolFn>,
     routines: &HashMap<u16, Routines>,
-    liveness: &LivenessInput<'_>,
+    analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
     policy: SavePolicy,
     mut alloc: impl FnMut(u64) -> Result<u64>,
 ) -> Result<InstrumentedImage> {
@@ -395,20 +387,15 @@ pub fn generate(
     }
     let whole_tier = tier_for(u16::try_from(whole).unwrap_or(u16::MAX))?;
 
-    // Resolve the liveness analysis, falling back to the whole-function
+    // Resolve the liveness solution, falling back to the whole-function
     // tier when it cannot be applied.
-    let (dataflow, fallback): (Option<&sass::Dataflow>, Option<String>) = match (policy, liveness) {
+    let (liveness, fallback): (Option<&sass::Dataflow>, Option<String>) = match (policy, analysis) {
         (SavePolicy::FullTier, _) => (None, Some("full-tier save policy requested".into())),
-        (SavePolicy::Liveness, LivenessInput::Unavailable(reason)) => {
-            (None, Some((*reason).to_string()))
+        (SavePolicy::Liveness, Err(reason)) => (None, Some(reason.to_string())),
+        (SavePolicy::Liveness, Ok(a)) if a.liveness.len() != original.len() => {
+            (None, Some("dataflow analysis does not match the function body".into()))
         }
-        (SavePolicy::Liveness, LivenessInput::Analysis(df)) => {
-            if df.len() == original.len() {
-                (Some(*df), None)
-            } else {
-                (None, Some("dataflow analysis does not match the function body".into()))
-            }
-        }
+        (SavePolicy::Liveness, Ok(a)) => (Some(&a.liveness), None),
     };
 
     // Per-site tier selection.
@@ -419,7 +406,7 @@ pub fn generate(
     let mut max_frame = 0u32;
     for (&idx, calls) in &plan.sites {
         let uses_reg_api = calls.iter().any(|c| tool_fns[&c.func].uses_reg_api);
-        let tier = match dataflow {
+        let tier = match liveness {
             // Register-device-API tools index save-area slots computed at
             // run time; only the whole-function tier is safe for them.
             Some(df) if !uses_reg_api => {
@@ -443,13 +430,10 @@ pub fn generate(
                     } else {
                         tf.call_ceiling.map_or(tf.reg_count, u32::from)
                     };
-                    clobber = clobber.max(body_clobber);
-                    let mut slot: u32 = 4;
+                    clobber = clobber.max(body_clobber).max(u32::from(arg_window(&call.args)));
                     for arg in &call.args {
-                        slot += u32::from(arg.slots());
                         demand = demand.max(arg_demand(arg));
                     }
-                    clobber = clobber.max(slot);
                 }
                 let ceiling = u8::try_from(clobber).unwrap_or(u8::MAX);
                 if let Some(live) = df.max_live_below(idx, ceiling) {
@@ -476,53 +460,44 @@ pub fn generate(
             .ok_or_else(|| NvbitError::BadRequest(format!("no save routine for tier {tier}")))
     };
 
-    // Phase 1: measure each trampoline with a placeholder base address.
-    let mut lengths: Vec<(usize, u64)> = Vec::new(); // (site, instr count)
-    let mut cursor = 0u64;
-    for &idx in plan.sites.keys() {
+    // Emit every site once, position-independently: the only instruction
+    // that depends on where the trampoline lands is a relocated original
+    // with a relative target, which `emit_site` computes against site
+    // offset 0.
+    let mut tramp_instrs: Vec<Instruction> = Vec::new();
+    let mut sites: Vec<SiteMeta> = Vec::with_capacity(plan.sites.len());
+    for (&idx, planned) in &plan.sites {
         let tier = site_tier[&idx];
-        let routine = routine_for(tier)?;
-        let (instrs, _, _) =
-            emit_site(hal, info, original, plan, tool_fns, &routine, tier, idx, 0)?;
-        lengths.push((idx, instrs.len() as u64));
-        cursor += instrs.len() as u64;
-    }
-    let tramp_len = cursor * isize;
-    let tramp_addr = alloc(tramp_len.max(isize))?;
-
-    // Phase 2: emit with real addresses.
-    let mut tramp_instrs: Vec<Instruction> = Vec::with_capacity(cursor as usize);
-    let mut site_addr: HashMap<usize, u64> = HashMap::new();
-    let mut sites: Vec<SiteMeta> = Vec::with_capacity(lengths.len());
-    let mut pc = tramp_addr;
-    for &(idx, len) in &lengths {
-        site_addr.insert(idx, pc);
-        let tier = site_tier[&idx];
-        let routine = routine_for(tier)?;
         let (instrs, orig_pos, calls) =
-            emit_site(hal, info, original, plan, tool_fns, &routine, tier, idx, pc)?;
-        debug_assert_eq!(instrs.len() as u64, len);
+            emit_site(hal, info, original, plan, tool_fns, &routine_for(tier)?, tier, idx)?;
         sites.push(SiteMeta {
             instr_idx: idx,
             start: tramp_instrs.len(),
             len: instrs.len(),
             orig_pos,
             tier,
-            injections: plan.sites[&idx].len(),
+            injections: planned.len(),
             calls,
         });
         tramp_instrs.extend(instrs);
-        pc += len * isize;
     }
-    let tramp_code = hal.assemble(&tramp_instrs)?;
+    let tramp_addr = alloc((tramp_instrs.len() as u64 * isize).max(isize))?;
 
-    // Instrumented copy: original with instrumented sites replaced by
-    // unconditional jumps into the trampolines; removed-but-uninstrumented
+    // Now that each site has its final address: rebase the relocated
+    // original's site-relative target onto it, and build the instrumented
+    // copy — the original with every instrumented site replaced by an
+    // unconditional jump to its trampoline; removed-but-uninstrumented
     // sites become NOPs in place.
     let mut patched = original.to_vec();
-    for &idx in plan.sites.keys() {
-        patched[idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_addr[&idx])]);
+    for site in &sites {
+        let site_pc = tramp_addr + site.start as u64 * isize;
+        let orig = &mut tramp_instrs[site.start + site.orig_pos];
+        if let Some(rel) = orig.rel_target() {
+            orig.set_rel_target(rel.wrapping_sub(site_pc as i64));
+        }
+        patched[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
     }
+    let tramp_code = hal.assemble(&tramp_instrs)?;
     for &idx in &plan.removed {
         if !plan.sites.contains_key(&idx) {
             patched[idx] = Instruction::nop();
@@ -547,10 +522,12 @@ pub fn generate(
     })
 }
 
-/// The assembled trampoline bytes (phase-2 output) are written by the
-/// caller; this emits one site's trampoline instruction sequence and
-/// reports the position of the relocated original instruction within it
-/// plus the per-call layout records.
+/// Emits one site's trampoline instruction sequence and reports the
+/// position of the relocated original instruction within it plus the
+/// per-call layout records. The sequence is position-independent except
+/// for a relocated original with a relative target, which is computed as
+/// if the site sat at address 0 — [`generate`] rebases it once the
+/// trampoline region is allocated.
 #[allow(clippy::too_many_arguments)]
 fn emit_site(
     hal: &Hal,
@@ -561,7 +538,6 @@ fn emit_site(
     routine: &Routines,
     tier: u16,
     idx: usize,
-    tramp_pc: u64,
 ) -> Result<(Vec<Instruction>, usize, Vec<CallMeta>)> {
     let isize = hal.instruction_size();
     let next_pc = info.addr + (idx as u64 + 1) * isize;
@@ -583,9 +559,9 @@ fn emit_site(
         if let Some(rel) = orig.rel_target() {
             // Critically, relative control flow must be re-relativized to
             // its new home (Figure 4's "offset must be adjusted").
-            let abs_target = (info.addr + (idx as u64 + 1) * isize).wrapping_add(rel as u64);
-            let reloc_pc = tramp_pc + out.len() as u64 * isize;
-            orig.set_rel_target(abs_target.wrapping_sub(reloc_pc + isize) as i64);
+            let abs_target = next_pc.wrapping_add(rel as u64);
+            let reloc_off = out.len() as u64 * isize;
+            orig.set_rel_target(abs_target.wrapping_sub(reloc_off + isize) as i64);
         }
         out.push(orig);
     }
@@ -684,7 +660,6 @@ fn emit_call(
 
     // 3. Materialize arguments into the ABI registers from the *saved*
     //    state.
-    let mut slot: u8 = 4;
     let emit_pred_value = |p: u8, negated: bool, slot: u8, out: &mut Vec<Instruction>| {
         if p >= 7 {
             // PT: constant true (negated PT is constant false).
@@ -724,10 +699,7 @@ fn emit_call(
         out.push(Instruction::new(Op::Mov, vec![Operand::Reg(Reg(slot)), Operand::Reg(scratch)]));
     };
 
-    for arg in &call.args {
-        if arg.slots() == 2 && slot % 2 == 1 {
-            slot += 1;
-        }
+    for (slot, arg) in abi_slots(&call.args) {
         if slot as u32 + arg.slots() as u32 > 16 {
             return Err(NvbitError::BadRequest(format!(
                 "arguments of `{}` exceed the ABI register window (R4..R15)",
@@ -774,7 +746,6 @@ fn emit_call(
                 ));
             }
         }
-        slot += arg.slots();
     }
 
     // 4. Call the tool function — or splice its body in place of the
@@ -836,19 +807,21 @@ fn emit_regval(r: u8, slot: u8, frame: u32, out: &mut Vec<Instruction>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{self, Analyses, PlanLevel, PlanOpts};
+    use crate::plan::{self, PlanLevel, PlanOpts, NO_ANALYSIS};
     use crate::saverestore::TIERS;
     use crate::spec::FuncSpec;
     use cuda::{CuFunction, CuModule};
     use sass::Arch;
 
     /// Naive (pass-free) plan over the spec — the pre-plan pipeline shape.
+    /// (The architecture only matters to the planner under the ICF
+    /// exception, which `NO_ANALYSIS` is not.)
     fn plan_of(
         spec: &FuncSpec,
-        body_len: usize,
+        body: &[Instruction],
         fns: &HashMap<String, ToolFn>,
     ) -> InstrumentationPlan {
-        plan::build(spec, body_len, Analyses::none(), fns, PlanOpts::naive()).unwrap()
+        plan::build(spec, body, Arch::Volta, &NO_ANALYSIS, fns, PlanOpts::naive()).unwrap()
     }
 
     fn fake_info(addr: u64, reg_count: u32, arch: Arch) -> FunctionInfo {
@@ -902,8 +875,6 @@ mod tests {
         m
     }
 
-    const NO_LIVENESS: LivenessInput<'_> = LivenessInput::Unavailable("test: no analysis");
-
     #[test]
     fn trampoline_structure_matches_figure_4() {
         for arch in [Arch::Kepler, Arch::Volta] {
@@ -924,10 +895,10 @@ mod tests {
                 &info,
                 &instrs,
                 &code,
-                &plan_of(&spec, instrs.len(), &tool_fns()),
+                &plan_of(&spec, &instrs, &tool_fns()),
                 &tool_fns(),
                 &fake_routines(),
-                &NO_LIVENESS,
+                &NO_ANALYSIS,
                 SavePolicy::Liveness,
                 |_len| Ok(0x9000),
             )
@@ -971,8 +942,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn relative_branches_are_relativized_when_relocated() {
+    /// Instruments a guarded relative branch with the trampoline placed at
+    /// `tramp_base` and returns the relocated branch plus the absolute
+    /// address it transfers to.
+    fn relocated_branch(tramp_base: u64) -> (Instruction, u64) {
         let (hal, info, instrs, code) = setup(
             Arch::Pascal,
             "ISETP.EQ.S32 P0, R4, RZ ;\n\
@@ -983,30 +956,88 @@ mod tests {
         );
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "ifunc", IPoint::Before);
-
-        let tramp_base = 0x20_0000u64;
-        // Re-run emit_site directly to inspect the relocated branch.
-        let routines = fake_routines();
-        let routine = routines[&16];
-        let plan = plan_of(&spec, instrs.len(), &tool_fns());
-        let (out, _, _) =
-            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routine, 16, 1, tramp_base)
-                .unwrap();
-        let _ = code;
+        let img = generate(
+            &hal,
+            &info,
+            &instrs,
+            &code,
+            &plan_of(&spec, &instrs, &tool_fns()),
+            &tool_fns(),
+            &fake_routines(),
+            &NO_ANALYSIS,
+            SavePolicy::Liveness,
+            |_| Ok(tramp_base),
+        )
+        .unwrap();
         let isize = hal.instruction_size();
-        // Locate the relocated BRA.
-        let (pos, bra) = out
-            .iter()
-            .enumerate()
-            .find(|(_, i)| i.op == Op::Bra)
-            .expect("relocated branch present");
-        // Original target: pc 0x4000 + 2*isize + 0x10.
-        let orig_target = info.addr + 2 * isize + 0x10;
+        let tramp = hal.disassemble(&img.tramp_code).unwrap();
+        let pos = img.sites[0].orig_pos;
+        let bra = tramp[pos].clone();
+        assert_eq!(bra.op, Op::Bra, "relocated branch present");
         let reloc_pc = tramp_base + pos as u64 * isize;
-        let expect = orig_target as i64 - (reloc_pc + isize) as i64;
-        assert_eq!(bra.rel_target(), Some(expect));
+        let target = (reloc_pc + isize).wrapping_add(bra.rel_target().unwrap() as u64);
+        (bra, target)
+    }
+
+    /// Original target of [`relocated_branch`]'s branch: the instruction
+    /// after it (index 2 of the Pascal body at 0x4000) plus 0x10.
+    const BRANCH_TARGET: u64 = 0x4000 + 2 * 8 + 0x10;
+
+    #[test]
+    fn relative_branches_are_relativized_when_relocated() {
+        let (bra, target) = relocated_branch(0x20_0000);
+        assert_eq!(target, BRANCH_TARGET);
         // Guard preserved on the relocated instruction.
         assert!(!bra.guard.is_always());
+    }
+
+    #[test]
+    fn rebased_branches_reach_the_same_target_at_any_trampoline_address() {
+        // Sites are emitted against offset 0 and rebased after the single
+        // allocation: below the image the offset is positive, above it
+        // negative, and the absolute target never moves.
+        let (low, low_target) = relocated_branch(0x1000);
+        let (high, high_target) = relocated_branch(0x4000_0000);
+        assert_eq!((low_target, high_target), (BRANCH_TARGET, BRANCH_TARGET));
+        assert!(low.rel_target().unwrap() > 0 && high.rel_target().unwrap() < 0);
+    }
+
+    #[test]
+    fn emitted_arguments_fill_exactly_the_window_the_planner_prices() {
+        // [GuardPred, Imm64]: R4, then the pair even-aligned to R6:R7. The
+        // planner's scaffold window and the tier loop's clobber window both
+        // come from `arg_window`; the emitted code must write that far and
+        // no further.
+        let (hal, info, instrs, code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
+        let args = [Arg::GuardPred, Arg::Imm64(0xdead_beef_1234)];
+        let mut spec = FuncSpec::default();
+        spec.insert_call(0, "ifunc", IPoint::Before);
+        for arg in &args {
+            spec.add_arg(0, *arg);
+        }
+        let img = generate(
+            &hal,
+            &info,
+            &instrs,
+            &code,
+            &plan_of(&spec, &instrs, &tool_fns()),
+            &tool_fns(),
+            &fake_routines(),
+            &NO_ANALYSIS,
+            SavePolicy::Liveness,
+            |_| Ok(0x9000),
+        )
+        .unwrap();
+        let tramp = hal.disassemble(&img.tramp_code).unwrap();
+        let highest_written = tramp
+            .iter()
+            .filter(|i| i.op == Op::Mov32i)
+            .flat_map(Instruction::reg_writes)
+            .map(|r| r.0)
+            .max()
+            .unwrap();
+        assert_eq!(arg_window(&args), 8);
+        assert_eq!(highest_written + 1, arg_window(&args));
     }
 
     #[test]
@@ -1020,10 +1051,9 @@ mod tests {
         spec.insert_call(0, "ifunc", IPoint::Before);
         spec.remove_orig(0);
         let routines = fake_routines();
-        let plan = plan_of(&spec, instrs.len(), &tool_fns());
+        let plan = plan_of(&spec, &instrs, &tool_fns());
         let (out, orig_pos, _) =
-            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0, 0x9000)
-                .unwrap();
+            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0).unwrap();
         assert!(out.iter().all(|i| i.op != Op::Proxy));
         assert_eq!(out[orig_pos].op, Op::Nop);
         let _ = code;
@@ -1039,10 +1069,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &NO_LIVENESS,
+            &NO_ANALYSIS,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1059,10 +1089,9 @@ mod tests {
         spec.insert_call(0, "ifunc", IPoint::After);
         spec.insert_call(0, "ifunc", IPoint::Before);
         let routines = fake_routines();
-        let plan = plan_of(&spec, instrs.len(), &tool_fns());
+        let plan = plan_of(&spec, &instrs, &tool_fns());
         let (out, orig_pos, metas) =
-            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0, 0x9000)
-                .unwrap();
+            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0).unwrap();
         assert_eq!(metas.len(), 2);
         let iadd_pos = out.iter().position(|i| i.op == Op::Iadd).unwrap();
         assert_eq!(iadd_pos, orig_pos);
@@ -1079,7 +1108,8 @@ mod tests {
         let (_hal, _info, instrs, _code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "missing", IPoint::Before);
-        let e = plan::build(&spec, instrs.len(), Analyses::none(), &tool_fns(), PlanOpts::naive());
+        let e =
+            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &tool_fns(), PlanOpts::naive());
         assert!(matches!(e, Err(NvbitError::UnknownToolFunction(_))));
     }
 
@@ -1088,7 +1118,8 @@ mod tests {
         let (_hal, _info, instrs, _code) = setup(Arch::Volta, "EXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(5, "ifunc", IPoint::Before);
-        let e = plan::build(&spec, instrs.len(), Analyses::none(), &tool_fns(), PlanOpts::naive());
+        let e =
+            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &tool_fns(), PlanOpts::naive());
         assert!(matches!(e, Err(NvbitError::BadInstrIndex { .. })));
     }
 
@@ -1104,10 +1135,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &NO_LIVENESS,
+            &NO_ANALYSIS,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1130,7 +1161,7 @@ mod tests {
              EXIT ;",
         );
         info.reg_count = 40; // whole-function demand => tier 64
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "ifunc", IPoint::Before);
         let img = generate(
@@ -1138,10 +1169,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1174,7 +1205,7 @@ mod tests {
              EXIT ;",
         );
         info.reg_count = 201; // whole-function demand => tier 255
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         spec.add_arg(0, Arg::GuardPred);
@@ -1183,10 +1214,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1205,10 +1236,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec2, instrs.len(), &tool_fns()),
+            &plan_of(&spec2, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1220,7 +1251,7 @@ mod tests {
     fn full_tier_policy_ignores_the_analysis() {
         let (hal, mut info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         info.reg_count = 40;
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         let img = generate(
@@ -1228,10 +1259,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::FullTier,
             |_| Ok(0x9000),
         )
@@ -1245,7 +1276,7 @@ mod tests {
     fn reg_api_tools_force_the_conservative_tier() {
         let (hal, mut info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         info.reg_count = 40;
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut fns = tool_fns();
         fns.insert("regapi".to_string(), ToolFn::opaque(0x8800, 8, 0, true));
         let mut spec = FuncSpec::default();
@@ -1255,10 +1286,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &fns),
+            &plan_of(&spec, &instrs, &fns),
             &fns,
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1273,7 +1304,7 @@ mod tests {
     #[test]
     fn argument_demand_extends_the_liveness_tier() {
         let (hal, info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         spec.add_arg(0, Arg::RegVal(70)); // reading saved R70 needs its slot
@@ -1282,10 +1313,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1301,7 +1332,7 @@ mod tests {
              STG [R6], R5 ;\n\
              EXIT ;",
         );
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         spec.insert_call(1, "ifunc", IPoint::After);
@@ -1310,10 +1341,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &LivenessInput::Analysis(&df),
+            &analysis,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1341,10 +1372,10 @@ mod tests {
             &info,
             &instrs,
             &code,
-            &plan_of(&spec, instrs.len(), &tool_fns()),
+            &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
-            &NO_LIVENESS,
+            &NO_ANALYSIS,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         );
@@ -1416,7 +1447,8 @@ mod tests {
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "leaf", IPoint::Before);
         let plan =
-            plan::build(&spec, instrs.len(), Analyses::none(), &fns, PlanOpts::default()).unwrap();
+            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &fns, PlanOpts::default())
+                .unwrap();
         let img = generate(
             &hal,
             &info,
@@ -1425,7 +1457,7 @@ mod tests {
             &plan,
             &fns,
             &fake_routines(),
-            &NO_LIVENESS,
+            &NO_ANALYSIS,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1467,10 +1499,11 @@ mod tests {
         spec.insert_call(1, "leaf", IPoint::Before);
         spec.set_pred_filter(1);
         let plan =
-            plan::build(&spec, instrs.len(), Analyses::none(), &fns, PlanOpts::default()).unwrap();
+            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &fns, PlanOpts::default())
+                .unwrap();
         let routines = fake_routines();
         let (out, _, metas) =
-            emit_site(&hal, &info, &instrs, &plan, &fns, &routines[&16], 16, 1, 0x9000).unwrap();
+            emit_site(&hal, &info, &instrs, &plan, &fns, &routines[&16], 16, 1).unwrap();
         let (off, len) = metas[0].inline.expect("inlined");
         assert_eq!(len, 2);
         assert_eq!(out[off].op, Op::Iadd, "{}", sass::asm::disassemble(&out));
@@ -1488,7 +1521,7 @@ mod tests {
              IADD R6, R6, 0x1 ;\n\
              EXIT ;",
         );
-        let blocks = sass::cfg::basic_blocks(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         for idx in 0..instrs.len() {
             spec.insert_call(idx, "ifunc", IPoint::Before);
@@ -1497,8 +1530,9 @@ mod tests {
         }
         let plan = plan::build(
             &spec,
-            instrs.len(),
-            Analyses::with_blocks(&blocks),
+            &instrs,
+            Arch::Volta,
+            &analysis,
             &tool_fns(),
             PlanOpts { level: PlanLevel::Block, occupancy: None },
         )
@@ -1511,7 +1545,7 @@ mod tests {
             &plan,
             &tool_fns(),
             &fake_routines(),
-            &NO_LIVENESS,
+            &NO_ANALYSIS,
             SavePolicy::Liveness,
             |_| Ok(0x9000),
         )
@@ -1549,12 +1583,11 @@ mod tests {
              EXIT ;",
         );
         info.reg_count = 91;
-        let df = sass::Dataflow::analyze(&instrs, Arch::Volta).unwrap();
+        let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "leaf", IPoint::Before);
         let run = |fns: &HashMap<String, ToolFn>| {
-            let plan =
-                plan::build(&spec, instrs.len(), Analyses::none(), fns, PlanOpts::naive()).unwrap();
+            let plan = plan_of(&spec, &instrs, fns);
             generate(
                 &hal,
                 &info,
@@ -1563,7 +1596,7 @@ mod tests {
                 &plan,
                 fns,
                 &fake_routines(),
-                &LivenessInput::Analysis(&df),
+                &analysis,
                 SavePolicy::Liveness,
                 |_| Ok(0x9000),
             )

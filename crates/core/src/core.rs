@@ -24,7 +24,7 @@
 //! module and frees its trampolines, so a recycled handle can never be
 //! served a stale lifted image.
 
-use crate::codegen::{generate, InstrumentedImage, LivenessInput, SavePolicy, ToolFn};
+use crate::codegen::{generate, InstrumentedImage, SavePolicy, ToolFn};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
@@ -196,38 +196,18 @@ fn build_one(
             }
         };
         let original: Vec<sass::Instruction> = l.instrs.iter().map(|i| i.raw().clone()).collect();
-        let cfg_reason = l.basic_blocks.as_ref().err().map(|e| e.to_string());
-        let liveness = match (&l.dataflow, &cfg_reason) {
-            (Some(df), _) => LivenessInput::Analysis(df),
-            (None, Some(reason)) => LivenessInput::Unavailable(reason),
-            (None, None) => LivenessInput::Unavailable("dataflow analysis unavailable"),
-        };
         // Lower the spec into the plan IR, running the coalescing and
         // inlining passes the image key's options select.
         let plan = {
             let _pspan = common::obs::span("plan");
-            // Surface *why* static CFG recovery fell back, per failure
-            // variant, and recover a conservative partial partition for
-            // the BRX case so block coalescing still applies.
-            let partial = match &l.basic_blocks {
-                Err(sass::CfgFailure::IndirectBranch { .. }) => {
-                    common::obs::counter("plan.cfg_fail.brx", 1);
-                    Some(sass::cfg::partial_blocks(&original, hal.arch()))
-                }
-                Err(sass::CfgFailure::MisalignedTarget { .. }) => {
-                    common::obs::counter("plan.cfg_fail.misaligned", 1);
-                    None
-                }
-                Ok(_) => None,
-            };
-            let analyses = plan::Analyses {
-                blocks: l.basic_blocks.as_ref().ok().map(Vec::as_slice),
-                partial: partial.as_deref(),
-                dom: l.dom.as_ref(),
-                dataflow: l.dataflow.as_ref(),
-            };
-            let plan =
-                plan::build(&input.spec, original.len(), analyses, tool_fns, input.key.opts)?;
+            let plan = plan::build(
+                &input.spec,
+                &original,
+                hal.arch(),
+                &l.analysis,
+                tool_fns,
+                input.key.opts,
+            )?;
             common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
             common::obs::counter("plan.inlined_calls", plan.stats.inlined_calls);
             common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
@@ -249,7 +229,7 @@ fn build_one(
                 &plan,
                 tool_fns,
                 routines,
-                &liveness,
+                &l.analysis,
                 input.key.policy,
                 alloc,
             )?
@@ -893,13 +873,14 @@ impl<'a> NvbitApi<'a> {
         // Dual-ABI load. The *callable* copy — what gets installed on the
         // device and what out-of-line `JCAL`s execute — compiles under the
         // standard ABI, so its epilogue restores every callee-saved
-        // register. The same source is compiled again under the *scratch*
+        // register. The same parse is compiled again under the *scratch*
         // ABI (no prologue, every register fair game): that body is what
         // the planner classifies, the inline pass splices and the pressure
         // cost model prices, since a splice runs inside a trampoline that
         // already saved the site's registers.
-        let module = ptx::compile_module(ptx_src, hal.arch())?;
-        let scratch_mod = ptx::compile_module_abi(ptx_src, hal.arch(), ptx::Abi::Scratch).ok();
+        let ast = ptx::parse_module(ptx_src)?;
+        let module = ptx::compile_ast(&ast, hal.arch())?;
+        let scratch_mod = ptx::compile_ast_abi(&ast, hal.arch(), ptx::Abi::Scratch).ok();
         for f in &module.functions {
             if !f.relocs.is_empty() {
                 return Err(NvbitError::BadRequest(format!(
@@ -982,7 +963,7 @@ impl<'a> NvbitApi<'a> {
     /// Driver/decode failures.
     pub fn get_basic_blocks(&self, func: CuFunction) -> Result<Option<Vec<sass::cfg::BasicBlock>>> {
         let lifted = self.state.lifted_for(self.drv, func)?;
-        Ok(lifted.basic_blocks.clone().ok())
+        Ok(lifted.analysis.as_ref().ok().map(|a| a.blocks.clone()))
     }
 
     /// Why static CFG partitioning failed for the function, if it did —
@@ -994,7 +975,7 @@ impl<'a> NvbitApi<'a> {
     /// Driver/decode failures.
     pub fn get_cfg_failure(&self, func: CuFunction) -> Result<Option<sass::CfgFailure>> {
         let lifted = self.state.lifted_for(self.drv, func)?;
-        Ok(lifted.basic_blocks.as_ref().err().cloned())
+        Ok(lifted.analysis.as_ref().err().cloned())
     }
 
     /// General-purpose registers live into instruction `idx` of `func`, in
@@ -1011,7 +992,7 @@ impl<'a> NvbitApi<'a> {
         if idx >= lifted.instrs.len() {
             return Err(NvbitError::BadInstrIndex { index: idx, len: lifted.instrs.len() });
         }
-        Ok(lifted.dataflow.as_ref().map(|df| df.live_regs(idx)))
+        Ok(lifted.analysis.as_ref().ok().map(|a| a.liveness.live_regs(idx)))
     }
 
     /// Functions the given function may call (`nvbit_get_related_funcs`).

@@ -12,20 +12,15 @@ pub struct Lifted {
     pub addr: u64,
     /// One view per SASS instruction, in program order.
     pub instrs: Vec<Instr>,
-    /// Basic blocks as instruction-index ranges, or the reason indirect
-    /// control flow defeats static partitioning (the paper's ICF fallback).
-    pub basic_blocks: std::result::Result<Vec<sass::cfg::BasicBlock>, sass::CfgFailure>,
-    /// Liveness / reaching-definitions analysis over the body; `None`
-    /// exactly when `basic_blocks` failed (the analysis needs the CFG).
-    pub dataflow: Option<sass::Dataflow>,
-    /// Dominator/post-dominator analysis and coalescing-region partition
-    /// over the body; `None` exactly when `basic_blocks` failed.
-    pub dom: Option<sass::Dom>,
+    /// The static analysis of the body (blocks, liveness, dominators), or
+    /// the reason indirect control flow defeats it (the paper's ICF
+    /// fallback: flat view, whole-function save tier, no coalescing proof).
+    pub analysis: std::result::Result<sass::Analysis, sass::CfgFailure>,
 }
 
 /// Lifts the function's current code bytes: one decode (`disassemble`
-/// span, counted on `sass.decode`), then the CFG/dataflow/dominator
-/// analyses and the [`Instr`] views (`convert` span).
+/// span, counted on `sass.decode`), then the one [`sass::Analysis`] of the
+/// body and the [`Instr`] views (`convert` span).
 ///
 /// # Errors
 ///
@@ -39,9 +34,7 @@ pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
     };
     let _span = common::obs::span("convert");
     let isize = hal.instruction_size();
-    let blocks = sass::cfg::basic_blocks(&raw, hal.arch());
-    let dataflow = sass::Dataflow::analyze(&raw, hal.arch()).ok();
-    let dom = blocks.as_ref().ok().map(|b| sass::Dom::analyze(&raw, b, hal.arch()));
+    let analysis = sass::Analysis::of(&raw, hal.arch());
     let mut instrs = Vec::with_capacity(raw.len());
     for (idx, inner) in raw.into_iter().enumerate() {
         let line_info = info
@@ -52,7 +45,7 @@ pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
             .map(|l| (l.file.clone(), l.line));
         instrs.push(Instr::new(idx, idx as u64 * isize, inner, line_info));
     }
-    Ok(Lifted { addr: info.addr, instrs, basic_blocks: blocks, dataflow, dom })
+    Ok(Lifted { addr: info.addr, instrs, analysis })
 }
 
 #[cfg(test)]
@@ -99,10 +92,7 @@ mod tests {
         assert_eq!(lifted.instrs[2].offset, 32);
         assert!(lifted.instrs[2].has_guard());
         // Blocks: [0..3], [3..4] (branch target of .+0x10 = idx 4), [4..5].
-        let blocks = lifted.basic_blocks.as_ref().unwrap();
-        assert_eq!(blocks.len(), 3);
-        assert!(lifted.dataflow.is_some());
-        assert!(lifted.dom.is_some());
+        assert_eq!(lifted.analysis.as_ref().unwrap().blocks.len(), 3);
     }
 
     #[test]
@@ -111,12 +101,10 @@ mod tests {
         let code = hal.assemble_text("BRX R4 ;\nEXIT ;").unwrap();
         let lifted = lift(&hal, &fake_info(vec![]), &code).unwrap();
         assert_eq!(
-            lifted.basic_blocks,
-            Err(sass::CfgFailure::IndirectBranch { index: 0 }),
+            lifted.analysis.as_ref().err(),
+            Some(&sass::CfgFailure::IndirectBranch { index: 0 }),
             "ICF must surface the structured failure"
         );
-        assert!(lifted.dataflow.is_none());
-        assert!(lifted.dom.is_none());
         assert_eq!(lifted.instrs.len(), 2);
     }
 

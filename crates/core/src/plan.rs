@@ -50,10 +50,10 @@
 //! signature (and its output) is identical whether or not the passes run.
 
 use crate::codegen::ToolFn;
-use crate::spec::{Arg, FuncSpec, IPoint};
+use crate::spec::{arg_window, Arg, FuncSpec, IPoint};
 use crate::{NvbitError, Result};
 use sass::cfg::{block_of, BasicBlock};
-use sass::{Dataflow, Dom};
+use sass::{Analysis, CfgFailure, Instruction};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// How far up the pass ladder [`build`] climbs. Each rung runs every pass
@@ -220,54 +220,6 @@ fn explicit_args(call: &PlannedCall) -> &[Arg] {
     &call.args[..call.args.len() - 1]
 }
 
-/// The static analyses [`build`] consumes. All optional: each pass
-/// degrades gracefully as analyses drop out (indirect control flow,
-/// irreducible graphs, a disabled dataflow solver).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Analyses<'a> {
-    /// Full basic-block partition, when static CFG recovery succeeded.
-    pub blocks: Option<&'a [BasicBlock]>,
-    /// Conservative partial partition recovered under the ICF exception
-    /// ([`sass::cfg::partial_blocks`]); consulted only when `blocks` is
-    /// `None`. Enables block coalescing (never region coalescing).
-    pub partial: Option<&'a [BasicBlock]>,
-    /// Dominator analysis over `blocks`, for region coalescing.
-    pub dom: Option<&'a Dom>,
-    /// Liveness analysis over the body, for the pressure verdict.
-    pub dataflow: Option<&'a Dataflow>,
-}
-
-impl<'a> Analyses<'a> {
-    /// No analyses available — the naive per-site pipeline.
-    pub fn none() -> Self {
-        Analyses::default()
-    }
-
-    /// Basic-block partition only.
-    pub fn with_blocks(blocks: &'a [BasicBlock]) -> Self {
-        Analyses { blocks: Some(blocks), ..Analyses::default() }
-    }
-
-    /// Basic-block partition plus dominator analysis.
-    pub fn with_dom(blocks: &'a [BasicBlock], dom: &'a Dom) -> Self {
-        Analyses { blocks: Some(blocks), dom: Some(dom), ..Analyses::default() }
-    }
-}
-
-/// One past the highest ABI register the call scaffold writes while
-/// materializing `args` — mirrors the slot walk of the code generator's
-/// `emit_call` (arguments from R4 up, 64-bit pairs even-aligned).
-fn scaffold_window(args: &[Arg]) -> u8 {
-    let mut slot: u8 = 4;
-    for arg in args {
-        if arg.slots() == 2 && slot % 2 == 1 {
-            slot += 1;
-        }
-        slot = slot.saturating_add(arg.slots());
-    }
-    slot
-}
-
 /// The largest saved slot any argument reads back from the frame.
 fn arg_read_back(args: &[Arg]) -> u16 {
     args.iter()
@@ -279,13 +231,15 @@ fn arg_read_back(args: &[Arg]) -> u16 {
 /// Builds the plan: validates the spec against the function body and the
 /// loaded tool functions, then runs the passes up to `opts.level`.
 ///
-/// `analyses` carries the optional static analyses: coalescing needs the
-/// block partition (falling back to the partial partition under the ICF
-/// exception, with [`PlanStats::cfg_available`] and
-/// [`PlanStats::icf_recovered`] recording what happened), region
-/// coalescing additionally needs the dominator analysis, and the pressure
-/// verdict needs the dataflow solution (without it every eligible splice
-/// is accepted and the code generator charges the whole-function tier).
+/// `analysis` is the body's [`sass::Analysis`] as the lifter computed it:
+/// coalescing uses its block partition, region coalescing its dominator
+/// regions, and the pressure verdict its liveness solution. When static
+/// CFG recovery failed there is nothing to price (every eligible splice is
+/// accepted and the code generator charges the whole-function tier) and
+/// nothing to merge — except under the ICF exception, where the
+/// conservative [`sass::cfg::partial_blocks`] partition of `body` still
+/// supports block coalescing ([`PlanStats::cfg_available`] and
+/// [`PlanStats::icf_recovered`] record what happened).
 ///
 /// # Errors
 ///
@@ -293,12 +247,13 @@ fn arg_read_back(args: &[Arg]) -> u16 {
 /// [`NvbitError::UnknownToolFunction`] for unregistered injections.
 pub fn build(
     spec: &FuncSpec,
-    body_len: usize,
-    analyses: Analyses<'_>,
+    body: &[Instruction],
+    arch: sass::Arch,
+    analysis: &std::result::Result<Analysis, CfgFailure>,
     tool_fns: &HashMap<String, ToolFn>,
     opts: PlanOpts,
 ) -> Result<InstrumentationPlan> {
-    let Analyses { blocks, partial, dom, dataflow } = analyses;
+    let body_len = body.len();
     // Validation — lifted here from the code generator, which now consumes
     // an already-validated plan.
     for (&idx, injections) in &spec.sites {
@@ -316,6 +271,22 @@ pub fn build(
             return Err(NvbitError::BadInstrIndex { index: idx, len: body_len });
         }
     }
+
+    // Surface *why* static CFG recovery fell back, per failure variant, and
+    // recover the partial partition for the BRX case.
+    let partial: Option<Vec<BasicBlock>> = match analysis {
+        Err(CfgFailure::IndirectBranch { .. }) => {
+            common::obs::counter("plan.cfg_fail.brx", 1);
+            Some(sass::cfg::partial_blocks(body, arch))
+        }
+        Err(CfgFailure::MisalignedTarget { .. }) => {
+            common::obs::counter("plan.cfg_fail.misaligned", 1);
+            None
+        }
+        Ok(_) => None,
+    };
+    let analysis = analysis.as_ref().ok();
+    let blocks = analysis.map(|a| a.blocks.as_slice());
 
     let mut stats = PlanStats { cfg_available: blocks.is_some(), ..PlanStats::default() };
 
@@ -362,7 +333,7 @@ pub fn build(
     if opts.level >= PlanLevel::Block {
         if let Some(blocks) = blocks {
             stats.coalesced_groups += merge_calls(&mut sites, &|site| block_of(blocks, site));
-        } else if let Some(partial) = partial {
+        } else if let Some(partial) = &partial {
             let recovered = merge_calls(&mut sites, &|site| block_of(partial, site));
             stats.coalesced_groups += recovered;
             stats.icf_recovered += recovered;
@@ -373,12 +344,10 @@ pub fn build(
     // cycle-equivalent blocks. Identity regions under irreducible control
     // flow make this a no-op, so skip the walk entirely.
     if opts.level >= PlanLevel::Region {
-        if let (Some(blocks), Some(dom)) = (blocks, dom) {
-            if !dom.irreducible() {
-                stats.region_groups += merge_calls(&mut sites, &|site| {
-                    block_of(blocks, site).map(|b| dom.region_head(b))
-                });
-            }
+        if let Some(a) = analysis.filter(|a| !a.dom.irreducible()) {
+            stats.region_groups += merge_calls(&mut sites, &|site| {
+                block_of(&a.blocks, site).map(|b| a.dom.region_head(b))
+            });
         }
     }
 
@@ -394,8 +363,8 @@ pub fn build(
     }
 
     // Pass 4: inline splicing, each splice priced by the pressure verdict
-    // (when the dataflow solution is unavailable the code generator charges
-    // the whole-function tier anyway, so there is nothing to price).
+    // (when the analysis is unavailable the code generator charges the
+    // whole-function tier anyway, so there is nothing to price).
     for (&idx, calls) in sites.iter_mut() {
         for call in calls.iter_mut() {
             stats.emitted_calls += 1;
@@ -403,14 +372,15 @@ pub fn build(
             if opts.level < PlanLevel::Spliced || !tf.inlinable {
                 continue;
             }
-            if let (Some(df), Some(ceiling)) = (dataflow, tf.write_ceiling) {
+            if let (Some(a), Some(ceiling)) = (analysis, tf.write_ceiling) {
                 let site = sass::pressure::SpliceSite {
                     index: idx,
-                    scaffold_window: scaffold_window(&call.args),
+                    scaffold_window: arg_window(&call.args),
                     body_window: ceiling,
                     arg_demand: arg_read_back(&call.args),
                 };
-                let verdict = sass::pressure::splice_verdict(df, &site, opts.occupancy.as_ref());
+                let verdict =
+                    sass::pressure::splice_verdict(&a.liveness, &site, opts.occupancy.as_ref());
                 match verdict.rule {
                     sass::pressure::VerdictRule::OccupancyFlat => stats.occ_accepted += 1,
                     sass::pressure::VerdictRule::OccupancyDrop => stats.occ_declined += 1,
@@ -563,10 +533,16 @@ fn merge_calls(
     merged_groups
 }
 
+/// What the lifter hands down when static CFG recovery failed — for tests
+/// that exercise the no-analysis fallbacks.
+#[cfg(test)]
+pub(crate) const NO_ANALYSIS: std::result::Result<Analysis, CfgFailure> =
+    Err(CfgFailure::MisalignedTarget { index: 0, offset: 0 });
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sass::{asm::assemble_arch, Arch, Instruction};
+    use sass::{asm::assemble_arch, Arch};
 
     const BODY: &str = "\
     S2R R0, SR_TID.X ;
@@ -582,17 +558,22 @@ skip:
         PlanOpts { level, occupancy: None }
     }
 
-    fn body_blocks() -> (usize, Vec<BasicBlock>) {
-        let prog = assemble_arch(BODY, Arch::Volta).unwrap();
-        let blocks = sass::cfg::basic_blocks(&prog, Arch::Volta).unwrap();
-        (prog.len(), blocks)
+    /// A body with its analysis, as the lifter hands them to [`build`].
+    type Analyzed = (Vec<Instruction>, std::result::Result<Analysis, CfgFailure>);
+
+    fn analyzed(src: &str) -> Analyzed {
+        let prog = assemble_arch(src, Arch::Volta).unwrap();
+        let analysis = Analysis::of(&prog, Arch::Volta);
+        (prog, analysis)
     }
 
-    fn body_dom(src: &str) -> (Vec<Instruction>, Vec<BasicBlock>, Dom) {
-        let prog = assemble_arch(src, Arch::Volta).unwrap();
-        let blocks = sass::cfg::basic_blocks(&prog, Arch::Volta).unwrap();
-        let dom = Dom::analyze(&prog, &blocks, Arch::Volta);
-        (prog, blocks, dom)
+    fn build_for(
+        spec: &FuncSpec,
+        (prog, analysis): &Analyzed,
+        tool_fns: &HashMap<String, ToolFn>,
+        opts: PlanOpts,
+    ) -> Result<InstrumentationPlan> {
+        build(spec, prog, Arch::Volta, analysis, tool_fns, opts)
     }
 
     fn fns(inlinable: bool) -> HashMap<String, ToolFn> {
@@ -615,11 +596,10 @@ skip:
 
     #[test]
     fn coalescing_merges_per_block_and_appends_multiplicity() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
+        let n = body.0.len();
         let spec = count_spec(n, 0xdead);
-        let plan =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
-                .unwrap();
+        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
         // Blocks are 0..3, 3..5, 5..6 → one call each, at the block heads.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3, 5]);
@@ -638,9 +618,10 @@ skip:
 
     #[test]
     fn naive_plan_still_appends_multiplicity_one() {
-        let (n, _) = body_blocks();
+        let body = (analyzed(BODY).0, NO_ANALYSIS);
+        let n = body.0.len();
         let spec = count_spec(n, 1);
-        let plan = build(&spec, n, Analyses::none(), &fns(false), PlanOpts::naive()).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), PlanOpts::naive()).unwrap();
         assert_eq!(plan.sites.len(), n);
         for calls in plan.sites.values() {
             assert_eq!(calls[0].args.last(), Some(&Arg::Imm32(1)));
@@ -652,7 +633,7 @@ skip:
 
     #[test]
     fn per_instance_args_and_pred_filter_block_coalescing() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         // Guard-pred argument is per-dynamic-instance.
         spec.insert_call(0, "f", IPoint::Before);
@@ -665,25 +646,21 @@ skip:
         spec.insert_call(2, "f", IPoint::Before);
         spec.set_coalesce(2);
         spec.set_pred_filter(2);
-        let plan =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
-                .unwrap();
+        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
         assert_eq!(plan.sites.len(), 3, "nothing merged");
         assert_eq!(plan.stats.coalesced_groups, 0);
     }
 
     #[test]
     fn different_args_split_groups() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         for (idx, ctr) in [(0usize, 0x10u64), (1, 0x10), (2, 0x20)] {
             spec.insert_call(idx, "f", IPoint::Before);
             spec.add_arg(idx, Arg::Imm64(ctr));
             spec.set_coalesce(idx);
         }
-        let plan =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), at(PlanLevel::Block))
-                .unwrap();
+        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
         // Sites 0 and 1 merge (same counter); site 2 stands alone.
         assert_eq!(plan.sites[&0][0].multiplicity, 2);
         assert_eq!(plan.sites[&2][0].multiplicity, 1);
@@ -692,32 +669,25 @@ skip:
 
     #[test]
     fn non_coalesce_calls_never_gain_the_multiplicity_arg() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "f", IPoint::Before);
         spec.add_arg(0, Arg::Imm64(7));
-        let plan =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default())
-                .unwrap();
+        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(7)]);
     }
 
     #[test]
     fn inline_pass_marks_inlinable_leaves_only_at_the_top_rung() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "f", IPoint::Before);
-        let on = build(&spec, n, Analyses::with_blocks(&blocks), &fns(true), PlanOpts::default())
-            .unwrap();
+        let on = build_for(&spec, &body, &fns(true), PlanOpts::default()).unwrap();
         assert!(on.sites[&0][0].inline);
         assert_eq!(on.stats.inlined_calls, 1);
-        let off =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(true), at(PlanLevel::Region))
-                .unwrap();
+        let off = build_for(&spec, &body, &fns(true), at(PlanLevel::Region)).unwrap();
         assert!(!off.sites[&0][0].inline, "splicing is the top rung only");
-        let opaque =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default())
-                .unwrap();
+        let opaque = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         assert!(!opaque.sites[&0][0].inline, "non-leaf tools are never inlined");
     }
 
@@ -732,11 +702,7 @@ skip:
     STG [R20], R0 ;
     EXIT ;
 ";
-        let prog = assemble_arch(src, Arch::Volta).unwrap();
-        let blocks = sass::cfg::basic_blocks(&prog, Arch::Volta).unwrap();
-        let df = Dataflow::analyze(&prog, Arch::Volta).unwrap();
-        let analyses =
-            || Analyses { blocks: Some(&blocks), dataflow: Some(&df), ..Analyses::default() };
+        let body = analyzed(src);
         let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
         let mut tool_fns = HashMap::new();
         tool_fns.insert("f".to_string(), ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta));
@@ -745,7 +711,7 @@ skip:
 
         // Tier-only gate: declined.
         let tier_opts = PlanOpts::default();
-        let tier = build(&spec, prog.len(), analyses(), &tool_fns, tier_opts).unwrap();
+        let tier = build_for(&spec, &body, &tool_fns, tier_opts).unwrap();
         assert!(!tier.sites[&1][0].inline);
         assert_eq!((tier.stats.inline_declined, tier.stats.inlined_calls), (1, 0));
         assert_eq!((tier.stats.occ_accepted, tier.stats.occ_declined), (0, 0));
@@ -755,7 +721,7 @@ skip:
         // (16 blocks/SM both), so the same splice is now accepted, with the
         // priced claim recorded for the verifier.
         let occ_opts = PlanOpts { occupancy: Some(OccupancyCfg::volta(128)), ..tier_opts };
-        let occ = build(&spec, prog.len(), analyses(), &tool_fns, occ_opts).unwrap();
+        let occ = build_for(&spec, &body, &tool_fns, occ_opts).unwrap();
         assert!(occ.sites[&1][0].inline);
         assert_eq!((occ.stats.occ_accepted, occ.stats.occ_declined), (1, 0));
         assert_eq!((occ.stats.inline_accepted, occ.stats.inline_declined), (1, 0));
@@ -768,7 +734,7 @@ skip:
             block_threads: 32,
         };
         let cliff_opts = PlanOpts { occupancy: Some(cliff), ..tier_opts };
-        let plan = build(&spec, prog.len(), analyses(), &tool_fns, cliff_opts).unwrap();
+        let plan = build_for(&spec, &body, &tool_fns, cliff_opts).unwrap();
         assert!(!plan.sites[&1][0].inline);
         assert_eq!((plan.stats.occ_accepted, plan.stats.occ_declined), (0, 1));
         assert_eq!(plan.stats.inline_declined, 1);
@@ -776,34 +742,33 @@ skip:
 
     #[test]
     fn validation_matches_the_old_codegen_errors() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut s = FuncSpec::default();
         s.insert_call(99, "f", IPoint::Before);
         assert!(matches!(
-            build(&s, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default()),
+            build_for(&s, &body, &fns(false), PlanOpts::default()),
             Err(NvbitError::BadInstrIndex { index: 99, .. })
         ));
         let mut s2 = FuncSpec::default();
         s2.insert_call(0, "missing", IPoint::Before);
         assert!(matches!(
-            build(&s2, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default()),
+            build_for(&s2, &body, &fns(false), PlanOpts::default()),
             Err(NvbitError::UnknownToolFunction(_))
         ));
         let mut s3 = FuncSpec::default();
         s3.remove_orig(99);
         assert!(matches!(
-            build(&s3, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default()),
+            build_for(&s3, &body, &fns(false), PlanOpts::default()),
             Err(NvbitError::BadInstrIndex { index: 99, .. })
         ));
     }
 
     #[test]
     fn removed_only_sites_survive_in_the_plan() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut s = FuncSpec::default();
         s.remove_orig(3);
-        let plan =
-            build(&s, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default()).unwrap();
+        let plan = build_for(&s, &body, &fns(false), PlanOpts::default()).unwrap();
         assert!(plan.sites.is_empty());
         assert!(plan.removed.contains(&3));
     }
@@ -812,11 +777,10 @@ skip:
     // entry block: the region pass hoists its call into the entry group.
     #[test]
     fn region_pass_hoists_control_equivalent_blocks() {
-        let (prog, blocks, dom) = body_dom(BODY);
-        let spec = count_spec(prog.len(), 0xdead);
+        let body = analyzed(BODY);
+        let spec = count_spec(body.0.len(), 0xdead);
         let opts = at(PlanLevel::Region);
-        let plan =
-            build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3], "skip-block call hoisted into the entry call");
         let c0 = &plan.sites[&0][0];
@@ -842,11 +806,10 @@ body:
 
     #[test]
     fn region_pass_skips_loop_bodies() {
-        let (prog, blocks, dom) = body_dom(LOOP);
-        let spec = count_spec(prog.len(), 1);
+        let body = analyzed(LOOP);
+        let spec = count_spec(body.0.len(), 1);
         let opts = at(PlanLevel::Region);
-        let plan =
-            build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         // Setup (instr 0) and tail (instrs 4,5) merge; the loop body
         // (instrs 1..4) executes more often and must stay out.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
@@ -870,16 +833,13 @@ b:
 
     #[test]
     fn region_pass_is_a_noop_on_irreducible_control_flow() {
-        let (prog, blocks, dom) = body_dom(IRREDUCIBLE);
-        assert!(dom.irreducible());
-        let spec = count_spec(prog.len(), 1);
+        let body = analyzed(IRREDUCIBLE);
+        assert!(body.1.as_ref().unwrap().dom.irreducible());
+        let spec = count_spec(body.0.len(), 1);
         let with_region = at(PlanLevel::Region);
         let block_only = at(PlanLevel::Block);
-        let a =
-            build(&spec, prog.len(), Analyses::with_dom(&blocks, &dom), &fns(false), with_region)
-                .unwrap();
-        let b = build(&spec, prog.len(), Analyses::with_blocks(&blocks), &fns(false), block_only)
-            .unwrap();
+        let a = build_for(&spec, &body, &fns(false), with_region).unwrap();
+        let b = build_for(&spec, &body, &fns(false), block_only).unwrap();
         assert_eq!(a.sites, b.sites, "irreducible graphs degrade to per-block merging");
         assert_eq!(a.stats.region_groups, 0);
     }
@@ -897,13 +857,13 @@ b:
 
     #[test]
     fn after_points_lower_to_fall_through_slots() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         // Sites 0 and 1 are mid-block; site 2 is the block terminator.
         // Distinct counters keep the lowered calls from merging, so the
         // lowering is visible on its own.
         let spec = after_spec(&[(0, 9), (1, 10), (2, 11)]);
         let opts = at(PlanLevel::Region);
-        let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         let c1 = &plan.sites[&1][0];
         assert_eq!(c1.ipoint, IPoint::Before);
         assert_eq!((c1.group.as_slice(), c1.lowered.as_slice()), (&[0usize][..], &[0usize][..]));
@@ -920,10 +880,10 @@ b:
 
     #[test]
     fn lowered_after_points_coalesce_under_the_multiplicity_protocol() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let spec = after_spec(&[(0, 9), (1, 9)]);
         let opts = at(PlanLevel::Region);
-        let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![1], "anchored at origin 0's fall-through slot");
         let c = &plan.sites[&1][0];
@@ -938,14 +898,12 @@ b:
 
     #[test]
     fn per_instance_after_points_stay_in_place() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "f", IPoint::After);
         spec.add_arg(0, Arg::GuardPred);
         spec.set_coalesce(0);
-        let plan =
-            build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), PlanOpts::default())
-                .unwrap();
+        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         assert_eq!(plan.sites[&0][0].ipoint, IPoint::After);
         assert_eq!(plan.stats.after_lowered, 0);
     }
@@ -955,7 +913,7 @@ b:
     // group would list origin i twice).
     #[test]
     fn overlapping_origins_never_merge() {
-        let (n, blocks) = body_blocks();
+        let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         for ipoint in [IPoint::Before, IPoint::After] {
             spec.insert_call(0, "f", ipoint);
@@ -963,7 +921,7 @@ b:
             spec.set_coalesce(0);
         }
         let opts = at(PlanLevel::Region);
-        let plan = build(&spec, n, Analyses::with_blocks(&blocks), &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         assert_eq!(plan.stats.emitted_calls, 2);
         assert_eq!(plan.stats.coalesced_groups, 0);
         for calls in plan.sites.values() {

@@ -52,6 +52,24 @@ impl Arg {
     }
 }
 
+/// The ABI argument walk: each argument with the first register it is
+/// materialized into — R4 upward, 64-bit arguments in even-aligned pairs.
+/// The one definition behind splice pricing, save-tier selection and
+/// argument emission (which adds the R15 window limit).
+pub(crate) fn abi_slots(args: &[Arg]) -> impl Iterator<Item = (u8, &Arg)> {
+    let mut next: u8 = 4;
+    args.iter().map(move |arg| {
+        let slot = if arg.slots() == 2 && next % 2 == 1 { next.saturating_add(1) } else { next };
+        next = slot.saturating_add(arg.slots());
+        (slot, arg)
+    })
+}
+
+/// One past the highest ABI register materializing `args` writes.
+pub(crate) fn arg_window(args: &[Arg]) -> u8 {
+    abi_slots(args).last().map_or(4, |(slot, arg)| slot.saturating_add(arg.slots()))
+}
+
 /// One injected call at an instrumentation site.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Injection {
@@ -215,6 +233,18 @@ mod tests {
         assert!(s.sites[&0][0].coalesce);
         assert!(s.dirty);
         assert_ne!(s.content_hash(), before, "coalesce participates in the image-cache key");
+    }
+
+    #[test]
+    fn the_slot_walk_even_aligns_wide_arguments() {
+        // GuardPred lands in R4; the Imm64 pair skips R5 for R6:R7.
+        let args = [Arg::GuardPred, Arg::Imm64(0)];
+        assert_eq!(abi_slots(&args).map(|(slot, _)| slot).collect::<Vec<_>>(), vec![4, 6]);
+        assert_eq!(arg_window(&args), 8);
+        assert_eq!(arg_window(&[]), 4);
+        assert_eq!(arg_window(&[Arg::Imm64(0), Arg::Imm32(0)]), 7);
+        // Absurd lists saturate instead of wrapping.
+        assert_eq!(arg_window(&vec![Arg::Imm64(0); 200]), u8::MAX);
     }
 
     #[test]

@@ -475,15 +475,16 @@ pub fn verify_plan_instrs(
     ext: &ExternalCode,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let blocks = sass::cfg::basic_blocks(original, hal.arch()).ok();
-    // Recomputed (not trusted from the image) dominator analysis: region
-    // checks must hold against the original body as the verifier sees it.
-    let dom = blocks.as_ref().map(|b| sass::Dom::analyze(original, b, hal.arch()));
-    // Recomputed liveness, for proving each inline splice's clobber is
-    // covered by the site's save tier (`None` when the body cannot be
-    // statically partitioned — splices are then vacuously unprovable and
-    // the planner never emits them without a CFG anyway).
-    let dataflow = sass::Dataflow::analyze(original, hal.arch()).ok();
+    // Recomputed from the verifier's own decode of the original bytes —
+    // never trusted from the lifter or the plan: region checks and splice
+    // pricing must hold against the body as the verifier sees it. `None`
+    // when the body cannot be statically partitioned (merges are then
+    // defects, and splices are vacuously unprovable — the planner never
+    // prices one without a CFG anyway).
+    let analysis = sass::Analysis::of(original, hal.arch()).ok();
+    let blocks = analysis.as_ref().map(|a| &a.blocks);
+    let dom = analysis.as_ref().map(|a| &a.dom);
+    let dataflow = analysis.as_ref().map(|a| &a.liveness);
 
     for site in sites {
         let end = site.start + site.len;
@@ -556,7 +557,7 @@ pub fn verify_plan_instrs(
                 let mut bad_after = call.lowered.windows(2).any(|w| w[0] >= w[1])
                     || call.lowered.iter().any(|l| !call.group.contains(l));
                 if !bad_after {
-                    bad_after = match &blocks {
+                    bad_after = match blocks {
                         Some(blocks) => call.lowered.iter().any(|&l| {
                             block_of(blocks, l).is_none()
                                 || block_of(blocks, l + 1) != block_of(blocks, l)
@@ -583,7 +584,7 @@ pub fn verify_plan_instrs(
             // the placement site's coalescing region, which is exactly the
             // per-lane execution-count equivalence the merge relies on.
             if call.multiplicity > 1 {
-                if let (Some(blocks), Some(dom)) = (&blocks, &dom) {
+                if let (Some(blocks), Some(dom)) = (blocks, dom) {
                     let bad_region = match block_of(blocks, site.instr_idx) {
                         Some(home) => call.group.iter().any(|&i| {
                             !block_of(blocks, i).is_some_and(|b| dom.same_region(home, b))
@@ -656,7 +657,7 @@ pub fn verify_plan_instrs(
             // register the splice writes that is live across the site must
             // be covered by the site's save tier, or the splice corrupts
             // the application. (`site.tier` saves registers R0..R<tier>.)
-            if let Some(df) = &dataflow {
+            if let Some(df) = dataflow {
                 if site.instr_idx < df.len() {
                     let ceiling = spliced
                         .iter()

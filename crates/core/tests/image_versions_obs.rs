@@ -133,8 +133,9 @@ fn version_flips_reuse_cached_images_and_unload_evicts() {
 
 /// The six JIT-overhead components of paper Fig. 5 — retrieve,
 /// disassemble, convert, user code, code generation, swap — each show up
-/// as an obs phase with non-zero time, and the lifter decodes a function
-/// once (no second decode feeding a stopwatch).
+/// as an obs phase with non-zero time, the lifter decodes a function once
+/// (no second decode feeding a stopwatch), and the static analysis runs
+/// once per lift and once per verify.
 #[test]
 fn jit_phases_attribute_all_six_components() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -162,5 +163,13 @@ fn jit_phases_attribute_all_six_components() {
     assert_eq!(report.phases["lift"].count, 1);
     assert_eq!(report.phases["disassemble"].count, 1);
     assert_eq!(report.counters["sass.decode"].count, 1, "one decode per lift");
+    // The body is analyzed once by the lifter and once — on its own decode
+    // of the image's original bytes — by each pre-swap verification;
+    // nothing else on the JIT path partitions or solves it again.
+    assert_eq!(
+        report.counters["sass.analysis"].count,
+        report.phases["lift"].count + report.phases["verify"].count,
+        "one analysis per lift plus one per verify"
+    );
     assert_eq!(report.open_spans, 0);
 }

@@ -153,8 +153,6 @@ pub struct Device {
     spec: DeviceSpec,
     mem: Memory,
     decode_cache: DecodeCache,
-    /// Decode-cache switch (ablation benchmarks turn it off).
-    pub decode_cache_enabled: bool,
     /// CTA-to-host-thread mapping; see [`Scheduler`] for the exact
     /// determinism contract.
     pub scheduler: Scheduler,
@@ -173,7 +171,6 @@ impl Device {
             spec,
             mem,
             decode_cache: DecodeCache::new(),
-            decode_cache_enabled: true,
             scheduler: Scheduler::default(),
             launches: 0,
             labels: CodeLabels::new(),
@@ -268,12 +265,6 @@ impl Device {
         self.mem.read(addr, out)
     }
 
-    /// Clears the decode cache (used by ablation benchmarks; never required
-    /// for correctness, because fetches revalidate cached raw bytes).
-    pub fn flush_decode_cache(&mut self) {
-        self.decode_cache.clear();
-    }
-
     /// Launches a kernel and runs it to completion.
     ///
     /// Warps round-robin inside each CTA; CTAs run serially or on a worker
@@ -349,7 +340,6 @@ impl Device {
                 &self.spec,
                 &shared,
                 &snapshot,
-                self.decode_cache_enabled,
                 cfg,
                 &cbanks,
                 labels,
@@ -450,7 +440,6 @@ fn run_cta(
     spec: &DeviceSpec,
     mem: &SharedMem,
     snapshot: &DecodeCache,
-    decode_cache_enabled: bool,
     cfg: &LaunchConfig,
     cbanks: &[Vec<u8>; 4],
     labels: &CodeLabels,
@@ -471,7 +460,6 @@ fn run_cta(
         mem,
         snapshot,
         overlay: DecodeCache::new(),
-        decode_cache_enabled,
         stats: ExecStats::default(),
         grid: cfg.grid,
         block: cfg.block,

@@ -134,7 +134,6 @@ pub(crate) struct ExecEnv<'d> {
     /// Entries this CTA decoded; merged back in CTA-linear order after the
     /// launch so cross-launch cache state is scheduler-independent.
     pub overlay: DecodeCache,
-    pub decode_cache_enabled: bool,
     pub stats: ExecStats,
     pub grid: Dim3,
     pub block: Dim3,
@@ -177,14 +176,12 @@ impl<'d> ExecEnv<'d> {
             .read_into(pc, &mut raw[..isize as usize])
             .map_err(|_| self.fault(pc, "instruction fetch outside device memory"))?;
         let raw_word = u128::from_le_bytes(raw);
-        if self.decode_cache_enabled {
-            if let Some((cached_raw, decoded)) =
-                self.overlay.get(&pc).or_else(|| self.snapshot.get(&pc))
-            {
-                if *cached_raw == raw_word {
-                    self.stats.decode_hits += 1;
-                    return Ok(Arc::clone(decoded));
-                }
+        if let Some((cached_raw, decoded)) =
+            self.overlay.get(&pc).or_else(|| self.snapshot.get(&pc))
+        {
+            if *cached_raw == raw_word {
+                self.stats.decode_hits += 1;
+                return Ok(Arc::clone(decoded));
             }
         }
         self.stats.decode_misses += 1;
@@ -194,9 +191,7 @@ impl<'d> ExecEnv<'d> {
                 .decode(&raw[..isize as usize])
                 .map_err(|e| self.fault(pc, format!("undecodable instruction: {e}")))?,
         );
-        if self.decode_cache_enabled {
-            self.overlay.insert(pc, (raw_word, Arc::clone(&instr)));
-        }
+        self.overlay.insert(pc, (raw_word, Arc::clone(&instr)));
         Ok(instr)
     }
 

@@ -52,7 +52,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod cfg;
 pub mod interp;
 pub mod lexer;

@@ -1,0 +1,93 @@
+//! The static analysis bundle of one function body.
+//!
+//! **Paper mapping:** §5.2 / Fig. 5 — analysis is one of the JIT phases
+//! paid per function, so it runs once: the body is partitioned once, the
+//! successor lists and `SSY` records are built once (`cfg::Edges`), and
+//! the liveness and dominator solutions are both derived from them.
+
+use crate::arch::Arch;
+use crate::cfg::{self, BasicBlock, CfgFailure, Edges};
+use crate::dataflow::Dataflow;
+use crate::dom::Dom;
+use crate::inst::Instruction;
+
+/// Everything the planner, the code generator and the verifier know
+/// statically about a function body. Either all of it exists or — when
+/// indirect control flow or a misaligned target defeats partitioning —
+/// none of it does, and [`Analysis::of`] says why.
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    /// The [`cfg::basic_blocks`] partition of the body.
+    pub blocks: Vec<BasicBlock>,
+    /// Per-instruction live sets (coarse `SYNC` edges).
+    pub liveness: Dataflow,
+    /// Dominators, post-dominators and coalescing regions (matched `SYNC`
+    /// edges, coarse when the bracket structure cannot be established).
+    pub dom: Dom,
+}
+
+impl Analysis {
+    /// Analyzes a function body; one `sass.analysis` obs event per call.
+    ///
+    /// # Errors
+    ///
+    /// The [`CfgFailure`] of [`cfg::basic_blocks`] — callers fall back to
+    /// their conservative whole-function policy.
+    pub fn of(instrs: &[Instruction], arch: Arch) -> Result<Analysis, CfgFailure> {
+        common::obs::counter("sass.analysis", 1);
+        let blocks = cfg::basic_blocks(instrs, arch)?;
+        let edges = Edges::of(instrs, &blocks, arch);
+        let liveness = Dataflow::solve(instrs, &blocks, &edges);
+        let dom = Dom::solve(instrs, &blocks, &edges);
+        Ok(Analysis { blocks, liveness, dom })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::asm::assemble_arch;
+
+    #[test]
+    fn bundle_matches_the_standalone_entry_points() {
+        // SSY/SYNC diamond inside a loop: exercises both SYNC edge models.
+        let text = "\
+top:
+    SSY join ;
+    ISETP.EQ.S32 P0, R0, RZ ;
+@P0 BRA merge ;
+    IADD R1, R1, 0x1 ;
+merge:
+    SYNC ;
+join:
+    IADD R0, R0, 0x1 ;
+    ISETP.LT.S32 P1, R0, 0x10 ;
+@P1 BRA top ;
+    STG [R2], R1 ;
+    EXIT ;
+";
+        let prog = assemble_arch(text, Arch::Maxwell).unwrap();
+        let a = Analysis::of(&prog, Arch::Maxwell).unwrap();
+        assert_eq!(a.blocks, cfg::basic_blocks(&prog, Arch::Maxwell).unwrap());
+        let df = Dataflow::analyze(&prog, Arch::Maxwell).unwrap();
+        let dom = Dom::analyze(&prog, &a.blocks, Arch::Maxwell);
+        for idx in 0..prog.len() {
+            assert_eq!(a.liveness.live_in(idx), df.live_in(idx), "live-in {idx}");
+            assert_eq!(a.liveness.live_out(idx), df.live_out(idx), "live-out {idx}");
+        }
+        for b in 0..a.blocks.len() {
+            assert_eq!(a.dom.idom(b), dom.idom(b));
+            assert_eq!(a.dom.ipdom(b), dom.ipdom(b));
+            assert_eq!(a.dom.region_head(b), dom.region_head(b));
+        }
+    }
+
+    #[test]
+    fn cfg_failure_means_no_analysis_at_all() {
+        let prog = assemble_arch("BRX R4 ;\nEXIT ;", Arch::Kepler).unwrap();
+        assert_eq!(
+            Analysis::of(&prog, Arch::Kepler).unwrap_err(),
+            CfgFailure::IndirectBranch { index: 0 }
+        );
+    }
+}

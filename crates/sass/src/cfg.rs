@@ -221,11 +221,9 @@ pub fn successors(
     let last = &instrs[last_idx];
     let cf = last.cf_class();
 
-    let block_at = |idx: usize| blocks.iter().find(|b| b.range.start == idx).map(|b| b.id);
-
     let mut push = |idx: Option<usize>| {
         if let Some(i) = idx {
-            if let Some(id) = block_at(i) {
+            if let Some(id) = block_starting_at(blocks, i) {
                 if !out.contains(&id) {
                     out.push(id);
                 }
@@ -262,6 +260,59 @@ pub fn successors(
         }
     }
     out
+}
+
+/// Id of the block whose first instruction is `idx`, if `idx` is a leader.
+fn block_starting_at(blocks: &[BasicBlock], idx: usize) -> Option<usize> {
+    blocks.binary_search_by_key(&idx, |b| b.range.start).ok()
+}
+
+/// The static edges of a [`basic_blocks`] partition, built once per body
+/// and shared by the liveness and dominator analyses (which differ only in
+/// how they turn the `SSY` records into `SYNC` edges).
+#[derive(Debug, Clone)]
+pub(crate) struct Edges {
+    /// [`successors`] of every block, indexed by block id.
+    pub succ: Vec<Vec<usize>>,
+    /// Every `SSY` in program order as `(host block, target block)`; the
+    /// target is `None` when it is malformed, outside the body or not a
+    /// block leader.
+    pub ssy: Vec<(usize, Option<usize>)>,
+}
+
+impl Edges {
+    /// Builds the edges of `blocks`, which must partition `instrs`.
+    pub fn of(instrs: &[Instruction], blocks: &[BasicBlock], arch: Arch) -> Edges {
+        let isize = arch.instruction_size() as i64;
+        let succ = blocks.iter().map(|b| successors(instrs, blocks, b, arch)).collect();
+        let mut ssy = Vec::new();
+        for b in blocks {
+            for idx in b.range.clone() {
+                if instrs[idx].cf_class() != CfClass::Ssy {
+                    continue;
+                }
+                let target = instrs[idx]
+                    .rel_target()
+                    .map(|off| idx as i64 + 1 + off / isize)
+                    .filter(|t| (0..instrs.len() as i64).contains(t))
+                    .and_then(|t| block_starting_at(blocks, t as usize));
+                ssy.push((b.id, target));
+            }
+        }
+        Edges { succ, ssy }
+    }
+
+    /// The coarse reconvergence model: every block some `SSY` targets, in
+    /// program order without duplicates. A `SYNC` may resume at any of them.
+    pub fn ssy_targets(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for t in self.ssy.iter().filter_map(|&(_, t)| t) {
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

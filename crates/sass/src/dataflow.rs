@@ -1,5 +1,4 @@
-//! Dataflow analysis over SASS basic blocks: backward liveness and forward
-//! reaching definitions.
+//! Dataflow analysis over SASS basic blocks: backward liveness.
 //!
 //! **Paper mapping:** §5.1 — the register save/restore cost around every
 //! injected call is NVBit's dominant instrumentation overhead. A liveness
@@ -7,7 +6,7 @@
 //! save tier covering only the registers whose values actually matter at the
 //! injection point, instead of the whole function's register demand.
 //!
-//! The analyses operate on [`crate::cfg::basic_blocks`] partitions and are
+//! The analysis operates on a [`crate::cfg::basic_blocks`] partition and is
 //! deliberately conservative wherever static knowledge runs out:
 //!
 //! * **predicated definitions are may-defs** — a write under a guard other
@@ -26,7 +25,7 @@
 //! conservative whole-function policy.
 
 use crate::arch::Arch;
-use crate::cfg::{self, BasicBlock, CfgFailure};
+use crate::cfg::{self, BasicBlock, CfgFailure, Edges};
 use crate::inst::Instruction;
 use crate::op::CfClass;
 use crate::reg::{Pred, Reg};
@@ -164,37 +163,19 @@ impl LiveSet {
     }
 }
 
-/// One definition site tracked by the reaching-definitions analysis.
-///
-/// `reg` is `None` for a call's conservative may-definition of *every*
-/// register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DefSite {
-    instr: usize,
-    reg: Option<Reg>,
-}
-
-/// The result of analyzing one function body: per-instruction live-in /
-/// live-out sets and reaching definitions, queryable by instruction index.
+/// The liveness solution of one function body: per-instruction live-in /
+/// live-out sets, queryable by instruction index.
 #[derive(Debug, Clone)]
 pub struct Dataflow {
-    blocks: Vec<BasicBlock>,
     live_in: Vec<LiveSet>,
     live_out: Vec<LiveSet>,
-    // Reaching definitions: bitsets over enumerated definition sites.
-    def_sites: Vec<DefSite>,
-    /// Def-site ids grouped by register index (255 = the call wildcard).
-    defs_of_reg: Vec<Vec<u32>>,
-    /// Per-instruction generated def-site ids.
-    gen: Vec<Vec<u32>>,
-    /// Per-instruction must-defined registers (kills).
-    must_defs: Vec<Vec<Reg>>,
-    /// Per-block IN sets over def-site ids.
-    rd_in: Vec<Vec<u64>>,
 }
 
 impl Dataflow {
-    /// Runs both analyses over a function body.
+    /// Partitions the body and solves liveness over it. The JIT path gets
+    /// its solution from [`crate::Analysis::of`], which shares the
+    /// partition and edges with the dominator analysis; this entry point
+    /// serves callers that want liveness alone.
     ///
     /// # Errors
     ///
@@ -203,54 +184,29 @@ impl Dataflow {
     /// targets) — the caller must fall back to a conservative policy.
     pub fn analyze(instrs: &[Instruction], arch: Arch) -> Result<Dataflow, CfgFailure> {
         let blocks = cfg::basic_blocks(instrs, arch)?;
-        let n = instrs.len();
-        let nb = blocks.len();
+        let edges = Edges::of(instrs, &blocks, arch);
+        Ok(Dataflow::solve(instrs, &blocks, &edges))
+    }
 
-        // --- Edges (shared by both analyses, over-approximated) -------------
+    /// Solves backward liveness over an existing partition and its edges.
+    pub(crate) fn solve(instrs: &[Instruction], blocks: &[BasicBlock], edges: &Edges) -> Dataflow {
+        let n = instrs.len();
+
         // cfg::successors plus an edge from every SYNC-terminated block to
         // every SSY target block (reconvergence-stack over-approximation).
-        let ssy_targets: Vec<usize> = {
-            let isize = arch.instruction_size() as i64;
-            let mut t = Vec::new();
-            for (idx, i) in instrs.iter().enumerate() {
-                if i.cf_class() == CfClass::Ssy {
-                    if let Some(off) = i.rel_target() {
-                        let target = idx as i64 + 1 + off / isize;
-                        if (0..n as i64).contains(&target) {
-                            if let Some(b) =
-                                blocks.iter().find(|b| b.range.start == target as usize)
-                            {
-                                t.push(b.id);
-                            }
-                        }
-                    }
-                }
-            }
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        let mut succ: Vec<Vec<usize>> = Vec::with_capacity(nb);
-        for b in &blocks {
-            let mut s = cfg::successors(instrs, &blocks, b, arch);
-            if !b.is_empty() && instrs[b.range.end - 1].cf_class() == CfClass::Sync {
+        let ssy_targets = edges.ssy_targets();
+        let mut succ = edges.succ.clone();
+        for b in blocks {
+            if instrs[b.range.end - 1].cf_class() == CfClass::Sync {
                 for &t in &ssy_targets {
-                    if !s.contains(&t) {
-                        s.push(t);
+                    if !succ[b.id].contains(&t) {
+                        succ[b.id].push(t);
                     }
                 }
-            }
-            succ.push(s);
-        }
-        let mut pred: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for (b, ss) in succ.iter().enumerate() {
-            for &s in ss {
-                pred[s].push(b);
             }
         }
 
-        // --- Backward liveness ----------------------------------------------
-        let mut block_in = vec![LiveSet::EMPTY; nb];
+        let mut block_in = vec![LiveSet::EMPTY; blocks.len()];
         let mut changed = true;
         while changed {
             changed = false;
@@ -265,7 +221,7 @@ impl Dataflow {
         // Final pass: per-instruction sets.
         let mut live_in = vec![LiveSet::EMPTY; n];
         let mut live_out = vec![LiveSet::EMPTY; n];
-        for b in &blocks {
+        for b in blocks {
             let mut live = block_out(instrs, b, &succ[b.id], &block_in);
             for idx in b.range.clone().rev() {
                 live_out[idx] = live;
@@ -273,61 +229,7 @@ impl Dataflow {
                 live_in[idx] = live;
             }
         }
-
-        // --- Forward reaching definitions -----------------------------------
-        let mut def_sites: Vec<DefSite> = Vec::new();
-        let mut defs_of_reg: Vec<Vec<u32>> = vec![Vec::new(); 256];
-        let mut gen: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut must_defs: Vec<Vec<Reg>> = vec![Vec::new(); n];
-        for (idx, i) in instrs.iter().enumerate() {
-            if matches!(i.cf_class(), CfClass::RelCall | CfClass::AbsCall) {
-                // A call may define anything; one wildcard site suffices.
-                let id = def_sites.len() as u32;
-                def_sites.push(DefSite { instr: idx, reg: None });
-                defs_of_reg[255].push(id);
-                gen[idx].push(id);
-                continue;
-            }
-            for r in i.reg_writes() {
-                let id = def_sites.len() as u32;
-                def_sites.push(DefSite { instr: idx, reg: Some(r) });
-                defs_of_reg[r.0 as usize].push(id);
-                gen[idx].push(id);
-            }
-            if i.guard.is_always() {
-                must_defs[idx] = i.reg_writes();
-            }
-        }
-        let words = def_sites.len().div_ceil(64).max(1);
-        let mut rd_in: Vec<Vec<u64>> = vec![vec![0u64; words]; nb];
-        let mut rd_out: Vec<Vec<u64>> = vec![vec![0u64; words]; nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in &blocks {
-                let mut set = vec![0u64; words];
-                for &p in &pred[b.id] {
-                    for (a, x) in set.iter_mut().zip(&rd_out[p]) {
-                        *a |= *x;
-                    }
-                }
-                rd_in[b.id].clone_from(&set);
-                for idx in b.range.clone() {
-                    rd_transfer(idx, &gen, &must_defs, &defs_of_reg, &mut set);
-                }
-                if set != rd_out[b.id] {
-                    rd_out[b.id] = set;
-                    changed = true;
-                }
-            }
-        }
-
-        Ok(Dataflow { blocks, live_in, live_out, def_sites, defs_of_reg, gen, must_defs, rd_in })
-    }
-
-    /// The basic-block partition the analysis ran over.
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
+        Dataflow { live_in, live_out }
     }
 
     /// Number of instructions analyzed.
@@ -369,16 +271,6 @@ impl Dataflow {
         self.live_in[idx].gprs.iter().collect()
     }
 
-    /// Highest register live around instruction `idx` (union of live-in and
-    /// live-out, so both `Before` and `After` injection points are covered).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn max_live(&self, idx: usize) -> Option<u8> {
-        self.live_in[idx].max_gpr().max(self.live_out[idx].max_gpr())
-    }
-
     /// Highest register live around instruction `idx` that lies strictly
     /// below `bound` (union of live-in and live-out).
     ///
@@ -392,36 +284,6 @@ impl Dataflow {
     /// Panics if `idx` is out of range.
     pub fn max_live_below(&self, idx: usize, bound: u8) -> Option<u8> {
         self.live_in[idx].gprs.max_below(bound).max(self.live_out[idx].gprs.max_below(bound))
-    }
-
-    /// Instruction indices whose definition of `reg` may reach the entry of
-    /// instruction `idx` (calls count as definitions of every register).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn reaching_defs(&self, idx: usize, reg: Reg) -> Vec<usize> {
-        let block = self
-            .blocks
-            .iter()
-            .find(|b| b.range.contains(&idx))
-            .expect("instruction index within a block");
-        let mut set = self.rd_in[block.id].clone();
-        for i in block.range.start..idx {
-            rd_transfer(i, &self.gen, &self.must_defs, &self.defs_of_reg, &mut set);
-        }
-        let mut out: Vec<usize> = self
-            .def_sites
-            .iter()
-            .enumerate()
-            .filter(|(id, d)| {
-                set[id / 64] & (1 << (id % 64)) != 0 && (d.reg == Some(reg) || d.reg.is_none())
-            })
-            .map(|(_, d)| d.instr)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -477,24 +339,6 @@ fn transfer_backward(i: &Instruction, live: &mut LiveSet) {
     }
     for p in i.pred_reads() {
         live.preds |= 1 << p.0;
-    }
-}
-
-/// One forward reaching-definitions transfer step over the def-site bitset.
-fn rd_transfer(
-    idx: usize,
-    gen: &[Vec<u32>],
-    must_defs: &[Vec<Reg>],
-    defs_of_reg: &[Vec<u32>],
-    set: &mut [u64],
-) {
-    for r in &must_defs[idx] {
-        for &id in &defs_of_reg[r.0 as usize] {
-            set[id as usize / 64] &= !(1 << (id % 64));
-        }
-    }
-    for &id in &gen[idx] {
-        set[id as usize / 64] |= 1 << (id % 64);
     }
 }
 
@@ -629,49 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn reaching_defs_through_branches() {
-        let df = analyze(
-            "MOV32I R4, 0x1 ;\n\
-             ISETP.EQ.S32 P0, R5, RZ ;\n\
-             @P0 BRA skip ;\n\
-             MOV32I R4, 0x2 ;\n\
-             skip:\n\
-             STG [R2], R4 ;\n\
-             EXIT ;",
-            Arch::Volta,
-        );
-        // Both defs of R4 reach the store (one through each path).
-        assert_eq!(df.reaching_defs(4, Reg(4)), vec![0, 3]);
-        // Only the first def reaches the second MOV.
-        assert_eq!(df.reaching_defs(3, Reg(4)), vec![0]);
-    }
-
-    #[test]
-    fn unconditional_defs_kill_reaching_defs() {
-        let df = analyze(
-            "MOV32I R4, 0x1 ;\n\
-             MOV32I R4, 0x2 ;\n\
-             STG [R2], R4 ;\n\
-             EXIT ;",
-            Arch::Kepler,
-        );
-        assert_eq!(df.reaching_defs(2, Reg(4)), vec![1]);
-    }
-
-    #[test]
-    fn calls_generate_wildcard_defs() {
-        let df = analyze(
-            "MOV32I R4, 0x1 ;\n\
-             JCAL `0x8000 ;\n\
-             STG [R2], R4 ;\n\
-             EXIT ;",
-            Arch::Volta,
-        );
-        // Both the MOV and the (wildcard) call reach the store.
-        assert_eq!(df.reaching_defs(2, Reg(4)), vec![0, 1]);
-    }
-
-    #[test]
     fn regset_bit_operations() {
         let mut s = RegSet::EMPTY;
         assert!(s.is_empty() && s.max().is_none());
@@ -717,7 +518,7 @@ mod tests {
              EXIT ;",
             Arch::Volta,
         );
-        assert_eq!(df.max_live(0), Some(200));
+        assert_eq!(df.max_live_below(0, u8::MAX), Some(200));
         assert_eq!(df.max_live_below(0, 8), Some(5));
         assert_eq!(df.max_live_below(0, 3), Some(2), "store base pair R2/R3");
     }
@@ -733,6 +534,5 @@ mod tests {
     fn empty_body_analyzes_trivially() {
         let df = Dataflow::analyze(&[], Arch::Volta).unwrap();
         assert!(df.is_empty());
-        assert!(df.blocks().is_empty());
     }
 }

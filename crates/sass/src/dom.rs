@@ -58,7 +58,7 @@
 //!   for early exits (a bounds-check `@P0 EXIT` correctly splits regions).
 
 use crate::arch::Arch;
-use crate::cfg::{self, BasicBlock};
+use crate::cfg::{BasicBlock, Edges};
 use crate::inst::Instruction;
 use crate::op::CfClass;
 
@@ -90,44 +90,27 @@ pub struct Dom {
 impl Dom {
     /// Runs the analysis. `blocks` must be the
     /// [`crate::cfg::basic_blocks`] partition of `instrs`; an empty
-    /// partition yields a trivial analysis.
+    /// partition yields a trivial analysis. The JIT path gets its `Dom`
+    /// from [`crate::Analysis::of`], which shares the edges with liveness.
     pub fn analyze(instrs: &[Instruction], blocks: &[BasicBlock], arch: Arch) -> Dom {
+        Dom::solve(instrs, blocks, &Edges::of(instrs, blocks, arch))
+    }
+
+    /// Runs the analysis over an existing partition and its edges.
+    pub(crate) fn solve(instrs: &[Instruction], blocks: &[BasicBlock], edges: &Edges) -> Dom {
         let nb = blocks.len();
 
         // --- Edge model (module docs) -----------------------------------
-        let isize = arch.instruction_size() as i64;
-        let n = instrs.len();
-        let ssy_targets: Vec<usize> = {
-            let mut t = Vec::new();
-            for (idx, i) in instrs.iter().enumerate() {
-                if i.cf_class() == CfClass::Ssy {
-                    if let Some(off) = i.rel_target() {
-                        let target = idx as i64 + 1 + off / isize;
-                        if (0..n as i64).contains(&target) {
-                            if let Some(b) =
-                                blocks.iter().find(|b| b.range.start == target as usize)
-                            {
-                                t.push(b.id);
-                            }
-                        }
-                    }
-                }
-            }
-            t
-        };
-        let matched = matched_sync_edges(instrs, blocks, arch);
-        let mut succ: Vec<Vec<usize>> = Vec::with_capacity(nb);
+        let matched = matched_sync_edges(instrs, blocks, edges);
+        let coarse = edges.ssy_targets();
+        let mut succ = edges.succ.clone();
         let mut exits: Vec<bool> = vec![false; nb];
         for b in blocks {
-            let mut s = cfg::successors(instrs, blocks, b, arch);
+            let s = &mut succ[b.id];
             let term = &instrs[b.range.end - 1];
             match term.cf_class() {
                 CfClass::Sync => {
-                    let targets = match &matched {
-                        Some(m) => &m[b.id],
-                        None => &ssy_targets,
-                    };
-                    for &t in targets {
+                    for &t in matched.as_ref().map_or(&coarse, |m| &m[b.id]) {
                         if !s.contains(&t) {
                             s.push(t);
                         }
@@ -147,7 +130,6 @@ impl Dom {
             if s.is_empty() {
                 exits[b.id] = true;
             }
-            succ.push(s);
         }
 
         let mut dom = Dom {
@@ -330,8 +312,8 @@ impl Dom {
 /// pushes its target block, a `SYNC` pops the innermost enclosing target
 /// and the lane resumes there, and ordinary branches leave the stack
 /// untouched. States are `(block, stack)` pairs propagated over
-/// [`cfg::successors`] edges (plus the guarded-exit fall-through) until a
-/// fixed point.
+/// the shared successor lists (plus the guarded-exit fall-through) until
+/// a fixed point.
 ///
 /// Returns `None` — and the caller falls back to the coarse
 /// every-`SSY`-target model — when the bracket structure cannot be
@@ -341,30 +323,17 @@ impl Dom {
 fn matched_sync_edges(
     instrs: &[Instruction],
     blocks: &[BasicBlock],
-    arch: Arch,
+    edges: &Edges,
 ) -> Option<Vec<Vec<usize>>> {
     use std::collections::BTreeSet;
     const MAX_DEPTH: usize = 16;
     const MAX_STATES: usize = 16;
     let nb = blocks.len();
-    let isize = arch.instruction_size() as i64;
-    let n = instrs.len() as i64;
 
     // SSY pushes per block, in program order, as target block ids.
     let mut pushes: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for b in blocks {
-        for idx in b.range.clone() {
-            if instrs[idx].cf_class() != CfClass::Ssy {
-                continue;
-            }
-            let off = instrs[idx].rel_target()?;
-            let target = idx as i64 + 1 + off / isize;
-            if !(0..n).contains(&target) {
-                return None;
-            }
-            let tb = blocks.iter().find(|bb| bb.range.start == target as usize)?;
-            pushes[b.id].push(tb.id);
-        }
+    for &(host, target) in &edges.ssy {
+        pushes[host].push(target?);
     }
 
     let mut sync_succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
@@ -391,7 +360,7 @@ fn matched_sync_edges(
             }
             out.push((t, stack));
         } else {
-            let mut succs = cfg::successors(instrs, blocks, blk, arch);
+            let mut succs = edges.succ[b].clone();
             if matches!(term.cf_class(), CfClass::Exit | CfClass::Ret | CfClass::Trap)
                 && !term.guard.is_always()
                 && b + 1 < nb
@@ -422,7 +391,7 @@ mod tests {
 
     fn analyzed(text: &str, arch: Arch) -> (Dom, Vec<BasicBlock>) {
         let prog = assemble_arch(text, arch).unwrap();
-        let blocks = cfg::basic_blocks(&prog, arch).unwrap();
+        let blocks = crate::cfg::basic_blocks(&prog, arch).unwrap();
         let dom = Dom::analyze(&prog, &blocks, arch);
         (dom, blocks)
     }

@@ -22,11 +22,12 @@
 //! The crate provides the ISA definition ([`Instruction`], [`Op`],
 //! [`Operand`]), binary encoders/decoders per family ([`codec`]), a textual
 //! assembler and disassembler ([`asm`]), basic-block partitioning
-//! ([`mod@cfg`]), liveness/reaching-definitions dataflow analysis
-//! ([`mod@dataflow`]), dominator/post-dominator analysis with
-//! coalescing-region enumeration ([`mod@dom`]), the register-pressure
-//! cost model gating inline splicing ([`mod@pressure`]) and the SM
-//! occupancy model it prices tier growth against ([`mod@occupancy`]).
+//! ([`mod@cfg`]), liveness dataflow analysis ([`mod@dataflow`]),
+//! dominator/post-dominator analysis with coalescing-region enumeration
+//! ([`mod@dom`]) — bundled per function body as one [`Analysis`] — the
+//! register-pressure cost model gating inline splicing ([`mod@pressure`])
+//! and the SM occupancy model it prices tier growth against
+//! ([`mod@occupancy`]).
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@
 //! assert_eq!(prog, back);
 //! ```
 
+pub mod analysis;
 pub mod arch;
 pub mod asm;
 pub mod cfg;
@@ -56,6 +58,7 @@ pub mod op;
 pub mod pressure;
 pub mod reg;
 
+pub use analysis::Analysis;
 pub use arch::{Arch, EncodingFamily};
 pub use cfg::CfgFailure;
 pub use dataflow::{Dataflow, LiveSet, RegSet};
@@ -63,7 +66,7 @@ pub use dom::Dom;
 pub use inst::{Guard, Instruction, MemSpace, Mods, Operand, Width};
 pub use occupancy::{Limiter, OccupancyCfg, OccupancyPoint, SmModel};
 pub use op::{CmpOp, Op, OpCategory, SubOp};
-pub use pressure::{BodyShape, InlineVerdict, PressureProfile, SpliceSite, VerdictRule};
+pub use pressure::{BodyShape, InlineVerdict, SpliceSite, VerdictRule};
 pub use reg::{Pred, Reg, SpecialReg};
 
 /// Errors produced by the assembler, codecs and CFG construction.

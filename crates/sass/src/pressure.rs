@@ -29,12 +29,9 @@
 //!   (post)dominators of the body's own CFG rather than by an ad-hoc
 //!   instruction scan. Loops, multiple conditionals and irreducible shapes
 //!   are rejected.
-//!
-//! [`profile`] exposes the underlying per-block pressure numbers for
-//! observability and the bench sweeps.
 
 use crate::arch::Arch;
-use crate::cfg::{self, BasicBlock};
+use crate::cfg;
 use crate::dataflow::Dataflow;
 use crate::dom::Dom;
 use crate::inst::Instruction;
@@ -53,41 +50,6 @@ pub const TIERS: [u16; 6] = [16, 32, 64, 128, 192, 255];
 /// tier would under-save (the pre-ladder bug this replaces).
 pub fn tier_of(demand: u16) -> Option<u16> {
     TIERS.iter().copied().find(|&t| t >= demand)
-}
-
-/// Per-block register-pressure profile of a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PressureProfile {
-    /// For each block (by id): one past the highest general-purpose
-    /// register live anywhere in the block (0 when nothing is live).
-    pub block_ceiling: Vec<u8>,
-    /// For each block: the widest live set (register count) at any
-    /// instruction in the block.
-    pub block_width: Vec<u8>,
-}
-
-impl PressureProfile {
-    /// One past the highest GPR live anywhere in the body.
-    pub fn max_ceiling(&self) -> u8 {
-        self.block_ceiling.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Computes the per-block pressure profile of a function body from its
-/// dataflow solution and block partition. `blocks` must be the partition
-/// the dataflow was computed over.
-pub fn profile(df: &Dataflow, blocks: &[BasicBlock]) -> PressureProfile {
-    let mut block_ceiling = vec![0u8; blocks.len()];
-    let mut block_width = vec![0u8; blocks.len()];
-    for b in blocks {
-        for idx in b.range.clone() {
-            let live = df.max_live_below(idx, u8::MAX).map_or(0, |r| r.saturating_add(1));
-            block_ceiling[b.id] = block_ceiling[b.id].max(live);
-            let width = df.live_in(idx).gprs.len().max(df.live_out(idx).gprs.len());
-            block_width[b.id] = block_width[b.id].max(width.min(255) as u8);
-        }
-    }
-    PressureProfile { block_ceiling, block_width }
 }
 
 /// One candidate splice site, as the planner sees it.
@@ -489,25 +451,6 @@ b:
             v.tier_after, 16,
             "a predicate crossing the window must not widen the GPR demand: {v:?}"
         );
-    }
-
-    #[test]
-    fn profile_reports_per_block_ceilings() {
-        let text = "\
-    MOV R9, R4 ;
-@P0 BRA skip ;
-    IADD R2, R9, 0x1 ;
-    STG [R9], R2 ;
-skip:
-    EXIT ;
-";
-        let body = assemble_arch(text, Arch::Volta).unwrap();
-        let blocks = cfg::basic_blocks(&body, Arch::Volta).unwrap();
-        let df = Dataflow::analyze(&body, Arch::Volta).unwrap();
-        let p = profile(&df, &blocks);
-        assert_eq!(p.block_ceiling.len(), blocks.len());
-        assert_eq!(p.max_ceiling(), 11, "{p:?}"); // R9:R10 address pair live into the arm
-        assert!(p.block_width.iter().any(|&w| w > 0));
     }
 
     #[test]
