@@ -83,7 +83,7 @@ cargo run --release -q -p nvbit-bench --bin inject_overhead
 echo "== module-unload regression: recycled handles never see stale caches =="
 cargo test --release -q -p nvbit-core --test module_unload
 
-echo "== jitpar: concurrent JIT (>=2x on >=4 hw threads), bit-identical, zero-regen flips =="
+echo "== jitpar: one parallel map at 1 vs 4 JIT workers (>=2x on >=4 hw threads, else SKIPPED), bit-identical, zero-regen flips =="
 cargo run --release -q -p nvbit-bench --bin jitpar
 
 echo "== channel determinism: Block bit-identical across schedulers, DropCount exact accounting =="

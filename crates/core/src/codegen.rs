@@ -331,31 +331,46 @@ pub(crate) fn arg_demand(arg: &Arg) -> u32 {
     }
 }
 
-/// Runs code generation over a validated [`InstrumentationPlan`] (built by
-/// [`crate::plan::build`], which also runs the coalescing and inlining
-/// passes). `alloc` provides device memory for the trampoline region (the
-/// bulk allocation the paper mentions); `routines` must cover every tier.
-/// `analysis` and `policy` control per-site save sizing: under
-/// [`SavePolicy::Liveness`] with the body's [`sass::Analysis`] available,
-/// each site saves only the registers that are both live across it and
-/// inside the trampoline's clobber window (frame pointer, ABI argument
-/// slots and the injected functions' registers — shrunk to the body's write
-/// ceiling when known), plus any saved value an argument reads back;
-/// otherwise every site uses the conservative whole-function tier and
-/// [`InstrumentedImage::fallback`] records why.
+/// A function's instrumentation emitted position-independently: everything
+/// [`prepare`] decides before the trampoline region has an address.
+/// [`Prepared::finish`] turns it into the installable image.
+pub(crate) struct Prepared {
+    /// Size of the trampoline region to allocate.
+    pub(crate) tramp_bytes: u64,
+    /// The image with every address-independent field final; `tramp_addr`,
+    /// `tramp_code` and `instrumented` are filled in by `finish`.
+    image: InstrumentedImage,
+    /// The original body with removed-but-uninstrumented sites NOPed.
+    patched: Vec<Instruction>,
+    /// Every site's trampoline, relocated originals relative to site
+    /// offset 0.
+    tramp: Vec<Instruction>,
+}
+
+/// The first half of code generation over a validated
+/// [`InstrumentationPlan`] (built by [`crate::plan::build`], which also runs
+/// the coalescing and inlining passes): save sizing and trampoline
+/// emission. `routines` must cover every tier. `analysis` and `policy`
+/// control per-site save sizing: under [`SavePolicy::Liveness`] with the
+/// body's [`sass::Analysis`] available, each site saves only the registers
+/// that are both live across it and inside the trampoline's clobber window
+/// (frame pointer, ABI argument slots and the injected functions' registers
+/// — shrunk to the body's write ceiling when known), plus any saved value
+/// an argument reads back; otherwise every site uses the conservative
+/// whole-function tier and [`InstrumentedImage::fallback`] records why.
 ///
-/// Each site's trampoline is emitted once, position-independently; after
-/// the single `alloc` the relocated originals' relative targets are rebased
-/// onto their final addresses.
+/// Each site's trampoline is emitted once, position-independently, so this
+/// half needs no device memory and every emission error precedes the
+/// trampoline allocation (the bulk allocation the paper mentions), which
+/// the caller makes between this and [`Prepared::finish`].
 ///
 /// # Errors
 ///
 /// [`NvbitError::BadRequest`] for argument-ABI violations, register
 /// demands beyond the register file, or an inline-marked call without a
-/// retained body, and [`NvbitError::Encode`] when the target family cannot
-/// encode the result.
-#[allow(clippy::too_many_arguments)] // the paper's six codegen inputs + policy + allocator
-pub fn generate(
+/// retained body.
+#[allow(clippy::too_many_arguments)] // the paper's six codegen inputs + policy
+pub(crate) fn prepare(
     hal: &Hal,
     info: &FunctionInfo,
     original: &[Instruction],
@@ -365,8 +380,7 @@ pub fn generate(
     routines: &HashMap<u16, Routines>,
     analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
     policy: SavePolicy,
-    mut alloc: impl FnMut(u64) -> Result<u64>,
-) -> Result<InstrumentedImage> {
+) -> Result<Prepared> {
     let isize = hal.instruction_size();
 
     // The conservative whole-function demand (§5.1 baseline): the
@@ -481,52 +495,71 @@ pub fn generate(
         });
         tramp_instrs.extend(instrs);
     }
-    let tramp_addr = alloc((tramp_instrs.len() as u64 * isize).max(isize))?;
 
-    // Now that each site has its final address: rebase the relocated
-    // original's site-relative target onto it, and build the instrumented
-    // copy — the original with every instrumented site replaced by an
-    // unconditional jump to its trampoline; removed-but-uninstrumented
-    // sites become NOPs in place.
+    // Removed-but-uninstrumented sites become NOPs in place.
     let mut patched = original.to_vec();
-    for site in &sites {
-        let site_pc = tramp_addr + site.start as u64 * isize;
-        let orig = &mut tramp_instrs[site.start + site.orig_pos];
-        if let Some(rel) = orig.rel_target() {
-            orig.set_rel_target(rel.wrapping_sub(site_pc as i64));
-        }
-        patched[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
-    }
-    let tramp_code = hal.assemble(&tramp_instrs)?;
     for &idx in &plan.removed {
         if !plan.sites.contains_key(&idx) {
             patched[idx] = Instruction::nop();
         }
     }
-    let instrumented = hal.assemble(&patched)?;
-    debug_assert_eq!(instrumented.len(), original_code.len());
 
-    Ok(InstrumentedImage {
-        original: original_code.to_vec(),
-        instrumented,
-        tramp_addr,
-        tramp_code,
-        extra_local: max_frame + tool_stack_max + 128,
-        tier: max_tier,
-        sites,
-        saved_slots,
-        full_tier_slots,
-        fallback,
-        plan: plan.stats,
-        opts: plan.opts,
+    Ok(Prepared {
+        tramp_bytes: (tramp_instrs.len() as u64 * isize).max(isize),
+        image: InstrumentedImage {
+            original: original_code.to_vec(),
+            instrumented: Vec::new(),
+            tramp_addr: 0,
+            tramp_code: Vec::new(),
+            extra_local: max_frame + tool_stack_max + 128,
+            tier: max_tier,
+            sites,
+            saved_slots,
+            full_tier_slots,
+            fallback,
+            plan: plan.stats,
+            opts: plan.opts,
+        },
+        patched,
+        tramp: tramp_instrs,
     })
+}
+
+impl Prepared {
+    /// The second half of code generation, once the trampoline region sits
+    /// at `tramp_addr`: rebase each relocated original's site-relative
+    /// target onto its final address, replace every instrumented site of
+    /// the body with an unconditional jump to its trampoline, and assemble
+    /// both.
+    ///
+    /// # Errors
+    ///
+    /// [`NvbitError::Encode`] when the target family cannot encode the
+    /// result.
+    pub(crate) fn finish(self, hal: &Hal, tramp_addr: u64) -> Result<InstrumentedImage> {
+        let Prepared { mut image, mut patched, mut tramp, .. } = self;
+        let isize = hal.instruction_size();
+        for site in &image.sites {
+            let site_pc = tramp_addr + site.start as u64 * isize;
+            let orig = &mut tramp[site.start + site.orig_pos];
+            if let Some(rel) = orig.rel_target() {
+                orig.set_rel_target(rel.wrapping_sub(site_pc as i64));
+            }
+            patched[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
+        }
+        image.tramp_addr = tramp_addr;
+        image.tramp_code = hal.assemble(&tramp)?;
+        image.instrumented = hal.assemble(&patched)?;
+        debug_assert_eq!(image.instrumented.len(), image.original.len());
+        Ok(image)
+    }
 }
 
 /// Emits one site's trampoline instruction sequence and reports the
 /// position of the relocated original instruction within it plus the
 /// per-call layout records. The sequence is position-independent except
 /// for a relocated original with a relative target, which is computed as
-/// if the site sat at address 0 — [`generate`] rebases it once the
+/// if the site sat at address 0 — [`Prepared::finish`] rebases it once the
 /// trampoline region is allocated.
 #[allow(clippy::too_many_arguments)]
 fn emit_site(
@@ -812,6 +845,36 @@ mod tests {
     use crate::spec::FuncSpec;
     use cuda::{CuFunction, CuModule};
     use sass::Arch;
+
+    /// Both halves of code generation around one `alloc` call, as
+    /// `core::build_all` sequences them.
+    #[allow(clippy::too_many_arguments)]
+    fn generate(
+        hal: &Hal,
+        info: &FunctionInfo,
+        original: &[Instruction],
+        original_code: &[u8],
+        plan: &InstrumentationPlan,
+        tool_fns: &HashMap<String, ToolFn>,
+        routines: &HashMap<u16, Routines>,
+        analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
+        policy: SavePolicy,
+        mut alloc: impl FnMut(u64) -> Result<u64>,
+    ) -> Result<InstrumentedImage> {
+        let prepared = prepare(
+            hal,
+            info,
+            original,
+            original_code,
+            plan,
+            tool_fns,
+            routines,
+            analysis,
+            policy,
+        )?;
+        let tramp_addr = alloc(prepared.tramp_bytes)?;
+        prepared.finish(hal, tramp_addr)
+    }
 
     /// Naive (pass-free) plan over the spec — the pre-plan pipeline shape.
     /// (The architecture only matters to the planner under the ICF

@@ -1,18 +1,23 @@
 //! The NVBit core: driver interposition, tool dispatch, state management
 //! and the user-level API handed to tools.
 //!
-//! # Code-cache concurrency contract
+//! # Single-owner core, one parallel map
 //!
-//! `CoreState` is shared behind an `Arc` and sharded: per-function state
-//! lives in `SHARDS` independent mutex-guarded maps keyed by the raw
-//! function handle. Shard locks are held only for short map operations —
-//! never across device calls that could re-enter the core, and never two
-//! at once — so batch instrumentation can fan lift/codegen/verify work out
-//! across `std::thread::scope` workers (the PR-1 scheduler pattern) while
-//! the main thread keeps exclusive use of the single-threaded [`Driver`],
-//! servicing trampoline allocations over a channel in deterministic input
-//! order (a turnstile), which makes parallel builds bit-identical to
-//! serial ones.
+//! The core runs on the application's host thread, inside driver
+//! callbacks, and `CoreState` has exactly one owner: [`NvbitCore`].
+//! [`NvbitApi`] lends it to the tool by shared reference, so every field
+//! an API method can change is a `Cell`/`RefCell` — only because those
+//! methods take `&self` — and no borrow of one is ever alive while a tool
+//! callback runs or across a call back into the API.
+//!
+//! Batch instrumentation is three plain steps on that thread. One ordered
+//! parallel map (`par_map`: `std::thread::scope` workers, inline at one)
+//! runs the pure *prepare* step (lift → plan → emit) of every function;
+//! a loop then allocates each trampoline region in input order — the only
+//! step that touches the single-threaded [`Driver`]; the same map runs the
+//! pure *finish* step (rebase → assemble → verify). Workers see only
+//! borrowed, immutable inputs. The allocator sees one request sequence
+//! whatever the worker count, so the images are bit-identical at any.
 //!
 //! # Versioned images
 //!
@@ -24,7 +29,7 @@
 //! module and frees its trampolines, so a recycled handle can never be
 //! served a stale lifted image.
 
-use crate::codegen::{generate, InstrumentedImage, SavePolicy, ToolFn};
+use crate::codegen::{prepare, InstrumentedImage, Prepared, SavePolicy, ToolFn};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
@@ -34,9 +39,9 @@ use crate::spec::{Arg, FuncSpec, IPoint};
 use crate::verify::{self, Diagnostic, ExternalCode};
 use crate::{NvbitError, Result};
 use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 
 /// A user instrumentation tool — the analog of an NVBit tool shared
 /// library. Implement the callbacks you need; defaults are no-ops.
@@ -70,9 +75,6 @@ pub trait NvbitTool {
         params: &CbParams<'_>,
     );
 }
-
-/// Number of independent function-state shards.
-const SHARDS: usize = 16;
 
 /// Whether a function currently runs its original or instrumented version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +124,12 @@ impl FuncEntry {
         }
     }
 
+    /// True if the function has a pending instrumentation request or a
+    /// generated image.
+    fn tracked(&self) -> bool {
+        !self.spec.is_empty() || !self.images.is_empty()
+    }
+
     /// The image key of the entry's present spec under `policy`/`opts`.
     fn key(&mut self, policy: SavePolicy, opts: PlanOpts) -> ImageKey {
         if self.spec.dirty || self.spec_hash.is_none() {
@@ -143,142 +151,160 @@ struct BuildInput {
     code: Vec<u8>,
     lifted: Option<Arc<Lifted>>,
     spec: FuncSpec,
-    ext: ExternalCode,
+    code_regions: Vec<(u64, u64)>,
 }
 
-/// Result of building one image (worker side).
-struct BuildOutcome {
-    idx: usize,
+/// One built, verified and not yet installed image.
+struct Built {
     /// The lifted view used (newly created when the input carried none).
-    lifted: Option<Arc<Lifted>>,
-    result: Result<(InstrumentedImage, Vec<Diagnostic>)>,
+    lifted: Arc<Lifted>,
+    image: InstrumentedImage,
+    diags: Vec<Diagnostic>,
 }
 
-/// Advances the allocation turnstile past `next` on drop, so a build that
-/// errors (or panics) before reaching its allocation never wedges the
-/// workers queued behind it.
-struct TurnGuard<'a> {
-    turn: &'a Mutex<usize>,
-    cv: &'a Condvar,
-    next: usize,
+/// The hardware abstraction layer of `drv`'s device.
+fn hal_of(drv: &Driver) -> Hal {
+    Hal::new(drv.arch())
 }
 
-impl Drop for TurnGuard<'_> {
-    fn drop(&mut self) {
-        let mut g = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        *g = (*g).max(self.next);
-        self.cv.notify_all();
+/// `[start, end)` of the code of every function `info` may call — the
+/// per-function part of the verifier's [`ExternalCode`].
+fn code_regions(drv: &Driver, info: &cuda::FunctionInfo) -> Vec<(u64, u64)> {
+    info.related
+        .iter()
+        .filter_map(|f| drv.function_info(*f).ok())
+        .map(|ri| (ri.addr, ri.addr + ri.code_len))
+        .collect()
+}
+
+/// Maps `f` over `items` on `workers` scoped threads and returns the
+/// results in input order. Items are dealt round-robin into one stripe per
+/// worker; the first stripe runs on the calling thread, so one worker
+/// spawns nothing.
+fn par_map<T: Send, R: Send>(workers: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let n = items.len();
+    let workers = workers.clamp(1, n.max(1));
+    let mut stripes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        stripes[i % workers].push(item);
     }
+    let run = |stripe: Vec<T>| stripe.into_iter().map(&f).collect::<Vec<R>>();
+    let mut done: Vec<std::vec::IntoIter<R>> = std::thread::scope(|s| {
+        let mut stripes = stripes.into_iter();
+        let own = stripes.next().expect("at least one worker");
+        let spawned: Vec<_> = stripes.map(|stripe| s.spawn(|| run(stripe))).collect();
+        let mut done = vec![run(own).into_iter()];
+        for handle in spawned {
+            let stripe = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            done.push(stripe.into_iter());
+        }
+        done
+    });
+    (0..n).map(|i| done[i % workers].next().expect("stripe w holds every i ≡ w")).collect()
 }
 
-/// Builds one instrumented image from an owned input: lift (if not cached),
-/// codegen, then pre-swap verification. Pure CPU work except `alloc` —
-/// safe on worker threads; obs spans land on the calling thread.
-fn build_one(
-    idx: usize,
+/// The pure first half of one build: lift (if not cached), plan, and emit
+/// the trampolines position-independently. Safe on worker threads; obs
+/// spans land on the calling thread.
+fn prepare_one(
     hal: &Hal,
     input: &BuildInput,
     tool_fns: &HashMap<String, ToolFn>,
     routines: &HashMap<u16, Routines>,
-    alloc: impl FnMut(u64) -> Result<u64>,
-) -> BuildOutcome {
+) -> Result<(Arc<Lifted>, Prepared)> {
     let _span = common::obs::span("instrument");
     common::obs::counter("instr_image.build", 1);
-    let mut lifted = input.lifted.clone();
-    let result = (|| -> Result<(InstrumentedImage, Vec<Diagnostic>)> {
-        let l = match lifted.clone() {
-            Some(l) => l,
-            None => {
-                let _lspan = common::obs::span("lift");
-                let l = Arc::new(lift(hal, &input.info, &input.code)?);
-                lifted = Some(l.clone());
-                l
-            }
-        };
-        let original: Vec<sass::Instruction> = l.instrs.iter().map(|i| i.raw().clone()).collect();
-        // Lower the spec into the plan IR, running the coalescing and
-        // inlining passes the image key's options select.
-        let plan = {
-            let _pspan = common::obs::span("plan");
-            let plan = plan::build(
-                &input.spec,
-                &original,
-                hal.arch(),
-                &l.analysis,
-                tool_fns,
-                input.key.opts,
-            )?;
-            common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
-            common::obs::counter("plan.inlined_calls", plan.stats.inlined_calls);
-            common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
-            common::obs::counter("plan.region_groups", plan.stats.region_groups);
-            common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
-            common::obs::counter("plan.pressure.accepted", plan.stats.inline_accepted);
-            common::obs::counter("plan.pressure.declined", plan.stats.inline_declined);
-            common::obs::counter("plan.occ.accepted", plan.stats.occ_accepted);
-            common::obs::counter("plan.occ.declined", plan.stats.occ_declined);
-            plan
-        };
-        let image = {
-            let _cspan = common::obs::span("codegen");
-            generate(
-                hal,
-                &input.info,
-                &original,
-                &input.code,
-                &plan,
-                tool_fns,
-                routines,
-                &l.analysis,
-                input.key.policy,
-                alloc,
-            )?
-        };
-        // Pre-swap verification: a bad image corrupts the application, so
-        // the install phase refuses any image with findings.
-        let diags = {
-            let _vspan = common::obs::span("verify");
-            verify::verify(hal, input.info.addr, &image, &input.ext)?
-        };
-        Ok((image, diags))
-    })();
-    BuildOutcome { idx, lifted, result }
+    let lifted = match &input.lifted {
+        Some(l) => l.clone(),
+        None => {
+            let _lspan = common::obs::span("lift");
+            Arc::new(lift(hal, &input.info, &input.code)?)
+        }
+    };
+    let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| i.raw().clone()).collect();
+    // Lower the spec into the plan IR, running the coalescing and
+    // inlining passes the image key's options select.
+    let plan = {
+        let _pspan = common::obs::span("plan");
+        let plan = plan::build(
+            &input.spec,
+            &original,
+            hal.arch(),
+            &lifted.analysis,
+            tool_fns,
+            input.key.opts,
+        )?;
+        common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
+        common::obs::counter("plan.inlined_calls", plan.stats.inlined_calls);
+        common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
+        common::obs::counter("plan.region_groups", plan.stats.region_groups);
+        common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
+        common::obs::counter("plan.pressure.accepted", plan.stats.inline_accepted);
+        common::obs::counter("plan.pressure.declined", plan.stats.inline_declined);
+        common::obs::counter("plan.occ.accepted", plan.stats.occ_accepted);
+        common::obs::counter("plan.occ.declined", plan.stats.occ_declined);
+        plan
+    };
+    let _cspan = common::obs::span("codegen");
+    let prepared = prepare(
+        hal,
+        &input.info,
+        &original,
+        &input.code,
+        &plan,
+        tool_fns,
+        routines,
+        &lifted.analysis,
+        input.key.policy,
+    )?;
+    Ok((lifted, prepared))
 }
 
-/// Shared core state (see the module docs for the concurrency contract).
+/// The pure second half of one build, once its trampoline region sits at
+/// `tramp_addr`: rebase, assemble, then pre-swap verification — a bad
+/// image corrupts the application, so the install phase refuses any image
+/// with findings. `batch_ext` is the batch-wide part of the verifier's
+/// external code.
+fn finish_one(
+    hal: &Hal,
+    input: &BuildInput,
+    lifted: Arc<Lifted>,
+    prepared: Prepared,
+    tramp_addr: u64,
+    batch_ext: &ExternalCode,
+) -> Result<Built> {
+    let _span = common::obs::span("instrument");
+    let image = {
+        let _cspan = common::obs::span("codegen");
+        prepared.finish(hal, tramp_addr)?
+    };
+    let ext = ExternalCode { code_regions: input.code_regions.clone(), ..batch_ext.clone() };
+    let _vspan = common::obs::span("verify");
+    let diags = verify::verify(hal, input.info.addr, &image, &ext)?;
+    Ok(Built { lifted, image, diags })
+}
+
+/// The core's state: owned by [`NvbitCore`], lent to the tool through
+/// [`NvbitApi`] (see the module docs for the borrow rule).
+#[derive(Default)]
 pub(crate) struct CoreState {
-    hal: Mutex<Option<Hal>>,
-    tool_fns: RwLock<HashMap<String, ToolFn>>,
-    routines: RwLock<HashMap<u16, Routines>>,
-    shards: Vec<Mutex<HashMap<u32, FuncEntry>>>,
-    save_policy: Mutex<SavePolicy>,
-    plan_opts: Mutex<PlanOpts>,
+    tool_fns: RefCell<HashMap<String, ToolFn>>,
+    routines: RefCell<HashMap<u16, Routines>>,
+    /// Per-function code-cache entries, keyed by the raw function handle.
+    funcs: RefCell<HashMap<u32, FuncEntry>>,
+    save_policy: Cell<SavePolicy>,
+    plan_opts: Cell<PlanOpts>,
     /// Worker threads for batch instrumentation; 0 = one per hardware
     /// thread.
-    jit_workers: AtomicUsize,
+    jit_workers: Cell<usize>,
     /// Block thread count of the most recently intercepted launch
     /// (0 = none yet). Resolves [`sass::occupancy::OccupancyCfg::PER_LAUNCH`]
     /// occupancy configs: the resolved shape is part of the plan-cache
     /// key, so a shape change replans while repeats hit the cache.
-    launch_threads: AtomicU32,
+    launch_threads: u32,
 }
 
 impl CoreState {
-    fn new() -> CoreState {
-        let workers =
-            std::env::var("NVBIT_JIT_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0usize);
-        CoreState {
-            hal: Mutex::new(None),
-            tool_fns: RwLock::new(HashMap::new()),
-            routines: RwLock::new(HashMap::new()),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            save_policy: Mutex::new(SavePolicy::default()),
-            plan_opts: Mutex::new(PlanOpts::default()),
-            jit_workers: AtomicUsize::new(workers),
-            launch_threads: AtomicU32::new(0),
-        }
-    }
-
     /// The current plan options with any per-launch occupancy sentinel
     /// resolved to the last intercepted launch's block shape. Every
     /// path that derives a plan-cache key goes through this, so launch
@@ -286,50 +312,72 @@ impl CoreState {
     /// `save_stats`, `verify_instrumented`) agree on which image a
     /// given option set names.
     fn resolved_opts(&self) -> PlanOpts {
-        let mut opts = *self.plan_opts.lock().unwrap();
+        let mut opts = self.plan_opts.get();
         if let Some(cfg) = opts.occupancy.as_mut() {
             if cfg.per_launch() {
-                cfg.block_threads = self.launch_threads.load(Ordering::Relaxed).max(1);
+                cfg.block_threads = self.launch_threads.max(1);
             }
         }
         opts
     }
 
-    fn shard(&self, raw: u32) -> &Mutex<HashMap<u32, FuncEntry>> {
-        &self.shards[raw as usize % SHARDS]
+    /// True if `func` has an entry and it is [`FuncEntry::tracked`].
+    fn tracked(&self, func: CuFunction) -> bool {
+        self.funcs.borrow().get(&func.raw()).is_some_and(FuncEntry::tracked)
     }
 
-    fn hal(&self, drv: &Driver) -> Hal {
-        *self.hal.lock().unwrap().get_or_insert_with(|| Hal::new(drv.arch()))
+    /// Reads the cached image of `func`'s present (spec, policy, opts) key.
+    fn with_image<R>(
+        &self,
+        func: CuFunction,
+        read: impl FnOnce(&InstrumentedImage) -> R,
+    ) -> Option<R> {
+        let (policy, opts) = (self.save_policy.get(), self.resolved_opts());
+        let mut entries = self.funcs.borrow_mut();
+        let entry = entries.get_mut(&func.raw())?;
+        let key = entry.key(policy, opts);
+        entry.images.get(&key).map(read)
     }
 
-    fn effective_workers(&self, inputs: usize) -> usize {
-        let configured = self.jit_workers.load(Ordering::Relaxed);
-        let configured = if configured == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+    /// Applies `edit` to the most recent injection at a site of `func`;
+    /// `api` names the caller in the error when there is none.
+    fn edit_site(
+        &self,
+        func: CuFunction,
+        idx: usize,
+        api: &str,
+        edit: impl FnOnce(&mut FuncSpec) -> bool,
+    ) -> Result<()> {
+        if self.funcs.borrow_mut().get_mut(&func.raw()).is_some_and(|e| edit(&mut e.spec)) {
+            Ok(())
         } else {
-            configured
-        };
-        configured.min(inputs)
+            Err(NvbitError::BadRequest(format!("{api} before insert_call at instruction {idx}")))
+        }
     }
 
-    /// Code regions outside the image that instrumented control flow may
-    /// legitimately reach, for the pre-swap verifier.
-    fn external_code(&self, drv: &Driver, info: &cuda::FunctionInfo) -> ExternalCode {
+    /// Worker threads a batch may use ([`par_map`] caps it at the batch
+    /// size).
+    fn workers(&self) -> usize {
+        match self.jit_workers.get() {
+            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+            n => n,
+        }
+    }
+
+    /// Code outside any image that instrumented control flow may
+    /// legitimately reach, for the pre-swap verifier: the part every
+    /// function shares (save/restore routines and tool functions). The
+    /// per-function part is [`code_regions`].
+    fn external_code(&self) -> ExternalCode {
         let mut ext = ExternalCode::default();
-        for r in self.routines.read().unwrap().values() {
+        for r in self.routines.borrow().values() {
             ext.save_addrs.push(r.save_addr);
             ext.restore_addrs.push(r.restore_addr);
         }
-        for (name, t) in self.tool_fns.read().unwrap().iter() {
+        for (name, t) in self.tool_fns.borrow().iter() {
             ext.tool_addrs.push(t.addr);
             if let Some(body) = &t.body {
                 ext.tool_bodies.push((name.clone(), body.clone()));
-            }
-        }
-        for f in &info.related {
-            if let Ok(ri) = drv.function_info(*f) {
-                ext.code_regions.push((ri.addr, ri.addr + ri.code_len));
             }
         }
         ext
@@ -340,10 +388,10 @@ impl CoreState {
     /// before publication, so a failure leaves the table empty and a
     /// retry starts clean.
     fn ensure_routines(&self, drv: &Driver) -> Result<()> {
-        if !self.routines.read().unwrap().is_empty() {
+        if !self.routines.borrow().is_empty() {
             return Ok(());
         }
-        let hal = self.hal(drv);
+        let hal = hal_of(drv);
         let mut built = HashMap::new();
         for tier in TIERS {
             let save = hal.assemble_text(&save_text(tier, &hal))?;
@@ -367,24 +415,23 @@ impl CoreState {
                 },
             );
         }
-        *self.routines.write().unwrap() = built;
+        *self.routines.borrow_mut() = built;
         Ok(())
     }
 
     /// Lifts (and caches) a function.
     fn lifted_for(&self, drv: &Driver, func: CuFunction) -> Result<Arc<Lifted>> {
         let raw = func.raw();
-        if let Some(l) = self.shard(raw).lock().unwrap().get(&raw).and_then(|e| e.lifted.clone()) {
+        if let Some(l) = self.funcs.borrow().get(&raw).and_then(|e| e.lifted.clone()) {
             common::obs::counter("lift_cache.hit", 1);
             return Ok(l);
         }
         common::obs::counter("lift_cache.miss", 1);
         let _span = common::obs::span("lift");
-        let hal = self.hal(drv);
         let info = drv.function_info(func)?;
         let code = drv.read_code(func)?;
-        let lifted = Arc::new(lift(&hal, &info, &code)?);
-        self.shard(raw).lock().unwrap().entry(raw).or_insert_with(|| FuncEntry::new(func)).lifted =
+        let lifted = Arc::new(lift(&hal_of(drv), &info, &code)?);
+        self.funcs.borrow_mut().entry(raw).or_insert_with(|| FuncEntry::new(func)).lifted =
             Some(lifted.clone());
         Ok(lifted)
     }
@@ -393,14 +440,11 @@ impl CoreState {
     /// image yet.
     fn pending(&self, policy: SavePolicy, opts: PlanOpts) -> Vec<CuFunction> {
         let mut v = Vec::new();
-        for shard in &self.shards {
-            let mut g = shard.lock().unwrap();
-            for e in g.values_mut() {
-                if !e.spec.is_empty() {
-                    let k = e.key(policy, opts);
-                    if !e.images.contains_key(&k) {
-                        v.push(e.func);
-                    }
+        for e in self.funcs.borrow_mut().values_mut() {
+            if !e.spec.is_empty() {
+                let k = e.key(policy, opts);
+                if !e.images.contains_key(&k) {
+                    v.push(e.func);
                 }
             }
         }
@@ -413,21 +457,21 @@ impl CoreState {
     /// desired/current version of every batch member. Returns one result
     /// per distinct function.
     fn apply_batch(&self, drv: &Driver, funcs: &[CuFunction]) -> Vec<(CuFunction, Result<()>)> {
-        let policy = *self.save_policy.lock().unwrap();
+        let policy = self.save_policy.get();
         let opts = self.resolved_opts();
         let mut seen = std::collections::HashSet::new();
         let funcs: Vec<CuFunction> =
             funcs.iter().copied().filter(|f| seen.insert(f.raw())).collect();
         let mut errors: HashMap<u32, NvbitError> = HashMap::new();
 
-        // Gather: decide per function under a brief shard lock, then
-        // assemble fully-owned build inputs on the main thread.
+        // Gather: decide per function under a brief borrow, then assemble
+        // fully-owned build inputs.
         let mut inputs: Vec<BuildInput> = Vec::new();
         for &func in &funcs {
             let raw = func.raw();
             let (key, lifted, spec, pristine) = {
-                let mut shard = self.shard(raw).lock().unwrap();
-                let Some(entry) = shard.get_mut(&raw) else { continue };
+                let mut entries = self.funcs.borrow_mut();
+                let Some(entry) = entries.get_mut(&raw) else { continue };
                 if entry.spec.is_empty() {
                     continue;
                 }
@@ -458,8 +502,8 @@ impl CoreState {
                     Some(c) => c,
                     None => drv.read_code(func)?,
                 };
-                let ext = self.external_code(drv, &info);
-                Ok(BuildInput { func, key, info, code, lifted, spec, ext })
+                let code_regions = code_regions(drv, &info);
+                Ok(BuildInput { func, key, info, code, lifted, spec, code_regions })
             })();
             match gathered {
                 Ok(i) => inputs.push(i),
@@ -470,50 +514,9 @@ impl CoreState {
         }
 
         // Build + install.
-        for out in self.build_all(drv, &inputs) {
-            let input = &inputs[out.idx];
-            let raw = input.func.raw();
-            match out.result {
-                Err(e) => {
-                    errors.insert(raw, e);
-                }
-                Ok((image, diags)) => {
-                    if !diags.is_empty() {
-                        common::obs::counter("instr_image.verify_reject", 1);
-                        if drv.with_device(|d| d.free(image.tramp_addr)).is_err() {
-                            common::obs::counter("tramp.free_fail", 1);
-                        }
-                        errors.insert(raw, NvbitError::VerifyFailed(diags));
-                    } else if let Err(e) = drv.with_device(|d| -> gpu::Result<()> {
-                        d.write(image.tramp_addr, &image.tramp_code)?;
-                        d.label_code(
-                            image.tramp_addr,
-                            image.tramp_code.len() as u64,
-                            &format!("{}$tramp", input.info.name),
-                        );
-                        Ok(())
-                    }) {
-                        errors.insert(raw, e.into());
-                    } else {
-                        let mut shard = self.shard(raw).lock().unwrap();
-                        match shard.get_mut(&raw) {
-                            Some(entry) => {
-                                if entry.lifted.is_none() {
-                                    entry.lifted = out.lifted.clone();
-                                }
-                                entry.images.insert(input.key, image);
-                            }
-                            None => {
-                                // Entry vanished mid-batch (reset): drop
-                                // the orphaned trampoline.
-                                drop(shard);
-                                if drv.with_device(|d| d.free(image.tramp_addr)).is_err() {
-                                    common::obs::counter("tramp.free_fail", 1);
-                                }
-                            }
-                        }
-                    }
-                }
+        for (input, built) in inputs.iter().zip(self.build_all(drv, &inputs)) {
+            if let Err(e) = built.and_then(|built| self.install(drv, input, built)) {
+                errors.insert(input.func.raw(), e);
             }
         }
 
@@ -530,83 +533,62 @@ impl CoreState {
             .collect()
     }
 
-    /// Builds all inputs: inline on the calling thread when one worker
-    /// suffices, else fanned out across scoped workers with the
-    /// deterministic allocation turnstile.
-    fn build_all(&self, drv: &Driver, inputs: &[BuildInput]) -> Vec<BuildOutcome> {
+    /// Builds all inputs, one result per input in input order: prepare
+    /// everywhere, allocate here in input order, finish everywhere (see the
+    /// module docs).
+    fn build_all(&self, drv: &Driver, inputs: &[BuildInput]) -> Vec<Result<Built>> {
         if inputs.is_empty() {
             return Vec::new();
         }
-        let hal = self.hal(drv);
-        let tool_fns = self.tool_fns.read().unwrap().clone();
-        let routines = self.routines.read().unwrap().clone();
-        let workers = self.effective_workers(inputs.len());
-        if workers <= 1 {
-            return inputs
-                .iter()
-                .enumerate()
-                .map(|(i, input)| {
-                    build_one(i, &hal, input, &tool_fns, &routines, |len| {
-                        drv.with_device(|d| d.alloc(len)).map_err(Into::into)
-                    })
-                })
-                .collect();
-        }
-
-        // Workers do the pure lift/codegen/verify work; the main thread
-        // stays on this side of the single-threaded driver, servicing
-        // trampoline allocations over a channel. The turnstile forces
-        // allocations into ascending input order, so device addresses —
-        // and therefore the generated images — are bit-identical to a
-        // serial build.
-        let next = AtomicUsize::new(0);
-        let turn = Mutex::new(0usize);
-        let turn_cv = Condvar::new();
-        let outcomes = Mutex::new(Vec::with_capacity(inputs.len()));
-        let (tx, rx) = mpsc::channel::<(u64, mpsc::Sender<gpu::Result<u64>>)>();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, turn, turn_cv, outcomes) = (&next, &turn, &turn_cv, &outcomes);
-                let (hal, tool_fns, routines) = (&hal, &tool_fns, &routines);
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= inputs.len() {
-                        break;
-                    }
-                    let guard = TurnGuard { turn, cv: turn_cv, next: i + 1 };
-                    let alloc = |len: u64| -> Result<u64> {
-                        let mut g = turn.lock().unwrap();
-                        while *g < i {
-                            g = turn_cv.wait(g).unwrap();
-                        }
-                        drop(g);
-                        let (rtx, rrx) = mpsc::channel();
-                        let res = if tx.send((len, rtx)).is_ok() { rrx.recv().ok() } else { None };
-                        let mut g = turn.lock().unwrap();
-                        *g = (*g).max(i + 1);
-                        turn_cv.notify_all();
-                        drop(g);
-                        match res {
-                            Some(r) => r.map_err(Into::into),
-                            None => Err(NvbitError::BadRequest(
-                                "trampoline allocation service unavailable".into(),
-                            )),
-                        }
-                    };
-                    let out = build_one(i, hal, &inputs[i], tool_fns, routines, alloc);
-                    drop(guard);
-                    outcomes.lock().unwrap().push(out);
-                });
-            }
-            drop(tx);
-            while let Ok((len, reply)) = rx.recv() {
-                let _ = reply.send(drv.with_device(|d| d.alloc(len)));
-            }
+        let hal = hal_of(drv);
+        let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
+        let (tool_fns, routines) = (&*tool_fns, &*routines);
+        let workers = self.workers();
+        let prepared = par_map(workers, inputs.iter().collect(), |input| {
+            prepare_one(&hal, input, tool_fns, routines)
         });
-        let mut v = outcomes.into_inner().unwrap();
-        v.sort_by_key(|o| o.idx);
-        v
+        // The allocator must see the same request sequence at every worker
+        // count: trampoline addresses are embedded in the images.
+        let placed = inputs
+            .iter()
+            .zip(prepared)
+            .map(|(input, prepared)| {
+                let (lifted, prepared) = prepared?;
+                let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
+                Ok((input, lifted, prepared, tramp_addr))
+            })
+            .collect();
+        let batch_ext = self.external_code();
+        par_map(workers, placed, |placed: Result<_>| {
+            let (input, lifted, prepared, tramp_addr) = placed?;
+            finish_one(&hal, input, lifted, prepared, tramp_addr, &batch_ext)
+        })
+    }
+
+    /// Uploads a built image's trampolines and caches the image. An image
+    /// with verifier findings is refused and its trampoline region freed.
+    fn install(&self, drv: &Driver, input: &BuildInput, built: Built) -> Result<()> {
+        let Built { lifted, image, diags } = built;
+        if !diags.is_empty() {
+            common::obs::counter("instr_image.verify_reject", 1);
+            if drv.with_device(|d| d.free(image.tramp_addr)).is_err() {
+                common::obs::counter("tramp.free_fail", 1);
+            }
+            return Err(NvbitError::VerifyFailed(diags));
+        }
+        drv.with_device(|d| -> gpu::Result<()> {
+            d.write(image.tramp_addr, &image.tramp_code)?;
+            let name = format!("{}$tramp", input.info.name);
+            d.label_code(image.tramp_addr, image.tramp_code.len() as u64, &name);
+            Ok(())
+        })?;
+        let mut entries = self.funcs.borrow_mut();
+        let entry = entries
+            .get_mut(&input.func.raw())
+            .expect("gathered from this entry; nothing else runs mid-batch");
+        entry.lifted.get_or_insert(lifted);
+        entry.images.insert(input.key, image);
+        Ok(())
     }
 
     /// Installs the version the tool asked for, when it differs from what
@@ -619,9 +601,8 @@ impl CoreState {
         policy: SavePolicy,
         opts: PlanOpts,
     ) -> Result<()> {
-        let raw = func.raw();
-        let mut shard = self.shard(raw).lock().unwrap();
-        let Some(entry) = shard.get_mut(&raw) else { return Ok(()) };
+        let mut entries = self.funcs.borrow_mut();
+        let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
         let target = if entry.desired == Version::Instrumented {
             let k = entry.key(policy, opts);
             entry.images.contains_key(&k).then_some(k)
@@ -661,29 +642,36 @@ impl CoreState {
         self.apply_batch(drv, &[func]).pop().map(|(_, r)| r).unwrap_or(Ok(()))
     }
 
-    /// Drops a function's entry after an instrumentation failure: restore
-    /// the original code if a version was installed, then free every
-    /// cached trampoline.
-    fn discard_entry(&self, drv: &Driver, func: CuFunction) {
-        let raw = func.raw();
-        let Some(entry) = self.shard(raw).lock().unwrap().remove(&raw) else { return };
-        if entry.current.is_some() {
+    /// Drops a function's entry: restores the original code, clears the
+    /// local-memory override and frees the trampolines of every cached
+    /// version. Cleanup runs to completion even when a step fails; the
+    /// first failure is returned afterwards.
+    fn reset(&self, drv: &Driver, func: CuFunction) -> Result<()> {
+        let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else {
+            return Ok(());
+        };
+        let mut first_err: Option<NvbitError> = None;
+        if !entry.images.is_empty() {
             if let Ok(info) = drv.function_info(func) {
-                let img = entry
-                    .current
-                    .and_then(|c| entry.images.get(&c))
-                    .or_else(|| entry.images.values().next());
-                if let Some(img) = img {
-                    let _ = drv.with_device(|d| d.write(info.addr, &img.original));
+                if let Some(img) = entry.current.and_then(|c| entry.images.get(&c)) {
+                    if let Err(e) = drv.with_device(|d| d.write(info.addr, &img.original)) {
+                        first_err.get_or_insert(e.into());
+                    }
                 }
-                let _ = drv.set_local_override(func, 0);
+                // Always reset the override once any image existed — even
+                // when the original version happens to be installed.
+                if let Err(e) = drv.set_local_override(func, 0) {
+                    first_err.get_or_insert(e.into());
+                }
             }
         }
         for img in entry.images.values() {
-            if drv.with_device(|d| d.free(img.tramp_addr)).is_err() {
+            if let Err(e) = drv.with_device(|d| d.free(img.tramp_addr)) {
                 common::obs::counter("tramp.free_fail", 1);
+                first_err.get_or_insert(e.into());
             }
         }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// `cuModuleUnload` entry: evicts every cached entry of the dying
@@ -695,8 +683,7 @@ impl CoreState {
         let mut lift_evicted = 0u64;
         let mut image_evicted = 0u64;
         for func in funcs {
-            let raw = func.raw();
-            let Some(entry) = self.shard(raw).lock().unwrap().remove(&raw) else { continue };
+            let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else { continue };
             if entry.lifted.is_some() {
                 lift_evicted += 1;
             }
@@ -725,20 +712,13 @@ impl CoreState {
     /// plan-cache key, so a launch at a new shape replans while
     /// repeated shapes hit the cached image — the same shape-keyed
     /// reuse the sampling cache applies.
-    fn instrument_for_launch(&self, drv: &Driver, func: CuFunction, block_threads: u32) {
+    fn instrument_for_launch(&mut self, drv: &Driver, func: CuFunction, block_threads: u32) {
         let raw = func.raw();
-        let tracked = self
-            .shard(raw)
-            .lock()
-            .unwrap()
-            .get(&raw)
-            .map(|e| !e.spec.is_empty() || !e.images.is_empty())
-            .unwrap_or(false);
-        self.launch_threads.store(block_threads.max(1), Ordering::Relaxed);
-        let policy = *self.save_policy.lock().unwrap();
-        let raw_opts = *self.plan_opts.lock().unwrap();
+        let tracked = self.tracked(func);
+        self.launch_threads = block_threads.max(1);
+        let policy = self.save_policy.get();
         let opts = self.resolved_opts();
-        if opts != raw_opts {
+        if opts != self.plan_opts.get() {
             common::obs::counter("plan.occ_launch_shape", 1);
         }
         let mut batch = self.pending(policy, opts);
@@ -751,7 +731,7 @@ impl CoreState {
                 // Instrumentation failures must not corrupt the
                 // application; drop the request and keep the original.
                 eprintln!("nvbit: instrumentation of {f} failed: {e}");
-                self.discard_entry(drv, f);
+                let _ = self.reset(drv, f);
             }
         }
     }
@@ -763,13 +743,13 @@ impl CoreState {
 /// Generator begins functioning").
 pub struct NvbitCore {
     tool: Box<dyn NvbitTool>,
-    state: Arc<CoreState>,
+    state: CoreState,
 }
 
 impl NvbitCore {
     /// Wraps a tool.
     pub fn new(tool: impl NvbitTool + 'static) -> NvbitCore {
-        NvbitCore { tool: Box::new(tool), state: Arc::new(CoreState::new()) }
+        NvbitCore { tool: Box::new(tool), state: CoreState::default() }
     }
 }
 
@@ -843,7 +823,7 @@ pub struct SaveStats {
 /// tool callbacks.
 pub struct NvbitApi<'a> {
     drv: &'a Driver,
-    state: &'a Arc<CoreState>,
+    state: &'a CoreState,
 }
 
 impl<'a> NvbitApi<'a> {
@@ -855,7 +835,7 @@ impl<'a> NvbitApi<'a> {
 
     /// The hardware abstraction layer of the current device.
     pub fn hal(&self) -> Hal {
-        self.state.hal(self.drv)
+        hal_of(self.drv)
     }
 
     // ----- Tool Functions Loader (paper §5.1) -----------------------------
@@ -869,7 +849,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// Compilation or device-memory failures.
     pub fn load_tool_functions(&self, ptx_src: &str) -> Result<()> {
-        let hal = self.state.hal(self.drv);
+        let hal = hal_of(self.drv);
         // Dual-ABI load. The *callable* copy — what gets installed on the
         // device and what out-of-line `JCAL`s execute — compiles under the
         // standard ABI, so its epilogue restores every callee-saved
@@ -930,14 +910,14 @@ impl<'a> NvbitApi<'a> {
                     hal.arch(),
                 ),
             };
-            self.state.tool_fns.write().unwrap().insert(f.name.clone(), tool_fn);
+            self.state.tool_fns.borrow_mut().insert(f.name.clone(), tool_fn);
         }
         Ok(())
     }
 
     /// The loaded tool functions (name → device address).
     pub fn tool_functions(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.tool_fns.read().unwrap().keys().cloned().collect();
+        let mut v: Vec<String> = self.state.tool_fns.borrow().keys().cloned().collect();
         v.sort();
         v
     }
@@ -1039,15 +1019,13 @@ impl<'a> NvbitApi<'a> {
         fname: &str,
         ipoint: IPoint,
     ) -> Result<()> {
-        if !self.state.tool_fns.read().unwrap().contains_key(fname) {
+        if !self.state.tool_fns.borrow().contains_key(fname) {
             return Err(NvbitError::UnknownToolFunction(fname.to_string()));
         }
-        let raw = func.raw();
         self.state
-            .shard(raw)
-            .lock()
-            .unwrap()
-            .entry(raw)
+            .funcs
+            .borrow_mut()
+            .entry(func.raw())
             .or_insert_with(|| FuncEntry::new(func))
             .spec
             .insert_call(idx, fname, ipoint);
@@ -1061,15 +1039,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// [`NvbitError::BadRequest`] when no call was inserted at the site.
     pub fn add_call_arg(&self, func: CuFunction, idx: usize, arg: Arg) -> Result<()> {
-        let raw = func.raw();
-        let mut shard = self.state.shard(raw).lock().unwrap();
-        if shard.get_mut(&raw).is_some_and(|entry| entry.spec.add_arg(idx, arg)) {
-            Ok(())
-        } else {
-            Err(NvbitError::BadRequest(format!(
-                "add_call_arg before insert_call at instruction {idx}"
-            )))
-        }
+        self.state.edit_site(func, idx, "add_call_arg", |spec| spec.add_arg(idx, arg))
     }
 
     /// Convenience: pass the evaluated guard predicate.
@@ -1128,15 +1098,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// [`NvbitError::BadRequest`] when no call was inserted at the site.
     pub fn set_pred_filter(&self, func: CuFunction, idx: usize) -> Result<()> {
-        let raw = func.raw();
-        let mut shard = self.state.shard(raw).lock().unwrap();
-        if shard.get_mut(&raw).is_some_and(|entry| entry.spec.set_pred_filter(idx)) {
-            Ok(())
-        } else {
-            Err(NvbitError::BadRequest(format!(
-                "set_pred_filter before insert_call at instruction {idx}"
-            )))
-        }
+        self.state.edit_site(func, idx, "set_pred_filter", |spec| spec.set_pred_filter(idx))
     }
 
     /// Marks the most recent injection at the site as coalescible: the
@@ -1154,15 +1116,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// [`NvbitError::BadRequest`] when no call was inserted at the site.
     pub fn set_coalesce(&self, func: CuFunction, idx: usize) -> Result<()> {
-        let raw = func.raw();
-        let mut shard = self.state.shard(raw).lock().unwrap();
-        if shard.get_mut(&raw).is_some_and(|entry| entry.spec.set_coalesce(idx)) {
-            Ok(())
-        } else {
-            Err(NvbitError::BadRequest(format!(
-                "set_coalesce before insert_call at instruction {idx}"
-            )))
-        }
+        self.state.edit_site(func, idx, "set_coalesce", |spec| spec.set_coalesce(idx))
     }
 
     /// Removes the original instruction at the site (`nvbit_remove_orig`) —
@@ -1173,12 +1127,10 @@ impl<'a> NvbitApi<'a> {
     ///
     /// Range errors surface at code generation.
     pub fn remove_orig(&self, func: CuFunction, idx: usize) -> Result<()> {
-        let raw = func.raw();
         self.state
-            .shard(raw)
-            .lock()
-            .unwrap()
-            .entry(raw)
+            .funcs
+            .borrow_mut()
+            .entry(func.raw())
             .or_insert_with(|| FuncEntry::new(func))
             .spec
             .remove_orig(idx);
@@ -1197,15 +1149,11 @@ impl<'a> NvbitApi<'a> {
     ///
     /// Driver failures during an immediate swap.
     pub fn enable_instrumented(&self, func: CuFunction, enable: bool) -> Result<()> {
-        let raw = func.raw();
-        {
-            let mut shard = self.state.shard(raw).lock().unwrap();
-            match shard.get_mut(&raw) {
-                Some(entry) if !entry.spec.is_empty() || !entry.images.is_empty() => {
-                    entry.desired = if enable { Version::Instrumented } else { Version::Original };
-                }
-                _ => return Ok(()),
+        match self.state.funcs.borrow_mut().get_mut(&func.raw()) {
+            Some(entry) if entry.tracked() => {
+                entry.desired = if enable { Version::Instrumented } else { Version::Original };
             }
+            _ => return Ok(()),
         }
         // Reconcile now (builds the image first if needed, so callees that
         // are never launched still get their code swapped in).
@@ -1224,35 +1172,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// The first driver failure encountered while restoring.
     pub fn reset_instrumented(&self, func: CuFunction) -> Result<()> {
-        let raw = func.raw();
-        let Some(entry) = self.state.shard(raw).lock().unwrap().remove(&raw) else {
-            return Ok(());
-        };
-        let mut first_err: Option<NvbitError> = None;
-        if !entry.images.is_empty() {
-            if let Ok(info) = self.drv.function_info(func) {
-                if let Some(img) = entry.current.and_then(|c| entry.images.get(&c)) {
-                    if let Err(e) = self.drv.with_device(|d| d.write(info.addr, &img.original)) {
-                        first_err.get_or_insert(e.into());
-                    }
-                }
-                // Always reset the override once any image existed — even
-                // when the original version happens to be installed.
-                if let Err(e) = self.drv.set_local_override(func, 0) {
-                    first_err.get_or_insert(e.into());
-                }
-            }
-        }
-        for img in entry.images.values() {
-            if let Err(e) = self.drv.with_device(|d| d.free(img.tramp_addr)) {
-                common::obs::counter("tramp.free_fail", 1);
-                first_err.get_or_insert(e.into());
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.state.reset(self.drv, func)
     }
 
     /// Selects how injection-site register saves are sized for subsequent
@@ -1261,7 +1181,7 @@ impl<'a> NvbitApi<'a> {
     /// (spec, policy) version, so flipping the policy back and forth swaps
     /// between already-built images without re-running code generation.
     pub fn set_save_policy(&self, policy: SavePolicy) {
-        *self.state.save_policy.lock().unwrap() = policy;
+        self.state.save_policy.set(policy);
     }
 
     /// Selects how far up the [`crate::plan::PlanLevel`] ladder subsequent
@@ -1269,21 +1189,20 @@ impl<'a> NvbitApi<'a> {
     /// (spec, policy, plan options) version, so flipping options swaps
     /// between already-built images without re-running code generation.
     pub fn set_plan_opts(&self, opts: PlanOpts) {
-        *self.state.plan_opts.lock().unwrap() = opts;
+        self.state.plan_opts.set(opts);
     }
 
     /// The plan-pass options currently in force.
     pub fn plan_opts(&self) -> PlanOpts {
-        *self.state.plan_opts.lock().unwrap()
+        self.state.plan_opts.get()
     }
 
     /// Sets the number of worker threads batch instrumentation may use
-    /// (0 = one per available hardware thread, the default; also
-    /// configurable with the `NVBIT_JIT_WORKERS` environment variable).
-    /// Whatever the count, parallel builds produce images bit-identical
-    /// to a serial build.
+    /// (0 = one per available hardware thread, the default). This is the
+    /// only way to set it. Whatever the count, builds produce bit-identical
+    /// images.
     pub fn set_jit_workers(&self, workers: usize) {
-        self.state.jit_workers.store(workers, Ordering::Relaxed);
+        self.state.jit_workers.set(workers);
     }
 
     /// Statically verifies the instrumented image of `func`, generating it
@@ -1302,22 +1221,15 @@ impl<'a> NvbitApi<'a> {
             Err(NvbitError::VerifyFailed(diags)) => return Ok(diags),
             Err(e) => return Err(e),
         }
-        let policy = *self.state.save_policy.lock().unwrap();
-        let opts = self.state.resolved_opts();
-        let raw = func.raw();
-        let image = {
-            let mut shard = self.state.shard(raw).lock().unwrap();
-            let Some(entry) = shard.get_mut(&raw) else { return Ok(Vec::new()) };
-            let key = entry.key(policy, opts);
-            match entry.images.get(&key) {
-                Some(img) => img.clone(),
-                None => return Ok(Vec::new()),
-            }
+        let Some(image) = self.state.with_image(func, InstrumentedImage::clone) else {
+            return Ok(Vec::new());
         };
-        let hal = self.state.hal(self.drv);
         let info = self.drv.function_info(func)?;
-        let ext = self.state.external_code(self.drv, &info);
-        verify::verify(&hal, info.addr, &image, &ext)
+        let ext = ExternalCode {
+            code_regions: code_regions(self.drv, &info),
+            ..self.state.external_code()
+        };
+        verify::verify(&hal_of(self.drv), info.addr, &image, &ext)
     }
 
     /// Register-save accounting for the instrumented image of `func`
@@ -1329,13 +1241,7 @@ impl<'a> NvbitApi<'a> {
     /// Driver/codegen/verification failures during generation.
     pub fn save_stats(&self, func: CuFunction) -> Result<Option<SaveStats>> {
         self.state.apply_one(self.drv, func)?;
-        let policy = *self.state.save_policy.lock().unwrap();
-        let opts = self.state.resolved_opts();
-        let raw = func.raw();
-        let mut shard = self.state.shard(raw).lock().unwrap();
-        let Some(entry) = shard.get_mut(&raw) else { return Ok(None) };
-        let key = entry.key(policy, opts);
-        Ok(entry.images.get(&key).map(|img| SaveStats {
+        Ok(self.state.with_image(func, |img| SaveStats {
             saved_slots: img.saved_slots,
             full_tier_slots: img.full_tier_slots,
             max_tier: img.tier,
@@ -1355,33 +1261,12 @@ impl<'a> NvbitApi<'a> {
     /// Driver/codegen/verification failures during generation.
     pub fn plan_stats(&self, func: CuFunction) -> Result<Option<PlanStats>> {
         self.state.apply_one(self.drv, func)?;
-        let policy = *self.state.save_policy.lock().unwrap();
-        let opts = self.state.resolved_opts();
-        let raw = func.raw();
-        let mut shard = self.state.shard(raw).lock().unwrap();
-        let Some(entry) = shard.get_mut(&raw) else { return Ok(None) };
-        let key = entry.key(policy, opts);
-        Ok(entry.images.get(&key).map(|img| img.plan))
+        Ok(self.state.with_image(func, |img| img.plan))
     }
 
     /// True if the function currently has a generated instrumented image
     /// or a pending instrumentation request.
     pub fn is_instrumented(&self, func: CuFunction) -> bool {
-        let raw = func.raw();
-        self.state
-            .shard(raw)
-            .lock()
-            .unwrap()
-            .get(&raw)
-            .map(|e| !e.images.is_empty() || !e.spec.is_empty())
-            .unwrap_or(false)
+        self.state.tracked(func)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    // The end-to-end behaviour of the core is exercised by the crate's
-    // integration tests (`tests/instrumentation.rs`, `tests/version_cache.rs`,
-    // `tests/module_unload.rs`), which require the full driver + device
-    // stack; unit coverage of the pieces lives in the sibling modules.
 }

@@ -595,6 +595,67 @@ fn reset_instrumented_restores_native_behaviour() {
     assert!(first_launch_count > 0);
 }
 
+/// Every API group, back to back, from inside one launch-entry callback on
+/// the function being launched: no API path may re-borrow core state that
+/// another still holds, and the re-instrumented function must then run as
+/// if instrumented once.
+#[test]
+fn every_api_group_runs_back_to_back_inside_a_launch_entry_callback() {
+    let native = Driver::new(DeviceSpec::test(Arch::Volta));
+    let expected = run_vecadd(&native, 200);
+
+    let counter_addr = Rc::new(RefCell::new(0u64));
+    let (init_addr, entry_addr) = (counter_addr.clone(), counter_addr.clone());
+    let mut first = true;
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(
+        &drv,
+        ClosureTool {
+            init: Box::new(move |api| {
+                api.load_tool_functions(COUNT_FN).unwrap();
+                *init_addr.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+            }),
+            launch_entry: Box::new(move |api, f, _, _| {
+                if !std::mem::take(&mut first) {
+                    return;
+                }
+                // Inspection.
+                let n = api.get_instrs(f).unwrap().len();
+                assert!(api.get_live_regs(f, 0).unwrap().is_some());
+                // Instrumentation.
+                let instrument = || {
+                    for idx in 0..n {
+                        api.insert_call(f, idx, "count_one", IPoint::Before).unwrap();
+                        api.add_call_arg_guard_pred(f, idx).unwrap();
+                        api.add_call_arg_imm64(f, idx, *entry_addr.borrow()).unwrap();
+                    }
+                };
+                instrument();
+                // Control: each flip builds or swaps right away.
+                api.enable_instrumented(f, false).unwrap();
+                api.enable_instrumented(f, true).unwrap();
+                // Verification and accounting of the image just built.
+                assert!(api.verify_instrumented(f).unwrap().is_empty());
+                assert_eq!(api.save_stats(f).unwrap().unwrap().sites, n);
+                assert!(api.plan_stats(f).unwrap().is_some());
+                // Reset, then instrument again.
+                api.reset_instrumented(f).unwrap();
+                assert!(!api.is_instrumented(f));
+                instrument();
+            }),
+        },
+    );
+    let got = run_vecadd(&drv, 200);
+    let mut b = [0u8; 8];
+    drv.memcpy_dtoh(&mut b, *counter_addr.borrow()).unwrap();
+    let thread_instrs = drv.total_stats().thread_instructions;
+    drv.shutdown();
+
+    assert_eq!(got, expected, "instrumented output differs");
+    assert_eq!(u64::from_le_bytes(b), native.total_stats().thread_instructions);
+    assert!(thread_instrs > native.total_stats().thread_instructions);
+}
+
 #[test]
 fn kernels_with_device_function_calls_can_be_instrumented_throughout() {
     // Instrument both the kernel and its related (callee) function; the

@@ -55,8 +55,11 @@ fn multi_kernel_ptx(n: usize) -> String {
 
 /// A tool that, at the first launch, instruments EVERY kernel of the
 /// launched kernel's module (batch path) with per-instruction counting.
+/// Kernel number `fail`, if any, also gets more arguments than the ABI
+/// window holds, so its codegen fails before its trampoline is allocated.
 struct BatchTool {
     workers: usize,
+    fail: Option<usize>,
     counter_addr: Rc<RefCell<u64>>,
     done: bool,
 }
@@ -81,57 +84,93 @@ impl NvbitTool for BatchTool {
         self.done = true;
         let addr = *self.counter_addr.borrow();
         let module = api.driver().function_info(*func).unwrap().module;
-        for k in api.driver().module_kernels(&module).unwrap() {
+        for (i, k) in api.driver().module_kernels(&module).unwrap().into_iter().enumerate() {
             for idx in 0..api.get_instrs(k).unwrap().len() {
                 api.insert_call(k, idx, "count_one", IPoint::Before).unwrap();
                 api.add_call_arg_guard_pred(k, idx).unwrap();
                 api.add_call_arg_imm64(k, idx, addr).unwrap();
             }
+            if self.fail == Some(i) {
+                for _ in 0..6 {
+                    api.add_call_arg_imm64(k, 0, addr).unwrap();
+                }
+            }
         }
     }
 }
 
-/// Runs an 6-kernel module through batch instrumentation with the given
-/// worker count; returns (per-kernel installed code bytes, app output,
-/// counter value).
-fn run_batch(workers: usize) -> (Vec<Vec<u8>>, Vec<u8>, u64) {
+/// What one batch run leaves behind.
+struct BatchRun {
+    /// Installed code bytes of every kernel, launched or not.
+    images: Vec<Vec<u8>>,
+    output: Vec<u8>,
+    counter: u64,
+    live_allocs: usize,
+}
+
+/// Runs a 6-kernel module through batch instrumentation with the given
+/// worker count, `fail` naming the kernel whose codegen must fail.
+fn run_batch(workers: usize, fail: Option<usize>) -> BatchRun {
     const N: usize = 6;
     let counter_addr = Rc::new(RefCell::new(0u64));
+    let read_counter = |drv: &Driver| {
+        let mut b = [0u8; 8];
+        drv.memcpy_dtoh(&mut b, *counter_addr.borrow()).unwrap();
+        u64::from_le_bytes(b)
+    };
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    attach_tool(&drv, BatchTool { workers, counter_addr: counter_addr.clone(), done: false });
+    attach_tool(&drv, BatchTool { workers, fail, counter_addr: counter_addr.clone(), done: false });
     let ctx = drv.ctx_create().unwrap();
     let src = multi_kernel_ptx(N);
     let m = drv.module_load(&ctx, FatBinary::from_ptx("app", &src)).unwrap();
+    let kernels = drv.module_kernels(&m).unwrap();
+    let pristine: Vec<Vec<u8>> = kernels.iter().map(|k| drv.read_code(*k).unwrap()).collect();
     let out = drv.mem_alloc(128).unwrap();
+    let args = [KernelArg::Ptr(out)];
     let f0 = drv.module_get_function(&m, "k0").unwrap();
-    drv.launch_kernel(&f0, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+    drv.launch_kernel(&f0, Dim3::linear(1), Dim3::linear(32), &args).unwrap();
 
     // Every kernel of the module — launched or not — must now carry its
-    // installed instrumented image.
-    let images: Vec<Vec<u8>> =
-        drv.module_kernels(&m).unwrap().iter().map(|k| drv.read_code(*k).unwrap()).collect();
+    // installed instrumented image; the failed one keeps its original code.
+    let images: Vec<Vec<u8>> = kernels.iter().map(|k| drv.read_code(*k).unwrap()).collect();
+    for (i, (image, original)) in images.iter().zip(&pristine).enumerate() {
+        assert_eq!(image == original, fail == Some(i), "kernel k{i} at {workers} workers");
+    }
     let mut output = vec![0u8; 128];
     drv.memcpy_dtoh(&mut output, out).unwrap();
-    let mut b = [0u8; 8];
-    drv.memcpy_dtoh(&mut b, *counter_addr.borrow()).unwrap();
+    let counter = read_counter(&drv);
+    if let Some(bad) = fail {
+        drv.launch_kernel(&kernels[bad], Dim3::linear(1), Dim3::linear(32), &args).unwrap();
+        assert_eq!(read_counter(&drv), counter, "the failed kernel must run uninstrumented");
+    }
+    let live_allocs = drv.with_device(|d| d.memory().live_allocs());
     drv.shutdown();
-    (images, output, u64::from_le_bytes(b))
+    BatchRun { images, output, counter, live_allocs }
 }
 
 /// Paper §6.2 determinism contract: fanning batch instrumentation out
 /// across worker threads must yield byte-for-byte the same installed
-/// images (trampoline addresses included) as the serial path.
+/// images (trampoline addresses included) as one worker, with fewer, as
+/// many and more workers than the 6 kernels — also when the middle
+/// kernel's codegen fails, which must neither wedge the batch, leak or
+/// reorder a trampoline allocation, nor disturb the other kernels.
 #[test]
 fn parallel_batch_is_bit_identical_to_serial() {
-    let (serial_imgs, serial_out, serial_count) = run_batch(1);
-    let (par_imgs, par_out, par_count) = run_batch(4);
-    assert_eq!(serial_imgs.len(), 6);
-    for (i, (s, p)) in serial_imgs.iter().zip(&par_imgs).enumerate() {
-        assert_eq!(s, p, "kernel k{i}: parallel image differs from serial");
+    for fail in [None, Some(3)] {
+        let serial = run_batch(1, fail);
+        assert_eq!(serial.images.len(), 6);
+        assert!(serial.counter > 0, "instrumentation must actually have run");
+        for workers in [2, 3, 8] {
+            let par = run_batch(workers, fail);
+            let case = format!("{workers} workers, fail = {fail:?}");
+            for (i, (s, p)) in serial.images.iter().zip(&par.images).enumerate() {
+                assert!(s == p, "kernel k{i}: image differs from serial ({case})");
+            }
+            assert!(serial.output == par.output, "application output must match ({case})");
+            assert_eq!(serial.counter, par.counter, "tool counters must match ({case})");
+            assert_eq!(serial.live_allocs, par.live_allocs, "live allocations ({case})");
+        }
     }
-    assert_eq!(serial_out, par_out, "application output must match");
-    assert_eq!(serial_count, par_count, "tool counters must match");
-    assert!(serial_count > 0, "instrumentation must actually have run");
 }
 
 /// `enable_instrumented` on a function with no spec and no image is a

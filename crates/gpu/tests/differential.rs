@@ -355,7 +355,13 @@ const MATHY: &str = r#"
     .reg .u64 %rd<4>;
     .reg .f32 %f<8>;
     ld.param.u64 %rd1, [buf];
-    mov.u32 %r1, %tid.x;
+    // Global thread index: the update below is not idempotent, so two
+    // CTAs sharing elements would race under the CTA-parallel scheduler.
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %ntid.x;
+    mul.lo.u32 %r1, %r1, %r2;
+    mov.u32 %r2, %tid.x;
+    add.u32 %r1, %r1, %r2;
     mul.wide.u32 %rd2, %r1, 4;
     add.u64 %rd3, %rd1, %rd2;
     ld.global.f32 %f1, [%rd3];
