@@ -56,6 +56,14 @@ echo "== tier-1: cargo build --release && cargo test -q (every crate: default-me
 cargo build --release
 cargo test --workspace -q
 
+echo "== gpu (release): executor unit tests + executor-vs-interpreter differential, with the vectorised row paths =="
+# Tier-1 runs these in debug only (which is what catches arithmetic
+# overflow); the row loops are vectorised only in release.
+cargo test --release -q -p nvbit-gpu
+
+echo "== determinism (release): pinned ExecStats + output hashes, Serial vs Parallel =="
+cargo test --release -q --test determinism
+
 echo "== verify_all: every tool x every workload, zero diagnostics =="
 # Lifts and instruments every bundled tool against every workload kernel
 # (fft pipeline, SPECAccel suite, ML models) and requires the pre-swap

@@ -1,9 +1,9 @@
 //! The device: memory, decode cache and launch orchestration.
 
-use crate::executor::{CtaCtx, DecodeCache, ExecEnv, Warp};
+use crate::executor::{CtaCtx, DecodeCache, ExecEnv, Warp, WARP};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
-use crate::stats::ExecStats;
+use crate::stats::{CtaStats, ExecStats};
 use crate::{GpuError, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,7 +20,7 @@ pub const PARAM_BASE: usize = 0x160;
 
 /// What one CTA's execution produces: its statistics (or fault) plus the
 /// decode-cache overlay it accumulated.
-type CtaResult = (Result<ExecStats>, DecodeCache);
+type CtaResult = (Result<CtaStats>, DecodeCache);
 
 /// A kernel launch description.
 #[derive(Debug, Clone)]
@@ -411,17 +411,18 @@ impl Device {
         let first_err = results.iter().position(|r| matches!(r, Some((Err(_), _))));
         let upto = first_err.map_or(cta_count as usize, |k| k + 1);
         let mut cache = snapshot;
-        let mut stats = ExecStats::default();
+        let mut stats = CtaStats::default();
         let mut error = None;
         for r in results.drain(..upto) {
             let (res, overlay) = r.expect("every CTA below the first fault produced a result");
             cache.extend(overlay);
             match res {
-                Ok(s) => stats.merge(&s),
+                Ok(s) => stats.add(&s),
                 Err(e) => error = Some(e),
             }
         }
         self.decode_cache = cache;
+        let stats = stats.finish();
         drop(merge_span);
         common::obs::counter("decode.hit", stats.decode_hits);
         common::obs::counter("decode.miss", stats.decode_misses);
@@ -460,7 +461,7 @@ fn run_cta(
         mem,
         snapshot,
         overlay: DecodeCache::new(),
-        stats: ExecStats::default(),
+        stats: CtaStats::default(),
         grid: cfg.grid,
         block: cfg.block,
         cbanks,
@@ -469,13 +470,16 @@ fn run_cta(
         steps: 0,
         chan,
     };
+    let num_warps = block_threads.div_ceil(32);
+    let local_words = local_size.div_ceil(4) as usize;
     let mut cta = CtaCtx {
         cta: cta_coords,
         cta_linear,
         shared: vec![0u8; cfg.shared_size.max(4) as usize],
-        locals: (0..block_threads).map(|_| vec![0u8; local_size as usize]).collect(),
+        local: vec![[0u32; WARP]; num_warps as usize * local_words],
+        local_words,
+        local_size: local_size as usize,
     };
-    let num_warps = block_threads.div_ceil(32);
     let mut warps: Vec<Warp> = (0..num_warps)
         .map(|w| {
             let base = w * 32;
@@ -483,9 +487,7 @@ fn run_cta(
             let mut warp = Warp::new(base, lanes, cfg.entry_pc);
             // The ABI initializes the stack pointer (R1) to the top of the
             // thread's local memory; stacks grow downward.
-            for lane in 0..32usize {
-                warp.regs[lane][sass::Reg::SP.index()] = local_size;
-            }
+            warp.regs[sass::Reg::SP.index()] = [local_size; WARP];
             warp
         })
         .collect();

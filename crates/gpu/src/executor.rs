@@ -18,17 +18,33 @@
 //! Calls (`CAL`/`JCAL`/`RET`) use a per-entry return-address stack, cloned
 //! on divergence, so device functions may be called from partially-active
 //! warps.
+//!
+//! # State layout
+//!
+//! One operand of one warp instruction is one contiguous 32-lane `Row`:
+//! the register file is register-major (`regs[reg][lane]`), a predicate
+//! register is one `u32` lane-mask, and local memory is interleaved by
+//! 32-bit word (`local[word][lane]`, the layout real GPUs use so that
+//! same-offset per-thread accesses coalesce). Under a full execution mask
+//! an ALU operation is a straight 32-lane loop the compiler can vectorise,
+//! guards and votes are mask algebra, and an `LDL`/`STL` whose active lanes
+//! share one 4-aligned in-bounds address — every `[R1+off]` register
+//! save/restore of a trampoline — is a 128-byte row copy. Everything else
+//! (partial masks, per-lane or unaligned addresses, faults) takes the
+//! per-lane loop behind the row path — the one in `fill` for register
+//! rows, the lane loop of `load_store` for memory; there is no other
+//! fallback and no switch between the two but the input.
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
-use crate::stats::ExecStats;
+use crate::stats::CtaStats;
 use crate::{GpuError, Result};
-use sass::op::IType;
-use sass::{CmpOp, Instruction, Op, Operand, Reg, SpecialReg, SubOp};
+use sass::op::{CfClass, IType};
+use sass::{CmpOp, Instruction, MemSpace, Op, OpCategory, Operand, Pred, Reg, SpecialReg, SubOp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const WARP: usize = 32;
+pub(crate) const WARP: usize = 32;
 /// Per-CTA warp-instruction budget; a runaway kernel faults instead of
 /// hanging the host. Counted per CTA so the limit is independent of the
 /// CTA schedule.
@@ -38,6 +54,9 @@ const STEP_LIMIT: u64 = 2_000_000_000;
 /// the raw encoding it was decoded from (for revalidation under patching).
 pub(crate) type DecodeCache = HashMap<u64, (u128, Arc<Instruction>)>;
 
+/// One 32-bit value per lane: a register, or one word of local memory.
+pub(crate) type Row = [u32; WARP];
+
 /// One SIMT-stack entry.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
@@ -46,15 +65,56 @@ pub(crate) struct Entry {
     pub retstack: Vec<u64>,
 }
 
+/// The lanes of `mask`, ascending.
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP).filter(move |l| mask >> l & 1 != 0)
+}
+
+/// The lane-mask on which `f` holds.
+#[inline(always)]
+fn lanes_where(f: impl Fn(usize) -> bool) -> u32 {
+    (0..WARP).fold(0, |m, l| m | u32::from(f(l)) << l)
+}
+
+/// The lane-mask on which `a[lane] <cmp> b[lane]` (NaN compares not-equal,
+/// matching the interpreter).
+fn cmp_mask<T: PartialOrd>(cmp: CmpOp, a: &[T; WARP], b: &[T; WARP]) -> u32 {
+    match cmp {
+        CmpOp::Eq => lanes_where(|l| a[l] == b[l]),
+        CmpOp::Ne => lanes_where(|l| a[l] != b[l]),
+        CmpOp::Lt => lanes_where(|l| a[l] < b[l]),
+        CmpOp::Le => lanes_where(|l| a[l] <= b[l]),
+        CmpOp::Gt => lanes_where(|l| a[l] > b[l]),
+        CmpOp::Ge => lanes_where(|l| a[l] >= b[l]),
+    }
+}
+
+/// `row[lane] = f(lane)` on the lanes of `exec`: a straight 32-lane loop
+/// under a full mask (the row path), the per-lane loop otherwise.
+#[inline(always)]
+fn fill(row: &mut Row, exec: u32, f: impl Fn(usize) -> u32) {
+    if exec == u32::MAX {
+        for (lane, v) in row.iter_mut().enumerate() {
+            *v = f(lane);
+        }
+    } else {
+        for lane in lanes(exec) {
+            row[lane] = f(lane);
+        }
+    }
+}
+
 /// Per-warp architectural state.
 pub(crate) struct Warp {
     /// Flat thread index (within the CTA) of lane 0.
     pub base_tid: u32,
     pub entries: Vec<Entry>,
-    /// `regs[lane][reg]`.
-    pub regs: Vec<[u32; 256]>,
-    /// `preds[lane][p]`, index 7 is the constant-true `PT`.
-    pub preds: Vec<[bool; 8]>,
+    /// `regs[reg][lane]`. Row 255 (`RZ`) is never written, so it reads as
+    /// zero without a branch.
+    pub regs: Box<[Row; 256]>,
+    /// `preds[p]` is the lane-mask of predicate `p`; index 7 is the
+    /// constant-true `PT`.
+    pub preds: [u32; 8],
     pub done: bool,
     pub at_barrier: bool,
 }
@@ -62,50 +122,96 @@ pub(crate) struct Warp {
 impl Warp {
     pub fn new(base_tid: u32, lanes: u32, entry_pc: u64) -> Warp {
         let mask = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
-        let mut preds = vec![[false; 8]; WARP];
-        for p in &mut preds {
-            p[7] = true;
-        }
+        let regs = vec![[0u32; WARP]; 256].into_boxed_slice();
         Warp {
             base_tid,
             entries: vec![Entry { pc: entry_pc, mask, retstack: Vec::new() }],
-            regs: vec![[0u32; 256]; WARP],
-            preds,
+            regs: regs.try_into().expect("256 rows"),
+            preds: [0, 0, 0, 0, 0, 0, 0, u32::MAX],
             done: false,
             at_barrier: false,
         }
     }
 
     fn reg(&self, lane: usize, r: Reg) -> u32 {
-        if r.is_zero() {
-            0
-        } else {
-            self.regs[lane][r.index()]
-        }
+        self.regs[r.index()][lane]
     }
 
     fn set_reg(&mut self, lane: usize, r: Reg, v: u32) {
         if !r.is_zero() {
-            self.regs[lane][r.index()] = v;
+            self.regs[r.index()][lane] = v;
         }
     }
 
+    /// The 64-bit value of the pair starting at `r`; `R254`'s high half and
+    /// both halves of `RZ` are the zero row.
     fn pair(&self, lane: usize, r: Reg) -> u64 {
-        if r.is_zero() {
-            return 0;
-        }
-        let lo = self.regs[lane][r.index()] as u64;
-        let hi = if r.index() + 1 < 255 { self.regs[lane][r.index() + 1] as u64 } else { 0 };
-        lo | (hi << 32)
+        self.regs[r.index()][lane] as u64 | (self.regs[(r.index() + 1).min(255)][lane] as u64) << 32
     }
 
     fn set_pair(&mut self, lane: usize, r: Reg, v: u64) {
-        if r.is_zero() {
-            return;
-        }
-        self.regs[lane][r.index()] = v as u32;
+        self.set_reg(lane, r, v as u32);
         if r.index() + 1 < 255 {
-            self.regs[lane][r.index() + 1] = (v >> 32) as u32;
+            self.regs[r.index() + 1][lane] = (v >> 32) as u32;
+        }
+    }
+
+    /// The row of a 32-bit source operand.
+    fn src(&self, o: &Operand) -> Row {
+        match o {
+            Operand::Reg(r) => self.regs[r.index()],
+            Operand::Imm(v) => [*v as u32; WARP],
+            _ => [0; WARP],
+        }
+    }
+
+    /// [`Warp::pair`] of every lane.
+    fn pairs(&self, r: Reg) -> [u64; WARP] {
+        std::array::from_fn(|lane| self.pair(lane, r))
+    }
+
+    fn doubles(&self, r: Reg) -> [f64; WARP] {
+        self.pairs(r).map(f64::from_bits)
+    }
+
+    /// [`fill`]s register `d`; writes to `RZ` are discarded.
+    #[inline(always)]
+    fn set(&mut self, d: Reg, exec: u32, f: impl Fn(usize) -> u32) {
+        if !d.is_zero() {
+            fill(&mut self.regs[d.index()], exec, f);
+        }
+    }
+
+    /// [`Warp::set`] of the register pair starting at `d`.
+    #[inline(always)]
+    fn set_pairs(&mut self, d: Reg, exec: u32, f: impl Fn(usize) -> u64) {
+        let v: [u64; WARP] = std::array::from_fn(f);
+        self.set(d, exec, |l| v[l] as u32);
+        if d.index() + 1 < 255 {
+            self.set(Reg(d.0 + 1), exec, |l| (v[l] >> 32) as u32);
+        }
+    }
+
+    #[inline(always)]
+    fn zip(&mut self, d: Reg, exec: u32, a: &Row, b: &Row, f: impl Fn(u32, u32) -> u32) {
+        self.set(d, exec, |l| f(a[l], b[l]));
+    }
+
+    #[inline(always)]
+    fn zip_f32(&mut self, d: Reg, exec: u32, a: &Row, b: &Row, f: impl Fn(f32, f32) -> f32) {
+        self.set(d, exec, |l| f(f32::from_bits(a[l]), f32::from_bits(b[l])).to_bits());
+    }
+
+    /// The lane-mask of a (possibly negated) predicate operand.
+    fn pred(&self, p: Pred, negated: bool) -> u32 {
+        self.preds[p.index()] ^ if negated { u32::MAX } else { 0 }
+    }
+
+    /// Writes the lanes of `exec` in predicate `d` from the mask `m`.
+    fn set_pred(&mut self, d: Pred, exec: u32, m: u32) {
+        if !d.is_true_reg() {
+            let p = &mut self.preds[d.index()];
+            *p = *p & !exec | m & exec;
         }
     }
 }
@@ -117,8 +223,42 @@ pub(crate) struct CtaCtx {
     /// Linear CTA index.
     pub cta_linear: u64,
     pub shared: Vec<u8>,
-    /// Per-thread local memory, indexed by flat thread id within the CTA.
-    pub locals: Vec<Vec<u8>>,
+    /// Local memory of every warp, interleaved by 32-bit word: thread
+    /// `32 * w + lane`'s bytes `4 * word..4 * word + 4` (little-endian) are
+    /// `local[w * local_words + word][lane]`.
+    pub local: Vec<Row>,
+    /// Rows per warp: the per-thread size rounded up to whole words.
+    pub local_words: usize,
+    /// Per-thread local-memory bytes; accesses are bounds-checked against
+    /// this, not the rounded-up rows.
+    pub local_size: usize,
+}
+
+/// Start of the 4-byte access at `addr + 4 * k` in a `len`-byte space, or
+/// `None` when any byte of it lies outside — including when the address
+/// arithmetic wraps.
+fn span(addr: u64, k: usize, len: usize) -> Option<usize> {
+    let a = usize::try_from(addr.checked_add(4 * k as u64)?).ok()?;
+    (a.checked_add(4)? <= len).then_some(a)
+}
+
+/// The little-endian word at byte `a` of `lane`'s local memory.
+fn local_word(rows: &[Row], lane: usize, a: usize) -> u32 {
+    match 8 * (a % 4) as u32 {
+        0 => rows[a / 4][lane],
+        sh => rows[a / 4][lane] >> sh | rows[a / 4 + 1][lane] << (32 - sh),
+    }
+}
+
+fn set_local_word(rows: &mut [Row], lane: usize, a: usize, v: u32) {
+    match 8 * (a % 4) as u32 {
+        0 => rows[a / 4][lane] = v,
+        sh => {
+            let high = u32::MAX << sh;
+            rows[a / 4][lane] = rows[a / 4][lane] & !high | v << sh;
+            rows[a / 4 + 1][lane] = rows[a / 4 + 1][lane] & high | v >> (32 - sh);
+        }
+    }
 }
 
 /// Everything one CTA's execution needs. Shared state comes in behind
@@ -134,7 +274,7 @@ pub(crate) struct ExecEnv<'d> {
     /// Entries this CTA decoded; merged back in CTA-linear order after the
     /// launch so cross-launch cache state is scheduler-independent.
     pub overlay: DecodeCache,
-    pub stats: ExecStats,
+    pub stats: CtaStats,
     pub grid: Dim3,
     pub block: Dim3,
     pub cbanks: &'d [Vec<u8>; 4],
@@ -180,11 +320,11 @@ impl<'d> ExecEnv<'d> {
             self.overlay.get(&pc).or_else(|| self.snapshot.get(&pc))
         {
             if *cached_raw == raw_word {
-                self.stats.decode_hits += 1;
+                self.stats.sum.decode_hits += 1;
                 return Ok(Arc::clone(decoded));
             }
         }
-        self.stats.decode_misses += 1;
+        self.stats.sum.decode_misses += 1;
         let codec = sass::codec::codec_for(self.spec.arch);
         let instr = Arc::new(
             codec
@@ -216,88 +356,49 @@ impl<'d> ExecEnv<'d> {
             }
 
             let instr = self.fetch(pc)?;
-            let exec = self.guard_mask(warp, &instr, mask);
-            self.stats.record(instr.op, exec);
-            self.account_cost(warp, &instr, exec)?;
+            // Classified once per step; statistics, the cost model and the
+            // dispatch below all read these.
+            let (cat, cf) = (instr.op.category(), instr.op.cf_class());
+            let exec = mask & warp.pred(instr.guard.pred, instr.guard.negated);
+            self.stats.record(instr.op, cat, exec);
+            self.account_cost(warp, &instr, cat, exec);
 
-            match instr.op.cf_class() {
-                sass::op::CfClass::None => {
-                    if exec != 0 {
-                        self.execute(warp, cta, &instr, exec, pc)?;
-                    }
-                    warp.entries.last_mut().unwrap().pc = pc + isize;
+            if cf == CfClass::None {
+                if exec != 0 {
+                    self.execute(warp, cta, &instr, exec, pc)?;
                 }
-                _ => {
-                    let continue_warp = self.control_flow(warp, &instr, exec, pc, isize)?;
-                    if !continue_warp {
-                        return Ok(()); // barrier or done
-                    }
-                }
+                warp.entries.last_mut().unwrap().pc = pc + isize;
+            } else if !self.control_flow(warp, &instr, cf, exec, pc, isize)? {
+                return Ok(()); // barrier or done
             }
         }
-    }
-
-    fn guard_mask(&self, warp: &Warp, instr: &Instruction, mask: u32) -> u32 {
-        if instr.guard.is_always() {
-            return mask;
-        }
-        let p = instr.guard.pred.index();
-        let mut m = 0u32;
-        for lane in 0..WARP {
-            if mask & (1 << lane) != 0 && (warp.preds[lane][p] != instr.guard.negated) {
-                m |= 1 << lane;
-            }
-        }
-        m
     }
 
     /// Timing-model accounting, including memory-divergence cost.
-    fn account_cost(&mut self, warp: &Warp, instr: &Instruction, exec: u32) -> Result<()> {
-        let cat = instr.op.category();
-        let mut cycles = self.spec.cost.issue + self.spec.cost.of(cat);
+    fn account_cost(&mut self, warp: &Warp, instr: &Instruction, cat: OpCategory, exec: u32) {
+        let cost = &self.spec.cost;
+        let mut cycles = cost.issue + cost.category[cat as usize];
+        let sum = &mut self.stats.sum;
         match cat {
-            sass::OpCategory::MemGlobal if exec != 0 => {
-                let lines = self.global_lines(warp, instr, exec)?;
-                self.stats.mem.global_lines += lines;
-                cycles += self.spec.cost.global_per_line * lines.saturating_sub(1);
+            OpCategory::MemGlobal if exec != 0 => {
+                let lines = global_lines(warp, instr, exec, self.spec.cache_line as u64);
+                sum.mem.global_lines += lines;
+                cycles += cost.global_per_line * lines.saturating_sub(1);
                 if instr.op.is_load() {
-                    self.stats.mem.global_loads += 1;
+                    sum.mem.global_loads += 1;
                 } else {
-                    self.stats.mem.global_stores += 1;
+                    sum.mem.global_stores += 1;
                 }
             }
-            sass::OpCategory::MemShared if exec != 0 => self.stats.mem.shared_accesses += 1,
-            sass::OpCategory::MemLocal if exec != 0 => self.stats.mem.local_accesses += 1,
-            sass::OpCategory::Atomic if exec != 0 => {
-                self.stats.mem.atomics += exec.count_ones() as u64;
-                cycles += self.spec.cost.atomic_per_lane * exec.count_ones() as u64;
+            OpCategory::MemShared if exec != 0 => sum.mem.shared_accesses += 1,
+            OpCategory::MemLocal if exec != 0 => sum.mem.local_accesses += 1,
+            OpCategory::Atomic if exec != 0 => {
+                sum.mem.atomics += exec.count_ones() as u64;
+                cycles += cost.atomic_per_lane * exec.count_ones() as u64;
             }
             _ => {}
         }
-        self.stats.cycles += cycles;
-        Ok(())
-    }
-
-    /// Number of distinct cache lines a warp-level global access touches.
-    fn global_lines(&self, warp: &Warp, instr: &Instruction, exec: u32) -> Result<u64> {
-        let Some(Operand::MRef { base, offset }) =
-            instr.operands.iter().find(|o| matches!(o, Operand::MRef { .. }))
-        else {
-            return Ok(1);
-        };
-        let line = self.spec.cache_line as u64;
-        let mut lines: Vec<u64> = Vec::with_capacity(4);
-        for lane in 0..WARP {
-            if exec & (1 << lane) == 0 {
-                continue;
-            }
-            let addr = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64);
-            let l = addr / line;
-            if !lines.contains(&l) {
-                lines.push(l);
-            }
-        }
-        Ok(lines.len().max(1) as u64)
+        sum.cycles += cycles;
     }
 
     /// Handles a control-flow instruction; returns `false` when the caller
@@ -306,14 +407,14 @@ impl<'d> ExecEnv<'d> {
         &mut self,
         warp: &mut Warp,
         instr: &Instruction,
+        cf: CfClass,
         exec: u32,
         pc: u64,
         isize: u64,
     ) -> Result<bool> {
-        use sass::op::CfClass;
         let next = pc + isize;
         let mask = warp.entries.last().unwrap().mask;
-        match instr.op.cf_class() {
+        match cf {
             CfClass::RelBranch | CfClass::AbsJump => {
                 let target = match instr.operands.first() {
                     Some(Operand::Rel(off)) => next.wrapping_add(*off as u64),
@@ -344,16 +445,14 @@ impl<'d> ExecEnv<'d> {
                     return Err(self.fault(pc, "BRX without register"));
                 };
                 let mut target = None;
-                for lane in 0..WARP {
-                    if exec & (1 << lane) != 0 {
-                        let t = warp.pair(lane, *r);
-                        match target {
-                            None => target = Some(t),
-                            Some(prev) if prev != t => {
-                                return Err(self.fault(pc, "divergent indirect branch"));
-                            }
-                            _ => {}
+                for lane in lanes(exec) {
+                    let t = warp.pair(lane, *r);
+                    match target {
+                        None => target = Some(t),
+                        Some(prev) if prev != t => {
+                            return Err(self.fault(pc, "divergent indirect branch"));
                         }
+                        _ => {}
                     }
                 }
                 warp.entries.last_mut().unwrap().pc =
@@ -463,13 +562,6 @@ impl<'d> ExecEnv<'d> {
         pc: u64,
     ) -> Result<()> {
         let ops = &instr.operands;
-        let val32 = |warp: &Warp, lane: usize, o: &Operand| -> u32 {
-            match o {
-                Operand::Reg(r) => warp.reg(lane, *r),
-                Operand::Imm(v) => *v as u32,
-                _ => 0,
-            }
-        };
         let dst_reg = |o: &Operand| -> Reg {
             match o {
                 Operand::Reg(r) => *r,
@@ -477,146 +569,94 @@ impl<'d> ExecEnv<'d> {
             }
         };
         let f = f32::from_bits;
-        let lanes = (0..WARP).filter(|l| exec & (1 << l) != 0);
+        let (sub, itype) = (instr.mods.sub, instr.mods.itype);
+        let s32 = itype == IType::S32;
 
         match instr.op {
             Op::Nop | Op::Membar => {}
-            Op::Mov => {
-                let d = dst_reg(&ops[0]);
-                for lane in lanes {
-                    let v = val32(warp, lane, &ops[1]);
-                    warp.set_reg(lane, d, v);
-                }
-            }
-            Op::Mov32i => {
-                let d = dst_reg(&ops[0]);
-                let v = ops[1].as_imm().unwrap_or(0) as u32;
-                for lane in lanes {
-                    warp.set_reg(lane, d, v);
-                }
+            Op::Mov | Op::Mov32i => {
+                let v = warp.src(&ops[1]);
+                warp.set(dst_reg(&ops[0]), exec, |l| v[l]);
             }
             Op::Sel => {
-                let d = dst_reg(&ops[0]);
                 let Operand::Pred { pred, negated } = ops[3] else {
                     return Err(self.fault(pc, "SEL without predicate"));
                 };
-                for lane in lanes {
-                    let p = warp.preds[lane][pred.index()] != negated;
-                    let v = if p { val32(warp, lane, &ops[1]) } else { val32(warp, lane, &ops[2]) };
-                    warp.set_reg(lane, d, v);
-                }
+                let (p, a, b) = (warp.pred(pred, negated), warp.src(&ops[1]), warp.src(&ops[2]));
+                warp.set(dst_reg(&ops[0]), exec, |l| if p >> l & 1 != 0 { a[l] } else { b[l] });
             }
             Op::S2r => {
-                let d = dst_reg(&ops[0]);
                 let Operand::SReg(sr) = ops[1] else {
                     return Err(self.fault(pc, "S2R without special register"));
                 };
-                for lane in lanes {
-                    let v = self.special(warp, cta, lane, sr, exec);
-                    warp.set_reg(lane, d, v);
-                }
+                let v: Row = std::array::from_fn(|lane| self.special(warp, cta, lane, sr, exec));
+                warp.set(dst_reg(&ops[0]), exec, |l| v[l]);
             }
             Op::P2r => {
-                let d = dst_reg(&ops[0]);
-                for lane in lanes {
-                    let mut v = 0u32;
-                    for p in 0..7 {
-                        if warp.preds[lane][p] {
-                            v |= 1 << p;
-                        }
-                    }
-                    warp.set_reg(lane, d, v);
-                }
+                let p = warp.preds;
+                warp.set(dst_reg(&ops[0]), exec, |l| {
+                    (0..Pred::NUM_WRITABLE).fold(0, |v, i| v | (p[i] >> l & 1) << i)
+                });
             }
             Op::R2p => {
                 let Operand::Reg(s) = ops[0] else {
                     return Err(self.fault(pc, "R2P without register"));
                 };
-                for lane in lanes {
-                    let v = warp.reg(lane, s);
-                    for p in 0..7 {
-                        warp.preds[lane][p] = v & (1 << p) != 0;
-                    }
+                let v = warp.regs[s.index()];
+                for i in 0..Pred::NUM_WRITABLE {
+                    warp.set_pred(Pred(i as u8), exec, lanes_where(|l| v[l] >> i & 1 != 0));
                 }
             }
             Op::Shfl => {
-                let d = dst_reg(&ops[0]);
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "SHFL without source"));
                 };
-                let snapshot: Vec<u32> = (0..WARP).map(|l| warp.reg(l, a)).collect();
-                for lane in lanes {
-                    let b = val32(warp, lane, &ops[2]) as usize;
-                    let src_lane = match instr.mods.sub {
-                        SubOp::Idx => b % WARP,
-                        SubOp::Up => {
-                            if lane >= b {
-                                lane - b
-                            } else {
-                                lane
-                            }
-                        }
-                        SubOp::Down => {
-                            if lane + b < WARP {
-                                lane + b
-                            } else {
-                                lane
-                            }
-                        }
-                        SubOp::Bfly => lane ^ (b % WARP),
-                        _ => return Err(self.fault(pc, "SHFL with invalid mode")),
-                    };
-                    warp.set_reg(lane, d, snapshot[src_lane]);
+                if !matches!(sub, SubOp::Idx | SubOp::Up | SubOp::Down | SubOp::Bfly) {
+                    return Err(self.fault(pc, "SHFL with invalid mode"));
                 }
+                let (snapshot, b) = (warp.regs[a.index()], warp.src(&ops[2]));
+                warp.set(dst_reg(&ops[0]), exec, |lane| {
+                    let b = b[lane] as usize;
+                    snapshot[match sub {
+                        SubOp::Idx => b % WARP,
+                        SubOp::Up if lane >= b => lane - b,
+                        SubOp::Down if lane + b < WARP => lane + b,
+                        SubOp::Bfly => lane ^ (b % WARP),
+                        _ => lane,
+                    }]
+                });
             }
             Op::Vote => {
-                let d = dst_reg(&ops[0]);
                 let Operand::Pred { pred, negated } = ops[1] else {
                     return Err(self.fault(pc, "VOTE without predicate"));
                 };
-                let mut ballot = 0u32;
-                for lane in 0..WARP {
-                    if exec & (1 << lane) != 0 && (warp.preds[lane][pred.index()] != negated) {
-                        ballot |= 1 << lane;
-                    }
-                }
-                let v = match instr.mods.sub {
+                let ballot = exec & warp.pred(pred, negated);
+                let v = match sub {
                     SubOp::Ballot => ballot,
                     SubOp::All => u32::from(ballot == exec),
                     SubOp::Any => u32::from(ballot != 0),
                     _ => return Err(self.fault(pc, "VOTE with invalid mode")),
                 };
-                for lane in 0..WARP {
-                    if exec & (1 << lane) != 0 {
-                        warp.set_reg(lane, d, v);
-                    }
-                }
+                warp.set(dst_reg(&ops[0]), exec, |_| v);
             }
             Op::Popc => {
-                let d = dst_reg(&ops[0]);
-                for lane in lanes {
-                    let v = val32(warp, lane, &ops[1]).count_ones();
-                    warp.set_reg(lane, d, v);
-                }
+                let v = warp.src(&ops[1]);
+                warp.set(dst_reg(&ops[0]), exec, |l| v[l].count_ones());
             }
-            Op::Iadd | Op::Isub if instr.mods.itype == IType::U64 => {
-                let d = dst_reg(&ops[0]);
+            Op::Iadd | Op::Isub if itype == IType::U64 => {
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "wide add without register source"));
                 };
-                for lane in lanes {
-                    let av = warp.pair(lane, a);
-                    let bv = match &ops[2] {
-                        Operand::Reg(r) => warp.pair(lane, *r),
-                        Operand::Imm(v) => *v as u64,
-                        _ => 0,
-                    };
-                    let r = if instr.op == Op::Iadd {
-                        av.wrapping_add(bv)
-                    } else {
-                        av.wrapping_sub(bv)
-                    };
-                    warp.set_pair(lane, d, r);
+                let a = warp.pairs(a);
+                let b = match &ops[2] {
+                    Operand::Reg(r) => warp.pairs(*r),
+                    Operand::Imm(v) => [*v as u64; WARP],
+                    _ => [0; WARP],
+                };
+                if instr.op == Op::Iadd {
+                    warp.set_pairs(dst_reg(&ops[0]), exec, |l| a[l].wrapping_add(b[l]));
+                } else {
+                    warp.set_pairs(dst_reg(&ops[0]), exec, |l| a[l].wrapping_sub(b[l]));
                 }
             }
             Op::Iadd
@@ -631,46 +671,39 @@ impl<'d> ExecEnv<'d> {
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "integer op without register source"));
                 };
-                if instr.mods.itype == IType::U64 && matches!(instr.op, Op::Shl | Op::Shr) {
-                    for lane in lanes {
-                        let av = warp.pair(lane, a);
-                        let b = val32(warp, lane, &ops[2]) & 63;
-                        let r = if instr.op == Op::Shl { av.wrapping_shl(b) } else { av >> b };
-                        warp.set_pair(lane, d, r);
+                let b = warp.src(&ops[2]);
+                if itype == IType::U64 && matches!(instr.op, Op::Shl | Op::Shr) {
+                    let a = warp.pairs(a);
+                    if instr.op == Op::Shl {
+                        warp.set_pairs(d, exec, |l| a[l].wrapping_shl(b[l] & 63));
+                    } else {
+                        warp.set_pairs(d, exec, |l| a[l] >> (b[l] & 63));
                     }
                     return Ok(());
                 }
-                for lane in lanes {
-                    let av = warp.reg(lane, a);
-                    let bv = val32(warp, lane, &ops[2]);
-                    let r = match instr.op {
-                        Op::Iadd | Op::Iadd32i => av.wrapping_add(bv),
-                        Op::Isub => av.wrapping_sub(bv),
-                        Op::Imul => av.wrapping_mul(bv),
-                        Op::Imnmx => match (instr.mods.sub, instr.mods.itype) {
-                            (SubOp::Min, IType::S32) => (av as i32).min(bv as i32) as u32,
-                            (SubOp::Min, _) => av.min(bv),
-                            (SubOp::Max, IType::S32) => (av as i32).max(bv as i32) as u32,
-                            (_, _) => av.max(bv),
-                        },
-                        Op::Shl => av.wrapping_shl(bv & 31),
-                        Op::Shr => {
-                            if instr.mods.itype == IType::S32 {
-                                ((av as i32) >> (bv & 31)) as u32
-                            } else {
-                                av >> (bv & 31)
-                            }
-                        }
-                        Op::Lop => match instr.mods.sub {
-                            SubOp::And => av & bv,
-                            SubOp::Or => av | bv,
-                            SubOp::Xor => av ^ bv,
-                            SubOp::Not => !bv,
-                            _ => return Err(self.fault(pc, "LOP with invalid mode")),
-                        },
-                        _ => unreachable!(),
-                    };
-                    warp.set_reg(lane, d, r);
+                let a = warp.regs[a.index()];
+                match (instr.op, sub) {
+                    (Op::Iadd | Op::Iadd32i, _) => warp.zip(d, exec, &a, &b, u32::wrapping_add),
+                    (Op::Isub, _) => warp.zip(d, exec, &a, &b, u32::wrapping_sub),
+                    (Op::Imul, _) => warp.zip(d, exec, &a, &b, u32::wrapping_mul),
+                    (Op::Imnmx, SubOp::Min) if s32 => {
+                        warp.zip(d, exec, &a, &b, |x, y| (x as i32).min(y as i32) as u32);
+                    }
+                    (Op::Imnmx, SubOp::Min) => warp.zip(d, exec, &a, &b, u32::min),
+                    (Op::Imnmx, SubOp::Max) if s32 => {
+                        warp.zip(d, exec, &a, &b, |x, y| (x as i32).max(y as i32) as u32);
+                    }
+                    (Op::Imnmx, _) => warp.zip(d, exec, &a, &b, u32::max),
+                    (Op::Shl, _) => warp.zip(d, exec, &a, &b, |x, y| x.wrapping_shl(y & 31)),
+                    (Op::Shr, _) if s32 => {
+                        warp.zip(d, exec, &a, &b, |x, y| ((x as i32) >> (y & 31)) as u32);
+                    }
+                    (Op::Shr, _) => warp.zip(d, exec, &a, &b, |x, y| x >> (y & 31)),
+                    (Op::Lop, SubOp::And) => warp.zip(d, exec, &a, &b, |x, y| x & y),
+                    (Op::Lop, SubOp::Or) => warp.zip(d, exec, &a, &b, |x, y| x | y),
+                    (Op::Lop, SubOp::Xor) => warp.zip(d, exec, &a, &b, |x, y| x ^ y),
+                    (Op::Lop, SubOp::Not) => warp.zip(d, exec, &a, &b, |_, y| !y),
+                    _ => return Err(self.fault(pc, "LOP with invalid mode")),
                 }
             }
             Op::Imad => {
@@ -680,19 +713,15 @@ impl<'d> ExecEnv<'d> {
                 else {
                     return Err(self.fault(pc, "IMAD operands must be registers"));
                 };
-                for lane in lanes {
-                    if instr.mods.itype == IType::U64 {
-                        let prod =
-                            (warp.reg(lane, *a) as u64).wrapping_mul(warp.reg(lane, *b) as u64);
-                        let r = prod.wrapping_add(warp.pair(lane, *c));
-                        warp.set_pair(lane, d, r);
-                    } else {
-                        let r = warp
-                            .reg(lane, *a)
-                            .wrapping_mul(warp.reg(lane, *b))
-                            .wrapping_add(warp.reg(lane, *c));
-                        warp.set_reg(lane, d, r);
-                    }
+                let (a, b) = (warp.regs[a.index()], warp.regs[b.index()]);
+                if itype == IType::U64 {
+                    let c = warp.pairs(*c);
+                    warp.set_pairs(d, exec, |l| {
+                        (a[l] as u64).wrapping_mul(b[l] as u64).wrapping_add(c[l])
+                    });
+                } else {
+                    let c = warp.regs[c.index()];
+                    warp.set(d, exec, |l| a[l].wrapping_mul(b[l]).wrapping_add(c[l]));
                 }
             }
             Op::Isetp => {
@@ -702,18 +731,13 @@ impl<'d> ExecEnv<'d> {
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "ISETP without register source"));
                 };
-                for lane in lanes {
-                    let av = warp.reg(lane, a);
-                    let bv = val32(warp, lane, &ops[2]);
-                    let r = if instr.mods.itype == IType::S32 {
-                        cmp_i(instr.mods.cmp, av as i32 as i64, bv as i32 as i64)
-                    } else {
-                        cmp_i(instr.mods.cmp, av as i64, bv as i64)
-                    };
-                    if !d.is_true_reg() {
-                        warp.preds[lane][d.index()] = r;
-                    }
-                }
+                let (a, b) = (warp.regs[a.index()], warp.src(&ops[2]));
+                let m = if s32 {
+                    cmp_mask(instr.mods.cmp, &a.map(|v| v as i32), &b.map(|v| v as i32))
+                } else {
+                    cmp_mask(instr.mods.cmp, &a, &b)
+                };
+                warp.set_pred(d, exec, m);
             }
             Op::Psetp => {
                 let Operand::Pred { pred: d, .. } = ops[0] else {
@@ -726,55 +750,36 @@ impl<'d> ExecEnv<'d> {
                 else {
                     return Err(self.fault(pc, "PSETP without predicate sources"));
                 };
-                for lane in lanes {
-                    let av = warp.preds[lane][a.index()] != *na;
-                    let bv = warp.preds[lane][b.index()] != *nb;
-                    let r = match instr.mods.sub {
-                        SubOp::And => av && bv,
-                        SubOp::Or => av || bv,
-                        SubOp::Xor => av != bv,
-                        _ => return Err(self.fault(pc, "PSETP with invalid mode")),
-                    };
-                    if !d.is_true_reg() {
-                        warp.preds[lane][d.index()] = r;
-                    }
-                }
+                let (a, b) = (warp.pred(*a, *na), warp.pred(*b, *nb));
+                let m = match sub {
+                    SubOp::And => a & b,
+                    SubOp::Or => a | b,
+                    SubOp::Xor => a ^ b,
+                    _ => return Err(self.fault(pc, "PSETP with invalid mode")),
+                };
+                warp.set_pred(d, exec, m);
             }
             Op::Fadd | Op::Fmul | Op::Fmnmx => {
                 let d = dst_reg(&ops[0]);
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "float op without register source"));
                 };
-                for lane in lanes {
-                    let av = f(warp.reg(lane, a));
-                    let bv = f(val32(warp, lane, &ops[2]));
-                    let r = match instr.op {
-                        Op::Fadd => av + bv,
-                        Op::Fmul => av * bv,
-                        Op::Fmnmx => {
-                            if instr.mods.sub == SubOp::Min {
-                                av.min(bv)
-                            } else {
-                                av.max(bv)
-                            }
-                        }
-                        _ => unreachable!(),
-                    };
-                    warp.set_reg(lane, d, r.to_bits());
+                let (a, b) = (warp.regs[a.index()], warp.src(&ops[2]));
+                match (instr.op, sub) {
+                    (Op::Fadd, _) => warp.zip_f32(d, exec, &a, &b, |x, y| x + y),
+                    (Op::Fmul, _) => warp.zip_f32(d, exec, &a, &b, |x, y| x * y),
+                    (_, SubOp::Min) => warp.zip_f32(d, exec, &a, &b, f32::min),
+                    _ => warp.zip_f32(d, exec, &a, &b, f32::max),
                 }
             }
             Op::Ffma => {
-                let d = dst_reg(&ops[0]);
                 let (Operand::Reg(a), Operand::Reg(b), Operand::Reg(c)) =
                     (&ops[1], &ops[2], &ops[3])
                 else {
                     return Err(self.fault(pc, "FFMA operands must be registers"));
                 };
-                for lane in lanes {
-                    let r =
-                        f(warp.reg(lane, *a)).mul_add(f(warp.reg(lane, *b)), f(warp.reg(lane, *c)));
-                    warp.set_reg(lane, d, r.to_bits());
-                }
+                let (a, b, c) = (warp.regs[a.index()], warp.regs[b.index()], warp.regs[c.index()]);
+                warp.set(dst_reg(&ops[0]), exec, |l| f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits());
             }
             Op::Fsetp => {
                 let Operand::Pred { pred: d, .. } = ops[0] else {
@@ -783,61 +788,45 @@ impl<'d> ExecEnv<'d> {
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "FSETP without register source"));
                 };
-                for lane in lanes {
-                    let av = f(warp.reg(lane, a));
-                    let bv = f(val32(warp, lane, &ops[2]));
-                    let r = cmp_f64(instr.mods.cmp, av as f64, bv as f64);
-                    if !d.is_true_reg() {
-                        warp.preds[lane][d.index()] = r;
-                    }
-                }
+                let (a, b) = (warp.regs[a.index()].map(f), warp.src(&ops[2]).map(f));
+                warp.set_pred(d, exec, cmp_mask(instr.mods.cmp, &a, &b));
             }
             Op::Mufu => {
-                let d = dst_reg(&ops[0]);
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "MUFU without register source"));
                 };
-                for lane in lanes {
-                    let v = f(warp.reg(lane, a));
-                    let r = match instr.mods.sub {
-                        SubOp::Rcp => 1.0 / v,
-                        SubOp::Sqrt => v.sqrt(),
-                        SubOp::Rsq => 1.0 / v.sqrt(),
-                        SubOp::Sin => v.sin(),
-                        SubOp::Cos => v.cos(),
-                        SubOp::Ex2 => v.exp2(),
-                        SubOp::Lg2 => v.log2(),
-                        _ => return Err(self.fault(pc, "MUFU with invalid mode")),
-                    };
-                    warp.set_reg(lane, d, r.to_bits());
-                }
+                let g: fn(f32) -> f32 = match sub {
+                    SubOp::Rcp => |v| 1.0 / v,
+                    SubOp::Sqrt => f32::sqrt,
+                    SubOp::Rsq => |v| 1.0 / v.sqrt(),
+                    SubOp::Sin => f32::sin,
+                    SubOp::Cos => f32::cos,
+                    SubOp::Ex2 => f32::exp2,
+                    SubOp::Lg2 => f32::log2,
+                    _ => return Err(self.fault(pc, "MUFU with invalid mode")),
+                };
+                let a = warp.regs[a.index()];
+                warp.set(dst_reg(&ops[0]), exec, |l| g(f(a[l])).to_bits());
             }
             Op::Dadd | Op::Dmul => {
-                let d = dst_reg(&ops[0]);
                 let (Operand::Reg(a), Operand::Reg(b)) = (&ops[1], &ops[2]) else {
                     return Err(self.fault(pc, "double op operands must be registers"));
                 };
-                for lane in lanes {
-                    let av = f64::from_bits(warp.pair(lane, *a));
-                    let bv = f64::from_bits(warp.pair(lane, *b));
-                    let r = if instr.op == Op::Dadd { av + bv } else { av * bv };
-                    warp.set_pair(lane, d, r.to_bits());
+                let (d, a, b) = (dst_reg(&ops[0]), warp.doubles(*a), warp.doubles(*b));
+                if instr.op == Op::Dadd {
+                    warp.set_pairs(d, exec, |l| (a[l] + b[l]).to_bits());
+                } else {
+                    warp.set_pairs(d, exec, |l| (a[l] * b[l]).to_bits());
                 }
             }
             Op::Dfma => {
-                let d = dst_reg(&ops[0]);
                 let (Operand::Reg(a), Operand::Reg(b), Operand::Reg(c)) =
                     (&ops[1], &ops[2], &ops[3])
                 else {
                     return Err(self.fault(pc, "DFMA operands must be registers"));
                 };
-                for lane in lanes {
-                    let r = f64::from_bits(warp.pair(lane, *a)).mul_add(
-                        f64::from_bits(warp.pair(lane, *b)),
-                        f64::from_bits(warp.pair(lane, *c)),
-                    );
-                    warp.set_pair(lane, d, r.to_bits());
-                }
+                let (a, b, c) = (warp.doubles(*a), warp.doubles(*b), warp.doubles(*c));
+                warp.set_pairs(dst_reg(&ops[0]), exec, |l| a[l].mul_add(b[l], c[l]).to_bits());
             }
             Op::Dsetp => {
                 let Operand::Pred { pred: d, .. } = ops[0] else {
@@ -846,55 +835,35 @@ impl<'d> ExecEnv<'d> {
                 let (Operand::Reg(a), Operand::Reg(b)) = (&ops[1], &ops[2]) else {
                     return Err(self.fault(pc, "DSETP operands must be registers"));
                 };
-                for lane in lanes {
-                    let av = f64::from_bits(warp.pair(lane, *a));
-                    let bv = f64::from_bits(warp.pair(lane, *b));
-                    let r = cmp_f64(instr.mods.cmp, av, bv);
-                    if !d.is_true_reg() {
-                        warp.preds[lane][d.index()] = r;
-                    }
-                }
+                let m = cmp_mask(instr.mods.cmp, &warp.doubles(*a), &warp.doubles(*b));
+                warp.set_pred(d, exec, m);
             }
             Op::I2f => {
-                let d = dst_reg(&ops[0]);
-                for lane in lanes {
-                    let v = val32(warp, lane, &ops[1]);
-                    let r =
-                        if instr.mods.itype == IType::S32 { (v as i32) as f32 } else { v as f32 };
-                    warp.set_reg(lane, d, r.to_bits());
+                let v = warp.src(&ops[1]);
+                if s32 {
+                    warp.set(dst_reg(&ops[0]), exec, |l| (v[l] as i32 as f32).to_bits());
+                } else {
+                    warp.set(dst_reg(&ops[0]), exec, |l| (v[l] as f32).to_bits());
                 }
             }
-            Op::F2i => {
-                let d = dst_reg(&ops[0]);
+            Op::F2i | Op::F2d => {
                 let Operand::Reg(a) = ops[1] else {
-                    return Err(self.fault(pc, "F2I without register source"));
+                    let op = instr.op.mnemonic();
+                    return Err(self.fault(pc, format!("{op} without register source")));
                 };
-                for lane in lanes {
-                    let v = f(warp.reg(lane, a));
-                    let r =
-                        if instr.mods.itype == IType::S32 { (v as i32) as u32 } else { v as u32 };
-                    warp.set_reg(lane, d, r);
-                }
-            }
-            Op::F2d => {
-                let d = dst_reg(&ops[0]);
-                let Operand::Reg(a) = ops[1] else {
-                    return Err(self.fault(pc, "F2D without register source"));
-                };
-                for lane in lanes {
-                    let r = (f(warp.reg(lane, a)) as f64).to_bits();
-                    warp.set_pair(lane, d, r);
+                let (d, a) = (dst_reg(&ops[0]), warp.regs[a.index()]);
+                match (instr.op, s32) {
+                    (Op::F2d, _) => warp.set_pairs(d, exec, |l| (f(a[l]) as f64).to_bits()),
+                    (_, true) => warp.set(d, exec, |l| f(a[l]) as i32 as u32),
+                    (_, false) => warp.set(d, exec, |l| f(a[l]) as u32),
                 }
             }
             Op::D2f => {
-                let d = dst_reg(&ops[0]);
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "D2F without register source"));
                 };
-                for lane in lanes {
-                    let r = (f64::from_bits(warp.pair(lane, a)) as f32).to_bits();
-                    warp.set_reg(lane, d, r);
-                }
+                let a = warp.pairs(a);
+                warp.set(dst_reg(&ops[0]), exec, |l| (f64::from_bits(a[l]) as f32).to_bits());
             }
             Op::Ldg | Op::Stg | Op::Lds | Op::Sts | Op::Ldl | Op::Stl => {
                 self.load_store(warp, cta, instr, exec, pc)?;
@@ -905,13 +874,9 @@ impl<'d> ExecEnv<'d> {
                     return Err(self.fault(pc, "LDC without constant reference"));
                 };
                 let bank_data = &self.cbanks[(bank as usize).min(3)];
-                let regs = instr.mods.width.regs();
-                for lane in 0..WARP {
-                    if exec & (1 << lane) == 0 {
-                        continue;
-                    }
+                for lane in lanes(exec) {
                     let idx = warp.reg(lane, base) as usize + offset as usize;
-                    for k in 0..regs {
+                    for k in 0..instr.mods.width.regs() {
                         let off = idx + 4 * k;
                         if off + 4 > bank_data.len() {
                             return Err(self.fault(
@@ -920,8 +885,7 @@ impl<'d> ExecEnv<'d> {
                             ));
                         }
                         let v = u32::from_le_bytes(bank_data[off..off + 4].try_into().unwrap());
-                        let dr = Reg(d.0.wrapping_add(k as u8));
-                        warp.set_reg(lane, dr, v);
+                        warp.set_reg(lane, Reg(d.0.wrapping_add(k as u8)), v);
                     }
                 }
             }
@@ -951,7 +915,7 @@ impl<'d> ExecEnv<'d> {
                 // the CTA-linear index: per-CTA streams are push-ordered, so
                 // the drained trace is scheduler-independent after per-tag
                 // reassembly.
-                for lane in lanes {
+                for lane in lanes(exec) {
                     chan.push(cta.cta_linear, warp.pair(lane, a));
                 }
             }
@@ -982,7 +946,7 @@ impl<'d> ExecEnv<'d> {
             SpecialReg::LaneId => lane as u32,
             SpecialReg::WarpId => warp.base_tid / 32,
             SpecialReg::SmId => (cta.cta_linear % self.spec.num_sms as u64) as u32,
-            SpecialReg::Clock => self.stats.cycles as u32,
+            SpecialReg::Clock => self.stats.sum.cycles as u32,
             SpecialReg::ActiveMask => exec,
             SpecialReg::GridId => self.launch_id as u32,
             SpecialReg::BarrierState => {
@@ -1021,66 +985,81 @@ impl<'d> ExecEnv<'d> {
             return Err(self.fault(pc, "register quad out of range"));
         }
         let space = instr.op.mem_space().unwrap();
-        for lane in 0..WARP {
-            if exec & (1 << lane) == 0 {
-                continue;
-            }
-            // Global/local addresses are 64-bit; shared addresses 32-bit.
-            let addr = match space {
-                sass::MemSpace::Shared | sass::MemSpace::Local => {
-                    (warp.reg(lane, *base) as u64).wrapping_add(*offset as i64 as u64)
+        let offset = *offset as i64 as u64;
+        let CtaCtx { shared, local, local_words, local_size, .. } = cta;
+        let rows = &mut local[warp.base_tid as usize / WARP * *local_words..][..*local_words];
+
+        // Row path: the active lanes of a local access share one 4-aligned,
+        // in-bounds address, so each register moves as one masked row.
+        // (`execute` runs only with an active lane, so `exec` has a first.)
+        if space == MemSpace::Local {
+            let bases = warp.regs[base.index()];
+            let first = bases[exec.trailing_zeros() as usize];
+            let addr = (first as u64).wrapping_add(offset);
+            if addr.is_multiple_of(4)
+                && span(addr, nregs - 1, *local_size).is_some()
+                && lanes(exec).all(|l| bases[l] == first)
+            {
+                for k in 0..nregs {
+                    let (r, row) = (Reg(base_plus(rv, k)), &mut rows[addr as usize / 4 + k]);
+                    if is_load {
+                        warp.set(r, exec, |l| row[l]);
+                    } else {
+                        fill(row, exec, |l| warp.regs[r.index()][l]);
+                    }
                 }
-                _ => warp.pair(lane, *base).wrapping_add(*offset as i64 as u64),
-            };
+                return Ok(());
+            }
+        }
+
+        let what = match (space, is_load) {
+            (MemSpace::Shared, true) => "shared load",
+            (MemSpace::Shared, false) => "shared store",
+            (_, true) => "local load",
+            (_, false) => "local store",
+        };
+        for lane in lanes(exec) {
+            // Global addresses are 64-bit; shared and local addresses 32-bit.
+            let addr = match space {
+                MemSpace::Shared | MemSpace::Local => warp.reg(lane, *base) as u64,
+                _ => warp.pair(lane, *base),
+            }
+            .wrapping_add(offset);
             for k in 0..nregs {
-                let a = addr + 4 * k as u64;
+                let a = addr.wrapping_add(4 * k as u64);
                 let r = Reg(base_plus(rv, k));
                 match (space, is_load) {
-                    (sass::MemSpace::Global, true) => {
+                    (MemSpace::Global, true) => {
                         let v = self.mem.read_scalar(a, 4).map_err(|_| {
                             self.fault(pc, format!("global load fault at 0x{a:x} (lane {lane})"))
                         })? as u32;
                         warp.set_reg(lane, r, v);
                     }
-                    (sass::MemSpace::Global, false) => {
+                    (MemSpace::Global, false) => {
                         let v = warp.reg(lane, r) as u64;
                         self.mem.write_scalar(a, 4, v).map_err(|_| {
                             self.fault(pc, format!("global store fault at 0x{a:x} (lane {lane})"))
                         })?;
                     }
-                    (sass::MemSpace::Shared, true) => {
-                        let v = read_buf(&cta.shared, a).ok_or_else(|| {
-                            self.fault(pc, format!("shared load out of bounds at 0x{a:x}"))
+                    (MemSpace::Constant, _) => unreachable!("LDC handled separately"),
+                    _ => {
+                        let len =
+                            if space == MemSpace::Shared { shared.len() } else { *local_size };
+                        let i = span(addr, k, len).ok_or_else(|| {
+                            self.fault(pc, format!("{what} out of bounds at 0x{a:x}"))
                         })?;
-                        warp.set_reg(lane, r, v);
+                        match (space, is_load) {
+                            (MemSpace::Shared, true) => {
+                                let v = u32::from_le_bytes(shared[i..i + 4].try_into().unwrap());
+                                warp.set_reg(lane, r, v);
+                            }
+                            (MemSpace::Shared, false) => {
+                                shared[i..i + 4].copy_from_slice(&warp.reg(lane, r).to_le_bytes());
+                            }
+                            (_, true) => warp.set_reg(lane, r, local_word(rows, lane, i)),
+                            (_, false) => set_local_word(rows, lane, i, warp.reg(lane, r)),
+                        }
                     }
-                    (sass::MemSpace::Shared, false) => {
-                        let v = warp.reg(lane, r);
-                        write_buf(&mut cta.shared, a, v).ok_or_else(|| {
-                            self.fault(pc, format!("shared store out of bounds at 0x{a:x}"))
-                        })?;
-                    }
-                    (sass::MemSpace::Local, true) => {
-                        let tid = warp.base_tid as usize + lane;
-                        let buf = cta.locals.get(tid).ok_or_else(|| {
-                            self.fault(pc, format!("local access from inactive thread {tid}"))
-                        })?;
-                        let v = read_buf(buf, a).ok_or_else(|| {
-                            self.fault(pc, format!("local load out of bounds at 0x{a:x}"))
-                        })?;
-                        warp.set_reg(lane, r, v);
-                    }
-                    (sass::MemSpace::Local, false) => {
-                        let v = warp.reg(lane, r);
-                        let tid = warp.base_tid as usize + lane;
-                        let buf = cta.locals.get_mut(tid).ok_or_else(|| {
-                            self.fault(pc, format!("local access from inactive thread {tid}"))
-                        })?;
-                        write_buf(buf, a, v).ok_or_else(|| {
-                            self.fault(pc, format!("local store out of bounds at 0x{a:x}"))
-                        })?;
-                    }
-                    (sass::MemSpace::Constant, _) => unreachable!("LDC handled separately"),
                 }
             }
         }
@@ -1098,10 +1077,7 @@ impl<'d> ExecEnv<'d> {
         };
         let wide = instr.mods.itype == IType::U64;
         let len = if wide { 8 } else { 4 };
-        for lane in 0..WARP {
-            if exec & (1 << lane) == 0 {
-                continue;
-            }
+        for lane in lanes(exec) {
             let addr = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64);
             let sv = if wide {
                 match src {
@@ -1170,6 +1146,24 @@ impl<'d> ExecEnv<'d> {
     }
 }
 
+/// Number of distinct cache lines a warp-level global access touches.
+fn global_lines(warp: &Warp, instr: &Instruction, exec: u32, line: u64) -> u64 {
+    let Some(Operand::MRef { base, offset }) =
+        instr.operands.iter().find(|o| matches!(o, Operand::MRef { .. }))
+    else {
+        return 1;
+    };
+    let (mut lines, mut n) = ([0u64; WARP], 0);
+    for lane in lanes(exec) {
+        let l = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64) / line;
+        if !lines[..n].contains(&l) {
+            lines[n] = l;
+            n += 1;
+        }
+    }
+    n.max(1) as u64
+}
+
 fn base_plus(r: &Reg, k: usize) -> u8 {
     if r.is_zero() {
         255
@@ -1186,45 +1180,6 @@ fn mask_len(len: usize) -> u64 {
     }
 }
 
-fn read_buf(buf: &[u8], addr: u64) -> Option<u32> {
-    let a = addr as usize;
-    if a + 4 > buf.len() {
-        return None;
-    }
-    Some(u32::from_le_bytes(buf[a..a + 4].try_into().unwrap()))
-}
-
-fn write_buf(buf: &mut [u8], addr: u64, v: u32) -> Option<()> {
-    let a = addr as usize;
-    if a + 4 > buf.len() {
-        return None;
-    }
-    buf[a..a + 4].copy_from_slice(&v.to_le_bytes());
-    Some(())
-}
-
-fn cmp_i(cmp: CmpOp, a: i64, b: i64) -> bool {
-    match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
-fn cmp_f64(cmp: CmpOp, a: f64, b: f64) -> bool {
-    match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b, // NaN compares not-equal, matching the interpreter
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{Device, DeviceSpec, Dim3, GpuError, LaunchConfig};
@@ -1237,6 +1192,123 @@ mod tests {
         let addr = dev.alloc(code.len() as u64).unwrap();
         dev.write(addr, &code).unwrap();
         dev.launch(&LaunchConfig::new(addr, Dim3::linear(1), Dim3::linear(32)))
+    }
+
+    /// A negative or wrapping shared/local address is an out-of-bounds
+    /// fault like any other — in debug builds (where the address sum used
+    /// to overflow) and in release builds (where it used to wrap into a
+    /// slice-index panic) alike. The `.64` cases wrap on the second register.
+    fn assert_oob(cases: &[(&str, &str)]) {
+        for (text, what) in cases {
+            match run(&format!("{text}\nEXIT ;")) {
+                Err(GpuError::Fault { reason, .. }) => assert!(reason.contains(what), "{reason}"),
+                other => panic!("`{text}`: expected fault, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn lds_at_a_hostile_address_faults_instead_of_panicking() {
+        assert_oob(&[
+            ("LDS R4, [RZ-0x1] ;", "shared load out of bounds at 0xffffffffffffffff"),
+            ("LDS.64 R4, [RZ-0x4] ;", "shared load out of bounds at 0xfffffffffffffffc"),
+        ]);
+    }
+
+    #[test]
+    fn sts_at_a_hostile_address_faults_instead_of_panicking() {
+        assert_oob(&[
+            ("STS [RZ-0x1], R4 ;", "shared store out of bounds at 0xffffffffffffffff"),
+            ("STS.64 [RZ-0x4], R4 ;", "shared store out of bounds at 0xfffffffffffffffc"),
+        ]);
+    }
+
+    #[test]
+    fn ldl_at_a_hostile_address_faults_instead_of_panicking() {
+        assert_oob(&[
+            ("LDL R4, [RZ-0x1] ;", "local load out of bounds at 0xffffffffffffffff"),
+            ("LDL.64 R4, [RZ-0x4] ;", "local load out of bounds at 0xfffffffffffffffc"),
+            // Past the end by less than one access.
+            ("LDL R4, [R1-0x2] ;", "local load out of bounds"),
+        ]);
+    }
+
+    #[test]
+    fn stl_at_a_hostile_address_faults_instead_of_panicking() {
+        assert_oob(&[
+            ("STL [RZ-0x1], R4 ;", "local store out of bounds at 0xffffffffffffffff"),
+            ("STL.64 [RZ-0x4], R4 ;", "local store out of bounds at 0xfffffffffffffffc"),
+        ]);
+    }
+
+    /// `R2P` then `P2R` and the three `VOTE` modes, under an execution mask
+    /// that a data-dependent early `EXIT` thins to a random subset, against
+    /// a lane-by-lane reference.
+    #[test]
+    fn predicate_masks_agree_with_a_lane_by_lane_reference() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x4 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+LDG R10, [R6] ;\n\
+LOP.AND R11, R10, 0x100 ;\n\
+ISETP.NE.U32 P0, R11, RZ ;\n\
+@P0 EXIT ;\n\
+R2P R10 ;\n\
+P2R R12 ;\n\
+VOTE.BALLOT R13, P0 ;\n\
+VOTE.ALL R14, P1 ;\n\
+VOTE.ANY R15, !P2 ;\n\
+SHL R14, R14, 0x1 ;\n\
+LOP.OR R14, R14, R15 ;\n\
+STG [R6+0x4], R12 ;\n\
+STG [R6+0x8], R13 ;\n\
+STG [R6+0xc], R14 ;\n\
+EXIT ;";
+        let mut rng = common::Rng::seed_from_u64(0x7e57);
+        for case in 0..64 {
+            // Bit 8 retires the lane early; bits 0..7 become P0..P6. Early
+            // cases force the all/any/none corners.
+            let words: Vec<u32> = (0..32)
+                .map(|_| match case {
+                    0 => 0x002,
+                    1 => 0x0fb,
+                    2 => 0x1ff,
+                    _ => rng.next_u32() & if case % 2 == 0 { 0x1ff } else { 0x0ff },
+                })
+                .collect();
+            let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+            let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
+            let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
+            let pc = dev.alloc(code.len() as u64).unwrap();
+            dev.write(pc, &code).unwrap();
+            let buf = dev.alloc(32 * 16).unwrap();
+            let init: Vec<u8> =
+                words.iter().flat_map(|w| [*w, 0, 0, 0]).flat_map(u32::to_le_bytes).collect();
+            dev.write(buf, &init).unwrap();
+            let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+            cfg.push_param_u64(buf);
+            dev.launch(&cfg).unwrap();
+            let mut out = vec![0u8; init.len()];
+            dev.read(buf, &mut out).unwrap();
+            let got: Vec<u32> =
+                out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+
+            let active: Vec<usize> = (0..32).filter(|l| words[*l] & 0x100 == 0).collect();
+            let ballot = active.iter().fold(0u32, |m, l| m | (words[*l] & 1) << l);
+            let all = active.iter().all(|l| words[*l] & 2 != 0) as u32;
+            let any = active.iter().any(|l| words[*l] & 4 == 0) as u32;
+            for lane in 0..32 {
+                let want = if active.contains(&lane) {
+                    [words[lane], words[lane] & 0x7f, ballot, all << 1 | any]
+                } else {
+                    [words[lane], 0, 0, 0]
+                };
+                assert_eq!(got[4 * lane..4 * lane + 4], want, "case {case}, lane {lane}");
+            }
+        }
     }
 
     #[test]

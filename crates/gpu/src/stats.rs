@@ -41,6 +41,73 @@ pub struct ExecStats {
     pub decode_misses: u64,
 }
 
+/// One slot per encoded opcode value ([`Op::index`]).
+const OP_SLOTS: usize = {
+    let (mut n, mut i) = (0, 0);
+    while i < Op::ALL.len() {
+        if Op::ALL[i] as usize >= n {
+            n = Op::ALL[i] as usize + 1;
+        }
+        i += 1;
+    }
+    n
+};
+
+/// What the executor counts while a CTA runs: the scalar fields of
+/// [`ExecStats`] in `sum`, and the two per-instruction histograms as flat
+/// arrays — no `String`, no tree walk per issued instruction. CTAs add up in
+/// CTA-linear order and become the public maps once per launch.
+pub(crate) struct CtaStats {
+    /// Everything but `per_op` / `per_category`, which stay empty.
+    pub sum: ExecStats,
+    per_op: [u64; OP_SLOTS],
+    per_category: [u64; OpCategory::ALL.len()],
+}
+
+impl Default for CtaStats {
+    fn default() -> CtaStats {
+        CtaStats {
+            sum: ExecStats::default(),
+            per_op: [0; OP_SLOTS],
+            per_category: [0; OpCategory::ALL.len()],
+        }
+    }
+}
+
+impl CtaStats {
+    /// Records one issued instruction of category `cat`.
+    pub fn record(&mut self, op: Op, cat: OpCategory, active: u32) {
+        self.sum.warp_instructions += 1;
+        self.sum.thread_instructions += active.count_ones() as u64;
+        self.per_op[op.index() as usize] += 1;
+        self.per_category[cat as usize] += 1;
+    }
+
+    pub fn add(&mut self, other: &CtaStats) {
+        self.sum.merge(&other.sum);
+        self.per_op.iter_mut().zip(other.per_op).for_each(|(a, b)| *a += b);
+        self.per_category.iter_mut().zip(other.per_category).for_each(|(a, b)| *a += b);
+    }
+
+    /// The public statistics: histogram entries exist for executed
+    /// opcodes and categories only.
+    pub fn finish(mut self) -> ExecStats {
+        for op in Op::ALL {
+            let n = self.per_op[op.index() as usize];
+            if n > 0 {
+                *self.sum.per_op.entry(op.mnemonic().to_string()).or_insert(0) += n;
+            }
+        }
+        for cat in OpCategory::ALL {
+            let n = self.per_category[cat as usize];
+            if n > 0 {
+                self.sum.per_category.insert(cat, n);
+            }
+        }
+        self.sum
+    }
+}
+
 impl ExecStats {
     /// Records one issued instruction.
     pub fn record(&mut self, op: Op, active: u32) {
@@ -56,7 +123,12 @@ impl ExecStats {
         self.thread_instructions += other.thread_instructions;
         self.cycles += other.cycles;
         for (k, v) in &other.per_op {
-            *self.per_op.entry(k.clone()).or_insert(0) += v;
+            // No key clone for an opcode both sides already have.
+            if let Some(c) = self.per_op.get_mut(k) {
+                *c += v;
+            } else {
+                self.per_op.insert(k.clone(), *v);
+            }
         }
         for (k, v) in &other.per_category {
             *self.per_category.entry(*k).or_insert(0) += v;
@@ -94,6 +166,25 @@ mod tests {
         assert_eq!(s.thread_instructions, 37);
         assert_eq!(s.per_op["IADD"], 2);
         assert_eq!(s.per_category[&OpCategory::MemGlobal], 1);
+    }
+
+    #[test]
+    fn flat_counters_convert_to_the_same_maps_as_record() {
+        for (i, cat) in OpCategory::ALL.iter().enumerate() {
+            assert_eq!(*cat as usize, i, "flat arrays index by declaration order");
+        }
+        let (mut flat, mut cta, mut want) =
+            (CtaStats::default(), CtaStats::default(), ExecStats::default());
+        for (n, op) in Op::ALL.iter().enumerate().filter(|(n, _)| n % 3 != 1) {
+            cta.record(*op, op.category(), n as u32);
+            want.record(*op, n as u32);
+        }
+        cta.sum.cycles = 7;
+        want.cycles = 7;
+        want.merge(&want.clone());
+        flat.add(&cta);
+        flat.add(&cta);
+        assert_eq!(flat.finish(), want);
     }
 
     #[test]

@@ -545,3 +545,202 @@ fn prop_random_programs_agree() {
         check(&src, "rnd", 1, 64, &[Param::Ptr(0)], &[]);
     });
 }
+
+// ----- Row paths vs per-lane loops ------------------------------------------
+//
+// The executor runs an operation as one 32-lane row when the warp's whole
+// mask is active (and, for local memory, when the active lanes share one
+// 4-aligned address), and lane by lane otherwise. Nothing switches between
+// the two but the input, so the kernels below are run in shapes that select
+// each: block sizes with a partial (or only a partial) last warp, a
+// data-dependent guard that disables a strict subset of lanes, per-lane
+// different addresses, and addresses that straddle two interleaved words.
+
+/// Runs `kernel` over random input (`words` per thread) in two CTAs of one
+/// lane, a partial warp, a full warp plus one lane, and full warps only.
+fn check_row_shapes(src: &str, kernel: &str, words: usize) {
+    run_cases(kernel, 4, |rng| {
+        let bytes: Vec<u8> =
+            (0..2 * 64 * words).flat_map(|_| rng.next_u32().to_le_bytes()).collect();
+        for block in [1, 17, 33, 64] {
+            check(src, kernel, 2, block, &[Param::Ptr(0)], &bytes);
+        }
+    });
+}
+
+const ROW_ALU: &str = r#"
+.entry rowalu(.param .u64 buf)
+{
+    .reg .u32 %r<20>;
+    .reg .u64 %rd<8>;
+    .reg .f32 %f<8>;
+    .reg .f64 %d<4>;
+    .reg .pred %p<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %tid.x;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mul.wide.u32 %rd2, %r1, 32;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r4, [%rd3];
+    and.b32 %r5, %r4, 5;
+    setp.ne.u32 %p1, %r5, 0;
+    add.u32 %r6, %r4, %r1;
+    @%p1 sub.u32 %r6, %r6, 77;
+    mul.lo.u32 %r7, %r6, %r4;
+    @%p1 shl.b32 %r7, %r7, 3;
+    shr.u32 %r8, %r7, 5;
+    @%p1 shr.s32 %r8, %r7, 2;
+    min.u32 %r9, %r8, %r6;
+    @%p1 max.s32 %r9, %r9, %r4;
+    xor.b32 %r10, %r9, %r7;
+    @%p1 or.b32 %r10, %r10, 256;
+    @!%p1 and.b32 %r10, %r10, 1048560;
+    popc.b32 %r11, %r10;
+    @%p1 mad.lo.u32 %r11, %r11, %r6, %r4;
+    setp.lt.s32 %p2, %r9, %r6;
+    @%p1 setp.ge.u32 %p2, %r8, %r4;
+    selp.b32 %r12, %r10, %r11, %p2;
+    vote.ballot.b32 %r13, %p2;
+    @%p1 vote.ballot.b32 %r13, !%p2;
+    mul.wide.u32 %rd4, %r12, %r6;
+    @%p1 add.u64 %rd4, %rd4, %rd2;
+    shr.u64 %rd4, %rd4, 7;
+    cvt.u32.u64 %r14, %rd4;
+    cvt.rn.f32.u32 %f1, %r11;
+    cvt.rn.f32.s32 %f2, %r9;
+    add.f32 %f3, %f1, %f2;
+    @%p1 mul.f32 %f3, %f3, %f1;
+    fma.rn.f32 %f4, %f3, %f2, %f1;
+    @%p1 min.f32 %f4, %f4, %f3;
+    setp.gt.f32 %p3, %f4, %f1;
+    @%p3 max.f32 %f4, %f4, %f2;
+    sqrt.approx.f32 %f5, %f1;
+    cvt.f64.f32 %d1, %f5;
+    add.f64 %d2, %d1, %d1;
+    @%p1 mul.f64 %d2, %d2, %d1;
+    fma.rn.f64 %d3, %d2, %d1, %d1;
+    cvt.rn.f32.f64 %f6, %d3;
+    cvt.rzi.s32.f32 %r15, %f4;
+    st.global.u32 [%rd3], %r10;
+    st.global.u32 [%rd3+4], %r11;
+    st.global.u32 [%rd3+8], %r12;
+    st.global.u32 [%rd3+12], %r13;
+    st.global.u32 [%rd3+16], %r14;
+    st.global.f32 [%rd3+20], %f4;
+    st.global.f32 [%rd3+24], %f6;
+    st.global.u32 [%rd3+28], %r15;
+    exit;
+}
+"#;
+
+#[test]
+fn alu_rows_match_under_partial_warps_and_guards() {
+    check_row_shapes(ROW_ALU, "rowalu", 8);
+}
+
+/// Local memory through every addressing shape: a uniform aligned slot (the
+/// row copy), the same slot under a guard, per-lane different slots, and
+/// 4-byte accesses at byte offsets 1..=3 of a word — stores that straddle
+/// two interleaved words read back both as whole words and unaligned.
+const ROW_LOCAL: &str = r#"
+.entry rowlocal(.param .u64 buf)
+{
+    .reg .u32 %r<24>;
+    .reg .u64 %rd<6>;
+    .reg .pred %p<3>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %tid.x;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mul.wide.u32 %rd2, %r1, 32;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r4, [%rd3];
+    and.b32 %r5, %r4, 6;
+    setp.ne.u32 %p1, %r5, 0;
+    mov.u32 %r6, 64;
+    st.local.u32 [%r6], %r4;
+    st.local.u32 [%r6+4], %r1;
+    @%p1 st.local.u32 [%r6+4], %r4;
+    ld.local.u32 %r7, [%r6+4];
+    mov.u32 %r8, 0;
+    @!%p1 ld.local.u32 %r8, [%r6];
+    st.local.u32 [%r6+2], %r1;
+    ld.local.u32 %r9, [%r6];
+    ld.local.u32 %r10, [%r6+4];
+    ld.local.u32 %r11, [%r6+2];
+    ld.local.u32 %r12, [%r6+1];
+    and.b32 %r13, %r4, 28;
+    add.u32 %r13, %r13, 128;
+    st.local.u32 [%r13], %r4;
+    st.local.u32 [%r13+32], %r1;
+    ld.local.u32 %r14, [%r13];
+    and.b32 %r15, %r3, 3;
+    add.u32 %r15, %r15, 256;
+    st.local.u32 [%r15], %r4;
+    st.local.u32 [%r15+5], %r1;
+    ld.local.u32 %r16, [%r15];
+    ld.local.u32 %r17, [%r15+3];
+    mov.u32 %r18, 256;
+    ld.local.u32 %r19, [%r18+4];
+    st.global.u32 [%rd3], %r7;
+    st.global.u32 [%rd3+4], %r8;
+    st.global.u32 [%rd3+8], %r9;
+    st.global.u32 [%rd3+12], %r10;
+    st.global.u32 [%rd3+16], %r11;
+    st.global.u32 [%rd3+20], %r12;
+    st.global.u32 [%rd3+24], %r14;
+    xor.b32 %r16, %r16, %r17;
+    xor.b32 %r16, %r16, %r19;
+    st.global.u32 [%rd3+28], %r16;
+    exit;
+}
+"#;
+
+#[test]
+fn local_memory_rows_match_per_lane_and_unaligned_accesses() {
+    check_row_shapes(ROW_LOCAL, "rowlocal", 8);
+}
+
+/// Shared memory at per-lane different offsets (a reversal across the whole
+/// block, so a 33-thread block crosses warps through a barrier), with a
+/// guarded second store over a strict subset of lanes.
+const SHARED_REV_N: &str = r#"
+.entry revn(.param .u64 buf)
+{
+    .reg .u32 %r<12>;
+    .reg .u64 %rd<4>;
+    .reg .pred %p<2>;
+    .shared .align 4 .b8 tile[256];
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %ctaid.x;
+    mad.lo.u32 %r4, %r3, %r2, %r1;
+    mul.wide.u32 %rd2, %r4, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r5, [%rd3];
+    mov.u32 %r6, tile;
+    shl.b32 %r7, %r1, 2;
+    add.u32 %r7, %r7, %r6;
+    st.shared.u32 [%r7], %r5;
+    and.b32 %r8, %r5, 3;
+    setp.eq.u32 %p1, %r8, 0;
+    @%p1 st.shared.u32 [%r7], %r4;
+    bar.sync 0;
+    sub.u32 %r9, %r2, %r1;
+    sub.u32 %r9, %r9, 1;
+    shl.b32 %r9, %r9, 2;
+    add.u32 %r9, %r9, %r6;
+    ld.shared.u32 %r10, [%r9];
+    st.global.u32 [%rd3], %r10;
+    exit;
+}
+"#;
+
+#[test]
+fn shared_memory_per_lane_offsets_match_under_partial_warps() {
+    check_row_shapes(SHARED_REV_N, "revn", 1);
+}

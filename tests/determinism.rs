@@ -10,13 +10,15 @@
 //! down exactly what survives for such kernels (the permutation/sum
 //! invariants, and serial-mode reproducibility) — and what does not.
 
+use common::channel::Backpressure;
 use common::Rng;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, ExecStats, Scheduler};
-use nvbit::attach_tool;
-use nvbit_tools::InstrCount;
+use nvbit::{attach_tool, PlanOpts};
+use nvbit_tools::{CoalescedInstrCount, InstrCount, MemTrace};
 use sass::Arch;
 use workloads::fft::soft_fft_kernel_ptx;
+use workloads::kernels;
 
 const SCHEDULERS: [Scheduler; 3] =
     [Scheduler::Serial, Scheduler::Parallel { threads: 0 }, Scheduler::Parallel { threads: 3 }];
@@ -214,5 +216,144 @@ fn instr_count_is_bit_identical_across_schedulers() {
         assert_eq!(total, serial_total, "atomic total diverged under {sched:?}");
         assert_eq!(stats, serial_stats, "ExecStats diverged under {sched:?}");
         assert_eq!(count, serial_count, "tool count diverged under {sched:?}");
+    }
+}
+
+// ----- Bit-identity pin ----------------------------------------------------
+//
+// The constants below were recorded from the commit *before* the executor's
+// state was re-laid (register-major rows, predicate lane-masks, interleaved
+// local memory, flat per-CTA counters). Every field of the summed
+// `ExecStats`, an FNV-1a hash of the output buffer and the tool's own result
+// must reproduce exactly, natively and under two tools, at both schedulers:
+// this is what makes "the simulated slowdown does not move" a test.
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+fn upload(drv: &Driver, bytes: &[u8]) -> u64 {
+    let a = drv.mem_alloc(bytes.len() as u64).unwrap();
+    drv.memcpy_htod(a, bytes).unwrap();
+    a
+}
+
+fn words(vals: impl IntoIterator<Item = u32>) -> Vec<u8> {
+    vals.into_iter().flat_map(u32::to_le_bytes).collect()
+}
+
+fn download(drv: &Driver, addr: u64, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    drv.memcpy_dtoh(&mut out, addr).unwrap();
+    out
+}
+
+fn load(drv: &Driver, name: &str, src: String, entry: &str) -> cuda::CuFunction {
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx(name, src)).unwrap();
+    drv.module_get_function(&m, entry).unwrap()
+}
+
+fn pin_fft(drv: &Driver) -> Vec<u8> {
+    let f = load(drv, "fft", soft_fft_kernel_ptx().to_string(), "fft32_soft");
+    let input: Vec<u8> = words((0..4 * 64).map(|i| ((i % 13) as f32 - 6.0).to_bits()));
+    let (din, dout) = (upload(drv, &input), upload(drv, &vec![0u8; input.len()]));
+    let args = [KernelArg::Ptr(din), KernelArg::Ptr(dout)];
+    drv.launch_kernel(&f, Dim3::linear(4), Dim3::linear(32), &args).unwrap();
+    download(drv, dout, input.len())
+}
+
+fn pin_stencil(drv: &Driver) -> Vec<u8> {
+    let (h, w) = (10u32, 128u32);
+    let f = load(drv, "stencil", format!(".version 6.0\n{}", kernels::stencil5("step")), "step");
+    let init = words((0..h * w).map(|i| ((i % 17) as f32).to_bits()));
+    let (a, b) = (upload(drv, &init), upload(drv, &vec![0u8; init.len()]));
+    let args = [KernelArg::Ptr(a), KernelArg::Ptr(b), KernelArg::U32(h), KernelArg::U32(w)];
+    drv.launch_kernel(&f, Dim3::linear(h - 2), Dim3::linear(128), &args).unwrap();
+    download(drv, b, init.len())
+}
+
+fn pin_spmv(drv: &Driver) -> Vec<u8> {
+    let rows = 200u32; // 4 CTAs of 64, the last one partially past `rows`
+    let f = load(drv, "spmv", format!(".version 6.0\n{}", kernels::spmv_csr("spmv")), "spmv");
+    let (mut rowptr, mut cols) = (vec![0u32], Vec::new());
+    for r in 0..rows {
+        cols.extend((0..=(r % 9)).map(|j| (r * 7 + j * 13) % rows));
+        rowptr.push(cols.len() as u32);
+    }
+    let vals = words((0..cols.len() as u32).map(|i| (1.0 / (1.0 + i as f32)).to_bits()));
+    let y = upload(drv, &vec![0u8; rows as usize * 4]);
+    let args = [
+        KernelArg::Ptr(upload(drv, &words(rowptr))),
+        KernelArg::Ptr(upload(drv, &words(cols))),
+        KernelArg::Ptr(upload(drv, &vals)),
+        KernelArg::Ptr(upload(drv, &words((0..rows).map(|i| (i as f32 * 0.5).to_bits())))),
+        KernelArg::Ptr(y),
+        KernelArg::U32(rows),
+    ];
+    drv.launch_kernel(&f, Dim3::linear(4), Dim3::linear(64), &args).unwrap();
+    download(drv, y, rows as usize * 4)
+}
+
+/// Runs one pinned app natively (`tool` 0), under the executed-level
+/// coalesced instruction counter (1) or under the channel memory trace (2).
+fn pin_run(app: PinApp, tool: usize, sched: Scheduler) -> String {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    drv.with_device(|d| d.scheduler = sched);
+    let sig: Box<dyn Fn() -> u64> = match tool {
+        0 => Box::new(|| 0),
+        1 => {
+            let (t, r) = CoalescedInstrCount::executed(PlanOpts::default());
+            attach_tool(&drv, t);
+            Box::new(move || r.total())
+        }
+        _ => {
+            let (t, r) = MemTrace::channel(Backpressure::Block, 4096);
+            attach_tool(&drv, t);
+            Box::new(move || {
+                fnv1a(&r.addresses().iter().flat_map(|a| a.to_le_bytes()).collect::<Vec<_>>())
+                    ^ r.demanded()
+            })
+        }
+    };
+    let out = app(&drv);
+    drv.shutdown();
+    format!("{:?} out={:016x} tool={:x}", drv.total_stats(), fnv1a(&out), sig())
+}
+
+/// A pinned guest application: runs one kernel, returns its output buffer.
+type PinApp = fn(&Driver) -> Vec<u8>;
+
+const PIN_APPS: [(&str, PinApp); 3] =
+    [("fft", pin_fft), ("stencil", pin_stencil), ("spmv", pin_spmv)];
+
+/// `PINNED[app][tool]`, recorded from the parent commit.
+#[rustfmt::skip]
+const PINNED: [[&str; 3]; 3] = [
+    [
+        r#"ExecStats { warp_instructions: 776, thread_instructions: 24832, cycles: 2552, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 16, "IMAD": 8, "ISETP": 20, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 152, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 4}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 }, decode_hits: 0, decode_misses: 776 } out=b8603c3557e16e12 tool=0"#,
+        r#"ExecStats { warp_instructions: 1016, thread_instructions: 32384, cycles: 4604, per_op: {"ATOM": 4, "BRA": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 24, "JCAL": 8, "JMP": 8, "LDC": 8, "LDG": 4, "LDL": 68, "LOP": 80, "MOV": 108, "MOV32I": 104, "MUFU": 40, "NOP": 4, "P2R": 4, "R2P": 4, "RET": 8, "S2R": 20, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "SSY": 4, "STG": 4, "STL": 108, "SYNC": 4}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 272, Predicate: 32, Warp: 48, MemGlobal: 8, MemLocal: 176, MemConst: 8, Atomic: 4, Control: 44, Misc: 4}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 176, atomics: 128 }, decode_hits: 0, decode_misses: 1016 } out=b8603c3557e16e12 tool=6100"#,
+        r#"ExecStats { warp_instructions: 1264, thread_instructions: 40192, cycles: 5656, per_op: {"BRA": 16, "CHAN": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 40, "IMAD": 8, "ISETP": 28, "JCAL": 16, "JMP": 16, "LDC": 8, "LDG": 4, "LDL": 152, "LOP": 80, "MOV": 116, "MOV32I": 104, "MUFU": 40, "NOP": 8, "P2R": 8, "R2P": 8, "RET": 16, "S2R": 24, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 32, "SSY": 8, "STG": 4, "STL": 176, "SYNC": 8}, per_category: {Integer: 184, Float: 240, Conversion: 20, Move: 284, Predicate: 44, Warp: 48, MemGlobal: 8, MemLocal: 328, MemConst: 8, Control: 84, Misc: 16}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 328, atomics: 0 }, decode_hits: 164, decode_misses: 1100 } out=b8603c3557e16e12 tool=ff766d31aeb3ba25"#,
+    ],
+    [
+        r#"ExecStats { warp_instructions: 1256, thread_instructions: 37568, cycles: 7768, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 160, "IMAD": 128, "ISETP": 64, "ISUB": 96, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 384, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 168}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 }, decode_hits: 944, decode_misses: 312 } out=97893c015a8fd601 tool=0"#,
+        r#"ExecStats { warp_instructions: 10832, thread_instructions: 336848, cycles: 81232, per_op: {"ATOM": 104, "BRA": 328, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 480, "IMAD": 128, "ISETP": 224, "ISUB": 96, "JCAL": 320, "JMP": 320, "LDC": 128, "LDG": 128, "LDL": 2784, "LOP": 64, "MOV": 592, "MOV32I": 672, "NOP": 160, "P2R": 160, "R2P": 160, "RET": 320, "S2R": 288, "SHR": 64, "SSY": 192, "STG": 32, "STL": 2720, "SYNC": 208}, per_category: {Integer: 832, Float: 128, Move: 1552, Predicate: 544, MemGlobal: 160, MemLocal: 5504, MemConst: 128, Atomic: 104, Control: 1720, Misc: 160}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 5504, atomics: 3056 }, decode_hits: 9416, decode_misses: 1416 } out=97893c015a8fd601 tool=92c0"#,
+        r#"ExecStats { warp_instructions: 11016, thread_instructions: 339968, cycles: 69848, per_op: {"BRA": 384, "CHAN": 160, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 640, "IMAD": 128, "ISETP": 224, "ISUB": 96, "JCAL": 320, "JMP": 320, "LDC": 128, "LDG": 128, "LDL": 3040, "MOV": 480, "MOV32I": 416, "NOP": 160, "P2R": 160, "R2P": 160, "RET": 320, "S2R": 288, "SHR": 160, "SSY": 192, "STG": 32, "STL": 2720, "SYNC": 200}, per_category: {Integer: 1024, Float: 128, Move: 1184, Predicate: 544, MemGlobal: 160, MemLocal: 5760, MemConst: 128, Control: 1768, Misc: 320}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 5760, atomics: 0 }, decode_hits: 9576, decode_misses: 1440 } out=97893c015a8fd601 tool=4657b84338f6e365"#,
+    ],
+    [
+        r#"ExecStats { warp_instructions: 1277, thread_instructions: 22246, cycles: 14465, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 274, "IMAD": 141, "ISETP": 78, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 415, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 235}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 }, decode_hits: 1081, decode_misses: 196 } out=07f610e15041ac89 tool=0"#,
+        r#"ExecStats { warp_instructions: 15063, thread_instructions: 264127, cycles: 114045, per_op: {"ATOM": 212, "BRA": 579, "EXIT": 8, "FFMA": 63, "IADD": 726, "IMAD": 141, "ISETP": 304, "JCAL": 452, "JMP": 444, "LDC": 48, "LDG": 203, "LDL": 3920, "LOP": 78, "MOV": 954, "MOV32I": 966, "NOP": 226, "P2R": 226, "R2P": 226, "RET": 452, "S2R": 250, "SHR": 78, "SSY": 241, "STG": 7, "STL": 3906, "SYNC": 353}, per_category: {Integer: 1023, Float: 63, Move: 2170, Predicate: 756, MemGlobal: 210, MemLocal: 7826, MemConst: 48, Atomic: 212, Control: 2529, Misc: 226}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 7826, atomics: 2898 }, decode_hits: 14235, decode_misses: 828 } out=07f610e15041ac89 tool=56e6"#,
+        r#"ExecStats { warp_instructions: 20135, thread_instructions: 332314, cycles: 150377, per_op: {"BRA": 561, "CHAN": 210, "EXIT": 8, "FFMA": 63, "IADD": 904, "IMAD": 141, "ISETP": 288, "JCAL": 420, "JMP": 420, "LDC": 48, "LDG": 203, "LDL": 7014, "MOV": 630, "MOV32I": 560, "NOP": 210, "P2R": 210, "R2P": 210, "RET": 420, "S2R": 234, "SHR": 210, "SSY": 225, "STG": 7, "STL": 6658, "SYNC": 281}, per_category: {Integer: 1255, Float: 63, Move: 1424, Predicate: 708, MemGlobal: 210, MemLocal: 13672, MemConst: 48, Control: 2335, Misc: 420}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 13672, atomics: 0 }, decode_hits: 19003, decode_misses: 1132 } out=07f610e15041ac89 tool=e488e4d4eba9"#,
+    ],
+];
+
+#[test]
+fn exec_stats_and_outputs_match_the_pinned_parent_values() {
+    for ((name, app), pins) in PIN_APPS.iter().zip(PINNED) {
+        for (tool, pin) in pins.iter().enumerate() {
+            for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 4 }] {
+                assert_eq!(pin_run(*app, tool, sched), *pin, "{name} × tool {tool} × {sched:?}");
+            }
+        }
     }
 }
