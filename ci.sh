@@ -82,7 +82,7 @@ cargo test --release -q -p nvbit-sass --lib occupancy
 echo "== differential: every rung of the plan ladder (naive/block/region/spliced, +occupancy) =="
 cargo test --release -q -p nvbit-tools --test differential_plan
 
-echo "== savereduce: liveness save-slot reduction (>=30% gate, incl. declined-splice run no worse than the out-of-line rung) =="
+echo "== savereduce: exact-save slot reduction (>=95% gate = recorded 100% minus 5 points; declined-splice run >=30% and no worse than the out-of-line rung) =="
 cargo run --release -q -p nvbit-bench --bin savereduce
 
 echo "== inject_overhead: multi-workload sweep (>=25% fft gate, region wins on >=2 of fft/stencil/spmv, occupancy curve re-accepts a tier-declined splice at every swept block shape) =="

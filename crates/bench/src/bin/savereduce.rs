@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Writes `results/BENCH_savereduce.json` with the per-function accounting
-//! and the overall reduction; the repository gates on a ≥30% reduction for
-//! the FFT pipeline.
+//! and the overall reduction. Every FFT site is an exact-bracket splice that
+//! finds dead registers to move onto (recorded: 0 slots, 100 %); the
+//! repository gates on ≥95 % — the recorded reduction minus five points.
 
 use common::json::Json;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
@@ -180,8 +181,8 @@ fn main() {
     println!("wrote {path}");
 
     assert!(
-        reduction >= 0.30,
-        "liveness-driven saves must cut ≥30% of saved slots on the FFT pipeline (got {:.1}%)",
+        reduction >= 0.95,
+        "exact saves must cut ≥95% of saved slots on the FFT pipeline (got {:.1}%)",
         reduction * 100.0
     );
     assert!(

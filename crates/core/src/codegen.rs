@@ -11,7 +11,9 @@
 //!    the device-API frame pointer setup, the argument materialization
 //!    (reading the *saved* register values, never live ones — no WAR
 //!    hazards with ABI argument registers), the call to the tool function
-//!    and the restore call;
+//!    and the restore call — or, for a spliced tool body under liveness
+//!    sizing, the body renamed onto dead registers inside a bracket that
+//!    saves exactly what it still clobbers (`emit_exact`);
 //! 3. re-emits the relocated original instruction with its PC-relative
 //!    offset adjusted (or a `NOP` when `remove_orig` was requested);
 //! 4. jumps back to the next original instruction.
@@ -22,9 +24,10 @@ use crate::saverestore::{frame_bytes, tier_for, Routines};
 use crate::spec::{abi_slots, arg_window, Arg, IPoint};
 use crate::{NvbitError, Result};
 use cuda::FunctionInfo;
-use sass::op::CfClass;
+use sass::inst::span_regs;
+use sass::op::{CfClass, IType};
 use sass::pressure::BodyShape;
-use sass::{Instruction, Mods, Op, Operand, Reg};
+use sass::{Instruction, LiveSet, Mods, Op, Operand, Pred, Reg};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -68,9 +71,8 @@ pub struct ToolFn {
     /// escaping control flow).
     pub shape: Option<BodyShape>,
     /// One past the highest general-purpose register the body *writes*
-    /// (`None` when unknown — e.g. the body makes calls). Registers at or
-    /// above this ceiling survive the call untouched, letting liveness
-    /// tier selection shrink further than the used-register count allows.
+    /// (`None` when unknown — e.g. the body makes calls): the window the
+    /// pressure verdict prices a splice on.
     pub write_ceiling: Option<u8>,
     /// One past the highest general-purpose register an *out-of-line call*
     /// to [`addr`](ToolFn::addr) can leave clobbered. The callable copy is
@@ -219,11 +221,12 @@ fn classify_body(
 /// How the code generator sizes each injection site's register save.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SavePolicy {
-    /// Size each site from the dataflow analysis: only registers live
-    /// across the site (plus the tool's own demand) need saving. Falls
-    /// back to [`SavePolicy::FullTier`] per function when the analysis is
-    /// unavailable, and per site when an injected tool uses the register
-    /// device API.
+    /// Size each call from the dataflow analysis: only registers live at
+    /// its injection point need saving — exactly the clobbered ones for a
+    /// spliced body, the covering tier for a called tool. Falls back to
+    /// [`SavePolicy::FullTier`] per function when the analysis is
+    /// unavailable, and per call when the tool uses the register device
+    /// API.
     #[default]
     Liveness,
     /// One conservative tier covering the whole function's register
@@ -269,7 +272,8 @@ pub struct SiteMeta {
     /// Offset within the site of the relocated original instruction (or
     /// its `NOP` replacement when `remove_orig` was requested).
     pub orig_pos: usize,
-    /// Save tier selected for this site.
+    /// Save tier of the site's calls that go through the save routines
+    /// (0 when every call brings its own exact bracket).
     pub tier: u16,
     /// Number of injections at this site.
     pub injections: usize,
@@ -291,12 +295,12 @@ pub struct InstrumentedImage {
     /// Extra per-thread local memory every launch of the instrumented
     /// version needs (save frame + tool stack frames).
     pub extra_local: u32,
-    /// The largest save tier used by any site.
+    /// The largest save tier used by any site (0: no routine is called).
     pub tier: u16,
     /// Per-site trampoline layout, in trampoline order.
     pub sites: Vec<SiteMeta>,
-    /// Register slots actually saved across all injections
-    /// (Σ site tier × site injections).
+    /// Σ slots stored per call (exact for spliced calls, tier for called
+    /// ones).
     pub saved_slots: u64,
     /// Register slots the conservative whole-function tier would have
     /// saved for the same injections.
@@ -347,15 +351,95 @@ pub(crate) struct Prepared {
     tramp: Vec<Instruction>,
 }
 
+/// The live set at a call's injection point: before the instrumented
+/// instruction for `Before` calls, after it for `After` calls.
+fn live_at(df: &sass::Dataflow, idx: usize, ipoint: IPoint) -> &LiveSet {
+    match ipoint {
+        IPoint::Before => df.live_in(idx),
+        IPoint::After => df.live_out(idx),
+    }
+}
+
+/// The application state that materializing `call` at a site guarded by
+/// `guard` reads — register and predicate arguments, the predicate filter —
+/// although it is not in `live` there.
+fn dead_reads(call: &PlannedCall, guard: sass::Guard, live: &LiveSet) -> LiveSet {
+    let mut reads = LiveSet::EMPTY;
+    let guard_bit = if guard.pred.is_true_reg() { 0 } else { 1 << guard.pred.0 };
+    for arg in &call.args {
+        match *arg {
+            Arg::RegVal(r) | Arg::RegVal64(r) => span_regs(Reg(r), arg.slots() as usize)
+                .filter(|r| !live.gprs.contains(*r))
+                .for_each(|r| reads.gprs.insert(r)),
+            Arg::PredVal(p) if p < 7 => reads.preds |= 1 << p,
+            Arg::GuardPred => reads.preds |= guard_bit,
+            _ => {}
+        }
+    }
+    if call.pred_filter {
+        reads.preds |= guard_bit;
+    }
+    reads.preds &= !live.preds;
+    reads
+}
+
+/// What emitting a function's sites needs to know, plus the exact-save
+/// accounting the emission accumulates.
+struct Emit<'a> {
+    hal: &'a Hal,
+    info: &'a FunctionInfo,
+    original: &'a [Instruction],
+    plan: &'a InstrumentationPlan,
+    tool_fns: &'a HashMap<String, ToolFn>,
+    routines: &'a HashMap<u16, Routines>,
+    /// The liveness solution when per-site sizing applies.
+    liveness: Option<&'a sass::Dataflow>,
+    /// What some argument reads where the application has no further use
+    /// for it: still observed by the tool, so live to every exact save.
+    observed: LiveSet,
+    /// Σ slots exact brackets store, aligned pairs they moved onto dead
+    /// registers, and their largest frame in bytes.
+    exact_slots: u64,
+    renamed_pairs: u64,
+    exact_frame: u32,
+}
+
+/// The predicates `body` touches and those it writes, as bitmasks.
+fn pred_masks(body: &[Instruction]) -> (u8, u8) {
+    let mask = |ps: Vec<Pred>| ps.iter().fold(0u8, |m, p| m | 1 << p.0);
+    let (mut used, mut written) = (0, 0);
+    for ins in body {
+        written |= mask(ins.pred_writes());
+        used |= mask(ins.pred_reads());
+    }
+    (used | written, written)
+}
+
+impl Emit<'_> {
+    /// What an exact bracket around `call` at site `idx` must preserve —
+    /// `None` when the call keeps the save routines instead: it is not a
+    /// splice, sizing is not liveness-driven, or the body writes more live
+    /// predicates than there are dead unused ones to move them onto (the
+    /// routines save the predicate file; an exact bracket does not).
+    fn exact_live(&self, idx: usize, call: &PlannedCall) -> Option<LiveSet> {
+        let df = self.liveness.filter(|_| call.inline)?;
+        let body = self.tool_fns[&call.func].body.as_deref()?;
+        let mut live = *live_at(df, idx, call.ipoint);
+        live.union_with(&self.observed);
+        let (used, written) = pred_masks(body);
+        let free = !(live.preds | used) & 0x7f;
+        ((written & live.preds).count_ones() <= free.count_ones()).then_some(live)
+    }
+}
+
 /// The first half of code generation over a validated
 /// [`InstrumentationPlan`] (built by [`crate::plan::build`], which also runs
 /// the coalescing and inlining passes): save sizing and trampoline
-/// emission. `routines` must cover every tier. `analysis` and `policy`
-/// control per-site save sizing: under [`SavePolicy::Liveness`] with the
-/// body's [`sass::Analysis`] available, each site saves only the registers
-/// that are both live across it and inside the trampoline's clobber window
-/// (frame pointer, ABI argument slots and the injected functions' registers
-/// — shrunk to the body's write ceiling when known), plus any saved value
+/// emission. `routines` must cover every tier. Under
+/// [`SavePolicy::Liveness`] with the body's [`sass::Analysis`] available,
+/// an inline-spliced call gets an exact bracket ([`emit_exact`]) and any
+/// other call the ladder tier covering the registers that are both live at
+/// its injection point and inside its clobber window, plus any saved value
 /// an argument reads back; otherwise every site uses the conservative
 /// whole-function tier and [`InstrumentedImage::fallback`] records why.
 ///
@@ -412,78 +496,71 @@ pub(crate) fn prepare(
         (SavePolicy::Liveness, Ok(a)) => (Some(&a.liveness), None),
     };
 
-    // Per-site tier selection.
-    let mut site_tier: HashMap<usize, u16> = HashMap::new();
-    let mut saved_slots = 0u64;
-    let mut full_tier_slots = 0u64;
-    let mut max_tier = 0u16;
-    let mut max_frame = 0u32;
+    let mut observed = LiveSet::EMPTY;
     for (&idx, calls) in &plan.sites {
-        let uses_reg_api = calls.iter().any(|c| tool_fns[&c.func].uses_reg_api);
-        let tier = match liveness {
-            // Register-device-API tools index save-area slots computed at
-            // run time; only the whole-function tier is safe for them.
-            Some(df) if !uses_reg_api => {
-                // The trampoline only clobbers R0 (the frame pointer), the
-                // ABI argument window from R4 up, and the injected
-                // functions' own registers — shrunk to the registers the
-                // body actually *writes* when its write ceiling is known.
-                // Registers at or above that ceiling survive the call
-                // untouched, so a save slot is needed only for (a) live
-                // registers *below* the ceiling and (b) saved values an
-                // argument reads back.
-                let mut clobber: u32 = 1;
-                let mut demand: u32 = 0;
-                for call in calls {
-                    let tf = &tool_fns[&call.func];
-                    // A spliced body clobbers up to its raw write ceiling;
-                    // an out-of-line call executes the standard-ABI copy,
-                    // which restores callee-saved registers on return.
-                    let body_clobber = if call.inline {
-                        tf.write_ceiling.map_or(tf.reg_count, u32::from)
-                    } else {
-                        tf.call_ceiling.map_or(tf.reg_count, u32::from)
-                    };
-                    clobber = clobber.max(body_clobber).max(u32::from(arg_window(&call.args)));
-                    for arg in &call.args {
-                        demand = demand.max(arg_demand(arg));
-                    }
-                }
-                let ceiling = u8::try_from(clobber).unwrap_or(u8::MAX);
-                if let Some(live) = df.max_live_below(idx, ceiling) {
-                    demand = demand.max(u32::from(live) + 1);
-                }
-                tier_for(u16::try_from(demand).unwrap_or(u16::MAX))?
-            }
-            _ => whole_tier,
-        };
-        site_tier.insert(idx, tier);
-        saved_slots += u64::from(tier) * calls.len() as u64;
-        full_tier_slots += u64::from(whole_tier) * calls.len() as u64;
-        max_tier = max_tier.max(tier);
-        max_frame = max_frame.max(frame_bytes(tier, hal));
+        for (df, call) in liveness.iter().flat_map(|df| calls.iter().map(move |c| (df, c))) {
+            let live = live_at(df, idx, call.ipoint);
+            observed.union_with(&dead_reads(call, original[idx].guard, live));
+        }
     }
-    if plan.sites.is_empty() {
-        max_tier = whole_tier;
-        max_frame = frame_bytes(whole_tier, hal);
-    }
-    let routine_for = |tier: u16| -> Result<Routines> {
-        routines
-            .get(&tier)
-            .copied()
-            .ok_or_else(|| NvbitError::BadRequest(format!("no save routine for tier {tier}")))
+    let mut cx = Emit {
+        hal,
+        info,
+        original,
+        plan,
+        tool_fns,
+        routines,
+        liveness,
+        observed,
+        exact_slots: 0,
+        renamed_pairs: 0,
+        exact_frame: 0,
     };
 
-    // Emit every site once, position-independently: the only instruction
-    // that depends on where the trampoline lands is a relocated original
-    // with a relative target, which `emit_site` computes against site
-    // offset 0.
+    // Size and emit every site once, position-independently (`emit_site`
+    // computes a relocated original's relative target against offset 0).
     let mut tramp_instrs: Vec<Instruction> = Vec::new();
     let mut sites: Vec<SiteMeta> = Vec::with_capacity(plan.sites.len());
+    let (mut saved_slots, mut full_tier_slots, mut zero_save_sites) = (0u64, 0u64, 0u64);
+    let mut max_tier = if plan.sites.is_empty() { whole_tier } else { 0 };
     for (&idx, planned) in &plan.sites {
-        let tier = site_tier[&idx];
-        let (instrs, orig_pos, calls) =
-            emit_site(hal, info, original, plan, tool_fns, &routine_for(tier)?, tier, idx)?;
+        // The ladder tier covers the calls that keep the save routines;
+        // exact splices bring their own frame.
+        let mut tier = 0u16;
+        let mut ladder_calls = 0u64;
+        for call in planned.iter().filter(|c| cx.exact_live(idx, c).is_none()) {
+            ladder_calls += 1;
+            let tf = &tool_fns[&call.func];
+            let need = match liveness {
+                // Register-device-API tools index save-area slots computed
+                // at run time; only the whole-function tier is safe for them.
+                Some(df) if !tf.uses_reg_api => {
+                    // The call clobbers R0 (the frame pointer), the ABI
+                    // argument window and what the standard-ABI callee
+                    // leaves clobbered (a spliced body: all it writes): save
+                    // what is live at the injection point below that, and
+                    // what an argument reads back.
+                    let ceiling = if call.inline { tf.write_ceiling } else { tf.call_ceiling };
+                    let clobber = ceiling
+                        .map_or(tf.reg_count, u32::from)
+                        .max(u32::from(arg_window(&call.args)))
+                        .max(1);
+                    let ceiling = u8::try_from(clobber).unwrap_or(u8::MAX);
+                    let live = live_at(df, idx, call.ipoint).gprs.max_below(ceiling);
+                    let demand = call.args.iter().map(arg_demand).max().unwrap_or(0);
+                    let demand = demand.max(live.map_or(0, |r| u32::from(r) + 1));
+                    tier_for(u16::try_from(demand).unwrap_or(u16::MAX))?
+                }
+                _ => whole_tier,
+            };
+            tier = tier.max(need);
+        }
+        let exact_before = cx.exact_slots;
+        let (instrs, orig_pos, calls) = emit_site(&mut cx, tier, idx)?;
+        saved_slots += u64::from(tier) * ladder_calls + (cx.exact_slots - exact_before);
+        full_tier_slots += u64::from(whole_tier) * planned.len() as u64;
+        zero_save_sites += u64::from(ladder_calls == 0 && cx.exact_slots == exact_before);
+        max_tier = max_tier.max(tier);
         sites.push(SiteMeta {
             instr_idx: idx,
             start: tramp_instrs.len(),
@@ -495,6 +572,10 @@ pub(crate) fn prepare(
         });
         tramp_instrs.extend(instrs);
     }
+    common::obs::counter("codegen.exact_slots", cx.exact_slots);
+    common::obs::counter("codegen.renamed_pairs", cx.renamed_pairs);
+    common::obs::counter("codegen.zero_save_sites", zero_save_sites);
+    let ladder_frame = if max_tier > 0 { frame_bytes(max_tier, hal) } else { 0 };
 
     // Removed-but-uninstrumented sites become NOPs in place.
     let mut patched = original.to_vec();
@@ -511,7 +592,9 @@ pub(crate) fn prepare(
             instrumented: Vec::new(),
             tramp_addr: 0,
             tramp_code: Vec::new(),
-            extra_local: max_frame + tool_stack_max + 128,
+            extra_local: ladder_frame.max(cx.exact_frame.next_multiple_of(8))
+                + tool_stack_max
+                + 128,
             tier: max_tier,
             sites,
             saved_slots,
@@ -561,25 +644,20 @@ impl Prepared {
 /// for a relocated original with a relative target, which is computed as
 /// if the site sat at address 0 — [`Prepared::finish`] rebases it once the
 /// trampoline region is allocated.
-#[allow(clippy::too_many_arguments)]
 fn emit_site(
-    hal: &Hal,
-    info: &FunctionInfo,
-    original: &[Instruction],
-    plan: &InstrumentationPlan,
-    tool_fns: &HashMap<String, ToolFn>,
-    routine: &Routines,
+    cx: &mut Emit<'_>,
     tier: u16,
     idx: usize,
 ) -> Result<(Vec<Instruction>, usize, Vec<CallMeta>)> {
-    let isize = hal.instruction_size();
-    let next_pc = info.addr + (idx as u64 + 1) * isize;
+    let isize = cx.hal.instruction_size();
+    let next_pc = cx.info.addr + (idx as u64 + 1) * isize;
+    let plan = cx.plan;
     let calls = &plan.sites[&idx];
     let mut out: Vec<Instruction> = Vec::new();
     let mut metas: Vec<CallMeta> = Vec::new();
 
     for call in calls.iter().filter(|c| c.ipoint == IPoint::Before) {
-        metas.push(emit_call(hal, original, routine, tier, idx, call, tool_fns, &mut out)?);
+        metas.push(emit_call(cx, tier, idx, call, &mut out)?);
     }
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
@@ -588,7 +666,7 @@ fn emit_site(
     if plan.removed.contains(&idx) {
         out.push(Instruction::nop());
     } else {
-        let mut orig = original[idx].clone();
+        let mut orig = cx.original[idx].clone();
         if let Some(rel) = orig.rel_target() {
             // Critically, relative control flow must be re-relativized to
             // its new home (Figure 4's "offset must be adjusted").
@@ -619,7 +697,7 @@ fn emit_site(
     }
 
     for call in calls.iter().filter(|c| c.ipoint == IPoint::After) {
-        metas.push(emit_call(hal, original, routine, tier, idx, call, tool_fns, &mut out)?);
+        metas.push(emit_call(cx, tier, idx, call, &mut out)?);
     }
 
     // Back to the instruction after the instrumented one (Figure 4, step 6).
@@ -627,9 +705,10 @@ fn emit_site(
     Ok((out, orig_pos, metas))
 }
 
-/// Emits one planned call: save, frame pointer, arguments, tool call (or
-/// the inline-spliced body), restore. Returns the call's layout record,
-/// with inline spans relative to the start of `out`'s site.
+/// Emits one planned call — an accepted splice under liveness sizing inside
+/// its exact bracket ([`emit_exact`]), any other as save routine, frame
+/// pointer, arguments, tool call (or spliced body), restore routine — and
+/// returns its layout record, inline spans relative to `out`'s site.
 ///
 /// With `pred_filter` set on a guarded site, the whole sequence is wrapped
 /// in an `SSY`-bracketed diamond so that guard-false lanes never enter the
@@ -643,28 +722,24 @@ fn emit_site(
 /// L_other: SYNC             ; guard-false path done
 /// L_skip:  ...
 /// ```
-#[allow(clippy::too_many_arguments)]
 fn emit_call(
-    hal: &Hal,
-    original: &[Instruction],
-    routine: &Routines,
+    cx: &mut Emit<'_>,
     tier: u16,
     idx: usize,
     call: &PlannedCall,
-    tool_fns: &HashMap<String, ToolFn>,
     out: &mut Vec<Instruction>,
 ) -> Result<CallMeta> {
-    let tool = &tool_fns[&call.func];
-    let guard = original[idx].guard;
+    let tool = &cx.tool_fns[&call.func];
+    let guard = cx.original[idx].guard;
     if call.pred_filter && !guard.is_always() {
-        let isize = hal.instruction_size() as i64;
-        let barrier = if hal.saves_barrier_state() { 1 } else { 0 };
+        let isize = cx.hal.instruction_size() as i64;
+        let barrier = if cx.hal.saves_barrier_state() { 1 } else { 0 };
         let mods = Mods { barrier, ..Mods::default() };
         // Emit the body first to learn its length, then splice the wrapper.
         let wrapper_base = out.len();
         let mut body = Vec::new();
         let plain = PlannedCall { pred_filter: false, ..call.clone() };
-        let mut meta = emit_call(hal, original, routine, tier, idx, &plain, tool_fns, &mut body)?;
+        let mut meta = emit_call(cx, tier, idx, &plain, &mut body)?;
         let n = body.len() as i64;
         out.push(Instruction::new(Op::Ssy, vec![Operand::Rel((n + 3) * isize)]).with_mods(mods));
         out.push(
@@ -682,130 +757,53 @@ fn emit_call(
         return Ok(meta);
     }
 
-    let frame = frame_bytes(tier, hal);
-    let pred_mask_off = 4 * tier as i32;
-    let scratch = Reg(3);
-
-    // 1. Save the thread state.
-    out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.save_addr)]));
-    // 2. Device-API frame pointer: R0 = save-area base.
-    out.push(Instruction::new(Op::Mov, vec![Operand::Reg(Reg(0)), Operand::Reg(Reg::SP)]));
-
-    // 3. Materialize arguments into the ABI registers from the *saved*
-    //    state.
-    let emit_pred_value = |p: u8, negated: bool, slot: u8, out: &mut Vec<Instruction>| {
-        if p >= 7 {
-            // PT: constant true (negated PT is constant false).
-            out.push(Instruction::new(
-                Op::Mov32i,
-                vec![Operand::Reg(Reg(slot)), Operand::Imm(i64::from(!negated))],
-            ));
-            return;
+    let body = match (call.inline, &tool.body) {
+        (true, None) => {
+            let why = format!("call to `{}` marked inline but no body was retained", call.func);
+            return Err(NvbitError::BadRequest(why));
         }
-        out.push(Instruction::new(
-            Op::Ldl,
-            vec![Operand::Reg(scratch), Operand::MRef { base: Reg::SP, offset: pred_mask_off }],
-        ));
-        out.push(
-            Instruction::new(
-                Op::Shr,
-                vec![Operand::Reg(scratch), Operand::Reg(scratch), Operand::Imm(p as i64)],
-            )
-            .with_mods(Mods { itype: sass::op::IType::U32, ..Mods::default() }),
-        );
-        out.push(
-            Instruction::new(
-                Op::Lop,
-                vec![Operand::Reg(scratch), Operand::Reg(scratch), Operand::Imm(1)],
-            )
-            .with_mods(Mods { sub: sass::SubOp::And, ..Mods::default() }),
-        );
-        if negated {
-            out.push(
-                Instruction::new(
-                    Op::Lop,
-                    vec![Operand::Reg(scratch), Operand::Reg(scratch), Operand::Imm(1)],
-                )
-                .with_mods(Mods { sub: sass::SubOp::Xor, ..Mods::default() }),
-            );
-        }
-        out.push(Instruction::new(Op::Mov, vec![Operand::Reg(Reg(slot)), Operand::Reg(scratch)]));
+        (inline, body) => body.as_deref().filter(|_| inline),
     };
-
-    for (slot, arg) in abi_slots(&call.args) {
-        if slot as u32 + arg.slots() as u32 > 16 {
-            return Err(NvbitError::BadRequest(format!(
-                "arguments of `{}` exceed the ABI register window (R4..R15)",
-                call.func
-            )));
+    let inline_span = match (cx.exact_live(idx, call), body) {
+        (Some(live), Some(body)) => Some(emit_exact(cx, &live, guard, call, body, out)?),
+        _ => {
+            let routine = cx.routines.get(&tier).copied().ok_or_else(|| {
+                NvbitError::BadRequest(format!("no save routine for tier {tier}"))
+            })?;
+            // 1. Save the thread state. 2. Device-API frame pointer:
+            //    R0 = save-area base. 3. Materialize arguments into the ABI
+            //    registers from the *saved* state: register r sits in slot
+            //    r, the packed predicates after the tier's registers.
+            out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.save_addr)]));
+            out.push(op2(Op::Mov, Reg(0), Operand::Reg(Reg::SP)));
+            let frame = frame_bytes(tier, cx.hal);
+            let regval = |r: u8, d| load_reg(r, d, Some(r as usize), frame);
+            let predval = |p, negated, d, out: &mut Vec<_>| {
+                // Unpack bit `p` of the packed-predicate slot through R3.
+                let scratch = Reg(3);
+                let bit = |op, by: i64, mods| {
+                    let s = Operand::Reg(scratch);
+                    Instruction::new(op, vec![s, s, Operand::Imm(by)]).with_mods(mods)
+                };
+                out.push(op2(Op::Ldl, scratch, frame_slot(tier as usize)));
+                out.push(bit(Op::Shr, p as i64, Mods { itype: IType::U32, ..Mods::default() }));
+                out.push(bit(Op::Lop, 1, Mods { sub: sass::SubOp::And, ..Mods::default() }));
+                if negated {
+                    out.push(bit(Op::Lop, 1, Mods { sub: sass::SubOp::Xor, ..Mods::default() }));
+                }
+                out.push(op2(Op::Mov, d, Operand::Reg(scratch)));
+            };
+            emit_args(call, guard, |r| r, regval, predval, out)?;
+            // 4. Call the tool function — or splice its body in place of
+            //    the CALL/RET pair; 5. restore the thread state.
+            let span = body.map(|body| splice(body, &Rename::identity(), out));
+            if span.is_none() {
+                out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(tool.addr)]));
+            }
+            out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.restore_addr)]));
+            span
         }
-        match arg {
-            Arg::GuardPred => {
-                let guard = original[idx].guard;
-                emit_pred_value(guard.pred.0, guard.negated, slot, out);
-            }
-            Arg::PredVal(p) => emit_pred_value(*p, false, slot, out),
-            Arg::RegVal(r) => emit_regval(*r, slot, frame, out),
-            Arg::RegVal64(r) => {
-                emit_regval(*r, slot, frame, out);
-                emit_regval(r.saturating_add(1), slot + 1, frame, out);
-            }
-            Arg::Imm32(v) => {
-                out.push(Instruction::new(
-                    Op::Mov32i,
-                    vec![Operand::Reg(Reg(slot)), Operand::Imm(*v as i64)],
-                ));
-            }
-            Arg::Imm64(v) => {
-                out.push(Instruction::new(
-                    Op::Mov32i,
-                    vec![Operand::Reg(Reg(slot)), Operand::Imm((*v as u32 as i32) as i64)],
-                ));
-                out.push(Instruction::new(
-                    Op::Mov32i,
-                    vec![
-                        Operand::Reg(Reg(slot + 1)),
-                        Operand::Imm(((*v >> 32) as u32 as i32) as i64),
-                    ],
-                ));
-            }
-            Arg::CBank { bank, offset } => {
-                out.push(Instruction::new(
-                    Op::Ldc,
-                    vec![
-                        Operand::Reg(Reg(slot)),
-                        Operand::CBank { bank: *bank, base: Reg::RZ, offset: *offset },
-                    ],
-                ));
-            }
-        }
-    }
-
-    // 4. Call the tool function — or splice its body in place of the
-    //    CALL/RET pair when the plan inlined it; 5. restore the thread
-    //    state.
-    let inline_span = if call.inline {
-        let body = tool.body.as_ref().ok_or_else(|| {
-            NvbitError::BadRequest(format!(
-                "call to `{}` marked inline but no body was retained",
-                call.func
-            ))
-        })?;
-        let at = out.len();
-        // The compiler pipeline guarantees a single trailing RET
-        // (`ptx::lower::merge_returns`); replace it with a NOP so early
-        // returns branch onto it and fall through to the restore call.
-        // Relative distances inside the body are preserved verbatim.
-        out.extend(body.iter().cloned());
-        let last = out.last_mut().expect("inlinable body is non-empty");
-        debug_assert_eq!(last.op, Op::Ret);
-        *last = Instruction::nop();
-        Some((at, body.len()))
-    } else {
-        out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(tool.addr)]));
-        None
     };
-    out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.restore_addr)]));
     Ok(CallMeta {
         func: call.func.clone(),
         multiplicity: call.multiplicity,
@@ -817,23 +815,200 @@ fn emit_call(
     })
 }
 
-/// Loads saved register `r` into ABI slot register `slot`.
-fn emit_regval(r: u8, slot: u8, frame: u32, out: &mut Vec<Instruction>) {
-    match r {
-        255 => out
-            .push(Instruction::new(Op::Mov, vec![Operand::Reg(Reg(slot)), Operand::Reg(Reg::RZ)])),
-        1 => {
-            // The stack pointer is not stored; reconstruct the pre-save
-            // value.
-            out.push(Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(slot)), Operand::Reg(Reg::SP), Operand::Imm(frame as i64)],
-            ));
+/// `op d, s`.
+fn op2(op: Op, d: Reg, s: Operand) -> Instruction {
+    Instruction::new(op, vec![Operand::Reg(d), s])
+}
+
+/// Slot `i` of the open save frame.
+fn frame_slot(i: usize) -> Operand {
+    Operand::MRef { base: Reg::SP, offset: 4 * i as i32 }
+}
+
+/// Splices `body`, renamed through `rn`, into `out` and returns its
+/// `(offset, len)`. The compiler pipeline guarantees a single trailing `RET`
+/// (`ptx::lower::merge_returns`); it becomes a `NOP`, so early returns
+/// branch onto it and fall through to the restore. Relative distances
+/// inside the body are preserved verbatim.
+fn splice(body: &[Instruction], rn: &Rename, out: &mut Vec<Instruction>) -> (usize, usize) {
+    let at = out.len();
+    out.extend(body.iter().cloned().map(|mut ins| {
+        ins.map_regs(|r| rn.reg(r), |p| rn.pred(p));
+        ins
+    }));
+    let last = out.last_mut().expect("inlinable body is non-empty");
+    debug_assert_eq!(last.op, Op::Ret);
+    *last = Instruction::nop();
+    (at, body.len())
+}
+
+/// The per-site register bijection of an exact splice: which aligned pair
+/// each aligned pair of the marshalling + body sequence occupies, and which
+/// predicate each of its predicates. `RZ` and `PT` map to themselves.
+struct Rename {
+    pairs: [u8; 128],
+    preds: [u8; 8],
+}
+
+impl Rename {
+    fn identity() -> Rename {
+        Rename { pairs: std::array::from_fn(|p| p as u8), preds: [0, 1, 2, 3, 4, 5, 6, 7] }
+    }
+
+    fn reg(&self, r: Reg) -> Reg {
+        if r.is_zero() {
+            r
+        } else {
+            Reg(self.pairs[r.index() / 2] * 2 + r.0 % 2)
         }
-        _ => out.push(Instruction::new(
-            Op::Ldl,
-            vec![Operand::Reg(Reg(slot)), Operand::MRef { base: Reg::SP, offset: 4 * r as i32 }],
-        )),
+    }
+
+    fn pred(&self, p: Pred) -> Pred {
+        Pred(self.preds[p.index() & 7])
+    }
+
+    /// Moves every aligned pair with a written half that is live onto the
+    /// lowest aligned pair that is dead, unused by the sequence, below the
+    /// function's own `reg_count` and not `R0:R1` — staying put when none is
+    /// left — and every written live predicate onto a dead unused one.
+    /// Returns the renaming and the number of pairs moved. A sequence with
+    /// a span wider than a pair, or an unaligned pair, is left in place.
+    fn scavenge(
+        spans: &[(Reg, usize, bool)],
+        (pred_used, pred_written): (u8, u8),
+        live: &LiveSet,
+        reg_count: u32,
+    ) -> (Rename, u64) {
+        let mut rn = Rename::identity();
+        let live_reg = |r: usize| live.gprs.contains(Reg(r as u8));
+        let (mut used, mut hit, mut aligned) = ([false; 128], [false; 128], true);
+        for &(first, n, written) in spans {
+            aligned &= first.is_zero() || n == 1 || (n == 2 && first.0 % 2 == 0);
+            for r in span_regs(first, n) {
+                used[r.index() / 2] = true;
+                hit[r.index() / 2] |= written && live_reg(r.index());
+            }
+        }
+        let mut free = (1..(reg_count as usize / 2).min(127))
+            .filter(|&q| !used[q] && !live_reg(2 * q) && !live_reg(2 * q + 1));
+        let mut moved = 0;
+        for (p, q) in (1..127).filter(|&p| aligned && hit[p]).zip(&mut free) {
+            rn.pairs[p] = q as u8;
+            moved += 1;
+        }
+        let free = (0..7u8).filter(|q| (live.preds | pred_used) >> q & 1 == 0);
+        for (p, q) in (0..7).filter(|p| (pred_written & live.preds) >> p & 1 == 1).zip(free) {
+            rn.preds[p] = q;
+        }
+        (rn, moved)
+    }
+}
+
+/// Emits an accepted splice inside its exact bracket (DESIGN §4d): the
+/// marshalling + body sequence renamed off the registers `live` at the
+/// injection point ([`Rename::scavenge`]), and what it still clobbers of
+/// them stored into a frame of exactly that many slots and reloaded after
+/// the body — no frame at all when that set is empty.
+fn emit_exact(
+    cx: &mut Emit<'_>,
+    live: &LiveSet,
+    guard: sass::Guard,
+    call: &PlannedCall,
+    body: &[Instruction],
+    out: &mut Vec<Instruction>,
+) -> Result<(usize, usize)> {
+    let mut spans: Vec<(Reg, usize, bool)> =
+        abi_slots(&call.args).map(|(slot, arg)| (Reg(slot), arg.slots() as usize, true)).collect();
+    for ins in body {
+        ins.each_span(|r, n, written| spans.push((r, n, written)));
+    }
+    let (rn, moved) = Rename::scavenge(&spans, pred_masks(body), live, cx.info.reg_count);
+
+    let mut clobber = sass::RegSet::EMPTY;
+    for &(first, n, _) in spans.iter().filter(|(.., written)| *written) {
+        span_regs(first, n).for_each(|r| clobber.insert(rn.reg(r)));
+    }
+    let saved: Vec<u8> = clobber.iter().filter(|r| live.gprs.contains(Reg(*r))).collect();
+    let frame = 4 * saved.len() as u32;
+    cx.exact_slots += saved.len() as u64;
+    cx.renamed_pairs += moved;
+    cx.exact_frame = cx.exact_frame.max(frame);
+
+    let adjust_sp = |by: i64| {
+        let sp = Operand::Reg(Reg::SP);
+        Instruction::new(Op::Iadd, vec![sp, sp, Operand::Imm(by)])
+    };
+    out.extend((frame > 0).then(|| adjust_sp(-i64::from(frame))));
+    for (i, &r) in saved.iter().enumerate() {
+        out.push(Instruction::new(Op::Stl, vec![frame_slot(i), Operand::Reg(Reg(r))]));
+    }
+    // Registers outside the save set and every predicate still hold the
+    // application's values: read them in place.
+    let regval = |r: u8, d| load_reg(r, d, saved.iter().position(|s| *s == r), frame);
+    let predval = |p, negated, d, out: &mut Vec<_>| {
+        out.push(op2(Op::Mov32i, d, Operand::Imm(0)));
+        out.push(
+            op2(Op::Mov32i, d, Operand::Imm(1)).with_guard(sass::Guard { pred: Pred(p), negated }),
+        );
+    };
+    emit_args(call, guard, |r| rn.reg(r), regval, predval, out)?;
+    let span = splice(body, &rn, out);
+    out.extend(saved.iter().enumerate().map(|(i, &r)| op2(Op::Ldl, Reg(r), frame_slot(i))));
+    out.extend((frame > 0).then(|| adjust_sp(i64::from(frame))));
+    Ok(span)
+}
+
+/// Materializes `call`'s arguments into the ABI registers, each placed by
+/// `dst`. `regval(r, d)` loads the application's register `r` into `d`;
+/// `predval(p, negated, d, out)` its predicate `p` (complemented when
+/// `negated`) as 0/1.
+fn emit_args(
+    call: &PlannedCall,
+    guard: sass::Guard,
+    dst: impl Fn(Reg) -> Reg,
+    regval: impl Fn(u8, Reg) -> Instruction,
+    predval: impl Fn(u8, bool, Reg, &mut Vec<Instruction>),
+    out: &mut Vec<Instruction>,
+) -> Result<()> {
+    for (slot, arg) in abi_slots(&call.args) {
+        if slot as u32 + arg.slots() as u32 > 16 {
+            return Err(NvbitError::BadRequest(format!(
+                "arguments of `{}` exceed the ABI register window (R4..R15)",
+                call.func
+            )));
+        }
+        let (lo, hi) = (dst(Reg(slot)), dst(Reg(slot + 1)));
+        let imm = |d, v: u32| op2(Op::Mov32i, d, Operand::Imm((v as i32) as i64));
+        match *arg {
+            // PT: constant true (negated PT is constant false).
+            Arg::GuardPred if guard.pred.is_true_reg() => out.push(imm(lo, !guard.negated as u32)),
+            Arg::PredVal(p) if p >= 7 => out.push(imm(lo, 1)),
+            Arg::GuardPred => predval(guard.pred.0, guard.negated, lo, out),
+            Arg::PredVal(p) => predval(p, false, lo, out),
+            Arg::RegVal(r) => out.push(regval(r, lo)),
+            Arg::RegVal64(r) => out.extend([regval(r, lo), regval(r.saturating_add(1), hi)]),
+            Arg::Imm32(v) => out.push(imm(lo, v as u32)),
+            Arg::Imm64(v) => out.extend([imm(lo, v as u32), imm(hi, (v >> 32) as u32)]),
+            Arg::CBank { bank, offset } => {
+                out.push(op2(Op::Ldc, lo, Operand::CBank { bank, base: Reg::RZ, offset }));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Loads the application's register `r` into `d`: from `slot` of the open
+/// `frame`-byte frame when it was saved, in place otherwise.
+fn load_reg(r: u8, d: Reg, slot: Option<usize>, frame: u32) -> Instruction {
+    match (r, slot) {
+        (255, _) => op2(Op::Mov, d, Operand::Reg(Reg::RZ)),
+        // The stack pointer is not stored; reconstruct the pre-save value.
+        (1, _) => Instruction::new(
+            Op::Iadd,
+            vec![Operand::Reg(d), Operand::Reg(Reg::SP), Operand::Imm(frame as i64)],
+        ),
+        (_, Some(slot)) => op2(Op::Ldl, d, frame_slot(slot)),
+        (_, None) => op2(Op::Mov, d, Operand::Reg(Reg(r))),
     }
 }
 
@@ -922,6 +1097,32 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// One site emitted behind the tier-16 routines, no liveness applied.
+    fn ladder_site(
+        hal: &Hal,
+        info: &FunctionInfo,
+        original: &[Instruction],
+        plan: &InstrumentationPlan,
+        tool_fns: &HashMap<String, ToolFn>,
+        idx: usize,
+    ) -> (Vec<Instruction>, usize, Vec<CallMeta>) {
+        let routines = fake_routines();
+        let mut cx = Emit {
+            hal,
+            info,
+            original,
+            plan,
+            tool_fns,
+            routines: &routines,
+            liveness: None,
+            observed: LiveSet::EMPTY,
+            exact_slots: 0,
+            renamed_pairs: 0,
+            exact_frame: 0,
+        };
+        emit_site(&mut cx, 16, idx).unwrap()
     }
 
     fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>, Vec<u8>) {
@@ -1113,10 +1314,8 @@ mod tests {
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         spec.remove_orig(0);
-        let routines = fake_routines();
         let plan = plan_of(&spec, &instrs, &tool_fns());
-        let (out, orig_pos, _) =
-            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0).unwrap();
+        let (out, orig_pos, _) = ladder_site(&hal, &info, &instrs, &plan, &tool_fns(), 0);
         assert!(out.iter().all(|i| i.op != Op::Proxy));
         assert_eq!(out[orig_pos].op, Op::Nop);
         let _ = code;
@@ -1151,10 +1350,8 @@ mod tests {
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::After);
         spec.insert_call(0, "ifunc", IPoint::Before);
-        let routines = fake_routines();
         let plan = plan_of(&spec, &instrs, &tool_fns());
-        let (out, orig_pos, metas) =
-            emit_site(&hal, &info, &instrs, &plan, &tool_fns(), &routines[&16], 16, 0).unwrap();
+        let (out, orig_pos, metas) = ladder_site(&hal, &info, &instrs, &plan, &tool_fns(), 0);
         assert_eq!(metas.len(), 2);
         let iadd_pos = out.iter().position(|i| i.op == Op::Iadd).unwrap();
         assert_eq!(iadd_pos, orig_pos);
@@ -1549,6 +1746,358 @@ mod tests {
         assert_eq!(img.plan.inlined_calls, 1);
     }
 
+    /// The compiled shape of `nvbit_count_pmult(pred, ctr, mult)`: a guarded
+    /// diamond over R4..R9 and P0.
+    const PMULT: &str = "\
+        MOV R5, R8 ;
+        ISETP.EQ.U32 P0, R4, 0x0 ;
+        SSY end ;
+    @P0 BRA join ;
+        MOV R8, R5 ;
+        MOV R9, RZ ;
+        ATOM.ADD.U64 R4, [R6], R8, RZ ;
+        BRA join ;
+    join:
+        SYNC ;
+    end:
+        RET ;
+    ";
+
+    fn tool(hal: &Hal, name: &str, text: &str) -> HashMap<String, ToolFn> {
+        let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
+        let regs = body.iter().filter_map(Instruction::max_reg).max().map_or(4, |r| r as u32 + 1);
+        let tf = ToolFn::with_body(0x8000, regs, 0, false, body, hal.arch());
+        assert!(tf.inlinable, "{name} must be spliceable");
+        HashMap::from([(name.to_string(), tf)])
+    }
+
+    /// Plans `spec` at the top rung over a 12-register Volta kernel and
+    /// generates it under the liveness policy; returns the image and its
+    /// trampoline.
+    fn exact(
+        text: &str,
+        fns: &HashMap<String, ToolFn>,
+        spec: &FuncSpec,
+    ) -> (InstrumentedImage, Vec<Instruction>) {
+        exact_on(Arch::Volta, text, fns, spec)
+    }
+
+    /// [`exact`] on either encoding family.
+    fn exact_on(
+        arch: Arch,
+        text: &str,
+        fns: &HashMap<String, ToolFn>,
+        spec: &FuncSpec,
+    ) -> (InstrumentedImage, Vec<Instruction>) {
+        let (hal, info, instrs, code) = setup(arch, text);
+        let analysis = sass::Analysis::of(&instrs, arch);
+        let plan = plan::build(spec, &instrs, arch, &analysis, fns, PlanOpts::default()).unwrap();
+        let img = generate(
+            &hal,
+            &info,
+            &instrs,
+            &code,
+            &plan,
+            fns,
+            &fake_routines(),
+            &analysis,
+            SavePolicy::Liveness,
+            |_| Ok(0x9000),
+        )
+        .unwrap();
+        let tramp = hal.disassemble(&img.tramp_code).unwrap();
+        (img, tramp)
+    }
+
+    fn text_of(instrs: &[Instruction]) -> String {
+        sass::asm::disassemble(instrs)
+    }
+
+    #[test]
+    fn a_before_splice_does_not_pay_for_what_its_instruction_defines() {
+        // The site's instruction defines R4, and R4 is dead before it: the
+        // union of live-in and live-out used to charge the Before splice a
+        // slot for it. Queried by injection point, nothing the leaf writes
+        // is live — no frame, no local access, no renaming.
+        let hal = Hal::new(Arch::Volta);
+        let fns = leaf_fns(&hal, 8);
+        let app = "MOV R4, R2 ;\nSTG [R6], R4 ;\nEXIT ;";
+        let mut spec = FuncSpec::default();
+        spec.insert_call(0, "leaf", IPoint::Before);
+        let (img, tramp) = exact(app, &fns, &spec);
+        assert_eq!(img.saved_slots, 0);
+        assert_eq!(img.tier, 0, "no save routine is called");
+        let ops: Vec<Op> = tramp.iter().map(|i| i.op).collect();
+        assert_eq!(ops, vec![Op::Iadd, Op::Nop, Op::Mov, Op::Jmp], "{}", text_of(&tramp));
+        assert_eq!(tramp[0].operands[0], Operand::Reg(Reg(4)));
+
+        // After the instruction R4 is live: the same splice moves onto the
+        // dead pair R2:R3 instead of saving it.
+        let mut spec = FuncSpec::default();
+        spec.insert_call(0, "leaf", IPoint::After);
+        let (img, tramp) = exact(app, &fns, &spec);
+        assert_eq!(img.saved_slots, 0);
+        let ops: Vec<Op> = tramp.iter().map(|i| i.op).collect();
+        assert_eq!(ops, vec![Op::Mov, Op::Iadd, Op::Nop, Op::Jmp], "{}", text_of(&tramp));
+        assert_eq!(tramp[1].operands[..2], [Operand::Reg(Reg(2)), Operand::Reg(Reg(2))]);
+    }
+
+    #[test]
+    fn exact_bracket_renames_then_saves_what_is_left() {
+        // At the guarded store R2:R3, R6:R7, R8, R9 and P0 are live; R4:R5
+        // and R10:R11 are dead. Of the body's pairs R4:R5 stays, R6:R7
+        // takes the one dead pair below reg_count = 12, and R8:R9 has
+        // nowhere to go: exactly R8 and R9 are saved. P0 moves to P1.
+        let hal = Hal::new(Arch::Volta);
+        let fns = tool(&hal, "pmult", PMULT);
+        let app = "\
+            ISETP.EQ.S32 P0, R2, RZ ;
+        @P0 STG [R6], R8 ;
+            STG [R2], R9 ;
+            EXIT ;
+        ";
+        let mut spec = FuncSpec::default();
+        spec.insert_call(1, "pmult", IPoint::Before);
+        spec.add_arg(1, Arg::GuardPred);
+        spec.add_arg(1, Arg::Imm64(0xdead_0000_beef));
+        spec.add_arg(1, Arg::Imm32(3));
+        let (img, tramp) = exact(app, &fns, &spec);
+        assert_eq!(img.saved_slots, 2);
+        let expect = sass::asm::assemble_arch(
+            "\
+            IADD R1, R1, -0x8 ;
+            STL [R1], R8 ;
+            STL [R1+0x4], R9 ;
+            MOV32I R4, 0x0 ;
+        @P0 MOV32I R4, 0x1 ;
+            MOV32I R10, 0xbeef ;
+            MOV32I R11, 0xdead ;
+            MOV32I R8, 0x3 ;
+            MOV R5, R8 ;
+            ISETP.EQ.U32 P1, R4, 0x0 ;
+            SSY end ;
+        @P1 BRA join ;
+            MOV R8, R5 ;
+            MOV R9, RZ ;
+            ATOM.ADD.U64 R4, [R10], R8, RZ ;
+            BRA join ;
+        join:
+            SYNC ;
+        end:
+            NOP ;
+            LDL R8, [R1] ;
+            LDL R9, [R1+0x4] ;
+            IADD R1, R1, 0x8 ;
+        ",
+            Arch::Volta,
+        )
+        .unwrap();
+        assert_eq!(text_of(&tramp[..expect.len()]), text_of(&expect));
+        assert_eq!(img.sites[0].calls[0].inline, Some((8, 10)));
+    }
+
+    // ----- The verifier on mutated exact brackets --------------------------
+
+    use crate::verify::{verify_instrs, verify_plan_instrs, DiagKind, ExternalCode};
+
+    /// The image of `exact_bracket_renames_then_saves_what_is_left` as the
+    /// verifier sees it: original body, trampoline, site layout, tool body.
+    /// Trampoline positions: 0 frame open, 1–2 stores of R8/R9, 3–7
+    /// arguments, 8–17 the splice (11 its guarded branch, 17 the RET's
+    /// NOP), 18–19 reloads, 20 frame close, 21 the relocated store.
+    struct Accepted {
+        original: Vec<Instruction>,
+        tramp: Vec<Instruction>,
+        sites: Vec<SiteMeta>,
+        ext: ExternalCode,
+    }
+
+    impl Accepted {
+        fn new() -> Accepted {
+            let hal = Hal::new(Arch::Volta);
+            let fns = tool(&hal, "pmult", PMULT);
+            let app = "\
+                ISETP.EQ.S32 P0, R2, RZ ;
+            @P0 STG [R6], R8 ;
+                STG [R2], R9 ;
+                EXIT ;
+            ";
+            let mut spec = FuncSpec::default();
+            spec.insert_call(1, "pmult", IPoint::Before);
+            spec.add_arg(1, Arg::GuardPred);
+            spec.add_arg(1, Arg::Imm64(0xdead_0000_beef));
+            spec.add_arg(1, Arg::Imm32(3));
+            let (img, tramp) = exact(app, &fns, &spec);
+            let tool_bodies = vec![("pmult".to_string(), fns["pmult"].body.clone().unwrap())];
+            Accepted {
+                original: hal.disassemble(&img.original).unwrap(),
+                tramp,
+                sites: img.sites,
+                ext: ExternalCode { tool_bodies, ..ExternalCode::default() },
+            }
+        }
+
+        /// The diagnostic kinds both verifier halves report.
+        fn verify(&self) -> Vec<DiagKind> {
+            let hal = Hal::new(Arch::Volta);
+            let image = self.original.clone(); // only the trampoline is under test
+            let opts = PlanOpts::default();
+            let (tramp, sites, ext) = (&self.tramp, &self.sites, &self.ext);
+            let mut d = verify_plan_instrs(&hal, &self.original, tramp, sites, &opts, ext);
+            d.extend(verify_instrs(&hal, 0x4000, &image, 0x9000, tramp, sites, ext));
+            d.iter().map(|d| d.kind).collect()
+        }
+    }
+
+    #[test]
+    fn the_accepted_exact_bracket_verifies_clean() {
+        assert_eq!(Accepted::new().verify(), vec![]);
+    }
+
+    #[test]
+    fn a_live_register_written_but_not_saved_is_rejected() {
+        let mut img = Accepted::new();
+        img.tramp[2] = Instruction::nop(); // R9 is never stored
+        assert!(img.verify().contains(&DiagKind::PressureExceeded));
+    }
+
+    #[test]
+    fn a_reload_missing_on_the_taken_arm_is_rejected() {
+        // The diamond's guarded branch now lands on the frame close, past
+        // both reloads: lanes taking it return with R8 and R9 clobbered.
+        let mut img = Accepted::new();
+        assert_eq!(img.tramp[11].op, Op::Bra);
+        img.tramp[11].set_rel_target((20 - 12) * 16);
+        assert!(img.verify().contains(&DiagKind::PressureExceeded));
+    }
+
+    #[test]
+    fn a_body_predicate_renamed_onto_a_live_predicate_is_rejected() {
+        // Still a bijection of the loaded body (P0 ↦ P0), so the splice
+        // matches — but P0 guards the instrumented store.
+        let mut img = Accepted::new();
+        for ins in &mut img.tramp[8..18] {
+            ins.map_regs(|r| r, |p| if p == Pred(1) { Pred(0) } else { p });
+        }
+        let kinds = img.verify();
+        assert!(kinds.contains(&DiagKind::PressureExceeded), "{kinds:?}");
+        assert!(!kinds.contains(&DiagKind::InlineMismatch), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_rename_that_is_not_a_pair_preserving_bijection_is_rejected() {
+        // Splitting the aligned pair R8:R9 (R9 alone moves to R3).
+        let mut img = Accepted::new();
+        img.tramp[13].operands[0] = Operand::Reg(Reg(3));
+        assert!(img.verify().contains(&DiagKind::InlineMismatch));
+        // Two source pairs on one target: R4:R5 joins R6:R7 on R10:R11.
+        let mut img = Accepted::new();
+        for ins in &mut img.tramp[8..18] {
+            ins.map_regs(|r| if r.0 / 2 == 2 { Reg(r.0 + 6) } else { r }, |p| p);
+        }
+        assert!(img.verify().contains(&DiagKind::InlineMismatch));
+    }
+
+    #[test]
+    fn a_frame_left_open_is_rejected() {
+        let mut img = Accepted::new();
+        img.tramp[20] = Instruction::nop(); // R1 stays decremented
+        assert!(img.verify().contains(&DiagKind::UnbalancedFrame));
+    }
+
+    #[test]
+    fn a_frame_access_past_the_exact_frame_is_rejected() {
+        let mut img = Accepted::new();
+        let slot_2 = Operand::MRef { base: Reg::SP, offset: 8 }; // the frame has two
+        img.tramp[19] = Instruction::new(Op::Ldl, vec![Operand::Reg(Reg(9)), slot_2]);
+        assert!(img.verify().contains(&DiagKind::TierExceeded));
+    }
+
+    #[test]
+    fn register_arguments_read_in_place_or_from_the_frame() {
+        // RegVal64(6) names a pair the splice cannot move off (no dead pair
+        // below reg_count): it is saved, and the argument loads come from
+        // its two frame slots. RegVal(2) is outside the clobber set: a MOV.
+        for arch in [Arch::Kepler, Arch::Volta] {
+            let hal = Hal::new(arch);
+            let fns = tool(&hal, "pair", "IADD R8, R4, R6 ;\nRET ;");
+            let app = "\
+            IADD R10, R4, R5 ;
+            STG [R6], R8 ;
+            STG [R2], R10 ;
+            STG [R2], R11 ;
+            EXIT ;
+        ";
+            let mut spec = FuncSpec::default();
+            spec.insert_call(1, "pair", IPoint::Before);
+            spec.add_arg(1, Arg::RegVal(2));
+            spec.add_arg(1, Arg::RegVal64(6));
+            let (img, tramp) = exact_on(arch, app, &fns, &spec);
+            let expect = sass::asm::assemble_arch(
+                "\
+            IADD R1, R1, -0xc ;
+            STL [R1], R6 ;
+            STL [R1+0x4], R7 ;
+            STL [R1+0x8], R8 ;
+            MOV R4, R2 ;
+            LDL R6, [R1] ;
+            LDL R7, [R1+0x4] ;
+            IADD R8, R4, R6 ;
+            NOP ;
+            LDL R6, [R1] ;
+            LDL R7, [R1+0x4] ;
+            LDL R8, [R1+0x8] ;
+            IADD R1, R1, 0xc ;
+        ",
+                arch,
+            )
+            .unwrap();
+            assert_eq!(text_of(&tramp[..expect.len()]), text_of(&expect));
+            assert_eq!(img.saved_slots, 3);
+        }
+    }
+
+    #[test]
+    fn a_live_predicate_with_no_free_predicate_keeps_the_save_routines() {
+        // All seven predicates are live across the site, so the body's P0
+        // cannot move and an exact bracket has nowhere to keep it: the
+        // splice goes behind the save routines, which save the predicate
+        // file, with the tier its window needs (R2:R3 live below R5).
+        for arch in [Arch::Pascal, Arch::Volta] {
+            let hal = Hal::new(arch);
+            let fns = tool(&hal, "setp", "ISETP.EQ.U32 P0, R4, 0x0 ;\nRET ;");
+            let guarded: String =
+                (0..7).map(|p| format!("@P{p} STG [R2], R{} ;\n", 6 + p)).collect();
+            let app = format!("MOV R6, R2 ;\n{guarded}EXIT ;");
+            let mut spec = FuncSpec::default();
+            spec.insert_call(0, "setp", IPoint::Before);
+            spec.add_arg(0, Arg::Imm32(0));
+            let (img, tramp) = exact_on(arch, &app, &fns, &spec);
+            let ops: Vec<Op> = tramp.iter().map(|i| i.op).collect();
+            let expect =
+                [Op::Jcal, Op::Mov, Op::Mov32i, Op::Isetp, Op::Nop, Op::Jcal, Op::Mov, Op::Jmp];
+            assert_eq!(ops, expect, "{}", text_of(&tramp));
+            assert_eq!(img.sites[0].calls[0].inline, Some((3, 2)));
+            assert_eq!((img.tier, img.saved_slots), (16, 16));
+
+            let routines = fake_routines();
+            let ext = ExternalCode {
+                save_addrs: routines.values().map(|r| r.save_addr).collect(),
+                restore_addrs: routines.values().map(|r| r.restore_addr).collect(),
+                tool_bodies: vec![("setp".to_string(), fns["setp"].body.clone().unwrap())],
+                ..ExternalCode::default()
+            };
+            let original = hal.disassemble(&img.original).unwrap();
+            let diags = verify_plan_instrs(&hal, &original, &tramp, &img.sites, &img.opts, &ext);
+            assert_eq!(diags, vec![]);
+            // Behind nothing at all, the write of live P0 is caught.
+            let mut bare = tramp.clone();
+            (bare[0], bare[5]) = (Instruction::nop(), Instruction::nop());
+            let diags = verify_plan_instrs(&hal, &original, &bare, &img.sites, &img.opts, &ext);
+            assert!(diags.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{diags:?}");
+        }
+    }
+
     #[test]
     fn inline_span_shifts_inside_the_pred_filter_diamond() {
         let (hal, info, instrs, _code) = setup(
@@ -1564,9 +2113,7 @@ mod tests {
         let plan =
             plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &fns, PlanOpts::default())
                 .unwrap();
-        let routines = fake_routines();
-        let (out, _, metas) =
-            emit_site(&hal, &info, &instrs, &plan, &fns, &routines[&16], 16, 1).unwrap();
+        let (out, _, metas) = ladder_site(&hal, &info, &instrs, &plan, &fns, 1);
         let (off, len) = metas[0].inline.expect("inlined");
         assert_eq!(len, 2);
         assert_eq!(out[off].op, Op::Iadd, "{}", sass::asm::disassemble(&out));

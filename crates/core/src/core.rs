@@ -807,11 +807,12 @@ impl Interposer for NvbitCore {
 /// [`NvbitApi::save_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveStats {
-    /// Register slots actually saved across all injections.
+    /// Σ slots stored per call (exact for spliced calls, tier for called
+    /// ones).
     pub saved_slots: u64,
     /// Slots the conservative whole-function tier would have saved.
     pub full_tier_slots: u64,
-    /// Largest save tier used by any site.
+    /// Largest save tier used by any site (0: no save routine is called).
     pub max_tier: u16,
     /// Number of injection sites.
     pub sites: usize,

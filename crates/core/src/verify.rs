@@ -16,17 +16,19 @@
 //! * register and predicate operands stay within the architectural bounds
 //!   (including multi-register spans of wide loads/stores);
 //! * operand lists match their opcode formats;
-//! * trampoline frame discipline: the save routine is called before any
-//!   save-area access or tool call, every save is matched by a restore,
-//!   and no site ends with an open frame.
+//! * trampoline save discipline, walked along every path of a site's
+//!   injected code: a frame (a save routine's, or an exact bracket's) is
+//!   open before any save-area access or tool call and closed again
+//!   wherever the application resumes, accesses stay inside it, and
+//!   whatever the injected code writes is dead there or saved and restored.
 
 use crate::codegen::SiteMeta;
 use crate::hal::Hal;
 use crate::plan::{PlanLevel, PlanOpts};
 use crate::saverestore::frame_slots;
 use sass::cfg::block_of;
-use sass::op::{CfClass, OKind};
-use sass::{Instruction, MemSpace, Op, Operand, Reg};
+use sass::op::CfClass;
+use sass::{Instruction, Op, Operand, Reg};
 use std::sync::Arc;
 
 /// Which code region a diagnostic points into.
@@ -68,7 +70,8 @@ pub enum DiagKind {
     ReadBeforeSave,
     /// A restore call without a matching save.
     RestoreWithoutSave,
-    /// A trampoline site ends with an open save frame.
+    /// The application resumes (at the relocated original, or behind the
+    /// back-jump) with a save frame open or `R1` off its entry value.
     UnbalancedFrame,
     /// A coalesced call's bookkeeping is inconsistent: its multiplicity does
     /// not match its group size, its group is not anchored at the site, or
@@ -85,17 +88,17 @@ pub enum DiagKind {
     /// the move.
     AfterMismatch,
     /// An inline-spliced call does not reproduce the loaded tool function's
-    /// body (with the trailing `RET` turned into a `NOP`).
+    /// body (trailing `RET` turned into a `NOP`) under one injective,
+    /// aligned-pair-preserving renaming of registers and predicates.
     InlineMismatch,
-    /// A save-area access addresses a slot beyond what the site's save tier
-    /// writes.
+    /// A save-area access addresses a slot outside the open frame: the
+    /// site's save tier, or the bytes an exact bracket opened.
     TierExceeded,
-    /// An inline splice clobbers a register that is live across the site
-    /// (per a dataflow analysis recomputed from the original bytes) but
-    /// not covered by the site's save tier: executing the splice would
-    /// corrupt the application's state. This is the safety property the
-    /// pressure cost model exists to uphold, re-proven here without
-    /// trusting the planner's verdicts.
+    /// Injected code writes a register or predicate that is live at its
+    /// injection point (per a dataflow analysis recomputed from the
+    /// original bytes) without it being saved first and restored on every
+    /// path: executing the site would corrupt the application's state.
+    /// Re-proven here without trusting the planner or the code generator.
     PressureExceeded,
     /// The spliced instructions do not form a shape the body classifier
     /// accepts (a straight line or a single guarded diamond whose control
@@ -159,61 +162,243 @@ impl ExternalCode {
     }
 }
 
-/// The multi-register span of each register operand, mirroring the width
-/// rules of [`Instruction::reg_reads`]/[`Instruction::reg_writes`] but
-/// *without* the clamping those apply — the verifier wants the raw span.
-fn reg_spans(ins: &Instruction) -> Vec<(Reg, usize)> {
-    let mut out = Vec::new();
-    for (kind, opnd) in ins.op.format().iter().zip(&ins.operands) {
-        match (kind, opnd) {
-            (OKind::RegW, Operand::Reg(r)) => {
-                let n = if ins.op.is_double() && ins.op != Op::D2f && ins.op != Op::Dsetp {
-                    2
-                } else if ins.op.is_load() && ins.op != Op::Atom {
-                    ins.mods.width.regs()
-                } else if ins.op == Op::F2d {
-                    2
-                } else {
-                    1
-                };
-                out.push((*r, n));
+/// The byte offset of a save-area access: a local load/store through the
+/// stack pointer (`[R1 + off]`).
+fn frame_offset(ins: &Instruction) -> Option<i32> {
+    ins.operands.iter().find_map(|o| match o {
+        Operand::MRef { base: Reg::SP, offset } if matches!(ins.op, Op::Ldl | Op::Stl) => {
+            Some(*offset)
+        }
+        _ => None,
+    })
+}
+
+/// What is known at one point of a site's injected code, on every path
+/// reaching it.
+#[derive(Clone, Default)]
+struct Bracket {
+    /// `R1` relative to its value at the injection point.
+    sp: i64,
+    /// Save-routine frames open.
+    depth: u32,
+    /// `(frame offset, register)` slots of the open exact frame that hold
+    /// the application's value of the register.
+    stores: Vec<(i32, Reg)>,
+    /// Registers and predicates that may no longer hold the application's
+    /// value.
+    dirty: sass::LiveSet,
+}
+
+impl Bracket {
+    /// Joins the state of another path into this one; `false` when the
+    /// paths disagree about the frame.
+    fn join(&mut self, other: &Bracket) -> bool {
+        self.stores.retain(|s| other.stores.contains(s));
+        self.dirty.union_with(&other.dirty);
+        (self.sp, self.depth) == (other.sp, other.depth)
+    }
+}
+
+/// Walks one site's injected instructions along every path (its control
+/// flow is forward-only: the predicate-filter wrapper and the spliced
+/// diamond) and checks the save discipline against liveness recomputed
+/// from the original bytes: frames balance, frame accesses stay inside
+/// the open frame, and every register or predicate an injected instruction
+/// writes is dead at that injection point (`live.0` before the relocated
+/// original, `live.1` after it), or holds a value stored before the write
+/// and reloaded on every path before the application runs again.
+fn check_brackets(
+    hal: &Hal,
+    site: &SiteMeta,
+    body: &[Instruction],
+    live: (sass::LiveSet, sass::LiveSet),
+    ext: &ExternalCode,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let isize = hal.instruction_size() as i64;
+    let target = |pos: usize, ins: &Instruction| -> Option<usize> {
+        let t = pos as i64 + 1 + ins.rel_target()? / isize;
+        usize::try_from(t).ok().filter(|t| *t > pos && *t < body.len())
+    };
+    let ssy: Vec<usize> = body
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| i.cf_class() == CfClass::Ssy)
+        .filter_map(|(pos, i)| target(pos, i))
+        .collect();
+    let mut pending: Vec<(usize, Bracket)> = Vec::new();
+    let mut cur = Some(Bracket::default());
+    for (pos, ins) in body.iter().enumerate() {
+        let mut diag = |kind, what: &str| {
+            let message = format!("site for instruction {}: {what}", site.instr_idx);
+            let (region, index) = (Region::Trampoline, site.start + pos);
+            diags.push(Diagnostic { kind, region, index, message });
+        };
+        let mut balanced = true;
+        pending.retain(|(t, arriving)| {
+            if *t == pos {
+                match cur.as_mut() {
+                    Some(st) => balanced &= st.join(arriving),
+                    None => cur = Some(arriving.clone()),
+                }
             }
-            (OKind::RegR | OKind::RegRI, Operand::Reg(r)) => {
-                let n = if ins.op.is_double() {
-                    2
-                } else if matches!(kind, OKind::RegR)
-                    && matches!(ins.op, Op::Stg | Op::Sts | Op::Stl)
-                {
-                    ins.mods.width.regs()
-                } else {
-                    1
-                };
-                out.push((*r, n));
+            *t != pos
+        });
+        let Some(st) = cur.as_mut() else { continue };
+        let live = if pos <= site.orig_pos { &live.0 } else { &live.1 };
+        let live_reg = |r: Reg| r == Reg::SP || live.gprs.contains(r);
+        if !balanced {
+            diag(DiagKind::UnbalancedFrame, "paths join with different frames");
+        }
+
+        // The application runs again at the relocated original and behind
+        // the back-jump: frames closed, live state restored.
+        if pos == site.orig_pos || pos + 1 == body.len() {
+            if st.sp != 0 || st.depth != 0 {
+                let what = format!("R1 off by {}, {} save frame(s) open", st.sp, st.depth);
+                diag(DiagKind::UnbalancedFrame, &what);
             }
-            (OKind::MRef | OKind::MRefAtom, Operand::MRef { base, .. }) => {
-                let n = match ins.op.mem_space() {
-                    Some(MemSpace::Shared) => 1,
-                    _ => 2,
-                };
-                out.push((*base, n));
+            let lost = st.dirty.gprs.iter().find(|r| live_reg(Reg(*r)));
+            let lost_preds = st.dirty.preds & live.preds;
+            if lost.is_some() || lost_preds != 0 {
+                let what = format!("live R{lost:?} / predicates {lost_preds:#x} not restored");
+                diag(DiagKind::PressureExceeded, &what);
             }
-            (OKind::CBankRef, Operand::CBank { base, .. }) => out.push((*base, 1)),
+            cur = Some(Bracket::default());
+            continue;
+        }
+
+        let always = ins.guard.is_always();
+        if let (Op::Jcal, Some(Operand::Abs(t))) = (ins.op, ins.operands.first()) {
+            if ext.save_addrs.contains(t) {
+                st.depth += 1;
+            } else if ext.restore_addrs.contains(t) && st.depth == 0 {
+                diag(DiagKind::RestoreWithoutSave, "restore call without a matching save");
+            } else if ext.restore_addrs.contains(t) {
+                st.depth -= 1;
+                (0..site.tier.min(255) as u8).for_each(|r| st.dirty.gprs.remove(Reg(r)));
+                st.dirty.preds = 0;
+            } else if ext.tool_addrs.contains(t) && st.depth == 0 {
+                diag(DiagKind::ReadBeforeSave, "tool called before the thread state is saved");
+            }
+            continue;
+        }
+        if let (Op::Iadd, true, [Operand::Reg(Reg::SP), Operand::Reg(Reg::SP), Operand::Imm(by)]) =
+            (ins.op, always, ins.operands.as_slice())
+        {
+            // Recorded offsets are relative to the `R1` that just moved.
+            st.sp += by;
+            st.stores.clear();
+            if st.sp > 0 {
+                diag(DiagKind::UnbalancedFrame, "R1 raised past the frame it opened");
+            }
+            continue;
+        }
+
+        let (mut reload, off) = (false, frame_offset(ins));
+        if let Some(off) = off {
+            let slots = if st.depth > 0 { frame_slots(site.tier, hal) as i64 } else { -st.sp / 4 };
+            if st.depth == 0 && st.sp >= 0 {
+                diag(DiagKind::ReadBeforeSave, "save-area access with no frame open");
+            } else if off < 0 || off as i64 + 4 * ins.mods.width.regs() as i64 > 4 * slots {
+                let what = format!("[R1+{off:#x}] is outside the {slots} slots of the open frame");
+                diag(DiagKind::TierExceeded, &what);
+            }
+        }
+        match (ins.op, off, ins.operands.as_slice()) {
+            // An unguarded one-word store of a register that still holds
+            // the application's value saves it in that slot.
+            (Op::Stl, Some(off), [_, Operand::Reg(r)])
+                if always && off % 4 == 0 && ins.reg_reads() == [Reg::SP, *r] =>
+            {
+                st.stores.retain(|(o, _)| *o != off);
+                if st.depth == 0 && !st.dirty.gprs.contains(*r) {
+                    st.stores.push((off, *r));
+                }
+            }
+            // Any other local store may land on any slot.
+            (Op::Stl, ..) => st.stores.clear(),
+            // An unguarded one-word load of the slot restores the register.
+            (Op::Ldl, Some(off), [Operand::Reg(r), _])
+                if always && ins.reg_writes() == [*r] && st.stores.contains(&(off, *r)) =>
+            {
+                st.dirty.gprs.remove(*r);
+                reload = true;
+            }
+            _ => {}
+        }
+
+        for r in ins.reg_writes() {
+            let saved = (st.depth > 0 && u16::from(r.0) < site.tier)
+                || st.stores.iter().any(|(_, s)| *s == r);
+            if !reload && live_reg(r) && !saved {
+                diag(DiagKind::PressureExceeded, &format!("live {r} written but not saved"));
+            }
+            if !reload {
+                st.dirty.gprs.insert(r);
+            }
+        }
+        // Only a save routine's frame holds the predicate file.
+        for p in ins.pred_writes() {
+            if live.pred_live(p) && st.depth == 0 {
+                diag(DiagKind::PressureExceeded, &format!("live {p} written but not saved"));
+            }
+            st.dirty.preds |= 1 << p.0;
+        }
+
+        match ins.cf_class() {
+            CfClass::RelBranch => {
+                pending.extend(target(pos, ins).map(|t| (t, st.clone())));
+                if always {
+                    cur = None;
+                }
+            }
+            CfClass::Sync => {
+                pending.extend(ssy.iter().filter(|t| **t > pos).map(|t| (*t, st.clone())));
+            }
             _ => {}
         }
     }
-    if ins.op == Op::Brx {
-        if let Some(Operand::Reg(r)) = ins.operands.first() {
-            out.push((*r, 2));
-        }
-    }
-    out
 }
 
-/// True when the instruction touches the save area through the stack
-/// pointer (a `[R1 + off]` local access).
-fn touches_save_area(ins: &Instruction) -> bool {
-    matches!(ins.op, Op::Ldl | Op::Stl)
-        && ins.operands.iter().any(|o| matches!(o, Operand::MRef { base, .. } if *base == Reg::SP))
+/// True when `emitted` reproduces `loaded` under one renaming of registers
+/// and predicates that is injective and moves aligned register pairs as
+/// units (`RZ` and `PT` fixed) — every other field equal.
+fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
+    fn bind(table: &mut [Option<u8>], from: u8, to: u8) -> bool {
+        match table[from as usize] {
+            Some(bound) => bound == to,
+            None => {
+                table[from as usize] = Some(to);
+                table.iter().filter(|t| **t == Some(to)).count() == 1
+            }
+        }
+    }
+    /// `ins` with every register and predicate name blanked, and the names.
+    fn names(ins: &Instruction) -> (Instruction, Vec<Reg>, Vec<sass::Pred>) {
+        let (mut blank, mut regs, mut preds) = (ins.clone(), Vec::new(), Vec::new());
+        blank.map_regs(
+            |r| {
+                regs.push(r);
+                Reg::RZ
+            },
+            |p| {
+                preds.push(p);
+                sass::Pred::PT
+            },
+        );
+        (blank, regs, preds)
+    }
+    let (mut pairs, mut preds) = ([None; 128], [None; 8]);
+    (pairs[127], preds[7]) = (Some(127), Some(7));
+    let mut reg = |a: &Reg, b: &Reg| a.0 % 2 == b.0 % 2 && bind(&mut pairs, a.0 / 2, b.0 / 2);
+    loaded.len() == emitted.len()
+        && loaded.iter().zip(emitted).all(|(l, e)| {
+            let ((l, l_regs, l_preds), (e, e_regs, e_preds)) = (names(l), names(e));
+            l == e
+                && l_regs.iter().zip(&e_regs).all(|(a, b)| reg(a, b))
+                && l_preds.iter().zip(&e_preds).all(|(a, b)| bind(&mut preds, a.0 & 7, b.0 & 7))
+        })
 }
 
 /// Verifies an instrumented image plus trampoline, both already
@@ -250,85 +435,41 @@ pub fn verify_instrs(
         [(Region::Image, image_addr, image), (Region::Trampoline, tramp_addr, tramp)]
     {
         for (index, ins) in instrs.iter().enumerate() {
+            let mut bad =
+                |kind, message: String| diags.push(Diagnostic { kind, region, index, message });
             if let Err(e) = ins.validate() {
-                diags.push(Diagnostic {
-                    kind: DiagKind::BadOperands,
-                    region,
-                    index,
-                    message: e.to_string(),
-                });
+                bad(DiagKind::BadOperands, e.to_string());
             }
-            if ins.guard.pred.0 > 7 {
-                diags.push(Diagnostic {
-                    kind: DiagKind::BadPredicate,
-                    region,
-                    index,
-                    message: format!(
-                        "guard predicate P{} exceeds the predicate file",
-                        ins.guard.pred.0
-                    ),
-                });
+            let operand_preds = ins.operands.iter().filter_map(|o| match o {
+                Operand::Pred { pred, .. } => Some(*pred),
+                _ => None,
+            });
+            for p in std::iter::once(ins.guard.pred).chain(operand_preds).filter(|p| p.0 > 7) {
+                bad(DiagKind::BadPredicate, format!("{p} exceeds the predicate file"));
             }
-            for opnd in &ins.operands {
-                if let Operand::Pred { pred, .. } = opnd {
-                    if pred.0 > 7 {
-                        diags.push(Diagnostic {
-                            kind: DiagKind::BadPredicate,
-                            region,
-                            index,
-                            message: format!("predicate P{} exceeds the predicate file", pred.0),
-                        });
-                    }
-                }
-            }
-            for (reg, span) in reg_spans(ins) {
+            ins.each_span(|reg, span, _| {
                 // RZ is a single pseudo-register; any other operand must fit
                 // its whole span below R255.
                 if !reg.is_zero() && reg.0 as usize + span - 1 > 254 {
-                    diags.push(Diagnostic {
-                        kind: DiagKind::BadRegister,
-                        region,
-                        index,
-                        message: format!(
-                            "{}-register span at R{} runs past the register file",
-                            span, reg.0
-                        ),
-                    });
+                    let what = format!("{span}-register span at {reg} runs past the register file");
+                    bad(DiagKind::BadRegister, what);
                 }
-            }
-            match ins.cf_class() {
-                CfClass::RelBranch | CfClass::RelCall | CfClass::Ssy => {
-                    if let Some(off) = ins.rel_target() {
-                        let t = (base + (index as u64 + 1) * isize).wrapping_add(off as u64);
-                        if !target_ok(t) {
-                            diags.push(Diagnostic {
-                                kind: DiagKind::BranchTarget,
-                                region,
-                                index,
-                                message: format!(
-                                    "relative target {t:#x} is outside known code or misaligned"
-                                ),
-                            });
-                        }
-                    }
-                }
-                CfClass::AbsJump | CfClass::AbsCall => {
-                    if let Some(Operand::Abs(t)) =
-                        ins.operands.iter().find(|o| matches!(o, Operand::Abs(_)))
-                    {
-                        if !target_ok(*t) {
-                            diags.push(Diagnostic {
-                                kind: DiagKind::BranchTarget,
-                                region,
-                                index,
-                                message: format!(
-                                    "absolute target {t:#x} is outside known code or misaligned"
-                                ),
-                            });
-                        }
-                    }
-                }
-                _ => {}
+            });
+            let target = match ins.cf_class() {
+                CfClass::RelBranch | CfClass::RelCall | CfClass::Ssy => ins
+                    .rel_target()
+                    .map(|off| (base + (index as u64 + 1) * isize).wrapping_add(off as u64)),
+                CfClass::AbsJump | CfClass::AbsCall => ins.operands.iter().find_map(|o| match o {
+                    Operand::Abs(t) => Some(*t),
+                    _ => None,
+                }),
+                _ => None,
+            };
+            if let Some(t) = target.filter(|t| !target_ok(*t)) {
+                bad(
+                    DiagKind::BranchTarget,
+                    format!("target {t:#x} is outside known code or misaligned"),
+                );
             }
         }
     }
@@ -393,63 +534,6 @@ pub fn verify_instrs(
                 ),
             });
         }
-
-        // Save/restore ordering and frame balance.
-        let mut depth: u32 = 0;
-        for (pos, ins) in body.iter().enumerate() {
-            let index = site.start + pos;
-            if ins.op == Op::Jcal {
-                if let Some(Operand::Abs(t)) = ins.operands.first() {
-                    if ext.save_addrs.contains(t) {
-                        depth += 1;
-                        continue;
-                    }
-                    if ext.restore_addrs.contains(t) {
-                        if depth == 0 {
-                            diags.push(Diagnostic {
-                                kind: DiagKind::RestoreWithoutSave,
-                                region: Region::Trampoline,
-                                index,
-                                message: "restore call without a matching save".into(),
-                            });
-                        } else {
-                            depth -= 1;
-                        }
-                        continue;
-                    }
-                    if ext.tool_addrs.contains(t) && depth == 0 {
-                        diags.push(Diagnostic {
-                            kind: DiagKind::ReadBeforeSave,
-                            region: Region::Trampoline,
-                            index,
-                            message: "tool called before the thread state is saved".into(),
-                        });
-                        continue;
-                    }
-                }
-            }
-            // The relocated original instruction runs at depth 0 and may
-            // legitimately use the application's own stack frame.
-            if pos != site.orig_pos && depth == 0 && touches_save_area(ins) {
-                diags.push(Diagnostic {
-                    kind: DiagKind::ReadBeforeSave,
-                    region: Region::Trampoline,
-                    index,
-                    message: "save-area access before the save routine has run".into(),
-                });
-            }
-        }
-        if depth != 0 {
-            diags.push(Diagnostic {
-                kind: DiagKind::UnbalancedFrame,
-                region: Region::Trampoline,
-                index: end - 1,
-                message: format!(
-                    "site for instruction {} ends with {depth} open save frame(s)",
-                    site.instr_idx
-                ),
-            });
-        }
     }
 
     diags
@@ -492,32 +576,12 @@ pub fn verify_plan_instrs(
             continue; // verify_instrs reports the structural defect
         }
         let body = &tramp[site.start..end];
-        let slots = frame_slots(site.tier, hal);
-
-        // Save-area accesses must stay inside the tier's frame. The
-        // relocated original may use the application's own stack.
-        for (pos, ins) in body.iter().enumerate() {
-            if pos == site.orig_pos || !touches_save_area(ins) {
-                continue;
-            }
-            for o in &ins.operands {
-                let Operand::MRef { base, offset } = o else { continue };
-                if *base != Reg::SP {
-                    continue;
-                }
-                if *offset < 0 || *offset as u32 / 4 >= slots {
-                    diags.push(Diagnostic {
-                        kind: DiagKind::TierExceeded,
-                        region: Region::Trampoline,
-                        index: site.start + pos,
-                        message: format!(
-                            "save-area access at [R1+{offset:#x}] exceeds the {} slots tier {} saves",
-                            slots, site.tier
-                        ),
-                    });
-                }
-            }
-        }
+        // Without a CFG nothing is provably dead: everything must be saved.
+        let live = match dataflow.filter(|df| site.instr_idx < df.len()) {
+            Some(df) => (*df.live_in(site.instr_idx), *df.live_out(site.instr_idx)),
+            None => (sass::LiveSet::all(), sass::LiveSet::all()),
+        };
+        check_brackets(hal, site, body, live, ext, &mut diags);
 
         for call in &site.calls {
             // Coalescing bookkeeping: multiplicity matches the group, the
@@ -606,16 +670,17 @@ pub fn verify_plan_instrs(
                 }
             }
 
-            // Inline splices must reproduce the loaded tool body.
+            // Inline splices must reproduce the loaded tool body, up to
+            // the site's register renaming.
             let Some((off, len)) = call.inline else { continue };
+            let loaded = ext.tool_bodies.iter().find(|(name, _)| name == &call.func);
             let splice_ok = off + len <= site.len
                 && len > 0
-                && ext.tool_bodies.iter().any(|(name, fn_body)| {
-                    name == &call.func
-                        && fn_body.len() == len
+                && loaded.is_some_and(|(_, fn_body)| {
+                    fn_body.len() == len
                         && fn_body.last().is_some_and(|i| i.op == Op::Ret)
                         && body[off + len - 1].op == Op::Nop
-                        && fn_body[..len - 1] == body[off..off + len - 1]
+                        && renamed_match(&fn_body[..len - 1], &body[off..off + len - 1])
                 });
             if !splice_ok {
                 diags.push(Diagnostic {
@@ -653,34 +718,18 @@ pub fn verify_plan_instrs(
                 });
             }
 
-            // Pressure check, recomputed from the original bytes: every
-            // register the splice writes that is live across the site must
-            // be covered by the site's save tier, or the splice corrupts
-            // the application. (`site.tier` saves registers R0..R<tier>.)
             if let Some(df) = dataflow {
                 if site.instr_idx < df.len() {
-                    let ceiling = spliced
-                        .iter()
+                    // The claim was priced on the loaded body's write
+                    // window, whatever registers the site renamed it onto.
+                    let ceiling = loaded
+                        .into_iter()
+                        .flat_map(|(_, fn_body)| fn_body.iter())
                         .flat_map(Instruction::reg_writes)
-                        .filter(|r| !r.is_zero() && *r != Reg::SP)
+                        .filter(|r| *r != Reg::SP)
                         .map(|r| r.0)
                         .max()
                         .map_or(0, |r| r.saturating_add(1));
-                    let live = df.max_live_below(site.instr_idx, ceiling);
-                    if let Some(live) = live {
-                        if u16::from(live) >= site.tier {
-                            diags.push(Diagnostic {
-                                kind: DiagKind::PressureExceeded,
-                                region: Region::Trampoline,
-                                index: site.start + off,
-                                message: format!(
-                                    "inline splice of `{}` at instruction {} clobbers live \
-                                     register R{live}, which tier {} does not save",
-                                    call.func, site.instr_idx, site.tier
-                                ),
-                            });
-                        }
-                    }
 
                     // Occupancy-claim check: when the plan priced tier
                     // growth on the occupancy curve, every accepted splice
@@ -688,7 +737,7 @@ pub fn verify_plan_instrs(
                     // ladder in order, (b) keeps the before-tier's
                     // blocks/SM (and stays launchable) on the configured
                     // model, and (c) covers the demand recomputed from the
-                    // original bytes under the emitted splice's write
+                    // original bytes under the loaded body's write
                     // ceiling — none of it trusted from the planner.
                     if opts.level >= PlanLevel::Spliced {
                         if let Some(cfg) = opts.occupancy.as_ref() {
@@ -818,8 +867,53 @@ mod tests {
         (image, tramp, sites)
     }
 
+    /// Both halves of [`verify`], over the body `image` patches: the site's
+    /// jump put back to the instruction the trampoline relocated.
     fn run(image: &[Instruction], tramp: &[Instruction], sites: &[SiteMeta]) -> Vec<Diagnostic> {
-        verify_instrs(&hal(), IMAGE_ADDR, image, TRAMP_ADDR, tramp, sites, &ext())
+        let mut original = image.to_vec();
+        for site in sites {
+            original[site.instr_idx] = tramp[site.start + site.orig_pos].clone();
+        }
+        let mut d = verify_instrs(&hal(), IMAGE_ADDR, image, TRAMP_ADDR, tramp, sites, &ext());
+        d.extend(run_plan(&original, tramp, sites, &ext()));
+        d
+    }
+
+    /// A hand-written exact bracket: `injected` in front of the first of
+    /// three stores that keep R2:R3 and R4, R5, R6 live across the site.
+    fn bracket(injected: &str) -> Vec<DiagKind> {
+        let asm = |text: &str| sass::asm::assemble_arch(text, Arch::Volta).unwrap();
+        let mut image = asm("STG [R2], R4 ;\nSTG [R2], R5 ;\nSTG [R2], R6 ;\nEXIT ;");
+        let mut tramp = asm(injected);
+        let orig_pos = tramp.len();
+        tramp.push(std::mem::replace(&mut image[0], jmp(TRAMP_ADDR)));
+        tramp.push(jmp(IMAGE_ADDR + hal().instruction_size()));
+        let (len, calls) = (tramp.len(), vec![]);
+        let site =
+            SiteMeta { instr_idx: 0, start: 0, len, orig_pos, tier: 0, injections: 1, calls };
+        run(&image, &tramp, &[site]).iter().map(|d| d.kind).collect()
+    }
+
+    #[test]
+    fn exact_brackets_are_rederived_slot_by_slot() {
+        let good = "IADD R1, R1, -0x8 ;\nSTL [R1], R4 ;\nSTL [R1+0x4], R6 ;\n\
+                    MOV32I R4, 0x7 ;\nMOV32I R6, 0x7 ;\n\
+                    LDL R4, [R1] ;\nLDL R6, [R1+0x4] ;\nIADD R1, R1, 0x8 ;";
+        assert_eq!(bracket(good), vec![]);
+        // A two-word reload of R4's slot also drops R6's value into live R5.
+        let wide = good.replace("LDL R4, [R1] ;", "LDL.64 R4, [R1] ;");
+        assert!(bracket(&wide).contains(&DiagKind::PressureExceeded));
+        // R1 moves inside the open frame: `[R1]` is no longer R4's slot.
+        let nested = "IADD R1, R1, -0x4 ;\nSTL [R1], R4 ;\nIADD R1, R1, -0x4 ;\n\
+                      MOV32I R4, 0x7 ;\nLDL R4, [R1] ;\nIADD R1, R1, 0x8 ;";
+        assert!(bracket(nested).contains(&DiagKind::PressureExceeded));
+        // A guarded store may have replaced the saved value.
+        let guarded = "IADD R1, R1, -0x4 ;\nSTL [R1], R4 ;\nMOV32I R4, 0x7 ;\n\
+                       @P0 STL [R1], R4 ;\nLDL R4, [R1] ;\nIADD R1, R1, 0x4 ;";
+        assert!(bracket(guarded).contains(&DiagKind::PressureExceeded));
+        // A two-word store into the frame's last slot runs past it.
+        let past = "IADD R1, R1, -0x4 ;\nSTL.64 [R1], R4 ;\nIADD R1, R1, 0x4 ;";
+        assert!(bracket(past).contains(&DiagKind::TierExceeded));
     }
 
     #[test]
@@ -880,7 +974,9 @@ mod tests {
     fn bad_predicate_is_rejected() {
         let (mut image, tramp, sites) = good();
         image[0] = image[0].clone().with_guard(sass::Guard { pred: sass::Pred(9), negated: false });
-        let d = run(&image, &tramp, &sites);
+        // Structural half only: P9 cannot be decoded from bytes, and the
+        // liveness bitmask behind the plan half has no bit for it.
+        let d = verify_instrs(&hal(), IMAGE_ADDR, &image, TRAMP_ADDR, &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::BadPredicate));
     }
 
@@ -1133,6 +1229,19 @@ mod tests {
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
 
+    /// Replaces `good()`'s tool call (position 2) with `body` plus the
+    /// `NOP` its trailing `RET` becomes, inside the same save/restore pair.
+    fn splice_over_call(
+        tramp: &mut Vec<Instruction>,
+        sites: &mut [SiteMeta],
+        body: Vec<Instruction>,
+    ) {
+        let n = body.len();
+        tramp.splice(2..3, body.into_iter().chain([Instruction::nop()]));
+        sites[0].len += n;
+        sites[0].orig_pos += n;
+    }
+
     #[test]
     fn inline_splice_must_match_the_loaded_body() {
         let (_, mut tramp, mut sites) = good();
@@ -1145,16 +1254,12 @@ mod tests {
         ];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
-        // Splice the body over the tool call: IADD at 2, NOP at 3 (the
-        // restore moves to where good() had it — reuse slot 4's IADD as the
-        // body head and the old tool-call slot for the NOP).
-        tramp[2] = Instruction::new(
+        // Splice the body over the tool call: IADD at 2, its NOP at 3.
+        let head = Instruction::new(
             Op::Iadd,
             vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
         );
-        tramp[3] = Instruction::nop();
-        tramp[4] = jcal(RESTORE);
-        sites[0].orig_pos = 4; // the restore call is not the original; irrelevant here
+        splice_over_call(&mut tramp, &mut sites, vec![head]);
         sites[0].calls =
             vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![sites[0].instr_idx]) }];
         assert_eq!(run_plan(&original(), &tramp, &sites, &e), vec![]);
@@ -1170,6 +1275,14 @@ mod tests {
         // So is a splice whose tool body was never retained.
         let d = run_plan(&original(), &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
+    }
+
+    /// The head of the R20-writing tool body the pressure tests splice.
+    fn fn_body_head() -> Instruction {
+        Instruction::new(
+            Op::Iadd,
+            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
+        )
     }
 
     #[test]
@@ -1204,14 +1317,8 @@ mod tests {
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
         let (_, mut tramp, mut sites) = good();
-        tramp[2] = Instruction::new(
-            Op::Iadd,
-            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-        );
-        tramp[3] = Instruction::nop();
-        tramp[4] = jcal(RESTORE);
+        splice_over_call(&mut tramp, &mut sites, vec![fn_body_head()]);
         sites[0].instr_idx = 1;
-        sites[0].orig_pos = 4;
         sites[0].calls = vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![1]) }];
         let d = run_plan(&original, &tramp, &sites, &e);
         assert!(d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
@@ -1257,14 +1364,8 @@ mod tests {
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
         let (_, mut tramp, mut sites) = good();
-        tramp[2] = Instruction::new(
-            Op::Iadd,
-            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-        );
-        tramp[3] = Instruction::nop();
-        tramp[4] = jcal(RESTORE);
+        splice_over_call(&mut tramp, &mut sites, vec![fn_body_head()]);
         sites[0].instr_idx = 1;
-        sites[0].orig_pos = 4;
         sites[0].tier = 32;
         let occ_opts = PlanOpts {
             occupancy: Some(sass::occupancy::OccupancyCfg::volta(128)),
@@ -1325,12 +1426,7 @@ mod tests {
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body.clone())));
         let (_, mut tramp, mut sites) = good();
-        tramp[2] = fn_body[0].clone();
-        tramp[3] = fn_body[1].clone();
-        tramp[4] = Instruction::nop();
-        tramp.insert(5, jcal(RESTORE));
-        sites[0].len = tramp.len();
-        sites[0].orig_pos = 5;
+        splice_over_call(&mut tramp, &mut sites, fn_body[..2].to_vec());
         sites[0].calls =
             vec![CallMeta { inline: Some((2, 3)), ..call_meta(1, vec![sites[0].instr_idx]) }];
         let d = run_plan(&original(), &tramp, &sites, &e);
@@ -1360,15 +1456,23 @@ mod tests {
         // barrier state); slot 18 is out of frame.
         let slots = frame_slots(16, &hal());
         assert_eq!(slots, 18);
-        tramp[4] = Instruction::new(
-            Op::Ldl,
-            vec![Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 4 * slots as i32 }],
+        // An argument load inside the bracket, ahead of the tool call.
+        tramp.insert(
+            2,
+            Instruction::new(
+                Op::Ldl,
+                vec![
+                    Operand::Reg(Reg(4)),
+                    Operand::MRef { base: Reg::SP, offset: 4 * slots as i32 },
+                ],
+            ),
         );
-        sites[0].orig_pos = 1; // the offending LDL is not the relocated original
+        sites[0].len += 1;
+        sites[0].orig_pos += 1;
         let d = run_plan(&original(), &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::TierExceeded));
         // The slot just below the bound is fine.
-        tramp[4] = Instruction::new(
+        tramp[2] = Instruction::new(
             Op::Ldl,
             vec![
                 Operand::Reg(Reg(4)),

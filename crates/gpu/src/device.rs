@@ -354,10 +354,16 @@ impl Device {
         let workers = self.scheduler.workers().max(1).min(cta_count as usize);
         let mut results: Vec<Option<CtaResult>> = (0..cta_count).map(|_| None).collect();
         if workers <= 1 {
+            // One CTA at a time: fold each overlay into the first CTA's as
+            // it arrives, rather than holding `cta_count` copies of the same
+            // decodes until the merge. Later CTAs still see the snapshot only.
             for i in 0..cta_count {
-                let r = run_one(i);
-                let failed = r.0.is_err();
-                results[i as usize] = Some(r);
+                let (res, mut overlay) = run_one(i);
+                let failed = res.is_err();
+                if let Some((_, first)) = results[0].as_mut() {
+                    first.extend(overlay.drain());
+                }
+                results[i as usize] = Some((res, overlay));
                 if failed {
                     break;
                 }

@@ -207,8 +207,9 @@ pub fn block_of(blocks: &[BasicBlock], idx: usize) -> Option<usize> {
 }
 
 /// Successor block ids of `block` within a partition, following fall-through
-/// and in-range relative branch edges. Calls fall through; `EXIT`/`RET` have
-/// no successors.
+/// and in-range relative branch edges. Calls fall through; an unguarded
+/// `EXIT`/`RET`/trap has no successors, a guarded one retires only its
+/// guard-true lanes and the rest fall through.
 pub fn successors(
     instrs: &[Instruction],
     blocks: &[BasicBlock],
@@ -232,7 +233,11 @@ pub fn successors(
     };
 
     match cf {
-        CfClass::Ret | CfClass::Exit | CfClass::Trap => {}
+        CfClass::Ret | CfClass::Exit | CfClass::Trap => {
+            if !last.guard.is_always() && last_idx + 1 < instrs.len() {
+                push(Some(last_idx + 1));
+            }
+        }
         CfClass::RelBranch => {
             if let Some(off) = last.rel_target() {
                 let t = last_idx as i64 + 1 + off / isize;
@@ -407,6 +412,16 @@ merge:
         assert_eq!(successors(&prog, &blocks, &blocks[1], Arch::Kepler), vec![2]);
         // Block 2 exits.
         assert!(successors(&prog, &blocks, &blocks[2], Arch::Kepler).is_empty());
+    }
+
+    #[test]
+    fn a_guarded_exit_falls_through() {
+        let text = "ISETP.GE.S32 P0, R0, 0x10 ;\n@P0 EXIT ;\nSTG [R2], R0 ;\nEXIT ;";
+        let prog = assemble_arch(text, Arch::Volta).unwrap();
+        let blocks = basic_blocks(&prog, Arch::Volta).unwrap();
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(successors(&prog, &blocks, &blocks[0], Arch::Volta), vec![1]);
+        assert!(successors(&prog, &blocks, &blocks[1], Arch::Volta).is_empty());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * **calls** (`CAL`/`JCAL`) treat every register and predicate as used and
 //!   may-defined — the callee is not analyzed;
 //! * **absolute jumps, returns and traps** leave the function body, so
-//!   everything is considered live across them;
+//!   everything is considered live across them; an unguarded **`EXIT`**
+//!   leaves nothing live, a guarded one (`@P0 EXIT`, the bounds check)
+//!   what its fall-through needs — the surviving lanes run on;
 //! * **`SYNC`** transfers to a reconvergence point pushed by some `SSY`; the
 //!   analysis adds an edge from every `SYNC`-terminated block to every `SSY`
 //!   target (an over-approximation of the reconvergence stack).
@@ -26,7 +28,7 @@
 
 use crate::arch::Arch;
 use crate::cfg::{self, BasicBlock, CfgFailure, Edges};
-use crate::inst::Instruction;
+use crate::inst::{span_regs, Instruction};
 use crate::op::CfClass;
 use crate::reg::{Pred, Reg};
 
@@ -99,7 +101,14 @@ impl RegSet {
 
     /// Register indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..255).filter(|r| self.contains(Reg(*r as u8))).map(|r| r as u8)
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some((wi as u32 * 64 + bit) as u8)
+            })
+        })
     }
 
     /// Highest register index strictly below `bound`, if any.
@@ -298,25 +307,22 @@ fn block_out(
     if b.is_empty() {
         return LiveSet::EMPTY;
     }
-    match instrs[b.range.end - 1].cf_class() {
-        // Thread termination: nothing is live after.
-        CfClass::Exit => LiveSet::EMPTY,
+    let last = &instrs[b.range.end - 1];
+    match last.cf_class() {
         // Control leaves the body for statically unknown code.
-        CfClass::AbsJump | CfClass::Ret | CfClass::Trap => LiveSet::all(),
-        _ => {
-            let mut out = LiveSet::EMPTY;
-            for &s in succ {
-                out.union_with(&block_in[s]);
-            }
-            // A relative branch whose target is outside the body behaves
-            // like a jump to unknown code.
-            let last = &instrs[b.range.end - 1];
-            if last.cf_class() == CfClass::RelBranch && succ.is_empty() {
-                return LiveSet::all();
-            }
-            out
-        }
+        CfClass::AbsJump | CfClass::Ret | CfClass::Trap => return LiveSet::all(),
+        // A relative branch whose target is outside the body behaves like
+        // a jump to unknown code.
+        CfClass::RelBranch if succ.is_empty() => return LiveSet::all(),
+        _ => {}
     }
+    // Nothing is live after an `EXIT` — unless it is guarded: the lanes it
+    // does not retire run on into its fall-through successor.
+    let mut out = LiveSet::EMPTY;
+    for &s in succ {
+        out.union_with(&block_in[s]);
+    }
+    out
 }
 
 /// One backward transfer step: kill must-defs, add uses.
@@ -327,16 +333,12 @@ fn transfer_backward(i: &Instruction, live: &mut LiveSet) {
         return;
     }
     if i.guard.is_always() {
-        for r in i.reg_writes() {
-            live.gprs.remove(r);
-        }
+        i.each_span(|r, n, w| span_regs(r, n).filter(|_| w).for_each(|r| live.gprs.remove(r)));
         for p in i.pred_writes() {
             live.preds &= !(1 << p.0);
         }
     }
-    for r in i.reg_reads() {
-        live.gprs.insert(r);
-    }
+    i.each_span(|r, n, w| span_regs(r, n).filter(|_| !w).for_each(|r| live.gprs.insert(r)));
     for p in i.pred_reads() {
         live.preds |= 1 << p.0;
     }
@@ -452,6 +454,29 @@ mod tests {
         let ret = analyze("MOV R4, R5 ;\nRET ;", Arch::Volta);
         // The caller may use anything.
         assert_eq!(ret.live_out(0).gprs.len(), 255);
+    }
+
+    #[test]
+    fn a_guarded_exit_keeps_its_fall_through_live() {
+        // The bounds check: lanes with P0 clear run on into the load, so its
+        // base pair, the compared index and P0 itself stay live up to the EXIT.
+        let df = analyze(
+            "ISETP.GE.S32 P0, R4, 0x10 ;\n\
+             @P0 EXIT ;\n\
+             LDG R6, [R2] ;\n\
+             STG [R2], R6 ;\n\
+             EXIT ;",
+            Arch::Volta,
+        );
+        for idx in 0..2 {
+            let live = df.live_regs(idx);
+            assert!(live.contains(&2) && live.contains(&3), "base pair live at {idx}");
+        }
+        assert!(df.live_out(1).gprs.contains(Reg(2)), "live across the guarded EXIT");
+        assert!(df.live_in(1).pred_live(Pred(0)));
+        assert!(!df.live_regs(1).contains(&6), "R6 is defined after it");
+        // The unguarded EXIT still ends everything.
+        assert!(df.live_out(3).gprs.is_empty());
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! lane transitions, which only ever shrinks regions, never grows them:
 //!
 //! * `cfg::successors` edges (branch target plus fall-through for guarded
-//!   branches);
+//!   branches; fall-through after a *guarded* `EXIT`/`RET`/`TRAP` — the
+//!   terminator only retires the guard-true lanes, the rest continue);
 //! * *matched* reconvergence edges from every `SYNC`-terminated block: a
 //!   lane's `SSY` pushes its target on the reconvergence stack and the
 //!   lane's `SYNC` pops the innermost enclosing target and resumes there
@@ -51,8 +52,6 @@
 //!   empty stack, or abstract state beyond its bounds — the analysis
 //!   falls back to an edge from every `SYNC` block to every `SSY` target
 //!   (the coarse over-approximation shared with [`crate::dataflow`]);
-//! * a fall-through edge after a *guarded* `EXIT`/`RET`/`TRAP` — the
-//!   terminator only retires the guard-true lanes, the rest continue;
 //! * a virtual exit node fed by every `EXIT`/`RET`/`TRAP`/absolute-jump
 //!   terminator and every successor-less block, so post-dominance accounts
 //!   for early exits (a bounds-check `@P0 EXIT` correctly splits regions).
@@ -116,15 +115,9 @@ impl Dom {
                         }
                     }
                 }
-                CfClass::Exit | CfClass::Ret | CfClass::Trap => {
+                CfClass::Exit | CfClass::Ret | CfClass::Trap | CfClass::AbsJump => {
                     exits[b.id] = true;
-                    // A guarded terminator retires only the guard-true
-                    // lanes; the rest fall through to the next block.
-                    if !term.guard.is_always() && b.id + 1 < nb && !s.contains(&(b.id + 1)) {
-                        s.push(b.id + 1);
-                    }
                 }
-                CfClass::AbsJump => exits[b.id] = true,
                 _ => {}
             }
             if s.is_empty() {
@@ -360,15 +353,7 @@ fn matched_sync_edges(
             }
             out.push((t, stack));
         } else {
-            let mut succs = edges.succ[b].clone();
-            if matches!(term.cf_class(), CfClass::Exit | CfClass::Ret | CfClass::Trap)
-                && !term.guard.is_always()
-                && b + 1 < nb
-                && !succs.contains(&(b + 1))
-            {
-                succs.push(b + 1);
-            }
-            for s in succs {
+            for &s in &edges.succ[b] {
                 out.push((s, stack.clone()));
             }
         }

@@ -339,23 +339,41 @@ impl Instruction {
         panic!("set_rel_target on instruction without a relative target: {self}");
     }
 
-    /// General-purpose registers read by this instruction, accounting for
-    /// width (pairs/quads) and double-precision sources.
-    pub fn reg_reads(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
-        let fmt = self.op.format();
-        let src_regs = |r: Reg, n: usize, out: &mut Vec<Reg>| {
-            for k in 0..n {
-                let idx = r.0 as usize + k;
-                if idx < 255 {
-                    out.push(Reg(idx as u8));
-                }
-            }
-        };
-        for (kind, opnd) in fmt.iter().zip(&self.operands) {
+    /// Visits the raw span of every register operand — first register,
+    /// registers covered, written? — by the executor's width rules: memory
+    /// widths, double-precision pairs, the pairs of `U64` integer ops and
+    /// atomics, 64-bit global address bases. Spans are neither clamped to
+    /// the register file nor filtered for `RZ` (bounds checks and renaming
+    /// want them raw).
+    pub fn each_span(&self, mut f: impl FnMut(Reg, usize, bool)) {
+        let wide = self.mods.itype == IType::U64;
+        for (pos, (kind, opnd)) in self.op.format().iter().zip(&self.operands).enumerate() {
             match (kind, opnd) {
+                (OKind::RegW, Operand::Reg(r)) => {
+                    let n = if self.op.is_double() && !matches!(self.op, Op::D2f | Op::Dsetp) {
+                        2
+                    } else if self.op.is_load() && self.op != Op::Atom {
+                        self.mods.width.regs()
+                    } else if wide
+                        && matches!(
+                            self.op,
+                            Op::Iadd | Op::Isub | Op::Shl | Op::Shr | Op::Imad | Op::Atom
+                        )
+                    {
+                        2
+                    } else {
+                        1
+                    };
+                    f(*r, n, true);
+                }
                 (OKind::RegR | OKind::RegRI, Operand::Reg(r)) => {
-                    let n = if self.op.is_double() {
+                    let wide_src = matches!(
+                        (self.op, pos),
+                        (Op::Iadd | Op::Isub | Op::Atom | Op::Red, _)
+                            | (Op::Shl | Op::Shr, 1)
+                            | (Op::Imad, 3)
+                    );
+                    let n = if self.op.is_double() || self.op == Op::Brx || (wide && wide_src) {
                         2
                     } else if matches!(kind, OKind::RegR)
                         && matches!(self.op, Op::Stg | Op::Sts | Op::Stl | Op::Chan)
@@ -364,60 +382,53 @@ impl Instruction {
                     } else {
                         1
                     };
-                    src_regs(*r, n, &mut out);
+                    f(*r, n, false);
                 }
                 (OKind::MRef | OKind::MRefAtom, Operand::MRef { base, .. }) => {
-                    // Global/local bases are 64-bit pairs; shared bases are
-                    // 32-bit. Conservatively report the pair for non-shared.
-                    let n = match self.op.mem_space() {
-                        Some(MemSpace::Shared) => 1,
-                        _ => 2,
-                    };
-                    src_regs(*base, n, &mut out);
+                    // Global bases are 64-bit pairs; shared and local
+                    // addresses are 32-bit.
+                    let n = if self.op.mem_space() == Some(MemSpace::Global) { 2 } else { 1 };
+                    f(*base, n, false);
                 }
-                (OKind::CBankRef, Operand::CBank { base, .. }) if !base.is_zero() => {
-                    out.push(*base);
-                }
+                (OKind::CBankRef, Operand::CBank { base, .. }) => f(*base, 1, false),
                 _ => {}
             }
         }
-        if self.op == Op::Brx {
-            // BRX reads an address pair.
-            if let Some(Operand::Reg(r)) = self.operands.first() {
-                if r.0 < 254 {
-                    out.push(Reg(r.0 + 1));
-                }
-            }
-        }
-        out.retain(|r| !r.is_zero());
+    }
+
+    fn regs_of(&self, written: bool) -> Vec<Reg> {
+        let mut out = Vec::new();
+        self.each_span(|r, n, w| out.extend(span_regs(r, n).filter(|_| w == written)));
         out
     }
 
-    /// General-purpose registers written by this instruction, accounting for
-    /// width (pairs/quads) and double-precision results.
+    /// General-purpose registers read by this instruction, each span
+    /// expanded and clamped to the register file (`RZ` never appears).
+    pub fn reg_reads(&self) -> Vec<Reg> {
+        self.regs_of(false)
+    }
+
+    /// General-purpose registers written by this instruction.
     pub fn reg_writes(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
-        for (kind, opnd) in self.op.format().iter().zip(&self.operands) {
-            if let (OKind::RegW, Operand::Reg(r)) = (kind, opnd) {
-                let n = if self.op.is_double() && self.op != Op::D2f && self.op != Op::Dsetp {
-                    2
-                } else if self.op.is_load() && self.op != Op::Atom {
-                    self.mods.width.regs()
-                } else if self.op == Op::F2d {
-                    2
-                } else {
-                    1
-                };
-                for k in 0..n {
-                    let idx = r.0 as usize + k;
-                    if idx < 255 {
-                        out.push(Reg(idx as u8));
-                    }
-                }
+        self.regs_of(true)
+    }
+
+    /// Rewrites every register and predicate the instruction names — the
+    /// guard and each operand — through `reg` and `pred`.
+    pub fn map_regs(
+        &mut self,
+        mut reg: impl FnMut(Reg) -> Reg,
+        mut pred: impl FnMut(Pred) -> Pred,
+    ) {
+        self.guard.pred = pred(self.guard.pred);
+        for o in &mut self.operands {
+            match o {
+                Operand::Reg(r) => *r = reg(*r),
+                Operand::MRef { base, .. } | Operand::CBank { base, .. } => *base = reg(*base),
+                Operand::Pred { pred: p, .. } => *p = pred(*p),
+                _ => {}
             }
         }
-        out.retain(|r| !r.is_zero());
-        out
     }
 
     /// Highest general-purpose register index touched, if any.
@@ -492,6 +503,13 @@ impl Instruction {
         }
         s
     }
+}
+
+/// The registers of a raw operand span (see [`Instruction::each_span`]),
+/// clamped to the register file; none for `RZ`.
+pub fn span_regs(first: Reg, len: usize) -> impl Iterator<Item = Reg> {
+    let end = if first.is_zero() { 0 } else { (first.index() + len).min(255) };
+    (first.index()..end).map(|i| Reg(i as u8))
 }
 
 /// True if the opcode consumes the `cmp` modifier.
@@ -600,6 +618,51 @@ mod tests {
         // RZ never appears in use/def sets.
         let mov = Instruction::new(Op::Mov, vec![Operand::Reg(Reg::RZ), Operand::Reg(Reg(1))]);
         assert!(mov.reg_writes().is_empty());
+    }
+
+    #[test]
+    fn wide_integer_ops_and_atomics_use_pairs_like_the_executor() {
+        let u64_mods = Mods { itype: IType::U64, ..Mods::default() };
+        let regs = |v: &[u8]| v.iter().map(|r| Reg(*r)).collect::<Vec<_>>();
+        let rrr = |op, d, a, b| {
+            Instruction::new(
+                op,
+                vec![Operand::Reg(Reg(d)), Operand::Reg(Reg(a)), Operand::Reg(Reg(b))],
+            )
+        };
+        // 64-bit add: all three operands are pairs; the 32-bit form is not.
+        let add = rrr(Op::Iadd, 4, 6, 8).with_mods(u64_mods);
+        assert_eq!(add.reg_writes(), regs(&[4, 5]));
+        assert_eq!(add.reg_reads(), regs(&[6, 7, 8, 9]));
+        assert_eq!(rrr(Op::Iadd, 4, 6, 8).reg_reads(), regs(&[6, 8]));
+        // 64-bit shift: the amount stays 32-bit.
+        let shl = rrr(Op::Shl, 4, 6, 8).with_mods(u64_mods);
+        assert_eq!((shl.reg_writes(), shl.reg_reads()), (regs(&[4, 5]), regs(&[6, 7, 8])));
+        // Wide multiply-add: 32-bit factors, 64-bit addend and result.
+        let mad = Instruction::new(
+            Op::Imad,
+            [10, 2, 3, 12].iter().map(|r| Operand::Reg(Reg(*r))).collect(),
+        )
+        .with_mods(u64_mods);
+        assert_eq!((mad.reg_writes(), mad.reg_reads()), (regs(&[10, 11]), regs(&[2, 3, 12, 13])));
+        // 64-bit atomic: result, address and operand are all pairs.
+        let atom = Instruction::new(
+            Op::Atom,
+            vec![
+                Operand::Reg(Reg(8)),
+                Operand::MRef { base: Reg(6), offset: 0 },
+                Operand::Reg(Reg(4)),
+                Operand::Reg(Reg::RZ),
+            ],
+        )
+        .with_mods(Mods { sub: SubOp::Add, ..u64_mods });
+        assert_eq!((atom.reg_writes(), atom.reg_reads()), (regs(&[8, 9]), regs(&[6, 7, 4, 5])));
+        // Local addresses are 32-bit: only the base register itself is read.
+        let stl = Instruction::new(
+            Op::Stl,
+            vec![Operand::MRef { base: Reg::SP, offset: 8 }, Operand::Reg(Reg(5))],
+        );
+        assert_eq!(stl.reg_reads(), regs(&[1, 5]));
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-/// Results handle of [`InstrCount`]/[`BbInstrCount`], filled at `at_term`.
+/// Results handle of [`InstrCount`]/[`BbInstrCount`], complete at `at_term`;
+/// mid-run reads are lower bounds (see `KernelCounters::publish`).
 #[derive(Debug, Default)]
 pub struct InstrCountResults {
     total: RefCell<u64>,
@@ -49,8 +50,8 @@ impl InstrCountResults {
 /// results handle they are published to.
 struct KernelCounters {
     results: Rc<InstrCountResults>,
-    /// kernel → (counter address, is-library, name).
-    counters: BTreeMap<u32, (u64, bool, String)>,
+    /// kernel → (counter address, is-library, name, value last published).
+    counters: BTreeMap<u32, (u64, bool, String, u64)>,
 }
 
 impl KernelCounters {
@@ -63,26 +64,32 @@ impl KernelCounters {
     fn alloc(&mut self, api: &NvbitApi<'_>, func: CuFunction) -> u64 {
         let info = api.driver().function_info(func).expect("launched function exists");
         let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
-        self.counters.insert(func.raw(), (ctr, info.library, info.name));
+        self.counters.insert(func.raw(), (ctr, info.library, info.name, 0));
         ctr
     }
 
-    /// Reads every counter back into the results handle.
-    fn publish(&self, drv: &Driver) {
-        let mut total = 0u64;
-        let mut library = 0u64;
-        let mut per_kernel = BTreeMap::new();
-        for (addr, is_lib, name) in self.counters.values() {
-            let v = read_u64(drv, *addr);
-            total += v;
-            if *is_lib {
-                library += v;
-            }
-            *per_kernel.entry(name.clone()).or_insert(0) += v;
+    /// Re-reads one counter and folds what it gained into `results`.
+    fn fold(results: &InstrCountResults, drv: &Driver, entry: &mut (u64, bool, String, u64)) {
+        let (addr, is_lib, name, seen) = entry;
+        let now = read_u64(drv, *addr);
+        let gained = now - std::mem::replace(seen, now);
+        *results.total.borrow_mut() += gained;
+        if *is_lib {
+            *results.library.borrow_mut() += gained;
         }
-        *self.results.total.borrow_mut() = total;
-        *self.results.library.borrow_mut() = library;
-        *self.results.per_kernel.borrow_mut() = per_kernel;
+        *results.per_kernel.borrow_mut().entry(name.clone()).or_insert(0) += gained;
+    }
+
+    /// Publishes `func`'s own counter. Its launch also moves the counter of
+    /// any kernel sharing a related device function with it; that gain shows
+    /// at the other kernel's next launch exit, or in the `at_term` sweep.
+    fn publish(&mut self, drv: &Driver, func: u32) {
+        self.counters.get_mut(&func).into_iter().for_each(|e| Self::fold(&self.results, drv, e));
+    }
+
+    /// Publishes every counter: the end-of-run sweep.
+    fn publish_all(&mut self, drv: &Driver) {
+        self.counters.values_mut().for_each(|e| Self::fold(&self.results, drv, e));
     }
 }
 
@@ -107,7 +114,7 @@ impl NvbitTool for InstrCount {
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.counters.publish(api.driver());
+        self.counters.publish_all(api.driver());
     }
 
     fn at_cuda_event(
@@ -123,7 +130,7 @@ impl NvbitTool for InstrCount {
         }
         if is_exit {
             // Keep results fresh so callers can also read mid-run.
-            self.counters.publish(api.driver());
+            self.counters.publish(api.driver(), func.raw());
             return;
         }
         if !self.seen.insert(func.raw()) {
@@ -174,7 +181,7 @@ impl NvbitTool for BbInstrCount {
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.counters.publish(api.driver());
+        self.counters.publish_all(api.driver());
     }
 
     fn at_cuda_event(
@@ -327,7 +334,7 @@ impl NvbitTool for CoalescedInstrCount {
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.counters.publish(api.driver());
+        self.counters.publish_all(api.driver());
     }
 
     fn at_cuda_event(
@@ -342,7 +349,7 @@ impl NvbitTool for CoalescedInstrCount {
             return;
         }
         if is_exit {
-            self.counters.publish(api.driver());
+            self.counters.publish(api.driver(), func.raw());
             return;
         }
         if !self.seen.insert(func.raw()) {
@@ -434,6 +441,41 @@ DONE:
         assert_eq!(results.total(), native_count);
         assert_eq!(results.library(), 0);
         assert_eq!(results.per_kernel().len(), 1);
+    }
+
+    #[test]
+    fn mid_run_reads_are_lower_bounds_until_the_final_sweep() {
+        // `a` and `b` share `mix`, which therefore carries both counters:
+        // b's launch also bumps a's, which b's launch exit does not re-read.
+        let kernel = |name: &str| {
+            format!(
+                ".entry {name}(.param .u64 out)\n{{\n    .reg .u32 %r<3>;\n    .reg .u64 %rd<2>;\n    \
+                 ld.param.u64 %rd1, [out];\n    mov.u32 %r1, %tid.x;\n    call (%r2), mix, (%r1);\n    \
+                 st.global.u32 [%rd1], %r2;\n    exit;\n}}\n"
+            )
+        };
+        let mix =
+            ".func (.reg .u32 %out) mix(.reg .u32 %x)\n{\n    add.u32 %out, %x, 7;\n    ret;\n}\n";
+        let app = format!("{mix}{}{}", kernel("a"), kernel("b"));
+
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        let (tool, results) = InstrCount::new();
+        attach_tool(&drv, tool);
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", &app)).unwrap();
+        let out = drv.mem_alloc(4).unwrap();
+        let mut totals = Vec::new();
+        for name in ["a", "b"] {
+            let f = drv.module_get_function(&m, name).unwrap();
+            drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)])
+                .unwrap();
+            totals.push(results.total());
+        }
+        drv.shutdown();
+        assert!(totals[0] > 0 && totals[0] < totals[1]);
+        assert!(totals[1] < results.total(), "b's gain on a's counter shows in the sweep");
+        assert_eq!(results.per_kernel().values().sum::<u64>(), results.total());
+        assert_eq!(results.per_kernel().len(), 2);
     }
 
     #[test]

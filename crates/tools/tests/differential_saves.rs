@@ -7,9 +7,10 @@
 use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
-use nvbit::{attach_tool, NvbitApi, NvbitTool, SavePolicy, SaveStats};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanOpts, SavePolicy, SaveStats};
 use nvbit_tools::{
-    BbInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode, WfftEmu,
+    BbInstrCount, CoalescedInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram,
+    SamplingMode, WfftEmu,
 };
 use sass::Arch;
 use std::cell::RefCell;
@@ -45,6 +46,70 @@ impl<T: NvbitTool> NvbitTool for WithPolicy<T> {
         params: &CbParams<'_>,
     ) {
         self.inner.at_cuda_event(api, is_exit, cbid, params);
+    }
+}
+
+/// Sums the effective address of every executed global access, observed
+/// *after* the access: `IPoint::After` sites whose `RegVal64` argument names
+/// a base pair inside the spliced body's own register window (the kernels
+/// address through R4:R5 and R8:R9), guarded by the site's predicate. The
+/// sum and the count are order-free, so any scheduler may run it.
+struct AddrSumAfter {
+    /// Device address of `[sum: u64, count: u64]`.
+    acc: u64,
+    seen: std::collections::HashSet<u32>,
+    out: Rc<RefCell<(u64, u64)>>,
+}
+
+const ADDR_SUM_FN: &str = r#"
+.func addr_sum(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off, .reg .u64 %acc)
+{
+    .reg .u64 %rd<5>;
+    .reg .pred %p<2>;
+    setp.eq.u32 %p1, %pred, 0;
+    @%p1 ret;
+    cvt.s64.s32 %rd1, %off;
+    add.u64 %rd2, %base, %rd1;
+    atom.global.add.u64 %rd3, [%acc], %rd2;
+    mov.u64 %rd4, 1;
+    atom.global.add.u64 %rd3, [%acc+8], %rd4;
+    ret;
+}
+"#;
+
+impl NvbitTool for AddrSumAfter {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.load_tool_functions(ADDR_SUM_FN).unwrap();
+        self.acc = api.driver().with_device(|d| d.alloc(16)).unwrap();
+    }
+    fn at_term(&mut self, api: &NvbitApi<'_>) {
+        let mut b = [0u8; 16];
+        api.driver().memcpy_dtoh(&mut b, self.acc).unwrap();
+        let word = |i: usize| u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().unwrap());
+        *self.out.borrow_mut() = (word(0), word(1));
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if is_exit || cbid != CbId::LaunchKernel || !self.seen.insert(func.raw()) {
+            return;
+        }
+        for instr in api.get_instrs(*func).unwrap() {
+            if instr.mem_space() != Some(sass::MemSpace::Global) {
+                continue;
+            }
+            let Some((base, offset)) = instr.mref() else { continue };
+            api.insert_call(*func, instr.idx, "addr_sum", IPoint::After).unwrap();
+            api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
+            api.add_call_arg_reg_val64(*func, instr.idx, base.0).unwrap();
+            api.add_call_arg_imm32(*func, instr.idx, offset).unwrap();
+            api.add_call_arg_imm64(*func, instr.idx, self.acc).unwrap();
+        }
     }
 }
 
@@ -199,6 +264,25 @@ fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (V
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || format!("{} {}", r.mem_instructions(), r.unique_lines()))
         }
+        // `IPoint::After` sites under the whole plan ladder.
+        "count_after" => {
+            let (t, r) = CoalescedInstrCount::after(PlanOpts::default());
+            attach_tool(&drv, WithPolicy { policy, inner: t });
+            Box::new(move || r.total().to_string())
+        }
+        // Guarded sites read their live guard predicate; the spliced body
+        // is a diamond with a predicate of its own.
+        "count_executed" => {
+            let (t, r) = CoalescedInstrCount::executed(PlanOpts::default());
+            attach_tool(&drv, WithPolicy { policy, inner: t });
+            Box::new(move || r.total().to_string())
+        }
+        "addr_sum_after" => {
+            let out = Rc::new(RefCell::new((0, 0)));
+            let t = AddrSumAfter { acc: 0, seen: Default::default(), out: out.clone() };
+            attach_tool(&drv, WithPolicy { policy, inner: t });
+            Box::new(move || format!("{:?}", out.borrow()))
+        }
         other => unreachable!("unknown tool {other}"),
     };
     let mem = app(&drv);
@@ -242,6 +326,24 @@ fn mem_divergence_is_policy_invariant() {
     differential("mem_divergence");
 }
 
+#[test]
+fn after_point_counter_is_policy_invariant() {
+    differential("count_after");
+}
+
+#[test]
+fn executed_counter_is_policy_invariant() {
+    differential("count_executed");
+}
+
+#[test]
+fn after_point_address_sum_is_policy_invariant() {
+    differential("addr_sum_after");
+    // The tool saw accesses at all (the sum is not vacuously equal).
+    let (_, sig) = run_case("addr_sum_after", SavePolicy::Liveness, stencil_app);
+    assert_ne!(sig, "(0, 0)");
+}
+
 /// The address trace and the divergence counters are order-free: the
 /// canonical `(cta_linear, push-order)` stream and the integer line count
 /// do not depend on which worker retires which CTA first. Proven at fixed
@@ -249,7 +351,7 @@ fn mem_divergence_is_policy_invariant() {
 /// running the suite happens to be.
 #[test]
 fn order_free_tools_are_invariant_at_every_scheduler_width() {
-    for tool in ["mem_trace", "mem_divergence"] {
+    for tool in ["mem_trace", "mem_divergence", "addr_sum_after"] {
         for (app_name, app) in APPS {
             let serial = run_case_on(tool, SavePolicy::Liveness, app, Scheduler::Serial);
             for threads in [1, 2, 4, 8] {

@@ -3,10 +3,12 @@
 //! injection points — must preserve the application's semantics exactly.
 
 use common::prop::{run_cases, vec_of};
+use common::Rng;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool};
-use sass::Arch;
+use gpu::{DeviceSpec, Dim3, Scheduler};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, SavePolicy};
+use sass::op::IType;
+use sass::{Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SpecialReg, SubOp};
 
 const COUNT_FN: &str = r#"
 .func pcount(.reg .u32 %pred, .reg .u64 %ctr)
@@ -140,4 +142,253 @@ fn any_instrumentation_subset_preserves_semantics() {
         let instrumented = run_gauntlet(Some(sites.clone()));
         assert_eq!(native, instrumented, "sites {sites:?} corrupted the app");
     });
+}
+
+// ----- Random SASS kernels under the exact save brackets -------------------
+//
+// The PTX compiler allocates registers its own way; to put live ranges
+// wherever the generator wants them across R0–R23 — on top of the spliced
+// body's own R4–R9 window, and sparse enough elsewhere that renaming has
+// dead pairs to move onto — these kernels are built as SASS directly.
+
+/// The registers the generator draws from: R0–R23 minus the stack pointer.
+const POOL: [u8; 23] =
+    [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23];
+
+fn reg(r: u8) -> Operand {
+    Operand::Reg(Reg(r))
+}
+
+/// One random ALU, move or compare instruction over `regs` and `preds`,
+/// half of them guarded by a random predicate.
+fn alu(rng: &mut Rng, regs: &[u8], preds: u8) -> Instruction {
+    let pick = |rng: &mut Rng| regs[rng.gen_range(0..regs.len())];
+    let (d, a, b) = (pick(rng), pick(rng), pick(rng));
+    let ins = match rng.gen_range(0..5u32) {
+        0 => Instruction::new(Op::Iadd, vec![reg(d), reg(a), reg(b)]),
+        1 => Instruction::new(Op::Lop, vec![reg(d), reg(a), reg(b)])
+            .with_mods(Mods { sub: SubOp::Xor, ..Mods::default() }),
+        2 => {
+            Instruction::new(Op::Iadd, vec![reg(d), reg(a), Operand::Imm(rng.gen_range(1..99i64))])
+        }
+        3 => Instruction::new(Op::Mov, vec![reg(d), reg(a)]),
+        _ => Instruction::new(
+            Op::Isetp,
+            vec![Operand::pred(Pred(rng.gen_range(0..preds))), reg(a), reg(b)],
+        )
+        .with_mods(Mods { cmp: CmpOp::Lt, itype: IType::U32, ..Mods::default() }),
+    };
+    if rng.gen_bool() {
+        ins.with_guard(Guard { pred: Pred(rng.gen_range(0..preds)), negated: rng.gen_bool() })
+    } else {
+        ins
+    }
+}
+
+/// A random kernel `k(out)`: seed a random subset of the pool from the
+/// thread id, run random instructions over it — straight-line, optionally
+/// past a guarded early `EXIT` and through a two-armed `SSY`/`SYNC` diamond —
+/// then fold every seeded
+/// register into one word, in random order (so live ranges end at random
+/// points), and store it at `out[tid]`.
+fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
+    let mut regs: Vec<u8> = POOL.iter().copied().filter(|_| rng.gen_range(0..3u32) > 0).collect();
+    if regs.len() < 3 {
+        regs = POOL[..6].to_vec();
+    }
+    let preds = rng.gen_range(1..8u8);
+    let tid = regs[0];
+    let mut k = vec![Instruction::new(Op::S2r, vec![reg(tid), Operand::SReg(SpecialReg::TidX)])];
+    for &r in &regs[1..] {
+        let seed = Operand::Imm(rng.gen_range(1..1000i64));
+        k.push(Instruction::new(Op::Iadd, vec![reg(r), reg(tid), seed]));
+    }
+    let straight =
+        |rng: &mut Rng, n: std::ops::Range<usize>| vec_of(rng, n, |r| alu(r, &regs, preds));
+    k.extend(straight(rng, 1..10));
+    if rng.gen_bool() {
+        // The bounds-check shape: some lanes retire early at a guarded EXIT,
+        // the rest run on and still need everything seeded above.
+        let p = Pred(rng.gen_range(0..preds));
+        let bound = Operand::Imm(rng.gen_range(4..30i64));
+        k.push(
+            Instruction::new(Op::Isetp, vec![Operand::pred(p), reg(tid), bound]).with_mods(Mods {
+                cmp: CmpOp::Ge,
+                itype: IType::U32,
+                ..Mods::default()
+            }),
+        );
+        k.push(Instruction::new(Op::Exit, vec![]).with_guard(Guard { pred: p, negated: false }));
+        k.extend(straight(rng, 1..6));
+    }
+    if rng.gen_bool() {
+        let p = Pred(rng.gen_range(0..preds));
+        let (arm_a, arm_b) = (straight(rng, 1..6), straight(rng, 1..6));
+        let mods = Mods { barrier: 1, ..Mods::default() };
+        let skip = |n: usize| Operand::Rel(16 * n as i64);
+        k.push(
+            Instruction::new(Op::Isetp, vec![Operand::pred(p), reg(tid), Operand::Imm(13)])
+                .with_mods(Mods { cmp: CmpOp::Lt, itype: IType::U32, ..Mods::default() }),
+        );
+        k.push(
+            Instruction::new(Op::Ssy, vec![skip(arm_a.len() + arm_b.len() + 3)]).with_mods(mods),
+        );
+        k.push(
+            Instruction::new(Op::Bra, vec![skip(arm_a.len() + 1)])
+                .with_guard(Guard { pred: p, negated: false }),
+        );
+        k.extend(arm_a);
+        k.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
+        k.extend(arm_b);
+        k.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
+        k.extend(straight(rng, 1..6));
+    }
+    // Fold, in a random order, into the first register folded.
+    let mut order = regs.clone();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    let acc = order[0];
+    for &r in &order[1..] {
+        k.push(
+            Instruction::new(Op::Lop, vec![reg(acc), reg(acc), reg(r)])
+                .with_mods(Mods { sub: SubOp::Xor, ..Mods::default() }),
+        );
+    }
+    // out[tid] = acc, through registers the fold has finished with.
+    let (base, idx, four) = match acc {
+        2..=4 => (6, 8, 9),
+        _ => (2, 4, 5),
+    };
+    let out = Operand::CBank { bank: 0, base: Reg::RZ, offset: 0x160 };
+    k.push(
+        Instruction::new(Op::Ldc, vec![reg(base), out])
+            .with_mods(Mods { width: sass::Width::B64, ..Mods::default() }),
+    );
+    k.push(Instruction::new(Op::S2r, vec![reg(idx), Operand::SReg(SpecialReg::TidX)]));
+    k.push(Instruction::new(Op::Mov32i, vec![reg(four), Operand::Imm(4)]));
+    k.push(
+        Instruction::new(Op::Imad, vec![reg(base), reg(idx), reg(four), reg(base)])
+            .with_mods(Mods { itype: IType::U64, ..Mods::default() }),
+    );
+    k.push(Instruction::new(Op::Stg, vec![Operand::MRef { base: Reg(base), offset: 0 }, reg(acc)]));
+    k.push(Instruction::new(Op::Exit, vec![]));
+    k
+}
+
+/// Injects `pcount` at every instruction, `Before` or `After` per `after`.
+struct EverywhereTool {
+    after: Vec<bool>,
+    policy: SavePolicy,
+    counter: u64,
+    done: bool,
+    /// The counter's final value, published at termination.
+    count: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl NvbitTool for EverywhereTool {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.set_save_policy(self.policy);
+        api.load_tool_functions(COUNT_FN).unwrap();
+        self.counter = api.driver().with_device(|d| d.alloc(8)).unwrap();
+    }
+    fn at_term(&mut self, api: &NvbitApi<'_>) {
+        let mut b = [0u8; 8];
+        api.driver().memcpy_dtoh(&mut b, self.counter).unwrap();
+        self.count.set(u64::from_le_bytes(b));
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if is_exit || cbid != CbId::LaunchKernel || std::mem::replace(&mut self.done, true) {
+            return;
+        }
+        for idx in 0..api.get_instrs(*func).unwrap().len() {
+            let ipoint = if self.after[idx] { IPoint::After } else { IPoint::Before };
+            api.insert_call(*func, idx, "pcount", ipoint).unwrap();
+            api.add_call_arg_guard_pred(*func, idx).unwrap();
+            api.add_call_arg_imm64(*func, idx, self.counter).unwrap();
+        }
+    }
+}
+
+/// Runs `kernel` (64 threads in 2 CTAs) natively or under the tool and
+/// returns the output buffer plus the tool's count.
+fn run_sass(
+    kernel: &[Instruction],
+    tool: Option<(Vec<bool>, SavePolicy)>,
+    sched: Scheduler,
+) -> (Vec<u8>, u64) {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    drv.with_device(|d| d.scheduler = sched);
+    let count = std::rc::Rc::new(std::cell::Cell::new(0));
+    if let Some((after, policy)) = tool {
+        let count = count.clone();
+        attach_tool(&drv, EverywhereTool { after, policy, counter: 0, done: false, count });
+    }
+    // A compiled stub supplies the parameter layout; its code is replaced.
+    let mut image =
+        ptx::compile_module(".entry k(.param .u64 out) { exit; }", Arch::Volta).unwrap();
+    image.functions[0].code = sass::codec::codec_for(Arch::Volta).encode_stream(kernel).unwrap();
+    image.functions[0].reg_count = 24;
+    let ctx = drv.ctx_create().unwrap();
+    let fatbin = FatBinary { name: "sass".into(), library: false, images: vec![image], ptx: None };
+    let m = drv.module_load(&ctx, fatbin).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let buf = drv.mem_alloc(64 * 4).unwrap();
+    drv.launch_kernel(&f, Dim3::linear(2), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
+    let mut out = vec![0u8; 64 * 4];
+    drv.memcpy_dtoh(&mut out, buf).unwrap();
+    drv.shutdown();
+    (out, count.get())
+}
+
+/// Random straight-line and diamond kernels with random live ranges through
+/// R0–R23, instrumented at every instruction: the output equals native under
+/// both save policies and both schedulers, and the tool counts the same.
+#[test]
+fn random_live_ranges_survive_instrumentation_at_every_instruction() {
+    run_cases("random_live_ranges_survive_instrumentation_at_every_instruction", 48, |rng| {
+        let kernel = random_kernel(rng);
+        let after: Vec<bool> = kernel.iter().map(|_| rng.gen_bool()).collect();
+        let listing = sass::asm::disassemble(&kernel);
+        let (native, _) = run_sass(&kernel, None, Scheduler::Serial);
+        let full =
+            run_sass(&kernel, Some((after.clone(), SavePolicy::FullTier)), Scheduler::Serial);
+        assert_eq!(full.0, native, "full-tier saves corrupted:\n{listing}");
+        for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 2 }] {
+            let live = run_sass(&kernel, Some((after.clone(), SavePolicy::Liveness)), sched);
+            assert_eq!(live.0, native, "exact saves corrupted ({after:?}, {sched:?}):\n{listing}");
+            assert_eq!(live.1, full.1, "tool count differs ({sched:?}):\n{listing}");
+            assert!(live.1 > 0, "the tool counted nothing:\n{listing}");
+        }
+    });
+}
+
+/// With all seven predicates live across a site, the spliced body's own
+/// predicate has no dead one to move onto: those calls keep the save
+/// routines (which save the predicate file) — same output, same count.
+#[test]
+fn a_site_with_every_predicate_live_keeps_the_application_intact() {
+    let sets: String =
+        (0..7).map(|p| format!("ISETP.LT.U32 P{p}, R0, {:#x} ;\n", 4 * p + 2)).collect();
+    let uses: String = (0..7).map(|p| format!("@P{p} IADD R4, R4, {:#x} ;\n", 1 << p)).collect();
+    let text = format!(
+        "S2R R0, SR_TID.X ;\n{sets}MOV32I R4, 0x0 ;\n{uses}\
+         LDC.64 R2, c[0x0][0x160] ;\nMOV32I R5, 0x4 ;\nIMAD.U64 R2, R0, R5, R2 ;\n\
+         STG [R2], R4 ;\nEXIT ;"
+    );
+    let kernel = sass::asm::assemble_arch(&text, Arch::Volta).unwrap();
+    let after = vec![false; kernel.len()];
+    let (native, _) = run_sass(&kernel, None, Scheduler::Serial);
+    assert_eq!(native[4 * 9..4 * 10], 0x7cu32.to_le_bytes(), "lane 9 holds P2..P6");
+    let full = run_sass(&kernel, Some((after.clone(), SavePolicy::FullTier)), Scheduler::Serial);
+    let live = run_sass(&kernel, Some((after, SavePolicy::Liveness)), Scheduler::Serial);
+    assert_eq!((&full.0, &live.0), (&native, &native));
+    assert_eq!(live.1, full.1);
 }
