@@ -152,9 +152,11 @@ fn recycled_handle_after_unload_is_lifted_fresh() {
     drv.shutdown();
 }
 
-/// Unloading an instrumented module must free the trampoline memory: the
-/// device allocation count and bytes-in-use return to their post-first-
-/// cycle baseline on every subsequent load/instrument/launch/unload cycle.
+/// Unloading an instrumented module must free the trampoline memory and the
+/// code pages the device decoded from it and from the module: the device
+/// allocation count, bytes-in-use and decoded-page count return to their
+/// post-first-cycle baseline on every subsequent
+/// load/instrument/launch/unload cycle.
 #[test]
 fn unload_frees_trampolines_back_to_baseline() {
     let counter_addr = Rc::new(RefCell::new(0u64));
@@ -167,19 +169,22 @@ fn unload_frees_trampolines_back_to_baseline() {
         let m = drv.module_load(&ctx, FatBinary::from_ptx("app", src)).unwrap();
         let f = drv.module_get_function(&m, "k").unwrap();
         drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+        assert!(drv.with_device(|d| d.decoded_pages()) > 0, "the launch decoded the kernel");
         drv.module_unload(m).unwrap();
     };
 
     // First cycle absorbs any one-time allocations (tool counter etc.).
     cycle(ONE_STORE);
-    let baseline = drv.with_device(|d| (d.memory().live_allocs(), d.memory().in_use()));
+    let counters =
+        |d: &mut gpu::Device| (d.memory().live_allocs(), d.memory().in_use(), d.decoded_pages());
+    let baseline = drv.with_device(counters);
 
     for round in 0..3 {
         cycle(if round % 2 == 0 { TWO_STORES } else { ONE_STORE });
-        let now = drv.with_device(|d| (d.memory().live_allocs(), d.memory().in_use()));
         assert_eq!(
-            now, baseline,
-            "round {round}: allocation counters must return to baseline after unload"
+            drv.with_device(counters),
+            baseline,
+            "round {round}: allocation and decoded-page counters must return to baseline after unload"
         );
     }
     drv.shutdown();

@@ -1,6 +1,6 @@
-//! The device: memory, decode cache and launch orchestration.
+//! The device: memory, decoded code pages and launch orchestration.
 
-use crate::executor::{CtaCtx, DecodeCache, ExecEnv, Warp, WARP};
+use crate::executor::{CodeCache, CtaCtx, ExecEnv, Warp, WARP};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
 use crate::stats::{CtaStats, ExecStats};
@@ -17,10 +17,6 @@ pub(crate) type CodeLabels = BTreeMap<u64, (u64, String)>;
 /// Offset of the kernel parameter area in constant bank 0 (matching the
 /// real ABI's `c[0x0][0x160]`).
 pub const PARAM_BASE: usize = 0x160;
-
-/// What one CTA's execution produces: its statistics (or fault) plus the
-/// decode-cache overlay it accumulated.
-type CtaResult = (Result<CtaStats>, DecodeCache);
 
 /// A kernel launch description.
 #[derive(Debug, Clone)]
@@ -102,10 +98,11 @@ impl LaunchConfig {
 /// How CTAs of a launch are mapped onto host threads.
 ///
 /// For a launch that completes without faulting, every scheduler produces
-/// **bit-identical** statistics and decode-cache state: per-CTA state
-/// (registers, shared and local memory, statistics, the decode-cache
-/// overlay) is owned by the worker, and all per-CTA results merge in
-/// CTA-linear order afterwards. Final device memory is also bit-identical
+/// **bit-identical** statistics, both decode counters included: per-CTA
+/// state (registers, shared and local memory, statistics) is owned by the
+/// worker and merges in CTA-linear order afterwards, and the one shared
+/// structure, the decoded code pages, fills each slot exactly once whoever
+/// gets there first. Final device memory is also bit-identical
 /// whenever the kernel is race-free across CTAs and its cross-CTA atomics
 /// are commutative with unobserved results — true of every shipped
 /// workload. The CTA schedule *is* observable through atomics, though:
@@ -115,10 +112,11 @@ impl LaunchConfig {
 /// through memory sees CTA completion order — run-to-run nondeterministic
 /// under [`Scheduler::Parallel`], CTA-linear under [`Scheduler::Serial`].
 /// Use `Serial` when reproducibility of such kernels matters more than
-/// speed. After a *faulting* launch, device memory is unspecified under
-/// `Parallel`: CTAs above the first faulting index may already have run,
-/// and while their statistics and cache overlays are discarded by the
-/// merge, their global-memory writes are not rolled back.
+/// speed. After a *faulting* launch, device memory and the decode counters
+/// of later launches are unspecified under `Parallel`: CTAs above the first
+/// faulting index may already have run, and while their statistics are
+/// discarded by the merge, their global-memory writes are not rolled back
+/// and the code pages they decoded stay decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// One CTA at a time, in CTA-linear order, on the calling thread.
@@ -152,7 +150,7 @@ impl Scheduler {
 pub struct Device {
     spec: DeviceSpec,
     mem: Memory,
-    decode_cache: DecodeCache,
+    code: CodeCache,
     /// CTA-to-host-thread mapping; see [`Scheduler`] for the exact
     /// determinism contract.
     pub scheduler: Scheduler,
@@ -170,7 +168,7 @@ impl Device {
         Device {
             spec,
             mem,
-            decode_cache: DecodeCache::new(),
+            code: CodeCache::default(),
             scheduler: Scheduler::default(),
             launches: 0,
             labels: CodeLabels::new(),
@@ -237,14 +235,24 @@ impl Device {
         self.mem.alloc(len)
     }
 
-    /// Frees device memory.
+    /// Frees device memory, and with it the allocation's code label and
+    /// decoded code pages.
     ///
     /// # Errors
     ///
     /// [`GpuError::BadAddress`] for an unknown allocation.
     pub fn free(&mut self, addr: u64) -> Result<()> {
         self.labels.remove(&addr);
-        self.mem.free(addr)
+        let len = self.mem.free(addr)?;
+        let pages = self.code.pages.get_mut().expect("no worker panics holding it");
+        pages.retain(|base, _| !(addr..addr + len).contains(base));
+        Ok(())
+    }
+
+    /// Number of code pages currently held decoded (leak accounting, like
+    /// [`Memory::live_allocs`]).
+    pub fn decoded_pages(&self) -> usize {
+        self.code.pages.read().expect("no worker panics holding it").len()
     }
 
     /// Copies host bytes to the device.
@@ -268,12 +276,18 @@ impl Device {
     /// Launches a kernel and runs it to completion.
     ///
     /// Warps round-robin inside each CTA; CTAs run serially or on a worker
-    /// pool per [`Device::scheduler`]. Every CTA owns its statistics,
-    /// decode-cache overlay and shared/local memories, and the per-CTA
-    /// results merge in CTA-linear order once all CTAs retire, so a
-    /// non-faulting launch reports the same statistics and cache state
-    /// under every scheduler; see [`Scheduler`] for what that guarantee
-    /// does and does not cover (observable atomics, post-fault memory).
+    /// pool per [`Device::scheduler`]. Every CTA owns its statistics and
+    /// shared/local memories, and the per-CTA results merge in CTA-linear
+    /// order once all CTAs retire, so a non-faulting launch reports the
+    /// same statistics under every scheduler; see [`Scheduler`] for what
+    /// that guarantee does and does not cover (observable atomics,
+    /// post-fault memory).
+    ///
+    /// Code is fetched through decoded code pages that are compared with
+    /// memory on their first touch in each launch: whatever wrote the code
+    /// (host write, code swap, a guest store) is seen from the next launch
+    /// on. `decode_misses` counts the instruction slots this launch
+    /// decoded, `decode_hits` every other executed warp instruction.
     ///
     /// # Errors
     ///
@@ -310,12 +324,7 @@ impl Device {
             cfg.cbanks[2].clone(),
         ];
 
-        // Per-launch snapshot of the decode cache: CTAs read it immutably
-        // and collect their own decodes in per-CTA overlays, merged back
-        // below. Cross-launch caching still works (the snapshot carries
-        // previous launches' entries) while hit/miss counts and final cache
-        // state stay independent of the CTA schedule.
-        let snapshot = std::mem::take(&mut self.decode_cache);
+        self.code.launch += 1;
         let shared = self.mem.shared_view();
 
         // Scheduler observability: `cta` spans land in each worker
@@ -328,7 +337,7 @@ impl Device {
 
         let labels = &self.labels;
         let chan = self.channel.as_ref();
-        let run_one = |cta_linear: u64| -> CtaResult {
+        let run_one = |cta_linear: u64| -> Result<CtaStats> {
             if obs_on {
                 common::obs::counter(
                     "cta.queue_wait_ns",
@@ -339,7 +348,7 @@ impl Device {
             run_cta(
                 &self.spec,
                 &shared,
-                &snapshot,
+                &self.code,
                 cfg,
                 &cbanks,
                 labels,
@@ -352,26 +361,17 @@ impl Device {
         };
 
         let workers = self.scheduler.workers().max(1).min(cta_count as usize);
-        let mut results: Vec<Option<CtaResult>> = (0..cta_count).map(|_| None).collect();
+        let mut results: Vec<Option<Result<CtaStats>>> = (0..cta_count).map(|_| None).collect();
         if workers <= 1 {
-            // One CTA at a time: fold each overlay into the first CTA's as
-            // it arrives, rather than holding `cta_count` copies of the same
-            // decodes until the merge. Later CTAs still see the snapshot only.
             for i in 0..cta_count {
-                let (res, mut overlay) = run_one(i);
-                let failed = res.is_err();
-                if let Some((_, first)) = results[0].as_mut() {
-                    first.extend(overlay.drain());
-                }
-                results[i as usize] = Some((res, overlay));
-                if failed {
+                if results[i as usize].insert(run_one(i)).is_err() {
                     break;
                 }
             }
         } else {
             let next = AtomicU64::new(0);
             let failed = AtomicBool::new(false);
-            let collected: Mutex<Vec<(u64, CtaResult)>> = Mutex::new(Vec::new());
+            let collected: Mutex<Vec<(u64, Result<CtaStats>)>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
@@ -386,7 +386,7 @@ impl Device {
                             break;
                         }
                         let r = run_one(i);
-                        if r.0.is_err() {
+                        if r.is_err() {
                             failed.store(true, Ordering::Relaxed);
                         }
                         collected.lock().unwrap().push((i, r));
@@ -409,26 +409,24 @@ impl Device {
         }
 
         // Deterministic reduction: walk CTAs in linear order up to (and
-        // including) the first fault, merging statistics and decode-cache
-        // overlays. CTAs past a fault are discarded even if a parallel
-        // worker already ran them, so the post-launch cache state matches
-        // serial execution exactly.
+        // including) the first fault, merging statistics. CTAs past a fault
+        // are discarded even if a parallel worker already ran them.
         let merge_span = common::obs::span("merge");
-        let first_err = results.iter().position(|r| matches!(r, Some((Err(_), _))));
+        let first_err = results.iter().position(|r| matches!(r, Some(Err(_))));
         let upto = first_err.map_or(cta_count as usize, |k| k + 1);
-        let mut cache = snapshot;
         let mut stats = CtaStats::default();
         let mut error = None;
         for r in results.drain(..upto) {
-            let (res, overlay) = r.expect("every CTA below the first fault produced a result");
-            cache.extend(overlay);
-            match res {
+            match r.expect("every CTA below the first fault produced a result") {
                 Ok(s) => stats.add(&s),
                 Err(e) => error = Some(e),
             }
         }
-        self.decode_cache = cache;
-        let stats = stats.finish();
+        let mut stats = stats.finish();
+        // Every step fetched one slot; the steps that filled theirs are the
+        // misses. (Only CTAs that ran to completion are summed, and those
+        // recorded every step that counted a miss.)
+        stats.decode_hits = stats.warp_instructions - stats.decode_misses;
         drop(merge_span);
         common::obs::counter("decode.hit", stats.decode_hits);
         common::obs::counter("decode.miss", stats.decode_misses);
@@ -439,14 +437,12 @@ impl Device {
     }
 }
 
-/// Runs one CTA to completion, returning its statistics and decode-cache
-/// overlay (the overlay is returned even when the CTA faults, so the
-/// post-launch cache matches what serial execution would have built).
+/// Runs one CTA to completion, returning its statistics.
 #[allow(clippy::too_many_arguments)]
 fn run_cta(
     spec: &DeviceSpec,
     mem: &SharedMem,
-    snapshot: &DecodeCache,
+    code: &CodeCache,
     cfg: &LaunchConfig,
     cbanks: &[Vec<u8>; 4],
     labels: &CodeLabels,
@@ -455,7 +451,7 @@ fn run_cta(
     block_threads: u32,
     local_size: u32,
     chan: Option<&common::channel::ChannelDev>,
-) -> CtaResult {
+) -> Result<CtaStats> {
     let g = cfg.grid;
     let cta_coords = Dim3::xyz(
         (cta_linear % g.x as u64) as u32,
@@ -465,8 +461,7 @@ fn run_cta(
     let mut env = ExecEnv {
         spec,
         mem,
-        snapshot,
-        overlay: DecodeCache::new(),
+        code,
         stats: CtaStats::default(),
         grid: cfg.grid,
         block: cfg.block,
@@ -530,7 +525,7 @@ fn run_cta(
             });
         }
     };
-    (result.map(|()| env.stats), env.overlay)
+    result.map(|()| env.stats)
 }
 
 #[cfg(test)]
@@ -871,6 +866,155 @@ mod tests {
         assert_eq!(u32::from_le_bytes(out), 2, "stale decode cache after patch");
         let s = dev.launch(&cfg).unwrap();
         assert!(s.decode_hits > 0);
+    }
+
+    /// `MOV32I R5, imm ; STG [R6], R5` behind `pad` NOPs, one thread's worth.
+    fn store_imm(pad: usize, imm: u32) -> String {
+        format!(
+            "{}LDC.64 R6, c[0x0][0x160] ;\nMOV32I R5, 0x{imm:x} ;\nSTG [R6], R5 ;\nEXIT ;",
+            "NOP ;\n".repeat(pad)
+        )
+    }
+
+    /// Launches `pc` on one thread with `buf` as its parameter; returns the
+    /// launch's `(decode_hits, decode_misses)` and the word at `buf`.
+    fn run_store(dev: &mut Device, pc: u64, buf: u64) -> ((u64, u64), u32) {
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(1));
+        cfg.push_param_u64(buf);
+        let s = dev.launch(&cfg).unwrap();
+        assert_eq!(s.decode_hits + s.decode_misses, s.warp_instructions);
+        let mut out = [0u8; 4];
+        dev.read(buf, &mut out).unwrap();
+        ((s.decode_hits, s.decode_misses), u32::from_le_bytes(out))
+    }
+
+    #[test]
+    fn a_patch_re_decodes_the_patched_page_and_no_other() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        // 16 words per page: 20 NOPs put the 4-instruction tail, and 4 of
+        // the NOPs, in the kernel's second page.
+        let pc = load(&mut dev, &store_imm(20, 1));
+        let buf = dev.alloc(64).unwrap();
+        assert_eq!(run_store(&mut dev, pc, buf), ((0, 24), 1));
+
+        let mov = pc + 21 * Arch::Volta.instruction_size() as u64;
+        for (imm, text) in [(2, "MOV32I R5, 0x2 ;"), (1, "MOV32I R5, 0x1 ;")] {
+            let bytes = codec_for(Arch::Volta).encode_stream(&asm::assemble(text).unwrap());
+            dev.write(mov, &bytes.unwrap()).unwrap();
+            assert_eq!(run_store(&mut dev, pc, buf), ((16, 8), imm), "patched to {imm}");
+        }
+        assert_eq!(run_store(&mut dev, pc, buf), ((24, 0), 1), "nothing changed");
+    }
+
+    /// The coherence point is the launch boundary for guest stores too: a
+    /// kernel that overwrites another kernel's `MOV32I` from a data buffer
+    /// is seen by the victim's next launch.
+    #[test]
+    fn a_guest_store_into_code_is_seen_by_the_next_launch() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let victim = load(&mut dev, &store_imm(0, 1));
+        let copy = load(
+            &mut dev,
+            "LDC.64 R6, c[0x0][0x160] ;\n\
+             LDC.64 R8, c[0x0][0x168] ;\n\
+             LDG.128 R12, [R6] ;\n\
+             STG.128 [R8], R12 ;\n\
+             EXIT ;",
+        );
+        let buf = dev.alloc(64).unwrap();
+        assert_eq!(run_store(&mut dev, victim, buf).1, 1);
+
+        let word =
+            codec_for(Arch::Volta).encode_stream(&asm::assemble("MOV32I R5, 0x2 ;").unwrap());
+        let src = dev.alloc(16).unwrap();
+        dev.write(src, &word.unwrap()).unwrap();
+        let mut cfg = LaunchConfig::new(copy, Dim3::linear(1), Dim3::linear(1));
+        cfg.push_param_u64(src);
+        cfg.push_param_u64(victim + Arch::Volta.instruction_size() as u64);
+        dev.launch(&cfg).unwrap();
+
+        // Only the victim's one page is re-read: 4 slots re-decoded.
+        assert_eq!(run_store(&mut dev, victim, buf), ((0, 4), 2));
+    }
+
+    #[test]
+    fn freeing_code_drops_its_decoded_pages_and_the_region_runs_new_code() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let buf = dev.alloc(64).unwrap();
+        let pc = load(&mut dev, &store_imm(20, 1));
+        assert_eq!(dev.decoded_pages(), 0);
+        assert_eq!(run_store(&mut dev, pc, buf).1, 1);
+        assert_eq!(dev.decoded_pages(), 2);
+        dev.free(pc).unwrap();
+        assert_eq!(dev.decoded_pages(), 0, "freed code keeps no decoded page");
+
+        // Different code of the same length lands in the same region.
+        assert_eq!(load(&mut dev, &store_imm(20, 2)), pc);
+        assert_eq!(run_store(&mut dev, pc, buf), ((0, 24), 2));
+    }
+
+    fn fault_of(r: Result<ExecStats>) -> (u64, String) {
+        match r {
+            Err(GpuError::Fault { pc, reason }) => (pc, reason),
+            other => panic!("expected a fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misaligned_fetch_faults() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let pc = load(&mut dev, "NOP ;\nEXIT ;");
+        let cfg = LaunchConfig::new(pc + 8, Dim3::linear(1), Dim3::linear(32));
+        assert_eq!(fault_of(dev.launch(&cfg)), (pc + 8, "misaligned instruction fetch".into()));
+    }
+
+    #[test]
+    fn fetch_at_address_zero_faults_but_the_rest_of_the_null_page_is_fetchable() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let pc = load(&mut dev, &store_imm(0, 7));
+        assert_eq!(pc, crate::mem::ALLOC_ALIGN, "the kernel follows the null page");
+        let buf = dev.alloc(64).unwrap();
+        let null = LaunchConfig::new(0, Dim3::linear(1), Dim3::linear(1));
+        assert_eq!(
+            fault_of(dev.launch(&null)),
+            (0, "instruction fetch outside device memory".into())
+        );
+        // From the second word on, the null page's zeroes execute as inert
+        // instructions and control falls into the kernel behind it.
+        let isize = Arch::Volta.instruction_size() as u64;
+        assert_eq!(run_store(&mut dev, isize, buf), ((0, 15 + 4), 7));
+    }
+
+    #[test]
+    fn fetch_past_the_end_of_memory_faults_at_the_first_word_that_does_not_fit() {
+        // One whole instruction word and half of another behind the last
+        // full page.
+        let mut spec = DeviceSpec::test(Arch::Volta);
+        spec.global_mem = (1 << 16) + 24;
+        let mut dev = Device::new(spec);
+        let outside = "instruction fetch outside device memory".to_string();
+        let cfg = LaunchConfig::new(1 << 16, Dim3::linear(1), Dim3::linear(32));
+        assert_eq!(fault_of(dev.launch(&cfg)), ((1 << 16) + 16, outside.clone()));
+        let cfg = LaunchConfig::new(1 << 20, Dim3::linear(1), Dim3::linear(32));
+        assert_eq!(fault_of(dev.launch(&cfg)), (1 << 20, outside));
+    }
+
+    #[test]
+    fn an_undecodable_word_faults_only_if_it_is_executed() {
+        let junk = [0xffu8; 16];
+        assert!(codec_for(Arch::Volta).decode(&junk).is_err());
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        // Data behind the EXIT, in the same page: never fetched.
+        let pc = load(&mut dev, "NOP ;\nEXIT ;\nNOP ;");
+        dev.write(pc + 32, &junk).unwrap();
+        let cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        let s = dev.launch(&cfg).unwrap();
+        assert_eq!((s.decode_hits, s.decode_misses), (0, 2));
+        // The same word where the EXIT was.
+        dev.write(pc + 16, &junk).unwrap();
+        let (at, reason) = fault_of(dev.launch(&cfg));
+        assert_eq!(at, pc + 16);
+        assert!(reason.starts_with("undecodable instruction: "), "{reason}");
     }
 
     #[test]

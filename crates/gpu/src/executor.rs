@@ -42,7 +42,8 @@ use crate::{GpuError, Result};
 use sass::op::{CfClass, IType};
 use sass::{CmpOp, Instruction, MemSpace, Op, OpCategory, Operand, Pred, Reg, SpecialReg, SubOp};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 pub(crate) const WARP: usize = 32;
 /// Per-CTA warp-instruction budget; a runaway kernel faults instead of
@@ -50,9 +51,77 @@ pub(crate) const WARP: usize = 32;
 /// CTA schedule.
 const STEP_LIMIT: u64 = 2_000_000_000;
 
-/// A decoded-instruction cache keyed by fetch address, each entry holding
-/// the raw encoding it was decoded from (for revalidation under patching).
-pub(crate) type DecodeCache = HashMap<u64, (u128, Arc<Instruction>)>;
+/// Code-page size: the allocation granule, so a page never spans two
+/// allocations and `Device::free` can drop a freed one's pages whole.
+const PAGE: u64 = crate::mem::ALLOC_ALIGN;
+
+/// One page of code: the bytes it holds and one lazily decoded slot per
+/// instruction word. A slot is decoded by the first step that executes it,
+/// so data sharing a page with code is never decoded; an `Err` slot is the
+/// reason a fetch of that word faults.
+pub(crate) struct CodePage {
+    raw: [u8; PAGE as usize],
+    /// [`CodeCache::launch`] at which `raw` was last compared with memory.
+    /// Relaxed: it publishes nothing — `raw` is immutable, the slots
+    /// synchronise themselves and the page is published by the map's lock.
+    checked: AtomicU64,
+    slots: Box<[OnceLock<std::result::Result<Instruction, String>>]>,
+}
+
+impl CodePage {
+    /// Reads the page at `base` one instruction word at a time, so that a
+    /// word memory refuses (address 0, the end of memory) is one faulting
+    /// slot rather than a faulting page.
+    fn read(mem: &SharedMem, base: u64, isize: usize, launch: u64) -> CodePage {
+        let mut raw = [0u8; PAGE as usize];
+        let slots = raw.chunks_exact_mut(isize).enumerate().map(|(i, word)| {
+            match mem.read_into(base + (i * isize) as u64, word) {
+                Ok(()) => OnceLock::new(),
+                Err(_) => OnceLock::from(Err("instruction fetch outside device memory".into())),
+            }
+        });
+        CodePage { slots: slots.collect(), raw, checked: AtomicU64::new(launch) }
+    }
+}
+
+/// The device's decoded code, shared by every CTA worker of every launch.
+/// Coherence point is the launch boundary: the first touch of a page in a
+/// launch compares it with memory and replaces it if a host write, a code
+/// swap or a guest store of an earlier launch changed it.
+#[derive(Default)]
+pub(crate) struct CodeCache {
+    /// Launch serial, bumped by `Device::launch`.
+    pub launch: u64,
+    pub pages: RwLock<HashMap<u64, Arc<CodePage>>>,
+}
+
+impl CodeCache {
+    /// The page at `base`, validated against memory for this launch.
+    fn page(&self, mem: &SharedMem, base: u64, isize: usize) -> Arc<CodePage> {
+        let seen = |p: &&Arc<CodePage>| p.checked.load(Ordering::Relaxed) == self.launch;
+        let pages = self.pages.read().expect("no worker panics holding it");
+        if let Some(p) = pages.get(&base).filter(seen) {
+            return Arc::clone(p);
+        }
+        drop(pages);
+        // First touch in this launch. Of the workers that get here together
+        // one inserts or keeps the page and the rest take what it left, so
+        // no slot is ever decoded twice.
+        let now = CodePage::read(mem, base, isize, self.launch);
+        let mut pages = self.pages.write().expect("no worker panics holding it");
+        match pages.get(&base) {
+            Some(p) if seen(&p) || p.raw == now.raw => {
+                p.checked.store(self.launch, Ordering::Relaxed);
+                Arc::clone(p)
+            }
+            _ => {
+                let p = Arc::new(now);
+                pages.insert(base, Arc::clone(&p));
+                p
+            }
+        }
+    }
+}
 
 /// One 32-bit value per lane: a register, or one word of local memory.
 pub(crate) type Row = [u32; WARP];
@@ -262,18 +331,13 @@ fn set_local_word(rows: &mut [Row], lane: usize, a: usize, v: u32) {
 }
 
 /// Everything one CTA's execution needs. Shared state comes in behind
-/// `Sync` references; mutable state (statistics, the decode-cache overlay,
-/// the step counter) is owned per CTA, which is what makes the environment
-/// `Send`-able into a worker thread and the collected results independent
-/// of the CTA schedule.
+/// `Sync` references; mutable state (statistics, the step counter) is owned
+/// per CTA, which is what makes the environment `Send`-able into a worker
+/// thread and the collected results independent of the CTA schedule.
 pub(crate) struct ExecEnv<'d> {
     pub spec: &'d DeviceSpec,
     pub mem: &'d SharedMem,
-    /// Immutable per-launch snapshot of the device decode cache.
-    pub snapshot: &'d DecodeCache,
-    /// Entries this CTA decoded; merged back in CTA-linear order after the
-    /// launch so cross-launch cache state is scheduler-independent.
-    pub overlay: DecodeCache,
+    pub code: &'d CodeCache,
     pub stats: CtaStats,
     pub grid: Dim3,
     pub block: Dim3,
@@ -301,43 +365,18 @@ impl<'d> ExecEnv<'d> {
         GpuError::Fault { pc, reason }
     }
 
-    /// Fetches and decodes the instruction at `pc`. The decode cache is
-    /// coherent under code patching: cached entries revalidate against the
-    /// current raw bytes on every fetch. Lookups consult this CTA's overlay
-    /// before the launch snapshot, so hit/miss counts do not depend on how
-    /// CTAs interleave across worker threads.
-    fn fetch(&mut self, pc: u64) -> Result<Arc<Instruction>> {
-        let isize = self.spec.arch.instruction_size() as u64;
-        if !pc.is_multiple_of(isize) {
-            return Err(self.fault(pc, "misaligned instruction fetch"));
-        }
-        let mut raw = [0u8; 16];
-        self.mem
-            .read_into(pc, &mut raw[..isize as usize])
-            .map_err(|_| self.fault(pc, "instruction fetch outside device memory"))?;
-        let raw_word = u128::from_le_bytes(raw);
-        if let Some((cached_raw, decoded)) =
-            self.overlay.get(&pc).or_else(|| self.snapshot.get(&pc))
-        {
-            if *cached_raw == raw_word {
-                self.stats.sum.decode_hits += 1;
-                return Ok(Arc::clone(decoded));
-            }
-        }
-        self.stats.sum.decode_misses += 1;
-        let codec = sass::codec::codec_for(self.spec.arch);
-        let instr = Arc::new(
-            codec
-                .decode(&raw[..isize as usize])
-                .map_err(|e| self.fault(pc, format!("undecodable instruction: {e}")))?,
-        );
-        self.overlay.insert(pc, (raw_word, Arc::clone(&instr)));
-        Ok(instr)
-    }
-
     /// Runs one warp until it exits, faults, or reaches a CTA barrier.
+    ///
+    /// The current code page stays in a local, so a step whose pc stays in
+    /// the page fetches with an index and a borrow; one that leaves it looks
+    /// the new page up once.
     pub fn run_warp(&mut self, warp: &mut Warp, cta: &mut CtaCtx) -> Result<()> {
-        let isize = self.spec.arch.instruction_size() as u64;
+        // 8 or 16 bytes: a power of two, so alignment and the slot index
+        // are a mask and a shift, not divisions by a runtime value.
+        let isize = self.spec.arch.instruction_size();
+        let slot_shift = isize.trailing_zeros();
+        let codec = sass::codec::codec_for(self.spec.arch);
+        let mut cur: Option<(u64, Arc<CodePage>)> = None;
         loop {
             // Drop empty entries.
             while matches!(warp.entries.last(), Some(e) if e.mask == 0) {
@@ -355,20 +394,39 @@ impl<'d> ExecEnv<'d> {
                 return Err(self.fault(pc, "step limit exceeded (runaway kernel)"));
             }
 
-            let instr = self.fetch(pc)?;
+            if pc & (isize as u64 - 1) != 0 {
+                return Err(self.fault(pc, "misaligned instruction fetch"));
+            }
+            if !matches!(&cur, Some((base, _)) if pc.wrapping_sub(*base) < PAGE) {
+                let base = pc & !(PAGE - 1);
+                cur = Some((base, self.code.page(self.mem, base, isize)));
+            }
+            let (base, page) = cur.as_ref().expect("set above");
+            let at = (pc - base) as usize;
+            // A miss is counted by the one step that fills the slot (a step
+            // that loses the race counts a hit), which keeps the launch's
+            // total independent of the CTA schedule.
+            let instr = match page.slots[at >> slot_shift].get_or_init(|| {
+                self.stats.sum.decode_misses += 1;
+                let word = &page.raw[at..at + isize];
+                codec.decode(word).map_err(|e| format!("undecodable instruction: {e}"))
+            }) {
+                Ok(instr) => instr,
+                Err(reason) => return Err(self.fault(pc, reason.as_str())),
+            };
             // Classified once per step; statistics, the cost model and the
             // dispatch below all read these.
             let (cat, cf) = (instr.op.category(), instr.op.cf_class());
             let exec = mask & warp.pred(instr.guard.pred, instr.guard.negated);
             self.stats.record(instr.op, cat, exec);
-            self.account_cost(warp, &instr, cat, exec);
+            self.account_cost(warp, instr, cat, exec);
 
             if cf == CfClass::None {
                 if exec != 0 {
-                    self.execute(warp, cta, &instr, exec, pc)?;
+                    self.execute(warp, cta, instr, exec, pc)?;
                 }
-                warp.entries.last_mut().unwrap().pc = pc + isize;
-            } else if !self.control_flow(warp, &instr, cf, exec, pc, isize)? {
+                warp.entries.last_mut().unwrap().pc = pc + isize as u64;
+            } else if !self.control_flow(warp, instr, cf, exec, pc, isize as u64)? {
                 return Ok(()); // barrier or done
             }
         }
@@ -497,21 +555,16 @@ impl<'d> ExecEnv<'d> {
                 Ok(true)
             }
             CfClass::Exit => {
+                // An entry that survives a partially guarded EXIT moves on.
+                // One that retires whole uncovers an entry that resumes at
+                // its own pc — which may be this same EXIT, so the decision
+                // is the executing entry's mask, not a pc comparison.
+                // `run_warp` drops the emptied entries.
+                if mask & !exec != 0 {
+                    warp.entries.last_mut().unwrap().pc = next;
+                }
                 for e in warp.entries.iter_mut() {
                     e.mask &= !exec;
-                }
-                while matches!(warp.entries.last(), Some(e) if e.mask == 0) {
-                    warp.entries.pop();
-                }
-                if warp.entries.is_empty() {
-                    warp.done = true;
-                    return Ok(false);
-                }
-                // If the current entry survived a partially-guarded EXIT it
-                // continues; otherwise the new top resumes at its own pc.
-                let top = warp.entries.last_mut().unwrap();
-                if top.pc == pc {
-                    top.pc = next;
                 }
                 Ok(true)
             }
@@ -1405,5 +1458,42 @@ EXIT ;";
         let stats = run(text).unwrap();
         // Both halves execute their 2-instruction tails.
         assert!(stats.warp_instructions >= 8);
+    }
+
+    /// The even lanes park at `done` while the odd path runs, and the odd
+    /// path retires at that same `EXIT`: the entry it uncovers must still
+    /// execute its own `EXIT` there instead of being stepped past it.
+    #[test]
+    fn an_entry_uncovered_at_the_exit_that_retired_its_sibling_still_exits() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_TID.X ;\n\
+SHL R8, R4, 0x2 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+LOP.AND R5, R4, 0x1 ;\n\
+ISETP.NE.S32 P0, R5, RZ ;\n\
+@P0 BRA odd ;\n\
+done:\n\
+EXIT ;\n\
+odd:\n\
+MOV32I R10, 0x2 ;\n\
+STG [R6], R10 ;\n\
+BRA done ;";
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
+        let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
+        let pc = dev.alloc(code.len() as u64).unwrap();
+        dev.write(pc, &code).unwrap();
+        let buf = dev.alloc(128).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        dev.launch(&cfg).unwrap();
+        let mut out = vec![0u8; 128];
+        dev.read(buf, &mut out).unwrap();
+        let got: Vec<u32> =
+            out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+        let want: Vec<u32> = (0..32).map(|t| 2 * (t % 2)).collect();
+        assert_eq!(got, want, "only the odd lanes store");
     }
 }

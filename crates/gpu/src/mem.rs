@@ -83,14 +83,15 @@ impl Memory {
         Ok(addr)
     }
 
-    /// Frees an allocation made by [`Memory::alloc`].
+    /// Frees an allocation made by [`Memory::alloc`], returning its
+    /// (rounded-up) length.
     ///
     /// # Errors
     ///
     /// [`GpuError::BadAddress`] if `addr` is not a live allocation base.
-    pub fn free(&mut self, addr: u64) -> Result<()> {
-        let len = self.allocs.remove(&addr).ok_or(GpuError::BadAddress { addr, len: 0 })?;
-        let (mut addr, mut len) = (addr, len);
+    pub fn free(&mut self, addr: u64) -> Result<u64> {
+        let freed = self.allocs.remove(&addr).ok_or(GpuError::BadAddress { addr, len: 0 })?;
+        let (mut addr, mut len) = (addr, freed);
         // Coalesce with free blocks adjacent on either side.
         while let Some(pos) = self.free.iter().position(|&(a, l)| a + l == addr || addr + len == a)
         {
@@ -104,7 +105,7 @@ impl Memory {
         } else {
             self.free.push((addr, len));
         }
-        Ok(())
+        Ok(freed)
     }
 
     fn check(&self, addr: u64, len: u64) -> Result<()> {

@@ -35,9 +35,11 @@ pub struct ExecStats {
     pub per_category: BTreeMap<OpCategory, u64>,
     /// Memory counters.
     pub mem: MemStats,
-    /// Decode-cache hits/misses in the fetch path.
+    /// Warp instructions fetched from an already decoded slot of the
+    /// device's code-page cache: `warp_instructions - decode_misses`.
     pub decode_hits: u64,
-    /// Decode-cache misses.
+    /// Instruction slots the launch decoded (each at its first execution
+    /// since the code was written), under any scheduler.
     pub decode_misses: u64,
 }
 
