@@ -1130,6 +1130,27 @@ impl<'d> ExecEnv<'d> {
         };
         let wide = instr.mods.itype == IType::U64;
         let len = if wide { 8 } else { 4 };
+        // `(old, operand, CAS swap value) -> new`, of which the low `len`
+        // bytes are stored: chosen, and so validated, once for the warp.
+        let op: fn(u64, u64, u64) -> u64 = match (instr.mods.sub, instr.mods.itype) {
+            (SubOp::Add, IType::F32) => {
+                |old, v, _| (f32::from_bits(old as u32) + f32::from_bits(v as u32)).to_bits() as u64
+            }
+            (SubOp::Add, _) => |old, v, _| old.wrapping_add(v),
+            (SubOp::Min, IType::S32) => |old, v, _| (old as i32).min(v as i32) as u32 as u64,
+            (SubOp::Min, _) => |old, v, _| old.min(v),
+            (SubOp::Max, IType::S32) => |old, v, _| (old as i32).max(v as i32) as u32 as u64,
+            (SubOp::Max, _) => |old, v, _| old.max(v),
+            (SubOp::And, _) => |old, v, _| old & v,
+            (SubOp::Or, _) => |old, v, _| old | v,
+            (SubOp::Xor, _) => |old, v, _| old ^ v,
+            (SubOp::Exch, _) => |_, v, _| v,
+            (SubOp::Cas, _) => |old, v, swap| if old == v { swap } else { old },
+            _ => return Err(self.fault(pc, "atomic with invalid operation")),
+        };
+        // One lock round-trip per warp instruction: holding it across the
+        // lanes, applied in ascending order, is a legal linearisation.
+        let atomics = self.mem.atomics();
         for lane in lanes(exec) {
             let addr = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64);
             let sv = if wide {
@@ -1148,44 +1169,8 @@ impl<'d> ExecEnv<'d> {
                 Operand::Reg(r) => warp.pair(lane, *r),
                 _ => 0,
             };
-            let (sub, itype) = (instr.mods.sub, instr.mods.itype);
-            if !matches!(
-                sub,
-                SubOp::Add
-                    | SubOp::Min
-                    | SubOp::Max
-                    | SubOp::And
-                    | SubOp::Or
-                    | SubOp::Xor
-                    | SubOp::Exch
-                    | SubOp::Cas
-            ) {
-                return Err(self.fault(pc, "atomic with invalid operation"));
-            }
-            let old = self
-                .mem
-                .atomic_rmw(addr, len, |old| match (sub, itype) {
-                    (SubOp::Add, IType::F32) => {
-                        ((f32::from_bits(old as u32) + f32::from_bits(sv as u32)).to_bits()) as u64
-                    }
-                    (SubOp::Add, _) => old.wrapping_add(sv) & mask_len(len),
-                    (SubOp::Min, IType::S32) => ((old as i32).min(sv as i32)) as u32 as u64,
-                    (SubOp::Min, _) => old.min(sv),
-                    (SubOp::Max, IType::S32) => ((old as i32).max(sv as i32)) as u32 as u64,
-                    (SubOp::Max, _) => old.max(sv),
-                    (SubOp::And, _) => old & sv,
-                    (SubOp::Or, _) => old | sv,
-                    (SubOp::Xor, _) => old ^ sv,
-                    (SubOp::Exch, _) => sv,
-                    (SubOp::Cas, _) => {
-                        if old == sv {
-                            s2v
-                        } else {
-                            old
-                        }
-                    }
-                    _ => unreachable!("validated above"),
-                })
+            let old = atomics
+                .rmw(addr, len, |old| op(old, sv, s2v))
                 .map_err(|_| self.fault(pc, format!("atomic fault at 0x{addr:x}")))?;
             if let Some(Operand::Reg(d)) = dst {
                 if wide {
@@ -1222,14 +1207,6 @@ fn base_plus(r: &Reg, k: usize) -> u8 {
         255
     } else {
         (r.index() + k).min(254) as u8
-    }
-}
-
-fn mask_len(len: usize) -> u64 {
-    if len >= 8 {
-        u64::MAX
-    } else {
-        (1u64 << (8 * len)) - 1
     }
 }
 
@@ -1362,6 +1339,40 @@ EXIT ;";
                 assert_eq!(got[4 * lane..4 * lane + 4], want, "case {case}, lane {lane}");
             }
         }
+    }
+
+    /// One thread per lane adds 1 to a word holding `0xffff_fffe`: the sum
+    /// wraps inside its 32 bits, lanes apply in ascending order (each sees
+    /// its predecessor's result) and the word behind it is not touched.
+    #[test]
+    fn atom_add_u32_wraps_within_its_word_and_applies_lanes_in_order() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+MOV32I R5, 0x1 ;\n\
+ATOM.ADD.U32 R8, [R6], R5, RZ ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R10, R4, 0x2 ;\n\
+MOV R11, RZ ;\n\
+IADD.U64 R6, R6, R10 ;\n\
+STG [R6+0x8], R8 ;\n\
+EXIT ;";
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
+        let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
+        let pc = dev.alloc(code.len() as u64).unwrap();
+        dev.write(pc, &code).unwrap();
+        let buf = dev.alloc(8 + 128).unwrap();
+        dev.write(buf, &[0xfe, 0xff, 0xff, 0xff, 0x77, 0x77, 0x77, 0x77]).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        dev.launch(&cfg).unwrap();
+        let mut out = vec![0u8; 8 + 128];
+        dev.read(buf, &mut out).unwrap();
+        let got: Vec<u32> =
+            out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+        assert_eq!(got[..2], [30, 0x7777_7777]);
+        let olds: Vec<u32> = (0..32u32).map(|l| 0xffff_fffeu32.wrapping_add(l)).collect();
+        assert_eq!(got[2..], olds);
     }
 
     #[test]

@@ -236,17 +236,28 @@ impl SharedMem {
         Ok(())
     }
 
-    /// Atomically applies `f` to the scalar at `addr`, returning the old
-    /// value. All atomics across all CTA workers serialize on one lock,
-    /// which keeps them linearizable. Their *order* is still the CTA
-    /// schedule's, though: only commutative operations whose old value is
-    /// discarded yield schedule-independent memory (EXCH/CAS, and any
-    /// atomic whose returned old value the kernel stores, observe CTA
-    /// completion order — see [`crate::Scheduler`]).
-    pub fn atomic_rmw(&self, addr: u64, len: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
-        let _guard = self.atomic_lock.lock().unwrap();
-        let old = self.read_scalar(addr, len)?;
-        self.write_scalar(addr, len, f(old))?;
+    /// Takes the one lock all atomics of all CTA workers serialize on, which
+    /// keeps them linearizable; one hold covers a warp instruction's lanes.
+    pub fn atomics(&self) -> Atomics<'_> {
+        Atomics { mem: self, _held: self.atomic_lock.lock().expect("no worker panics holding it") }
+    }
+}
+
+/// A [`SharedMem`] with its atomics lock held.
+pub(crate) struct Atomics<'m> {
+    mem: &'m SharedMem,
+    _held: std::sync::MutexGuard<'m, ()>,
+}
+
+impl Atomics<'_> {
+    /// Applies `f` to the scalar at `addr`, returning the old value. The
+    /// *order* of atomics is still the CTA schedule's: only commutative
+    /// operations whose old value is discarded yield schedule-independent
+    /// memory (EXCH/CAS, and any atomic whose returned old value the kernel
+    /// stores, observe CTA completion order — see [`crate::Scheduler`]).
+    pub fn rmw(&self, addr: u64, len: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
+        let old = self.mem.read_scalar(addr, len)?;
+        self.mem.write_scalar(addr, len, f(old))?;
         Ok(old)
     }
 }
