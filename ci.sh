@@ -103,4 +103,20 @@ cargo test --release -q -p nvbit-tools --test per_launch_occupancy
 echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw
 
+echo "== benchmark smoke: every BENCHMARK.json workload runs and passes its output checks (no timing gate) =="
+# The pipeline builds benchmark/ from this checkout, so a product change that
+# breaks one of its output checks should fail here first. cargo refreshes the
+# benchmark's committed lock file, which a product PR must not change: put it
+# back however this script ends.
+cp benchmark/Cargo.lock target/benchmark.Cargo.lock.orig
+trap 'cp target/benchmark.Cargo.lock.orig benchmark/Cargo.lock' EXIT
+for w in exec_spec jit_unique trace_chan sample_swap; do
+    last=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct":true'*) echo "  $w: correct" ;;
+        *) echo "benchmark workload $w failed its output checks: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "CI OK"

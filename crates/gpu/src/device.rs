@@ -324,7 +324,7 @@ impl Device {
             cfg.cbanks[2].clone(),
         ];
 
-        self.code.launch += 1;
+        self.code.launch = self.launches;
         let shared = self.mem.shared_view();
 
         // Scheduler observability: `cta` spans land in each worker
@@ -533,10 +533,12 @@ mod tests {
     use super::*;
     use sass::{asm, codec::codec_for, Arch};
 
+    fn encode(arch: Arch, text: &str) -> Vec<u8> {
+        codec_for(arch).encode_stream(&asm::assemble_arch(text, arch).unwrap()).unwrap()
+    }
+
     fn load(dev: &mut Device, text: &str) -> u64 {
-        let arch = dev.spec().arch;
-        let prog = asm::assemble_arch(text, arch).unwrap();
-        let code = codec_for(arch).encode_stream(&prog).unwrap();
+        let code = encode(dev.spec().arch, text);
         let addr = dev.alloc(code.len() as u64).unwrap();
         dev.write(addr, &code).unwrap();
         addr
@@ -899,8 +901,7 @@ mod tests {
 
         let mov = pc + 21 * Arch::Volta.instruction_size() as u64;
         for (imm, text) in [(2, "MOV32I R5, 0x2 ;"), (1, "MOV32I R5, 0x1 ;")] {
-            let bytes = codec_for(Arch::Volta).encode_stream(&asm::assemble(text).unwrap());
-            dev.write(mov, &bytes.unwrap()).unwrap();
+            dev.write(mov, &encode(Arch::Volta, text)).unwrap();
             assert_eq!(run_store(&mut dev, pc, buf), ((16, 8), imm), "patched to {imm}");
         }
         assert_eq!(run_store(&mut dev, pc, buf), ((24, 0), 1), "nothing changed");
@@ -924,10 +925,7 @@ mod tests {
         let buf = dev.alloc(64).unwrap();
         assert_eq!(run_store(&mut dev, victim, buf).1, 1);
 
-        let word =
-            codec_for(Arch::Volta).encode_stream(&asm::assemble("MOV32I R5, 0x2 ;").unwrap());
-        let src = dev.alloc(16).unwrap();
-        dev.write(src, &word.unwrap()).unwrap();
+        let src = load(&mut dev, "MOV32I R5, 0x2 ;");
         let mut cfg = LaunchConfig::new(copy, Dim3::linear(1), Dim3::linear(1));
         cfg.push_param_u64(src);
         cfg.push_param_u64(victim + Arch::Volta.instruction_size() as u64);

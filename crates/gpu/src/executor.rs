@@ -90,7 +90,7 @@ impl CodePage {
 /// swap or a guest store of an earlier launch changed it.
 #[derive(Default)]
 pub(crate) struct CodeCache {
-    /// Launch serial, bumped by `Device::launch`.
+    /// Serial of the current launch, set by `Device::launch`.
     pub launch: u64,
     pub pages: RwLock<HashMap<u64, Arc<CodePage>>>,
 }
@@ -374,6 +374,7 @@ impl<'d> ExecEnv<'d> {
         // 8 or 16 bytes: a power of two, so alignment and the slot index
         // are a mask and a shift, not divisions by a runtime value.
         let isize = self.spec.arch.instruction_size();
+        debug_assert!(isize.is_power_of_two());
         let slot_shift = isize.trailing_zeros();
         let codec = sass::codec::codec_for(self.spec.arch);
         let mut cur: Option<(u64, Arc<CodePage>)> = None;
@@ -1215,13 +1216,33 @@ mod tests {
     use crate::{Device, DeviceSpec, Dim3, GpuError, LaunchConfig};
     use sass::{asm, codec::codec_for, Arch};
 
-    fn run(text: &str) -> crate::Result<crate::ExecStats> {
+    /// A Volta test device with `text` assembled into it, and its address.
+    fn load(text: &str) -> (Device, u64) {
         let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
         let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
         let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
         let addr = dev.alloc(code.len() as u64).unwrap();
         dev.write(addr, &code).unwrap();
+        (dev, addr)
+    }
+
+    fn run(text: &str) -> crate::Result<crate::ExecStats> {
+        let (mut dev, addr) = load(text);
         dev.launch(&LaunchConfig::new(addr, Dim3::linear(1), Dim3::linear(32)))
+    }
+
+    /// Runs `text` on one warp with a zeroed `words`-word buffer (starting
+    /// with `init`) as its parameter; returns the buffer.
+    fn run_on_buffer(text: &str, words: usize, init: &[u8]) -> Vec<u32> {
+        let (mut dev, pc) = load(text);
+        let buf = dev.alloc(4 * words as u64).unwrap();
+        dev.write(buf, init).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        dev.launch(&cfg).unwrap();
+        let mut out = vec![0u8; 4 * words];
+        dev.read(buf, &mut out).unwrap();
+        out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect()
     }
 
     /// A negative or wrapping shared/local address is an out-of-bounds
@@ -1356,20 +1377,7 @@ MOV R11, RZ ;\n\
 IADD.U64 R6, R6, R10 ;\n\
 STG [R6+0x8], R8 ;\n\
 EXIT ;";
-        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
-        let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
-        let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
-        let pc = dev.alloc(code.len() as u64).unwrap();
-        dev.write(pc, &code).unwrap();
-        let buf = dev.alloc(8 + 128).unwrap();
-        dev.write(buf, &[0xfe, 0xff, 0xff, 0xff, 0x77, 0x77, 0x77, 0x77]).unwrap();
-        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
-        cfg.push_param_u64(buf);
-        dev.launch(&cfg).unwrap();
-        let mut out = vec![0u8; 8 + 128];
-        dev.read(buf, &mut out).unwrap();
-        let got: Vec<u32> =
-            out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+        let got = run_on_buffer(text, 2 + 32, &[0xfe, 0xff, 0xff, 0xff, 0x77, 0x77, 0x77, 0x77]);
         assert_eq!(got[..2], [30, 0x7777_7777]);
         let olds: Vec<u32> = (0..32u32).map(|l| 0xffff_fffeu32.wrapping_add(l)).collect();
         assert_eq!(got[2..], olds);
@@ -1491,20 +1499,7 @@ odd:\n\
 MOV32I R10, 0x2 ;\n\
 STG [R6], R10 ;\n\
 BRA done ;";
-        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
-        let prog = asm::assemble_arch(text, Arch::Volta).unwrap();
-        let code = codec_for(Arch::Volta).encode_stream(&prog).unwrap();
-        let pc = dev.alloc(code.len() as u64).unwrap();
-        dev.write(pc, &code).unwrap();
-        let buf = dev.alloc(128).unwrap();
-        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
-        cfg.push_param_u64(buf);
-        dev.launch(&cfg).unwrap();
-        let mut out = vec![0u8; 128];
-        dev.read(buf, &mut out).unwrap();
-        let got: Vec<u32> =
-            out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
         let want: Vec<u32> = (0..32).map(|t| 2 * (t % 2)).collect();
-        assert_eq!(got, want, "only the odd lanes store");
+        assert_eq!(run_on_buffer(text, 32, &[0]), want, "only the odd lanes store");
     }
 }

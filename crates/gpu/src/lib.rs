@@ -19,8 +19,12 @@
 //! * per-entry return-address stacks, so calls work under divergence;
 //! * global/shared/local/constant memories, warp-serialized atomics;
 //! * CTA barriers with round-robin warp scheduling (deterministic);
+//! * code is fetched through one device-owned cache of decoded 256-byte
+//!   code pages, checked against memory once per page per launch — code
+//!   written by the host, by a swap or by a guest store is seen from the
+//!   next launch on;
 //! * CTAs execute serially or across a scoped thread pool
-//!   ([`device::Scheduler`]); statistics and decode-cache state are
+//!   ([`device::Scheduler`]); statistics (decode counters included) are
 //!   bit-identical either way, and device memory too for kernels that
 //!   don't observe atomic return values (see `Scheduler`);
 //! * an instruction-cost timing model in which global-memory cost grows
