@@ -73,19 +73,16 @@ cargo test --release -q -p nvbit-tools --test verify_all -- --include-ignored
 echo "== differential: liveness-reduced saves vs full-tier; order-free tools at 1/2/4/8 workers =="
 cargo test --release -q -p nvbit-tools --test differential_saves
 
-echo "== pressure: splice cost-model unit tests =="
+echo "== pressure: save-tier ladder + tool-body shape classifier unit tests =="
 cargo test --release -q -p nvbit-sass --lib pressure
 
-echo "== occupancy: SM-model unit tests (Volta golden points, curve monotonicity) =="
-cargo test --release -q -p nvbit-sass --lib occupancy
-
-echo "== differential: every rung of the plan ladder (naive/block/region/spliced, +occupancy) =="
+echo "== differential: every rung of the plan ladder (naive/block/region/spliced); wide-tool splices cheaper than the calls they replace =="
 cargo test --release -q -p nvbit-tools --test differential_plan
 
-echo "== savereduce: exact-save slot reduction (>=95% gate = recorded 100% minus 5 points; declined-splice run >=30% and no worse than the out-of-line rung) =="
+echo "== savereduce: exact-save slot reduction (>=95% gate = recorded 100% minus 5 points; wide-tool splice >=30% and no more slots than the out-of-line rung) =="
 cargo run --release -q -p nvbit-bench --bin savereduce
 
-echo "== inject_overhead: multi-workload sweep (>=25% fft gate, region wins on >=2 of fft/stencil/spmv, occupancy curve re-accepts a tier-declined splice at every swept block shape) =="
+echo "== inject_overhead: multi-workload sweep (>=25% fft gate, region wins on >=2 of fft/stencil/spmv) =="
 cargo run --release -q -p nvbit-bench --bin inject_overhead
 
 echo "== module-unload regression: recycled handles never see stale caches =="
@@ -96,9 +93,6 @@ cargo run --release -q -p nvbit-bench --bin jitpar
 
 echo "== channel determinism: Block bit-identical across schedulers, DropCount exact accounting =="
 cargo test --release -q -p nvbit-tools --test channel_determinism
-
-echo "== per-launch occupancy: sentinel matches explicit shape, shape change replans =="
-cargo test --release -q -p nvbit-tools --test per_launch_occupancy
 
 echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw

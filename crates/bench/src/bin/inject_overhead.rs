@@ -2,7 +2,7 @@
 //! instrument each workload with the coalesced instruction-count tool and
 //! compare the instrumented run's executed instructions and cycles at each
 //! rung — the naive per-site plan, basic-block call coalescing, adding
-//! dominator-region coalescing and after-point lowering, and adding priced
+//! dominator-region coalescing and after-point lowering, and adding
 //! leaf-tool splicing on top. A further section stacks grid-dim sampling
 //! of the opcode histogram on the top rung and reports the multiplied
 //! speedup of the two levers.
@@ -18,12 +18,9 @@
 //!
 //! Writes `results/BENCH_inject_overhead.json` with the per-workload
 //! accounting. The repository gates on a ≥25% reduction in instrumented
-//! thread-instructions from coalescing alone on the FFT pipeline, on
+//! thread-instructions from coalescing alone on the FFT pipeline, and on
 //! region coalescing emitting fewer calls than per-block coalescing on at
-//! least two of fft/stencil/spmv, and on the occupancy curve re-accepting
-//! a tier-declined splice of the register-hungry tool body — with
-//! identical tool output — on at least one of fft/stencil/spmv at every
-//! swept block shape (128/256/512 threads).
+//! least two of fft/stencil/spmv.
 
 use common::json::Json;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
@@ -78,10 +75,10 @@ impl<T: NvbitTool> NvbitTool for PlanAccounting<T> {
 
 /// The rungs of the plan ladder, bottom up.
 const CONFIGS: [(&str, PlanOpts); 4] = [
-    ("naive", PlanOpts { level: PlanLevel::Naive, occupancy: None }),
-    ("block", PlanOpts { level: PlanLevel::Block, occupancy: None }),
-    ("region", PlanOpts { level: PlanLevel::Region, occupancy: None }),
-    ("spliced", PlanOpts { level: PlanLevel::Spliced, occupancy: None }),
+    ("naive", PlanOpts { level: PlanLevel::Naive }),
+    ("block", PlanOpts { level: PlanLevel::Block }),
+    ("region", PlanOpts { level: PlanLevel::Region }),
+    ("spliced", PlanOpts { level: PlanLevel::Spliced }),
 ];
 /// Indices into [`CONFIGS`] (and every [`Sweep::runs`]).
 const NAIVE: usize = 0;
@@ -350,13 +347,10 @@ fn main() {
                 ("tool_count", Json::Num(r.count as f64)),
                 ("requested_calls", Json::Num(r.sum(|st| st.requested_calls) as f64)),
                 ("emitted_calls", Json::Num(r.sum(|st| st.emitted_calls) as f64)),
-                ("inlined_calls", Json::Num(r.sum(|st| st.inlined_calls) as f64)),
                 ("region_groups", Json::Num(r.sum(|st| st.region_groups) as f64)),
                 ("after_lowered", Json::Num(r.sum(|st| st.after_lowered) as f64)),
                 ("inline_accepted", Json::Num(r.sum(|st| st.inline_accepted) as f64)),
                 ("inline_declined", Json::Num(r.sum(|st| st.inline_declined) as f64)),
-                ("occ_accepted", Json::Num(r.sum(|st| st.occ_accepted) as f64)),
-                ("occ_declined", Json::Num(r.sum(|st| st.occ_declined) as f64)),
             ]));
         }
         workload_rows.push(Json::obj(vec![
@@ -444,77 +438,12 @@ fn main() {
         ]));
     }
 
-    // Occupancy × block shape (the register axis of Fig. 9): price the
-    // register-hungry wide tool body against the Volta occupancy curve at
-    // each swept block shape and compare with the tier-only pressure gate.
-    // The tier gate declines every splice that crosses a save tier; the
-    // curve accepts the crossings that stay on the same occupancy step.
-    println!("\n== occupancy: wide-tool splice pricing across block shapes ==\n");
-    println!(
-        "{:10}  {:>4}  {:>13}  {:>12}  {:>12}  {:>12}",
-        "workload", "bd", "tier-declined", "occ-declined", "occ-accepted", "tool count"
-    );
-    let occ_apps: [(&str, App); 3] =
-        [("fft", run_fft_app), ("stencil", run_stencil_app), ("spmv", run_spmv_app)];
-    let tier_opts = CONFIGS[SPLICED].1;
-    let run_wide = |opts: PlanOpts, app: App| -> (u64, Vec<(String, PlanStats)>) {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        let (tool, results) = CoalescedInstrCount::executed_wide(opts);
-        let stats = Rc::new(RefCell::new(Vec::new()));
-        attach_tool(&drv, PlanAccounting { inner: tool, stats: stats.clone() });
-        app(&drv);
-        drv.shutdown();
-        (results.total(), Rc::try_unwrap(stats).unwrap().into_inner())
-    };
-    let sum_of = |stats: &[(String, PlanStats)], f: &dyn Fn(&PlanStats) -> u64| -> u64 {
-        stats.iter().map(|(_, s)| f(s)).sum()
-    };
-    let mut occ_rows = Vec::new();
-    for bd in [128u32, 256, 512] {
-        let mut reaccepts = 0u32;
-        for (name, app) in occ_apps {
-            let occ_opts = PlanOpts { occupancy: Some(sass::OccupancyCfg::volta(bd)), ..tier_opts };
-            let (count_tier, stats_tier) = run_wide(tier_opts, app);
-            let (count_occ, stats_occ) = run_wide(occ_opts, app);
-            assert_eq!(
-                count_tier, count_occ,
-                "{name} @ bd {bd}: occupancy pricing changed the tool output"
-            );
-            let tier_declined = sum_of(&stats_tier, &|s| s.inline_declined);
-            let occ_declined = sum_of(&stats_occ, &|s| s.inline_declined);
-            let occ_accepted = sum_of(&stats_occ, &|s| s.occ_accepted);
-            println!(
-                "{name:10}  {bd:>4}  {tier_declined:>13}  {occ_declined:>12}  \
-                 {occ_accepted:>12}  {count_occ:>12}"
-            );
-            if occ_accepted >= 1 && occ_declined < tier_declined {
-                reaccepts += 1;
-            }
-            occ_rows.push(Json::obj(vec![
-                ("workload", Json::Str(name.into())),
-                ("block_threads", Json::Num(f64::from(bd))),
-                ("tier_declined", Json::Num(tier_declined as f64)),
-                ("occ_declined", Json::Num(occ_declined as f64)),
-                ("occ_accepted", Json::Num(occ_accepted as f64)),
-                ("tool_count", Json::Num(count_occ as f64)),
-            ]));
-        }
-        // Gate 3: at every swept block shape the curve must accept at
-        // least one workload's splice that the tier-only gate declined.
-        assert!(
-            reaccepts >= 1,
-            "bd {bd}: the occupancy curve must re-accept a tier-declined splice \
-             on ≥1 of fft/stencil/spmv"
-        );
-    }
-
     let doc = Json::obj(vec![
         ("bench", Json::Str("inject_overhead".into())),
         ("tool", Json::Str("coalesced_instr_count".into())),
         ("arch", Json::Str("volta".into())),
         ("workloads", Json::Arr(workload_rows)),
         ("geomean_overhead", Json::obj(geomeans)),
-        ("occupancy_sweep", Json::Arr(occ_rows)),
         (
             "sampling_plan",
             Json::obj(vec![

@@ -10,7 +10,10 @@
 //! Writes `results/BENCH_savereduce.json` with the per-function accounting
 //! and the overall reduction. Every FFT site is an exact-bracket splice that
 //! finds dead registers to move onto (recorded: 0 slots, 100 %); the
-//! repository gates on ≥95 % — the recorded reduction minus five points.
+//! repository gates on ≥95 % — the recorded reduction minus five points. A
+//! second block runs the register-hungry wide counting body, whose splice
+//! still has live registers to store (recorded: 4 slots, against 32
+//! full-tier and 16 for the out-of-line call).
 
 use common::json::Json;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
@@ -132,15 +135,14 @@ fn main() {
         reduction * 100.0
     );
 
-    // Declined-splice gate: the wide executed-counter body raises register
-    // pressure past the save tier at every FFT splice site, so the cost model
-    // declines the splices and codegen falls back to out-of-line calls —
-    // exactly what the `Region` rung (no splicing, 16 slots per call) emits.
-    // The liveness policy must still cut ≥30% of saved slots in that regime,
-    // and the priced top rung must not save a slot more than `Region`:
-    // declining an inline must never cost us the save-sizing win.
+    // Wide-tool gate: the wide executed-counter body writes past the first
+    // save tier, and at the FFT site more registers are live than its pairs
+    // can move off, so its splice stores what is left. The liveness policy
+    // must still cut ≥30% of saved slots there, and the splice must not
+    // save a slot more than the out-of-line call of the `Region` rung (no
+    // splicing, 16 slots per call).
     let wide = |policy, level| -> u64 {
-        let opts = PlanOpts { level, occupancy: None };
+        let opts = PlanOpts { level };
         let stats = run_fft(policy, CoalescedInstrCount::executed_wide(opts).0);
         stats.iter().map(|(_, s)| s.saved_slots).sum()
     };
@@ -150,7 +152,7 @@ fn main() {
     let wide_reduction =
         if wide_baseline == 0 { 0.0 } else { 1.0 - wide_saved as f64 / wide_baseline as f64 };
     println!(
-        "declined-splice (wide tool): {wide_saved} vs {wide_baseline} ({:.1}% reduction; \
+        "wide tool: {wide_saved} vs {wide_baseline} ({:.1}% reduction; \
          out-of-line baseline {wide_called})",
         wide_reduction * 100.0
     );
@@ -165,7 +167,7 @@ fn main() {
         ("saved_slots_full_tier", Json::Num(baseline as f64)),
         ("reduction", Json::Num(reduction)),
         (
-            "declined_splice",
+            "wide_tool",
             Json::obj(vec![
                 ("tool", Json::Str("coalesced_instr_count/executed_wide".into())),
                 ("saved_slots_liveness", Json::Num(wide_saved as f64)),
@@ -187,12 +189,11 @@ fn main() {
     );
     assert!(
         wide_reduction >= 0.30,
-        "declined splices must not regress the saved-slot reduction below 30% (got {:.1}%)",
+        "the wide tool's splice must keep the saved-slot reduction at ≥30% (got {:.1}%)",
         wide_reduction * 100.0
     );
     assert!(
         wide_saved <= wide_called,
-        "priced splicing must not save more than the out-of-line rung \
-         ({wide_saved} vs {wide_called})"
+        "a splice must not save more than the out-of-line rung ({wide_saved} vs {wide_called})"
     );
 }

@@ -19,7 +19,7 @@
 //! 4. jumps back to the next original instruction.
 
 use crate::hal::Hal;
-use crate::plan::{InstrumentationPlan, PlanOpts, PlanStats, PlannedCall};
+use crate::plan::{InstrumentationPlan, PlanStats, PlannedCall};
 use crate::saverestore::{frame_bytes, tier_for, Routines};
 use crate::spec::{abi_slots, arg_window, Arg, IPoint};
 use crate::{NvbitError, Result};
@@ -35,10 +35,9 @@ use std::sync::Arc;
 /// inline splicing.
 pub const INLINE_MAX_INSTRS: usize = 24;
 /// Register ceiling under which a tool body qualifies for inlining. Wider
-/// than the classic 16-register leaf threshold: the per-site pressure
-/// verdict ([`sass::pressure::splice_verdict`]) now declines splices whose
-/// write window would raise the save tier, so the blunt cap only has to
-/// bound pathological bodies.
+/// than the classic 16-register leaf threshold: a splice saves exactly what
+/// it clobbers of the site's live registers, so the cap only has to bound
+/// pathological bodies.
 pub const INLINE_MAX_REGS: u32 = 24;
 
 /// A tool device function loaded by the Tool Functions Loader.
@@ -61,9 +60,10 @@ pub struct ToolFn {
     /// Set when the body is spliceable: small, call-free, stack-free, no
     /// register device API, a single unguarded trailing `RET`, and a
     /// control-flow shape the classifier accepts (straight-line or a
-    /// single guarded diamond — see [`shape`](ToolFn::shape)). The planner
-    /// splices such bodies into the trampoline in place of the
-    /// `JCAL`/`RET` pair, subject to the per-site pressure verdict.
+    /// single guarded diamond — see [`shape`](ToolFn::shape)). This is the
+    /// whole splice rule: at [`crate::plan::PlanLevel::Spliced`] the planner
+    /// splices every call to such a body into the trampoline in place of
+    /// the `JCAL`/`RET` pair, and no call to any other.
     pub inlinable: bool,
     /// Control-flow shape of the body as classified by
     /// [`sass::pressure::body_shape`] (`None` for opaque registrations and
@@ -71,17 +71,17 @@ pub struct ToolFn {
     /// escaping control flow).
     pub shape: Option<BodyShape>,
     /// One past the highest general-purpose register the body *writes*
-    /// (`None` when unknown — e.g. the body makes calls): the window the
-    /// pressure verdict prices a splice on.
+    /// (`None` when unknown — e.g. the body makes calls): the clobber window
+    /// of a splice that goes through the save routines instead of an exact
+    /// bracket (no liveness, or no dead predicate to move onto).
     pub write_ceiling: Option<u8>,
     /// One past the highest general-purpose register an *out-of-line call*
     /// to [`addr`](ToolFn::addr) can leave clobbered. The callable copy is
     /// compiled under the standard ABI, whose epilogue restores every
     /// callee-saved register, so this never exceeds the first
-    /// callee-saved register (R16) even when the body itself writes higher —
-    /// which is exactly what makes declining a pressure-raising splice
-    /// profitable. `None` when unknown (opaque registration or a body
-    /// with calls); the clobber then falls back to `reg_count`.
+    /// callee-saved register (R16) even when the body itself writes higher.
+    /// `None` when unknown (opaque registration or a body with calls); the
+    /// clobber then falls back to `reg_count`.
     pub call_ceiling: Option<u8>,
 }
 
@@ -153,8 +153,8 @@ impl ToolFn {
     /// standard-ABI compile installed at `addr` (what out-of-line calls
     /// execute — its epilogue restores every callee-saved register), while
     /// `scratch_body` is the scratch-ABI compile of the same source (no
-    /// prologue, every register fair game), which is what classification,
-    /// inline splicing and the pressure cost model reason about.
+    /// prologue, every register fair game), which is what classification
+    /// and inline splicing reason about.
     pub fn dual_abi(
         addr: u64,
         callable: (u32, u32, &[Instruction]),
@@ -252,11 +252,6 @@ pub struct CallMeta {
     /// When inlined: `(offset, len)` of the spliced body within the site's
     /// trampoline instructions (the final `RET` replaced by `NOP`).
     pub inline: Option<(usize, usize)>,
-    /// `(tier_before, tier_after)` the pressure verdict claimed for an
-    /// accepted splice; the verifier re-prices the claim on the occupancy
-    /// curve from original bytes. `None` for calls the verdict did not
-    /// price (out of line, or no dataflow solution).
-    pub occ: Option<(u16, u16)>,
 }
 
 /// Layout record for one injection site's trampoline, used by the
@@ -311,15 +306,11 @@ pub struct InstrumentedImage {
     /// What the plan passes did for this image (coalescing/inlining
     /// accounting).
     pub plan: PlanStats,
-    /// The options the plan was built with — the verifier reads the
-    /// level and occupancy configuration from here to re-price splice
-    /// claims against the same model.
-    pub opts: PlanOpts,
 }
 
 /// The register demand of reading one saved register: slot `r` must have
 /// been stored. `RZ` and the reconstructed `SP` need no slot.
-pub(crate) fn reg_demand(r: u8) -> u32 {
+fn reg_demand(r: u8) -> u32 {
     match r {
         255 | 1 => 0,
         _ => r as u32 + 1,
@@ -327,7 +318,7 @@ pub(crate) fn reg_demand(r: u8) -> u32 {
 }
 
 /// The register demand an argument places on the save tier.
-pub(crate) fn arg_demand(arg: &Arg) -> u32 {
+fn arg_demand(arg: &Arg) -> u32 {
     match arg {
         Arg::RegVal(r) => reg_demand(*r),
         Arg::RegVal64(r) => reg_demand(*r).max(reg_demand(r.saturating_add(1))),
@@ -524,11 +515,13 @@ pub(crate) fn prepare(
     let (mut saved_slots, mut full_tier_slots, mut zero_save_sites) = (0u64, 0u64, 0u64);
     let mut max_tier = if plan.sites.is_empty() { whole_tier } else { 0 };
     for (&idx, planned) in &plan.sites {
-        // The ladder tier covers the calls that keep the save routines;
-        // exact splices bring their own frame.
+        // Decided here, once per call, and handed down to emission: the
+        // ladder tier covers the calls that keep the save routines; exact
+        // splices bring their own frame.
+        let exact: Vec<Option<LiveSet>> = planned.iter().map(|c| cx.exact_live(idx, c)).collect();
         let mut tier = 0u16;
         let mut ladder_calls = 0u64;
-        for call in planned.iter().filter(|c| cx.exact_live(idx, c).is_none()) {
+        for (call, _) in planned.iter().zip(&exact).filter(|(_, e)| e.is_none()) {
             ladder_calls += 1;
             let tf = &tool_fns[&call.func];
             let need = match liveness {
@@ -556,7 +549,7 @@ pub(crate) fn prepare(
             tier = tier.max(need);
         }
         let exact_before = cx.exact_slots;
-        let (instrs, orig_pos, calls) = emit_site(&mut cx, tier, idx)?;
+        let (instrs, orig_pos, calls) = emit_site(&mut cx, tier, idx, &exact)?;
         saved_slots += u64::from(tier) * ladder_calls + (cx.exact_slots - exact_before);
         full_tier_slots += u64::from(whole_tier) * planned.len() as u64;
         zero_save_sites += u64::from(ladder_calls == 0 && cx.exact_slots == exact_before);
@@ -601,7 +594,6 @@ pub(crate) fn prepare(
             full_tier_slots,
             fallback,
             plan: plan.stats,
-            opts: plan.opts,
         },
         patched,
         tramp: tramp_instrs,
@@ -643,21 +635,23 @@ impl Prepared {
 /// per-call layout records. The sequence is position-independent except
 /// for a relocated original with a relative target, which is computed as
 /// if the site sat at address 0 — [`Prepared::finish`] rebases it once the
-/// trampoline region is allocated.
+/// trampoline region is allocated. `exact` holds [`Emit::exact_live`] of
+/// each of the site's planned calls, in plan order.
 fn emit_site(
     cx: &mut Emit<'_>,
     tier: u16,
     idx: usize,
+    exact: &[Option<LiveSet>],
 ) -> Result<(Vec<Instruction>, usize, Vec<CallMeta>)> {
     let isize = cx.hal.instruction_size();
     let next_pc = cx.info.addr + (idx as u64 + 1) * isize;
     let plan = cx.plan;
-    let calls = &plan.sites[&idx];
+    let calls = plan.sites[&idx].iter().zip(exact);
     let mut out: Vec<Instruction> = Vec::new();
     let mut metas: Vec<CallMeta> = Vec::new();
 
-    for call in calls.iter().filter(|c| c.ipoint == IPoint::Before) {
-        metas.push(emit_call(cx, tier, idx, call, &mut out)?);
+    for (call, exact) in calls.clone().filter(|(c, _)| c.ipoint == IPoint::Before) {
+        metas.push(emit_call(cx, tier, idx, call, exact.as_ref(), &mut out)?);
     }
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
@@ -696,8 +690,8 @@ fn emit_site(
         return Ok((out, orig_pos, metas));
     }
 
-    for call in calls.iter().filter(|c| c.ipoint == IPoint::After) {
-        metas.push(emit_call(cx, tier, idx, call, &mut out)?);
+    for (call, exact) in calls.filter(|(c, _)| c.ipoint == IPoint::After) {
+        metas.push(emit_call(cx, tier, idx, call, exact.as_ref(), &mut out)?);
     }
 
     // Back to the instruction after the instrumented one (Figure 4, step 6).
@@ -705,10 +699,10 @@ fn emit_site(
     Ok((out, orig_pos, metas))
 }
 
-/// Emits one planned call — an accepted splice under liveness sizing inside
-/// its exact bracket ([`emit_exact`]), any other as save routine, frame
-/// pointer, arguments, tool call (or spliced body), restore routine — and
-/// returns its layout record, inline spans relative to `out`'s site.
+/// Emits one planned call — a splice with something `exact` to preserve
+/// inside its exact bracket ([`emit_exact`]), any other as save routine,
+/// frame pointer, arguments, tool call (or spliced body), restore routine —
+/// and returns its layout record, inline spans relative to `out`'s site.
 ///
 /// With `pred_filter` set on a guarded site, the whole sequence is wrapped
 /// in an `SSY`-bracketed diamond so that guard-false lanes never enter the
@@ -727,6 +721,7 @@ fn emit_call(
     tier: u16,
     idx: usize,
     call: &PlannedCall,
+    exact: Option<&LiveSet>,
     out: &mut Vec<Instruction>,
 ) -> Result<CallMeta> {
     let tool = &cx.tool_fns[&call.func];
@@ -739,7 +734,7 @@ fn emit_call(
         let wrapper_base = out.len();
         let mut body = Vec::new();
         let plain = PlannedCall { pred_filter: false, ..call.clone() };
-        let mut meta = emit_call(cx, tier, idx, &plain, &mut body)?;
+        let mut meta = emit_call(cx, tier, idx, &plain, exact, &mut body)?;
         let n = body.len() as i64;
         out.push(Instruction::new(Op::Ssy, vec![Operand::Rel((n + 3) * isize)]).with_mods(mods));
         out.push(
@@ -764,8 +759,8 @@ fn emit_call(
         }
         (inline, body) => body.as_deref().filter(|_| inline),
     };
-    let inline_span = match (cx.exact_live(idx, call), body) {
-        (Some(live), Some(body)) => Some(emit_exact(cx, &live, guard, call, body, out)?),
+    let inline_span = match (exact, body) {
+        (Some(live), Some(body)) => Some(emit_exact(cx, live, guard, call, body, out)?),
         _ => {
             let routine = cx.routines.get(&tier).copied().ok_or_else(|| {
                 NvbitError::BadRequest(format!("no save routine for tier {tier}"))
@@ -811,7 +806,6 @@ fn emit_call(
         lowered: call.lowered.clone(),
         coalesce: call.coalesce,
         inline: inline_span,
-        occ: call.occ,
     })
 }
 
@@ -1122,7 +1116,7 @@ mod tests {
             renamed_pairs: 0,
             exact_frame: 0,
         };
-        emit_site(&mut cx, 16, idx).unwrap()
+        emit_site(&mut cx, 16, idx, &vec![None; plan.sites[&idx].len()]).unwrap()
     }
 
     fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>, Vec<u8>) {
@@ -1269,9 +1263,8 @@ mod tests {
     #[test]
     fn emitted_arguments_fill_exactly_the_window_the_planner_prices() {
         // [GuardPred, Imm64]: R4, then the pair even-aligned to R6:R7. The
-        // planner's scaffold window and the tier loop's clobber window both
-        // come from `arg_window`; the emitted code must write that far and
-        // no further.
+        // tier loop's clobber window comes from `arg_window`; the emitted
+        // code must write that far and no further.
         let (hal, info, instrs, code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let args = [Arg::GuardPred, Arg::Imm64(0xdead_beef_1234)];
         let mut spec = FuncSpec::default();
@@ -1743,7 +1736,7 @@ mod tests {
         // The site meta records the splice span.
         assert_eq!(img.sites[0].calls.len(), 1);
         assert_eq!(img.sites[0].calls[0].inline, Some((2, 2)));
-        assert_eq!(img.plan.inlined_calls, 1);
+        assert_eq!(img.plan.inline_accepted, 1);
     }
 
     /// The compiled shape of `nvbit_count_pmult(pred, ctr, mult)`: a guarded
@@ -1941,9 +1934,8 @@ mod tests {
         fn verify(&self) -> Vec<DiagKind> {
             let hal = Hal::new(Arch::Volta);
             let image = self.original.clone(); // only the trampoline is under test
-            let opts = PlanOpts::default();
             let (tramp, sites, ext) = (&self.tramp, &self.sites, &self.ext);
-            let mut d = verify_plan_instrs(&hal, &self.original, tramp, sites, &opts, ext);
+            let mut d = verify_plan_instrs(&hal, &self.original, tramp, sites, ext);
             d.extend(verify_instrs(&hal, 0x4000, &image, 0x9000, tramp, sites, ext));
             d.iter().map(|d| d.kind).collect()
         }
@@ -2088,12 +2080,12 @@ mod tests {
                 ..ExternalCode::default()
             };
             let original = hal.disassemble(&img.original).unwrap();
-            let diags = verify_plan_instrs(&hal, &original, &tramp, &img.sites, &img.opts, &ext);
+            let diags = verify_plan_instrs(&hal, &original, &tramp, &img.sites, &ext);
             assert_eq!(diags, vec![]);
             // Behind nothing at all, the write of live P0 is caught.
             let mut bare = tramp.clone();
             (bare[0], bare[5]) = (Instruction::nop(), Instruction::nop());
-            let diags = verify_plan_instrs(&hal, &original, &bare, &img.sites, &img.opts, &ext);
+            let diags = verify_plan_instrs(&hal, &original, &bare, &img.sites, &ext);
             assert!(diags.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{diags:?}");
         }
     }
@@ -2144,7 +2136,7 @@ mod tests {
             Arch::Volta,
             &analysis,
             &tool_fns(),
-            PlanOpts { level: PlanLevel::Block, occupancy: None },
+            PlanOpts { level: PlanLevel::Block },
         )
         .unwrap();
         let img = generate(

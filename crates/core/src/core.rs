@@ -235,14 +235,11 @@ fn prepare_one(
             input.key.opts,
         )?;
         common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
-        common::obs::counter("plan.inlined_calls", plan.stats.inlined_calls);
         common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
         common::obs::counter("plan.region_groups", plan.stats.region_groups);
         common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
-        common::obs::counter("plan.pressure.accepted", plan.stats.inline_accepted);
-        common::obs::counter("plan.pressure.declined", plan.stats.inline_declined);
-        common::obs::counter("plan.occ.accepted", plan.stats.occ_accepted);
-        common::obs::counter("plan.occ.declined", plan.stats.occ_declined);
+        common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
+        common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
         plan
     };
     let _cspan = common::obs::span("codegen");
@@ -297,30 +294,9 @@ pub(crate) struct CoreState {
     /// Worker threads for batch instrumentation; 0 = one per hardware
     /// thread.
     jit_workers: Cell<usize>,
-    /// Block thread count of the most recently intercepted launch
-    /// (0 = none yet). Resolves [`sass::occupancy::OccupancyCfg::PER_LAUNCH`]
-    /// occupancy configs: the resolved shape is part of the plan-cache
-    /// key, so a shape change replans while repeats hit the cache.
-    launch_threads: u32,
 }
 
 impl CoreState {
-    /// The current plan options with any per-launch occupancy sentinel
-    /// resolved to the last intercepted launch's block shape. Every
-    /// path that derives a plan-cache key goes through this, so launch
-    /// interception and the inspection APIs (`plan_stats`,
-    /// `save_stats`, `verify_instrumented`) agree on which image a
-    /// given option set names.
-    fn resolved_opts(&self) -> PlanOpts {
-        let mut opts = self.plan_opts.get();
-        if let Some(cfg) = opts.occupancy.as_mut() {
-            if cfg.per_launch() {
-                cfg.block_threads = self.launch_threads.max(1);
-            }
-        }
-        opts
-    }
-
     /// True if `func` has an entry and it is [`FuncEntry::tracked`].
     fn tracked(&self, func: CuFunction) -> bool {
         self.funcs.borrow().get(&func.raw()).is_some_and(FuncEntry::tracked)
@@ -332,7 +308,7 @@ impl CoreState {
         func: CuFunction,
         read: impl FnOnce(&InstrumentedImage) -> R,
     ) -> Option<R> {
-        let (policy, opts) = (self.save_policy.get(), self.resolved_opts());
+        let (policy, opts) = (self.save_policy.get(), self.plan_opts.get());
         let mut entries = self.funcs.borrow_mut();
         let entry = entries.get_mut(&func.raw())?;
         let key = entry.key(policy, opts);
@@ -458,7 +434,7 @@ impl CoreState {
     /// per distinct function.
     fn apply_batch(&self, drv: &Driver, funcs: &[CuFunction]) -> Vec<(CuFunction, Result<()>)> {
         let policy = self.save_policy.get();
-        let opts = self.resolved_opts();
+        let opts = self.plan_opts.get();
         let mut seen = std::collections::HashSet::new();
         let funcs: Vec<CuFunction> =
             funcs.iter().copied().filter(|f| seen.insert(f.raw())).collect();
@@ -705,24 +681,10 @@ impl CoreState {
     /// Launch-entry instrumentation: batch-build every pending function
     /// (first launch after a module load fans out across all of them) and
     /// reconcile versions.
-    ///
-    /// `block_threads` is the intercepted launch's block thread count;
-    /// it resolves [`sass::occupancy::OccupancyCfg::PER_LAUNCH`]
-    /// occupancy configs to the real shape. The resolved opts feed the
-    /// plan-cache key, so a launch at a new shape replans while
-    /// repeated shapes hit the cached image — the same shape-keyed
-    /// reuse the sampling cache applies.
-    fn instrument_for_launch(&mut self, drv: &Driver, func: CuFunction, block_threads: u32) {
+    fn instrument_for_launch(&self, drv: &Driver, func: CuFunction) {
         let raw = func.raw();
-        let tracked = self.tracked(func);
-        self.launch_threads = block_threads.max(1);
-        let policy = self.save_policy.get();
-        let opts = self.resolved_opts();
-        if opts != self.plan_opts.get() {
-            common::obs::counter("plan.occ_launch_shape", 1);
-        }
-        let mut batch = self.pending(policy, opts);
-        if tracked && !batch.iter().any(|f| f.raw() == raw) {
+        let mut batch = self.pending(self.save_policy.get(), self.plan_opts.get());
+        if self.tracked(func) && !batch.iter().any(|f| f.raw() == raw) {
             batch.push(func);
             batch.sort_by_key(|f| f.raw());
         }
@@ -790,9 +752,8 @@ impl Interposer for NvbitCore {
 
         if !is_exit {
             match (cbid, params) {
-                (CbId::LaunchKernel, CbParams::LaunchKernel { func, block, .. }) => {
-                    let threads = u32::try_from(block.count()).unwrap_or(u32::MAX);
-                    self.state.instrument_for_launch(drv, *func, threads);
+                (CbId::LaunchKernel, CbParams::LaunchKernel { func, .. }) => {
+                    self.state.instrument_for_launch(drv, *func);
                 }
                 (CbId::ModuleUnload, CbParams::Module { module, .. }) => {
                     self.state.evict_module(drv, module);
@@ -856,12 +817,13 @@ impl<'a> NvbitApi<'a> {
         // standard ABI, so its epilogue restores every callee-saved
         // register. The same parse is compiled again under the *scratch*
         // ABI (no prologue, every register fair game): that body is what
-        // the planner classifies, the inline pass splices and the pressure
-        // cost model prices, since a splice runs inside a trampoline that
-        // already saved the site's registers.
+        // the planner classifies and the inline pass splices, since a
+        // splice saves for itself whatever it clobbers at the site.
         let ast = ptx::parse_module(ptx_src)?;
         let module = ptx::compile_ast(&ast, hal.arch())?;
         let scratch_mod = ptx::compile_ast_abi(&ast, hal.arch(), ptx::Abi::Scratch).ok();
+        // Validate the whole module before anything is allocated or
+        // registered: a rejected module must leave no function behind.
         for f in &module.functions {
             if !f.relocs.is_empty() {
                 return Err(NvbitError::BadRequest(format!(
@@ -873,10 +835,13 @@ impl<'a> NvbitApi<'a> {
             // memory — the application may be using all of it.
             if f.shared_size > 0 {
                 return Err(NvbitError::BadRequest(format!(
-                    "tool function `{}` declares shared memory, which instrumentation                      functions may not use (the application owns it)",
+                    "tool function `{}` declares shared memory, which instrumentation \
+                     functions may not use (the application owns it)",
                     f.name
                 )));
             }
+        }
+        for f in &module.functions {
             let addr = self.drv.with_device(|d| -> gpu::Result<u64> {
                 let a = d.alloc(f.code.len().max(1) as u64)?;
                 d.write(a, &f.code)?;

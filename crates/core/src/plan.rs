@@ -37,12 +37,13 @@
 //!    [`sass::dom`] for the exactness argument). Irreducible control flow
 //!    makes every block its own region, so this pass degrades to a no-op
 //!    rather than to an approximation.
-//! 4. **Leaf inlining**: tool functions classified as inlinable leaves
-//!    (small, call-free, no `nvbit.readreg`/`writereg` use — see
-//!    [`crate::codegen::ToolFn::inlinable`]) have their bodies spliced
-//!    directly into the trampoline, eliminating the CALL/RET pair — unless
-//!    [`sass::pressure::splice_verdict`] prices the splice as raising the
-//!    site's save tier, in which case the call stays out of line.
+//! 4. **Leaf inlining**: a call is spliced iff its tool body is spliceable
+//!    (small, call-free, stack-free, no `nvbit.readreg`/`writereg` use, a
+//!    straight line or one guarded diamond — see
+//!    [`crate::codegen::ToolFn::inlinable`]): the body goes directly into
+//!    the trampoline, eliminating the CALL/RET pair. The rule is a static
+//!    property of the body, never of the site; how a splice is *saved* is
+//!    the code generator's business.
 //!
 //! Every coalesce-marked injection follows the **multiplicity protocol**:
 //! the plan appends one trailing `Imm32` argument — 1 when the call stands
@@ -50,7 +51,7 @@
 //! signature (and its output) is identical whether or not the passes run.
 
 use crate::codegen::ToolFn;
-use crate::spec::{arg_window, Arg, FuncSpec, IPoint};
+use crate::spec::{Arg, FuncSpec, IPoint};
 use crate::{NvbitError, Result};
 use sass::cfg::{block_of, BasicBlock};
 use sass::{Analysis, CfgFailure, Instruction};
@@ -67,9 +68,9 @@ pub enum PlanLevel {
     Block,
     /// Adds after-point lowering and dominator-region coalescing.
     Region,
-    /// Adds leaf splicing, each splice priced by
-    /// [`sass::pressure::splice_verdict`]: one that would raise the site's
-    /// save tier is declined and stays an out-of-line call.
+    /// Adds leaf splicing: every call whose tool body is spliceable
+    /// ([`crate::codegen::ToolFn::inlinable`]) is spliced; any other stays
+    /// an out-of-line call.
     Spliced,
 }
 
@@ -79,26 +80,19 @@ pub enum PlanLevel {
 pub struct PlanOpts {
     /// The highest rung of the pass ladder to run.
     pub level: PlanLevel,
-    /// Price save-tier growth on the SM occupancy curve instead of
-    /// declining it outright: with a model and the launch's block shape
-    /// supplied, a splice whose raised tier keeps the same blocks/SM
-    /// (a flat step of the curve) is accepted, and only splices that
-    /// would drop resident blocks are declined. `None` keeps the binary
-    /// tier-only gate. Only consulted at [`PlanLevel::Spliced`].
-    pub occupancy: Option<sass::occupancy::OccupancyCfg>,
 }
 
 impl Default for PlanOpts {
-    /// The top rung with the tier-only splice gate.
+    /// The top rung.
     fn default() -> Self {
-        PlanOpts { level: PlanLevel::Spliced, occupancy: None }
+        PlanOpts { level: PlanLevel::Spliced }
     }
 }
 
 impl PlanOpts {
     /// Every pass disabled — the naive one-call-per-site pipeline.
     pub fn naive() -> Self {
-        PlanOpts { level: PlanLevel::Naive, occupancy: None }
+        PlanOpts { level: PlanLevel::Naive }
     }
 }
 
@@ -129,11 +123,6 @@ pub struct PlannedCall {
     pub lowered: Vec<usize>,
     /// Splice the tool function's body instead of emitting a `JCAL`.
     pub inline: bool,
-    /// `(tier_before, tier_after)` claimed by the pressure verdict for an
-    /// accepted splice — the occupancy claim the verifier re-prices from
-    /// original bytes. `None` when the verdict did not price the call (out
-    /// of line, or no dataflow solution).
-    pub occ: Option<(u16, u16)>,
 }
 
 /// Per-pass accounting reported through [`crate::codegen::InstrumentedImage`] and
@@ -152,8 +141,6 @@ pub struct PlanStats {
     /// Instrumentation sites left with no calls and dropped entirely (the
     /// original instruction runs in place, unpatched).
     pub sites_dropped: u64,
-    /// Emitted calls marked for inline splicing.
-    pub inlined_calls: u64,
     /// `IPoint::After` injections lowered to the fall-through `Before`
     /// slot by the after-lowering pass.
     pub after_lowered: u64,
@@ -167,20 +154,12 @@ pub struct PlanStats {
     /// under the ICF exception ([`sass::cfg::partial_blocks`]) — merges
     /// the naive fallback would have lost.
     pub icf_recovered: u64,
-    /// Inline candidates the pressure verdict accepted.
+    /// Emitted calls [`PlanLevel::Spliced`] splices inline.
     pub inline_accepted: u64,
-    /// Inline candidates the pressure verdict declined: the body's write
-    /// window would have raised the site's save tier, so the call stays
-    /// out of line.
+    /// Emitted calls [`PlanLevel::Spliced`] leaves out of line because the
+    /// tool body is not spliceable. With `inline_accepted` it sums to
+    /// `emitted_calls` at that rung; both are 0 below it.
     pub inline_declined: u64,
-    /// Tier-raising splices the occupancy gate accepted because the growth
-    /// stays on a flat step of the occupancy curve (only counted when
-    /// [`PlanOpts::occupancy`] is set — the tier-only gate would have
-    /// declined every one of these).
-    pub occ_accepted: u64,
-    /// Tier-raising splices the occupancy gate declined because they would
-    /// drop resident blocks/SM at the configured block shape.
-    pub occ_declined: u64,
 }
 
 /// The validated, optimized instrumentation plan for one function.
@@ -193,8 +172,6 @@ pub struct InstrumentationPlan {
     pub removed: HashSet<usize>,
     /// What the passes did.
     pub stats: PlanStats,
-    /// The options the plan was built with.
-    pub opts: PlanOpts,
 }
 
 /// True if the argument has the same value at every site of a basic block
@@ -220,25 +197,15 @@ fn explicit_args(call: &PlannedCall) -> &[Arg] {
     &call.args[..call.args.len() - 1]
 }
 
-/// The largest saved slot any argument reads back from the frame.
-fn arg_read_back(args: &[Arg]) -> u16 {
-    args.iter()
-        .map(|a| u16::try_from(crate::codegen::arg_demand(a)).unwrap_or(u16::MAX))
-        .max()
-        .unwrap_or(0)
-}
-
 /// Builds the plan: validates the spec against the function body and the
 /// loaded tool functions, then runs the passes up to `opts.level`.
 ///
 /// `analysis` is the body's [`sass::Analysis`] as the lifter computed it:
-/// coalescing uses its block partition, region coalescing its dominator
-/// regions, and the pressure verdict its liveness solution. When static
-/// CFG recovery failed there is nothing to price (every eligible splice is
-/// accepted and the code generator charges the whole-function tier) and
-/// nothing to merge — except under the ICF exception, where the
-/// conservative [`sass::cfg::partial_blocks`] partition of `body` still
-/// supports block coalescing ([`PlanStats::cfg_available`] and
+/// coalescing uses its block partition and region coalescing its dominator
+/// regions. When static CFG recovery failed there is nothing to merge —
+/// except under the ICF exception, where the conservative
+/// [`sass::cfg::partial_blocks`] partition of `body` still supports block
+/// coalescing ([`PlanStats::cfg_available`] and
 /// [`PlanStats::icf_recovered`] record what happened).
 ///
 /// # Errors
@@ -312,7 +279,6 @@ pub fn build(
                 group: vec![idx],
                 lowered: Vec::new(),
                 inline: false,
-                occ: None,
             });
         }
     }
@@ -362,44 +328,19 @@ pub fn build(
         sites.remove(&idx);
     }
 
-    // Pass 4: inline splicing, each splice priced by the pressure verdict
-    // (when the analysis is unavailable the code generator charges the
-    // whole-function tier anyway, so there is nothing to price).
-    for (&idx, calls) in sites.iter_mut() {
-        for call in calls.iter_mut() {
-            stats.emitted_calls += 1;
-            let tf = &tool_fns[&call.func];
-            if opts.level < PlanLevel::Spliced || !tf.inlinable {
-                continue;
-            }
-            if let (Some(a), Some(ceiling)) = (analysis, tf.write_ceiling) {
-                let site = sass::pressure::SpliceSite {
-                    index: idx,
-                    scaffold_window: arg_window(&call.args),
-                    body_window: ceiling,
-                    arg_demand: arg_read_back(&call.args),
-                };
-                let verdict =
-                    sass::pressure::splice_verdict(&a.liveness, &site, opts.occupancy.as_ref());
-                match verdict.rule {
-                    sass::pressure::VerdictRule::OccupancyFlat => stats.occ_accepted += 1,
-                    sass::pressure::VerdictRule::OccupancyDrop => stats.occ_declined += 1,
-                    _ => {}
-                }
-                if !verdict.accept {
-                    stats.inline_declined += 1;
-                    continue;
-                }
-                call.occ = Some((verdict.tier_before, verdict.tier_after));
-            }
-            stats.inline_accepted += 1;
-            call.inline = true;
-            stats.inlined_calls += 1;
+    // Pass 4: inline splicing — a call is spliced iff its tool body is
+    // spliceable.
+    for call in sites.values_mut().flatten() {
+        stats.emitted_calls += 1;
+        if opts.level >= PlanLevel::Spliced {
+            call.inline = tool_fns[&call.func].inlinable;
+            stats.inline_accepted += u64::from(call.inline);
+            stats.inline_declined += u64::from(!call.inline);
         }
     }
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
-    Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), stats, opts })
+    Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), stats })
 }
 
 /// Lowers eligible `IPoint::After` calls at mid-block sites to the
@@ -555,7 +496,7 @@ skip:
 ";
 
     fn at(level: PlanLevel) -> PlanOpts {
-        PlanOpts { level, occupancy: None }
+        PlanOpts { level }
     }
 
     /// A body with its analysis, as the lifter hands them to [`build`].
@@ -684,7 +625,7 @@ skip:
         spec.insert_call(0, "f", IPoint::Before);
         let on = build_for(&spec, &body, &fns(true), PlanOpts::default()).unwrap();
         assert!(on.sites[&0][0].inline);
-        assert_eq!(on.stats.inlined_calls, 1);
+        assert_eq!(on.stats.inline_accepted, 1);
         let off = build_for(&spec, &body, &fns(true), at(PlanLevel::Region)).unwrap();
         assert!(!off.sites[&0][0].inline, "splicing is the top rung only");
         let opaque = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
@@ -692,10 +633,10 @@ skip:
     }
 
     #[test]
-    fn occupancy_gate_reprices_tier_raising_splices() {
-        use sass::occupancy::{OccupancyCfg, SmModel};
-        // R20 is live across site 1; the tool body writes up to R23, so
-        // splicing raises the site's tier 16 → 32.
+    fn a_spliceable_body_is_spliced_whatever_is_live_at_the_site() {
+        // R20 is live across site 1 and the tool body writes up to R23: the
+        // splice the retired tier verdict kept out of line. Where it is
+        // saved is the code generator's business, not the planner's.
         let src = "\
     MOV R20, R4 ;
     IADD R0, R4, 0x1 ;
@@ -704,40 +645,22 @@ skip:
 ";
         let body = analyzed(src);
         let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
-        let mut tool_fns = HashMap::new();
-        tool_fns.insert("f".to_string(), ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta));
+        let mut tool_fns = fns(false);
+        tool_fns.insert("g".to_string(), ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta));
         let mut spec = FuncSpec::default();
-        spec.insert_call(1, "f", IPoint::Before);
+        spec.insert_call(1, "g", IPoint::Before);
+        spec.insert_call(2, "f", IPoint::Before);
 
-        // Tier-only gate: declined.
-        let tier_opts = PlanOpts::default();
-        let tier = build_for(&spec, &body, &tool_fns, tier_opts).unwrap();
-        assert!(!tier.sites[&1][0].inline);
-        assert_eq!((tier.stats.inline_declined, tier.stats.inlined_calls), (1, 0));
-        assert_eq!((tier.stats.occ_accepted, tier.stats.occ_declined), (0, 0));
-        assert_eq!(tier.sites[&1][0].occ, None);
-
-        // Occupancy gate on Volta at block dim 128: 16 → 32 is a flat step
-        // (16 blocks/SM both), so the same splice is now accepted, with the
-        // priced claim recorded for the verifier.
-        let occ_opts = PlanOpts { occupancy: Some(OccupancyCfg::volta(128)), ..tier_opts };
-        let occ = build_for(&spec, &body, &tool_fns, occ_opts).unwrap();
-        assert!(occ.sites[&1][0].inline);
-        assert_eq!((occ.stats.occ_accepted, occ.stats.occ_declined), (1, 0));
-        assert_eq!((occ.stats.inline_accepted, occ.stats.inline_declined), (1, 0));
-        assert_eq!(occ.sites[&1][0].occ, Some((16, 32)));
-
-        // A register file small enough that 16 → 32 crosses a cliff
-        // (4 → 2 blocks): still declined, now attributed to the curve.
-        let cliff = OccupancyCfg {
-            model: SmModel { reg_file: 2048, alloc_gran: 256, max_warps: 64, max_blocks: 32 },
-            block_threads: 32,
-        };
-        let cliff_opts = PlanOpts { occupancy: Some(cliff), ..tier_opts };
-        let plan = build_for(&spec, &body, &tool_fns, cliff_opts).unwrap();
-        assert!(!plan.sites[&1][0].inline);
-        assert_eq!((plan.stats.occ_accepted, plan.stats.occ_declined), (0, 1));
-        assert_eq!(plan.stats.inline_declined, 1);
+        let top = build_for(&spec, &body, &tool_fns, PlanOpts::default()).unwrap();
+        assert!(top.sites[&1][0].inline, "spliceable body");
+        assert!(!top.sites[&2][0].inline, "opaque body");
+        assert_eq!((top.stats.inline_accepted, top.stats.inline_declined), (1, 1));
+        assert_eq!(top.stats.emitted_calls, 2);
+        for level in [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region] {
+            let plan = build_for(&spec, &body, &tool_fns, at(level)).unwrap();
+            assert!(plan.sites.values().flatten().all(|c| !c.inline), "{level:?}");
+            assert_eq!((plan.stats.inline_accepted, plan.stats.inline_declined), (0, 0));
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 use crate::hal::Hal;
 
 /// The register-count tiers for which routines exist. The ladder is owned
-/// by [`sass::pressure::TIERS`] so the splice-pricing verdict and the
-/// save-routine generator can never disagree; this is a re-export.
+/// by [`sass::pressure::TIERS`], next to the [`sass::pressure::tier_of`]
+/// map that sizes every ladder save, so the two can never disagree; this
+/// is a re-export.
 pub use sass::pressure::TIERS;
 
 /// One save/restore routine pair, loaded into device memory.

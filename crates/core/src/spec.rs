@@ -54,7 +54,7 @@ impl Arg {
 
 /// The ABI argument walk: each argument with the first register it is
 /// materialized into — R4 upward, 64-bit arguments in even-aligned pairs.
-/// The one definition behind splice pricing, save-tier selection and
+/// The one definition behind save-tier selection, exact-save renaming and
 /// argument emission (which adds the R15 window limit).
 pub(crate) fn abi_slots(args: &[Arg]) -> impl Iterator<Item = (u8, &Arg)> {
     let mut next: u8 = 4;

@@ -24,7 +24,6 @@
 
 use crate::codegen::SiteMeta;
 use crate::hal::Hal;
-use crate::plan::{PlanLevel, PlanOpts};
 use crate::saverestore::frame_slots;
 use sass::cfg::block_of;
 use sass::op::CfClass;
@@ -106,13 +105,6 @@ pub enum DiagKind {
     /// trampoline bytes: an escaping or looping splice inside a
     /// trampoline would run code outside the save/restore bracket.
     DiamondMismatch,
-    /// An occupancy-gated inline splice's tier claim does not survive
-    /// re-pricing: the claim is missing, names tiers off the save ladder,
-    /// would drop resident blocks/SM on the configured occupancy model,
-    /// or understates the register demand recomputed from the original
-    /// bytes. A forged claim could smuggle a block-evicting (or
-    /// under-saved) splice past the occupancy gate.
-    OccupancyMismatch,
 }
 
 /// One verification failure.
@@ -555,16 +547,14 @@ pub fn verify_plan_instrs(
     original: &[Instruction],
     tramp: &[Instruction],
     sites: &[SiteMeta],
-    opts: &PlanOpts,
     ext: &ExternalCode,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     // Recomputed from the verifier's own decode of the original bytes —
-    // never trusted from the lifter or the plan: region checks and splice
-    // pricing must hold against the body as the verifier sees it. `None`
+    // never trusted from the lifter or the plan: region checks and save
+    // brackets must hold against the body as the verifier sees it. `None`
     // when the body cannot be statically partitioned (merges are then
-    // defects, and splices are vacuously unprovable — the planner never
-    // prices one without a CFG anyway).
+    // defects, and nothing is provably dead).
     let analysis = sass::Analysis::of(original, hal.arch()).ok();
     let blocks = analysis.as_ref().map(|a| &a.blocks);
     let dom = analysis.as_ref().map(|a| &a.dom);
@@ -717,61 +707,6 @@ pub fn verify_plan_instrs(
                     ),
                 });
             }
-
-            if let Some(df) = dataflow {
-                if site.instr_idx < df.len() {
-                    // The claim was priced on the loaded body's write
-                    // window, whatever registers the site renamed it onto.
-                    let ceiling = loaded
-                        .into_iter()
-                        .flat_map(|(_, fn_body)| fn_body.iter())
-                        .flat_map(Instruction::reg_writes)
-                        .filter(|r| *r != Reg::SP)
-                        .map(|r| r.0)
-                        .max()
-                        .map_or(0, |r| r.saturating_add(1));
-
-                    // Occupancy-claim check: when the plan priced tier
-                    // growth on the occupancy curve, every accepted splice
-                    // must carry a claim that (a) names tiers on the save
-                    // ladder in order, (b) keeps the before-tier's
-                    // blocks/SM (and stays launchable) on the configured
-                    // model, and (c) covers the demand recomputed from the
-                    // original bytes under the loaded body's write
-                    // ceiling — none of it trusted from the planner.
-                    if opts.level >= PlanLevel::Spliced {
-                        if let Some(cfg) = opts.occupancy.as_ref() {
-                            let claim_ok = call.occ.is_some_and(|(tb, ta)| {
-                                let on_ladder = sass::pressure::tier_of(tb) == Some(tb)
-                                    && sass::pressure::tier_of(ta) == Some(ta)
-                                    && tb <= ta;
-                                let before = cfg.model.occupancy(tb, cfg.block_threads);
-                                let after = cfg.model.occupancy(ta, cfg.block_threads);
-                                let no_drop = after.blocks_per_sm >= before.blocks_per_sm
-                                    && after.blocks_per_sm > 0;
-                                let covered =
-                                    df.max_live_below(site.instr_idx, ceiling).is_none_or(|r| {
-                                        sass::pressure::tier_of(u16::from(r) + 1)
-                                            .is_some_and(|t| t <= ta)
-                                    });
-                                on_ladder && no_drop && covered
-                            });
-                            if !claim_ok {
-                                diags.push(Diagnostic {
-                                    kind: DiagKind::OccupancyMismatch,
-                                    region: Region::Trampoline,
-                                    index: site.start + off,
-                                    message: format!(
-                                        "inline splice of `{}` at instruction {} carries \
-                                         occupancy claim {:?} that fails re-pricing",
-                                        call.func, site.instr_idx, call.occ
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
     diags
@@ -795,7 +730,7 @@ pub fn verify(
     let tramp = hal.disassemble(&img.tramp_code)?;
     let original = hal.disassemble(&img.original)?;
     let mut diags = verify_instrs(hal, image_addr, &image, img.tramp_addr, &tramp, &img.sites, ext);
-    diags.extend(verify_plan_instrs(hal, &original, &tramp, &img.sites, &img.opts, ext));
+    diags.extend(verify_plan_instrs(hal, &original, &tramp, &img.sites, ext));
     Ok(diags)
 }
 
@@ -1068,7 +1003,6 @@ mod tests {
             lowered: vec![],
             coalesce: true,
             inline: None,
-            occ: None,
         }
     }
 
@@ -1078,9 +1012,7 @@ mod tests {
         sites: &[SiteMeta],
         ext: &ExternalCode,
     ) -> Vec<Diagnostic> {
-        // Default opts carry no occupancy model, so the claim check stays
-        // inactive — exactly the plans the other tests model.
-        verify_plan_instrs(&hal(), original, tramp, sites, &PlanOpts::default(), ext)
+        verify_plan_instrs(&hal(), original, tramp, sites, ext)
     }
 
     #[test]
@@ -1277,14 +1209,6 @@ mod tests {
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
     }
 
-    /// The head of the R20-writing tool body the pressure tests splice.
-    fn fn_body_head() -> Instruction {
-        Instruction::new(
-            Op::Iadd,
-            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-        )
-    }
-
     #[test]
     fn pressure_exceeding_splice_is_rejected() {
         // Original body where R20 is live across instruction 1 (defined at
@@ -1307,17 +1231,15 @@ mod tests {
         // A loaded body that writes R20 — byte-matched by the splice, so
         // `InlineMismatch` stays silent; only the recomputed liveness
         // catches that tier 16 does not cover the clobber.
-        let fn_body = vec![
-            Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-            ),
-            Instruction::new(Op::Ret, vec![]),
-        ];
+        let head = Instruction::new(
+            Op::Iadd,
+            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
+        );
+        let fn_body = vec![head.clone(), Instruction::new(Op::Ret, vec![])];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
         let (_, mut tramp, mut sites) = good();
-        splice_over_call(&mut tramp, &mut sites, vec![fn_body_head()]);
+        splice_over_call(&mut tramp, &mut sites, vec![head]);
         sites[0].instr_idx = 1;
         sites[0].calls = vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![1]) }];
         let d = run_plan(&original, &tramp, &sites, &e);
@@ -1330,81 +1252,6 @@ mod tests {
         sites[0].calls = vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![3]) }];
         let d = run_plan(&original, &tramp, &sites, &e);
         assert!(!d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
-    }
-
-    #[test]
-    fn tampered_occupancy_claims_are_rejected() {
-        // Same tampered-image construction as
-        // `pressure_exceeding_splice_is_rejected`: R20 live across
-        // instruction 1, a spliced body writing R20. With the site tier
-        // raised to 32 the splice is *sound* — what is under test here is
-        // the occupancy claim riding on the call metadata.
-        let original = vec![
-            Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(1)],
-            ),
-            Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
-            ),
-            Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(20)), Operand::Imm(1)],
-            ),
-            Instruction::new(Op::Exit, vec![]),
-        ];
-        let fn_body = vec![
-            Instruction::new(
-                Op::Iadd,
-                vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-            ),
-            Instruction::new(Op::Ret, vec![]),
-        ];
-        let mut e = ext();
-        e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
-        let (_, mut tramp, mut sites) = good();
-        splice_over_call(&mut tramp, &mut sites, vec![fn_body_head()]);
-        sites[0].instr_idx = 1;
-        sites[0].tier = 32;
-        let occ_opts = PlanOpts {
-            occupancy: Some(sass::occupancy::OccupancyCfg::volta(128)),
-            ..PlanOpts::default()
-        };
-        let check = |occ: Option<(u16, u16)>, sites: &mut [SiteMeta], opts: &PlanOpts| {
-            sites[0].calls = vec![CallMeta { inline: Some((2, 2)), occ, ..call_meta(1, vec![1]) }];
-            verify_plan_instrs(&hal(), &original, &tramp, sites, opts, &e)
-        };
-
-        // The honest claim — tier 16 → 32, flat on Volta at block dim 128,
-        // covering the recomputed R20 demand — passes cleanly.
-        let d = check(Some((16, 32)), &mut sites, &occ_opts);
-        assert!(!d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
-        assert_eq!(d, vec![], "sound occupancy-gated splice must verify: {d:?}");
-
-        // A missing claim on an occupancy-gated plan is a forgery.
-        let d = check(None, &mut sites, &occ_opts);
-        assert!(d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
-
-        // Understating the after-tier (16 covers nothing the recomputed
-        // liveness demands) is a forgery.
-        let d = check(Some((16, 16)), &mut sites, &occ_opts);
-        assert!(d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
-
-        // Tiers off the save ladder are a forgery.
-        let d = check(Some((16, 48)), &mut sites, &occ_opts);
-        assert!(d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
-
-        // Inflating the after-tier past the flat region (16 → 64 halves
-        // blocks/SM at block dim 128) claims a splice the gate would have
-        // declined.
-        let d = check(Some((16, 64)), &mut sites, &occ_opts);
-        assert!(d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
-
-        // Without an occupancy model the claim check is inactive: the
-        // same claim-less metadata verifies under tier-only opts.
-        let d = check(None, &mut sites, &PlanOpts::default());
-        assert!(!d.iter().any(|d| d.kind == DiagKind::OccupancyMismatch), "{d:?}");
     }
 
     #[test]

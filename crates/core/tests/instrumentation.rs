@@ -1023,6 +1023,14 @@ fn tool_functions_may_not_use_shared_memory() {
                 matches!(e, Err(nvbit::NvbitError::BadRequest(_))),
                 "shared-memory tool functions must be rejected: {e:?}"
             );
+            // A good function ahead of the bad one: the module is rejected
+            // as a whole, leaving nothing loaded or injectable.
+            let e = api.load_tool_functions(&format!("{COUNT_FN}{BAD_FN}"));
+            let Err(nvbit::NvbitError::BadRequest(msg)) = e else {
+                panic!("a module with a shared-memory function must be rejected: {e:?}");
+            };
+            assert_eq!(api.tool_functions(), Vec::<String>::new());
+            assert!(msg.contains("uses_shared") && !msg.contains("  "), "{msg:?}");
         }
         fn at_cuda_event(
             &mut self,

@@ -279,21 +279,6 @@ impl Dataflow {
     pub fn live_regs(&self, idx: usize) -> Vec<u8> {
         self.live_in[idx].gprs.iter().collect()
     }
-
-    /// Highest register live around instruction `idx` that lies strictly
-    /// below `bound` (union of live-in and live-out).
-    ///
-    /// This is the query save-area sizing wants: an injected trampoline
-    /// clobbers only `R0`..`R{bound-1}` (frame pointer, ABI argument window
-    /// and the tool function's own registers), so live registers at or above
-    /// `bound` survive untouched and need no save slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn max_live_below(&self, idx: usize, bound: u8) -> Option<u8> {
-        self.live_in[idx].gprs.max_below(bound).max(self.live_out[idx].gprs.max_below(bound))
-    }
 }
 
 /// Live-out of a block: the union of successor live-ins, or the conservative
@@ -530,22 +515,6 @@ mod tests {
         assert_eq!(s.max_below(3), None);
         assert_eq!(s.max_below(0), None);
         assert_eq!(RegSet::EMPTY.max_below(255), None);
-    }
-
-    #[test]
-    fn max_live_below_ignores_high_live_registers() {
-        // R200 is live across the IADD, but a caller that clobbers only
-        // R0..R7 does not care about it.
-        let df = analyze(
-            "IADD R5, R4, 0x1 ;\n\
-             STG [R2], R5 ;\n\
-             STG [R2], R200 ;\n\
-             EXIT ;",
-            Arch::Volta,
-        );
-        assert_eq!(df.max_live_below(0, u8::MAX), Some(200));
-        assert_eq!(df.max_live_below(0, 8), Some(5));
-        assert_eq!(df.max_live_below(0, 3), Some(2), "store base pair R2/R3");
     }
 
     #[test]

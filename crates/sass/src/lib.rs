@@ -24,10 +24,9 @@
 //! assembler and disassembler ([`asm`]), basic-block partitioning
 //! ([`mod@cfg`]), liveness dataflow analysis ([`mod@dataflow`]),
 //! dominator/post-dominator analysis with coalescing-region enumeration
-//! ([`mod@dom`]) — bundled per function body as one [`Analysis`] — the
-//! register-pressure cost model gating inline splicing ([`mod@pressure`])
-//! and the SM occupancy model it prices tier growth against
-//! ([`mod@occupancy`]).
+//! ([`mod@dom`]) — bundled per function body as one [`Analysis`] — and the
+//! save-tier ladder with the tool-body shape classifier that decides what
+//! can be spliced inline ([`mod@pressure`]).
 //!
 //! # Example
 //!
@@ -53,7 +52,6 @@ pub mod codec;
 pub mod dataflow;
 pub mod dom;
 pub mod inst;
-pub mod occupancy;
 pub mod op;
 pub mod pressure;
 pub mod reg;
@@ -64,9 +62,8 @@ pub use cfg::CfgFailure;
 pub use dataflow::{Dataflow, LiveSet, RegSet};
 pub use dom::Dom;
 pub use inst::{Guard, Instruction, MemSpace, Mods, Operand, Width};
-pub use occupancy::{Limiter, OccupancyCfg, OccupancyPoint, SmModel};
 pub use op::{CmpOp, Op, OpCategory, SubOp};
-pub use pressure::{BodyShape, InlineVerdict, SpliceSite, VerdictRule};
+pub use pressure::BodyShape;
 pub use reg::{Pred, Reg, SpecialReg};
 
 /// Errors produced by the assembler, codecs and CFG construction.

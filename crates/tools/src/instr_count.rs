@@ -257,7 +257,7 @@ enum CountBody {
     /// count inside the body's guarded diamond.
     Executed,
     /// `nvbit_count_wide`: executed-level through the register-hungry body
-    /// whose write window exercises the pressure cost model.
+    /// whose splices still have live registers left to save.
     ExecutedWide,
 }
 
@@ -311,8 +311,10 @@ impl CoalescedInstrCount {
 
     /// [`CoalescedInstrCount::executed`] through `nvbit_count_wide`, the
     /// semantically identical but register-hungry counting body: its write
-    /// window reaches past the first save tier, so the cost model declines
-    /// the splice at sites where that would raise the save tier.
+    /// window reaches past the first save tier, so where more registers are
+    /// live than its pairs can move off, its splice — spliced like any
+    /// other spliceable body — still has some to store (4 slots on the fft
+    /// pipeline, where `nvbit_count_pmult` stores none).
     pub fn executed_wide(opts: PlanOpts) -> (CoalescedInstrCount, Rc<InstrCountResults>) {
         Self::build(opts, IPoint::Before, CountBody::ExecutedWide)
     }
@@ -528,8 +530,7 @@ DONE:
             (results.total(), drv.total_stats().cycles)
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
-        let (merged, merged_cycles) =
-            run_with(PlanOpts { level: PlanLevel::Block, occupancy: None });
+        let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Block });
         let (inlined, inlined_cycles) = run_with(PlanOpts::default());
         // The multiplicity protocol makes the total independent of whether
         // the passes actually ran.

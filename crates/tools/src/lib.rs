@@ -137,9 +137,9 @@ pub(crate) const COUNT_PMULT_FN: &str = r#"
 /// (`64m−32m−16m−8m−4m−2m−m = m`) whose six simultaneously-live
 /// temporaries push the compiled body's write ceiling past the first save
 /// tier (R20 under the scratch ABI). Semantically identical to
-/// `nvbit_count_pmult`; exists to exercise the pressure cost model — at
-/// sites where registers in the body's write window are live across the
-/// call, splicing this body raises the save tier and the verdict declines.
+/// `nvbit_count_pmult`; exists to exercise a non-empty exact save — at
+/// sites where more registers are live than its pairs can move off, the
+/// splice stores the few it still clobbers.
 pub(crate) const COUNT_WIDE_FN: &str = r#"
 .func nvbit_count_wide(.reg .u32 %pred, .reg .u64 %ctr, .reg .u32 %mult)
 {

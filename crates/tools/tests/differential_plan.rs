@@ -1,9 +1,8 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
 //! every tool × workload pair, a run at every rung above `Naive`
 //! (basic-block call coalescing; after-point lowering and dominator-region
-//! coalescing; priced leaf-tool splicing, with and without the occupancy
-//! curve) must produce bit-identical guest memory and identical tool
-//! output to a run with the naive per-site plan. The only observable
+//! coalescing; leaf-tool splicing) must produce bit-identical guest memory
+//! and identical tool output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
 //! register-save policies.
@@ -164,18 +163,14 @@ type App = fn(&Driver) -> Vec<u8>;
 
 const APPS: [(&str, App); 3] = [("fft", fft_app), ("stencil", stencil_app), ("spmv", spmv_app)];
 
-/// The rungs of the plan ladder by name, plus the top rung pricing tier
-/// raises against the Volta occupancy curve instead of declining them
-/// outright.
-const NAIVE: PlanOpts = PlanOpts { level: PlanLevel::Naive, occupancy: None };
-const BLOCK: PlanOpts = PlanOpts { level: PlanLevel::Block, occupancy: None };
-const REGION: PlanOpts = PlanOpts { level: PlanLevel::Region, occupancy: None };
-const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced, occupancy: None };
-const SPLICED_OCC: PlanOpts =
-    PlanOpts { level: PlanLevel::Spliced, occupancy: Some(sass::OccupancyCfg::volta(128)) };
+/// The rungs of the plan ladder by name — the whole lattice.
+const NAIVE: PlanOpts = PlanOpts { level: PlanLevel::Naive };
+const BLOCK: PlanOpts = PlanOpts { level: PlanLevel::Block };
+const REGION: PlanOpts = PlanOpts { level: PlanLevel::Region };
+const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced };
 
 /// Every configuration above the naive baseline.
-const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, SPLICED_OCC];
+const OPTIMIZED: [PlanOpts; 3] = [BLOCK, REGION, SPLICED];
 
 /// Runs `app` under `tool` with the given plan options; returns the guest
 /// output bytes, a string signature of the tool's own results, and the
@@ -264,12 +259,10 @@ fn executed_instr_count_is_plan_invariant() {
 
 #[test]
 fn wide_instr_count_is_plan_invariant() {
-    // Same, through the register-hungry `nvbit_count_wide` body. At the
-    // `Spliced` rung the pressure verdict declines some splices; the
-    // declined-splice fallback (an out-of-line call) must be bit-identical
-    // to the all-out-of-line `Region` run in both guest memory and tool
-    // output. The occupancy curve re-accepts the occupancy-flat subset of
-    // those declines, which must be equally invisible.
+    // Same, through the register-hungry `nvbit_count_wide` body: at the
+    // `Spliced` rung its splices save live registers they could not move
+    // off, which must be as invisible as the out-of-line call of the
+    // `Region` run.
     differential("wide_instr_count");
 }
 
@@ -363,7 +356,7 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
     let naive = captured_stats(NAIVE);
     assert_eq!(naive.emitted_calls, naive.requested_calls);
     assert_eq!(naive.coalesced_away, 0);
-    assert_eq!(naive.inlined_calls, 0);
+    assert_eq!((naive.inline_accepted, naive.inline_declined), (0, 0));
 
     let merged = captured_stats(BLOCK);
     assert!(merged.cfg_available, "the FFT kernel has a static CFG");
@@ -374,7 +367,7 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
     let inlined = captured_stats(SPLICED);
     assert_eq!(inlined.coalesced_away, merged.coalesced_away, "fft is one block");
     assert_eq!(
-        inlined.inlined_calls, inlined.emitted_calls,
+        inlined.inline_accepted, inlined.emitted_calls,
         "the counting body is an inlinable leaf, so every emitted call inlines"
     );
 
@@ -399,93 +392,65 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
 fn guarded_diamond_bodies_are_spliced() {
     // `nvbit_count_pmult` is a single guarded diamond — past the straight
     // leaf threshold, but accepted by the body classifier — so every
-    // emitted call still inlines, with or without the occupancy curve.
-    for opts in [SPLICED, SPLICED_OCC] {
-        let (p, _) = captured_with(move || CoalescedInstrCount::executed(opts).0, fft_app);
-        assert!(p.emitted_calls > 0, "{p:?}");
-        assert_eq!(
-            p.inlined_calls, p.emitted_calls,
-            "the guarded-diamond body must inline at every site: {p:?}"
-        );
-    }
+    // emitted call still inlines.
+    let (p, _) = captured_with(|| CoalescedInstrCount::executed(SPLICED).0, fft_app);
+    assert!(p.emitted_calls > 0, "{p:?}");
+    assert_eq!(
+        p.inline_accepted, p.emitted_calls,
+        "the guarded-diamond body must inline at every site: {p:?}"
+    );
 }
 
 #[test]
-fn pressure_declines_wide_splices_the_old_policy_took() {
+fn wide_splices_are_cheaper_than_the_calls_they_replace() {
     // The register-hungry `nvbit_count_wide` body writes past the first
-    // save tier. The baseline is the `Region` rung: every call stays out
-    // of line, where the standard-ABI copy restores its callee-saved
-    // registers, so each site saves the 16-slot tier. At the `Spliced`
-    // rung the sites whose live set crosses into the body's write window
-    // keep that out-of-line call (a decline) and everything else inlines —
-    // so pricing must never cost a single saved slot over the baseline.
-    // fft is one straight-line block: everything coalesces into a single
-    // call whose site sits where the kernel's live set peaks, so the one
-    // verdict declines. spmv's loops leave several emitted calls with a
-    // mix of verdicts.
-    for (app_name, app, expect_accepts) in
-        [("fft", fft_app as App, false), ("spmv", spmv_app as App, true)]
-    {
+    // save tier. At the `Region` rung every call stays out of line, where
+    // the standard-ABI copy restores its callee-saved registers and each
+    // site saves the 16-slot tier. At the `Spliced` rung every call is
+    // spliced — the body is spliceable, and that is the whole rule — and
+    // saves only what it still clobbers of the site's live registers after
+    // renaming: never more slots than the call, strictly fewer cycles, and
+    // nothing the guest or the tool can tell apart from the naive plan.
+    for (app_name, app) in APPS {
+        let (mem_naive, sig_naive, _) = run_case("wide_instr_count", NAIVE, app);
+        let (_, _, cycles_called) = run_case("wide_instr_count", REGION, app);
+        let (mem, sig, cycles_spliced) = run_case("wide_instr_count", SPLICED, app);
+        assert_eq!(mem, mem_naive, "{app_name}: guest memory differs from the naive plan");
+        assert_eq!(sig, sig_naive, "{app_name}: tool output differs from the naive plan");
+        assert!(
+            cycles_spliced < cycles_called,
+            "{app_name}: the splice must beat the call: {cycles_spliced} vs {cycles_called}"
+        );
+
         let (called, saves_called) =
             captured_with(move || CoalescedInstrCount::executed_wide(REGION).0, app);
-        let (vetted, saves_vetted) =
+        let (spliced, saves_spliced) =
             captured_with(move || CoalescedInstrCount::executed_wide(SPLICED).0, app);
-
-        assert_eq!(called.inlined_calls, 0, "{app_name}: nothing splices below the top rung");
-        assert_eq!(called.inline_declined, 0, "{app_name}: no verdicts below the top rung");
-        assert_eq!(called.emitted_calls, vetted.emitted_calls, "{app_name}: same merged calls");
-        assert!(vetted.inline_declined >= 1, "{app_name}: a decline must fire: {vetted:?}");
-        if expect_accepts {
-            assert!(vetted.inline_accepted >= 1, "{app_name}: some sites inline: {vetted:?}");
-        }
         assert_eq!(
-            vetted.inline_accepted + vetted.inline_declined,
-            vetted.emitted_calls,
-            "{app_name}: every emitted call gets a verdict: {vetted:?}"
+            (called.inline_accepted, called.inline_declined),
+            (0, 0),
+            "{app_name}: nothing splices below the top rung"
         );
-        assert_eq!(vetted.inlined_calls, vetted.inline_accepted, "{app_name}: {vetted:?}");
+        assert_eq!(called.emitted_calls, spliced.emitted_calls, "{app_name}: same merged calls");
+        assert_eq!(
+            (spliced.inline_accepted, spliced.inline_declined),
+            (spliced.emitted_calls, 0),
+            "{app_name}: every emitted call is spliced: {spliced:?}"
+        );
         assert_eq!(
             saves_called.saved_slots,
             16 * called.emitted_calls,
             "{app_name}: an out-of-line call saves the 16-slot tier: {saves_called:?}"
         );
         assert!(
-            saves_vetted.saved_slots <= saves_called.saved_slots,
-            "{app_name}: priced splicing must never grow the save footprint: \
-             {saves_vetted:?} vs {saves_called:?}"
+            saves_spliced.saved_slots <= saves_called.saved_slots,
+            "{app_name}: a splice must never save more than the call it replaces: \
+             {saves_spliced:?} vs {saves_called:?}"
         );
+        if app_name == "fft" {
+            // One merged call where the kernel's live set peaks: the splice
+            // stores the 4 registers it cannot move off.
+            assert_eq!((saves_spliced.saved_slots, saves_called.saved_slots), (4, 16));
+        }
     }
-
-    // Stencil's live ranges never reach the wide body's write window, so
-    // the verdict accepts everywhere and nothing is left out of line.
-    let (p, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED).0, stencil_app);
-    assert_eq!(p.inline_declined, 0, "stencil: no live register crosses a tier: {p:?}");
-    assert_eq!(p.inlined_calls, p.emitted_calls, "{p:?}");
-}
-
-#[test]
-fn the_occupancy_curve_reprices_tier_declines() {
-    // Every splice the tier-only gate declines on the fft workload is a
-    // 16→32 save-tier raise, and on a Volta SM at 128-thread blocks the
-    // 16→32 step is occupancy-flat (16 blocks either way). Pricing against
-    // the curve (`SPLICED_OCC`) must therefore accept what the tier gate
-    // (`SPLICED`) declined — more inlined calls, fewer declines — while
-    // the differential above proves the output cannot tell.
-    let (tier_only, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED).0, fft_app);
-    let (curved, _) = captured_with(|| CoalescedInstrCount::executed_wide(SPLICED_OCC).0, fft_app);
-
-    assert!(tier_only.inline_declined >= 1, "{tier_only:?}");
-    assert_eq!(
-        tier_only.occ_accepted + tier_only.occ_declined,
-        0,
-        "no occupancy verdicts without a model: {tier_only:?}"
-    );
-    assert!(curved.occ_accepted >= 1, "the curve must re-accept a decline: {curved:?}");
-    assert!(curved.inline_declined < tier_only.inline_declined, "{curved:?} vs {tier_only:?}");
-    assert!(curved.inlined_calls > tier_only.inlined_calls, "{curved:?} vs {tier_only:?}");
-    assert_eq!(
-        curved.inline_accepted + curved.inline_declined,
-        curved.emitted_calls,
-        "every emitted call still gets a verdict: {curved:?}"
-    );
 }
