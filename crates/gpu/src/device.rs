@@ -1,6 +1,6 @@
 //! The device: memory, decoded code pages and launch orchestration.
 
-use crate::executor::{CodeCache, CtaCtx, ExecEnv, Warp, WARP};
+use crate::executor::{CodeCache, ExecEnv, LaunchState};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
 use crate::stats::{CtaStats, ExecStats};
@@ -337,7 +337,8 @@ impl Device {
 
         let labels = &self.labels;
         let chan = self.channel.as_ref();
-        let run_one = |cta_linear: u64| -> Result<CtaStats> {
+        let new_state = || LaunchState::new(block_threads as u32, local_size, cfg.shared_size);
+        let run_one = |state: &mut LaunchState, cta_linear: u64| -> Result<CtaStats> {
             if obs_on {
                 common::obs::counter(
                     "cta.queue_wait_ns",
@@ -346,25 +347,17 @@ impl Device {
             }
             let _cta_span = common::obs::span("cta");
             run_cta(
-                &self.spec,
-                &shared,
-                &self.code,
-                cfg,
-                &cbanks,
-                labels,
-                launch_id,
+                &self.spec, &shared, &self.code, cfg, &cbanks, labels, launch_id, chan, state,
                 cta_linear,
-                block_threads as u32,
-                local_size,
-                chan,
             )
         };
 
         let workers = self.scheduler.workers().max(1).min(cta_count as usize);
         let mut results: Vec<Option<Result<CtaStats>>> = (0..cta_count).map(|_| None).collect();
         if workers <= 1 {
+            let mut state = new_state();
             for i in 0..cta_count {
-                if results[i as usize].insert(run_one(i)).is_err() {
+                if results[i as usize].insert(run_one(&mut state, i)).is_err() {
                     break;
                 }
             }
@@ -374,22 +367,26 @@ impl Device {
             let collected: Mutex<Vec<(u64, Result<CtaStats>)>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|| loop {
-                        // Indices are handed out in increasing order, so by
-                        // the time any CTA faults, every lower index has
-                        // already been claimed and will produce a result.
-                        if failed.load(Ordering::Relaxed) {
-                            break;
+                    s.spawn(|| {
+                        let mut state = new_state();
+                        loop {
+                            // Indices are handed out in increasing order, so
+                            // by the time any CTA faults, every lower index
+                            // has already been claimed and will produce a
+                            // result.
+                            if failed.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= cta_count {
+                                break;
+                            }
+                            let r = run_one(&mut state, i);
+                            if r.is_err() {
+                                failed.store(true, Ordering::Relaxed);
+                            }
+                            collected.lock().unwrap().push((i, r));
                         }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cta_count {
-                            break;
-                        }
-                        let r = run_one(i);
-                        if r.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        collected.lock().unwrap().push((i, r));
                     });
                 }
             });
@@ -437,7 +434,7 @@ impl Device {
     }
 }
 
-/// Runs one CTA to completion, returning its statistics.
+/// Runs one CTA to completion on `state`, returning its statistics.
 #[allow(clippy::too_many_arguments)]
 fn run_cta(
     spec: &DeviceSpec,
@@ -447,10 +444,9 @@ fn run_cta(
     cbanks: &[Vec<u8>; 4],
     labels: &CodeLabels,
     launch_id: u64,
-    cta_linear: u64,
-    block_threads: u32,
-    local_size: u32,
     chan: Option<&common::channel::ChannelDev>,
+    state: &mut LaunchState,
+    cta_linear: u64,
 ) -> Result<CtaStats> {
     let g = cfg.grid;
     let cta_coords = Dim3::xyz(
@@ -471,27 +467,8 @@ fn run_cta(
         steps: 0,
         chan,
     };
-    let num_warps = block_threads.div_ceil(32);
-    let local_words = local_size.div_ceil(4) as usize;
-    let mut cta = CtaCtx {
-        cta: cta_coords,
-        cta_linear,
-        shared: vec![0u8; cfg.shared_size.max(4) as usize],
-        local: vec![[0u32; WARP]; num_warps as usize * local_words],
-        local_words,
-        local_size: local_size as usize,
-    };
-    let mut warps: Vec<Warp> = (0..num_warps)
-        .map(|w| {
-            let base = w * 32;
-            let lanes = (block_threads - base).min(32);
-            let mut warp = Warp::new(base, lanes, cfg.entry_pc);
-            // The ABI initializes the stack pointer (R1) to the top of the
-            // thread's local memory; stacks grow downward.
-            warp.regs[sass::Reg::SP.index()] = [local_size; WARP];
-            warp
-        })
-        .collect();
+    state.enter(cta_coords, cta_linear, cfg.entry_pc);
+    let LaunchState { warps, cta } = state;
 
     let result = loop {
         let mut progressed = false;
@@ -501,7 +478,7 @@ fn run_cta(
                 continue;
             }
             progressed = true;
-            if let Err(e) = env.run_warp(w, &mut cta) {
+            if let Err(e) = env.run_warp(w, cta) {
                 fault = Some(e);
                 break;
             }
@@ -1044,6 +1021,78 @@ mod tests {
         for t in 0..64usize {
             let v = u32::from_le_bytes(out[t * 4..t * 4 + 4].try_into().unwrap());
             assert_eq!(v, 42, "thread {t}");
+        }
+    }
+
+    /// Every thread first stores what a fresh CTA must read as zero — two
+    /// high registers nothing has written, its predicates, the bottom word of
+    /// its local frame and the one just under the top — and only then dirties
+    /// all of it: the registers (one as a row, one lane by lane), every
+    /// predicate, the whole frame through per-lane different addresses (and,
+    /// in a one-lane warp, through the row copy) and through `[R1+off]`.
+    const LEAVES_A_MESS: &str = "\
+S2R R4, SR_TID.X ;\n\
+S2R R5, SR_CTAID.X ;\n\
+S2R R6, SR_NTID.X ;\n\
+IMAD R4, R5, R6, R4 ;\n\
+SHL R8, R4, 0x4 ;\n\
+MOV R9, RZ ;\n\
+LDC.64 R6, c[0x0][0x160] ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+LOP.OR R18, R200, R201 ;\n\
+STG [R6], R18 ;\n\
+P2R R10 ;\n\
+STG [R6+0x4], R10 ;\n\
+LDL R11, [RZ] ;\n\
+STG [R6+0x8], R11 ;\n\
+LDL R12, [R1-0x4] ;\n\
+STG [R6+0xc], R12 ;\n\
+MOV32I R200, 0x5eadbeef ;\n\
+LDC R201, c[0x0][0x160] ;\n\
+S2R R16, SR_LANEID ;\n\
+LOP.AND R16, R16, 0x1 ;\n\
+ISETP.NE.U32 P1, R16, RZ ;\n\
+MOV32I R17, 0x4 ;\n\
+MOV R14, RZ ;\n\
+fill:\n\
+ISUB R15, R1, R17 ;\n\
+ISUB R15, R15, R14 ;\n\
+@!P1 MOV R15, R14 ;\n\
+STL [R15], R200 ;\n\
+IADD R14, R14, 0x4 ;\n\
+ISETP.LT.U32 P0, R14, R1 ;\n\
+@P0 BRA fill ;\n\
+STL [R1-0x4], R200 ;\n\
+MOV32I R13, 0x7f ;\n\
+R2P R13 ;\n\
+EXIT ;";
+
+    /// A CTA cannot tell who ran before it on its worker: under every
+    /// scheduler and worker count, and on one `Device` across launches with a
+    /// larger and then a smaller block and local frame, every word
+    /// `LEAVES_A_MESS` observes is zero.
+    #[test]
+    fn a_cta_starts_clean_whoever_ran_on_its_worker_before() {
+        let scheds = [Scheduler::Serial]
+            .into_iter()
+            .chain([1, 2, 4].map(|threads| Scheduler::Parallel { threads }));
+        for sched in scheds {
+            let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+            dev.scheduler = sched;
+            let pc = load(&mut dev, LEAVES_A_MESS);
+            for (block, local) in [(33, 64), (65, 256), (17, 32)] {
+                let len = 16 * block as usize * 16;
+                let buf = dev.alloc(len as u64).unwrap();
+                dev.write(buf, &vec![0xff; len]).unwrap();
+                let mut cfg = LaunchConfig::new(pc, Dim3::linear(16), Dim3::linear(block));
+                cfg.local_size = local;
+                cfg.push_param_u64(buf);
+                dev.launch(&cfg).unwrap();
+                let mut out = vec![0u8; len];
+                dev.read(buf, &mut out).unwrap();
+                let dirty = out.chunks_exact(16).position(|slot| slot != [0; 16]);
+                assert_eq!(dirty, None, "{sched:?}, block {block}, local {local}: {out:x?}");
+            }
         }
     }
 

@@ -177,10 +177,18 @@ fn fill(row: &mut Row, exec: u32, f: impl Fn(usize) -> u32) {
 pub(crate) struct Warp {
     /// Flat thread index (within the CTA) of lane 0.
     pub base_tid: u32,
+    /// The lanes that exist: all 32 but in a block's partial last warp.
+    lanes: u32,
     pub entries: Vec<Entry>,
     /// `regs[reg][lane]`. Row 255 (`RZ`) is never written, so it reads as
     /// zero without a branch.
     pub regs: Box<[Row; 256]>,
+    /// Rows `high..` are still all zero: every register write raises it past
+    /// its row, so [`Warp::reset`] clears what a CTA used and no more.
+    high: usize,
+    /// The range of this warp's local rows a store has touched, for the
+    /// same purpose (`start > end`: none).
+    stored: (usize, usize),
     /// `preds[p]` is the lane-mask of predicate `p`; index 7 is the
     /// constant-true `PT`.
     pub preds: [u32; 8],
@@ -189,17 +197,39 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
-    pub fn new(base_tid: u32, lanes: u32, entry_pc: u64) -> Warp {
-        let mask = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
+    /// A warp of `lanes` threads with all-zero registers; [`Warp::reset`]
+    /// makes it runnable.
+    pub fn new(base_tid: u32, lanes: u32) -> Warp {
         let regs = vec![[0u32; WARP]; 256].into_boxed_slice();
         Warp {
             base_tid,
-            entries: vec![Entry { pc: entry_pc, mask, retstack: Vec::new() }],
+            lanes: if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 },
+            entries: Vec::new(),
             regs: regs.try_into().expect("256 rows"),
-            preds: [0, 0, 0, 0, 0, 0, 0, u32::MAX],
+            high: 0,
+            stored: (usize::MAX, 0),
+            preds: [0; 8],
             done: false,
             at_barrier: false,
         }
+    }
+
+    /// CTA entry state — every register zero but `R1`, which the ABI starts
+    /// at the top of the thread's local memory (stacks grow downward);
+    /// predicates zero, `PT` set; one SIMT entry at `entry_pc`; `rows`, this
+    /// warp's local memory, zero — whatever ran on this warp before.
+    pub fn reset(&mut self, entry_pc: u64, local_size: u32, rows: &mut [Row]) {
+        self.regs[..self.high].fill([0; WARP]);
+        self.regs[Reg::SP.index()] = [local_size; WARP];
+        self.high = Reg::SP.index() + 1;
+        if self.stored.0 < self.stored.1 {
+            rows[self.stored.0..self.stored.1].fill([0; WARP]);
+        }
+        self.stored = (usize::MAX, 0);
+        self.preds = [0, 0, 0, 0, 0, 0, 0, u32::MAX];
+        self.entries.clear();
+        self.entries.push(Entry { pc: entry_pc, mask: self.lanes, retstack: Vec::new() });
+        (self.done, self.at_barrier) = (false, false);
     }
 
     fn reg(&self, lane: usize, r: Reg) -> u32 {
@@ -208,6 +238,7 @@ impl Warp {
 
     fn set_reg(&mut self, lane: usize, r: Reg, v: u32) {
         if !r.is_zero() {
+            self.high = self.high.max(r.index() + 1);
             self.regs[r.index()][lane] = v;
         }
     }
@@ -221,8 +252,13 @@ impl Warp {
     fn set_pair(&mut self, lane: usize, r: Reg, v: u64) {
         self.set_reg(lane, r, v as u32);
         if r.index() + 1 < 255 {
-            self.regs[r.index() + 1][lane] = (v >> 32) as u32;
+            self.set_reg(lane, Reg(r.0 + 1), (v >> 32) as u32);
         }
+    }
+
+    /// Notes a store to local rows `rows` of this warp.
+    fn store_to(&mut self, rows: std::ops::Range<usize>) {
+        self.stored = (self.stored.0.min(rows.start), self.stored.1.max(rows.end));
     }
 
     /// The row of a 32-bit source operand.
@@ -247,6 +283,7 @@ impl Warp {
     #[inline(always)]
     fn set(&mut self, d: Reg, exec: u32, f: impl Fn(usize) -> u32) {
         if !d.is_zero() {
+            self.high = self.high.max(d.index() + 1);
             fill(&mut self.regs[d.index()], exec, f);
         }
     }
@@ -301,6 +338,49 @@ pub(crate) struct CtaCtx {
     /// Per-thread local-memory bytes; accesses are bounds-checked against
     /// this, not the rounded-up rows.
     pub local_size: usize,
+}
+
+/// What one CTA worker (the serial loop included) keeps for the length of a
+/// launch and re-enters for each CTA it runs, instead of allocating a
+/// register file and a local memory per CTA. It is born after the launch's
+/// geometry is fixed and dropped with the launch: a worst-case block is
+/// 16 MiB of local rows, not something to keep on the device.
+pub(crate) struct LaunchState {
+    pub warps: Vec<Warp>,
+    pub cta: CtaCtx,
+}
+
+impl LaunchState {
+    pub fn new(block_threads: u32, local_size: u32, shared_size: u32) -> LaunchState {
+        let warps: Vec<Warp> = (0..block_threads.div_ceil(32))
+            .map(|w| Warp::new(32 * w, (block_threads - 32 * w).min(32)))
+            .collect();
+        let local_words = local_size.div_ceil(4) as usize;
+        LaunchState {
+            cta: CtaCtx {
+                cta: Dim3::linear(0),
+                cta_linear: 0,
+                shared: vec![0u8; shared_size.max(4) as usize],
+                local: vec![[0u32; WARP]; warps.len() * local_words],
+                local_words,
+                local_size: local_size as usize,
+            },
+            warps,
+        }
+    }
+
+    /// Makes this the state of CTA `cta_linear` at its entry. A CTA cannot
+    /// tell who ran here before it: shared memory is cleared whole, each
+    /// warp clears the registers and local rows its predecessor wrote.
+    pub fn enter(&mut self, cta: Dim3, cta_linear: u64, entry_pc: u64) {
+        let CtaCtx { shared, local, local_words, local_size, .. } = &mut self.cta;
+        shared.fill(0);
+        for (w, warp) in self.warps.iter_mut().enumerate() {
+            let rows = &mut local[w * *local_words..][..*local_words];
+            warp.reset(entry_pc, *local_size as u32, rows);
+        }
+        (self.cta.cta, self.cta.cta_linear) = (cta, cta_linear);
+    }
 }
 
 /// Start of the 4-byte access at `addr + 4 * k` in a `len`-byte space, or
@@ -1054,6 +1134,9 @@ impl<'d> ExecEnv<'d> {
                 && span(addr, nregs - 1, *local_size).is_some()
                 && lanes(exec).all(|l| bases[l] == first)
             {
+                if !is_load {
+                    warp.store_to(addr as usize / 4..addr as usize / 4 + nregs);
+                }
                 for k in 0..nregs {
                     let (r, row) = (Reg(base_plus(rv, k)), &mut rows[addr as usize / 4 + k]);
                     if is_load {
@@ -1111,7 +1194,10 @@ impl<'d> ExecEnv<'d> {
                                 shared[i..i + 4].copy_from_slice(&warp.reg(lane, r).to_le_bytes());
                             }
                             (_, true) => warp.set_reg(lane, r, local_word(rows, lane, i)),
-                            (_, false) => set_local_word(rows, lane, i, warp.reg(lane, r)),
+                            (_, false) => {
+                                set_local_word(rows, lane, i, warp.reg(lane, r));
+                                warp.store_to(i / 4..(i + 4).div_ceil(4));
+                            }
                         }
                     }
                 }
