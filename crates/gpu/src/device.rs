@@ -1096,6 +1096,50 @@ EXIT ;";
         }
     }
 
+    /// Two CTAs on two workers store, again and again, different misaligned
+    /// words that share an aligned word (bytes 1..5 and 5..9 of the buffer)
+    /// and read their own back each time. A misaligned store is one atomic
+    /// update per word, so neither ever sees its bytes disturbed; a load
+    /// followed by a store would write the neighbour's stale bytes back.
+    #[test]
+    fn racing_misaligned_stores_to_shared_words_keep_both_values() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        dev.scheduler = Scheduler::Parallel { threads: 2 };
+        let pc = load(
+            &mut dev,
+            "S2R R4, SR_CTAID.X ;\n\
+             LDC.64 R6, c[0x0][0x160] ;\n\
+             SHL R8, R4, 0x2 ;\n\
+             MOV R9, RZ ;\n\
+             IADD.U64 R16, R6, R8 ;\n\
+             MOV32I R14, 0x4e20 ;\n\
+             MOV32I R15, 0x1e3779b1 ;\n\
+             MOV R10, RZ ;\n\
+             MOV R11, RZ ;\n\
+             again:\n\
+             IADD R10, R10, 0x1 ;\n\
+             IMUL R12, R10, R15 ;\n\
+             STG [R16+0x1], R12 ;\n\
+             LDG R13, [R16+0x1] ;\n\
+             ISETP.NE.U32 P0, R13, R12 ;\n\
+             @P0 IADD R11, R11, 0x1 ;\n\
+             ISETP.LT.U32 P1, R10, R14 ;\n\
+             @P1 BRA again ;\n\
+             STG [R16+0x10], R11 ;\n\
+             EXIT ;",
+        );
+        let buf = dev.alloc(64).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(2), Dim3::linear(1));
+        cfg.push_param_u64(buf);
+        dev.launch(&cfg).unwrap();
+        let mut out = [0u8; 24];
+        dev.read(buf, &mut out).unwrap();
+        let last = 0x4e20u32.wrapping_mul(0x1e37_79b1).to_le_bytes();
+        assert_eq!(out[1..5], last, "CTA 0's last store");
+        assert_eq!(out[5..9], last, "CTA 1's last store");
+        assert_eq!(out[16..24], [0; 8], "stores read back disturbed");
+    }
+
     #[test]
     fn coalesced_access_costs_less_than_strided() {
         let kernel = |stride_shift: u32| {

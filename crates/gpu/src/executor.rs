@@ -70,12 +70,16 @@ pub(crate) struct CodePage {
 
 impl CodePage {
     /// Reads the page at `base` one instruction word at a time, so that a
-    /// word memory refuses (address 0, the end of memory) is one faulting
-    /// slot rather than a faulting page.
+    /// word memory refuses any part of (address 0, the end of memory) is one
+    /// faulting slot rather than a faulting page.
     fn read(mem: &SharedMem, base: u64, isize: usize, launch: u64) -> CodePage {
         let mut raw = [0u8; PAGE as usize];
         let slots = raw.chunks_exact_mut(isize).enumerate().map(|(i, word)| {
-            match mem.read_into(base + (i * isize) as u64, word) {
+            let at = base + (i * isize) as u64;
+            let read = word.chunks_exact_mut(4).enumerate().try_for_each(|(j, w)| {
+                mem.load(at + 4 * j as u64).map(|v| w.copy_from_slice(&v.to_le_bytes()))
+            });
+            match read {
                 Ok(()) => OnceLock::new(),
                 Err(_) => OnceLock::from(Err("instruction fetch outside device memory".into())),
             }
@@ -1167,14 +1171,13 @@ impl<'d> ExecEnv<'d> {
                 let r = Reg(base_plus(rv, k));
                 match (space, is_load) {
                     (MemSpace::Global, true) => {
-                        let v = self.mem.read_scalar(a, 4).map_err(|_| {
+                        let v = self.mem.load(a).map_err(|_| {
                             self.fault(pc, format!("global load fault at 0x{a:x} (lane {lane})"))
-                        })? as u32;
+                        })?;
                         warp.set_reg(lane, r, v);
                     }
                     (MemSpace::Global, false) => {
-                        let v = warp.reg(lane, r) as u64;
-                        self.mem.write_scalar(a, 4, v).map_err(|_| {
+                        self.mem.store(a, warp.reg(lane, r)).map_err(|_| {
                             self.fault(pc, format!("global store fault at 0x{a:x} (lane {lane})"))
                         })?;
                     }
@@ -1216,9 +1219,8 @@ impl<'d> ExecEnv<'d> {
             return Err(self.fault(pc, "atomic without address"));
         };
         let wide = instr.mods.itype == IType::U64;
-        let len = if wide { 8 } else { 4 };
-        // `(old, operand, CAS swap value) -> new`, of which the low `len`
-        // bytes are stored: chosen, and so validated, once for the warp.
+        // `(old, operand, CAS swap value) -> new`, of which the low 4 (wide:
+        // 8) bytes are stored: chosen, and so validated, once for the warp.
         let op: fn(u64, u64, u64) -> u64 = match (instr.mods.sub, instr.mods.itype) {
             (SubOp::Add, IType::F32) => {
                 |old, v, _| (f32::from_bits(old as u32) + f32::from_bits(v as u32)).to_bits() as u64
@@ -1257,7 +1259,7 @@ impl<'d> ExecEnv<'d> {
                 _ => 0,
             };
             let old = atomics
-                .rmw(addr, len, |old| op(old, sv, s2v))
+                .rmw(addr, wide, |old| op(old, sv, s2v))
                 .map_err(|_| self.fault(pc, format!("atomic fault at 0x{addr:x}")))?;
             if let Some(Operand::Reg(d)) = dst {
                 if wide {
@@ -1467,6 +1469,35 @@ EXIT ;";
         assert_eq!(got[..2], [30, 0x7777_7777]);
         let olds: Vec<u32> = (0..32u32).map(|l| 0xffff_fffeu32.wrapping_add(l)).collect();
         assert_eq!(got[2..], olds);
+    }
+
+    /// 64-bit atomics on a pair of words that is 4-aligned but not
+    /// 8-aligned: 32 lanes' `ADD`s carry from the low word into the high one,
+    /// then one lane's `CAS` matches the sum and swaps both words.
+    #[test]
+    fn wide_atomics_work_at_a_four_aligned_address() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+MOV32I R4, 0x1 ;\n\
+MOV R5, RZ ;\n\
+ATOM.ADD.U64 R8, [R6+0x4], R4, RZ ;\n\
+S2R R14, SR_LANEID ;\n\
+ISETP.NE.U32 P0, R14, RZ ;\n\
+@P0 EXIT ;\n\
+MOV32I R10, 0x10 ;\n\
+MOV32I R11, 0x1 ;\n\
+MOV32I R12, 0x55 ;\n\
+MOV32I R13, 0x66 ;\n\
+ATOM.CAS.U64 R16, [R6+0x4], R10, R12 ;\n\
+STG [R6+0x10], R16 ;\n\
+STG [R6+0x14], R17 ;\n\
+EXIT ;";
+        let init: Vec<u8> = [0x7777_7777u32, 0xffff_fff0, 0, 0x7777_7777]
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        let got = run_on_buffer(text, 6, &init);
+        assert_eq!(got, [0x7777_7777, 0x55, 0x66, 0x7777_7777, 0x10, 0x1]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{GpuError, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Allocation alignment (also the cache-line size, so allocations never
 /// share a line).
@@ -14,7 +14,13 @@ pub const ALLOC_ALIGN: u64 = 256;
 /// kernels fault instead of silently reading the first allocation.
 #[derive(Debug)]
 pub struct Memory {
-    data: Vec<u8>,
+    /// The bytes, as little-endian 32-bit words: 4-aligned and a whole
+    /// number of words by construction, which is what lets a launch reach
+    /// them through `AtomicU32` only. The bytes of the last word past `len`
+    /// are padding no access reaches.
+    words: Vec<u32>,
+    /// Capacity in bytes; every bounds check is against this.
+    len: u64,
     /// Start address → length of live allocations.
     allocs: BTreeMap<u64, u64>,
     /// Bump pointer; freed blocks are merged with adjacent free blocks
@@ -24,11 +30,21 @@ pub struct Memory {
     free: Vec<(u64, u64)>,
 }
 
+/// `Ok` iff the `len` bytes at `addr` lie inside a `cap`-byte memory and do
+/// not start at the null address.
+fn check(addr: u64, len: u64, cap: u64) -> Result<()> {
+    match addr.checked_add(len) {
+        Some(end) if addr != 0 && end <= cap => Ok(()),
+        _ => Err(GpuError::BadAddress { addr, len }),
+    }
+}
+
 impl Memory {
     /// Creates a memory of `capacity` bytes.
     pub fn new(capacity: u64) -> Memory {
         Memory {
-            data: vec![0u8; capacity as usize],
+            words: vec![0u32; capacity.div_ceil(4) as usize],
+            len: capacity,
             allocs: BTreeMap::new(),
             bump: ALLOC_ALIGN, // reserve the null page
             free: Vec::new(),
@@ -37,7 +53,7 @@ impl Memory {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.data.len() as u64
+        self.len
     }
 
     /// Bytes currently allocated.
@@ -108,22 +124,16 @@ impl Memory {
         Ok(freed)
     }
 
-    fn check(&self, addr: u64, len: u64) -> Result<()> {
-        let end = addr.checked_add(len).ok_or(GpuError::BadAddress { addr, len })?;
-        if addr == 0 || end > self.capacity() {
-            return Err(GpuError::BadAddress { addr, len });
-        }
-        Ok(())
-    }
-
     /// Reads bytes at a device address.
     ///
     /// # Errors
     ///
     /// [`GpuError::BadAddress`] for out-of-range accesses.
     pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<()> {
-        self.check(addr, out.len() as u64)?;
-        out.copy_from_slice(&self.data[addr as usize..addr as usize + out.len()]);
+        check(addr, out.len() as u64, self.len)?;
+        let span = &self.words[addr as usize / 4..(addr as usize + out.len()).div_ceil(4)];
+        let bytes: Vec<u8> = span.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.copy_from_slice(&bytes[addr as usize % 4..][..out.len()]);
         Ok(())
     }
 
@@ -133,28 +143,28 @@ impl Memory {
     ///
     /// [`GpuError::BadAddress`] for out-of-range accesses.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
-        self.check(addr, bytes.len() as u64)?;
-        self.data[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
+        check(addr, bytes.len() as u64, self.len)?;
+        // Through a byte copy of the words the range touches: three straight
+        // passes, where a per-byte merge is some 30 times slower.
+        let span = &mut self.words[addr as usize / 4..(addr as usize + bytes.len()).div_ceil(4)];
+        let mut merged: Vec<u8> = span.iter().flat_map(|w| w.to_le_bytes()).collect();
+        merged[addr as usize % 4..][..bytes.len()].copy_from_slice(bytes);
+        for (w, b) in span.iter_mut().zip(merged.chunks_exact(4)) {
+            *w = u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        }
         Ok(())
     }
 
     /// Reads a little-endian scalar of `len` (≤ 8) bytes.
     pub fn read_scalar(&self, addr: u64, len: usize) -> Result<u64> {
-        self.check(addr, len as u64)?;
-        let mut v = 0u64;
-        for k in 0..len {
-            v |= (self.data[addr as usize + k] as u64) << (8 * k);
-        }
-        Ok(v)
+        let mut v = [0u8; 8];
+        self.read(addr, &mut v[..len])?;
+        Ok(u64::from_le_bytes(v))
     }
 
     /// Writes a little-endian scalar of `len` (≤ 8) bytes.
     pub fn write_scalar(&mut self, addr: u64, len: usize, v: u64) -> Result<()> {
-        self.check(addr, len as u64)?;
-        for k in 0..len {
-            self.data[addr as usize + k] = (v >> (8 * k)) as u8;
-        }
-        Ok(())
+        self.write(addr, &v.to_le_bytes()[..len])
     }
 
     /// A [`SharedMem`] view for the duration of a launch. The view aliases
@@ -162,8 +172,8 @@ impl Memory {
     /// while CTAs execute.
     pub(crate) fn shared_view(&mut self) -> SharedMem {
         SharedMem {
-            data: self.data.as_mut_ptr(),
-            len: self.data.len() as u64,
+            words: self.words.as_mut_ptr(),
+            len: self.len,
             atomic_lock: std::sync::Mutex::new(()),
         }
     }
@@ -171,67 +181,66 @@ impl Memory {
 
 /// A launch-scoped view of device memory that CTA worker threads share.
 ///
-/// Every byte access goes through per-byte `AtomicU8` relaxed loads and
-/// stores (which compile to plain moves on x86 and ARM), so a guest kernel
-/// with a cross-CTA data race produces unspecified *values* — as it would
-/// on real hardware — but never undefined behaviour in the host process.
-/// Atomic read-modify-writes additionally serialize under `atomic_lock`,
-/// making them linearizable across all CTA workers.
+/// The store is reached through aligned relaxed `AtomicU32` loads, stores
+/// and updates only (plain moves on x86 and ARM), so a guest kernel with a
+/// cross-CTA data race produces unspecified *values* — as it would on real
+/// hardware — but never undefined behaviour in the host process, and since
+/// no other access size exists there is no mixed-size race either. A 4-byte
+/// access that is not 4-aligned is composed from the two words that hold
+/// it. Atomic read-modify-writes additionally serialize under
+/// `atomic_lock`, making them linearizable across all CTA workers.
 pub(crate) struct SharedMem {
-    data: *mut u8,
+    words: *mut u32,
+    /// Capacity in bytes: the requested one, not the rounded-up words.
     len: u64,
     atomic_lock: std::sync::Mutex<()>,
 }
 
 // SAFETY: the view only exists inside `Device::launch`, which holds
-// `&mut Memory` for its whole lifetime, so no host-side access can alias
-// it. Cross-thread access from CTA workers is the intended use; all of it
-// goes through the `AtomicU8` accessor below, so concurrent guest accesses
-// are data-race-free at the host level.
+// `&mut Memory` for its whole lifetime, so the pointer stays valid and no
+// host-side access can alias it; moving the view to another thread moves
+// a pointer, a length and a `Mutex<()>`.
 unsafe impl Send for SharedMem {}
+// SAFETY: sharing is the intended use. CTA workers reach the store only
+// through `word` below — an `AtomicU32` per aligned word — so concurrent
+// guest accesses are data-race-free at the host level; `len` is read-only
+// and `atomic_lock` is `Sync` itself.
 unsafe impl Sync for SharedMem {}
 
 impl SharedMem {
-    fn check(&self, addr: u64, len: u64) -> Result<()> {
-        let end = addr.checked_add(len).ok_or(GpuError::BadAddress { addr, len })?;
-        if addr == 0 || end > self.len {
-            return Err(GpuError::BadAddress { addr, len });
-        }
-        Ok(())
+    /// The aligned word holding bytes `4 * i..4 * i + 4`, as an atomic.
+    fn word(&self, i: usize) -> &AtomicU32 {
+        // SAFETY: callers bounds-check against `len`, and the store holds
+        // `len.div_ceil(4)` words; it is a `Vec<u32>`, so every word is
+        // 4-aligned, and `AtomicU32` has the size and alignment of `u32`.
+        // Every access to the store during a launch goes through here.
+        unsafe { &*self.words.add(i).cast::<AtomicU32>() }
     }
 
-    /// The byte at offset `i`, viewed as an atomic.
-    fn byte(&self, i: usize) -> &AtomicU8 {
-        // SAFETY: callers bounds-check `i`; `AtomicU8` has the same size
-        // and alignment as `u8`, and every cross-thread access to the
-        // backing store goes through this accessor.
-        unsafe { &*self.data.add(i).cast::<AtomicU8>() }
+    /// The little-endian 32-bit value at `addr`: one load when `addr` is
+    /// 4-aligned, else the two words that hold it and a shift.
+    pub fn load(&self, addr: u64) -> Result<u32> {
+        check(addr, 4, self.len)?;
+        let (i, sh) = (addr as usize / 4, 8 * (addr % 4) as u32);
+        let low = self.word(i).load(Relaxed);
+        Ok(if sh == 0 { low } else { low >> sh | self.word(i + 1).load(Relaxed) << (32 - sh) })
     }
 
-    /// Copies bytes at a device address into `out`.
-    pub fn read_into(&self, addr: u64, out: &mut [u8]) -> Result<()> {
-        self.check(addr, out.len() as u64)?;
-        for (k, b) in out.iter_mut().enumerate() {
-            *b = self.byte(addr as usize + k).load(Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Reads a little-endian scalar of `len` (≤ 8) bytes.
-    pub fn read_scalar(&self, addr: u64, len: usize) -> Result<u64> {
-        self.check(addr, len as u64)?;
-        let mut v = 0u64;
-        for k in 0..len {
-            v |= (self.byte(addr as usize + k).load(Ordering::Relaxed) as u64) << (8 * k);
-        }
-        Ok(v)
-    }
-
-    /// Writes a little-endian scalar of `len` (≤ 8) bytes.
-    pub fn write_scalar(&self, addr: u64, len: usize, v: u64) -> Result<()> {
-        self.check(addr, len as u64)?;
-        for k in 0..len {
-            self.byte(addr as usize + k).store((v >> (8 * k)) as u8, Ordering::Relaxed);
+    /// Stores a little-endian 32-bit value at `addr`. A misaligned store is
+    /// one atomic update per word it straddles, so the neighbouring bytes
+    /// of those words keep whatever another worker stores to them meanwhile.
+    pub fn store(&self, addr: u64, v: u32) -> Result<()> {
+        check(addr, 4, self.len)?;
+        let (i, sh) = (addr as usize / 4, 8 * (addr % 4) as u32);
+        if sh == 0 {
+            self.word(i).store(v, Relaxed);
+        } else {
+            let high = u32::MAX << sh;
+            let merge = |word: &AtomicU32, keep: u32, bits: u32| {
+                let _ = word.fetch_update(Relaxed, Relaxed, |w| Some(w & keep | bits));
+            };
+            merge(self.word(i), !high, v << sh);
+            merge(self.word(i + 1), high, v >> (32 - sh));
         }
         Ok(())
     }
@@ -250,14 +259,21 @@ pub(crate) struct Atomics<'m> {
 }
 
 impl Atomics<'_> {
-    /// Applies `f` to the scalar at `addr`, returning the old value. The
+    /// Applies `f` to the 32-bit (`wide`: 64-bit, as two words) scalar at
+    /// `addr`, returning the old value. The
     /// *order* of atomics is still the CTA schedule's: only commutative
     /// operations whose old value is discarded yield schedule-independent
     /// memory (EXCH/CAS, and any atomic whose returned old value the kernel
     /// stores, observe CTA completion order — see [`crate::Scheduler`]).
-    pub fn rmw(&self, addr: u64, len: usize, f: impl FnOnce(u64) -> u64) -> Result<u64> {
-        let old = self.mem.read_scalar(addr, len)?;
-        self.mem.write_scalar(addr, len, f(old))?;
+    pub fn rmw(&self, addr: u64, wide: bool, f: impl FnOnce(u64) -> u64) -> Result<u64> {
+        let high = addr.wrapping_add(4);
+        let old = self.mem.load(addr)? as u64
+            | if wide { (self.mem.load(high)? as u64) << 32 } else { 0 };
+        let new = f(old);
+        self.mem.store(addr, new as u32)?;
+        if wide {
+            self.mem.store(high, (new >> 32) as u32)?;
+        }
         Ok(old)
     }
 }
@@ -322,6 +338,97 @@ mod tests {
         assert!(m.write(1 << 30, &[0]).is_err());
         assert!(matches!(m.alloc(1 << 30), Err(GpuError::OutOfMemory { .. })));
         assert!(m.free(12345).is_err());
+    }
+
+    /// Host bytes in, guest words out and back, at every alignment of
+    /// address and length.
+    #[test]
+    fn host_bytes_and_guest_words_agree_at_every_alignment() {
+        let mut m = Memory::new(4096);
+        for (addr, len) in [(256, 16), (257, 16), (258, 3), (259, 9), (261, 1), (262, 0)] {
+            m.write(256, &[0xee; 32]).unwrap();
+            let bytes: Vec<u8> = (1..=len as u8).collect();
+            m.write(addr, &bytes).unwrap();
+            let mut all = [0u8; 32];
+            m.read(256, &mut all).unwrap();
+            let off = addr as usize - 256;
+            assert_eq!(all[off..off + len], bytes[..], "({addr}, {len})");
+            assert!(
+                all[..off].iter().chain(&all[off + len..]).all(|b| *b == 0xee),
+                "({addr}, {len})"
+            );
+            let mut back = vec![0u8; len];
+            m.read(addr, &mut back).unwrap();
+            assert_eq!(back, bytes, "({addr}, {len})");
+            let view = m.shared_view();
+            for k in 0..len.saturating_sub(3) {
+                let want = u32::from_le_bytes(bytes[k..k + 4].try_into().unwrap());
+                assert_eq!(view.load(addr + k as u64).unwrap(), want, "({addr}, {len}) + {k}");
+            }
+        }
+    }
+
+    /// A misaligned access composed from the last two words of memory is
+    /// whole; one byte further it is refused, not read past the store —
+    /// also when the capacity is not a whole number of words.
+    #[test]
+    fn misaligned_words_at_the_end_of_memory() {
+        for cap in [4096u64, 4094, 4093] {
+            let mut m = Memory::new(cap);
+            assert_eq!(m.capacity(), cap);
+            let last = cap - 4;
+            let bytes: Vec<u8> = (1..=8).collect();
+            m.write(cap - 8, &bytes).unwrap();
+            let view = m.shared_view();
+            for a in last - 3..=last {
+                let k = (a - (cap - 8)) as usize;
+                let want = u32::from_le_bytes(bytes[k..k + 4].try_into().unwrap());
+                assert_eq!(view.load(a).unwrap(), want, "cap {cap}, load at {a}");
+            }
+            view.store(last, 0xa1b2_c3d4).unwrap();
+            assert_eq!(view.load(last).unwrap(), 0xa1b2_c3d4, "cap {cap}");
+            assert_eq!(view.load(last - 4).unwrap(), 0x0403_0201, "cap {cap}: neighbours kept");
+            for a in [last + 1, last + 3, cap, u64::MAX - 2, 0] {
+                let bad = GpuError::BadAddress { addr: a, len: 4 };
+                assert_eq!(view.load(a), Err(bad.clone()), "cap {cap}");
+                assert_eq!(view.store(a, 7), Err(bad), "cap {cap}");
+            }
+            assert_eq!(m.read_scalar(last, 4).unwrap(), 0xa1b2_c3d4, "cap {cap}");
+            assert!(m.read_scalar(last + 1, 4).is_err(), "cap {cap}");
+        }
+    }
+
+    /// A misaligned store rewrites exactly its own four bytes.
+    #[test]
+    fn a_misaligned_store_keeps_the_other_bytes_of_both_words() {
+        for off in 1..4u64 {
+            let mut m = Memory::new(4096);
+            m.write(256, &[0xee; 12]).unwrap();
+            m.shared_view().store(256 + off, 0x4433_2211).unwrap();
+            let mut got = [0u8; 12];
+            m.read(256, &mut got).unwrap();
+            let mut want = [0xee; 12];
+            want[off as usize..off as usize + 4].copy_from_slice(&[0x11, 0x22, 0x33, 0x44]);
+            assert_eq!(got, want, "offset {off}");
+        }
+    }
+
+    /// A 64-bit atomic is two word operations under the lock: it works at
+    /// any alignment, and faults before storing anything if either word is
+    /// out of range.
+    #[test]
+    fn wide_atomics_at_any_alignment() {
+        let mut m = Memory::new(4096);
+        for addr in [256u64, 260, 261, 263] {
+            m.write_scalar(addr, 8, 0x7_ffff_ffff).unwrap();
+            let old = m.shared_view().atomics().rmw(addr, true, |v| v + 1);
+            assert_eq!(old, Ok(0x7_ffff_ffff), "at {addr}");
+            assert_eq!(m.read_scalar(addr, 8).unwrap(), 0x8_0000_0000, "at {addr}: carried");
+        }
+        m.write_scalar(4088, 8, 5).unwrap();
+        assert!(m.shared_view().atomics().rmw(4092, true, |v| v + 1).is_err());
+        assert_eq!(m.read_scalar(4088, 8).unwrap(), 5, "a refused atomic stores nothing");
+        assert_eq!(m.shared_view().atomics().rmw(4092, false, |v| v + 1), Ok(0));
     }
 
     #[test]

@@ -554,7 +554,8 @@ fn prop_random_programs_agree() {
 // the two but the input, so the kernels below are run in shapes that select
 // each: block sizes with a partial (or only a partial) last warp, a
 // data-dependent guard that disables a strict subset of lanes, per-lane
-// different addresses, and addresses that straddle two interleaved words.
+// different addresses, and addresses that straddle two interleaved words
+// (local memory) or two aligned words (global memory).
 
 /// Runs `kernel` over random input (`words` per thread) in two CTAs of one
 /// lane, a partial warp, a full warp plus one lane, and full warps only.
@@ -702,6 +703,49 @@ const ROW_LOCAL: &str = r#"
 #[test]
 fn local_memory_rows_match_per_lane_and_unaligned_accesses() {
     check_row_shapes(ROW_LOCAL, "rowlocal", 8);
+}
+
+/// Global memory one word at a time: 4-byte loads and stores at byte offsets
+/// +1, +2, +3 and +5 from a 4-aligned address — each composed from the two
+/// aligned words that hold it — over all lanes and under a data-dependent
+/// guard and its complement, read back across the stores.
+const ROW_GLOBAL: &str = r#"
+.entry rowglobal(.param .u64 buf)
+{
+    .reg .u32 %r<12>;
+    .reg .u64 %rd<4>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %tid.x;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mul.wide.u32 %rd2, %r1, 32;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r4, [%rd3];
+    and.b32 %r5, %r4, 6;
+    setp.ne.u32 %p1, %r5, 0;
+    ld.global.u32 %r6, [%rd3+1];
+    ld.global.u32 %r7, [%rd3+2];
+    mov.u32 %r8, 7;
+    @%p1 ld.global.u32 %r8, [%rd3+3];
+    mov.u32 %r9, 9;
+    @!%p1 ld.global.u32 %r9, [%rd3+5];
+    st.global.u32 [%rd3+9], %r6;
+    @%p1 st.global.u32 [%rd3+14], %r7;
+    @!%p1 st.global.u32 [%rd3+19], %r8;
+    st.global.u32 [%rd3+25], %r9;
+    ld.global.u32 %r10, [%rd3+11];
+    ld.global.u32 %r11, [%rd3+17];
+    xor.b32 %r10, %r10, %r11;
+    st.global.u32 [%rd3+4], %r10;
+    exit;
+}
+"#;
+
+#[test]
+fn global_memory_words_match_at_every_byte_offset_under_guards() {
+    check_row_shapes(ROW_GLOBAL, "rowglobal", 8);
 }
 
 /// Shared memory at per-lane different offsets (a reversal across the whole
