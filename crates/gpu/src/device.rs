@@ -1,6 +1,6 @@
 //! The device: memory, decoded code pages and launch orchestration.
 
-use crate::executor::{CodeCache, ExecEnv, LaunchState};
+use crate::executor::{CodeCache, ExecEnv, LaunchState, WARP};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
 use crate::stats::{CtaStats, ExecStats};
@@ -466,6 +466,7 @@ fn run_cta(
         launch_id,
         steps: 0,
         chan,
+        addrs: [0; WARP],
     };
     state.enter(cta_coords, cta_linear, cfg.entry_pc);
     let LaunchState { warps, cta } = state;
@@ -1138,6 +1139,30 @@ EXIT ;";
         assert_eq!(out[1..5], last, "CTA 0's last store");
         assert_eq!(out[5..9], last, "CTA 1's last store");
         assert_eq!(out[16..24], [0; 8], "stores read back disturbed");
+    }
+
+    /// A line size that is not a power of two takes the division, and counts
+    /// exactly the lines division says.
+    #[test]
+    fn a_non_power_of_two_cache_line_counts_lines_by_division() {
+        let spec = DeviceSpec { cache_line: 96, ..DeviceSpec::test(Arch::Volta) };
+        let mut dev = Device::new(spec);
+        let pc = load(
+            &mut dev,
+            "S2R R4, SR_TID.X ;\n\
+             IMUL R10, R4, 0x14 ;\n\
+             MOV R11, RZ ;\n\
+             LDC.64 R6, c[0x0][0x160] ;\n\
+             IADD.U64 R6, R6, R10 ;\n\
+             LDG R8, [R6+0x8] ;\n\
+             EXIT ;",
+        );
+        let buf = dev.alloc(1024).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        let lines: std::collections::BTreeSet<u64> =
+            (0..32).map(|t| (buf + 8 + 20 * t) / 96).collect();
+        assert_eq!(dev.launch(&cfg).unwrap().mem.global_lines, lines.len() as u64);
     }
 
     #[test]

@@ -274,9 +274,10 @@ impl Warp {
         }
     }
 
-    /// [`Warp::pair`] of every lane.
+    /// [`Warp::pair`] of every lane: a straight loop over the two rows.
     fn pairs(&self, r: Reg) -> [u64; WARP] {
-        std::array::from_fn(|lane| self.pair(lane, r))
+        let (low, high) = (&self.regs[r.index()], &self.regs[(r.index() + 1).min(255)]);
+        std::array::from_fn(|l| low[l] as u64 | (high[l] as u64) << 32)
     }
 
     fn doubles(&self, r: Reg) -> [f64; WARP] {
@@ -432,6 +433,10 @@ pub(crate) struct ExecEnv<'d> {
     pub steps: u64,
     /// Producer half of the launch's tool record channel, when attached.
     pub chan: Option<&'d common::channel::ChannelDev>,
+    /// The address each lane of the current `LDG`/`STG`/`ATOM`/`RED` forms,
+    /// offset included: built once per warp instruction by `account_cost`,
+    /// read by its line count and by the access itself.
+    pub addrs: [u64; WARP],
 }
 
 impl<'d> ExecEnv<'d> {
@@ -521,10 +526,20 @@ impl<'d> ExecEnv<'d> {
     fn account_cost(&mut self, warp: &Warp, instr: &Instruction, cat: OpCategory, exec: u32) {
         let cost = &self.spec.cost;
         let mut cycles = cost.issue + cost.category[cat as usize];
+        if exec != 0 && matches!(cat, OpCategory::MemGlobal | OpCategory::Atomic) {
+            let mref = instr.operands.iter().find_map(|o| match o {
+                Operand::MRef { base, offset } => Some((*base, *offset as i64 as u64)),
+                _ => None,
+            });
+            // (An access without a reference faults in `execute`.)
+            if let Some((base, offset)) = mref {
+                self.addrs = warp.pairs(base).map(|a| a.wrapping_add(offset));
+            }
+        }
         let sum = &mut self.stats.sum;
         match cat {
             OpCategory::MemGlobal if exec != 0 => {
-                let lines = global_lines(warp, instr, exec, self.spec.cache_line as u64);
+                let lines = global_lines(&self.addrs, exec, self.spec.cache_line as u64);
                 sum.mem.global_lines += lines;
                 cycles += cost.global_per_line * lines.saturating_sub(1);
                 if instr.op.is_load() {
@@ -1162,10 +1177,11 @@ impl<'d> ExecEnv<'d> {
         for lane in lanes(exec) {
             // Global addresses are 64-bit; shared and local addresses 32-bit.
             let addr = match space {
-                MemSpace::Shared | MemSpace::Local => warp.reg(lane, *base) as u64,
-                _ => warp.pair(lane, *base),
-            }
-            .wrapping_add(offset);
+                MemSpace::Shared | MemSpace::Local => {
+                    (warp.reg(lane, *base) as u64).wrapping_add(offset)
+                }
+                _ => self.addrs[lane],
+            };
             for k in 0..nregs {
                 let a = addr.wrapping_add(4 * k as u64);
                 let r = Reg(base_plus(rv, k));
@@ -1215,9 +1231,9 @@ impl<'d> ExecEnv<'d> {
         } else {
             (None, &instr.operands[0], &instr.operands[1], &instr.operands[1])
         };
-        let Operand::MRef { base, offset } = mref else {
+        if !matches!(mref, Operand::MRef { .. }) {
             return Err(self.fault(pc, "atomic without address"));
-        };
+        }
         let wide = instr.mods.itype == IType::U64;
         // `(old, operand, CAS swap value) -> new`, of which the low 4 (wide:
         // 8) bytes are stored: chosen, and so validated, once for the warp.
@@ -1241,7 +1257,7 @@ impl<'d> ExecEnv<'d> {
         // lanes, applied in ascending order, is a legal linearisation.
         let atomics = self.mem.atomics();
         for lane in lanes(exec) {
-            let addr = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64);
+            let addr = self.addrs[lane];
             let sv = if wide {
                 match src {
                     Operand::Reg(r) => warp.pair(lane, *r),
@@ -1273,20 +1289,20 @@ impl<'d> ExecEnv<'d> {
     }
 }
 
-/// Number of distinct cache lines a warp-level global access touches.
-fn global_lines(warp: &Warp, instr: &Instruction, exec: u32, line: u64) -> u64 {
-    let Some(Operand::MRef { base, offset }) =
-        instr.operands.iter().find(|o| matches!(o, Operand::MRef { .. }))
-    else {
-        return 1;
-    };
-    let (mut lines, mut n) = ([0u64; WARP], 0);
+/// Number of distinct cache lines the lanes of `exec` touch at `addrs`. The
+/// line of an address is a shift when the line size is a power of two, and a
+/// lane on the line of the active lane before it — every lane but the first
+/// of a coalesced access — needs no search.
+fn global_lines(addrs: &[u64; WARP], exec: u32, line: u64) -> u64 {
+    let shift = line.is_power_of_two().then(|| line.trailing_zeros());
+    let (mut lines, mut n, mut prev) = ([0u64; WARP], 0, None);
     for lane in lanes(exec) {
-        let l = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64) / line;
-        if !lines[..n].contains(&l) {
+        let l = shift.map_or_else(|| addrs[lane] / line, |s| addrs[lane] >> s);
+        if prev != Some(l) && !lines[..n].contains(&l) {
             lines[n] = l;
             n += 1;
         }
+        prev = Some(l);
     }
     n.max(1) as u64
 }
@@ -1498,6 +1514,36 @@ EXIT ;";
             .collect();
         let got = run_on_buffer(text, 6, &init);
         assert_eq!(got, [0x7777_7777, 0x55, 0x66, 0x7777_7777, 0x10, 0x1]);
+    }
+
+    /// `global_lines` against sorting and deduplicating the lines, over
+    /// random masks, line sizes (powers of two and not) and address shapes.
+    #[test]
+    fn global_lines_agrees_with_a_sort_and_dedup_reference() {
+        use super::{global_lines, WARP};
+        let mut rng = common::Rng::seed_from_u64(0x11e5);
+        for case in 0..1000 {
+            let base = rng.next_u64() >> 20;
+            let stride = rng.gen_range(1u64..600);
+            let addrs: [u64; WARP] = match case % 5 {
+                0 => std::array::from_fn(|l| base + 4 * l as u64),
+                1 => std::array::from_fn(|l| base + stride * l as u64),
+                2 => std::array::from_fn(|_| base + rng.gen_range(0u64..4096)),
+                3 => [base; WARP],
+                _ => std::array::from_fn(|l| base + stride * (WARP - l) as u64),
+            };
+            let exec = match case % 7 {
+                0 => u32::MAX,
+                1 => 1 << rng.gen_range(0u32..32),
+                _ => rng.next_u32() | 1 << rng.gen_range(0u32..32),
+            };
+            let line = *rng.choose(&[128u64, 32, 96, 1, 100, 256]);
+            let mut want: Vec<u64> =
+                (0..WARP).filter(|l| exec >> l & 1 != 0).map(|l| addrs[l] / line).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(global_lines(&addrs, exec, line), want.len() as u64, "case {case}");
+        }
     }
 
     #[test]

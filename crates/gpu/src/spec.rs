@@ -183,16 +183,21 @@ impl DeviceSpec {
                 u32::try_from(v).map_err(|_| bad(format!("device spec: `{key}` out of range")))
             })
         };
+        // Both are divisors in the executor (`SR_SMID`, the line count).
+        let positive = |key: &str| match u32_of(key)? {
+            0 => Err(bad(format!("device spec: `{key}` must not be zero"))),
+            v => Ok(v),
+        };
         let cost =
             CostModel::from_json(v.get("cost").ok_or_else(|| bad("device spec: missing `cost`"))?)?;
         Ok(DeviceSpec {
             arch,
             name,
-            num_sms: u32_of("num_sms")?,
+            num_sms: positive("num_sms")?,
             global_mem: int("global_mem")?,
             shared_per_cta: u32_of("shared_per_cta")?,
             default_local: u32_of("default_local")?,
-            cache_line: u32_of("cache_line")?,
+            cache_line: positive("cache_line")?,
             cost,
         })
     }
@@ -240,6 +245,25 @@ mod tests {
             let back = DeviceSpec::parse_json(&text).unwrap();
             assert_eq!(back, spec, "arch {arch}");
         }
+    }
+
+    /// The shipped spec with `key` set to zero.
+    fn zeroed(key: &str) -> Result<DeviceSpec, JsonError> {
+        let mut v = DeviceSpec::preset(Arch::Volta).to_json();
+        if let Json::Obj(pairs) = &mut v {
+            pairs.iter_mut().filter(|(k, _)| k == key).for_each(|(_, x)| *x = Json::Num(0.0));
+        }
+        DeviceSpec::from_json(&v)
+    }
+
+    #[test]
+    fn spec_json_rejects_a_zero_cache_line() {
+        assert!(zeroed("cache_line").unwrap_err().msg.contains("`cache_line`"));
+    }
+
+    #[test]
+    fn spec_json_rejects_zero_sms() {
+        assert!(zeroed("num_sms").unwrap_err().msg.contains("`num_sms`"));
     }
 
     #[test]
