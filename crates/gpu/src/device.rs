@@ -469,7 +469,7 @@ fn run_cta(
         addrs: [0; WARP],
     };
     state.enter(cta_coords, cta_linear, cfg.entry_pc);
-    let LaunchState { warps, cta } = state;
+    let LaunchState { warps, cta, pages } = state;
 
     let result = loop {
         let mut progressed = false;
@@ -479,7 +479,7 @@ fn run_cta(
                 continue;
             }
             progressed = true;
-            if let Err(e) = env.run_warp(w, cta) {
+            if let Err(e) = env.run_warp(w, cta, pages) {
                 fault = Some(e);
                 break;
             }

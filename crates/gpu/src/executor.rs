@@ -127,6 +127,17 @@ impl CodeCache {
     }
 }
 
+/// The code pages one worker has already fetched in this launch,
+/// direct-mapped by page number. An entry is valid by construction — the
+/// table is born after [`CodeCache::launch`] is set and dropped with the
+/// launch, and a page validated in a launch is never replaced in it — so a
+/// hit is a compare with no lock, hash or refcount, and nothing ever has to
+/// invalidate the table. Only a miss goes to [`CodeCache::page`]. (128
+/// entries: 32 already leave the coalesced benchmark workloads with first
+/// touches only; `sample_swap`'s per-instruction trampolines miss on 6 % of
+/// page switches at 64 and on 1 % here.)
+pub(crate) type PageTable = [Option<(u64, Arc<CodePage>)>; 128];
+
 /// One 32-bit value per lane: a register, or one word of local memory.
 pub(crate) type Row = [u32; WARP];
 
@@ -353,6 +364,7 @@ pub(crate) struct CtaCtx {
 pub(crate) struct LaunchState {
     pub warps: Vec<Warp>,
     pub cta: CtaCtx,
+    pub pages: PageTable,
 }
 
 impl LaunchState {
@@ -371,6 +383,7 @@ impl LaunchState {
                 local_size: local_size as usize,
             },
             warps,
+            pages: std::array::from_fn(|_| None),
         }
     }
 
@@ -458,15 +471,21 @@ impl<'d> ExecEnv<'d> {
     ///
     /// The current code page stays in a local, so a step whose pc stays in
     /// the page fetches with an index and a borrow; one that leaves it looks
-    /// the new page up once.
-    pub fn run_warp(&mut self, warp: &mut Warp, cta: &mut CtaCtx) -> Result<()> {
+    /// the new page up in `pages`, and in the shared cache only if this
+    /// worker has not fetched it in this launch yet.
+    pub fn run_warp(
+        &mut self,
+        warp: &mut Warp,
+        cta: &mut CtaCtx,
+        pages: &mut PageTable,
+    ) -> Result<()> {
         // 8 or 16 bytes: a power of two, so alignment and the slot index
         // are a mask and a shift, not divisions by a runtime value.
         let isize = self.spec.arch.instruction_size();
         debug_assert!(isize.is_power_of_two());
         let slot_shift = isize.trailing_zeros();
         let codec = sass::codec::codec_for(self.spec.arch);
-        let mut cur: Option<(u64, Arc<CodePage>)> = None;
+        let mut cur: Option<(u64, &CodePage)> = None;
         loop {
             // Drop empty entries.
             while matches!(warp.entries.last(), Some(e) if e.mask == 0) {
@@ -487,11 +506,15 @@ impl<'d> ExecEnv<'d> {
             if pc & (isize as u64 - 1) != 0 {
                 return Err(self.fault(pc, "misaligned instruction fetch"));
             }
-            if !matches!(&cur, Some((base, _)) if pc.wrapping_sub(*base) < PAGE) {
+            if !matches!(cur, Some((base, _)) if pc.wrapping_sub(base) < PAGE) {
                 let base = pc & !(PAGE - 1);
-                cur = Some((base, self.code.page(self.mem, base, isize)));
+                let entry = &mut pages[(base / PAGE) as usize % pages.len()];
+                if !matches!(entry, Some((b, _)) if *b == base) {
+                    *entry = Some((base, self.code.page(self.mem, base, isize)));
+                }
+                cur = entry.as_ref().map(|(b, p)| (*b, &**p));
             }
-            let (base, page) = cur.as_ref().expect("set above");
+            let (base, page) = cur.expect("set above");
             let at = (pc - base) as usize;
             // A miss is counted by the one step that fills the slot (a step
             // that loses the race counts a hit), which keeps the launch's
