@@ -183,9 +183,25 @@ impl ChannelDev {
     /// Pushes one record. Blocks or drops on overflow per the channel's
     /// [`Backpressure`] policy.
     pub fn push(&self, tag: u64, payload: u64) -> PushOutcome {
+        match self.push_row(tag, &[payload]) {
+            1 => PushOutcome::Delivered,
+            _ => PushOutcome::Dropped,
+        }
+    }
+
+    /// Pushes `payloads` as consecutive records of stream `tag` — a warp's
+    /// worth at once — and returns how many were delivered. Each round
+    /// claims as many slots as the active buffer still has with one CAS,
+    /// writes them and commits them with one `fetch_add`; a row that
+    /// straddles two buffers keeps its order, since buffers drain in epoch
+    /// order. On overflow [`Backpressure::Block`] parks as for one record;
+    /// [`Backpressure::DropCount`] (and a shutdown) drops what is left of
+    /// the row together, so the dropped records are always a suffix of it.
+    pub fn push_row(&self, tag: u64, payloads: &[u64]) -> usize {
         let x = &*self.inner;
-        x.demanded.fetch_add(1, Relaxed);
-        loop {
+        x.demanded.fetch_add(payloads.len() as u64, Relaxed);
+        let mut rest = payloads;
+        while !rest.is_empty() {
             let epoch = x.active.load(Acquire);
             let buf = &x.bufs[(epoch & 1) as usize];
             let packed = buf.packed.load(Acquire);
@@ -197,18 +213,22 @@ impl ChannelDev {
             }
             let claimed = packed & CLAIM_MASK;
             if claimed < x.cap {
-                if buf.packed.compare_exchange_weak(packed, packed + 1, AcqRel, Relaxed).is_err() {
+                let n = (rest.len() as u64).min(x.cap - claimed);
+                if buf.packed.compare_exchange_weak(packed, packed + n, AcqRel, Relaxed).is_err() {
                     continue;
                 }
-                let s = claimed as usize * 2;
-                buf.slots[s].store(tag, Relaxed);
-                buf.slots[s + 1].store(payload, Relaxed);
-                if buf.committed.fetch_add(1, AcqRel) + 1 == x.cap {
+                let (row, later) = rest.split_at(n as usize);
+                for (slot, payload) in buf.slots[claimed as usize * 2..].chunks_exact(2).zip(row) {
+                    slot[0].store(tag, Relaxed);
+                    slot[1].store(*payload, Relaxed);
+                }
+                if buf.committed.fetch_add(n, AcqRel) + n == x.cap {
                     buf.state.store(FULL, Release);
                     drop(x.door.lock().unwrap());
                     x.host_cv.notify_all();
                 }
-                return PushOutcome::Delivered;
+                rest = later;
+                continue;
             }
             // Overflow: every slot of the active buffer is claimed.
             let other = &x.bufs[(epoch.wrapping_add(1) & 1) as usize];
@@ -221,29 +241,24 @@ impl ChannelDev {
                 }
                 continue;
             }
-            match x.policy {
-                Backpressure::DropCount => {
-                    x.dropped.fetch_add(1, Relaxed);
-                    obs::counter("chan.drop", 1);
-                    return PushOutcome::Dropped;
+            if x.policy == Backpressure::Block {
+                obs::counter("chan.doorbell_stall", 1);
+                let mut door = x.door.lock().unwrap();
+                while other.state.load(Acquire) != DRAINED
+                    && x.active.load(Acquire) == epoch
+                    && !door.shutdown
+                {
+                    door = x.prod_cv.wait(door).unwrap();
                 }
-                Backpressure::Block => {
-                    obs::counter("chan.doorbell_stall", 1);
-                    let mut door = x.door.lock().unwrap();
-                    while other.state.load(Acquire) != DRAINED
-                        && x.active.load(Acquire) == epoch
-                        && !door.shutdown
-                    {
-                        door = x.prod_cv.wait(door).unwrap();
-                    }
-                    if door.shutdown {
-                        x.dropped.fetch_add(1, Relaxed);
-                        obs::counter("chan.drop", 1);
-                        return PushOutcome::Dropped;
-                    }
+                if !door.shutdown {
+                    continue;
                 }
             }
+            x.dropped.fetch_add(rest.len() as u64, Relaxed);
+            obs::counter("chan.drop", rest.len() as u64);
+            break;
         }
+        payloads.len() - rest.len()
     }
 
     /// Quiesce barrier: hands every record pushed *before* this call to
@@ -627,6 +642,105 @@ mod tests {
         }
         assert_eq!(host.delivered(), threads * per);
         host.shutdown();
+    }
+
+    /// Rows under `Block` against an 8-record buffer: rows of 8 fill a
+    /// buffer exactly with one claim, rows of 5 straddle the flip every
+    /// other push, and a row of 20 overflows both buffers and parks until
+    /// the host hands one back. Nothing is lost and the stream keeps push
+    /// order, across every straddle.
+    #[test]
+    fn rows_that_fill_straddle_and_overflow_the_buffers_keep_their_order() {
+        for row_len in [8usize, 5, 20] {
+            let (host, dev, store) = collecting(8, Backpressure::Block);
+            let rows: Vec<Vec<u64>> =
+                (0..12).map(|r| (0..row_len as u64).map(|i| 100 * r + i).collect()).collect();
+            for row in &rows {
+                assert_eq!(dev.push_row(3, row), row_len, "rows of {row_len}");
+            }
+            dev.flush();
+            let got: Vec<u64> = store.lock().unwrap().iter().map(|r| r.payload).collect();
+            assert_eq!(got, rows.concat(), "rows of {row_len}");
+            assert!(store.lock().unwrap().iter().all(|r| r.tag == 3));
+            assert_eq!((host.demanded(), host.dropped()), (12 * row_len as u64, 0));
+            assert_eq!(host.delivered(), host.demanded());
+            host.shutdown();
+        }
+    }
+
+    /// Rows under `DropCount` with the drain frozen (as in
+    /// `dropcount_reports_exact_drops_with_a_stuck_consumer`, eight more
+    /// records fit): a row of 5 straddles into the last free buffer, the
+    /// next delivers the 3 that fit and drops its last 2 together, the
+    /// third finds both buffers busy and drops whole. What is dropped is
+    /// always a suffix of its row.
+    #[test]
+    fn dropcount_drops_the_rest_of_a_row_together() {
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = Mutex::new(gate_rx);
+        let store = Arc::new(Mutex::new(Vec::new()));
+        let sink = store.clone();
+        let mut first = true;
+        let (host, dev) = ChannelHost::spawn(
+            4,
+            Backpressure::DropCount,
+            Box::new(move |batch| {
+                if first {
+                    first = false;
+                    gate_rx.lock().unwrap().recv().unwrap();
+                }
+                sink.lock().unwrap().extend_from_slice(batch);
+            }),
+        );
+        assert_eq!(dev.push_row(1, &[0, 1, 2, 3]), 4, "exactly fills the first buffer");
+        while dev.delivered() < 4 {
+            std::thread::yield_now();
+        }
+        assert_eq!(dev.push_row(1, &[10, 11, 12, 13, 14]), 5);
+        assert_eq!(dev.push_row(1, &[20, 21, 22, 23, 24]), 3);
+        assert_eq!(dev.push_row(1, &[30, 31, 32, 33, 34]), 0);
+        assert_eq!(dev.push(1, 40), PushOutcome::Dropped);
+        assert_eq!(dev.dropped(), 2 + 5 + 1);
+        gate_tx.send(()).unwrap();
+        dev.flush();
+        assert_eq!(dev.demanded(), 20);
+        assert_eq!(dev.delivered() + dev.dropped(), dev.demanded());
+        let got: Vec<u64> = store.lock().unwrap().iter().map(|r| r.payload).collect();
+        assert_eq!(got, [0, 1, 2, 3, 10, 11, 12, 13, 14, 20, 21, 22]);
+        host.shutdown();
+    }
+
+    /// Concurrent rows from several streams: every stream keeps its order
+    /// and `DropCount` accounting stays exact with multi-slot claims.
+    #[test]
+    fn concurrent_rows_keep_stream_order_and_exact_accounting() {
+        for policy in [Backpressure::Block, Backpressure::DropCount] {
+            let (host, dev, store) = collecting(8, policy);
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let dev = dev.clone();
+                    s.spawn(move || {
+                        for r in 0..300u64 {
+                            let row: Vec<u64> = (0..1 + (r + t) % 7).map(|i| 8 * r + i).collect();
+                            dev.push_row(t, &row);
+                        }
+                    });
+                }
+            });
+            dev.flush();
+            assert_eq!(host.delivered() + host.dropped(), host.demanded(), "{policy:?}");
+            assert_eq!(store.lock().unwrap().len() as u64, host.delivered(), "{policy:?}");
+            if policy == Backpressure::Block {
+                assert_eq!(host.dropped(), 0);
+            }
+            for t in 0..4u64 {
+                let got = store.lock().unwrap().clone();
+                let stream: Vec<u64> =
+                    got.iter().filter(|r| r.tag == t).map(|r| r.payload).collect();
+                assert!(stream.windows(2).all(|w| w[0] < w[1]), "{policy:?}: stream {t}");
+            }
+            host.shutdown();
+        }
     }
 
     #[test]

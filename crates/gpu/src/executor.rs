@@ -1090,10 +1090,13 @@ impl<'d> ExecEnv<'d> {
                 // One record per executing lane, in lane order, tagged with
                 // the CTA-linear index: per-CTA streams are push-ordered, so
                 // the drained trace is scheduler-independent after per-tag
-                // reassembly.
+                // reassembly. The warp's records go out as one row.
+                let (all, mut row, mut n) = (warp.pairs(a), [0u64; WARP], 0);
                 for lane in lanes(exec) {
-                    chan.push(cta.cta_linear, warp.pair(lane, a));
+                    row[n] = all[lane];
+                    n += 1;
                 }
+                chan.push_row(cta.cta_linear, &row[..n]);
             }
             _ => {
                 return Err(self.fault(pc, format!("unimplemented opcode {}", instr.op.mnemonic())))

@@ -69,6 +69,71 @@ fn block_streams_are_bit_identical_across_schedulers() {
     assert_eq!(serial, parallel, "canonical streams diverge across schedulers");
 }
 
+/// A partial-mask app: in warp 0 only the odd lanes load and store, and a
+/// 33-thread block adds a one-lane second warp, so every `CHAN.64` row is
+/// a strict subset of its warp.
+const ODD_LANES: &str = r#"
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<8>;
+    .reg .u64 %rd<4>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mad.lo.u32 %r4, %r2, %r3, %r1;
+    and.b32 %r5, %r1, 1;
+    shr.u32 %r6, %r1, 5;
+    or.b32 %r5, %r5, %r6;
+    setp.eq.u32 %p1, %r5, 0;
+    @%p1 bra DONE;
+    mul.wide.u32 %rd2, %r4, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r7, [%rd3];
+    st.global.u32 [%rd3], %r7;
+DONE:
+    exit;
+}
+"#;
+
+/// The warp-wide claim keeps the per-lane order: under a partial mask the
+/// canonical stream is, per CTA and per warp, the load's active lanes in
+/// ascending order and then the store's — the same under every scheduler,
+/// through a buffer (8) that the 16-record rows of warp 0 always straddle.
+#[test]
+fn partial_mask_rows_keep_the_per_lane_order_across_schedulers() {
+    let run = |sched| {
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        let (tool, results) = MemTrace::channel(Backpressure::Block, 8);
+        attach_tool(&drv, tool);
+        drv.with_device(|d| d.scheduler = sched);
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("odd", ODD_LANES)).unwrap();
+        let f = drv.module_get_function(&m, "k").unwrap();
+        let buf = drv.mem_alloc(BLOCKS as u64 * 33 * 4).unwrap();
+        let args = [KernelArg::Ptr(buf)];
+        drv.launch_kernel(&f, Dim3::linear(BLOCKS), Dim3::linear(33), &args).unwrap();
+        drv.shutdown();
+        assert_eq!(results.dropped(), 0);
+        (buf, results.addresses())
+    };
+    let (buf, serial) = run(Scheduler::Serial);
+    let mut want = Vec::new();
+    for cta in 0..BLOCKS as u64 {
+        for warp in [(1..32).step_by(2).collect::<Vec<u64>>(), vec![32]] {
+            for _load_then_store in 0..2 {
+                want.extend(warp.iter().map(|tid| buf + 4 * (33 * cta + tid)));
+            }
+        }
+    }
+    assert_eq!(serial, want, "the stream is the per-lane push order");
+    for threads in [2, 4] {
+        let (pbuf, parallel) = run(Scheduler::Parallel { threads });
+        assert_eq!((pbuf, parallel), (buf, serial.clone()), "{threads} workers");
+    }
+}
+
 /// Repeated parallel runs are stable too — the reassembly really is
 /// timing-independent, not merely lucky.
 #[test]
