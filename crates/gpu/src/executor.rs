@@ -149,9 +149,16 @@ pub(crate) struct Entry {
     pub retstack: Vec<u64>,
 }
 
-/// The lanes of `mask`, ascending.
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..WARP).filter(move |l| mask >> l & 1 != 0)
+/// The lanes of `mask`, ascending: one step per set bit, so a sparse mask
+/// (a tool body under its leader-lane guard) costs what it has lanes.
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// The lane-mask on which `f` holds.
