@@ -40,6 +40,22 @@ for crate in crates/*/; do
 done
 printf '  %-10s %6d\n' total "$total"
 
+echo "== unsafe inventory =="
+# All unsafe code lives in one file, the word accessor of guest memory, and
+# every `unsafe {` / `unsafe impl` there sits directly under a comment block
+# containing `// SAFETY:`. (Comment lines that merely say "unsafe" don't count.)
+awk '
+    FNR == 1 { block = 0; safety = 0 }
+    /^[[:space:]]*\/\// { if (!block) safety = 0; block = 1; if (/\/\/ SAFETY:/) safety = 1; next }
+    /(^|[^[:alnum:]_])unsafe([[:space:]]*\{|[[:space:]]+(impl|fn|trait|extern))/ {
+        if (FILENAME != "crates/gpu/src/mem.rs") { print FILENAME ":" FNR ": unsafe outside crates/gpu/src/mem.rs"; bad = 1 }
+        else if (!(block && safety)) { print FILENAME ":" FNR ": unsafe without a // SAFETY: comment directly above"; bad = 1 }
+        else n++
+    }
+    { block = 0 }
+    END { printf "  %d unsafe sites, all in crates/gpu/src/mem.rs\n", n; exit bad }
+' $(find crates/*/src -name '*.rs' | sort)
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -56,9 +72,10 @@ echo "== tier-1: cargo build --release && cargo test -q (every crate: default-me
 cargo build --release
 cargo test --workspace -q
 
-echo "== gpu (release): executor unit tests + executor-vs-interpreter differential, with the vectorised row paths =="
+echo "== gpu (release): executor unit tests (pooled launch-state hygiene, word-granule memory, address row) + executor-vs-interpreter differential, with the vectorised row paths =="
 # Tier-1 runs these in debug only (which is what catches arithmetic
-# overflow); the row loops are vectorised only in release.
+# overflow); the row loops are vectorised only in release, and the racing
+# misaligned-store test has the most to race with there.
 cargo test --release -q -p nvbit-gpu
 
 echo "== determinism (release): pinned ExecStats + output hashes, Serial vs Parallel =="

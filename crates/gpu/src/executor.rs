@@ -29,11 +29,14 @@
 //! an ALU operation is a straight 32-lane loop the compiler can vectorise,
 //! guards and votes are mask algebra, and an `LDL`/`STL` whose active lanes
 //! share one 4-aligned in-bounds address — every `[R1+off]` register
-//! save/restore of a trampoline — is a 128-byte row copy. Everything else
-//! (partial masks, per-lane or unaligned addresses, faults) takes the
-//! per-lane loop behind the row path — the one in `fill` for register
-//! rows, the lane loop of `load_store` for memory; there is no other
-//! fallback and no switch between the two but the input.
+//! save/restore of a trampoline — is a 128-byte row copy. A global access
+//! or atomic forms its 32 addresses once, as a row the cost model and the
+//! access both read, and `CHAN` hands its lanes' records over as one row.
+//! Everything else (partial masks, per-lane or unaligned addresses, faults)
+//! takes the per-lane loop behind the row path — the one in `fill` for
+//! register rows, the lane loop of `load_store` for memory; there is no
+//! other fallback and no switch between the two but the input. A CTA runs
+//! on its worker's `LaunchState`, re-entered rather than allocated.
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
