@@ -203,7 +203,7 @@ pub(crate) struct Warp {
     /// Flat thread index (within the CTA) of lane 0.
     pub base_tid: u32,
     /// The lanes that exist: all 32 but in a block's partial last warp.
-    lanes: u32,
+    lane_mask: u32,
     pub entries: Vec<Entry>,
     /// `regs[reg][lane]`. Row 255 (`RZ`) is never written, so it reads as
     /// zero without a branch.
@@ -228,7 +228,7 @@ impl Warp {
         let regs = vec![[0u32; WARP]; 256].into_boxed_slice();
         Warp {
             base_tid,
-            lanes: if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 },
+            lane_mask: if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 },
             entries: Vec::new(),
             regs: regs.try_into().expect("256 rows"),
             high: 0,
@@ -253,7 +253,7 @@ impl Warp {
         self.stored = (usize::MAX, 0);
         self.preds = [0, 0, 0, 0, 0, 0, 0, u32::MAX];
         self.entries.clear();
-        self.entries.push(Entry { pc: entry_pc, mask: self.lanes, retstack: Vec::new() });
+        self.entries.push(Entry { pc: entry_pc, mask: self.lane_mask, retstack: Vec::new() });
         (self.done, self.at_barrier) = (false, false);
     }
 
@@ -1340,7 +1340,7 @@ fn global_lines(addrs: &[u64; WARP], exec: u32, line: u64) -> u64 {
         }
         prev = Some(l);
     }
-    n.max(1) as u64
+    n as u64
 }
 
 fn base_plus(r: &Reg, k: usize) -> u8 {
