@@ -16,9 +16,10 @@
 //!
 //! A global `active` epoch counter selects the filling buffer
 //! (`bufs[epoch & 1]`). Each buffer carries one packed word
-//! `(seq << 32) | claimed`: a producer may claim a slot only while the
-//! buffer's `seq` equals the epoch it loaded, and the claim is a CAS on
-//! the packed word, so a claim can never land on a buffer that was
+//! `(seq << 32) | claimed`: a producer may claim slots — as many as its
+//! row needs and the buffer has left — only while the buffer's `seq`
+//! equals the epoch it loaded, and the claim is one CAS on the packed
+//! word, so a claim can never land on a buffer that was
 //! re-sequenced (handed back by the host and flipped forward) in between —
 //! the classic lost-record race of refill-in-place rings. Slot writes are
 //! Relaxed; the following `committed` increment (AcqRel) publishes them,
@@ -35,7 +36,8 @@
 //! [`Backpressure::Block`] parks an overflowing producer on the doorbell
 //! condvar until a buffer comes back — lossless, used for trace capture.
 //! [`Backpressure::DropCount`] returns [`PushOutcome::Dropped`]
-//! immediately and counts the drop, preserving the bounded-buffer
+//! immediately and counts the drop (of a row: all it has left, so a row
+//! only ever loses a suffix), preserving the bounded-buffer
 //! truncation contract with exact accounting:
 //! `delivered() + dropped() == demanded()` holds after every
 //! [`ChannelDev::flush`], independent of timing.
