@@ -105,14 +105,22 @@ cargo run --release -q -p nvbit-bench --bin inject_overhead
 echo "== module-unload regression: recycled handles never see stale caches =="
 cargo test --release -q -p nvbit-core --test module_unload
 
-echo "== jitpar: one parallel map at 1 vs 4 JIT workers (>=2x on >=4 hw threads, else SKIPPED), bit-identical, zero-regen flips =="
-cargo run --release -q -p nvbit-bench --bin jitpar
-
 echo "== channel determinism: Block bit-identical across schedulers, DropCount exact accounting =="
 cargo test --release -q -p nvbit-tools --test channel_determinism
 
 echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw
+
+echo "== no self-disabling gates =="
+# A bench bin that cannot enforce its gate on this host must fail, not
+# record `"enforced": false` and pass: a gate that switched itself off is
+# unmeasured, whatever the JSON next to it says.
+disabled=$(grep -l '"enforced": *false' results/BENCH_*.json || true)
+if [ -n "$disabled" ]; then
+    echo "results with a gate that switched itself off:" >&2
+    echo "$disabled" >&2
+    exit 1
+fi
 
 echo "== benchmark smoke: every BENCHMARK.json workload runs and passes its output checks (no timing gate) =="
 # The pipeline builds benchmark/ from this checkout, so a product change that

@@ -1016,7 +1016,7 @@ mod tests {
     use sass::Arch;
 
     /// Both halves of code generation around one `alloc` call, as
-    /// `core::build_all` sequences them.
+    /// `CoreState::build` sequences them.
     #[allow(clippy::too_many_arguments)]
     fn generate(
         hal: &Hal,

@@ -1,7 +1,7 @@
 //! The NVBit core: driver interposition, tool dispatch, state management
 //! and the user-level API handed to tools.
 //!
-//! # Single-owner core, one parallel map
+//! # Single-owner core
 //!
 //! The core runs on the application's host thread, inside driver
 //! callbacks, and `CoreState` has exactly one owner: [`NvbitCore`].
@@ -10,14 +10,17 @@
 //! methods take `&self` — and no borrow of one is ever alive while a tool
 //! callback runs or across a call back into the API.
 //!
-//! Batch instrumentation is three plain steps on that thread. One ordered
-//! parallel map (`par_map`: `std::thread::scope` workers, inline at one)
-//! runs the pure *prepare* step (lift → plan → emit) of every function;
-//! a loop then allocates each trampoline region in input order — the only
-//! step that touches the single-threaded [`Driver`]; the same map runs the
-//! pure *finish* step (rebase → assemble → verify). Workers see only
-//! borrowed, immutable inputs. The allocator sees one request sequence
-//! whatever the worker count, so the images are bit-identical at any.
+//! # What a launch builds
+//!
+//! A function's image is built by `CoreState::build`, straight through on
+//! that thread (paper §5.1): lift → plan → emit → allocate the trampoline
+//! region → assemble → verify → upload → cache. It runs at the entry of a
+//! launch for the launched function and every function reachable from it
+//! through [`cuda::FunctionInfo::related`] that carries a request, in
+//! ascending handle order, and from the API calls that need the image at
+//! once ([`NvbitApi::enable_instrumented`], and `verify_instrumented`,
+//! `save_stats`, `plan_stats`, which report on it) — never because some
+//! unrelated function is launched.
 //!
 //! # Versioned images
 //!
@@ -29,7 +32,7 @@
 //! module and frees its trampolines, so a recycled handle can never be
 //! served a stale lifted image.
 
-use crate::codegen::{prepare, InstrumentedImage, Prepared, SavePolicy, ToolFn};
+use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
@@ -40,7 +43,7 @@ use crate::verify::{self, Diagnostic, ExternalCode};
 use crate::{NvbitError, Result};
 use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A user instrumentation tool — the analog of an NVBit tool shared
@@ -77,9 +80,10 @@ pub trait NvbitTool {
 }
 
 /// Whether a function currently runs its original or instrumented version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Version {
     Original,
+    #[default]
     Instrumented,
 }
 
@@ -94,8 +98,8 @@ struct ImageKey {
 }
 
 /// Per-function code-cache entry.
+#[derive(Default)]
 struct FuncEntry {
-    func: CuFunction,
     lifted: Option<Arc<Lifted>>,
     spec: FuncSpec,
     /// Cached [`FuncSpec::content_hash`]; refreshed when `spec.dirty`.
@@ -112,18 +116,6 @@ struct FuncEntry {
 }
 
 impl FuncEntry {
-    fn new(func: CuFunction) -> FuncEntry {
-        FuncEntry {
-            func,
-            lifted: None,
-            spec: FuncSpec::default(),
-            spec_hash: None,
-            images: HashMap::new(),
-            desired: Version::Instrumented,
-            current: None,
-        }
-    }
-
     /// True if the function has a pending instrumentation request or a
     /// generated image.
     fn tracked(&self) -> bool {
@@ -140,145 +132,19 @@ impl FuncEntry {
     }
 }
 
-/// Everything a worker needs to build one instrumented image, fully owned
-/// (workers never touch [`CoreState`] or the [`Driver`]).
-struct BuildInput {
-    func: CuFunction,
-    key: ImageKey,
-    info: cuda::FunctionInfo,
-    /// Pristine function bytes (never read while an instrumented version
-    /// is installed — see the gather phase).
-    code: Vec<u8>,
-    lifted: Option<Arc<Lifted>>,
-    spec: FuncSpec,
-    code_regions: Vec<(u64, u64)>,
-}
-
-/// One built, verified and not yet installed image.
-struct Built {
-    /// The lifted view used (newly created when the input carried none).
-    lifted: Arc<Lifted>,
-    image: InstrumentedImage,
-    diags: Vec<Diagnostic>,
-}
-
 /// The hardware abstraction layer of `drv`'s device.
 fn hal_of(drv: &Driver) -> Hal {
     Hal::new(drv.arch())
 }
 
-/// `[start, end)` of the code of every function `info` may call — the
-/// per-function part of the verifier's [`ExternalCode`].
-fn code_regions(drv: &Driver, info: &cuda::FunctionInfo) -> Vec<(u64, u64)> {
-    info.related
-        .iter()
-        .filter_map(|f| drv.function_info(*f).ok())
-        .map(|ri| (ri.addr, ri.addr + ri.code_len))
-        .collect()
-}
-
-/// Maps `f` over `items` on `workers` scoped threads and returns the
-/// results in input order. Items are dealt round-robin into one stripe per
-/// worker; the first stripe runs on the calling thread, so one worker
-/// spawns nothing.
-fn par_map<T: Send, R: Send>(workers: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let workers = workers.clamp(1, n.max(1));
-    let mut stripes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        stripes[i % workers].push(item);
+/// Frees a trampoline region, counting `tramp.free_fail` when the device
+/// refuses.
+fn free_tramp(drv: &Driver, tramp_addr: u64) -> gpu::Result<()> {
+    let freed = drv.with_device(|d| d.free(tramp_addr));
+    if freed.is_err() {
+        common::obs::counter("tramp.free_fail", 1);
     }
-    let run = |stripe: Vec<T>| stripe.into_iter().map(&f).collect::<Vec<R>>();
-    let mut done: Vec<std::vec::IntoIter<R>> = std::thread::scope(|s| {
-        let mut stripes = stripes.into_iter();
-        let own = stripes.next().expect("at least one worker");
-        let spawned: Vec<_> = stripes.map(|stripe| s.spawn(|| run(stripe))).collect();
-        let mut done = vec![run(own).into_iter()];
-        for handle in spawned {
-            let stripe = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            done.push(stripe.into_iter());
-        }
-        done
-    });
-    (0..n).map(|i| done[i % workers].next().expect("stripe w holds every i ≡ w")).collect()
-}
-
-/// The pure first half of one build: lift (if not cached), plan, and emit
-/// the trampolines position-independently. Safe on worker threads; obs
-/// spans land on the calling thread.
-fn prepare_one(
-    hal: &Hal,
-    input: &BuildInput,
-    tool_fns: &HashMap<String, ToolFn>,
-    routines: &HashMap<u16, Routines>,
-) -> Result<(Arc<Lifted>, Prepared)> {
-    let _span = common::obs::span("instrument");
-    common::obs::counter("instr_image.build", 1);
-    let lifted = match &input.lifted {
-        Some(l) => l.clone(),
-        None => {
-            let _lspan = common::obs::span("lift");
-            Arc::new(lift(hal, &input.info, &input.code)?)
-        }
-    };
-    let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| i.raw().clone()).collect();
-    // Lower the spec into the plan IR, running the coalescing and
-    // inlining passes the image key's options select.
-    let plan = {
-        let _pspan = common::obs::span("plan");
-        let plan = plan::build(
-            &input.spec,
-            &original,
-            hal.arch(),
-            &lifted.analysis,
-            tool_fns,
-            input.key.opts,
-        )?;
-        common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
-        common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
-        common::obs::counter("plan.region_groups", plan.stats.region_groups);
-        common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
-        common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
-        common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
-        plan
-    };
-    let _cspan = common::obs::span("codegen");
-    let prepared = prepare(
-        hal,
-        &input.info,
-        &original,
-        &input.code,
-        &plan,
-        tool_fns,
-        routines,
-        &lifted.analysis,
-        input.key.policy,
-    )?;
-    Ok((lifted, prepared))
-}
-
-/// The pure second half of one build, once its trampoline region sits at
-/// `tramp_addr`: rebase, assemble, then pre-swap verification — a bad
-/// image corrupts the application, so the install phase refuses any image
-/// with findings. `batch_ext` is the batch-wide part of the verifier's
-/// external code.
-fn finish_one(
-    hal: &Hal,
-    input: &BuildInput,
-    lifted: Arc<Lifted>,
-    prepared: Prepared,
-    tramp_addr: u64,
-    batch_ext: &ExternalCode,
-) -> Result<Built> {
-    let _span = common::obs::span("instrument");
-    let image = {
-        let _cspan = common::obs::span("codegen");
-        prepared.finish(hal, tramp_addr)?
-    };
-    let ext = ExternalCode { code_regions: input.code_regions.clone(), ..batch_ext.clone() };
-    let _vspan = common::obs::span("verify");
-    let diags = verify::verify(hal, input.info.addr, &image, &ext)?;
-    Ok(Built { lifted, image, diags })
+    freed
 }
 
 /// The core's state: owned by [`NvbitCore`], lent to the tool through
@@ -291,9 +157,6 @@ pub(crate) struct CoreState {
     funcs: RefCell<HashMap<u32, FuncEntry>>,
     save_policy: Cell<SavePolicy>,
     plan_opts: Cell<PlanOpts>,
-    /// Worker threads for batch instrumentation; 0 = one per hardware
-    /// thread.
-    jit_workers: Cell<usize>,
 }
 
 impl CoreState {
@@ -331,20 +194,11 @@ impl CoreState {
         }
     }
 
-    /// Worker threads a batch may use ([`par_map`] caps it at the batch
-    /// size).
-    fn workers(&self) -> usize {
-        match self.jit_workers.get() {
-            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// Code outside any image that instrumented control flow may
-    /// legitimately reach, for the pre-swap verifier: the part every
-    /// function shares (save/restore routines and tool functions). The
-    /// per-function part is [`code_regions`].
-    fn external_code(&self) -> ExternalCode {
+    /// Code outside `info`'s image that its instrumented control flow may
+    /// legitimately reach, for the pre-swap verifier: the save/restore
+    /// routines, the tool functions, and the code of every function `info`
+    /// may call.
+    fn external_code(&self, drv: &Driver, info: &cuda::FunctionInfo) -> ExternalCode {
         let mut ext = ExternalCode::default();
         for r in self.routines.borrow().values() {
             ext.save_addrs.push(r.save_addr);
@@ -356,6 +210,8 @@ impl CoreState {
                 ext.tool_bodies.push((name.clone(), body.clone()));
             }
         }
+        let related = info.related.iter().filter_map(|f| drv.function_info(*f).ok());
+        ext.code_regions.extend(related.map(|ri| (ri.addr, ri.addr + ri.code_len)));
         ext
     }
 
@@ -407,180 +263,144 @@ impl CoreState {
         let info = drv.function_info(func)?;
         let code = drv.read_code(func)?;
         let lifted = Arc::new(lift(&hal_of(drv), &info, &code)?);
-        self.funcs.borrow_mut().entry(raw).or_insert_with(|| FuncEntry::new(func)).lifted =
-            Some(lifted.clone());
+        self.funcs.borrow_mut().entry(raw).or_default().lifted = Some(lifted.clone());
         Ok(lifted)
     }
 
-    /// Functions whose present (spec, policy, opts) key has no cached
-    /// image yet.
-    fn pending(&self, policy: SavePolicy, opts: PlanOpts) -> Vec<CuFunction> {
-        let mut v = Vec::new();
-        for e in self.funcs.borrow_mut().values_mut() {
-            if !e.spec.is_empty() {
-                let k = e.key(policy, opts);
-                if !e.images.contains_key(&k) {
-                    v.push(e.func);
-                }
-            }
-        }
-        v.sort_by_key(|f| f.raw());
-        v
-    }
-
-    /// Instruments a batch of functions: gather inputs, build images
-    /// (in parallel when configured), install, then reconcile the
-    /// desired/current version of every batch member. Returns one result
-    /// per distinct function.
-    fn apply_batch(&self, drv: &Driver, funcs: &[CuFunction]) -> Vec<(CuFunction, Result<()>)> {
-        let policy = self.save_policy.get();
-        let opts = self.plan_opts.get();
-        let mut seen = std::collections::HashSet::new();
-        let funcs: Vec<CuFunction> =
-            funcs.iter().copied().filter(|f| seen.insert(f.raw())).collect();
-        let mut errors: HashMap<u32, NvbitError> = HashMap::new();
-
-        // Gather: decide per function under a brief borrow, then assemble
-        // fully-owned build inputs.
-        let mut inputs: Vec<BuildInput> = Vec::new();
-        for &func in &funcs {
-            let raw = func.raw();
-            let (key, lifted, spec, pristine) = {
-                let mut entries = self.funcs.borrow_mut();
-                let Some(entry) = entries.get_mut(&raw) else { continue };
-                if entry.spec.is_empty() {
-                    continue;
-                }
-                let key = entry.key(policy, opts);
-                if entry.images.contains_key(&key) {
-                    // The code-cache reuse the paper's Figure 5
-                    // amortization depends on.
-                    common::obs::counter("instr_image.reuse", 1);
-                    continue;
-                }
-                // The code at the function's address may currently be an
-                // instrumented version; build new images from the pristine
-                // bytes every cached image carries.
-                let pristine = entry.images.values().next().map(|img| img.original.clone());
-                (key, entry.lifted.clone(), entry.spec.clone(), pristine)
-            };
-            common::obs::counter(
-                if lifted.is_some() { "lift_cache.hit" } else { "lift_cache.miss" },
-                1,
-            );
-            if let Err(e) = self.ensure_routines(drv) {
-                errors.insert(raw, e);
-                continue;
-            }
-            let gathered = (|| -> Result<BuildInput> {
-                let info = drv.function_info(func)?;
-                let code = match pristine {
-                    Some(c) => c,
-                    None => drv.read_code(func)?,
-                };
-                let code_regions = code_regions(drv, &info);
-                Ok(BuildInput { func, key, info, code, lifted, spec, code_regions })
-            })();
-            match gathered {
-                Ok(i) => inputs.push(i),
-                Err(e) => {
-                    errors.insert(raw, e);
-                }
-            }
-        }
-
-        // Build + install.
-        for (input, built) in inputs.iter().zip(self.build_all(drv, &inputs)) {
-            if let Err(e) = built.and_then(|built| self.install(drv, input, built)) {
-                errors.insert(input.func.raw(), e);
-            }
-        }
-
-        // Reconcile every batch member (including pure cache hits).
-        funcs
-            .into_iter()
-            .map(|func| {
-                let res = match errors.remove(&func.raw()) {
-                    Some(e) => Err(e),
-                    None => self.reconcile(drv, func, policy, opts),
-                };
-                (func, res)
-            })
-            .collect()
-    }
-
-    /// Builds all inputs, one result per input in input order: prepare
-    /// everywhere, allocate here in input order, finish everywhere (see the
-    /// module docs).
-    fn build_all(&self, drv: &Driver, inputs: &[BuildInput]) -> Vec<Result<Built>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        let hal = hal_of(drv);
-        let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
-        let (tool_fns, routines) = (&*tool_fns, &*routines);
-        let workers = self.workers();
-        let prepared = par_map(workers, inputs.iter().collect(), |input| {
-            prepare_one(&hal, input, tool_fns, routines)
-        });
-        // The allocator must see the same request sequence at every worker
-        // count: trampoline addresses are embedded in the images.
-        let placed = inputs
-            .iter()
-            .zip(prepared)
-            .map(|(input, prepared)| {
-                let (lifted, prepared) = prepared?;
-                let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
-                Ok((input, lifted, prepared, tramp_addr))
-            })
-            .collect();
-        let batch_ext = self.external_code();
-        par_map(workers, placed, |placed: Result<_>| {
-            let (input, lifted, prepared, tramp_addr) = placed?;
-            finish_one(&hal, input, lifted, prepared, tramp_addr, &batch_ext)
-        })
-    }
-
-    /// Uploads a built image's trampolines and caches the image. An image
-    /// with verifier findings is refused and its trampoline region freed.
-    fn install(&self, drv: &Driver, input: &BuildInput, built: Built) -> Result<()> {
-        let Built { lifted, image, diags } = built;
-        if !diags.is_empty() {
-            common::obs::counter("instr_image.verify_reject", 1);
-            if drv.with_device(|d| d.free(image.tramp_addr)).is_err() {
-                common::obs::counter("tramp.free_fail", 1);
-            }
-            return Err(NvbitError::VerifyFailed(diags));
-        }
-        drv.with_device(|d| -> gpu::Result<()> {
-            d.write(image.tramp_addr, &image.tramp_code)?;
-            let name = format!("{}$tramp", input.info.name);
-            d.label_code(image.tramp_addr, image.tramp_code.len() as u64, &name);
-            Ok(())
-        })?;
+    /// Builds, verifies and caches the image of `func`'s present (spec,
+    /// policy, opts) key, unless it has no request or the image exists: the
+    /// paper's §5.1 pipeline, straight through on the driver thread.
+    fn build(&self, drv: &Driver, func: CuFunction) -> Result<()> {
+        let (policy, opts) = (self.save_policy.get(), self.plan_opts.get());
+        // Held to the end: nothing below runs a tool callback or calls back
+        // into the API, and the build borrows the entry's spec, lifted view
+        // and pristine bytes instead of copying them.
         let mut entries = self.funcs.borrow_mut();
-        let entry = entries
-            .get_mut(&input.func.raw())
-            .expect("gathered from this entry; nothing else runs mid-batch");
-        entry.lifted.get_or_insert(lifted);
-        entry.images.insert(input.key, image);
-        Ok(())
+        let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
+        if entry.spec.is_empty() {
+            return Ok(());
+        }
+        let key = entry.key(policy, opts);
+        if entry.images.contains_key(&key) {
+            // The code-cache reuse the paper's Figure 5 amortization
+            // depends on.
+            common::obs::counter("instr_image.reuse", 1);
+            return Ok(());
+        }
+        common::obs::counter(
+            if entry.lifted.is_some() { "lift_cache.hit" } else { "lift_cache.miss" },
+            1,
+        );
+        self.ensure_routines(drv)?;
+        let hal = hal_of(drv);
+        let info = drv.function_info(func)?;
+        // The code at the function's address may currently be an
+        // instrumented version; build new images from the pristine bytes
+        // every cached image carries.
+        let read;
+        let code: &[u8] = match entry.images.values().next() {
+            Some(img) => &img.original,
+            None => {
+                read = drv.read_code(func)?;
+                &read
+            }
+        };
+
+        let _span = common::obs::span("instrument");
+        common::obs::counter("instr_image.build", 1);
+        let lifted = match &entry.lifted {
+            Some(l) => l.clone(),
+            None => {
+                let _lspan = common::obs::span("lift");
+                Arc::new(lift(&hal, &info, code)?)
+            }
+        };
+        let original: Vec<sass::Instruction> =
+            lifted.instrs.iter().map(|i| i.raw().clone()).collect();
+        let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
+        // Lower the spec into the plan IR, running the coalescing and
+        // inlining passes the image key's options select.
+        let plan = {
+            let _pspan = common::obs::span("plan");
+            let plan = plan::build(
+                &entry.spec,
+                &original,
+                hal.arch(),
+                &lifted.analysis,
+                &tool_fns,
+                key.opts,
+            )?;
+            common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
+            common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
+            common::obs::counter("plan.region_groups", plan.stats.region_groups);
+            common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
+            common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
+            common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
+            plan
+        };
+        // Every trampoline is emitted position-independently first, so an
+        // emission error has allocated nothing.
+        let prepared = {
+            let _cspan = common::obs::span("codegen");
+            prepare(
+                &hal,
+                &info,
+                &original,
+                code,
+                &plan,
+                &tool_fns,
+                &routines,
+                &lifted.analysis,
+                key.policy,
+            )?
+        };
+        let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
+        // From here on the region is either owned by the cached image or
+        // given back: rebase and assemble, then pre-swap verification — a
+        // bad image corrupts the application, so one with findings is
+        // refused — then upload.
+        let placed = (|| -> Result<InstrumentedImage> {
+            let image = {
+                let _cspan = common::obs::span("codegen");
+                prepared.finish(&hal, tramp_addr)?
+            };
+            let diags = {
+                let _vspan = common::obs::span("verify");
+                verify::verify(&hal, info.addr, &image, &self.external_code(drv, &info))?
+            };
+            if !diags.is_empty() {
+                common::obs::counter("instr_image.verify_reject", 1);
+                return Err(NvbitError::VerifyFailed(diags));
+            }
+            drv.with_device(|d| -> gpu::Result<()> {
+                d.write(tramp_addr, &image.tramp_code)?;
+                let name = format!("{}$tramp", info.name);
+                d.label_code(tramp_addr, image.tramp_code.len() as u64, &name);
+                Ok(())
+            })?;
+            Ok(image)
+        })();
+        match placed {
+            Ok(image) => {
+                entry.lifted.get_or_insert(lifted);
+                entry.images.insert(key, image);
+                Ok(())
+            }
+            Err(e) => {
+                let _ = free_tramp(drv, tramp_addr);
+                Err(e)
+            }
+        }
     }
 
     /// Installs the version the tool asked for, when it differs from what
     /// is at the function's code address: one memcpy plus the local-memory
     /// override (paper §6.2).
-    fn reconcile(
-        &self,
-        drv: &Driver,
-        func: CuFunction,
-        policy: SavePolicy,
-        opts: PlanOpts,
-    ) -> Result<()> {
+    fn reconcile(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         let mut entries = self.funcs.borrow_mut();
         let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
         let target = if entry.desired == Version::Instrumented {
-            let k = entry.key(policy, opts);
+            let k = entry.key(self.save_policy.get(), self.plan_opts.get());
             entry.images.contains_key(&k).then_some(k)
         } else {
             None
@@ -613,9 +433,11 @@ impl CoreState {
         Ok(())
     }
 
-    /// Single-function convenience over [`CoreState::apply_batch`].
+    /// Brings `func` to the version the tool asked for, building its image
+    /// first when its present key has none.
     fn apply_one(&self, drv: &Driver, func: CuFunction) -> Result<()> {
-        self.apply_batch(drv, &[func]).pop().map(|(_, r)| r).unwrap_or(Ok(()))
+        self.build(drv, func)?;
+        self.reconcile(drv, func)
     }
 
     /// Drops a function's entry: restores the original code, clears the
@@ -642,8 +464,7 @@ impl CoreState {
             }
         }
         for img in entry.images.values() {
-            if let Err(e) = drv.with_device(|d| d.free(img.tramp_addr)) {
-                common::obs::counter("tramp.free_fail", 1);
+            if let Err(e) = free_tramp(drv, img.tramp_addr) {
                 first_err.get_or_insert(e.into());
             }
         }
@@ -665,9 +486,7 @@ impl CoreState {
             }
             for img in entry.images.values() {
                 image_evicted += 1;
-                if drv.with_device(|d| d.free(img.tramp_addr)).is_err() {
-                    common::obs::counter("tramp.free_fail", 1);
-                }
+                let _ = free_tramp(drv, img.tramp_addr);
             }
         }
         if lift_evicted > 0 {
@@ -678,18 +497,24 @@ impl CoreState {
         }
     }
 
-    /// Launch-entry instrumentation: batch-build every pending function
-    /// (first launch after a module load fans out across all of them) and
-    /// reconcile versions.
+    /// Launch-entry instrumentation, NVBit's `apply_to_related` rule: the
+    /// launched function and every function reachable from it through
+    /// [`cuda::FunctionInfo::related`] is built and reconciled, in
+    /// ascending handle order, if it is tracked.
     fn instrument_for_launch(&self, drv: &Driver, func: CuFunction) {
-        let raw = func.raw();
-        let mut batch = self.pending(self.save_policy.get(), self.plan_opts.get());
-        if self.tracked(func) && !batch.iter().any(|f| f.raw() == raw) {
-            batch.push(func);
-            batch.sort_by_key(|f| f.raw());
+        // With nothing tracked a launch costs one look at the table: no
+        // `FunctionInfo` is read.
+        if self.funcs.borrow().is_empty() {
+            return;
         }
-        for (f, res) in self.apply_batch(drv, &batch) {
-            if let Err(e) = res {
+        let mut reachable = BTreeSet::from([func]);
+        let mut unvisited = vec![func];
+        while let Some(f) = unvisited.pop() {
+            let Ok(info) = drv.function_info(f) else { continue };
+            unvisited.extend(info.related.into_iter().filter(|r| reachable.insert(*r)));
+        }
+        for f in reachable.into_iter().filter(|f| self.tracked(*f)) {
+            if let Err(e) = self.apply_one(drv, f) {
                 // Instrumentation failures must not corrupt the
                 // application; drop the request and keep the original.
                 eprintln!("nvbit: instrumentation of {f} failed: {e}");
@@ -974,6 +799,13 @@ impl<'a> NvbitApi<'a> {
     /// `idx` of `func` (`nvbit_insert_call`). Multiple injections at the
     /// same site run in insertion order.
     ///
+    /// The request takes effect when `func`'s image is next built: at the
+    /// entry of the next launch of `func` or of a function it is reachable
+    /// from through [`NvbitApi::get_related_funcs`] (this launch, when
+    /// called from its entry callback), or at
+    /// [`NvbitApi::enable_instrumented`]. A launch of an unrelated function
+    /// builds nothing for `func`.
+    ///
     /// # Errors
     ///
     /// Unknown function name or out-of-range index (validated lazily at
@@ -992,7 +824,7 @@ impl<'a> NvbitApi<'a> {
             .funcs
             .borrow_mut()
             .entry(func.raw())
-            .or_insert_with(|| FuncEntry::new(func))
+            .or_default()
             .spec
             .insert_call(idx, fname, ipoint);
         Ok(())
@@ -1093,13 +925,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// Range errors surface at code generation.
     pub fn remove_orig(&self, func: CuFunction, idx: usize) -> Result<()> {
-        self.state
-            .funcs
-            .borrow_mut()
-            .entry(func.raw())
-            .or_insert_with(|| FuncEntry::new(func))
-            .spec
-            .remove_orig(idx);
+        self.state.funcs.borrow_mut().entry(func.raw()).or_default().spec.remove_orig(idx);
         Ok(())
     }
 
@@ -1107,13 +933,17 @@ impl<'a> NvbitApi<'a> {
 
     /// Selects whether the next launches of `func` run the instrumented or
     /// original version (`nvbit_enable_instrumented`) — the sampling switch
-    /// of §6.2. With the version already cached, the swap costs one memcpy
-    /// of the function's code. A no-op for functions that were never
-    /// instrumented (no spec and no image): no phantom state is created.
+    /// of §6.2. Takes effect immediately: the image of the present (spec,
+    /// policy, plan options) is built now if it was not yet — which is how
+    /// a tool pre-builds a function ahead of its launch — and with the
+    /// version already cached, the swap costs one memcpy of the function's
+    /// code. A no-op for functions that were never instrumented (no spec
+    /// and no image): no phantom state is created.
     ///
     /// # Errors
     ///
-    /// Driver failures during an immediate swap.
+    /// Build (codegen, verification) failures, and driver failures during
+    /// the swap.
     pub fn enable_instrumented(&self, func: CuFunction, enable: bool) -> Result<()> {
         match self.state.funcs.borrow_mut().get_mut(&func.raw()) {
             Some(entry) if entry.tracked() => {
@@ -1145,7 +975,9 @@ impl<'a> NvbitApi<'a> {
     /// image builds: liveness-driven per-site tiers (the default) or the
     /// conservative whole-function tier. Images are cached per
     /// (spec, policy) version, so flipping the policy back and forth swaps
-    /// between already-built images without re-running code generation.
+    /// between already-built images without re-running code generation. A
+    /// function moves to the new policy when it is next built or
+    /// reconciled — its own next launch, not the next launch of anything.
     pub fn set_save_policy(&self, policy: SavePolicy) {
         self.state.save_policy.set(policy);
     }
@@ -1154,6 +986,7 @@ impl<'a> NvbitApi<'a> {
     /// image builds climb (the top rung by default). Images are cached per
     /// (spec, policy, plan options) version, so flipping options swaps
     /// between already-built images without re-running code generation.
+    /// Takes effect per function like [`NvbitApi::set_save_policy`].
     pub fn set_plan_opts(&self, opts: PlanOpts) {
         self.state.plan_opts.set(opts);
     }
@@ -1163,13 +996,11 @@ impl<'a> NvbitApi<'a> {
         self.state.plan_opts.get()
     }
 
-    /// Sets the number of worker threads batch instrumentation may use
-    /// (0 = one per available hardware thread, the default). This is the
-    /// only way to set it. Whatever the count, builds produce bit-identical
-    /// images.
-    pub fn set_jit_workers(&self, workers: usize) {
-        self.state.jit_workers.set(workers);
-    }
+    /// Does nothing: images are built one function at a time on the
+    /// application's thread (see the module docs), so there is no worker
+    /// count to set. The name stays because the repository's frozen
+    /// benchmark adapter calls it.
+    pub fn set_jit_workers(&self, _workers: usize) {}
 
     /// Statically verifies the instrumented image of `func`, generating it
     /// first if none is cached for the present (spec, policy). Returns the
@@ -1187,15 +1018,12 @@ impl<'a> NvbitApi<'a> {
             Err(NvbitError::VerifyFailed(diags)) => return Ok(diags),
             Err(e) => return Err(e),
         }
-        let Some(image) = self.state.with_image(func, InstrumentedImage::clone) else {
-            return Ok(Vec::new());
-        };
-        let info = self.drv.function_info(func)?;
-        let ext = ExternalCode {
-            code_regions: code_regions(self.drv, &info),
-            ..self.state.external_code()
-        };
-        verify::verify(&hal_of(self.drv), info.addr, &image, &ext)
+        let verified = self.state.with_image(func, |image| {
+            let info = self.drv.function_info(func)?;
+            let ext = self.state.external_code(self.drv, &info);
+            verify::verify(&hal_of(self.drv), info.addr, image, &ext)
+        });
+        verified.unwrap_or(Ok(Vec::new()))
     }
 
     /// Register-save accounting for the instrumented image of `func`

@@ -5,7 +5,9 @@
 //!
 //! The same capture also proves the JIT breakdown of paper Fig. 5 comes
 //! from obs spans alone: all six phases are attributed, and a function is
-//! decoded exactly once per lift.
+//! decoded exactly once per lift. And the counters pin the refusal path:
+//! an image the pre-swap verifier rejects is never installed and keeps no
+//! trampoline region.
 //!
 //! These tests own process-global state: they flip the obs switch and
 //! reset the rings. They therefore live in their own integration-test
@@ -14,8 +16,11 @@
 use common::obs;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, SavePolicy};
-use sass::Arch;
+use nvbit::saverestore::TIERS;
+use nvbit::{attach_tool, DiagKind, Diagnostic, IPoint, NvbitApi, NvbitTool, SavePolicy};
+use sass::{Arch, Instruction, Op, Operand};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const COUNT_FN: &str = r#"
 .func count_one(.reg .u32 %pred, .reg .u64 %ctr)
@@ -172,4 +177,104 @@ fn jit_phases_attribute_all_six_components() {
         "one analysis per lift plus one per verify"
     );
     assert_eq!(report.open_spans, 0);
+}
+
+/// What [`Refused`] saw from inside its callbacks.
+#[derive(Default)]
+struct RefusedSeen {
+    counter_addr: u64,
+    diags: Vec<Diagnostic>,
+    tracked_after_launch: Option<bool>,
+}
+
+/// Instruments every instruction of the first kernel launched, asks for
+/// the verifier's verdict, and notes at launch exit whether the request
+/// survived.
+struct Refused {
+    seen: Rc<RefCell<RefusedSeen>>,
+}
+
+impl NvbitTool for Refused {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.load_tool_functions(COUNT_FN).unwrap();
+        self.seen.borrow_mut().counter_addr = api.driver().with_device(|d| d.alloc(8)).unwrap();
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if cbid != CbId::LaunchKernel {
+            return;
+        }
+        let mut seen = self.seen.borrow_mut();
+        if is_exit {
+            seen.tracked_after_launch = Some(api.is_instrumented(*func));
+            return;
+        }
+        for idx in 0..api.get_instrs(*func).unwrap().len() {
+            api.insert_call(*func, idx, "count_one", IPoint::Before).unwrap();
+            api.add_call_arg_guard_pred(*func, idx).unwrap();
+            api.add_call_arg_imm64(*func, idx, seen.counter_addr).unwrap();
+        }
+        seen.diags = api.verify_instrumented(*func).unwrap();
+    }
+}
+
+/// The swap is the point of no return, so an image with verifier findings
+/// must never reach it: a kernel carrying a (never executed) call to an
+/// address outside all known code is refused both when the tool asks for
+/// the verdict and at the launch, runs its original bytes, and neither
+/// refusal keeps its trampoline region.
+#[test]
+fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    obs::reset();
+
+    // `k` with a `JCAL` into the void appended behind its `EXIT`.
+    let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
+    let k = &mut image.functions[0];
+    let mut instrs = k.decode();
+    instrs.push(Instruction::new(Op::Jcal, vec![Operand::Abs(0xdead_0000)]));
+    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
+
+    let seen = Rc::new(RefCell::new(RefusedSeen::default()));
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(&drv, Refused { seen: seen.clone() });
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let pristine = drv.read_code(f).unwrap();
+    let out = drv.mem_alloc(128).unwrap();
+    let allocs = drv.with_device(|d| d.memory().live_allocs());
+    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+
+    let seen = seen.borrow();
+    assert!(
+        seen.diags.iter().any(|d| d.kind == DiagKind::BranchTarget),
+        "the stray call must be diagnosed: {:?}",
+        seen.diags
+    );
+    assert_eq!(drv.read_code(f).unwrap(), pristine, "the original bytes stay installed");
+    let mut output = vec![0u8; 128];
+    drv.memcpy_dtoh(&mut output, out).unwrap();
+    let expected: Vec<u8> = (0..32u32).flat_map(u32::to_le_bytes).collect();
+    assert_eq!(output, expected, "the launch runs the original code");
+    let mut counter = [0u8; 8];
+    drv.memcpy_dtoh(&mut counter, seen.counter_addr).unwrap();
+    assert_eq!(u64::from_le_bytes(counter), 0, "no instrumentation ran");
+    assert_eq!(seen.tracked_after_launch, Some(false), "the refused request is dropped");
+    // Only the save/restore routines outlive the two refusals.
+    assert_eq!(drv.with_device(|d| d.memory().live_allocs()), allocs + 2 * TIERS.len());
+    drv.shutdown();
+
+    let report = obs::Report::capture();
+    obs::set_enabled(false);
+    assert_eq!(report.counter_sum("instr_image.verify_reject"), 2, "verdict + launch");
+    assert_eq!(report.counter_sum("instr_image.build"), 2);
+    assert_eq!(report.counter_sum("tramp.free_fail"), 0, "both regions free cleanly");
 }

@@ -1,11 +1,14 @@
 //! Versioned code-cache behaviour that needs no observability counters:
-//! parallel batch instrumentation must produce bit-identical images to the
-//! serial path, `enable_instrumented` must not conjure phantom cache
-//! entries, and `reset_instrumented` must clear the local-memory override
-//! regardless of which version was installed at the time.
+//! a launch builds the launched function and what is reachable from it
+//! through `related` — nothing else — with images byte-identical to the
+//! ones the batch pipeline this replaced produced, `enable_instrumented`
+//! must not conjure phantom cache entries, and `reset_instrumented` must
+//! clear the local-memory override regardless of which version was
+//! installed at the time.
 
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
+use nvbit::saverestore::TIERS;
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool};
 use sass::Arch;
 use std::cell::RefCell;
@@ -54,11 +57,11 @@ fn multi_kernel_ptx(n: usize) -> String {
 }
 
 /// A tool that, at the first launch, instruments EVERY kernel of the
-/// launched kernel's module (batch path) with per-instruction counting.
-/// Kernel number `fail`, if any, also gets more arguments than the ABI
-/// window holds, so its codegen fails before its trampoline is allocated.
+/// launched kernel's module with per-instruction counting, and enables
+/// none. Kernel number `fail`, if any, also gets more arguments than the
+/// ABI window holds, so its codegen fails before its trampoline is
+/// allocated.
 struct BatchTool {
-    workers: usize,
     fail: Option<usize>,
     counter_addr: Rc<RefCell<u64>>,
     done: bool,
@@ -66,7 +69,6 @@ struct BatchTool {
 
 impl NvbitTool for BatchTool {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        api.set_jit_workers(self.workers);
         api.load_tool_functions(COUNT_FN).unwrap();
         *self.counter_addr.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
     }
@@ -99,77 +101,210 @@ impl NvbitTool for BatchTool {
     }
 }
 
-/// What one batch run leaves behind.
-struct BatchRun {
-    /// Installed code bytes of every kernel, launched or not.
-    images: Vec<Vec<u8>>,
-    output: Vec<u8>,
-    counter: u64,
-    live_allocs: usize,
+/// The tool's counter, which lives at the address `at_init` stored.
+fn read_counter(drv: &Driver, counter_addr: &RefCell<u64>) -> u64 {
+    let mut b = [0u8; 8];
+    drv.memcpy_dtoh(&mut b, *counter_addr.borrow()).unwrap();
+    u64::from_le_bytes(b)
 }
 
-/// Runs a 6-kernel module through batch instrumentation with the given
-/// worker count, `fail` naming the kernel whose codegen must fail.
-fn run_batch(workers: usize, fail: Option<usize>) -> BatchRun {
+fn live_allocs(drv: &Driver) -> usize {
+    drv.with_device(|d| d.memory().live_allocs())
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// What `k{i}` of [`multi_kernel_ptx`] stores for thread `tid`.
+fn expected_output(i: usize) -> Vec<u8> {
+    let value = |tid: u32| {
+        let r2 = tid + i as u32 + 1;
+        ((r2 * 3 + 7) & 1023) + r2
+    };
+    (0..32).flat_map(|tid| value(tid).to_le_bytes()).collect()
+}
+
+/// Launches `k0…k5` of a 6-kernel module in order under [`BatchTool`],
+/// checking after every launch that it built exactly the launched kernel.
+/// Returns the hash of the six installed images, the allocations left live
+/// and the tool's count per launch.
+fn launch_all_six(fail: Option<usize>) -> (u64, usize, Vec<u64>) {
     const N: usize = 6;
     let counter_addr = Rc::new(RefCell::new(0u64));
-    let read_counter = |drv: &Driver| {
-        let mut b = [0u8; 8];
-        drv.memcpy_dtoh(&mut b, *counter_addr.borrow()).unwrap();
-        u64::from_le_bytes(b)
-    };
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    attach_tool(&drv, BatchTool { workers, fail, counter_addr: counter_addr.clone(), done: false });
+    attach_tool(&drv, BatchTool { fail, counter_addr: counter_addr.clone(), done: false });
     let ctx = drv.ctx_create().unwrap();
-    let src = multi_kernel_ptx(N);
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", &src)).unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", multi_kernel_ptx(N))).unwrap();
     let kernels = drv.module_kernels(&m).unwrap();
     let pristine: Vec<Vec<u8>> = kernels.iter().map(|k| drv.read_code(*k).unwrap()).collect();
     let out = drv.mem_alloc(128).unwrap();
     let args = [KernelArg::Ptr(out)];
-    let f0 = drv.module_get_function(&m, "k0").unwrap();
-    drv.launch_kernel(&f0, Dim3::linear(1), Dim3::linear(32), &args).unwrap();
 
-    // Every kernel of the module — launched or not — must now carry its
-    // installed instrumented image; the failed one keeps its original code.
-    let images: Vec<Vec<u8>> = kernels.iter().map(|k| drv.read_code(*k).unwrap()).collect();
-    for (i, (image, original)) in images.iter().zip(&pristine).enumerate() {
-        assert_eq!(image == original, fail == Some(i), "kernel k{i} at {workers} workers");
+    // The first build also loads the save/restore routines.
+    let mut allocs = live_allocs(&drv) + 2 * TIERS.len();
+    let mut counts = Vec::new();
+    for launched in 0..N {
+        let case = format!("launch of k{launched}, fail = {fail:?}");
+        let before = read_counter(&drv, &counter_addr);
+        drv.launch_kernel(&kernels[launched], Dim3::linear(1), Dim3::linear(32), &args).unwrap();
+        counts.push(read_counter(&drv, &counter_addr) - before);
+        let mut output = vec![0u8; 128];
+        drv.memcpy_dtoh(&mut output, out).unwrap();
+        assert_eq!(output, expected_output(launched), "application output ({case})");
+
+        // Launched kernels carry their image — the failing one runs its
+        // original code, uncounted — and the rest are untouched and own no
+        // trampoline.
+        for (i, original) in pristine.iter().enumerate() {
+            let built = i <= launched && fail != Some(i);
+            assert_eq!(&drv.read_code(kernels[i]).unwrap() != original, built, "k{i} ({case})");
+        }
+        allocs += usize::from(fail != Some(launched));
+        assert_eq!(live_allocs(&drv), allocs, "one trampoline region per built kernel ({case})");
+        assert_eq!(counts[launched] > 0, fail != Some(launched), "tool count ({case})");
     }
-    let mut output = vec![0u8; 128];
-    drv.memcpy_dtoh(&mut output, out).unwrap();
-    let counter = read_counter(&drv);
-    if let Some(bad) = fail {
-        drv.launch_kernel(&kernels[bad], Dim3::linear(1), Dim3::linear(32), &args).unwrap();
-        assert_eq!(read_counter(&drv), counter, "the failed kernel must run uninstrumented");
-    }
-    let live_allocs = drv.with_device(|d| d.memory().live_allocs());
+    let images = fnv1a(kernels.iter().flat_map(|k| drv.read_code(*k).unwrap()));
     drv.shutdown();
-    BatchRun { images, output, counter, live_allocs }
+    (images, allocs, counts)
 }
 
-/// Paper §6.2 determinism contract: fanning batch instrumentation out
-/// across worker threads must yield byte-for-byte the same installed
-/// images (trampoline addresses included) as one worker, with fewer, as
-/// many and more workers than the 6 kernels — also when the middle
-/// kernel's codegen fails, which must neither wedge the batch, leak or
-/// reorder a trampoline allocation, nor disturb the other kernels.
+/// A function is built at its own launch: instrumenting a whole module
+/// from one launch callback builds only the kernel being launched, and the
+/// other five are installed one by one as they launch. A kernel whose
+/// codegen fails runs uninstrumented, allocates nothing and disturbs no
+/// other kernel. The six installed images hash to what the parent commit's
+/// batch pipeline installed at the first launch (recorded there; it
+/// allocated in the same order), trampoline addresses included.
 #[test]
-fn parallel_batch_is_bit_identical_to_serial() {
-    for fail in [None, Some(3)] {
-        let serial = run_batch(1, fail);
-        assert_eq!(serial.images.len(), 6);
-        assert!(serial.counter > 0, "instrumentation must actually have run");
-        for workers in [2, 3, 8] {
-            let par = run_batch(workers, fail);
-            let case = format!("{workers} workers, fail = {fail:?}");
-            for (i, (s, p)) in serial.images.iter().zip(&par.images).enumerate() {
-                assert!(s == p, "kernel k{i}: image differs from serial ({case})");
-            }
-            assert!(serial.output == par.output, "application output must match ({case})");
-            assert_eq!(serial.counter, par.counter, "tool counters must match ({case})");
-            assert_eq!(serial.live_allocs, par.live_allocs, "live allocations ({case})");
+fn a_launch_builds_exactly_the_launched_kernel() {
+    let (images, allocs, counts) = launch_all_six(None);
+    assert_eq!(images, 0x9b5b_4870_e098_81a5, "images differ from the recorded ones");
+
+    let (images, allocs_failing, counts_failing) = launch_all_six(Some(3));
+    assert_eq!(images, 0xa42c_c060_9cbc_837c, "images differ from the recorded ones");
+    assert_eq!(allocs_failing, allocs - 1, "the failing kernel leaks nothing");
+    for (i, (failing, all)) in counts_failing.iter().zip(&counts).enumerate() {
+        assert_eq!(*failing, if i == 3 { 0 } else { *all }, "tool count of k{i}");
+    }
+}
+
+/// A kernel that calls `outer`, which calls `inner`, and a kernel of the
+/// same module that calls neither.
+const CALL_CHAIN: &str = r#"
+.func (.reg .u32 %out) inner(.reg .u32 %x)
+{
+    add.u32 %out, %x, 1;
+    ret;
+}
+.func (.reg .u32 %out) outer(.reg .u32 %x)
+{
+    .reg .u32 %t<2>;
+    call (%t1), inner, (%x);
+    add.u32 %out, %t1, %x;
+    ret;
+}
+.entry caller(.param .u64 out)
+{
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    call (%r2), outer, (%r1);
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r2;
+    exit;
+}
+.entry bystander(.param .u64 out)
+{
+    .reg .u64 %rd<2>;
+    ld.param.u64 %rd1, [out];
+    exit;
+}
+"#;
+
+/// NVBit's `apply_to_related` rule: device functions that were instrumented
+/// but never enabled are built when a kernel they are reachable from is
+/// launched — through two levels of `related`, and although the kernel
+/// itself carries no request — and not when an unrelated kernel is.
+#[test]
+fn a_related_device_function_is_built_with_the_kernel_that_calls_it() {
+    /// At the first launch, counts every instruction of the module's device
+    /// functions; enables nothing.
+    struct CalleeTool {
+        counter_addr: Rc<RefCell<u64>>,
+        sites: Rc<RefCell<u64>>,
+    }
+    impl NvbitTool for CalleeTool {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.load_tool_functions(COUNT_FN).unwrap();
+            *self.counter_addr.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
         }
+        fn at_cuda_event(
+            &mut self,
+            api: &NvbitApi<'_>,
+            is_exit: bool,
+            cbid: CbId,
+            params: &CbParams<'_>,
+        ) {
+            let CbParams::LaunchKernel { func, .. } = params else { return };
+            if is_exit || cbid != CbId::LaunchKernel || *self.sites.borrow() > 0 {
+                return;
+            }
+            let addr = *self.counter_addr.borrow();
+            let drv = api.driver();
+            let module = drv.function_info(*func).unwrap().module;
+            for f in drv.module_functions(&module).unwrap() {
+                if drv.function_info(f).unwrap().kind != ptx::FunctionKind::Device {
+                    continue;
+                }
+                for idx in 0..api.get_instrs(f).unwrap().len() {
+                    api.insert_call(f, idx, "count_one", IPoint::Before).unwrap();
+                    api.add_call_arg_guard_pred(f, idx).unwrap();
+                    api.add_call_arg_imm64(f, idx, addr).unwrap();
+                    *self.sites.borrow_mut() += 1;
+                }
+            }
+        }
+    }
+
+    for bystander_first in [false, true] {
+        let counter_addr = Rc::new(RefCell::new(0u64));
+        let sites = Rc::new(RefCell::new(0u64));
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        attach_tool(&drv, CalleeTool { counter_addr: counter_addr.clone(), sites: sites.clone() });
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", CALL_CHAIN)).unwrap();
+        let callees = ["outer", "inner"].map(|n| drv.module_get_function(&m, n).unwrap());
+        let pristine = callees.map(|f| drv.read_code(f).unwrap());
+        let out = drv.mem_alloc(128).unwrap();
+        let args = [KernelArg::Ptr(out)];
+        let launch = |name: &str| {
+            let k = drv.module_get_function(&m, name).unwrap();
+            drv.launch_kernel(&k, Dim3::linear(1), Dim3::linear(32), &args).unwrap();
+        };
+
+        if bystander_first {
+            let allocs = live_allocs(&drv);
+            launch("bystander");
+            assert!(*sites.borrow() > 0, "the tool instruments at the first launch");
+            assert_eq!(callees.map(|f| drv.read_code(f).unwrap()), pristine, "nothing installed");
+            assert_eq!(live_allocs(&drv), allocs, "nothing built");
+        }
+        launch("caller");
+        assert_eq!(
+            read_counter(&drv, &counter_addr),
+            32 * *sites.borrow(),
+            "every callee instruction counts"
+        );
+        let mut output = vec![0u8; 128];
+        drv.memcpy_dtoh(&mut output, out).unwrap();
+        let expected: Vec<u8> = (0..32u32).flat_map(|tid| (2 * tid + 1).to_le_bytes()).collect();
+        assert_eq!(output, expected, "application output (bystander_first = {bystander_first})");
+        drv.shutdown();
     }
 }
 
