@@ -111,6 +111,11 @@ cargo test --release -q -p nvbit-tools --test channel_determinism
 echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw
 
+echo "== obs_overhead: disabled observability hooks cost < 1% of an instrumented run =="
+# The bound is hooks per run x ns per disabled hook over the run's time, far
+# below 0.1%: host-independent enough to gate.
+cargo bench -q -p nvbit-bench --bench obs_overhead
+
 echo "== no self-disabling gates =="
 # A bench bin that cannot enforce its gate on this host must fail, not
 # record `"enforced": false` and pass: a gate that switched itself off is

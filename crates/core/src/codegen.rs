@@ -26,7 +26,6 @@ use crate::{NvbitError, Result};
 use cuda::FunctionInfo;
 use sass::inst::span_regs;
 use sass::op::{CfClass, IType};
-use sass::pressure::BodyShape;
 use sass::{Instruction, LiveSet, Mods, Op, Operand, Pred, Reg};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,17 +58,12 @@ pub struct ToolFn {
     pub body: Option<Arc<Vec<Instruction>>>,
     /// Set when the body is spliceable: small, call-free, stack-free, no
     /// register device API, a single unguarded trailing `RET`, and a
-    /// control-flow shape the classifier accepts (straight-line or a
-    /// single guarded diamond — see [`shape`](ToolFn::shape)). This is the
-    /// whole splice rule: at [`crate::plan::PlanLevel::Spliced`] the planner
+    /// control-flow shape [`sass::pressure::body_shape`] accepts
+    /// (straight-line or a single guarded diamond). This is the whole
+    /// splice rule: at [`crate::plan::PlanLevel::Spliced`] the planner
     /// splices every call to such a body into the trampoline in place of
     /// the `JCAL`/`RET` pair, and no call to any other.
     pub inlinable: bool,
-    /// Control-flow shape of the body as classified by
-    /// [`sass::pressure::body_shape`] (`None` for opaque registrations and
-    /// shapes that are never spliceable — loops, multiple conditionals,
-    /// escaping control flow).
-    pub shape: Option<BodyShape>,
     /// One past the highest general-purpose register the body *writes*
     /// (`None` when unknown — e.g. the body makes calls): the clobber window
     /// of a splice that goes through the save routines instead of an exact
@@ -116,36 +110,8 @@ impl ToolFn {
             uses_reg_api,
             body: None,
             inlinable: false,
-            shape: None,
             write_ceiling: None,
             call_ceiling: None,
-        }
-    }
-
-    /// Builds the entry from the loaded body, running the body
-    /// classification. `arch` selects the instruction size and the CFG
-    /// rules for validating that control flow stays inside the body.
-    pub fn with_body(
-        addr: u64,
-        reg_count: u32,
-        stack_size: u32,
-        uses_reg_api: bool,
-        body: Vec<Instruction>,
-        arch: sass::Arch,
-    ) -> ToolFn {
-        let (inlinable, write_ceiling, shape) =
-            classify_body(&body, reg_count, stack_size, uses_reg_api, arch);
-        let call_ceiling = call_ceiling_of(&body);
-        ToolFn {
-            addr,
-            reg_count,
-            stack_size,
-            uses_reg_api,
-            body: Some(Arc::new(body)),
-            inlinable,
-            shape,
-            write_ceiling,
-            call_ceiling,
         }
     }
 
@@ -154,7 +120,9 @@ impl ToolFn {
     /// execute — its epilogue restores every callee-saved register), while
     /// `scratch_body` is the scratch-ABI compile of the same source (no
     /// prologue, every register fair game), which is what classification
-    /// and inline splicing reason about.
+    /// and inline splicing reason about. `arch` selects the instruction
+    /// size and the CFG rules for validating that control flow stays inside
+    /// the body.
     pub fn dual_abi(
         addr: u64,
         callable: (u32, u32, &[Instruction]),
@@ -164,7 +132,7 @@ impl ToolFn {
     ) -> ToolFn {
         let (callable_regs, callable_stack, callable_body) = callable;
         let (scratch_regs, scratch_stack, scratch_body) = scratch;
-        let (inlinable, write_ceiling, shape) =
+        let (inlinable, write_ceiling) =
             classify_body(&scratch_body, scratch_regs, scratch_stack, uses_reg_api, arch);
         let call_ceiling = call_ceiling_of(callable_body);
         ToolFn {
@@ -174,23 +142,22 @@ impl ToolFn {
             uses_reg_api,
             body: Some(Arc::new(scratch_body)),
             inlinable,
-            shape,
             write_ceiling,
             call_ceiling,
         }
     }
 }
 
-/// Classifies a loaded tool body: its control-flow shape (straight leaf or
-/// guarded diamond, via [`sass::pressure::body_shape`]), whether it
-/// qualifies for inline splicing, and its register write ceiling.
+/// Classifies a loaded tool body: whether it qualifies for inline splicing
+/// (which takes a control-flow shape [`sass::pressure::body_shape`] accepts:
+/// straight leaf or guarded diamond), and its register write ceiling.
 fn classify_body(
     body: &[Instruction],
     reg_count: u32,
     stack_size: u32,
     uses_reg_api: bool,
     arch: sass::Arch,
-) -> (bool, Option<u8>, Option<BodyShape>) {
+) -> (bool, Option<u8>) {
     // The write ceiling is only knowable for call-free bodies that leave
     // the frame pointer alone; the register device API reaches the save
     // area behind the analysis's back.
@@ -209,13 +176,12 @@ fn classify_body(
     // requires the single unguarded trailing RET, rejects control flow
     // that leaves the body, and — unlike the scan — rejects loops and
     // multi-branch shapes that happened to stay in-body.
-    let shape = sass::pressure::body_shape(body, arch);
     let inlinable = write_ceiling.is_some()
-        && shape.is_some()
+        && sass::pressure::body_shape(body, arch).is_some()
         && stack_size == 0
         && reg_count <= INLINE_MAX_REGS
         && body.len() <= INLINE_MAX_INSTRS;
-    (inlinable, write_ceiling, if write_ceiling.is_some() { shape } else { None })
+    (inlinable, write_ceiling)
 }
 
 /// How the code generator sizes each injection site's register save.
@@ -279,8 +245,6 @@ pub struct SiteMeta {
 /// The output of code generation for one function.
 #[derive(Debug, Clone)]
 pub struct InstrumentedImage {
-    /// Pristine original code (for swapping back).
-    pub original: Vec<u8>,
     /// Instrumented copy — byte-for-byte the same size as the original.
     pub instrumented: Vec<u8>,
     /// Device address of the trampoline region.
@@ -449,7 +413,6 @@ pub(crate) fn prepare(
     hal: &Hal,
     info: &FunctionInfo,
     original: &[Instruction],
-    original_code: &[u8],
     plan: &InstrumentationPlan,
     tool_fns: &HashMap<String, ToolFn>,
     routines: &HashMap<u16, Routines>,
@@ -581,7 +544,6 @@ pub(crate) fn prepare(
     Ok(Prepared {
         tramp_bytes: (tramp_instrs.len() as u64 * isize).max(isize),
         image: InstrumentedImage {
-            original: original_code.to_vec(),
             instrumented: Vec::new(),
             tramp_addr: 0,
             tramp_code: Vec::new(),
@@ -625,7 +587,6 @@ impl Prepared {
         image.tramp_addr = tramp_addr;
         image.tramp_code = hal.assemble(&tramp)?;
         image.instrumented = hal.assemble(&patched)?;
-        debug_assert_eq!(image.instrumented.len(), image.original.len());
         Ok(image)
     }
 }
@@ -1022,7 +983,6 @@ mod tests {
         hal: &Hal,
         info: &FunctionInfo,
         original: &[Instruction],
-        original_code: &[u8],
         plan: &InstrumentationPlan,
         tool_fns: &HashMap<String, ToolFn>,
         routines: &HashMap<u16, Routines>,
@@ -1030,17 +990,7 @@ mod tests {
         policy: SavePolicy,
         mut alloc: impl FnMut(u64) -> Result<u64>,
     ) -> Result<InstrumentedImage> {
-        let prepared = prepare(
-            hal,
-            info,
-            original,
-            original_code,
-            plan,
-            tool_fns,
-            routines,
-            analysis,
-            policy,
-        )?;
+        let prepared = prepare(hal, info, original, plan, tool_fns, routines, analysis, policy)?;
         let tramp_addr = alloc(prepared.tramp_bytes)?;
         prepared.finish(hal, tramp_addr)
     }
@@ -1119,12 +1069,11 @@ mod tests {
         emit_site(&mut cx, 16, idx, &vec![None; plan.sites[&idx].len()]).unwrap()
     }
 
-    fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>, Vec<u8>) {
+    fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>) {
         let hal = Hal::new(arch);
-        let code = hal.assemble_text(text).unwrap();
-        let instrs = hal.disassemble(&code).unwrap();
+        let instrs = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
         let info = fake_info(0x4000, 12, arch);
-        (hal, info, instrs, code)
+        (hal, info, instrs)
     }
 
     fn tool_fns() -> HashMap<String, ToolFn> {
@@ -1136,7 +1085,7 @@ mod tests {
     #[test]
     fn trampoline_structure_matches_figure_4() {
         for arch in [Arch::Kepler, Arch::Volta] {
-            let (hal, info, instrs, code) = setup(
+            let (hal, info, instrs) = setup(
                 arch,
                 "S2R R4, SR_TID.X ;\n\
                  IADD R5, R4, 0x1 ;\n\
@@ -1152,7 +1101,6 @@ mod tests {
                 &hal,
                 &info,
                 &instrs,
-                &code,
                 &plan_of(&spec, &instrs, &tool_fns()),
                 &tool_fns(),
                 &fake_routines(),
@@ -1164,7 +1112,7 @@ mod tests {
 
             // Same size, site 2 replaced by an absolute JMP to the
             // trampoline.
-            assert_eq!(img.instrumented.len(), code.len());
+            assert_eq!(img.instrumented.len(), instrs.len() * hal.instruction_size() as usize);
             let patched = hal.disassemble(&img.instrumented).unwrap();
             assert_eq!(patched[2].op, Op::Jmp);
             assert_eq!(patched[2].operands[0], Operand::Abs(0x9000));
@@ -1204,7 +1152,7 @@ mod tests {
     /// `tramp_base` and returns the relocated branch plus the absolute
     /// address it transfers to.
     fn relocated_branch(tramp_base: u64) -> (Instruction, u64) {
-        let (hal, info, instrs, code) = setup(
+        let (hal, info, instrs) = setup(
             Arch::Pascal,
             "ISETP.EQ.S32 P0, R4, RZ ;\n\
              @P0 BRA .+0x10 ;\n\
@@ -1218,7 +1166,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1265,7 +1212,7 @@ mod tests {
         // [GuardPred, Imm64]: R4, then the pair even-aligned to R6:R7. The
         // tier loop's clobber window comes from `arg_window`; the emitted
         // code must write that far and no further.
-        let (hal, info, instrs, code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let args = [Arg::GuardPred, Arg::Imm64(0xdead_beef_1234)];
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
@@ -1276,7 +1223,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1299,7 +1245,7 @@ mod tests {
 
     #[test]
     fn remove_orig_replaces_the_instruction_with_nop() {
-        let (hal, info, instrs, code) = setup(
+        let (hal, info, instrs) = setup(
             Arch::Volta,
             "PROXY R4, R5, 0x1234 ;\n\
              EXIT ;",
@@ -1311,19 +1257,17 @@ mod tests {
         let (out, orig_pos, _) = ladder_site(&hal, &info, &instrs, &plan, &tool_fns(), 0);
         assert!(out.iter().all(|i| i.op != Op::Proxy));
         assert_eq!(out[orig_pos].op, Op::Nop);
-        let _ = code;
     }
 
     #[test]
     fn removed_without_injection_becomes_inplace_nop() {
-        let (hal, info, instrs, code) = setup(Arch::Volta, "BPT ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Volta, "BPT ;\nEXIT ;");
         let mut spec = FuncSpec::default();
         spec.remove_orig(0);
         let img = generate(
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1339,7 +1283,7 @@ mod tests {
 
     #[test]
     fn before_and_after_injections_bracket_the_original() {
-        let (hal, info, instrs, _code) = setup(Arch::Maxwell, "IADD R4, R4, 0x1 ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Maxwell, "IADD R4, R4, 0x1 ;\nEXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::After);
         spec.insert_call(0, "ifunc", IPoint::Before);
@@ -1358,7 +1302,7 @@ mod tests {
     #[test]
     fn unknown_tool_function_is_rejected() {
         // Validation moved into the planner, which codegen consumes.
-        let (_hal, _info, instrs, _code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
+        let (_hal, _info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "missing", IPoint::Before);
         let e =
@@ -1368,7 +1312,7 @@ mod tests {
 
     #[test]
     fn out_of_range_site_is_rejected() {
-        let (_hal, _info, instrs, _code) = setup(Arch::Volta, "EXIT ;");
+        let (_hal, _info, instrs) = setup(Arch::Volta, "EXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(5, "ifunc", IPoint::Before);
         let e =
@@ -1378,7 +1322,7 @@ mod tests {
 
     #[test]
     fn tier_selection_covers_function_tool_and_args() {
-        let (hal, mut info, instrs, code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
+        let (hal, mut info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         info.reg_count = 40; // forces tier 64
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
@@ -1387,7 +1331,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1406,7 +1349,7 @@ mod tests {
 
     #[test]
     fn liveness_shrinks_the_site_tier() {
-        let (hal, mut info, instrs, code) = setup(
+        let (hal, mut info, instrs) = setup(
             Arch::Volta,
             "S2R R4, SR_TID.X ;\n\
              IADD R5, R4, 0x1 ;\n\
@@ -1421,7 +1364,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1450,7 +1392,7 @@ mod tests {
         // R200 is live across the site, but the trampoline clobbers only
         // R0, the ABI argument window and the 8-register tool function —
         // R200 survives untouched, so the site keeps the minimum tier.
-        let (hal, mut info, instrs, code) = setup(
+        let (hal, mut info, instrs) = setup(
             Arch::Volta,
             "IADD R5, R4, 0x1 ;\n\
              STG [R6], R5 ;\n\
@@ -1466,7 +1408,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1488,7 +1429,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec2, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1502,7 +1442,7 @@ mod tests {
 
     #[test]
     fn full_tier_policy_ignores_the_analysis() {
-        let (hal, mut info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
+        let (hal, mut info, instrs) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
@@ -1511,7 +1451,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1527,7 +1466,7 @@ mod tests {
 
     #[test]
     fn reg_api_tools_force_the_conservative_tier() {
-        let (hal, mut info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
+        let (hal, mut info, instrs) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut fns = tool_fns();
@@ -1538,7 +1477,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &fns),
             &fns,
             &fake_routines(),
@@ -1556,7 +1494,7 @@ mod tests {
 
     #[test]
     fn argument_demand_extends_the_liveness_tier() {
-        let (hal, info, instrs, code) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
@@ -1565,7 +1503,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1579,7 +1516,7 @@ mod tests {
 
     #[test]
     fn site_meta_locates_the_relocated_original() {
-        let (hal, info, instrs, code) = setup(
+        let (hal, info, instrs) = setup(
             Arch::Volta,
             "IADD R5, R4, 0x1 ;\n\
              STG [R6], R5 ;\n\
@@ -1593,7 +1530,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1614,7 +1550,7 @@ mod tests {
 
     #[test]
     fn too_many_arguments_error() {
-        let (hal, info, instrs, code) = setup(Arch::Volta, "NOP ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "ifunc", IPoint::Before);
         for _ in 0..7 {
@@ -1624,7 +1560,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan_of(&spec, &instrs, &tool_fns()),
             &tool_fns(),
             &fake_routines(),
@@ -1635,15 +1570,18 @@ mod tests {
         assert!(matches!(e, Err(NvbitError::BadRequest(_))));
     }
 
+    /// A tool function whose one compile serves as both ABI copies.
+    fn with_body(reg_count: u32, uses_reg_api: bool, body: Vec<Instruction>, arch: Arch) -> ToolFn {
+        let callable = (reg_count, 0, body.as_slice());
+        ToolFn::dual_abi(0x8000, callable, (reg_count, 0, body.clone()), uses_reg_api, arch)
+    }
+
     /// A leaf tool body: bump the first argument register and return.
     fn leaf_fns(hal: &Hal, reg_count: u32) -> HashMap<String, ToolFn> {
         let code = hal.assemble_text("IADD R4, R4, 0x1 ;\nRET ;").unwrap();
         let body = hal.disassemble(&code).unwrap();
         let mut m = HashMap::new();
-        m.insert(
-            "leaf".to_string(),
-            ToolFn::with_body(0x8000, reg_count, 0, false, body, hal.arch()),
-        );
+        m.insert("leaf".to_string(), with_body(reg_count, false, body, hal.arch()));
         m
     }
 
@@ -1654,15 +1592,12 @@ mod tests {
         let dis = |t: &str| hal.disassemble(&hal.assemble_text(t).unwrap()).unwrap();
 
         let leaf = dis("IADD R4, R4, 0x1 ;\nRET ;");
-        assert_eq!(
-            classify_body(&leaf, 8, 0, false, arch),
-            (true, Some(5), Some(BodyShape::Straight))
-        );
+        assert_eq!(classify_body(&leaf, 8, 0, false, arch), (true, Some(5)));
 
         // Calls, guarded trailing RET, the register device API, stack use
         // and oversized bodies all disqualify.
         let calls = dis("JCAL `0x100 ;\nRET ;");
-        assert_eq!(classify_body(&calls, 8, 0, false, arch), (false, None, None));
+        assert_eq!(classify_body(&calls, 8, 0, false, arch), (false, None));
         let guarded = dis("ISETP.EQ.S32 P1, R4, RZ ;\n@P1 RET ;");
         assert!(!classify_body(&guarded, 8, 0, false, arch).0);
         assert!(!classify_body(&leaf, 8, 0, true, arch).0, "reg-api");
@@ -1682,10 +1617,7 @@ mod tests {
              IADD R5, R4, 0x1 ;\n\
              done:\n\
              RET ;");
-        let (ok, ceiling, shape) = classify_body(&merged, 8, 0, false, arch);
-        assert!(ok);
-        assert_eq!(ceiling, Some(6));
-        assert_eq!(shape, Some(BodyShape::Diamond));
+        assert_eq!(classify_body(&merged, 8, 0, false, arch), (true, Some(6)));
 
         // A backward (loop) branch was loosely accepted by the old scan;
         // the shape classifier rejects it.
@@ -1695,7 +1627,7 @@ mod tests {
 
     #[test]
     fn inline_call_splices_the_body_and_drops_the_call_ret_pair() {
-        let (hal, info, instrs, code) = setup(Arch::Volta, "IADD R7, R7, 0x1 ;\nEXIT ;");
+        let (hal, info, instrs) = setup(Arch::Volta, "IADD R7, R7, 0x1 ;\nEXIT ;");
         let fns = leaf_fns(&hal, 8);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "leaf", IPoint::Before);
@@ -1706,7 +1638,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan,
             &fns,
             &fake_routines(),
@@ -1759,7 +1690,7 @@ mod tests {
     fn tool(hal: &Hal, name: &str, text: &str) -> HashMap<String, ToolFn> {
         let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
         let regs = body.iter().filter_map(Instruction::max_reg).max().map_or(4, |r| r as u32 + 1);
-        let tf = ToolFn::with_body(0x8000, regs, 0, false, body, hal.arch());
+        let tf = with_body(regs, false, body, hal.arch());
         assert!(tf.inlinable, "{name} must be spliceable");
         HashMap::from([(name.to_string(), tf)])
     }
@@ -1782,14 +1713,13 @@ mod tests {
         fns: &HashMap<String, ToolFn>,
         spec: &FuncSpec,
     ) -> (InstrumentedImage, Vec<Instruction>) {
-        let (hal, info, instrs, code) = setup(arch, text);
+        let (hal, info, instrs) = setup(arch, text);
         let analysis = sass::Analysis::of(&instrs, arch);
         let plan = plan::build(spec, &instrs, arch, &analysis, fns, PlanOpts::default()).unwrap();
         let img = generate(
             &hal,
             &info,
             &instrs,
-            &code,
             &plan,
             fns,
             &fake_routines(),
@@ -1923,7 +1853,7 @@ mod tests {
             let (img, tramp) = exact(app, &fns, &spec);
             let tool_bodies = vec![("pmult".to_string(), fns["pmult"].body.clone().unwrap())];
             Accepted {
-                original: hal.disassemble(&img.original).unwrap(),
+                original: hal.disassemble(&hal.assemble_text(app).unwrap()).unwrap(),
                 tramp,
                 sites: img.sites,
                 ext: ExternalCode { tool_bodies, ..ExternalCode::default() },
@@ -1933,10 +1863,16 @@ mod tests {
         /// The diagnostic kinds both verifier halves report.
         fn verify(&self) -> Vec<DiagKind> {
             let hal = Hal::new(Arch::Volta);
-            let image = self.original.clone(); // only the trampoline is under test
-            let (tramp, sites, ext) = (&self.tramp, &self.sites, &self.ext);
-            let mut d = verify_plan_instrs(&hal, &self.original, tramp, sites, ext);
-            d.extend(verify_instrs(&hal, 0x4000, &image, 0x9000, tramp, sites, ext));
+            let (original, tramp, sites, ext) =
+                (&self.original, &self.tramp, &self.sites, &self.ext);
+            // Only the trampoline is under test: the image is as generated.
+            let mut image = original.clone();
+            for site in sites {
+                let site_pc = 0x9000 + site.start as u64 * hal.instruction_size();
+                image[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
+            }
+            let mut d = verify_plan_instrs(&hal, original, tramp, sites, ext);
+            d.extend(verify_instrs(&hal, original, 0x4000, &image, 0x9000, tramp, sites, ext));
             d.iter().map(|d| d.kind).collect()
         }
     }
@@ -2079,7 +2015,7 @@ mod tests {
                 tool_bodies: vec![("setp".to_string(), fns["setp"].body.clone().unwrap())],
                 ..ExternalCode::default()
             };
-            let original = hal.disassemble(&img.original).unwrap();
+            let original = hal.disassemble(&hal.assemble_text(&app).unwrap()).unwrap();
             let diags = verify_plan_instrs(&hal, &original, &tramp, &img.sites, &ext);
             assert_eq!(diags, vec![]);
             // Behind nothing at all, the write of live P0 is caught.
@@ -2092,7 +2028,7 @@ mod tests {
 
     #[test]
     fn inline_span_shifts_inside_the_pred_filter_diamond() {
-        let (hal, info, instrs, _code) = setup(
+        let (hal, info, instrs) = setup(
             Arch::Volta,
             "ISETP.EQ.S32 P0, R4, RZ ;\n\
              @P0 IADD R7, R7, 0x1 ;\n\
@@ -2116,7 +2052,7 @@ mod tests {
 
     #[test]
     fn coalesced_site_materializes_the_multiplicity_argument() {
-        let (hal, info, instrs, code) = setup(
+        let (hal, info, instrs) = setup(
             Arch::Volta,
             "IADD R4, R4, 0x1 ;\n\
              IADD R5, R5, 0x1 ;\n\
@@ -2143,7 +2079,6 @@ mod tests {
             &hal,
             &info,
             &instrs,
-            &code,
             &plan,
             &tool_fns(),
             &fake_routines(),
@@ -2178,7 +2113,7 @@ mod tests {
         // The leaf body only writes R4; a high-register value live across
         // the site needs no save slot even though the tool *uses* 100
         // registers by its own accounting.
-        let (hal, mut info, instrs, code) = setup(
+        let (hal, mut info, instrs) = setup(
             Arch::Volta,
             "IADD R5, R4, 0x1 ;\n\
              STG [R6], R90 ;\n\
@@ -2194,7 +2129,6 @@ mod tests {
                 &hal,
                 &info,
                 &instrs,
-                &code,
                 &plan,
                 fns,
                 &fake_routines(),

@@ -22,15 +22,20 @@
 //! `save_stats`, `plan_stats`, which report on it) — never because some
 //! unrelated function is launched.
 //!
-//! # Versioned images
+//! # The code cache
 //!
-//! Each function caches *multiple* instrumented images keyed by
-//! ([`FuncSpec::content_hash`], [`SavePolicy`]). Flipping
-//! `enable_instrumented` or `set_save_policy` between already-built
-//! versions is a pure O(memcpy) swap (paper §6.2) — codegen never re-runs
-//! for a key it has seen. `cuModuleUnload` evicts every entry of the dying
-//! module and frees its trampolines, so a recycled handle can never be
-//! served a stale lifted image.
+//! Per function the core keeps the paper's pair (§5.1 Code
+//! Loader/Unloader): the original, read and lifted once ([`Lifted`] owns
+//! the pristine bytes), and at most one instrumented image of the same
+//! size with the [`SavePolicy`] and [`PlanOpts`] it was built under.
+//! Flipping `enable_instrumented` swaps between the two by one memcpy
+//! (§6.2) and never re-runs codegen. The image is *stale* once the request
+//! was edited ([`FuncSpec::dirty`]) or either setting has moved; the next
+//! build then replaces it — new image from the original's bytes, old
+//! trampoline region freed — so a function owns one trampoline region
+//! however often it is re-instrumented. `cuModuleUnload` evicts every entry
+//! of the dying module and frees its trampolines, so a recycled handle can
+//! never be served a stale lifted image.
 
 use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn};
 use crate::hal::Hal;
@@ -87,48 +92,45 @@ enum Version {
     Instrumented,
 }
 
-/// Key of one cached instrumented image: what was asked for (the spec),
-/// how saves were sized (the policy) and which plan passes ran (the
-/// options). Same key ⇒ bit-identical image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ImageKey {
-    spec_hash: u64,
-    policy: SavePolicy,
-    opts: PlanOpts,
-}
-
-/// Per-function code-cache entry.
+/// Per-function code-cache entry: the original and at most one
+/// instrumented image of it (see the module docs).
 #[derive(Default)]
 struct FuncEntry {
+    /// The original, set before any image is built or installed.
     lifted: Option<Arc<Lifted>>,
     spec: FuncSpec,
-    /// Cached [`FuncSpec::content_hash`]; refreshed when `spec.dirty`.
-    spec_hash: Option<u64>,
-    /// All generated versions, kept until reset/unload (paper Figure 5:
-    /// amortization; §6.2: O(memcpy) sampling switches).
-    images: HashMap<ImageKey, InstrumentedImage>,
+    /// The instrumented image with the settings it was built under, kept
+    /// until replaced or reset/unload (paper Figure 5: amortization; §6.2:
+    /// O(memcpy) sampling switches).
+    image: Option<(InstrumentedImage, SavePolicy, PlanOpts)>,
     /// What the tool asked for (`enable_instrumented`). Defaults to
     /// instrumented once instrumentation exists, like NVBit.
     desired: Version,
-    /// The version currently written at the function's code address
-    /// (`None` = the original code).
-    current: Option<ImageKey>,
+    /// Trampoline address of the image whose bytes sit at the function's
+    /// code address (`None` = the original code). A replaced image's region
+    /// is not its successor's, so what it left installed reads as neither
+    /// version and `reconcile` writes over it.
+    installed: Option<u64>,
 }
 
 impl FuncEntry {
     /// True if the function has a pending instrumentation request or a
     /// generated image.
     fn tracked(&self) -> bool {
-        !self.spec.is_empty() || !self.images.is_empty()
+        !self.spec.is_empty() || self.image.is_some()
     }
 
-    /// The image key of the entry's present spec under `policy`/`opts`.
-    fn key(&mut self, policy: SavePolicy, opts: PlanOpts) -> ImageKey {
-        if self.spec.dirty || self.spec_hash.is_none() {
-            self.spec_hash = Some(self.spec.content_hash());
-            self.spec.dirty = false;
+    /// The original, read from the device and lifted on first use.
+    fn lifted(&mut self, drv: &Driver, func: CuFunction) -> Result<Arc<Lifted>> {
+        if let Some(l) = &self.lifted {
+            common::obs::counter("lift_cache.hit", 1);
+            return Ok(l.clone());
         }
-        ImageKey { spec_hash: self.spec_hash.expect("just refreshed"), policy, opts }
+        common::obs::counter("lift_cache.miss", 1);
+        let _span = common::obs::span("lift");
+        let info = drv.function_info(func)?;
+        let code = drv.read_code(func)?;
+        Ok(self.lifted.insert(Arc::new(lift(&hal_of(drv), &info, &code)?)).clone())
     }
 }
 
@@ -165,17 +167,15 @@ impl CoreState {
         self.funcs.borrow().get(&func.raw()).is_some_and(FuncEntry::tracked)
     }
 
-    /// Reads the cached image of `func`'s present (spec, policy, opts) key.
+    /// Reads `func`'s pair, if it has an image.
     fn with_image<R>(
         &self,
         func: CuFunction,
-        read: impl FnOnce(&InstrumentedImage) -> R,
+        read: impl FnOnce(&Lifted, &InstrumentedImage) -> R,
     ) -> Option<R> {
-        let (policy, opts) = (self.save_policy.get(), self.plan_opts.get());
-        let mut entries = self.funcs.borrow_mut();
-        let entry = entries.get_mut(&func.raw())?;
-        let key = entry.key(policy, opts);
-        entry.images.get(&key).map(read)
+        let entries = self.funcs.borrow();
+        let entry = entries.get(&func.raw())?;
+        Some(read(entry.lifted.as_deref()?, &entry.image.as_ref()?.0))
     }
 
     /// Applies `edit` to the most recent injection at a site of `func`;
@@ -253,22 +253,11 @@ impl CoreState {
 
     /// Lifts (and caches) a function.
     fn lifted_for(&self, drv: &Driver, func: CuFunction) -> Result<Arc<Lifted>> {
-        let raw = func.raw();
-        if let Some(l) = self.funcs.borrow().get(&raw).and_then(|e| e.lifted.clone()) {
-            common::obs::counter("lift_cache.hit", 1);
-            return Ok(l);
-        }
-        common::obs::counter("lift_cache.miss", 1);
-        let _span = common::obs::span("lift");
-        let info = drv.function_info(func)?;
-        let code = drv.read_code(func)?;
-        let lifted = Arc::new(lift(&hal_of(drv), &info, &code)?);
-        self.funcs.borrow_mut().entry(raw).or_default().lifted = Some(lifted.clone());
-        Ok(lifted)
+        self.funcs.borrow_mut().entry(func.raw()).or_default().lifted(drv, func)
     }
 
-    /// Builds, verifies and caches the image of `func`'s present (spec,
-    /// policy, opts) key, unless it has no request or the image exists: the
+    /// Builds and verifies `func`'s image and puts it in place of the one
+    /// it has, unless it has no request or its image is not stale: the
     /// paper's §5.1 pipeline, straight through on the driver thread.
     fn build(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         let (policy, opts) = (self.save_policy.get(), self.plan_opts.get());
@@ -280,56 +269,31 @@ impl CoreState {
         if entry.spec.is_empty() {
             return Ok(());
         }
-        let key = entry.key(policy, opts);
-        if entry.images.contains_key(&key) {
+        let built_under = entry.image.as_ref().map(|(_, policy, opts)| (*policy, *opts));
+        if !entry.spec.dirty && built_under == Some((policy, opts)) {
             // The code-cache reuse the paper's Figure 5 amortization
             // depends on.
             common::obs::counter("instr_image.reuse", 1);
             return Ok(());
         }
-        common::obs::counter(
-            if entry.lifted.is_some() { "lift_cache.hit" } else { "lift_cache.miss" },
-            1,
-        );
         self.ensure_routines(drv)?;
         let hal = hal_of(drv);
         let info = drv.function_info(func)?;
-        // The code at the function's address may currently be an
-        // instrumented version; build new images from the pristine bytes
-        // every cached image carries.
-        let read;
-        let code: &[u8] = match entry.images.values().next() {
-            Some(img) => &img.original,
-            None => {
-                read = drv.read_code(func)?;
-                &read
-            }
-        };
 
         let _span = common::obs::span("instrument");
         common::obs::counter("instr_image.build", 1);
-        let lifted = match &entry.lifted {
-            Some(l) => l.clone(),
-            None => {
-                let _lspan = common::obs::span("lift");
-                Arc::new(lift(&hal, &info, code)?)
-            }
-        };
+        // The code at the function's address may be an instrumented version;
+        // every image is built from the original the entry read first.
+        let lifted = entry.lifted(drv, func)?;
         let original: Vec<sass::Instruction> =
             lifted.instrs.iter().map(|i| i.raw().clone()).collect();
         let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
         // Lower the spec into the plan IR, running the coalescing and
-        // inlining passes the image key's options select.
+        // inlining passes the options select.
         let plan = {
             let _pspan = common::obs::span("plan");
-            let plan = plan::build(
-                &entry.spec,
-                &original,
-                hal.arch(),
-                &lifted.analysis,
-                &tool_fns,
-                key.opts,
-            )?;
+            let plan =
+                plan::build(&entry.spec, &original, hal.arch(), &lifted.analysis, &tool_fns, opts)?;
             common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
             common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
             common::obs::counter("plan.region_groups", plan.stats.region_groups);
@@ -342,20 +306,10 @@ impl CoreState {
         // emission error has allocated nothing.
         let prepared = {
             let _cspan = common::obs::span("codegen");
-            prepare(
-                &hal,
-                &info,
-                &original,
-                code,
-                &plan,
-                &tool_fns,
-                &routines,
-                &lifted.analysis,
-                key.policy,
-            )?
+            prepare(&hal, &info, &original, &plan, &tool_fns, &routines, &lifted.analysis, policy)?
         };
         let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
-        // From here on the region is either owned by the cached image or
+        // From here on the region is either owned by the entry's image or
         // given back: rebase and assemble, then pre-swap verification — a
         // bad image corrupts the application, so one with findings is
         // refused — then upload.
@@ -366,7 +320,8 @@ impl CoreState {
             };
             let diags = {
                 let _vspan = common::obs::span("verify");
-                verify::verify(&hal, info.addr, &image, &self.external_code(drv, &info))?
+                let ext = self.external_code(drv, &info);
+                verify::verify(&hal, info.addr, &lifted.code, &image, &ext)?
             };
             if !diags.is_empty() {
                 common::obs::counter("instr_image.verify_reject", 1);
@@ -382,8 +337,13 @@ impl CoreState {
         })();
         match placed {
             Ok(image) => {
-                entry.lifted.get_or_insert(lifted);
-                entry.images.insert(key, image);
+                entry.spec.dirty = false;
+                // One trampoline region per function: the stale image's goes
+                // (a failure is counted on `tramp.free_fail`, and costs the
+                // region, not the build).
+                if let Some((stale, ..)) = entry.image.replace((image, policy, opts)) {
+                    let _ = free_tramp(drv, stale.tramp_addr);
+                }
                 Ok(())
             }
             Err(e) => {
@@ -399,74 +359,58 @@ impl CoreState {
     fn reconcile(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         let mut entries = self.funcs.borrow_mut();
         let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
-        let target = if entry.desired == Version::Instrumented {
-            let k = entry.key(self.save_policy.get(), self.plan_opts.get());
-            entry.images.contains_key(&k).then_some(k)
-        } else {
-            None
+        let (Some(lifted), Some((image, ..))) = (&entry.lifted, &entry.image) else {
+            return Ok(());
         };
-        if entry.current == target {
+        let target = (entry.desired == Version::Instrumented).then_some(image.tramp_addr);
+        if entry.installed == target {
             return Ok(());
         }
         let info = drv.function_info(func)?;
         let _swap_span = common::obs::span("swap");
-        match target {
-            Some(k) => {
-                let img = &entry.images[&k];
-                drv.with_device(|d| d.write(info.addr, &img.instrumented))?;
-                drv.set_local_override(func, img.extra_local)?;
-            }
-            None => {
-                // `current` was Some, so at least that image exists and
-                // carries the pristine bytes.
-                let img = entry
-                    .current
-                    .and_then(|c| entry.images.get(&c))
-                    .or_else(|| entry.images.values().next());
-                if let Some(img) = img {
-                    drv.with_device(|d| d.write(info.addr, &img.original))?;
-                    drv.set_local_override(func, 0)?;
-                }
-            }
-        }
-        entry.current = target;
+        let (code, extra_local) = match target {
+            Some(_) => (&image.instrumented, image.extra_local),
+            None => (&lifted.code, 0),
+        };
+        drv.with_device(|d| d.write(info.addr, code))?;
+        drv.set_local_override(func, extra_local)?;
+        entry.installed = target;
         Ok(())
     }
 
     /// Brings `func` to the version the tool asked for, building its image
-    /// first when its present key has none.
+    /// first when it has none or a stale one.
     fn apply_one(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         self.build(drv, func)?;
         self.reconcile(drv, func)
     }
 
     /// Drops a function's entry: restores the original code, clears the
-    /// local-memory override and frees the trampolines of every cached
-    /// version. Cleanup runs to completion even when a step fails; the
-    /// first failure is returned afterwards.
+    /// local-memory override and frees the image's trampolines. Cleanup
+    /// runs to completion even when a step fails; the first failure is
+    /// returned afterwards.
     fn reset(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else {
             return Ok(());
         };
+        let (Some(lifted), Some((image, ..))) = (entry.lifted, entry.image) else {
+            return Ok(());
+        };
         let mut first_err: Option<NvbitError> = None;
-        if !entry.images.is_empty() {
-            if let Ok(info) = drv.function_info(func) {
-                if let Some(img) = entry.current.and_then(|c| entry.images.get(&c)) {
-                    if let Err(e) = drv.with_device(|d| d.write(info.addr, &img.original)) {
-                        first_err.get_or_insert(e.into());
-                    }
-                }
-                // Always reset the override once any image existed — even
-                // when the original version happens to be installed.
-                if let Err(e) = drv.set_local_override(func, 0) {
+        if let Ok(info) = drv.function_info(func) {
+            if entry.installed.is_some() {
+                if let Err(e) = drv.with_device(|d| d.write(info.addr, &lifted.code)) {
                     first_err.get_or_insert(e.into());
                 }
             }
-        }
-        for img in entry.images.values() {
-            if let Err(e) = free_tramp(drv, img.tramp_addr) {
+            // Always reset the override once an image existed — even when
+            // the original version happens to be installed.
+            if let Err(e) = drv.set_local_override(func, 0) {
                 first_err.get_or_insert(e.into());
             }
+        }
+        if let Err(e) = free_tramp(drv, image.tramp_addr) {
+            first_err.get_or_insert(e.into());
         }
         first_err.map_or(Ok(()), Err)
     }
@@ -481,12 +425,10 @@ impl CoreState {
         let mut image_evicted = 0u64;
         for func in funcs {
             let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else { continue };
-            if entry.lifted.is_some() {
-                lift_evicted += 1;
-            }
-            for img in entry.images.values() {
+            lift_evicted += u64::from(entry.lifted.is_some());
+            if let Some((image, ..)) = entry.image {
                 image_evicted += 1;
-                let _ = free_tramp(drv, img.tramp_addr);
+                let _ = free_tramp(drv, image.tramp_addr);
             }
         }
         if lift_evicted > 0 {
@@ -646,7 +588,6 @@ impl<'a> NvbitApi<'a> {
         // splice saves for itself whatever it clobbers at the site.
         let ast = ptx::parse_module(ptx_src)?;
         let module = ptx::compile_ast(&ast, hal.arch())?;
-        let scratch_mod = ptx::compile_ast_abi(&ast, hal.arch(), ptx::Abi::Scratch).ok();
         // Validate the whole module before anything is allocated or
         // registered: a rejected module must leave no function behind.
         for f in &module.functions {
@@ -666,7 +607,9 @@ impl<'a> NvbitApi<'a> {
                 )));
             }
         }
-        for f in &module.functions {
+        // The second compile: the same functions in the same order.
+        let scratch_mod = ptx::compile_ast_abi(&ast, hal.arch(), ptx::Abi::Scratch)?;
+        for (f, s) in module.functions.iter().zip(&scratch_mod.functions) {
             let addr = self.drv.with_device(|d| -> gpu::Result<u64> {
                 let a = d.alloc(f.code.len().max(1) as u64)?;
                 d.write(a, &f.code)?;
@@ -677,30 +620,13 @@ impl<'a> NvbitApi<'a> {
             // (precise clobber ceilings, inline candidates) and the verifier
             // can compare inlined splices against the loaded function.
             let body = hal.disassemble(&f.code)?;
-            let scratch =
-                scratch_mod.as_ref().and_then(|m| m.functions.iter().find(|s| s.name == f.name));
-            let tool_fn = match scratch {
-                Some(s) => {
-                    let scratch_body = hal.disassemble(&s.code)?;
-                    ToolFn::dual_abi(
-                        addr,
-                        (f.reg_count, f.stack_size, &body),
-                        (s.reg_count, s.stack_size, scratch_body),
-                        f.uses_reg_api,
-                        hal.arch(),
-                    )
-                }
-                // No scratch compile (the function calls others): classify
-                // the standard body — such bodies are never spliceable.
-                None => ToolFn::with_body(
-                    addr,
-                    f.reg_count,
-                    f.stack_size,
-                    f.uses_reg_api,
-                    body,
-                    hal.arch(),
-                ),
-            };
+            let tool_fn = ToolFn::dual_abi(
+                addr,
+                (f.reg_count, f.stack_size, &body),
+                (s.reg_count, s.stack_size, hal.disassemble(&s.code)?),
+                f.uses_reg_api,
+                hal.arch(),
+            );
             self.state.tool_fns.borrow_mut().insert(f.name.clone(), tool_fn);
         }
         Ok(())
@@ -933,12 +859,13 @@ impl<'a> NvbitApi<'a> {
 
     /// Selects whether the next launches of `func` run the instrumented or
     /// original version (`nvbit_enable_instrumented`) — the sampling switch
-    /// of §6.2. Takes effect immediately: the image of the present (spec,
-    /// policy, plan options) is built now if it was not yet — which is how
-    /// a tool pre-builds a function ahead of its launch — and with the
-    /// version already cached, the swap costs one memcpy of the function's
-    /// code. A no-op for functions that were never instrumented (no spec
-    /// and no image): no phantom state is created.
+    /// of §6.2. Takes effect immediately: the function's image is built now
+    /// if it has none, or one that the request, the save policy or the plan
+    /// options have moved away from — which is how a tool pre-builds a
+    /// function ahead of its launch — and otherwise the swap costs one
+    /// memcpy of the function's code and no rebuild, in either direction. A
+    /// no-op for functions that were never instrumented (no spec and no
+    /// image): no phantom state is created.
     ///
     /// # Errors
     ///
@@ -957,8 +884,8 @@ impl<'a> NvbitApi<'a> {
     }
 
     /// Discards instrumentation of `func`: restores the original code,
-    /// clears the local-memory override, frees the trampolines of *every*
-    /// cached version and drops the spec (`nvbit_reset_instrumented`).
+    /// clears the local-memory override, frees the image's trampolines and
+    /// drops the spec (`nvbit_reset_instrumented`).
     ///
     /// Cleanup runs to completion even when a step fails; the first
     /// failure is returned afterwards, and trampoline-free failures are
@@ -973,20 +900,20 @@ impl<'a> NvbitApi<'a> {
 
     /// Selects how injection-site register saves are sized for subsequent
     /// image builds: liveness-driven per-site tiers (the default) or the
-    /// conservative whole-function tier. Images are cached per
-    /// (spec, policy) version, so flipping the policy back and forth swaps
-    /// between already-built images without re-running code generation. A
-    /// function moves to the new policy when it is next built or
-    /// reconciled — its own next launch, not the next launch of anything.
+    /// conservative whole-function tier. A function keeps one image, so a
+    /// changed policy makes the image it has stale: it is rebuilt under the
+    /// new policy, and its trampoline region freed, when the function is
+    /// next built — its own next launch (or one it is related to), not the
+    /// next launch of anything. Set it once, before instrumenting; moving
+    /// it back later costs another rebuild.
     pub fn set_save_policy(&self, policy: SavePolicy) {
         self.state.save_policy.set(policy);
     }
 
     /// Selects how far up the [`crate::plan::PlanLevel`] ladder subsequent
-    /// image builds climb (the top rung by default). Images are cached per
-    /// (spec, policy, plan options) version, so flipping options swaps
-    /// between already-built images without re-running code generation.
-    /// Takes effect per function like [`NvbitApi::set_save_policy`].
+    /// image builds climb (the top rung by default). Takes effect per
+    /// function, by a rebuild of the image it has, like
+    /// [`NvbitApi::set_save_policy`].
     pub fn set_plan_opts(&self, opts: PlanOpts) {
         self.state.plan_opts.set(opts);
     }
@@ -1003,7 +930,7 @@ impl<'a> NvbitApi<'a> {
     pub fn set_jit_workers(&self, _workers: usize) {}
 
     /// Statically verifies the instrumented image of `func`, generating it
-    /// first if none is cached for the present (spec, policy). Returns the
+    /// first if it has none or a stale one. Returns the
     /// verifier's diagnostics — an empty vector means the image is safe to
     /// swap in. (The core runs the same checks before every swap; this
     /// surfaces them to tools.)
@@ -1018,24 +945,24 @@ impl<'a> NvbitApi<'a> {
             Err(NvbitError::VerifyFailed(diags)) => return Ok(diags),
             Err(e) => return Err(e),
         }
-        let verified = self.state.with_image(func, |image| {
+        let verified = self.state.with_image(func, |lifted, image| {
             let info = self.drv.function_info(func)?;
             let ext = self.state.external_code(self.drv, &info);
-            verify::verify(&hal_of(self.drv), info.addr, image, &ext)
+            verify::verify(&hal_of(self.drv), info.addr, &lifted.code, image, &ext)
         });
         verified.unwrap_or(Ok(Vec::new()))
     }
 
     /// Register-save accounting for the instrumented image of `func`
-    /// (generated first if none is cached for the present spec and
-    /// policy): `None` when the function has no instrumentation.
+    /// (generated first if it has none or a stale one): `None` when the
+    /// function has no instrumentation.
     ///
     /// # Errors
     ///
     /// Driver/codegen/verification failures during generation.
     pub fn save_stats(&self, func: CuFunction) -> Result<Option<SaveStats>> {
         self.state.apply_one(self.drv, func)?;
-        Ok(self.state.with_image(func, |img| SaveStats {
+        Ok(self.state.with_image(func, |_, img| SaveStats {
             saved_slots: img.saved_slots,
             full_tier_slots: img.full_tier_slots,
             max_tier: img.tier,
@@ -1045,8 +972,7 @@ impl<'a> NvbitApi<'a> {
     }
 
     /// Plan-pass accounting for the instrumented image of `func`
-    /// (generated first if none is cached for the present spec, policy and
-    /// plan options): how many requested calls the coalescing pass merged
+    /// (generated first if it has none or a stale one): how many requested calls the coalescing pass merged
     /// away and how many emitted calls were inlined. `None` when the
     /// function has no instrumentation.
     ///
@@ -1055,7 +981,7 @@ impl<'a> NvbitApi<'a> {
     /// Driver/codegen/verification failures during generation.
     pub fn plan_stats(&self, func: CuFunction) -> Result<Option<PlanStats>> {
         self.state.apply_one(self.drv, func)?;
-        Ok(self.state.with_image(func, |img| img.plan))
+        Ok(self.state.with_image(func, |_, img| img.plan))
     }
 
     /// True if the function currently has a generated instrumented image

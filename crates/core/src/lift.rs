@@ -5,11 +5,14 @@ use crate::instr::Instr;
 use crate::Result;
 use cuda::FunctionInfo;
 
-/// A lifted function body, cached by the core.
+/// A lifted function body, cached by the core: the original half of the
+/// code cache's pair, read once per function.
 #[derive(Debug, Clone)]
 pub struct Lifted {
-    /// The function's device address at lift time.
-    pub addr: u64,
+    /// The pristine code bytes the views were decoded from: what new images
+    /// are built and verified against, and what a swap back to the original
+    /// writes.
+    pub code: Vec<u8>,
     /// One view per SASS instruction, in program order.
     pub instrs: Vec<Instr>,
     /// The static analysis of the body (blocks, liveness, dominators), or
@@ -45,7 +48,7 @@ pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
             .map(|l| (l.file.clone(), l.line));
         instrs.push(Instr::new(idx, idx as u64 * isize, inner, line_info));
     }
-    Ok(Lifted { addr: info.addr, instrs, analysis })
+    Ok(Lifted { code: code.to_vec(), instrs, analysis })
 }
 
 #[cfg(test)]
@@ -88,6 +91,7 @@ mod tests {
             )
             .unwrap();
         let lifted = lift(&hal, &fake_info(vec![]), &code).unwrap();
+        assert_eq!(lifted.code, code);
         assert_eq!(lifted.instrs.len(), 5);
         assert_eq!(lifted.instrs[2].offset, 32);
         assert!(lifted.instrs[2].has_guard());

@@ -646,7 +646,8 @@ skip:
         let body = analyzed(src);
         let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
         let mut tool_fns = fns(false);
-        tool_fns.insert("g".to_string(), ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta));
+        let g = ToolFn::dual_abi(0x8000, (8, 0, &tool), (8, 0, tool.clone()), false, Arch::Volta);
+        tool_fns.insert("g".to_string(), g);
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "g", IPoint::Before);
         spec.insert_call(2, "f", IPoint::Before);

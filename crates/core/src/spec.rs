@@ -2,7 +2,6 @@
 //! per-function instrumentation specification built up by tool calls.
 
 use std::collections::{BTreeMap, HashSet};
-use std::hash::{Hash, Hasher};
 
 /// Where to inject relative to the instrumented instruction (the paper's
 /// `IPOINT_BEFORE` / `IPOINT_AFTER`).
@@ -105,8 +104,8 @@ pub struct FuncSpec {
     /// Instructions whose original operation is removed (paper:
     /// `nvbit_remove_orig`).
     pub removed: HashSet<usize>,
-    /// Set when the spec changed since its content hash was last taken
-    /// (the core keys its image cache on [`FuncSpec::content_hash`]).
+    /// Set by every edit and cleared by the core when it has built an image
+    /// of the spec: a set flag is what makes a function's image stale.
     pub dirty: bool,
 }
 
@@ -177,22 +176,6 @@ impl FuncSpec {
         self.removed.insert(idx);
         self.dirty = true;
     }
-
-    /// A process-deterministic content hash of the spec (sites in index
-    /// order, removals sorted; the `dirty` flag is excluded). Together with
-    /// the [`crate::SavePolicy`] this keys the multi-version image cache:
-    /// two specs with the same hash generate the same trampoline code.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (idx, injections) in &self.sites {
-            idx.hash(&mut h);
-            injections.hash(&mut h);
-        }
-        let mut removed: Vec<usize> = self.removed.iter().copied().collect();
-        removed.sort_unstable();
-        removed.hash(&mut h);
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -224,15 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_attaches_to_the_latest_injection_and_hashes() {
+    fn coalesce_attaches_to_the_latest_injection_and_dirties() {
         let mut s = FuncSpec::default();
         assert!(!s.set_coalesce(0), "no call inserted yet");
         s.insert_call(0, "f", IPoint::Before);
-        let before = s.content_hash();
+        s.dirty = false; // as after a build
         assert!(s.set_coalesce(0));
         assert!(s.sites[&0][0].coalesce);
-        assert!(s.dirty);
-        assert_ne!(s.content_hash(), before, "coalesce participates in the image-cache key");
+        assert!(s.dirty, "a coalesce edit makes the built image stale");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!   image, the trampoline region, or known external code (save/restore
 //!   routines, tool functions, related functions);
 //! * the image cannot fall off its last instruction, and every trampoline
-//!   site ends with an unconditional jump back into the image;
+//!   site ends with an unconditional jump back to the instruction after the
+//!   one it instruments;
+//! * Figure 4's other links hold against the original's bytes: the image is
+//!   the original except for a jump to the start of each site's trampoline
+//!   (and `NOP`s), and each site runs the instruction it displaced;
 //! * register and predicate operands stay within the architectural bounds
 //!   (including multi-register spans of wide loads/stores);
 //! * operand lists match their opcode formats;
@@ -55,8 +59,16 @@ pub enum DiagKind {
     /// an instruction boundary.
     BranchTarget,
     /// Execution can run off the end of the image, or a trampoline site
-    /// does not end with an unconditional jump back into the image.
+    /// does not end with an unconditional jump back to the instruction after
+    /// the one it instruments.
     FallThrough,
+    /// The image and the original disagree outside Figure 4's links: the
+    /// instruction at a site is not an unguarded jump to the start of the
+    /// site's trampoline, the site's relocated original is neither the
+    /// instruction it displaced (relative target re-relativised) nor a
+    /// `NOP`, or an off-site instruction is neither the original's nor a
+    /// `NOP`.
+    LinkMismatch,
     /// A register operand (or its multi-register span) exceeds the
     /// register file.
     BadRegister,
@@ -393,11 +405,14 @@ fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
         })
 }
 
-/// Verifies an instrumented image plus trampoline, both already
-/// disassembled. `sites` is the per-site layout recorded by the code
-/// generator. Returns every defect found (empty = image is safe to swap).
+/// Verifies an instrumented image plus trampoline against the `original`
+/// body it was made from, all already disassembled. `sites` is the per-site
+/// layout recorded by the code generator. Returns every defect found
+/// (empty = image is safe to swap).
+#[allow(clippy::too_many_arguments)] // three code regions, two of them placed
 pub fn verify_instrs(
     hal: &Hal,
+    original: &[Instruction],
     image_addr: u64,
     image: &[Instruction],
     tramp_addr: u64,
@@ -478,6 +493,39 @@ pub fn verify_instrs(
         None => {}
     }
 
+    // Figure 4's links into the trampoline: at a site the image jumps to the
+    // start of the site's code; everywhere else it is the original, or a
+    // `NOP` (a removed instruction).
+    let link = |region, index, message| Diagnostic {
+        kind: DiagKind::LinkMismatch,
+        region,
+        index,
+        message,
+    };
+    let jumps_to = |ins: &Instruction, pc: u64| {
+        ins.op == Op::Jmp && ins.guard.is_always() && ins.operands == [Operand::Abs(pc)]
+    };
+    if image.len() != original.len() {
+        diags.push(link(Region::Image, 0, "the image is not the size of the original".into()));
+    }
+    let mut site_start: Vec<Option<u64>> = vec![None; image.len()];
+    for site in sites {
+        if let Some(slot) = site_start.get_mut(site.instr_idx) {
+            *slot = Some(tramp_addr + site.start as u64 * isize);
+        }
+    }
+    for (index, (ins, site_start)) in image.iter().zip(site_start).enumerate() {
+        let (linked, what) = match site_start {
+            Some(pc) => (jumps_to(ins, pc), "a jump to the start of its site"),
+            None => {
+                (original.get(index) == Some(ins) || *ins == Instruction::nop(), "the original's")
+            }
+        };
+        if !linked {
+            diags.push(link(Region::Image, index, format!("instruction is not {what}")));
+        }
+    }
+
     // Per-site trampoline discipline.
     for site in sites {
         let end = site.start + site.len;
@@ -495,15 +543,35 @@ pub fn verify_instrs(
         }
         let body = &tramp[site.start..end];
 
-        // The site must end with an unconditional jump back into the image,
-        // or with a relocated original that itself unconditionally leaves
-        // the trampoline (EXIT/RET/branch — target validity is checked by
-        // the per-instruction pass above).
+        // The site runs the instruction it displaced, relative targets
+        // adjusted for the move (a removed one is a `NOP`).
+        let instr_pc = image_addr + site.instr_idx as u64 * isize;
+        let moved =
+            (tramp_addr + (site.start + site.orig_pos) as u64 * isize).wrapping_sub(instr_pc);
+        let mut displaced = original.get(site.instr_idx).cloned();
+        if let Some(orig) = &mut displaced {
+            if let Some(rel) = orig.rel_target() {
+                orig.set_rel_target(rel.wrapping_sub(moved as i64));
+            }
+        }
+        let relocated = body.get(site.orig_pos);
+        if displaced.is_none()
+            || (relocated != displaced.as_ref() && relocated != Some(&Instruction::nop()))
+        {
+            diags.push(link(
+                Region::Trampoline,
+                site.start + site.orig_pos.min(site.len - 1),
+                format!("site does not run instruction {} of the original", site.instr_idx),
+            ));
+        }
+
+        // The site must end with an unconditional jump back to the
+        // instruction after the one it instruments, or with a relocated
+        // original that itself unconditionally leaves the trampoline
+        // (EXIT/RET/branch — target validity is checked by the
+        // per-instruction pass above).
         let last = &body[site.len - 1];
-        let exits_to_image = last.op == Op::Jmp
-            && last.guard.is_always()
-            && matches!(last.operands.first(),
-                Some(Operand::Abs(t)) if in_image(*t) && (*t - image_addr).is_multiple_of(isize));
+        let exits_to_image = jumps_to(last, instr_pc + isize);
         let terminal_original = site.orig_pos == site.len - 1
             && last.guard.is_always()
             && matches!(
@@ -521,7 +589,7 @@ pub fn verify_instrs(
                 region: Region::Trampoline,
                 index: end - 1,
                 message: format!(
-                    "site for instruction {} does not end with a jump back into the image",
+                    "site for instruction {} does not end with a jump back behind it",
                     site.instr_idx
                 ),
             });
@@ -723,13 +791,16 @@ pub fn verify_plan_instrs(
 pub fn verify(
     hal: &Hal,
     image_addr: u64,
+    original_code: &[u8],
     img: &crate::codegen::InstrumentedImage,
     ext: &ExternalCode,
 ) -> crate::Result<Vec<Diagnostic>> {
     let image = hal.disassemble(&img.instrumented)?;
     let tramp = hal.disassemble(&img.tramp_code)?;
-    let original = hal.disassemble(&img.original)?;
-    let mut diags = verify_instrs(hal, image_addr, &image, img.tramp_addr, &tramp, &img.sites, ext);
+    let original = hal.disassemble(original_code)?;
+    let (tramp_addr, sites) = (img.tramp_addr, &img.sites);
+    let mut diags =
+        verify_instrs(hal, &original, image_addr, &image, tramp_addr, &tramp, sites, ext);
     diags.extend(verify_plan_instrs(hal, &original, &tramp, &img.sites, ext));
     Ok(diags)
 }
@@ -809,9 +880,34 @@ mod tests {
         for site in sites {
             original[site.instr_idx] = tramp[site.start + site.orig_pos].clone();
         }
-        let mut d = verify_instrs(&hal(), IMAGE_ADDR, image, TRAMP_ADDR, tramp, sites, &ext());
-        d.extend(run_plan(&original, tramp, sites, &ext()));
+        run_against(&original, image, tramp, sites)
+    }
+
+    /// Both halves of [`verify`] against a given original body.
+    fn run_against(
+        original: &[Instruction],
+        image: &[Instruction],
+        tramp: &[Instruction],
+        sites: &[SiteMeta],
+    ) -> Vec<Diagnostic> {
+        let (hal, ext) = (hal(), ext());
+        let mut d =
+            verify_instrs(&hal, original, IMAGE_ADDR, image, TRAMP_ADDR, tramp, sites, &ext);
+        d.extend(run_plan(original, tramp, sites, &ext));
         d
+    }
+
+    /// The kinds reported for [`good`] after `corrupt` had its way with the
+    /// image and the trampoline, verified against the body `good` was made
+    /// from.
+    fn corrupted(
+        corrupt: impl FnOnce(&mut Vec<Instruction>, &mut Vec<Instruction>),
+    ) -> Vec<DiagKind> {
+        let (mut image, mut tramp, sites) = good();
+        let mut original = image.clone();
+        original[1] = tramp[4].clone();
+        corrupt(&mut image, &mut tramp);
+        run_against(&original, &image, &tramp, &sites).iter().map(|d| d.kind).collect()
     }
 
     /// A hand-written exact bracket: `injected` in front of the first of
@@ -911,7 +1007,8 @@ mod tests {
         image[0] = image[0].clone().with_guard(sass::Guard { pred: sass::Pred(9), negated: false });
         // Structural half only: P9 cannot be decoded from bytes, and the
         // liveness bitmask behind the plan half has no bit for it.
-        let d = verify_instrs(&hal(), IMAGE_ADDR, &image, TRAMP_ADDR, &tramp, &sites, &ext());
+        let d =
+            verify_instrs(&hal(), &image, IMAGE_ADDR, &image, TRAMP_ADDR, &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::BadPredicate));
     }
 
@@ -972,6 +1069,67 @@ mod tests {
         assert!(d
             .iter()
             .any(|d| d.kind == DiagKind::FallThrough && d.region == Region::Trampoline));
+    }
+
+    // ----- Figure 4's links, one corruption each -------------------------
+
+    #[test]
+    fn a_back_jump_to_another_instruction_is_rejected() {
+        assert_eq!(corrupted(|_, _| {}), vec![]);
+        // Aligned and inside the image, but instruction 0 is not behind site 1.
+        let kinds = corrupted(|_, tramp| tramp[5] = jmp(IMAGE_ADDR));
+        assert_eq!(kinds, vec![DiagKind::FallThrough]);
+    }
+
+    #[test]
+    fn a_site_jump_into_the_middle_of_its_site_is_rejected() {
+        // Past the save call: the tool would run on unsaved state.
+        let past_save = TRAMP_ADDR + hal().instruction_size();
+        let kinds = corrupted(|image, _| image[1] = jmp(past_save));
+        assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
+    }
+
+    #[test]
+    fn a_site_without_its_jump_is_rejected() {
+        // A `NOP` is what a removed instruction becomes, but not at a site:
+        // nothing would run the original instruction, or the tool.
+        let kinds = corrupted(|image, _| image[1] = Instruction::nop());
+        assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
+    }
+
+    #[test]
+    fn an_off_site_instruction_that_is_not_the_originals_is_rejected() {
+        let kinds = corrupted(|image, _| image[0].operands[2] = Operand::Imm(2));
+        assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
+        // Removing it is the one edit the image may make.
+        assert_eq!(corrupted(|image, _| image[0] = Instruction::nop()), vec![]);
+    }
+
+    #[test]
+    fn a_relocated_original_that_is_another_instruction_is_rejected() {
+        let kinds = corrupted(|_, tramp| tramp[4].operands[2] = Operand::Imm(3));
+        assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
+        assert_eq!(corrupted(|_, tramp| tramp[4] = Instruction::nop()), vec![]);
+    }
+
+    #[test]
+    fn a_relocated_branch_must_reach_what_the_original_reached() {
+        // Site 1 of a body whose instruction 1 branches to instruction 3;
+        // the relocated copy sits at trampoline slot 4.
+        let isize = hal().instruction_size() as i64;
+        let (mut image, mut tramp, sites) = good();
+        image.push(Instruction::new(Op::Exit, vec![]));
+        let mut original = image.clone();
+        original[1] = Instruction::new(Op::Bra, vec![Operand::Rel(isize)])
+            .with_guard(sass::Guard { pred: sass::Pred(0), negated: false });
+        let reached = IMAGE_ADDR as i64 + 3 * isize;
+        tramp[4] = original[1].clone();
+        tramp[4].set_rel_target(reached - (TRAMP_ADDR as i64 + 5 * isize));
+        assert_eq!(run_against(&original, &image, &tramp, &sites), vec![]);
+        // Copied without the adjustment it lands somewhere else.
+        tramp[4] = original[1].clone();
+        let d = run_against(&original, &image, &tramp, &sites);
+        assert!(d.iter().any(|d| d.kind == DiagKind::LinkMismatch), "{d:?}");
     }
 
     // ----- Plan-consistency checks ------------------------------------

@@ -1,10 +1,11 @@
-//! Versioned code-cache behaviour that needs no observability counters:
-//! a launch builds the launched function and what is reachable from it
-//! through `related` — nothing else — with images byte-identical to the
-//! ones the batch pipeline this replaced produced, `enable_instrumented`
-//! must not conjure phantom cache entries, and `reset_instrumented` must
-//! clear the local-memory override regardless of which version was
-//! installed at the time.
+//! Code-cache behaviour that needs no observability counters: a launch
+//! builds the launched function and what is reachable from it through
+//! `related` — nothing else — with images byte-identical to the ones the
+//! batch pipeline this replaced produced, a request that grows replaces the
+//! function's image instead of adding one, `enable_instrumented` must not
+//! conjure phantom cache entries, and `reset_instrumented` must clear the
+//! local-memory override regardless of which version was installed at the
+//! time.
 
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
@@ -189,6 +190,87 @@ fn a_launch_builds_exactly_the_launched_kernel() {
     for (i, (failing, all)) in counts_failing.iter().zip(&counts).enumerate() {
         assert_eq!(*failing, if i == 3 { 0 } else { *all }, "tool count of k{i}");
     }
+}
+
+/// A function owns one instrumented image: a request that grows after the
+/// first build — a second call on every instruction, added at the third
+/// launch — is built once more, from the original, *in place of* the image
+/// the function had. Both requests count from then on, and the function
+/// still owns exactly one trampoline region.
+#[test]
+fn a_request_that_grows_replaces_the_image_and_its_trampoline_region() {
+    /// Counts every instruction into the first counter from launch 0 on and
+    /// into the second from launch 2 on.
+    struct GrowTool {
+        counters: Rc<RefCell<u64>>,
+        launches: u32,
+    }
+    impl NvbitTool for GrowTool {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.load_tool_functions(COUNT_FN).unwrap();
+            *self.counters.borrow_mut() = api.driver().with_device(|d| d.alloc(16)).unwrap();
+        }
+        fn at_cuda_event(
+            &mut self,
+            api: &NvbitApi<'_>,
+            is_exit: bool,
+            cbid: CbId,
+            params: &CbParams<'_>,
+        ) {
+            let CbParams::LaunchKernel { func, .. } = params else { return };
+            if is_exit || cbid != CbId::LaunchKernel {
+                return;
+            }
+            if let 0 | 2 = self.launches {
+                let counter = *self.counters.borrow() + 4 * u64::from(self.launches);
+                // (a counter each: offsets 0 and 8)
+                for idx in 0..api.get_instrs(*func).unwrap().len() {
+                    api.insert_call(*func, idx, "count_one", IPoint::Before).unwrap();
+                    api.add_call_arg_guard_pred(*func, idx).unwrap();
+                    api.add_call_arg_imm64(*func, idx, counter).unwrap();
+                }
+            }
+            self.launches += 1;
+        }
+    }
+
+    let counters = Rc::new(RefCell::new(0u64));
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(&drv, GrowTool { counters: counters.clone(), launches: 0 });
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", multi_kernel_ptx(1))).unwrap();
+    let f = drv.module_get_function(&m, "k0").unwrap();
+    let pristine = drv.read_code(f).unwrap();
+    let out = drv.mem_alloc(128).unwrap();
+
+    // The first build loads the save/restore routines and allocates the
+    // function's trampoline region; nothing after it may add to that.
+    let one_region = live_allocs(&drv) + 2 * TIERS.len() + 1;
+    let mut installed = Vec::new();
+    let mut counts = Vec::new();
+    for launch in 0..4 {
+        drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+        let mut output = vec![0u8; 128];
+        drv.memcpy_dtoh(&mut output, out).unwrap();
+        assert_eq!(output, expected_output(0), "application output (launch {launch})");
+        assert_eq!(live_allocs(&drv), one_region, "one trampoline region (launch {launch})");
+        installed.push(drv.read_code(f).unwrap());
+        let mut pair = [0u8; 16];
+        drv.memcpy_dtoh(&mut pair, *counters.borrow()).unwrap();
+        let count = |at: usize| u32::from_le_bytes(pair[at..at + 4].try_into().unwrap());
+        counts.push((count(0), count(8)));
+    }
+    let per_launch = 32 * (pristine.len() / Arch::Volta.instruction_size()) as u32;
+    assert_eq!(
+        counts,
+        [(1, 0), (2, 0), (3, 1), (4, 2)].map(|(a, b)| (a * per_launch, b * per_launch)),
+        "both requests count once the second is made"
+    );
+    assert_ne!(installed[0], pristine);
+    assert_eq!(installed[0], installed[1], "an unchanged request is not rebuilt");
+    assert_ne!(installed[1], installed[2], "the grown request is");
+    assert_eq!(installed[2], installed[3], "once");
+    drv.shutdown();
 }
 
 /// A kernel that calls `outer`, which calls `inner`, and a kernel of the
