@@ -131,9 +131,17 @@ impl Memory {
     /// [`GpuError::BadAddress`] for out-of-range accesses.
     pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<()> {
         check(addr, out.len() as u64, self.len)?;
-        let span = &self.words[addr as usize / 4..(addr as usize + out.len()).div_ceil(4)];
-        let bytes: Vec<u8> = span.iter().flat_map(|w| w.to_le_bytes()).collect();
-        out.copy_from_slice(&bytes[addr as usize % 4..][..out.len()]);
+        // Word by word, straight into `out`: the first word from the byte
+        // the range enters it at, the last as far as the range reaches.
+        let (mut words, skip) =
+            (self.words[addr as usize / 4..].iter().peekable(), addr as usize % 4);
+        let (head, rest) = out.split_at_mut(out.len().min((4 - skip) % 4));
+        if let Some(w) = words.next_if(|_| skip != 0) {
+            head.copy_from_slice(&w.to_le_bytes()[skip..skip + head.len()]);
+        }
+        for (chunk, w) in rest.chunks_mut(4).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes()[..chunk.len()]);
+        }
         Ok(())
     }
 
