@@ -61,7 +61,7 @@ impl NvbitTool for CountAndEmulate {
         }
         self.done = true;
         let id = ptx::lower::proxy_id(fft::WFFT32);
-        for instr in api.get_instrs(*func).unwrap() {
+        for instr in api.get_instrs(*func).unwrap().iter() {
             // Count every original instruction of the kernel, including the
             // hypothetical one.
             api.insert_call(*func, instr.idx, "bench_count_one", IPoint::Before).unwrap();

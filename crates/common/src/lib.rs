@@ -21,8 +21,10 @@
 //!   flush, doorbell flip, dedicated receiver thread, `Block`/`DropCount`
 //!   backpressure;
 //! * [`graph`] — Cooper–Harvey–Kennedy immediate dominators and
-//!   post-dominators over successor lists, shared by `ptx::cfg` and
+//!   post-dominators over flat successor lists, shared by `ptx::cfg` and
 //!   `sass::dom`;
+//! * [`InlineVec`] — a fixed-capacity list stored inline (the operands of
+//!   a `sass::Instruction`, its register lists);
 //! * [`Dim3`] — the single definition of a 3-component launch dimension,
 //!   re-exported by the `gpu` and `driver` crates.
 
@@ -32,10 +34,12 @@ pub mod bench;
 pub mod channel;
 pub mod dim3;
 pub mod graph;
+pub mod inline;
 pub mod json;
 pub mod obs;
 pub mod prop;
 pub mod rng;
 
 pub use dim3::Dim3;
+pub use inline::InlineVec;
 pub use rng::Rng;

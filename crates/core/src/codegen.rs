@@ -26,8 +26,8 @@ use crate::{NvbitError, Result};
 use cuda::FunctionInfo;
 use sass::inst::span_regs;
 use sass::op::{CfClass, IType};
-use sass::{Instruction, LiveSet, Mods, Op, Operand, Pred, Reg};
-use std::collections::HashMap;
+use sass::{Instruction, LiveSet, Mods, Op, Operand, Pred, Reg, RegSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Size ceiling (in instructions) under which a tool body qualifies for
@@ -38,6 +38,10 @@ pub const INLINE_MAX_INSTRS: usize = 24;
 /// it clobbers of the site's live registers, so the cap only has to bound
 /// pathological bodies.
 pub const INLINE_MAX_REGS: u32 = 24;
+
+/// The loaded tool functions by name. An injection and every call planned
+/// from it share the name with this table's key.
+pub type ToolFns = HashMap<Arc<str>, ToolFn>;
 
 /// A tool device function loaded by the Tool Functions Loader.
 #[derive(Debug, Clone)]
@@ -95,8 +99,13 @@ fn call_ceiling_of(body: &[Instruction]) -> Option<u8> {
     if !call_free {
         return None;
     }
-    let max_written = body.iter().flat_map(Instruction::reg_writes).map(|r| r.0).max();
-    Some(max_written.map_or(0, |r| r.saturating_add(1)).min(CALLEE_SAVE_BASE))
+    Some(write_ceiling_of(body).min(CALLEE_SAVE_BASE))
+}
+
+/// One past the highest general-purpose register `body` writes.
+fn write_ceiling_of(body: &[Instruction]) -> u8 {
+    let max_written = body.iter().filter_map(|i| i.reg_writes().iter().map(|r| r.0).max()).max();
+    max_written.map_or(0, |r| r.saturating_add(1))
 }
 
 impl ToolFn {
@@ -165,12 +174,7 @@ fn classify_body(
         matches!(i.cf_class(), CfClass::AbsCall | CfClass::RelCall | CfClass::IndirectBranch)
     });
     let writes_sp = body.iter().any(|i| i.reg_writes().contains(&Reg::SP));
-    let write_ceiling = if call_free && !writes_sp && !uses_reg_api {
-        let max_written = body.iter().flat_map(Instruction::reg_writes).map(|r| r.0).max();
-        Some(max_written.map_or(0, |r| r.saturating_add(1)))
-    } else {
-        None
-    };
+    let write_ceiling = (call_free && !writes_sp && !uses_reg_api).then(|| write_ceiling_of(body));
 
     // The shape classification subsumes the old per-instruction scan: it
     // requires the single unguarded trailing RET, rejects control flow
@@ -205,7 +209,7 @@ pub enum SavePolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallMeta {
     /// The tool function the call invokes (or splices).
-    pub func: String,
+    pub func: Arc<str>,
     /// Sites the call represents (1 unless coalesced).
     pub multiplicity: u32,
     /// The original instruction indices it stands for, sorted.
@@ -236,8 +240,6 @@ pub struct SiteMeta {
     /// Save tier of the site's calls that go through the save routines
     /// (0 when every call brings its own exact bracket).
     pub tier: u16,
-    /// Number of injections at this site.
-    pub injections: usize,
     /// Per-call layout, in emission order.
     pub calls: Vec<CallMeta>,
 }
@@ -344,8 +346,8 @@ struct Emit<'a> {
     hal: &'a Hal,
     info: &'a FunctionInfo,
     original: &'a [Instruction],
-    plan: &'a InstrumentationPlan,
-    tool_fns: &'a HashMap<String, ToolFn>,
+    removed: &'a HashSet<usize>,
+    tool_fns: &'a ToolFns,
     routines: &'a HashMap<u16, Routines>,
     /// The liveness solution when per-site sizing applies.
     liveness: Option<&'a sass::Dataflow>,
@@ -357,17 +359,16 @@ struct Emit<'a> {
     exact_slots: u64,
     renamed_pairs: u64,
     exact_frame: u32,
+    /// The register spans of the marshalling + body sequence an exact
+    /// bracket is being emitted for (one buffer for every call).
+    spans: Vec<(Reg, usize, bool)>,
 }
 
 /// The predicates `body` touches and those it writes, as bitmasks.
 fn pred_masks(body: &[Instruction]) -> (u8, u8) {
-    let mask = |ps: Vec<Pred>| ps.iter().fold(0u8, |m, p| m | 1 << p.0);
-    let (mut used, mut written) = (0, 0);
-    for ins in body {
-        written |= mask(ins.pred_writes());
-        used |= mask(ins.pred_reads());
-    }
-    (used | written, written)
+    let written = body.iter().fold(0, |m, ins| m | ins.pred_writes());
+    let read = body.iter().fold(0, |m, ins| m | ins.pred_reads());
+    (read | written, written)
 }
 
 impl Emit<'_> {
@@ -389,7 +390,8 @@ impl Emit<'_> {
 
 /// The first half of code generation over a validated
 /// [`InstrumentationPlan`] (built by [`crate::plan::build`], which also runs
-/// the coalescing and inlining passes): save sizing and trampoline
+/// the coalescing and inlining passes; consumed here — its calls' groups
+/// become the image's layout records): save sizing and trampoline
 /// emission. `routines` must cover every tier. Under
 /// [`SavePolicy::Liveness`] with the body's [`sass::Analysis`] available,
 /// an inline-spliced call gets an exact bracket ([`emit_exact`]) and any
@@ -413,13 +415,14 @@ pub(crate) fn prepare(
     hal: &Hal,
     info: &FunctionInfo,
     original: &[Instruction],
-    plan: &InstrumentationPlan,
-    tool_fns: &HashMap<String, ToolFn>,
+    plan: InstrumentationPlan,
+    tool_fns: &ToolFns,
     routines: &HashMap<u16, Routines>,
     analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
     policy: SavePolicy,
 ) -> Result<Prepared> {
     let isize = hal.instruction_size();
+    let plan_stats = plan.stats;
 
     // The conservative whole-function demand (§5.1 baseline): the
     // instrumented function's registers, every injected function's
@@ -461,7 +464,7 @@ pub(crate) fn prepare(
         hal,
         info,
         original,
-        plan,
+        removed: &plan.removed,
         tool_fns,
         routines,
         liveness,
@@ -469,6 +472,8 @@ pub(crate) fn prepare(
         exact_slots: 0,
         renamed_pairs: 0,
         exact_frame: 0,
+        // A spliceable body's operands plus the ABI argument window.
+        spans: Vec::with_capacity(sass::inst::MAX_OPERANDS * INLINE_MAX_INSTRS + 12),
     };
 
     // Size and emit every site once, position-independently (`emit_site`
@@ -477,11 +482,13 @@ pub(crate) fn prepare(
     let mut sites: Vec<SiteMeta> = Vec::with_capacity(plan.sites.len());
     let (mut saved_slots, mut full_tier_slots, mut zero_save_sites) = (0u64, 0u64, 0u64);
     let mut max_tier = if plan.sites.is_empty() { whole_tier } else { 0 };
-    for (&idx, planned) in &plan.sites {
+    let mut exact: Vec<Option<LiveSet>> = Vec::new();
+    for (idx, planned) in plan.sites {
         // Decided here, once per call, and handed down to emission: the
         // ladder tier covers the calls that keep the save routines; exact
         // splices bring their own frame.
-        let exact: Vec<Option<LiveSet>> = planned.iter().map(|c| cx.exact_live(idx, c)).collect();
+        exact.clear();
+        exact.extend(planned.iter().map(|c| cx.exact_live(idx, c)));
         let mut tier = 0u16;
         let mut ladder_calls = 0u64;
         for (call, _) in planned.iter().zip(&exact).filter(|(_, e)| e.is_none()) {
@@ -511,22 +518,14 @@ pub(crate) fn prepare(
             };
             tier = tier.max(need);
         }
-        let exact_before = cx.exact_slots;
-        let (instrs, orig_pos, calls) = emit_site(&mut cx, tier, idx, &exact)?;
+        let (exact_before, start, injections) = (cx.exact_slots, tramp_instrs.len(), planned.len());
+        let (orig_pos, calls) = emit_site(&mut cx, tier, idx, planned, &exact, &mut tramp_instrs)?;
         saved_slots += u64::from(tier) * ladder_calls + (cx.exact_slots - exact_before);
-        full_tier_slots += u64::from(whole_tier) * planned.len() as u64;
+        full_tier_slots += u64::from(whole_tier) * injections as u64;
         zero_save_sites += u64::from(ladder_calls == 0 && cx.exact_slots == exact_before);
         max_tier = max_tier.max(tier);
-        sites.push(SiteMeta {
-            instr_idx: idx,
-            start: tramp_instrs.len(),
-            len: instrs.len(),
-            orig_pos,
-            tier,
-            injections: planned.len(),
-            calls,
-        });
-        tramp_instrs.extend(instrs);
+        let len = tramp_instrs.len() - start;
+        sites.push(SiteMeta { instr_idx: idx, start, len, orig_pos, tier, calls });
     }
     common::obs::counter("codegen.exact_slots", cx.exact_slots);
     common::obs::counter("codegen.renamed_pairs", cx.renamed_pairs);
@@ -536,7 +535,7 @@ pub(crate) fn prepare(
     // Removed-but-uninstrumented sites become NOPs in place.
     let mut patched = original.to_vec();
     for &idx in &plan.removed {
-        if !plan.sites.contains_key(&idx) {
+        if !sites.iter().any(|site| site.instr_idx == idx) {
             patched[idx] = Instruction::nop();
         }
     }
@@ -555,7 +554,7 @@ pub(crate) fn prepare(
             saved_slots,
             full_tier_slots,
             fallback,
-            plan: plan.stats,
+            plan: plan_stats,
         },
         patched,
         tramp: tramp_instrs,
@@ -582,7 +581,7 @@ impl Prepared {
             if let Some(rel) = orig.rel_target() {
                 orig.set_rel_target(rel.wrapping_sub(site_pc as i64));
             }
-            patched[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
+            patched[site.instr_idx] = Instruction::new(Op::Jmp, [Operand::Abs(site_pc)]);
         }
         image.tramp_addr = tramp_addr;
         image.tramp_code = hal.assemble(&tramp)?;
@@ -591,55 +590,64 @@ impl Prepared {
     }
 }
 
-/// Emits one site's trampoline instruction sequence and reports the
-/// position of the relocated original instruction within it plus the
-/// per-call layout records. The sequence is position-independent except
-/// for a relocated original with a relative target, which is computed as
-/// if the site sat at address 0 — [`Prepared::finish`] rebases it once the
-/// trampoline region is allocated. `exact` holds [`Emit::exact_live`] of
-/// each of the site's planned calls, in plan order.
+/// Appends one site's trampoline instruction sequence to `out` and reports
+/// the position of the relocated original instruction within it plus the
+/// per-call layout records (which take over `planned`'s groups). The
+/// sequence is position-independent except for a relocated original with a
+/// relative target, which is computed as if the site sat at address 0 —
+/// [`Prepared::finish`] rebases it once the trampoline region is allocated.
+/// `exact` holds [`Emit::exact_live`] of each of the site's planned calls,
+/// in plan order.
 fn emit_site(
     cx: &mut Emit<'_>,
     tier: u16,
     idx: usize,
+    mut planned: Vec<PlannedCall>,
     exact: &[Option<LiveSet>],
-) -> Result<(Vec<Instruction>, usize, Vec<CallMeta>)> {
+    out: &mut Vec<Instruction>,
+) -> Result<(usize, Vec<CallMeta>)> {
     let isize = cx.hal.instruction_size();
     let next_pc = cx.info.addr + (idx as u64 + 1) * isize;
-    let plan = cx.plan;
-    let calls = plan.sites[&idx].iter().zip(exact);
-    let mut out: Vec<Instruction> = Vec::new();
-    let mut metas: Vec<CallMeta> = Vec::new();
+    let site = out.len();
+    let mut metas: Vec<CallMeta> = Vec::with_capacity(planned.len());
+    let mut emit_calls = |cx: &mut Emit<'_>, ipoint, out: &mut Vec<Instruction>| -> Result<()> {
+        for (call, exact) in planned.iter_mut().zip(exact).filter(|(c, _)| c.ipoint == ipoint) {
+            let inline = emit_call(cx, tier, idx, call, exact.as_ref(), site, out)?;
+            metas.push(CallMeta {
+                func: call.func.clone(),
+                multiplicity: call.multiplicity,
+                group: std::mem::take(&mut call.group),
+                lowered: std::mem::take(&mut call.lowered),
+                coalesce: call.coalesce,
+                inline,
+            });
+        }
+        Ok(())
+    };
 
-    for (call, exact) in calls.clone().filter(|(c, _)| c.ipoint == IPoint::Before) {
-        metas.push(emit_call(cx, tier, idx, call, exact.as_ref(), &mut out)?);
-    }
+    emit_calls(cx, IPoint::Before, out)?;
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
     // removed (the PROXY-emulation path of §6.3).
-    let orig_pos = out.len();
-    if plan.removed.contains(&idx) {
-        out.push(Instruction::nop());
-    } else {
-        let mut orig = cx.original[idx].clone();
-        if let Some(rel) = orig.rel_target() {
-            // Critically, relative control flow must be re-relativized to
-            // its new home (Figure 4's "offset must be adjusted").
-            let abs_target = next_pc.wrapping_add(rel as u64);
-            let reloc_off = out.len() as u64 * isize;
-            orig.set_rel_target(abs_target.wrapping_sub(reloc_off + isize) as i64);
-        }
-        out.push(orig);
+    let orig_pos = out.len() - site;
+    let mut orig = if cx.removed.contains(&idx) { Instruction::nop() } else { cx.original[idx] };
+    if let Some(rel) = orig.rel_target() {
+        // Critically, relative control flow must be re-relativized to
+        // its new home (Figure 4's "offset must be adjusted").
+        let abs_target = next_pc.wrapping_add(rel as u64);
+        let reloc_off = orig_pos as u64 * isize;
+        orig.set_rel_target(abs_target.wrapping_sub(reloc_off + isize) as i64);
     }
+    out.push(orig);
 
     // When the relocated original unconditionally leaves the trampoline
     // (EXIT, RET, an unguarded jump/branch, SYNC, a trap), nothing after it
     // can execute: After-injections would be dead code and the Figure-4
     // back-jump would target past the end of the image for a site on the
     // last instruction. Emit neither.
-    let no_fall_through = out[orig_pos].guard.is_always()
+    let no_fall_through = orig.guard.is_always()
         && matches!(
-            out[orig_pos].cf_class(),
+            orig.cf_class(),
             CfClass::Exit
                 | CfClass::Ret
                 | CfClass::Trap
@@ -647,23 +655,19 @@ fn emit_site(
                 | CfClass::RelBranch
                 | CfClass::AbsJump
         );
-    if no_fall_through {
-        return Ok((out, orig_pos, metas));
+    if !no_fall_through {
+        emit_calls(cx, IPoint::After, out)?;
+        // Back to the instruction after the instrumented one (Figure 4, step 6).
+        out.push(Instruction::new(Op::Jmp, [Operand::Abs(next_pc)]));
     }
-
-    for (call, exact) in calls.filter(|(c, _)| c.ipoint == IPoint::After) {
-        metas.push(emit_call(cx, tier, idx, call, exact.as_ref(), &mut out)?);
-    }
-
-    // Back to the instruction after the instrumented one (Figure 4, step 6).
-    out.push(Instruction::new(Op::Jmp, vec![Operand::Abs(next_pc)]));
-    Ok((out, orig_pos, metas))
+    Ok((orig_pos, metas))
 }
 
 /// Emits one planned call — a splice with something `exact` to preserve
 /// inside its exact bracket ([`emit_exact`]), any other as save routine,
 /// frame pointer, arguments, tool call (or spliced body), restore routine —
-/// and returns its layout record, inline spans relative to `out`'s site.
+/// and returns the span of the spliced body, if any, relative to the `site`
+/// start in `out`.
 ///
 /// With `pred_filter` set on a guarded site, the whole sequence is wrapped
 /// in an `SSY`-bracketed diamond so that guard-false lanes never enter the
@@ -683,34 +687,22 @@ fn emit_call(
     idx: usize,
     call: &PlannedCall,
     exact: Option<&LiveSet>,
+    site: usize,
     out: &mut Vec<Instruction>,
-) -> Result<CallMeta> {
+) -> Result<Option<(usize, usize)>> {
     let tool = &cx.tool_fns[&call.func];
     let guard = cx.original[idx].guard;
-    if call.pred_filter && !guard.is_always() {
-        let isize = cx.hal.instruction_size() as i64;
-        let barrier = if cx.hal.saves_barrier_state() { 1 } else { 0 };
-        let mods = Mods { barrier, ..Mods::default() };
-        // Emit the body first to learn its length, then splice the wrapper.
-        let wrapper_base = out.len();
-        let mut body = Vec::new();
-        let plain = PlannedCall { pred_filter: false, ..call.clone() };
-        let mut meta = emit_call(cx, tier, idx, &plain, exact, &mut body)?;
-        let n = body.len() as i64;
-        out.push(Instruction::new(Op::Ssy, vec![Operand::Rel((n + 3) * isize)]).with_mods(mods));
+    // The wrapper's targets depend on the length of what it wraps: emitted
+    // first with none, set once the sequence is there.
+    let wrapper = (call.pred_filter && !guard.is_always()).then_some(out.len());
+    let barrier = if cx.hal.saves_barrier_state() { 1 } else { 0 };
+    let mods = Mods { barrier, ..Mods::default() };
+    if wrapper.is_some() {
+        out.push(Instruction::new(Op::Ssy, [Operand::Rel(0)]).with_mods(mods));
         out.push(
-            Instruction::new(Op::Bra, vec![Operand::Rel((n + 1) * isize)])
+            Instruction::new(Op::Bra, [Operand::Rel(0)])
                 .with_guard(sass::Guard { pred: guard.pred, negated: !guard.negated }),
         );
-        out.extend(body);
-        out.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
-        out.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
-        // The recursion recorded offsets relative to its own body; shift
-        // them past the SSY/BRA prefix into site coordinates.
-        if let Some((off, len)) = meta.inline {
-            meta.inline = Some((wrapper_base + 2 + off, len));
-        }
-        return Ok(meta);
     }
 
     let body = match (call.inline, &tool.body) {
@@ -730,7 +722,7 @@ fn emit_call(
             //    R0 = save-area base. 3. Materialize arguments into the ABI
             //    registers from the *saved* state: register r sits in slot
             //    r, the packed predicates after the tier's registers.
-            out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.save_addr)]));
+            out.push(Instruction::new(Op::Jcal, [Operand::Abs(routine.save_addr)]));
             out.push(op2(Op::Mov, Reg(0), Operand::Reg(Reg::SP)));
             let frame = frame_bytes(tier, cx.hal);
             let regval = |r: u8, d| load_reg(r, d, Some(r as usize), frame);
@@ -739,7 +731,7 @@ fn emit_call(
                 let scratch = Reg(3);
                 let bit = |op, by: i64, mods| {
                     let s = Operand::Reg(scratch);
-                    Instruction::new(op, vec![s, s, Operand::Imm(by)]).with_mods(mods)
+                    Instruction::new(op, [s, s, Operand::Imm(by)]).with_mods(mods)
                 };
                 out.push(op2(Op::Ldl, scratch, frame_slot(tier as usize)));
                 out.push(bit(Op::Shr, p as i64, Mods { itype: IType::U32, ..Mods::default() }));
@@ -754,25 +746,25 @@ fn emit_call(
             //    the CALL/RET pair; 5. restore the thread state.
             let span = body.map(|body| splice(body, &Rename::identity(), out));
             if span.is_none() {
-                out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(tool.addr)]));
+                out.push(Instruction::new(Op::Jcal, [Operand::Abs(tool.addr)]));
             }
-            out.push(Instruction::new(Op::Jcal, vec![Operand::Abs(routine.restore_addr)]));
+            out.push(Instruction::new(Op::Jcal, [Operand::Abs(routine.restore_addr)]));
             span
         }
     };
-    Ok(CallMeta {
-        func: call.func.clone(),
-        multiplicity: call.multiplicity,
-        group: call.group.clone(),
-        lowered: call.lowered.clone(),
-        coalesce: call.coalesce,
-        inline: inline_span,
-    })
+    if let Some(wrapper) = wrapper {
+        let isize = cx.hal.instruction_size() as i64;
+        let n = (out.len() - wrapper - 2) as i64;
+        out[wrapper].set_rel_target((n + 3) * isize);
+        out[wrapper + 1].set_rel_target((n + 1) * isize);
+        out.extend([Instruction::new(Op::Sync, []).with_mods(mods); 2]);
+    }
+    Ok(inline_span.map(|(at, len)| (at - site, len)))
 }
 
 /// `op d, s`.
 fn op2(op: Op, d: Reg, s: Operand) -> Instruction {
-    Instruction::new(op, vec![Operand::Reg(d), s])
+    Instruction::new(op, [Operand::Reg(d), s])
 }
 
 /// Slot `i` of the open save frame.
@@ -780,14 +772,15 @@ fn frame_slot(i: usize) -> Operand {
     Operand::MRef { base: Reg::SP, offset: 4 * i as i32 }
 }
 
-/// Splices `body`, renamed through `rn`, into `out` and returns its
-/// `(offset, len)`. The compiler pipeline guarantees a single trailing `RET`
+/// Splices `body`, renamed through `rn`, onto `out` and returns its
+/// `(offset, len)` there. The compiler pipeline guarantees a single trailing `RET`
 /// (`ptx::lower::merge_returns`); it becomes a `NOP`, so early returns
 /// branch onto it and fall through to the restore. Relative distances
 /// inside the body are preserved verbatim.
 fn splice(body: &[Instruction], rn: &Rename, out: &mut Vec<Instruction>) -> (usize, usize) {
     let at = out.len();
-    out.extend(body.iter().cloned().map(|mut ins| {
+    out.extend(body.iter().map(|ins| {
+        let mut ins = *ins;
         ins.map_regs(|r| rn.reg(r), |p| rn.pred(p));
         ins
     }));
@@ -872,18 +865,20 @@ fn emit_exact(
     body: &[Instruction],
     out: &mut Vec<Instruction>,
 ) -> Result<(usize, usize)> {
-    let mut spans: Vec<(Reg, usize, bool)> =
-        abi_slots(&call.args).map(|(slot, arg)| (Reg(slot), arg.slots() as usize, true)).collect();
+    let spans = &mut cx.spans;
+    spans.clear();
+    spans.extend(abi_slots(&call.args).map(|(slot, arg)| (Reg(slot), arg.slots() as usize, true)));
     for ins in body {
         ins.each_span(|r, n, written| spans.push((r, n, written)));
     }
-    let (rn, moved) = Rename::scavenge(&spans, pred_masks(body), live, cx.info.reg_count);
+    let (rn, moved) = Rename::scavenge(spans, pred_masks(body), live, cx.info.reg_count);
 
-    let mut clobber = sass::RegSet::EMPTY;
+    // What the renamed sequence still writes of the live registers.
+    let mut saved = RegSet::EMPTY;
     for &(first, n, _) in spans.iter().filter(|(.., written)| *written) {
-        span_regs(first, n).for_each(|r| clobber.insert(rn.reg(r)));
+        let clobbered = span_regs(first, n).map(|r| rn.reg(r));
+        clobbered.filter(|r| live.gprs.contains(*r)).for_each(|r| saved.insert(r));
     }
-    let saved: Vec<u8> = clobber.iter().filter(|r| live.gprs.contains(Reg(*r))).collect();
     let frame = 4 * saved.len() as u32;
     cx.exact_slots += saved.len() as u64;
     cx.renamed_pairs += moved;
@@ -891,15 +886,15 @@ fn emit_exact(
 
     let adjust_sp = |by: i64| {
         let sp = Operand::Reg(Reg::SP);
-        Instruction::new(Op::Iadd, vec![sp, sp, Operand::Imm(by)])
+        Instruction::new(Op::Iadd, [sp, sp, Operand::Imm(by)])
     };
     out.extend((frame > 0).then(|| adjust_sp(-i64::from(frame))));
-    for (i, &r) in saved.iter().enumerate() {
-        out.push(Instruction::new(Op::Stl, vec![frame_slot(i), Operand::Reg(Reg(r))]));
+    for (i, r) in saved.iter().enumerate() {
+        out.push(Instruction::new(Op::Stl, [frame_slot(i), Operand::Reg(Reg(r))]));
     }
     // Registers outside the save set and every predicate still hold the
     // application's values: read them in place.
-    let regval = |r: u8, d| load_reg(r, d, saved.iter().position(|s| *s == r), frame);
+    let regval = |r: u8, d| load_reg(r, d, saved.iter().position(|s| s == r), frame);
     let predval = |p, negated, d, out: &mut Vec<_>| {
         out.push(op2(Op::Mov32i, d, Operand::Imm(0)));
         out.push(
@@ -908,7 +903,7 @@ fn emit_exact(
     };
     emit_args(call, guard, |r| rn.reg(r), regval, predval, out)?;
     let span = splice(body, &rn, out);
-    out.extend(saved.iter().enumerate().map(|(i, &r)| op2(Op::Ldl, Reg(r), frame_slot(i))));
+    out.extend(saved.iter().enumerate().map(|(i, r)| op2(Op::Ldl, Reg(r), frame_slot(i))));
     out.extend((frame > 0).then(|| adjust_sp(i64::from(frame))));
     Ok(span)
 }
@@ -960,7 +955,7 @@ fn load_reg(r: u8, d: Reg, slot: Option<usize>, frame: u32) -> Instruction {
         // The stack pointer is not stored; reconstruct the pre-save value.
         (1, _) => Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(d), Operand::Reg(Reg::SP), Operand::Imm(frame as i64)],
+            [Operand::Reg(d), Operand::Reg(Reg::SP), Operand::Imm(frame as i64)],
         ),
         (_, Some(slot)) => op2(Op::Ldl, d, frame_slot(slot)),
         (_, None) => op2(Op::Mov, d, Operand::Reg(Reg(r))),
@@ -984,12 +979,13 @@ mod tests {
         info: &FunctionInfo,
         original: &[Instruction],
         plan: &InstrumentationPlan,
-        tool_fns: &HashMap<String, ToolFn>,
+        tool_fns: &ToolFns,
         routines: &HashMap<u16, Routines>,
         analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
         policy: SavePolicy,
         mut alloc: impl FnMut(u64) -> Result<u64>,
     ) -> Result<InstrumentedImage> {
+        let plan = plan.clone();
         let prepared = prepare(hal, info, original, plan, tool_fns, routines, analysis, policy)?;
         let tramp_addr = alloc(prepared.tramp_bytes)?;
         prepared.finish(hal, tramp_addr)
@@ -998,11 +994,7 @@ mod tests {
     /// Naive (pass-free) plan over the spec — the pre-plan pipeline shape.
     /// (The architecture only matters to the planner under the ICF
     /// exception, which `NO_ANALYSIS` is not.)
-    fn plan_of(
-        spec: &FuncSpec,
-        body: &[Instruction],
-        fns: &HashMap<String, ToolFn>,
-    ) -> InstrumentationPlan {
+    fn plan_of(spec: &FuncSpec, body: &[Instruction], fns: &ToolFns) -> InstrumentationPlan {
         plan::build(spec, body, Arch::Volta, &NO_ANALYSIS, fns, PlanOpts::naive()).unwrap()
     }
 
@@ -1049,7 +1041,7 @@ mod tests {
         info: &FunctionInfo,
         original: &[Instruction],
         plan: &InstrumentationPlan,
-        tool_fns: &HashMap<String, ToolFn>,
+        tool_fns: &ToolFns,
         idx: usize,
     ) -> (Vec<Instruction>, usize, Vec<CallMeta>) {
         let routines = fake_routines();
@@ -1057,7 +1049,7 @@ mod tests {
             hal,
             info,
             original,
-            plan,
+            removed: &plan.removed,
             tool_fns,
             routines: &routines,
             liveness: None,
@@ -1065,8 +1057,12 @@ mod tests {
             exact_slots: 0,
             renamed_pairs: 0,
             exact_frame: 0,
+            spans: Vec::new(),
         };
-        emit_site(&mut cx, 16, idx, &vec![None; plan.sites[&idx].len()]).unwrap()
+        let planned = plan.sites[&idx].clone();
+        let (exact, mut out) = (vec![None; planned.len()], Vec::new());
+        let (orig_pos, calls) = emit_site(&mut cx, 16, idx, planned, &exact, &mut out).unwrap();
+        (out, orig_pos, calls)
     }
 
     fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>) {
@@ -1076,9 +1072,9 @@ mod tests {
         (hal, info, instrs)
     }
 
-    fn tool_fns() -> HashMap<String, ToolFn> {
+    fn tool_fns() -> ToolFns {
         let mut m = HashMap::new();
-        m.insert("ifunc".to_string(), ToolFn::opaque(0x8000, 8, 16, false));
+        m.insert("ifunc".into(), ToolFn::opaque(0x8000, 8, 16, false));
         m
     }
 
@@ -1177,7 +1173,7 @@ mod tests {
         let isize = hal.instruction_size();
         let tramp = hal.disassemble(&img.tramp_code).unwrap();
         let pos = img.sites[0].orig_pos;
-        let bra = tramp[pos].clone();
+        let bra = tramp[pos];
         assert_eq!(bra.op, Op::Bra, "relocated branch present");
         let reloc_pc = tramp_base + pos as u64 * isize;
         let target = (reloc_pc + isize).wrapping_add(bra.rel_target().unwrap() as u64);
@@ -1235,7 +1231,7 @@ mod tests {
         let highest_written = tramp
             .iter()
             .filter(|i| i.op == Op::Mov32i)
-            .flat_map(Instruction::reg_writes)
+            .flat_map(|i| i.reg_writes().to_vec())
             .map(|r| r.0)
             .max()
             .unwrap();
@@ -1470,7 +1466,7 @@ mod tests {
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut fns = tool_fns();
-        fns.insert("regapi".to_string(), ToolFn::opaque(0x8800, 8, 0, true));
+        fns.insert("regapi".into(), ToolFn::opaque(0x8800, 8, 0, true));
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "regapi", IPoint::Before);
         let img = generate(
@@ -1577,11 +1573,11 @@ mod tests {
     }
 
     /// A leaf tool body: bump the first argument register and return.
-    fn leaf_fns(hal: &Hal, reg_count: u32) -> HashMap<String, ToolFn> {
+    fn leaf_fns(hal: &Hal, reg_count: u32) -> ToolFns {
         let code = hal.assemble_text("IADD R4, R4, 0x1 ;\nRET ;").unwrap();
         let body = hal.disassemble(&code).unwrap();
         let mut m = HashMap::new();
-        m.insert("leaf".to_string(), with_body(reg_count, false, body, hal.arch()));
+        m.insert("leaf".into(), with_body(reg_count, false, body, hal.arch()));
         m
     }
 
@@ -1687,22 +1683,18 @@ mod tests {
         RET ;
     ";
 
-    fn tool(hal: &Hal, name: &str, text: &str) -> HashMap<String, ToolFn> {
+    fn tool(hal: &Hal, name: &str, text: &str) -> ToolFns {
         let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
         let regs = body.iter().filter_map(Instruction::max_reg).max().map_or(4, |r| r as u32 + 1);
         let tf = with_body(regs, false, body, hal.arch());
         assert!(tf.inlinable, "{name} must be spliceable");
-        HashMap::from([(name.to_string(), tf)])
+        HashMap::from([(name.into(), tf)])
     }
 
     /// Plans `spec` at the top rung over a 12-register Volta kernel and
     /// generates it under the liveness policy; returns the image and its
     /// trampoline.
-    fn exact(
-        text: &str,
-        fns: &HashMap<String, ToolFn>,
-        spec: &FuncSpec,
-    ) -> (InstrumentedImage, Vec<Instruction>) {
+    fn exact(text: &str, fns: &ToolFns, spec: &FuncSpec) -> (InstrumentedImage, Vec<Instruction>) {
         exact_on(Arch::Volta, text, fns, spec)
     }
 
@@ -1710,7 +1702,7 @@ mod tests {
     fn exact_on(
         arch: Arch,
         text: &str,
-        fns: &HashMap<String, ToolFn>,
+        fns: &ToolFns,
         spec: &FuncSpec,
     ) -> (InstrumentedImage, Vec<Instruction>) {
         let (hal, info, instrs) = setup(arch, text);
@@ -1851,7 +1843,7 @@ mod tests {
             spec.add_arg(1, Arg::Imm64(0xdead_0000_beef));
             spec.add_arg(1, Arg::Imm32(3));
             let (img, tramp) = exact(app, &fns, &spec);
-            let tool_bodies = vec![("pmult".to_string(), fns["pmult"].body.clone().unwrap())];
+            let tool_bodies = vec![("pmult".into(), fns["pmult"].body.clone().unwrap())];
             Accepted {
                 original: hal.disassemble(&hal.assemble_text(app).unwrap()).unwrap(),
                 tramp,
@@ -1869,7 +1861,7 @@ mod tests {
             let mut image = original.clone();
             for site in sites {
                 let site_pc = 0x9000 + site.start as u64 * hal.instruction_size();
-                image[site.instr_idx] = Instruction::new(Op::Jmp, vec![Operand::Abs(site_pc)]);
+                image[site.instr_idx] = Instruction::new(Op::Jmp, [Operand::Abs(site_pc)]);
             }
             let mut d = verify_plan_instrs(&hal, original, tramp, sites, ext);
             d.extend(verify_instrs(&hal, original, 0x4000, &image, 0x9000, tramp, sites, ext));
@@ -1937,7 +1929,7 @@ mod tests {
     fn a_frame_access_past_the_exact_frame_is_rejected() {
         let mut img = Accepted::new();
         let slot_2 = Operand::MRef { base: Reg::SP, offset: 8 }; // the frame has two
-        img.tramp[19] = Instruction::new(Op::Ldl, vec![Operand::Reg(Reg(9)), slot_2]);
+        img.tramp[19] = Instruction::new(Op::Ldl, [Operand::Reg(Reg(9)), slot_2]);
         assert!(img.verify().contains(&DiagKind::TierExceeded));
     }
 
@@ -2012,7 +2004,7 @@ mod tests {
             let ext = ExternalCode {
                 save_addrs: routines.values().map(|r| r.save_addr).collect(),
                 restore_addrs: routines.values().map(|r| r.restore_addr).collect(),
-                tool_bodies: vec![("setp".to_string(), fns["setp"].body.clone().unwrap())],
+                tool_bodies: vec![("setp".into(), fns["setp"].body.clone().unwrap())],
                 ..ExternalCode::default()
             };
             let original = hal.disassemble(&hal.assemble_text(&app).unwrap()).unwrap();
@@ -2123,7 +2115,7 @@ mod tests {
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "leaf", IPoint::Before);
-        let run = |fns: &HashMap<String, ToolFn>| {
+        let run = |fns: &ToolFns| {
             let plan = plan_of(&spec, &instrs, fns);
             generate(
                 &hal,
@@ -2141,7 +2133,7 @@ mod tests {
         let with_body = run(&leaf_fns(&hal, 100));
         assert_eq!(with_body.sites[0].tier, 16);
         let mut opaque = HashMap::new();
-        opaque.insert("leaf".to_string(), ToolFn::opaque(0x8000, 100, 0, false));
+        opaque.insert("leaf".into(), ToolFn::opaque(0x8000, 100, 0, false));
         let without = run(&opaque);
         assert_eq!(without.sites[0].tier, 128, "R90 inside the 100-register clobber window");
     }

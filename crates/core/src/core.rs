@@ -37,7 +37,7 @@
 //! of the dying module and frees its trampolines, so a recycled handle can
 //! never be served a stale lifted image.
 
-use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn};
+use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn, ToolFns};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
@@ -47,7 +47,7 @@ use crate::spec::{Arg, FuncSpec, IPoint};
 use crate::verify::{self, Diagnostic, ExternalCode};
 use crate::{NvbitError, Result};
 use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -153,8 +153,12 @@ fn free_tramp(drv: &Driver, tramp_addr: u64) -> gpu::Result<()> {
 /// [`NvbitApi`] (see the module docs for the borrow rule).
 #[derive(Default)]
 pub(crate) struct CoreState {
-    tool_fns: RefCell<HashMap<String, ToolFn>>,
+    tool_fns: RefCell<ToolFns>,
     routines: RefCell<HashMap<u16, Routines>>,
+    /// What the pre-swap verifier may find instrumented control flow
+    /// reaching, kept as `routines` and `tool_fns` are loaded; the part that
+    /// differs per function is filled in by [`CoreState::external_code`].
+    external: RefCell<ExternalCode>,
     /// Per-function code-cache entries, keyed by the raw function handle.
     funcs: RefCell<HashMap<u32, FuncEntry>>,
     save_policy: Cell<SavePolicy>,
@@ -196,23 +200,16 @@ impl CoreState {
 
     /// Code outside `info`'s image that its instrumented control flow may
     /// legitimately reach, for the pre-swap verifier: the save/restore
-    /// routines, the tool functions, and the code of every function `info`
-    /// may call.
-    fn external_code(&self, drv: &Driver, info: &cuda::FunctionInfo) -> ExternalCode {
-        let mut ext = ExternalCode::default();
-        for r in self.routines.borrow().values() {
-            ext.save_addrs.push(r.save_addr);
-            ext.restore_addrs.push(r.restore_addr);
+    /// routines and the tool functions, as loaded, and the code of every
+    /// function `info` may call, filled in here.
+    fn external_code(&self, drv: &Driver, info: &cuda::FunctionInfo) -> Ref<'_, ExternalCode> {
+        {
+            let mut ext = self.external.borrow_mut();
+            ext.code_regions.clear();
+            let related = info.related.iter().filter_map(|f| drv.function_info(*f).ok());
+            ext.code_regions.extend(related.map(|ri| (ri.addr, ri.addr + ri.code_len)));
         }
-        for (name, t) in self.tool_fns.borrow().iter() {
-            ext.tool_addrs.push(t.addr);
-            if let Some(body) = &t.body {
-                ext.tool_bodies.push((name.clone(), body.clone()));
-            }
-        }
-        let related = info.related.iter().filter_map(|f| drv.function_info(*f).ok());
-        ext.code_regions.extend(related.map(|ri| (ri.addr, ri.addr + ri.code_len)));
-        ext
+        self.external.borrow()
     }
 
     /// Loads the embedded save/restore routines on first use (Tool
@@ -247,6 +244,9 @@ impl CoreState {
                 },
             );
         }
+        let mut ext = self.external.borrow_mut();
+        ext.save_addrs.extend(built.values().map(|r| r.save_addr));
+        ext.restore_addrs.extend(built.values().map(|r| r.restore_addr));
         *self.routines.borrow_mut() = built;
         Ok(())
     }
@@ -285,8 +285,7 @@ impl CoreState {
         // The code at the function's address may be an instrumented version;
         // every image is built from the original the entry read first.
         let lifted = entry.lifted(drv, func)?;
-        let original: Vec<sass::Instruction> =
-            lifted.instrs.iter().map(|i| i.raw().clone()).collect();
+        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
         let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
         // Lower the spec into the plan IR, running the coalescing and
         // inlining passes the options select.
@@ -306,7 +305,7 @@ impl CoreState {
         // emission error has allocated nothing.
         let prepared = {
             let _cspan = common::obs::span("codegen");
-            prepare(&hal, &info, &original, &plan, &tool_fns, &routines, &lifted.analysis, policy)?
+            prepare(&hal, &info, &original, plan, &tool_fns, &routines, &lifted.analysis, policy)?
         };
         let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
         // From here on the region is either owned by the entry's image or
@@ -627,26 +626,35 @@ impl<'a> NvbitApi<'a> {
                 f.uses_reg_api,
                 hal.arch(),
             );
-            self.state.tool_fns.borrow_mut().insert(f.name.clone(), tool_fn);
+            let name: Arc<str> = f.name.as_str().into();
+            let mut ext = self.state.external.borrow_mut();
+            // A reload under a loaded name replaces the function; the code at
+            // its old address stays where it is.
+            ext.tool_bodies.retain(|(loaded, _)| *loaded != name);
+            ext.tool_addrs.push(tool_fn.addr);
+            ext.tool_bodies.extend(tool_fn.body.iter().map(|body| (name.clone(), body.clone())));
+            self.state.tool_fns.borrow_mut().insert(name, tool_fn);
         }
         Ok(())
     }
 
     /// The loaded tool functions (name → device address).
     pub fn tool_functions(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.tool_fns.borrow().keys().cloned().collect();
+        let mut v: Vec<String> =
+            self.state.tool_fns.borrow().keys().map(|name| name.to_string()).collect();
         v.sort();
         v
     }
 
     // ----- Inspection API (paper Listing 3/4) ------------------------------
 
-    /// All instructions of a function, in program order (`nvbit_get_instrs`).
+    /// All instructions of a function, in program order (`nvbit_get_instrs`):
+    /// the views the core lifted once, shared.
     ///
     /// # Errors
     ///
     /// Driver/decode failures.
-    pub fn get_instrs(&self, func: CuFunction) -> Result<Vec<Instr>> {
+    pub fn get_instrs(&self, func: CuFunction) -> Result<Arc<[Instr]>> {
         let lifted = self.state.lifted_for(self.drv, func)?;
         Ok(lifted.instrs.clone())
     }
@@ -743,16 +751,15 @@ impl<'a> NvbitApi<'a> {
         fname: &str,
         ipoint: IPoint,
     ) -> Result<()> {
-        if !self.state.tool_fns.borrow().contains_key(fname) {
+        let tool_fns = self.state.tool_fns.borrow();
+        let Some((name, _)) = tool_fns.get_key_value(fname) else {
             return Err(NvbitError::UnknownToolFunction(fname.to_string()));
-        }
-        self.state
-            .funcs
-            .borrow_mut()
-            .entry(func.raw())
-            .or_default()
-            .spec
-            .insert_call(idx, fname, ipoint);
+        };
+        self.state.funcs.borrow_mut().entry(func.raw()).or_default().spec.insert_call(
+            idx,
+            name.clone(),
+            ipoint,
+        );
         Ok(())
     }
 

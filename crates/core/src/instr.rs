@@ -4,7 +4,8 @@
 use sass::{Instruction, MemSpace, Op, Operand};
 
 /// A lifted instruction: one-to-one with a SASS instruction of the
-/// inspected function, in program order.
+/// inspected function, in program order. A view owns nothing but its
+/// line-table entry, when the binary has one.
 #[derive(Debug, Clone)]
 pub struct Instr {
     /// Index within the function body (what `insert_call` addresses).
@@ -16,10 +17,6 @@ pub struct Instr {
     /// (`Instr::getLineInfo`).
     pub line_info: Option<(String, u32)>,
     pub(crate) inner: Instruction,
-    /// Rendered once at lift time: `opcode()` is on the hot path of every
-    /// opcode-keyed tool (histograms walk it per instruction), so it must
-    /// not re-render the string per call.
-    opcode: String,
 }
 
 impl Instr {
@@ -29,15 +26,14 @@ impl Instr {
         inner: Instruction,
         line_info: Option<(String, u32)>,
     ) -> Instr {
-        let opcode = inner.opcode_string();
-        Instr { idx, offset, line_info, inner, opcode }
+        Instr { idx, offset, line_info, inner }
     }
 
     /// The full opcode string including modifiers, e.g. `"LDG.64"` or
-    /// `"ISETP.LT.S32"` (`Instr::getOpcode`). Rendered once when the
-    /// instruction was lifted; calling this is allocation-free.
-    pub fn opcode(&self) -> &str {
-        &self.opcode
+    /// `"ISETP.LT.S32"` (`Instr::getOpcode`), rendered on request; tools
+    /// that key on the opcode per instruction use [`Instr::op`].
+    pub fn opcode(&self) -> String {
+        self.inner.opcode_string()
     }
 
     /// The base machine opcode.

@@ -4,6 +4,7 @@ use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::Result;
 use cuda::FunctionInfo;
+use std::sync::Arc;
 
 /// A lifted function body, cached by the core: the original half of the
 /// code cache's pair, read once per function.
@@ -13,8 +14,9 @@ pub struct Lifted {
     /// are built and verified against, and what a swap back to the original
     /// writes.
     pub code: Vec<u8>,
-    /// One view per SASS instruction, in program order.
-    pub instrs: Vec<Instr>,
+    /// One view per SASS instruction, in program order; shared with every
+    /// tool that asks for them ([`crate::NvbitApi::get_instrs`]).
+    pub instrs: Arc<[Instr]>,
     /// The static analysis of the body (blocks, liveness, dominators), or
     /// the reason indirect control flow defeats it (the paper's ICF
     /// fallback: flat view, whole-function save tier, no coalescing proof).
@@ -38,16 +40,11 @@ pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
     let _span = common::obs::span("convert");
     let isize = hal.instruction_size();
     let analysis = sass::Analysis::of(&raw, hal.arch());
-    let mut instrs = Vec::with_capacity(raw.len());
-    for (idx, inner) in raw.into_iter().enumerate() {
-        let line_info = info
-            .line_table
-            .iter()
-            .rev()
-            .find(|l| l.instr_index <= idx)
-            .map(|l| (l.file.clone(), l.line));
-        instrs.push(Instr::new(idx, idx as u64 * isize, inner, line_info));
-    }
+    let view = |(idx, inner)| {
+        let line = info.line_table.iter().rev().find(|l| l.instr_index <= idx);
+        Instr::new(idx, idx as u64 * isize, inner, line.map(|l| (l.file.clone(), l.line)))
+    };
+    let instrs = raw.into_iter().enumerate().map(view).collect();
     Ok(Lifted { code: code.to_vec(), instrs, analysis })
 }
 

@@ -51,11 +51,12 @@
 //! signature (and its output) is identical whether or not the passes run.
 
 use crate::codegen::ToolFn;
-use crate::spec::{Arg, FuncSpec, IPoint};
+use crate::spec::{Arg, FuncSpec, IPoint, Injection};
 use crate::{NvbitError, Result};
 use sass::cfg::{block_of, BasicBlock};
 use sass::{Analysis, CfgFailure, Instruction};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// How far up the pass ladder [`build`] climbs. Each rung runs every pass
 /// of the rungs below it, so the legal configurations are exactly the
@@ -100,7 +101,7 @@ impl PlanOpts {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedCall {
     /// Tool device function to invoke.
-    pub func: String,
+    pub func: Arc<str>,
     /// Before or after the original instruction.
     pub ipoint: IPoint,
     /// Finalized positional arguments. For coalesce-marked calls this
@@ -174,27 +175,43 @@ pub struct InstrumentationPlan {
     pub stats: PlanStats,
 }
 
-/// True if the argument has the same value at every site of a basic block
-/// (it depends on nothing per-dynamic-instance: no guard predicate, no
-/// register or predicate value).
-fn block_invariant(arg: &Arg) -> bool {
-    matches!(arg, Arg::Imm32(_) | Arg::Imm64(_) | Arg::CBank { .. })
+/// One requested injection on its way through the passes: where it sits
+/// now, and the group of requests it has come to stand for. The passes work
+/// on one flat list of these, in emission order; a [`PlannedCall`] is only
+/// made of the ones still standing at the end.
+struct Request<'a> {
+    inj: &'a Injection,
+    /// The injection's explicit arguments (no multiplicity argument).
+    args: &'a [Arg],
+    /// The site the call is emitted at.
+    site: usize,
+    ipoint: IPoint,
+    /// The call was an `IPoint::After` at `inj.idx`, lowered to `site`.
+    lowered: bool,
+    /// The next member of the group this request belongs to; the group's
+    /// representative heads the chain.
+    next: Option<usize>,
+    /// False once merged into another request's group.
+    stands: bool,
 }
 
-/// True if the planned call is eligible for the coalescing passes. The
-/// call already carries the trailing multiplicity argument (`coalesce`
-/// implies it), so only the explicit arguments must be block-invariant.
-fn mergeable(call: &PlannedCall) -> bool {
-    call.coalesce
-        && !call.pred_filter
-        && call.ipoint == IPoint::Before
-        && explicit_args(call).iter().all(block_invariant)
+impl Request<'_> {
+    /// Coalesce-marked, unfiltered and every explicit argument the same at
+    /// every site of a basic block (it depends on nothing per dynamic
+    /// instance: no guard predicate, no register or predicate value): what
+    /// both the lowering and the merging passes require.
+    fn movable(&self) -> bool {
+        let invariant = |a: &Arg| matches!(a, Arg::Imm32(_) | Arg::Imm64(_) | Arg::CBank { .. });
+        self.inj.coalesce && !self.inj.pred_filter && self.args.iter().all(invariant)
+    }
 }
 
-/// The call's arguments minus the trailing multiplicity argument.
-fn explicit_args(call: &PlannedCall) -> &[Arg] {
-    debug_assert!(call.coalesce);
-    &call.args[..call.args.len() - 1]
+/// The members of the group `head` represents, itself first.
+fn group<'r, 'a>(
+    requests: &'r [Request<'a>],
+    head: usize,
+) -> impl Iterator<Item = &'r Request<'a>> {
+    std::iter::successors(Some(head), |&m| requests[m].next).map(|m| &requests[m])
 }
 
 /// Builds the plan: validates the spec against the function body and the
@@ -217,26 +234,18 @@ pub fn build(
     body: &[Instruction],
     arch: sass::Arch,
     analysis: &std::result::Result<Analysis, CfgFailure>,
-    tool_fns: &HashMap<String, ToolFn>,
+    tool_fns: &HashMap<Arc<str>, ToolFn>,
     opts: PlanOpts,
 ) -> Result<InstrumentationPlan> {
     let body_len = body.len();
     // Validation — lifted here from the code generator, which now consumes
     // an already-validated plan.
-    for (&idx, injections) in &spec.sites {
-        if idx >= body_len {
-            return Err(NvbitError::BadInstrIndex { index: idx, len: body_len });
-        }
-        for inj in injections {
-            if !tool_fns.contains_key(&inj.func) {
-                return Err(NvbitError::UnknownToolFunction(inj.func.clone()));
-            }
-        }
+    let sited = spec.injections().iter().map(|inj| inj.idx);
+    if let Some(index) = sited.chain(spec.removed.iter().copied()).find(|idx| *idx >= body_len) {
+        return Err(NvbitError::BadInstrIndex { index, len: body_len });
     }
-    for &idx in &spec.removed {
-        if idx >= body_len {
-            return Err(NvbitError::BadInstrIndex { index: idx, len: body_len });
-        }
+    if let Some(inj) = spec.injections().iter().find(|inj| !tool_fns.contains_key(&inj.func)) {
+        return Err(NvbitError::UnknownToolFunction(inj.func.to_string()));
     }
 
     // Surface *why* static CFG recovery fell back, per failure variant, and
@@ -255,40 +264,47 @@ pub fn build(
     let analysis = analysis.as_ref().ok();
     let blocks = analysis.map(|a| a.blocks.as_slice());
 
-    let mut stats = PlanStats { cfg_available: blocks.is_some(), ..PlanStats::default() };
+    let mut stats = PlanStats {
+        cfg_available: blocks.is_some(),
+        requested_calls: spec.injections().len() as u64,
+        ..PlanStats::default()
+    };
 
-    // Lower every injection to a planned call (multiplicity 1). The
-    // multiplicity protocol appends the trailing argument *now*, so naive
-    // and coalesced plans present identical tool signatures.
-    let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
-    for (&idx, injections) in &spec.sites {
-        let calls = sites.entry(idx).or_default();
-        for inj in injections {
-            stats.requested_calls += 1;
-            let mut args = inj.args.clone();
-            if inj.coalesce {
-                args.push(Arg::Imm32(1));
-            }
-            calls.push(PlannedCall {
-                func: inj.func.clone(),
-                ipoint: inj.ipoint,
-                args,
-                pred_filter: inj.pred_filter,
-                coalesce: inj.coalesce,
-                multiplicity: 1,
-                group: vec![idx],
-                lowered: Vec::new(),
-                inline: false,
-            });
-        }
-    }
+    // Every injection starts as a call of its own at its own site; sites
+    // ascend and a site's calls keep their request order.
+    let mut requests: Vec<Request<'_>> = spec
+        .injections()
+        .iter()
+        .map(|inj| Request {
+            inj,
+            args: spec.args(inj),
+            site: inj.idx,
+            ipoint: inj.ipoint,
+            lowered: false,
+            next: None,
+            stands: true,
+        })
+        .collect();
+    requests.sort_by_key(|r| r.site);
+    // Sites that carry a call at some point of the passes (2 while one
+    // still stands there): the ones left empty are counted as dropped.
+    let mut carries = vec![0u8; body_len];
+    requests.iter().for_each(|r| carries[r.site] = 1);
 
     // Pass 1: after-point lowering (must precede coalescing so the lowered
-    // calls participate in it).
-    if opts.level >= PlanLevel::Region {
-        if let Some(blocks) = blocks {
-            after_lower_pass(&mut sites, blocks, &mut stats);
+    // calls participate in it): an eligible `IPoint::After` call at a
+    // mid-block site moves to the `Before` slot of the next instruction —
+    // the next instruction lies in the same basic block, so the move never
+    // crosses a taken branch — ahead of that site's own calls.
+    if let Some(blocks) = blocks.filter(|_| opts.level >= PlanLevel::Region) {
+        for r in requests.iter_mut().filter(|r| r.ipoint == IPoint::After && r.movable()) {
+            if block_of(blocks, r.site + 1) == block_of(blocks, r.site) {
+                (r.site, r.ipoint, r.lowered) = (r.site + 1, IPoint::Before, true);
+                carries[r.site] = 1;
+                stats.after_lowered += 1;
+            }
         }
+        requests.sort_by_key(|r| (r.site, !r.lowered));
     }
 
     // Pass 2: block coalescing — merge within each basic block. Under the
@@ -296,11 +312,14 @@ pub fn build(
     // line code between statically known leaders, so per-block merging
     // applies there too; `icf_recovered` counts what the naive fallback
     // would have lost.
+    let mut scratch = MergeScratch::default();
     if opts.level >= PlanLevel::Block {
         if let Some(blocks) = blocks {
-            stats.coalesced_groups += merge_calls(&mut sites, &|site| block_of(blocks, site));
+            stats.coalesced_groups +=
+                merge_calls(&mut requests, &mut scratch, |site| block_of(blocks, site));
         } else if let Some(partial) = &partial {
-            let recovered = merge_calls(&mut sites, &|site| block_of(partial, site));
+            let recovered =
+                merge_calls(&mut requests, &mut scratch, |site| block_of(partial, site));
             stats.coalesced_groups += recovered;
             stats.icf_recovered += recovered;
         }
@@ -311,167 +330,137 @@ pub fn build(
     // flow make this a no-op, so skip the walk entirely.
     if opts.level >= PlanLevel::Region {
         if let Some(a) = analysis.filter(|a| !a.dom.irreducible()) {
-            stats.region_groups += merge_calls(&mut sites, &|site| {
+            stats.region_groups += merge_calls(&mut requests, &mut scratch, |site| {
                 block_of(&a.blocks, site).map(|b| a.dom.region_head(b))
             });
         }
     }
 
-    // Drop sites whose calls were all merged or lowered away. This is safe
-    // even for sites also marked removed: the generator NOPs
-    // removed-but-callless instructions in place, with no trampoline
-    // needed.
-    let empty: Vec<usize> =
-        sites.iter().filter(|(_, calls)| calls.is_empty()).map(|(&idx, _)| idx).collect();
-    stats.sites_dropped += empty.len() as u64;
-    for idx in empty {
-        sites.remove(&idx);
-    }
-
-    // Pass 4: inline splicing — a call is spliced iff its tool body is
-    // spliceable.
-    for call in sites.values_mut().flatten() {
+    // What is left standing is what is emitted; pass 4, inline splicing: a
+    // call is spliced iff its tool body is spliceable. Sites whose calls
+    // were all merged or lowered away are dropped — safe even for sites
+    // also marked removed: the generator NOPs removed-but-callless
+    // instructions in place, with no trampoline needed.
+    let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
+    for (head, r) in requests.iter().enumerate().filter(|(_, r)| r.stands) {
+        let multiplicity = group(&requests, head).count() as u32;
+        let mut args = Vec::with_capacity(r.args.len() + 1);
+        args.extend_from_slice(r.args);
+        // The multiplicity protocol's trailing argument, merged or not, so
+        // naive and coalesced plans present identical tool signatures.
+        args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity as i32)));
+        let origins = |lowered_only: bool| {
+            let members = group(&requests, head).filter(|m| m.lowered || !lowered_only);
+            let mut origins: Vec<usize> = members.map(|m| m.inj.idx).collect();
+            origins.sort_unstable();
+            origins
+        };
+        let inline = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
         if opts.level >= PlanLevel::Spliced {
-            call.inline = tool_fns[&call.func].inlinable;
-            stats.inline_accepted += u64::from(call.inline);
-            stats.inline_declined += u64::from(!call.inline);
+            stats.inline_accepted += u64::from(inline);
+            stats.inline_declined += u64::from(!inline);
         }
+        carries[r.site] = 2;
+        sites.entry(r.site).or_default().push(PlannedCall {
+            func: r.inj.func.clone(),
+            ipoint: r.ipoint,
+            args,
+            pred_filter: r.inj.pred_filter,
+            coalesce: r.inj.coalesce,
+            multiplicity,
+            group: origins(false),
+            lowered: origins(true),
+            inline,
+        });
     }
+    stats.sites_dropped = carries.iter().filter(|c| **c == 1).count() as u64;
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
     Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), stats })
 }
 
-/// Lowers eligible `IPoint::After` calls at mid-block sites to the
-/// `Before` slot of the next instruction. Eligible means coalesce-marked,
-/// no predicate filter, block-invariant explicit arguments, and the next
-/// instruction lies in the same basic block (so the move never crosses a
-/// taken branch — a mid-block instruction always falls through, and
-/// nothing executes between "after *i*" and "before *i + 1*").
-fn after_lower_pass(
-    sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
-    blocks: &[BasicBlock],
-    stats: &mut PlanStats,
-) {
-    // Collect (site → positions of calls to lower) against the pre-pass
-    // lists, then apply in descending site order: processing site *s*
-    // inserts into *s + 1*, whose own removals have already been applied.
-    let mut moves: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (&site, calls) in sites.iter() {
-        if block_of(blocks, site + 1) != block_of(blocks, site) {
-            continue;
-        }
-        for (pos, call) in calls.iter().enumerate() {
-            let eligible = call.coalesce
-                && !call.pred_filter
-                && call.ipoint == IPoint::After
-                && explicit_args(call).iter().all(block_invariant);
-            if eligible {
-                moves.entry(site).or_default().push(pos);
-            }
-        }
-    }
-
-    for (&site, positions) in moves.iter().rev() {
-        let calls = sites.get_mut(&site).expect("site with pending moves exists");
-        let mut moved: Vec<PlannedCall> = Vec::with_capacity(positions.len());
-        for &pos in positions.iter().rev() {
-            moved.push(calls.remove(pos));
-        }
-        moved.reverse();
-        let dst = sites.entry(site + 1).or_default();
-        for (at, mut call) in moved.into_iter().enumerate() {
-            call.ipoint = IPoint::Before;
-            call.lowered = call.group.clone();
-            stats.after_lowered += 1;
-            // Front-inserted: the lowered call conceptually precedes the
-            // target site's own Before calls on the timeline.
-            dst.insert(at, call);
-        }
-    }
+/// The buffers [`merge_calls`] works in, kept across passes.
+#[derive(Default)]
+struct MergeScratch {
+    /// `(class, request)` of every mergeable standing call.
+    candidates: Vec<(usize, usize)>,
+    /// The members of the group being formed and the origins they cover.
+    members: Vec<usize>,
+    origins: Vec<usize>,
 }
 
 /// Merges mergeable calls whose sites share an equivalence class, as
 /// defined by `class_of` (basic block for the block pass, dominator-region
 /// head for the region pass). Returns the number of groups merged.
 ///
-/// The representative is the member with the lowest anchor site
-/// (`group.first()`); it keeps its placement, accumulates the members'
-/// groups/lowered sets and their summed multiplicity, and the others are
-/// dropped. Two calls covering a common origin site never merge (each
-/// origin is represented at most once per group), which keeps `group`
-/// strictly ascending.
+/// Calls merge when they agree on class, tool function and explicit
+/// arguments. The representative is the member with the lowest origin; it
+/// keeps its placement and takes over the members' groups, and the others
+/// stand no longer. Two calls covering a common origin site never merge
+/// (each origin is represented at most once per group).
 fn merge_calls(
-    sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
-    class_of: &dyn Fn(usize) -> Option<usize>,
+    requests: &mut [Request<'_>],
+    scratch: &mut MergeScratch,
+    class_of: impl Fn(usize) -> Option<usize>,
 ) -> u64 {
-    // (class, func, explicit args) → member (site, position) list plus the
-    // origin sites already claimed. BTreeMap keeps grouping deterministic;
-    // ordering between identical block-invariant calls has no semantics.
-    type GroupKey = (usize, String, Vec<Arg>);
-    type Members = (Vec<(usize, usize)>, BTreeSet<usize>);
-    let mut groups: BTreeMap<GroupKey, Members> = BTreeMap::new();
-    for (&site, calls) in sites.iter() {
-        let Some(class) = class_of(site) else { continue };
-        for (pos, call) in calls.iter().enumerate() {
-            if !mergeable(call) {
-                continue;
-            }
-            let key = (class, call.func.clone(), explicit_args(call).to_vec());
-            let (members, origins) = groups.entry(key).or_default();
-            if call.group.iter().any(|o| origins.contains(o)) {
-                continue; // overlapping origin — leave this call standalone
-            }
-            origins.extend(call.group.iter().copied());
-            members.push((site, pos));
+    let MergeScratch { candidates, members, origins } = scratch;
+    candidates.clear();
+    candidates.reserve(requests.len());
+    for (i, r) in requests.iter().enumerate() {
+        if r.stands && r.ipoint == IPoint::Before && r.movable() {
+            candidates.extend(class_of(r.site).map(|class| (class, i)));
         }
     }
+    // Calls that merge become neighbours, in emission order. Ordering
+    // between different keys has no semantics; it only has to be total.
+    candidates.sort_unstable_by(|&(ca, a), &(cb, b)| {
+        (ca, merge_key(&requests[a]), a).cmp(&(cb, merge_key(&requests[b]), b))
+    });
 
     let mut merged_groups = 0u64;
-    // Positions to drop per site, applied descending after all rewrites.
-    let mut drops: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (_, (members, _)) in groups {
+    let mut rest = candidates.as_slice();
+    while let Some(&(class, first)) = rest.first() {
+        let same = |&(c, i): &(usize, usize)| {
+            c == class && merge_key(&requests[i]) == merge_key(&requests[first])
+        };
+        let (run, later) = rest.split_at(rest.iter().take_while(|c| same(c)).count());
+        rest = later;
+        members.clear();
+        origins.clear();
+        for &(_, i) in run {
+            if group(requests, i).any(|m| origins.contains(&m.inj.idx)) {
+                continue; // overlapping origin — leave this call standalone
+            }
+            origins.extend(group(requests, i).map(|m| m.inj.idx));
+            members.push(i);
+        }
         if members.len() < 2 {
             continue;
         }
-        // Representative: lowest anchor (minimum first origin). Origins are
-        // disjoint across members, so the minimum is unique.
-        let rep = members
-            .iter()
-            .copied()
-            .min_by_key(|&(site, pos)| sites[&site][pos].group[0])
-            .expect("non-empty group");
-        let mut group: Vec<usize> = Vec::new();
-        let mut lowered: Vec<usize> = Vec::new();
-        let mut mult = 0u64;
-        for &(site, pos) in &members {
-            let call = &sites[&site][pos];
-            group.extend(call.group.iter().copied());
-            lowered.extend(call.lowered.iter().copied());
-            mult += u64::from(call.multiplicity);
-            if (site, pos) != rep {
-                drops.entry(site).or_default().push(pos);
-            }
+        // Origins are disjoint across members, so the lowest is unique.
+        let lowest = |i: &usize| group(requests, *i).map(|m| m.inj.idx).min();
+        let rep = *members.iter().min_by_key(|i| lowest(i)).expect("non-empty group");
+        let mut tail = group_tail(requests, rep);
+        for &m in members.iter().filter(|m| **m != rep) {
+            requests[m].stands = false;
+            requests[tail].next = Some(m);
+            tail = group_tail(requests, m);
         }
-        group.sort_unstable();
-        lowered.sort_unstable();
-        let call = &mut sites.get_mut(&rep.0).expect("representative site exists")[rep.1];
-        call.multiplicity = mult as u32;
-        *call.args.last_mut().expect("multiplicity arg present") = Arg::Imm32(mult as i32);
-        call.group = group;
-        call.lowered = lowered;
         merged_groups += 1;
     }
-
-    for (&site, positions) in drops.iter_mut() {
-        positions.sort_unstable();
-        let calls = sites.get_mut(&site).expect("dropped site exists");
-        for &pos in positions.iter().rev() {
-            calls.remove(pos);
-        }
-    }
     merged_groups
+}
+
+/// What two calls of one class must agree on to merge: the tool function
+/// and the explicit arguments, borrowed from the spec.
+fn merge_key<'a>(r: &Request<'a>) -> (&'a str, &'a [Arg]) {
+    (&r.inj.func, r.args)
+}
+
+/// The last member of the group `head` represents.
+fn group_tail(requests: &[Request<'_>], head: usize) -> usize {
+    std::iter::successors(Some(head), |&m| requests[m].next).last().expect("the head itself")
 }
 
 /// What the lifter hands down when static CFG recovery failed — for tests
@@ -511,17 +500,17 @@ skip:
     fn build_for(
         spec: &FuncSpec,
         (prog, analysis): &Analyzed,
-        tool_fns: &HashMap<String, ToolFn>,
+        tool_fns: &HashMap<Arc<str>, ToolFn>,
         opts: PlanOpts,
     ) -> Result<InstrumentationPlan> {
         build(spec, prog, Arch::Volta, analysis, tool_fns, opts)
     }
 
-    fn fns(inlinable: bool) -> HashMap<String, ToolFn> {
+    fn fns(inlinable: bool) -> HashMap<Arc<str>, ToolFn> {
         let mut m = HashMap::new();
         let mut f = ToolFn::opaque(0x8000, 8, 0, false);
         f.inlinable = inlinable;
-        m.insert("f".to_string(), f);
+        m.insert("f".into(), f);
         m
     }
 
@@ -647,7 +636,7 @@ skip:
         let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
         let mut tool_fns = fns(false);
         let g = ToolFn::dual_abi(0x8000, (8, 0, &tool), (8, 0, tool.clone()), false, Arch::Volta);
-        tool_fns.insert("g".to_string(), g);
+        tool_fns.insert("g".into(), g);
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "g", IPoint::Before);
         spec.insert_call(2, "f", IPoint::Before);

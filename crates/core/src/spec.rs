@@ -1,7 +1,8 @@
 //! Instrumentation request types: injection points, arguments, and the
 //! per-function instrumentation specification built up by tool calls.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Where to inject relative to the instrumented instruction (the paper's
 /// `IPOINT_BEFORE` / `IPOINT_AFTER`).
@@ -69,15 +70,19 @@ pub(crate) fn arg_window(args: &[Arg]) -> u8 {
     abi_slots(args).last().map_or(4, |(slot, arg)| slot.saturating_add(arg.slots()))
 }
 
-/// One injected call at an instrumentation site.
+/// One injected call at an instrumentation site. Its positional arguments
+/// live in the owning [`FuncSpec`] ([`FuncSpec::args`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Injection {
-    /// Name of the tool device function to call.
-    pub func: String,
+    /// Index of the instrumented instruction.
+    pub idx: usize,
+    /// Name of the tool device function to call (shared with the core's
+    /// table of loaded tool functions).
+    pub func: Arc<str>,
     /// Before or after the original instruction.
     pub ipoint: IPoint,
-    /// Positional arguments.
-    pub args: Vec<Arg>,
+    /// Where the arguments sit in the spec's argument pool: start, count.
+    args: (usize, usize),
     /// When set, lanes whose guard predicate is false skip the injected
     /// function entirely (the predicate-matching optimization the paper's
     /// §7 sketches as future work). Warp-level intrinsics inside the tool
@@ -95,12 +100,14 @@ pub struct Injection {
     pub coalesce: bool,
 }
 
-/// The accumulated instrumentation specification of one function.
+/// The accumulated instrumentation specification of one function: every
+/// requested injection in request order, flat. A site may carry several
+/// (paper: "multiple function injections to the same location").
 #[derive(Debug, Clone, Default)]
 pub struct FuncSpec {
-    /// Injections per instruction index; a site may carry several (paper:
-    /// "multiple function injections to the same location").
-    pub sites: BTreeMap<usize, Vec<Injection>>,
+    calls: Vec<Injection>,
+    /// The argument lists of `calls`, each contiguous.
+    args: Vec<Arg>,
     /// Instructions whose original operation is removed (paper:
     /// `nvbit_remove_orig`).
     pub removed: HashSet<usize>,
@@ -112,47 +119,66 @@ pub struct FuncSpec {
 impl FuncSpec {
     /// True if nothing was requested.
     pub fn is_empty(&self) -> bool {
-        self.sites.is_empty() && self.removed.is_empty()
+        self.calls.is_empty() && self.removed.is_empty()
+    }
+
+    /// Every requested injection, in request order.
+    pub fn injections(&self) -> &[Injection] {
+        &self.calls
+    }
+
+    /// The positional arguments of one of this spec's injections.
+    pub fn args(&self, inj: &Injection) -> &[Arg] {
+        &self.args[inj.args.0..][..inj.args.1]
     }
 
     /// Adds an injection, marking the spec dirty.
-    pub fn insert_call(&mut self, idx: usize, func: &str, ipoint: IPoint) {
-        self.sites.entry(idx).or_default().push(Injection {
-            func: func.to_string(),
+    pub fn insert_call(&mut self, idx: usize, func: impl Into<Arc<str>>, ipoint: IPoint) {
+        self.calls.push(Injection {
+            idx,
+            func: func.into(),
             ipoint,
-            args: Vec::new(),
+            args: (self.args.len(), 0),
             pred_filter: false,
             coalesce: false,
         });
         self.dirty = true;
     }
 
+    /// Applies `edit` to the most recently inserted call at `idx`, marking
+    /// the spec dirty; `false` if no call was inserted there yet.
+    fn edit_latest(
+        &mut self,
+        idx: usize,
+        edit: impl FnOnce(&mut Injection, &mut Vec<Arg>),
+    ) -> bool {
+        let Some(call) = self.calls.iter_mut().rev().find(|c| c.idx == idx) else { return false };
+        edit(call, &mut self.args);
+        self.dirty = true;
+        true
+    }
+
     /// Appends an argument to the most recently inserted call at `idx`.
     ///
     /// Returns `false` if no call was inserted there yet.
     pub fn add_arg(&mut self, idx: usize, arg: Arg) -> bool {
-        match self.sites.get_mut(&idx).and_then(|v| v.last_mut()) {
-            Some(inj) => {
-                inj.args.push(arg);
-                self.dirty = true;
-                true
+        self.edit_latest(idx, |call, pool| {
+            let (start, len) = call.args;
+            if start + len != pool.len() {
+                // Another call's arguments follow: continue at the pool's end.
+                pool.extend_from_within(start..start + len);
+                call.args.0 = pool.len() - len;
             }
-            None => false,
-        }
+            pool.push(arg);
+            call.args.1 += 1;
+        })
     }
 
     /// Enables predicate filtering on the most recent injection at `idx`.
     ///
     /// Returns `false` if no call was inserted there yet.
     pub fn set_pred_filter(&mut self, idx: usize) -> bool {
-        match self.sites.get_mut(&idx).and_then(|v| v.last_mut()) {
-            Some(inj) => {
-                inj.pred_filter = true;
-                self.dirty = true;
-                true
-            }
-            None => false,
-        }
+        self.edit_latest(idx, |call, _| call.pred_filter = true)
     }
 
     /// Marks the most recent injection at `idx` as coalescible (opt-in to
@@ -161,14 +187,7 @@ impl FuncSpec {
     ///
     /// Returns `false` if no call was inserted there yet.
     pub fn set_coalesce(&mut self, idx: usize) -> bool {
-        match self.sites.get_mut(&idx).and_then(|v| v.last_mut()) {
-            Some(inj) => {
-                inj.coalesce = true;
-                self.dirty = true;
-                true
-            }
-            None => false,
-        }
+        self.edit_latest(idx, |call, _| call.coalesce = true)
     }
 
     /// Marks the original instruction at `idx` for removal.
@@ -182,14 +201,24 @@ impl FuncSpec {
 mod tests {
     use super::*;
 
+    impl FuncSpec {
+        /// The injections requested at instruction `idx`, in request order.
+        fn site(&self, idx: usize) -> impl Iterator<Item = &Injection> {
+            self.injections().iter().filter(move |c| c.idx == idx)
+        }
+    }
+
     #[test]
     fn multiple_injections_per_site_accumulate_in_order() {
         let mut s = FuncSpec::default();
         s.insert_call(3, "a", IPoint::Before);
+        s.insert_call(1, "c", IPoint::Before);
         s.insert_call(3, "b", IPoint::After);
-        assert_eq!(s.sites[&3].len(), 2);
-        assert_eq!(s.sites[&3][0].func, "a");
-        assert_eq!(s.sites[&3][1].ipoint, IPoint::After);
+        let at3: Vec<&Injection> = s.site(3).collect();
+        assert_eq!(at3.len(), 2);
+        assert_eq!(&*at3[0].func, "a");
+        assert_eq!(at3[1].ipoint, IPoint::After);
+        assert_eq!(s.injections().len(), 3);
         assert!(s.dirty);
     }
 
@@ -202,8 +231,24 @@ mod tests {
         assert!(s.add_arg(0, Arg::Imm64(0xdead)));
         s.insert_call(0, "g", IPoint::Before);
         assert!(s.add_arg(0, Arg::RegVal(7)));
-        assert_eq!(s.sites[&0][0].args.len(), 2);
-        assert_eq!(s.sites[&0][1].args, vec![Arg::RegVal(7)]);
+        let at0: Vec<&[Arg]> = s.site(0).map(|inj| s.args(inj)).collect();
+        assert_eq!(at0, [&[Arg::GuardPred, Arg::Imm64(0xdead)][..], &[Arg::RegVal(7)]]);
+    }
+
+    #[test]
+    fn an_argument_list_that_is_no_longer_the_last_still_grows() {
+        // Site 0's call is followed by site 1's before it gets its second
+        // argument: the tool interleaved its requests.
+        let mut s = FuncSpec::default();
+        s.insert_call(0, "f", IPoint::Before);
+        s.add_arg(0, Arg::Imm32(1));
+        s.insert_call(1, "g", IPoint::Before);
+        s.add_arg(1, Arg::Imm32(2));
+        s.add_arg(0, Arg::Imm32(3));
+        s.add_arg(1, Arg::Imm32(4));
+        let args = |idx| s.args(s.site(idx).next().unwrap());
+        assert_eq!(args(0), [Arg::Imm32(1), Arg::Imm32(3)]);
+        assert_eq!(args(1), [Arg::Imm32(2), Arg::Imm32(4)]);
     }
 
     #[test]
@@ -213,7 +258,7 @@ mod tests {
         s.insert_call(0, "f", IPoint::Before);
         s.dirty = false; // as after a build
         assert!(s.set_coalesce(0));
-        assert!(s.sites[&0][0].coalesce);
+        assert!(s.site(0).all(|inj| inj.coalesce));
         assert!(s.dirty, "a coalesce edit makes the built image stale");
     }
 

@@ -29,6 +29,7 @@
 use crate::codegen::SiteMeta;
 use crate::hal::Hal;
 use crate::saverestore::frame_slots;
+use common::InlineVec;
 use sass::cfg::block_of;
 use sass::op::CfClass;
 use sass::{Instruction, Op, Operand, Reg};
@@ -154,7 +155,7 @@ pub struct ExternalCode {
     pub code_regions: Vec<(u64, u64)>,
     /// Decoded bodies of loaded tool functions, for checking inline
     /// splices against the code they claim to reproduce.
-    pub tool_bodies: Vec<(String, Arc<Vec<Instruction>>)>,
+    pub tool_bodies: Vec<(Arc<str>, Arc<Vec<Instruction>>)>,
 }
 
 impl ExternalCode {
@@ -288,7 +289,7 @@ fn check_brackets(
             continue;
         }
         if let (Op::Iadd, true, [Operand::Reg(Reg::SP), Operand::Reg(Reg::SP), Operand::Imm(by)]) =
-            (ins.op, always, ins.operands.as_slice())
+            (ins.op, always, &ins.operands[..])
         {
             // Recorded offsets are relative to the `R1` that just moved.
             st.sp += by;
@@ -309,11 +310,11 @@ fn check_brackets(
                 diag(DiagKind::TierExceeded, &what);
             }
         }
-        match (ins.op, off, ins.operands.as_slice()) {
+        match (ins.op, off, &ins.operands[..]) {
             // An unguarded one-word store of a register that still holds
             // the application's value saves it in that slot.
             (Op::Stl, Some(off), [_, Operand::Reg(r)])
-                if always && off % 4 == 0 && ins.reg_reads() == [Reg::SP, *r] =>
+                if always && off % 4 == 0 && *ins.reg_reads() == [Reg::SP, *r] =>
             {
                 st.stores.retain(|(o, _)| *o != off);
                 if st.depth == 0 && !st.dirty.gprs.contains(*r) {
@@ -324,7 +325,7 @@ fn check_brackets(
             (Op::Stl, ..) => st.stores.clear(),
             // An unguarded one-word load of the slot restores the register.
             (Op::Ldl, Some(off), [Operand::Reg(r), _])
-                if always && ins.reg_writes() == [*r] && st.stores.contains(&(off, *r)) =>
+                if always && *ins.reg_writes() == [*r] && st.stores.contains(&(off, *r)) =>
             {
                 st.dirty.gprs.remove(*r);
                 reload = true;
@@ -332,7 +333,7 @@ fn check_brackets(
             _ => {}
         }
 
-        for r in ins.reg_writes() {
+        for &r in &ins.reg_writes() {
             let saved = (st.depth > 0 && u16::from(r.0) < site.tier)
                 || st.stores.iter().any(|(_, s)| *s == r);
             if !reload && live_reg(r) && !saved {
@@ -343,12 +344,12 @@ fn check_brackets(
             }
         }
         // Only a save routine's frame holds the predicate file.
-        for p in ins.pred_writes() {
-            if live.pred_live(p) && st.depth == 0 {
-                diag(DiagKind::PressureExceeded, &format!("live {p} written but not saved"));
-            }
-            st.dirty.preds |= 1 << p.0;
+        let written = ins.pred_writes();
+        let unsaved = if st.depth == 0 { written & live.preds } else { 0 };
+        for p in (0..7).filter(|p| unsaved >> p & 1 == 1).map(sass::Pred) {
+            diag(DiagKind::PressureExceeded, &format!("live {p} written but not saved"));
         }
+        st.dirty.preds |= written;
 
         match ins.cf_class() {
             CfClass::RelBranch => {
@@ -378,16 +379,18 @@ fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
             }
         }
     }
-    /// `ins` with every register and predicate name blanked, and the names.
-    fn names(ins: &Instruction) -> (Instruction, Vec<Reg>, Vec<sass::Pred>) {
-        let (mut blank, mut regs, mut preds) = (ins.clone(), Vec::new(), Vec::new());
+    /// `ins` with every register and predicate name blanked, and the names
+    /// by index: a register per operand, a predicate per operand and the
+    /// guard's.
+    fn names(ins: &Instruction) -> (Instruction, InlineVec<u8, 4>, InlineVec<u8, 5>) {
+        let (mut blank, mut regs, mut preds) = (*ins, InlineVec::default(), InlineVec::default());
         blank.map_regs(
             |r| {
-                regs.push(r);
+                regs.push(r.0);
                 Reg::RZ
             },
             |p| {
-                preds.push(p);
+                preds.push(p.0);
                 sass::Pred::PT
             },
         );
@@ -395,13 +398,13 @@ fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
     }
     let (mut pairs, mut preds) = ([None; 128], [None; 8]);
     (pairs[127], preds[7]) = (Some(127), Some(7));
-    let mut reg = |a: &Reg, b: &Reg| a.0 % 2 == b.0 % 2 && bind(&mut pairs, a.0 / 2, b.0 / 2);
+    let mut reg = |a: &u8, b: &u8| a % 2 == b % 2 && bind(&mut pairs, a / 2, b / 2);
     loaded.len() == emitted.len()
         && loaded.iter().zip(emitted).all(|(l, e)| {
             let ((l, l_regs, l_preds), (e, e_regs, e_preds)) = (names(l), names(e));
             l == e
                 && l_regs.iter().zip(&e_regs).all(|(a, b)| reg(a, b))
-                && l_preds.iter().zip(&e_preds).all(|(a, b)| bind(&mut preds, a.0 & 7, b.0 & 7))
+                && l_preds.iter().zip(&e_preds).all(|(a, b)| bind(&mut preds, a & 7, b & 7))
         })
 }
 
@@ -503,7 +506,7 @@ pub fn verify_instrs(
         message,
     };
     let jumps_to = |ins: &Instruction, pc: u64| {
-        ins.op == Op::Jmp && ins.guard.is_always() && ins.operands == [Operand::Abs(pc)]
+        ins.op == Op::Jmp && ins.guard.is_always() && *ins.operands == [Operand::Abs(pc)]
     };
     if image.len() != original.len() {
         diags.push(link(Region::Image, 0, "the image is not the size of the original".into()));
@@ -548,7 +551,7 @@ pub fn verify_instrs(
         let instr_pc = image_addr + site.instr_idx as u64 * isize;
         let moved =
             (tramp_addr + (site.start + site.orig_pos) as u64 * isize).wrapping_sub(instr_pc);
-        let mut displaced = original.get(site.instr_idx).cloned();
+        let mut displaced = original.get(site.instr_idx).copied();
         if let Some(orig) = &mut displaced {
             if let Some(rel) = orig.rel_target() {
                 orig.set_rel_target(rel.wrapping_sub(moved as i64));
@@ -627,6 +630,8 @@ pub fn verify_plan_instrs(
     let blocks = analysis.as_ref().map(|a| &a.blocks);
     let dom = analysis.as_ref().map(|a| &a.dom);
     let dataflow = analysis.as_ref().map(|a| &a.liveness);
+    // A spliced body as the shape classifier is shown it.
+    let mut spliced: Vec<Instruction> = Vec::new();
 
     for site in sites {
         let end = site.start + site.len;
@@ -731,7 +736,7 @@ pub fn verify_plan_instrs(
             // Inline splices must reproduce the loaded tool body, up to
             // the site's register renaming.
             let Some((off, len)) = call.inline else { continue };
-            let loaded = ext.tool_bodies.iter().find(|(name, _)| name == &call.func);
+            let loaded = ext.tool_bodies.iter().find(|(name, _)| *name == call.func);
             let splice_ok = off + len <= site.len
                 && len > 0
                 && loaded.is_some_and(|(_, fn_body)| {
@@ -761,8 +766,9 @@ pub fn verify_plan_instrs(
             // splice whose guarded branch escapes the splice (or loops)
             // would execute foreign code inside the save/restore bracket,
             // whatever body it byte-matches.
-            let mut spliced: Vec<Instruction> = body[off..off + len - 1].to_vec();
-            spliced.push(Instruction::new(Op::Ret, vec![]));
+            spliced.clear();
+            spliced.extend_from_slice(&body[off..off + len - 1]);
+            spliced.push(Instruction::new(Op::Ret, []));
             if sass::pressure::body_shape(&spliced, hal.arch()).is_none() {
                 diags.push(Diagnostic {
                     kind: DiagKind::DiamondMismatch,
@@ -831,11 +837,11 @@ mod tests {
     }
 
     fn jmp(addr: u64) -> Instruction {
-        Instruction::new(Op::Jmp, vec![Operand::Abs(addr)])
+        Instruction::new(Op::Jmp, [Operand::Abs(addr)])
     }
 
     fn jcal(addr: u64) -> Instruction {
-        Instruction::new(Op::Jcal, vec![Operand::Abs(addr)])
+        Instruction::new(Op::Jcal, [Operand::Abs(addr)])
     }
 
     /// A well-formed one-site image: `IADD; JMP tramp; EXIT` plus a
@@ -844,20 +850,20 @@ mod tests {
         let image = vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
             jmp(TRAMP_ADDR),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Exit, []),
         ];
         let isize = hal().instruction_size();
         let tramp = vec![
             jcal(SAVE),
-            Instruction::new(Op::Mov, vec![Operand::Reg(Reg(0)), Operand::Reg(Reg::SP)]),
+            Instruction::new(Op::Mov, [Operand::Reg(Reg(0)), Operand::Reg(Reg::SP)]),
             jcal(TOOL),
             jcal(RESTORE),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
+                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
             ),
             jmp(IMAGE_ADDR + 2 * isize),
         ];
@@ -867,7 +873,6 @@ mod tests {
             len: tramp.len(),
             orig_pos: 4,
             tier: 16,
-            injections: 1,
             calls: vec![],
         }];
         (image, tramp, sites)
@@ -878,7 +883,7 @@ mod tests {
     fn run(image: &[Instruction], tramp: &[Instruction], sites: &[SiteMeta]) -> Vec<Diagnostic> {
         let mut original = image.to_vec();
         for site in sites {
-            original[site.instr_idx] = tramp[site.start + site.orig_pos].clone();
+            original[site.instr_idx] = tramp[site.start + site.orig_pos];
         }
         run_against(&original, image, tramp, sites)
     }
@@ -905,7 +910,7 @@ mod tests {
     ) -> Vec<DiagKind> {
         let (mut image, mut tramp, sites) = good();
         let mut original = image.clone();
-        original[1] = tramp[4].clone();
+        original[1] = tramp[4];
         corrupt(&mut image, &mut tramp);
         run_against(&original, &image, &tramp, &sites).iter().map(|d| d.kind).collect()
     }
@@ -920,8 +925,7 @@ mod tests {
         tramp.push(std::mem::replace(&mut image[0], jmp(TRAMP_ADDR)));
         tramp.push(jmp(IMAGE_ADDR + hal().instruction_size()));
         let (len, calls) = (tramp.len(), vec![]);
-        let site =
-            SiteMeta { instr_idx: 0, start: 0, len, orig_pos, tier: 0, injections: 1, calls };
+        let site = SiteMeta { instr_idx: 0, start: 0, len, orig_pos, tier: 0, calls };
         run(&image, &tramp, &[site]).iter().map(|d| d.kind).collect()
     }
 
@@ -957,7 +961,7 @@ mod tests {
     fn out_of_range_branch_is_rejected() {
         let (mut image, tramp, sites) = good();
         // Branch way past the end of every known region.
-        image[0] = Instruction::new(Op::Bra, vec![Operand::Rel(0x4_0000)]);
+        image[0] = Instruction::new(Op::Bra, [Operand::Rel(0x4_0000)]);
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::BranchTarget && d.region == Region::Image));
     }
@@ -965,7 +969,7 @@ mod tests {
     #[test]
     fn misaligned_branch_target_is_rejected() {
         let (mut image, tramp, sites) = good();
-        image[0] = Instruction::new(Op::Bra, vec![Operand::Rel(4)]); // mid-instruction
+        image[0] = Instruction::new(Op::Bra, [Operand::Rel(4)]); // mid-instruction
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::BranchTarget));
     }
@@ -982,7 +986,7 @@ mod tests {
     fn guarded_terminator_still_falls_through() {
         let (mut image, tramp, sites) = good();
         let n = image.len();
-        image[n - 1] = Instruction::new(Op::Exit, vec![])
+        image[n - 1] = Instruction::new(Op::Exit, [])
             .with_guard(sass::Guard { pred: sass::Pred(0), negated: false });
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::FallThrough && d.region == Region::Image));
@@ -994,7 +998,7 @@ mod tests {
         // LDG.128 R253 spans R253..R256 — past the register file.
         image[0] = Instruction::new(
             Op::Ldg,
-            vec![Operand::Reg(Reg(253)), Operand::MRef { base: Reg(8), offset: 0 }],
+            [Operand::Reg(Reg(253)), Operand::MRef { base: Reg(8), offset: 0 }],
         )
         .with_mods(Mods { width: Width::B128, ..Mods::default() });
         let d = run(&image, &tramp, &sites);
@@ -1004,7 +1008,7 @@ mod tests {
     #[test]
     fn bad_predicate_is_rejected() {
         let (mut image, tramp, sites) = good();
-        image[0] = image[0].clone().with_guard(sass::Guard { pred: sass::Pred(9), negated: false });
+        image[0] = image[0].with_guard(sass::Guard { pred: sass::Pred(9), negated: false });
         // Structural half only: P9 cannot be decoded from bytes, and the
         // liveness bitmask behind the plan half has no bit for it.
         let d =
@@ -1015,7 +1019,7 @@ mod tests {
     #[test]
     fn malformed_operand_lists_are_rejected() {
         let (mut image, tramp, sites) = good();
-        image[0] = Instruction::new(Op::Iadd, vec![Operand::Reg(Reg(4))]); // arity 1, needs 3
+        image[0] = Instruction::new(Op::Iadd, [Operand::Reg(Reg(4))]); // arity 1, needs 3
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::BadOperands));
     }
@@ -1049,7 +1053,7 @@ mod tests {
         let (image, mut tramp, sites) = good();
         tramp[0] = Instruction::new(
             Op::Ldl,
-            vec![Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 16 }],
+            [Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 16 }],
         );
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::ReadBeforeSave));
@@ -1118,16 +1122,16 @@ mod tests {
         // the relocated copy sits at trampoline slot 4.
         let isize = hal().instruction_size() as i64;
         let (mut image, mut tramp, sites) = good();
-        image.push(Instruction::new(Op::Exit, vec![]));
+        image.push(Instruction::new(Op::Exit, []));
         let mut original = image.clone();
-        original[1] = Instruction::new(Op::Bra, vec![Operand::Rel(isize)])
+        original[1] = Instruction::new(Op::Bra, [Operand::Rel(isize)])
             .with_guard(sass::Guard { pred: sass::Pred(0), negated: false });
         let reached = IMAGE_ADDR as i64 + 3 * isize;
-        tramp[4] = original[1].clone();
+        tramp[4] = original[1];
         tramp[4].set_rel_target(reached - (TRAMP_ADDR as i64 + 5 * isize));
         assert_eq!(run_against(&original, &image, &tramp, &sites), vec![]);
         // Copied without the adjustment it lands somewhere else.
-        tramp[4] = original[1].clone();
+        tramp[4] = original[1];
         let d = run_against(&original, &image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::LinkMismatch), "{d:?}");
     }
@@ -1142,14 +1146,14 @@ mod tests {
         vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Bra, vec![Operand::Rel(0)]),
+            Instruction::new(Op::Bra, [Operand::Rel(0)]),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(1)],
+                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Exit, []),
         ]
     }
 
@@ -1204,7 +1208,7 @@ mod tests {
     /// post-dominate the entry, so entry ↔ arm merges are illegal.
     fn conditional() -> Vec<Instruction> {
         let mut body = original();
-        body[1] = Instruction::new(Op::Bra, vec![Operand::Rel(16)])
+        body[1] = Instruction::new(Op::Bra, [Operand::Rel(16)])
             .with_guard(sass::Guard { pred: sass::Pred(0), negated: false });
         body
     }
@@ -1239,11 +1243,11 @@ mod tests {
         vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Bra, vec![Operand::Rel(-32)])
+            Instruction::new(Op::Bra, [Operand::Rel(-32)])
                 .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Exit, []),
         ]
     }
 
@@ -1297,10 +1301,8 @@ mod tests {
         let (_, tramp, mut sites) = good();
         sites[0].instr_idx = 1;
         sites[0].calls = vec![CallMeta { lowered: vec![0], ..call_meta(1, vec![0]) }];
-        let icf = vec![
-            Instruction::new(Op::Brx, vec![Operand::Reg(Reg(4))]),
-            Instruction::new(Op::Exit, vec![]),
-        ];
+        let icf =
+            vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])];
         let d = run_plan(&icf, &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
     }
@@ -1311,10 +1313,8 @@ mod tests {
         sites[0].instr_idx = 0;
         sites[0].calls = vec![call_meta(2, vec![0, 1])];
         // BRX defeats static partitioning — merged groups are then illegal.
-        let icf = vec![
-            Instruction::new(Op::Brx, vec![Operand::Reg(Reg(4))]),
-            Instruction::new(Op::Exit, vec![]),
-        ];
+        let icf =
+            vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])];
         let d = run_plan(&icf, &tramp, &sites, &ext());
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
@@ -1338,16 +1338,16 @@ mod tests {
         let fn_body = vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
+                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
             ),
-            Instruction::new(Op::Ret, vec![]),
+            Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
         // Splice the body over the tool call: IADD at 2, its NOP at 3.
         let head = Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
+            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
         );
         splice_over_call(&mut tramp, &mut sites, vec![head]);
         sites[0].calls =
@@ -1357,7 +1357,7 @@ mod tests {
         // A drifted splice (wrong immediate) is flagged.
         tramp[2] = Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(3)],
+            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(3)],
         );
         let d = run_plan(&original(), &tramp, &sites, &e);
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
@@ -1374,26 +1374,26 @@ mod tests {
         let original = vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(1)],
+                [Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(1)],
             ),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(20)), Operand::Imm(1)],
+                [Operand::Reg(Reg(5)), Operand::Reg(Reg(20)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Exit, []),
         ];
         // A loaded body that writes R20 — byte-matched by the splice, so
         // `InlineMismatch` stays silent; only the recomputed liveness
         // catches that tier 16 does not cover the clobber.
         let head = Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
+            [Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
         );
-        let fn_body = vec![head.clone(), Instruction::new(Op::Ret, vec![])];
+        let fn_body = vec![head, Instruction::new(Op::Ret, [])];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body)));
         let (_, mut tramp, mut sites) = good();
@@ -1420,13 +1420,13 @@ mod tests {
         // save/restore bracket.
         let isize = hal().instruction_size() as i64;
         let fn_body = vec![
-            Instruction::new(Op::Bra, vec![Operand::Rel(4 * isize)])
+            Instruction::new(Op::Bra, [Operand::Rel(4 * isize)])
                 .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
+                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
             ),
-            Instruction::new(Op::Ret, vec![]),
+            Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(fn_body.clone())));
@@ -1441,14 +1441,14 @@ mod tests {
         // The contained diamond — the branch landing exactly on the
         // splice's RET slot — is the accepted shape.
         let contained = vec![
-            Instruction::new(Op::Bra, vec![Operand::Rel(isize)])
+            Instruction::new(Op::Bra, [Operand::Rel(isize)])
                 .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            fn_body[1].clone(),
-            Instruction::new(Op::Ret, vec![]),
+            fn_body[1],
+            Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
         e.tool_bodies.push(("f".into(), Arc::new(contained.clone())));
-        tramp[2] = contained[0].clone();
+        tramp[2] = contained[0];
         let d = run_plan(&original(), &tramp, &sites, &e);
         assert!(!d.iter().any(|d| d.kind == DiagKind::DiamondMismatch), "{d:?}");
     }
@@ -1466,10 +1466,7 @@ mod tests {
             2,
             Instruction::new(
                 Op::Ldl,
-                vec![
-                    Operand::Reg(Reg(4)),
-                    Operand::MRef { base: Reg::SP, offset: 4 * slots as i32 },
-                ],
+                [Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 4 * slots as i32 }],
             ),
         );
         sites[0].len += 1;
@@ -1479,10 +1476,7 @@ mod tests {
         // The slot just below the bound is fine.
         tramp[2] = Instruction::new(
             Op::Ldl,
-            vec![
-                Operand::Reg(Reg(4)),
-                Operand::MRef { base: Reg::SP, offset: 4 * (slots as i32 - 1) },
-            ],
+            [Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 4 * (slots as i32 - 1) }],
         );
         assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
     }
@@ -1493,7 +1487,7 @@ mod tests {
         // The relocated original is a local store at depth 0 — legitimate.
         tramp[4] = Instruction::new(
             Op::Stl,
-            vec![Operand::MRef { base: Reg::SP, offset: 8 }, Operand::Reg(Reg(5))],
+            [Operand::MRef { base: Reg::SP, offset: 8 }, Operand::Reg(Reg(5))],
         );
         sites[0].orig_pos = 4;
         assert_eq!(run(&image, &tramp, &sites), vec![]);

@@ -262,7 +262,7 @@ fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
     let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
     let k = &mut image.functions[0];
     let mut instrs = k.decode();
-    instrs.push(Instruction::new(Op::Jcal, vec![Operand::Abs(0xdead_0000)]));
+    instrs.push(Instruction::new(Op::Jcal, [Operand::Abs(0xdead_0000)]));
     k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
 
     let seen = Rc::new(RefCell::new(RefusedSeen::default()));

@@ -347,7 +347,7 @@ fn proxy_instruction_emulation_with_permanent_register_writes() {
             if api.is_instrumented(func) {
                 return;
             }
-            for instr in api.get_instrs(func).unwrap() {
+            for instr in api.get_instrs(func).unwrap().iter() {
                 if instr.proxy_id() == Some(square_id) {
                     let (dst, src) = instr.proxy_regs().unwrap();
                     api.insert_call(func, instr.idx, "emu_square", IPoint::Before).unwrap();
@@ -424,7 +424,7 @@ fn register_value_arguments_deliver_addresses_to_the_tool() {
                 if api.is_instrumented(func) {
                     return;
                 }
-                for instr in api.get_instrs(func).unwrap() {
+                for instr in api.get_instrs(func).unwrap().iter() {
                     if instr.mem_space() == Some(sass::MemSpace::Global) && instr.is_store() {
                         let (base, offset) = instr.mref().unwrap();
                         api.insert_call(func, instr.idx, "trace_addr", IPoint::Before).unwrap();
@@ -500,7 +500,7 @@ fn after_injection_and_multiple_injections_order() {
                     return;
                 }
                 let (before, after) = *addrs.borrow();
-                for instr in api.get_instrs(func).unwrap() {
+                for instr in api.get_instrs(func).unwrap().iter() {
                     if instr.is_store() {
                         // Two before-injections and one after-injection.
                         api.insert_call(func, instr.idx, "bump", IPoint::Before).unwrap();
@@ -888,7 +888,7 @@ JOIN:
                         if api.is_instrumented(func) {
                             return;
                         }
-                        for instr in api.get_instrs(func).unwrap() {
+                        for instr in api.get_instrs(func).unwrap().iter() {
                             // Only control-flow machinery sites.
                             if matches!(
                                 instr.cf_class(),
@@ -1044,4 +1044,44 @@ fn tool_functions_may_not_use_shared_memory() {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
     attach_tool(&drv, BadTool);
     drv.shutdown();
+}
+
+/// Loading tool functions again under a loaded name replaces the function:
+/// a splice of the new body must be checked against the new body, not the
+/// one the name had before (the verifier's tool bodies are kept as the tool
+/// functions are loaded, not rebuilt per image).
+#[test]
+fn a_reloaded_tool_function_is_verified_against_its_new_body() {
+    const COUNT_TWO: &str = r#"
+.func count_one(.reg .u32 %pred, .reg .u64 %ctr)
+{
+    .reg .u32 %r<3>;
+    add.u32 %r1, %pred, 1;
+    atom.global.add.u32 %r2, [%ctr], %r1;
+    ret;
+}
+"#;
+    let counter = Rc::new(RefCell::new(0u64));
+    let (at_init, at_launch) = (counter.clone(), counter.clone());
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(
+        &drv,
+        ClosureTool {
+            init: Box::new(move |api| {
+                api.load_tool_functions(COUNT_FN).unwrap();
+                api.load_tool_functions(COUNT_TWO).unwrap();
+                *at_init.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+            }),
+            launch_entry: Box::new(move |api, func, _, _| {
+                api.insert_call(func, 0, "count_one", IPoint::Before).unwrap();
+                api.add_call_arg_guard_pred(func, 0).unwrap();
+                api.add_call_arg_imm64(func, 0, *at_launch.borrow()).unwrap();
+                assert_eq!(api.verify_instrumented(func).unwrap(), vec![]);
+            }),
+        },
+    );
+    run_vecadd(&drv, 256);
+    let mut count = [0u8; 8];
+    drv.memcpy_dtoh(&mut count, *counter.borrow()).unwrap();
+    assert_eq!(u64::from_le_bytes(count), 2 * 256, "the new body ran, once per thread");
 }

@@ -83,7 +83,7 @@ impl NvbitTool for StoreCounter {
             return;
         }
         let addr = *self.counter_addr.borrow();
-        for instr in api.get_instrs(*func).unwrap() {
+        for instr in api.get_instrs(*func).unwrap().iter() {
             if instr.is_store() && instr.mem_space() == Some(sass::MemSpace::Global) {
                 api.insert_call(*func, instr.idx, "count_one", IPoint::Before).unwrap();
                 api.add_call_arg_guard_pred(*func, instr.idx).unwrap();

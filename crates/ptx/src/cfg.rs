@@ -150,9 +150,10 @@ impl FnCfg {
 /// blocks post-dominated only by the virtual exit (e.g. blocks ending in
 /// `exit` themselves).
 pub fn ipostdom(cfg: &FnCfg) -> Vec<Option<usize>> {
-    let succ: Vec<Vec<usize>> = cfg.blocks.iter().map(|b| b.succs.clone()).collect();
-    let exit = succ.len();
-    common::graph::post_idoms(&succ, |b| succ[b].is_empty())
+    let mut succ = common::graph::Graph::with_capacity(cfg.blocks.len(), 2 * cfg.blocks.len());
+    cfg.blocks.iter().for_each(|b| succ.push_node(b.succs.iter().copied()));
+    let exit = succ.nodes();
+    common::graph::post_idoms(&succ, |b| succ.succ(b).is_empty())
         .into_iter()
         .map(|ip| ip.filter(|&p| p != exit))
         .collect()

@@ -402,7 +402,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Mov32i,
-                        vec![Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
+                        [Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
                     )
                     .with_guard(guard),
                 );
@@ -428,11 +428,11 @@ impl<'a> Emitter<'a> {
         let lo_bits = (v as u32 as i32) as i64;
         let hi_bits = ((v >> 32) as u32 as i32) as i64;
         self.push(
-            Instruction::new(Op::Mov32i, vec![Operand::Reg(lo), Operand::Imm(lo_bits)])
+            Instruction::new(Op::Mov32i, [Operand::Reg(lo), Operand::Imm(lo_bits)])
                 .with_guard(guard),
         );
         self.push(
-            Instruction::new(Op::Mov32i, vec![Operand::Reg(Reg(lo.0 + 1)), Operand::Imm(hi_bits)])
+            Instruction::new(Op::Mov32i, [Operand::Reg(Reg(lo.0 + 1)), Operand::Imm(hi_bits)])
                 .with_guard(guard),
         );
     }
@@ -445,7 +445,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Mov32i,
-                        vec![Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
+                        [Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
                     )
                     .with_guard(guard),
                 );
@@ -468,7 +468,7 @@ impl<'a> Emitter<'a> {
                 } else {
                     Mods::default()
                 };
-                self.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
+                self.push(Instruction::new(Op::Sync, []).with_mods(mods));
             }
             self.labels.insert(b, self.out.len());
             let block = &cfg.blocks[b];
@@ -521,7 +521,7 @@ impl<'a> Emitter<'a> {
             Mods::default()
         };
         let at = self.out.len();
-        self.push(Instruction::new(Op::Ssy, vec![Operand::Rel(0)]).with_mods(mods));
+        self.push(Instruction::new(Op::Ssy, [Operand::Rel(0)]).with_mods(mods));
         // SSY targets the join block itself (after the landing pad).
         self.fixups.push((at, d));
     }
@@ -530,7 +530,7 @@ impl<'a> Emitter<'a> {
         if self.frame_bytes > 0 {
             self.push(Instruction::new(
                 Op::Iadd,
-                vec![
+                [
                     Operand::Reg(Reg::SP),
                     Operand::Reg(Reg::SP),
                     Operand::Imm(-(self.frame_bytes as i64)),
@@ -540,7 +540,7 @@ impl<'a> Emitter<'a> {
             for (slot, &r) in saved.iter().enumerate() {
                 self.push(Instruction::new(
                     Op::Stl,
-                    vec![
+                    [
                         Operand::MRef { base: Reg::SP, offset: (slot as i32) * 4 },
                         Operand::Reg(Reg(r)),
                     ],
@@ -593,7 +593,7 @@ impl<'a> Emitter<'a> {
                     let (d, s) = units[i];
                     self.push(Instruction::new(
                         Op::Mov,
-                        vec![Operand::Reg(Reg(d)), Operand::Reg(Reg(s))],
+                        [Operand::Reg(Reg(d)), Operand::Reg(Reg(s))],
                     ));
                     emitted[i] = true;
                     progress = true;
@@ -608,7 +608,7 @@ impl<'a> Emitter<'a> {
                 let (_d, s) = units[i];
                 self.push(Instruction::new(
                     Op::Mov,
-                    vec![Operand::Reg(SCRATCH_LO), Operand::Reg(Reg(s))],
+                    [Operand::Reg(SCRATCH_LO), Operand::Reg(Reg(s))],
                 ));
                 // Redirect every pending read of `d`'s old value... the value
                 // we must preserve is `s`'s (now in scratch).
@@ -626,7 +626,7 @@ impl<'a> Emitter<'a> {
             self.push(
                 Instruction::new(
                     Op::Ldl,
-                    vec![
+                    [
                         Operand::Reg(Reg(r)),
                         Operand::MRef { base: Reg::SP, offset: (slot as i32) * 4 },
                     ],
@@ -638,7 +638,7 @@ impl<'a> Emitter<'a> {
             self.push(
                 Instruction::new(
                     Op::Iadd,
-                    vec![
+                    [
                         Operand::Reg(Reg::SP),
                         Operand::Reg(Reg::SP),
                         Operand::Imm(self.frame_bytes as i64),
@@ -647,7 +647,7 @@ impl<'a> Emitter<'a> {
                 .with_guard(guard),
             );
         }
-        self.push(Instruction::new(Op::Ret, vec![]).with_guard(guard));
+        self.push(Instruction::new(Op::Ret, []).with_guard(guard));
     }
 
     /// Emits one PTX instruction.
@@ -682,10 +682,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Ldc,
-                        vec![
-                            Operand::Reg(d),
-                            Operand::CBank { bank: 0, base: Reg::RZ, offset: off },
-                        ],
+                        [Operand::Reg(d), Operand::CBank { bank: 0, base: Reg::RZ, offset: off }],
                     )
                     .with_mods(Mods { width, ..Mods::default() })
                     .with_guard(g),
@@ -696,12 +693,9 @@ impl<'a> Emitter<'a> {
                 let (op, base, off) = self.mem_operand(*space, addr, g, false)?;
                 let width = if ty.is_wide() { Width::B64 } else { Width::B32 };
                 self.push(
-                    Instruction::new(
-                        op,
-                        vec![Operand::Reg(d), Operand::MRef { base, offset: off }],
-                    )
-                    .with_mods(Mods { width, ..Mods::default() })
-                    .with_guard(g),
+                    Instruction::new(op, [Operand::Reg(d), Operand::MRef { base, offset: off }])
+                        .with_mods(Mods { width, ..Mods::default() })
+                        .with_guard(g),
                 );
             }
             P::St { space, ty, addr, src } => {
@@ -709,23 +703,17 @@ impl<'a> Emitter<'a> {
                 let (op, base, off) = self.mem_operand(*space, addr, g, true)?;
                 let width = if ty.is_wide() { Width::B64 } else { Width::B32 };
                 self.push(
-                    Instruction::new(
-                        op,
-                        vec![Operand::MRef { base, offset: off }, Operand::Reg(s)],
-                    )
-                    .with_mods(Mods { width, ..Mods::default() })
-                    .with_guard(g),
+                    Instruction::new(op, [Operand::MRef { base, offset: off }, Operand::Reg(s)])
+                        .with_mods(Mods { width, ..Mods::default() })
+                        .with_guard(g),
                 );
             }
             P::Mov { ty, dst, src, special, shared_addr } => {
                 let d = self.gpr_of(dst)?;
                 if let Some(sp) = special {
                     self.push(
-                        Instruction::new(
-                            Op::S2r,
-                            vec![Operand::Reg(d), Operand::SReg(sp.to_sass())],
-                        )
-                        .with_guard(g),
+                        Instruction::new(Op::S2r, [Operand::Reg(d), Operand::SReg(sp.to_sass())])
+                            .with_guard(g),
                     );
                 } else if let Some(name) = shared_addr {
                     let off = *self
@@ -733,28 +721,22 @@ impl<'a> Emitter<'a> {
                         .get(name)
                         .ok_or_else(|| self.sem(format!("unknown shared variable `{name}`")))?;
                     self.push(
-                        Instruction::new(
-                            Op::Mov32i,
-                            vec![Operand::Reg(d), Operand::Imm(off as i64)],
-                        )
-                        .with_guard(g),
+                        Instruction::new(Op::Mov32i, [Operand::Reg(d), Operand::Imm(off as i64)])
+                            .with_guard(g),
                     );
                 } else {
                     match src.as_ref().unwrap() {
                         Src::Reg(r) => {
                             let s = self.gpr_of(r)?;
                             self.push(
-                                Instruction::new(Op::Mov, vec![Operand::Reg(d), Operand::Reg(s)])
+                                Instruction::new(Op::Mov, [Operand::Reg(d), Operand::Reg(s)])
                                     .with_guard(g),
                             );
                             if ty.is_wide() {
                                 self.push(
                                     Instruction::new(
                                         Op::Mov,
-                                        vec![
-                                            Operand::Reg(Reg(d.0 + 1)),
-                                            Operand::Reg(Reg(s.0 + 1)),
-                                        ],
+                                        [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(Reg(s.0 + 1))],
                                     )
                                     .with_guard(g),
                                 );
@@ -767,7 +749,7 @@ impl<'a> Emitter<'a> {
                                 self.push(
                                     Instruction::new(
                                         Op::Mov32i,
-                                        vec![Operand::Reg(d), Operand::Imm((*v as i32) as i64)],
+                                        [Operand::Reg(d), Operand::Imm((*v as i32) as i64)],
                                     )
                                     .with_guard(g),
                                 );
@@ -793,7 +775,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         op,
-                        vec![Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb), Operand::Reg(rc)],
+                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb), Operand::Reg(rc)],
                     )
                     .with_mods(Mods { itype, ..Mods::default() })
                     .with_guard(g),
@@ -815,7 +797,7 @@ impl<'a> Emitter<'a> {
                     self.sval32(b, g)?
                 };
                 self.push(
-                    Instruction::new(op, vec![Operand::pred(p), Operand::Reg(ra), bv.operand()])
+                    Instruction::new(op, [Operand::pred(p), Operand::Reg(ra), bv.operand()])
                         .with_mods(Mods { cmp: cmp.to_sass(), itype, ..Mods::default() })
                         .with_guard(g),
                 );
@@ -836,7 +818,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Sel,
-                                vec![
+                                [
                                     Operand::Reg(Reg(d.0 + half)),
                                     Operand::Reg(Reg(ra.0 + half)),
                                     Operand::Reg(Reg(rb.0 + half)),
@@ -851,12 +833,7 @@ impl<'a> Emitter<'a> {
                     self.push(
                         Instruction::new(
                             Op::Sel,
-                            vec![
-                                Operand::Reg(d),
-                                Operand::Reg(ra),
-                                bv.operand(),
-                                Operand::pred(pp),
-                            ],
+                            [Operand::Reg(d), Operand::Reg(ra), bv.operand(), Operand::pred(pp)],
                         )
                         .with_guard(g),
                     );
@@ -880,7 +857,7 @@ impl<'a> Emitter<'a> {
                     tblock
                 };
                 let at = self.out.len();
-                self.push(Instruction::new(Op::Bra, vec![Operand::Rel(0)]).with_guard(g));
+                self.push(Instruction::new(Op::Bra, [Operand::Rel(0)]).with_guard(g));
                 self.fixups.push((at, label));
             }
             P::Call { ret, func, args } => {
@@ -908,7 +885,7 @@ impl<'a> Emitter<'a> {
                 }
                 self.parallel_moves(&moves);
                 let at = self.out.len();
-                self.push(Instruction::new(Op::Jcal, vec![Operand::Abs(0)]));
+                self.push(Instruction::new(Op::Jcal, [Operand::Abs(0)]));
                 self.relocs.push(Reloc { instr_index: at, target: func.clone() });
                 if !self.related.contains(func) {
                     self.related.push(func.clone());
@@ -922,19 +899,19 @@ impl<'a> Emitter<'a> {
                     let d = self.gpr_of(r)?;
                     self.push(Instruction::new(
                         Op::Mov,
-                        vec![Operand::Reg(d), Operand::Reg(Reg(ARG_BASE))],
+                        [Operand::Reg(d), Operand::Reg(Reg(ARG_BASE))],
                     ));
                     if ty.is_wide() {
                         self.push(Instruction::new(
                             Op::Mov,
-                            vec![Operand::Reg(Reg(d.0 + 1)), Operand::Reg(Reg(ARG_BASE + 1))],
+                            [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(Reg(ARG_BASE + 1))],
                         ));
                     }
                 }
             }
             P::Ret => {
                 if self.f.kind == FunctionKind::Entry {
-                    self.push(Instruction::new(Op::Exit, vec![]).with_guard(g));
+                    self.push(Instruction::new(Op::Exit, []).with_guard(g));
                 } else {
                     if let Some(rr) = &self.f.ret_reg {
                         let src = self.gpr_of(rr)?;
@@ -943,7 +920,7 @@ impl<'a> Emitter<'a> {
                             self.push(
                                 Instruction::new(
                                     Op::Mov,
-                                    vec![Operand::Reg(Reg(ARG_BASE)), Operand::Reg(src)],
+                                    [Operand::Reg(Reg(ARG_BASE)), Operand::Reg(src)],
                                 )
                                 .with_guard(g),
                             );
@@ -951,7 +928,7 @@ impl<'a> Emitter<'a> {
                                 self.push(
                                     Instruction::new(
                                         Op::Mov,
-                                        vec![
+                                        [
                                             Operand::Reg(Reg(ARG_BASE + 1)),
                                             Operand::Reg(Reg(src.0 + 1)),
                                         ],
@@ -968,22 +945,19 @@ impl<'a> Emitter<'a> {
                 let s = self.gpr_of(src)?;
                 if s.0 != ARG_BASE {
                     self.push(
-                        Instruction::new(
-                            Op::Mov,
-                            vec![Operand::Reg(Reg(ARG_BASE)), Operand::Reg(s)],
-                        )
-                        .with_guard(g),
+                        Instruction::new(Op::Mov, [Operand::Reg(Reg(ARG_BASE)), Operand::Reg(s)])
+                            .with_guard(g),
                     );
                 }
                 if self.f.kind == FunctionKind::Device {
                     self.epilogue_and_ret(g);
                 } else {
-                    self.push(Instruction::new(Op::Exit, vec![]).with_guard(g));
+                    self.push(Instruction::new(Op::Exit, []).with_guard(g));
                 }
             }
-            P::Exit => self.push(Instruction::new(Op::Exit, vec![]).with_guard(g)),
-            P::BarSync => self.push(Instruction::new(Op::Bar, vec![]).with_guard(g)),
-            P::Membar => self.push(Instruction::new(Op::Membar, vec![]).with_guard(g)),
+            P::Exit => self.push(Instruction::new(Op::Exit, []).with_guard(g)),
+            P::BarSync => self.push(Instruction::new(Op::Bar, []).with_guard(g)),
+            P::Membar => self.push(Instruction::new(Op::Membar, []).with_guard(g)),
             P::Atom { op, ty, dst, addr, src, src2 } => {
                 let d = self.gpr_of(dst)?;
                 let (base, off) = self.global_addr(addr, g)?;
@@ -997,7 +971,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Atom,
-                        vec![
+                        [
                             Operand::Reg(d),
                             Operand::MRef { base, offset: off },
                             Operand::Reg(s),
@@ -1016,7 +990,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Red,
-                        vec![Operand::MRef { base, offset: off }, Operand::Reg(s)],
+                        [Operand::MRef { base, offset: off }, Operand::Reg(s)],
                     )
                     .with_mods(Mods { sub: op.to_sass(), itype, ..Mods::default() })
                     .with_guard(g),
@@ -1033,7 +1007,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Vote,
-                        vec![Operand::Reg(d), Operand::Pred { pred: p, negated: *negated }],
+                        [Operand::Reg(d), Operand::Pred { pred: p, negated: *negated }],
                     )
                     .with_mods(Mods { sub, ..Mods::default() })
                     .with_guard(g),
@@ -1050,27 +1024,23 @@ impl<'a> Emitter<'a> {
                     ShflMode::Bfly => SubOp::Bfly,
                 };
                 self.push(
-                    Instruction::new(
-                        Op::Shfl,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_mods(Mods { sub, ..Mods::default() })
-                    .with_guard(g),
+                    Instruction::new(Op::Shfl, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_mods(Mods { sub, ..Mods::default() })
+                        .with_guard(g),
                 );
             }
             P::Popc { dst, src } => {
                 let d = self.gpr_of(dst)?;
                 let s = self.gpr_of(src)?;
                 self.push(
-                    Instruction::new(Op::Popc, vec![Operand::Reg(d), Operand::Reg(s)])
-                        .with_guard(g),
+                    Instruction::new(Op::Popc, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g),
                 );
             }
             P::Mufu { func, dst, src } => {
                 let d = self.gpr_of(dst)?;
                 let s = self.gpr_of(src)?;
                 self.push(
-                    Instruction::new(Op::Mufu, vec![Operand::Reg(d), Operand::Reg(s)])
+                    Instruction::new(Op::Mufu, [Operand::Reg(d), Operand::Reg(s)])
                         .with_mods(Mods { sub: func.to_sass(), ..Mods::default() })
                         .with_guard(g),
                 );
@@ -1081,7 +1051,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Proxy,
-                        vec![Operand::Reg(d), Operand::Reg(s), Operand::Imm(proxy_id(name))],
+                        [Operand::Reg(d), Operand::Reg(s), Operand::Imm(proxy_id(name))],
                     )
                     .with_guard(g),
                 );
@@ -1089,7 +1059,7 @@ impl<'a> Emitter<'a> {
             P::ChanPush { src } => {
                 let s = self.gpr_of(src)?;
                 self.push(
-                    Instruction::new(Op::Chan, vec![Operand::Reg(s)])
+                    Instruction::new(Op::Chan, [Operand::Reg(s)])
                         .with_mods(Mods { width: Width::B64, ..Mods::default() })
                         .with_guard(g),
                 );
@@ -1102,7 +1072,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Ldl,
-                                vec![
+                                [
                                     Operand::Reg(d),
                                     Operand::MRef { base: NVBIT_FRAME, offset: (*v as i32) * 4 },
                                 ],
@@ -1116,10 +1086,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Ldl,
-                                vec![
-                                    Operand::Reg(d),
-                                    Operand::MRef { base: SCRATCH_LO, offset: 0 },
-                                ],
+                                [Operand::Reg(d), Operand::MRef { base: SCRATCH_LO, offset: 0 }],
                             )
                             .with_guard(g),
                         );
@@ -1134,7 +1101,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Stl,
-                                vec![
+                                [
                                     Operand::MRef { base: NVBIT_FRAME, offset: (*v as i32) * 4 },
                                     Operand::Reg(s),
                                 ],
@@ -1148,10 +1115,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Stl,
-                                vec![
-                                    Operand::MRef { base: SCRATCH_LO, offset: 0 },
-                                    Operand::Reg(s),
-                                ],
+                                [Operand::MRef { base: SCRATCH_LO, offset: 0 }, Operand::Reg(s)],
                             )
                             .with_guard(g),
                         );
@@ -1168,14 +1132,14 @@ impl<'a> Emitter<'a> {
         self.push(
             Instruction::new(
                 Op::Shl,
-                vec![Operand::Reg(SCRATCH_LO), Operand::Reg(idx), Operand::Imm(2)],
+                [Operand::Reg(SCRATCH_LO), Operand::Reg(idx), Operand::Imm(2)],
             )
             .with_guard(g),
         );
         self.push(
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(SCRATCH_LO), Operand::Reg(SCRATCH_LO), Operand::Reg(NVBIT_FRAME)],
+                [Operand::Reg(SCRATCH_LO), Operand::Reg(SCRATCH_LO), Operand::Reg(NVBIT_FRAME)],
             )
             .with_guard(g),
         );
@@ -1234,11 +1198,7 @@ impl<'a> Emitter<'a> {
         self.push(
             Instruction::new(
                 Op::Iadd,
-                vec![
-                    Operand::Reg(SCRATCH_LO),
-                    Operand::Reg(base),
-                    Operand::Imm(addr.offset as i64),
-                ],
+                [Operand::Reg(SCRATCH_LO), Operand::Reg(base), Operand::Imm(addr.offset as i64)],
             )
             .with_mods(Mods { itype: IType::U64, ..Mods::default() })
             .with_guard(g),
@@ -1262,11 +1222,8 @@ impl<'a> Emitter<'a> {
             (BinKind::Add, PtxType::F32) => {
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Fadd,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_guard(g),
+                    Instruction::new(Op::Fadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_guard(g),
                 );
             }
             (BinKind::Add, PtxType::F64) => {
@@ -1274,7 +1231,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Dadd,
-                        vec![Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
+                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
                     )
                     .with_guard(g),
                 );
@@ -1282,22 +1239,16 @@ impl<'a> Emitter<'a> {
             (BinKind::Add, t) if t.is_wide() => {
                 let bv = self.sval64(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Iadd,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_mods(mods(IType::U64))
-                    .with_guard(g),
+                    Instruction::new(Op::Iadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_mods(mods(IType::U64))
+                        .with_guard(g),
                 );
             }
             (BinKind::Add, _) => {
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Iadd,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_guard(g),
+                    Instruction::new(Op::Iadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_guard(g),
                 );
             }
             (BinKind::Sub, PtxType::F32) => match b {
@@ -1307,7 +1258,7 @@ impl<'a> Emitter<'a> {
                     self.push(
                         Instruction::new(
                             Op::Fadd,
-                            vec![Operand::Reg(d), Operand::Reg(ra), Operand::Imm(neg)],
+                            [Operand::Reg(d), Operand::Reg(ra), Operand::Imm(neg)],
                         )
                         .with_guard(g),
                     );
@@ -1318,7 +1269,7 @@ impl<'a> Emitter<'a> {
                     self.push(
                         Instruction::new(
                             Op::Mov32i,
-                            vec![
+                            [
                                 Operand::Reg(SCRATCH_LO),
                                 Operand::Imm((-1.0f32).to_bits() as i32 as i64),
                             ],
@@ -1328,7 +1279,7 @@ impl<'a> Emitter<'a> {
                     self.push(
                         Instruction::new(
                             Op::Ffma,
-                            vec![
+                            [
                                 Operand::Reg(d),
                                 Operand::Reg(rb),
                                 Operand::Reg(SCRATCH_LO),
@@ -1349,7 +1300,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Iadd,
-                                vec![Operand::Reg(d), Operand::Reg(ra), Operand::Imm(v)],
+                                [Operand::Reg(d), Operand::Reg(ra), Operand::Imm(v)],
                             )
                             .with_mods(mods(IType::U64))
                             .with_guard(g),
@@ -1360,7 +1311,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Iadd,
-                                vec![Operand::Reg(d), Operand::Reg(ra), Operand::Reg(SCRATCH_LO)],
+                                [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(SCRATCH_LO)],
                             )
                             .with_mods(mods(IType::U64))
                             .with_guard(g),
@@ -1370,7 +1321,7 @@ impl<'a> Emitter<'a> {
                         self.push(
                             Instruction::new(
                                 Op::Isub,
-                                vec![Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
+                                [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
                             )
                             .with_mods(mods(IType::U64))
                             .with_guard(g),
@@ -1384,21 +1335,15 @@ impl<'a> Emitter<'a> {
             (BinKind::Sub, _) => {
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Isub,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_guard(g),
+                    Instruction::new(Op::Isub, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_guard(g),
                 );
             }
             (BinKind::MulLo, PtxType::F32) => {
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Fmul,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_guard(g),
+                    Instruction::new(Op::Fmul, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_guard(g),
                 );
             }
             (BinKind::MulLo, PtxType::F64) => {
@@ -1406,7 +1351,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Dmul,
-                        vec![Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
+                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
                     )
                     .with_guard(g),
                 );
@@ -1417,11 +1362,8 @@ impl<'a> Emitter<'a> {
             (BinKind::MulLo, _) => {
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Imul,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_guard(g),
+                    Instruction::new(Op::Imul, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_guard(g),
                 );
             }
             (BinKind::MulWide, _) => {
@@ -1430,7 +1372,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Imad,
-                        vec![
+                        [
                             Operand::Reg(d),
                             Operand::Reg(ra),
                             Operand::Reg(rb),
@@ -1451,7 +1393,7 @@ impl<'a> Emitter<'a> {
                 };
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(op, vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                    Instruction::new(op, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
                         .with_mods(Mods { sub, itype, ..Mods::default() })
                         .with_guard(g),
                 );
@@ -1464,24 +1406,18 @@ impl<'a> Emitter<'a> {
                 };
                 let bv = self.sval32(b, g)?;
                 self.push(
-                    Instruction::new(
-                        Op::Lop,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_mods(Mods { sub, ..Mods::default() })
-                    .with_guard(g),
+                    Instruction::new(Op::Lop, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_mods(Mods { sub, ..Mods::default() })
+                        .with_guard(g),
                 );
             }
             (BinKind::Shl, t) => {
                 let bv = self.sval32(b, g)?;
                 let itype = if t.is_wide() { IType::U64 } else { IType::S32 };
                 self.push(
-                    Instruction::new(
-                        Op::Shl,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_mods(mods(itype))
-                    .with_guard(g),
+                    Instruction::new(Op::Shl, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_mods(mods(itype))
+                        .with_guard(g),
                 );
             }
             (BinKind::Shr, t) => {
@@ -1492,12 +1428,9 @@ impl<'a> Emitter<'a> {
                     _ => IType::U32,
                 };
                 self.push(
-                    Instruction::new(
-                        Op::Shr,
-                        vec![Operand::Reg(d), Operand::Reg(ra), bv.operand()],
-                    )
-                    .with_mods(mods(itype))
-                    .with_guard(g),
+                    Instruction::new(Op::Shr, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
+                        .with_mods(mods(itype))
+                        .with_guard(g),
                 );
             }
         }
@@ -1520,9 +1453,7 @@ impl<'a> Emitter<'a> {
         let d = self.gpr_of(dst)?;
         let s = self.gpr_of(src)?;
         let mov = |e: &mut Self, dd: Reg, ss: Reg| {
-            e.push(
-                Instruction::new(Op::Mov, vec![Operand::Reg(dd), Operand::Reg(ss)]).with_guard(g),
-            );
+            e.push(Instruction::new(Op::Mov, [Operand::Reg(dd), Operand::Reg(ss)]).with_guard(g));
         };
         match (dty, sty) {
             // Widening integer converts.
@@ -1535,7 +1466,7 @@ impl<'a> Emitter<'a> {
                 self.push(
                     Instruction::new(
                         Op::Shr,
-                        vec![Operand::Reg(Reg(d.0 + 1)), Operand::Reg(s), Operand::Imm(31)],
+                        [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(s), Operand::Imm(31)],
                     )
                     .with_mods(Mods { itype: IType::S32, ..Mods::default() })
                     .with_guard(g),
@@ -1547,53 +1478,51 @@ impl<'a> Emitter<'a> {
             }
             // Int <-> float.
             (PtxType::F32, PtxType::S32) => self.push(
-                Instruction::new(Op::I2f, vec![Operand::Reg(d), Operand::Reg(s)])
+                Instruction::new(Op::I2f, [Operand::Reg(d), Operand::Reg(s)])
                     .with_mods(Mods { itype: IType::S32, ..Mods::default() })
                     .with_guard(g),
             ),
             (PtxType::F32, PtxType::U32 | PtxType::B32) => self.push(
-                Instruction::new(Op::I2f, vec![Operand::Reg(d), Operand::Reg(s)])
+                Instruction::new(Op::I2f, [Operand::Reg(d), Operand::Reg(s)])
                     .with_mods(Mods { itype: IType::U32, ..Mods::default() })
                     .with_guard(g),
             ),
             (PtxType::S32, PtxType::F32) => self.push(
-                Instruction::new(Op::F2i, vec![Operand::Reg(d), Operand::Reg(s)])
+                Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(s)])
                     .with_mods(Mods { itype: IType::S32, ..Mods::default() })
                     .with_guard(g),
             ),
             (PtxType::U32, PtxType::F32) => self.push(
-                Instruction::new(Op::F2i, vec![Operand::Reg(d), Operand::Reg(s)])
+                Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(s)])
                     .with_mods(Mods { itype: IType::U32, ..Mods::default() })
                     .with_guard(g),
             ),
             // Float <-> double.
-            (PtxType::F64, PtxType::F32) => self.push(
-                Instruction::new(Op::F2d, vec![Operand::Reg(d), Operand::Reg(s)]).with_guard(g),
-            ),
-            (PtxType::F32, PtxType::F64) => self.push(
-                Instruction::new(Op::D2f, vec![Operand::Reg(d), Operand::Reg(s)]).with_guard(g),
-            ),
+            (PtxType::F64, PtxType::F32) => self
+                .push(Instruction::new(Op::F2d, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g)),
+            (PtxType::F32, PtxType::F64) => self
+                .push(Instruction::new(Op::D2f, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g)),
             // Int -> double via float (documented precision simplification).
             (PtxType::F64, PtxType::S32 | PtxType::U32) => {
                 let itype = if sty == PtxType::S32 { IType::S32 } else { IType::U32 };
                 self.push(
-                    Instruction::new(Op::I2f, vec![Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
+                    Instruction::new(Op::I2f, [Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
                         .with_mods(Mods { itype, ..Mods::default() })
                         .with_guard(g),
                 );
                 self.push(
-                    Instruction::new(Op::F2d, vec![Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
+                    Instruction::new(Op::F2d, [Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
                         .with_guard(g),
                 );
             }
             (PtxType::S32 | PtxType::U32, PtxType::F64) => {
                 let itype = if dty == PtxType::S32 { IType::S32 } else { IType::U32 };
                 self.push(
-                    Instruction::new(Op::D2f, vec![Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
+                    Instruction::new(Op::D2f, [Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
                         .with_guard(g),
                 );
                 self.push(
-                    Instruction::new(Op::F2i, vec![Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
+                    Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
                         .with_mods(Mods { itype, ..Mods::default() })
                         .with_guard(g),
                 );

@@ -247,7 +247,8 @@ fn parse_instruction(src: &str, line: usize) -> Result<(Instruction, Option<Stri
         }
     }
 
-    let instr = Instruction { guard, op, mods, operands };
+    // More operands than an instruction holds are refused, never truncated.
+    let instr = Instruction::try_new(op, &operands)?.with_guard(guard).with_mods(mods);
     instr.validate().map_err(|e| perr(e.to_string()))?;
     Ok((instr, label_ref))
 }
@@ -417,6 +418,23 @@ done:
             Err(SassError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn five_operands_are_bad_operands_not_a_panic_or_a_truncation() {
+        for text in ["IADD R0, R1, R2, R3, R4 ;", "NOP R0, R1, R2, R3, R4, R5, R6, R7, R8 ;"] {
+            match assemble(text) {
+                Err(SassError::BadOperands { instr, reason }) => {
+                    assert!(
+                        text.starts_with(&instr) && reason.contains("at most 4 fit"),
+                        "{reason}"
+                    );
+                }
+                other => panic!("`{text}`: expected BadOperands, got {other:?}"),
+            }
+        }
+        // Four that do not match the format still fail validation, as before.
+        assert!(matches!(assemble("IADD R0, R1, R2, R3 ;"), Err(SassError::Parse { line: 1, .. })));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::arch::Arch;
 use crate::inst::Instruction;
 use crate::op::CfClass;
+use common::graph::Graph;
 use std::ops::Range;
 
 /// Why static basic-block partitioning (and hence dataflow analysis) bailed
@@ -118,17 +119,20 @@ pub fn basic_blocks(
         }
     }
 
+    Ok(blocks_led_by(&leader))
+}
+
+/// The partition whose blocks start where `leader` says (it says so of
+/// instruction 0).
+fn blocks_led_by(leader: &[bool]) -> Vec<BasicBlock> {
     let mut blocks = Vec::new();
     let mut start = 0usize;
-    #[allow(clippy::needless_range_loop)] // index IS the leader position
-    for idx in 1..n {
-        if leader[idx] {
-            blocks.push(BasicBlock { id: blocks.len(), range: start..idx });
-            start = idx;
-        }
+    for idx in (1..leader.len()).filter(|idx| leader[*idx]) {
+        blocks.push(BasicBlock { id: blocks.len(), range: start..idx });
+        start = idx;
     }
-    blocks.push(BasicBlock { id: blocks.len(), range: start..n });
-    Ok(blocks)
+    blocks.push(BasicBlock { id: blocks.len(), range: start..leader.len() });
+    blocks
 }
 
 /// Conservative partial partition of a body that defeats [`basic_blocks`]
@@ -181,17 +185,7 @@ pub fn partial_blocks(instrs: &[Instruction], arch: Arch) -> Vec<BasicBlock> {
         }
     }
 
-    let mut blocks = Vec::new();
-    let mut start = 0usize;
-    #[allow(clippy::needless_range_loop)] // index IS the leader position
-    for idx in 1..n {
-        if leader[idx] {
-            blocks.push(BasicBlock { id: blocks.len(), range: start..idx });
-            start = idx;
-        }
-    }
-    blocks.push(BasicBlock { id: blocks.len(), range: start..n });
-    blocks
+    blocks_led_by(&leader)
 }
 
 /// Index of the block containing instruction `idx` within a partition
@@ -206,6 +200,10 @@ pub fn block_of(blocks: &[BasicBlock], idx: usize) -> Option<usize> {
     (i < blocks.len() && blocks[i].range.contains(&idx)).then_some(i)
 }
 
+/// The static successors of one block: a branch target and a fall-through
+/// at most.
+pub type Successors = common::InlineVec<usize, 2>;
+
 /// Successor block ids of `block` within a partition, following fall-through
 /// and in-range relative branch edges. Calls fall through; an unguarded
 /// `EXIT`/`RET`/trap has no successors, a guarded one retires only its
@@ -215,53 +213,23 @@ pub fn successors(
     blocks: &[BasicBlock],
     block: &BasicBlock,
     arch: Arch,
-) -> Vec<usize> {
+) -> Successors {
     let isize = arch.instruction_size() as i64;
-    let mut out = Vec::new();
     let last_idx = block.range.end - 1;
     let last = &instrs[last_idx];
     let cf = last.cf_class();
-
-    let mut push = |idx: Option<usize>| {
-        if let Some(i) = idx {
-            if let Some(id) = block_starting_at(blocks, i) {
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-        }
-    };
-
-    match cf {
-        CfClass::Ret | CfClass::Exit | CfClass::Trap => {
-            if !last.guard.is_always() && last_idx + 1 < instrs.len() {
-                push(Some(last_idx + 1));
-            }
-        }
-        CfClass::RelBranch => {
-            if let Some(off) = last.rel_target() {
-                let t = last_idx as i64 + 1 + off / isize;
-                if (0..instrs.len() as i64).contains(&t) {
-                    push(Some(t as usize));
-                }
-            }
-            // A predicated branch also falls through; an unconditional one
-            // does not.
-            if !last.guard.is_always() && last_idx + 1 < instrs.len() {
-                push(Some(last_idx + 1));
-            }
-        }
-        CfClass::Sync => {
-            // SYNC transfers to the pushed reconvergence point, which is not
-            // statically known here; treat as fall-through for CFG purposes.
-            if last_idx + 1 < instrs.len() {
-                push(Some(last_idx + 1));
-            }
-        }
-        _ => {
-            if last_idx + 1 < instrs.len() {
-                push(Some(last_idx + 1));
-            }
+    // The branch target, then the fall-through: a predicated branch or
+    // terminator also falls through, an unconditional one does not. `SYNC`
+    // transfers to the pushed reconvergence point, which is not statically
+    // known here; it is treated as fall-through for CFG purposes.
+    let target = last.rel_target().filter(|_| cf == CfClass::RelBranch);
+    let target = target.map(|off| last_idx as i64 + 1 + off / isize);
+    let leaves = matches!(cf, CfClass::Ret | CfClass::Exit | CfClass::Trap | CfClass::RelBranch);
+    let falls = (!leaves || !last.guard.is_always()).then_some(last_idx as i64 + 1);
+    let mut out = Successors::default();
+    for idx in target.into_iter().chain(falls).filter(|t| (0..instrs.len() as i64).contains(t)) {
+        if let Some(id) = block_starting_at(blocks, idx as usize).filter(|id| !out.contains(id)) {
+            out.push(id);
         }
     }
     out
@@ -278,18 +246,24 @@ fn block_starting_at(blocks: &[BasicBlock], idx: usize) -> Option<usize> {
 #[derive(Debug, Clone)]
 pub(crate) struct Edges {
     /// [`successors`] of every block, indexed by block id.
-    pub succ: Vec<Vec<usize>>,
+    pub succ: Graph,
     /// Every `SSY` in program order as `(host block, target block)`; the
     /// target is `None` when it is malformed, outside the body or not a
     /// block leader.
     pub ssy: Vec<(usize, Option<usize>)>,
+    /// The coarse reconvergence model: every block some `SSY` targets, in
+    /// program order without duplicates. A `SYNC` may resume at any of them.
+    pub ssy_targets: Vec<usize>,
 }
 
 impl Edges {
     /// Builds the edges of `blocks`, which must partition `instrs`.
     pub fn of(instrs: &[Instruction], blocks: &[BasicBlock], arch: Arch) -> Edges {
         let isize = arch.instruction_size() as i64;
-        let succ = blocks.iter().map(|b| successors(instrs, blocks, b, arch)).collect();
+        let mut succ = Graph::with_capacity(blocks.len(), 2 * blocks.len());
+        for b in blocks {
+            succ.push_node(successors(instrs, blocks, b, arch).iter().copied());
+        }
         let mut ssy = Vec::new();
         for b in blocks {
             for idx in b.range.clone() {
@@ -304,19 +278,22 @@ impl Edges {
                 ssy.push((b.id, target));
             }
         }
-        Edges { succ, ssy }
-    }
-
-    /// The coarse reconvergence model: every block some `SSY` targets, in
-    /// program order without duplicates. A `SYNC` may resume at any of them.
-    pub fn ssy_targets(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for t in self.ssy.iter().filter_map(|&(_, t)| t) {
-            if !out.contains(&t) {
-                out.push(t);
+        let mut ssy_targets = Vec::new();
+        for t in ssy.iter().filter_map(|&(_, t)| t) {
+            if !ssy_targets.contains(&t) {
+                ssy_targets.push(t);
             }
         }
-        out
+        Edges { succ, ssy, ssy_targets }
+    }
+
+    /// Where the `SYNC` ending `block` may resume under the coarse model
+    /// (nowhere when the block does not end in one).
+    pub fn coarse_sync(&self, instrs: &[Instruction], block: &BasicBlock) -> &[usize] {
+        match instrs[block.range.end - 1].cf_class() {
+            CfClass::Sync => &self.ssy_targets,
+            _ => &[],
+        }
     }
 }
 
@@ -371,10 +348,8 @@ skip:
     fn misaligned_targets_are_reported() {
         use crate::inst::{Instruction, Operand};
         use crate::op::Op;
-        let prog = vec![
-            Instruction::new(Op::Bra, vec![Operand::Rel(3)]),
-            Instruction::new(Op::Exit, vec![]),
-        ];
+        let prog =
+            vec![Instruction::new(Op::Bra, [Operand::Rel(3)]), Instruction::new(Op::Exit, [])];
         assert_eq!(
             basic_blocks(&prog, Arch::Volta),
             Err(CfgFailure::MisalignedTarget { index: 0, offset: 3 })
@@ -407,9 +382,9 @@ merge:
         // Block 0 ends in a predicated branch: both the target and the
         // fall-through are successors.
         let s0 = successors(&prog, &blocks, &blocks[0], Arch::Kepler);
-        assert_eq!(s0, vec![2, 1]);
+        assert_eq!(*s0, [2, 1]);
         // Block 1 falls through to block 2.
-        assert_eq!(successors(&prog, &blocks, &blocks[1], Arch::Kepler), vec![2]);
+        assert_eq!(*successors(&prog, &blocks, &blocks[1], Arch::Kepler), [2]);
         // Block 2 exits.
         assert!(successors(&prog, &blocks, &blocks[2], Arch::Kepler).is_empty());
     }
@@ -420,7 +395,7 @@ merge:
         let prog = assemble_arch(text, Arch::Volta).unwrap();
         let blocks = basic_blocks(&prog, Arch::Volta).unwrap();
         assert_eq!(blocks.len(), 2);
-        assert_eq!(successors(&prog, &blocks, &blocks[0], Arch::Volta), vec![1]);
+        assert_eq!(*successors(&prog, &blocks, &blocks[0], Arch::Volta), [1]);
         assert!(successors(&prog, &blocks, &blocks[1], Arch::Volta).is_empty());
     }
 
@@ -462,10 +437,10 @@ case:
         let prog = vec![
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(crate::Reg(1)), Operand::Reg(crate::Reg(0)), Operand::Imm(1)],
+                [Operand::Reg(crate::Reg(1)), Operand::Reg(crate::Reg(0)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Bra, vec![Operand::Rel(3)]),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Bra, [Operand::Rel(3)]),
+            Instruction::new(Op::Exit, []),
         ];
         let blocks = partial_blocks(&prog, Arch::Volta);
         let ranges: Vec<_> = blocks.iter().map(|b| b.range.clone()).collect();

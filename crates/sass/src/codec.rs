@@ -17,7 +17,7 @@
 //! legalize (e.g. `MOV32I` + register operand).
 
 use crate::arch::{Arch, EncodingFamily};
-use crate::inst::{Guard, Instruction, Mods, Operand, Width};
+use crate::inst::{Guard, Instruction, Mods, Operand, Operands, Width};
 use crate::op::{CmpOp, IType, OKind, Op, SubOp};
 use crate::reg::{Pred, Reg, SpecialReg};
 use crate::{Result, SassError};
@@ -25,8 +25,6 @@ use crate::{Result, SassError};
 /// Field-width parameters distinguishing the two encoding families.
 #[derive(Debug, Clone, Copy)]
 struct Params {
-    #[allow(dead_code)]
-    family: EncodingFamily,
     /// Total instruction size in bytes.
     size: usize,
     /// Bits of the opcode field.
@@ -46,7 +44,6 @@ struct Params {
 }
 
 const ENC64: Params = Params {
-    family: EncodingFamily::Enc64,
     size: 8,
     op_bits: 8,
     mods_bits: 12,
@@ -58,7 +55,6 @@ const ENC64: Params = Params {
 };
 
 const ENC128: Params = Params {
-    family: EncodingFamily::Enc128,
     size: 16,
     op_bits: 12,
     mods_bits: 16,
@@ -73,19 +69,17 @@ const ENC128: Params = Params {
 ///
 /// Implementations are zero-sized; obtain one with [`codec_for`].
 pub trait Codec: Send + Sync {
-    /// The family this codec implements.
-    fn family(&self) -> EncodingFamily;
-
     /// Size in bytes of every encoded instruction.
     fn instruction_size(&self) -> usize;
 
-    /// Encodes one instruction into exactly [`Codec::instruction_size`] bytes.
+    /// Appends the [`Codec::instruction_size`] bytes of one instruction's
+    /// encoding to `out` (untouched on error).
     ///
     /// # Errors
     ///
     /// [`SassError::BadOperands`] if the operand list violates the opcode's
     /// format, [`SassError::FieldRange`] if a field value does not fit.
-    fn encode(&self, instr: &Instruction) -> Result<Vec<u8>>;
+    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()>;
 
     /// Decodes one instruction from exactly [`Codec::instruction_size`] bytes.
     ///
@@ -102,7 +96,7 @@ pub trait Codec: Send + Sync {
     fn encode_stream(&self, instrs: &[Instruction]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(instrs.len() * self.instruction_size());
         for i in instrs {
-            out.extend_from_slice(&self.encode(i)?);
+            self.encode_into(i, &mut out)?;
         }
         Ok(out)
     }
@@ -118,7 +112,11 @@ pub trait Codec: Send + Sync {
         if !bytes.len().is_multiple_of(sz) {
             return Err(SassError::TruncatedStream { len: bytes.len(), instr_size: sz });
         }
-        bytes.chunks_exact(sz).map(|c| self.decode(c)).collect()
+        let mut out = Vec::with_capacity(bytes.len() / sz);
+        for word in bytes.chunks_exact(sz) {
+            out.push(self.decode(word)?);
+        }
+        Ok(out)
     }
 }
 
@@ -131,15 +129,13 @@ pub struct Enc64;
 pub struct Enc128;
 
 impl Codec for Enc64 {
-    fn family(&self) -> EncodingFamily {
-        EncodingFamily::Enc64
-    }
     fn instruction_size(&self) -> usize {
         ENC64.size
     }
-    fn encode(&self, instr: &Instruction) -> Result<Vec<u8>> {
+    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()> {
         let word = encode_with(&ENC64, instr)?;
-        Ok((word as u64).to_le_bytes().to_vec())
+        out.extend_from_slice(&(word as u64).to_le_bytes());
+        Ok(())
     }
     fn decode(&self, bytes: &[u8]) -> Result<Instruction> {
         let arr: [u8; 8] = bytes.try_into().map_err(|_| SassError::BadEncoding {
@@ -151,15 +147,13 @@ impl Codec for Enc64 {
 }
 
 impl Codec for Enc128 {
-    fn family(&self) -> EncodingFamily {
-        EncodingFamily::Enc128
-    }
     fn instruction_size(&self) -> usize {
         ENC128.size
     }
-    fn encode(&self, instr: &Instruction) -> Result<Vec<u8>> {
+    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()> {
         let word = encode_with(&ENC128, instr)?;
-        Ok(word.to_le_bytes().to_vec())
+        out.extend_from_slice(&word.to_le_bytes());
+        Ok(())
     }
     fn decode(&self, bytes: &[u8]) -> Result<Instruction> {
         let arr: [u8; 16] = bytes.try_into().map_err(|_| SassError::BadEncoding {
@@ -397,7 +391,8 @@ fn decode_with(p: &Params, word: u128) -> Result<Instruction> {
     let mods = Mods { width, itype, cmp, sub, barrier };
 
     let fmt = op.format();
-    let mut operands = Vec::with_capacity(fmt.len());
+    // Every format fits (checked where the opcodes are defined).
+    let mut operands = Operands::default();
     for (i, kind) in fmt.iter().enumerate() {
         let opnd = match kind {
             OKind::RegW | OKind::RegR => Operand::Reg(Reg(r.get(8) as u8)),
@@ -457,7 +452,8 @@ mod tests {
     }
 
     fn roundtrip(c: &dyn Codec, i: &Instruction) {
-        let bytes = c.encode(i).unwrap_or_else(|e| panic!("encode failed for `{i}`: {e}"));
+        let bytes =
+            c.encode_stream(&[*i]).unwrap_or_else(|e| panic!("encode failed for `{i}`: {e}"));
         assert_eq!(bytes.len(), c.instruction_size());
         let back = c.decode(&bytes).unwrap();
         assert_eq!(&back, i, "roundtrip mismatch for `{i}`");
@@ -467,15 +463,15 @@ mod tests {
     fn simple_instructions_roundtrip_on_both_families() {
         let samples = vec![
             Instruction::nop(),
-            Instruction::new(Op::Mov, vec![Operand::Reg(Reg(3)), Operand::Imm(-77)]),
-            Instruction::new(Op::Mov32i, vec![Operand::Reg(Reg(0)), Operand::Imm(0x7fff_ffff)]),
+            Instruction::new(Op::Mov, [Operand::Reg(Reg(3)), Operand::Imm(-77)]),
+            Instruction::new(Op::Mov32i, [Operand::Reg(Reg(0)), Operand::Imm(0x7fff_ffff)]),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(10)), Operand::Reg(Reg(11)), Operand::Imm(4095)],
+                [Operand::Reg(Reg(10)), Operand::Reg(Reg(11)), Operand::Imm(4095)],
             ),
             Instruction::new(
                 Op::Ffma,
-                vec![
+                [
                     Operand::Reg(Reg(4)),
                     Operand::Reg(Reg(5)),
                     Operand::Reg(Reg(6)),
@@ -484,26 +480,20 @@ mod tests {
             ),
             Instruction::new(
                 Op::Ldg,
-                vec![Operand::Reg(Reg(2)), Operand::MRef { base: Reg(8), offset: -256 }],
+                [Operand::Reg(Reg(2)), Operand::MRef { base: Reg(8), offset: -256 }],
             )
             .with_mods(Mods { width: Width::B128, ..Mods::default() }),
             Instruction::new(
                 Op::Ldc,
-                vec![
-                    Operand::Reg(Reg(4)),
-                    Operand::CBank { bank: 0, base: Reg::RZ, offset: 0x160 },
-                ],
+                [Operand::Reg(Reg(4)), Operand::CBank { bank: 0, base: Reg::RZ, offset: 0x160 }],
             ),
-            Instruction::new(Op::Bra, vec![Operand::Rel(-0x1000)])
+            Instruction::new(Op::Bra, [Operand::Rel(-0x1000)])
                 .with_guard(Guard { pred: Pred(3), negated: true }),
-            Instruction::new(Op::Jmp, vec![Operand::Abs(0xdead_beef)]),
-            Instruction::new(
-                Op::S2r,
-                vec![Operand::Reg(Reg(0)), Operand::SReg(SpecialReg::LaneId)],
-            ),
+            Instruction::new(Op::Jmp, [Operand::Abs(0xdead_beef)]),
+            Instruction::new(Op::S2r, [Operand::Reg(Reg(0)), Operand::SReg(SpecialReg::LaneId)]),
             Instruction::new(
                 Op::Atom,
-                vec![
+                [
                     Operand::Reg(Reg(0)),
                     Operand::MRef { base: Reg(2), offset: 64 },
                     Operand::Reg(Reg(4)),
@@ -513,14 +503,14 @@ mod tests {
             .with_mods(Mods { sub: SubOp::Add, itype: IType::F32, ..Mods::default() }),
             Instruction::new(
                 Op::Sel,
-                vec![
+                [
                     Operand::Reg(Reg(1)),
                     Operand::Reg(Reg(2)),
                     Operand::Imm(-100),
                     Operand::Pred { pred: Pred(1), negated: true },
                 ],
             ),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Exit, []),
         ];
         for c in codecs() {
             for i in &samples {
@@ -535,25 +525,25 @@ mod tests {
         // not the Enc64 one (23 bits).
         let i = Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Imm(1 << 29)],
+            [Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Imm(1 << 29)],
         );
-        assert!(matches!(ENC64_CODEC.encode(&i), Err(SassError::FieldRange { .. })));
+        assert!(matches!(ENC64_CODEC.encode_stream(&[i]), Err(SassError::FieldRange { .. })));
         roundtrip(&ENC128_CODEC, &i);
 
         // Large memory offsets only fit the wide encoding.
         let far = Instruction::new(
             Op::Ldg,
-            vec![Operand::Reg(Reg(0)), Operand::MRef { base: Reg(2), offset: 1 << 21 }],
+            [Operand::Reg(Reg(0)), Operand::MRef { base: Reg(2), offset: 1 << 21 }],
         );
-        assert!(ENC64_CODEC.encode(&far).is_err());
+        assert!(ENC64_CODEC.encode_stream(&[far]).is_err());
         roundtrip(&ENC128_CODEC, &far);
     }
 
     #[test]
     fn barrier_slot_is_volta_only() {
-        let ssy = Instruction::new(Op::Ssy, vec![Operand::Rel(64)])
+        let ssy = Instruction::new(Op::Ssy, [Operand::Rel(64)])
             .with_mods(Mods { barrier: 3, ..Mods::default() });
-        assert!(ENC64_CODEC.encode(&ssy).is_err());
+        assert!(ENC64_CODEC.encode_stream(&[ssy]).is_err());
         roundtrip(&ENC128_CODEC, &ssy);
     }
 
@@ -581,9 +571,9 @@ mod tests {
     #[test]
     fn stream_roundtrip() {
         let prog = vec![
-            Instruction::new(Op::Mov32i, vec![Operand::Reg(Reg(0)), Operand::Imm(42)]),
-            Instruction::new(Op::Bra, vec![Operand::Rel(8)]),
-            Instruction::new(Op::Exit, vec![]),
+            Instruction::new(Op::Mov32i, [Operand::Reg(Reg(0)), Operand::Imm(42)]),
+            Instruction::new(Op::Bra, [Operand::Rel(8)]),
+            Instruction::new(Op::Exit, []),
         ];
         for c in codecs() {
             let bytes = c.encode_stream(&prog).unwrap();

@@ -203,24 +203,14 @@ impl Dataflow {
 
         // cfg::successors plus an edge from every SYNC-terminated block to
         // every SSY target block (reconvergence-stack over-approximation).
-        let ssy_targets = edges.ssy_targets();
-        let mut succ = edges.succ.clone();
-        for b in blocks {
-            if instrs[b.range.end - 1].cf_class() == CfClass::Sync {
-                for &t in &ssy_targets {
-                    if !succ[b.id].contains(&t) {
-                        succ[b.id].push(t);
-                    }
-                }
-            }
-        }
+        let succ = |b: &BasicBlock| (edges.succ.succ(b.id), edges.coarse_sync(instrs, b));
 
         let mut block_in = vec![LiveSet::EMPTY; blocks.len()];
         let mut changed = true;
         while changed {
             changed = false;
             for b in blocks.iter().rev() {
-                let mut live = block_out(instrs, b, &succ[b.id], &block_in);
+                let mut live = block_out(instrs, b, succ(b), &block_in);
                 for idx in b.range.clone().rev() {
                     transfer_backward(&instrs[idx], &mut live);
                 }
@@ -231,7 +221,7 @@ impl Dataflow {
         let mut live_in = vec![LiveSet::EMPTY; n];
         let mut live_out = vec![LiveSet::EMPTY; n];
         for b in blocks {
-            let mut live = block_out(instrs, b, &succ[b.id], &block_in);
+            let mut live = block_out(instrs, b, succ(b), &block_in);
             for idx in b.range.clone().rev() {
                 live_out[idx] = live;
                 transfer_backward(&instrs[idx], &mut live);
@@ -281,12 +271,13 @@ impl Dataflow {
     }
 }
 
-/// Live-out of a block: the union of successor live-ins, or the conservative
-/// extreme when control leaves the function body.
+/// Live-out of a block: the union of successor live-ins — `succ` is its
+/// static successors and where its `SYNC`, if it ends in one, may resume —
+/// or the conservative extreme when control leaves the function body.
 fn block_out(
     instrs: &[Instruction],
     b: &BasicBlock,
-    succ: &[usize],
+    (succ, sync): (&[usize], &[usize]),
     block_in: &[LiveSet],
 ) -> LiveSet {
     if b.is_empty() {
@@ -304,7 +295,7 @@ fn block_out(
     // Nothing is live after an `EXIT` — unless it is guarded: the lanes it
     // does not retire run on into its fall-through successor.
     let mut out = LiveSet::EMPTY;
-    for &s in succ {
+    for &s in succ.iter().chain(sync) {
         out.union_with(&block_in[s]);
     }
     out
@@ -319,14 +310,10 @@ fn transfer_backward(i: &Instruction, live: &mut LiveSet) {
     }
     if i.guard.is_always() {
         i.each_span(|r, n, w| span_regs(r, n).filter(|_| w).for_each(|r| live.gprs.remove(r)));
-        for p in i.pred_writes() {
-            live.preds &= !(1 << p.0);
-        }
+        live.preds &= !i.pred_writes();
     }
     i.each_span(|r, n, w| span_regs(r, n).filter(|_| !w).for_each(|r| live.gprs.insert(r)));
-    for p in i.pred_reads() {
-        live.preds |= 1 << p.0;
-    }
+    live.preds |= i.pred_reads();
 }
 
 #[cfg(test)]

@@ -60,25 +60,19 @@ use crate::arch::Arch;
 use crate::cfg::{BasicBlock, Edges};
 use crate::inst::Instruction;
 use crate::op::CfClass;
+use common::graph::Graph;
 
 /// Dominator, post-dominator and coalescing-region analysis of one
 /// function body. Built by [`Dom::analyze`]; all queries are on block ids
 /// of the [`crate::cfg::basic_blocks`] partition the analysis was given.
 #[derive(Debug, Clone)]
 pub struct Dom {
-    /// Successor lists under the over-approximated edge model (see the
-    /// module docs), indexed by block id.
-    succ: Vec<Vec<usize>>,
     /// Immediate dominator per block; `None` for the entry block and for
     /// blocks unreachable from it.
     idom: Vec<Option<usize>>,
-    /// Immediate post-dominator per block; `None` when it is the virtual
-    /// exit node or the block cannot reach any exit.
+    /// Immediate post-dominator per block, the virtual exit node being the
+    /// block count; `None` when the block cannot reach any exit.
     ipdom: Vec<Option<usize>>,
-    /// Post-dominator data is valid for the block (it reaches an exit).
-    pdom_valid: Vec<bool>,
-    /// Reachable from the entry block.
-    reachable: Vec<bool>,
     /// A retreating edge whose target does not dominate its source exists.
     irreducible: bool,
     /// Region head per block (the block itself when it heads its region or
@@ -100,84 +94,62 @@ impl Dom {
         let nb = blocks.len();
 
         // --- Edge model (module docs) -----------------------------------
-        let matched = matched_sync_edges(instrs, blocks, edges);
-        let coarse = edges.ssy_targets();
-        let mut succ = edges.succ.clone();
-        let mut exits: Vec<bool> = vec![false; nb];
+        // Where each `SYNC` block may resume, as `(block, target)` pairs:
+        // matched, or every `SSY` target under the coarse model.
+        let resumes = matched_sync_edges(instrs, blocks, edges).unwrap_or_else(|| {
+            let coarse = |b| edges.coarse_sync(instrs, b).iter().map(move |t| (b.id, *t));
+            blocks.iter().flat_map(coarse).collect()
+        });
+        // Successor lists under the over-approximated edge model (module docs).
+        let mut succ = Graph::with_capacity(nb, 2 * nb + resumes.len());
         for b in blocks {
-            let s = &mut succ[b.id];
-            let term = &instrs[b.range.end - 1];
-            match term.cf_class() {
-                CfClass::Sync => {
-                    for &t in matched.as_ref().map_or(&coarse, |m| &m[b.id]) {
-                        if !s.contains(&t) {
-                            s.push(t);
-                        }
-                    }
-                }
-                CfClass::Exit | CfClass::Ret | CfClass::Trap | CfClass::AbsJump => {
-                    exits[b.id] = true;
-                }
-                _ => {}
-            }
-            if s.is_empty() {
-                exits[b.id] = true;
-            }
+            let base = edges.succ.succ(b.id);
+            let resumed = resumes.iter().filter(|(from, _)| *from == b.id).map(|(_, t)| *t);
+            succ.push_node(base.iter().copied().chain(resumed.filter(|t| !base.contains(t))));
         }
-
-        let mut dom = Dom {
-            succ,
-            idom: vec![None; nb],
-            ipdom: vec![None; nb],
-            pdom_valid: vec![false; nb],
-            reachable: vec![false; nb],
-            irreducible: false,
-            region_head: (0..nb).collect(),
-        };
         if nb == 0 {
-            return dom;
+            let (idom, ipdom, region_head) = (Vec::new(), Vec::new(), Vec::new());
+            return Dom { idom, ipdom, irreducible: false, region_head };
         }
 
         // --- Dominators (forward graph, entry = block 0) ----------------
-        let common::graph::DomTree { idom, rpo } = common::graph::idoms(&dom.succ, 0);
-        for &b in &rpo {
-            dom.reachable[b] = true;
-        }
-        dom.idom = idom;
+        let common::graph::DomTree { idom, rpo } = common::graph::idoms(&succ, 0);
 
         // --- Post-dominators (reverse graph from a virtual exit node nb,
-        // fed by every exit block) --------------------------------------
-        for (b, ip) in common::graph::post_idoms(&dom.succ, |b| exits[b]).into_iter().enumerate() {
-            dom.pdom_valid[b] = ip.is_some();
-            dom.ipdom[b] = ip.filter(|&p| p < nb);
-        }
+        // fed by every block that leaves the body or has no successor) ---
+        let leaves = |b: usize| {
+            let exits = matches!(
+                instrs[blocks[b].range.end - 1].cf_class(),
+                CfClass::Exit | CfClass::Ret | CfClass::Trap | CfClass::AbsJump
+            );
+            exits || succ.succ(b).is_empty()
+        };
+        let ipdom = common::graph::post_idoms(&succ, leaves);
+        let region_head = (0..nb).collect();
+        let mut dom = Dom { idom, ipdom, irreducible: false, region_head };
 
         // --- Reducibility: every retreating DFS edge must target a
         // dominator of its source --------------------------------------
-        dom.irreducible = {
-            let mut state = vec![0u8; nb]; // 0 unvisited, 1 on stack, 2 done
-            let mut stack = vec![(0usize, 0usize)];
-            state[0] = 1;
-            let mut irreducible = false;
-            while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < dom.succ[b].len() {
-                    let s = dom.succ[b][*i];
-                    *i += 1;
-                    match state[s] {
-                        0 => {
-                            state[s] = 1;
-                            stack.push((s, 0));
-                        }
-                        1 if !dom.dominates(s, b) => irreducible = true,
-                        _ => {}
+        let mut state = vec![0u8; nb]; // 0 unvisited, 1 on stack, 2 done
+        let mut stack = Vec::with_capacity(nb);
+        stack.push((0usize, 0usize));
+        state[0] = 1;
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            if let Some(&s) = succ.succ(b).get(*i) {
+                *i += 1;
+                match state[s] {
+                    0 => {
+                        state[s] = 1;
+                        stack.push((s, 0));
                     }
-                } else {
-                    state[b] = 2;
-                    stack.pop();
+                    1 if !dom.dominates(s, b) => dom.irreducible = true,
+                    _ => {}
                 }
+            } else {
+                state[b] = 2;
+                stack.pop();
             }
-            irreducible
-        };
+        }
 
         // --- Regions ----------------------------------------------------
         // Attach each block to the nearest strict dominator it is control-
@@ -186,10 +158,16 @@ impl Dom {
         // the classes consistent: equivalence of (head, h) and (h, b)
         // implies equivalence of (head, b).
         if !dom.irreducible {
+            // The walk's visited marks and worklist, reused by every query.
+            let (mut seen, mut work) = (state, Vec::with_capacity(2 * nb));
+            let mut equivalent = |a, b| {
+                !cycles_back_avoiding(&succ, a, b, &mut seen, &mut work)
+                    && !cycles_back_avoiding(&succ, b, a, &mut seen, &mut work)
+            };
             for &b in &rpo {
                 let mut up = dom.idom[b];
                 while let Some(h) = up {
-                    if dom.post_dominates(b, h) && dom.cycle_equivalent(h, b) {
+                    if dom.post_dominates(b, h) && equivalent(h, b) {
                         dom.region_head[b] = dom.region_head[h];
                         break;
                     }
@@ -209,12 +187,13 @@ impl Dom {
     /// Immediate post-dominator of `b`; `None` when the virtual exit node
     /// immediately post-dominates `b`, or `b` cannot reach any exit.
     pub fn ipdom(&self, b: usize) -> Option<usize> {
-        self.ipdom.get(b).copied().flatten()
+        self.ipdom.get(b).copied().flatten().filter(|&p| p < self.ipdom.len())
     }
 
-    /// True when `b` is reachable from the entry block.
+    /// True when `b` is reachable from the entry block: it is the entry
+    /// block or has an immediate dominator.
     pub fn reachable(&self, b: usize) -> bool {
-        self.reachable.get(b).copied().unwrap_or(false)
+        self.idom(b).is_some() || (b == 0 && !self.idom.is_empty())
     }
 
     /// True when a retreating edge does not target a dominator of its
@@ -225,7 +204,7 @@ impl Dom {
 
     /// Does `a` dominate `b` (reflexively)? False when `b` is unreachable.
     pub fn dominates(&self, a: usize, b: usize) -> bool {
-        if b >= self.idom.len() || !(self.reachable(b) || b == 0) {
+        if !self.reachable(b) {
             return false;
         }
         let mut cur = b;
@@ -243,7 +222,9 @@ impl Dom {
     /// Does `a` post-dominate `b` (reflexively)? False when `b` cannot
     /// reach any exit.
     pub fn post_dominates(&self, a: usize, b: usize) -> bool {
-        if b >= self.ipdom.len() || !self.pdom_valid[b] {
+        // A block that reaches an exit has a post-dominator, if only the
+        // virtual exit node.
+        if self.ipdom.get(b).copied().flatten().is_none() {
             return false;
         }
         let mut cur = b;
@@ -251,7 +232,7 @@ impl Dom {
             if cur == a {
                 return true;
             }
-            match self.ipdom[cur] {
+            match self.ipdom(cur) {
                 Some(up) => cur = up,
                 None => return false,
             }
@@ -274,39 +255,41 @@ impl Dom {
             && b < self.region_head.len()
             && self.region_head[h] == self.region_head[b]
     }
-
-    /// No cycle in the edge model passes through one of `a`, `b` without
-    /// the other.
-    fn cycle_equivalent(&self, a: usize, b: usize) -> bool {
-        !self.cycles_back_avoiding(a, b) && !self.cycles_back_avoiding(b, a)
-    }
-
-    /// True when some non-empty path leads from `x` back to `x` without
-    /// passing through `avoid`.
-    fn cycles_back_avoiding(&self, x: usize, avoid: usize) -> bool {
-        let mut seen = vec![false; self.succ.len()];
-        let mut stack: Vec<usize> = self.succ[x].iter().copied().filter(|&s| s != avoid).collect();
-        while let Some(c) = stack.pop() {
-            if c == x {
-                return true;
-            }
-            if seen[c] {
-                continue;
-            }
-            seen[c] = true;
-            stack.extend(self.succ[c].iter().copied().filter(|&s| s != avoid));
-        }
-        false
-    }
 }
 
-/// Exact per-lane successors for every `SYNC`-terminated block, found by
-/// abstractly interpreting the per-lane reconvergence stack: each `SSY`
-/// pushes its target block, a `SYNC` pops the innermost enclosing target
-/// and the lane resumes there, and ordinary branches leave the stack
-/// untouched. States are `(block, stack)` pairs propagated over
-/// the shared successor lists (plus the guarded-exit fall-through) until
-/// a fixed point.
+/// True when some non-empty path of `succ` leads from `x` back to `x`
+/// without passing through `avoid` — two blocks are cycle equivalent when
+/// this holds for neither order of them. `seen` (one mark per block) and
+/// `work` are scratch.
+fn cycles_back_avoiding(
+    succ: &Graph,
+    x: usize,
+    avoid: usize,
+    seen: &mut [u8],
+    work: &mut Vec<usize>,
+) -> bool {
+    seen.fill(0);
+    work.clear();
+    work.extend(succ.succ(x).iter().filter(|&&s| s != avoid));
+    while let Some(c) = work.pop() {
+        if c == x {
+            return true;
+        }
+        if seen[c] == 0 {
+            seen[c] = 1;
+            work.extend(succ.succ(c).iter().filter(|&&s| s != avoid));
+        }
+    }
+    false
+}
+
+/// Exact per-lane successors of the `SYNC`-terminated blocks, as `(block,
+/// target)` pairs without duplicates, found by abstractly interpreting the
+/// per-lane reconvergence stack: each `SSY` pushes its target block, a
+/// `SYNC` pops the innermost enclosing target and the lane resumes there,
+/// and ordinary branches leave the stack untouched. States are `(block,
+/// stack)` pairs propagated over the shared successor lists (plus the
+/// guarded-exit fall-through) until a fixed point.
 ///
 /// Returns `None` — and the caller falls back to the coarse
 /// every-`SSY`-target model — when the bracket structure cannot be
@@ -317,52 +300,46 @@ fn matched_sync_edges(
     instrs: &[Instruction],
     blocks: &[BasicBlock],
     edges: &Edges,
-) -> Option<Vec<Vec<usize>>> {
-    use std::collections::BTreeSet;
+) -> Option<Vec<(usize, usize)>> {
     const MAX_DEPTH: usize = 16;
     const MAX_STATES: usize = 16;
-    let nb = blocks.len();
+    type Stack = common::InlineVec<usize, MAX_DEPTH>;
 
-    // SSY pushes per block, in program order, as target block ids.
-    let mut pushes: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    for &(host, target) in &edges.ssy {
-        pushes[host].push(target?);
+    if edges.ssy.iter().any(|(_, target)| target.is_none()) {
+        return None;
     }
-
-    let mut sync_succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    if nb == 0 {
+    let mut sync_succ: Vec<(usize, usize)> = Vec::new();
+    if blocks.is_empty() {
         return Some(sync_succ);
     }
-    let mut states: Vec<BTreeSet<Vec<usize>>> = vec![BTreeSet::new(); nb];
-    states[0].insert(Vec::new());
-    let mut work: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new())];
-    while let Some((b, mut stack)) = work.pop() {
-        let blk = &blocks[b];
-        for &t in &pushes[b] {
-            stack.push(t);
+    // Every state reached so far; the ones from `next` on are still to be
+    // propagated.
+    let mut states: Vec<(usize, Stack)> = Vec::with_capacity(2 * blocks.len());
+    states.push((0, Stack::default()));
+    let mut next = 0;
+    while let Some(&(b, mut stack)) = states.get(next) {
+        next += 1;
+        // SSY pushes of the block, in program order.
+        for target in edges.ssy.iter().filter(|(host, _)| *host == b).filter_map(|(_, t)| *t) {
+            stack.try_push(target).ok()?; // deeper than MAX_DEPTH
         }
-        if stack.len() > MAX_DEPTH {
-            return None;
-        }
-        let mut out: Vec<(usize, Vec<usize>)> = Vec::new();
-        let term = &instrs[blk.range.end - 1];
-        if term.cf_class() == CfClass::Sync {
-            let t = stack.pop()?; // a reachable SYNC on an empty stack faults
-            if !sync_succ[b].contains(&t) {
-                sync_succ[b].push(t);
+        let mut reach = |s: usize, stack: Stack| {
+            if states.contains(&(s, stack)) {
+                return Some(());
             }
-            out.push((t, stack));
+            states.push((s, stack));
+            (states.iter().filter(|(at, _)| *at == s).count() <= MAX_STATES).then_some(())
+        };
+        if instrs[blocks[b].range.end - 1].cf_class() == CfClass::Sync {
+            // A reachable SYNC on an empty stack faults.
+            let (&t, rest) = stack.split_last()?;
+            if !sync_succ.contains(&(b, t)) {
+                sync_succ.push((b, t));
+            }
+            reach(t, Stack::try_from_slice(rest).expect("shorter than the stack it came from"))?;
         } else {
-            for &s in &edges.succ[b] {
-                out.push((s, stack.clone()));
-            }
-        }
-        for (s, st) in out {
-            if states[s].insert(st.clone()) {
-                if states[s].len() > MAX_STATES {
-                    return None;
-                }
-                work.push((s, st));
+            for &s in edges.succ.succ(b) {
+                reach(s, stack)?;
             }
         }
     }

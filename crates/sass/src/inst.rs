@@ -134,6 +134,17 @@ pub struct Mods {
     pub barrier: u8,
 }
 
+/// The most operands any opcode takes ([`Op::format`] is checked against it
+/// where the opcodes are defined).
+pub const MAX_OPERANDS: usize = 4;
+
+/// The operands of one instruction, stored inline: derefs to `[Operand]`.
+pub type Operands = common::InlineVec<Operand, MAX_OPERANDS>;
+
+/// General-purpose registers an instruction reads or writes, stored inline:
+/// at most [`MAX_OPERANDS`] spans of at most four registers.
+pub type RegList = common::InlineVec<Reg, { MAX_OPERANDS * 4 }>;
+
 /// An instruction operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
@@ -172,6 +183,13 @@ pub enum Operand {
     Rel(i64),
     /// Absolute code address in device memory.
     Abs(u64),
+}
+
+/// What an unused slot of [`Operands`] holds; never observable through it.
+impl Default for Operand {
+    fn default() -> Operand {
+        Operand::Imm(0)
+    }
 }
 
 impl Operand {
@@ -246,10 +264,12 @@ impl std::fmt::Display for Operand {
 
 /// A decoded machine instruction.
 ///
-/// Instructions are values: building one does not validate it against its
-/// opcode's format. Validation happens in [`Instruction::validate`], which
-/// codecs and the assembler invoke.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Instructions are plain `Copy` values of at most 80 bytes — the operands
+/// sit inline — so decoding, copying, renaming and relocating one never
+/// touches the heap. Building one does not validate it against its opcode's
+/// format. Validation happens in [`Instruction::validate`], which codecs
+/// and the assembler invoke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Predicate guard.
     pub guard: Guard,
@@ -258,13 +278,28 @@ pub struct Instruction {
     /// Modifier fields.
     pub mods: Mods,
     /// Operands, in the order required by [`Op::format`].
-    pub operands: Vec<Operand>,
+    pub operands: Operands,
 }
 
 impl Instruction {
-    /// Builds an unguarded instruction with default modifiers.
-    pub fn new(op: Op, operands: Vec<Operand>) -> Instruction {
-        Instruction { guard: Guard::ALWAYS, op, mods: Mods::default(), operands }
+    /// Builds an unguarded instruction with default modifiers from a literal
+    /// operand list (an array longer than [`MAX_OPERANDS`] does not compile).
+    pub fn new(op: Op, operands: impl Into<Operands>) -> Instruction {
+        Instruction { guard: Guard::ALWAYS, op, mods: Mods::default(), operands: operands.into() }
+    }
+
+    /// [`Instruction::new`] for an operand list whose length is only known
+    /// at run time.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SassError::BadOperands`] for more than [`MAX_OPERANDS`].
+    pub fn try_new(op: Op, operands: &[Operand]) -> crate::Result<Instruction> {
+        let held = Operands::try_from_slice(operands).ok_or_else(|| {
+            let reason = format!("{} operands, at most {MAX_OPERANDS} fit", operands.len());
+            crate::SassError::BadOperands { instr: op.mnemonic().to_string(), reason }
+        })?;
+        Ok(Instruction::new(op, held))
     }
 
     /// Sets the guard, builder-style.
@@ -281,7 +316,7 @@ impl Instruction {
 
     /// A `NOP` instruction.
     pub fn nop() -> Instruction {
-        Instruction::new(Op::Nop, vec![])
+        Instruction::new(Op::Nop, [])
     }
 
     /// Checks the operand list against the opcode's format.
@@ -321,6 +356,7 @@ impl Instruction {
     }
 
     /// The relative control-flow offset, if the instruction has one.
+    #[inline]
     pub fn rel_target(&self) -> Option<i64> {
         self.operands.iter().find_map(|o| match o {
             Operand::Rel(off) => Some(*off),
@@ -330,7 +366,7 @@ impl Instruction {
 
     /// Replaces the relative control-flow offset. Panics if none exists.
     pub fn set_rel_target(&mut self, off: i64) {
-        for o in &mut self.operands {
+        for o in self.operands.iter_mut() {
             if let Operand::Rel(v) = o {
                 *v = off;
                 return;
@@ -396,20 +432,22 @@ impl Instruction {
         }
     }
 
-    fn regs_of(&self, written: bool) -> Vec<Reg> {
-        let mut out = Vec::new();
-        self.each_span(|r, n, w| out.extend(span_regs(r, n).filter(|_| w == written)));
+    fn regs_of(&self, written: bool) -> RegList {
+        let mut out = RegList::default();
+        self.each_span(|r, n, w| {
+            span_regs(r, n).filter(|_| w == written).for_each(|r| out.push(r))
+        });
         out
     }
 
     /// General-purpose registers read by this instruction, each span
     /// expanded and clamped to the register file (`RZ` never appears).
-    pub fn reg_reads(&self) -> Vec<Reg> {
+    pub fn reg_reads(&self) -> RegList {
         self.regs_of(false)
     }
 
     /// General-purpose registers written by this instruction.
-    pub fn reg_writes(&self) -> Vec<Reg> {
+    pub fn reg_writes(&self) -> RegList {
         self.regs_of(true)
     }
 
@@ -421,7 +459,7 @@ impl Instruction {
         mut pred: impl FnMut(Pred) -> Pred,
     ) {
         self.guard.pred = pred(self.guard.pred);
-        for o in &mut self.operands {
+        for o in self.operands.iter_mut() {
             match o {
                 Operand::Reg(r) => *r = reg(*r),
                 Operand::MRef { base, .. } | Operand::CBank { base, .. } => *base = reg(*base),
@@ -433,50 +471,42 @@ impl Instruction {
 
     /// Highest general-purpose register index touched, if any.
     pub fn max_reg(&self) -> Option<u8> {
-        self.reg_reads().iter().chain(self.reg_writes().iter()).map(|r| r.0).max()
+        let mut max = None;
+        self.each_span(|r, n, _| max = max.max(span_regs(r, n).last().map(|r| r.0)));
+        max
     }
 
-    /// Predicate registers read by this instruction: the guard (when not
-    /// `PT`), every `PredR` operand, and — for `P2R`, which packs the whole
-    /// predicate file into a register — all writable predicates.
-    pub fn pred_reads(&self) -> Vec<Pred> {
-        let mut out = Vec::new();
-        if !self.guard.pred.is_true_reg() {
-            out.push(self.guard.pred);
-        }
-        if self.op == Op::P2r {
-            out.extend((0..Pred::NUM_WRITABLE as u8).map(Pred));
-        }
-        for (kind, opnd) in self.op.format().iter().zip(&self.operands) {
-            if let (OKind::PredR, Operand::Pred { pred, .. }) = (kind, opnd) {
-                if !pred.is_true_reg() && !out.contains(pred) {
-                    out.push(*pred);
-                }
-            }
-        }
-        out
+    /// The predicate operands of `kind`, as a mask: bit `i` for `Pi`.
+    fn pred_operands(&self, kind: OKind) -> u8 {
+        let preds = self.op.format().iter().zip(&self.operands).filter_map(|(k, o)| match o {
+            Operand::Pred { pred, .. } if *k == kind => Some(*pred),
+            _ => None,
+        });
+        preds.fold(0, |mask, p| mask | pred_bit(p))
     }
 
-    /// Predicate registers written by this instruction: every `PredW`
-    /// operand, plus — for `R2P`, which unpacks a register into the whole
-    /// predicate file — all writable predicates.
-    pub fn pred_writes(&self) -> Vec<Pred> {
-        let mut out = Vec::new();
+    /// Predicate registers read by this instruction, as a mask (bit `i` for
+    /// `Pi`): the guard (when not `PT`), every `PredR` operand, and — for
+    /// `P2R`, which packs the whole predicate file into a register — all
+    /// writable predicates.
+    pub fn pred_reads(&self) -> u8 {
+        let all = if self.op == Op::P2r { Pred::WRITABLE_MASK } else { 0 };
+        all | pred_bit(self.guard.pred) | self.pred_operands(OKind::PredR)
+    }
+
+    /// Predicate registers written by this instruction, as a mask (bit `i`
+    /// for `Pi`): every `PredW` operand, or — for `R2P`, which unpacks a
+    /// register into the whole predicate file — all writable predicates.
+    pub fn pred_writes(&self) -> u8 {
         if self.op == Op::R2p {
-            out.extend((0..Pred::NUM_WRITABLE as u8).map(Pred));
-            return out;
+            Pred::WRITABLE_MASK
+        } else {
+            self.pred_operands(OKind::PredW)
         }
-        for (kind, opnd) in self.op.format().iter().zip(&self.operands) {
-            if let (OKind::PredW, Operand::Pred { pred, .. }) = (kind, opnd) {
-                if !pred.is_true_reg() {
-                    out.push(*pred);
-                }
-            }
-        }
-        out
     }
 
     /// The control-flow class of the opcode (convenience forwarder).
+    #[inline]
     pub fn cf_class(&self) -> CfClass {
         self.op.cf_class()
     }
@@ -484,24 +514,30 @@ impl Instruction {
     /// Full mnemonic including modifier suffixes, e.g. `LDG.64` or
     /// `ISETP.LT.S32`. This is what NVBit's `Instr::getOpcode` exposes.
     pub fn opcode_string(&self) -> String {
-        let mut s = String::from(self.op.mnemonic());
-        if self.mods.sub != SubOp::None {
-            s.push('.');
-            s.push_str(self.mods.sub.suffix());
-        }
-        if uses_cmp(self.op) {
-            s.push('.');
-            s.push_str(self.mods.cmp.suffix());
-        }
-        if uses_itype(self.op) {
-            s.push('.');
-            s.push_str(self.mods.itype.suffix());
-        }
-        if uses_width(self.op) && self.mods.width != Width::B32 {
-            s.push('.');
-            s.push_str(self.mods.width.suffix());
-        }
+        let mut s = String::new();
+        self.write_opcode(&mut s).expect("writing to a String cannot fail");
         s
+    }
+
+    /// Writes [`Instruction::opcode_string`] to `out`.
+    fn write_opcode(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        out.write_str(self.op.mnemonic())?;
+        let suffixes = [
+            (self.mods.sub != SubOp::None, self.mods.sub.suffix()),
+            (uses_cmp(self.op), self.mods.cmp.suffix()),
+            (uses_itype(self.op), self.mods.itype.suffix()),
+            (uses_width(self.op) && self.mods.width != Width::B32, self.mods.width.suffix()),
+        ];
+        suffixes.iter().filter(|(used, _)| *used).try_for_each(|(_, s)| write!(out, ".{s}"))
+    }
+}
+
+/// The mask bit of a writable predicate; none for `PT`.
+fn pred_bit(p: Pred) -> u8 {
+    if p.index() < Pred::NUM_WRITABLE {
+        1 << p.0
+    } else {
+        0
     }
 }
 
@@ -529,7 +565,8 @@ pub(crate) fn uses_width(op: Op) -> bool {
 
 impl std::fmt::Display for Instruction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}", self.guard, self.opcode_string())?;
+        write!(f, "{}", self.guard)?;
+        self.write_opcode(f)?;
         for (i, o) in self.operands.iter().enumerate() {
             if i == 0 {
                 write!(f, " {o}")?;
@@ -548,7 +585,7 @@ mod tests {
     fn iadd(dst: u8, a: u8, b: u8) -> Instruction {
         Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(dst)), Operand::Reg(Reg(a)), Operand::Reg(Reg(b))],
+            [Operand::Reg(Reg(dst)), Operand::Reg(Reg(a)), Operand::Reg(Reg(b))],
         )
     }
 
@@ -556,19 +593,19 @@ mod tests {
     fn validate_accepts_wellformed_and_rejects_malformed() {
         assert!(iadd(0, 1, 2).validate().is_ok());
 
-        let bad = Instruction::new(Op::Iadd, vec![Operand::Reg(Reg(0))]);
+        let bad = Instruction::new(Op::Iadd, [Operand::Reg(Reg(0))]);
         assert!(bad.validate().is_err());
 
         let wrong_kind = Instruction::new(
             Op::Iadd,
-            vec![Operand::Imm(1), Operand::Reg(Reg(1)), Operand::Reg(Reg(2))],
+            [Operand::Imm(1), Operand::Reg(Reg(1)), Operand::Reg(Reg(2))],
         );
         assert!(wrong_kind.validate().is_err());
 
         // RegRI accepts both registers and immediates.
         let with_imm = Instruction::new(
             Op::Iadd,
-            vec![Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Imm(5)],
+            [Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Imm(5)],
         );
         assert!(with_imm.validate().is_ok());
     }
@@ -584,14 +621,14 @@ mod tests {
 
         let ldg = Instruction::new(
             Op::Ldg,
-            vec![Operand::Reg(Reg(2)), Operand::MRef { base: Reg(6), offset: 0x100 }],
+            [Operand::Reg(Reg(2)), Operand::MRef { base: Reg(6), offset: 0x100 }],
         )
         .with_mods(Mods { width: Width::B64, ..Mods::default() });
         assert_eq!(ldg.to_string(), "LDG.64 R2, [R6+0x100] ;");
 
         let setp = Instruction::new(
             Op::Isetp,
-            vec![Operand::pred(Pred(1)), Operand::Reg(Reg(3)), Operand::Imm(-4)],
+            [Operand::pred(Pred(1)), Operand::Reg(Reg(3)), Operand::Imm(-4)],
         )
         .with_mods(Mods { cmp: CmpOp::Lt, itype: IType::S32, ..Mods::default() });
         assert_eq!(setp.to_string(), "ISETP.LT.S32 P1, R3, -0x4 ;");
@@ -601,34 +638,33 @@ mod tests {
     fn reg_reads_and_writes_track_widths() {
         let ldg128 = Instruction::new(
             Op::Ldg,
-            vec![Operand::Reg(Reg(8)), Operand::MRef { base: Reg(2), offset: 0 }],
+            [Operand::Reg(Reg(8)), Operand::MRef { base: Reg(2), offset: 0 }],
         )
         .with_mods(Mods { width: Width::B128, ..Mods::default() });
-        assert_eq!(ldg128.reg_writes(), vec![Reg(8), Reg(9), Reg(10), Reg(11)]);
+        assert_eq!(*ldg128.reg_writes(), [Reg(8), Reg(9), Reg(10), Reg(11)]);
         // Global base is a 64-bit pair.
-        assert_eq!(ldg128.reg_reads(), vec![Reg(2), Reg(3)]);
+        assert_eq!(*ldg128.reg_reads(), [Reg(2), Reg(3)]);
 
         let dadd = Instruction::new(
             Op::Dadd,
-            vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(6)), Operand::Reg(Reg(8))],
+            [Operand::Reg(Reg(4)), Operand::Reg(Reg(6)), Operand::Reg(Reg(8))],
         );
-        assert_eq!(dadd.reg_writes(), vec![Reg(4), Reg(5)]);
-        assert_eq!(dadd.reg_reads(), vec![Reg(6), Reg(7), Reg(8), Reg(9)]);
+        assert_eq!(*dadd.reg_writes(), [Reg(4), Reg(5)]);
+        assert_eq!(*dadd.reg_reads(), [Reg(6), Reg(7), Reg(8), Reg(9)]);
 
         // RZ never appears in use/def sets.
-        let mov = Instruction::new(Op::Mov, vec![Operand::Reg(Reg::RZ), Operand::Reg(Reg(1))]);
+        let mov = Instruction::new(Op::Mov, [Operand::Reg(Reg::RZ), Operand::Reg(Reg(1))]);
         assert!(mov.reg_writes().is_empty());
     }
 
     #[test]
     fn wide_integer_ops_and_atomics_use_pairs_like_the_executor() {
         let u64_mods = Mods { itype: IType::U64, ..Mods::default() };
-        let regs = |v: &[u8]| v.iter().map(|r| Reg(*r)).collect::<Vec<_>>();
+        let regs = |v: &[u8]| {
+            RegList::try_from_slice(&v.iter().map(|r| Reg(*r)).collect::<Vec<_>>()).unwrap()
+        };
         let rrr = |op, d, a, b| {
-            Instruction::new(
-                op,
-                vec![Operand::Reg(Reg(d)), Operand::Reg(Reg(a)), Operand::Reg(Reg(b))],
-            )
+            Instruction::new(op, [Operand::Reg(Reg(d)), Operand::Reg(Reg(a)), Operand::Reg(Reg(b))])
         };
         // 64-bit add: all three operands are pairs; the 32-bit form is not.
         let add = rrr(Op::Iadd, 4, 6, 8).with_mods(u64_mods);
@@ -639,16 +675,13 @@ mod tests {
         let shl = rrr(Op::Shl, 4, 6, 8).with_mods(u64_mods);
         assert_eq!((shl.reg_writes(), shl.reg_reads()), (regs(&[4, 5]), regs(&[6, 7, 8])));
         // Wide multiply-add: 32-bit factors, 64-bit addend and result.
-        let mad = Instruction::new(
-            Op::Imad,
-            [10, 2, 3, 12].iter().map(|r| Operand::Reg(Reg(*r))).collect(),
-        )
-        .with_mods(u64_mods);
+        let mad = Instruction::new(Op::Imad, [10, 2, 3, 12].map(|r| Operand::Reg(Reg(r))))
+            .with_mods(u64_mods);
         assert_eq!((mad.reg_writes(), mad.reg_reads()), (regs(&[10, 11]), regs(&[2, 3, 12, 13])));
         // 64-bit atomic: result, address and operand are all pairs.
         let atom = Instruction::new(
             Op::Atom,
-            vec![
+            [
                 Operand::Reg(Reg(8)),
                 Operand::MRef { base: Reg(6), offset: 0 },
                 Operand::Reg(Reg(4)),
@@ -660,16 +693,34 @@ mod tests {
         // Local addresses are 32-bit: only the base register itself is read.
         let stl = Instruction::new(
             Op::Stl,
-            vec![Operand::MRef { base: Reg::SP, offset: 8 }, Operand::Reg(Reg(5))],
+            [Operand::MRef { base: Reg::SP, offset: 8 }, Operand::Reg(Reg(5))],
         );
         assert_eq!(stl.reg_reads(), regs(&[1, 5]));
+        // The highest register touched comes from the same spans.
+        assert_eq!(
+            (add.max_reg(), stl.max_reg(), Instruction::nop().max_reg()),
+            (Some(9), Some(5), None)
+        );
+    }
+
+    #[test]
+    fn more_than_four_operands_are_refused_not_truncated() {
+        let r = |n| Operand::Reg(Reg(n));
+        let four = Instruction::try_new(Op::Ffma, &[r(0), r(1), r(2), r(3)]).unwrap();
+        assert_eq!(four, Instruction::new(Op::Ffma, [r(0), r(1), r(2), r(3)]));
+        let five = Instruction::try_new(Op::Ffma, &[r(0), r(1), r(2), r(3), r(4)]);
+        assert!(matches!(five, Err(crate::SassError::BadOperands { .. })), "{five:?}");
+        // An instruction is a plain value.
+        const fn is_copy<T: Copy>() {}
+        is_copy::<Instruction>();
+        assert!(std::mem::size_of::<Instruction>() <= 80);
     }
 
     #[test]
     fn opcode_string_includes_modifiers() {
         let atom = Instruction::new(
             Op::Atom,
-            vec![
+            [
                 Operand::Reg(Reg(0)),
                 Operand::MRef { base: Reg(2), offset: 0 },
                 Operand::Reg(Reg(4)),
@@ -684,34 +735,34 @@ mod tests {
     fn pred_reads_and_writes_cover_guard_operands_and_pack_unpack() {
         let setp = Instruction::new(
             Op::Isetp,
-            vec![Operand::pred(Pred(2)), Operand::Reg(Reg(3)), Operand::Imm(0)],
+            [Operand::pred(Pred(2)), Operand::Reg(Reg(3)), Operand::Imm(0)],
         )
         .with_guard(Guard { pred: Pred(0), negated: true });
-        assert_eq!(setp.pred_reads(), vec![Pred(0)]);
-        assert_eq!(setp.pred_writes(), vec![Pred(2)]);
+        assert_eq!(setp.pred_reads(), 1 << 0);
+        assert_eq!(setp.pred_writes(), 1 << 2);
 
         // PT never appears in use/def sets.
         let sel = Instruction::new(
             Op::Sel,
-            vec![
+            [
                 Operand::Reg(Reg(0)),
                 Operand::Reg(Reg(1)),
                 Operand::Reg(Reg(2)),
                 Operand::pred(Pred::PT),
             ],
         );
-        assert!(sel.pred_reads().is_empty());
+        assert_eq!(sel.pred_reads(), 0);
 
         // P2R reads the whole predicate file; R2P writes it.
-        let p2r = Instruction::new(Op::P2r, vec![Operand::Reg(Reg(0))]);
-        assert_eq!(p2r.pred_reads().len(), Pred::NUM_WRITABLE);
-        let r2p = Instruction::new(Op::R2p, vec![Operand::Reg(Reg(0))]);
-        assert_eq!(r2p.pred_writes().len(), Pred::NUM_WRITABLE);
+        let p2r = Instruction::new(Op::P2r, [Operand::Reg(Reg(0))]);
+        assert_eq!(p2r.pred_reads(), Pred::WRITABLE_MASK);
+        let r2p = Instruction::new(Op::R2p, [Operand::Reg(Reg(0))]);
+        assert_eq!(r2p.pred_writes(), Pred::WRITABLE_MASK);
     }
 
     #[test]
     fn rel_target_accessors() {
-        let mut bra = Instruction::new(Op::Bra, vec![Operand::Rel(16)]);
+        let mut bra = Instruction::new(Op::Bra, [Operand::Rel(16)]);
         assert_eq!(bra.rel_target(), Some(16));
         bra.set_rel_target(-8);
         assert_eq!(bra.rel_target(), Some(-8));

@@ -370,9 +370,11 @@ macro_rules! define_ops {
         /// A machine opcode.
         ///
         /// The discriminant is the value stored in the encoded opcode field
-        /// and is stable across encoding families.
+        /// and is stable across encoding families. It is one byte — the
+        /// width of the `Enc64` opcode field — which is also what keeps an
+        /// [`crate::Instruction`] at 80 bytes.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        #[repr(u16)]
+        #[repr(u8)]
         #[allow(missing_docs)] // variants are documented by their mnemonic table below
         pub enum Op {
             $($variant = $idx,)*
@@ -424,13 +426,18 @@ macro_rules! define_ops {
                 }
             }
 
-            /// Expected operand kinds, in order.
+            /// Expected operand kinds, in order: never more than
+            /// [`crate::inst::MAX_OPERANDS`].
             pub fn format(self) -> &'static [OKind] {
                 match self {
                     $(Op::$variant => &[$(OKind::$ok),*],)*
                 }
             }
         }
+
+        // An instruction holds its operands inline: a format that does not
+        // fit does not compile.
+        $(const _: () = assert!(<[OKind]>::len(&[$(OKind::$ok),*]) <= crate::inst::MAX_OPERANDS);)*
     };
 }
 

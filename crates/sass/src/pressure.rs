@@ -223,12 +223,12 @@ b:
         // directly: a forward branch whose offset (8) is not a multiple of
         // the Volta instruction size (16).
         let misaligned = vec![
-            Instruction::new(Op::Bra, vec![Operand::Rel(8)]),
+            Instruction::new(Op::Bra, [Operand::Rel(8)]),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Ret, vec![]),
+            Instruction::new(Op::Ret, []),
         ];
         assert_eq!(body_shape(&misaligned, Arch::Volta), None);
         // Forward and aligned, the same offset expressed in whole
@@ -236,12 +236,12 @@ b:
         // classification later, not the alignment check) — the misaligned
         // case must be rejected *before* any dominance reasoning.
         let aligned = vec![
-            Instruction::new(Op::Bra, vec![Operand::Rel(16)]),
+            Instruction::new(Op::Bra, [Operand::Rel(16)]),
             Instruction::new(
                 Op::Iadd,
-                vec![Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
+                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
             ),
-            Instruction::new(Op::Ret, vec![]),
+            Instruction::new(Op::Ret, []),
         ];
         // An unguarded forward branch is not a guarded diamond: still not
         // spliceable, but it gets past the per-instruction target checks.

@@ -5,7 +5,7 @@
 ///
 /// Reads of `RZ` produce zero; writes to it are discarded — exactly the
 /// behaviour real SASS relies on to express "no destination".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -50,6 +50,10 @@ impl Pred {
 
     /// Number of writable predicate registers (`P0`..`P6`).
     pub const NUM_WRITABLE: usize = 7;
+
+    /// All writable predicates as a mask, bit `i` for `Pi` (the unit of
+    /// [`crate::Instruction::pred_reads`] and [`crate::LiveSet::preds`]).
+    pub const WRITABLE_MASK: u8 = 0x7f;
 
     /// Returns `true` for the hardwired true predicate.
     pub fn is_true_reg(self) -> bool {

@@ -5,7 +5,10 @@ use common::prop::{run_cases, vec_of};
 use common::Rng;
 use sass::codec::{codec_for, Codec, Enc128, Enc64};
 use sass::op::{IType, OKind, SubOp};
-use sass::{asm, Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SpecialReg, Width};
+use sass::{
+    asm, Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SassError, SpecialReg,
+    Width,
+};
 
 const CASES: u32 = 256;
 
@@ -75,8 +78,8 @@ fn arb_instruction(rng: &mut Rng) -> Instruction {
     let op = *rng.choose(Op::ALL);
     let guard = arb_guard(rng);
     let mods = arb_mods(rng);
-    let operands = op.format().iter().map(|k| arb_operand(rng, *k)).collect();
-    Instruction { guard, op, mods, operands }
+    let operands: Vec<Operand> = op.format().iter().map(|k| arb_operand(rng, *k)).collect();
+    Instruction::try_new(op, &operands).unwrap().with_guard(guard).with_mods(mods)
 }
 
 #[test]
@@ -84,7 +87,7 @@ fn codec_roundtrip_enc64() {
     run_cases("codec_roundtrip_enc64", CASES, |rng| {
         let instr = arb_instruction(rng);
         let c = Enc64;
-        let bytes = c.encode(&instr).unwrap();
+        let bytes = c.encode_stream(&[instr]).unwrap();
         assert_eq!(bytes.len(), 8);
         assert_eq!(c.decode(&bytes).unwrap(), instr);
     });
@@ -95,7 +98,7 @@ fn codec_roundtrip_enc128() {
     run_cases("codec_roundtrip_enc128", CASES, |rng| {
         let instr = arb_instruction(rng);
         let c = Enc128;
-        let bytes = c.encode(&instr).unwrap();
+        let bytes = c.encode_stream(&[instr]).unwrap();
         assert_eq!(bytes.len(), 16);
         assert_eq!(c.decode(&bytes).unwrap(), instr);
     });
@@ -133,7 +136,7 @@ fn max_reg_is_consistent_with_use_def_sets() {
     run_cases("max_reg_is_consistent_with_use_def_sets", CASES, |rng| {
         let instr = arb_instruction(rng);
         let m = instr.max_reg();
-        let all: Vec<_> = instr.reg_reads().into_iter().chain(instr.reg_writes()).collect();
+        let all: Vec<_> = instr.reg_reads().iter().chain(&instr.reg_writes()).copied().collect();
         match m {
             None => assert!(all.is_empty()),
             Some(hi) => {
@@ -141,6 +144,24 @@ fn max_reg_is_consistent_with_use_def_sets() {
                 assert!(all.iter().any(|r| r.0 == hi));
             }
         }
+    });
+}
+
+/// An operand list longer than an instruction holds is refused — by the
+/// run-time constructor and by the assembler, whatever the operands are —
+/// as `BadOperands`: no panic, and no instruction built from a prefix.
+#[test]
+fn operand_lists_past_the_bound_are_bad_operands() {
+    run_cases("operand_lists_past_the_bound_are_bad_operands", CASES, |rng| {
+        let instr = arb_instruction(rng);
+        let extra = vec_of(rng, 1..6, |rng| arb_operand(rng, OKind::RegR));
+        let long: Vec<Operand> = (0..4).map(|_| Operand::Reg(arb_reg(rng))).chain(extra).collect();
+        let built = Instruction::try_new(instr.op, &long);
+        assert!(matches!(built, Err(SassError::BadOperands { .. })), "{built:?}");
+        let listed: Vec<String> = long.iter().map(Operand::to_string).collect();
+        let text = format!("{}{} {} ;", instr.guard, instr.opcode_string(), listed.join(", "));
+        let parsed = asm::assemble(&text);
+        assert!(matches!(parsed, Err(SassError::BadOperands { .. })), "`{text}`: {parsed:?}");
     });
 }
 
@@ -165,10 +186,10 @@ fn decode_then_encode_is_total() {
         let mut bytes = [0u8; 16];
         rng.fill_bytes(&mut bytes);
         if let Ok(i) = Enc64.decode(&bytes[..8]) {
-            let _ = Enc64.encode(&i);
+            let _ = Enc64.encode_stream(&[i]);
         }
         if let Ok(i) = Enc128.decode(&bytes[..16]) {
-            let _ = Enc128.encode(&i);
+            let _ = Enc128.encode_stream(&[i]);
         }
     });
 }

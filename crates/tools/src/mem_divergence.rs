@@ -186,7 +186,7 @@ impl NvbitTool for MemDivergence {
         targets.extend(api.get_related_funcs(*func).unwrap_or_default());
         let mut sites = 0u64;
         for t in targets {
-            for instr in api.get_instrs(t).expect("inspection") {
+            for instr in api.get_instrs(t).expect("inspection").iter() {
                 if instr.mem_space() != Some(sass::MemSpace::Global) {
                     continue;
                 }

@@ -91,7 +91,7 @@ impl TraceChannel {
             return;
         }
         let mut sites = 0u64;
-        for instr in api.get_instrs(func).expect("inspection") {
+        for instr in api.get_instrs(func).expect("inspection").iter() {
             if instr.mem_space() != Some(sass::MemSpace::Global) {
                 continue;
             }

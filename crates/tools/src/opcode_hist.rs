@@ -160,7 +160,7 @@ impl OpcodeHistogram {
         targets.extend(api.get_related_funcs(func).unwrap_or_default());
         let mut sites = 0u64;
         for t in &targets {
-            for instr in api.get_instrs(*t).expect("inspection") {
+            for instr in api.get_instrs(*t).expect("inspection").iter() {
                 let slot = instr.op().index() as usize % SLOTS;
                 if used.insert((slot, instr.opcode_base())) {
                     slot_ops.push((slot, instr.op().mnemonic().to_string()));

@@ -43,7 +43,7 @@ impl NvbitTool for WfftEmu {
         }
         let id = ptx::lower::proxy_id(workloads::fft::WFFT32);
         let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection") {
+        for instr in api.get_instrs(*func).expect("inspection").iter() {
             if instr.proxy_id() != Some(id) {
                 continue;
             }

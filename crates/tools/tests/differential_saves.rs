@@ -99,7 +99,7 @@ impl NvbitTool for AddrSumAfter {
         if is_exit || cbid != CbId::LaunchKernel || !self.seen.insert(func.raw()) {
             return;
         }
-        for instr in api.get_instrs(*func).unwrap() {
+        for instr in api.get_instrs(*func).unwrap().iter() {
             if instr.mem_space() != Some(sass::MemSpace::Global) {
                 continue;
             }

@@ -165,16 +165,14 @@ fn alu(rng: &mut Rng, regs: &[u8], preds: u8) -> Instruction {
     let pick = |rng: &mut Rng| regs[rng.gen_range(0..regs.len())];
     let (d, a, b) = (pick(rng), pick(rng), pick(rng));
     let ins = match rng.gen_range(0..5u32) {
-        0 => Instruction::new(Op::Iadd, vec![reg(d), reg(a), reg(b)]),
-        1 => Instruction::new(Op::Lop, vec![reg(d), reg(a), reg(b)])
+        0 => Instruction::new(Op::Iadd, [reg(d), reg(a), reg(b)]),
+        1 => Instruction::new(Op::Lop, [reg(d), reg(a), reg(b)])
             .with_mods(Mods { sub: SubOp::Xor, ..Mods::default() }),
-        2 => {
-            Instruction::new(Op::Iadd, vec![reg(d), reg(a), Operand::Imm(rng.gen_range(1..99i64))])
-        }
-        3 => Instruction::new(Op::Mov, vec![reg(d), reg(a)]),
+        2 => Instruction::new(Op::Iadd, [reg(d), reg(a), Operand::Imm(rng.gen_range(1..99i64))]),
+        3 => Instruction::new(Op::Mov, [reg(d), reg(a)]),
         _ => Instruction::new(
             Op::Isetp,
-            vec![Operand::pred(Pred(rng.gen_range(0..preds))), reg(a), reg(b)],
+            [Operand::pred(Pred(rng.gen_range(0..preds))), reg(a), reg(b)],
         )
         .with_mods(Mods { cmp: CmpOp::Lt, itype: IType::U32, ..Mods::default() }),
     };
@@ -198,10 +196,10 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
     }
     let preds = rng.gen_range(1..8u8);
     let tid = regs[0];
-    let mut k = vec![Instruction::new(Op::S2r, vec![reg(tid), Operand::SReg(SpecialReg::TidX)])];
+    let mut k = vec![Instruction::new(Op::S2r, [reg(tid), Operand::SReg(SpecialReg::TidX)])];
     for &r in &regs[1..] {
         let seed = Operand::Imm(rng.gen_range(1..1000i64));
-        k.push(Instruction::new(Op::Iadd, vec![reg(r), reg(tid), seed]));
+        k.push(Instruction::new(Op::Iadd, [reg(r), reg(tid), seed]));
     }
     let straight =
         |rng: &mut Rng, n: std::ops::Range<usize>| vec_of(rng, n, |r| alu(r, &regs, preds));
@@ -211,14 +209,12 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
         // the rest run on and still need everything seeded above.
         let p = Pred(rng.gen_range(0..preds));
         let bound = Operand::Imm(rng.gen_range(4..30i64));
-        k.push(
-            Instruction::new(Op::Isetp, vec![Operand::pred(p), reg(tid), bound]).with_mods(Mods {
-                cmp: CmpOp::Ge,
-                itype: IType::U32,
-                ..Mods::default()
-            }),
-        );
-        k.push(Instruction::new(Op::Exit, vec![]).with_guard(Guard { pred: p, negated: false }));
+        k.push(Instruction::new(Op::Isetp, [Operand::pred(p), reg(tid), bound]).with_mods(Mods {
+            cmp: CmpOp::Ge,
+            itype: IType::U32,
+            ..Mods::default()
+        }));
+        k.push(Instruction::new(Op::Exit, []).with_guard(Guard { pred: p, negated: false }));
         k.extend(straight(rng, 1..6));
     }
     if rng.gen_bool() {
@@ -227,20 +223,18 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
         let mods = Mods { barrier: 1, ..Mods::default() };
         let skip = |n: usize| Operand::Rel(16 * n as i64);
         k.push(
-            Instruction::new(Op::Isetp, vec![Operand::pred(p), reg(tid), Operand::Imm(13)])
+            Instruction::new(Op::Isetp, [Operand::pred(p), reg(tid), Operand::Imm(13)])
                 .with_mods(Mods { cmp: CmpOp::Lt, itype: IType::U32, ..Mods::default() }),
         );
+        k.push(Instruction::new(Op::Ssy, [skip(arm_a.len() + arm_b.len() + 3)]).with_mods(mods));
         k.push(
-            Instruction::new(Op::Ssy, vec![skip(arm_a.len() + arm_b.len() + 3)]).with_mods(mods),
-        );
-        k.push(
-            Instruction::new(Op::Bra, vec![skip(arm_a.len() + 1)])
+            Instruction::new(Op::Bra, [skip(arm_a.len() + 1)])
                 .with_guard(Guard { pred: p, negated: false }),
         );
         k.extend(arm_a);
-        k.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
+        k.push(Instruction::new(Op::Sync, []).with_mods(mods));
         k.extend(arm_b);
-        k.push(Instruction::new(Op::Sync, vec![]).with_mods(mods));
+        k.push(Instruction::new(Op::Sync, []).with_mods(mods));
         k.extend(straight(rng, 1..6));
     }
     // Fold, in a random order, into the first register folded.
@@ -251,7 +245,7 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
     let acc = order[0];
     for &r in &order[1..] {
         k.push(
-            Instruction::new(Op::Lop, vec![reg(acc), reg(acc), reg(r)])
+            Instruction::new(Op::Lop, [reg(acc), reg(acc), reg(r)])
                 .with_mods(Mods { sub: SubOp::Xor, ..Mods::default() }),
         );
     }
@@ -262,17 +256,17 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
     };
     let out = Operand::CBank { bank: 0, base: Reg::RZ, offset: 0x160 };
     k.push(
-        Instruction::new(Op::Ldc, vec![reg(base), out])
+        Instruction::new(Op::Ldc, [reg(base), out])
             .with_mods(Mods { width: sass::Width::B64, ..Mods::default() }),
     );
-    k.push(Instruction::new(Op::S2r, vec![reg(idx), Operand::SReg(SpecialReg::TidX)]));
-    k.push(Instruction::new(Op::Mov32i, vec![reg(four), Operand::Imm(4)]));
+    k.push(Instruction::new(Op::S2r, [reg(idx), Operand::SReg(SpecialReg::TidX)]));
+    k.push(Instruction::new(Op::Mov32i, [reg(four), Operand::Imm(4)]));
     k.push(
-        Instruction::new(Op::Imad, vec![reg(base), reg(idx), reg(four), reg(base)])
+        Instruction::new(Op::Imad, [reg(base), reg(idx), reg(four), reg(base)])
             .with_mods(Mods { itype: IType::U64, ..Mods::default() }),
     );
-    k.push(Instruction::new(Op::Stg, vec![Operand::MRef { base: Reg(base), offset: 0 }, reg(acc)]));
-    k.push(Instruction::new(Op::Exit, vec![]));
+    k.push(Instruction::new(Op::Stg, [Operand::MRef { base: Reg(base), offset: 0 }, reg(acc)]));
+    k.push(Instruction::new(Op::Exit, []));
     k
 }
 
