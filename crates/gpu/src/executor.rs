@@ -1116,13 +1116,14 @@ impl<'d> ExecEnv<'d> {
     }
 
     fn special(&self, warp: &Warp, cta: &CtaCtx, lane: usize, sr: SpecialReg, exec: u32) -> u32 {
+        // The thread's index in the block is a division per component: only
+        // the `SR_TID` arms pay for theirs.
         let flat = warp.base_tid + lane as u32;
         let b = self.block;
-        let (tx, ty, tz) = (flat % b.x, (flat / b.x) % b.y, flat / (b.x * b.y));
         match sr {
-            SpecialReg::TidX => tx,
-            SpecialReg::TidY => ty,
-            SpecialReg::TidZ => tz,
+            SpecialReg::TidX => flat % b.x,
+            SpecialReg::TidY => (flat / b.x) % b.y,
+            SpecialReg::TidZ => flat / (b.x * b.y),
             SpecialReg::NTidX => b.x,
             SpecialReg::NTidY => b.y,
             SpecialReg::NTidZ => b.z,
