@@ -28,6 +28,7 @@ echo "== non-test line count =="
 # the unit ROADMAP item 4's gate and CHANGES.md's before/after figures are
 # quoted in.
 total=0
+jit=0
 for crate in crates/*/; do
     n=$(find "$crate/src" -name '*.rs' -exec awk '
         FNR == 1 { counting = 1 }
@@ -37,8 +38,16 @@ for crate in crates/*/; do
     ' {} +)
     printf '  %-10s %6d\n' "$(basename "$crate")" "$n"
     total=$((total + n))
+    case "$(basename "$crate")" in sass | core | common) jit=$((jit + n)) ;; esac
 done
 printf '  %-10s %6d\n' total "$total"
+# PR 22 made the instruction a value and the analyses flat: it may add the
+# inline list and the flat graph, not more (9,636 before it, +150 allowed).
+printf '  %-10s %6d  (sass + core + common, ceiling 9786)\n' jit "$jit"
+if [ "$jit" -gt 9786 ]; then
+    echo "sass + core + common grew past the PR 22 ceiling" >&2
+    exit 1
+fi
 
 echo "== unsafe inventory =="
 # All unsafe code lives in one file, the word accessor of guest memory, and
@@ -80,6 +89,13 @@ cargo test --release -q -p nvbit-gpu
 
 echo "== determinism (release): pinned ExecStats + output hashes, Serial vs Parallel =="
 cargo test --release -q --test determinism
+
+echo "== allocation budget (release) =="
+# Heap allocations per function and JIT phase on a 32-kernel module, counted
+# by a global allocator (exact, host-independent), against the figures of the
+# commit before the instruction became a value; also the Instruction: Copy /
+# 80-byte assertion and the image-hash pin of fft/stencil/spmv x four rungs.
+cargo test --release -q --test alloc_budget -- --nocapture --test-threads 1 | grep -E '^  |test result'
 
 echo "== verify_all: every tool x every workload, zero diagnostics =="
 # Lifts and instruments every bundled tool against every workload kernel

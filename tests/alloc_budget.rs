@@ -153,21 +153,23 @@ impl NvbitTool for Probe {
 /// benchmark launches them with (1 CTA × 32 threads, inputs all zero).
 fn stratum() -> (String, Vec<(String, Vec<Param>)>) {
     use Param::{Buf, F32, U32};
-    let mut kernels_: Vec<(String, String, Vec<Param>)> = (0..27)
-        .map(|v| (kernels::short_unique(&format!("uk{v}"), v * 37 + 5), vec![Buf, U32(32)]))
-        .enumerate()
-        .map(|(v, (src, args))| (format!("uk{v}"), src, args))
-        .collect();
-    let named = |name: &str, src: String, args: Vec<Param>| (name.to_string(), src, args);
-    kernels_.extend([
-        named("stencil", kernels::stencil5("stencil"), vec![Buf, Buf, U32(3), U32(34)]),
-        named("spmv", kernels::spmv_csr("spmv"), vec![Buf, Buf, Buf, Buf, Buf, U32(32)]),
-        named("md", kernels::md_force("md"), vec![Buf, Buf, U32(32), U32(4), F32(0.5)]),
-        named("lbm", kernels::lbm_stream("lbm", 6), vec![Buf, Buf, U32(32)]),
-        named("reduce", kernels::reduce_sum("reduce"), vec![Buf, Buf, U32(32)]),
-    ]);
-    let source = kernels_.iter().fold(String::from(".version 6.0\n"), |s, k| s + &k.1 + "\n");
-    (source, kernels_.into_iter().map(|(name, _, args)| (name, args)).collect())
+    let mut source = String::from(".version 6.0\n");
+    let mut launches = Vec::new();
+    let mut kernel = |name: &str, ptx: String, params: Vec<Param>| {
+        source += &ptx;
+        source += "\n";
+        launches.push((name.to_string(), params));
+    };
+    for v in 0..27 {
+        let name = format!("uk{v}");
+        kernel(&name, kernels::short_unique(&name, v * 37 + 5), vec![Buf, U32(32)]);
+    }
+    kernel("stencil", kernels::stencil5("stencil"), vec![Buf, Buf, U32(3), U32(34)]);
+    kernel("spmv", kernels::spmv_csr("spmv"), vec![Buf, Buf, Buf, Buf, Buf, U32(32)]);
+    kernel("md", kernels::md_force("md"), vec![Buf, Buf, U32(32), U32(4), F32(0.5)]);
+    kernel("lbm", kernels::lbm_stream("lbm", 6), vec![Buf, Buf, U32(32)]);
+    kernel("reduce", kernels::reduce_sum("reduce"), vec![Buf, Buf, U32(32)]);
+    (source, launches)
 }
 
 #[derive(Clone, Copy)]
