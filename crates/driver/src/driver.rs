@@ -131,7 +131,14 @@ struct ModuleState {
     library: bool,
     #[allow(dead_code)]
     ctx: CuContext,
-    functions: HashMap<String, CuFunction>,
+    /// The module's functions, ordered by name.
+    functions: Vec<CuFunction>,
+}
+
+/// The last of `sorted` (ordered by the name `of` each) that is named `name`.
+fn last_named<'n, T: Copy>(sorted: &[T], name: &str, of: impl Fn(T) -> &'n str) -> Option<T> {
+    let end = sorted.partition_point(|&t| of(t) <= name);
+    sorted[..end].last().copied().filter(|&t| of(t) == name)
 }
 
 struct State {
@@ -324,51 +331,49 @@ impl Driver {
         {
             let mut st = self.state.borrow_mut();
 
+            // The image's functions by name, equal names in image order:
+            // relocations, related lists and `module_get_function` look up.
+            let funcs = &image.functions;
+            let mut by_name: Vec<usize> = (0..funcs.len()).collect();
+            by_name.sort_by_key(|&i| &funcs[i].name);
+            let find = |name: &str| last_named(&by_name, name, |i| &funcs[i].name);
+
             // Pass 1: allocate code space for every function. Labels give
             // execution faults a function name and instruction index; the
             // device drops them when the code is freed.
-            let mut addrs: HashMap<String, u64> = HashMap::new();
-            for f in &image.functions {
+            let mut addrs = Vec::with_capacity(funcs.len());
+            for f in funcs {
                 let addr = st.device.alloc(f.code.len().max(1) as u64)?;
                 st.device.label_code(addr, f.code.len() as u64, &f.name);
-                addrs.insert(f.name.clone(), addr);
+                addrs.push(addr);
             }
             // Pass 2: patch call relocations and upload.
             let codec = sass::codec::codec_for(arch);
-            for f in &image.functions {
-                let base = addrs[&f.name];
+            for (f, &base) in funcs.iter().zip(&addrs) {
                 if f.relocs.is_empty() {
                     st.device.write(base, &f.code)?;
                 } else {
                     let mut instrs = f.decode();
                     for r in &f.relocs {
-                        let target = *addrs
-                            .get(&r.target)
+                        let target = find(&r.target)
                             .ok_or_else(|| DriverError::NotFound { name: r.target.clone() })?;
                         for o in instrs[r.instr_index].operands.iter_mut() {
                             if let Operand::Abs(a) = o {
-                                *a = target;
+                                *a = addrs[target];
                             }
                         }
                     }
-                    let patched = codec.encode_stream(&instrs).map_err(|e| {
-                        DriverError::Jit(ptx::PtxError::Encode {
-                            function: f.name.clone(),
-                            source: e,
-                        })
+                    let patched = codec.encode_stream(&instrs).map_err(|source| {
+                        DriverError::Jit(ptx::PtxError::Encode { function: f.name.clone(), source })
                     })?;
                     st.device.write(base, &patched)?;
                 }
             }
             // Pass 3: register the functions.
-            let mut fn_handles: HashMap<String, CuFunction> = HashMap::new();
-            for f in &image.functions {
-                let h = CuFunction(st.take_handle());
-                fn_handles.insert(f.name.clone(), h);
-            }
-            for f in &image.functions {
-                let h = fn_handles[&f.name];
-                let related = f.related.iter().filter_map(|n| fn_handles.get(n).copied()).collect();
+            let handles: Vec<CuFunction> =
+                funcs.iter().map(|_| CuFunction(st.take_handle())).collect();
+            for ((f, &h), &addr) in funcs.iter().zip(&handles).zip(&addrs) {
+                let related = f.related.iter().filter_map(|n| find(n)).map(|i| handles[i]);
                 st.functions.insert(
                     h.0,
                     FunctionInfo {
@@ -377,14 +382,14 @@ impl Driver {
                         module,
                         library: fatbin.library,
                         kind: f.kind,
-                        addr: addrs[&f.name],
+                        addr,
                         code_len: f.code.len() as u64,
                         arch,
                         reg_count: f.reg_count,
                         stack_size: f.stack_size,
                         shared_size: f.shared_size,
                         params: f.params.clone(),
-                        related,
+                        related: related.collect(),
                         line_table: f.line_table.clone(),
                         local_override: 0,
                     },
@@ -396,7 +401,7 @@ impl Driver {
                     name: fatbin.name.clone(),
                     library: fatbin.library,
                     ctx: *ctx,
-                    functions: fn_handles,
+                    functions: by_name.iter().map(|&i| handles[i]).collect(),
                 },
             );
         }
@@ -417,9 +422,7 @@ impl Driver {
                 .modules
                 .get(&module.0)
                 .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-            m.functions
-                .get(name)
-                .copied()
+            last_named(&m.functions, name, |h| &st.functions[&h.0].name)
                 .ok_or_else(|| DriverError::NotFound { name: name.to_string() })?
         };
         self.event(false, CbId::ModuleGetFunction, &CbParams::GetFunction { func, name });
@@ -446,7 +449,7 @@ impl Driver {
                 .modules
                 .get(&module.0)
                 .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-            (m.name.clone(), m.library, m.functions.values().copied().collect::<Vec<_>>())
+            (m.name.clone(), m.library, m.functions.clone())
         };
         common::obs::counter("module.unloads", 1);
         let p = CbParams::Module { module, name: &name, library };
@@ -480,7 +483,7 @@ impl Driver {
             .modules
             .get(&module.0)
             .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-        let mut v: Vec<CuFunction> = m.functions.values().copied().collect();
+        let mut v = m.functions.clone();
         v.sort_by_key(|h| h.0);
         Ok(v)
     }
@@ -492,12 +495,8 @@ impl Driver {
             .modules
             .get(&module.0)
             .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-        let mut v: Vec<CuFunction> = m
-            .functions
-            .values()
-            .copied()
-            .filter(|h| st.functions.get(&h.0).is_some_and(|f| f.kind == ptx::FunctionKind::Entry))
-            .collect();
+        let mut v = m.functions.clone();
+        v.retain(|h| st.functions.get(&h.0).is_some_and(|f| f.kind == ptx::FunctionKind::Entry));
         v.sort_by_key(|h| h.0);
         Ok(v)
     }

@@ -1,7 +1,13 @@
 //! Abstract syntax tree of the PTX-like dialect.
+//!
+//! No node owns text. A spelling is interned once per [`Module`] and named
+//! by a [`Sym`]; within a function, registers and labels are dense ids
+//! ([`VReg`], [`LabelId`]) into the function's own tables, so every
+//! statement is a `Copy` value and the analyses index vectors by id.
 
 use crate::types::PtxType;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Whether a function is a kernel entry point or a callable device function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -13,25 +19,111 @@ pub enum FunctionKind {
     Device,
 }
 
+/// An interned spelling: index into its module's [`Interner`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Sym(u32);
+
+impl Sym {
+    /// `$ret_merge`, the label of the single return block the backend
+    /// merges early `ret`s into.
+    pub const RET_MERGE: Sym = Sym(0);
+    /// `$retval`, the hidden register early `ret.val`s stash their value in.
+    pub const RETVAL: Sym = Sym(1);
+
+    /// The index into per-spelling tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The module's one owner of name text: each distinct spelling is stored
+/// once, whatever the number of functions that use it.
+#[derive(Debug, Clone)]
+pub struct Interner {
+    ids: HashMap<Arc<str>, Sym>,
+    names: Vec<Arc<str>>,
+}
+
+impl Default for Interner {
+    fn default() -> Interner {
+        let mut names = Interner { ids: HashMap::new(), names: Vec::new() };
+        assert_eq!(names.intern("$ret_merge"), Sym::RET_MERGE);
+        assert_eq!(names.intern("$retval"), Sym::RETVAL);
+        names
+    }
+}
+
+impl Interner {
+    /// The id of `s`, interning it on first sight.
+    pub fn intern(&mut self, s: &str) -> Sym {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = Sym(u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names"));
+        let name: Arc<str> = Arc::from(s);
+        self.names.push(name.clone());
+        self.ids.insert(name, id);
+        id
+    }
+
+    /// The id of `s`, if some function of the module spelled it.
+    pub fn get(&self, s: &str) -> Option<Sym> {
+        self.ids.get(s).copied()
+    }
+
+    /// The spelling of `id`.
+    pub fn resolve(&self, id: Sym) -> &str {
+        &self.names[id.index()]
+    }
+}
+
 /// A parsed module.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Module {
     /// Functions in source order.
     pub functions: Vec<Function>,
+    /// Every name the functions refer to.
+    pub names: Interner,
 }
 
 impl Module {
     /// Finds a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
+        let name = self.names.get(name)?;
         self.functions.iter().find(|f| f.name == name)
     }
 }
 
+/// A virtual register of one function: index into [`Function::regs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct VReg(pub u32);
+
+impl VReg {
+    /// The index into per-register tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A branch-target label of one function: index into [`Function::labels`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelId(pub u32);
+
+/// One virtual register a function refers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegInfo {
+    /// Spelling (`%r1`).
+    pub name: Sym,
+    /// Declared type — of the last matching `.reg` declaration, wherever
+    /// in the function it stands; `None` when there is none.
+    pub ty: Option<PtxType>,
+}
+
 /// A statically-sized shared-memory declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedDecl {
     /// Variable name.
-    pub name: String,
+    pub name: Sym,
     /// Size in bytes.
     pub bytes: u32,
     /// Alignment in bytes.
@@ -42,34 +134,61 @@ pub struct SharedDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// Entry kernel or device function.
     pub kind: FunctionKind,
-    /// Parameters in declaration order.
-    pub params: Vec<(String, PtxType)>,
+    /// Parameters in declaration order. A device function's are also
+    /// virtual registers: see [`Function::reg_named`].
+    pub params: Vec<(Sym, PtxType)>,
     /// Return type (device functions only).
     pub ret: Option<PtxType>,
     /// Virtual register declared as the return slot (device functions with a
     /// `(.reg .ty %out)` return declaration).
-    pub ret_reg: Option<String>,
-    /// Declared virtual registers and their types (sorted for determinism).
-    pub regs: BTreeMap<String, PtxType>,
+    pub ret_reg: Option<VReg>,
+    /// The virtual registers the function refers to, in order of first
+    /// reference (a device function's parameters and return slot first).
+    pub regs: Vec<RegInfo>,
+    /// Label spellings, in order of first reference or definition.
+    pub labels: Vec<Sym>,
     /// Shared-memory declarations.
     pub shared: Vec<SharedDecl>,
+    /// Argument registers of every `call`, back to back ([`ArgRange`]).
+    pub call_args: Vec<VReg>,
     /// Body statements.
     pub body: Vec<Statement>,
 }
 
+impl Function {
+    /// The register spelled `name`, if the function refers to one.
+    pub fn reg_named(&self, name: Sym) -> Option<VReg> {
+        self.regs.iter().position(|r| r.name == name).map(|i| VReg(i as u32))
+    }
+
+    /// The argument registers of a `call`.
+    pub fn args(&self, range: ArgRange) -> &[VReg] {
+        &self.call_args[range.start as usize..][..range.len as usize]
+    }
+}
+
+/// The arguments of one `call`: a range of [`Function::call_args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArgRange {
+    /// Index of the first argument.
+    pub start: u32,
+    /// Number of arguments.
+    pub len: u32,
+}
+
 /// One body statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Statement {
     /// A branch-target label.
-    Label(String),
+    Label(LabelId),
     /// A source-location directive (`.loc "file" line`), attaching to the
     /// following instructions.
     Loc {
         /// Source file name.
-        file: String,
+        file: Sym,
         /// 1-based source line.
         line: u32,
     },
@@ -78,46 +197,36 @@ pub enum Statement {
 }
 
 /// Guard prefix on an instruction (`@%p` / `@!%p`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtxGuard {
     /// Guarding predicate virtual register.
-    pub reg: String,
+    pub reg: VReg,
     /// True for `@!%p`.
     pub negated: bool,
 }
 
 /// A register-or-immediate source operand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Src {
-    /// A virtual register name.
-    Reg(String),
+    /// A virtual register.
+    Reg(VReg),
     /// An immediate; floating constants are stored as raw bits
     /// (sign-extended from 32 bits for `f32` to match the codec's canonical
     /// immediate form).
     Imm(i64),
 }
 
-impl Src {
-    /// The register name, if this is a register source.
-    pub fn as_reg(&self) -> Option<&str> {
-        match self {
-            Src::Reg(r) => Some(r),
-            Src::Imm(_) => None,
-        }
-    }
-}
-
 /// Base of a memory address operand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrBase {
     /// Address held in a virtual register.
-    Reg(String),
+    Reg(VReg),
     /// A shared-memory variable (its static byte offset).
-    Shared(String),
+    Shared(Sym),
 }
 
 /// A memory address operand `[base + offset]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Address {
     /// Address base.
     pub base: AddrBase,
@@ -134,17 +243,6 @@ pub enum Space {
     Shared,
     /// Per-thread local memory.
     Local,
-}
-
-impl Space {
-    /// Suffix spelling.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Space::Global => "global",
-            Space::Shared => "shared",
-            Space::Local => "local",
-        }
-    }
 }
 
 /// Comparison operator of `setp`.
@@ -377,16 +475,16 @@ impl PtxSpecial {
 }
 
 /// A typed PTX operation with its operands.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PtxOp {
     /// `ld.param.ty %d, [name+off];`
     LdParam {
         /// Value type.
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Parameter name.
-        param: String,
+        param: Sym,
         /// Byte offset within the parameter.
         offset: u32,
     },
@@ -397,7 +495,7 @@ pub enum PtxOp {
         /// Value type.
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Address.
         addr: Address,
     },
@@ -410,7 +508,7 @@ pub enum PtxOp {
         /// Address.
         addr: Address,
         /// Source register.
-        src: String,
+        src: VReg,
     },
     /// `mov.ty %d, src;` where `src` is a register, immediate, special
     /// register or the address of a shared variable.
@@ -418,13 +516,13 @@ pub enum PtxOp {
         /// Value type.
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Plain source, if register/immediate.
         src: Option<Src>,
         /// Special-register source, if any.
         special: Option<PtxSpecial>,
         /// Shared-variable address source, if any.
-        shared_addr: Option<String>,
+        shared_addr: Option<Sym>,
     },
     /// Binary arithmetic: `add/sub/mul/min/max/div-free` family.
     Bin {
@@ -433,9 +531,9 @@ pub enum PtxOp {
         /// Value type.
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// First source.
-        a: String,
+        a: VReg,
         /// Second source.
         b: Src,
     },
@@ -447,13 +545,13 @@ pub enum PtxOp {
         /// Value type (of the multiply inputs).
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Multiplicand.
-        a: String,
+        a: VReg,
         /// Multiplier.
         b: Src,
         /// Addend.
-        c: String,
+        c: VReg,
     },
     /// `setp.cmp.ty %p, %a, b;`
     Setp {
@@ -462,9 +560,9 @@ pub enum PtxOp {
         /// Operand type.
         ty: PtxType,
         /// Destination predicate.
-        dst: String,
+        dst: VReg,
         /// First source.
-        a: String,
+        a: VReg,
         /// Second source.
         b: Src,
     },
@@ -473,13 +571,13 @@ pub enum PtxOp {
         /// Value type.
         ty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Value when the predicate is true.
-        a: String,
+        a: VReg,
         /// Value when the predicate is false.
         b: Src,
         /// Selector predicate.
-        p: String,
+        p: VReg,
     },
     /// `cvt.dty.sty %d, %s;`
     Cvt {
@@ -488,23 +586,23 @@ pub enum PtxOp {
         /// Source type.
         sty: PtxType,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Source register.
-        src: String,
+        src: VReg,
     },
     /// `bra TARGET;` (possibly guarded).
     Bra {
         /// Target label.
-        target: String,
+        target: LabelId,
     },
     /// `call (%ret), name, (%a, %b, ...);`
     Call {
         /// Destination register for the return value, if any.
-        ret: Option<String>,
+        ret: Option<VReg>,
         /// Callee name.
-        func: String,
+        func: Sym,
         /// Argument registers.
-        args: Vec<String>,
+        args: ArgRange,
     },
     /// `ret;`
     Ret,
@@ -512,7 +610,7 @@ pub enum PtxOp {
     /// `st.param` + `ret` sequence).
     RetVal {
         /// Register holding the return value.
-        src: String,
+        src: VReg,
     },
     /// `exit;`
     Exit,
@@ -527,13 +625,13 @@ pub enum PtxOp {
         /// Value type.
         ty: PtxType,
         /// Destination register receiving the prior value.
-        dst: String,
+        dst: VReg,
         /// Address.
         addr: Address,
         /// Operand value.
-        src: String,
+        src: VReg,
         /// Second operand (CAS only).
-        src2: Option<String>,
+        src2: Option<VReg>,
     },
     /// `red.global.op.ty [addr], %s;`
     Red {
@@ -544,16 +642,16 @@ pub enum PtxOp {
         /// Address.
         addr: Address,
         /// Operand value.
-        src: String,
+        src: VReg,
     },
     /// `vote.mode.b32 %d, %p;`
     Vote {
         /// Vote mode.
         mode: VoteMode,
         /// Destination register (mask or 0/1).
-        dst: String,
+        dst: VReg,
         /// Voted predicate.
-        src: String,
+        src: VReg,
         /// True when the source predicate is negated (`!%p`).
         negated: bool,
     },
@@ -562,37 +660,37 @@ pub enum PtxOp {
         /// Shuffle mode.
         mode: ShflMode,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Value source.
-        a: String,
+        a: VReg,
         /// Lane/delta/mask source.
         b: Src,
     },
     /// `popc.b32 %d, %s;`
     Popc {
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Source register.
-        src: String,
+        src: VReg,
     },
     /// Special-function ops: `rcp.approx.f32 %d, %s;` etc.
     Mufu {
         /// Which function.
         func: MufuFunc,
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Source register.
-        src: String,
+        src: VReg,
     },
     /// `proxy.b32 %d, %s, "NAME";` — emits the hypothetical-instruction
     /// carrier used for ISA-extension studies (paper §6.3).
     Proxy {
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Source register.
-        src: String,
+        src: VReg,
         /// Proxy instruction name; hashed into the immediate id field.
-        name: String,
+        name: Sym,
     },
     /// `chan.push.u64 %rd;` — pushes the 64-bit source register to the
     /// launch's host-side record channel (paper §6.1's mem_trace/cache-sim
@@ -600,13 +698,13 @@ pub enum PtxOp {
     /// faults when the launch has no channel attached.
     ChanPush {
         /// Payload source register (64-bit).
-        src: String,
+        src: VReg,
     },
     /// `nvbit.readreg.b32 %d, idx;` — device-API intrinsic reading saved
     /// register `idx` of the instrumented thread (paper Listing 7).
     NvReadReg {
         /// Destination register.
-        dst: String,
+        dst: VReg,
         /// Saved-register index.
         idx: Src,
     },
@@ -617,7 +715,7 @@ pub enum PtxOp {
         /// Saved-register index.
         idx: Src,
         /// Value source register.
-        src: String,
+        src: VReg,
     },
 }
 
@@ -649,7 +747,7 @@ pub enum BinKind {
 }
 
 /// An instruction: optional guard plus operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtxInstr {
     /// Optional `@%p` / `@!%p` guard.
     pub guard: Option<PtxGuard>,

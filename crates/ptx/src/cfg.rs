@@ -3,8 +3,8 @@
 //! Used by the backend for reconvergence-point (`SSY`) placement and by the
 //! reference interpreter as its idealized reconvergence oracle.
 
-use crate::ast::{Function, PtxInstr, PtxOp, Statement};
-use std::collections::HashMap;
+use crate::ast::{Function, PtxInstr, PtxOp, Statement, Sym};
+use common::graph::Graph;
 
 /// A function body flattened to instructions, with label and line-info side
 /// tables.
@@ -13,45 +13,48 @@ pub struct Linear<'a> {
     /// Instructions in program order.
     pub instrs: Vec<&'a PtxInstr>,
     /// Per-instruction source location from the nearest preceding `.loc`.
-    pub loc: Vec<Option<(String, u32)>>,
-    /// Label name → index of the instruction it precedes.
-    pub labels: HashMap<String, usize>,
+    pub loc: Vec<Option<(Sym, u32)>>,
+    /// Per [`crate::ast::LabelId`], the index of the instruction the label
+    /// precedes; `None` for a label that is branched to but never defined.
+    pub labels: Vec<Option<usize>>,
 }
 
 impl<'a> Linear<'a> {
     /// Flattens a function body.
     pub fn of(f: &'a Function) -> Linear<'a> {
-        let mut instrs = Vec::new();
-        let mut loc = Vec::new();
-        let mut labels = HashMap::new();
-        let mut cur: Option<(String, u32)> = None;
+        let mut instrs = Vec::with_capacity(f.body.len());
+        let mut loc = Vec::with_capacity(f.body.len());
+        let mut labels = vec![None; f.labels.len()];
+        let mut cur: Option<(Sym, u32)> = None;
         for s in &f.body {
             match s {
-                Statement::Label(l) => {
-                    labels.insert(l.clone(), instrs.len());
-                }
-                Statement::Loc { file, line } => cur = Some((file.clone(), *line)),
+                Statement::Label(l) => labels[l.0 as usize] = Some(instrs.len()),
+                Statement::Loc { file, line } => cur = Some((*file, *line)),
                 Statement::Instr(i) => {
                     instrs.push(i);
-                    loc.push(cur.clone());
+                    loc.push(cur);
                 }
             }
         }
         Linear { instrs, loc, labels }
     }
+
+    /// The instruction index a `bra` at `i` targets, when its label is defined.
+    pub fn target_of(&self, i: &PtxInstr) -> Option<usize> {
+        match i.op {
+            PtxOp::Bra { target } => self.labels[target.0 as usize],
+            _ => None,
+        }
+    }
 }
 
 /// A basic block over the linearized instruction list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     /// First instruction index.
     pub start: usize,
     /// One past the last instruction index.
     pub end: usize,
-    /// Successor block ids.
-    pub succs: Vec<usize>,
-    /// Predecessor block ids.
-    pub preds: Vec<usize>,
 }
 
 /// The control-flow graph of a linearized function.
@@ -61,9 +64,23 @@ pub struct FnCfg {
     pub blocks: Vec<Block>,
     /// Block id of every instruction.
     pub instr_block: Vec<usize>,
+    /// Successor lists (a branch's target before its fall-through), and
+    /// their reversal: predecessors in ascending order.
+    succ: Graph,
+    pred: Graph,
 }
 
 impl FnCfg {
+    /// Successor block ids of `b`.
+    pub fn succs(&self, b: usize) -> &[usize] {
+        self.succ.succ(b)
+    }
+
+    /// Predecessor block ids of `b`.
+    pub fn preds(&self, b: usize) -> &[usize] {
+        self.pred.succ(b)
+    }
+
     /// Builds the CFG. Labels that never resolve are treated as function
     /// exits (the verifier reports them before code generation).
     pub fn build(lin: &Linear<'_>) -> FnCfg {
@@ -72,17 +89,11 @@ impl FnCfg {
         if n > 0 {
             leader[0] = true;
         }
-        let target_of = |i: &PtxInstr| -> Option<usize> {
-            match &i.op {
-                PtxOp::Bra { target } => lin.labels.get(target).copied(),
-                _ => None,
-            }
-        };
         let is_term = |i: &PtxInstr| {
             matches!(i.op, PtxOp::Bra { .. } | PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit)
         };
         for (idx, i) in lin.instrs.iter().enumerate() {
-            if let Some(t) = target_of(i) {
+            if let Some(t) = lin.target_of(i) {
                 if t < n {
                     leader[t] = true;
                 }
@@ -93,53 +104,77 @@ impl FnCfg {
         }
 
         // Materialize the blocks.
-        let mut blocks = Vec::new();
+        let mut blocks = Vec::with_capacity(leader.iter().filter(|&&l| l).count());
         let mut instr_block = vec![0usize; n];
         let mut start = 0usize;
         #[allow(clippy::needless_range_loop)] // index IS the leader position
         for idx in 1..=n {
             if idx == n || leader[idx] {
-                let id = blocks.len();
-                for slot in instr_block.iter_mut().take(idx).skip(start) {
-                    *slot = id;
-                }
-                blocks.push(Block { start, end: idx, succs: Vec::new(), preds: Vec::new() });
+                instr_block[start..idx].fill(blocks.len());
+                blocks.push(Block { start, end: idx });
                 start = idx;
             }
         }
 
         // Edges.
-        for bid in 0..blocks.len() {
-            let last = blocks[bid].end - 1;
-            let i = lin.instrs[last];
-            let mut succs = Vec::new();
-            match &i.op {
-                PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit => {}
-                PtxOp::Bra { target } => {
-                    if let Some(t) = lin.labels.get(target).copied() {
-                        if t < n {
-                            succs.push(instr_block[t]);
-                        }
-                    }
-                    if i.guard.is_some() && bid + 1 < blocks.len() {
-                        succs.push(bid + 1);
-                    }
-                }
-                _ => {
-                    if bid + 1 < blocks.len() {
-                        succs.push(bid + 1);
-                    }
-                }
-            }
-            succs.dedup();
-            for &s in &succs {
-                blocks[s].preds.push(bid);
-            }
-            blocks[bid].succs = succs;
+        let mut succ = Graph::with_capacity(blocks.len(), 2 * blocks.len());
+        for (bid, b) in blocks.iter().enumerate() {
+            let i = lin.instrs[b.end - 1];
+            let next = (bid + 1 < blocks.len()).then_some(bid + 1);
+            let (taken, fall) = match &i.op {
+                PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit => (None, None),
+                PtxOp::Bra { .. } => (
+                    lin.target_of(i).filter(|&t| t < n).map(|t| instr_block[t]),
+                    next.filter(|_| i.guard.is_some()),
+                ),
+                _ => (None, next),
+            };
+            succ.push_node(taken.into_iter().chain(fall.filter(|&f| Some(f) != taken)));
         }
-
-        FnCfg { blocks, instr_block }
+        let pred = succ.reversed();
+        FnCfg { blocks, instr_block, succ, pred }
     }
+}
+
+/// `rows` sets over `0..bits`, one bit per member, in one vector.
+#[derive(Debug)]
+pub struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    /// `rows` empty sets.
+    pub fn new(rows: usize, bits: usize) -> BitRows {
+        let words = bits.div_ceil(64);
+        BitRows { words, bits: vec![0; rows * words] }
+    }
+
+    /// True when set `row` holds `i`.
+    pub fn contains(&self, row: usize, i: usize) -> bool {
+        self.bits[row * self.words + i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Adds `i` to set `row`; true when it was not there.
+    pub fn insert(&mut self, row: usize, i: usize) -> bool {
+        let fresh = !self.contains(row, i);
+        self.bits[row * self.words + i / 64] |= 1 << (i % 64);
+        fresh
+    }
+
+    /// The members of set `row`, ascending.
+    pub fn ones(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+        ones(&self.bits[row * self.words..][..self.words])
+    }
+}
+
+/// The set bits of a bit row, ascending.
+pub fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 /// Computes immediate post-dominators of a CFG ([`common::graph`] on the
@@ -150,10 +185,9 @@ impl FnCfg {
 /// blocks post-dominated only by the virtual exit (e.g. blocks ending in
 /// `exit` themselves).
 pub fn ipostdom(cfg: &FnCfg) -> Vec<Option<usize>> {
-    let mut succ = common::graph::Graph::with_capacity(cfg.blocks.len(), 2 * cfg.blocks.len());
-    cfg.blocks.iter().for_each(|b| succ.push_node(b.succs.iter().copied()));
+    let succ = &cfg.succ;
     let exit = succ.nodes();
-    common::graph::post_idoms(&succ, |b| succ.succ(b).is_empty())
+    common::graph::post_idoms(succ, |b| succ.succ(b).is_empty())
         .into_iter()
         .map(|ip| ip.filter(|&p| p != exit))
         .collect()
@@ -168,7 +202,7 @@ mod tests {
         let m = parse(src).unwrap();
         let lin = Linear::of(&m.functions[0]);
         let cfg = FnCfg::build(&lin);
-        let succs = cfg.blocks.iter().map(|b| b.succs.clone()).collect();
+        let succs = (0..cfg.blocks.len()).map(|b| cfg.succs(b).to_vec()).collect();
         let ipd = ipostdom(&cfg);
         (cfg.blocks.len(), succs, ipd)
     }
@@ -253,7 +287,8 @@ TOP:
 "#;
         let m = parse(src).unwrap();
         let lin = Linear::of(&m.functions[0]);
-        assert_eq!(lin.loc[0], Some(("a.cu".into(), 10)));
-        assert_eq!(lin.loc[1], Some(("a.cu".into(), 11)));
+        let a_cu = m.names.get("a.cu");
+        assert_eq!(lin.loc[0].map(|(f, l)| (Some(f), l)), Some((a_cu, 10)));
+        assert_eq!(lin.loc[1].map(|(f, l)| (Some(f), l)), Some((a_cu, 11)));
     }
 }

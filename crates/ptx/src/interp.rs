@@ -13,7 +13,6 @@ use crate::cfg::{ipostdom, FnCfg, Linear};
 use crate::types::PtxType;
 use crate::{PtxError, Result};
 pub use common::Dim3;
-use std::collections::HashMap;
 
 /// Launch dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +32,6 @@ impl LaunchGrid {
     /// Total threads per block.
     pub fn block_size(&self) -> u32 {
         self.block.count() as u32
-    }
-
-    /// Total blocks.
-    pub fn grid_size(&self) -> u32 {
-        self.grid.count() as u32
     }
 }
 
@@ -118,13 +112,11 @@ struct Frame<'a> {
     /// Per-instruction reconvergence PC (first instruction of the branch
     /// block's immediate post-dominator), if any.
     rpc_of: Vec<Option<usize>>,
-    /// Virtual register name → slot index.
-    slots: HashMap<&'a str, usize>,
-    types: Vec<PtxType>,
+    names: &'a Interner,
 }
 
 impl<'a> Frame<'a> {
-    fn new(f: &'a Function) -> Frame<'a> {
+    fn new(names: &'a Interner, f: &'a Function) -> Frame<'a> {
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
         let ipd = ipostdom(&cfg);
@@ -134,20 +126,18 @@ impl<'a> Frame<'a> {
                 ipd[b].map(|d| cfg.blocks[d].start)
             })
             .collect();
-        let mut slots = HashMap::new();
-        let mut types = Vec::new();
-        for (name, ty) in &f.regs {
-            slots.insert(name.as_str(), types.len());
-            types.push(*ty);
-        }
-        Frame { f, lin, cfg, rpc_of, slots, types }
+        Frame { f, lin, cfg, rpc_of, names }
     }
 
-    fn slot(&self, name: &str) -> Result<usize> {
-        self.slots
-            .get(name)
-            .copied()
-            .ok_or_else(|| PtxError::Interp { reason: format!("undeclared register `{name}`") })
+    /// The register-file slot of `v`, which must be declared.
+    fn slot(&self, v: VReg) -> Result<usize> {
+        let reg = &self.f.regs[v.index()];
+        match reg.ty {
+            Some(_) => Ok(v.index()),
+            None => Err(PtxError::Interp {
+                reason: format!("undeclared register `{}`", self.names.resolve(reg.name)),
+            }),
+        }
     }
 }
 
@@ -184,7 +174,7 @@ impl<'m, 'a> Machine<'m, 'a> {
         block_id: Dim3,
         params: &[ParamValue],
     ) -> Result<()> {
-        let frame = Frame::new(f);
+        let frame = Frame::new(&self.module.names, f);
         let bs = launch.block_size() as usize;
         let warps = bs.div_ceil(WARP);
         let shared_size: u32 = f
@@ -206,8 +196,8 @@ impl<'m, 'a> Machine<'m, 'a> {
                 let mask = if lanes == 32 { u32::MAX } else { (1u32 << lanes) - 1 };
                 WarpState {
                     stack: vec![StackEntry { pc: 0, rpc: None, mask }],
-                    regs: vec![vec![0u64; frame.types.len()]; WARP],
-                    preds: vec![vec![false; frame.types.len()]; WARP],
+                    regs: vec![vec![0u64; frame.f.regs.len()]; WARP],
+                    preds: vec![vec![false; frame.f.regs.len()]; WARP],
                     at_barrier: false,
                     done: false,
                 }
@@ -326,8 +316,9 @@ impl<'m, 'a> Machine<'m, 'a> {
 
             match &i.op {
                 PtxOp::Bra { target } => {
-                    let t = *frame.lin.labels.get(target).ok_or_else(|| PtxError::Interp {
-                        reason: format!("undefined label `{target}`"),
+                    let t = frame.lin.labels[target.0 as usize].ok_or_else(|| {
+                        let label = frame.names.resolve(frame.f.labels[target.0 as usize]);
+                        PtxError::Interp { reason: format!("undefined label `{label}`") }
                     })?;
                     let taken = exec_mask;
                     let fall = top.mask & !exec_mask;
@@ -403,7 +394,7 @@ impl<'m, 'a> Machine<'m, 'a> {
         match &i.guard {
             None => Ok(mask),
             Some(g) => {
-                let slot = frame.slot(&g.reg)?;
+                let slot = frame.slot(g.reg)?;
                 let mut m = 0u32;
                 for lane in 0..WARP {
                     if mask & (1 << lane) != 0 {
@@ -436,13 +427,13 @@ impl<'m, 'a> Machine<'m, 'a> {
         let err = |reason: String| PtxError::Interp { reason };
 
         // Warp-level operations read all lanes before any lane writes.
-        match &i.op {
+        match i.op {
             P::Vote { mode, dst, src, negated } => {
                 let ps = frame.slot(src)?;
                 let ds = frame.slot(dst)?;
                 let mut ballot = 0u32;
                 for lane in 0..WARP {
-                    if exec & (1 << lane) != 0 && (st.preds[lane][ps] != *negated) {
+                    if exec & (1 << lane) != 0 && (st.preds[lane][ps] != negated) {
                         ballot |= 1 << lane;
                     }
                 }
@@ -466,7 +457,7 @@ impl<'m, 'a> Machine<'m, 'a> {
                     if exec & (1 << lane) == 0 {
                         continue;
                     }
-                    let bv = self.read_src32(frame, st, lane, b)? as usize;
+                    let bv = self.read_src32(frame, st, lane, &b)? as usize;
                     // CUDA semantics: out-of-range sources keep the lane's
                     // own value (mirrored exactly by the machine executor).
                     let src_lane = match mode {
@@ -500,8 +491,8 @@ impl<'m, 'a> Machine<'m, 'a> {
                     st,
                     exec,
                     func,
-                    args,
-                    ret.as_deref(),
+                    frame.f.args(args),
+                    ret,
                     launch,
                     block_id,
                     warp_idx,
@@ -526,7 +517,7 @@ impl<'m, 'a> Machine<'m, 'a> {
 
     fn read_src32(&self, frame: &Frame<'a>, st: &WarpState, lane: usize, s: &Src) -> Result<u32> {
         match s {
-            Src::Reg(r) => Ok(st.regs[lane][frame.slot(r)?] as u32),
+            Src::Reg(r) => Ok(st.regs[lane][frame.slot(*r)?] as u32),
             Src::Imm(v) => Ok(*v as u32),
         }
     }
@@ -540,7 +531,7 @@ impl<'m, 'a> Machine<'m, 'a> {
         wide: bool,
     ) -> Result<u64> {
         match s {
-            Src::Reg(r) => Ok(st.regs[lane][frame.slot(r)?]),
+            Src::Reg(r) => Ok(st.regs[lane][frame.slot(*r)?]),
             Src::Imm(v) => {
                 if wide {
                     Ok(*v as u64)
@@ -570,24 +561,22 @@ impl<'m, 'a> Machine<'m, 'a> {
         let err = |reason: String| PtxError::Interp { reason };
         let tid_flat = warp_idx * WARP + lane;
 
-        match &i.op {
+        match i.op {
             P::LdParam { ty, dst, param, offset } => {
-                let idx = frame
-                    .f
-                    .params
-                    .iter()
-                    .position(|(n, _)| n == param)
-                    .ok_or_else(|| err(format!("unknown param `{param}`")))?;
+                let idx =
+                    frame.f.params.iter().position(|&(n, _)| n == param).ok_or_else(|| {
+                        err(format!("unknown param `{}`", frame.names.resolve(param)))
+                    })?;
                 let v = match params[idx] {
                     ParamValue::U32(v) => v as u64,
                     ParamValue::U64(v) => v,
                 };
-                let v = if *offset == 4 { v >> 32 } else { v };
+                let v = if offset == 4 { v >> 32 } else { v };
                 let ds = frame.slot(dst)?;
                 st.regs[lane][ds] = if ty.is_wide() { v } else { v as u32 as u64 };
             }
             P::Ld { space, ty, dst, addr } => {
-                let a = self.resolve_addr(frame, st, lane, addr)?;
+                let a = self.resolve_addr(frame, st, lane, &addr)?;
                 let bytes = ty.bytes() as usize;
                 let buf: &[u8] = match space {
                     Space::Global => self.mem,
@@ -606,7 +595,7 @@ impl<'m, 'a> Machine<'m, 'a> {
                 st.regs[lane][frame.slot(dst)?] = v;
             }
             P::St { space, ty, addr, src } => {
-                let a = self.resolve_addr(frame, st, lane, addr)?;
+                let a = self.resolve_addr(frame, st, lane, &addr)?;
                 let bytes = ty.bytes() as usize;
                 let v = st.regs[lane][frame.slot(src)?];
                 let buf: &mut [u8] = match space {
@@ -648,25 +637,32 @@ impl<'m, 'a> Machine<'m, 'a> {
                     };
                     st.regs[lane][ds] = v as u64;
                 } else if let Some(name) = shared_addr {
-                    let off = shared_offset(frame.f, name)
-                        .ok_or_else(|| err(format!("unknown shared `{name}`")))?;
+                    let off = shared_offset(frame.f, name).ok_or_else(|| {
+                        err(format!("unknown shared `{}`", frame.names.resolve(name)))
+                    })?;
                     st.regs[lane][ds] = off as u64;
                 } else {
-                    let v = self.read_src(frame, st, lane, src.as_ref().unwrap(), ty.is_wide())?;
+                    let v = self.read_src(
+                        frame,
+                        st,
+                        lane,
+                        &src.expect("a mov has exactly one source"),
+                        ty.is_wide(),
+                    )?;
                     st.regs[lane][ds] = if ty.is_wide() { v } else { v as u32 as u64 };
                 }
             }
             P::Bin { kind, ty, dst, a, b } => {
                 let av = st.regs[lane][frame.slot(a)?];
-                let bv = self.read_src(frame, st, lane, b, ty.is_wide())?;
-                let r = eval_bin(*kind, *ty, av, bv).map_err(err)?;
+                let bv = self.read_src(frame, st, lane, &b, ty.is_wide())?;
+                let r = eval_bin(kind, ty, av, bv).map_err(err)?;
                 st.regs[lane][frame.slot(dst)?] = r;
             }
             P::Mad { wide, ty, dst, a, b, c } => {
                 let av = st.regs[lane][frame.slot(a)?];
-                let bv = self.read_src(frame, st, lane, b, false)?;
+                let bv = self.read_src(frame, st, lane, &b, false)?;
                 let cv = st.regs[lane][frame.slot(c)?];
-                let r = if *wide {
+                let r = if wide {
                     (av as u32 as u64).wrapping_mul(bv as u32 as u64).wrapping_add(cv)
                 } else {
                     match ty {
@@ -687,36 +683,36 @@ impl<'m, 'a> Machine<'m, 'a> {
             }
             P::Setp { cmp, ty, dst, a, b } => {
                 let av = st.regs[lane][frame.slot(a)?];
-                let bv = self.read_src(frame, st, lane, b, ty.is_wide())?;
-                let r = eval_cmp(*cmp, *ty, av, bv).map_err(err)?;
+                let bv = self.read_src(frame, st, lane, &b, ty.is_wide())?;
+                let r = eval_cmp(cmp, ty, av, bv).map_err(err)?;
                 let ds = frame.slot(dst)?;
                 st.preds[lane][ds] = r;
             }
             P::Selp { ty, dst, a, b, p } => {
                 let av = st.regs[lane][frame.slot(a)?];
-                let bv = self.read_src(frame, st, lane, b, ty.is_wide())?;
+                let bv = self.read_src(frame, st, lane, &b, ty.is_wide())?;
                 let pv = st.preds[lane][frame.slot(p)?];
                 st.regs[lane][frame.slot(dst)?] = if pv { av } else { bv };
             }
             P::Cvt { dty, sty, dst, src } => {
                 let sv = st.regs[lane][frame.slot(src)?];
-                let r = eval_cvt(*dty, *sty, sv).map_err(err)?;
+                let r = eval_cvt(dty, sty, sv).map_err(err)?;
                 st.regs[lane][frame.slot(dst)?] = r;
             }
             P::Atom { op, ty, dst, addr, src, src2 } => {
-                let a = self.resolve_addr(frame, st, lane, addr)?;
+                let a = self.resolve_addr(frame, st, lane, &addr)?;
                 let sv = st.regs[lane][frame.slot(src)?];
                 let s2v = match src2 {
                     Some(r) => st.regs[lane][frame.slot(r)?],
                     None => 0,
                 };
-                let old = self.atomic(a, *op, *ty, sv, s2v)?;
+                let old = self.atomic(a, op, ty, sv, s2v)?;
                 st.regs[lane][frame.slot(dst)?] = old;
             }
             P::Red { op, ty, addr, src } => {
-                let a = self.resolve_addr(frame, st, lane, addr)?;
+                let a = self.resolve_addr(frame, st, lane, &addr)?;
                 let sv = st.regs[lane][frame.slot(src)?];
-                self.atomic(a, *op, *ty, sv, 0)?;
+                self.atomic(a, op, ty, sv, 0)?;
             }
             P::Popc { dst, src } => {
                 let v = st.regs[lane][frame.slot(src)?] as u32;
@@ -724,13 +720,14 @@ impl<'m, 'a> Machine<'m, 'a> {
             }
             P::Mufu { func, dst, src } => {
                 let v = f32::from_bits(st.regs[lane][frame.slot(src)?] as u32);
-                let r = eval_mufu(*func, v);
+                let r = eval_mufu(func, v);
                 st.regs[lane][frame.slot(dst)?] = r.to_bits() as u64;
             }
             P::Membar => {}
             P::Proxy { name, .. } => {
                 return Err(err(format!(
-                    "proxy instruction `{name}` has no architectural semantics (instrument it)"
+                    "proxy instruction `{}` has no architectural semantics (instrument it)",
+                    frame.names.resolve(name)
                 )));
             }
             P::ChanPush { .. } => {
@@ -800,11 +797,13 @@ impl<'m, 'a> Machine<'m, 'a> {
         lane: usize,
         addr: &Address,
     ) -> Result<u64> {
-        let base = match &addr.base {
+        let base = match addr.base {
             AddrBase::Reg(r) => st.regs[lane][frame.slot(r)?],
-            AddrBase::Shared(name) => shared_offset(frame.f, name)
-                .ok_or_else(|| PtxError::Interp { reason: format!("unknown shared `{name}`") })?
-                as u64,
+            AddrBase::Shared(name) => {
+                shared_offset(frame.f, name).ok_or_else(|| PtxError::Interp {
+                    reason: format!("unknown shared `{}`", frame.names.resolve(name)),
+                })? as u64
+            }
         };
         Ok(base.wrapping_add(addr.offset as i64 as u64))
     }
@@ -816,9 +815,9 @@ impl<'m, 'a> Machine<'m, 'a> {
         caller: &Frame<'a>,
         st: &mut WarpState,
         exec: u32,
-        func: &str,
-        args: &[String],
-        ret: Option<&str>,
+        func: Sym,
+        args: &[VReg],
+        ret: Option<VReg>,
         launch: LaunchGrid,
         block_id: Dim3,
         warp_idx: usize,
@@ -826,18 +825,18 @@ impl<'m, 'a> Machine<'m, 'a> {
         shared: &mut [u8],
         locals: &mut [Vec<u8>],
     ) -> Result<()> {
-        let callee = self
-            .module
-            .function(func)
-            .ok_or_else(|| PtxError::Interp { reason: format!("no function `{func}`") })?;
+        let callee = self.module.functions.iter().find(|f| f.name == func);
+        let func = self.module.names.resolve(func);
+        let callee =
+            callee.ok_or_else(|| PtxError::Interp { reason: format!("no function `{func}`") })?;
         if callee.kind != FunctionKind::Device {
             return Err(PtxError::Interp { reason: format!("`{func}` is not a device function") });
         }
-        let cframe = Frame::new(callee);
+        let cframe = Frame::new(&self.module.names, callee);
         let mut cst = WarpState {
             stack: vec![StackEntry { pc: 0, rpc: None, mask: exec }],
-            regs: vec![vec![0u64; cframe.types.len()]; WARP],
-            preds: vec![vec![false; cframe.types.len()]; WARP],
+            regs: vec![vec![0u64; cframe.f.regs.len()]; WARP],
+            preds: vec![vec![false; cframe.f.regs.len()]; WARP],
             at_barrier: false,
             done: false,
         };
@@ -848,8 +847,10 @@ impl<'m, 'a> Machine<'m, 'a> {
             });
         }
         for (a, (pname, _)) in args.iter().zip(&callee.params) {
-            let src_slot = caller.slot(a)?;
-            let dst_slot = cframe.slot(pname)?;
+            let src_slot = caller.slot(*a)?;
+            let param =
+                callee.reg_named(*pname).expect("a device function's parameters are registers");
+            let dst_slot = cframe.slot(param)?;
             for lane in 0..WARP {
                 cst.regs[lane][dst_slot] = st.regs[lane][src_slot];
             }
@@ -866,7 +867,6 @@ impl<'m, 'a> Machine<'m, 'a> {
         if let Some(r) = ret {
             let rr = callee
                 .ret_reg
-                .as_ref()
                 .ok_or_else(|| PtxError::Interp { reason: format!("`{func}` returns no value") })?;
             let src_slot = cframe.slot(rr)?;
             let dst_slot = caller.slot(r)?;
@@ -881,7 +881,7 @@ impl<'m, 'a> Machine<'m, 'a> {
     }
 }
 
-fn shared_offset(f: &Function, name: &str) -> Option<u32> {
+fn shared_offset(f: &Function, name: Sym) -> Option<u32> {
     let mut off = 0u32;
     for s in &f.shared {
         let a = s.align.max(4);

@@ -295,7 +295,7 @@ pub fn compile_ast(module: &Module, arch: Arch) -> Result<CompiledModule> {
 pub fn compile_ast_abi(module: &Module, arch: Arch, abi: Abi) -> Result<CompiledModule> {
     let mut functions = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        functions.push(lower::compile_function_abi(f, arch, abi)?);
+        functions.push(lower::compile_function_abi(&module.names, f, arch, abi)?);
     }
     Ok(CompiledModule { arch, functions })
 }

@@ -20,14 +20,15 @@
 //!    relocations.
 
 use crate::ast::*;
-use crate::cfg::{ipostdom, FnCfg, Linear};
+use crate::cfg::{ipostdom, BitRows, FnCfg, Linear};
 use crate::regalloc::{self, Allocation, Loc};
 use crate::types::PtxType;
 use crate::{CompiledFunction, LineInfo, ParamInfo, PtxError, Reloc, Result, PARAM_BASE};
 use sass::{
     codec::codec_for, Arch, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SubOp, Width,
 };
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::cmp::Reverse;
 
 use sass::op::IType;
 
@@ -44,175 +45,148 @@ pub fn proxy_id(name: &str) -> i64 {
     ((h ^ (h >> 22)) & 0x3f_ffff) as i64
 }
 
-/// Compiles one function to encoded SASS plus metadata.
-///
-/// # Errors
-///
-/// See [`crate::compile_module`].
-pub fn compile_function(f: &Function, arch: Arch) -> Result<CompiledFunction> {
-    compile_function_abi(f, arch, crate::Abi::Standard)
-}
-
-/// [`compile_function`] under an explicit calling convention.
+/// Compiles one function (of the module owning `names`) to encoded SASS
+/// plus metadata, under calling convention `abi`.
 ///
 /// # Errors
 ///
 /// See [`crate::compile_module_abi`].
-pub fn compile_function_abi(f: &Function, arch: Arch, abi: crate::Abi) -> Result<CompiledFunction> {
-    let f = merge_returns(f);
-    let lin = Linear::of(&f);
+pub fn compile_function_abi(
+    names: &Interner,
+    f: &Function,
+    arch: Arch,
+    abi: crate::Abi,
+) -> Result<CompiledFunction> {
+    let f = &*merge_returns(f);
+    let lin = Linear::of(f);
     let cfg = FnCfg::build(&lin);
-    let alloc = regalloc::allocate_abi(&f, &lin, &cfg, abi)?;
+    let alloc = regalloc::allocate_abi(names, f, &lin, &cfg, abi)?;
     let plan = plan_reconvergence(&lin, &cfg);
-    let mut e = Emitter::new(&f, arch, &alloc, &lin, &cfg, plan)?;
+    let mut e = Emitter::new(names, f, arch, &alloc, &lin, &cfg, plan)?;
     e.run()?;
     e.finish()
 }
 
-/// Rewrites multiple/early `ret`s into branches to a single return block.
-fn merge_returns(f: &Function) -> Function {
+/// Rewrites multiple/early `ret`s into branches to a single return block;
+/// a function with nothing to merge is handed back as it is.
+fn merge_returns(f: &Function) -> Cow<'_, Function> {
     let is_ret = |s: &Statement| matches!(s, Statement::Instr(i) if matches!(i.op, PtxOp::Ret | PtxOp::RetVal{..}));
     let ret_count = f.body.iter().filter(|s| is_ret(s)).count();
     let last_is_ret = f.body.last().map(is_ret).unwrap_or(false);
     if ret_count == 0 || (ret_count == 1 && last_is_ret) {
-        return f.clone();
+        return Cow::Borrowed(f);
     }
-    let merge_label = "$ret_merge".to_string();
+    let mut out = f.clone();
+    let target = LabelId(out.labels.len() as u32);
+    out.labels.push(Sym::RET_MERGE);
     let ret_ty = f.ret.unwrap_or(crate::types::PtxType::B32);
     // Early `ret.val %r` sites stash their value in a hidden register so the
     // single merged return block can materialize it into the ABI register.
-    let retval_tmp = "$retval".to_string();
+    let retval_tmp = VReg(out.regs.len() as u32);
     let mut uses_retval = false;
-    let mut body = Vec::with_capacity(f.body.len() + 3);
+    out.body.clear();
     for s in &f.body {
         match s {
-            Statement::Instr(i) if matches!(i.op, PtxOp::Ret) => {
-                body.push(Statement::Instr(PtxInstr {
-                    guard: i.guard.clone(),
-                    op: PtxOp::Bra { target: merge_label.clone() },
-                }));
-            }
-            Statement::Instr(i) => {
-                if let PtxOp::RetVal { src } = &i.op {
+            Statement::Instr(i) if matches!(i.op, PtxOp::Ret | PtxOp::RetVal { .. }) => {
+                if let PtxOp::RetVal { src } = i.op {
                     uses_retval = true;
-                    body.push(Statement::Instr(PtxInstr {
-                        guard: i.guard.clone(),
-                        op: PtxOp::Mov {
-                            ty: ret_ty,
-                            dst: retval_tmp.clone(),
-                            src: Some(Src::Reg(src.clone())),
-                            special: None,
-                            shared_addr: None,
-                        },
-                    }));
-                    body.push(Statement::Instr(PtxInstr {
-                        guard: i.guard.clone(),
-                        op: PtxOp::Bra { target: merge_label.clone() },
-                    }));
-                } else {
-                    body.push(s.clone());
+                    let (src, dst) = (Some(Src::Reg(src)), retval_tmp);
+                    let op = PtxOp::Mov { ty: ret_ty, dst, src, special: None, shared_addr: None };
+                    out.body.push(Statement::Instr(PtxInstr { guard: i.guard, op }));
                 }
+                let op = PtxOp::Bra { target };
+                out.body.push(Statement::Instr(PtxInstr { guard: i.guard, op }));
             }
-            other => body.push(other.clone()),
+            other => out.body.push(*other),
         }
     }
-    body.push(Statement::Label(merge_label));
+    out.body.push(Statement::Label(target));
     if uses_retval {
-        body.push(Statement::Instr(PtxInstr::new(PtxOp::RetVal { src: retval_tmp.clone() })));
+        out.regs.push(RegInfo { name: Sym::RETVAL, ty: Some(ret_ty) });
+        out.body.push(Statement::Instr(PtxInstr::new(PtxOp::RetVal { src: retval_tmp })));
     } else {
-        body.push(Statement::Instr(PtxInstr::new(PtxOp::Ret)));
+        out.body.push(Statement::Instr(PtxInstr::new(PtxOp::Ret)));
     }
-    let mut out = f.clone();
-    if uses_retval {
-        out.regs.insert(retval_tmp, ret_ty);
-    }
-    out.body = body;
-    out
+    Cow::Owned(out)
 }
 
 /// The reconvergence plan for one function.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ReconvPlan {
-    /// Blocks receiving `SSY` pushes before their terminator, with the
-    /// reconvergence blocks to push (outermost first).
-    ssy_at: HashMap<usize, Vec<usize>>,
-    /// Reconvergence blocks that receive a `SYNC` landing pad.
-    sync_before: HashSet<usize>,
-    /// For each reconvergence block `d`, the set of blocks whose branches to
-    /// `d` must be retargeted to the landing pad.
-    region_of: HashMap<usize, HashSet<usize>>,
+    /// `(block, join)`: the block receives an `SSY` push for reconvergence
+    /// block `join` before its terminator. Ordered by block, a block's
+    /// pushes outermost first.
+    ssy: Vec<(usize, usize)>,
+    /// Per block, the row of `regions` when the block is a reconvergence
+    /// block that receives a `SYNC` landing pad.
+    region_of: Vec<Option<usize>>,
+    /// For each such block `d`, the set of blocks whose branches to `d`
+    /// must be retargeted to the landing pad.
+    regions: BitRows,
+}
+
+impl ReconvPlan {
+    /// True when a branch from `block` to reconvergence block `d` goes to
+    /// `d`'s landing pad.
+    fn retargets(&self, d: usize, block: usize) -> bool {
+        self.region_of[d].is_some_and(|row| self.regions.contains(row, block))
+    }
 }
 
 fn plan_reconvergence(lin: &Linear<'_>, cfg: &FnCfg) -> ReconvPlan {
-    let mut plan = ReconvPlan::default();
     let ipd = ipostdom(cfg);
     let nb = cfg.blocks.len();
-
-    let reach_without = |from: &[usize], avoid: usize| -> HashSet<usize> {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<usize> = from.iter().copied().filter(|&b| b != avoid).collect();
-        while let Some(b) = stack.pop() {
-            if !seen.insert(b) {
-                continue;
-            }
-            for &s in &cfg.blocks[b].succs {
-                if s != avoid && !seen.contains(&s) {
-                    stack.push(s);
-                }
-            }
-        }
-        seen
-    };
-
+    let ends_in = |b: usize| lin.instrs[cfg.blocks[b].end - 1];
     let has_ret = |b: usize| {
         (cfg.blocks[b].start..cfg.blocks[b].end)
             .any(|i| matches!(lin.instrs[i].op, PtxOp::Ret | PtxOp::RetVal { .. }))
     };
 
-    // Candidate branches, largest region first so that nested regions are
-    // planned after enclosing ones (claim order favours the outer join).
-    let mut candidates: Vec<(usize, usize, HashSet<usize>)> = Vec::new();
-    #[allow(clippy::needless_range_loop)] // b is a block id, not just an index
-    for b in 0..nb {
-        let term = cfg.blocks[b].end - 1;
-        let i = lin.instrs[term];
-        let is_cond_branch = matches!(i.op, PtxOp::Bra { .. }) && i.guard.is_some();
-        if !is_cond_branch {
-            continue;
+    // Candidate branches `(block, join, region size)`; row `c` of `regions`
+    // is what candidate `c`'s successors reach without passing its join.
+    let mut candidates: Vec<(usize, usize, usize)> = (0..nb)
+        .filter(|&b| matches!(ends_in(b).op, PtxOp::Bra { .. }) && ends_in(b).guard.is_some())
+        .filter_map(|b| ipd[b].map(|d| (b, d, 0)))
+        .collect();
+    let mut regions = BitRows::new(candidates.len(), nb);
+    let mut stack = Vec::new();
+    for (c, cand) in candidates.iter_mut().enumerate() {
+        let (b, d, _) = *cand;
+        stack.extend(cfg.succs(b).iter().copied().filter(|&s| s != d));
+        while let Some(x) = stack.pop() {
+            if regions.insert(c, x) {
+                cand.2 += 1;
+                stack.extend(cfg.succs(x).iter().copied().filter(|&s| s != d));
+            }
         }
-        let Some(d) = ipd[b] else { continue };
-        let region = reach_without(&cfg.blocks[b].succs, d);
-        candidates.push((b, d, region));
     }
-    candidates.sort_by_key(|(_, _, r)| std::cmp::Reverse(r.len()));
+    // Largest region first so that nested regions are planned after
+    // enclosing ones (claim order favours the outer join); equal sizes in
+    // block order.
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by_key(|&c| Reverse(candidates[c].2));
 
-    'cand: for (b, d, region) in candidates {
-        if plan.sync_before.contains(&d) {
+    let mut plan = ReconvPlan { ssy: Vec::new(), region_of: vec![None; nb], regions };
+    'cand: for c in order {
+        let (b, d, _) = candidates[c];
+        let inside = |x: usize| plan.regions.contains(c, x);
+        if plan.region_of[d].is_some() {
             continue; // join already claimed
         }
         // All region exits must go to `d` (or terminate), and no returns.
-        for &x in &region {
-            if has_ret(x) {
+        for x in plan.regions.ones(c) {
+            if has_ret(x) || cfg.succs(x).iter().any(|&s| s != d && !inside(s)) {
                 continue 'cand;
-            }
-            for &s in &cfg.blocks[x].succs {
-                if s != d && !region.contains(&s) {
-                    continue 'cand;
-                }
             }
         }
         // The block laid out immediately before `d` must not accidentally
         // fall into the landing pad from outside the region.
         if d > 0 {
             let layout_pred = d - 1;
-            #[allow(clippy::nonminimal_bool)] // mirrors the prose condition
-            let falls_through = {
-                let t = cfg.blocks[layout_pred].end - 1;
-                !matches!(lin.instrs[t].op, PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit)
-                    && !(matches!(lin.instrs[t].op, PtxOp::Bra { .. })
-                        && lin.instrs[t].guard.is_none())
-            };
-            if falls_through && !region.contains(&layout_pred) && layout_pred != b {
+            let t = ends_in(layout_pred);
+            let falls_through = !matches!(t.op, PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit)
+                && !(matches!(t.op, PtxOp::Bra { .. }) && t.guard.is_none());
+            if falls_through && !inside(layout_pred) && layout_pred != b {
                 continue 'cand;
             }
         } else {
@@ -220,38 +194,27 @@ fn plan_reconvergence(lin: &Linear<'_>, cfg: &FnCfg) -> ReconvPlan {
         }
 
         // Determine the SSY site.
-        let ssy_block = if !region.contains(&b) {
+        let ssy_block = if !inside(b) {
             b // forward divergence: push right before the branch
         } else {
             // Loop shape: find the unique region-entry block and its unique
             // outside predecessor with an unconditional edge.
-            let entries: Vec<usize> = region
-                .iter()
-                .copied()
-                .filter(|&x| cfg.blocks[x].preds.iter().any(|p| !region.contains(p)))
-                .collect();
-            if entries.len() != 1 {
-                continue 'cand;
-            }
-            let entry = entries[0];
-            let outside: Vec<usize> =
-                cfg.blocks[entry].preds.iter().copied().filter(|p| !region.contains(p)).collect();
-            if outside.len() != 1 {
-                continue 'cand;
-            }
-            let p = outside[0];
-            if cfg.blocks[p].succs != vec![entry] {
+            let mut entries =
+                plan.regions.ones(c).filter(|&x| cfg.preds(x).iter().any(|&p| !inside(p)));
+            let (Some(entry), None) = (entries.next(), entries.next()) else { continue 'cand };
+            let mut outside = cfg.preds(entry).iter().copied().filter(|&p| !inside(p));
+            let (Some(p), None) = (outside.next(), outside.next()) else { continue 'cand };
+            if cfg.succs(p) != [entry] {
                 continue 'cand;
             }
             p
         };
 
-        plan.ssy_at.entry(ssy_block).or_default().push(d);
-        plan.sync_before.insert(d);
-        let mut r = region;
-        r.insert(b);
-        plan.region_of.insert(d, r);
+        plan.ssy.push((ssy_block, d));
+        plan.region_of[d] = Some(c);
+        plan.regions.insert(c, b);
     }
+    plan.ssy.sort_by_key(|&(block, _)| block);
     plan
 }
 
@@ -265,10 +228,40 @@ enum SVal {
 impl SVal {
     fn operand(self) -> Operand {
         match self {
-            SVal::R(r) => Operand::Reg(r),
-            SVal::I(v) => Operand::Imm(v),
+            SVal::R(r) => reg(r),
+            SVal::I(v) => imm(v),
         }
     }
+}
+
+/// A register operand.
+fn reg(r: Reg) -> Operand {
+    Operand::Reg(r)
+}
+
+/// An immediate operand.
+fn imm(v: i64) -> Operand {
+    Operand::Imm(v)
+}
+
+/// A memory operand.
+fn mem(base: Reg, offset: i32) -> Operand {
+    Operand::MRef { base, offset }
+}
+
+/// Modifiers that only select a scalar type.
+fn typed(itype: IType) -> Mods {
+    Mods { itype, ..Mods::default() }
+}
+
+/// Modifiers that only select a sub-operation.
+fn sub_op(sub: SubOp) -> Mods {
+    Mods { sub, ..Mods::default() }
+}
+
+/// Modifiers that only select the access width.
+fn width_of(ty: PtxType) -> Mods {
+    Mods { width: if ty.is_wide() { Width::B64 } else { Width::B32 }, ..Mods::default() }
 }
 
 /// Immediates up to this magnitude fit every operand slot on both families.
@@ -284,6 +277,7 @@ const NVBIT_FRAME: Reg = Reg(0);
 const ARG_BASE: u8 = 4;
 
 struct Emitter<'a> {
+    names: &'a Interner,
     f: &'a Function,
     arch: Arch,
     isize: i64,
@@ -295,13 +289,14 @@ struct Emitter<'a> {
     /// (out index, block label id) pairs to fix up. Label ids: block id, or
     /// `nb + d` for the SYNC landing pad of block `d`.
     fixups: Vec<(usize, usize)>,
-    labels: HashMap<usize, usize>,
+    /// Out index per block label id (`usize::MAX` until emitted).
+    labels: Vec<usize>,
     relocs: Vec<Reloc>,
     related: Vec<String>,
     line_table: Vec<LineInfo>,
     params: Vec<ParamInfo>,
-    param_offset: HashMap<String, u32>,
-    shared_offsets: HashMap<String, u32>,
+    /// Byte offset of each of `f.shared`, in declaration order.
+    shared_offsets: Vec<u32>,
     shared_size: u32,
     frame_bytes: u32,
     uses_reg_api: bool,
@@ -309,6 +304,7 @@ struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     fn new(
+        names: &'a Interner,
         f: &'a Function,
         arch: Arch,
         alloc: &'a Allocation,
@@ -318,28 +314,36 @@ impl<'a> Emitter<'a> {
     ) -> Result<Emitter<'a>> {
         // Kernel parameter layout.
         let mut params = Vec::new();
-        let mut param_offset = HashMap::new();
         if f.kind == FunctionKind::Entry {
             let mut off = 0u32;
             for (name, ty) in &f.params {
                 let size = ty.bytes().max(4);
                 off = off.div_ceil(size) * size; // align to own size
-                params.push(ParamInfo { name: name.clone(), size, offset: off });
-                param_offset.insert(name.clone(), off);
+                params.push(ParamInfo {
+                    name: names.resolve(*name).to_string(),
+                    size,
+                    offset: off,
+                });
                 off += size;
             }
         }
         // Shared-memory layout.
-        let mut shared_offsets = HashMap::new();
+        let mut shared_offsets = Vec::with_capacity(f.shared.len());
         let mut soff = 0u32;
         for s in &f.shared {
-            let a = s.align.max(4);
-            soff = soff.div_ceil(a) * a;
-            shared_offsets.insert(s.name.clone(), soff);
-            soff += s.bytes;
+            let at = soff.checked_next_multiple_of(s.align.max(4));
+            let (Some(at), Some(end)) = (at, at.and_then(|at| at.checked_add(s.bytes))) else {
+                return Err(PtxError::Semantic {
+                    function: names.resolve(f.name).to_string(),
+                    reason: "shared memory exceeds the 32-bit address space".into(),
+                });
+            };
+            shared_offsets.push(at);
+            soff = end;
         }
         let frame_bytes = (alloc.used_callee_saved.len() as u32) * 4;
         Ok(Emitter {
+            names,
             f,
             arch,
             isize: arch.instruction_size() as i64,
@@ -347,14 +351,13 @@ impl<'a> Emitter<'a> {
             lin,
             cfg,
             plan,
-            out: Vec::new(),
+            out: Vec::with_capacity(2 * lin.instrs.len()),
             fixups: Vec::new(),
-            labels: HashMap::new(),
+            labels: vec![usize::MAX; 2 * cfg.blocks.len()],
             relocs: Vec::new(),
             related: Vec::new(),
             line_table: Vec::new(),
             params,
-            param_offset,
             shared_offsets,
             shared_size: soff,
             frame_bytes,
@@ -363,32 +366,49 @@ impl<'a> Emitter<'a> {
     }
 
     fn sem(&self, reason: String) -> PtxError {
-        PtxError::Semantic { function: self.f.name.clone(), reason }
+        PtxError::Semantic { function: self.names.resolve(self.f.name).to_string(), reason }
     }
 
-    fn push(&mut self, i: Instruction) {
-        self.out.push(i);
+    /// Appends `op operands` under `guard`.
+    fn emit<const N: usize>(&mut self, guard: Guard, op: Op, mods: Mods, operands: [Operand; N]) {
+        self.out.push(Instruction::new(op, operands).with_mods(mods).with_guard(guard));
     }
 
-    fn gpr_of(&self, name: &str) -> Result<Reg> {
-        match self.alloc.map.get(name) {
-            Some(Loc::Gpr(r)) | Some(Loc::Pair(r)) => Ok(Reg(*r)),
-            Some(Loc::Pred(_)) => Err(self.sem(format!("`{name}` is a predicate, expected GPR"))),
-            None => Err(self.sem(format!("`{name}` has no location"))),
+    fn reg_name(&self, v: VReg) -> &'a str {
+        self.names.resolve(self.f.regs[v.index()].name)
+    }
+
+    fn gpr_of(&self, v: VReg) -> Result<Reg> {
+        match self.alloc.map[v.index()] {
+            Some(Loc::Gpr(r)) | Some(Loc::Pair(r)) => Ok(Reg(r)),
+            Some(Loc::Pred(_)) => {
+                Err(self.sem(format!("`{}` is a predicate, expected GPR", self.reg_name(v))))
+            }
+            None => Err(self.sem(format!("`{}` has no location", self.reg_name(v)))),
         }
     }
 
-    fn pred_of(&self, name: &str) -> Result<Pred> {
-        match self.alloc.map.get(name) {
-            Some(Loc::Pred(p)) => Ok(Pred(*p)),
-            _ => Err(self.sem(format!("`{name}` is not a predicate"))),
+    fn pred_of(&self, v: VReg) -> Result<Pred> {
+        match self.alloc.map[v.index()] {
+            Some(Loc::Pred(p)) => Ok(Pred(p)),
+            _ => Err(self.sem(format!("`{}` is not a predicate", self.reg_name(v)))),
+        }
+    }
+
+    /// Byte offset of shared variable `name` (the last so named).
+    fn shared_offset(&self, name: Sym) -> Result<u32> {
+        match self.f.shared.iter().rposition(|s| s.name == name) {
+            Some(k) => Ok(self.shared_offsets[k]),
+            None => {
+                Err(self.sem(format!("unknown shared variable `{}`", self.names.resolve(name))))
+            }
         }
     }
 
     fn guard_of(&self, i: &PtxInstr) -> Result<Guard> {
         match &i.guard {
             None => Ok(Guard::ALWAYS),
-            Some(g) => Ok(Guard { pred: self.pred_of(&g.reg)?, negated: g.negated }),
+            Some(g) => Ok(Guard { pred: self.pred_of(g.reg)?, negated: g.negated }),
         }
     }
 
@@ -396,18 +416,8 @@ impl<'a> Emitter<'a> {
     /// oversized immediates into the scratch register (32-bit ops).
     fn sval32(&mut self, s: &Src, guard: Guard) -> Result<SVal> {
         match s {
-            Src::Reg(r) => Ok(SVal::R(self.gpr_of(r)?)),
             Src::Imm(v) if (-IMM_SAFE..IMM_SAFE).contains(v) => Ok(SVal::I(*v)),
-            Src::Imm(v) => {
-                self.push(
-                    Instruction::new(
-                        Op::Mov32i,
-                        [Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
-                    )
-                    .with_guard(guard),
-                );
-                Ok(SVal::R(SCRATCH_LO))
-            }
+            _ => self.force_reg32(s, guard).map(SVal::R),
         }
     }
 
@@ -415,7 +425,7 @@ impl<'a> Emitter<'a> {
     /// (wide ops sign-extend immediates).
     fn sval64(&mut self, s: &Src, guard: Guard) -> Result<SVal> {
         match s {
-            Src::Reg(r) => Ok(SVal::R(self.gpr_of(r)?)),
+            Src::Reg(r) => Ok(SVal::R(self.gpr_of(*r)?)),
             Src::Imm(v) if (-IMM_SAFE..IMM_SAFE).contains(v) => Ok(SVal::I(*v)),
             Src::Imm(v) => {
                 self.mov64_imm(SCRATCH_LO, *v, guard);
@@ -427,27 +437,20 @@ impl<'a> Emitter<'a> {
     fn mov64_imm(&mut self, lo: Reg, v: i64, guard: Guard) {
         let lo_bits = (v as u32 as i32) as i64;
         let hi_bits = ((v >> 32) as u32 as i32) as i64;
-        self.push(
-            Instruction::new(Op::Mov32i, [Operand::Reg(lo), Operand::Imm(lo_bits)])
-                .with_guard(guard),
-        );
-        self.push(
-            Instruction::new(Op::Mov32i, [Operand::Reg(Reg(lo.0 + 1)), Operand::Imm(hi_bits)])
-                .with_guard(guard),
-        );
+        self.emit(guard, Op::Mov32i, Mods::default(), [reg(lo), imm(lo_bits)]);
+        self.emit(guard, Op::Mov32i, Mods::default(), [reg(Reg(lo.0 + 1)), imm(hi_bits)]);
     }
 
     /// Forces a `Src` into a register (for all-register forms like `IMAD`).
     fn force_reg32(&mut self, s: &Src, guard: Guard) -> Result<Reg> {
         match s {
-            Src::Reg(r) => self.gpr_of(r),
+            Src::Reg(r) => self.gpr_of(*r),
             Src::Imm(v) => {
-                self.push(
-                    Instruction::new(
-                        Op::Mov32i,
-                        [Operand::Reg(SCRATCH_LO), Operand::Imm((*v as i32) as i64)],
-                    )
-                    .with_guard(guard),
+                self.emit(
+                    guard,
+                    Op::Mov32i,
+                    Mods::default(),
+                    [reg(SCRATCH_LO), imm((*v as i32) as i64)],
                 );
                 Ok(SCRATCH_LO)
             }
@@ -459,55 +462,46 @@ impl<'a> Emitter<'a> {
         self.prologue()?;
         let cfg = self.cfg;
         let nb = cfg.blocks.len();
+        let mut planned = 0; // `plan.ssy` is in block order
         for b in 0..nb {
-            if self.plan.sync_before.contains(&b) {
+            if self.plan.region_of[b].is_some() {
                 // The SYNC landing pad, labelled nb + b.
-                self.labels.insert(nb + b, self.out.len());
+                self.labels[nb + b] = self.out.len();
                 let mods = if self.arch.abi_version() >= 2 {
                     Mods { barrier: 1, ..Mods::default() }
                 } else {
                     Mods::default()
                 };
-                self.push(Instruction::new(Op::Sync, []).with_mods(mods));
+                self.emit(Guard::ALWAYS, Op::Sync, mods, []);
             }
-            self.labels.insert(b, self.out.len());
+            self.labels[b] = self.out.len();
             let block = &cfg.blocks[b];
-            let term = block.end.saturating_sub(1);
+            let first = planned;
+            planned += self.plan.ssy[first..].iter().take_while(|&&(at, _)| at == b).count();
             for idx in block.start..block.end {
-                // SSY pushes go immediately before the block's terminator
-                // (or at the very end if the block falls through — handled
-                // below since the terminator of a fallthrough block is just
-                // its last instruction).
-                let is_term = idx == term;
-                if is_term {
-                    if let Some(ds) = self.plan.ssy_at.get(&b).cloned() {
-                        let terminator_is_branch = matches!(
-                            self.lin.instrs[idx].op,
-                            PtxOp::Bra { .. } | PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit
-                        );
-                        if terminator_is_branch {
-                            for d in &ds {
-                                self.emit_ssy(*d);
-                            }
-                            self.instr(b, idx)?;
-                        } else {
-                            self.instr(b, idx)?;
-                            for d in &ds {
-                                self.emit_ssy(*d);
-                            }
-                        }
-                        continue;
-                    }
+                // SSY pushes go immediately before the block's terminator,
+                // or after the last instruction of a block that falls
+                // through.
+                let pushes_after = idx + 1 == block.end
+                    && !matches!(
+                        self.lin.instrs[idx].op,
+                        PtxOp::Bra { .. } | PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit
+                    );
+                if idx + 1 == block.end && !pushes_after {
+                    (first..planned).for_each(|k| self.emit_ssy(self.plan.ssy[k].1));
                 }
                 self.instr(b, idx)?;
+                if pushes_after {
+                    (first..planned).for_each(|k| self.emit_ssy(self.plan.ssy[k].1));
+                }
             }
         }
         // Resolve branch fix-ups.
         for (at, label) in std::mem::take(&mut self.fixups) {
-            let target = *self
-                .labels
-                .get(&label)
-                .ok_or_else(|| self.sem(format!("unresolved label id {label}")))?;
+            let target = self.labels[label];
+            if target == usize::MAX {
+                return Err(self.sem(format!("unresolved label id {label}")));
+            }
             let off = (target as i64 - (at as i64 + 1)) * self.isize;
             self.out[at].set_rel_target(off);
         }
@@ -521,49 +515,60 @@ impl<'a> Emitter<'a> {
             Mods::default()
         };
         let at = self.out.len();
-        self.push(Instruction::new(Op::Ssy, [Operand::Rel(0)]).with_mods(mods));
+        self.emit(Guard::ALWAYS, Op::Ssy, mods, [Operand::Rel(0)]);
         // SSY targets the join block itself (after the landing pad).
         self.fixups.push((at, d));
     }
 
     fn prologue(&mut self) -> Result<()> {
         if self.frame_bytes > 0 {
-            self.push(Instruction::new(
+            self.emit(
+                Guard::ALWAYS,
                 Op::Iadd,
-                [
-                    Operand::Reg(Reg::SP),
-                    Operand::Reg(Reg::SP),
-                    Operand::Imm(-(self.frame_bytes as i64)),
-                ],
-            ));
-            let saved = self.alloc.used_callee_saved.clone();
-            for (slot, &r) in saved.iter().enumerate() {
-                self.push(Instruction::new(
+                Mods::default(),
+                [reg(Reg::SP), reg(Reg::SP), imm(-(self.frame_bytes as i64))],
+            );
+            let alloc = self.alloc;
+            for (slot, &r) in alloc.used_callee_saved.iter().enumerate() {
+                self.emit(
+                    Guard::ALWAYS,
                     Op::Stl,
-                    [
-                        Operand::MRef { base: Reg::SP, offset: (slot as i32) * 4 },
-                        Operand::Reg(Reg(r)),
-                    ],
-                ));
+                    Mods::default(),
+                    [mem(Reg::SP, (slot as i32) * 4), reg(Reg(r))],
+                );
             }
         }
         // Device-function arguments: move ABI registers into their allocated
         // homes (the allocator does not pre-colour).
         if self.f.kind == FunctionKind::Device {
-            let mut slot = ARG_BASE;
-            let mut moves: Vec<(Reg, Reg, bool)> = Vec::new();
-            for (name, ty) in &self.f.params {
-                let wide = ty.is_wide();
-                if wide && !slot.is_multiple_of(2) {
-                    slot += 1;
-                }
-                let dst = self.gpr_of(name)?;
-                moves.push((dst, Reg(slot), wide));
-                slot += if wide { 2 } else { 1 };
-            }
+            let f = self.f;
+            let params = f.params.iter().map(|&(name, ty)| {
+                (f.reg_named(name).expect("a device function's parameters are registers"), ty)
+            });
+            let moves = self.abi_slots(params)?;
             self.parallel_moves(&moves);
         }
         Ok(())
+    }
+
+    /// Assigns `values`, in order, their ABI argument registers from `R4`
+    /// up (a pair starts on an even register): `(home, ABI register, wide)`.
+    fn abi_slots(
+        &self,
+        values: impl Iterator<Item = (VReg, PtxType)>,
+    ) -> Result<Vec<(Reg, Reg, bool)>> {
+        let mut slot = ARG_BASE;
+        let mut slots = Vec::new();
+        for (v, ty) in values {
+            let wide = ty.is_wide();
+            slot += u8::from(wide && !slot.is_multiple_of(2));
+            if slot >= regalloc::LAST_ALLOC {
+                return Err(self.sem("arguments run past the register file".into()));
+            }
+            slots.push((self.gpr_of(v)?, Reg(slot), wide));
+            slot += if wide { 2 } else { 1 };
+        }
+        Ok(slots)
     }
 
     /// Emits a set of register moves that may overlap, resolving cycles via
@@ -591,10 +596,7 @@ impl<'a> Emitter<'a> {
                     units.iter().enumerate().any(|(j, (_, s2))| !emitted[j] && j != i && *s2 == d);
                 if !blocking {
                     let (d, s) = units[i];
-                    self.push(Instruction::new(
-                        Op::Mov,
-                        [Operand::Reg(Reg(d)), Operand::Reg(Reg(s))],
-                    ));
+                    self.emit(Guard::ALWAYS, Op::Mov, Mods::default(), [reg(Reg(d)), reg(Reg(s))]);
                     emitted[i] = true;
                     progress = true;
                 }
@@ -606,10 +608,7 @@ impl<'a> Emitter<'a> {
                 // A cycle: rotate through scratch.
                 let i = emitted.iter().position(|&e| !e).unwrap();
                 let (_d, s) = units[i];
-                self.push(Instruction::new(
-                    Op::Mov,
-                    [Operand::Reg(SCRATCH_LO), Operand::Reg(Reg(s))],
-                ));
+                self.emit(Guard::ALWAYS, Op::Mov, Mods::default(), [reg(SCRATCH_LO), reg(Reg(s))]);
                 // Redirect every pending read of `d`'s old value... the value
                 // we must preserve is `s`'s (now in scratch).
                 for (j, (_, s2)) in units.iter_mut().enumerate() {
@@ -622,45 +621,38 @@ impl<'a> Emitter<'a> {
     }
 
     fn epilogue_and_ret(&mut self, guard: Guard) {
-        for (slot, &r) in self.alloc.used_callee_saved.clone().iter().enumerate() {
-            self.push(
-                Instruction::new(
-                    Op::Ldl,
-                    [
-                        Operand::Reg(Reg(r)),
-                        Operand::MRef { base: Reg::SP, offset: (slot as i32) * 4 },
-                    ],
-                )
-                .with_guard(guard),
+        let alloc = self.alloc;
+        for (slot, &r) in alloc.used_callee_saved.iter().enumerate() {
+            self.emit(
+                guard,
+                Op::Ldl,
+                Mods::default(),
+                [reg(Reg(r)), mem(Reg::SP, (slot as i32) * 4)],
             );
         }
         if self.frame_bytes > 0 {
-            self.push(
-                Instruction::new(
-                    Op::Iadd,
-                    [
-                        Operand::Reg(Reg::SP),
-                        Operand::Reg(Reg::SP),
-                        Operand::Imm(self.frame_bytes as i64),
-                    ],
-                )
-                .with_guard(guard),
+            self.emit(
+                guard,
+                Op::Iadd,
+                Mods::default(),
+                [reg(Reg::SP), reg(Reg::SP), imm(self.frame_bytes as i64)],
             );
         }
-        self.push(Instruction::new(Op::Ret, []).with_guard(guard));
+        self.emit(guard, Op::Ret, Mods::default(), []);
     }
 
     /// Emits one PTX instruction.
     fn instr(&mut self, block: usize, idx: usize) -> Result<()> {
         let lin = self.lin;
         let i = lin.instrs[idx];
-        let loc = lin.loc[idx].clone();
+        let loc = lin.loc[idx];
         let g = self.guard_of(i)?;
         let start_len = self.out.len();
         self.select(block, i, g)?;
         // Attach line info to the first instruction this PTX op produced.
         if let Some((file, line)) = loc {
             if self.out.len() > start_len {
+                let file = self.names.resolve(file).to_string();
                 self.line_table.push(LineInfo { instr_index: start_len, file, line });
             }
         }
@@ -670,99 +662,82 @@ impl<'a> Emitter<'a> {
     #[allow(clippy::too_many_lines)]
     fn select(&mut self, block: usize, i: &PtxInstr, g: Guard) -> Result<()> {
         use PtxOp as P;
-        match &i.op {
+        match i.op {
             P::LdParam { ty, dst, param, offset } => {
-                let base = *self
-                    .param_offset
-                    .get(param)
-                    .ok_or_else(|| self.sem(format!("unknown parameter `{param}`")))?;
+                // The last parameter so named, as when a map was filled in
+                // declaration order.
+                let declared = self.f.params.iter().rposition(|&(name, _)| name == param);
+                let off = declared
+                    .and_then(|k| self.params.get(k))
+                    .ok_or_else(|| {
+                        self.sem(format!("unknown parameter `{}`", self.names.resolve(param)))
+                    })?
+                    .offset
+                    .checked_add(PARAM_BASE)
+                    .and_then(|off| off.checked_add(offset))
+                    .and_then(|off| u16::try_from(off).ok())
+                    .ok_or_else(|| {
+                        self.sem(format!("parameter offset {offset} is out of range"))
+                    })?;
                 let d = self.gpr_of(dst)?;
-                let off = (PARAM_BASE + base + offset) as u16;
-                let width = if ty.is_wide() { Width::B64 } else { Width::B32 };
-                self.push(
-                    Instruction::new(
-                        Op::Ldc,
-                        [Operand::Reg(d), Operand::CBank { bank: 0, base: Reg::RZ, offset: off }],
-                    )
-                    .with_mods(Mods { width, ..Mods::default() })
-                    .with_guard(g),
+                self.emit(
+                    g,
+                    Op::Ldc,
+                    width_of(ty),
+                    [reg(d), Operand::CBank { bank: 0, base: Reg::RZ, offset: off }],
                 );
             }
             P::Ld { space, ty, dst, addr } => {
                 let d = self.gpr_of(dst)?;
-                let (op, base, off) = self.mem_operand(*space, addr, g, false)?;
-                let width = if ty.is_wide() { Width::B64 } else { Width::B32 };
-                self.push(
-                    Instruction::new(op, [Operand::Reg(d), Operand::MRef { base, offset: off }])
-                        .with_mods(Mods { width, ..Mods::default() })
-                        .with_guard(g),
-                );
+                let (op, base, off) = self.mem_operand(space, &addr, g, false)?;
+                self.emit(g, op, width_of(ty), [reg(d), mem(base, off)]);
             }
             P::St { space, ty, addr, src } => {
                 let s = self.gpr_of(src)?;
-                let (op, base, off) = self.mem_operand(*space, addr, g, true)?;
-                let width = if ty.is_wide() { Width::B64 } else { Width::B32 };
-                self.push(
-                    Instruction::new(op, [Operand::MRef { base, offset: off }, Operand::Reg(s)])
-                        .with_mods(Mods { width, ..Mods::default() })
-                        .with_guard(g),
-                );
+                let (op, base, off) = self.mem_operand(space, &addr, g, true)?;
+                self.emit(g, op, width_of(ty), [mem(base, off), reg(s)]);
             }
             P::Mov { ty, dst, src, special, shared_addr } => {
                 let d = self.gpr_of(dst)?;
                 if let Some(sp) = special {
-                    self.push(
-                        Instruction::new(Op::S2r, [Operand::Reg(d), Operand::SReg(sp.to_sass())])
-                            .with_guard(g),
-                    );
+                    self.emit(g, Op::S2r, Mods::default(), [reg(d), Operand::SReg(sp.to_sass())]);
                 } else if let Some(name) = shared_addr {
-                    let off = *self
-                        .shared_offsets
-                        .get(name)
-                        .ok_or_else(|| self.sem(format!("unknown shared variable `{name}`")))?;
-                    self.push(
-                        Instruction::new(Op::Mov32i, [Operand::Reg(d), Operand::Imm(off as i64)])
-                            .with_guard(g),
-                    );
+                    let off = self.shared_offset(name)?;
+                    self.emit(g, Op::Mov32i, Mods::default(), [reg(d), imm(off as i64)]);
                 } else {
-                    match src.as_ref().unwrap() {
+                    match src.expect("a mov has exactly one source") {
                         Src::Reg(r) => {
                             let s = self.gpr_of(r)?;
-                            self.push(
-                                Instruction::new(Op::Mov, [Operand::Reg(d), Operand::Reg(s)])
-                                    .with_guard(g),
-                            );
+                            self.emit(g, Op::Mov, Mods::default(), [reg(d), reg(s)]);
                             if ty.is_wide() {
-                                self.push(
-                                    Instruction::new(
-                                        Op::Mov,
-                                        [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(Reg(s.0 + 1))],
-                                    )
-                                    .with_guard(g),
+                                self.emit(
+                                    g,
+                                    Op::Mov,
+                                    Mods::default(),
+                                    [reg(Reg(d.0 + 1)), reg(Reg(s.0 + 1))],
                                 );
                             }
                         }
                         Src::Imm(v) => {
                             if ty.is_wide() {
-                                self.mov64_imm(d, *v, g);
+                                self.mov64_imm(d, v, g);
                             } else {
-                                self.push(
-                                    Instruction::new(
-                                        Op::Mov32i,
-                                        [Operand::Reg(d), Operand::Imm((*v as i32) as i64)],
-                                    )
-                                    .with_guard(g),
+                                self.emit(
+                                    g,
+                                    Op::Mov32i,
+                                    Mods::default(),
+                                    [reg(d), imm((v as i32) as i64)],
                                 );
                             }
                         }
                     }
                 }
             }
-            P::Bin { kind, ty, dst, a, b } => self.bin(*kind, *ty, dst, a, b, g)?,
+            P::Bin { kind, ty, dst, a, b } => self.bin(kind, ty, dst, a, &b, g)?,
             P::Mad { wide, ty, dst, a, b, c } => {
                 let d = self.gpr_of(dst)?;
                 let ra = self.gpr_of(a)?;
-                let rb = self.force_reg32(b, g)?;
+                let rb = self.force_reg32(&b, g)?;
                 let rc = self.gpr_of(c)?;
                 let (op, itype) = match (wide, ty) {
                     (true, _) => (Op::Imad, IType::U64),
@@ -772,14 +747,7 @@ impl<'a> Emitter<'a> {
                     (false, PtxType::U32) => (Op::Imad, IType::U32),
                     (false, _) => (Op::Imad, IType::S32),
                 };
-                self.push(
-                    Instruction::new(
-                        op,
-                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb), Operand::Reg(rc)],
-                    )
-                    .with_mods(Mods { itype, ..Mods::default() })
-                    .with_guard(g),
-                );
+                self.emit(g, op, typed(itype), [reg(d), reg(ra), reg(rb), reg(rc)]);
             }
             P::Setp { cmp, ty, dst, a, b } => {
                 let p = self.pred_of(dst)?;
@@ -792,14 +760,15 @@ impl<'a> Emitter<'a> {
                     other => return Err(self.sem(format!("setp unsupported for {other}"))),
                 };
                 let bv = if op == Op::Dsetp {
-                    SVal::R(self.force_reg32(b, g)?)
+                    SVal::R(self.force_reg32(&b, g)?)
                 } else {
-                    self.sval32(b, g)?
+                    self.sval32(&b, g)?
                 };
-                self.push(
-                    Instruction::new(op, [Operand::pred(p), Operand::Reg(ra), bv.operand()])
-                        .with_mods(Mods { cmp: cmp.to_sass(), itype, ..Mods::default() })
-                        .with_guard(g),
+                self.emit(
+                    g,
+                    op,
+                    Mods { cmp: cmp.to_sass(), itype, ..Mods::default() },
+                    [Operand::pred(p), reg(ra), bv.operand()],
                 );
             }
             P::Selp { ty, dst, a, b, p } => {
@@ -810,46 +779,42 @@ impl<'a> Emitter<'a> {
                     let rb = match b {
                         Src::Reg(r) => self.gpr_of(r)?,
                         Src::Imm(v) => {
-                            self.mov64_imm(SCRATCH_LO, *v, g);
+                            self.mov64_imm(SCRATCH_LO, v, g);
                             SCRATCH_LO
                         }
                     };
                     for half in 0..2u8 {
-                        self.push(
-                            Instruction::new(
-                                Op::Sel,
-                                [
-                                    Operand::Reg(Reg(d.0 + half)),
-                                    Operand::Reg(Reg(ra.0 + half)),
-                                    Operand::Reg(Reg(rb.0 + half)),
-                                    Operand::pred(pp),
-                                ],
-                            )
-                            .with_guard(g),
+                        self.emit(
+                            g,
+                            Op::Sel,
+                            Mods::default(),
+                            [
+                                reg(Reg(d.0 + half)),
+                                reg(Reg(ra.0 + half)),
+                                reg(Reg(rb.0 + half)),
+                                Operand::pred(pp),
+                            ],
                         );
                     }
                 } else {
-                    let bv = self.sval32(b, g)?;
-                    self.push(
-                        Instruction::new(
-                            Op::Sel,
-                            [Operand::Reg(d), Operand::Reg(ra), bv.operand(), Operand::pred(pp)],
-                        )
-                        .with_guard(g),
+                    let bv = self.sval32(&b, g)?;
+                    self.emit(
+                        g,
+                        Op::Sel,
+                        Mods::default(),
+                        [reg(d), reg(ra), bv.operand(), Operand::pred(pp)],
                     );
                 }
             }
-            P::Cvt { dty, sty, dst, src } => self.cvt(*dty, *sty, dst, src, g)?,
+            P::Cvt { dty, sty, dst, src } => self.cvt(dty, sty, dst, src, g)?,
             P::Bra { target } => {
-                let tidx = *self
-                    .lin
-                    .labels
-                    .get(target)
-                    .ok_or_else(|| self.sem(format!("undefined label `{target}`")))?;
+                let tidx = self.lin.labels[target.0 as usize].ok_or_else(|| {
+                    let label = self.names.resolve(self.f.labels[target.0 as usize]);
+                    self.sem(format!("undefined label `{label}`"))
+                })?;
                 let tblock = self.cfg.instr_block.get(tidx).copied().unwrap_or(0);
                 // Retarget branches into a claimed join to its landing pad.
-                let label = if self.plan.sync_before.contains(&tblock)
-                    && self.plan.region_of.get(&tblock).is_some_and(|r| r.contains(&block))
+                let label = if self.plan.retargets(tblock, block)
                     && self.cfg.blocks[tblock].start == tidx
                 {
                     self.cfg.blocks.len() + tblock
@@ -857,83 +822,64 @@ impl<'a> Emitter<'a> {
                     tblock
                 };
                 let at = self.out.len();
-                self.push(Instruction::new(Op::Bra, [Operand::Rel(0)]).with_guard(g));
+                self.emit(g, Op::Bra, Mods::default(), [Operand::Rel(0)]);
                 self.fixups.push((at, label));
             }
             P::Call { ret, func, args } => {
+                let f = self.f;
+                let callee = self.names.resolve(func);
                 if !g.is_always() {
                     return Err(
-                        self.sem(format!("guarded call to `{func}`: calls must be warp-uniform"))
+                        self.sem(format!("guarded call to `{callee}`: calls must be warp-uniform"))
                     );
                 }
                 // Marshal arguments.
-                let mut slot = ARG_BASE;
-                let mut moves: Vec<(Reg, Reg, bool)> = Vec::new();
-                for a in args {
-                    let ty = *self
-                        .f
-                        .regs
-                        .get(a)
-                        .ok_or_else(|| self.sem(format!("undeclared register `{a}`")))?;
-                    let wide = ty.is_wide();
-                    if wide && !slot.is_multiple_of(2) {
-                        slot += 1;
-                    }
-                    let src = self.gpr_of(a)?;
-                    moves.push((Reg(slot), src, wide));
-                    slot += if wide { 2 } else { 1 };
-                }
+                let ty_of = |v: VReg| f.regs[v.index()].ty.expect("allocation saw it declared");
+                let moves: Vec<(Reg, Reg, bool)> = self
+                    .abi_slots(f.args(args).iter().map(|&a| (a, ty_of(a))))?
+                    .iter()
+                    .map(|&(home, abi, wide)| (abi, home, wide))
+                    .collect();
                 self.parallel_moves(&moves);
                 let at = self.out.len();
-                self.push(Instruction::new(Op::Jcal, [Operand::Abs(0)]));
-                self.relocs.push(Reloc { instr_index: at, target: func.clone() });
-                if !self.related.contains(func) {
-                    self.related.push(func.clone());
+                self.emit(Guard::ALWAYS, Op::Jcal, Mods::default(), [Operand::Abs(0)]);
+                self.relocs.push(Reloc { instr_index: at, target: callee.to_string() });
+                if !self.related.iter().any(|r| r == callee) {
+                    self.related.push(callee.to_string());
                 }
                 if let Some(r) = ret {
-                    let ty = *self
-                        .f
-                        .regs
-                        .get(r)
-                        .ok_or_else(|| self.sem(format!("undeclared register `{r}`")))?;
                     let d = self.gpr_of(r)?;
-                    self.push(Instruction::new(
+                    self.emit(
+                        Guard::ALWAYS,
                         Op::Mov,
-                        [Operand::Reg(d), Operand::Reg(Reg(ARG_BASE))],
-                    ));
-                    if ty.is_wide() {
-                        self.push(Instruction::new(
+                        Mods::default(),
+                        [reg(d), reg(Reg(ARG_BASE))],
+                    );
+                    if ty_of(r).is_wide() {
+                        self.emit(
+                            Guard::ALWAYS,
                             Op::Mov,
-                            [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(Reg(ARG_BASE + 1))],
-                        ));
+                            Mods::default(),
+                            [reg(Reg(d.0 + 1)), reg(Reg(ARG_BASE + 1))],
+                        );
                     }
                 }
             }
             P::Ret => {
                 if self.f.kind == FunctionKind::Entry {
-                    self.push(Instruction::new(Op::Exit, []).with_guard(g));
+                    self.emit(g, Op::Exit, Mods::default(), []);
                 } else {
-                    if let Some(rr) = &self.f.ret_reg {
+                    if let Some(rr) = self.f.ret_reg {
                         let src = self.gpr_of(rr)?;
                         let wide = self.f.ret.map(|t| t.is_wide()).unwrap_or(false);
                         if src.0 != ARG_BASE {
-                            self.push(
-                                Instruction::new(
-                                    Op::Mov,
-                                    [Operand::Reg(Reg(ARG_BASE)), Operand::Reg(src)],
-                                )
-                                .with_guard(g),
-                            );
+                            self.emit(g, Op::Mov, Mods::default(), [reg(Reg(ARG_BASE)), reg(src)]);
                             if wide {
-                                self.push(
-                                    Instruction::new(
-                                        Op::Mov,
-                                        [
-                                            Operand::Reg(Reg(ARG_BASE + 1)),
-                                            Operand::Reg(Reg(src.0 + 1)),
-                                        ],
-                                    )
-                                    .with_guard(g),
+                                self.emit(
+                                    g,
+                                    Op::Mov,
+                                    Mods::default(),
+                                    [reg(Reg(ARG_BASE + 1)), reg(Reg(src.0 + 1))],
                                 );
                             }
                         }
@@ -944,56 +890,44 @@ impl<'a> Emitter<'a> {
             P::RetVal { src } => {
                 let s = self.gpr_of(src)?;
                 if s.0 != ARG_BASE {
-                    self.push(
-                        Instruction::new(Op::Mov, [Operand::Reg(Reg(ARG_BASE)), Operand::Reg(s)])
-                            .with_guard(g),
-                    );
+                    self.emit(g, Op::Mov, Mods::default(), [reg(Reg(ARG_BASE)), reg(s)]);
                 }
                 if self.f.kind == FunctionKind::Device {
                     self.epilogue_and_ret(g);
                 } else {
-                    self.push(Instruction::new(Op::Exit, []).with_guard(g));
+                    self.emit(g, Op::Exit, Mods::default(), []);
                 }
             }
-            P::Exit => self.push(Instruction::new(Op::Exit, []).with_guard(g)),
-            P::BarSync => self.push(Instruction::new(Op::Bar, []).with_guard(g)),
-            P::Membar => self.push(Instruction::new(Op::Membar, []).with_guard(g)),
+            P::Exit => self.emit(g, Op::Exit, Mods::default(), []),
+            P::BarSync => self.emit(g, Op::Bar, Mods::default(), []),
+            P::Membar => self.emit(g, Op::Membar, Mods::default(), []),
             P::Atom { op, ty, dst, addr, src, src2 } => {
                 let d = self.gpr_of(dst)?;
-                let (base, off) = self.global_addr(addr, g)?;
+                let (base, off) = self.global_addr(&addr, g)?;
                 let s = self.gpr_of(src)?;
                 let s2 = match src2 {
                     Some(r) => self.gpr_of(r)?,
                     None => Reg::RZ,
                 };
-                let itype = atom_itype(*ty)
+                let itype = atom_itype(ty)
                     .ok_or_else(|| self.sem(format!("atomics unsupported for {ty}")))?;
-                self.push(
-                    Instruction::new(
-                        Op::Atom,
-                        [
-                            Operand::Reg(d),
-                            Operand::MRef { base, offset: off },
-                            Operand::Reg(s),
-                            Operand::Reg(s2),
-                        ],
-                    )
-                    .with_mods(Mods { sub: op.to_sass(), itype, ..Mods::default() })
-                    .with_guard(g),
+                self.emit(
+                    g,
+                    Op::Atom,
+                    Mods { sub: op.to_sass(), itype, ..Mods::default() },
+                    [reg(d), mem(base, off), reg(s), reg(s2)],
                 );
             }
             P::Red { op, ty, addr, src } => {
-                let (base, off) = self.global_addr(addr, g)?;
+                let (base, off) = self.global_addr(&addr, g)?;
                 let s = self.gpr_of(src)?;
-                let itype = atom_itype(*ty)
+                let itype = atom_itype(ty)
                     .ok_or_else(|| self.sem(format!("reductions unsupported for {ty}")))?;
-                self.push(
-                    Instruction::new(
-                        Op::Red,
-                        [Operand::MRef { base, offset: off }, Operand::Reg(s)],
-                    )
-                    .with_mods(Mods { sub: op.to_sass(), itype, ..Mods::default() })
-                    .with_guard(g),
+                self.emit(
+                    g,
+                    Op::Red,
+                    Mods { sub: op.to_sass(), itype, ..Mods::default() },
+                    [mem(base, off), reg(s)],
                 );
             }
             P::Vote { mode, dst, src, negated } => {
@@ -1004,92 +938,65 @@ impl<'a> Emitter<'a> {
                     VoteMode::Any => SubOp::Any,
                     VoteMode::Ballot => SubOp::Ballot,
                 };
-                self.push(
-                    Instruction::new(
-                        Op::Vote,
-                        [Operand::Reg(d), Operand::Pred { pred: p, negated: *negated }],
-                    )
-                    .with_mods(Mods { sub, ..Mods::default() })
-                    .with_guard(g),
+                self.emit(
+                    g,
+                    Op::Vote,
+                    sub_op(sub),
+                    [reg(d), Operand::Pred { pred: p, negated: negated }],
                 );
             }
             P::Shfl { mode, dst, a, b } => {
                 let d = self.gpr_of(dst)?;
                 let ra = self.gpr_of(a)?;
-                let bv = self.sval32(b, g)?;
+                let bv = self.sval32(&b, g)?;
                 let sub = match mode {
                     ShflMode::Idx => SubOp::Idx,
                     ShflMode::Up => SubOp::Up,
                     ShflMode::Down => SubOp::Down,
                     ShflMode::Bfly => SubOp::Bfly,
                 };
-                self.push(
-                    Instruction::new(Op::Shfl, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(Mods { sub, ..Mods::default() })
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Shfl, sub_op(sub), [reg(d), reg(ra), bv.operand()]);
             }
             P::Popc { dst, src } => {
                 let d = self.gpr_of(dst)?;
                 let s = self.gpr_of(src)?;
-                self.push(
-                    Instruction::new(Op::Popc, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g),
-                );
+                self.emit(g, Op::Popc, Mods::default(), [reg(d), reg(s)]);
             }
             P::Mufu { func, dst, src } => {
                 let d = self.gpr_of(dst)?;
                 let s = self.gpr_of(src)?;
-                self.push(
-                    Instruction::new(Op::Mufu, [Operand::Reg(d), Operand::Reg(s)])
-                        .with_mods(Mods { sub: func.to_sass(), ..Mods::default() })
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Mufu, sub_op(func.to_sass()), [reg(d), reg(s)]);
             }
             P::Proxy { dst, src, name } => {
                 let d = self.gpr_of(dst)?;
                 let s = self.gpr_of(src)?;
-                self.push(
-                    Instruction::new(
-                        Op::Proxy,
-                        [Operand::Reg(d), Operand::Reg(s), Operand::Imm(proxy_id(name))],
-                    )
-                    .with_guard(g),
+                self.emit(
+                    g,
+                    Op::Proxy,
+                    Mods::default(),
+                    [reg(d), reg(s), imm(proxy_id(self.names.resolve(name)))],
                 );
             }
             P::ChanPush { src } => {
                 let s = self.gpr_of(src)?;
-                self.push(
-                    Instruction::new(Op::Chan, [Operand::Reg(s)])
-                        .with_mods(Mods { width: Width::B64, ..Mods::default() })
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Chan, Mods { width: Width::B64, ..Mods::default() }, [reg(s)]);
             }
             P::NvReadReg { dst, idx } => {
                 self.uses_reg_api = true;
                 let d = self.gpr_of(dst)?;
                 match idx {
                     Src::Imm(v) => {
-                        self.push(
-                            Instruction::new(
-                                Op::Ldl,
-                                [
-                                    Operand::Reg(d),
-                                    Operand::MRef { base: NVBIT_FRAME, offset: (*v as i32) * 4 },
-                                ],
-                            )
-                            .with_guard(g),
+                        self.emit(
+                            g,
+                            Op::Ldl,
+                            Mods::default(),
+                            [reg(d), mem(NVBIT_FRAME, (v as i32) * 4)],
                         );
                     }
                     Src::Reg(r) => {
                         let ri = self.gpr_of(r)?;
                         self.frame_index(ri, g);
-                        self.push(
-                            Instruction::new(
-                                Op::Ldl,
-                                [Operand::Reg(d), Operand::MRef { base: SCRATCH_LO, offset: 0 }],
-                            )
-                            .with_guard(g),
-                        );
+                        self.emit(g, Op::Ldl, Mods::default(), [reg(d), mem(SCRATCH_LO, 0)]);
                     }
                 }
             }
@@ -1098,27 +1005,17 @@ impl<'a> Emitter<'a> {
                 let s = self.gpr_of(src)?;
                 match idx {
                     Src::Imm(v) => {
-                        self.push(
-                            Instruction::new(
-                                Op::Stl,
-                                [
-                                    Operand::MRef { base: NVBIT_FRAME, offset: (*v as i32) * 4 },
-                                    Operand::Reg(s),
-                                ],
-                            )
-                            .with_guard(g),
+                        self.emit(
+                            g,
+                            Op::Stl,
+                            Mods::default(),
+                            [mem(NVBIT_FRAME, (v as i32) * 4), reg(s)],
                         );
                     }
                     Src::Reg(r) => {
                         let ri = self.gpr_of(r)?;
                         self.frame_index(ri, g);
-                        self.push(
-                            Instruction::new(
-                                Op::Stl,
-                                [Operand::MRef { base: SCRATCH_LO, offset: 0 }, Operand::Reg(s)],
-                            )
-                            .with_guard(g),
-                        );
+                        self.emit(g, Op::Stl, Mods::default(), [mem(SCRATCH_LO, 0), reg(s)]);
                     }
                 }
             }
@@ -1129,19 +1026,12 @@ impl<'a> Emitter<'a> {
     /// Computes `SCRATCH_LO = NVBIT_FRAME + idx * 4` for dynamic device-API
     /// register indices.
     fn frame_index(&mut self, idx: Reg, g: Guard) {
-        self.push(
-            Instruction::new(
-                Op::Shl,
-                [Operand::Reg(SCRATCH_LO), Operand::Reg(idx), Operand::Imm(2)],
-            )
-            .with_guard(g),
-        );
-        self.push(
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(SCRATCH_LO), Operand::Reg(SCRATCH_LO), Operand::Reg(NVBIT_FRAME)],
-            )
-            .with_guard(g),
+        self.emit(g, Op::Shl, Mods::default(), [reg(SCRATCH_LO), reg(idx), imm(2)]);
+        self.emit(
+            g,
+            Op::Iadd,
+            Mods::default(),
+            [reg(SCRATCH_LO), reg(SCRATCH_LO), reg(NVBIT_FRAME)],
         );
     }
 
@@ -1162,22 +1052,23 @@ impl<'a> Emitter<'a> {
             (Space::Local, false) => Op::Ldl,
             (Space::Local, true) => Op::Stl,
         };
-        match &addr.base {
+        match addr.base {
             AddrBase::Reg(r) => {
                 let base = self.gpr_of(r)?;
                 Ok((op, base, addr.offset))
             }
             AddrBase::Shared(name) => {
                 if space != Space::Shared {
+                    let name = self.names.resolve(name);
                     return Err(self
                         .sem(format!("shared variable `{name}` addressed with {space:?} access")));
                 }
-                let off = *self
-                    .shared_offsets
-                    .get(name)
-                    .ok_or_else(|| self.sem(format!("unknown shared variable `{name}`")))?;
+                let off = i32::try_from(self.shared_offset(name)?)
+                    .ok()
+                    .and_then(|off| off.checked_add(addr.offset))
+                    .ok_or_else(|| self.sem("shared address is out of range".into()))?;
                 let _ = g;
-                Ok((op, Reg::RZ, off as i32 + addr.offset))
+                Ok((op, Reg::RZ, off))
             }
         }
     }
@@ -1185,7 +1076,7 @@ impl<'a> Emitter<'a> {
     /// Resolves a global address for atomics, folding non-zero offsets into
     /// the scratch pair (the atomic offset field is narrow).
     fn global_addr(&mut self, addr: &Address, g: Guard) -> Result<(Reg, i32)> {
-        let AddrBase::Reg(r) = &addr.base else {
+        let AddrBase::Reg(r) = addr.base else {
             return Err(self.sem("atomics require a register address".into()));
         };
         let base = self.gpr_of(r)?;
@@ -1195,13 +1086,11 @@ impl<'a> Emitter<'a> {
         if (-128..128).contains(&addr.offset) {
             return Ok((base, addr.offset));
         }
-        self.push(
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(SCRATCH_LO), Operand::Reg(base), Operand::Imm(addr.offset as i64)],
-            )
-            .with_mods(Mods { itype: IType::U64, ..Mods::default() })
-            .with_guard(g),
+        self.emit(
+            g,
+            Op::Iadd,
+            typed(IType::U64),
+            [reg(SCRATCH_LO), reg(base), imm(addr.offset as i64)],
         );
         Ok((SCRATCH_LO, 0))
     }
@@ -1210,122 +1099,73 @@ impl<'a> Emitter<'a> {
         &mut self,
         kind: BinKind,
         ty: PtxType,
-        dst: &str,
-        a: &str,
+        dst: VReg,
+        a: VReg,
         b: &Src,
         g: Guard,
     ) -> Result<()> {
         let d = self.gpr_of(dst)?;
         let ra = self.gpr_of(a)?;
-        let mods = |itype| Mods { itype, ..Mods::default() };
         match (kind, ty) {
             (BinKind::Add, PtxType::F32) => {
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Fadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Fadd, Mods::default(), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::Add, PtxType::F64) => {
                 let rb = self.wide_reg(b, g)?;
-                self.push(
-                    Instruction::new(
-                        Op::Dadd,
-                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
-                    )
-                    .with_guard(g),
-                );
+                self.emit(g, Op::Dadd, Mods::default(), [reg(d), reg(ra), reg(rb)]);
             }
             (BinKind::Add, t) if t.is_wide() => {
                 let bv = self.sval64(b, g)?;
-                self.push(
-                    Instruction::new(Op::Iadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(mods(IType::U64))
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Iadd, typed(IType::U64), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::Add, _) => {
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Iadd, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Iadd, Mods::default(), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::Sub, PtxType::F32) => match b {
                 Src::Imm(v) => {
                     // Negate the float immediate by flipping its sign bit.
                     let neg = ((*v as u32) ^ 0x8000_0000) as i32 as i64;
-                    self.push(
-                        Instruction::new(
-                            Op::Fadd,
-                            [Operand::Reg(d), Operand::Reg(ra), Operand::Imm(neg)],
-                        )
-                        .with_guard(g),
-                    );
+                    self.emit(g, Op::Fadd, Mods::default(), [reg(d), reg(ra), imm(neg)]);
                 }
                 Src::Reg(r) => {
-                    let rb = self.gpr_of(r)?;
+                    let rb = self.gpr_of(*r)?;
                     // d = a - b  via  d = b * (-1.0) + a
-                    self.push(
-                        Instruction::new(
-                            Op::Mov32i,
-                            [
-                                Operand::Reg(SCRATCH_LO),
-                                Operand::Imm((-1.0f32).to_bits() as i32 as i64),
-                            ],
-                        )
-                        .with_guard(g),
+                    self.emit(
+                        g,
+                        Op::Mov32i,
+                        Mods::default(),
+                        [reg(SCRATCH_LO), imm((-1.0f32).to_bits() as i32 as i64)],
                     );
-                    self.push(
-                        Instruction::new(
-                            Op::Ffma,
-                            [
-                                Operand::Reg(d),
-                                Operand::Reg(rb),
-                                Operand::Reg(SCRATCH_LO),
-                                Operand::Reg(ra),
-                            ],
-                        )
-                        .with_guard(g),
+                    self.emit(
+                        g,
+                        Op::Ffma,
+                        Mods::default(),
+                        [reg(d), reg(rb), reg(SCRATCH_LO), reg(ra)],
                     );
                 }
             },
             (BinKind::Sub, t) if t.is_wide() && !t.is_float() => {
                 let bv = match b {
                     Src::Reg(_) => self.sval64(b, g)?,
-                    Src::Imm(v) => SVal::I(-*v), // fold negation
+                    Src::Imm(v) => SVal::I(v.wrapping_neg()), // fold negation
                 };
                 match bv {
                     SVal::I(v) if (-IMM_SAFE..IMM_SAFE).contains(&v) => {
-                        self.push(
-                            Instruction::new(
-                                Op::Iadd,
-                                [Operand::Reg(d), Operand::Reg(ra), Operand::Imm(v)],
-                            )
-                            .with_mods(mods(IType::U64))
-                            .with_guard(g),
-                        );
+                        self.emit(g, Op::Iadd, typed(IType::U64), [reg(d), reg(ra), imm(v)]);
                     }
                     SVal::I(v) => {
                         self.mov64_imm(SCRATCH_LO, v, g);
-                        self.push(
-                            Instruction::new(
-                                Op::Iadd,
-                                [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(SCRATCH_LO)],
-                            )
-                            .with_mods(mods(IType::U64))
-                            .with_guard(g),
+                        self.emit(
+                            g,
+                            Op::Iadd,
+                            typed(IType::U64),
+                            [reg(d), reg(ra), reg(SCRATCH_LO)],
                         );
                     }
                     SVal::R(rb) => {
-                        self.push(
-                            Instruction::new(
-                                Op::Isub,
-                                [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
-                            )
-                            .with_mods(mods(IType::U64))
-                            .with_guard(g),
-                        );
+                        self.emit(g, Op::Isub, typed(IType::U64), [reg(d), reg(ra), reg(rb)]);
                     }
                 }
             }
@@ -1334,54 +1174,27 @@ impl<'a> Emitter<'a> {
             }
             (BinKind::Sub, _) => {
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Isub, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Isub, Mods::default(), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::MulLo, PtxType::F32) => {
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Fmul, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Fmul, Mods::default(), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::MulLo, PtxType::F64) => {
                 let rb = self.wide_reg(b, g)?;
-                self.push(
-                    Instruction::new(
-                        Op::Dmul,
-                        [Operand::Reg(d), Operand::Reg(ra), Operand::Reg(rb)],
-                    )
-                    .with_guard(g),
-                );
+                self.emit(g, Op::Dmul, Mods::default(), [reg(d), reg(ra), reg(rb)]);
             }
             (BinKind::MulLo, t) if t.is_wide() => {
                 return Err(self.sem("64-bit integer mul.lo is not supported".into()));
             }
             (BinKind::MulLo, _) => {
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Imul, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Imul, Mods::default(), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::MulWide, _) => {
                 // d64 = a32 * b32 + 0
                 let rb = self.force_reg32(b, g)?;
-                self.push(
-                    Instruction::new(
-                        Op::Imad,
-                        [
-                            Operand::Reg(d),
-                            Operand::Reg(ra),
-                            Operand::Reg(rb),
-                            Operand::Reg(Reg::RZ),
-                        ],
-                    )
-                    .with_mods(mods(IType::U64))
-                    .with_guard(g),
-                );
+                self.emit(g, Op::Imad, typed(IType::U64), [reg(d), reg(ra), reg(rb), reg(Reg::RZ)]);
             }
             (BinKind::Min | BinKind::Max, t) => {
                 let sub = if kind == BinKind::Min { SubOp::Min } else { SubOp::Max };
@@ -1392,10 +1205,11 @@ impl<'a> Emitter<'a> {
                     other => return Err(self.sem(format!("min/max unsupported for {other}"))),
                 };
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(op, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(Mods { sub, itype, ..Mods::default() })
-                        .with_guard(g),
+                self.emit(
+                    g,
+                    op,
+                    Mods { sub, itype, ..Mods::default() },
+                    [reg(d), reg(ra), bv.operand()],
                 );
             }
             (BinKind::And | BinKind::Or | BinKind::Xor, _) => {
@@ -1405,20 +1219,12 @@ impl<'a> Emitter<'a> {
                     _ => SubOp::Xor,
                 };
                 let bv = self.sval32(b, g)?;
-                self.push(
-                    Instruction::new(Op::Lop, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(Mods { sub, ..Mods::default() })
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Lop, sub_op(sub), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::Shl, t) => {
                 let bv = self.sval32(b, g)?;
                 let itype = if t.is_wide() { IType::U64 } else { IType::S32 };
-                self.push(
-                    Instruction::new(Op::Shl, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(mods(itype))
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Shl, typed(itype), [reg(d), reg(ra), bv.operand()]);
             }
             (BinKind::Shr, t) => {
                 let bv = self.sval32(b, g)?;
@@ -1427,11 +1233,7 @@ impl<'a> Emitter<'a> {
                     t if t.is_wide() => IType::U64,
                     _ => IType::U32,
                 };
-                self.push(
-                    Instruction::new(Op::Shr, [Operand::Reg(d), Operand::Reg(ra), bv.operand()])
-                        .with_mods(mods(itype))
-                        .with_guard(g),
-                );
+                self.emit(g, Op::Shr, typed(itype), [reg(d), reg(ra), bv.operand()]);
             }
         }
         Ok(())
@@ -1441,7 +1243,7 @@ impl<'a> Emitter<'a> {
     /// immediates in the machine ISA).
     fn wide_reg(&mut self, b: &Src, g: Guard) -> Result<Reg> {
         match b {
-            Src::Reg(r) => self.gpr_of(r),
+            Src::Reg(r) => self.gpr_of(*r),
             Src::Imm(v) => {
                 self.mov64_imm(SCRATCH_LO, *v, g);
                 Ok(SCRATCH_LO)
@@ -1449,11 +1251,11 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn cvt(&mut self, dty: PtxType, sty: PtxType, dst: &str, src: &str, g: Guard) -> Result<()> {
+    fn cvt(&mut self, dty: PtxType, sty: PtxType, dst: VReg, src: VReg, g: Guard) -> Result<()> {
         let d = self.gpr_of(dst)?;
         let s = self.gpr_of(src)?;
         let mov = |e: &mut Self, dd: Reg, ss: Reg| {
-            e.push(Instruction::new(Op::Mov, [Operand::Reg(dd), Operand::Reg(ss)]).with_guard(g));
+            e.emit(g, Op::Mov, Mods::default(), [reg(dd), reg(ss)]);
         };
         match (dty, sty) {
             // Widening integer converts.
@@ -1463,69 +1265,42 @@ impl<'a> Emitter<'a> {
             }
             (PtxType::S64, PtxType::S32) => {
                 mov(self, d, s);
-                self.push(
-                    Instruction::new(
-                        Op::Shr,
-                        [Operand::Reg(Reg(d.0 + 1)), Operand::Reg(s), Operand::Imm(31)],
-                    )
-                    .with_mods(Mods { itype: IType::S32, ..Mods::default() })
-                    .with_guard(g),
-                );
+                self.emit(g, Op::Shr, typed(IType::S32), [reg(Reg(d.0 + 1)), reg(s), imm(31)]);
             }
             // Narrowing.
             (PtxType::U32 | PtxType::S32 | PtxType::B32, t) if t.is_wide() && !t.is_float() => {
                 mov(self, d, s);
             }
             // Int <-> float.
-            (PtxType::F32, PtxType::S32) => self.push(
-                Instruction::new(Op::I2f, [Operand::Reg(d), Operand::Reg(s)])
-                    .with_mods(Mods { itype: IType::S32, ..Mods::default() })
-                    .with_guard(g),
-            ),
-            (PtxType::F32, PtxType::U32 | PtxType::B32) => self.push(
-                Instruction::new(Op::I2f, [Operand::Reg(d), Operand::Reg(s)])
-                    .with_mods(Mods { itype: IType::U32, ..Mods::default() })
-                    .with_guard(g),
-            ),
-            (PtxType::S32, PtxType::F32) => self.push(
-                Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(s)])
-                    .with_mods(Mods { itype: IType::S32, ..Mods::default() })
-                    .with_guard(g),
-            ),
-            (PtxType::U32, PtxType::F32) => self.push(
-                Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(s)])
-                    .with_mods(Mods { itype: IType::U32, ..Mods::default() })
-                    .with_guard(g),
-            ),
+            (PtxType::F32, PtxType::S32) => {
+                self.emit(g, Op::I2f, typed(IType::S32), [reg(d), reg(s)])
+            }
+            (PtxType::F32, PtxType::U32 | PtxType::B32) => {
+                self.emit(g, Op::I2f, typed(IType::U32), [reg(d), reg(s)])
+            }
+            (PtxType::S32, PtxType::F32) => {
+                self.emit(g, Op::F2i, typed(IType::S32), [reg(d), reg(s)])
+            }
+            (PtxType::U32, PtxType::F32) => {
+                self.emit(g, Op::F2i, typed(IType::U32), [reg(d), reg(s)])
+            }
             // Float <-> double.
-            (PtxType::F64, PtxType::F32) => self
-                .push(Instruction::new(Op::F2d, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g)),
-            (PtxType::F32, PtxType::F64) => self
-                .push(Instruction::new(Op::D2f, [Operand::Reg(d), Operand::Reg(s)]).with_guard(g)),
+            (PtxType::F64, PtxType::F32) => {
+                self.emit(g, Op::F2d, Mods::default(), [reg(d), reg(s)])
+            }
+            (PtxType::F32, PtxType::F64) => {
+                self.emit(g, Op::D2f, Mods::default(), [reg(d), reg(s)])
+            }
             // Int -> double via float (documented precision simplification).
             (PtxType::F64, PtxType::S32 | PtxType::U32) => {
                 let itype = if sty == PtxType::S32 { IType::S32 } else { IType::U32 };
-                self.push(
-                    Instruction::new(Op::I2f, [Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
-                        .with_mods(Mods { itype, ..Mods::default() })
-                        .with_guard(g),
-                );
-                self.push(
-                    Instruction::new(Op::F2d, [Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
-                        .with_guard(g),
-                );
+                self.emit(g, Op::I2f, typed(itype), [reg(SCRATCH_LO), reg(s)]);
+                self.emit(g, Op::F2d, Mods::default(), [reg(d), reg(SCRATCH_LO)]);
             }
             (PtxType::S32 | PtxType::U32, PtxType::F64) => {
                 let itype = if dty == PtxType::S32 { IType::S32 } else { IType::U32 };
-                self.push(
-                    Instruction::new(Op::D2f, [Operand::Reg(SCRATCH_LO), Operand::Reg(s)])
-                        .with_guard(g),
-                );
-                self.push(
-                    Instruction::new(Op::F2i, [Operand::Reg(d), Operand::Reg(SCRATCH_LO)])
-                        .with_mods(Mods { itype, ..Mods::default() })
-                        .with_guard(g),
-                );
+                self.emit(g, Op::D2f, Mods::default(), [reg(SCRATCH_LO), reg(s)]);
+                self.emit(g, Op::F2i, typed(itype), [reg(d), reg(SCRATCH_LO)]);
             }
             (a, b) if a == b => mov(self, d, s),
             (a, b) => return Err(self.sem(format!("unsupported conversion {b} -> {a}"))),
@@ -1535,9 +1310,10 @@ impl<'a> Emitter<'a> {
 
     fn finish(self) -> Result<CompiledFunction> {
         let codec = codec_for(self.arch);
-        let code = codec
-            .encode_stream(&self.out)
-            .map_err(|source| PtxError::Encode { function: self.f.name.clone(), source })?;
+        let code = codec.encode_stream(&self.out).map_err(|source| PtxError::Encode {
+            function: self.names.resolve(self.f.name).to_string(),
+            source,
+        })?;
         let reg_count = self
             .out
             .iter()
@@ -1547,7 +1323,7 @@ impl<'a> Emitter<'a> {
             .unwrap_or(0)
             .max(4);
         Ok(CompiledFunction {
-            name: self.f.name.clone(),
+            name: self.names.resolve(self.f.name).to_string(),
             kind: self.f.kind,
             arch: self.arch,
             code,
@@ -1580,7 +1356,7 @@ mod tests {
 
     fn compile(src: &str, arch: Arch) -> CompiledFunction {
         let m = parse(src).unwrap();
-        compile_function(&m.functions[0], arch).unwrap()
+        compile_function_abi(&m.names, &m.functions[0], arch, crate::Abi::Standard).unwrap()
     }
 
     const GUARDED: &str = r#"
@@ -1696,7 +1472,7 @@ TOP:
 "#;
         let _ = m;
         let m2 = parse(src2).unwrap();
-        let f = compile_function(&m2.functions[0], Arch::Maxwell).unwrap();
+        let f = compile(src2, Arch::Maxwell);
         assert!(f.stack_size > 0, "frame for callee-saved registers");
         let instrs = f.decode();
         assert!(instrs.iter().any(|i| i.op == Op::Stl));
@@ -1719,7 +1495,7 @@ TOP:
 }
 "#;
         let m = parse(src).unwrap();
-        let f = compile_function(&m.functions[0], Arch::Volta).unwrap();
+        let f = compile(src, Arch::Volta);
         let instrs = f.decode();
         // Exactly one RET instruction after merging.
         assert_eq!(instrs.iter().filter(|i| i.op == Op::Ret).count(), 1);

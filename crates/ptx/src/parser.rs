@@ -1,10 +1,20 @@
 //! Recursive-descent parser for the PTX dialect.
+//!
+//! Pulls tokens from the [`Lexer`] with two tokens of look-ahead; the tokens
+//! borrow the source, and every name that outlives the parse is interned in
+//! the module or becomes a dense per-function id on the way into the AST.
 
 use crate::ast::*;
-use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lexer::{Lexer, SpannedTok, Tok};
 use crate::types::PtxType;
 use crate::{PtxError, Result};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+
+/// Most registers the `.reg` declarations of one function may add up to.
+/// A range is recorded, never expanded, so the cap only keeps a typo such
+/// as `%r<4000000000>` a diagnostic instead of a promise the register
+/// allocator could not keep.
+pub const MAX_DECLARED_REGS: u64 = 1 << 20;
 
 /// Parses a full module.
 ///
@@ -12,69 +22,162 @@ use std::collections::BTreeMap;
 ///
 /// Returns [`PtxError::Parse`] on malformed source.
 pub fn parse(src: &str) -> Result<Module> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let mut module = Module::default();
-    while !p.at_end() {
-        let w = p.peek_word().unwrap_or_default();
-        match w.as_str() {
-            ".version" | ".target" | ".address_size" => {
-                p.bump();
-                p.bump(); // the directive's value
-            }
-            ".visible" => {
-                p.bump();
-            }
-            ".entry" | ".func" => {
-                module.functions.push(p.function()?);
-            }
-            _ => {
-                return Err(p.err(format!("expected a function or directive, found `{w}`")));
+    let mut p = Parser {
+        lexer: Lexer::new(src),
+        cur: None,
+        next: None,
+        last_line: 0,
+        lex_err: None,
+        names: Interner::default(),
+        function: 0,
+        reg_ids: Vec::new(),
+        label_ids: Vec::new(),
+        regs: Vec::new(),
+        labels: Vec::new(),
+        defined: Vec::new(),
+        call_args: Vec::new(),
+        body: Vec::new(),
+    };
+    p.bump();
+    p.bump();
+    let parsed = p.module();
+    if parsed.is_err() {
+        // The grammar saw only as far as its look-ahead: a lexical error
+        // further on still comes first, as when the source was tokenized
+        // whole before parsing.
+        while p.bump().is_some() {}
+    }
+    match p.lex_err.take() {
+        Some(e) => Err(e),
+        None => parsed,
+    }
+}
+
+/// One `.reg` declaration (or a device function's parameter or return
+/// slot): `width` registers `base0`, `base1`, ... when `ranged`, else the
+/// one register `base`. Kept until the end of its function, where it types
+/// the registers the body refers to.
+struct RegDecl<'a> {
+    base: &'a str,
+    ranged: bool,
+    width: u32,
+    ty: PtxType,
+}
+
+/// Types `regs` from their function's declarations: the last one in source
+/// order that spells a register wins, wherever it stands among the uses.
+fn type_regs(decls: &[RegDecl<'_>], names: &Interner, regs: &mut [RegInfo]) {
+    // Declarations grouped by what they can spell, latest first, keeping of
+    // each group only those wider than every later one (the rest are
+    // shadowed): widths then grow along a group, and the latest declaration
+    // holding index `i` is the group's first wider than `i`.
+    let key = |t: usize| (decls[t].base, decls[t].ranged);
+    let mut order: Vec<usize> = (0..decls.len()).collect();
+    order.sort_unstable_by_key(|&t| (key(t), Reverse(t)));
+    order.dedup_by(|t, kept| key(*t) == key(*kept) && decls[*t].width <= decls[*kept].width);
+    let latest = |base: &str, ranged: bool, i: u32| {
+        let group = (base, ranged);
+        let at =
+            order.partition_point(|&t| key(t) < group || (key(t) == group && decls[t].width <= i));
+        order.get(at).copied().filter(|&t| key(t) == group)
+    };
+    for r in regs {
+        let name = names.resolve(r.name);
+        let mut best = latest(name, false, 0);
+        // `%r<8>` spells `%r0`..`%r7` in canonical decimal; an index below
+        // `MAX_DECLARED_REGS` has at most seven digits.
+        let digits = name.bytes().rev().take_while(u8::is_ascii_digit).count();
+        for k in 1..=digits.min(7) {
+            let (base, index) = name.split_at(name.len() - k);
+            if k == 1 || !index.starts_with('0') {
+                let index = index.parse().expect("at most seven digits");
+                best = best.max(latest(base, true, index));
             }
         }
+        r.ty = best.map(|t| decls[t].ty);
     }
-    Ok(module)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
+/// The entry for `sym` in a per-spelling table of `(function, id)` pairs.
+fn slot(ids: &mut Vec<(u32, u32)>, sym: Sym) -> &mut (u32, u32) {
+    if ids.len() <= sym.index() {
+        ids.resize(sym.index() + 1, (0, 0));
+    }
+    &mut ids[sym.index()]
 }
 
-impl Parser {
-    fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
-    }
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The two tokens of look-ahead.
+    cur: Option<SpannedTok<'a>>,
+    next: Option<SpannedTok<'a>>,
+    /// Line of the last token read, for errors at the end of the source.
+    last_line: usize,
+    /// The tokenizer's error.
+    lex_err: Option<PtxError>,
+    names: Interner,
+    /// 1-based number of the function being parsed.
+    function: u32,
+    /// Per spelling, the function that last used it as a register (label)
+    /// and the id it has there.
+    reg_ids: Vec<(u32, u32)>,
+    label_ids: Vec<(u32, u32)>,
+    /// Tables of the function being parsed.
+    regs: Vec<RegInfo>,
+    labels: Vec<Sym>,
+    /// Per label, whether its definition has been seen.
+    defined: Vec<bool>,
+    call_args: Vec<VReg>,
+    body: Vec<Statement>,
+}
 
+impl<'a> Parser<'a> {
     fn line(&self) -> usize {
-        self.toks.get(self.pos.min(self.toks.len().saturating_sub(1))).map(|t| t.line).unwrap_or(0)
+        self.cur.map_or(self.last_line, |t| t.line)
     }
 
     fn err(&self, reason: String) -> PtxError {
         PtxError::Parse { line: self.line(), reason }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.cur.map(|t| t.tok)
     }
 
-    fn peek_word(&self) -> Option<String> {
+    fn peek_word(&self) -> Option<&'a str> {
         match self.peek() {
-            Some(Tok::Word(w)) => Some(w.clone()),
+            Some(Tok::Word(w)) => Some(w),
             _ => None,
         }
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
-        self.pos += 1;
-        t
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        // The grammar sees the source end at the tokenizer's first error.
+        let pulled = match self.lex_err {
+            Some(_) => None,
+            None => self.lexer.next_tok().unwrap_or_else(|e| {
+                self.lex_err = Some(e);
+                None
+            }),
+        };
+        if let Some(t) = pulled {
+            self.last_line = t.line;
+        }
+        let t = std::mem::replace(&mut self.cur, std::mem::replace(&mut self.next, pulled));
+        t.map(|t| t.tok)
     }
 
-    fn expect_word(&mut self) -> Result<String> {
+    fn expect_word(&mut self) -> Result<&'a str> {
         match self.bump() {
             Some(Tok::Word(w)) => Ok(w),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
+        }
+    }
+
+    fn expect_str(&mut self, what: &str) -> Result<Sym> {
+        match self.bump() {
+            Some(Tok::Str(s)) => Ok(self.names.intern(s)),
+            other => Err(self.err(format!("expected {what} string, found {other:?}"))),
         }
     }
 
@@ -86,15 +189,14 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if matches!(self.peek(), Some(Tok::Punct(p)) if *p == c) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let found = self.peek() == Some(Tok::Punct(c));
+        if found {
+            self.bump();
         }
+        found
     }
 
-    fn expect_reg(&mut self) -> Result<String> {
+    fn expect_reg_name(&mut self) -> Result<&'a str> {
         let w = self.expect_word()?;
         if w.starts_with('%') {
             Ok(w)
@@ -103,30 +205,83 @@ impl Parser {
         }
     }
 
+    fn expect_reg(&mut self) -> Result<VReg> {
+        self.expect_reg_name().map(|w| self.reg(w))
+    }
+
+    /// The id of register `name` in the current function.
+    fn reg(&mut self, name: &str) -> VReg {
+        let sym = self.names.intern(name);
+        let id = slot(&mut self.reg_ids, sym);
+        if id.0 != self.function {
+            *id = (self.function, self.regs.len() as u32);
+            self.regs.push(RegInfo { name: sym, ty: None });
+        }
+        VReg(id.1)
+    }
+
+    /// The id of label `name` in the current function.
+    fn label(&mut self, name: &str) -> LabelId {
+        let sym = self.names.intern(name);
+        let id = slot(&mut self.label_ids, sym);
+        if id.0 != self.function {
+            *id = (self.function, self.labels.len() as u32);
+            self.labels.push(sym);
+            self.defined.push(false);
+        }
+        LabelId(id.1)
+    }
+
+    fn module(&mut self) -> Result<Module> {
+        let mut functions = Vec::new();
+        while self.cur.is_some() {
+            let w = self.peek_word().unwrap_or_default();
+            match w {
+                ".version" | ".target" | ".address_size" => {
+                    self.bump();
+                    self.bump(); // the directive's value
+                }
+                ".visible" => {
+                    self.bump();
+                }
+                ".entry" | ".func" => functions.push(self.function()?),
+                _ => {
+                    return Err(self.err(format!("expected a function or directive, found `{w}`")));
+                }
+            }
+        }
+        Ok(Module { functions, names: std::mem::take(&mut self.names) })
+    }
+
     fn function(&mut self) -> Result<Function> {
-        let kw = self.expect_word()?;
-        let kind = match kw.as_str() {
+        let kind = match self.expect_word()? {
             ".entry" => FunctionKind::Entry,
             ".func" => FunctionKind::Device,
             _ => unreachable!(),
         };
+        self.function += 1;
+        self.regs.clear();
+        self.labels.clear();
+        self.defined.clear();
+        self.call_args.clear();
+        self.body.clear();
+        let mut decls: Vec<RegDecl<'a>> = Vec::new();
+        let mut declared = 0u64;
 
         // Optional return declaration: `(.reg .u32 %out)`.
-        let mut ret = None;
-        let mut ret_name = None;
+        let mut ret_decl = None;
         if kind == FunctionKind::Device && self.eat_punct('(') {
             let w = self.expect_word()?;
             if w != ".reg" {
                 return Err(self.err(format!("expected `.reg` in return declaration, found `{w}`")));
             }
             let ty = self.type_word()?;
-            let name = self.expect_reg()?;
-            ret = Some(ty);
-            ret_name = Some(name);
+            ret_decl = Some((self.expect_reg_name()?, ty));
             self.expect_punct(')')?;
         }
 
         let name = self.expect_word()?;
+        let name = self.names.intern(name);
         let mut params = Vec::new();
         if self.eat_punct('(') && !self.eat_punct(')') {
             loop {
@@ -142,54 +297,54 @@ impl Parser {
                 }
                 let ty = self.type_word()?;
                 let pname = self.expect_word()?;
-                params.push((pname, ty));
+                params.push((self.names.intern(pname), ty));
+                // Device-function parameters and the return slot are
+                // virtual registers, declared by the signature.
+                if kind == FunctionKind::Device {
+                    decls.push(RegDecl { base: pname, ranged: false, width: 1, ty });
+                    self.reg(pname);
+                }
                 if self.eat_punct(')') {
                     break;
                 }
                 self.expect_punct(',')?;
             }
         }
+        let ret_reg = ret_decl.map(|(base, ty)| {
+            decls.push(RegDecl { base, ranged: false, width: 1, ty });
+            self.reg(base)
+        });
 
         self.expect_punct('{')?;
-        let mut regs: BTreeMap<String, PtxType> = BTreeMap::new();
         let mut shared = Vec::new();
-        let mut body = Vec::new();
-
-        // Device-function parameters and the return slot are virtual
-        // registers seeded into the declaration table.
-        if kind == FunctionKind::Device {
-            for (pname, ty) in &params {
-                regs.insert(pname.clone(), *ty);
-            }
-            if let (Some(rn), Some(rt)) = (&ret_name, ret) {
-                regs.insert(rn.clone(), rt);
-            }
-        }
-
         loop {
             if self.eat_punct('}') {
                 break;
             }
             let w = match self.peek() {
-                Some(Tok::Word(w)) => w.clone(),
-                Some(Tok::Punct('@')) => String::from("@"),
+                Some(Tok::Word(w)) => w,
+                Some(Tok::Punct('@')) => "@",
                 other => return Err(self.err(format!("expected statement, found {other:?}"))),
             };
-            match w.as_str() {
+            match w {
                 ".reg" => {
                     self.bump();
                     let ty = self.type_word()?;
                     // `.reg .u32 %r<10>;` or `.reg .u32 %x;`
-                    let base = self.expect_reg()?;
-                    if self.eat_punct('<') {
-                        let count = self.int_literal()? as usize;
+                    let base = self.expect_reg_name()?;
+                    let ranged = self.eat_punct('<');
+                    let mut width = 1;
+                    if ranged {
+                        width = self.int_in::<u32>("register count")?.max(1);
                         self.expect_punct('>')?;
-                        for i in 0..count.max(1) {
-                            regs.insert(format!("{base}{i}"), ty);
-                        }
-                    } else {
-                        regs.insert(base, ty);
                     }
+                    declared += u64::from(width);
+                    if declared > MAX_DECLARED_REGS {
+                        return Err(self.err(format!(
+                            "more than {MAX_DECLARED_REGS} registers declared in one function"
+                        )));
+                    }
+                    decls.push(RegDecl { base, ranged, width, ty });
                     self.expect_punct(';')?;
                 }
                 ".shared" => {
@@ -197,7 +352,7 @@ impl Parser {
                     let mut align = 4u32;
                     let mut w2 = self.expect_word()?;
                     if w2 == ".align" {
-                        align = self.int_literal()? as u32;
+                        align = self.int_in("alignment")?;
                         w2 = self.expect_word()?;
                     }
                     if w2 != ".b8" {
@@ -207,77 +362,91 @@ impl Parser {
                     }
                     let sname = self.expect_word()?;
                     self.expect_punct('[')?;
-                    let bytes = self.int_literal()? as u32;
+                    let bytes = self.int_in("shared size")?;
                     self.expect_punct(']')?;
                     self.expect_punct(';')?;
-                    shared.push(SharedDecl { name: sname, bytes, align });
+                    shared.push(SharedDecl { name: self.names.intern(sname), bytes, align });
                 }
                 ".loc" => {
                     self.bump();
-                    let file = match self.bump() {
-                        Some(Tok::Str(s)) => s,
-                        other => {
-                            return Err(self.err(format!("expected file string, found {other:?}")))
-                        }
-                    };
-                    let line = self.int_literal()? as u32;
+                    let file = self.expect_str("file")?;
+                    let line = self.int_in("line number")?;
                     self.eat_punct(';');
-                    body.push(Statement::Loc { file, line });
+                    self.body.push(Statement::Loc { file, line });
                 }
                 _ => {
                     // Label (`IDENT:`) or instruction.
                     if w != "@"
                         && !w.starts_with('%')
                         && !w.starts_with('.')
-                        && matches!(
-                            self.toks.get(self.pos + 1).map(|t| &t.tok),
-                            Some(Tok::Punct(':'))
-                        )
+                        && matches!(self.next, Some(SpannedTok { tok: Tok::Punct(':'), .. }))
                     {
+                        let line = self.line();
                         self.bump();
                         self.bump();
-                        body.push(Statement::Label(w));
+                        let id = self.label(w);
+                        if std::mem::replace(&mut self.defined[id.0 as usize], true) {
+                            let reason = format!("label `{w}` is defined twice");
+                            return Err(PtxError::Parse { line, reason });
+                        }
+                        self.body.push(Statement::Label(id));
                         continue;
                     }
-                    let instr = self.instruction(&regs)?;
-                    body.push(Statement::Instr(instr));
+                    let instr = self.instruction()?;
+                    self.body.push(Statement::Instr(instr));
                 }
             }
         }
 
-        Ok(Function { name, kind, params, ret, ret_reg: ret_name, regs, shared, body })
+        type_regs(&decls, &self.names, &mut self.regs);
+        Ok(Function {
+            name,
+            kind,
+            params,
+            ret: ret_decl.map(|(_, ty)| ty),
+            ret_reg,
+            regs: self.regs.clone(),
+            labels: self.labels.clone(),
+            shared,
+            call_args: self.call_args.clone(),
+            body: self.body.clone(),
+        })
     }
 
     fn type_word(&mut self) -> Result<PtxType> {
         let w = self.expect_word()?;
-        let s = w.strip_prefix('.').unwrap_or(&w);
+        let s = w.strip_prefix('.').unwrap_or(w);
         PtxType::from_suffix(s).ok_or_else(|| self.err(format!("unknown type `{w}`")))
     }
 
     fn int_literal(&mut self) -> Result<i64> {
         let neg = self.eat_punct('-');
         match self.bump() {
-            Some(Tok::Num(n)) => {
-                let v = parse_int(&n).ok_or_else(|| self.err(format!("bad integer `{n}`")))?;
-                Ok(if neg { -v } else { v })
-            }
+            Some(Tok::Num(n)) => parse_int(n)
+                .and_then(|v| if neg { v.checked_neg() } else { Some(v) })
+                .ok_or_else(|| self.err(format!("bad integer `{n}`"))),
             other => Err(self.err(format!("expected integer, found {other:?}"))),
         }
+    }
+
+    /// An integer literal that must fit `T`.
+    fn int_in<T: TryFrom<i64>>(&mut self, what: &str) -> Result<T> {
+        let v = self.int_literal()?;
+        T::try_from(v).map_err(|_| self.err(format!("{what} `{v}` is out of range")))
     }
 
     /// Parses a source operand: register or typed immediate.
     fn src(&mut self, ty: PtxType) -> Result<Src> {
         match self.peek() {
             Some(Tok::Word(w)) if w.starts_with('%') => {
-                let w = w.clone();
                 self.bump();
-                Ok(Src::Reg(w))
+                Ok(Src::Reg(self.reg(w)))
             }
             _ => {
                 let neg = self.eat_punct('-');
                 match self.bump() {
                     Some(Tok::Num(n)) => {
-                        let bits = parse_typed_literal(&n, neg, ty)
+                        let bits = parse_typed_literal(n, neg, ty)
                             .ok_or_else(|| self.err(format!("bad literal `{n}` for {ty}")))?;
                         Ok(Src::Imm(bits))
                     }
@@ -290,12 +459,19 @@ impl Parser {
     fn addr(&mut self) -> Result<Address> {
         self.expect_punct('[')?;
         let w = self.expect_word()?;
-        let base = if w.starts_with('%') { AddrBase::Reg(w) } else { AddrBase::Shared(w) };
+        let base = if w.starts_with('%') {
+            AddrBase::Reg(self.reg(w))
+        } else {
+            AddrBase::Shared(self.names.intern(w))
+        };
         let mut offset = 0i32;
-        if self.eat_punct('+') {
-            offset = self.int_literal()? as i32;
-        } else if self.eat_punct('-') {
-            offset = -(self.int_literal()? as i32);
+        let plus = self.eat_punct('+');
+        if plus || self.eat_punct('-') {
+            let v = self.int_literal()?;
+            let v = if plus { Some(v) } else { v.checked_neg() };
+            offset = v
+                .and_then(|v| i32::try_from(v).ok())
+                .ok_or_else(|| self.err("address offset is out of range".into()))?;
         }
         self.expect_punct(']')?;
         Ok(Address { base, offset })
@@ -305,11 +481,21 @@ impl Parser {
         self.expect_punct(',')
     }
 
-    fn semi(&mut self) -> Result<()> {
-        self.expect_punct(';')
+    /// `%d, %s` — the operands of the two-register operations.
+    fn reg_pair(&mut self) -> Result<(VReg, VReg)> {
+        let dst = self.expect_reg()?;
+        self.comma()?;
+        Ok((dst, self.expect_reg()?))
     }
 
-    fn instruction(&mut self, _regs: &BTreeMap<String, PtxType>) -> Result<PtxInstr> {
+    /// `%d, %a, b` — the operands of the binary operations.
+    fn reg_reg_src(&mut self, ty: PtxType) -> Result<(VReg, VReg, Src)> {
+        let (dst, a) = self.reg_pair()?;
+        self.comma()?;
+        Ok((dst, a, self.src(ty)?))
+    }
+
+    fn instruction(&mut self) -> Result<PtxInstr> {
         // Guard.
         let guard = if self.eat_punct('@') {
             let negated = self.eat_punct('!');
@@ -319,35 +505,80 @@ impl Parser {
             None
         };
 
+        // The opcode word; `part(n)` is its n-th dot-separated piece.
         let opw = self.expect_word()?;
-        let parts: Vec<&str> = opw.split('.').collect();
-        let head = parts[0];
+        let part = |n: usize| opw.split('.').nth(n);
+        let head = part(0).unwrap_or_default();
 
         let op = match head {
-            "ld" => self.ld(&parts)?,
-            "st" => self.st(&parts)?,
-            "mov" => self.mov(&parts)?,
-            "add" | "sub" | "min" | "max" | "and" | "or" | "xor" | "shl" | "shr" => {
-                self.bin(head, &parts)?
+            "ld" => self.ld(opw)?,
+            "st" => {
+                let ty = self.tail_type(opw)?;
+                let space = self.space(part(1).unwrap_or_default())?;
+                let addr = self.addr()?;
+                self.comma()?;
+                let src = self.expect_reg()?;
+                PtxOp::St { space, ty, addr, src }
             }
-            "mul" => self.mul(&parts)?,
-            "mad" | "fma" => self.mad(&parts)?,
-            "setp" => self.setp(&parts)?,
-            "selp" => self.selp(&parts)?,
-            "cvt" => self.cvt(&parts)?,
+            "mov" => self.mov(opw)?,
+            "add" | "sub" | "min" | "max" | "and" | "or" | "xor" | "shl" | "shr" | "mul" => {
+                let ty = self.tail_type(opw)?;
+                let kind = match head {
+                    "add" => BinKind::Add,
+                    "sub" => BinKind::Sub,
+                    "min" => BinKind::Min,
+                    "max" => BinKind::Max,
+                    "and" => BinKind::And,
+                    "or" => BinKind::Or,
+                    "xor" => BinKind::Xor,
+                    "shl" => BinKind::Shl,
+                    "shr" => BinKind::Shr,
+                    _ if part(1) == Some("wide") => BinKind::MulWide,
+                    _ => BinKind::MulLo, // `.lo` explicit or float `mul.f32`
+                };
+                let (dst, a, b) = self.reg_reg_src(ty)?;
+                PtxOp::Bin { kind, ty, dst, a, b }
+            }
+            "mad" | "fma" => {
+                let ty = self.tail_type(opw)?;
+                let wide = part(1) == Some("wide");
+                let (dst, a, b) = self.reg_reg_src(ty)?;
+                self.comma()?;
+                let c = self.expect_reg()?;
+                PtxOp::Mad { wide, ty, dst, a, b, c }
+            }
+            "setp" => {
+                let cmp = part(1)
+                    .and_then(PCmp::from_suffix)
+                    .ok_or_else(|| self.err("setp requires a comparison suffix".into()))?;
+                let ty = self.tail_type(opw)?;
+                let (dst, a, b) = self.reg_reg_src(ty)?;
+                PtxOp::Setp { cmp, ty, dst, a, b }
+            }
+            "selp" => {
+                let ty = self.tail_type(opw)?;
+                let (dst, a, b) = self.reg_reg_src(ty)?;
+                self.comma()?;
+                let p = self.expect_reg()?;
+                PtxOp::Selp { ty, dst, a, b, p }
+            }
+            "cvt" => {
+                // `cvt.dty.sty` with an optional rounding part we ignore
+                // (`cvt.rn.f32.s32`).
+                let mut tys = opw.split('.').skip(1).filter_map(PtxType::from_suffix);
+                let (Some(dty), Some(sty), None) = (tys.next(), tys.next(), tys.next()) else {
+                    return Err(self.err(format!("cvt requires two type suffixes in `{opw}`")));
+                };
+                let (dst, src) = self.reg_pair()?;
+                PtxOp::Cvt { dty, sty, dst, src }
+            }
             "bra" => {
                 let target = self.expect_word()?;
-                PtxOp::Bra { target }
+                PtxOp::Bra { target: self.label(target) }
             }
             "call" => self.call()?,
-            "ret" => {
-                if parts.get(1) == Some(&"val") {
-                    let src = self.expect_reg()?;
-                    PtxOp::RetVal { src }
-                } else {
-                    PtxOp::Ret
-                }
-            }
+            "ret" if part(1) == Some("val") => PtxOp::RetVal { src: self.expect_reg()? },
+            "ret" => PtxOp::Ret,
             "exit" => PtxOp::Exit,
             "bar" => {
                 // `bar.sync 0;`
@@ -355,14 +586,47 @@ impl Parser {
                 PtxOp::BarSync
             }
             "membar" => PtxOp::Membar,
-            "atom" => self.atom(&parts)?,
-            "red" => self.red(&parts)?,
-            "vote" => self.vote(&parts)?,
-            "shfl" => self.shfl(&parts)?,
-            "popc" => {
-                let dst = self.expect_reg()?;
+            "atom" => self.atom(opw)?,
+            "red" => {
+                if part(1) != Some("global") {
+                    return Err(self.err("reductions are supported on global memory only".into()));
+                }
+                let op = part(2)
+                    .and_then(AtomOp::from_suffix)
+                    .ok_or_else(|| self.err("red requires an operation suffix".into()))?;
+                let ty = self.tail_type(opw)?;
+                let addr = self.addr()?;
                 self.comma()?;
                 let src = self.expect_reg()?;
+                PtxOp::Red { op, ty, addr, src }
+            }
+            "vote" => {
+                let mode = match part(1) {
+                    Some("all") => VoteMode::All,
+                    Some("any") => VoteMode::Any,
+                    Some("ballot") => VoteMode::Ballot,
+                    other => return Err(self.err(format!("unknown vote mode {other:?}"))),
+                };
+                let dst = self.expect_reg()?;
+                self.comma()?;
+                let negated = self.eat_punct('!');
+                let src = self.expect_reg()?;
+                PtxOp::Vote { mode, dst, src, negated }
+            }
+            "shfl" => {
+                // Accept both `shfl.mode.b32` and `shfl.sync.mode.b32`.
+                let mode = match part(if part(1) == Some("sync") { 2 } else { 1 }) {
+                    Some("idx") => ShflMode::Idx,
+                    Some("up") => ShflMode::Up,
+                    Some("down") => ShflMode::Down,
+                    Some("bfly") => ShflMode::Bfly,
+                    other => return Err(self.err(format!("unknown shfl mode {other:?}"))),
+                };
+                let (dst, a, b) = self.reg_reg_src(PtxType::U32)?;
+                PtxOp::Shfl { mode, dst, a, b }
+            }
+            "popc" => {
+                let (dst, src) = self.reg_pair()?;
                 PtxOp::Popc { dst, src }
             }
             "rcp" | "sqrt" | "rsq" | "sin" | "cos" | "ex2" | "lg2" => {
@@ -375,39 +639,27 @@ impl Parser {
                     "ex2" => MufuFunc::Ex2,
                     _ => MufuFunc::Lg2,
                 };
-                let dst = self.expect_reg()?;
-                self.comma()?;
-                let src = self.expect_reg()?;
+                let (dst, src) = self.reg_pair()?;
                 PtxOp::Mufu { func, dst, src }
             }
             "proxy" => {
-                let dst = self.expect_reg()?;
+                let (dst, src) = self.reg_pair()?;
                 self.comma()?;
-                let src = self.expect_reg()?;
-                self.comma()?;
-                let name = match self.bump() {
-                    Some(Tok::Str(s)) => s,
-                    other => {
-                        return Err(self.err(format!("expected proxy name string, found {other:?}")))
-                    }
-                };
+                let name = self.expect_str("proxy name")?;
                 PtxOp::Proxy { dst, src, name }
             }
-            "chan" => match parts.get(1) {
-                Some(&"push") => {
-                    let src = self.expect_reg()?;
-                    PtxOp::ChanPush { src }
-                }
+            "chan" => match part(1) {
+                Some("push") => PtxOp::ChanPush { src: self.expect_reg()? },
                 other => return Err(self.err(format!("unknown chan intrinsic {other:?}"))),
             },
-            "nvbit" => match parts.get(1) {
-                Some(&"readreg") => {
+            "nvbit" => match part(1) {
+                Some("readreg") => {
                     let dst = self.expect_reg()?;
                     self.comma()?;
                     let idx = self.src(PtxType::U32)?;
                     PtxOp::NvReadReg { dst, idx }
                 }
-                Some(&"writereg") => {
+                Some("writereg") => {
                     let idx = self.src(PtxType::U32)?;
                     self.comma()?;
                     let src = self.expect_reg()?;
@@ -417,14 +669,14 @@ impl Parser {
             },
             other => return Err(self.err(format!("unknown opcode `{other}`"))),
         };
-        self.semi()?;
+        self.expect_punct(';')?;
         Ok(PtxInstr { guard, op })
     }
 
-    fn tail_type(&mut self, parts: &[&str]) -> Result<PtxType> {
-        let last = parts.last().copied().unwrap_or_default();
-        PtxType::from_suffix(last)
-            .ok_or_else(|| self.err(format!("missing type suffix in `{}`", parts.join("."))))
+    /// The type an opcode word ends in.
+    fn tail_type(&mut self, opw: &str) -> Result<PtxType> {
+        PtxType::from_suffix(opw.rsplit('.').next().unwrap_or_default())
+            .ok_or_else(|| self.err(format!("missing type suffix in `{opw}`")))
     }
 
     fn space(&mut self, s: &str) -> Result<Space> {
@@ -436,159 +688,48 @@ impl Parser {
         }
     }
 
-    fn ld(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        if parts.get(1) == Some(&"param") {
+    fn ld(&mut self, opw: &str) -> Result<PtxOp> {
+        let ty = self.tail_type(opw)?;
+        let space = opw.split('.').nth(1).unwrap_or_default();
+        if space == "param" {
             let dst = self.expect_reg()?;
             self.comma()?;
             self.expect_punct('[')?;
             let param = self.expect_word()?;
+            let param = self.names.intern(param);
             let mut offset = 0u32;
             if self.eat_punct('+') {
-                offset = self.int_literal()? as u32;
+                offset = self.int_in("parameter offset")?;
             }
             self.expect_punct(']')?;
             return Ok(PtxOp::LdParam { ty, dst, param, offset });
         }
-        let space = self.space(parts.get(1).copied().unwrap_or_default())?;
+        let space = self.space(space)?;
         let dst = self.expect_reg()?;
         self.comma()?;
         let addr = self.addr()?;
         Ok(PtxOp::Ld { space, ty, dst, addr })
     }
 
-    fn st(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        let space = self.space(parts.get(1).copied().unwrap_or_default())?;
-        let addr = self.addr()?;
-        self.comma()?;
-        let src = self.expect_reg()?;
-        Ok(PtxOp::St { space, ty, addr, src })
-    }
-
-    fn mov(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
+    fn mov(&mut self, opw: &str) -> Result<PtxOp> {
+        let ty = self.tail_type(opw)?;
         let dst = self.expect_reg()?;
         self.comma()?;
         // Source: special register, plain register, immediate, or a shared
         // variable name (address-of).
+        let (mut src, mut special, mut shared_addr) = (None, None, None);
         match self.peek() {
-            Some(Tok::Word(w)) if w.starts_with('%') => {
-                let w = w.clone();
-                if let Some(special) = parse_special(&w) {
-                    self.bump();
-                    Ok(PtxOp::Mov { ty, dst, src: None, special: Some(special), shared_addr: None })
-                } else {
-                    self.bump();
-                    Ok(PtxOp::Mov {
-                        ty,
-                        dst,
-                        src: Some(Src::Reg(w)),
-                        special: None,
-                        shared_addr: None,
-                    })
+            Some(Tok::Word(w)) => {
+                self.bump();
+                match parse_special(w) {
+                    Some(sp) => special = Some(sp),
+                    None if w.starts_with('%') => src = Some(Src::Reg(self.reg(w))),
+                    None => shared_addr = Some(self.names.intern(w)),
                 }
             }
-            Some(Tok::Word(w)) => {
-                let w = w.clone();
-                self.bump();
-                Ok(PtxOp::Mov { ty, dst, src: None, special: None, shared_addr: Some(w) })
-            }
-            _ => {
-                let src = self.src(ty)?;
-                Ok(PtxOp::Mov { ty, dst, src: Some(src), special: None, shared_addr: None })
-            }
+            _ => src = Some(self.src(ty)?),
         }
-    }
-
-    fn bin(&mut self, head: &str, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        let kind = match head {
-            "add" => BinKind::Add,
-            "sub" => BinKind::Sub,
-            "min" => BinKind::Min,
-            "max" => BinKind::Max,
-            "and" => BinKind::And,
-            "or" => BinKind::Or,
-            "xor" => BinKind::Xor,
-            "shl" => BinKind::Shl,
-            "shr" => BinKind::Shr,
-            _ => unreachable!(),
-        };
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(ty)?;
-        Ok(PtxOp::Bin { kind, ty, dst, a, b })
-    }
-
-    fn mul(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        let kind = match parts.get(1) {
-            Some(&"wide") => BinKind::MulWide,
-            _ => BinKind::MulLo, // `.lo` explicit or float `mul.f32`
-        };
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(ty)?;
-        Ok(PtxOp::Bin { kind, ty, dst, a, b })
-    }
-
-    fn mad(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        let wide = parts.get(1) == Some(&"wide");
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(ty)?;
-        self.comma()?;
-        let c = self.expect_reg()?;
-        Ok(PtxOp::Mad { wide, ty, dst, a, b, c })
-    }
-
-    fn setp(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let cmp = parts
-            .get(1)
-            .and_then(|s| PCmp::from_suffix(s))
-            .ok_or_else(|| self.err("setp requires a comparison suffix".into()))?;
-        let ty = self.tail_type(parts)?;
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(ty)?;
-        Ok(PtxOp::Setp { cmp, ty, dst, a, b })
-    }
-
-    fn selp(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let ty = self.tail_type(parts)?;
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(ty)?;
-        self.comma()?;
-        let p = self.expect_reg()?;
-        Ok(PtxOp::Selp { ty, dst, a, b, p })
-    }
-
-    fn cvt(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        // `cvt.dty.sty` with an optional rounding part we ignore
-        // (`cvt.rn.f32.s32`).
-        let tys: Vec<PtxType> = parts[1..].iter().filter_map(|s| PtxType::from_suffix(s)).collect();
-        if tys.len() != 2 {
-            return Err(
-                self.err(format!("cvt requires two type suffixes in `{}`", parts.join(".")))
-            );
-        }
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let src = self.expect_reg()?;
-        Ok(PtxOp::Cvt { dty: tys[0], sty: tys[1], dst, src })
+        Ok(PtxOp::Mov { ty, dst, src, special, shared_addr })
     }
 
     fn call(&mut self) -> Result<PtxOp> {
@@ -600,12 +741,14 @@ impl Parser {
             self.comma()?;
         }
         let func = self.expect_word()?;
-        let mut args = Vec::new();
+        let func = self.names.intern(func);
+        let start = self.call_args.len();
         if self.eat_punct(',') {
             self.expect_punct('(')?;
             if !self.eat_punct(')') {
                 loop {
-                    args.push(self.expect_reg()?);
+                    let arg = self.expect_reg()?;
+                    self.call_args.push(arg);
                     if self.eat_punct(')') {
                         break;
                     }
@@ -613,18 +756,19 @@ impl Parser {
                 }
             }
         }
+        let args = ArgRange { start: start as u32, len: (self.call_args.len() - start) as u32 };
         Ok(PtxOp::Call { ret, func, args })
     }
 
-    fn atom(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        if parts.get(1) != Some(&"global") {
+    fn atom(&mut self, opw: &str) -> Result<PtxOp> {
+        let part = |n: usize| opw.split('.').nth(n);
+        if part(1) != Some("global") {
             return Err(self.err("atomics are supported on global memory only".into()));
         }
-        let op = parts
-            .get(2)
-            .and_then(|s| AtomOp::from_suffix(s))
+        let op = part(2)
+            .and_then(AtomOp::from_suffix)
             .ok_or_else(|| self.err("atom requires an operation suffix".into()))?;
-        let ty = self.tail_type(parts)?;
+        let ty = self.tail_type(opw)?;
         let dst = self.expect_reg()?;
         self.comma()?;
         let addr = self.addr()?;
@@ -635,53 +779,6 @@ impl Parser {
             return Err(self.err("cas takes two value operands; other atomics take one".into()));
         }
         Ok(PtxOp::Atom { op, ty, dst, addr, src, src2 })
-    }
-
-    fn red(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        if parts.get(1) != Some(&"global") {
-            return Err(self.err("reductions are supported on global memory only".into()));
-        }
-        let op = parts
-            .get(2)
-            .and_then(|s| AtomOp::from_suffix(s))
-            .ok_or_else(|| self.err("red requires an operation suffix".into()))?;
-        let ty = self.tail_type(parts)?;
-        let addr = self.addr()?;
-        self.comma()?;
-        let src = self.expect_reg()?;
-        Ok(PtxOp::Red { op, ty, addr, src })
-    }
-
-    fn vote(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        let mode = match parts.get(1) {
-            Some(&"all") => VoteMode::All,
-            Some(&"any") => VoteMode::Any,
-            Some(&"ballot") => VoteMode::Ballot,
-            other => return Err(self.err(format!("unknown vote mode {other:?}"))),
-        };
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let negated = self.eat_punct('!');
-        let src = self.expect_reg()?;
-        Ok(PtxOp::Vote { mode, dst, src, negated })
-    }
-
-    fn shfl(&mut self, parts: &[&str]) -> Result<PtxOp> {
-        // Accept both `shfl.mode.b32` and `shfl.sync.mode.b32`.
-        let mode_str = if parts.get(1) == Some(&"sync") { parts.get(2) } else { parts.get(1) };
-        let mode = match mode_str {
-            Some(&"idx") => ShflMode::Idx,
-            Some(&"up") => ShflMode::Up,
-            Some(&"down") => ShflMode::Down,
-            Some(&"bfly") => ShflMode::Bfly,
-            other => return Err(self.err(format!("unknown shfl mode {other:?}"))),
-        };
-        let dst = self.expect_reg()?;
-        self.comma()?;
-        let a = self.expect_reg()?;
-        self.comma()?;
-        let b = self.src(PtxType::U32)?;
-        Ok(PtxOp::Shfl { mode, dst, a, b })
     }
 }
 
@@ -722,51 +819,46 @@ fn parse_typed_literal(tok: &str, neg: bool, ty: PtxType) -> Option<i64> {
         }
         PtxType::U32 | PtxType::S32 | PtxType::B32 => {
             let v = parse_int(tok)?;
-            let v = if neg { -v } else { v };
+            let v = if neg { v.wrapping_neg() } else { v };
             Some((v as i32) as i64)
         }
         PtxType::U64 | PtxType::S64 | PtxType::B64 => {
             let v = parse_int(tok)?;
-            Some(if neg { -v } else { v })
+            Some(if neg { v.wrapping_neg() } else { v })
         }
         PtxType::Pred => None,
     }
 }
 
 fn parse_special(w: &str) -> Option<PtxSpecial> {
-    let comp = |s: &str| -> Option<u8> {
-        match s {
-            "x" => Some(0),
-            "y" => Some(1),
-            "z" => Some(2),
-            _ => None,
-        }
-    };
-    if let Some(rest) = w.strip_prefix("%tid.") {
-        return comp(rest).map(PtxSpecial::Tid);
-    }
-    if let Some(rest) = w.strip_prefix("%ntid.") {
-        return comp(rest).map(PtxSpecial::NTid);
-    }
-    if let Some(rest) = w.strip_prefix("%ctaid.") {
-        return comp(rest).map(PtxSpecial::CtaId);
-    }
-    if let Some(rest) = w.strip_prefix("%nctaid.") {
-        return comp(rest).map(PtxSpecial::NCtaId);
-    }
-    match w {
-        "%laneid" => Some(PtxSpecial::LaneId),
-        "%warpid" => Some(PtxSpecial::WarpId),
-        "%smid" => Some(PtxSpecial::SmId),
-        "%clock" => Some(PtxSpecial::Clock),
-        "%activemask" => Some(PtxSpecial::ActiveMask),
-        _ => None,
-    }
+    let (name, comp) = w.split_once('.').unwrap_or((w, ""));
+    let comp = ["x", "y", "z"].iter().position(|c| *c == comp).map(|c| c as u8);
+    Some(match (name, comp, w) {
+        ("%tid", Some(c), _) => PtxSpecial::Tid(c),
+        ("%ntid", Some(c), _) => PtxSpecial::NTid(c),
+        ("%ctaid", Some(c), _) => PtxSpecial::CtaId(c),
+        ("%nctaid", Some(c), _) => PtxSpecial::NCtaId(c),
+        (_, _, "%laneid") => PtxSpecial::LaneId,
+        (_, _, "%warpid") => PtxSpecial::WarpId,
+        (_, _, "%smid") => PtxSpecial::SmId,
+        (_, _, "%clock") => PtxSpecial::Clock,
+        (_, _, "%activemask") => PtxSpecial::ActiveMask,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn reg_name<'m>(m: &'m Module, f: &Function, v: VReg) -> &'m str {
+        m.names.resolve(f.regs[v.index()].name)
+    }
+
+    /// The declared type of the register spelled `name`, when `f` uses it.
+    fn reg_ty(m: &Module, f: &Function, name: &str) -> Option<PtxType> {
+        f.regs[f.reg_named(m.names.get(name)?)?.index()].ty
+    }
 
     const VECADD: &str = r#"
 .version 6.0
@@ -801,16 +893,16 @@ DONE:
         let m = parse(VECADD).unwrap();
         assert_eq!(m.functions.len(), 1);
         let f = &m.functions[0];
-        assert_eq!(f.name, "vecadd");
+        assert_eq!(m.names.resolve(f.name), "vecadd");
         assert_eq!(f.kind, FunctionKind::Entry);
         assert_eq!(f.params.len(), 4);
-        assert_eq!(f.regs.get("%r5"), Some(&PtxType::U32));
-        assert_eq!(f.regs.get("%p1"), Some(&PtxType::Pred));
+        assert_eq!(reg_ty(&m, f, "%r5"), Some(PtxType::U32));
+        assert_eq!(reg_ty(&m, f, "%p1"), Some(PtxType::Pred));
         let labels: Vec<_> = f
             .body
             .iter()
             .filter_map(|s| match s {
-                Statement::Label(l) => Some(l.as_str()),
+                Statement::Label(l) => Some(m.names.resolve(f.labels[l.0 as usize])),
                 _ => None,
             })
             .collect();
@@ -831,7 +923,7 @@ DONE:
             .collect();
         // The guarded branch.
         let bra = instrs.iter().find(|i| matches!(i.op, PtxOp::Bra { .. })).unwrap();
-        assert_eq!(bra.guard.as_ref().unwrap().reg, "%p1");
+        assert_eq!(reg_name(&m, f, bra.guard.unwrap().reg), "%p1");
         // The float literal 1.0 parsed as raw bits.
         let addf = instrs
             .iter()
@@ -856,8 +948,9 @@ DONE:
         let f = &m.functions[0];
         assert_eq!(f.kind, FunctionKind::Device);
         assert_eq!(f.ret, Some(PtxType::U32));
-        assert_eq!(f.ret_reg.as_deref(), Some("%out"));
-        assert_eq!(f.params, vec![("%x".to_string(), PtxType::U32)]);
+        assert_eq!(f.ret_reg.map(|r| reg_name(&m, f, r)), Some("%out"));
+        assert_eq!(f.params, vec![(m.names.get("%x").unwrap(), PtxType::U32)]);
+        assert_eq!(reg_ty(&m, f, "%x"), Some(PtxType::U32));
     }
 
     #[test]
@@ -873,22 +966,25 @@ DONE:
 }
 "#;
         let m = parse(src).unwrap();
-        let calls: Vec<_> = m.functions[0]
+        let f = &m.functions[0];
+        let calls: Vec<_> = f
             .body
             .iter()
             .filter_map(|s| match s {
-                Statement::Instr(PtxInstr { op: PtxOp::Call { ret, func, args }, .. }) => {
-                    Some((ret.clone(), func.clone(), args.len()))
-                }
+                Statement::Instr(PtxInstr { op: PtxOp::Call { ret, func, args }, .. }) => Some((
+                    ret.map(|r| reg_name(&m, f, r)),
+                    m.names.resolve(*func),
+                    f.args(*args).iter().map(|a| reg_name(&m, f, *a)).collect::<Vec<_>>(),
+                )),
                 _ => None,
             })
             .collect();
         assert_eq!(
             calls,
             vec![
-                (Some("%r1".into()), "square".into(), 1),
-                (None, "helper".into(), 1),
-                (None, "barefn".into(), 0),
+                (Some("%r1"), "square", vec!["%r2"]),
+                (None, "helper", vec!["%r1"]),
+                (None, "barefn", vec![]),
             ]
         );
     }
@@ -914,7 +1010,7 @@ DONE:
         assert!(f
             .body
             .iter()
-            .any(|s| matches!(s, Statement::Loc { file, line: 42 } if file == "kern.cu")));
+            .any(|s| matches!(s, Statement::Loc { file, line: 42 } if m.names.resolve(*file) == "kern.cu")));
     }
 
     #[test]
@@ -946,5 +1042,99 @@ DONE:
 "#;
         let m = parse(src).unwrap();
         assert_eq!(m.functions.len(), 1);
+    }
+
+    /// The line and reason of the parse error `src` must produce.
+    fn rejected(src: &str) -> (usize, String) {
+        match parse(src) {
+            Err(PtxError::Parse { line, reason }) => (line, reason),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    fn kernel(body: &str) -> String {
+        format!(".entry k(.param .u64 p)\n{{\n    .reg .u64 %rd<4>;\n{body}\n    exit;\n}}\n")
+    }
+
+    #[test]
+    fn negative_shared_size_is_rejected() {
+        let (line, reason) = rejected(&kernel("    .shared .b8 s[-1];"));
+        assert_eq!((line, reason.as_str()), (4, "shared size `-1` is out of range"));
+    }
+
+    #[test]
+    fn shared_size_past_32_bits_is_rejected() {
+        let (line, reason) = rejected(&kernel("    .shared .align 8 .b8 s[4294967297];"));
+        assert_eq!((line, reason.as_str()), (4, "shared size `4294967297` is out of range"));
+        assert_eq!(rejected(&kernel("    .shared .align -8 .b8 s[4];")).0, 4);
+    }
+
+    #[test]
+    fn address_offset_past_32_bits_is_rejected() {
+        for addr in ["[%rd1+99999999999]", "[%rd1-99999999999]", "[%rd1+-2147483649]"] {
+            let (line, reason) = rejected(&kernel(&format!("    ld.global.u64 %rd2, {addr};")));
+            assert_eq!((line, reason.as_str()), (4, "address offset is out of range"), "{addr}");
+        }
+        assert!(parse(&kernel("    ld.global.u64 %rd2, [%rd1+-2147483648];")).is_ok());
+        let (line, _) = rejected(&kernel("    ld.param.u64 %rd2, [p+4294967296];"));
+        assert_eq!(line, 4);
+    }
+
+    #[test]
+    fn loc_line_past_32_bits_is_rejected() {
+        let (line, reason) = rejected(&kernel("    .loc \"a\" 99999999999 ;"));
+        assert_eq!((line, reason.as_str()), (4, "line number `99999999999` is out of range"));
+    }
+
+    #[test]
+    fn a_label_defined_twice_is_rejected() {
+        let (line, reason) = rejected(&kernel("A:\n    bra A;\nB:\nA:"));
+        assert_eq!((line, reason.as_str()), (7, "label `A` is defined twice"));
+        // The same spelling in two functions is two labels.
+        let two = format!("{}{}", kernel("A:"), kernel("A:").replace(" k(", " k2("));
+        assert_eq!(parse(&two).unwrap().functions.len(), 2);
+    }
+
+    #[test]
+    fn register_ranges_are_not_expanded_and_capped() {
+        let m = parse(&kernel("    .reg .u32 %r<1048000>;\n    mov.u32 %r1047999, 1;")).unwrap();
+        let f = &m.functions[0];
+        assert_eq!(f.regs.len(), 1, "only the registers referred to are tabled");
+        assert_eq!(reg_ty(&m, f, "%r1047999"), Some(PtxType::U32));
+        // %rd<4> + 1048573 = the cap + 1.
+        let (line, reason) = rejected(&kernel("    .reg .u32 %r<1048573>;"));
+        assert_eq!(line, 4);
+        assert!(reason.contains("1048576 registers"), "{reason}");
+        assert_eq!(rejected(&kernel("    .reg .u32 %r<4000000000>;")).0, 4);
+        assert_eq!(rejected(&kernel("    .reg .u32 %r<-1>;")).0, 4);
+        assert_eq!(rejected(&kernel("    .reg .u32 %r<99999999999>;")).0, 4);
+    }
+
+    #[test]
+    fn the_last_declaration_of_a_register_types_it() {
+        let m = parse(&kernel(
+            "    mov.u32 %late, 1;\n    .reg .u32 %r<8>;\n    .reg .f32 %r3;\n    .reg .u64 %r<2>;\n    \
+             .reg .u32 %late;\n    add.u32 %r1, %r3, %r5;\n    add.u32 %r01, %r8, %r0;",
+        ))
+        .unwrap();
+        let f = &m.functions[0];
+        let ty = |name| reg_ty(&m, f, name);
+        assert_eq!(ty("%late"), Some(PtxType::U32), "declared after its use");
+        assert_eq!(ty("%r0"), Some(PtxType::U64));
+        assert_eq!(
+            ty("%r1"),
+            Some(PtxType::U64),
+            "the later, narrower range wins where it reaches"
+        );
+        assert_eq!(ty("%r3"), Some(PtxType::F32), "the scalar after the range");
+        assert_eq!(ty("%r5"), Some(PtxType::U32));
+        assert_eq!(ty("%r8"), None, "past the range");
+        assert_eq!(ty("%r01"), None, "not a canonical index");
+    }
+
+    #[test]
+    fn a_lexical_error_anywhere_comes_before_a_syntax_error() {
+        assert_eq!(rejected(".entry k()\n{\n    frobnicate;\n}\n#").0, 5);
+        assert_eq!(rejected(".entry k()\n{\n    frobnicate;\n}\n").0, 3);
     }
 }

@@ -22,11 +22,11 @@
 //! callee-saved split disappears: `R16`+ allocates like any other register
 //! and no save/restore prologue is emitted.
 
-use crate::ast::{AddrBase, Function, PtxInstr, PtxOp, Src};
-use crate::cfg::{FnCfg, Linear};
+use crate::ast::{AddrBase, Address, Function, Interner, PtxInstr, PtxOp, Src, VReg};
+use crate::cfg::{ones, FnCfg, Linear};
 use crate::types::PtxType;
 use crate::{Abi, PtxError, Result};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use common::InlineVec;
 
 /// First caller-saved allocatable register.
 pub const FIRST_CALLER: u8 = 4;
@@ -59,248 +59,178 @@ impl Loc {
 /// Result of allocation for one function.
 #[derive(Debug)]
 pub struct Allocation {
-    /// Virtual register → physical location.
-    pub map: HashMap<String, Loc>,
+    /// Physical location per [`VReg`]; `None` for a register no instruction
+    /// touches.
+    pub map: Vec<Option<Loc>>,
     /// Highest general-purpose register index used (allocation only; the
     /// lowering adds its scratch registers on top).
     pub max_gpr: u8,
-    /// Callee-saved registers this function writes and must preserve.
+    /// Callee-saved registers this function writes and must preserve,
+    /// ascending.
     pub used_callee_saved: Vec<u8>,
     /// True if the function contains `call` instructions.
     pub has_calls: bool,
 }
 
-/// Uses and defs of one instruction, as virtual register names.
-pub fn uses_defs<'a>(i: &'a PtxInstr) -> (Vec<&'a str>, Vec<&'a str>) {
-    let mut uses: Vec<&'a str> = Vec::new();
-    let mut defs: Vec<&'a str> = Vec::new();
-    if let Some(g) = &i.guard {
-        uses.push(&g.reg);
+/// The registers one instruction reads and the one it may write.
+#[derive(Debug, Clone, Copy)]
+pub struct UsesDefs<'f> {
+    /// Guard, address base and operand registers, in operand order.
+    pub uses: InlineVec<VReg, 4>,
+    /// A `call`'s argument registers, read after `uses`.
+    pub args: &'f [VReg],
+    /// The destination register.
+    pub def: Option<VReg>,
+}
+
+impl UsesDefs<'_> {
+    /// Every register read.
+    pub fn reads(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.uses.iter().chain(self.args).copied()
     }
-    fn use_src<'a>(s: &'a Src, uses: &mut Vec<&'a str>) {
-        if let Src::Reg(r) = s {
-            uses.push(r.as_str());
-        }
+
+    /// Every register read, then the one written.
+    pub fn all(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.reads().chain(self.def)
     }
-    fn use_addr<'a>(a: &'a crate::ast::Address, uses: &mut Vec<&'a str>) {
-        if let AddrBase::Reg(r) = &a.base {
-            uses.push(r.as_str());
+}
+
+/// Uses and defs of one instruction of `f`.
+pub fn uses_defs<'f>(f: &'f Function, i: &PtxInstr) -> UsesDefs<'f> {
+    use PtxOp as P;
+    let src = |s: &Src| match s {
+        Src::Reg(r) => Some(*r),
+        Src::Imm(_) => None,
+    };
+    let base = |a: &Address| match a.base {
+        AddrBase::Reg(r) => Some(r),
+        AddrBase::Shared(_) => None,
+    };
+    let mut args: &[VReg] = &[];
+    // The operands read, in operand order, and the register written.
+    let (reads, def) = match &i.op {
+        P::LdParam { dst, .. } => ([None; 3], Some(*dst)),
+        P::Ld { dst, addr, .. } => ([base(addr), None, None], Some(*dst)),
+        P::St { addr, src: s, .. } | P::Red { addr, src: s, .. } => {
+            ([base(addr), Some(*s), None], None)
         }
-    }
-    match &i.op {
-        PtxOp::LdParam { dst, .. } => defs.push(dst),
-        PtxOp::Ld { dst, addr, .. } => {
-            use_addr(addr, &mut uses);
-            defs.push(dst);
+        P::Mov { dst, src: s, .. } => ([s.as_ref().and_then(src), None, None], Some(*dst)),
+        P::Bin { dst, a, b, .. } | P::Setp { dst, a, b, .. } | P::Shfl { dst, a, b, .. } => {
+            ([Some(*a), src(b), None], Some(*dst))
         }
-        PtxOp::St { addr, src, .. } => {
-            use_addr(addr, &mut uses);
-            uses.push(src);
+        P::Mad { dst, a, b, c: last, .. } | P::Selp { dst, a, b, p: last, .. } => {
+            ([Some(*a), src(b), Some(*last)], Some(*dst))
         }
-        PtxOp::Mov { dst, src, .. } => {
-            if let Some(s) = src {
-                use_src(s, &mut uses);
-            }
-            defs.push(dst);
+        P::Cvt { dst, src: s, .. }
+        | P::Vote { dst, src: s, .. }
+        | P::Popc { dst, src: s }
+        | P::Mufu { dst, src: s, .. }
+        | P::Proxy { dst, src: s, .. } => ([Some(*s), None, None], Some(*dst)),
+        P::Bra { .. } | P::Ret | P::Exit | P::BarSync | P::Membar => ([None; 3], None),
+        P::RetVal { src: s } | P::ChanPush { src: s } => ([Some(*s), None, None], None),
+        P::Call { ret, args: range, .. } => {
+            args = f.args(*range);
+            ([None; 3], *ret)
         }
-        PtxOp::Bin { dst, a, b, .. } => {
-            uses.push(a);
-            use_src(b, &mut uses);
-            defs.push(dst);
-        }
-        PtxOp::Mad { dst, a, b, c, .. } => {
-            uses.push(a);
-            use_src(b, &mut uses);
-            uses.push(c);
-            defs.push(dst);
-        }
-        PtxOp::Setp { dst, a, b, .. } => {
-            uses.push(a);
-            use_src(b, &mut uses);
-            defs.push(dst);
-        }
-        PtxOp::Selp { dst, a, b, p, .. } => {
-            uses.push(a);
-            use_src(b, &mut uses);
-            uses.push(p);
-            defs.push(dst);
-        }
-        PtxOp::Cvt { dst, src, .. } => {
-            uses.push(src);
-            defs.push(dst);
-        }
-        PtxOp::Bra { .. } | PtxOp::Ret | PtxOp::Exit | PtxOp::BarSync | PtxOp::Membar => {}
-        PtxOp::RetVal { src } => uses.push(src),
-        PtxOp::Call { ret, args, .. } => {
-            for a in args {
-                uses.push(a);
-            }
-            if let Some(r) = ret {
-                defs.push(r);
-            }
-        }
-        PtxOp::Atom { dst, addr, src, src2, .. } => {
-            use_addr(addr, &mut uses);
-            uses.push(src);
-            if let Some(s2) = src2 {
-                uses.push(s2);
-            }
-            defs.push(dst);
-        }
-        PtxOp::Red { addr, src, .. } => {
-            use_addr(addr, &mut uses);
-            uses.push(src);
-        }
-        PtxOp::Vote { dst, src, .. } => {
-            uses.push(src);
-            defs.push(dst);
-        }
-        PtxOp::Shfl { dst, a, b, .. } => {
-            uses.push(a);
-            use_src(b, &mut uses);
-            defs.push(dst);
-        }
-        PtxOp::Popc { dst, src } | PtxOp::Mufu { dst, src, .. } => {
-            uses.push(src);
-            defs.push(dst);
-        }
-        PtxOp::Proxy { dst, src, .. } => {
-            uses.push(src);
-            defs.push(dst);
-        }
-        PtxOp::ChanPush { src } => {
-            uses.push(src);
-        }
-        PtxOp::NvReadReg { dst, idx } => {
-            use_src(idx, &mut uses);
-            defs.push(dst);
-        }
-        PtxOp::NvWriteReg { idx, src } => {
-            use_src(idx, &mut uses);
-            uses.push(src);
-        }
-    }
-    (uses, defs)
+        P::Atom { dst, addr, src: s, src2, .. } => ([base(addr), Some(*s), *src2], Some(*dst)),
+        P::NvReadReg { dst, idx } => ([src(idx), None, None], Some(*dst)),
+        P::NvWriteReg { idx, src: s } => ([src(idx), Some(*s), None], None),
+    };
+    let mut uses: InlineVec<VReg, 4> = InlineVec::default();
+    i.guard.iter().map(|g| g.reg).chain(reads.into_iter().flatten()).for_each(|r| uses.push(r));
+    UsesDefs { uses, args, def }
 }
 
 /// A conservative live interval over instruction indices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Interval {
-    name: String,
+    reg: usize,
     ty: PtxType,
     start: usize,
     end: usize,
     crosses_call: bool,
 }
 
-/// Runs liveness and linear-scan allocation for a function.
+/// Runs liveness and linear-scan allocation for a function. Under
+/// [`Abi::Scratch`] no register is callee-saved — the whole file is clobber
+/// — so the function emits no save/restore prologue; `call`s are rejected
+/// because a value live across one has no safe home.
 ///
 /// # Errors
 ///
-/// [`PtxError::Semantic`] for undeclared registers, [`PtxError::OutOfRegisters`]
-/// when the register file is exhausted.
-pub fn allocate<'a>(f: &'a Function, lin: &Linear<'a>, cfg: &FnCfg) -> Result<Allocation> {
-    allocate_abi(f, lin, cfg, Abi::Standard)
-}
-
-/// [`allocate`] with an explicit calling convention. Under [`Abi::Scratch`]
-/// no register is callee-saved — the whole file is clobber — so the
-/// function emits no save/restore prologue; `call`s are rejected because a
-/// value live across one has no safe home.
-///
-/// # Errors
-///
-/// As [`allocate`], plus [`PtxError::Semantic`] for `call` under
-/// [`Abi::Scratch`].
-pub fn allocate_abi<'a>(
-    f: &'a Function,
-    lin: &Linear<'a>,
+/// [`PtxError::Semantic`] for undeclared registers and for `call` under
+/// [`Abi::Scratch`], [`PtxError::OutOfRegisters`] when the register file is
+/// exhausted.
+pub fn allocate_abi(
+    names: &Interner,
+    f: &Function,
+    lin: &Linear<'_>,
     cfg: &FnCfg,
     abi: Abi,
 ) -> Result<Allocation> {
-    let sem = |reason: String| PtxError::Semantic { function: f.name.clone(), reason };
+    let function = || names.resolve(f.name).to_string();
+    let sem = |reason: String| PtxError::Semantic { function: function(), reason };
+    let reg_name = |v: usize| names.resolve(f.regs[v].name);
 
     // Verify all referenced registers are declared.
     for i in &lin.instrs {
-        let (uses, defs) = uses_defs(i);
-        for r in uses.iter().chain(defs.iter()) {
-            if !f.regs.contains_key(*r) {
-                return Err(sem(format!("undeclared register `{r}`")));
-            }
+        if let Some(v) = uses_defs(f, i).all().find(|v| f.regs[v.index()].ty.is_none()) {
+            return Err(sem(format!("undeclared register `{}`", reg_name(v.index()))));
         }
     }
 
-    let _n = lin.instrs.len();
+    // Block-level use/def sets and the live sets: four bit rows per block,
+    // one bit per virtual register, in one vector.
+    const GEN: usize = 0;
+    const KILL: usize = 1;
+    const LIVE_IN: usize = 2;
+    const LIVE_OUT: usize = 3;
     let nb = cfg.blocks.len();
-
-    // Block-level use/def sets.
-    let mut gen: Vec<HashSet<&str>> = vec![HashSet::new(); nb];
-    let mut kill: Vec<HashSet<&str>> = vec![HashSet::new(); nb];
+    let words = f.regs.len().div_ceil(64);
+    let row = |set: usize, block: usize| (set * nb + block) * words;
+    let mut bits = vec![0u64; 4 * nb * words];
     for (bid, b) in cfg.blocks.iter().enumerate() {
         for idx in b.start..b.end {
-            let (uses, defs) = uses_defs(lin.instrs[idx]);
-            for u in uses {
-                if !kill[bid].contains(u) {
-                    gen[bid].insert(u);
+            let ud = uses_defs(f, lin.instrs[idx]);
+            for u in ud.reads() {
+                let (w, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
+                if bits[row(KILL, bid) + w] & bit == 0 {
+                    bits[row(GEN, bid) + w] |= bit;
                 }
             }
-            for d in defs {
-                kill[bid].insert(d);
+            if let Some(d) = ud.def {
+                bits[row(KILL, bid) + d.index() / 64] |= 1u64 << (d.index() % 64);
             }
         }
     }
 
     // Iterative backward liveness.
-    let mut live_in: Vec<HashSet<&str>> = vec![HashSet::new(); nb];
-    let mut live_out: Vec<HashSet<&str>> = vec![HashSet::new(); nb];
     let mut changed = true;
     while changed {
         changed = false;
         for bid in (0..nb).rev() {
-            let mut out: HashSet<&str> = HashSet::new();
-            for &s in &cfg.blocks[bid].succs {
-                out.extend(live_in[s].iter().copied());
-            }
-            let mut inp: HashSet<&str> = gen[bid].clone();
-            for v in out.iter() {
-                if !kill[bid].contains(v) {
-                    inp.insert(v);
+            for w in 0..words {
+                let out = cfg.succs(bid).iter().fold(0, |out, &s| out | bits[row(LIVE_IN, s) + w]);
+                let inp = bits[row(GEN, bid) + w] | (out & !bits[row(KILL, bid) + w]);
+                if out != bits[row(LIVE_OUT, bid) + w] || inp != bits[row(LIVE_IN, bid) + w] {
+                    bits[row(LIVE_OUT, bid) + w] = out;
+                    bits[row(LIVE_IN, bid) + w] = inp;
+                    changed = true;
                 }
-            }
-            if out != live_out[bid] || inp != live_in[bid] {
-                live_out[bid] = out;
-                live_in[bid] = inp;
-                changed = true;
             }
         }
     }
 
     // Build conservative intervals: a register is live at position p if it is
     // live anywhere in [start, end] covering p.
-    let mut ivs: BTreeMap<&'a str, (usize, usize)> = BTreeMap::new();
-    fn touch<'a>(name: &'a str, pos: usize, ivs: &mut BTreeMap<&'a str, (usize, usize)>) {
-        let e = ivs.entry(name).or_insert((pos, pos));
-        e.0 = e.0.min(pos);
-        e.1 = e.1.max(pos);
-    }
+    const UNTOUCHED: (usize, usize) = (usize::MAX, 0);
+    let mut spans = vec![UNTOUCHED; f.regs.len()];
+    let mut touch = |v: usize, pos: usize| spans[v] = (spans[v].0.min(pos), spans[v].1.max(pos));
     for (bid, b) in cfg.blocks.iter().enumerate() {
-        if b.start == b.end {
-            continue;
-        }
-        for v in live_in[bid].iter() {
-            touch(v, b.start, &mut ivs);
-        }
-        for v in live_out[bid].iter() {
-            touch(v, b.end.saturating_sub(1), &mut ivs);
-        }
+        ones(&bits[row(LIVE_IN, bid)..][..words]).for_each(|v| touch(v, b.start));
+        ones(&bits[row(LIVE_OUT, bid)..][..words]).for_each(|v| touch(v, b.end - 1));
         for idx in b.start..b.end {
-            let (uses, defs) = uses_defs(lin.instrs[idx]);
-            for u in uses {
-                touch(u, idx, &mut ivs);
-            }
-            for d in defs {
-                touch(d, idx, &mut ivs);
-            }
+            uses_defs(f, lin.instrs[idx]).all().for_each(|v| touch(v.index(), idx));
         }
     }
 
@@ -317,16 +247,23 @@ pub fn allocate_abi<'a>(
         return Err(sem("`call` is unsupported under the scratch ABI".into()));
     }
 
-    let mut intervals: Vec<Interval> = ivs
-        .into_iter()
-        .map(|(name, (start, end))| {
-            let ty = f.regs[name];
+    let mut intervals: Vec<Interval> = spans
+        .iter()
+        .enumerate()
+        .filter(|(_, span)| **span != UNTOUCHED)
+        .map(|(reg, &(start, end))| {
+            let ty = f.regs[reg].ty.expect("every touched register is declared");
             // Live "across" a call: the interval strictly covers it.
             let crosses_call = call_positions.iter().any(|&c| start < c && c < end);
-            Interval { name: name.to_string(), ty, start, end, crosses_call }
+            Interval { reg, ty, start, end, crosses_call }
         })
         .collect();
-    intervals.sort_by_key(|iv| (iv.start, iv.end));
+    // Load-bearing for byte identity: intervals that start and end together
+    // are scanned in the order of their registers' spellings (`%r10` before
+    // `%r2`), which decides who gets the lower physical register.
+    intervals.sort_unstable_by(|a, b| {
+        (a.start, a.end).cmp(&(b.start, b.end)).then_with(|| reg_name(a.reg).cmp(reg_name(b.reg)))
+    });
 
     // Linear scan with three pools.
     let mut gpr_free = [true; 256];
@@ -345,9 +282,9 @@ pub fn allocate_abi<'a>(
         loc: Loc,
     }
     let mut active: Vec<Active> = Vec::new();
-    let mut map = HashMap::new();
+    let mut map = vec![None; f.regs.len()];
     let mut max_gpr = 0u8;
-    let mut used_callee: HashSet<u8> = HashSet::new();
+    let mut used_callee = [false; 256];
 
     for iv in &intervals {
         // Expire finished intervals.
@@ -369,15 +306,16 @@ pub fn allocate_abi<'a>(
 
         let loc = match iv.ty {
             PtxType::Pred => {
-                let p = (0..7)
-                    .find(|&p| pred_free[p])
-                    .ok_or(PtxError::OutOfRegisters { function: f.name.clone(), required: 8 })?;
+                let p = (0..7).find(|&p| pred_free[p]).ok_or_else(|| PtxError::OutOfRegisters {
+                    function: function(),
+                    required: 8,
+                })?;
                 pred_free[p] = false;
                 Loc::Pred(p as u8)
             }
             ty if ty.is_wide() => {
                 let r = find_pair(&gpr_free, iv.crosses_call).ok_or_else(|| {
-                    PtxError::OutOfRegisters { function: f.name.clone(), required: 256 }
+                    PtxError::OutOfRegisters { function: function(), required: 256 }
                 })?;
                 gpr_free[r as usize] = false;
                 gpr_free[r as usize + 1] = false;
@@ -385,7 +323,7 @@ pub fn allocate_abi<'a>(
             }
             _ => {
                 let r = find_single(&gpr_free, iv.crosses_call).ok_or_else(|| {
-                    PtxError::OutOfRegisters { function: f.name.clone(), required: 256 }
+                    PtxError::OutOfRegisters { function: function(), required: 256 }
                 })?;
                 gpr_free[r as usize] = false;
                 Loc::Gpr(r)
@@ -396,18 +334,15 @@ pub fn allocate_abi<'a>(
             max_gpr = max_gpr.max(hi);
             if abi == Abi::Standard {
                 for reg in r..=hi {
-                    if reg >= FIRST_CALLEE {
-                        used_callee.insert(reg);
-                    }
+                    used_callee[reg as usize] |= reg >= FIRST_CALLEE;
                 }
             }
         }
         active.push(Active { end: iv.end, loc });
-        map.insert(iv.name.clone(), loc);
+        map[iv.reg] = Some(loc);
     }
 
-    let mut used_callee_saved: Vec<u8> = used_callee.into_iter().collect();
-    used_callee_saved.sort_unstable();
+    let used_callee_saved = (0..=u8::MAX).filter(|&r| used_callee[r as usize]).collect();
     Ok(Allocation { map, max_gpr, used_callee_saved, has_calls })
 }
 
@@ -431,15 +366,36 @@ fn find_pair(free: &[bool; 256], callee_only: bool) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Module;
     use crate::cfg::{FnCfg, Linear};
     use crate::parser::parse;
 
-    fn alloc(src: &str) -> Allocation {
+    /// One function's allocation, indexable by register spelling.
+    struct ByName {
+        m: Module,
+        func: usize,
+        a: Allocation,
+    }
+
+    impl std::ops::Index<&str> for ByName {
+        type Output = Loc;
+        fn index(&self, name: &str) -> &Loc {
+            let reg = self.m.functions[self.func].reg_named(self.m.names.get(name).unwrap());
+            self.a.map[reg.unwrap().index()].as_ref().unwrap()
+        }
+    }
+
+    fn alloc_nth(src: &str, func: usize) -> ByName {
         let m = parse(src).unwrap();
-        let f = &m.functions[0];
+        let f = &m.functions[func];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        allocate(f, &lin, &cfg).unwrap()
+        let a = allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard).unwrap();
+        ByName { m, func, a }
+    }
+
+    fn alloc(src: &str) -> ByName {
+        alloc_nth(src, 0)
     }
 
     #[test]
@@ -459,8 +415,8 @@ mod tests {
         );
         // %r3's address use is bogus PTX (32-bit base) but allocation does
         // not care; r1, r2, r3 overlap pairwise.
-        let l1 = a.map["%r1"];
-        let l2 = a.map["%r2"];
+        let l1 = a["%r1"];
+        let l2 = a["%r2"];
         assert_ne!(l1, l2);
     }
 
@@ -479,7 +435,7 @@ mod tests {
 "#,
         );
         for v in ["%rd1", "%rd2"] {
-            match a.map[v] {
+            match a[v] {
                 Loc::Pair(r) => assert_eq!(r % 2, 0, "{v} pair not even-aligned"),
                 other => panic!("{v} should be a pair, got {other:?}"),
             }
@@ -504,13 +460,13 @@ mod tests {
 "#,
         );
         // All three die immediately; they can share one register.
-        assert_eq!(a.map["%r1"], a.map["%r2"]);
-        assert_eq!(a.map["%r2"], a.map["%r3"]);
+        assert_eq!(a["%r1"], a["%r2"]);
+        assert_eq!(a["%r2"], a["%r3"]);
     }
 
     #[test]
     fn values_live_across_calls_use_callee_saved() {
-        let a = alloc(
+        let a = alloc_nth(
             r#"
 .func helper()
 {
@@ -525,36 +481,14 @@ mod tests {
     exit;
 }
 "#,
+            1,
         );
-        // Note: alloc() compiles functions[0] = helper; redo for k.
-        let _ = a;
-        let m = parse(
-            r#"
-.func helper()
-{
-    ret;
-}
-.entry k()
-{
-    .reg .u32 %r<3>;
-    mov.u32 %r1, 7;
-    call helper;
-    st.global.u32 [%r1], %r1;
-    exit;
-}
-"#,
-        )
-        .unwrap();
-        let f = m.function("k").unwrap();
-        let lin = Linear::of(f);
-        let cfg = FnCfg::build(&lin);
-        let a = allocate(f, &lin, &cfg).unwrap();
-        match a.map["%r1"] {
+        match a["%r1"] {
             Loc::Gpr(r) => assert!(r >= FIRST_CALLEE, "live-across-call got caller-saved R{r}"),
             other => panic!("unexpected loc {other:?}"),
         }
-        assert!(a.has_calls);
-        assert!(!a.used_callee_saved.is_empty());
+        assert!(a.a.has_calls);
+        assert!(!a.a.used_callee_saved.is_empty());
     }
 
     #[test]
@@ -578,7 +512,7 @@ TOP:
 "#,
         );
         // %r1 and %r2 are simultaneously live through the loop.
-        assert_ne!(a.map["%r1"], a.map["%r2"]);
+        assert_ne!(a["%r1"], a["%r2"]);
     }
 
     #[test]
@@ -587,7 +521,10 @@ TOP:
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(allocate(f, &lin, &cfg), Err(PtxError::Semantic { .. })));
+        assert!(matches!(
+            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
+            Err(PtxError::Semantic { .. })
+        ));
     }
 
     #[test]
@@ -606,7 +543,7 @@ TOP:
 }
 "#,
         );
-        let (p1, p2) = (a.map["%p1"], a.map["%p2"]);
+        let (p1, p2) = (a["%p1"], a["%p2"]);
         assert!(matches!(p1, Loc::Pred(_)));
         assert!(matches!(p2, Loc::Pred(_)));
         assert_ne!(p1, p2);
@@ -636,7 +573,10 @@ mod pressure_tests {
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(allocate(f, &lin, &cfg), Err(PtxError::OutOfRegisters { .. })));
+        assert!(matches!(
+            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
+            Err(PtxError::OutOfRegisters { .. })
+        ));
     }
 
     #[test]
@@ -653,6 +593,9 @@ mod pressure_tests {
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(allocate(f, &lin, &cfg), Err(PtxError::OutOfRegisters { .. })));
+        assert!(matches!(
+            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
+            Err(PtxError::OutOfRegisters { .. })
+        ));
     }
 }

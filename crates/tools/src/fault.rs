@@ -23,7 +23,7 @@ pub struct FaultSpec {
     pub lane: u8,
 }
 
-const FLIP_FN: &str = r#"
+pub(crate) const FLIP_FN: &str = r#"
 .func nvbit_flip(.reg .u32 %regidx, .reg .u32 %mask, .reg .u32 %lane)
 {
     .reg .u32 %r<4>;

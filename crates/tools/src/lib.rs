@@ -58,6 +58,19 @@ pub use mem_trace::{MemTrace, MemTraceResults};
 pub use opcode_hist::{OpcodeHistogram, OpcodeHistogramResults, SamplingMode};
 pub use wfft_emu::WfftEmu;
 
+/// Every PTX source a bundled tool hands to `load_tool_functions`, by the
+/// constant's name: what `tests/ptx_pin.rs` pins the compiled bytes of.
+pub const TOOL_PTX: [(&str, &str); 8] = [
+    ("COUNT_FN", COUNT_FN),
+    ("COUNT_BB_FN", COUNT_BB_FN),
+    ("COUNT_MULT_FN", COUNT_MULT_FN),
+    ("COUNT_PMULT_FN", COUNT_PMULT_FN),
+    ("COUNT_WIDE_FN", COUNT_WIDE_FN),
+    ("MDIV_FN", mem_divergence::MDIV_FN),
+    ("TRACE_CHAN_FN", mem_trace::TRACE_CHAN_FN),
+    ("FLIP_FN", fault::FLIP_FN),
+];
+
 /// Reads a `u64` device counter.
 pub(crate) fn read_u64(drv: &cuda::Driver, addr: u64) -> u64 {
     let mut b = [0u8; 8];

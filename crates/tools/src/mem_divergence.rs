@@ -24,7 +24,7 @@ use std::rc::Rc;
 /// The injected device function. Arguments: guard predicate, 64-bit base
 /// register value, immediate offset, counter-block address
 /// (`u64 mem_instrs` at +0, `u64 uniq_lines` at +8).
-const MDIV_FN: &str = r#"
+pub(crate) const MDIV_FN: &str = r#"
 .func nvbit_mdiv(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off, .reg .u64 %ctrs)
 {
     .reg .u32 %r<16>;

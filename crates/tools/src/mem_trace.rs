@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 /// effective address into the launch's host-side record channel. No
 /// buffer pointer or capacity — backpressure lives in the channel, and
 /// the host drains concurrently.
-const TRACE_CHAN_FN: &str = r#"
+pub(crate) const TRACE_CHAN_FN: &str = r#"
 .func nvbit_trace_chan(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off)
 {
     .reg .u64 %rd<4>;

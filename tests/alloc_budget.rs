@@ -6,7 +6,8 @@
 //! `md_force`, `lbm_stream`, `reduce_sum` — goes through the core under
 //! `CoalescedInstrCount::executed`, one phase at a time. The counts are
 //! host-independent, so the ceiling is a hard gate; the parent commit's
-//! figures are recorded next to it.
+//! figures are recorded next to it. A native `Driver::module_load` of the
+//! same module — the PTX front end and backend — is counted alongside.
 //!
 //! The same file pins the bytes the JIT produces (fft / stencil / spmv at
 //! every `PlanLevel` rung, hashed over all allocated device memory: image,
@@ -198,10 +199,12 @@ fn serial_driver() -> Driver {
 }
 
 /// Loads and launches the stratum, with the probe attached or natively;
-/// returns the per-phase counts and the blocks the teardown frees
-/// (`shutdown` and the drop of the driver with everything the core cached:
-/// what `driver.shutdown` costs is what the run left on the heap).
-fn run_stratum(instrumented: bool) -> (Phases, u64) {
+/// returns the per-phase counts, the allocations of `Driver::module_load`
+/// (the PTX front end, the backend and the upload) and the blocks the
+/// teardown frees (`shutdown` and the drop of the driver with everything
+/// the core cached: what `driver.shutdown` costs is what the run left on
+/// the heap).
+fn run_stratum(instrumented: bool) -> (Phases, u64, u64) {
     let (source, kernels_) = stratum();
     let phases = Rc::new(RefCell::new(Phases::default()));
     let drv = serial_driver();
@@ -210,7 +213,8 @@ fn run_stratum(instrumented: bool) -> (Phases, u64) {
         attach_tool(&drv, Probe { inner, seen: HashSet::new(), phases: phases.clone() });
     }
     let ctx = drv.ctx_create().unwrap();
-    let module = drv.module_load(&ctx, FatBinary::from_ptx("stratum", source)).unwrap();
+    let fatbin = FatBinary::from_ptx("stratum", source);
+    let (module, load) = counted(|| drv.module_load(&ctx, fatbin).unwrap());
     for (name, params) in &kernels_ {
         let f = drv.module_get_function(&module, name).unwrap();
         let args = launch_args(&drv, params);
@@ -221,7 +225,7 @@ fn run_stratum(instrumented: bool) -> (Phases, u64) {
         drop(drv);
     });
     let p = *phases.borrow();
-    (p, teardown)
+    (p, load, teardown)
 }
 
 /// What the parent commit measured, per function, in this test (run there
@@ -234,11 +238,16 @@ fn run_stratum(instrumented: bool) -> (Phases, u64) {
 const PARENT: [u64; 5] = [213, 132, 1416, 732, 226];
 const CEILING: [u64; 5] = [48, 22, 360, 165, 48];
 const CEILING_TOTAL: u64 = 470;
+/// `Driver::module_load` of the stratum, natively, per function: what the
+/// commit before the PTX front end moved to borrowed tokens and dense ids
+/// measured here, and the ceiling since.
+const MODULE_LOAD_PARENT: u64 = 539;
+const MODULE_LOAD_CEILING: u64 = 120;
 
 #[test]
 fn the_jit_stays_inside_its_allocation_budget() {
-    let (_, native_teardown) = run_stratum(false);
-    let (p, teardown) = run_stratum(true);
+    let (_, native_load, native_teardown) = run_stratum(false);
+    let (p, _, teardown) = run_stratum(true);
     assert_eq!(p.funcs, 32);
     let per = |n: u64| n.div_ceil(p.funcs);
     let teardown = teardown.saturating_sub(native_teardown);
@@ -251,6 +260,12 @@ fn the_jit_stays_inside_its_allocation_budget() {
         println!("  {:<28} {:>8} {:>8} {:>8}", phases[i], PARENT[i], measured[i], CEILING[i]);
     }
     println!("  {:<28} {:>8} {total:>8} {CEILING_TOTAL:>8}", "total", 1987);
+    let load = per(native_load);
+    println!(
+        "  {:<28} {MODULE_LOAD_PARENT:>8} {load:>8} {MODULE_LOAD_CEILING:>8}",
+        "module_load (native)"
+    );
+    assert!(load <= MODULE_LOAD_CEILING, "module_load: {load} > {MODULE_LOAD_CEILING}");
     for i in 0..phases.len() {
         assert!(
             measured[i] <= CEILING[i],
