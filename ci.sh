@@ -29,6 +29,7 @@ echo "== non-test line count =="
 # quoted in.
 total=0
 jit=0
+ptx=0
 for crate in crates/*/; do
     n=$(find "$crate/src" -name '*.rs' -exec awk '
         FNR == 1 { counting = 1 }
@@ -38,7 +39,10 @@ for crate in crates/*/; do
     ' {} +)
     printf '  %-10s %6d\n' "$(basename "$crate")" "$n"
     total=$((total + n))
-    case "$(basename "$crate")" in sass | core | common) jit=$((jit + n)) ;; esac
+    case "$(basename "$crate")" in
+        sass | core | common) jit=$((jit + n)) ;;
+        ptx) ptx=$n ;;
+    esac
 done
 printf '  %-10s %6d\n' total "$total"
 # PR 22 made the instruction a value and the analyses flat: it may add the
@@ -46,6 +50,13 @@ printf '  %-10s %6d\n' total "$total"
 printf '  %-10s %6d  (sass + core + common, ceiling 9786)\n' jit "$jit"
 if [ "$jit" -gt 9786 ]; then
     echo "sass + core + common grew past the PR 22 ceiling" >&2
+    exit 1
+fi
+# PR 23 gave the PTX front end an interner, dense ids and bit rows without
+# growing the crate: it stays at or under what it was before.
+printf '  %-10s %6d  (ptx, ceiling 5136)\n' ptx "$ptx"
+if [ "$ptx" -gt 5136 ]; then
+    echo "ptx grew past the PR 23 ceiling" >&2
     exit 1
 fi
 
@@ -90,11 +101,18 @@ cargo test --release -q -p nvbit-gpu
 echo "== determinism (release): pinned ExecStats + output hashes, Serial vs Parallel =="
 cargo test --release -q --test determinism
 
+echo "== hostile PTX (release): multi-byte text, the 4,000,000,000-register range, 20,000 mutated sources under a 2 s deadline each; compiled bytes pinned to PR 22's =="
+# Tier-1 runs both in debug (where an arithmetic overflow panics); the
+# deadlines are the release build's.
+cargo test --release -q --test ptx_hostile --test ptx_pin -- --nocapture | grep -E '^  |test result'
+
 echo "== allocation budget (release) =="
 # Heap allocations per function and JIT phase on a 32-kernel module, counted
 # by a global allocator (exact, host-independent), against the figures of the
-# commit before the instruction became a value; also the Instruction: Copy /
-# 80-byte assertion and the image-hash pin of fft/stencil/spmv x four rungs.
+# commit before the instruction became a value, and of a native module_load
+# against the commit before the PTX front end stopped allocating per token;
+# also the Instruction: Copy / 80-byte assertion and the image-hash pin of
+# fft/stencil/spmv x four rungs.
 cargo test --release -q --test alloc_budget -- --nocapture --test-threads 1 | grep -E '^  |test result'
 
 echo "== verify_all: every tool x every workload, zero diagnostics =="

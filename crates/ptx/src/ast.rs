@@ -109,6 +109,13 @@ impl VReg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(pub u32);
 
+impl LabelId {
+    /// The index into per-label tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One virtual register a function refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegInfo {

@@ -28,7 +28,7 @@ impl<'a> Linear<'a> {
         let mut cur: Option<(Sym, u32)> = None;
         for s in &f.body {
             match s {
-                Statement::Label(l) => labels[l.0 as usize] = Some(instrs.len()),
+                Statement::Label(l) => labels[l.index()] = Some(instrs.len()),
                 Statement::Loc { file, line } => cur = Some((*file, *line)),
                 Statement::Instr(i) => {
                     instrs.push(i);
@@ -42,7 +42,7 @@ impl<'a> Linear<'a> {
     /// The instruction index a `bra` at `i` targets, when its label is defined.
     pub fn target_of(&self, i: &PtxInstr) -> Option<usize> {
         match i.op {
-            PtxOp::Bra { target } => self.labels[target.0 as usize],
+            PtxOp::Bra { target } => self.labels[target.index()],
             _ => None,
         }
     }

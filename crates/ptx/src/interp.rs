@@ -316,8 +316,8 @@ impl<'m, 'a> Machine<'m, 'a> {
 
             match &i.op {
                 PtxOp::Bra { target } => {
-                    let t = frame.lin.labels[target.0 as usize].ok_or_else(|| {
-                        let label = frame.names.resolve(frame.f.labels[target.0 as usize]);
+                    let t = frame.lin.labels[target.index()].ok_or_else(|| {
+                        let label = frame.names.resolve(frame.f.labels[target.index()]);
                         PtxError::Interp { reason: format!("undefined label `{label}`") }
                     })?;
                     let taken = exec_mask;
@@ -637,10 +637,7 @@ impl<'m, 'a> Machine<'m, 'a> {
                     };
                     st.regs[lane][ds] = v as u64;
                 } else if let Some(name) = shared_addr {
-                    let off = shared_offset(frame.f, name).ok_or_else(|| {
-                        err(format!("unknown shared `{}`", frame.names.resolve(name)))
-                    })?;
-                    st.regs[lane][ds] = off as u64;
+                    st.regs[lane][ds] = shared_offset(frame, name)? as u64;
                 } else {
                     let v = self.read_src(
                         frame,
@@ -799,11 +796,7 @@ impl<'m, 'a> Machine<'m, 'a> {
     ) -> Result<u64> {
         let base = match addr.base {
             AddrBase::Reg(r) => st.regs[lane][frame.slot(r)?],
-            AddrBase::Shared(name) => {
-                shared_offset(frame.f, name).ok_or_else(|| PtxError::Interp {
-                    reason: format!("unknown shared `{}`", frame.names.resolve(name)),
-                })? as u64
-            }
+            AddrBase::Shared(name) => shared_offset(frame, name)? as u64,
         };
         Ok(base.wrapping_add(addr.offset as i64 as u64))
     }
@@ -881,17 +874,17 @@ impl<'m, 'a> Machine<'m, 'a> {
     }
 }
 
-fn shared_offset(f: &Function, name: Sym) -> Option<u32> {
+fn shared_offset(frame: &Frame<'_>, name: Sym) -> Result<u32> {
     let mut off = 0u32;
-    for s in &f.shared {
+    for s in &frame.f.shared {
         let a = s.align.max(4);
         off = off.div_ceil(a) * a;
         if s.name == name {
-            return Some(off);
+            return Ok(off);
         }
         off += s.bytes;
     }
-    None
+    Err(PtxError::Interp { reason: format!("unknown shared `{}`", frame.names.resolve(name)) })
 }
 
 fn thread_coords(flat: u32, launch: LaunchGrid) -> Dim3 {

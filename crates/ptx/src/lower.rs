@@ -184,8 +184,9 @@ fn plan_reconvergence(lin: &Linear<'_>, cfg: &FnCfg) -> ReconvPlan {
         if d > 0 {
             let layout_pred = d - 1;
             let t = ends_in(layout_pred);
-            let falls_through = !matches!(t.op, PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit)
-                && !(matches!(t.op, PtxOp::Bra { .. }) && t.guard.is_none());
+            let leaves = matches!(t.op, PtxOp::Ret | PtxOp::RetVal { .. } | PtxOp::Exit)
+                || (matches!(t.op, PtxOp::Bra { .. }) && t.guard.is_none());
+            let falls_through = !leaves;
             if falls_through && !inside(layout_pred) && layout_pred != b {
                 continue 'cand;
             }
@@ -808,8 +809,8 @@ impl<'a> Emitter<'a> {
             }
             P::Cvt { dty, sty, dst, src } => self.cvt(dty, sty, dst, src, g)?,
             P::Bra { target } => {
-                let tidx = self.lin.labels[target.0 as usize].ok_or_else(|| {
-                    let label = self.names.resolve(self.f.labels[target.0 as usize]);
+                let tidx = self.lin.labels[target.index()].ok_or_else(|| {
+                    let label = self.names.resolve(self.f.labels[target.index()]);
                     self.sem(format!("undefined label `{label}`"))
                 })?;
                 let tblock = self.cfg.instr_block.get(tidx).copied().unwrap_or(0);
@@ -835,11 +836,8 @@ impl<'a> Emitter<'a> {
                 }
                 // Marshal arguments.
                 let ty_of = |v: VReg| f.regs[v.index()].ty.expect("allocation saw it declared");
-                let moves: Vec<(Reg, Reg, bool)> = self
-                    .abi_slots(f.args(args).iter().map(|&a| (a, ty_of(a))))?
-                    .iter()
-                    .map(|&(home, abi, wide)| (abi, home, wide))
-                    .collect();
+                let mut moves = self.abi_slots(f.args(args).iter().map(|&a| (a, ty_of(a))))?;
+                moves.iter_mut().for_each(|(home, abi, _)| std::mem::swap(home, abi));
                 self.parallel_moves(&moves);
                 let at = self.out.len();
                 self.emit(Guard::ALWAYS, Op::Jcal, Mods::default(), [Operand::Abs(0)]);
@@ -938,12 +936,7 @@ impl<'a> Emitter<'a> {
                     VoteMode::Any => SubOp::Any,
                     VoteMode::Ballot => SubOp::Ballot,
                 };
-                self.emit(
-                    g,
-                    Op::Vote,
-                    sub_op(sub),
-                    [reg(d), Operand::Pred { pred: p, negated: negated }],
-                );
+                self.emit(g, Op::Vote, sub_op(sub), [reg(d), Operand::Pred { pred: p, negated }]);
             }
             P::Shfl { mode, dst, a, b } => {
                 let d = self.gpr_of(dst)?;
@@ -1451,15 +1444,7 @@ TOP:
 
     #[test]
     fn device_function_saves_callee_saved_registers() {
-        let src = r#"
-.func helper()
-{
-    ret;
-}
-.entry unused() { exit; }
-"#;
-        let m = parse(src).unwrap();
-        // Compile a function that calls helper with a live value across it.
+        // A function that calls a helper with a live value across the call.
         let src2 = r#"
 .func (.reg .u32 %out) caller(.reg .u32 %x)
 {
@@ -1470,8 +1455,6 @@ TOP:
     ret;
 }
 "#;
-        let _ = m;
-        let m2 = parse(src2).unwrap();
         let f = compile(src2, Arch::Maxwell);
         assert!(f.stack_size > 0, "frame for callee-saved registers");
         let instrs = f.decode();
@@ -1494,7 +1477,6 @@ TOP:
     ret;
 }
 "#;
-        let m = parse(src).unwrap();
         let f = compile(src, Arch::Volta);
         let instrs = f.decode();
         // Exactly one RET instruction after merging.

@@ -385,7 +385,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         self.bump();
                         let id = self.label(w);
-                        if std::mem::replace(&mut self.defined[id.0 as usize], true) {
+                        if std::mem::replace(&mut self.defined[id.index()], true) {
                             let reason = format!("label `{w}` is defined twice");
                             return Err(PtxError::Parse { line, reason });
                         }
@@ -902,7 +902,7 @@ DONE:
             .body
             .iter()
             .filter_map(|s| match s {
-                Statement::Label(l) => Some(m.names.resolve(f.labels[l.0 as usize])),
+                Statement::Label(l) => Some(m.names.resolve(f.labels[l.index()])),
                 _ => None,
             })
             .collect();

@@ -14,6 +14,8 @@ use ptx::{compile_module_abi, Abi, CompiledModule};
 use sass::Arch;
 use workloads::{fft, kernels};
 
+mod shared;
+
 struct Fnv(u64);
 
 impl Fnv {
@@ -79,27 +81,6 @@ fn pin(src: &str) -> u64 {
     h.0
 }
 
-/// `tests/alloc_budget.rs`'s module: 27 `short_unique` variants and one
-/// each of the five longer kernels.
-fn stratum() -> String {
-    let mut source = String::from(".version 6.0\n");
-    for v in 0..27 {
-        source += &kernels::short_unique(&format!("uk{v}"), v * 37 + 5);
-        source += "\n";
-    }
-    for k in [
-        kernels::stencil5("stencil"),
-        kernels::spmv_csr("spmv"),
-        kernels::md_force("md"),
-        kernels::lbm_stream("lbm", 6),
-        kernels::reduce_sum("reduce"),
-    ] {
-        source += &k;
-        source += "\n";
-    }
-    source
-}
-
 fn sources() -> Vec<(String, String)> {
     let mut all: Vec<(String, String)> = vec![
         ("stencil5".into(), kernels::stencil5("k")),
@@ -121,7 +102,7 @@ fn sources() -> Vec<(String, String)> {
         ("wfft_emu_function".into(), fft::wfft_emu_function_ptx()),
         ("cublas".into(), accel::cublas::ptx_source()),
         ("cudnn".into(), accel::cudnn::ptx_source()),
-        ("stratum".into(), stratum()),
+        ("stratum".into(), shared::stratum().0),
     ];
     // Every `short_unique` shape the generator has (the variant picks the
     // instruction mix) in one module, as `jit_unique` loads them.
