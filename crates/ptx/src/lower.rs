@@ -983,7 +983,7 @@ impl<'a> Emitter<'a> {
                             g,
                             Op::Ldl,
                             Mods::default(),
-                            [reg(d), mem(NVBIT_FRAME, (v as i32) * 4)],
+                            [reg(d), mem(NVBIT_FRAME, self.frame_slot(v)?)],
                         );
                     }
                     Src::Reg(r) => {
@@ -1002,7 +1002,7 @@ impl<'a> Emitter<'a> {
                             g,
                             Op::Stl,
                             Mods::default(),
-                            [mem(NVBIT_FRAME, (v as i32) * 4), reg(s)],
+                            [mem(NVBIT_FRAME, self.frame_slot(v)?), reg(s)],
                         );
                     }
                     Src::Reg(r) => {
@@ -1014,6 +1014,13 @@ impl<'a> Emitter<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Byte offset of saved register `idx` in the device-API frame.
+    fn frame_slot(&self, idx: i64) -> Result<i32> {
+        (idx as i32)
+            .checked_mul(4)
+            .ok_or_else(|| self.sem(format!("saved-register index {idx} is out of range")))
     }
 
     /// Computes `SCRATCH_LO = NVBIT_FRAME + idx * 4` for dynamic device-API
@@ -1531,6 +1538,25 @@ TOP:
         assert_eq!(id, proxy_id("WFFT32"));
         assert!((0..(1 << 22)).contains(&id));
         assert_ne!(id, proxy_id("WFFT64"));
+    }
+
+    #[test]
+    fn sums_the_backend_forms_are_checked_not_wrapped() {
+        let reason = |src: &str| {
+            let m = parse(src).unwrap();
+            match compile_function_abi(&m.names, &m.functions[0], Arch::Pascal, crate::Abi::Scratch)
+            {
+                Err(PtxError::Semantic { reason, .. }) => reason,
+                other => panic!("expected a semantic error for {src}, got {other:?}"),
+            }
+        };
+        let shared =
+            ".entry k()\n{\n    .shared .b8 a[4294967295];\n    .shared .b8 b[8];\n    exit;\n}\n";
+        assert!(reason(shared).contains("shared memory exceeds"));
+        let param = ".entry k(.param .u64 p)\n{\n    .reg .u32 %r<2>;\n    ld.param.u32 %r1, [p+70000];\n    exit;\n}\n";
+        assert!(reason(param).contains("parameter offset 70000"));
+        let index = ".func f(.reg .u32 %x)\n{\n    .reg .u32 %r<2>;\n    nvbit.readreg.b32 %r1, 1073741824;\n    add.u32 %r1, %r1, %x;\n    ret;\n}\n";
+        assert!(reason(index).contains("saved-register index 1073741824"));
     }
 
     #[test]

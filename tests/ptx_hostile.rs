@@ -250,7 +250,7 @@ fn mutated_sources_compile_or_fail_cleanly_within_the_deadline() {
     });
     drop(to_worker);
     worker.join().unwrap();
-    println!("  hostile PTX, {cases} cases: {tally:?}");
+    println!("\n  hostile PTX, {cases} cases: {tally:?}");
     // The mutations are not all fatal, and not all harmless (a run narrowed
     // by `NVBIT_PROP_SEED` / `NVBIT_PROP_CASES` is too small to say).
     let total: u32 = tally.values().sum();
