@@ -4,7 +4,8 @@
 //!
 //! Reports, per benchmark: the six-component breakdown of the
 //! JIT-compilation time — read from the pipeline's own `common::obs`
-//! spans, the one timing source — and that time as a percentage of the
+//! spans (one report of the driver's recorder after shutdown), the one
+//! timing source — and that time as a percentage of the
 //! *native* execution time of the application (the paper's "overhead":
 //! < 5 % on average, up to ~20 % for `ilbdc`, disassembly dominant).
 //!
@@ -12,7 +13,7 @@
 //! cargo run --release -p nvbit-bench --bin fig5 [-- --size medium]
 //! ```
 
-use bench_harness::{print_table, size_arg, timed, titan_v, ObsCapture, JIT_COMPONENTS};
+use bench_harness::{jit_ns, print_table, size_arg, timed, titan_v, JIT_COMPONENTS};
 use nvbit_tools::InstrCount;
 use workloads::specaccel::suite;
 
@@ -33,21 +34,21 @@ fn main() {
 
         // Instrumented run: every instruction of every kernel, once.
         let drv = titan_v();
-        let (count_tool, _results) = InstrCount::new();
-        let (tool, totals) = ObsCapture::new(count_tool);
+        drv.obs().set_enabled(true);
+        let (tool, _results) = InstrCount::new();
         nvbit::attach_tool(&drv, tool);
         b.run(&drv, size).expect("instrumented benchmark runs");
         drv.shutdown();
 
-        let totals = totals.borrow();
-        let parts = totals.jit_ns();
+        let report = drv.obs().report();
+        let parts = jit_ns(&report);
         for ((label, _), ns) in JIT_COMPONENTS.iter().zip(parts) {
             assert!(ns > 0, "{}: component {label} not attributed", b.name);
         }
         // One decode per lift: nothing re-decodes a function to time it.
         assert_eq!(
-            totals.counter_events.get("sass.decode"),
-            totals.phase_count.get("lift"),
+            report.counters.get("sass.decode").map(|c| c.count),
+            report.phases.get("lift").map(|p| p.count),
             "{}: every lift decodes its function exactly once",
             b.name
         );

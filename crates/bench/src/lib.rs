@@ -1,5 +1,5 @@
 //! Shared harness for the figure-regeneration binaries and the
-//! `harness = false` micro-benches (timed by [`common::bench`]).
+//! `harness = false` micro-bench.
 //!
 //! **Paper mapping:** §5 — each `fig*` binary regenerates one table or
 //! figure of the evaluation; see `DESIGN.md` for the experiment index and
@@ -8,11 +8,7 @@
 use common::obs;
 use cuda::Driver;
 use gpu::DeviceSpec;
-use nvbit::{NvbitApi, NvbitTool};
 use sass::Arch;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 use workloads::specaccel::Size;
 
@@ -58,88 +54,9 @@ pub const JIT_COMPONENTS: [(&str, &[&str]); 6] = [
     ("swap", &["swap"]),
 ];
 
-/// Obs phase and counter totals accumulated over a whole application run.
-#[derive(Debug, Clone, Default)]
-pub struct ObsTotals {
-    /// Inclusive nanoseconds per phase name.
-    pub phase_ns: BTreeMap<&'static str, u64>,
-    /// Completed spans per phase name.
-    pub phase_count: BTreeMap<&'static str, u64>,
-    /// Number of events per counter name.
-    pub counter_events: BTreeMap<&'static str, u64>,
-}
-
-impl ObsTotals {
-    fn absorb(&mut self, report: &obs::Report) {
-        for (name, p) in &report.phases {
-            *self.phase_ns.entry(name).or_default() += p.total_ns;
-            *self.phase_count.entry(name).or_default() += p.count;
-        }
-        for (name, c) in &report.counters {
-            *self.counter_events.entry(name).or_default() += c.count;
-        }
-    }
-
-    /// Nanoseconds of each [`JIT_COMPONENTS`] entry, in order.
-    pub fn jit_ns(&self) -> [u64; 6] {
-        JIT_COMPONENTS.map(|(_, phases)| {
-            phases.iter().map(|p| self.phase_ns.get(p).copied().unwrap_or(0)).sum()
-        })
-    }
-}
-
-/// Wraps a tool and accumulates the `common::obs` report of the whole run
-/// (used by the Figure 5 harness). Obs rings keep only the newest events,
-/// and the JIT phases of a kernel are the oldest of its launch, so the
-/// rings are captured and reset at every launch exit instead of once at
-/// the end. Turns collection on at `at_init` and off at `at_term`.
-pub struct ObsCapture<T: NvbitTool> {
-    inner: T,
-    totals: Rc<RefCell<ObsTotals>>,
-}
-
-impl<T: NvbitTool> ObsCapture<T> {
-    /// Wraps `inner`; the handle holds the run's totals after `at_term`.
-    pub fn new(inner: T) -> (ObsCapture<T>, Rc<RefCell<ObsTotals>>) {
-        let totals = Rc::new(RefCell::new(ObsTotals::default()));
-        (ObsCapture { inner, totals: totals.clone() }, totals)
-    }
-
-    fn drain(&self) {
-        self.totals.borrow_mut().absorb(&obs::Report::capture());
-        obs::reset();
-    }
-}
-
-impl<T: NvbitTool> NvbitTool for ObsCapture<T> {
-    fn at_init(&mut self, api: &NvbitApi<'_>) {
-        obs::reset();
-        obs::set_enabled(true);
-        self.inner.at_init(api);
-    }
-    fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.inner.at_term(api);
-        self.drain();
-        obs::set_enabled(false);
-    }
-    fn at_ctx_init(&mut self, api: &NvbitApi<'_>, ctx: cuda::CuContext) {
-        self.inner.at_ctx_init(api, ctx);
-    }
-    fn at_ctx_term(&mut self, api: &NvbitApi<'_>, ctx: cuda::CuContext) {
-        self.inner.at_ctx_term(api, ctx);
-    }
-    fn at_cuda_event(
-        &mut self,
-        api: &NvbitApi<'_>,
-        is_exit: bool,
-        cbid: cuda::CbId,
-        params: &cuda::CbParams<'_>,
-    ) {
-        self.inner.at_cuda_event(api, is_exit, cbid, params);
-        if is_exit && cbid == cuda::CbId::LaunchKernel {
-            self.drain();
-        }
-    }
+/// Inclusive nanoseconds of each [`JIT_COMPONENTS`] entry, in order.
+pub fn jit_ns(report: &obs::Report) -> [u64; 6] {
+    JIT_COMPONENTS.map(|(_, phases)| phases.iter().map(|p| report.phase_ns(p)).sum())
 }
 
 /// Renders a simple aligned table to stdout.

@@ -42,13 +42,19 @@
 //! `delivered() + dropped() == demanded()` holds after every
 //! [`ChannelDev::flush`], independent of timing.
 //!
+//! A consumer that panics does not take the channel with it: the receiver
+//! catches the unwind and from then on drains and discards, counting that
+//! batch and every later one as dropped ([`ChannelHost::consumer_failed`]);
+//! the identity still holds and nobody waits on a dead thread.
+//!
 //! Observability: `chan.flush`, `chan.doorbell_stall`, `chan.records`,
 //! `chan.bytes` and `chan.drop` counters plus a `chan.drain` span land in
-//! [`crate::obs`] when enabled.
+//! the [`crate::obs`] recorder bound where [`ChannelHost::spawn`] is called.
 
 use crate::obs;
-use std::sync::atomic::AtomicU64;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -147,6 +153,8 @@ struct Inner {
     demanded: AtomicU64,
     dropped: AtomicU64,
     delivered: AtomicU64,
+    /// Set by the receiver when the consumer panicked.
+    consumer_failed: AtomicBool,
     cap: u64,
     policy: Backpressure,
     door: Mutex<Door>,
@@ -290,7 +298,7 @@ impl ChannelDev {
         self.inner.demanded.load(Acquire)
     }
 
-    /// Records dropped under [`Backpressure::DropCount`].
+    /// Records dropped: under [`Backpressure::DropCount`], or since the consumer panicked.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Acquire)
     }
@@ -332,6 +340,7 @@ impl ChannelHost {
             demanded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
+            consumer_failed: AtomicBool::new(false),
             cap: cap as u64,
             policy,
             door: Mutex::new(Door::default()),
@@ -340,9 +349,13 @@ impl ChannelHost {
         });
         let dev = ChannelDev { inner: inner.clone() };
         let drain_inner = inner.clone();
+        let recorder = obs::current();
         let thread = std::thread::Builder::new()
             .name("nvbit-chan-drain".into())
-            .spawn(move || drain_loop(&drain_inner, consumer))
+            .spawn(move || {
+                let _obs = recorder.as_ref().map(obs::Recorder::enter);
+                drain_loop(&drain_inner, consumer)
+            })
             .expect("spawn channel receiver");
         (ChannelHost { inner, thread: Some(thread) }, dev)
     }
@@ -362,7 +375,7 @@ impl ChannelHost {
         self.inner.demanded.load(Acquire)
     }
 
-    /// Records dropped under [`Backpressure::DropCount`].
+    /// Records dropped: under [`Backpressure::DropCount`], or since the consumer panicked.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Acquire)
     }
@@ -370,6 +383,12 @@ impl ChannelHost {
     /// Records handed to the consumer callback.
     pub fn delivered(&self) -> u64 {
         self.inner.delivered.load(Acquire)
+    }
+
+    /// True once the consumer has panicked; that batch and everything
+    /// drained since are counted in [`dropped`](Self::dropped).
+    pub fn consumer_failed(&self) -> bool {
+        self.inner.consumer_failed.load(Acquire)
     }
 
     /// Flushes, stops the receiver thread and joins it.
@@ -419,6 +438,31 @@ fn copy_out(buf: &Buffer, n: u64, batch: &mut Vec<Record>) {
     }
 }
 
+/// Hands a drained batch to the consumer — or discards it, once the
+/// consumer has panicked. A batch the consumer unwinds out of was not
+/// delivered either: `delivered + dropped` accounts for every record.
+fn hand_over(x: &Inner, consumer: &mut Consumer, batch: &[Record]) {
+    let n = batch.len() as u64;
+    obs::counter("chan.flush", 1);
+    obs::counter("chan.records", n);
+    obs::counter("chan.bytes", n * RECORD_BYTES);
+    let mut failed = x.consumer_failed.load(Relaxed);
+    if !failed {
+        // Counted before the call: a producer polling `delivered` sees the
+        // batch as soon as its buffer is free again.
+        x.delivered.fetch_add(n, Relaxed);
+        failed = catch_unwind(AssertUnwindSafe(|| consumer(batch))).is_err();
+        if failed {
+            x.delivered.fetch_sub(n, Relaxed);
+            x.consumer_failed.store(true, Release);
+        }
+    }
+    if failed {
+        x.dropped.fetch_add(n, Relaxed);
+        obs::counter("chan.drop", n);
+    }
+}
+
 /// The receiver thread: drains `FULL` buffers in epoch order, answers
 /// flush tickets with a partial drain of the active buffer, and exits on
 /// shutdown (after a final drain, so shutdown is itself a flush).
@@ -446,11 +490,7 @@ fn drain_loop(x: &Inner, mut consumer: Consumer) {
             // receives this wakeup.
             drop(x.door.lock().unwrap());
             x.prod_cv.notify_all();
-            x.delivered.fetch_add(n, Relaxed);
-            obs::counter("chan.flush", 1);
-            obs::counter("chan.records", n);
-            obs::counter("chan.bytes", n * RECORD_BYTES);
-            consumer(&batch);
+            hand_over(x, &mut consumer, &batch);
             next_drain += 1;
         }
         let (flush_pending, shutdown) = {
@@ -472,11 +512,7 @@ fn drain_loop(x: &Inner, mut consumer: Consumer) {
                 copy_out(buf, n, &mut batch);
                 buf.committed.store(0, Relaxed);
                 buf.packed.store(seq_word(epoch), Release);
-                x.delivered.fetch_add(n, Relaxed);
-                obs::counter("chan.flush", 1);
-                obs::counter("chan.records", n);
-                obs::counter("chan.bytes", n * RECORD_BYTES);
-                consumer(&batch);
+                hand_over(x, &mut consumer, &batch);
             }
         }
         {

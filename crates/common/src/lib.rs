@@ -12,11 +12,10 @@
 //!   `NVBIT_PROP_SEED`);
 //! * [`json`] — a minimal JSON value type with parser and printer, replacing
 //!   the `serde` derives (device specs round-trip through it);
-//! * [`mod@bench`] — a wall-clock micro-bench harness replacing `criterion` for
-//!   the `harness = false` bench binaries;
-//! * [`obs`] — the pipeline observability layer: lock-free per-thread event
-//!   rings, span guards and named counters with JSON and Chrome-trace
-//!   export (off by default; one branch per hook when disabled);
+//! * [`obs`] — the pipeline observability layer: a recorder each context
+//!   owns, bound per thread by scope; span guards and named counters that
+//!   aggregate as they record, with JSON and Chrome-trace export (off by
+//!   default; one thread-local load and a branch per hook when disabled);
 //! * [`channel`] — the streaming GPU→host tool channel: double-buffered
 //!   flush, doorbell flip, dedicated receiver thread, `Block`/`DropCount`
 //!   backpressure;
@@ -30,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod channel;
 pub mod dim3;
 pub mod graph;

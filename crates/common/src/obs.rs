@@ -1,5 +1,5 @@
-//! Pipeline observability: per-thread event rings, span guards, named
-//! counters and a report aggregator with JSON / Chrome-trace export.
+//! Pipeline observability: a [`Recorder`] each context owns, span guards,
+//! named counters and a report with JSON / Chrome-trace export.
 //!
 //! The instrumentation pipeline (driver interposition → lifting → code
 //! generation → execution) is itself instrumented with this module, the
@@ -9,324 +9,283 @@
 //!
 //! * [`span`] — a RAII guard timing one phase (`obs::span("lift")`);
 //! * [`counter`] — a named monotonic counter (`obs::counter("decode.hit", n)`);
-//! * [`Report::capture`] — drains every thread's ring into per-phase
-//!   totals and exports a JSON summary ([`Report::to_json`]) or Chrome
-//!   `trace_event` JSON ([`Report::to_chrome_trace`]) loadable in
-//!   `chrome://tracing` and Perfetto.
+//! * [`Recorder::report`] — per-phase and per-counter totals, as a JSON
+//!   summary ([`Report::to_json`]) or a Chrome `trace_event` file
+//!   ([`Report::to_chrome_trace`]) for `chrome://tracing` and Perfetto.
+//!
+//! # Ownership and scope
+//!
+//! There is no process-wide recorder. A [`Recorder`] is a value (one per
+//! `Driver`), and the free functions reach whichever recorder is *bound*
+//! on the calling thread: [`Recorder::enter`] binds it until the returned
+//! [`Scope`] drops, which puts the previous binding back. A thread spawned
+//! to work for the current scope is handed [`current`] and enters it first
+//! thing (the CTA workers of a launch and the channel's drain thread do),
+//! so two recorders never see each other's events, whatever runs at once.
 //!
 //! # Overhead contract
 //!
-//! Collection is **off by default**. Every hook first checks one atomic
-//! flag ([`enabled`]) and returns immediately when it is clear — the
-//! disabled cost is a single relaxed load plus a branch, verified by the
-//! `obs_overhead` bench target. When enabled ([`set_enabled`] or the
-//! `NVBIT_OBS=1` environment variable), recording an event is four
-//! relaxed atomic stores into a fixed-size per-thread ring — no locks,
-//! no allocation on the hot path (a thread's first event registers its
-//! ring under a mutex, once). Rings hold [`RING_CAPACITY`] events; when
-//! a ring wraps, the oldest events are overwritten and counted in
-//! [`Report::dropped`].
-//!
-//! # Event model
-//!
-//! Events carry a monotonic nanosecond timestamp (from one process-wide
-//! origin), an interned name, a kind (span begin/end or counter) and a
-//! 64-bit value. Spans are paired per thread during [`Report::capture`];
-//! nesting is derived from pairing order, so per-phase totals come in
-//! both inclusive ([`Phase::total_ns`]) and exclusive ([`Phase::self_ns`])
-//! flavors.
+//! A recorder starts disabled, and a disabled recorder binds nothing: every
+//! hook is one thread-local load and a branch, and entering a scope
+//! allocates nothing (the `obs_overhead` bench gates both modes). An
+//! enabled hook locks its thread's own *lane* — a mutex nothing else
+//! contends for while the thread records — and aggregates there and then:
+//! a span stack yields inclusive and exclusive time when the guard drops,
+//! and totals are kept per name. Totals are therefore exact for any run
+//! length; only the raw events kept for the Chrome trace are bounded
+//! ([`TRACE_CAP`] per lane, the overflow counted in [`Report::dropped`]).
 //!
 //! ```
-//! common::obs::reset();
-//! common::obs::set_enabled(true);
+//! use common::obs;
+//! let rec = obs::Recorder::new();
+//! rec.set_enabled(true);
 //! {
-//!     let _outer = common::obs::span("launch");
-//!     let _inner = common::obs::span("lift");
-//!     common::obs::counter("decode.hit", 3);
+//!     let _scope = rec.enter();
+//!     let _outer = obs::span("launch");
+//!     let _inner = obs::span("lift");
+//!     obs::counter("decode.hit", 3);
 //! }
-//! let report = common::obs::Report::capture();
-//! common::obs::set_enabled(false);
+//! let report = rec.report();
 //! assert_eq!(report.phases["launch"].count, 1);
 //! assert_eq!(report.counters["decode.hit"].sum, 3);
-//! // The trace export is valid JSON.
 //! common::json::Json::parse(&report.to_chrome_trace().to_pretty()).unwrap();
 //! ```
 
 use crate::json::Json;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Events each per-thread ring can hold before wrapping (oldest events
-/// are overwritten; [`Report::dropped`] counts the loss).
-pub const RING_CAPACITY: usize = 8192;
+/// Raw events each lane keeps for the Chrome trace; later ones are counted
+/// in [`Report::dropped`]. The totals do not depend on it.
+pub const TRACE_CAP: usize = 8192;
 
-// ---------------------------------------------------------------------------
-// Global enable flag (the one branch every hook pays).
-// ---------------------------------------------------------------------------
-
-/// 0 = unresolved (consult `NVBIT_OBS`), 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether event collection is currently on. The first call resolves the
-/// `NVBIT_OBS` environment variable (`1`/`true` turn collection on);
-/// afterwards this is a single relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var("NVBIT_OBS").map(|v| v == "1" || v == "true").unwrap_or(false);
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
+/// An open span: its name, start and the time its closed children took.
+struct Frame {
+    name: &'static str,
+    start_ns: u64,
+    child_ns: u64,
 }
 
-/// Turns event collection on or off (overrides `NVBIT_OBS`).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Time origin.
-// ---------------------------------------------------------------------------
-
-static START: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process-wide observability origin (the first
-/// event ever recorded). Monotonic across threads.
-#[must_use]
-pub fn now_ns() -> u64 {
-    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-// ---------------------------------------------------------------------------
-// Names: interned to u16 ids so ring slots stay plain atomics (no unsafe).
-// ---------------------------------------------------------------------------
-
-static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-fn intern(name: &'static str) -> u16 {
-    let mut names = NAMES.lock().unwrap();
-    if let Some(i) = names.iter().position(|n| std::ptr::eq(*n as *const str, name) || *n == name) {
-        return i as u16;
-    }
-    names.push(name);
-    (names.len() - 1) as u16
-}
-
-fn name_table() -> Vec<&'static str> {
-    NAMES.lock().unwrap().clone()
-}
-
-// ---------------------------------------------------------------------------
-// The per-thread ring.
-// ---------------------------------------------------------------------------
-
-/// What one ring slot records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    SpanBegin,
-    SpanEnd,
-    Counter,
-}
-
-/// One event slot: a per-slot sequence number (even = stable, odd = mid
-/// write; the high bits carry the wrap generation so a reader detects
-/// overwritten slots) plus the event payload. All fields are atomics, so
-/// a racing reader observes stale or torn *values*, never undefined
-/// behaviour — and the sequence check discards torn tuples.
-struct Slot {
-    seq: AtomicU64,
-    ts: AtomicU64,
-    /// `kind << 16 | name_id`.
-    meta: AtomicU64,
-    value: AtomicU64,
-}
-
-/// A single-writer event ring. The owning thread is the only writer;
-/// [`Report::capture`] reads concurrently without locking.
-struct Ring {
+struct Lane {
     /// Stable display id (Chrome-trace `tid`).
     tid: u64,
-    /// Total events ever pushed (wraps happen modulo capacity).
-    head: AtomicU64,
-    slots: Box<[Slot]>,
+    /// The recorder's time origin.
+    origin: Instant,
+    /// The stack of open spans and the totals so far (whose `open_spans`
+    /// only [`Recorder::report`] fills).
+    state: Mutex<(Vec<Frame>, Report)>,
 }
 
-impl Ring {
-    fn new(tid: u64) -> Ring {
-        let slots = (0..RING_CAPACITY)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ts: AtomicU64::new(0),
-                meta: AtomicU64::new(0),
-                value: AtomicU64::new(0),
-            })
-            .collect();
-        Ring { tid, head: AtomicU64::new(0), slots }
+impl Lane {
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Pushes one event (owner thread only).
-    fn push(&self, ts: u64, kind: Kind, name_id: u16, value: u64) {
-        let i = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        let slot = &self.slots[(i % cap) as usize];
-        let generation = i / cap + 1;
-        // Mark mid-write (odd), fill, mark stable for this generation.
-        slot.seq.store(2 * generation - 1, Ordering::Release);
-        slot.ts.store(ts, Ordering::Relaxed);
-        slot.meta.store(((kind as u64) << 16) | name_id as u64, Ordering::Relaxed);
-        slot.value.store(value, Ordering::Relaxed);
-        slot.seq.store(2 * generation, Ordering::Release);
-        self.head.store(i + 1, Ordering::Release);
+    /// A panic while recording leaves both halves valid (every update is
+    /// one push, pop or add), so a poisoned lane keeps recording.
+    fn state(&self) -> MutexGuard<'_, (Vec<Frame>, Report)> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Reads the currently visible window: the last `capacity` events (or
-    /// fewer). Returns `(events, dropped)` where `dropped` counts events
-    /// lost to wraparound or to a concurrent overwrite.
-    fn read(&self) -> (Vec<(u64, Kind, u16, u64)>, u64) {
-        let h = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = h.saturating_sub(cap);
-        let mut dropped = start;
-        let mut out = Vec::with_capacity((h - start) as usize);
-        for i in start..h {
-            let slot = &self.slots[(i % cap) as usize];
-            let generation = i / cap + 1;
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 != 2 * generation {
-                dropped += 1; // overwritten by a later generation or mid-write
-                continue;
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let meta = slot.meta.load(Ordering::Relaxed);
-            let value = slot.value.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != 2 * generation {
-                dropped += 1;
-                continue;
-            }
-            let kind = match meta >> 16 {
-                0 => Kind::SpanBegin,
-                1 => Kind::SpanEnd,
-                _ => Kind::Counter,
-            };
-            out.push((ts, kind, (meta & 0xffff) as u16, value));
+    fn begin(&self, name: &'static str) {
+        let start_ns = self.now_ns();
+        self.state().0.push(Frame { name, start_ns, child_ns: 0 });
+    }
+
+    fn end(&self) {
+        let now = self.now_ns();
+        let (open, totals) = &mut *self.state();
+        let Some(Frame { name, start_ns, child_ns }) = open.pop() else { return };
+        let dur_ns = now.saturating_sub(start_ns);
+        if let Some(parent) = open.last_mut() {
+            parent.child_ns += dur_ns;
         }
-        (out, dropped)
+        let phase = totals.phases.entry(name).or_default();
+        phase.count += 1;
+        phase.total_ns += dur_ns;
+        phase.self_ns += dur_ns.saturating_sub(child_ns);
+        totals.keep(Event { name, tid: self.tid, ts_ns: start_ns, is_span: true, value: dur_ns });
+    }
+
+    fn count(&self, name: &'static str, value: u64) {
+        let ts_ns = self.now_ns();
+        let totals = &mut self.state().1;
+        let c = totals.counters.entry(name).or_default();
+        c.count += 1;
+        c.sum += value;
+        totals.keep(Event { name, tid: self.tid, ts_ns, is_span: false, value });
     }
 }
 
-// ---------------------------------------------------------------------------
-// Registry + thread-local state.
-// ---------------------------------------------------------------------------
-
-struct Registry {
-    rings: Vec<Arc<Ring>>,
-    next_tid: u64,
+/// One context's recorder, shared by the threads that record into it.
+pub struct Recorder {
+    enabled: AtomicBool,
+    origin: Instant,
+    lanes: Mutex<Vec<Arc<Lane>>>,
 }
 
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry { rings: Vec::new(), next_tid: 0 });
-
-/// Bumped by [`reset`]; threads re-register their ring when their cached
-/// epoch is stale. Read with one relaxed load per event.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-struct LocalState {
-    ring: Option<Arc<Ring>>,
-    epoch: u64,
-    /// Per-thread `&'static str` pointer → interned id cache, so the hot
-    /// path never takes the global name lock.
-    names: Vec<(*const u8, u16)>,
+/// What a thread's hooks reach: the lane this thread claimed, and the
+/// recorder it is a lane of (for [`current`]).
+struct Binding {
+    recorder: Arc<Recorder>,
+    lane: Arc<Lane>,
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalState> =
-        const { RefCell::new(LocalState { ring: None, epoch: 0, names: Vec::new() }) };
+    static BOUND: RefCell<Option<Binding>> = const { RefCell::new(None) };
 }
 
-fn record(kind: Kind, name: &'static str, value: u64) {
-    let ts = now_ns();
-    LOCAL.with(|local| {
-        let mut local = local.borrow_mut();
-        let name_id = match local.names.iter().find(|(p, _)| *p == name.as_ptr()) {
-            Some((_, id)) => *id,
-            None => {
-                let id = intern(name);
-                local.names.push((name.as_ptr(), id));
-                id
-            }
-        };
-        let global_epoch = EPOCH.load(Ordering::Relaxed);
-        if local.ring.is_none() || local.epoch != global_epoch {
-            // Cold path: first event of this thread, or first after a
-            // reset — register a fresh ring under the registry lock.
-            let mut reg = REGISTRY.lock().unwrap();
-            let ring = Arc::new(Ring::new(reg.next_tid));
-            reg.next_tid += 1;
-            reg.rings.push(ring.clone());
-            local.epoch = global_epoch;
-            local.ring = Some(ring);
+/// Runs `f` on this thread's binding; `None` on a thread past its
+/// thread-local teardown, where nothing records.
+fn with_bound<R>(f: impl FnOnce(&mut Option<Binding>) -> R) -> Option<R> {
+    BOUND.try_with(|bound| f(&mut bound.borrow_mut())).ok()
+}
+
+impl Recorder {
+    /// A disabled recorder with no events; its time origin is now.
+    #[must_use]
+    pub fn new() -> Arc<Recorder> {
+        Arc::new(Recorder {
+            enabled: AtomicBool::new(false),
+            origin: Instant::now(),
+            lanes: Mutex::default(),
+        })
+    }
+
+    /// Turns recording on or off for scopes entered from now on (a scope
+    /// already entered keeps the binding it made).
+    pub fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    fn lanes(&self) -> MutexGuard<'_, Vec<Arc<Lane>>> {
+        // Pushes only: valid whatever panicked while holding it.
+        self.lanes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A lane nothing records into, else a new one: lanes number the
+    /// threads that recorded at once, not those that ever ran. A lane is
+    /// free when this list holds its only handle (bindings and span guards
+    /// hold the others), and a free lane gains one only under this lock.
+    fn claim_lane(&self) -> Arc<Lane> {
+        let mut lanes = self.lanes();
+        if let Some(free) = lanes.iter().find(|l| Arc::strong_count(l) == 1) {
+            return free.clone();
         }
-        local.ring.as_ref().expect("registered above").push(ts, kind, name_id, value);
+        let (tid, origin) = (lanes.len() as u64, self.origin);
+        lanes.push(Arc::new(Lane { tid, origin, state: Mutex::default() }));
+        lanes[tid as usize].clone()
+    }
+
+    /// Binds this recorder on the calling thread until the returned scope
+    /// drops. Disabled, it binds *nothing* — hooks inside the scope are
+    /// no-ops even when an enclosing scope records. Entering the recorder
+    /// that is already bound costs one comparison.
+    #[must_use = "the binding ends when the scope drops"]
+    pub fn enter(self: &Arc<Self>) -> Scope {
+        let on = self.enabled.load(Ordering::Relaxed);
+        let restore = with_bound(|bound| {
+            let unchanged = match bound {
+                Some(b) => on && Arc::ptr_eq(&b.recorder, self),
+                None => !on,
+            };
+            if unchanged {
+                return None;
+            }
+            let new = on.then(|| Binding { recorder: self.clone(), lane: self.claim_lane() });
+            Some(std::mem::replace(bound, new))
+        });
+        Scope { restore: restore.flatten(), _on_this_thread: std::marker::PhantomData }
+    }
+
+    /// Everything recorded so far: the lanes' totals and trace events
+    /// merged. Recording may go on meanwhile (each lane is locked for the
+    /// copy only); spans still open are counted in [`Report::open_spans`].
+    #[must_use]
+    pub fn report(&self) -> Report {
+        let mut report = Report::default();
+        for lane in self.lanes().iter() {
+            let (open, totals) = &*lane.state();
+            report.open_spans += open.len() as u64;
+            for (name, p) in &totals.phases {
+                let q = report.phases.entry(name).or_default();
+                q.count += p.count;
+                q.total_ns += p.total_ns;
+                q.self_ns += p.self_ns;
+            }
+            for (name, c) in &totals.counters {
+                let d = report.counters.entry(name).or_default();
+                d.count += c.count;
+                d.sum += c.sum;
+            }
+            report.events.extend_from_slice(&totals.events);
+            report.dropped += totals.dropped;
+        }
+        report
+    }
+}
+
+/// The guard of [`Recorder::enter`]: puts the previous binding back on
+/// drop, on the thread that entered.
+pub struct Scope {
+    /// The binding this scope replaced; `None` when it changed nothing.
+    restore: Option<Option<Binding>>,
+    _on_this_thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        if let Some(previous) = self.restore.take() {
+            with_bound(|bound| *bound = previous);
+        }
+    }
+}
+
+/// The recorder bound on this thread (`None`: hooks here record nothing),
+/// for a thread spawned from here to [`enter`](Recorder::enter) first thing.
+#[must_use]
+pub fn current() -> Option<Arc<Recorder>> {
+    with_bound(|bound| bound.as_ref().map(|b| b.recorder.clone())).flatten()
+}
+
+/// Times a phase: opens a span now and closes it when the returned guard
+/// drops (guards close innermost first). A no-op while nothing is bound.
+#[inline]
+#[must_use = "the span ends when the guard drops"]
+pub fn span(name: &'static str) -> SpanGuard {
+    let lane = with_bound(|bound| bound.as_ref().map(|b| b.lane.clone())).flatten();
+    if let Some(lane) = &lane {
+        lane.begin(name);
+    }
+    SpanGuard { lane }
+}
+
+/// Adds `delta` to the named counter. A no-op while nothing is bound.
+#[inline]
+pub fn counter(name: &'static str, delta: u64) {
+    with_bound(|bound| {
+        if let Some(b) = bound {
+            b.lane.count(name, delta);
+        }
     });
 }
 
-/// Discards all recorded events and forgets dead threads' rings. Call
-/// between measured runs; threads that are still recording re-register
-/// their rings transparently on their next event.
-pub fn reset() {
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.rings.clear();
-    EPOCH.fetch_add(1, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Public recording API.
-// ---------------------------------------------------------------------------
-
-/// Times a phase: records a begin event now and an end event when the
-/// returned guard drops. A no-op (one branch) while collection is
-/// disabled.
-#[must_use = "the span ends when the guard drops"]
-pub fn span(name: &'static str) -> SpanGuard {
-    let active = enabled();
-    if active {
-        record(Kind::SpanBegin, name, 0);
-    }
-    SpanGuard { name, active }
-}
-
-/// Adds `delta` to the named counter. A no-op (one branch) while
-/// collection is disabled.
-#[inline]
-pub fn counter(name: &'static str, delta: u64) {
-    if enabled() {
-        record(Kind::Counter, name, delta);
-    }
-}
-
-/// RAII guard returned by [`span`]; records the end event on drop.
+/// RAII guard returned by [`span`]; closes the span on drop, in the lane
+/// that opened it (whatever is bound by then).
 pub struct SpanGuard {
-    name: &'static str,
-    active: bool,
+    lane: Option<Arc<Lane>>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.active {
-            record(Kind::SpanEnd, self.name, 0);
+        if let Some(lane) = &self.lane {
+            lane.end();
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Report.
-// ---------------------------------------------------------------------------
 
 /// Aggregated timing of one phase (all spans with the same name).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -348,109 +307,47 @@ pub struct CounterTotal {
     pub sum: u64,
 }
 
-/// One completed span occurrence (the raw material of the Chrome trace).
+/// One raw event (the material of the Chrome trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Phase name.
+pub struct Event {
+    /// Phase or counter name.
     pub name: &'static str,
-    /// Ring (thread) id the span ran on.
+    /// Lane it was recorded on.
     pub tid: u64,
-    /// Start, nanoseconds since the observability origin.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// One counter occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterEvent {
-    /// Counter name.
-    pub name: &'static str,
-    /// Ring (thread) id.
-    pub tid: u64,
-    /// Timestamp, nanoseconds since the origin.
+    /// When the span started or the counter was bumped, nanoseconds since
+    /// the recorder's origin.
     pub ts_ns: u64,
-    /// Delta recorded.
+    /// Whether this is a completed span (else one [`counter`] call).
+    pub is_span: bool,
+    /// The span's duration in nanoseconds, or the counter's delta.
     pub value: u64,
 }
 
-/// A drained snapshot of every thread's ring: per-phase totals, counter
-/// sums and the raw span/counter events for trace export.
+/// What a recorder holds: exact per-phase totals and counter sums, and the
+/// raw events kept for trace export.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Aggregated spans keyed by phase name.
     pub phases: BTreeMap<&'static str, Phase>,
     /// Aggregated counters keyed by name.
     pub counters: BTreeMap<&'static str, CounterTotal>,
-    /// Every completed span, in per-thread order.
-    pub spans: Vec<SpanEvent>,
-    /// Every counter event.
-    pub counter_events: Vec<CounterEvent>,
-    /// Events lost to ring wraparound (or mid-write skips).
+    /// The first [`TRACE_CAP`] raw events of each lane, lane by lane in
+    /// the order recorded (a span is recorded when it completes).
+    pub events: Vec<Event>,
+    /// Raw events the cap left out of `events`; the totals include them.
     pub dropped: u64,
-    /// Span begins without a matching end at capture time.
+    /// Spans begun and not yet ended when the report was taken.
     pub open_spans: u64,
 }
 
 impl Report {
-    /// Drains all registered rings into an aggregated report. Does not
-    /// stop collection and may run while other threads record (their
-    /// in-flight events are picked up by a later capture).
-    #[must_use]
-    pub fn capture() -> Report {
-        let rings: Vec<Arc<Ring>> = REGISTRY.lock().unwrap().rings.clone();
-        let names = name_table();
-        let mut report = Report::default();
-        for ring in rings {
-            let (events, dropped) = ring.read();
-            report.dropped += dropped;
-            // Pair begin/end per thread; the stack also yields child time
-            // for exclusive totals.
-            let mut stack: Vec<(u16, u64, u64)> = Vec::new(); // (name, start, child_ns)
-            for (ts, kind, name_id, value) in events {
-                let Some(name) = names.get(name_id as usize).copied() else { continue };
-                match kind {
-                    Kind::SpanBegin => stack.push((name_id, ts, 0)),
-                    Kind::SpanEnd => {
-                        // Tolerate lost begins (wraparound): unwind to the
-                        // matching name if present, else drop the end.
-                        let Some(pos) = stack.iter().rposition(|(n, _, _)| *n == name_id) else {
-                            continue;
-                        };
-                        report.open_spans += (stack.len() - pos - 1) as u64;
-                        stack.truncate(pos + 1);
-                        let (_, start, child_ns) = stack.pop().expect("found above");
-                        let dur = ts.saturating_sub(start);
-                        if let Some((_, _, parent_child)) = stack.last_mut() {
-                            *parent_child += dur;
-                        }
-                        let phase = report.phases.entry(name).or_default();
-                        phase.count += 1;
-                        phase.total_ns += dur;
-                        phase.self_ns += dur.saturating_sub(child_ns);
-                        report.spans.push(SpanEvent {
-                            name,
-                            tid: ring.tid,
-                            start_ns: start,
-                            dur_ns: dur,
-                        });
-                    }
-                    Kind::Counter => {
-                        let c = report.counters.entry(name).or_default();
-                        c.count += 1;
-                        c.sum += value;
-                        report.counter_events.push(CounterEvent {
-                            name,
-                            tid: ring.tid,
-                            ts_ns: ts,
-                            value,
-                        });
-                    }
-                }
-            }
-            report.open_spans += stack.len() as u64;
+    /// Keeps a lane's raw event while it has room, else counts it dropped.
+    fn keep(&mut self, event: Event) {
+        if self.events.len() < TRACE_CAP {
+            self.events.push(event);
+        } else {
+            self.dropped += 1;
         }
-        report
     }
 
     /// The inclusive total of a phase, in nanoseconds (0 when absent).
@@ -469,37 +366,22 @@ impl Report {
     /// (`common::json`), the shape written to `results/BENCH_*.json`.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let phases = self
-            .phases
-            .iter()
-            .map(|(name, p)| {
-                (
-                    name.to_string(),
-                    Json::obj(vec![
-                        ("count", Json::Num(p.count as f64)),
-                        ("total_ns", Json::Num(p.total_ns as f64)),
-                        ("self_ns", Json::Num(p.self_ns as f64)),
-                    ]),
-                )
-            })
-            .collect();
+        let nums = |fields: &[(&str, u64)]| {
+            Json::obj(fields.iter().map(|&(k, v)| (k, Json::Num(v as f64))).collect())
+        };
+        let phases = self.phases.iter().map(|(name, p)| {
+            let fields = [("count", p.count), ("total_ns", p.total_ns), ("self_ns", p.self_ns)];
+            (name.to_string(), nums(&fields))
+        });
         let counters = self
             .counters
             .iter()
-            .map(|(name, c)| {
-                (
-                    name.to_string(),
-                    Json::obj(vec![
-                        ("count", Json::Num(c.count as f64)),
-                        ("sum", Json::Num(c.sum as f64)),
-                    ]),
-                )
-            })
-            .collect();
+            .map(|(name, c)| (name.to_string(), nums(&[("count", c.count), ("sum", c.sum)])));
+        let spans = self.events.iter().filter(|e| e.is_span).count();
         Json::obj(vec![
-            ("phases", Json::Obj(phases)),
-            ("counters", Json::Obj(counters)),
-            ("spans", Json::Num(self.spans.len() as f64)),
+            ("phases", Json::Obj(phases.collect())),
+            ("counters", Json::Obj(counters.collect())),
+            ("spans", Json::Num(spans as f64)),
             ("dropped", Json::Num(self.dropped as f64)),
             ("open_spans", Json::Num(self.open_spans as f64)),
         ])
@@ -511,30 +393,29 @@ impl Report {
     /// `chrome://tracing` and Perfetto.
     #[must_use]
     pub fn to_chrome_trace(&self) -> Json {
-        let mut events: Vec<Json> = Vec::with_capacity(self.spans.len());
-        for s in &self.spans {
-            events.push(Json::obj(vec![
-                ("name", Json::Str(s.name.to_string())),
-                ("cat", Json::Str("nvbit".into())),
-                ("ph", Json::Str("X".into())),
-                ("ts", Json::Num(s.start_ns as f64 / 1000.0)),
-                ("dur", Json::Num(s.dur_ns as f64 / 1000.0)),
+        let events = self.events.iter().map(|e| {
+            let mut fields = vec![
+                ("name", Json::Str(e.name.to_string())),
+                ("ts", Json::Num(e.ts_ns as f64 / 1000.0)),
                 ("pid", Json::Num(0.0)),
-                ("tid", Json::Num(s.tid as f64)),
-            ]));
-        }
-        for c in &self.counter_events {
-            events.push(Json::obj(vec![
-                ("name", Json::Str(c.name.to_string())),
-                ("ph", Json::Str("C".into())),
-                ("ts", Json::Num(c.ts_ns as f64 / 1000.0)),
-                ("pid", Json::Num(0.0)),
-                ("tid", Json::Num(c.tid as f64)),
-                ("args", Json::obj(vec![("value", Json::Num(c.value as f64))])),
-            ]));
-        }
+                ("tid", Json::Num(e.tid as f64)),
+            ];
+            if e.is_span {
+                fields.extend([
+                    ("cat", Json::Str("nvbit".into())),
+                    ("ph", Json::Str("X".into())),
+                    ("dur", Json::Num(e.value as f64 / 1000.0)),
+                ]);
+            } else {
+                fields.extend([
+                    ("ph", Json::Str("C".into())),
+                    ("args", Json::obj(vec![("value", Json::Num(e.value as f64))])),
+                ]);
+            }
+            Json::obj(fields)
+        });
         Json::obj(vec![
-            ("traceEvents", Json::Arr(events)),
+            ("traceEvents", Json::Arr(events.collect())),
             ("displayTimeUnit", Json::Str("ns".into())),
         ])
     }
@@ -544,156 +425,154 @@ impl Report {
 mod tests {
     use super::*;
 
-    /// The obs tests share mutable global state (the enable flag and the
-    /// ring registry), so they serialize on one lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Other unit tests in this binary (the channel's) emit `chan.*`
-    /// events whenever an obs test has collection switched on, and their
-    /// drain threads can wrap their own rings. Each obs test therefore
-    /// asserts only on events it created: every test uses names no other
-    /// code emits, and [`mine`] narrows a capture to those names.
-    /// Ring-level accounting (`dropped`, `open_spans`) is checked through
-    /// the recording thread's own ring, never the process-wide sums.
-    fn mine(r: &Report, names: &[&str]) -> Report {
-        let keep = |n: &&'static str| names.contains(n);
-        Report {
-            phases: r
-                .phases
-                .iter()
-                .filter(|(n, _)| keep(n))
-                .map(|(n, p)| (*n, p.clone()))
-                .collect(),
-            counters: r
-                .counters
-                .iter()
-                .filter(|(n, _)| keep(n))
-                .map(|(n, c)| (*n, c.clone()))
-                .collect(),
-            spans: r.spans.iter().filter(|s| keep(&s.name)).cloned().collect(),
-            counter_events: r.counter_events.iter().filter(|c| keep(&c.name)).cloned().collect(),
-            dropped: 0,
-            open_spans: 0,
-        }
-    }
-
-    /// The calling thread's ring after recording (registered by then).
-    fn my_ring() -> Arc<Ring> {
-        LOCAL.with(|l| l.borrow().ring.clone().expect("this thread has recorded an event"))
+    fn recording() -> Arc<Recorder> {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        rec
     }
 
     #[test]
     fn disabled_mode_records_nothing() {
-        let _g = locked();
-        reset();
-        set_enabled(false);
+        let rec = Recorder::new();
         {
-            let _s = span("t.disabled.launch");
-            counter("t.disabled.hit", 10);
+            let _scope = rec.enter();
+            assert!(current().is_none());
+            let _s = span("launch");
+            counter("hit", 10);
         }
-        let r = mine(&Report::capture(), &["t.disabled.launch", "t.disabled.hit"]);
+        let r = rec.report();
         assert!(r.phases.is_empty(), "{:?}", r.phases);
         assert!(r.counters.is_empty());
+        assert!(rec.lanes().is_empty(), "a disabled scope claims no lane");
     }
 
     #[test]
     fn spans_nest_and_split_inclusive_exclusive() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
+        let rec = recording();
         {
-            let _outer = span("t.nest.outer");
+            let _scope = rec.enter();
+            let _outer = span("outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = span("t.nest.inner");
+                let _inner = span("inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
+            assert_eq!(rec.report().open_spans, 1, "outer is still open");
         }
-        let r = mine(&Report::capture(), &["t.nest.outer", "t.nest.inner"]);
-        set_enabled(false);
-        let outer = &r.phases["t.nest.outer"];
-        let inner = &r.phases["t.nest.inner"];
+        let r = rec.report();
+        let outer = &r.phases["outer"];
+        let inner = &r.phases["inner"];
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 1);
         assert!(outer.total_ns >= inner.total_ns, "outer includes inner");
-        assert!(outer.self_ns <= outer.total_ns - inner.total_ns, "self excludes inner");
-        assert_eq!(r.spans.len(), 2, "both spans closed");
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns, "self excludes inner");
+        assert_eq!(inner.self_ns, inner.total_ns);
+        assert_eq!(r.events.len(), 2, "both spans closed");
+        assert_eq!(r.open_spans, 0);
     }
 
     #[test]
     fn spans_pair_independently_across_threads() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..10 {
-                        let _sp = span("t.threads.worker");
-                        counter("t.threads.items", 2);
-                    }
-                });
-            }
-        });
-        let r = mine(&Report::capture(), &["t.threads.worker", "t.threads.items"]);
-        set_enabled(false);
-        assert_eq!(r.phases["t.threads.worker"].count, 40);
-        assert_eq!(r.counters["t.threads.items"].sum, 80);
-        assert_eq!(r.counters["t.threads.items"].count, 40);
-        // Four worker rings → four distinct tids among this test's spans.
-        let tids: std::collections::HashSet<u64> = r.spans.iter().map(|s| s.tid).collect();
-        assert_eq!(tids.len(), 4);
-    }
-
-    #[test]
-    fn ring_wraparound_drops_oldest_and_counts_them() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        let n = (RING_CAPACITY + 100) as u64;
-        for i in 0..n {
-            counter("t.wrap", i);
+        let rec = recording();
+        let barrier = std::sync::Barrier::new(4);
+        {
+            let _scope = rec.enter();
+            let parent = current().expect("bound above");
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let _scope = parent.enter();
+                        barrier.wait(); // all four hold a lane at once
+                        for _ in 0..10 {
+                            let _sp = span("worker");
+                            counter("items", 2);
+                        }
+                    });
+                }
+            });
         }
-        let r = mine(&Report::capture(), &["t.wrap"]);
-        let (_, dropped) = my_ring().read();
-        set_enabled(false);
-        let c = &r.counters["t.wrap"];
-        assert_eq!(c.count, RING_CAPACITY as u64, "ring keeps the newest window");
-        assert_eq!(dropped, 100, "this thread's ring lost exactly the overwritten events");
-        // The survivors are the newest events: 100..n sum.
-        let expect: u64 = (100..n).sum();
-        assert_eq!(c.sum, expect);
+        let r = rec.report();
+        assert_eq!(r.phases["worker"].count, 40);
+        assert_eq!(r.counters["items"].sum, 80);
+        assert_eq!(r.counters["items"].count, 40);
+        // Four workers → four lanes besides the spawning thread's.
+        let tids: std::collections::BTreeSet<u64> =
+            r.events.iter().filter(|e| e.is_span).map(|e| e.tid).collect();
+        assert_eq!(tids.into_iter().collect::<Vec<_>>(), [1, 2, 3, 4]);
+    }
+
+    /// Threads that record one after the other share a lane: lanes count
+    /// concurrency, so a long run's launches do not grow the recorder.
+    #[test]
+    fn a_released_lane_is_claimed_by_the_next_thread() {
+        let rec = recording();
+        for _ in 0..3 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _scope = rec.enter();
+                    counter("visits", 1);
+                });
+            });
+        }
+        assert_eq!(rec.lanes().len(), 1);
+        assert_eq!(rec.report().counters["visits"].count, 3);
+    }
+
+    /// The ring this replaces kept the newest 8,192 events and lost the
+    /// counts of the rest; the cap now bounds the trace list only.
+    #[test]
+    fn totals_stay_exact_past_the_raw_event_cap() {
+        let rec = recording();
+        let n = 10 * TRACE_CAP as u64;
+        {
+            let _scope = rec.enter();
+            for i in 0..n / 2 {
+                let _s = span("tick");
+                counter("wrap", i);
+            }
+        }
+        let r = rec.report();
+        assert_eq!(r.phases["tick"].count, n / 2);
+        assert_eq!(r.counters["wrap"].count, n / 2);
+        assert_eq!(r.counters["wrap"].sum, (0..n / 2).sum::<u64>());
+        assert_eq!(r.events.len(), TRACE_CAP);
+        assert_eq!((r.events[0].name, r.events[0].value), ("wrap", 0), "the oldest are kept");
+        assert_eq!(r.dropped, n - TRACE_CAP as u64);
     }
 
     #[test]
-    fn reset_discards_events_and_reregisters_live_threads() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        counter("t.reset.before", 1);
-        reset();
-        counter("t.reset.after", 1);
-        let r = Report::capture();
-        set_enabled(false);
-        assert!(!r.counters.contains_key("t.reset.before"));
-        assert_eq!(r.counters["t.reset.after"].sum, 1);
+    fn an_inner_scope_restores_the_outer_binding_on_drop() {
+        let (outer, inner, off) = (recording(), recording(), Recorder::new());
+        let _o = outer.enter();
+        counter("seen", 1);
+        {
+            let _i = inner.enter();
+            counter("seen", 10);
+            let _again = inner.enter(); // re-entering what is bound changes nothing
+            counter("seen", 10);
+        }
+        counter("seen", 2);
+        {
+            let _d = off.enter(); // a disabled recorder masks the outer one
+            counter("seen", 100);
+        }
+        counter("seen", 4);
+        assert_eq!(outer.report().counter_sum("seen"), 7);
+        assert_eq!(inner.report().counter_sum("seen"), 20);
+        assert!(off.report().counters.is_empty());
+        drop(_o);
+        assert!(current().is_none());
     }
 
     #[test]
     fn chrome_trace_is_valid_json_with_expected_schema() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
+        let rec = recording();
         {
-            let _s = span("t.trace.execute");
-            counter("t.trace.miss", 7);
+            let _scope = rec.enter();
+            let _s = span("execute");
+            counter("miss", 7);
         }
-        let r = mine(&Report::capture(), &["t.trace.execute", "t.trace.miss"]);
-        set_enabled(false);
+        let r = rec.report();
         // Golden schema check: round-trip through the JSON parser and
         // verify the trace_event fields Perfetto requires.
         let text = r.to_chrome_trace().to_pretty();
@@ -704,7 +583,7 @@ mod tests {
             .iter()
             .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
             .expect("one complete event");
-        assert_eq!(span_ev.get("name").unwrap().as_str(), Some("t.trace.execute"));
+        assert_eq!(span_ev.get("name").unwrap().as_str(), Some("execute"));
         assert!(span_ev.get("ts").unwrap().as_f64().is_some());
         assert!(span_ev.get("dur").unwrap().as_f64().is_some());
         assert!(span_ev.get("tid").unwrap().as_u64().is_some());
@@ -715,20 +594,20 @@ mod tests {
         assert_eq!(ctr_ev.get("args").unwrap().get("value").unwrap().as_u64(), Some(7));
         // The JSON summary parses too.
         let summary = Json::parse(&r.to_json().to_pretty()).unwrap();
-        let phase = summary.get("phases").unwrap().get("t.trace.execute").unwrap();
+        let phase = summary.get("phases").unwrap().get("execute").unwrap();
         assert_eq!(phase.get("count").unwrap().as_u64(), Some(1));
     }
 
     #[test]
     fn guard_spanning_a_disable_still_closes() {
-        let _g = locked();
-        reset();
-        set_enabled(true);
-        let guard = span("t.toggled");
-        set_enabled(false);
-        drop(guard); // end event must still record: the begin did
-        let r = mine(&Report::capture(), &["t.toggled"]);
-        assert_eq!(r.phases["t.toggled"].count, 1);
-        assert_eq!(r.spans.len(), 1, "the span closed");
+        let rec = recording();
+        let scope = rec.enter();
+        let guard = span("toggled");
+        rec.set_enabled(false);
+        drop(scope);
+        drop(guard); // the span closes in the lane that opened it
+        let r = rec.report();
+        assert_eq!(r.phases["toggled"].count, 1);
+        assert_eq!((r.events.len(), r.open_spans), (1, 0), "the span closed");
     }
 }

@@ -10,11 +10,8 @@
 //! an image the pre-swap verifier rejects is never installed and keeps no
 //! trampoline region.
 //!
-//! These tests own process-global state: they flip the obs switch and
-//! reset the rings. They therefore live in their own integration-test
-//! binary and serialize on one lock.
+//! Each test reads its own driver's recorder, so they run in parallel.
 
-use common::obs;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::saverestore::TIERS;
@@ -94,7 +91,12 @@ impl NvbitTool for Flipper {
     }
 }
 
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// A driver that records from its first call on.
+fn observed_driver() -> Driver {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    drv.obs().set_enabled(true);
+    drv
+}
 
 fn live_allocs(drv: &Driver) -> usize {
     drv.with_device(|d| d.memory().live_allocs())
@@ -102,11 +104,7 @@ fn live_allocs(drv: &Driver) -> usize {
 
 #[test]
 fn version_flips_reuse_cached_images_and_unload_evicts() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
-    obs::reset();
-
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let drv = observed_driver();
     attach_tool(&drv, Flipper { launches: 0 });
     let ctx = drv.ctx_create().unwrap();
     let out = drv.mem_alloc(128).unwrap();
@@ -130,15 +128,14 @@ fn version_flips_reuse_cached_images_and_unload_evicts() {
     assert_eq!(live_allocs(&drv), baseline + 2 * TIERS.len() + 1);
     drv.shutdown();
 
-    let report = obs::Report::capture();
-    obs::set_enabled(false);
+    let report = drv.obs().report();
 
     // The first launch builds; the five enable toggles (two looks at the
     // cache each: the toggle's and the launch's) rebuild nothing; each of
     // the four policy changes makes the image stale and costs one rebuild —
     // a launch builds a tracked function's image whichever version is wanted.
     let builds: Vec<bool> = report
-        .counter_events
+        .events
         .iter()
         .filter_map(|e| match e.name {
             "instr_image.build" => Some(true),
@@ -166,11 +163,7 @@ fn version_flips_reuse_cached_images_and_unload_evicts() {
 /// once per lift and once per verify.
 #[test]
 fn jit_phases_attribute_all_six_components() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
-    obs::reset();
-
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let drv = observed_driver();
     attach_tool(&drv, Flipper { launches: 0 });
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
@@ -179,8 +172,7 @@ fn jit_phases_attribute_all_six_components() {
     drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
     drv.shutdown();
 
-    let report = obs::Report::capture();
-    obs::set_enabled(false);
+    let report = drv.obs().report();
 
     for phase in ["retrieve", "disassemble", "convert", "user_code", "codegen", "swap"] {
         let p = report.phases.get(phase).unwrap_or_else(|| panic!("phase {phase} missing"));
@@ -254,10 +246,6 @@ impl NvbitTool for Refused {
 /// refusal keeps its trampoline region.
 #[test]
 fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_enabled(true);
-    obs::reset();
-
     // `k` with a `JCAL` into the void appended behind its `EXIT`.
     let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
     let k = &mut image.functions[0];
@@ -266,7 +254,7 @@ fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
     k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
 
     let seen = Rc::new(RefCell::new(RefusedSeen::default()));
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let drv = observed_driver();
     attach_tool(&drv, Refused { seen: seen.clone() });
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
@@ -295,8 +283,7 @@ fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
     assert_eq!(live_allocs(&drv), allocs + 2 * TIERS.len());
     drv.shutdown();
 
-    let report = obs::Report::capture();
-    obs::set_enabled(false);
+    let report = drv.obs().report();
     assert_eq!(report.counter_sum("instr_image.verify_reject"), 2, "verdict + launch");
     assert_eq!(report.counter_sum("instr_image.build"), 2);
     assert_eq!(report.counter_sum("tramp.free_fail"), 0, "both regions free cleanly");

@@ -8,6 +8,7 @@ use ptx::{LineInfo, ParamInfo};
 use sass::{Arch, Operand};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 macro_rules! handle_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -169,6 +170,9 @@ impl State {
 /// The simulated CUDA driver. Single-threaded by design (deterministic);
 /// interior mutability lets interposer callbacks re-enter the API.
 pub struct Driver {
+    /// This context's observability recorder; every entry point that can
+    /// reach an `obs` hook enters it first.
+    obs: Arc<common::obs::Recorder>,
     state: RefCell<State>,
     interposer: RefCell<Option<Box<dyn Interposer>>>,
     in_callback: Cell<bool>,
@@ -179,6 +183,7 @@ impl Driver {
     /// Creates a driver owning a fresh device.
     pub fn new(spec: DeviceSpec) -> Driver {
         Driver {
+            obs: common::obs::Recorder::new(),
             state: RefCell::new(State {
                 device: Device::new(spec),
                 next_handle: 1,
@@ -204,6 +209,14 @@ impl Driver {
         self.state.borrow().device.spec().clone()
     }
 
+    /// This driver's observability recorder: disabled until
+    /// `obs().set_enabled(true)`, after which everything the driver, the
+    /// core, the device and the tools do on this driver's behalf — on any
+    /// thread — lands in `obs().report()`, and in no other driver's.
+    pub fn obs(&self) -> &Arc<common::obs::Recorder> {
+        &self.obs
+    }
+
     /// Installs the interposer (the `LD_PRELOAD` analog) and fires its
     /// `at_init` callback. Only one interposer can be installed.
     pub fn install_interposer(&self, ip: Box<dyn Interposer>) {
@@ -220,6 +233,7 @@ impl Driver {
         if self.terminated.replace(true) {
             return;
         }
+        let _obs = self.obs.enter();
         self.with_interposer(|ip, drv| ip.at_term(drv));
         *self.interposer.borrow_mut() = None;
     }
@@ -228,6 +242,7 @@ impl Driver {
         if self.in_callback.get() {
             return; // driver calls from inside a callback stay silent
         }
+        let _obs = self.obs.enter();
         // Take the interposer out so callbacks can re-enter the driver
         // without double-borrowing the slot.
         let taken = self.interposer.borrow_mut().take();
@@ -246,6 +261,7 @@ impl Driver {
         // Times the whole interposition callback, tool host code and any
         // instrumentation work the core performs inside it included
         // (`obs` spans are inclusive; see DESIGN.md "Observability").
+        let _obs = self.obs.enter();
         let _span = common::obs::span("interpose");
         self.with_interposer(|ip, drv| ip.at_cuda_event(drv, is_exit, cbid, params));
     }
@@ -300,6 +316,7 @@ impl Driver {
     /// device, loads every function into device memory and resolves call
     /// relocations.
     pub fn module_load(&self, ctx: &CuContext, fatbin: FatBinary) -> Result<CuModule> {
+        let _obs = self.obs.enter();
         let _span = common::obs::span("module_load");
         common::obs::counter("module.loads", 1);
         let arch = self.arch();
@@ -451,6 +468,7 @@ impl Driver {
                 .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
             (m.name.clone(), m.library, m.functions.clone())
         };
+        let _obs = self.obs.enter();
         common::obs::counter("module.unloads", 1);
         let p = CbParams::Module { module, name: &name, library };
         self.event(false, CbId::ModuleUnload, &p);
@@ -533,10 +551,15 @@ impl Driver {
     /// Reads the function's current code bytes from device memory (the
     /// `retrieve` phase of the JIT breakdown, paper Fig. 5).
     pub fn read_code(&self, func: CuFunction) -> Result<Vec<u8>> {
+        let _obs = self.obs.enter();
         let _span = common::obs::span("retrieve");
-        let info = self.function_info(func)?;
+        let st = self.state.borrow();
+        let info = st
+            .functions
+            .get(&func.0)
+            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))?;
         let mut buf = vec![0u8; info.code_len as usize];
-        self.state.borrow().device.read(info.addr, &mut buf)?;
+        st.device.read(info.addr, &mut buf)?;
         Ok(buf)
     }
 
@@ -608,11 +631,12 @@ impl Driver {
         block: Dim3,
         args: &[KernelArg],
     ) -> Result<ExecStats> {
+        let _obs = self.obs.enter();
         let _span = common::obs::span("launch");
         common::obs::counter("kernel.launches", 1);
-        {
-            // Validate the handle before telling anyone about the launch.
-            self.function_info(*func)?;
+        // Validate the handle before telling anyone about the launch.
+        if !self.state.borrow().functions.contains_key(&func.0) {
+            return Err(DriverError::InvalidHandle(func.to_string()));
         }
         let p = CbParams::LaunchKernel { func: *func, grid, block, args };
         self.event(false, CbId::LaunchKernel, &p);

@@ -327,23 +327,20 @@ impl Device {
         self.code.launch = self.launches;
         let shared = self.mem.shared_view();
 
-        // Scheduler observability: `cta` spans land in each worker
-        // thread's ring (so Parallel shows one trace lane per worker)
-        // and the queue-wait counter records how long each CTA sat
-        // between launch start and being claimed.
-        let obs_on = common::obs::enabled();
+        // Scheduler observability: the workers enter the launching thread's
+        // recorder, so `cta` spans land in one lane per worker, and the
+        // queue-wait counter records how long each CTA sat between launch
+        // start and being claimed.
+        let recorder = common::obs::current();
         let exec_span = common::obs::span("execute");
-        let exec_t0 = if obs_on { common::obs::now_ns() } else { 0 };
+        let exec_t0 = recorder.as_ref().map(|_| std::time::Instant::now());
 
         let labels = &self.labels;
         let chan = self.channel.as_ref();
         let new_state = || LaunchState::new(block_threads as u32, local_size, cfg.shared_size);
         let run_one = |state: &mut LaunchState, cta_linear: u64| -> Result<CtaStats> {
-            if obs_on {
-                common::obs::counter(
-                    "cta.queue_wait_ns",
-                    common::obs::now_ns().saturating_sub(exec_t0),
-                );
+            if let Some(t0) = exec_t0 {
+                common::obs::counter("cta.queue_wait_ns", t0.elapsed().as_nanos() as u64);
             }
             let _cta_span = common::obs::span("cta");
             run_cta(
@@ -368,6 +365,7 @@ impl Device {
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| {
+                        let _obs = recorder.as_ref().map(common::obs::Recorder::enter);
                         let mut state = new_state();
                         loop {
                             // Indices are handed out in increasing order, so

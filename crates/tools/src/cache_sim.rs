@@ -141,7 +141,6 @@ impl ChannelCacheSim {
         let chan = TraceChannel::new(
             Backpressure::Block,
             buf_records,
-            "tool.cache_sim.sites",
             Box::new(move |batch| {
                 let mut model = model.lock().unwrap();
                 for r in batch {
@@ -171,7 +170,9 @@ impl NvbitTool for ChannelCacheSim {
     ) {
         let CbParams::LaunchKernel { func, .. } = params else { return };
         if cbid == CbId::LaunchKernel && !is_exit {
-            self.chan.instrument(api, *func);
+            if let Some(sites) = self.chan.instrument(api, *func) {
+                common::obs::counter("tool.cache_sim.sites", sites);
+            }
         }
     }
 }

@@ -49,15 +49,12 @@ pub(crate) struct TraceChannel {
     /// The live channel, between `at_init` and `at_term`.
     host: Option<ChannelHost>,
     seen: HashSet<u32>,
-    /// Obs counter the instrumented-site count is reported on.
-    sites_counter: &'static str,
 }
 
 impl TraceChannel {
     pub(crate) fn new(
         policy: Backpressure,
         buf_records: usize,
-        sites_counter: &'static str,
         consumer: Consumer,
     ) -> TraceChannel {
         TraceChannel {
@@ -66,7 +63,6 @@ impl TraceChannel {
             consumer: Some(consumer),
             host: None,
             seen: HashSet::new(),
-            sites_counter,
         }
     }
 
@@ -85,10 +81,11 @@ impl TraceChannel {
         }
     }
 
-    /// Launch-entry hook: instruments `func` on its first launch.
-    pub(crate) fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) {
+    /// Launch-entry hook: instruments `func` on its first launch and
+    /// returns the number of sites (for the tool's `sites` counter).
+    pub(crate) fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) -> Option<u64> {
         if !self.seen.insert(func.raw()) {
-            return;
+            return None;
         }
         let mut sites = 0u64;
         for instr in api.get_instrs(func).expect("inspection").iter() {
@@ -102,7 +99,7 @@ impl TraceChannel {
             api.add_call_arg_imm32(func, instr.idx, offset).unwrap();
             sites += 1;
         }
-        common::obs::counter(self.sites_counter, sites);
+        Some(sites)
     }
 }
 
@@ -140,7 +137,8 @@ impl MemTraceResults {
 
     /// Records dropped by the channel. Always
     /// `demanded() - addresses().len()`, and non-zero only under
-    /// [`Backpressure::DropCount`] with both flush buffers full.
+    /// [`Backpressure::DropCount`] with both flush buffers full, or once
+    /// the drain consumer has panicked.
     pub fn dropped(&self) -> u64 {
         *self.dropped.borrow()
     }
@@ -168,7 +166,6 @@ impl MemTrace {
         let chan = TraceChannel::new(
             policy,
             buf_records,
-            "tool.mem_trace.sites",
             Box::new(move |batch| sink.lock().unwrap().extend_from_slice(batch)),
         );
         (MemTrace { chan, results: results.clone() }, results)
@@ -204,8 +201,8 @@ impl NvbitTool for MemTrace {
         }
         if is_exit {
             self.publish();
-        } else {
-            self.chan.instrument(api, *func);
+        } else if let Some(sites) = self.chan.instrument(api, *func) {
+            common::obs::counter("tool.mem_trace.sites", sites);
         }
     }
 }

@@ -12,8 +12,6 @@
 //! format) and `results/BENCH_profile_pipeline.json` (the aggregated
 //! summary).
 
-use common::bench::fmt_duration;
-use common::obs;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::attach_tool;
@@ -23,13 +21,12 @@ use std::time::Duration;
 use workloads::fft::soft_fft_kernel_ptx;
 
 fn main() {
-    // Observability is off by default; a tool/app opts in per process
-    // (or via NVBIT_OBS=1 without touching the code).
-    obs::set_enabled(true);
-
     const BLOCKS: u32 = 8;
     let bytes = BLOCKS as u64 * 32 * 8;
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    // Observability is off by default; an app opts in per driver, before
+    // the calls it wants recorded.
+    drv.obs().set_enabled(true);
     let (tool, results) = InstrCount::new();
     attach_tool(&drv, tool);
 
@@ -56,7 +53,7 @@ fn main() {
     .unwrap();
     drv.shutdown();
 
-    let report = obs::Report::capture();
+    let report = drv.obs().report();
 
     // Per-phase breakdown. Exclusive (self) time gives an honest flat
     // profile: `interpose` contains `lift`/`instrument`/`user_code`, and
@@ -77,12 +74,8 @@ fn main() {
         "merge",
     ] {
         let Some(p) = report.phases.get(name) else { continue };
-        println!(
-            "{name:12}  {:>6}  {:>12}  {:>12}",
-            p.count,
-            fmt_duration(Duration::from_nanos(p.self_ns)),
-            fmt_duration(Duration::from_nanos(p.total_ns)),
-        );
+        let (own, inclusive) = (Duration::from_nanos(p.self_ns), Duration::from_nanos(p.total_ns));
+        println!("{name:12}  {:>6}  {own:>12.2?}  {inclusive:>12.2?}", p.count);
     }
     println!("\ncounters:");
     for (name, c) in &report.counters {
@@ -90,7 +83,7 @@ fn main() {
     }
     println!("\ntool result: {} dynamic instructions counted", results.total());
     if report.dropped > 0 {
-        println!("warning: {} events dropped to ring wraparound", report.dropped);
+        println!("note: {} raw events left out of the trace (totals are exact)", report.dropped);
     }
 
     std::fs::create_dir_all("results").unwrap();

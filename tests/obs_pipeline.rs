@@ -1,63 +1,104 @@
-//! End-to-end test of the observability layer wired through the whole
+//! End-to-end tests of the observability layer wired through the whole
 //! pipeline: an instrumented launch must leave spans for every pipeline
-//! phase (interposition, lifting, injection, codegen, execution) in the
-//! captured report, and the Chrome-trace export must be valid JSON with
-//! the `trace_event` schema Perfetto expects.
-//!
-//! This test owns its process state: it flips the global observability
-//! switch, so it lives in its own integration-test binary rather than a
-//! unit-test module that shares a process with other tests.
+//! phase (interposition, lifting, injection, codegen, execution) in its
+//! driver's report, the Chrome-trace export must be valid JSON with the
+//! `trace_event` schema Perfetto expects — and a report holds what its own
+//! driver did, whatever other drivers do meanwhile on this thread or another.
 
+use common::channel::Backpressure;
 use common::json::Json;
-use common::obs;
+use common::obs::Report;
 use cuda::{Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
+use gpu::{DeviceSpec, Dim3, Scheduler};
 use nvbit::attach_tool;
-use nvbit_tools::InstrCount;
+use nvbit_tools::{InstrCount, MemTrace};
 use sass::Arch;
-use std::sync::{Mutex, MutexGuard};
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 use workloads::fft::soft_fft_kernel_ptx;
 use workloads::specaccel::{benchmark, Size};
 
-/// All tests flip the process-global observability switch; serialize
-/// them (poison-tolerant: a panicking test must not wedge the other).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+fn driver(observe: bool) -> Driver {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    drv.obs().set_enabled(observe);
+    drv
 }
 
-fn run_instrumented_fft() {
-    const BLOCKS: u32 = 4;
-    let bytes = BLOCKS as u64 * 32 * 8;
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    let (tool, results) = InstrCount::new();
-    attach_tool(&drv, tool);
+/// Attaches `InstrCount` and loads the FFT module (one `module.loads`);
+/// the closure launches `blocks` CTAs of it (the first launch builds the
+/// one image).
+fn counted_fft(drv: &Driver, blocks: u32) -> impl Fn() + '_ {
+    let bytes = blocks as u64 * 32 * 8;
+    let (tool, _results) = InstrCount::new();
+    attach_tool(drv, tool);
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", soft_fft_kernel_ptx())).unwrap();
     let f = drv.module_get_function(&m, "fft32_soft").unwrap();
     let din = drv.mem_alloc(bytes).unwrap();
     let dout = drv.mem_alloc(bytes).unwrap();
     drv.memcpy_htod(din, &vec![0u8; bytes as usize]).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(BLOCKS),
-        Dim3::linear(32),
-        &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-    )
-    .unwrap();
-    drv.shutdown();
-    assert!(results.total() > 0, "instrumentation must have counted instructions");
+    move || {
+        let args = [KernelArg::Ptr(din), KernelArg::Ptr(dout)];
+        drv.launch_kernel(&f, Dim3::linear(blocks), Dim3::linear(32), &args).unwrap();
+    }
+}
+
+/// Attaches a channel `MemTrace` and loads a one-kernel module twice (two
+/// `module.loads`); the closure launches the first copy's kernel (the first
+/// launch builds the one image; every launch drains the channel).
+fn traced_copy(drv: &Driver) -> impl Fn() + '_ {
+    const APP: &str = r#"
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<3>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r2, [%rd3];
+    st.global.u32 [%rd3], %r2;
+    exit;
+}
+"#;
+    let (tool, _results) = MemTrace::channel(Backpressure::Block, 16);
+    attach_tool(drv, tool);
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
+    drv.module_load(&ctx, FatBinary::from_ptx("app2", APP)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let buf = drv.mem_alloc(128).unwrap();
+    move || {
+        drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
+    }
+}
+
+/// `(module.loads, kernel.launches, instr_image.build)`.
+fn own_counts(r: &Report) -> (u64, u64, u64) {
+    let sum = |name| r.counter_sum(name);
+    (sum("module.loads"), sum("kernel.launches"), sum("instr_image.build"))
+}
+
+/// The report of a `counted_fft` driver holds nothing of a `traced_copy`
+/// driver's run, and the other way round.
+fn assert_disjoint(fft: &Report, copy: &Report) {
+    assert!(fft.counter_sum("tool.instr_count.sites") > 0);
+    assert!(copy.counter_sum("tool.mem_trace.sites") > 0);
+    assert!(copy.phases["chan.drain"].count > 0, "the drain thread records into its driver");
+    for name in ["tool.mem_trace.sites", "chan.flush", "chan.records"] {
+        assert!(!fft.counters.contains_key(name), "{name} leaked into the fft driver's report");
+    }
+    assert!(!fft.phases.contains_key("chan.drain"));
+    assert!(!copy.counters.contains_key("tool.instr_count.sites"));
+    assert_eq!((fft.open_spans, copy.open_spans), (0, 0));
 }
 
 #[test]
 fn instrumented_launch_populates_every_pipeline_phase() {
-    let _guard = locked();
-    obs::set_enabled(true);
-    obs::reset();
-    run_instrumented_fft();
-    let report = obs::Report::capture();
-    obs::set_enabled(false);
+    let drv = driver(true);
+    counted_fft(&drv, 4)();
+    drv.shutdown();
+    let report = drv.obs().report();
 
     // Every pipeline layer must have reported at least one span.
     for phase in ["interpose", "module_load", "launch", "lift", "instrument", "codegen", "execute"]
@@ -72,9 +113,7 @@ fn instrumented_launch_populates_every_pipeline_phase() {
     assert!(instrument.self_ns < instrument.total_ns, "codegen must nest inside instrument");
 
     // Counters from driver, core, gpu and tools layers.
-    assert_eq!(report.counter_sum("module.loads"), 1);
-    assert_eq!(report.counter_sum("kernel.launches"), 1);
-    assert_eq!(report.counter_sum("instr_image.build"), 1);
+    assert_eq!(own_counts(&report), (1, 1, 1));
     assert!(report.counter_sum("tool.instr_count.sites") > 0, "tool reported injection sites");
     assert!(
         report.counter_sum("decode.hit") + report.counter_sum("decode.miss") > 0,
@@ -104,13 +143,101 @@ fn instrumented_launch_populates_every_pipeline_phase() {
 
 #[test]
 fn disabled_pipeline_records_nothing() {
-    let _guard = locked();
-    obs::set_enabled(false);
-    obs::reset();
-    run_instrumented_fft();
-    let report = obs::Report::capture();
+    let drv = driver(false);
+    counted_fft(&drv, 4)();
+    drv.shutdown();
+    let report = drv.obs().report();
     assert!(report.phases.is_empty(), "disabled mode must record no spans");
     assert!(report.counters.is_empty(), "disabled mode must record no counters");
+}
+
+/// Two drivers at work at the same time on two threads: each report holds
+/// exactly its own driver's loads, launches and builds. The barriers make
+/// the runs overlap — both recorders are on before either thread starts,
+/// and neither reports until both are done.
+#[test]
+fn concurrent_drivers_record_disjoint_reports() {
+    let gate = Barrier::new(2);
+    let (fft, copy) = std::thread::scope(|s| {
+        let fft = s.spawn(|| {
+            let drv = driver(true);
+            gate.wait();
+            let launch = counted_fft(&drv, 4);
+            (0..2).for_each(|_| launch());
+            drv.shutdown();
+            gate.wait();
+            drv.obs().report()
+        });
+        let copy = s.spawn(|| {
+            let drv = driver(true);
+            gate.wait();
+            let launch = traced_copy(&drv);
+            (0..3).for_each(|_| launch());
+            drv.shutdown();
+            gate.wait();
+            drv.obs().report()
+        });
+        (fft.join().unwrap(), copy.join().unwrap())
+    });
+    assert_eq!(own_counts(&fft), (1, 2, 1));
+    assert_eq!(own_counts(&copy), (2, 3, 1));
+    assert_disjoint(&fft, &copy);
+}
+
+/// The same two workloads interleaved call by call on one thread.
+#[test]
+fn interleaved_drivers_on_one_thread_record_disjoint_reports() {
+    let (a, b) = (driver(true), driver(true));
+    let launch_a = counted_fft(&a, 4);
+    let launch_b = traced_copy(&b);
+    launch_b();
+    launch_a();
+    launch_b();
+    launch_a();
+    launch_b();
+    a.shutdown();
+    b.shutdown();
+    let (fft, copy) = (a.obs().report(), b.obs().report());
+    assert_eq!(own_counts(&fft), (1, 2, 1));
+    assert_eq!(own_counts(&copy), (2, 3, 1));
+    assert_disjoint(&fft, &copy);
+}
+
+/// The CTA workers of a parallel launch record into the launching driver's
+/// report — and only there — one Chrome-trace `tid` per worker: at most
+/// four lanes besides the driver thread's, each running one CTA at a time.
+#[test]
+fn parallel_cta_spans_land_in_the_launching_drivers_report() {
+    const BLOCKS: u32 = 16;
+    let (drv, bystander) = (driver(true), driver(true));
+    drv.with_device(|d| d.scheduler = Scheduler::Parallel { threads: 4 });
+    let _idle = counted_fft(&bystander, 1);
+    counted_fft(&drv, BLOCKS)();
+    drv.shutdown();
+    bystander.shutdown();
+
+    let report = drv.obs().report();
+    assert_eq!(report.phases["cta"].count, BLOCKS as u64);
+    assert_eq!(report.counters["cta.queue_wait_ns"].count, BLOCKS as u64);
+    let tid_of = |name: &str| -> BTreeSet<u64> {
+        report.events.iter().filter(|e| e.is_span && e.name == name).map(|e| e.tid).collect()
+    };
+    let (launcher, workers) = (tid_of("launch"), tid_of("cta"));
+    assert_eq!(launcher.len(), 1);
+    assert!((1..=4).contains(&workers.len()), "one lane per worker: {workers:?}");
+    assert!(workers.is_disjoint(&launcher), "workers have lanes of their own");
+    for tid in workers {
+        let mut ctas: Vec<(u64, u64)> = report
+            .events
+            .iter()
+            .filter(|e| e.is_span && e.name == "cta" && e.tid == tid)
+            .map(|e| (e.ts_ns, e.ts_ns + e.value))
+            .collect();
+        ctas.sort_unstable();
+        assert!(ctas.windows(2).all(|w| w[0].1 <= w[1].0), "lane {tid} ran two CTAs at once");
+    }
+    let other = bystander.obs().report();
+    assert!(!other.phases.contains_key("cta") && !other.phases.contains_key("execute"));
 }
 
 /// The JIT phases span the stack and have the shape of paper Fig. 5:
@@ -120,24 +247,19 @@ fn disabled_pipeline_records_nothing() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy; run with --release")]
 fn jit_overhead_shape_matches_figure5() {
-    let _guard = locked();
     let measure = |name: &str| -> (u64, u64) {
         let bench = benchmark(name).unwrap();
-        let native = Driver::new(DeviceSpec::test(Arch::Volta));
+        let native = driver(false);
         bench.run(&native, Size::Small).unwrap();
         native.shutdown();
         let native_instrs = native.total_stats().thread_instructions;
 
-        obs::set_enabled(true);
-        obs::reset();
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        let drv = driver(true);
         let (tool, _results) = InstrCount::new();
         attach_tool(&drv, tool);
         bench.run(&drv, Size::Small).unwrap();
         drv.shutdown();
-        let report = obs::Report::capture();
-        obs::set_enabled(false);
-        assert_eq!(report.dropped, 0, "{name}: the rings must hold the whole run");
+        let report = drv.obs().report();
         let jit_ns = ["retrieve", "disassemble", "convert", "plan", "codegen", "verify", "swap"]
             .iter()
             .map(|p| report.phase_ns(p))
