@@ -49,8 +49,8 @@ done
 printf '  %-10s %6d\n' total "$total"
 # PR 24 made the obs recorder a value the context owns and deleted the rings,
 # the interner and `common::bench` (9,786 before it): it stays where that left it.
-printf '  %-10s %6d  (sass + core + common, ceiling 9570)\n' jit "$jit"
-if [ "$jit" -gt 9570 ]; then
+printf '  %-10s %6d  (sass + core + common, ceiling 9567)\n' jit "$jit"
+if [ "$jit" -gt 9567 ]; then
     echo "sass + core + common grew past the PR 24 ceiling" >&2
     exit 1
 fi

@@ -75,12 +75,6 @@ impl Json {
         }
     }
 
-    /// The value as `u32`.
-    #[must_use]
-    pub fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
     /// The value as `&str`.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -478,7 +472,7 @@ mod tests {
     #[test]
     fn accessors_are_type_checked() {
         let v = Json::parse("{\"n\": 3, \"s\": \"x\", \"b\": false}").unwrap();
-        assert_eq!(v.get("n").unwrap().as_u32(), Some(3));
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("n").unwrap().as_str(), None);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(false));

@@ -155,8 +155,10 @@ impl Recorder {
         })
     }
 
-    /// Turns recording on or off for scopes entered from now on (a scope
-    /// already entered keeps the binding it made).
+    /// Turns recording on or off for scopes entered from now on. A scope
+    /// already entered keeps the binding it made, and a thread that was
+    /// handed [`current`] while this was off was handed `None`: it records
+    /// nothing for as long as it lives, so enable before spawning.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -170,6 +172,10 @@ impl Recorder {
     /// threads that recorded at once, not those that ever ran. A lane is
     /// free when this list holds its only handle (bindings and span guards
     /// hold the others), and a free lane gains one only under this lock.
+    /// A binding an inner scope has stashed holds its lane too: re-entering
+    /// recorder A on a thread where B is bound inside A's scope claims a
+    /// second lane, whose spans do not nest in the outer A span (that span's
+    /// `self_ns` then includes them).
     fn claim_lane(&self) -> Arc<Lane> {
         let mut lanes = self.lanes();
         if let Some(free) = lanes.iter().find(|l| Arc::strong_count(l) == 1) {
@@ -183,7 +189,9 @@ impl Recorder {
     /// Binds this recorder on the calling thread until the returned scope
     /// drops. Disabled, it binds *nothing* — hooks inside the scope are
     /// no-ops even when an enclosing scope records. Entering the recorder
-    /// that is already bound costs one comparison.
+    /// that is already bound costs one comparison. Scopes must drop in the
+    /// reverse of the order they were entered (as locals do); one dropped
+    /// early puts back a binding that is not the enclosing one.
     #[must_use = "the binding ends when the scope drops"]
     pub fn enter(self: &Arc<Self>) -> Scope {
         let on = self.enabled.load(Ordering::Relaxed);

@@ -58,11 +58,6 @@ impl Rng {
         self.next_u64() >> 63 != 0
     }
 
-    /// A uniform float in `[0, 1)` with 53 random mantissa bits.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// A uniform float in `[0, 1)`.
     pub fn gen_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
@@ -205,8 +200,6 @@ mod tests {
         for _ in 0..1_000 {
             let f = rng.gen_f32();
             assert!((0.0..1.0).contains(&f));
-            let d = rng.gen_f64();
-            assert!((0.0..1.0).contains(&d));
         }
     }
 

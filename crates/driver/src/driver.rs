@@ -212,7 +212,10 @@ impl Driver {
     /// This driver's observability recorder: disabled until
     /// `obs().set_enabled(true)`, after which everything the driver, the
     /// core, the device and the tools do on this driver's behalf — on any
-    /// thread — lands in `obs().report()`, and in no other driver's.
+    /// thread spawned from then on — lands in `obs().report()`, and in no
+    /// other driver's. Enable it before `attach_tool`: a thread spawned
+    /// while it was off (a channel tool's drain thread, spawned in
+    /// `at_init`) inherited no binding and never records.
     pub fn obs(&self) -> &Arc<common::obs::Recorder> {
         &self.obs
     }

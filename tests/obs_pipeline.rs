@@ -11,9 +11,10 @@ use common::obs::Report;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
 use nvbit::attach_tool;
-use nvbit_tools::{InstrCount, MemTrace};
+use nvbit_tools::{InstrCount, InstrCountResults, MemTrace, MemTraceResults};
 use sass::Arch;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Barrier;
 use workloads::fft::soft_fft_kernel_ptx;
 use workloads::specaccel::{benchmark, Size};
@@ -26,10 +27,10 @@ fn driver(observe: bool) -> Driver {
 
 /// Attaches `InstrCount` and loads the FFT module (one `module.loads`);
 /// the closure launches `blocks` CTAs of it (the first launch builds the
-/// one image).
-fn counted_fft(drv: &Driver, blocks: u32) -> impl Fn() + '_ {
+/// one image). The results handle is what the injected code counted.
+fn counted_fft(drv: &Driver, blocks: u32) -> (Rc<InstrCountResults>, impl Fn() + '_) {
     let bytes = blocks as u64 * 32 * 8;
-    let (tool, _results) = InstrCount::new();
+    let (tool, results) = InstrCount::new();
     attach_tool(drv, tool);
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", soft_fft_kernel_ptx())).unwrap();
@@ -37,16 +38,18 @@ fn counted_fft(drv: &Driver, blocks: u32) -> impl Fn() + '_ {
     let din = drv.mem_alloc(bytes).unwrap();
     let dout = drv.mem_alloc(bytes).unwrap();
     drv.memcpy_htod(din, &vec![0u8; bytes as usize]).unwrap();
-    move || {
+    let launch = move || {
         let args = [KernelArg::Ptr(din), KernelArg::Ptr(dout)];
         drv.launch_kernel(&f, Dim3::linear(blocks), Dim3::linear(32), &args).unwrap();
-    }
+    };
+    (results, launch)
 }
 
 /// Attaches a channel `MemTrace` and loads a one-kernel module twice (two
 /// `module.loads`); the closure launches the first copy's kernel (the first
-/// launch builds the one image; every launch drains the channel).
-fn traced_copy(drv: &Driver) -> impl Fn() + '_ {
+/// launch builds the one image; every launch drains the channel: 64 records,
+/// a load and a store per thread).
+fn traced_copy(drv: &Driver) -> (Rc<MemTraceResults>, impl Fn() + '_) {
     const APP: &str = r#"
 .entry k(.param .u64 buf)
 {
@@ -61,16 +64,17 @@ fn traced_copy(drv: &Driver) -> impl Fn() + '_ {
     exit;
 }
 "#;
-    let (tool, _results) = MemTrace::channel(Backpressure::Block, 16);
+    let (tool, results) = MemTrace::channel(Backpressure::Block, 16);
     attach_tool(drv, tool);
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
     drv.module_load(&ctx, FatBinary::from_ptx("app2", APP)).unwrap();
     let f = drv.module_get_function(&m, "k").unwrap();
     let buf = drv.mem_alloc(128).unwrap();
-    move || {
+    let launch = move || {
         drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
-    }
+    };
+    (results, launch)
 }
 
 /// `(module.loads, kernel.launches, instr_image.build)`.
@@ -96,8 +100,10 @@ fn assert_disjoint(fft: &Report, copy: &Report) {
 #[test]
 fn instrumented_launch_populates_every_pipeline_phase() {
     let drv = driver(true);
-    counted_fft(&drv, 4)();
+    let (results, launch) = counted_fft(&drv, 4);
+    launch();
     drv.shutdown();
+    assert!(results.total() > 0, "instrumentation must have counted instructions");
     let report = drv.obs().report();
 
     // Every pipeline layer must have reported at least one span.
@@ -144,8 +150,10 @@ fn instrumented_launch_populates_every_pipeline_phase() {
 #[test]
 fn disabled_pipeline_records_nothing() {
     let drv = driver(false);
-    counted_fft(&drv, 4)();
+    let (results, launch) = counted_fft(&drv, 4);
+    launch();
     drv.shutdown();
+    assert!(results.total() > 0, "instrumentation must have counted instructions");
     let report = drv.obs().report();
     assert!(report.phases.is_empty(), "disabled mode must record no spans");
     assert!(report.counters.is_empty(), "disabled mode must record no counters");
@@ -162,18 +170,20 @@ fn concurrent_drivers_record_disjoint_reports() {
         let fft = s.spawn(|| {
             let drv = driver(true);
             gate.wait();
-            let launch = counted_fft(&drv, 4);
+            let (results, launch) = counted_fft(&drv, 4);
             (0..2).for_each(|_| launch());
             drv.shutdown();
+            assert!(results.total() > 0, "instrumentation must have counted instructions");
             gate.wait();
             drv.obs().report()
         });
         let copy = s.spawn(|| {
             let drv = driver(true);
             gate.wait();
-            let launch = traced_copy(&drv);
+            let (trace, launch) = traced_copy(&drv);
             (0..3).for_each(|_| launch());
             drv.shutdown();
+            assert_eq!((trace.addresses().len(), trace.dropped()), (3 * 64, 0));
             gate.wait();
             drv.obs().report()
         });
@@ -188,8 +198,8 @@ fn concurrent_drivers_record_disjoint_reports() {
 #[test]
 fn interleaved_drivers_on_one_thread_record_disjoint_reports() {
     let (a, b) = (driver(true), driver(true));
-    let launch_a = counted_fft(&a, 4);
-    let launch_b = traced_copy(&b);
+    let (results_a, launch_a) = counted_fft(&a, 4);
+    let (trace_b, launch_b) = traced_copy(&b);
     launch_b();
     launch_a();
     launch_b();
@@ -197,10 +207,36 @@ fn interleaved_drivers_on_one_thread_record_disjoint_reports() {
     launch_b();
     a.shutdown();
     b.shutdown();
+    assert!(results_a.total() > 0, "instrumentation must have counted instructions");
+    assert_eq!((trace_b.addresses().len(), trace_b.dropped()), (3 * 64, 0));
     let (fft, copy) = (a.obs().report(), b.obs().report());
     assert_eq!(own_counts(&fft), (1, 2, 1));
     assert_eq!(own_counts(&copy), (2, 3, 1));
     assert_disjoint(&fft, &copy);
+}
+
+/// A thread inherits the binding in force when it is spawned, once. The
+/// drain thread of a channel tool attached while the recorder was off
+/// inherited none: enabling afterwards records the driver thread's and the
+/// CTA workers' side of every launch, and nothing of the drain thread's, for
+/// the life of the tool — the channel itself works as ever.
+#[test]
+fn enabling_after_attach_leaves_the_drain_thread_unobserved() {
+    let drv = driver(false);
+    let (trace, launch) = traced_copy(&drv);
+    drv.obs().set_enabled(true);
+    (0..2).for_each(|_| launch());
+    drv.shutdown();
+    assert_eq!((trace.addresses().len(), trace.dropped()), (2 * 64, 0));
+
+    let report = drv.obs().report();
+    assert_eq!(own_counts(&report), (0, 2, 1), "the loads came before the switch");
+    assert_eq!(report.phases["execute"].count, 2);
+    assert!(!report.phases.contains_key("chan.drain"));
+    for name in ["chan.flush", "chan.records", "chan.bytes"] {
+        assert!(!report.counters.contains_key(name), "{name} recorded by an unbound thread");
+    }
+    assert_eq!(report.open_spans, 0);
 }
 
 /// The CTA workers of a parallel launch record into the launching driver's
@@ -212,9 +248,11 @@ fn parallel_cta_spans_land_in_the_launching_drivers_report() {
     let (drv, bystander) = (driver(true), driver(true));
     drv.with_device(|d| d.scheduler = Scheduler::Parallel { threads: 4 });
     let _idle = counted_fft(&bystander, 1);
-    counted_fft(&drv, BLOCKS)();
+    let (results, launch) = counted_fft(&drv, BLOCKS);
+    launch();
     drv.shutdown();
     bystander.shutdown();
+    assert!(results.total() > 0, "instrumentation must have counted instructions");
 
     let report = drv.obs().report();
     assert_eq!(report.phases["cta"].count, BLOCKS as u64);
