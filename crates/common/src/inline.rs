@@ -49,6 +49,13 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         assert!(self.try_push(item).is_ok(), "InlineVec of {N} items is full");
     }
 
+    /// Keeps the items `keep` holds for, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = Self::default();
+        self.iter().filter(|i| keep(i)).for_each(|i| kept.push(*i));
+        *self = kept;
+    }
+
     /// The list holding `items`, or `None` when there are more than `N`.
     pub fn try_from_slice(items: &[T]) -> Option<Self> {
         let mut out = Self::default();
@@ -106,6 +113,9 @@ mod tests {
         assert_eq!(v.try_push(9), Err(9), "full: the item comes back, nothing is dropped");
         assert_eq!(*v, [7, 8]);
         assert_eq!(v.iter().sum::<u32>(), 15);
+        v.retain(|i| *i != 7);
+        assert_eq!(*v, [8]);
+        assert_eq!(v.try_push(9), Ok(()), "the slot it freed takes an item again");
     }
 
     #[test]
