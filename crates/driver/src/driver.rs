@@ -544,11 +544,24 @@ impl Driver {
 
     /// The recorded properties of a function.
     pub fn function_info(&self, func: CuFunction) -> Result<FunctionInfo> {
+        self.with_function_info(func, FunctionInfo::clone)
+    }
+
+    /// Reads the recorded properties of a function in place, without the
+    /// copy [`Driver::function_info`] makes. `read` runs under a shared
+    /// borrow of the driver's state: it may query the driver, but not
+    /// change it.
+    pub fn with_function_info<R>(
+        &self,
+        func: CuFunction,
+        read: impl FnOnce(&FunctionInfo) -> R,
+    ) -> Result<R> {
         let st = self.state.borrow();
-        st.functions
+        let info = st
+            .functions
             .get(&func.0)
-            .cloned()
-            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))
+            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))?;
+        Ok(read(info))
     }
 
     /// Reads the function's current code bytes from device memory (the
@@ -645,46 +658,42 @@ impl Driver {
         self.event(false, CbId::LaunchKernel, &p);
 
         // Re-read the function state: the interposer may have changed it.
-        let info = self.function_info(*func)?;
-        if info.kind != ptx::FunctionKind::Entry {
-            return Err(DriverError::BadArgs(format!("`{}` is not a kernel", info.name)));
-        }
-        if args.len() != info.params.len() {
-            return Err(DriverError::BadArgs(format!(
-                "`{}` takes {} arguments, got {}",
-                info.name,
-                info.params.len(),
-                args.len()
-            )));
-        }
-
-        let mut cfg = LaunchConfig::new(info.addr, grid, block);
-        for (arg, pinfo) in args.iter().zip(&info.params) {
-            let bytes = arg.bytes();
-            if bytes.len() != pinfo.size as usize {
+        let (cfg, name) = self.with_function_info(*func, |info| {
+            if info.kind != ptx::FunctionKind::Entry {
+                return Err(DriverError::BadArgs(format!("`{}` is not a kernel", info.name)));
+            }
+            if args.len() != info.params.len() {
                 return Err(DriverError::BadArgs(format!(
-                    "argument `{}` of `{}` is {} bytes, got {}",
-                    pinfo.name,
+                    "`{}` takes {} arguments, got {}",
                     info.name,
-                    pinfo.size,
-                    bytes.len()
+                    info.params.len(),
+                    args.len()
                 )));
             }
-            cfg.write_param_bytes(pinfo.offset, &bytes);
-        }
-        cfg.shared_size = info.shared_size;
-        cfg.local_size = self.local_requirement(&info);
+
+            let mut cfg = LaunchConfig::new(info.addr, grid, block);
+            for (arg, pinfo) in args.iter().zip(&info.params) {
+                let bytes = arg.bytes();
+                if bytes.len() != pinfo.size as usize {
+                    return Err(DriverError::BadArgs(format!(
+                        "argument `{}` of `{}` is {} bytes, got {}",
+                        pinfo.name,
+                        info.name,
+                        pinfo.size,
+                        bytes.len()
+                    )));
+                }
+                cfg.write_param_bytes(pinfo.offset, &bytes);
+            }
+            cfg.shared_size = info.shared_size;
+            cfg.local_size = self.local_requirement(info);
+            Ok((cfg, info.name.clone()))
+        })??;
 
         let stats = self.device_mut().launch(&cfg)?;
         {
             let mut st = self.state.borrow_mut();
-            st.launches.push(LaunchRecord {
-                func: *func,
-                name: info.name.clone(),
-                grid,
-                block,
-                stats: stats.clone(),
-            });
+            st.launches.push(LaunchRecord { func: *func, name, grid, block, stats: stats.clone() });
         }
         self.event(true, CbId::LaunchKernel, &p);
         Ok(stats)

@@ -62,9 +62,11 @@ impl KernelCounters {
 
     /// Allocates the launched kernel's counter and returns its address.
     fn alloc(&mut self, api: &NvbitApi<'_>, func: CuFunction) -> u64 {
-        let info = api.driver().function_info(func).expect("launched function exists");
+        let named = |i: &cuda::FunctionInfo| (i.library, i.name.clone());
+        let (library, name) =
+            api.driver().with_function_info(func, named).expect("launched function exists");
         let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
-        self.counters.insert(func.raw(), (ctr, info.library, info.name, 0));
+        self.counters.insert(func.raw(), (ctr, library, name, 0));
         ctr
     }
 
