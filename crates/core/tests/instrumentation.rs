@@ -1085,3 +1085,57 @@ fn a_reloaded_tool_function_is_verified_against_its_new_body() {
     drv.memcpy_dtoh(&mut count, *counter.borrow()).unwrap();
     assert_eq!(u64::from_le_bytes(count), 2 * 256, "the new body ran, once per thread");
 }
+
+/// The verifier classifies a tool body's splice shape once, when it is
+/// loaded: a reload under the same name must bring its own. The first body
+/// loops (no spliceable shape), the second is a straight line that the
+/// planner splices; a shape kept from the first would reject that splice.
+#[test]
+fn a_reloaded_tool_function_brings_its_own_splice_shape() {
+    const LOOPING: &str = r#"
+.func count_one(.reg .u32 %pred, .reg .u64 %ctr)
+{
+    .reg .u32 %r<3>;
+    .reg .pred %p<2>;
+    mov.u32 %r1, 0;
+AGAIN:
+    add.u32 %r1, %r1, 1;
+    setp.lt.u32 %p1, %r1, %pred;
+    @%p1 bra AGAIN;
+    atom.global.add.u32 %r2, [%ctr], %r1;
+    ret;
+}
+"#;
+    const STRAIGHT: &str = r#"
+.func count_one(.reg .u32 %pred, .reg .u64 %ctr)
+{
+    .reg .u32 %r<3>;
+    atom.global.add.u32 %r2, [%ctr], %pred;
+    ret;
+}
+"#;
+    let counter = Rc::new(RefCell::new(0u64));
+    let (at_init, at_launch) = (counter.clone(), counter.clone());
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(
+        &drv,
+        ClosureTool {
+            init: Box::new(move |api| {
+                api.load_tool_functions(LOOPING).unwrap();
+                api.load_tool_functions(STRAIGHT).unwrap();
+                *at_init.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+            }),
+            launch_entry: Box::new(move |api, func, _, _| {
+                api.insert_call(func, 0, "count_one", IPoint::Before).unwrap();
+                api.add_call_arg_guard_pred(func, 0).unwrap();
+                api.add_call_arg_imm64(func, 0, *at_launch.borrow()).unwrap();
+                assert_eq!(api.verify_instrumented(func).unwrap(), vec![]);
+                assert_eq!(api.plan_stats(func).unwrap().unwrap().inline_accepted, 1);
+            }),
+        },
+    );
+    run_vecadd(&drv, 256);
+    let mut count = [0u8; 8];
+    drv.memcpy_dtoh(&mut count, *counter.borrow()).unwrap();
+    assert_eq!(u64::from_le_bytes(count), 256, "the straight body ran, once per thread");
+}
