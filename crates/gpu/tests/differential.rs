@@ -348,6 +348,65 @@ fn device_function_calls_match() {
     check(CALLS, "k", 2, 32, &[Param::Ptr(0)], &[]);
 }
 
+/// `first` ends without `exit`: falling off a kernel's end exits, and the
+/// code laid out after it (`second`, storing 99) must not run.
+const KERNEL_FALLS_OFF: &str = r#"
+.entry first(.param .u64 buf)
+{
+    .reg .u32 %r<2>;
+    .reg .u64 %rd<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, 7;
+    st.global.u32 [%rd1], %r1;
+}
+.entry second(.param .u64 buf)
+{
+    .reg .u32 %r<2>;
+    .reg .u64 %rd<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, 99;
+    st.global.u32 [%rd1+4], %r1;
+    exit;
+}
+"#;
+
+#[test]
+fn a_kernel_that_falls_off_its_end_exits() {
+    check(KERNEL_FALLS_OFF, "first", 1, 32, &[Param::Ptr(0)], &[]);
+}
+
+/// `inc` ends without `ret`: falling off a device function's end returns
+/// its value, and the function laid out after it (`poison`, returning 99)
+/// must not run.
+const DEVICE_FUNCTION_FALLS_OFF: &str = r#"
+.func (.reg .u32 %out) inc(.reg .u32 %x)
+{
+    add.u32 %out, %x, 1;
+}
+.func (.reg .u32 %out) poison()
+{
+    mov.u32 %out, 99;
+    ret;
+}
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<3>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    call (%r2), inc, (%r1);
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r2;
+    exit;
+}
+"#;
+
+#[test]
+fn a_device_function_that_falls_off_its_end_returns() {
+    check(DEVICE_FUNCTION_FALLS_OFF, "k", 1, 32, &[Param::Ptr(0)], &[]);
+}
+
 const MATHY: &str = r#"
 .entry mathy(.param .u64 buf)
 {
