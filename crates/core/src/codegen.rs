@@ -60,8 +60,8 @@ pub struct ToolFn {
     /// The function's instruction body as loaded, retained for the inline
     /// pass and the pre-swap verifier (`None` for opaque registrations).
     pub body: Option<Arc<Vec<Instruction>>>,
-    /// Set when the body is spliceable: small, call-free, stack-free, no
-    /// register device API, a single unguarded trailing `RET`, and a
+    /// Set when the body is spliceable: small, call-free, no stack-pointer
+    /// writes, no register device API, a single unguarded trailing `RET`, and a
     /// control-flow shape [`sass::pressure::body_shape`] accepts
     /// (straight-line or a single guarded diamond). This is the whole
     /// splice rule: at [`crate::plan::PlanLevel::Spliced`] the planner
@@ -83,23 +83,10 @@ pub struct ToolFn {
     pub call_ceiling: Option<u8>,
 }
 
-/// First callee-saved general-purpose register of the standard PTX call
-/// ABI (mirrored by the `ptx` crate's register allocator). A standard-ABI
-/// callee restores everything from here up before returning.
-pub(crate) const CALLEE_SAVE_BASE: u8 = 16;
-
-/// The caller-visible clobber ceiling of calling `body` out of line under
-/// the standard ABI: one past the highest written GPR, capped at
-/// [`CALLEE_SAVE_BASE`] (higher registers are restored by the epilogue).
-/// `None` when the body makes calls of its own (callee clobbers unknown).
-fn call_ceiling_of(body: &[Instruction]) -> Option<u8> {
-    let call_free = !body.iter().any(|i| {
-        matches!(i.cf_class(), CfClass::AbsCall | CfClass::RelCall | CfClass::IndirectBranch)
-    });
-    if !call_free {
-        return None;
-    }
-    Some(write_ceiling_of(body).min(CALLEE_SAVE_BASE))
+/// Whether `i` transfers control out of the body and back (callee
+/// clobbers unknown).
+fn calls(i: &Instruction) -> bool {
+    matches!(i.cf_class(), CfClass::AbsCall | CfClass::RelCall | CfClass::IndirectBranch)
 }
 
 /// One past the highest general-purpose register `body` writes.
@@ -124,35 +111,35 @@ impl ToolFn {
         }
     }
 
-    /// Builds the entry from a dual-ABI load: `callable_body` is the
-    /// standard-ABI compile installed at `addr` (what out-of-line calls
-    /// execute — its epilogue restores every callee-saved register), while
-    /// `scratch_body` is the scratch-ABI compile of the same source (no
-    /// prologue, every register fair game), which is what classification
-    /// and inline splicing reason about. `arch` selects the instruction
-    /// size and the CFG rules for validating that control flow stays inside
-    /// the body.
-    pub fn dual_abi(
+    /// The entry of a function installed at `addr` whose compile used
+    /// `reg_count` registers and a `stack_size`-byte callee-save frame:
+    /// `body` is that compile without its callee-save bracket
+    /// (`ptx::CompiledFunction::leaf_body`), which is what classification
+    /// and inline splicing reason about, while out-of-line calls run the
+    /// installed code, whose epilogue restores every callee-saved register.
+    /// `arch` selects the instruction size and the CFG rules for validating
+    /// that control flow stays inside the body.
+    pub fn with_body(
         addr: u64,
-        callable: (u32, u32, &[Instruction]),
-        scratch: (u32, u32, Vec<Instruction>),
+        reg_count: u32,
+        stack_size: u32,
         uses_reg_api: bool,
+        body: Vec<Instruction>,
         arch: sass::Arch,
     ) -> ToolFn {
-        let (callable_regs, callable_stack, callable_body) = callable;
-        let (scratch_regs, scratch_stack, scratch_body) = scratch;
-        let (inlinable, write_ceiling) =
-            classify_body(&scratch_body, scratch_regs, scratch_stack, uses_reg_api, arch);
-        let call_ceiling = call_ceiling_of(callable_body);
+        let (inlinable, write_ceiling) = classify_body(&body, reg_count, uses_reg_api, arch);
+        // The installed epilogue restores every callee-saved register.
+        let call_ceiling = (!body.iter().any(calls))
+            .then(|| write_ceiling_of(&body).min(ptx::regalloc::FIRST_CALLEE));
         ToolFn {
             addr,
-            reg_count: callable_regs.max(scratch_regs),
-            stack_size: callable_stack,
+            reg_count,
+            stack_size,
             uses_reg_api,
-            body: Some(Arc::new(scratch_body)),
+            call_ceiling,
+            body: Some(Arc::new(body)),
             inlinable,
             write_ceiling,
-            call_ceiling,
         }
     }
 }
@@ -163,16 +150,13 @@ impl ToolFn {
 fn classify_body(
     body: &[Instruction],
     reg_count: u32,
-    stack_size: u32,
     uses_reg_api: bool,
     arch: sass::Arch,
 ) -> (bool, Option<u8>) {
     // The write ceiling is only knowable for call-free bodies that leave
     // the frame pointer alone; the register device API reaches the save
     // area behind the analysis's back.
-    let call_free = !body.iter().any(|i| {
-        matches!(i.cf_class(), CfClass::AbsCall | CfClass::RelCall | CfClass::IndirectBranch)
-    });
+    let call_free = !body.iter().any(calls);
     let writes_sp = body.iter().any(|i| i.reg_writes().contains(&Reg::SP));
     let write_ceiling = (call_free && !writes_sp && !uses_reg_api).then(|| write_ceiling_of(body));
 
@@ -182,7 +166,6 @@ fn classify_body(
     // multi-branch shapes that happened to stay in-body.
     let inlinable = write_ceiling.is_some()
         && sass::pressure::body_shape(body, arch).is_some()
-        && stack_size == 0
         && reg_count <= INLINE_MAX_REGS
         && body.len() <= INLINE_MAX_INSTRS;
     (inlinable, write_ceiling)
@@ -1566,18 +1549,12 @@ mod tests {
         assert!(matches!(e, Err(NvbitError::BadRequest(_))));
     }
 
-    /// A tool function whose one compile serves as both ABI copies.
-    fn with_body(reg_count: u32, uses_reg_api: bool, body: Vec<Instruction>, arch: Arch) -> ToolFn {
-        let callable = (reg_count, 0, body.as_slice());
-        ToolFn::dual_abi(0x8000, callable, (reg_count, 0, body.clone()), uses_reg_api, arch)
-    }
-
     /// A leaf tool body: bump the first argument register and return.
     fn leaf_fns(hal: &Hal, reg_count: u32) -> ToolFns {
         let code = hal.assemble_text("IADD R4, R4, 0x1 ;\nRET ;").unwrap();
         let body = hal.disassemble(&code).unwrap();
         let mut m = HashMap::new();
-        m.insert("leaf".into(), with_body(reg_count, false, body, hal.arch()));
+        m.insert("leaf".into(), ToolFn::with_body(0x8000, reg_count, 0, false, body, hal.arch()));
         m
     }
 
@@ -1588,22 +1565,23 @@ mod tests {
         let dis = |t: &str| hal.disassemble(&hal.assemble_text(t).unwrap()).unwrap();
 
         let leaf = dis("IADD R4, R4, 0x1 ;\nRET ;");
-        assert_eq!(classify_body(&leaf, 8, 0, false, arch), (true, Some(5)));
+        assert_eq!(classify_body(&leaf, 8, false, arch), (true, Some(5)));
 
-        // Calls, guarded trailing RET, the register device API, stack use
-        // and oversized bodies all disqualify.
+        // Calls, guarded trailing RET, the register device API, stack-pointer
+        // writes and oversized bodies all disqualify.
         let calls = dis("JCAL `0x100 ;\nRET ;");
-        assert_eq!(classify_body(&calls, 8, 0, false, arch), (false, None));
+        assert_eq!(classify_body(&calls, 8, false, arch), (false, None));
         let guarded = dis("ISETP.EQ.S32 P1, R4, RZ ;\n@P1 RET ;");
-        assert!(!classify_body(&guarded, 8, 0, false, arch).0);
-        assert!(!classify_body(&leaf, 8, 0, true, arch).0, "reg-api");
-        assert!(!classify_body(&leaf, 8, 64, false, arch).0, "stack");
-        assert!(!classify_body(&leaf, INLINE_MAX_REGS + 1, 0, false, arch).0, "regs");
+        assert!(!classify_body(&guarded, 8, false, arch).0);
+        assert!(!classify_body(&leaf, 8, true, arch).0, "reg-api");
+        let frame = dis("IADD R1, R1, 0x8 ;\nRET ;");
+        assert_eq!(classify_body(&frame, 8, false, arch), (false, None), "stack pointer");
+        assert!(!classify_body(&leaf, INLINE_MAX_REGS + 1, false, arch).0, "regs");
         let long: Vec<Instruction> = std::iter::repeat_with(Instruction::nop)
             .take(INLINE_MAX_INSTRS)
             .chain(dis("RET ;"))
             .collect();
-        assert!(!classify_body(&long, 8, 0, false, arch).0, "size");
+        assert!(!classify_body(&long, 8, false, arch).0, "size");
 
         // An early guarded branch to a merge label (single trailing RET —
         // what the PTX pipeline produces) classifies as a guarded diamond
@@ -1613,12 +1591,12 @@ mod tests {
              IADD R5, R4, 0x1 ;\n\
              done:\n\
              RET ;");
-        assert_eq!(classify_body(&merged, 8, 0, false, arch), (true, Some(6)));
+        assert_eq!(classify_body(&merged, 8, false, arch), (true, Some(6)));
 
         // A backward (loop) branch was loosely accepted by the old scan;
         // the shape classifier rejects it.
         let looped = dis("top:\nIADD R4, R4, 0x1 ;\n@P1 BRA top ;\nRET ;");
-        assert!(!classify_body(&looped, 8, 0, false, arch).0, "loop");
+        assert!(!classify_body(&looped, 8, false, arch).0, "loop");
     }
 
     #[test]
@@ -1686,7 +1664,7 @@ mod tests {
     fn tool(hal: &Hal, name: &str, text: &str) -> ToolFns {
         let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
         let regs = body.iter().filter_map(Instruction::max_reg).max().map_or(4, |r| r as u32 + 1);
-        let tf = with_body(regs, false, body, hal.arch());
+        let tf = ToolFn::with_body(0x8000, regs, 0, false, body, hal.arch());
         assert!(tf.inlinable, "{name} must be spliceable");
         HashMap::from([(name.into(), tf)])
     }
@@ -1844,7 +1822,7 @@ mod tests {
             spec.add_arg(1, Arg::Imm32(3));
             let (img, tramp) = exact(app, &fns, &spec);
             let mut ext = ExternalCode::default();
-            ext.load_tool_body("pmult".into(), fns["pmult"].body.as_deref().unwrap(), Arch::Volta);
+            ext.load_tool_body("pmult".into(), fns["pmult"].body.clone().unwrap(), Arch::Volta);
             Accepted {
                 original: hal.disassemble(&hal.assemble_text(app).unwrap()).unwrap(),
                 tramp,
@@ -2005,7 +1983,7 @@ mod tests {
             let mut ext = ExternalCode::default();
             ext.save_addrs = routines.values().map(|r| r.save_addr).collect();
             ext.restore_addrs = routines.values().map(|r| r.restore_addr).collect();
-            ext.load_tool_body("setp".into(), fns["setp"].body.as_deref().unwrap(), arch);
+            ext.load_tool_body("setp".into(), fns["setp"].body.clone().unwrap(), arch);
             let original = hal.disassemble(&hal.assemble_text(&app).unwrap()).unwrap();
             let diags = verify_plan_instrs(&hal, &original, &tramp, &img.sites, &ext);
             assert_eq!(diags, vec![]);
@@ -2213,7 +2191,7 @@ mod tests {
                 ext.restore_addrs = routines.values().map(|r| r.restore_addr).collect();
                 ext.tool_addrs = vec![0x8000];
                 if let Some(body) = &fns["pmult"].body {
-                    ext.load_tool_body("pmult".into(), body, hal.arch());
+                    ext.load_tool_body("pmult".into(), Arc::clone(body), hal.arch());
                 }
                 let code = hal.assemble(&instrs).unwrap();
                 let p = Pristine {

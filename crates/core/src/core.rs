@@ -583,24 +583,20 @@ impl<'a> NvbitApi<'a> {
     /// Compilation or device-memory failures.
     pub fn load_tool_functions(&self, ptx_src: &str) -> Result<()> {
         let hal = hal_of(self.drv);
-        // Dual-ABI load. The *callable* copy — what gets installed on the
-        // device and what out-of-line `JCAL`s execute — compiles under the
-        // standard ABI, so its epilogue restores every callee-saved
-        // register. The same parse is compiled again under the *scratch*
-        // ABI (no prologue, every register fair game): that body is what
-        // the planner classifies and the inline pass splices, since a
-        // splice saves for itself whatever it clobbers at the site.
-        let ast = ptx::parse_module(ptx_src)?;
-        let module = ptx::compile_ast(&ast, hal.arch())?;
+        let module = ptx::compile_module(ptx_src, hal.arch())?;
         // Validate the whole module before anything is allocated or
         // registered: a rejected module must leave no function behind.
+        let mut bodies = Vec::with_capacity(module.functions.len());
         for f in &module.functions {
-            if !f.relocs.is_empty() {
+            // The body the planner classifies and the inline pass splices:
+            // the installed code without its callee-save bracket, since a
+            // splice saves for itself whatever it clobbers at the site.
+            let Some(body) = f.leaf_body() else {
                 return Err(NvbitError::BadRequest(format!(
                     "tool function `{}` calls other functions, which is unsupported",
                     f.name
                 )));
-            }
+            };
             // Paper §7: injected functions may not use shared (or constant)
             // memory — the application may be using all of it.
             if f.shared_size > 0 {
@@ -610,33 +606,25 @@ impl<'a> NvbitApi<'a> {
                     f.name
                 )));
             }
+            bodies.push(body);
         }
-        // The second compile: the same functions in the same order.
-        let scratch_mod = ptx::compile_ast_abi(&ast, hal.arch(), ptx::Abi::Scratch)?;
-        for (f, s) in module.functions.iter().zip(&scratch_mod.functions) {
+        for (f, body) in module.functions.iter().zip(bodies) {
             let addr = self.drv.with_device(|d| -> gpu::Result<u64> {
                 let a = d.alloc(f.code.len().max(1) as u64)?;
                 d.write(a, &f.code)?;
                 d.label_code(a, f.code.len() as u64, &f.name);
                 Ok(a)
             })?;
-            // Retain the decoded bodies so the planner can classify leaves
-            // (precise clobber ceilings, inline candidates) and the verifier
-            // can compare inlined splices against the loaded function.
-            let body = hal.disassemble(&f.code)?;
-            let tool_fn = ToolFn::dual_abi(
-                addr,
-                (f.reg_count, f.stack_size, &body),
-                (s.reg_count, s.stack_size, hal.disassemble(&s.code)?),
-                f.uses_reg_api,
-                hal.arch(),
-            );
+            let (regs, stack, arch) = (f.reg_count, f.stack_size, hal.arch());
+            let tool_fn = ToolFn::with_body(addr, regs, stack, f.uses_reg_api, body, arch);
             let name: Arc<str> = f.name.as_str().into();
             let mut ext = self.state.external.borrow_mut();
             // A reload under a loaded name replaces the function; the code at
             // its old address stays where it is.
-            ext.tool_addrs.push(tool_fn.addr);
-            tool_fn.body.iter().for_each(|body| ext.load_tool_body(name.clone(), body, hal.arch()));
+            ext.tool_addrs.push(addr);
+            if let Some(body) = &tool_fn.body {
+                ext.load_tool_body(name.clone(), Arc::clone(body), arch);
+            }
             self.state.tool_fns.borrow_mut().insert(name, tool_fn);
         }
         Ok(())

@@ -635,7 +635,7 @@ skip:
         let body = analyzed(src);
         let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
         let mut tool_fns = fns(false);
-        let g = ToolFn::dual_abi(0x8000, (8, 0, &tool), (8, 0, tool.clone()), false, Arch::Volta);
+        let g = ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta);
         tool_fns.insert("g".into(), g);
         let mut spec = FuncSpec::default();
         spec.insert_call(1, "g", IPoint::Before);

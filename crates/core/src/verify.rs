@@ -163,16 +163,20 @@ pub struct ExternalCode {
     /// Decoded bodies of loaded tool functions by name, for checking inline
     /// splices against the code they claim to reproduce, each with its
     /// splice shape ([`ExternalCode::load_tool_body`]).
-    tool_bodies: Vec<(Arc<str>, Vec<Instruction>, Option<BodyShape>)>,
+    tool_bodies: Vec<(Arc<str>, ToolBody, Option<BodyShape>)>,
 }
 
+/// A loaded tool body, shared with its [`crate::codegen::ToolFn`].
+type ToolBody = Arc<Vec<Instruction>>;
+
 impl ExternalCode {
-    /// Registers the decoded body of tool function `name`, in place of any
-    /// loaded under that name before, with its splice shape classified once.
-    pub fn load_tool_body(&mut self, name: Arc<str>, body: &[Instruction], arch: Arch) {
+    /// Registers the decoded body of tool function `name` (shared with its
+    /// [`crate::codegen::ToolFn`]), in place of any loaded under that name
+    /// before, with its splice shape classified once.
+    pub fn load_tool_body(&mut self, name: Arc<str>, body: ToolBody, arch: Arch) {
         let shape = splice_shape(&body[..body.len().saturating_sub(1)], arch);
         self.tool_bodies.retain(|(loaded, ..)| *loaded != name);
-        self.tool_bodies.push((name, body.to_vec(), shape));
+        self.tool_bodies.push((name, body, shape));
     }
 
     fn is_entry(&self, addr: u64) -> bool {
@@ -1361,7 +1365,7 @@ mod tests {
             Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
-        e.load_tool_body("f".into(), &fn_body, Arch::Volta);
+        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
         // Splice the body over the tool call: IADD at 2, its NOP at 3.
         let head = Instruction::new(
             Op::Iadd,
@@ -1413,7 +1417,7 @@ mod tests {
         );
         let fn_body = vec![head, Instruction::new(Op::Ret, [])];
         let mut e = ext();
-        e.load_tool_body("f".into(), &fn_body, Arch::Volta);
+        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
         let (_, mut tramp, mut sites) = good();
         splice_over_call(&mut tramp, &mut sites, vec![head]);
         sites[0].instr_idx = 1;
@@ -1447,7 +1451,7 @@ mod tests {
             Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
-        e.load_tool_body("f".into(), &fn_body, Arch::Volta);
+        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
         let (_, mut tramp, mut sites) = good();
         splice_over_call(&mut tramp, &mut sites, fn_body[..2].to_vec());
         sites[0].calls =
@@ -1465,7 +1469,7 @@ mod tests {
             Instruction::new(Op::Ret, []),
         ];
         let mut e = ext();
-        e.load_tool_body("f".into(), &contained, Arch::Volta);
+        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
         tramp[2] = contained[0];
         let d = run_plan(&original(), &tramp, &sites, &e);
         assert!(!d.iter().any(|d| d.kind == DiagKind::DiamondMismatch), "{d:?}");
@@ -1504,13 +1508,13 @@ mod tests {
         use DiagKind::{DiamondMismatch, InlineMismatch};
         let (escaping, contained) = (diamond(4), diamond(1));
         let mut e = ext();
-        e.load_tool_body("f".into(), &contained, Arch::Volta);
+        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
         // The loaded body's shape is accepted, the splice's is not.
         assert_eq!(splice_kinds(&escaping, &e), [InlineMismatch, DiamondMismatch]);
         // A drifted splice of an escaping body has a shape of its own.
         let mut drifted = contained;
         drifted[1].operands[2] = Operand::Imm(3);
-        e.load_tool_body("f".into(), &escaping, Arch::Volta);
+        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
         assert_eq!(splice_kinds(&drifted, &e), [InlineMismatch]);
     }
 
@@ -1519,12 +1523,12 @@ mod tests {
         use DiagKind::{DiamondMismatch, InlineMismatch};
         let (escaping, contained) = (diamond(4), diamond(1));
         let mut e = ext();
-        e.load_tool_body("f".into(), &escaping, Arch::Volta);
+        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
         assert_eq!(splice_kinds(&escaping, &e), [DiamondMismatch]);
-        e.load_tool_body("f".into(), &contained, Arch::Volta);
+        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
         assert_eq!(splice_kinds(&contained, &e), []);
         assert_eq!(splice_kinds(&escaping, &e), [InlineMismatch, DiamondMismatch]);
-        e.load_tool_body("f".into(), &escaping, Arch::Volta);
+        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
         assert_eq!(splice_kinds(&escaping, &e), [DiamondMismatch]);
         assert_eq!(splice_kinds(&contained, &e), [InlineMismatch]);
     }

@@ -242,40 +242,13 @@ pub fn parse_module(src: &str) -> Result<Module> {
     parser::parse(src)
 }
 
-/// Calling convention a module is compiled under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Abi {
-    /// The standard convention: `R4`–`R15` caller-saved, `R16`+
-    /// callee-saved (saved/restored by the function's prologue).
-    #[default]
-    Standard,
-    /// The instrumentation convention: every register is scratch. Used for
-    /// tool device functions, which are only ever entered from a trampoline
-    /// that has already saved the registers the site needs — a callee-save
-    /// prologue there would be pure overhead, and the register-pressure
-    /// cost model accounts for the clobber width instead. Functions making
-    /// `call`s are rejected under this ABI.
-    Scratch,
-}
-
 /// Parses and compiles PTX source for a target architecture.
 ///
 /// # Errors
 ///
 /// Any of [`PtxError`]'s variants, depending on the failing stage.
 pub fn compile_module(src: &str, arch: Arch) -> Result<CompiledModule> {
-    compile_module_abi(src, arch, Abi::Standard)
-}
-
-/// [`compile_module`] under an explicit calling convention.
-///
-/// # Errors
-///
-/// See [`compile_module`]; additionally rejects `call` under
-/// [`Abi::Scratch`].
-pub fn compile_module_abi(src: &str, arch: Arch, abi: Abi) -> Result<CompiledModule> {
-    let module = parser::parse(src)?;
-    compile_ast_abi(&module, arch, abi)
+    compile_ast(&parser::parse(src)?, arch)
 }
 
 /// Compiles an already-parsed module.
@@ -284,18 +257,9 @@ pub fn compile_module_abi(src: &str, arch: Arch, abi: Abi) -> Result<CompiledMod
 ///
 /// See [`compile_module`].
 pub fn compile_ast(module: &Module, arch: Arch) -> Result<CompiledModule> {
-    compile_ast_abi(module, arch, Abi::Standard)
-}
-
-/// [`compile_ast`] under an explicit calling convention.
-///
-/// # Errors
-///
-/// See [`compile_module_abi`].
-pub fn compile_ast_abi(module: &Module, arch: Arch, abi: Abi) -> Result<CompiledModule> {
     let mut functions = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        functions.push(lower::compile_function_abi(&module.names, f, arch, abi)?);
+        functions.push(lower::compile_function(&module.names, f, arch)?);
     }
     Ok(CompiledModule { arch, functions })
 }

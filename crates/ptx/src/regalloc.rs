@@ -17,15 +17,15 @@
 //! * `R16`+ — callee-saved; values live across a `call` are placed here and
 //!   the function saves/restores what it uses.
 //!
-//! Under [`Abi::Scratch`] (instrumentation functions, whose caller — the
-//! trampoline — has already saved every register the site needs) the
-//! callee-saved split disappears: `R16`+ allocates like any other register
-//! and no save/restore prologue is emitted.
+//! A call-free function has no value live across a call, so its allocation
+//! does not depend on the split: only the save/restore bracket does, and a
+//! caller that has saved what it needs can drop that bracket
+//! ([`crate::CompiledFunction::leaf_body`]).
 
 use crate::ast::{AddrBase, Address, Function, Interner, PtxInstr, PtxOp, Src, VReg};
 use crate::cfg::{ones, FnCfg, Linear};
 use crate::types::PtxType;
-use crate::{Abi, PtxError, Result};
+use crate::{PtxError, Result};
 use common::InlineVec;
 
 /// First caller-saved allocatable register.
@@ -62,14 +62,9 @@ pub struct Allocation {
     /// Physical location per [`VReg`]; `None` for a register no instruction
     /// touches.
     pub map: Vec<Option<Loc>>,
-    /// Highest general-purpose register index used (allocation only; the
-    /// lowering adds its scratch registers on top).
-    pub max_gpr: u8,
     /// Callee-saved registers this function writes and must preserve,
     /// ascending.
     pub used_callee_saved: Vec<u8>,
-    /// True if the function contains `call` instructions.
-    pub has_calls: bool,
 }
 
 /// The registers one instruction reads and the one it may write.
@@ -151,22 +146,17 @@ struct Interval {
     crosses_call: bool,
 }
 
-/// Runs liveness and linear-scan allocation for a function. Under
-/// [`Abi::Scratch`] no register is callee-saved — the whole file is clobber
-/// — so the function emits no save/restore prologue; `call`s are rejected
-/// because a value live across one has no safe home.
+/// Runs liveness and linear-scan allocation for a function.
 ///
 /// # Errors
 ///
-/// [`PtxError::Semantic`] for undeclared registers and for `call` under
-/// [`Abi::Scratch`], [`PtxError::OutOfRegisters`] when the register file is
-/// exhausted.
-pub fn allocate_abi(
+/// [`PtxError::Semantic`] for undeclared registers,
+/// [`PtxError::OutOfRegisters`] when the register file is exhausted.
+pub fn allocate(
     names: &Interner,
     f: &Function,
     lin: &Linear<'_>,
     cfg: &FnCfg,
-    abi: Abi,
 ) -> Result<Allocation> {
     let function = || names.resolve(f.name).to_string();
     let sem = |reason: String| PtxError::Semantic { function: function(), reason };
@@ -242,10 +232,6 @@ pub fn allocate_abi(
         .filter(|(_, i)| matches!(i.op, PtxOp::Call { .. }))
         .map(|(idx, _)| idx)
         .collect();
-    let has_calls = !call_positions.is_empty();
-    if has_calls && abi == Abi::Scratch {
-        return Err(sem("`call` is unsupported under the scratch ABI".into()));
-    }
 
     let mut intervals: Vec<Interval> = spans
         .iter()
@@ -283,7 +269,6 @@ pub fn allocate_abi(
     }
     let mut active: Vec<Active> = Vec::new();
     let mut map = vec![None; f.regs.len()];
-    let mut max_gpr = 0u8;
     let mut used_callee = [false; 256];
 
     for iv in &intervals {
@@ -331,11 +316,8 @@ pub fn allocate_abi(
         };
         if let Some(r) = loc.gpr() {
             let hi = if matches!(loc, Loc::Pair(_)) { r + 1 } else { r };
-            max_gpr = max_gpr.max(hi);
-            if abi == Abi::Standard {
-                for reg in r..=hi {
-                    used_callee[reg as usize] |= reg >= FIRST_CALLEE;
-                }
+            for reg in r..=hi {
+                used_callee[reg as usize] |= reg >= FIRST_CALLEE;
             }
         }
         active.push(Active { end: iv.end, loc });
@@ -343,7 +325,7 @@ pub fn allocate_abi(
     }
 
     let used_callee_saved = (0..=u8::MAX).filter(|&r| used_callee[r as usize]).collect();
-    Ok(Allocation { map, max_gpr, used_callee_saved, has_calls })
+    Ok(Allocation { map, used_callee_saved })
 }
 
 fn find_single(free: &[bool; 256], callee_only: bool) -> Option<u8> {
@@ -390,7 +372,7 @@ mod tests {
         let f = &m.functions[func];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        let a = allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard).unwrap();
+        let a = allocate(&m.names, f, &lin, &cfg).unwrap();
         ByName { m, func, a }
     }
 
@@ -487,7 +469,6 @@ mod tests {
             Loc::Gpr(r) => assert!(r >= FIRST_CALLEE, "live-across-call got caller-saved R{r}"),
             other => panic!("unexpected loc {other:?}"),
         }
-        assert!(a.a.has_calls);
         assert!(!a.a.used_callee_saved.is_empty());
     }
 
@@ -521,10 +502,7 @@ TOP:
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(
-            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
-            Err(PtxError::Semantic { .. })
-        ));
+        assert!(matches!(allocate(&m.names, f, &lin, &cfg), Err(PtxError::Semantic { .. })));
     }
 
     #[test]
@@ -573,10 +551,7 @@ mod pressure_tests {
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(
-            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
-            Err(PtxError::OutOfRegisters { .. })
-        ));
+        assert!(matches!(allocate(&m.names, f, &lin, &cfg), Err(PtxError::OutOfRegisters { .. })));
     }
 
     #[test]
@@ -593,9 +568,6 @@ mod pressure_tests {
         let f = &m.functions[0];
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        assert!(matches!(
-            allocate_abi(&m.names, f, &lin, &cfg, Abi::Standard),
-            Err(PtxError::OutOfRegisters { .. })
-        ));
+        assert!(matches!(allocate(&m.names, f, &lin, &cfg), Err(PtxError::OutOfRegisters { .. })));
     }
 }
