@@ -1046,6 +1046,50 @@ fn tool_functions_may_not_use_shared_memory() {
     drv.shutdown();
 }
 
+#[test]
+fn tool_functions_may_not_make_calls() {
+    // A tool function runs inside a trampoline, which saves only what the
+    // function itself clobbers: a callee's clobbers would go unsaved.
+    const CALLER_FN: &str = r#"
+.func helper()
+{
+    ret;
+}
+.func calls_helper()
+{
+    call helper;
+    ret;
+}
+"#;
+    struct CallingTool;
+    impl NvbitTool for CallingTool {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            // A good function ahead of the calling one: the module is
+            // rejected as a whole, leaving nothing loaded or injectable.
+            let e = api.load_tool_functions(&format!("{COUNT_FN}{CALLER_FN}"));
+            let Err(nvbit::NvbitError::BadRequest(msg)) = e else {
+                panic!("a module with a calling function must be rejected: {e:?}");
+            };
+            assert_eq!(api.tool_functions(), Vec::<String>::new());
+            assert!(
+                msg.contains("calls_helper") && msg.contains("calls other functions"),
+                "{msg:?}"
+            );
+        }
+        fn at_cuda_event(
+            &mut self,
+            _api: &NvbitApi<'_>,
+            _is_exit: bool,
+            _cbid: CbId,
+            _params: &CbParams<'_>,
+        ) {
+        }
+    }
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(&drv, CallingTool);
+    drv.shutdown();
+}
+
 /// Loading tool functions again under a loaded name replaces the function:
 /// a splice of the new body must be checked against the new body, not the
 /// one the name had before (the verifier's tool bodies are kept as the tool
