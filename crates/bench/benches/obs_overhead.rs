@@ -13,15 +13,15 @@
 //!    Both sit far enough below their bars to be host-independent.
 
 use common::obs;
-use cuda::{Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
+use cuda::Driver;
+use gpu::DeviceSpec;
 use nvbit::attach_tool;
 use nvbit_tools::InstrCount;
 use sass::Arch;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use workloads::fft::soft_fft_kernel_ptx;
+use workloads::apps;
 
 const HOOK_ITERS: u64 = 1_000_000;
 const SAMPLES: usize = 10;
@@ -43,25 +43,11 @@ fn hook_ns(recorder: Option<&Arc<obs::Recorder>>) -> f64 {
 /// codegen, execute — the same shape as `examples/profile_pipeline.rs`.
 /// Returns what the driver's recorder holds afterwards.
 fn run_pipeline(observe: bool) -> obs::Report {
-    const BLOCKS: u32 = 8;
-    let bytes = BLOCKS as u64 * 32 * 8;
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
     drv.obs().set_enabled(observe);
     let (tool, _results) = InstrCount::new();
     attach_tool(&drv, tool);
-    let ctx = drv.ctx_create().unwrap();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", soft_fft_kernel_ptx())).unwrap();
-    let f = drv.module_get_function(&m, "fft32_soft").unwrap();
-    let din = drv.mem_alloc(bytes).unwrap();
-    let dout = drv.mem_alloc(bytes).unwrap();
-    drv.memcpy_htod(din, &vec![0u8; bytes as usize]).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(BLOCKS),
-        Dim3::linear(32),
-        &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-    )
-    .unwrap();
+    apps::fft_soft(&drv, 8, 1).unwrap();
     drv.shutdown();
     drv.obs().report()
 }

@@ -9,9 +9,11 @@
 //! ```text
 //! cargo run --release -p nvbit-bench --bin fft_emu
 //! ```
+//!
+//! Writes `results/BENCH_fft_emu.json`.
 
-use bench_harness::titan_v;
-use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
+use bench_harness::{titan_v, Report};
+use cuda::{CbId, CbParams, FatBinary, KernelArg};
 use gpu::Dim3;
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool};
 use std::cell::Cell;
@@ -89,40 +91,32 @@ fn run(src: String, kernel: &str, emulate: bool, warps: u32) -> f64 {
     let din = drv.mem_alloc(n as u64 * 8).unwrap();
     let dout = drv.mem_alloc(n as u64 * 8).unwrap();
     let data: Vec<u8> = (0..n)
-        .flat_map(|i| {
-            let re = (i as f32 * 0.1).sin();
-            let im = (i as f32 * 0.2).cos();
-            let mut v = re.to_bits().to_le_bytes().to_vec();
-            v.extend(im.to_bits().to_le_bytes());
-            v
-        })
+        .flat_map(|i| [(i as f32 * 0.1).sin(), (i as f32 * 0.2).cos()])
+        .flat_map(|x| x.to_bits().to_le_bytes())
         .collect();
     drv.memcpy_htod(din, &data).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(warps),
-        Dim3::linear(32),
-        &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-    )
-    .unwrap();
-    let count = read_counter(&drv, counter.get());
+    let args = [KernelArg::Ptr(din), KernelArg::Ptr(dout)];
+    drv.launch_kernel(&f, Dim3::linear(warps), Dim3::linear(32), &args).unwrap();
+    let mut count = [0u8; 8];
+    drv.memcpy_dtoh(&mut count, counter.get()).unwrap();
     drv.shutdown();
     // Thread-level count -> per-warp count.
-    count as f64 / (warps as f64 * 32.0)
-}
-
-fn read_counter(drv: &Driver, addr: u64) -> u64 {
-    let mut b = [0u8; 8];
-    drv.memcpy_dtoh(&mut b, addr).unwrap();
-    u64::from_le_bytes(b)
+    u64::from_le_bytes(count) as f64 / (warps as f64 * 32.0)
 }
 
 fn main() {
-    println!("§6.3: per-warp instruction count, WFFT32 vs software warp FFT\n");
     let warps = 4;
     let with_proxy = run(fft::wfft_kernel_ptx(), "fft32", true, warps);
     let software = run(fft::soft_fft_kernel_ptx(), "fft32_soft", false, warps);
-    println!("kernel with WFFT32 (emulated): {with_proxy:.0} instructions per warp");
-    println!("software shuffle-based FFT:    {software:.0} instructions per warp");
-    println!("ratio: {:.1}x  (paper: 21 vs 150 instructions, ~7.1x)", software / with_proxy);
+    let mut report = Report::new("fft_emu");
+    report.row(
+        "fft32",
+        "instr_count + wfft_emu",
+        &[
+            ("wfft32_instrs_per_warp", with_proxy),
+            ("software_instrs_per_warp", software),
+            ("ratio", software / with_proxy),
+        ],
+    );
+    report.finish();
 }

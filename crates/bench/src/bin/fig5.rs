@@ -12,22 +12,33 @@
 //! ```text
 //! cargo run --release -p nvbit-bench --bin fig5 [-- --size medium]
 //! ```
+//!
+//! Writes `results/BENCH_fig5.json`. Gates: every component is attributed
+//! time on every benchmark, and every lift decodes its function once.
 
-use bench_harness::{jit_ns, print_table, size_arg, timed, titan_v, JIT_COMPONENTS};
+use bench_harness::{mean, size_arg, timed, titan_v, Report};
 use nvbit_tools::InstrCount;
 use workloads::specaccel::suite;
 
+/// The six JIT-overhead components of paper Fig. 5 (§5.2), in the
+/// paper's order, each with the `common::obs` phases that time it:
+/// retrieving the original code, disassembling it, converting it into
+/// `Instr` views, the tool's host code, generating (planning, emitting and
+/// verifying) the instrumented image, and swapping code versions.
+const JIT_COMPONENTS: [(&str, &[&str]); 6] = [
+    ("retrieve_pct", &["retrieve"]),
+    ("disassemble_pct", &["disassemble"]),
+    ("convert_pct", &["convert"]),
+    ("user_code_pct", &["user_code"]),
+    ("codegen_pct", &["plan", "codegen", "verify"]),
+    ("swap_pct", &["swap"]),
+];
+
 fn main() {
     let size = size_arg();
-    println!("Figure 5: JIT-compilation overhead breakdown (size {size:?})\n");
-
-    let mut rows = Vec::new();
-    let mut pct_sum = 0.0;
-    let mut pct_max: (f64, &str) = (0.0, "");
-    let mut dis_share_sum = 0.0;
-    let suite = suite();
-
-    for b in &suite {
+    let mut report = Report::new("fig5");
+    let (mut min_component_ns, mut redecoded) = (u64::MAX, 0);
+    for b in suite() {
         // Native wall time (no interposer).
         let native = titan_v();
         let (_, native_wall) = timed(|| b.run(&native, size).expect("benchmark runs"));
@@ -35,61 +46,31 @@ fn main() {
         // Instrumented run: every instruction of every kernel, once.
         let drv = titan_v();
         drv.obs().set_enabled(true);
-        let (tool, _results) = InstrCount::new();
-        nvbit::attach_tool(&drv, tool);
+        nvbit::attach_tool(&drv, InstrCount::new().0);
         b.run(&drv, size).expect("instrumented benchmark runs");
         drv.shutdown();
 
-        let report = drv.obs().report();
-        let parts = jit_ns(&report);
-        for ((label, _), ns) in JIT_COMPONENTS.iter().zip(parts) {
-            assert!(ns > 0, "{}: component {label} not attributed", b.name);
-        }
+        let obs = drv.obs().report();
+        let parts =
+            JIT_COMPONENTS.map(|(_, phases)| phases.iter().map(|p| obs.phase_ns(p)).sum::<u64>());
+        min_component_ns = parts.into_iter().fold(min_component_ns, u64::min);
         // One decode per lift: nothing re-decodes a function to time it.
-        assert_eq!(
-            report.counters.get("sass.decode").map(|c| c.count),
-            report.phases.get("lift").map(|p| p.count),
-            "{}: every lift decodes its function exactly once",
-            b.name
-        );
-        let jit_ns: u64 = parts.iter().sum();
-        let pct = 100.0 * (jit_ns as f64 * 1e-9) / native_wall.as_secs_f64().max(1e-9);
-        pct_sum += pct;
-        if pct > pct_max.0 {
-            pct_max = (pct, b.name);
-        }
-        let share = |i: usize| 100.0 * parts[i] as f64 / (jit_ns as f64).max(1.0);
-        dis_share_sum += share(1);
-        let mut row = vec![b.name.to_string(), format!("{:.3}", jit_ns as f64 * 1e-6)];
-        row.extend((0..parts.len()).map(|i| format!("{:.1}", share(i))));
-        row.push(format!("{:.2}", pct));
-        rows.push(row);
-    }
+        let decodes = obs.counters.get("sass.decode").map(|c| c.count);
+        redecoded += u32::from(decodes != obs.phases.get("lift").map(|p| p.count));
 
-    print_table(
-        &[
-            "benchmark",
-            "jit(ms)",
-            "retr%",
-            "disas%",
-            "conv%",
-            "user%",
-            "cgen%",
-            "swap%",
-            "jit/native%",
-        ],
-        &rows,
-    );
-    println!(
-        "\naverage JIT overhead vs native: {:.2}%  (paper: < 5% average)",
-        pct_sum / suite.len() as f64
-    );
-    println!(
-        "worst case: {} at {:.2}%  (paper: ~20% for ilbdc, many unique short kernels)",
-        pct_max.1, pct_max.0
-    );
-    println!(
-        "average disassembly share of JIT time: {:.1}%  (paper: disassembly dominant)",
-        dis_share_sum / suite.len() as f64
-    );
+        let jit_ns: u64 = parts.iter().sum();
+        let mut values = vec![("jit_ms", jit_ns as f64 * 1e-6)];
+        let share = |ns: u64| 100.0 * ns as f64 / jit_ns.max(1) as f64;
+        values.extend(JIT_COMPONENTS.iter().zip(parts).map(|((name, _), ns)| (*name, share(ns))));
+        let pct = 100.0 * jit_ns as f64 * 1e-9 / native_wall.as_secs_f64().max(1e-9);
+        values.push(("jit_native_pct", pct));
+        report.row(b.name, "instr_count", &values);
+    }
+    // Paper: < 5 % average, disassembly dominant.
+    let keys = ["jit_ms", "disassemble_pct", "jit_native_pct"];
+    let means = keys.map(|k| (k, mean(&report.column("instr_count", k))));
+    report.row("mean", "instr_count", &means);
+    report.at_least("least JIT component time, ns", min_component_ns as f64, 1.0);
+    report.at_most("benchmarks decoding a function more than once", f64::from(redecoded), 0.0);
+    report.finish();
 }

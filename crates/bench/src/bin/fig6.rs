@@ -4,80 +4,53 @@
 //! requested per warp-level global memory instruction, twice: with the
 //! pre-compiled libraries instrumented (what NVBit can do) and with them
 //! excluded (what a compiler-based approach sees). Excluding the
-//! well-coalesced libraries overestimates divergence.
-//!
-//! With `--library-fraction`, additionally reports the percentage of
-//! executed instructions spent inside the pre-compiled libraries
-//! (paper: 74–96 %, average 88 %).
+//! well-coalesced libraries overestimates divergence. Beside it, the
+//! percentage of executed instructions spent inside the pre-compiled
+//! libraries (paper: 74–96 %, average 88 %).
 //!
 //! ```text
-//! cargo run --release -p nvbit-bench --bin fig6 [-- --library-fraction]
+//! cargo run --release -p nvbit-bench --bin fig6
 //! ```
+//!
+//! Writes `results/BENCH_fig6.json`.
 
-use bench_harness::{has_flag, print_table, titan_v};
-use nvbit::attach_tool;
+use bench_harness::{mean, titan_v, Report};
+use nvbit::{attach_tool, NvbitTool};
 use nvbit_tools::{InstrCount, MemDivergence};
-use workloads::ml_models;
+use workloads::{ml_models, MlModel};
+
+/// Runs `model` under `tool` on a fresh driver.
+fn run<T: NvbitTool + 'static>(model: &MlModel, tool: T) {
+    let drv = titan_v();
+    attach_tool(&drv, tool);
+    model.run(&drv).expect("model runs");
+    drv.shutdown();
+}
 
 fn main() {
-    let models = ml_models();
-
-    if has_flag("--library-fraction") {
-        println!("§6.1: fraction of executed instructions inside pre-compiled libraries\n");
-        let mut rows = Vec::new();
-        let mut sum = 0.0;
-        let (mut lo, mut hi) = (f64::MAX, 0.0f64);
-        for model in &models {
-            let drv = titan_v();
-            let (tool, results) = InstrCount::new();
-            attach_tool(&drv, tool);
-            model.run(&drv).expect("model runs");
-            drv.shutdown();
-            let frac = 100.0 * results.library_fraction();
-            sum += frac;
-            lo = lo.min(frac);
-            hi = hi.max(frac);
-            rows.push(vec![
-                model.name.to_string(),
-                results.total().to_string(),
-                results.library().to_string(),
-                format!("{frac:.1}"),
-            ]);
-        }
-        print_table(&["model", "thread instrs", "library instrs", "library %"], &rows);
-        println!(
-            "\nrange {lo:.0}%..{hi:.0}%, average {:.0}%  (paper: 74%..96%, average 88%)",
-            sum / models.len() as f64
+    let mut report = Report::new("fig6");
+    for model in ml_models() {
+        let (with_libs, with) = MemDivergence::new(true);
+        run(&model, with_libs);
+        let (without_libs, without) = MemDivergence::new(false);
+        run(&model, without_libs);
+        let (count, instrs) = InstrCount::new();
+        run(&model, count);
+        report.row(
+            model.name,
+            "ml",
+            &[
+                ("lines_libs", with.average()),
+                ("lines_no_libs", without.average()),
+                ("mem_instrs_libs", with.mem_instructions() as f64),
+                ("mem_instrs_no_libs", without.mem_instructions() as f64),
+                ("thread_instrs", instrs.total() as f64),
+                ("library_instrs", instrs.library() as f64),
+                ("library_pct", 100.0 * instrs.library_fraction()),
+            ],
         );
-        return;
     }
-
-    println!("Figure 6: average unique cache lines per warp-level global memory instruction\n");
-    let mut rows = Vec::new();
-    for model in &models {
-        let measure = |include_libs: bool| -> (f64, u64) {
-            let drv = titan_v();
-            let (tool, results) = MemDivergence::new(include_libs);
-            attach_tool(&drv, tool);
-            model.run(&drv).expect("model runs");
-            drv.shutdown();
-            (results.average(), results.mem_instructions())
-        };
-        let (with_libs, n_with) = measure(true);
-        let (without_libs, n_without) = measure(false);
-        rows.push(vec![
-            model.name.to_string(),
-            format!("{with_libs:.2}"),
-            format!("{without_libs:.2}"),
-            n_with.to_string(),
-            n_without.to_string(),
-        ]);
-    }
-    print_table(
-        &["model", "libs instrumented", "libs excluded", "mem instrs (w/)", "mem instrs (w/o)"],
-        &rows,
-    );
-    println!(
-        "\npaper: excluding pre-compiled libraries considerably overestimates memory divergence"
-    );
+    let library_pct = mean(&report.column("ml", "library_pct"));
+    report.row("mean", "ml", &[("library_pct", library_pct)]);
+    report.finish();
 }

@@ -1,51 +1,77 @@
-//! The instrumentation-plan pass ladder across the workload sweep:
-//! instrument each workload with the coalesced instruction-count tool and
-//! compare the instrumented run's executed instructions and cycles at each
-//! rung — the naive per-site plan, basic-block call coalescing, adding
-//! dominator-region coalescing and after-point lowering, and adding
-//! leaf-tool splicing on top. A further section stacks grid-dim sampling
-//! of the opcode histogram on the top rung and reports the multiplied
-//! speedup of the two levers.
+//! What the instrumentation-plan pass ladder and the save policy cost and
+//! save, in three sections of one report:
+//!
+//! 1. **Plan ladder.** Each workload runs natively and under the coalesced
+//!    instruction-count tool at every rung: the naive per-site plan,
+//!    basic-block call coalescing, dominator-region coalescing with
+//!    after-point lowering, and leaf-tool splicing on top. Rows carry the
+//!    executed thread-instructions, cycles and planner accounting, plus the
+//!    Fig. 9-style geometric-mean overhead of each rung.
+//! 2. **Sampling × plan** (§6.2 stacked on Fig. 9). The opcode histogram
+//!    with grid-dim sampling over the top rung. Each kernel launches four
+//!    times with identical dimensions, so sampling instruments one launch
+//!    and extrapolates the rest exactly, and the two levers multiply.
+//! 3. **Save policy** (§5.1). The register slots the FFT pipeline's sites
+//!    save under the liveness policy against the conservative
+//!    whole-function tier. Every FFT site is an exact-bracket splice that
+//!    finds dead registers to move onto (recorded: 0 of 6,208 slots). The
+//!    register-hungry wide counting body still has live registers to store
+//!    (recorded: 4 slots, against 32 full-tier and 16 for the out-of-line
+//!    call).
 //!
 //! ```text
 //! cargo run --release -p nvbit-bench --bin inject_overhead
 //! ```
 //!
-//! Workloads are the three kernels of the differential suite (the warp-FFT
-//! pipeline, a 5-point stencil, CSR SpMV) plus the fifteen SpecAccel-like
-//! benchmarks of `workloads::specaccel`, reported Fig. 9-style: one row
-//! per workload plus the geometric-mean overhead of each configuration.
-//!
-//! Writes `results/BENCH_inject_overhead.json` with the per-workload
-//! accounting. The repository gates on a ≥25% reduction in instrumented
-//! thread-instructions from coalescing alone on the FFT pipeline, and on
-//! region coalescing emitting fewer calls than per-block coalescing on at
-//! least two of fft/stencil/spmv.
+//! Workloads are the fft, stencil and spmv applications of
+//! `workloads::apps` plus the fifteen SpecAccel-like benchmarks. Writes
+//! `results/BENCH_inject_overhead.json`, gated on: coalescing alone cuts
+//! ≥25 % of the FFT pipeline's instrumented thread-instructions, and
+//! splicing keeps that cut; region coalescing emits fewer calls than
+//! per-block coalescing on at least two of fft/stencil/spmv; no rung and no
+//! sampling changes what a tool measures; sampling instruments one launch
+//! and multiplies with the plan; exact saves cut ≥95 % of the FFT's saved
+//! slots and the wide tool's ≥30 % (the recorded figures minus a margin),
+//! and the wide splice saves no more than its out-of-line call.
 
-use common::json::Json;
-use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats};
-use nvbit_tools::{CoalescedInstrCount, OpcodeHistogram, SamplingMode};
+use bench_harness::{geomean, Report};
+use cuda::{CbId, CbParams, Driver};
+use gpu::DeviceSpec;
+use nvbit::{
+    attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SavePolicy, SaveStats,
+};
+use nvbit_tools::{CoalescedInstrCount, InstrCount, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
+use workloads::apps;
 use workloads::specaccel::{self, Size};
 
-/// Launches per kernel in the sampling × plan section: grid-dim sampling
-/// instruments the first and extrapolates the rest.
+/// Launches per kernel in the sampling × plan section.
 const SAMPLING_ROUNDS: u32 = 4;
 
-/// Wraps the tool and collects the planner's accounting per instrumented
-/// function at launch exit.
-struct PlanAccounting<T> {
+/// The rungs of the plan ladder, bottom up.
+const RUNGS: [(&str, PlanLevel); 4] = [
+    ("naive", PlanLevel::Naive),
+    ("block", PlanLevel::Block),
+    ("region", PlanLevel::Region),
+    ("spliced", PlanLevel::Spliced),
+];
+
+/// Per instrumented function, the planner's and the code generator's
+/// accounting at its first launch exit.
+type Stats = Rc<RefCell<Vec<(String, PlanStats, SaveStats)>>>;
+
+/// Wraps a tool: pins the save policy at init and collects [`Stats`].
+struct Accounting<T> {
+    policy: SavePolicy,
     inner: T,
-    stats: Rc<RefCell<Vec<(String, PlanStats)>>>,
+    stats: Stats,
 }
 
-impl<T: NvbitTool> NvbitTool for PlanAccounting<T> {
+impl<T: NvbitTool> NvbitTool for Accounting<T> {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.set_save_policy(self.policy);
         self.inner.at_init(api);
     }
     fn at_term(&mut self, api: &NvbitApi<'_>) {
@@ -59,437 +85,183 @@ impl<T: NvbitTool> NvbitTool for PlanAccounting<T> {
         params: &CbParams<'_>,
     ) {
         self.inner.at_cuda_event(api, is_exit, cbid, params);
+        let CbParams::LaunchKernel { func, .. } = params else { return };
         if !is_exit || cbid != CbId::LaunchKernel {
             return;
         }
-        let CbParams::LaunchKernel { func, .. } = params else { return };
-        if let Ok(Some(s)) = api.plan_stats(*func) {
-            let name = api.get_func_name(*func).unwrap_or_default();
-            let mut stats = self.stats.borrow_mut();
-            if !stats.iter().any(|(n, _)| *n == name) {
-                stats.push((name, s));
-            }
+        let (Ok(Some(plan)), Ok(Some(saves))) = (api.plan_stats(*func), api.save_stats(*func))
+        else {
+            return;
+        };
+        let name = api.get_func_name(*func).unwrap_or_default();
+        let mut stats = self.stats.borrow_mut();
+        if !stats.iter().any(|(n, ..)| *n == name) {
+            stats.push((name, plan, saves));
         }
     }
 }
 
-/// The rungs of the plan ladder, bottom up.
-const CONFIGS: [(&str, PlanOpts); 4] = [
-    ("naive", PlanOpts { level: PlanLevel::Naive }),
-    ("block", PlanOpts { level: PlanLevel::Block }),
-    ("region", PlanOpts { level: PlanLevel::Region }),
-    ("spliced", PlanOpts { level: PlanLevel::Spliced }),
-];
-/// Indices into [`CONFIGS`] (and every [`Sweep::runs`]).
-const NAIVE: usize = 0;
-const BLOCK: usize = 1;
-const REGION: usize = 2;
-const SPLICED: usize = 3;
-
-/// One configuration's measurements on one workload.
-struct Run {
-    label: &'static str,
-    opts: PlanOpts,
-    count: u64,
-    instructions: u64,
-    cycles: u64,
-    stats: Vec<(String, PlanStats)>,
-}
-
-impl Run {
-    fn sum(&self, f: impl Fn(&PlanStats) -> u64) -> u64 {
-        self.stats.iter().map(|(_, s)| f(s)).sum()
-    }
-}
-
-/// One workload's native baseline and per-configuration runs.
-struct Sweep {
-    name: &'static str,
-    native_instructions: u64,
-    native_cycles: u64,
-    runs: Vec<Run>,
-}
-
 /// A deterministic guest application.
-type App = fn(&Driver);
+type App = Box<dyn Fn(&Driver)>;
 
-fn run_native(app: App) -> (u64, u64) {
+/// fft (eight warps), stencil and spmv, each launching its kernel `rounds`
+/// times.
+fn small_apps(rounds: u32) -> Vec<(&'static str, App)> {
+    vec![
+        ("fft", Box::new(move |d: &Driver| drop(apps::fft_soft(d, 8, rounds).unwrap()))),
+        ("stencil", Box::new(move |d: &Driver| drop(apps::stencil(d, rounds).unwrap()))),
+        ("spmv", Box::new(move |d: &Driver| drop(apps::spmv(d, rounds).unwrap()))),
+    ]
+}
+
+/// Runs `app` on a fresh test device after `attach` has had the driver;
+/// returns the executed thread-instructions and cycles.
+fn run(app: &App, attach: impl FnOnce(&Driver)) -> (u64, u64) {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach(&drv);
     app(&drv);
     drv.shutdown();
     let s = drv.total_stats();
     (s.thread_instructions, s.cycles)
 }
 
-fn run_instrumented(label: &'static str, opts: PlanOpts, app: App) -> Run {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    let (tool, results) = CoalescedInstrCount::new(opts);
-    let stats = Rc::new(RefCell::new(Vec::new()));
-    attach_tool(&drv, PlanAccounting { inner: tool, stats: stats.clone() });
-    app(&drv);
-    drv.shutdown();
-    let s = drv.total_stats();
-    Run {
-        label,
-        opts,
-        count: results.total(),
-        instructions: s.thread_instructions,
-        cycles: s.cycles,
-        stats: Rc::try_unwrap(stats).unwrap().into_inner(),
+/// [`run`] under `tool`, wrapped in [`Accounting`] with `policy`.
+fn accounted<T: NvbitTool + 'static>(app: &App, policy: SavePolicy, tool: T) -> (u64, u64, Stats) {
+    let stats = Stats::default();
+    let inner = Accounting { policy, inner: tool, stats: stats.clone() };
+    let (instrs, cycles) = run(app, |d| attach_tool(d, inner));
+    (instrs, cycles, stats)
+}
+
+fn plan_ladder(report: &mut Report) {
+    let mut workloads = small_apps(1);
+    for b in specaccel::suite() {
+        workloads.push((b.name, Box::new(move |d: &Driver| b.run(d, Size::Small).unwrap())));
     }
-}
-
-fn sweep(name: &'static str, app: App) -> Sweep {
-    let (native_instructions, native_cycles) = run_native(app);
-    let runs = CONFIGS.iter().map(|&(label, opts)| run_instrumented(label, opts, app)).collect();
-    Sweep { name, native_instructions, native_cycles, runs }
-}
-
-fn fft_app_rounds(drv: &Driver, rounds: u32) {
-    const BLOCKS: u32 = 8;
-    let bytes = BLOCKS as u64 * 32 * 8;
-    let ctx = drv.ctx_create().unwrap();
-    let src = workloads::fft::soft_fft_kernel_ptx();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", src)).unwrap();
-    let f = drv.module_get_function(&m, "fft32_soft").unwrap();
-    let din = drv.mem_alloc(bytes).unwrap();
-    let dout = drv.mem_alloc(bytes).unwrap();
-    let input: Vec<u8> = (0..BLOCKS * 32)
-        .flat_map(|_| {
-            let mut rec = [0u8; 8];
-            rec[..4].copy_from_slice(&1.0f32.to_le_bytes());
-            rec
-        })
-        .collect();
-    drv.memcpy_htod(din, &input).unwrap();
-    for _ in 0..rounds {
-        drv.launch_kernel(
-            &f,
-            Dim3::linear(BLOCKS),
-            Dim3::linear(32),
-            &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-        )
-        .unwrap();
-    }
-}
-
-fn run_fft_app(drv: &Driver) {
-    fft_app_rounds(drv, 1);
-}
-
-fn run_fft_multi(drv: &Driver) {
-    fft_app_rounds(drv, SAMPLING_ROUNDS);
-}
-
-fn stencil_app_rounds(drv: &Driver, rounds: u32) {
-    let (h, w) = (16u32, 128u32);
-    let n = h * w;
-    let ctx = drv.ctx_create().unwrap();
-    let src = format!(".version 6.0\n{}", workloads::kernels::stencil5("step"));
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("stencil", src)).unwrap();
-    let f = drv.module_get_function(&m, "step").unwrap();
-    let a = drv.mem_alloc(n as u64 * 4).unwrap();
-    let b = drv.mem_alloc(n as u64 * 4).unwrap();
-    let init: Vec<u8> = (0..n).flat_map(|i| ((i % 17) as f32).to_bits().to_le_bytes()).collect();
-    drv.memcpy_htod(a, &init).unwrap();
-    for _ in 0..rounds {
-        drv.launch_kernel(
-            &f,
-            Dim3::xyz(h - 2, 1, 1),
-            Dim3::linear(128),
-            &[KernelArg::Ptr(a), KernelArg::Ptr(b), KernelArg::U32(h), KernelArg::U32(w)],
-        )
-        .unwrap();
-    }
-}
-
-fn run_stencil_app(drv: &Driver) {
-    stencil_app_rounds(drv, 1);
-}
-
-fn run_stencil_multi(drv: &Driver) {
-    stencil_app_rounds(drv, SAMPLING_ROUNDS);
-}
-
-fn spmv_app_rounds(drv: &Driver, rounds: u32) {
-    let rows = 64u32;
-    let ctx = drv.ctx_create().unwrap();
-    let src = format!(".version 6.0\n{}", workloads::kernels::spmv_csr("spmv"));
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("spmv", src)).unwrap();
-    let f = drv.module_get_function(&m, "spmv").unwrap();
-    let mut rowptr = vec![0u32];
-    let mut cols = Vec::new();
-    for r in 0..rows {
-        for j in 0..=(r % 9) {
-            cols.push((r * 7 + j * 13) % rows);
+    for (name, app) in &workloads {
+        let (native, cycles) = run(app, |_| {});
+        let values = [("thread_instructions", native as f64), ("cycles", cycles as f64)];
+        report.row(name, "native", &values);
+        for (label, level) in RUNGS {
+            let (tool, results) = CoalescedInstrCount::new(PlanOpts { level });
+            let (instrs, cycles, stats) = accounted(app, SavePolicy::Liveness, tool);
+            let sum = |f: fn(&PlanStats) -> u64| {
+                stats.borrow().iter().map(|(_, p, _)| f(p)).sum::<u64>() as f64
+            };
+            let values = [
+                ("thread_instructions", instrs as f64),
+                ("cycles", cycles as f64),
+                ("overhead_vs_native", instrs as f64 / native as f64),
+                ("tool_count", results.total() as f64),
+                ("requested_calls", sum(|s| s.requested_calls)),
+                ("emitted_calls", sum(|s| s.emitted_calls)),
+                ("region_groups", sum(|s| s.region_groups)),
+                ("after_lowered", sum(|s| s.after_lowered)),
+                ("inline_accepted", sum(|s| s.inline_accepted)),
+                ("inline_declined", sum(|s| s.inline_declined)),
+            ];
+            report.row(name, label, &values);
         }
-        rowptr.push(cols.len() as u32);
     }
-    let alloc_u32 = |vals: &[u32]| {
-        let a = drv.mem_alloc(vals.len() as u64 * 4).unwrap();
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        drv.memcpy_htod(a, &bytes).unwrap();
-        a
-    };
-    let alloc_f32 = |n: u32, f: &dyn Fn(u32) -> f32| {
-        let a = drv.mem_alloc(n as u64 * 4).unwrap();
-        let bytes: Vec<u8> = (0..n).flat_map(|i| f(i).to_bits().to_le_bytes()).collect();
-        drv.memcpy_htod(a, &bytes).unwrap();
-        a
-    };
-    let d_rowptr = alloc_u32(&rowptr);
-    let d_cols = alloc_u32(&cols);
-    let d_vals = alloc_f32(cols.len() as u32, &|i| 1.0 / (1.0 + i as f32));
-    let x = alloc_f32(rows, &|_| 1.0);
-    let y = alloc_f32(rows, &|_| 0.0);
-    for _ in 0..rounds {
-        drv.launch_kernel(
-            &f,
-            Dim3::linear(1),
-            Dim3::linear(128),
-            &[
-                KernelArg::Ptr(d_rowptr),
-                KernelArg::Ptr(d_cols),
-                KernelArg::Ptr(d_vals),
-                KernelArg::Ptr(x),
-                KernelArg::Ptr(y),
-                KernelArg::U32(rows),
-            ],
-        )
-        .unwrap();
+
+    // The ladder's rows hold the workloads in order, fft first.
+    let fft = |label: &str| report.column(label, "thread_instructions")[0];
+    let cut = |label: &str| 1.0 - fft(label) / fft("naive");
+    let (block_cut, splice_cut) = (cut("block"), cut("spliced"));
+    let emitted = |label: &str| report.column(label, "emitted_calls");
+    let (block, region) = (emitted("block"), emitted("region"));
+    let region_wins = (0..3).filter(|&w| region[w] < block[w]).count();
+    // The plan never changes what the tool measures.
+    let counts = report.column("naive", "tool_count");
+    let changed = RUNGS.iter().map(|(label, _)| report.column(label, "tool_count"));
+    let changed: usize =
+        changed.map(|c| c.iter().zip(&counts).filter(|(a, b)| a != b).count()).sum();
+    for (label, _) in RUNGS {
+        let overhead = geomean(&report.column(label, "overhead_vs_native"));
+        report.row("geomean", label, &[("overhead_vs_native", overhead)]);
     }
+    report.at_least("fft: thread-instructions cut by block coalescing", block_cut, 0.25);
+    report.at_least("fft: thread-instructions cut by splicing", splice_cut, block_cut);
+    let wins = region_wins as f64;
+    report.at_least("of fft/stencil/spmv, region emits fewer calls than block", wins, 2.0);
+    report.at_most("workload x rung pairs where the tool count changed", changed as f64, 0.0);
 }
 
-fn run_spmv_app(drv: &Driver) {
-    spmv_app_rounds(drv, 1);
+fn sampling_times_plan(report: &mut Report) {
+    let mut drifted = 0;
+    for (name, app) in small_apps(SAMPLING_ROUNDS) {
+        let hist = |mode, level| {
+            let (tool, results) = OpcodeHistogram::coalesced(mode, PlanOpts { level });
+            let (_, cycles) = run(&app, |d| attach_tool(d, tool));
+            (results.histogram(), results.instrumented_launches(), cycles as f64)
+        };
+        let (h_naive, _, naive) = hist(SamplingMode::Full, PlanLevel::Naive);
+        let (h_plan, _, plan) = hist(SamplingMode::Full, PlanLevel::Spliced);
+        let (h_sampled, launches, sampled) = hist(SamplingMode::GridDim, PlanLevel::Spliced);
+        drifted += usize::from(h_naive != h_plan) + usize::from(h_plan != h_sampled);
+        let (by_plan, by_sampling, combined) = (naive / plan, plan / sampled, naive / sampled);
+        let values = [
+            ("launches", f64::from(SAMPLING_ROUNDS)),
+            ("cycles_full_naive", naive),
+            ("cycles_full_plan", plan),
+            ("cycles_sampled_plan", sampled),
+            ("plan_speedup", by_plan),
+            ("sampling_speedup", by_sampling),
+            ("combined_speedup", combined),
+        ];
+        report.row(name, "opcode_hist", &values);
+        let launches_name = format!("{name}: launches instrumented under sampling");
+        report.gate(launches_name, launches as f64, 1.0, launches == 1);
+        let lever = by_plan.max(by_sampling);
+        let multiply = format!("{name}: combined speedup, above either lever");
+        report.gate(multiply, combined, lever, combined > lever);
+    }
+    report.at_most("histograms changed by a rung or by sampling", drifted as f64, 0.0);
 }
 
-fn run_spmv_multi(drv: &Driver) {
-    spmv_app_rounds(drv, SAMPLING_ROUNDS);
+/// Runs the FFT pipeline under `tool` with `policy` and records its saved
+/// slots as `config`.
+fn saves<T: NvbitTool + 'static>(
+    report: &mut Report,
+    config: &str,
+    policy: SavePolicy,
+    tool: T,
+) -> f64 {
+    let apps = small_apps(1);
+    let (_, _, stats) = accounted(&apps[0].1, policy, tool);
+    let stats = stats.borrow();
+    let each = || stats.iter().map(|(_, _, s)| s);
+    let slots = each().map(|s| s.saved_slots).sum::<u64>() as f64;
+    let values = [
+        ("sites", each().map(|s| s.sites).sum::<usize>() as f64),
+        ("max_tier", each().map(|s| s.max_tier).max().unwrap_or(0).into()),
+        ("saved_slots", slots),
+    ];
+    report.row("fft", config, &values);
+    slots
 }
 
-/// SpecAccel runners, one `fn(&Driver)` per benchmark so every workload
-/// shares the same sweep machinery.
-macro_rules! spec_app {
-    ($fn_name:ident, $bench:literal) => {
-        fn $fn_name(drv: &Driver) {
-            specaccel::benchmark($bench).unwrap().run(drv, Size::Small).unwrap();
-        }
-    };
+fn save_policy(report: &mut Report) {
+    use SavePolicy::{FullTier, Liveness};
+    let live = saves(report, "instr_count, liveness", Liveness, InstrCount::new().0);
+    let full = saves(report, "instr_count, full tier", FullTier, InstrCount::new().0);
+    // The wide executed-counter body writes past the first save tier, and at
+    // the FFT site more registers are live than its pairs can move off.
+    let wide = |level| CoalescedInstrCount::executed_wide(PlanOpts { level }).0;
+    let wide_live = saves(report, "wide spliced, liveness", Liveness, wide(PlanLevel::Spliced));
+    let wide_full = saves(report, "wide spliced, full tier", FullTier, wide(PlanLevel::Spliced));
+    let wide_called = saves(report, "wide region, liveness", Liveness, wide(PlanLevel::Region));
+    let cut =
+        |saved: f64, baseline: f64| if baseline == 0.0 { 0.0 } else { 1.0 - saved / baseline };
+    report.at_least("fft: saved slots cut by exact saves", cut(live, full), 0.95);
+    report.at_least("fft: saved slots cut for the wide tool", cut(wide_live, wide_full), 0.30);
+    report.at_most("fft: wide splice's saved slots, against its call's", wide_live, wide_called);
 }
-
-spec_app!(spec_ostencil, "ostencil");
-spec_app!(spec_olbm, "olbm");
-spec_app!(spec_omriq, "omriq");
-spec_app!(spec_md, "md");
-spec_app!(spec_palm, "palm");
-spec_app!(spec_ep, "ep");
-spec_app!(spec_clvrleaf, "clvrleaf");
-spec_app!(spec_cg, "cg");
-spec_app!(spec_seismic, "seismic");
-spec_app!(spec_sp, "sp");
-spec_app!(spec_csp, "csp");
-spec_app!(spec_mini_ghost, "miniGhost");
-spec_app!(spec_ilbdc, "ilbdc");
-spec_app!(spec_swim, "swim");
-spec_app!(spec_bt, "bt");
-
-const WORKLOADS: [(&str, App); 18] = [
-    ("fft", run_fft_app),
-    ("stencil", run_stencil_app),
-    ("spmv", run_spmv_app),
-    ("ostencil", spec_ostencil),
-    ("olbm", spec_olbm),
-    ("omriq", spec_omriq),
-    ("md", spec_md),
-    ("palm", spec_palm),
-    ("ep", spec_ep),
-    ("clvrleaf", spec_clvrleaf),
-    ("cg", spec_cg),
-    ("seismic", spec_seismic),
-    ("sp", spec_sp),
-    ("csp", spec_csp),
-    ("miniGhost", spec_mini_ghost),
-    ("ilbdc", spec_ilbdc),
-    ("swim", spec_swim),
-    ("bt", spec_bt),
-];
 
 fn main() {
-    let sweeps: Vec<Sweep> = WORKLOADS.iter().map(|&(name, app)| sweep(name, app)).collect();
-
-    println!("== inject_overhead: plan passes across the workload sweep ==\n");
-    println!(
-        "{:10}  {:14}  {:>14}  {:>12}  {:>9}  {:>8}  {:>7}",
-        "workload", "configuration", "thread-instrs", "cycles", "overhead", "calls", "regions"
-    );
-    let mut workload_rows = Vec::new();
-    for s in &sweeps {
-        let mut cfgs = Vec::new();
-        for r in &s.runs {
-            let overhead = r.instructions as f64 / s.native_instructions as f64;
-            println!(
-                "{:10}  {:14}  {:>14}  {:>12}  {:>8.2}x  {:>8}  {:>7}",
-                s.name,
-                r.label,
-                r.instructions,
-                r.cycles,
-                overhead,
-                r.sum(|st| st.emitted_calls),
-                r.sum(|st| st.region_groups),
-            );
-            cfgs.push(Json::obj(vec![
-                ("label", Json::Str(r.label.into())),
-                ("level", Json::Str(format!("{:?}", r.opts.level))),
-                ("thread_instructions", Json::Num(r.instructions as f64)),
-                ("cycles", Json::Num(r.cycles as f64)),
-                ("overhead_vs_native", Json::Num(overhead)),
-                ("tool_count", Json::Num(r.count as f64)),
-                ("requested_calls", Json::Num(r.sum(|st| st.requested_calls) as f64)),
-                ("emitted_calls", Json::Num(r.sum(|st| st.emitted_calls) as f64)),
-                ("region_groups", Json::Num(r.sum(|st| st.region_groups) as f64)),
-                ("after_lowered", Json::Num(r.sum(|st| st.after_lowered) as f64)),
-                ("inline_accepted", Json::Num(r.sum(|st| st.inline_accepted) as f64)),
-                ("inline_declined", Json::Num(r.sum(|st| st.inline_declined) as f64)),
-            ]));
-        }
-        workload_rows.push(Json::obj(vec![
-            ("workload", Json::Str(s.name.into())),
-            ("native_thread_instructions", Json::Num(s.native_instructions as f64)),
-            ("native_cycles", Json::Num(s.native_cycles as f64)),
-            ("configurations", Json::Arr(cfgs)),
-        ]));
-
-        // The differential invariant also holds here: the plan never
-        // changes what the tool measures.
-        for r in &s.runs[1..] {
-            assert_eq!(
-                s.runs[NAIVE].count, r.count,
-                "{}: {} changed the tool output",
-                s.name, r.label
-            );
-        }
-    }
-
-    // Fig. 9-style summary: geometric-mean overhead per configuration
-    // across the whole sweep.
-    println!("\n{:14}  {:>16}", "configuration", "geomean overhead");
-    let mut geomeans = Vec::new();
-    for (i, (label, _)) in CONFIGS.iter().enumerate() {
-        let ln_sum: f64 = sweeps
-            .iter()
-            .map(|s| (s.runs[i].instructions as f64 / s.native_instructions as f64).ln())
-            .sum();
-        let geomean = (ln_sum / sweeps.len() as f64).exp();
-        println!("{label:14}  {geomean:>15.2}x");
-        geomeans.push((*label, Json::Num(geomean)));
-    }
-
-    // Sampling × plan interaction (§6.2 stacked on Fig. 9): run the
-    // opcode histogram with grid-dim sampling over the top-rung plan and
-    // report how the two levers multiply. Each kernel launches
-    // SAMPLING_ROUNDS times with identical dimensions, so sampling
-    // instruments one launch and extrapolates the rest exactly.
-    println!("\n== sampling × plan: OpcodeHistogram grid-dim sampling over the spliced plan ==\n");
-    println!(
-        "{:10}  {:>12}  {:>12}  {:>12}  {:>7}  {:>8}  {:>8}",
-        "workload", "full+naive", "full+plan", "samp+plan", "plan", "sampling", "combined"
-    );
-    let plan_opts = CONFIGS[SPLICED].1;
-    let sampling_apps: [(&str, App); 3] =
-        [("fft", run_fft_multi), ("stencil", run_stencil_multi), ("spmv", run_spmv_multi)];
-    let mut sampling_rows = Vec::new();
-    for (name, app) in sampling_apps {
-        let run_hist = |mode: SamplingMode, opts: PlanOpts| -> (BTreeMap<String, u64>, u64, u64) {
-            let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-            let (tool, results) = OpcodeHistogram::coalesced(mode, opts);
-            attach_tool(&drv, tool);
-            app(&drv);
-            drv.shutdown();
-            (results.histogram(), results.instrumented_launches(), drv.total_stats().cycles)
-        };
-        let (h_naive, _, c_naive) = run_hist(SamplingMode::Full, CONFIGS[NAIVE].1);
-        let (h_plan, _, c_plan) = run_hist(SamplingMode::Full, plan_opts);
-        let (h_samp, sampled_launches, c_samp) = run_hist(SamplingMode::GridDim, plan_opts);
-        assert_eq!(h_naive, h_plan, "{name}: the plan changed the histogram");
-        assert_eq!(h_plan, h_samp, "{name}: sampling drifted on a repeat-identical launch");
-        assert_eq!(sampled_launches, 1, "{name}: exactly one launch should be instrumented");
-        let plan_speedup = c_naive as f64 / c_plan as f64;
-        let sampling_speedup = c_plan as f64 / c_samp as f64;
-        let combined = c_naive as f64 / c_samp as f64;
-        println!(
-            "{name:10}  {c_naive:>12}  {c_plan:>12}  {c_samp:>12}  {plan_speedup:>6.2}x  \
-             {sampling_speedup:>7.2}x  {combined:>7.2}x"
-        );
-        assert!(
-            combined > plan_speedup && combined > sampling_speedup,
-            "{name}: the two levers must multiply \
-             (plan {plan_speedup:.2}x, sampling {sampling_speedup:.2}x, combined {combined:.2}x)"
-        );
-        sampling_rows.push(Json::obj(vec![
-            ("workload", Json::Str(name.into())),
-            ("launches", Json::Num(f64::from(SAMPLING_ROUNDS))),
-            ("cycles_full_naive", Json::Num(c_naive as f64)),
-            ("cycles_full_plan", Json::Num(c_plan as f64)),
-            ("cycles_sampled_plan", Json::Num(c_samp as f64)),
-            ("plan_speedup", Json::Num(plan_speedup)),
-            ("sampling_speedup", Json::Num(sampling_speedup)),
-            ("combined_speedup", Json::Num(combined)),
-        ]));
-    }
-
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("inject_overhead".into())),
-        ("tool", Json::Str("coalesced_instr_count".into())),
-        ("arch", Json::Str("volta".into())),
-        ("workloads", Json::Arr(workload_rows)),
-        ("geomean_overhead", Json::obj(geomeans)),
-        (
-            "sampling_plan",
-            Json::obj(vec![
-                ("tool", Json::Str("opcode_histogram".into())),
-                ("rounds", Json::Num(f64::from(SAMPLING_ROUNDS))),
-                ("workloads", Json::Arr(sampling_rows)),
-            ]),
-        ),
-    ]);
-    std::fs::create_dir_all("results").unwrap();
-    let path = "results/BENCH_inject_overhead.json";
-    std::fs::write(path, doc.to_pretty()).unwrap();
-    println!("\nwrote {path}");
-
-    // Gate 1: coalescing alone cuts ≥25% of instrumented
-    // thread-instructions on the FFT pipeline.
-    let fft = &sweeps[0];
-    assert_eq!(fft.name, "fft");
-    let total_reduction =
-        1.0 - fft.runs[BLOCK].instructions as f64 / fft.runs[NAIVE].instructions as f64;
-    assert!(
-        total_reduction >= 0.25,
-        "coalescing must cut ≥25% of instrumented thread-instructions on the FFT pipeline \
-         (got {:.1}%)",
-        total_reduction * 100.0
-    );
-    let total_inline_reduction =
-        1.0 - fft.runs[SPLICED].instructions as f64 / fft.runs[NAIVE].instructions as f64;
-    assert!(
-        total_inline_reduction >= total_reduction,
-        "splicing must not regress the coalesced plan ({:.1}% vs {:.1}%)",
-        total_inline_reduction * 100.0,
-        total_reduction * 100.0
-    );
-
-    // Gate 2: region coalescing emits fewer calls than per-block
-    // coalescing on at least two of fft/stencil/spmv.
-    let region_wins = sweeps[..3]
-        .iter()
-        .filter(|s| {
-            s.runs[REGION].sum(|st| st.emitted_calls) < s.runs[BLOCK].sum(|st| st.emitted_calls)
-        })
-        .count();
-    assert!(
-        region_wins >= 2,
-        "region coalescing must beat per-block coalescing on ≥2 of fft/stencil/spmv \
-         (won on {region_wins})"
-    );
+    let mut report = Report::new("inject_overhead");
+    plan_ladder(&mut report);
+    sampling_times_plan(&mut report);
+    save_policy(&mut report);
+    report.finish();
 }

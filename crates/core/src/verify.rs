@@ -298,6 +298,12 @@ fn check_brackets(
 
         let always = ins.guard.is_always();
         if let (Op::Jcal, Some(Operand::Abs(t))) = (ins.op, ins.operands.first()) {
+            // The code generator never guards a routine call: a guarded one
+            // may or may not open (or close) its frame.
+            let routine = ext.save_addrs.contains(t) || ext.restore_addrs.contains(t);
+            if routine && !always {
+                diag(DiagKind::UnbalancedFrame, "guarded save or restore call");
+            }
             if ext.save_addrs.contains(t) {
                 st.depth += 1;
             } else if ext.restore_addrs.contains(t) && st.depth == 0 {
@@ -1060,6 +1066,20 @@ mod tests {
         tramp[0] = Instruction::nop(); // drop the save call
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::RestoreWithoutSave));
+    }
+
+    #[test]
+    fn a_guarded_save_call_is_rejected() {
+        let p0 = sass::Guard { pred: sass::Pred(0), negated: false };
+        let kinds = corrupted(|_, tramp| tramp[0] = jcal(SAVE).with_guard(p0));
+        assert_eq!(kinds, vec![DiagKind::UnbalancedFrame]);
+    }
+
+    #[test]
+    fn a_guarded_restore_call_is_rejected() {
+        let not_p0 = sass::Guard { pred: sass::Pred(0), negated: true };
+        let kinds = corrupted(|_, tramp| tramp[3] = jcal(RESTORE).with_guard(not_p0));
+        assert_eq!(kinds, vec![DiagKind::UnbalancedFrame]);
     }
 
     #[test]

@@ -407,6 +407,34 @@ fn a_device_function_that_falls_off_its_end_returns() {
     check(DEVICE_FUNCTION_FALLS_OFF, "k", 1, 32, &[Param::Ptr(0)], &[]);
 }
 
+/// `bump` never reads `%unused`: the register allocator places it nowhere,
+/// and `%x` still arrives in the second argument register.
+const UNREAD_PARAMETER: &str = r#"
+.func (.reg .u32 %out) bump(.reg .u32 %unused, .reg .u32 %x)
+{
+    add.u32 %out, %x, 3;
+    ret;
+}
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r3, 1000;
+    call (%r2), bump, (%r3, %r1);
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r2;
+    exit;
+}
+"#;
+
+#[test]
+fn a_device_function_with_an_unread_parameter_matches() {
+    check(UNREAD_PARAMETER, "k", 1, 32, &[Param::Ptr(0)], &[]);
+}
+
 const MATHY: &str = r#"
 .entry mathy(.param .u64 buf)
 {

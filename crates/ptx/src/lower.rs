@@ -541,7 +541,11 @@ impl<'a> Emitter<'a> {
             if slot >= regalloc::LAST_ALLOC {
                 return Err(self.sem("arguments run past the register file".into()));
             }
-            slots.push((self.gpr_of(v)?, Reg(slot), wide));
+            // A value nothing reads (an unused parameter) keeps its slot
+            // but has no home to move to.
+            if self.alloc.map[v.index()].is_some() {
+                slots.push((self.gpr_of(v)?, Reg(slot), wide));
+            }
             slot += if wide { 2 } else { 1 };
         }
         Ok(slots)

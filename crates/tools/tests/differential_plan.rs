@@ -8,14 +8,14 @@
 //! register-save policies.
 
 use common::channel::Backpressure;
-use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
+use cuda::{CbId, CbParams, CuFunction, Driver};
+use gpu::DeviceSpec;
 use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
 use nvbit_tools::{CoalescedInstrCount, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
 use std::rc::Rc;
-use workloads::{fft, kernels};
+use workloads::apps;
 
 /// Wraps a tool so the plan options are fixed before anything is lifted or
 /// instrumented (for tools that do not set them themselves).
@@ -51,110 +51,20 @@ impl<T: NvbitTool> NvbitTool for WithOpts<T> {
 
 // ----- Workload applications (each returns its guest output bytes) --------
 
-/// The software warp-FFT pipeline over unit-magnitude input.
+/// The software warp-FFT pipeline over unit-magnitude input, two warps.
 fn fft_app(drv: &Driver) -> Vec<u8> {
-    const BLOCKS: u32 = 2;
-    let bytes = BLOCKS as u64 * 32 * 8;
-    let ctx = drv.ctx_create().unwrap();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", fft::soft_fft_kernel_ptx())).unwrap();
-    let f = drv.module_get_function(&m, "fft32_soft").unwrap();
-    let din = drv.mem_alloc(bytes).unwrap();
-    let dout = drv.mem_alloc(bytes).unwrap();
-    let input: Vec<u8> = (0..BLOCKS * 32)
-        .flat_map(|_| {
-            let mut rec = [0u8; 8];
-            rec[..4].copy_from_slice(&1.0f32.to_le_bytes());
-            rec
-        })
-        .collect();
-    drv.memcpy_htod(din, &input).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(BLOCKS),
-        Dim3::linear(32),
-        &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-    )
-    .unwrap();
-    let mut out = vec![0u8; bytes as usize];
-    drv.memcpy_dtoh(&mut out, dout).unwrap();
-    out
+    apps::fft_soft(drv, 2, 1).unwrap()
 }
 
 /// A 5-point stencil step (grid-determined control flow).
 fn stencil_app(drv: &Driver) -> Vec<u8> {
-    let (h, w) = (16u32, 128u32);
-    let n = h * w;
-    let ctx = drv.ctx_create().unwrap();
-    let src = format!(".version 6.0\n{}", kernels::stencil5("step"));
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("stencil", src)).unwrap();
-    let f = drv.module_get_function(&m, "step").unwrap();
-    let a = drv.mem_alloc(n as u64 * 4).unwrap();
-    let b = drv.mem_alloc(n as u64 * 4).unwrap();
-    let init: Vec<u8> = (0..n).flat_map(|i| ((i % 17) as f32).to_bits().to_le_bytes()).collect();
-    drv.memcpy_htod(a, &init).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::xyz(h - 2, 1, 1),
-        Dim3::linear(128),
-        &[KernelArg::Ptr(a), KernelArg::Ptr(b), KernelArg::U32(h), KernelArg::U32(w)],
-    )
-    .unwrap();
-    let mut out = vec![0u8; n as usize * 4];
-    drv.memcpy_dtoh(&mut out, b).unwrap();
-    out
+    apps::stencil(drv, 1).unwrap()
 }
 
 /// Sparse matrix-vector product with data-dependent loop trip counts
 /// (divergent control flow).
 fn spmv_app(drv: &Driver) -> Vec<u8> {
-    let rows = 64u32;
-    let ctx = drv.ctx_create().unwrap();
-    let src = format!(".version 6.0\n{}", kernels::spmv_csr("spmv"));
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("spmv", src)).unwrap();
-    let f = drv.module_get_function(&m, "spmv").unwrap();
-    // Deterministic CSR structure: row r has 1 + (r mod 9) entries.
-    let mut rowptr = vec![0u32];
-    let mut cols = Vec::new();
-    for r in 0..rows {
-        for j in 0..=(r % 9) {
-            cols.push((r * 7 + j * 13) % rows);
-        }
-        rowptr.push(cols.len() as u32);
-    }
-    let alloc_u32 = |vals: &[u32]| {
-        let a = drv.mem_alloc(vals.len() as u64 * 4).unwrap();
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        drv.memcpy_htod(a, &bytes).unwrap();
-        a
-    };
-    let alloc_f32 = |n: u32, f: &dyn Fn(u32) -> f32| {
-        let a = drv.mem_alloc(n as u64 * 4).unwrap();
-        let bytes: Vec<u8> = (0..n).flat_map(|i| f(i).to_bits().to_le_bytes()).collect();
-        drv.memcpy_htod(a, &bytes).unwrap();
-        a
-    };
-    let d_rowptr = alloc_u32(&rowptr);
-    let d_cols = alloc_u32(&cols);
-    let d_vals = alloc_f32(cols.len() as u32, &|i| 1.0 / (1.0 + i as f32));
-    let x = alloc_f32(rows, &|_| 1.0);
-    let y = alloc_f32(rows, &|_| 0.0);
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(1),
-        Dim3::linear(128),
-        &[
-            KernelArg::Ptr(d_rowptr),
-            KernelArg::Ptr(d_cols),
-            KernelArg::Ptr(d_vals),
-            KernelArg::Ptr(x),
-            KernelArg::Ptr(y),
-            KernelArg::U32(rows),
-        ],
-    )
-    .unwrap();
-    let mut out = vec![0u8; rows as usize * 4];
-    drv.memcpy_dtoh(&mut out, y).unwrap();
-    out
+    apps::spmv(drv, 1).unwrap()
 }
 
 /// A deterministic guest application: runs kernels and returns the output

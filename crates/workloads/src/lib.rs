@@ -8,7 +8,9 @@
 //! * [`specaccel`] — Figures 5, 7, 8, 9 (JIT overhead, instruction
 //!   histograms, sampling slowdown and error);
 //! * [`ml`] — Figure 6 and the library-instruction-fraction statistic;
-//! * [`fft`] — §6.3's hypothetical `WFFT32` instruction.
+//! * [`fft`] — §6.3's hypothetical `WFFT32` instruction;
+//! * [`apps`] — the fft, stencil and spmv applications the plan-ladder and
+//!   save-policy studies (and their differential tests) share.
 //!
 //! # Example
 //!
@@ -23,6 +25,7 @@
 //! assert!(drv.total_stats().warp_instructions > 0);
 //! ```
 
+pub mod apps;
 pub mod fft;
 pub mod kernels;
 pub mod ml;

@@ -55,9 +55,7 @@ impl Benchmark {
     ///
     /// Driver failures.
     pub fn run(&self, drv: &Driver, size: Size) -> cuda::Result<()> {
-        let ctx = drv.ctx_create()?;
-        let c = Ctx { drv, ctx };
-        (self.runner)(&c, size)
+        (self.runner)(&Ctx::new(drv)?, size)
     }
 }
 
@@ -93,29 +91,35 @@ pub fn benchmark(name: &str) -> Option<Benchmark> {
     suite().into_iter().find(|b| b.name == name)
 }
 
-struct Ctx<'a> {
-    drv: &'a Driver,
-    ctx: CuContext,
+/// A fresh context on one driver, with the module and buffer helpers every
+/// application here (and in [`crate::apps`]) shares.
+pub(crate) struct Ctx<'a> {
+    pub(crate) drv: &'a Driver,
+    pub(crate) ctx: CuContext,
 }
 
-impl Ctx<'_> {
-    fn module(&self, name: &str, sources: &[String]) -> cuda::Result<CuModule> {
+impl<'a> Ctx<'a> {
+    pub(crate) fn new(drv: &'a Driver) -> cuda::Result<Ctx<'a>> {
+        Ok(Ctx { drv, ctx: drv.ctx_create()? })
+    }
+
+    pub(crate) fn module(&self, name: &str, sources: &[String]) -> cuda::Result<CuModule> {
         let src = format!(".version 6.0\n{}", sources.join("\n"));
         self.drv.module_load(&self.ctx, FatBinary::from_ptx(name, src))
     }
 
-    fn func(&self, m: &CuModule, name: &str) -> cuda::Result<CuFunction> {
+    pub(crate) fn func(&self, m: &CuModule, name: &str) -> cuda::Result<CuFunction> {
         self.drv.module_get_function(m, name)
     }
 
-    fn alloc_f32(&self, n: u32, f: impl Fn(u32) -> f32) -> cuda::Result<u64> {
+    pub(crate) fn alloc_f32(&self, n: u32, f: impl Fn(u32) -> f32) -> cuda::Result<u64> {
         let a = self.drv.mem_alloc(n as u64 * 4)?;
         let bytes: Vec<u8> = (0..n).flat_map(|i| f(i).to_bits().to_le_bytes()).collect();
         self.drv.memcpy_htod(a, &bytes)?;
         Ok(a)
     }
 
-    fn alloc_u32(&self, vals: &[u32]) -> cuda::Result<u64> {
+    pub(crate) fn alloc_u32(&self, vals: &[u32]) -> cuda::Result<u64> {
         let a = self.drv.mem_alloc(vals.len() as u64 * 4)?;
         let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
         self.drv.memcpy_htod(a, &bytes)?;

@@ -8,21 +8,19 @@
 //! cargo run --release --example profile_pipeline
 //! ```
 //!
-//! Writes `results/profile_pipeline.trace.json` (Chrome `trace_event`
-//! format) and `results/BENCH_profile_pipeline.json` (the aggregated
-//! summary).
+//! Writes `target/profile_pipeline.trace.json` (Chrome `trace_event`
+//! format) and `target/profile_pipeline.json` (the aggregated summary).
 
-use cuda::{Driver, FatBinary, KernelArg};
-use gpu::{DeviceSpec, Dim3};
+use cuda::Driver;
+use gpu::DeviceSpec;
 use nvbit::attach_tool;
 use nvbit_tools::InstrCount;
 use sass::Arch;
 use std::time::Duration;
-use workloads::fft::soft_fft_kernel_ptx;
+use workloads::apps;
 
 fn main() {
     const BLOCKS: u32 = 8;
-    let bytes = BLOCKS as u64 * 32 * 8;
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
     // Observability is off by default; an app opts in per driver, before
     // the calls it wants recorded.
@@ -30,27 +28,7 @@ fn main() {
     let (tool, results) = InstrCount::new();
     attach_tool(&drv, tool);
 
-    let ctx = drv.ctx_create().unwrap();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", soft_fft_kernel_ptx())).unwrap();
-    let f = drv.module_get_function(&m, "fft32_soft").unwrap();
-    let din = drv.mem_alloc(bytes).unwrap();
-    let dout = drv.mem_alloc(bytes).unwrap();
-    // Unit-magnitude input: lane k holds the complex point (1, 0).
-    let input: Vec<u8> = (0..BLOCKS * 32)
-        .flat_map(|_| {
-            let mut rec = [0u8; 8];
-            rec[..4].copy_from_slice(&1.0f32.to_le_bytes());
-            rec
-        })
-        .collect();
-    drv.memcpy_htod(din, &input).unwrap();
-    drv.launch_kernel(
-        &f,
-        Dim3::linear(BLOCKS),
-        Dim3::linear(32),
-        &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-    )
-    .unwrap();
+    apps::fft_soft(&drv, BLOCKS, 1).unwrap();
     drv.shutdown();
 
     let report = drv.obs().report();
@@ -86,10 +64,10 @@ fn main() {
         println!("note: {} raw events left out of the trace (totals are exact)", report.dropped);
     }
 
-    std::fs::create_dir_all("results").unwrap();
-    let trace_path = "results/profile_pipeline.trace.json";
+    std::fs::create_dir_all("target").unwrap();
+    let trace_path = "target/profile_pipeline.trace.json";
     std::fs::write(trace_path, report.to_chrome_trace().to_compact()).unwrap();
-    let summary_path = "results/BENCH_profile_pipeline.json";
+    let summary_path = "target/profile_pipeline.json";
     std::fs::write(summary_path, report.to_json().to_pretty()).unwrap();
     println!("\nwrote {trace_path} (open in Perfetto / chrome://tracing)");
     println!("wrote {summary_path}");
