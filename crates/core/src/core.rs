@@ -44,10 +44,10 @@ use crate::lift::{lift, Lifted};
 use crate::plan::{self, PlanOpts, PlanStats};
 use crate::saverestore::{restore_text, save_text, Routines, TIERS};
 use crate::spec::{Arg, FuncSpec, IPoint};
-use crate::verify::{self, Diagnostic, ExternalCode};
+use crate::verify::{self, Diagnostic, Request};
 use crate::{NvbitError, Result};
 use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -155,10 +155,6 @@ fn free_tramp(drv: &Driver, tramp_addr: u64) -> gpu::Result<()> {
 pub(crate) struct CoreState {
     tool_fns: RefCell<ToolFns>,
     routines: RefCell<HashMap<u16, Routines>>,
-    /// What the pre-swap verifier may find instrumented control flow
-    /// reaching, kept as `routines` and `tool_fns` are loaded; the part that
-    /// differs per function is filled in by [`CoreState::external_code`].
-    external: RefCell<ExternalCode>,
     /// Per-function code-cache entries, keyed by the raw function handle.
     funcs: RefCell<HashMap<u32, FuncEntry>>,
     save_policy: Cell<SavePolicy>,
@@ -198,19 +194,26 @@ impl CoreState {
         }
     }
 
-    /// Code outside `func`'s image that its instrumented control flow may
-    /// legitimately reach, for the pre-swap verifier: the save/restore
-    /// routines and the tool functions, as loaded, and the code of every
-    /// function `func` may call, filled in here.
-    fn external_code(&self, drv: &Driver, func: CuFunction) -> Ref<'_, ExternalCode> {
-        let mut ext = self.external.borrow_mut();
-        ext.code_regions.clear();
+    /// The pre-swap verifier's findings on `image` of `func`, checked
+    /// against the request it was built from: `spec` planned under `opts`,
+    /// with the tool functions and routines as loaded, and the code of every
+    /// function `func` may call.
+    fn verify(
+        &self,
+        drv: &Driver,
+        func: CuFunction,
+        (lifted, spec, opts): (&Lifted, &FuncSpec, PlanOpts),
+        image: &InstrumentedImage,
+    ) -> Result<Vec<Diagnostic>> {
+        let _span = common::obs::span("verify");
         let region = |f: &CuFunction| drv.with_function_info(*f, |r| (r.addr, r.addr + r.code_len));
-        let _ = drv.with_function_info(func, |info| {
-            ext.code_regions.extend(info.related.iter().filter_map(|f| region(f).ok()));
-        });
-        drop(ext);
-        self.external.borrow()
+        let (addr, related) = drv.with_function_info(func, |info| {
+            (info.addr, info.related.iter().filter_map(|f| region(f).ok()).collect::<Vec<_>>())
+        })?;
+        let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
+        let (tool_fns, routines, related) = (&*tool_fns, &*routines, &related[..]);
+        let req = Request { spec, opts, tool_fns, routines, related };
+        verify::verify(&hal_of(drv), addr, &lifted.code, image, &req)
     }
 
     /// Loads the embedded save/restore routines on first use (Tool
@@ -245,9 +248,6 @@ impl CoreState {
                 },
             );
         }
-        let mut ext = self.external.borrow_mut();
-        ext.save_addrs.extend(built.values().map(|r| r.save_addr));
-        ext.restore_addrs.extend(built.values().map(|r| r.restore_addr));
         *self.routines.borrow_mut() = built;
         Ok(())
     }
@@ -279,8 +279,7 @@ impl CoreState {
         }
         self.ensure_routines(drv)?;
         let hal = hal_of(drv);
-        let (addr, label) =
-            drv.with_function_info(func, |i| (i.addr, format!("{}$tramp", i.name)))?;
+        let label = drv.with_function_info(func, |i| format!("{}$tramp", i.name))?;
 
         let _span = common::obs::span("instrument");
         common::obs::counter("instr_image.build", 1);
@@ -295,6 +294,17 @@ impl CoreState {
             let _pspan = common::obs::span("plan");
             let plan =
                 plan::build(&entry.spec, &original, hal.arch(), &lifted.analysis, &tool_fns, opts)?;
+            // Why static CFG recovery fell back, counted here and not in the
+            // planner, which the verifier runs again.
+            match &lifted.analysis {
+                Err(sass::CfgFailure::IndirectBranch { .. }) => {
+                    common::obs::counter("plan.cfg_fail.brx", 1)
+                }
+                Err(sass::CfgFailure::MisalignedTarget { .. }) => {
+                    common::obs::counter("plan.cfg_fail.misaligned", 1)
+                }
+                Ok(_) => {}
+            }
             common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
             common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
             common::obs::counter("plan.region_groups", plan.stats.region_groups);
@@ -309,7 +319,7 @@ impl CoreState {
             let _cspan = common::obs::span("codegen");
             let analysis = &lifted.analysis;
             drv.with_function_info(func, |info| {
-                prepare(&hal, info, &original, plan, &tool_fns, &routines, analysis, policy)
+                prepare(&hal, info, &original, &plan, &tool_fns, &routines, analysis, policy)
             })??
         };
         let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
@@ -322,11 +332,7 @@ impl CoreState {
                 let _cspan = common::obs::span("codegen");
                 prepared.finish(&hal, tramp_addr)?
             };
-            let diags = {
-                let _vspan = common::obs::span("verify");
-                let ext = self.external_code(drv, func);
-                verify::verify(&hal, addr, &lifted.code, &image, &ext)?
-            };
+            let diags = self.verify(drv, func, (&lifted, &entry.spec, opts), &image)?;
             if !diags.is_empty() {
                 common::obs::counter("instr_image.verify_reject", 1);
                 return Err(NvbitError::VerifyFailed(diags));
@@ -617,15 +623,9 @@ impl<'a> NvbitApi<'a> {
             })?;
             let (regs, stack, arch) = (f.reg_count, f.stack_size, hal.arch());
             let tool_fn = ToolFn::with_body(addr, regs, stack, f.uses_reg_api, body, arch);
-            let name: Arc<str> = f.name.as_str().into();
-            let mut ext = self.state.external.borrow_mut();
             // A reload under a loaded name replaces the function; the code at
             // its old address stays where it is.
-            ext.tool_addrs.push(addr);
-            if let Some(body) = &tool_fn.body {
-                ext.load_tool_body(name.clone(), Arc::clone(body), arch);
-            }
-            self.state.tool_fns.borrow_mut().insert(name, tool_fn);
+            self.state.tool_fns.borrow_mut().insert(f.name.as_str().into(), tool_fn);
         }
         Ok(())
     }
@@ -944,12 +944,13 @@ impl<'a> NvbitApi<'a> {
             Err(NvbitError::VerifyFailed(diags)) => return Ok(diags),
             Err(e) => return Err(e),
         }
-        let verified = self.state.with_image(func, |lifted, image| {
-            let addr = self.drv.with_function_info(func, |i| i.addr)?;
-            let ext = self.state.external_code(self.drv, func);
-            verify::verify(&hal_of(self.drv), addr, &lifted.code, image, &ext)
-        });
-        verified.unwrap_or(Ok(Vec::new()))
+        // Re-planned under the options the image was built under.
+        let entries = self.state.funcs.borrow();
+        let Some(entry) = entries.get(&func.raw()) else { return Ok(Vec::new()) };
+        let (Some(lifted), Some((image, _, opts))) = (&entry.lifted, &entry.image) else {
+            return Ok(Vec::new());
+        };
+        self.state.verify(self.drv, func, (lifted, &entry.spec, *opts), image)
     }
 
     /// Register-save accounting for the instrumented image of `func`

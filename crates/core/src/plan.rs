@@ -248,18 +248,10 @@ pub fn build(
         return Err(NvbitError::UnknownToolFunction(inj.func.to_string()));
     }
 
-    // Surface *why* static CFG recovery fell back, per failure variant, and
-    // recover the partial partition for the BRX case.
+    // Under the ICF exception, recover the partial partition.
     let partial: Option<Vec<BasicBlock>> = match analysis {
-        Err(CfgFailure::IndirectBranch { .. }) => {
-            common::obs::counter("plan.cfg_fail.brx", 1);
-            Some(sass::cfg::partial_blocks(body, arch))
-        }
-        Err(CfgFailure::MisalignedTarget { .. }) => {
-            common::obs::counter("plan.cfg_fail.misaligned", 1);
-            None
-        }
-        Ok(_) => None,
+        Err(CfgFailure::IndirectBranch { .. }) => Some(sass::cfg::partial_blocks(body, arch)),
+        _ => None,
     };
     let analysis = analysis.as_ref().ok();
     let blocks = analysis.map(|a| a.blocks.as_slice());

@@ -6,35 +6,39 @@
 //! before the first instrumented launch (paper §5.1 — the swap is the
 //! point of no return; §5.2 budgets it as part of JIT overhead).
 //!
-//! The verifier checks, per [`crate::codegen::InstrumentedImage`]:
+//! The verifier takes the *request* an image was built for ([`Request`]:
+//! the [`FuncSpec`], the [`PlanOpts`] and the core's tool-function and
+//! routine tables), never the plan or the lifter's view. It decodes the
+//! original bytes, computes its own [`sass::Analysis`] and re-runs the
+//! deterministic [`plan::build`] on them. One walk over the image's sites
+//! then checks it against that plan:
 //!
-//! * every control-flow target lands on an instruction boundary inside the
-//!   image, the trampoline region, or known external code (save/restore
-//!   routines, tool functions, related functions);
-//! * the image cannot fall off its last instruction, and every trampoline
-//!   site ends with an unconditional jump back to the instruction after the
-//!   one it instruments;
-//! * Figure 4's other links hold against the original's bytes: the image is
-//!   the original except for a jump to the start of each site's trampoline
-//!   (and `NOP`s), and each site runs the instruction it displaced;
-//! * register and predicate operands stay within the architectural bounds
-//!   (including multi-register spans of wide loads/stores);
-//! * operand lists match their opcode formats;
-//! * trampoline save discipline, walked along every path of a site's
-//!   injected code: a frame (a save routine's, or an exact bracket's) is
-//!   open before any save-area access or tool call and closed again
-//!   wherever the application resumes, accesses stay inside it, and
-//!   whatever the injected code writes is dead there or saved and restored.
+//! * the sites are the plan's, and each site's calls, in Before → relocated
+//!   original → After order, are the plan's tool functions, spliced or
+//!   called as planned, each splice its body renamed, in an accepted shape;
+//! * Figure 4's links: the image is the original but for a jump to each
+//!   site and a `NOP` where the plan removes an instruction; a site runs
+//!   what it displaced and jumps back behind it; nothing falls off the end;
+//! * control-flow targets are instruction boundaries of the image or the
+//!   trampolines, or routine, tool or related-function code; operands fit
+//!   their formats and the register files;
+//! * save discipline on every path of a site: a frame is open before any
+//!   save-area access or tool call and closed wherever the application
+//!   resumes, accesses stay inside it, and what is written is dead there
+//!   or saved and restored;
+//! * the plan's groups are legal on the verifier's CFG, so a planner that
+//!   merges what it may not is caught as well.
 
-use crate::codegen::SiteMeta;
+use crate::codegen::{SiteMeta, ToolFns};
 use crate::hal::Hal;
-use crate::saverestore::frame_slots;
+use crate::plan::{self, InstrumentationPlan, PlanOpts, PlannedCall};
+use crate::saverestore::{frame_slots, Routines};
+use crate::spec::{FuncSpec, IPoint};
 use common::InlineVec;
 use sass::cfg::block_of;
 use sass::op::CfClass;
-use sass::pressure::BodyShape;
-use sass::{Arch, Instruction, Op, Operand, Reg};
-use std::sync::Arc;
+use sass::{Analysis, Instruction, Op, Operand, Reg};
+use std::collections::HashMap;
 
 /// Which code region a diagnostic points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,65 +64,52 @@ pub enum DiagKind {
     /// A control-flow target is outside every known code region, or not on
     /// an instruction boundary.
     BranchTarget,
-    /// Execution can run off the end of the image, or a trampoline site
-    /// does not end with an unconditional jump back to the instruction after
-    /// the one it instruments.
+    /// Execution can run off the end of the image, or a site does not end
+    /// with an unconditional jump back behind the instruction it instruments.
     FallThrough,
-    /// The image and the original disagree outside Figure 4's links: the
-    /// instruction at a site is not an unguarded jump to the start of the
-    /// site's trampoline, the site's relocated original is neither the
-    /// instruction it displaced (relative target re-relativised) nor a
-    /// `NOP`, or an off-site instruction is neither the original's nor a
-    /// `NOP`.
+    /// The image and the original disagree outside Figure 4's links: a site
+    /// is not an unguarded jump to its trampoline, or a relocated original
+    /// (relative target adjusted) or off-site instruction is not the
+    /// original's — or its `NOP` where, and only where, the plan removes it.
     LinkMismatch,
-    /// A register operand (or its multi-register span) exceeds the
-    /// register file.
+    /// A register operand or its multi-register span exceeds the file.
     BadRegister,
     /// A predicate operand or guard exceeds the predicate file.
     BadPredicate,
     /// An operand list does not match its opcode's format.
     BadOperands,
-    /// The save area is read (or a tool called) before the save routine
-    /// has run.
+    /// The save area is read (or a tool called) with no frame open.
     ReadBeforeSave,
     /// A restore call without a matching save.
     RestoreWithoutSave,
     /// The application resumes (at the relocated original, or behind the
     /// back-jump) with a save frame open or `R1` off its entry value.
     UnbalancedFrame,
-    /// A coalesced call's bookkeeping is inconsistent: its multiplicity does
-    /// not match its group size, its group is not anchored at the site, or
-    /// a merge exists without a recoverable CFG to justify it.
+    /// A coalesced call's multiplicity does not match its group size, its
+    /// group is not anchored at the site, or it merges without a CFG.
     CoalesceMismatch,
-    /// A coalesced group spans basic blocks of the original body that are
-    /// not in the same dominator coalescing region (see [`sass::Dom`]): the
-    /// member sites are not proven to execute exactly as often as the
-    /// placement site.
+    /// A coalesced group leaves the site's [`sass::Dom`] coalescing region:
+    /// its members may not execute exactly as often as the site.
     RegionMismatch,
-    /// A lowered `IPoint::After` call's bookkeeping is inconsistent: a
-    /// lowered origin is missing from the group, has no fall-through
-    /// successor inside its own basic block, or there is no CFG to justify
-    /// the move.
+    /// A lowered `IPoint::After` origin is missing from its group, has no
+    /// fall-through successor inside its own block, or there is no CFG.
     AfterMismatch,
-    /// An inline-spliced call does not reproduce the loaded tool function's
-    /// body (trailing `RET` turned into a `NOP`) under one injective,
-    /// aligned-pair-preserving renaming of registers and predicates.
+    /// A splice does not reproduce the loaded tool body (trailing `RET` a
+    /// `NOP`) under one injective, aligned-pair-preserving renaming.
     InlineMismatch,
     /// A save-area access addresses a slot outside the open frame: the
     /// site's save tier, or the bytes an exact bracket opened.
     TierExceeded,
-    /// Injected code writes a register or predicate that is live at its
-    /// injection point (per a dataflow analysis recomputed from the
-    /// original bytes) without it being saved first and restored on every
-    /// path: executing the site would corrupt the application's state.
-    /// Re-proven here without trusting the planner or the code generator.
+    /// Injected code writes a register or predicate live at its injection
+    /// point (recomputed liveness) without saving and restoring it.
     PressureExceeded,
-    /// The spliced instructions do not form a shape the body classifier
-    /// accepts (a straight line or a single guarded diamond whose control
-    /// flow stays inside the splice). Recomputed from the emitted
-    /// trampoline bytes: an escaping or looping splice inside a
-    /// trampoline would run code outside the save/restore bracket.
+    /// A splice is not a straight line or one guarded diamond contained in
+    /// it (the body classifier's shapes): it would run code outside.
     DiamondMismatch,
+    /// The image is not the plan re-derived from the request: a site is
+    /// missing or unplanned, or its calls are not the plan's (function,
+    /// count, or spliced where the plan calls out of line and vice versa).
+    PlanMismatch,
 }
 
 /// One verification failure.
@@ -146,62 +137,39 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Code outside the image/trampoline that control flow may legitimately
-/// reach: the embedded save/restore routines, the loaded tool functions and
-/// the code regions of related functions.
-#[derive(Debug, Clone, Default)]
-pub struct ExternalCode {
-    /// Save-routine entry addresses (one per tier).
-    pub save_addrs: Vec<u64>,
-    /// Restore-routine entry addresses (one per tier).
-    pub restore_addrs: Vec<u64>,
-    /// Tool-function entry addresses.
-    pub tool_addrs: Vec<u64>,
-    /// `[start, end)` byte ranges of other known device code (related
-    /// functions the original body may call).
-    pub code_regions: Vec<(u64, u64)>,
-    /// Decoded bodies of loaded tool functions by name, for checking inline
-    /// splices against the code they claim to reproduce, each with its
-    /// splice shape ([`ExternalCode::load_tool_body`]).
-    tool_bodies: Vec<(Arc<str>, ToolBody, Option<BodyShape>)>,
+/// What an image is verified against: what the tool asked for, and the
+/// tables the core served it from.
+#[derive(Clone, Copy)]
+pub struct Request<'a> {
+    /// The function's injections and removals.
+    pub spec: &'a FuncSpec,
+    /// The plan options the image was built under.
+    pub opts: PlanOpts,
+    /// The loaded tool functions.
+    pub tool_fns: &'a ToolFns,
+    /// The save/restore routines, by tier.
+    pub routines: &'a HashMap<u16, Routines>,
+    /// `[start, end)` byte ranges of the functions the original may call:
+    /// the one code instrumented control flow may reach that no table holds.
+    pub related: &'a [(u64, u64)],
 }
 
-/// A loaded tool body, shared with its [`crate::codegen::ToolFn`].
-type ToolBody = Arc<Vec<Instruction>>;
-
-impl ExternalCode {
-    /// Registers the decoded body of tool function `name` (shared with its
-    /// [`crate::codegen::ToolFn`]), in place of any loaded under that name
-    /// before, with its splice shape classified once.
-    pub fn load_tool_body(&mut self, name: Arc<str>, body: ToolBody, arch: Arch) {
-        let shape = splice_shape(&body[..body.len().saturating_sub(1)], arch);
-        self.tool_bodies.retain(|(loaded, ..)| *loaded != name);
-        self.tool_bodies.push((name, body, shape));
+impl Request<'_> {
+    fn is_save(&self, addr: u64) -> bool {
+        self.routines.values().any(|r| r.save_addr == addr)
     }
 
-    fn is_entry(&self, addr: u64) -> bool {
-        self.save_addrs.contains(&addr)
-            || self.restore_addrs.contains(&addr)
-            || self.tool_addrs.contains(&addr)
-            || self.code_regions.iter().any(|&(s, e)| addr >= s && addr < e)
+    fn is_restore(&self, addr: u64) -> bool {
+        self.routines.values().any(|r| r.restore_addr == addr)
     }
-}
 
-/// What the body classifier makes of a splice: `spliced` followed by the
-/// unguarded `RET` its trailing `NOP` stands for.
-fn splice_shape(spliced: &[Instruction], arch: Arch) -> Option<BodyShape> {
-    sass::pressure::body_shape(&[spliced, &[Instruction::new(Op::Ret, [])]].concat(), arch)
-}
+    fn is_routine(&self, addr: u64) -> bool {
+        self.is_save(addr) || self.is_restore(addr)
+    }
 
-/// The byte offset of a save-area access: a local load/store through the
-/// stack pointer (`[R1 + off]`).
-fn frame_offset(ins: &Instruction) -> Option<i32> {
-    ins.operands.iter().find_map(|o| match o {
-        Operand::MRef { base: Reg::SP, offset } if matches!(ins.op, Op::Ldl | Op::Stl) => {
-            Some(*offset)
-        }
-        _ => None,
-    })
+    fn is_tool(&self, addr: u64) -> bool {
+        self.tool_fns.values().any(|f| f.addr == addr)
+    }
 }
 
 /// What is known at one point of a site's injected code, on every path
@@ -212,13 +180,11 @@ struct Bracket {
     sp: i64,
     /// Save-routine frames open.
     depth: u32,
-    /// `(frame offset, register)` slots of the open exact frame that hold
-    /// the application's value of the register: at most `INLINE_MAX_REGS`
-    /// in an emitted frame. A store past 32 is not recorded, so its reload
-    /// is not credited (a diagnostic more, never one less).
+    /// `(frame offset, register)` slots of the open exact frame holding the
+    /// application's value (at most `INLINE_MAX_REGS` are emitted; a store
+    /// past 32 is not recorded: a diagnostic more, never one less).
     stores: InlineVec<(i32, Reg), 32>,
-    /// Registers and predicates that may no longer hold the application's
-    /// value.
+    /// Registers and predicates that may no longer hold their values.
     dirty: sass::LiveSet,
 }
 
@@ -232,21 +198,17 @@ impl Bracket {
     }
 }
 
-/// Walks one site's injected instructions along every path (its control
-/// flow is forward-only: the predicate-filter wrapper and the spliced
-/// diamond) and checks the save discipline against liveness recomputed
-/// from the original bytes: frames balance, frame accesses stay inside
-/// the open frame, and every register or predicate an injected instruction
-/// writes is dead at that injection point (`live.0` before the relocated
-/// original, `live.1` after it), or holds a value stored before the write
-/// and reloaded on every path before the application runs again. `pending`
-/// is the caller's scratch for the states waiting at forward targets.
+/// Walks a site's injected code along every (forward-only) path and checks
+/// the save discipline against recomputed liveness: frames balance, frame
+/// accesses stay inside the open frame, and whatever is written is dead at
+/// its injection point (`live.0` before the relocated original, `live.1`
+/// after it) or stored before and reloaded on every path before the
+/// application runs again. `pending` is scratch for forward targets.
 fn check_brackets(
     hal: &Hal,
-    site: &SiteMeta,
-    body: &[Instruction],
+    (site, body): (&SiteMeta, &[Instruction]),
     live: (sass::LiveSet, sass::LiveSet),
-    ext: &ExternalCode,
+    req: &Request<'_>,
     pending: &mut Vec<(usize, Bracket)>,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -300,19 +262,19 @@ fn check_brackets(
         if let (Op::Jcal, Some(Operand::Abs(t))) = (ins.op, ins.operands.first()) {
             // The code generator never guards a routine call: a guarded one
             // may or may not open (or close) its frame.
-            let routine = ext.save_addrs.contains(t) || ext.restore_addrs.contains(t);
-            if routine && !always {
+            let (save, restore) = (req.is_save(*t), req.is_restore(*t));
+            if (save || restore) && !always {
                 diag(DiagKind::UnbalancedFrame, "guarded save or restore call");
             }
-            if ext.save_addrs.contains(t) {
+            if save {
                 st.depth += 1;
-            } else if ext.restore_addrs.contains(t) && st.depth == 0 {
+            } else if restore && st.depth == 0 {
                 diag(DiagKind::RestoreWithoutSave, "restore call without a matching save");
-            } else if ext.restore_addrs.contains(t) {
+            } else if restore {
                 st.depth -= 1;
                 (0..site.tier.min(255) as u8).for_each(|r| st.dirty.gprs.remove(Reg(r)));
                 st.dirty.preds = 0;
-            } else if ext.tool_addrs.contains(t) && st.depth == 0 {
+            } else if req.is_tool(*t) && st.depth == 0 {
                 diag(DiagKind::ReadBeforeSave, "tool called before the thread state is saved");
             }
             continue;
@@ -329,7 +291,14 @@ fn check_brackets(
             continue;
         }
 
-        let (mut reload, off) = (false, frame_offset(ins));
+        // A save-area access: a local load or store through `[R1 + off]`.
+        let off = ins.operands.iter().find_map(|o| match o {
+            Operand::MRef { base: Reg::SP, offset } if matches!(ins.op, Op::Ldl | Op::Stl) => {
+                Some(*offset)
+            }
+            _ => None,
+        });
+        let mut reload = false;
         if let Some(off) = off {
             let slots = if st.depth > 0 { frame_slots(site.tier, hal) as i64 } else { -st.sp / 4 };
             if st.depth == 0 && st.sp >= 0 {
@@ -440,42 +409,171 @@ fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
         })
 }
 
-/// Verifies an instrumented image plus trampoline against the `original`
-/// body it was made from, all already disassembled. `sites` is the per-site
-/// layout recorded by the code generator. Returns every defect found
-/// (empty = image is safe to swap).
-#[allow(clippy::too_many_arguments)] // three code regions, two of them placed
-pub fn verify_instrs(
-    hal: &Hal,
-    original: &[Instruction],
+/// Whether `ins` unconditionally leaves a trampoline site: nothing placed
+/// after it runs.
+fn leaves(ins: &Instruction) -> bool {
+    use CfClass::{AbsJump, Exit, RelBranch, Ret, Sync, Trap};
+    ins.guard.is_always()
+        && matches!(ins.cf_class(), Exit | Ret | Trap | Sync | RelBranch | AbsJump)
+}
+
+/// An instrumented image as the walker reads it: both code regions decoded
+/// and placed, and the code generator's layout of the trampoline sites.
+struct Decoded<'a> {
     image_addr: u64,
-    image: &[Instruction],
+    image: &'a [Instruction],
     tramp_addr: u64,
-    tramp: &[Instruction],
-    sites: &[SiteMeta],
-    ext: &ExternalCode,
+    tramp: &'a [Instruction],
+    sites: &'a [SiteMeta],
+}
+
+/// The plan's calls at site `i` on the verifier's CFG (without one, every
+/// merge and lowering is a defect): a group is sorted, sized by its
+/// multiplicity and anchored at the site (or at the fall-through slot of a
+/// lowered first origin), a lowered origin is a member falling through in
+/// its block, and a merged origin shares the site's coalescing region.
+fn check_groups(
+    analysis: Option<&Analysis>,
+    i: usize,
+    planned: &[PlannedCall],
+    mut report: impl FnMut(DiagKind, String),
+) {
+    let blocks = analysis.map(|a| a.blocks.as_slice());
+    for PlannedCall { func, multiplicity: m, group, lowered, .. } in planned {
+        let anchored =
+            group.first().is_some_and(|&o| o == i || (lowered.contains(&o) && o + 1 == i));
+        if *m as usize != group.len()
+            || !anchored
+            || group.windows(2).any(|w| w[0] >= w[1])
+            || (*m > 1 && blocks.is_none())
+        {
+            let what = format!("call to `{func}` at {i} has multiplicity {m} but group {group:?}");
+            report(DiagKind::CoalesceMismatch, what);
+        }
+        let crosses = |b, l| block_of(b, l).is_none() || block_of(b, l + 1) != block_of(b, l);
+        if !lowered.is_empty()
+            && (lowered.windows(2).any(|w| w[0] >= w[1])
+                || lowered.iter().any(|l| !group.contains(l))
+                || blocks.is_none_or(|b| lowered.iter().any(|&l| crosses(b, l))))
+        {
+            let what = format!("call to `{func}` at {i} lowers {lowered:?} of group {group:?}");
+            report(DiagKind::AfterMismatch, what);
+        }
+        if let Some(a) = analysis.filter(|_| *m > 1) {
+            let home = block_of(&a.blocks, i);
+            let shared = |&o: &usize| {
+                home.zip(block_of(&a.blocks, o)).is_some_and(|(h, b)| a.dom.same_region(h, b))
+            };
+            if !group.iter().all(shared) {
+                let what = format!("call to `{func}` at {i} merges {group:?} across regions");
+                report(DiagKind::RegionMismatch, what);
+            }
+        }
+    }
+}
+
+/// A site's calls against the plan's, in emission order: Before calls, the
+/// relocated original, then (if it `falls_through`) After calls. Each is
+/// spliced or called as planned, a call unguarded and on its side of the
+/// original, a splice its body renamed, in an accepted shape. `report`
+/// takes a position within the site.
+fn check_calls(
+    hal: &Hal,
+    req: &Request<'_>,
+    (site, body): (&SiteMeta, &[Instruction]),
+    planned: &[PlannedCall],
+    falls_through: bool,
+    mut report: impl FnMut(DiagKind, usize, String),
+) {
+    let i = site.instr_idx;
+    let after = |c: &&PlannedCall| c.ipoint == IPoint::After;
+    let emitted = || {
+        planned
+            .iter()
+            .filter(|c| !after(c))
+            .chain(planned.iter().filter(after).filter(|_| falls_through))
+    };
+    let called = emitted().filter(|c| !c.inline);
+    let called = called.map(|c| (after(&c), req.tool_fns.get(&c.func).map(|f| f.addr)));
+    let calls =
+        body.iter().enumerate().filter_map(|(pos, ins)| match (ins.op, ins.operands.first()) {
+            (Op::Jcal, Some(&Operand::Abs(t))) if pos != site.orig_pos && !req.is_routine(t) => {
+                Some((pos > site.orig_pos, ins.guard.is_always().then_some(t)))
+            }
+            _ => None,
+        });
+    if emitted().count() != site.calls.len() || !called.eq(calls) {
+        report(DiagKind::PlanMismatch, 0, format!("site {i} does not make the plan's calls"));
+    }
+
+    for (call, splice) in emitted().zip(&site.calls) {
+        let func = &call.func;
+        if call.inline != splice.is_some() {
+            let what = format!("`{func}` at {i} is not spliced or called as the plan has it");
+            report(DiagKind::PlanMismatch, 0, what);
+        }
+        let Some((off, len)) = *splice else { continue };
+        let tool = req.tool_fns.get(func);
+        let loaded = tool.and_then(|t| t.body.as_deref()).filter(|fn_body| {
+            off + len <= site.len
+                && len > 0
+                && fn_body.len() == len
+                && fn_body.last().is_some_and(|i| i.op == Op::Ret)
+                && body[off + len - 1].op == Op::Nop
+                && renamed_match(&fn_body[..len - 1], &body[off..off + len - 1])
+        });
+        if loaded.is_none() {
+            let what = format!("splice of `{func}` at {i} does not match the loaded body");
+            report(DiagKind::InlineMismatch, off.min(site.len - 1), what);
+        }
+        if off + len > site.len || len == 0 {
+            continue; // out of range: already reported
+        }
+        // An escaping or looping splice runs foreign code in the bracket.
+        // A renaming keeps all `body_shape` reads, so a matched splice has
+        // its body's shape, classified at load for every body the planner
+        // splices (`ToolFn::inlinable`); an unmatched one is classified as
+        // emitted, its `NOP` standing for the `RET`.
+        let shaped = match loaded {
+            Some(_) if tool.is_some_and(|t| t.inlinable) => true,
+            Some(b) => sass::pressure::body_shape(b, hal.arch()).is_some(),
+            None => {
+                let spliced = [&body[off..off + len - 1], &[Instruction::new(Op::Ret, [])]];
+                sass::pressure::body_shape(&spliced.concat(), hal.arch()).is_some()
+            }
+        };
+        if !shaped {
+            let what = format!("splice of `{func}` at {i} is not a line or a contained diamond");
+            report(DiagKind::DiamondMismatch, off, what);
+        }
+    }
+}
+
+/// Checks `img` against `plan`, re-derived over the verifier's own decode of
+/// `original` and its `analysis` (`None` without a CFG: nothing is then
+/// provably dead). Returns every defect (empty = safe to swap).
+fn walk(
+    hal: &Hal,
+    req: &Request<'_>,
+    original: &[Instruction],
+    analysis: Option<&Analysis>,
+    plan: &InstrumentationPlan,
+    img: &Decoded<'_>,
 ) -> Vec<Diagnostic> {
     let isize = hal.instruction_size();
-    let image_end = image_addr + image.len() as u64 * isize;
-    let tramp_end = tramp_addr + tramp.len() as u64 * isize;
     let mut diags = Vec::new();
-
-    let in_image = |t: u64| t >= image_addr && t < image_end;
-    let in_tramp = |t: u64| t >= tramp_addr && t < tramp_end;
-    let target_ok = |t: u64| -> bool {
-        if in_image(t) {
-            (t - image_addr).is_multiple_of(isize)
-        } else if in_tramp(t) {
-            (t - tramp_addr).is_multiple_of(isize)
-        } else {
-            ext.is_entry(t)
-        }
+    let regions = [
+        (Region::Image, img.image_addr, img.image),
+        (Region::Trampoline, img.tramp_addr, img.tramp),
+    ];
+    let inside =
+        |t: u64| regions.into_iter().find(|r| (r.1..r.1 + r.2.len() as u64 * isize).contains(&t));
+    let external = |t| {
+        req.is_routine(t) || req.is_tool(t) || req.related.iter().any(|r| (r.0..r.1).contains(&t))
     };
-
-    // Per-instruction structural checks over both regions.
-    for (region, base, instrs) in
-        [(Region::Image, image_addr, image), (Region::Trampoline, tramp_addr, tramp)]
-    {
+    let target_ok =
+        |t: u64| inside(t).map_or_else(|| external(t), |r| (t - r.1).is_multiple_of(isize));
+    for (region, base, instrs) in regions {
         for (index, ins) in instrs.iter().enumerate() {
             let mut bad = |kind, message| diags.push(Diagnostic::new(kind, region, index, message));
             if let Err(e) = ins.validate() {
@@ -492,8 +590,7 @@ pub fn verify_instrs(
                 // RZ is a single pseudo-register; any other operand must fit
                 // its whole span below R255.
                 if !reg.is_zero() && reg.0 as usize + span - 1 > 254 {
-                    let what = format!("{span}-register span at {reg} runs past the register file");
-                    bad(DiagKind::BadRegister, what);
+                    bad(DiagKind::BadRegister, format!("{span} registers at {reg} overflow"));
                 }
             });
             let target = match ins.cf_class() {
@@ -507,295 +604,123 @@ pub fn verify_instrs(
                 _ => None,
             };
             if let Some(t) = target.filter(|t| !target_ok(*t)) {
-                bad(
-                    DiagKind::BranchTarget,
-                    format!("target {t:#x} is outside known code or misaligned"),
-                );
+                let what = format!("target {t:#x} is outside known code or misaligned");
+                bad(DiagKind::BranchTarget, what);
             }
         }
     }
 
-    // The image must not fall off its end; execution resumes behind a call.
-    let leaves =
-        |cf: CfClass| cf.ends_block() && !matches!(cf, CfClass::RelCall | CfClass::AbsCall);
-    match image.last() {
-        Some(last) if leaves(last.cf_class()) && last.guard.is_always() => {}
-        Some(_) => {
-            let (index, what) = (image.len() - 1, "execution can fall off the end of the image");
-            diags.push(Diagnostic::new(DiagKind::FallThrough, Region::Image, index, what.into()));
-        }
-        None => {}
+    // The image does not fall off its end (execution resumes behind a call),
+    // and it is the original, as the plan removes from it, but for a jump
+    // to the start of each of the plan's sites.
+    let in_image = |kind, index, message| Diagnostic::new(kind, Region::Image, index, message);
+    let ends = |l: &Instruction| {
+        leaves(l) || (l.guard.is_always() && l.cf_class() == CfClass::IndirectBranch)
+    };
+    if img.image.last().is_some_and(|l| !ends(l)) {
+        let what = "execution can fall off the end of the image".into();
+        diags.push(in_image(DiagKind::FallThrough, img.image.len() - 1, what));
     }
-
-    // Figure 4's links into the trampoline: at a site the image jumps to the
-    // start of the site's code; everywhere else it is the original, or a
-    // `NOP` (a removed instruction).
-    let link =
-        |region, index, message| Diagnostic::new(DiagKind::LinkMismatch, region, index, message);
+    let applied = |index: usize| {
+        let removed = plan.removed.contains(&index);
+        original.get(index).map(|o| if removed { Instruction::nop() } else { *o })
+    };
     let jumps_to = |ins: &Instruction, pc: u64| {
         ins.op == Op::Jmp && ins.guard.is_always() && *ins.operands == [Operand::Abs(pc)]
     };
-    if image.len() != original.len() {
-        diags.push(link(Region::Image, 0, "the image is not the size of the original".into()));
+    let site_pc = |site: &SiteMeta| img.tramp_addr + site.start as u64 * isize;
+    if img.image.len() != original.len() {
+        let what = "the image is not the size of the original".into();
+        diags.push(in_image(DiagKind::LinkMismatch, 0, what));
     }
-    let mut site_start: Vec<Option<u64>> = vec![None; image.len()];
-    for site in sites {
-        if let Some(slot) = site_start.get_mut(site.instr_idx) {
-            *slot = Some(tramp_addr + site.start as u64 * isize);
+    let mut site_at: Vec<Option<u64>> = vec![None; img.image.len()];
+    for site in img.sites {
+        if let Some(slot) = site_at.get_mut(site.instr_idx) {
+            *slot = Some(site_pc(site));
         }
     }
-    for (index, (ins, site_start)) in image.iter().zip(site_start).enumerate() {
-        let (linked, what) = match site_start {
+    for &idx in plan.sites.keys().filter(|i| site_at.get(**i).copied().flatten().is_none()) {
+        let what = "a planned site is not instrumented".into();
+        diags.push(in_image(DiagKind::PlanMismatch, idx, what));
+    }
+    for (index, (ins, site_pc)) in img.image.iter().zip(site_at).enumerate() {
+        let (linked, what) = match site_pc {
             Some(pc) => (jumps_to(ins, pc), "a jump to the start of its site"),
-            None => {
-                (original.get(index) == Some(ins) || *ins == Instruction::nop(), "the original's")
-            }
+            None => (applied(index) == Some(*ins), "what the original runs there"),
         };
         if !linked {
-            diags.push(link(Region::Image, index, format!("instruction is not {what}")));
+            let what = format!("instruction is not {what}");
+            diags.push(in_image(DiagKind::LinkMismatch, index, what));
         }
     }
 
-    // Per-site trampoline discipline.
-    for site in sites {
-        let end = site.start + site.len;
-        if end > tramp.len() || site.len == 0 {
-            let i = site.instr_idx;
+    let mut pending = Vec::new();
+    for site in img.sites {
+        let (i, end) = (site.instr_idx, site.start + site.len);
+        if end > img.tramp.len() || site.len == 0 {
             let what = format!("site for instruction {i} extends past the trampoline region");
-            let index = site.start.min(tramp.len().saturating_sub(1));
+            let index = site.start.min(img.tramp.len().saturating_sub(1));
             diags.push(Diagnostic::new(DiagKind::FallThrough, Region::Trampoline, index, what));
             continue;
         }
-        let body = &tramp[site.start..end];
+        let body = &img.tramp[site.start..end];
+        let at = |kind, pos, message| {
+            Diagnostic::new(kind, Region::Trampoline, site.start + pos, message)
+        };
 
-        // The site runs the instruction it displaced, relative targets
-        // adjusted for the move (a removed one is a `NOP`).
-        let instr_pc = image_addr + site.instr_idx as u64 * isize;
-        let moved =
-            (tramp_addr + (site.start + site.orig_pos) as u64 * isize).wrapping_sub(instr_pc);
-        let mut displaced = original.get(site.instr_idx).copied();
+        // The site runs the instruction it displaced, relative target
+        // adjusted for the move, and ends with an unconditional jump back
+        // behind it, unless that instruction itself leaves the trampoline.
+        let instr_pc = img.image_addr + i as u64 * isize;
+        let moved = (site_pc(site) + site.orig_pos as u64 * isize).wrapping_sub(instr_pc);
+        let mut displaced = applied(i);
         if let Some(orig) = &mut displaced {
             if let Some(rel) = orig.rel_target() {
                 orig.set_rel_target(rel.wrapping_sub(moved as i64));
             }
         }
-        let relocated = body.get(site.orig_pos);
-        if displaced.is_none()
-            || (relocated != displaced.as_ref() && relocated != Some(&Instruction::nop()))
-        {
-            diags.push(link(
-                Region::Trampoline,
-                site.start + site.orig_pos.min(site.len - 1),
-                format!("site does not run instruction {} of the original", site.instr_idx),
-            ));
+        if displaced.is_none() || body.get(site.orig_pos) != displaced.as_ref() {
+            let what = format!("site does not run instruction {i} of the original");
+            diags.push(at(DiagKind::LinkMismatch, site.orig_pos.min(site.len - 1), what));
         }
-
-        // The site must end with an unconditional jump back to the
-        // instruction after the one it instruments, or with a relocated
-        // original that itself unconditionally leaves the trampoline
-        // (EXIT/RET/branch — target validity is checked by the
-        // per-instruction pass above).
         let last = &body[site.len - 1];
-        let exits_to_image = jumps_to(last, instr_pc + isize);
-        let terminal_original = site.orig_pos == site.len - 1
-            && last.guard.is_always()
-            && matches!(
-                last.cf_class(),
-                CfClass::Exit
-                    | CfClass::Ret
-                    | CfClass::Trap
-                    | CfClass::Sync
-                    | CfClass::RelBranch
-                    | CfClass::AbsJump
-            );
-        if !exits_to_image && !terminal_original {
-            let i = site.instr_idx;
+        if !(jumps_to(last, instr_pc + isize) || (site.orig_pos == site.len - 1 && leaves(last))) {
             let what = format!("site for instruction {i} does not end with a jump back behind it");
-            diags.push(Diagnostic::new(DiagKind::FallThrough, Region::Trampoline, end - 1, what));
+            diags.push(at(DiagKind::FallThrough, site.len - 1, what));
         }
-    }
 
-    diags
-}
-
-/// Plan-consistency checks: the coalescing and inlining bookkeeping the
-/// code generator recorded per site must agree with the trampoline it
-/// actually emitted and with the original body's basic-block structure.
-/// Complements [`verify_instrs`] (which checks structural safety); run
-/// both before a swap.
-///
-/// `original` is the *original* function body — coalesced groups must lie
-/// within one of its basic blocks, since the merged call's exactness
-/// argument (a block-constant active mask) holds only there. When static
-/// CFG recovery fails on the body, any coalesced group is itself a defect:
-/// the planner may not merge under the ICF exception.
-pub fn verify_plan_instrs(
-    hal: &Hal,
-    original: &[Instruction],
-    tramp: &[Instruction],
-    sites: &[SiteMeta],
-    ext: &ExternalCode,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    // Recomputed from the verifier's own decode of the original bytes —
-    // never trusted from the lifter or the plan: region checks and save
-    // brackets must hold against the body as the verifier sees it. `None`
-    // when the body cannot be statically partitioned (merges are then
-    // defects, and nothing is provably dead).
-    let analysis = sass::Analysis::of(original, hal.arch()).ok();
-    let blocks = analysis.as_ref().map(|a| &a.blocks);
-    let dom = analysis.as_ref().map(|a| &a.dom);
-    let dataflow = analysis.as_ref().map(|a| &a.liveness);
-    let mut pending = Vec::new();
-    let at = |kind, index, message| Diagnostic::new(kind, Region::Trampoline, index, message);
-
-    for site in sites {
-        let end = site.start + site.len;
-        if end > tramp.len() || site.len == 0 {
-            continue; // verify_instrs reports the structural defect
-        }
-        let body = &tramp[site.start..end];
         // Without a CFG nothing is provably dead: everything must be saved.
-        let live = match dataflow.filter(|df| site.instr_idx < df.len()) {
-            Some(df) => (*df.live_in(site.instr_idx), *df.live_out(site.instr_idx)),
+        let live = match analysis.map(|a| &a.liveness).filter(|df| i < df.len()) {
+            Some(df) => (*df.live_in(i), *df.live_out(i)),
             None => (sass::LiveSet::all(), sass::LiveSet::all()),
         };
-        check_brackets(hal, site, body, live, ext, &mut pending, &mut diags);
+        check_brackets(hal, (site, body), live, req, &mut pending, &mut diags);
 
-        for call in &site.calls {
-            let (func, i, group) = (&call.func, site.instr_idx, &call.group);
-            // Coalescing bookkeeping: multiplicity matches the group, the
-            // group is strictly ascending, and the call is anchored at its
-            // first origin — directly, or at that origin's fall-through
-            // slot when the origin was After-lowered.
-            let anchored = match call.group.first() {
-                Some(&first) => {
-                    first == site.instr_idx
-                        || (call.lowered.contains(&first) && first + 1 == site.instr_idx)
-                }
-                None => false,
-            };
-            let mut bad_group = call.multiplicity as usize != call.group.len()
-                || !anchored
-                || call.group.windows(2).any(|w| w[0] >= w[1]);
-            if !bad_group && call.multiplicity > 1 && blocks.is_none() {
-                // Merging without a CFG is never legitimate.
-                bad_group = true;
-            }
-            if bad_group {
-                let m = call.multiplicity;
-                let what = format!(
-                    "call to `{func}` at instruction {i} has multiplicity {m} but group {group:?}"
-                );
-                diags.push(at(DiagKind::CoalesceMismatch, site.start, what));
-            }
-
-            // After-lowering bookkeeping: every lowered origin must be a
-            // group member whose fall-through slot stays inside its own
-            // basic block (the move must never cross a taken branch).
-            if !call.lowered.is_empty() {
-                let mut bad_after = call.lowered.windows(2).any(|w| w[0] >= w[1])
-                    || call.lowered.iter().any(|l| !call.group.contains(l));
-                if !bad_after {
-                    bad_after = match blocks {
-                        Some(blocks) => call.lowered.iter().any(|&l| {
-                            block_of(blocks, l).is_none()
-                                || block_of(blocks, l + 1) != block_of(blocks, l)
-                        }),
-                        // Lowering without a CFG is never legitimate.
-                        None => true,
-                    };
-                }
-                if bad_after {
-                    let what = format!(
-                        "call to `{func}` at instruction {i} claims lowered origins {:?} \
-                         inconsistent with group {group:?} or the CFG",
-                        call.lowered
-                    );
-                    diags.push(at(DiagKind::AfterMismatch, site.start, what));
-                }
-            }
-
-            // Region consistency: every merged origin's block must share
-            // the placement site's coalescing region, which is exactly the
-            // per-lane execution-count equivalence the merge relies on.
-            if call.multiplicity > 1 {
-                if let (Some(blocks), Some(dom)) = (blocks, dom) {
-                    let bad_region = match block_of(blocks, site.instr_idx) {
-                        Some(home) => call.group.iter().any(|&i| {
-                            !block_of(blocks, i).is_some_and(|b| dom.same_region(home, b))
-                        }),
-                        None => true,
-                    };
-                    if bad_region {
-                        let what = format!(
-                            "call to `{func}` at instruction {i} merges group {group:?} across \
-                             blocks outside the site's coalescing region"
-                        );
-                        diags.push(at(DiagKind::RegionMismatch, site.start, what));
-                    }
-                }
-            }
-
-            // Inline splices must reproduce the loaded tool body, up to
-            // the site's register renaming.
-            let Some((off, len)) = call.inline else { continue };
-            let loaded = ext.tool_bodies.iter().find(|(name, ..)| *name == call.func);
-            let matched = loaded.filter(|(_, fn_body, _)| {
-                off + len <= site.len
-                    && len > 0
-                    && fn_body.len() == len
-                    && fn_body.last().is_some_and(|i| i.op == Op::Ret)
-                    && body[off + len - 1].op == Op::Nop
-                    && renamed_match(&fn_body[..len - 1], &body[off..off + len - 1])
-            });
-            if matched.is_none() {
-                let what = format!(
-                    "inline splice of `{func}` at instruction {i} does not match the loaded body"
-                );
-                diags.push(at(DiagKind::InlineMismatch, site.start + off.min(site.len - 1), what));
-            }
-            if off + len > site.len || len == 0 {
-                continue; // out-of-range splice: already reported above
-            }
-
-            // Shape check: a splice whose guarded branch escapes the splice
-            // (or loops) would execute foreign code inside the save/restore
-            // bracket, whatever body it matches. `body_shape` reads only
-            // opcodes, relative targets and whether a guard is `PT`, all of
-            // which a matching renaming keeps, so a matched splice takes the
-            // shape its body was given at load; any other is classified
-            // from its own emitted instructions.
-            let shape = match matched {
-                Some((.., shape)) => *shape,
-                None => splice_shape(&body[off..off + len - 1], hal.arch()),
-            };
-            if shape.is_none() {
-                let what = format!(
-                    "inline splice of `{func}` at instruction {i} is not a straight line or a \
-                     single guarded diamond contained in the splice"
-                );
-                diags.push(at(DiagKind::DiamondMismatch, site.start + off, what));
-            }
-        }
+        let Some(planned) = plan.sites.get(&i) else {
+            diags.push(at(DiagKind::PlanMismatch, 0, format!("the plan has no site at {i}")));
+            continue;
+        };
+        let falls_through = displaced.is_some_and(|d| !leaves(&d));
+        let report = |kind, pos, what| diags.push(at(kind, pos, what));
+        check_calls(hal, req, (site, body), planned, falls_through, report);
+        check_groups(analysis, i, planned, |kind, what| diags.push(at(kind, 0, what)));
     }
     diags
 }
 
-/// Disassembles and verifies a generated image: structural checks
-/// ([`verify_instrs`]) plus plan-consistency checks
-/// ([`verify_plan_instrs`]).
+/// Disassembles a generated image and verifies it against the plan
+/// re-derived from `req` (see the module docs).
 ///
 /// # Errors
 ///
-/// Decode failures on the image, trampoline or original bytes (anything
-/// else is reported as diagnostics, not errors).
+/// Decode failures on the image, trampoline or original bytes, and a
+/// request the planner refuses (anything else is reported as diagnostics).
 pub fn verify(
     hal: &Hal,
     image_addr: u64,
     original_code: &[u8],
     img: &crate::codegen::InstrumentedImage,
-    ext: &ExternalCode,
+    req: &Request<'_>,
 ) -> crate::Result<Vec<Diagnostic>> {
     let original = hal.disassemble(original_code)?;
     // Decode is a function of the word: an image word byte-equal to the
@@ -812,16 +737,18 @@ pub fn verify(
         hal.disassemble(&img.instrumented)?
     };
     let tramp = hal.disassemble(&img.tramp_code)?;
+    // The verifier's own analysis and plan, never the lifter's.
+    let analysis = Analysis::of(&original, hal.arch());
+    let plan = plan::build(req.spec, &original, hal.arch(), &analysis, req.tool_fns, req.opts)?;
     let (tramp_addr, sites) = (img.tramp_addr, &img.sites);
-    let mut diags =
-        verify_instrs(hal, &original, image_addr, &image, tramp_addr, &tramp, sites, ext);
-    diags.extend(verify_plan_instrs(hal, &original, &tramp, &img.sites, ext));
-    Ok(diags)
+    let decoded = Decoded { image_addr, image: &image, tramp_addr, tramp: &tramp, sites };
+    Ok(walk(hal, req, &original, analysis.as_ref().ok(), &plan, &decoded))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::ToolFn;
     use sass::{Arch, Mods, Width};
 
     const IMAGE_ADDR: u64 = 0x4000;
@@ -829,15 +756,6 @@ mod tests {
     const SAVE: u64 = 0x10_0000;
     const RESTORE: u64 = 0x20_0000;
     const TOOL: u64 = 0x8000;
-
-    fn ext() -> ExternalCode {
-        ExternalCode {
-            save_addrs: vec![SAVE],
-            restore_addrs: vec![RESTORE],
-            tool_addrs: vec![TOOL],
-            ..ExternalCode::default()
-        }
-    }
 
     fn hal() -> Hal {
         Hal::new(Arch::Volta)
@@ -849,6 +767,64 @@ mod tests {
 
     fn jcal(addr: u64) -> Instruction {
         Instruction::new(Op::Jcal, [Operand::Abs(addr)])
+    }
+
+    /// `f` at `TOOL` with no body the verifier could compare a splice to.
+    fn opaque() -> ToolFns {
+        HashMap::from([("f".into(), ToolFn::opaque(TOOL, 8, 0, false))])
+    }
+
+    /// `f` at `TOOL` with `body` loaded.
+    fn loaded(body: Vec<Instruction>) -> ToolFns {
+        HashMap::from([("f".into(), ToolFn::with_body(TOOL, 8, 0, false, body, Arch::Volta))])
+    }
+
+    /// A planned `Before` call of `f` under the multiplicity protocol.
+    fn planned(multiplicity: u32, group: Vec<usize>) -> PlannedCall {
+        PlannedCall {
+            func: "f".into(),
+            ipoint: IPoint::Before,
+            args: vec![],
+            pred_filter: false,
+            coalesce: true,
+            multiplicity,
+            group,
+            lowered: vec![],
+            inline: false,
+        }
+    }
+
+    /// The plan an image's layout stands for: at each site, one lone
+    /// `Before` call of `f` per call the site makes, spliced where it is.
+    fn plan_of(sites: &[SiteMeta]) -> InstrumentationPlan {
+        let mut plan = InstrumentationPlan::default();
+        for site in sites {
+            let group = vec![site.instr_idx];
+            let call =
+                |s: &Option<_>| PlannedCall { inline: s.is_some(), ..planned(1, group.clone()) };
+            plan.sites.insert(site.instr_idx, site.calls.iter().map(call).collect());
+        }
+        plan
+    }
+
+    /// The walker's findings on an image at `IMAGE_ADDR` with its
+    /// trampolines at `TRAMP_ADDR`, against `plan` with `fns` loaded.
+    fn walk_with(
+        original: &[Instruction],
+        (image, tramp, sites): (&[Instruction], &[Instruction], &[SiteMeta]),
+        plan: &InstrumentationPlan,
+        fns: &ToolFns,
+    ) -> Vec<Diagnostic> {
+        let routines = HashMap::from([(
+            16,
+            Routines { tier: 16, save_addr: SAVE, restore_addr: RESTORE, frame_bytes: 0 },
+        )]);
+        let spec = FuncSpec::default();
+        let opts = PlanOpts::default();
+        let req = Request { spec: &spec, opts, tool_fns: fns, routines: &routines, related: &[] };
+        let analysis = Analysis::of(original, Arch::Volta);
+        let img = Decoded { image_addr: IMAGE_ADDR, image, tramp_addr: TRAMP_ADDR, tramp, sites };
+        walk(&hal(), &req, original, analysis.as_ref().ok(), plan, &img)
     }
 
     /// A well-formed one-site image: `IADD; JMP tramp; EXIT` plus a
@@ -880,13 +856,14 @@ mod tests {
             len: tramp.len(),
             orig_pos: 4,
             tier: 16,
-            calls: vec![],
+            calls: vec![None],
         }];
         (image, tramp, sites)
     }
 
-    /// Both halves of [`verify`], over the body `image` patches: the site's
-    /// jump put back to the instruction the trampoline relocated.
+    /// The walker over the body `image` patches (the site's jump put back
+    /// to the instruction the trampoline relocated), against the plan its
+    /// layout stands for.
     fn run(image: &[Instruction], tramp: &[Instruction], sites: &[SiteMeta]) -> Vec<Diagnostic> {
         let mut original = image.to_vec();
         for site in sites {
@@ -895,31 +872,38 @@ mod tests {
         run_against(&original, image, tramp, sites)
     }
 
-    /// Both halves of [`verify`] against a given original body.
+    /// The walker against a given original body.
     fn run_against(
         original: &[Instruction],
         image: &[Instruction],
         tramp: &[Instruction],
         sites: &[SiteMeta],
     ) -> Vec<Diagnostic> {
-        let (hal, ext) = (hal(), ext());
-        let mut d =
-            verify_instrs(&hal, original, IMAGE_ADDR, image, TRAMP_ADDR, tramp, sites, &ext);
-        d.extend(run_plan(original, tramp, sites, &ext));
-        d
+        walk_with(original, (image, tramp, sites), &plan_of(sites), &opaque())
     }
 
     /// The kinds reported for [`good`] after `corrupt` had its way with the
     /// image and the trampoline, verified against the body `good` was made
-    /// from.
-    fn corrupted(
+    /// from under a plan that removes the instructions in `removed`.
+    fn corrupted_removing(
+        removed: &[usize],
         corrupt: impl FnOnce(&mut Vec<Instruction>, &mut Vec<Instruction>),
     ) -> Vec<DiagKind> {
         let (mut image, mut tramp, sites) = good();
         let mut original = image.clone();
         original[1] = tramp[4];
         corrupt(&mut image, &mut tramp);
-        run_against(&original, &image, &tramp, &sites).iter().map(|d| d.kind).collect()
+        let mut plan = plan_of(&sites);
+        plan.removed.extend(removed);
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        d.iter().map(|d| d.kind).collect()
+    }
+
+    /// [`corrupted_removing`] under a plan that removes nothing.
+    fn corrupted(
+        corrupt: impl FnOnce(&mut Vec<Instruction>, &mut Vec<Instruction>),
+    ) -> Vec<DiagKind> {
+        corrupted_removing(&[], corrupt)
     }
 
     /// A hand-written exact bracket: `injected` in front of the first of
@@ -1035,13 +1019,11 @@ mod tests {
 
     #[test]
     fn bad_predicate_is_rejected() {
-        let (mut image, tramp, sites) = good();
-        image[0] = image[0].with_guard(sass::Guard { pred: sass::Pred(9), negated: false });
-        // Structural half only: P9 cannot be decoded from bytes, and the
-        // liveness bitmask behind the plan half has no bit for it.
-        let d =
-            verify_instrs(&hal(), &image, IMAGE_ADDR, &image, TRAMP_ADDR, &tramp, &sites, &ext());
-        assert!(d.iter().any(|d| d.kind == DiagKind::BadPredicate));
+        // P9 cannot be decoded from bytes, nor stand in the original the
+        // liveness bitmask is computed over: only the image carries it.
+        let p9 = sass::Guard { pred: sass::Pred(9), negated: false };
+        let kinds = corrupted(|image, _| image[0] = image[0].with_guard(p9));
+        assert!(kinds.contains(&DiagKind::BadPredicate), "{kinds:?}");
     }
 
     #[test]
@@ -1147,15 +1129,33 @@ mod tests {
     fn an_off_site_instruction_that_is_not_the_originals_is_rejected() {
         let kinds = corrupted(|image, _| image[0].operands[2] = Operand::Imm(2));
         assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
-        // Removing it is the one edit the image may make.
-        assert_eq!(corrupted(|image, _| image[0] = Instruction::nop()), vec![]);
+    }
+
+    #[test]
+    fn an_off_site_nop_stands_only_where_the_plan_removes_the_instruction() {
+        // The application's `IADD` dropped from under it.
+        let nop_at_0 = |image: &mut Vec<Instruction>, _: &mut Vec<Instruction>| {
+            image[0] = Instruction::nop();
+        };
+        assert_eq!(corrupted(nop_at_0), vec![DiagKind::LinkMismatch]);
+        assert_eq!(corrupted_removing(&[0], nop_at_0), vec![]);
+        // Where the plan removes it, the original's is no longer right.
+        assert_eq!(corrupted_removing(&[0], |_, _| {}), vec![DiagKind::LinkMismatch]);
     }
 
     #[test]
     fn a_relocated_original_that_is_another_instruction_is_rejected() {
         let kinds = corrupted(|_, tramp| tramp[4].operands[2] = Operand::Imm(3));
         assert_eq!(kinds, vec![DiagKind::LinkMismatch]);
-        assert_eq!(corrupted(|_, tramp| tramp[4] = Instruction::nop()), vec![]);
+    }
+
+    #[test]
+    fn a_relocated_nop_stands_only_where_the_plan_removes_the_instruction() {
+        let nop_at_site = |_: &mut Vec<Instruction>, tramp: &mut Vec<Instruction>| {
+            tramp[4] = Instruction::nop();
+        };
+        assert_eq!(corrupted(nop_at_site), vec![DiagKind::LinkMismatch]);
+        assert_eq!(corrupted_removing(&[1], nop_at_site), vec![]);
     }
 
     #[test]
@@ -1178,9 +1178,60 @@ mod tests {
         assert!(d.iter().any(|d| d.kind == DiagKind::LinkMismatch), "{d:?}");
     }
 
-    // ----- Plan-consistency checks ------------------------------------
+    // ----- The image against the plan ------------------------------------
 
-    use crate::codegen::CallMeta;
+    #[test]
+    fn an_image_missing_a_planned_site_is_rejected() {
+        let (image, tramp, sites) = good();
+        let mut original = image.clone();
+        original[1] = tramp[4];
+        let mut plan = plan_of(&sites);
+        plan.sites.insert(0, vec![planned(1, vec![0])]);
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region, d.index)).collect();
+        assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Image, 0)]);
+    }
+
+    #[test]
+    fn an_image_with_a_site_the_plan_lacks_is_rejected() {
+        let (image, tramp, sites) = good();
+        let mut original = image.clone();
+        original[1] = tramp[4];
+        let plan = InstrumentationPlan::default();
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region)).collect();
+        assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Trampoline)]);
+    }
+
+    #[test]
+    fn a_site_calling_another_tool_function_is_rejected() {
+        let kinds = corrupted(|_, tramp| tramp[2] = jcal(TOOL + 0x100));
+        assert!(kinds.contains(&DiagKind::PlanMismatch), "{kinds:?}");
+        // Or calling the planned one under a guard.
+        let p0 = sass::Guard { pred: sass::Pred(0), negated: false };
+        assert_eq!(
+            corrupted(|_, tramp| tramp[2] = jcal(TOOL).with_guard(p0)),
+            vec![DiagKind::PlanMismatch]
+        );
+    }
+
+    #[test]
+    fn a_call_spliced_where_the_plan_calls_it_out_of_line_is_rejected() {
+        let head = Instruction::new(
+            Op::Iadd,
+            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
+        );
+        let fns = loaded(vec![head, Instruction::new(Op::Ret, [])]);
+        let (image, mut tramp, mut sites) = one_site(&original(), 0);
+        splice_over_call(&mut tramp, &mut sites, vec![head]);
+        let spliced = PlannedCall { inline: true, ..planned(1, vec![0]) };
+        assert_eq!(check(&original(), (&image, &tramp, &sites), vec![spliced], &fns), vec![]);
+        let d = check(&original(), (&image, &tramp, &sites), vec![planned(1, vec![0])], &fns);
+        let kinds: Vec<_> = d.iter().map(|d| d.kind).collect();
+        assert_eq!(kinds, vec![DiagKind::PlanMismatch, DiagKind::PlanMismatch], "{d:?}");
+    }
+
+    // ----- The plan's own groups, on hand-built plans ---------------------
 
     /// A two-block original body (`IADD; BRA +0; IADD; EXIT` → blocks
     /// 0..2 and 2..4) for exercising the group-per-block rule.
@@ -1199,49 +1250,68 @@ mod tests {
         ]
     }
 
-    fn call_meta(multiplicity: u32, group: Vec<usize>) -> CallMeta {
-        CallMeta {
-            func: "f".into(),
-            multiplicity,
-            group,
-            lowered: vec![],
-            coalesce: true,
-            inline: None,
+    /// `original` instrumented at `idx` with a `good()`-shaped site: save,
+    /// frame pointer, the call of `f`, restore, the relocated original and,
+    /// unless it leaves the site, the jump back.
+    fn one_site(
+        original: &[Instruction],
+        idx: usize,
+    ) -> (Vec<Instruction>, Vec<Instruction>, Vec<SiteMeta>) {
+        let isize = hal().instruction_size();
+        let mut relocated = original[idx];
+        if let Some(rel) = relocated.rel_target() {
+            let moved = (TRAMP_ADDR + 4 * isize) as i64 - (IMAGE_ADDR + idx as u64 * isize) as i64;
+            relocated.set_rel_target(rel - moved);
         }
+        let frame = Instruction::new(Op::Mov, [Operand::Reg(Reg(0)), Operand::Reg(Reg::SP)]);
+        let mut tramp = vec![jcal(SAVE), frame, jcal(TOOL), jcal(RESTORE), relocated];
+        if !leaves(&relocated) {
+            tramp.push(jmp(IMAGE_ADDR + (idx as u64 + 1) * isize));
+        }
+        let mut image = original.to_vec();
+        image[idx] = jmp(TRAMP_ADDR);
+        let (len, calls) = (tramp.len(), vec![None]);
+        (
+            image,
+            tramp,
+            vec![SiteMeta { instr_idx: idx, start: 0, len, orig_pos: 4, tier: 16, calls }],
+        )
     }
 
-    fn run_plan(
+    /// The walker on an image of `original` with one site, against a plan
+    /// with `calls` there.
+    fn check(
         original: &[Instruction],
-        tramp: &[Instruction],
-        sites: &[SiteMeta],
-        ext: &ExternalCode,
+        (image, tramp, sites): (&[Instruction], &[Instruction], &[SiteMeta]),
+        calls: Vec<PlannedCall>,
+        fns: &ToolFns,
     ) -> Vec<Diagnostic> {
-        verify_plan_instrs(&hal(), original, tramp, sites, ext)
+        let mut plan = InstrumentationPlan::default();
+        plan.sites.insert(sites[0].instr_idx, calls);
+        walk_with(original, (image, tramp, sites), &plan, fns)
+    }
+
+    /// [`check`] on `one_site(original, idx)` with `f` out of line.
+    fn run_plan(original: &[Instruction], idx: usize, calls: Vec<PlannedCall>) -> Vec<Diagnostic> {
+        let (image, tramp, sites) = one_site(original, idx);
+        check(original, (&image, &tramp, &sites), calls, &opaque())
     }
 
     #[test]
     fn consistent_plan_metadata_passes() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![call_meta(2, vec![0, 1])]; // both in block 0..2
-        assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
+        // Both in block 0..2.
+        assert_eq!(run_plan(&original(), 0, vec![planned(2, vec![0, 1])]), vec![]);
     }
 
     #[test]
     fn multiplicity_must_match_the_group_size() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![call_meta(3, vec![0, 1])];
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        let d = run_plan(&original(), 0, vec![planned(3, vec![0, 1])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
 
     #[test]
     fn group_must_be_anchored_at_the_site_and_sorted() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![call_meta(2, vec![1, 0])]; // not sorted / not anchored
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        let d = run_plan(&original(), 0, vec![planned(2, vec![1, 0])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
 
@@ -1257,24 +1327,18 @@ mod tests {
 
     #[test]
     fn coalesced_group_may_span_region_equivalent_blocks_only() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
         // original()'s two blocks are control- and cycle-equivalent (the
         // branch is unconditional): a cross-block group is legal.
-        sites[0].calls = vec![call_meta(2, vec![0, 2])];
-        assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
+        assert_eq!(run_plan(&original(), 0, vec![planned(2, vec![0, 2])]), vec![]);
         // In the conditional body, site 2 executes only when P0 is false:
         // merging it into the entry block is rejected.
-        let d = run_plan(&conditional(), &tramp, &sites, &ext());
+        let d = run_plan(&conditional(), 0, vec![planned(2, vec![0, 2])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::RegionMismatch));
         // The exit block (instr 3) post-dominates the entry again, so an
         // entry ↔ exit merge stays legal even in the conditional body.
-        sites[0].calls = vec![call_meta(2, vec![0, 3])];
-        assert_eq!(run_plan(&conditional(), &tramp, &sites, &ext()), vec![]);
+        assert_eq!(run_plan(&conditional(), 0, vec![planned(2, vec![0, 3])]), vec![]);
         // A merge within one block remains fine.
-        sites[0].instr_idx = 2;
-        sites[0].calls = vec![call_meta(2, vec![2, 3])];
-        assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
+        assert_eq!(run_plan(&original(), 2, vec![planned(2, vec![2, 3])]), vec![]);
     }
 
     /// A self-loop body: `IADD; @P0 BRA -32; EXIT` — block 0..2 cycles
@@ -1295,74 +1359,64 @@ mod tests {
 
     #[test]
     fn coalesced_group_may_not_cross_a_loop_boundary() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![call_meta(2, vec![0, 2])];
-        let d = run_plan(&looped(), &tramp, &sites, &ext());
+        let d = run_plan(&looped(), 0, vec![planned(2, vec![0, 2])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::RegionMismatch));
         // Within the loop block itself the merge is fine.
-        sites[0].calls = vec![call_meta(2, vec![0, 1])];
-        assert_eq!(run_plan(&looped(), &tramp, &sites, &ext()), vec![]);
+        assert_eq!(run_plan(&looped(), 0, vec![planned(2, vec![0, 1])]), vec![]);
+    }
+
+    /// `planned(1, vec![origin])`, After-lowered from `origin`.
+    fn lowered(origin: usize) -> PlannedCall {
+        PlannedCall { lowered: vec![origin], ..planned(1, vec![origin]) }
     }
 
     #[test]
     fn lowered_calls_anchor_at_the_fall_through_slot() {
-        let (_, tramp, mut sites) = good();
         // A lowered After-point from origin 0 is emitted at site 1.
-        sites[0].instr_idx = 1;
-        sites[0].calls = vec![CallMeta { lowered: vec![0], ..call_meta(1, vec![0]) }];
-        assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
-        // Without the lowered marker the same metadata is mis-anchored.
-        sites[0].calls = vec![call_meta(1, vec![0])];
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        assert_eq!(run_plan(&original(), 1, vec![lowered(0)]), vec![]);
+        // Without the lowered marker the same call is mis-anchored.
+        let d = run_plan(&original(), 1, vec![planned(1, vec![0])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
 
     #[test]
     fn lowered_origin_must_fall_through_within_its_block() {
-        let (_, tramp, mut sites) = good();
         // Origin 1 is the block terminator: its fall-through slot (2) is
         // in the next block, so the claimed lowering crossed a branch.
-        sites[0].instr_idx = 2;
-        sites[0].calls = vec![CallMeta { lowered: vec![1], ..call_meta(1, vec![1]) }];
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        let d = run_plan(&original(), 2, vec![lowered(1)]);
         assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
     }
 
     #[test]
     fn lowered_origins_must_be_group_members() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![CallMeta { lowered: vec![3], ..call_meta(2, vec![0, 1]) }];
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        let call = PlannedCall { lowered: vec![3], ..planned(2, vec![0, 1]) };
+        let d = run_plan(&original(), 0, vec![call]);
         assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
+    }
+
+    /// `BRX R4; EXIT`: indirect control flow defeats static partitioning.
+    fn icf() -> Vec<Instruction> {
+        vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])]
     }
 
     #[test]
     fn lowering_without_a_cfg_is_rejected() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 1;
-        sites[0].calls = vec![CallMeta { lowered: vec![0], ..call_meta(1, vec![0]) }];
-        let icf =
-            vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])];
-        let d = run_plan(&icf, &tramp, &sites, &ext());
+        let d = run_plan(&icf(), 1, vec![lowered(0)]);
         assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
     }
 
     #[test]
     fn merging_without_a_cfg_is_rejected() {
-        let (_, tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
-        sites[0].calls = vec![call_meta(2, vec![0, 1])];
-        // BRX defeats static partitioning — merged groups are then illegal.
-        let icf =
-            vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])];
-        let d = run_plan(&icf, &tramp, &sites, &ext());
+        // Merged groups are illegal without a partition.
+        let d = run_plan(&icf(), 0, vec![planned(2, vec![0, 1])]);
         assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
     }
 
-    /// Replaces `good()`'s tool call (position 2) with `body` plus the
-    /// `NOP` its trailing `RET` becomes, inside the same save/restore pair.
+    // ----- Splices --------------------------------------------------------
+
+    /// Replaces the tool call (position 2) of a `one_site` trampoline with
+    /// `body` plus the `NOP` its trailing `RET` becomes, inside the same
+    /// save/restore pair.
     fn splice_over_call(
         tramp: &mut Vec<Instruction>,
         sites: &mut [SiteMeta],
@@ -1372,40 +1426,37 @@ mod tests {
         tramp.splice(2..3, body.into_iter().chain([Instruction::nop()]));
         sites[0].len += n;
         sites[0].orig_pos += n;
+        sites[0].calls = vec![Some((2, n + 1))];
+    }
+
+    /// The walker on `original` spliced at `idx` with `body`, against a
+    /// plan that splices `f`.
+    fn spliced_at(
+        original: &[Instruction],
+        idx: usize,
+        body: Vec<Instruction>,
+        fns: &ToolFns,
+    ) -> Vec<Diagnostic> {
+        let (image, mut tramp, mut sites) = one_site(original, idx);
+        splice_over_call(&mut tramp, &mut sites, body);
+        let call = PlannedCall { inline: true, ..planned(1, vec![idx]) };
+        check(original, (&image, &tramp, &sites), vec![call], fns)
+    }
+
+    fn iadd(r: u8, by: i64) -> Instruction {
+        Instruction::new(Op::Iadd, [Operand::Reg(Reg(r)), Operand::Reg(Reg(r)), Operand::Imm(by)])
     }
 
     #[test]
     fn inline_splice_must_match_the_loaded_body() {
-        let (_, mut tramp, mut sites) = good();
-        let fn_body = vec![
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
-            ),
-            Instruction::new(Op::Ret, []),
-        ];
-        let mut e = ext();
-        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
+        let fns = loaded(vec![iadd(5, 2), Instruction::new(Op::Ret, [])]);
         // Splice the body over the tool call: IADD at 2, its NOP at 3.
-        let head = Instruction::new(
-            Op::Iadd,
-            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
-        );
-        splice_over_call(&mut tramp, &mut sites, vec![head]);
-        sites[0].calls =
-            vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![sites[0].instr_idx]) }];
-        assert_eq!(run_plan(&original(), &tramp, &sites, &e), vec![]);
-
+        assert_eq!(spliced_at(&original(), 0, vec![iadd(5, 2)], &fns), vec![]);
         // A drifted splice (wrong immediate) is flagged.
-        tramp[2] = Instruction::new(
-            Op::Iadd,
-            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(3)],
-        );
-        let d = run_plan(&original(), &tramp, &sites, &e);
+        let d = spliced_at(&original(), 0, vec![iadd(5, 3)], &fns);
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
-
         // So is a splice whose tool body was never retained.
-        let d = run_plan(&original(), &tramp, &sites, &ext());
+        let d = spliced_at(&original(), 0, vec![iadd(5, 2)], &opaque());
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
     }
 
@@ -1414,14 +1465,8 @@ mod tests {
         // Original body where R20 is live across instruction 1 (defined at
         // 0, read at 2).
         let original = vec![
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(1)],
-            ),
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
-            ),
+            iadd(20, 1),
+            iadd(4, 1),
             Instruction::new(
                 Op::Iadd,
                 [Operand::Reg(Reg(5)), Operand::Reg(Reg(20)), Operand::Imm(1)],
@@ -1431,68 +1476,15 @@ mod tests {
         // A loaded body that writes R20 — byte-matched by the splice, so
         // `InlineMismatch` stays silent; only the recomputed liveness
         // catches that tier 16 does not cover the clobber.
-        let head = Instruction::new(
-            Op::Iadd,
-            [Operand::Reg(Reg(20)), Operand::Reg(Reg(20)), Operand::Imm(2)],
-        );
-        let fn_body = vec![head, Instruction::new(Op::Ret, [])];
-        let mut e = ext();
-        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
-        let (_, mut tramp, mut sites) = good();
-        splice_over_call(&mut tramp, &mut sites, vec![head]);
-        sites[0].instr_idx = 1;
-        sites[0].calls = vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![1]) }];
-        let d = run_plan(&original, &tramp, &sites, &e);
+        let fns = loaded(vec![iadd(20, 2), Instruction::new(Op::Ret, [])]);
+        let d = spliced_at(&original, 1, vec![iadd(20, 2)], &fns);
         assert!(d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
         assert!(!d.iter().any(|d| d.kind == DiagKind::InlineMismatch), "{d:?}");
 
         // The same splice where R20 is dead (its last read is instruction
         // 2, so nothing is live across the exit) is fine.
-        sites[0].instr_idx = 3;
-        sites[0].calls = vec![CallMeta { inline: Some((2, 2)), ..call_meta(1, vec![3]) }];
-        let d = run_plan(&original, &tramp, &sites, &e);
+        let d = spliced_at(&original, 3, vec![iadd(20, 2)], &fns);
         assert!(!d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
-    }
-
-    #[test]
-    fn escaping_diamond_splice_is_rejected() {
-        // A "loaded" body whose guarded branch escapes past its RET: the
-        // shape classifier rejects it, so even a byte-exact splice of it
-        // must be refused — it would run foreign code inside the
-        // save/restore bracket.
-        let isize = hal().instruction_size() as i64;
-        let fn_body = vec![
-            Instruction::new(Op::Bra, [Operand::Rel(4 * isize)])
-                .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
-            ),
-            Instruction::new(Op::Ret, []),
-        ];
-        let mut e = ext();
-        e.load_tool_body("f".into(), fn_body.clone().into(), Arch::Volta);
-        let (_, mut tramp, mut sites) = good();
-        splice_over_call(&mut tramp, &mut sites, fn_body[..2].to_vec());
-        sites[0].calls =
-            vec![CallMeta { inline: Some((2, 3)), ..call_meta(1, vec![sites[0].instr_idx]) }];
-        let d = run_plan(&original(), &tramp, &sites, &e);
-        assert!(d.iter().any(|d| d.kind == DiagKind::DiamondMismatch), "{d:?}");
-        assert!(!d.iter().any(|d| d.kind == DiagKind::InlineMismatch), "{d:?}");
-
-        // The contained diamond — the branch landing exactly on the
-        // splice's RET slot — is the accepted shape.
-        let contained = vec![
-            Instruction::new(Op::Bra, [Operand::Rel(isize)])
-                .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            fn_body[1],
-            Instruction::new(Op::Ret, []),
-        ];
-        let mut e = ext();
-        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
-        tramp[2] = contained[0];
-        let d = run_plan(&original(), &tramp, &sites, &e);
-        assert!(!d.iter().any(|d| d.kind == DiagKind::DiamondMismatch), "{d:?}");
     }
 
     /// `IADD R5, R5, 0x2` behind a `@P0 BRA` over `skip` instructions, then
@@ -1502,83 +1494,84 @@ mod tests {
         vec![
             Instruction::new(Op::Bra, [Operand::Rel(skip * isize)])
                 .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
-            ),
+            iadd(5, 2),
             Instruction::new(Op::Ret, []),
         ]
     }
 
-    /// The splice kinds reported for `body` without its `RET` spliced over
-    /// `good()`'s tool call as a call to `f`, checked against `e`.
-    fn splice_kinds(body: &[Instruction], e: &ExternalCode) -> Vec<DiagKind> {
-        let (_, mut tramp, mut sites) = good();
-        splice_over_call(&mut tramp, &mut sites, body[..body.len() - 1].to_vec());
-        let inline = Some((2, body.len()));
-        sites[0].calls = vec![CallMeta { inline, ..call_meta(1, vec![sites[0].instr_idx]) }];
-        let kinds = run_plan(&original(), &tramp, &sites, e).into_iter().map(|d| d.kind);
+    /// The splice kinds reported for `body` without its `RET` spliced at
+    /// `original()`'s instruction 0 as a splice of `f`, checked against
+    /// `fns`.
+    fn splice_kinds(body: &[Instruction], fns: &ToolFns) -> Vec<DiagKind> {
+        let d = spliced_at(&original(), 0, body[..body.len() - 1].to_vec(), fns);
+        let kinds = d.into_iter().map(|d| d.kind);
         kinds
             .filter(|k| matches!(k, DiagKind::InlineMismatch | DiagKind::DiamondMismatch))
             .collect()
     }
 
     #[test]
+    fn escaping_diamond_splice_is_rejected() {
+        // A loaded body whose guarded branch escapes past its RET: the
+        // shape classifier rejects it, so even a byte-exact splice of it
+        // must be refused — it would run foreign code inside the
+        // save/restore bracket.
+        let escaping = diamond(4);
+        assert_eq!(splice_kinds(&escaping, &loaded(escaping.clone())), [DiagKind::DiamondMismatch]);
+        // The contained diamond — the branch landing exactly on the
+        // splice's RET slot — is the accepted shape.
+        let contained = diamond(1);
+        assert_eq!(splice_kinds(&contained, &loaded(contained.clone())), []);
+    }
+
+    #[test]
     fn a_splice_that_does_not_match_its_body_is_shaped_from_what_was_emitted() {
         use DiagKind::{DiamondMismatch, InlineMismatch};
         let (escaping, contained) = (diamond(4), diamond(1));
-        let mut e = ext();
-        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
         // The loaded body's shape is accepted, the splice's is not.
-        assert_eq!(splice_kinds(&escaping, &e), [InlineMismatch, DiamondMismatch]);
+        assert_eq!(
+            splice_kinds(&escaping, &loaded(contained.clone())),
+            [InlineMismatch, DiamondMismatch]
+        );
         // A drifted splice of an escaping body has a shape of its own.
         let mut drifted = contained;
         drifted[1].operands[2] = Operand::Imm(3);
-        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
-        assert_eq!(splice_kinds(&drifted, &e), [InlineMismatch]);
+        assert_eq!(splice_kinds(&drifted, &loaded(escaping)), [InlineMismatch]);
     }
 
     #[test]
     fn a_reloaded_tool_body_brings_its_own_shape() {
         use DiagKind::{DiamondMismatch, InlineMismatch};
         let (escaping, contained) = (diamond(4), diamond(1));
-        let mut e = ext();
-        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
-        assert_eq!(splice_kinds(&escaping, &e), [DiamondMismatch]);
-        e.load_tool_body("f".into(), contained.clone().into(), Arch::Volta);
-        assert_eq!(splice_kinds(&contained, &e), []);
-        assert_eq!(splice_kinds(&escaping, &e), [InlineMismatch, DiamondMismatch]);
-        e.load_tool_body("f".into(), escaping.clone().into(), Arch::Volta);
-        assert_eq!(splice_kinds(&escaping, &e), [DiamondMismatch]);
-        assert_eq!(splice_kinds(&contained, &e), [InlineMismatch]);
+        let (first, reloaded) = (loaded(escaping.clone()), loaded(contained.clone()));
+        assert_eq!(splice_kinds(&escaping, &first), [DiamondMismatch]);
+        assert_eq!(splice_kinds(&contained, &reloaded), []);
+        assert_eq!(splice_kinds(&escaping, &reloaded), [InlineMismatch, DiamondMismatch]);
+        assert_eq!(splice_kinds(&contained, &first), [InlineMismatch]);
     }
 
     #[test]
     fn save_area_access_beyond_the_tier_is_rejected() {
-        let (_, mut tramp, mut sites) = good();
-        sites[0].instr_idx = 0;
         // Tier 16 on Volta addresses slots 0..=17 (16 regs + preds +
         // barrier state); slot 18 is out of frame.
         let slots = frame_slots(16, &hal());
         assert_eq!(slots, 18);
         // An argument load inside the bracket, ahead of the tool call.
-        tramp.insert(
-            2,
-            Instruction::new(
-                Op::Ldl,
-                [Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 4 * slots as i32 }],
-            ),
-        );
+        let (image, mut tramp, mut sites) = one_site(&original(), 0);
+        let arg = |slot: u32| {
+            let at = Operand::MRef { base: Reg::SP, offset: 4 * slot as i32 };
+            Instruction::new(Op::Ldl, [Operand::Reg(Reg(4)), at])
+        };
+        tramp.insert(2, arg(slots));
         sites[0].len += 1;
         sites[0].orig_pos += 1;
-        let d = run_plan(&original(), &tramp, &sites, &ext());
-        assert!(d.iter().any(|d| d.kind == DiagKind::TierExceeded));
+        let run = |tramp: &[Instruction]| {
+            check(&original(), (&image, tramp, &sites), vec![planned(1, vec![0])], &opaque())
+        };
+        assert!(run(&tramp).iter().any(|d| d.kind == DiagKind::TierExceeded));
         // The slot just below the bound is fine.
-        tramp[2] = Instruction::new(
-            Op::Ldl,
-            [Operand::Reg(Reg(4)), Operand::MRef { base: Reg::SP, offset: 4 * (slots as i32 - 1) }],
-        );
-        assert_eq!(run_plan(&original(), &tramp, &sites, &ext()), vec![]);
+        tramp[2] = arg(slots - 1);
+        assert_eq!(run(&tramp), vec![]);
     }
 
     #[test]

@@ -288,3 +288,54 @@ fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
     assert_eq!(report.counter_sum("instr_image.build"), 2);
     assert_eq!(report.counter_sum("tramp.free_fail"), 0, "both regions free cleanly");
 }
+
+/// Instruments instruction 0 of every kernel launched.
+struct FirstInstruction;
+
+impl NvbitTool for FirstInstruction {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.load_tool_functions(COUNT_FN).unwrap();
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if !is_exit && cbid == CbId::LaunchKernel {
+            let ctr = api.driver().with_device(|d| d.alloc(8)).unwrap();
+            api.insert_call(*func, 0, "count_one", IPoint::Before).unwrap();
+            api.add_call_arg_guard_pred(*func, 0).unwrap();
+            api.add_call_arg_imm64(*func, 0, ctr).unwrap();
+        }
+    }
+}
+
+/// Why static CFG recovery fell back is counted once per build, not once
+/// per plan: the verifier plans the function again on its own decode.
+#[test]
+fn one_build_of_an_indirect_branch_counts_one_cfg_failure() {
+    // `k` with a (never executed) `BRX` appended behind its `EXIT`.
+    let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
+    let k = &mut image.functions[0];
+    let mut instrs = k.decode();
+    instrs.push(Instruction::new(Op::Brx, [Operand::Reg(sass::Reg(4))]));
+    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
+
+    let drv = observed_driver();
+    attach_tool(&drv, FirstInstruction);
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let out = drv.mem_alloc(128).unwrap();
+    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+    drv.shutdown();
+
+    let report = drv.obs().report();
+    assert_eq!(report.counter_sum("instr_image.build"), 1);
+    assert_eq!(report.counter_sum("instr_image.verify_reject"), 0);
+    assert_eq!(report.counter_sum("plan.cfg_fail.brx"), 1);
+    assert_eq!(report.counter_sum("plan.cfg_fail.misaligned"), 0);
+}

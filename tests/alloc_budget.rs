@@ -209,10 +209,13 @@ fn run_stratum(instrumented: bool) -> (Phases, u64, u64) {
 /// measures plus a few per cent, so a per-splice solve (≈ 85 per function)
 /// cannot come back unnoticed. (Of the build's 222, 44 are the first build
 /// assembling the save/restore routines from text, spread over these 32
-/// functions only.)
+/// functions only.) Since the verifier re-derives the plan from the request
+/// (one more `plan::build` per verification), verify measures 62 and build
+/// 246 where they measured 37 and 222, and the verify, build and total
+/// ceilings rose by that plan run's 25, 24 and 21.
 const PARENT: [u64; 5] = [41, 20, 344, 155, 43];
-const CEILING: [u64; 5] = [40, 14, 230, 40, 48];
-const CEILING_TOTAL: u64 = 320;
+const CEILING: [u64; 5] = [40, 14, 254, 65, 48];
+const CEILING_TOTAL: u64 = 341;
 /// `Driver::module_load` of the stratum, natively, per function: what the
 /// commit before the PTX front end moved to borrowed tokens and dense ids
 /// measured here, and the ceiling since.
