@@ -33,6 +33,18 @@ const COUNT_FN: &str = r#"
 }
 "#;
 
+/// The multiplicity protocol's counter: adds the number of sites a call
+/// stands for.
+const COUNT_MULT_FN: &str = r#"
+.func count_mult(.reg .u64 %ctr, .reg .u32 %mult)
+{
+    .reg .u64 %rd<3>;
+    cvt.u64.u32 %rd1, %mult;
+    atom.global.add.u64 %rd2, [%ctr], %rd1;
+    ret;
+}
+"#;
+
 const APP: &str = r#"
 .entry k(.param .u64 out)
 {
@@ -194,24 +206,42 @@ fn jit_phases_attribute_all_six_components() {
     assert_eq!(report.open_spans, 0);
 }
 
-/// What [`Refused`] saw from inside its callbacks.
+/// `APP`'s image with `extra` appended behind its `EXIT`, where it never
+/// runs.
+fn app_with_trailing(extra: Instruction) -> ptx::CompiledModule {
+    let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
+    let k = &mut image.functions[0];
+    let mut instrs = k.decode();
+    instrs.push(extra);
+    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
+    image
+}
+
+fn brx() -> Instruction {
+    Instruction::new(Op::Brx, [Operand::Reg(sass::Reg(4))])
+}
+
+/// What [`Verdict`] saw from inside its callbacks.
 #[derive(Default)]
-struct RefusedSeen {
+struct VerdictSeen {
     counter_addr: u64,
+    live_allocs_at_launch: usize,
     diags: Vec<Diagnostic>,
     tracked_after_launch: Option<bool>,
 }
 
-/// Instruments every instruction of the first kernel launched, asks for
-/// the verifier's verdict, and notes at launch exit whether the request
+/// Counts the instructions `sites` picks out of the first kernel launched
+/// (given its length) through a coalesce-marked multiplicity counter, asks
+/// for the verifier's verdict, and notes at launch exit whether the request
 /// survived.
-struct Refused {
-    seen: Rc<RefCell<RefusedSeen>>,
+struct Verdict {
+    sites: fn(usize) -> std::ops::Range<usize>,
+    seen: Rc<RefCell<VerdictSeen>>,
 }
 
-impl NvbitTool for Refused {
+impl NvbitTool for Verdict {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        api.load_tool_functions(COUNT_FN).unwrap();
+        api.load_tool_functions(COUNT_MULT_FN).unwrap();
         self.seen.borrow_mut().counter_addr = api.driver().with_device(|d| d.alloc(8)).unwrap();
     }
     fn at_cuda_event(
@@ -230,13 +260,43 @@ impl NvbitTool for Refused {
             seen.tracked_after_launch = Some(api.is_instrumented(*func));
             return;
         }
-        for idx in 0..api.get_instrs(*func).unwrap().len() {
-            api.insert_call(*func, idx, "count_one", IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, idx).unwrap();
+        seen.live_allocs_at_launch = live_allocs(api.driver());
+        for idx in (self.sites)(api.get_instrs(*func).unwrap().len()) {
+            api.insert_call(*func, idx, "count_mult", IPoint::Before).unwrap();
             api.add_call_arg_imm64(*func, idx, seen.counter_addr).unwrap();
+            api.set_coalesce(*func, idx).unwrap();
         }
         seen.diags = api.verify_instrumented(*func).unwrap();
     }
+}
+
+/// Loads `image` (whose `k` is `APP`'s) under [`Verdict`] counting `sites`
+/// and launches `k` once over 32 threads, which must write what `APP`
+/// writes. Returns the driver, still up, `k` and what the tool saw.
+fn launch_under_verdict(
+    image: ptx::CompiledModule,
+    sites: fn(usize) -> std::ops::Range<usize>,
+) -> (Driver, cuda::CuFunction, VerdictSeen) {
+    let seen = Rc::new(RefCell::new(VerdictSeen::default()));
+    let drv = observed_driver();
+    attach_tool(&drv, Verdict { sites, seen: seen.clone() });
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let out = drv.mem_alloc(128).unwrap();
+    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+    let mut output = vec![0u8; 128];
+    drv.memcpy_dtoh(&mut output, out).unwrap();
+    let expected: Vec<u8> = (0..32u32).flat_map(u32::to_le_bytes).collect();
+    assert_eq!(output, expected, "application output");
+    let seen = seen.take();
+    (drv, f, seen)
+}
+
+fn read_u64(drv: &Driver, addr: u64) -> u64 {
+    let mut bytes = [0u8; 8];
+    drv.memcpy_dtoh(&mut bytes, addr).unwrap();
+    u64::from_le_bytes(bytes)
 }
 
 /// The swap is the point of no return, so an image with verifier findings
@@ -246,41 +306,20 @@ impl NvbitTool for Refused {
 /// refusal keeps its trampoline region.
 #[test]
 fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
-    // `k` with a `JCAL` into the void appended behind its `EXIT`.
-    let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
-    let k = &mut image.functions[0];
-    let mut instrs = k.decode();
-    instrs.push(Instruction::new(Op::Jcal, [Operand::Abs(0xdead_0000)]));
-    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
+    let image = app_with_trailing(Instruction::new(Op::Jcal, [Operand::Abs(0xdead_0000)]));
+    let pristine = image.functions[0].code.clone();
+    let (drv, f, seen) = launch_under_verdict(image, |n| 0..n);
 
-    let seen = Rc::new(RefCell::new(RefusedSeen::default()));
-    let drv = observed_driver();
-    attach_tool(&drv, Refused { seen: seen.clone() });
-    let ctx = drv.ctx_create().unwrap();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
-    let f = drv.module_get_function(&m, "k").unwrap();
-    let pristine = drv.read_code(f).unwrap();
-    let out = drv.mem_alloc(128).unwrap();
-    let allocs = live_allocs(&drv);
-    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
-
-    let seen = seen.borrow();
     assert!(
         seen.diags.iter().any(|d| d.kind == DiagKind::BranchTarget),
         "the stray call must be diagnosed: {:?}",
         seen.diags
     );
     assert_eq!(drv.read_code(f).unwrap(), pristine, "the original bytes stay installed");
-    let mut output = vec![0u8; 128];
-    drv.memcpy_dtoh(&mut output, out).unwrap();
-    let expected: Vec<u8> = (0..32u32).flat_map(u32::to_le_bytes).collect();
-    assert_eq!(output, expected, "the launch runs the original code");
-    let mut counter = [0u8; 8];
-    drv.memcpy_dtoh(&mut counter, seen.counter_addr).unwrap();
-    assert_eq!(u64::from_le_bytes(counter), 0, "no instrumentation ran");
+    assert_eq!(read_u64(&drv, seen.counter_addr), 0, "no instrumentation ran");
     assert_eq!(seen.tracked_after_launch, Some(false), "the refused request is dropped");
     // Only the save/restore routines outlive the two refusals.
-    assert_eq!(live_allocs(&drv), allocs + 2 * TIERS.len());
+    assert_eq!(live_allocs(&drv), seen.live_allocs_at_launch + 2 * TIERS.len());
     drv.shutdown();
 
     let report = drv.obs().report();
@@ -289,48 +328,11 @@ fn a_refused_image_is_never_installed_and_leaks_no_trampoline() {
     assert_eq!(report.counter_sum("tramp.free_fail"), 0, "both regions free cleanly");
 }
 
-/// Instruments instruction 0 of every kernel launched.
-struct FirstInstruction;
-
-impl NvbitTool for FirstInstruction {
-    fn at_init(&mut self, api: &NvbitApi<'_>) {
-        api.load_tool_functions(COUNT_FN).unwrap();
-    }
-    fn at_cuda_event(
-        &mut self,
-        api: &NvbitApi<'_>,
-        is_exit: bool,
-        cbid: CbId,
-        params: &CbParams<'_>,
-    ) {
-        let CbParams::LaunchKernel { func, .. } = params else { return };
-        if !is_exit && cbid == CbId::LaunchKernel {
-            let ctr = api.driver().with_device(|d| d.alloc(8)).unwrap();
-            api.insert_call(*func, 0, "count_one", IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, 0).unwrap();
-            api.add_call_arg_imm64(*func, 0, ctr).unwrap();
-        }
-    }
-}
-
 /// Why static CFG recovery fell back is counted once per build, not once
 /// per plan: the verifier plans the function again on its own decode.
 #[test]
 fn one_build_of_an_indirect_branch_counts_one_cfg_failure() {
-    // `k` with a (never executed) `BRX` appended behind its `EXIT`.
-    let mut image = ptx::compile_module(APP, Arch::Volta).unwrap();
-    let k = &mut image.functions[0];
-    let mut instrs = k.decode();
-    instrs.push(Instruction::new(Op::Brx, [Operand::Reg(sass::Reg(4))]));
-    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&instrs).unwrap();
-
-    let drv = observed_driver();
-    attach_tool(&drv, FirstInstruction);
-    let ctx = drv.ctx_create().unwrap();
-    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP).with_image(image)).unwrap();
-    let f = drv.module_get_function(&m, "k").unwrap();
-    let out = drv.mem_alloc(128).unwrap();
-    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::Ptr(out)]).unwrap();
+    let (drv, ..) = launch_under_verdict(app_with_trailing(brx()), |_| 0..1);
     drv.shutdown();
 
     let report = drv.obs().report();
@@ -338,4 +340,22 @@ fn one_build_of_an_indirect_branch_counts_one_cfg_failure() {
     assert_eq!(report.counter_sum("instr_image.verify_reject"), 0);
     assert_eq!(report.counter_sum("plan.cfg_fail.brx"), 1);
     assert_eq!(report.counter_sum("plan.cfg_fail.misaligned"), 0);
+}
+
+/// Under the ICF exception the planner merges calls over the partial
+/// partition, but the verifier, which has no partition, refuses the merge:
+/// with a (never executed) `BRX` behind `k`'s `EXIT` and every instruction
+/// before it counted, the image is refused and nothing is counted.
+#[test]
+fn calls_merged_under_the_icf_exception_are_refused() {
+    let (drv, _, seen) = launch_under_verdict(app_with_trailing(brx()), |n| 0..n - 1);
+
+    let kinds: Vec<DiagKind> = seen.diags.iter().map(|d| d.kind).collect();
+    assert_eq!(kinds, vec![DiagKind::CoalesceMismatch]);
+    assert_eq!(read_u64(&drv, seen.counter_addr), 0, "no instrumentation ran");
+    drv.shutdown();
+
+    let report = drv.obs().report();
+    assert_eq!(report.counter_sum("instr_image.verify_reject"), 2, "verdict + launch");
+    assert_eq!(report.counter_sum("plan.icf_recovered"), 2, "one merge per build");
 }
