@@ -599,22 +599,11 @@ fn emit_site(
     }
     out.push(orig);
 
-    // When the relocated original unconditionally leaves the trampoline
-    // (EXIT, RET, an unguarded jump/branch, SYNC, a trap), nothing after it
-    // can execute: After-injections would be dead code and the Figure-4
-    // back-jump would target past the end of the image for a site on the
-    // last instruction. Emit neither.
-    let no_fall_through = orig.guard.is_always()
-        && matches!(
-            orig.cf_class(),
-            CfClass::Exit
-                | CfClass::Ret
-                | CfClass::Trap
-                | CfClass::Sync
-                | CfClass::RelBranch
-                | CfClass::AbsJump
-        );
-    if !no_fall_through {
+    // When the relocated original unconditionally leaves the trampoline,
+    // nothing after it can execute: After-injections would be dead code and
+    // the Figure-4 back-jump would target past the end of the image for a
+    // site on the last instruction. Emit neither.
+    if !orig.leaves() {
         emit_calls(cx, IPoint::After, out)?;
         // Back to the instruction after the instrumented one (Figure 4, step 6).
         out.push(Instruction::new(Op::Jmp, [Operand::Abs(next_pc)]));

@@ -409,14 +409,6 @@ fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
         })
 }
 
-/// Whether `ins` unconditionally leaves a trampoline site: nothing placed
-/// after it runs.
-fn leaves(ins: &Instruction) -> bool {
-    use CfClass::{AbsJump, Exit, RelBranch, Ret, Sync, Trap};
-    ins.guard.is_always()
-        && matches!(ins.cf_class(), Exit | Ret | Trap | Sync | RelBranch | AbsJump)
-}
-
 /// An instrumented image as the walker reads it: both code regions decoded
 /// and placed, and the code generator's layout of the trampoline sites.
 struct Decoded<'a> {
@@ -614,10 +606,7 @@ fn walk(
     // and it is the original, as the plan removes from it, but for a jump
     // to the start of each of the plan's sites.
     let in_image = |kind, index, message| Diagnostic::new(kind, Region::Image, index, message);
-    let ends = |l: &Instruction| {
-        leaves(l) || (l.guard.is_always() && l.cf_class() == CfClass::IndirectBranch)
-    };
-    if img.image.last().is_some_and(|l| !ends(l)) {
+    if img.image.last().is_some_and(|l| !l.leaves()) {
         let what = "execution can fall off the end of the image".into();
         diags.push(in_image(DiagKind::FallThrough, img.image.len() - 1, what));
     }
@@ -684,7 +673,7 @@ fn walk(
             diags.push(at(DiagKind::LinkMismatch, site.orig_pos.min(site.len - 1), what));
         }
         let last = &body[site.len - 1];
-        if !(jumps_to(last, instr_pc + isize) || (site.orig_pos == site.len - 1 && leaves(last))) {
+        if !(jumps_to(last, instr_pc + isize) || (site.orig_pos == site.len - 1 && last.leaves())) {
             let what = format!("site for instruction {i} does not end with a jump back behind it");
             diags.push(at(DiagKind::FallThrough, site.len - 1, what));
         }
@@ -700,7 +689,7 @@ fn walk(
             diags.push(at(DiagKind::PlanMismatch, 0, format!("the plan has no site at {i}")));
             continue;
         };
-        let falls_through = displaced.is_some_and(|d| !leaves(&d));
+        let falls_through = displaced.is_some_and(|d| !d.leaves());
         let report = |kind, pos, what| diags.push(at(kind, pos, what));
         check_calls(hal, req, (site, body), planned, falls_through, report);
         check_groups(analysis, i, planned, |kind, what| diags.push(at(kind, 0, what)));
@@ -1265,7 +1254,7 @@ mod tests {
         }
         let frame = Instruction::new(Op::Mov, [Operand::Reg(Reg(0)), Operand::Reg(Reg::SP)]);
         let mut tramp = vec![jcal(SAVE), frame, jcal(TOOL), jcal(RESTORE), relocated];
-        if !leaves(&relocated) {
+        if !relocated.leaves() {
             tramp.push(jmp(IMAGE_ADDR + (idx as u64 + 1) * isize));
         }
         let mut image = original.to_vec();

@@ -342,6 +342,36 @@ fn one_build_of_an_indirect_branch_counts_one_cfg_failure() {
     assert_eq!(report.counter_sum("plan.cfg_fail.misaligned"), 0);
 }
 
+/// An unguarded `BRX` leaves its site as `BRA` does: no After call and no
+/// jump back behind it, which for a trailing `BRX` would target the end of
+/// the image. Its image verifies and is installed.
+#[test]
+fn a_trailing_indirect_branch_gets_no_back_jump() {
+    let (drv, f, seen) = launch_under_verdict(app_with_trailing(brx()), |n| n - 1..n);
+    assert_eq!(seen.diags, vec![]);
+    assert_eq!(seen.tracked_after_launch, Some(true));
+
+    // The installed image jumps from the `BRX` to its site, which ends with
+    // the relocated `BRX`: the word behind it is no jump.
+    let codec = sass::codec::codec_for(Arch::Volta);
+    let isize = codec.instruction_size();
+    let image = codec.decode_stream(&drv.read_code(f).unwrap()).unwrap();
+    let jump = *image.last().unwrap();
+    let (Op::Jmp, [Operand::Abs(site)]) = (jump.op, &jump.operands[..]) else { panic!("{jump}") };
+    let word = |i: usize| {
+        let mut bytes = vec![0u8; isize];
+        drv.with_device(|d| d.read(site + (i * isize) as u64, &mut bytes)).unwrap();
+        codec.decode(&bytes).ok()
+    };
+    let relocated = (0..64).find(|&i| word(i).is_some_and(|w| w.op == Op::Brx)).unwrap();
+    assert!(word(relocated + 1).is_none_or(|w| w.op != Op::Jmp), "a back-jump behind the BRX");
+    drv.shutdown();
+
+    let report = drv.obs().report();
+    assert_eq!(report.counter_sum("instr_image.verify_reject"), 0);
+    assert_eq!(report.counter_sum("instr_image.build"), 1);
+}
+
 /// Under the ICF exception the planner merges calls over the partial
 /// partition, but the verifier, which has no partition, refuses the merge:
 /// with a (never executed) `BRX` behind `k`'s `EXIT` and every instruction

@@ -511,6 +511,18 @@ impl Instruction {
         self.op.cf_class()
     }
 
+    /// True when the instruction unconditionally leaves: it is unguarded and
+    /// nothing placed behind it runs next (`EXIT`, `RET`, a trap, `SYNC`,
+    /// `BRA`, `JMP` or `BRX`).
+    pub fn leaves(&self) -> bool {
+        use CfClass::{AbsJump, Exit, IndirectBranch, RelBranch, Ret, Sync, Trap};
+        self.guard.is_always()
+            && matches!(
+                self.cf_class(),
+                Exit | Ret | Trap | Sync | RelBranch | AbsJump | IndirectBranch
+            )
+    }
+
     /// Full mnemonic including modifier suffixes, e.g. `LDG.64` or
     /// `ISETP.LT.S32`. This is what NVBit's `Instr::getOpcode` exposes.
     pub fn opcode_string(&self) -> String {
@@ -767,5 +779,39 @@ mod tests {
         bra.set_rel_target(-8);
         assert_eq!(bra.rel_target(), Some(-8));
         assert_eq!(Instruction::nop().rel_target(), None);
+    }
+
+    #[test]
+    fn only_unguarded_transfers_that_never_fall_through_leave() {
+        use CfClass::{AbsCall, AbsJump, Bar, Exit, IndirectBranch, RelBranch, RelCall};
+        use CfClass::{Ret, Ssy, Sync, Trap};
+        let leaving = [
+            (CfClass::None, false),
+            (RelBranch, true),
+            (IndirectBranch, true),
+            (AbsJump, true),
+            (RelCall, false),
+            (AbsCall, false),
+            (Ret, true),
+            (Exit, true),
+            (Ssy, false),
+            (Sync, true),
+            (Bar, false),
+            (Trap, true),
+        ];
+        for (class, leaves) in leaving {
+            let ops = Op::ALL.iter().filter(|op| op.cf_class() == class);
+            let instrs: Vec<Instruction> = ops.map(|op| Instruction::new(*op, [])).collect();
+            assert!(!instrs.is_empty(), "no opcode of class {class:?}");
+            for ins in instrs {
+                assert_eq!(ins.leaves(), leaves, "{ins}");
+                for negated in [false, true] {
+                    let guarded = ins.with_guard(Guard { pred: Pred(0), negated });
+                    assert!(!guarded.leaves(), "{guarded}");
+                }
+                let never = ins.with_guard(Guard { pred: Pred::PT, negated: true });
+                assert!(!never.leaves(), "{never}");
+            }
+        }
     }
 }
