@@ -2303,7 +2303,8 @@ mod tests {
     /// now report `PlanMismatch`, and the NOP class (added then; 70 of 512
     /// killed before) is killed whole by `LinkMismatch`, a `NOP` standing
     /// only where the plan removes the instruction. No other verdict moved.
-    /// Differential execution of the survivors is ROADMAP item 4's other
+    /// Retiring the re-checks of the planner's groups and of what decoding
+    /// guarantees left it unchanged. Differential execution of the survivors is ROADMAP item 4's other
     /// half.
     #[test]
     fn verifier_verdicts_under_seeded_mutation_are_pinned() {

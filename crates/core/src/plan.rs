@@ -111,17 +111,6 @@ pub struct PlannedCall {
     pub pred_filter: bool,
     /// The call follows the multiplicity protocol.
     pub coalesce: bool,
-    /// Number of original injection sites this call represents (≥ 1; > 1
-    /// only after the coalescing pass merged a group).
-    pub multiplicity: u32,
-    /// The original instruction indices this call stands for, sorted. A
-    /// lone call's group is just its own site.
-    pub group: Vec<usize>,
-    /// The subset of `group` whose injections were `IPoint::After` points
-    /// lowered by the after-lowering pass: each such origin *o* is
-    /// represented at the `Before` slot of site *o + 1*. Sorted; empty when
-    /// no member was lowered.
-    pub lowered: Vec<usize>,
     /// Splice the tool function's body instead of emitting a `JCAL`.
     pub inline: bool,
 }
@@ -335,18 +324,13 @@ pub fn build(
     // instructions in place, with no trampoline needed.
     let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
     for (head, r) in requests.iter().enumerate().filter(|(_, r)| r.stands) {
-        let multiplicity = group(&requests, head).count() as u32;
         let mut args = Vec::with_capacity(r.args.len() + 1);
         args.extend_from_slice(r.args);
-        // The multiplicity protocol's trailing argument, merged or not, so
-        // naive and coalesced plans present identical tool signatures.
-        args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity as i32)));
-        let origins = |lowered_only: bool| {
-            let members = group(&requests, head).filter(|m| m.lowered || !lowered_only);
-            let mut origins: Vec<usize> = members.map(|m| m.inj.idx).collect();
-            origins.sort_unstable();
-            origins
-        };
+        // The multiplicity protocol's trailing argument — how many requested
+        // sites the call stands for — merged or not, so naive and coalesced
+        // plans present identical tool signatures.
+        let multiplicity = group(&requests, head).count() as i32;
+        args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity)));
         let inline = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
         if opts.level >= PlanLevel::Spliced {
@@ -360,9 +344,6 @@ pub fn build(
             args,
             pred_filter: r.inj.pred_filter,
             coalesce: r.inj.coalesce,
-            multiplicity,
-            group: origins(false),
-            lowered: origins(true),
             inline,
         });
     }
@@ -506,6 +487,14 @@ skip:
         m
     }
 
+    /// The multiplicity a coalesce-marked call passes: its trailing `Imm32`.
+    fn multiplicity(call: &PlannedCall) -> Option<i32> {
+        match call.args.last() {
+            Some(Arg::Imm32(m)) if call.coalesce => Some(*m),
+            _ => None,
+        }
+    }
+
     fn count_spec(n: usize, ctr: u64) -> FuncSpec {
         let mut s = FuncSpec::default();
         for idx in 0..n {
@@ -525,11 +514,9 @@ skip:
         // Blocks are 0..3, 3..5, 5..6 → one call each, at the block heads.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3, 5]);
-        let c0 = &plan.sites[&0][0];
-        assert_eq!(c0.multiplicity, 3);
-        assert_eq!(c0.group, vec![0, 1, 2]);
-        assert_eq!(c0.args, vec![Arg::Imm64(0xdead), Arg::Imm32(3)]);
-        assert_eq!(plan.sites[&5][0].multiplicity, 1);
+        assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(0xdead), Arg::Imm32(3)]);
+        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(2));
+        assert_eq!(multiplicity(&plan.sites[&5][0]), Some(1));
         assert_eq!(plan.stats.requested_calls, 6);
         assert_eq!(plan.stats.emitted_calls, 3);
         assert_eq!(plan.stats.coalesced_away, 3);
@@ -547,7 +534,6 @@ skip:
         assert_eq!(plan.sites.len(), n);
         for calls in plan.sites.values() {
             assert_eq!(calls[0].args.last(), Some(&Arg::Imm32(1)));
-            assert_eq!(calls[0].multiplicity, 1);
         }
         assert!(!plan.stats.cfg_available);
         assert_eq!(plan.stats.coalesced_away, 0);
@@ -584,8 +570,8 @@ skip:
         }
         let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
         // Sites 0 and 1 merge (same counter); site 2 stands alone.
-        assert_eq!(plan.sites[&0][0].multiplicity, 2);
-        assert_eq!(plan.sites[&2][0].multiplicity, 1);
+        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(2));
+        assert_eq!(multiplicity(&plan.sites[&2][0]), Some(1));
         assert_eq!(plan.stats.coalesced_groups, 1);
     }
 
@@ -688,11 +674,8 @@ skip:
         let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3], "skip-block call hoisted into the entry call");
-        let c0 = &plan.sites[&0][0];
-        assert_eq!(c0.multiplicity, 4);
-        assert_eq!(c0.group, vec![0, 1, 2, 5]);
-        assert_eq!(c0.args, vec![Arg::Imm64(0xdead), Arg::Imm32(4)]);
-        assert_eq!(plan.sites[&3][0].multiplicity, 2, "conditional arm stays separate");
+        assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(0xdead), Arg::Imm32(4)]);
+        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(2), "conditional arm stays separate");
         assert_eq!(plan.stats.region_groups, 1);
         assert_eq!(plan.stats.coalesced_groups, 2);
         assert_eq!(plan.stats.emitted_calls, 2);
@@ -719,9 +702,8 @@ body:
         // (instrs 1..4) executes more often and must stay out.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 1]);
-        assert_eq!(plan.sites[&0][0].group, vec![0, 4, 5]);
-        assert_eq!(plan.sites[&0][0].multiplicity, 3);
-        assert_eq!(plan.sites[&1][0].group, vec![1, 2, 3]);
+        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(3), "instrs 0, 4 and 5");
+        assert_eq!(multiplicity(&plan.sites[&1][0]), Some(3), "instrs 1, 2 and 3");
         assert_eq!(plan.stats.region_groups, 1);
     }
 
@@ -749,6 +731,32 @@ b:
         assert_eq!(a.stats.region_groups, 0);
     }
 
+    const ICF: &str = "\
+    S2R R0, SR_TID.X ;
+    IADD R1, R0, 0x1 ;
+    BRX R4 ;
+    IADD R2, R0, 0x2 ;
+    STG [R2], R1 ;
+    EXIT ;
+";
+
+    // Under the ICF exception calls merge within each straight-line run of
+    // the partial partition, never across the `BRX` that ends a run.
+    #[test]
+    fn indirect_control_flow_merges_within_runs_only() {
+        let body = analyzed(ICF);
+        assert!(matches!(body.1, Err(CfgFailure::IndirectBranch { .. })));
+        let spec = count_spec(body.0.len(), 7);
+        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
+        let idxs: Vec<usize> = plan.sites.keys().copied().collect();
+        assert_eq!(idxs, vec![0, 3], "one call per run, at its head");
+        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(3), "instrs 0, 1 and the BRX");
+        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(3), "instrs 3, 4 and 5");
+        assert!(!plan.stats.cfg_available);
+        assert_eq!(plan.stats.icf_recovered, 2);
+        assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (2, 0));
+    }
+
     /// One coalesce-marked `After` injection per `(site, counter)` pair.
     fn after_spec(sites: &[(usize, u64)]) -> FuncSpec {
         let mut s = FuncSpec::default();
@@ -769,16 +777,15 @@ b:
         let spec = after_spec(&[(0, 9), (1, 10), (2, 11)]);
         let opts = at(PlanLevel::Region);
         let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
-        let c1 = &plan.sites[&1][0];
-        assert_eq!(c1.ipoint, IPoint::Before);
-        assert_eq!((c1.group.as_slice(), c1.lowered.as_slice()), (&[0usize][..], &[0usize][..]));
-        let c2 = &plan.sites[&2][0];
-        assert_eq!(c2.ipoint, IPoint::Before);
-        assert_eq!(c2.lowered, vec![1]);
+        // Each lowered call is its origin's (its counter), ahead of the
+        // calls of the site it moved to.
+        let at = |site: usize| -> Vec<(IPoint, &[Arg])> {
+            plan.sites[&site].iter().map(|c| (c.ipoint, c.args.as_slice())).collect()
+        };
+        let counted = |ctr| [Arg::Imm64(ctr), Arg::Imm32(1)];
+        assert_eq!(at(1), [(IPoint::Before, &counted(9)[..])]);
         // The terminator's After-point must not cross the taken branch.
-        let c2b = &plan.sites[&2][1];
-        assert_eq!(c2b.ipoint, IPoint::After);
-        assert!(c2b.lowered.is_empty());
+        assert_eq!(at(2), [(IPoint::Before, &counted(10)[..]), (IPoint::After, &counted(11)[..])]);
         assert_eq!(plan.stats.after_lowered, 2);
         assert!(!plan.sites.contains_key(&0), "emptied origin site dropped");
     }
@@ -793,9 +800,6 @@ b:
         assert_eq!(idxs, vec![1], "anchored at origin 0's fall-through slot");
         let c = &plan.sites[&1][0];
         assert_eq!(c.ipoint, IPoint::Before);
-        assert_eq!(c.multiplicity, 2);
-        assert_eq!(c.group, vec![0, 1]);
-        assert_eq!(c.lowered, vec![0, 1]);
         assert_eq!(c.args, vec![Arg::Imm64(9), Arg::Imm32(2)]);
         assert_eq!(plan.stats.after_lowered, 2);
         assert_eq!(plan.stats.coalesced_groups, 1);
@@ -829,10 +833,9 @@ b:
         let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         assert_eq!(plan.stats.emitted_calls, 2);
         assert_eq!(plan.stats.coalesced_groups, 0);
-        for calls in plan.sites.values() {
-            for c in calls {
-                assert_eq!((c.multiplicity, c.group.as_slice()), (1, &[0usize][..]));
-            }
-        }
+        // The Before-point stays at 0, the After-point is lowered to 1.
+        let idxs: Vec<usize> = plan.sites.keys().copied().collect();
+        assert_eq!(idxs, vec![0, 1]);
+        assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
     }
 }

@@ -20,14 +20,16 @@
 //!   site and a `NOP` where the plan removes an instruction; a site runs
 //!   what it displaced and jumps back behind it; nothing falls off the end;
 //! * control-flow targets are instruction boundaries of the image or the
-//!   trampolines, or routine, tool or related-function code; operands fit
-//!   their formats and the register files;
+//!   trampolines, or routine, tool or related-function code; register
+//!   spans fit the register file;
 //! * save discipline on every path of a site: a frame is open before any
 //!   save-area access or tool call and closed wherever the application
 //!   resumes, accesses stay inside it, and what is written is dead there
-//!   or saved and restored;
-//! * the plan's groups are legal on the verifier's CFG, so a planner that
-//!   merges what it may not is caught as well.
+//!   or saved and restored.
+//!
+//! Not re-checked: what decoding guarantees (each operand list in its
+//! opcode's format, no predicate past `P7`), and how the re-derived plan
+//! grouped calls, the same function of the same analysis as the build's.
 
 use crate::codegen::{SiteMeta, ToolFns};
 use crate::hal::Hal;
@@ -35,7 +37,6 @@ use crate::plan::{self, InstrumentationPlan, PlanOpts, PlannedCall};
 use crate::saverestore::{frame_slots, Routines};
 use crate::spec::{FuncSpec, IPoint};
 use common::InlineVec;
-use sass::cfg::block_of;
 use sass::op::CfClass;
 use sass::{Analysis, Instruction, Op, Operand, Reg};
 use std::collections::HashMap;
@@ -58,58 +59,47 @@ impl std::fmt::Display for Region {
     }
 }
 
-/// The class of defect a diagnostic reports.
+/// The class of defect a diagnostic reports; a retired kind's number stays
+/// unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum DiagKind {
     /// A control-flow target is outside every known code region, or not on
     /// an instruction boundary.
-    BranchTarget,
+    BranchTarget = 0,
     /// Execution can run off the end of the image, or a site does not end
     /// with an unconditional jump back behind the instruction it instruments.
-    FallThrough,
+    FallThrough = 1,
     /// The image and the original disagree outside Figure 4's links: a site
     /// is not an unguarded jump to its trampoline, or a relocated original
     /// (relative target adjusted) or off-site instruction is not the
     /// original's — or its `NOP` where, and only where, the plan removes it.
-    LinkMismatch,
+    LinkMismatch = 2,
     /// A register operand or its multi-register span exceeds the file.
-    BadRegister,
-    /// A predicate operand or guard exceeds the predicate file.
-    BadPredicate,
-    /// An operand list does not match its opcode's format.
-    BadOperands,
+    BadRegister = 3,
     /// The save area is read (or a tool called) with no frame open.
-    ReadBeforeSave,
+    ReadBeforeSave = 6,
     /// A restore call without a matching save.
-    RestoreWithoutSave,
+    RestoreWithoutSave = 7,
     /// The application resumes (at the relocated original, or behind the
     /// back-jump) with a save frame open or `R1` off its entry value.
-    UnbalancedFrame,
-    /// A coalesced call's multiplicity does not match its group size, its
-    /// group is not anchored at the site, or it merges without a CFG.
-    CoalesceMismatch,
-    /// A coalesced group leaves the site's [`sass::Dom`] coalescing region:
-    /// its members may not execute exactly as often as the site.
-    RegionMismatch,
-    /// A lowered `IPoint::After` origin is missing from its group, has no
-    /// fall-through successor inside its own block, or there is no CFG.
-    AfterMismatch,
+    UnbalancedFrame = 8,
     /// A splice does not reproduce the loaded tool body (trailing `RET` a
     /// `NOP`) under one injective, aligned-pair-preserving renaming.
-    InlineMismatch,
+    InlineMismatch = 12,
     /// A save-area access addresses a slot outside the open frame: the
     /// site's save tier, or the bytes an exact bracket opened.
-    TierExceeded,
+    TierExceeded = 13,
     /// Injected code writes a register or predicate live at its injection
     /// point (recomputed liveness) without saving and restoring it.
-    PressureExceeded,
+    PressureExceeded = 14,
     /// A splice is not a straight line or one guarded diamond contained in
     /// it (the body classifier's shapes): it would run code outside.
-    DiamondMismatch,
+    DiamondMismatch = 15,
     /// The image is not the plan re-derived from the request: a site is
     /// missing or unplanned, or its calls are not the plan's (function,
     /// count, or spliced where the plan calls out of line and vice versa).
-    PlanMismatch,
+    PlanMismatch = 16,
 }
 
 /// One verification failure.
@@ -419,51 +409,6 @@ struct Decoded<'a> {
     sites: &'a [SiteMeta],
 }
 
-/// The plan's calls at site `i` on the verifier's CFG (without one, every
-/// merge and lowering is a defect): a group is sorted, sized by its
-/// multiplicity and anchored at the site (or at the fall-through slot of a
-/// lowered first origin), a lowered origin is a member falling through in
-/// its block, and a merged origin shares the site's coalescing region.
-fn check_groups(
-    analysis: Option<&Analysis>,
-    i: usize,
-    planned: &[PlannedCall],
-    mut report: impl FnMut(DiagKind, String),
-) {
-    let blocks = analysis.map(|a| a.blocks.as_slice());
-    for PlannedCall { func, multiplicity: m, group, lowered, .. } in planned {
-        let anchored =
-            group.first().is_some_and(|&o| o == i || (lowered.contains(&o) && o + 1 == i));
-        if *m as usize != group.len()
-            || !anchored
-            || group.windows(2).any(|w| w[0] >= w[1])
-            || (*m > 1 && blocks.is_none())
-        {
-            let what = format!("call to `{func}` at {i} has multiplicity {m} but group {group:?}");
-            report(DiagKind::CoalesceMismatch, what);
-        }
-        let crosses = |b, l| block_of(b, l).is_none() || block_of(b, l + 1) != block_of(b, l);
-        if !lowered.is_empty()
-            && (lowered.windows(2).any(|w| w[0] >= w[1])
-                || lowered.iter().any(|l| !group.contains(l))
-                || blocks.is_none_or(|b| lowered.iter().any(|&l| crosses(b, l))))
-        {
-            let what = format!("call to `{func}` at {i} lowers {lowered:?} of group {group:?}");
-            report(DiagKind::AfterMismatch, what);
-        }
-        if let Some(a) = analysis.filter(|_| *m > 1) {
-            let home = block_of(&a.blocks, i);
-            let shared = |&o: &usize| {
-                home.zip(block_of(&a.blocks, o)).is_some_and(|(h, b)| a.dom.same_region(h, b))
-            };
-            if !group.iter().all(shared) {
-                let what = format!("call to `{func}` at {i} merges {group:?} across regions");
-                report(DiagKind::RegionMismatch, what);
-            }
-        }
-    }
-}
-
 /// A site's calls against the plan's, in emission order: Before calls, the
 /// relocated original, then (if it `falls_through`) After calls. Each is
 /// spliced or called as planned, a call unguarded and on its side of the
@@ -568,16 +513,6 @@ fn walk(
     for (region, base, instrs) in regions {
         for (index, ins) in instrs.iter().enumerate() {
             let mut bad = |kind, message| diags.push(Diagnostic::new(kind, region, index, message));
-            if let Err(e) = ins.validate() {
-                bad(DiagKind::BadOperands, e.to_string());
-            }
-            let operand_preds = ins.operands.iter().filter_map(|o| match o {
-                Operand::Pred { pred, .. } => Some(*pred),
-                _ => None,
-            });
-            for p in std::iter::once(ins.guard.pred).chain(operand_preds).filter(|p| p.0 > 7) {
-                bad(DiagKind::BadPredicate, format!("{p} exceeds the predicate file"));
-            }
             ins.each_span(|reg, span, _| {
                 // RZ is a single pseudo-register; any other operand must fit
                 // its whole span below R255.
@@ -692,7 +627,6 @@ fn walk(
         let falls_through = displaced.is_some_and(|d| !d.leaves());
         let report = |kind, pos, what| diags.push(at(kind, pos, what));
         check_calls(hal, req, (site, body), planned, falls_through, report);
-        check_groups(analysis, i, planned, |kind, what| diags.push(at(kind, 0, what)));
     }
     diags
 }
@@ -769,28 +703,23 @@ mod tests {
     }
 
     /// A planned `Before` call of `f` under the multiplicity protocol.
-    fn planned(multiplicity: u32, group: Vec<usize>) -> PlannedCall {
+    fn planned() -> PlannedCall {
         PlannedCall {
             func: "f".into(),
             ipoint: IPoint::Before,
             args: vec![],
             pred_filter: false,
             coalesce: true,
-            multiplicity,
-            group,
-            lowered: vec![],
             inline: false,
         }
     }
 
-    /// The plan an image's layout stands for: at each site, one lone
-    /// `Before` call of `f` per call the site makes, spliced where it is.
+    /// The plan an image's layout stands for: at each site, one `Before`
+    /// call of `f` per call the site makes, spliced where it is.
     fn plan_of(sites: &[SiteMeta]) -> InstrumentationPlan {
         let mut plan = InstrumentationPlan::default();
         for site in sites {
-            let group = vec![site.instr_idx];
-            let call =
-                |s: &Option<_>| PlannedCall { inline: s.is_some(), ..planned(1, group.clone()) };
+            let call = |s: &Option<_>| PlannedCall { inline: s.is_some(), ..planned() };
             plan.sites.insert(site.instr_idx, site.calls.iter().map(call).collect());
         }
         plan
@@ -1007,23 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_predicate_is_rejected() {
-        // P9 cannot be decoded from bytes, nor stand in the original the
-        // liveness bitmask is computed over: only the image carries it.
-        let p9 = sass::Guard { pred: sass::Pred(9), negated: false };
-        let kinds = corrupted(|image, _| image[0] = image[0].with_guard(p9));
-        assert!(kinds.contains(&DiagKind::BadPredicate), "{kinds:?}");
-    }
-
-    #[test]
-    fn malformed_operand_lists_are_rejected() {
-        let (mut image, tramp, sites) = good();
-        image[0] = Instruction::new(Op::Iadd, [Operand::Reg(Reg(4))]); // arity 1, needs 3
-        let d = run(&image, &tramp, &sites);
-        assert!(d.iter().any(|d| d.kind == DiagKind::BadOperands));
-    }
-
-    #[test]
     fn unbalanced_frame_is_rejected() {
         let (image, mut tramp, sites) = good();
         tramp[3] = Instruction::nop(); // drop the restore call
@@ -1175,7 +1087,7 @@ mod tests {
         let mut original = image.clone();
         original[1] = tramp[4];
         let mut plan = plan_of(&sites);
-        plan.sites.insert(0, vec![planned(1, vec![0])]);
+        plan.sites.insert(0, vec![planned()]);
         let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
         let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region, d.index)).collect();
         assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Image, 0)]);
@@ -1213,17 +1125,16 @@ mod tests {
         let fns = loaded(vec![head, Instruction::new(Op::Ret, [])]);
         let (image, mut tramp, mut sites) = one_site(&original(), 0);
         splice_over_call(&mut tramp, &mut sites, vec![head]);
-        let spliced = PlannedCall { inline: true, ..planned(1, vec![0]) };
+        let spliced = PlannedCall { inline: true, ..planned() };
         assert_eq!(check(&original(), (&image, &tramp, &sites), vec![spliced], &fns), vec![]);
-        let d = check(&original(), (&image, &tramp, &sites), vec![planned(1, vec![0])], &fns);
+        let d = check(&original(), (&image, &tramp, &sites), vec![planned()], &fns);
         let kinds: Vec<_> = d.iter().map(|d| d.kind).collect();
         assert_eq!(kinds, vec![DiagKind::PlanMismatch, DiagKind::PlanMismatch], "{d:?}");
     }
 
-    // ----- The plan's own groups, on hand-built plans ---------------------
+    // ----- One-site images on hand-built plans ----------------------------
 
-    /// A two-block original body (`IADD; BRA +0; IADD; EXIT` → blocks
-    /// 0..2 and 2..4) for exercising the group-per-block rule.
+    /// A two-block original body: `IADD; BRA +0; IADD; EXIT`.
     fn original() -> Vec<Instruction> {
         vec![
             Instruction::new(
@@ -1280,127 +1191,6 @@ mod tests {
         walk_with(original, (image, tramp, sites), &plan, fns)
     }
 
-    /// [`check`] on `one_site(original, idx)` with `f` out of line.
-    fn run_plan(original: &[Instruction], idx: usize, calls: Vec<PlannedCall>) -> Vec<Diagnostic> {
-        let (image, tramp, sites) = one_site(original, idx);
-        check(original, (&image, &tramp, &sites), calls, &opaque())
-    }
-
-    #[test]
-    fn consistent_plan_metadata_passes() {
-        // Both in block 0..2.
-        assert_eq!(run_plan(&original(), 0, vec![planned(2, vec![0, 1])]), vec![]);
-    }
-
-    #[test]
-    fn multiplicity_must_match_the_group_size() {
-        let d = run_plan(&original(), 0, vec![planned(3, vec![0, 1])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
-    }
-
-    #[test]
-    fn group_must_be_anchored_at_the_site_and_sorted() {
-        let d = run_plan(&original(), 0, vec![planned(2, vec![1, 0])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
-    }
-
-    /// A conditional-skip body: `IADD; @P0 BRA +16; IADD; EXIT` → blocks
-    /// 0..2, 2..3 (the guarded arm) and 3..4. The arm does not
-    /// post-dominate the entry, so entry ↔ arm merges are illegal.
-    fn conditional() -> Vec<Instruction> {
-        let mut body = original();
-        body[1] = Instruction::new(Op::Bra, [Operand::Rel(16)])
-            .with_guard(sass::Guard { pred: sass::Pred(0), negated: false });
-        body
-    }
-
-    #[test]
-    fn coalesced_group_may_span_region_equivalent_blocks_only() {
-        // original()'s two blocks are control- and cycle-equivalent (the
-        // branch is unconditional): a cross-block group is legal.
-        assert_eq!(run_plan(&original(), 0, vec![planned(2, vec![0, 2])]), vec![]);
-        // In the conditional body, site 2 executes only when P0 is false:
-        // merging it into the entry block is rejected.
-        let d = run_plan(&conditional(), 0, vec![planned(2, vec![0, 2])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::RegionMismatch));
-        // The exit block (instr 3) post-dominates the entry again, so an
-        // entry ↔ exit merge stays legal even in the conditional body.
-        assert_eq!(run_plan(&conditional(), 0, vec![planned(2, vec![0, 3])]), vec![]);
-        // A merge within one block remains fine.
-        assert_eq!(run_plan(&original(), 2, vec![planned(2, vec![2, 3])]), vec![]);
-    }
-
-    /// A self-loop body: `IADD; @P0 BRA -32; EXIT` — block 0..2 cycles
-    /// back to itself, block 2..3 runs once. Control-equivalent to the
-    /// loop (entry dominates, exit post-dominates) but not
-    /// cycle-equivalent, so merging across the loop boundary is illegal.
-    fn looped() -> Vec<Instruction> {
-        vec![
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(4)), Operand::Reg(Reg(4)), Operand::Imm(1)],
-            ),
-            Instruction::new(Op::Bra, [Operand::Rel(-32)])
-                .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            Instruction::new(Op::Exit, []),
-        ]
-    }
-
-    #[test]
-    fn coalesced_group_may_not_cross_a_loop_boundary() {
-        let d = run_plan(&looped(), 0, vec![planned(2, vec![0, 2])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::RegionMismatch));
-        // Within the loop block itself the merge is fine.
-        assert_eq!(run_plan(&looped(), 0, vec![planned(2, vec![0, 1])]), vec![]);
-    }
-
-    /// `planned(1, vec![origin])`, After-lowered from `origin`.
-    fn lowered(origin: usize) -> PlannedCall {
-        PlannedCall { lowered: vec![origin], ..planned(1, vec![origin]) }
-    }
-
-    #[test]
-    fn lowered_calls_anchor_at_the_fall_through_slot() {
-        // A lowered After-point from origin 0 is emitted at site 1.
-        assert_eq!(run_plan(&original(), 1, vec![lowered(0)]), vec![]);
-        // Without the lowered marker the same call is mis-anchored.
-        let d = run_plan(&original(), 1, vec![planned(1, vec![0])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
-    }
-
-    #[test]
-    fn lowered_origin_must_fall_through_within_its_block() {
-        // Origin 1 is the block terminator: its fall-through slot (2) is
-        // in the next block, so the claimed lowering crossed a branch.
-        let d = run_plan(&original(), 2, vec![lowered(1)]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
-    }
-
-    #[test]
-    fn lowered_origins_must_be_group_members() {
-        let call = PlannedCall { lowered: vec![3], ..planned(2, vec![0, 1]) };
-        let d = run_plan(&original(), 0, vec![call]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
-    }
-
-    /// `BRX R4; EXIT`: indirect control flow defeats static partitioning.
-    fn icf() -> Vec<Instruction> {
-        vec![Instruction::new(Op::Brx, [Operand::Reg(Reg(4))]), Instruction::new(Op::Exit, [])]
-    }
-
-    #[test]
-    fn lowering_without_a_cfg_is_rejected() {
-        let d = run_plan(&icf(), 1, vec![lowered(0)]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::AfterMismatch));
-    }
-
-    #[test]
-    fn merging_without_a_cfg_is_rejected() {
-        // Merged groups are illegal without a partition.
-        let d = run_plan(&icf(), 0, vec![planned(2, vec![0, 1])]);
-        assert!(d.iter().any(|d| d.kind == DiagKind::CoalesceMismatch));
-    }
-
     // ----- Splices --------------------------------------------------------
 
     /// Replaces the tool call (position 2) of a `one_site` trampoline with
@@ -1428,7 +1218,7 @@ mod tests {
     ) -> Vec<Diagnostic> {
         let (image, mut tramp, mut sites) = one_site(original, idx);
         splice_over_call(&mut tramp, &mut sites, body);
-        let call = PlannedCall { inline: true, ..planned(1, vec![idx]) };
+        let call = PlannedCall { inline: true, ..planned() };
         check(original, (&image, &tramp, &sites), vec![call], fns)
     }
 
@@ -1555,7 +1345,7 @@ mod tests {
         sites[0].len += 1;
         sites[0].orig_pos += 1;
         let run = |tramp: &[Instruction]| {
-            check(&original(), (&image, tramp, &sites), vec![planned(1, vec![0])], &opaque())
+            check(&original(), (&image, tramp, &sites), vec![planned()], &opaque())
         };
         assert!(run(&tramp).iter().any(|d| d.kind == DiagKind::TierExceeded));
         // The slot just below the bound is fine.

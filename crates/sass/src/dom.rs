@@ -247,14 +247,6 @@ impl Dom {
     pub fn region_head(&self, b: usize) -> usize {
         self.region_head.get(b).copied().unwrap_or(b)
     }
-
-    /// True when `h` and `b` provably execute exactly as often, per lane:
-    /// they share a [`Dom::region_head`].
-    pub fn same_region(&self, h: usize, b: usize) -> bool {
-        h < self.region_head.len()
-            && b < self.region_head.len()
-            && self.region_head[h] == self.region_head[b]
-    }
 }
 
 /// True when some non-empty path of `succ` leads from `x` back to `x`
@@ -402,8 +394,6 @@ join:
         assert_eq!(dom.region_head(3), 0, "join executes exactly once per fork");
         assert_eq!(dom.region_head(1), 1, "arms run conditionally");
         assert_eq!(dom.region_head(2), 2);
-        assert!(dom.same_region(0, 3));
-        assert!(!dom.same_region(0, 1));
     }
 
     /// Loop: B0 (setup) → B1 (body, branches back to itself) → B2 (tail).
@@ -426,7 +416,7 @@ body:
         assert!(dom.post_dominates(1, 0), "the body post-dominates the setup...");
         assert_eq!(dom.region_head(1), 1, "...but runs once per iteration, so it never merges");
         assert_eq!(dom.region_head(2), 0, "setup and tail both run exactly once");
-        assert!(dom.same_region(0, 2));
+        assert_eq!(dom.region_head(0), 0);
     }
 
     /// Irreducible: two blocks jump into each other's target without a
@@ -549,8 +539,9 @@ out:
         // head = block 1, out = block 3.
         assert!(dom.dominates(1, 3));
         assert!(dom.post_dominates(3, 1));
-        assert!(!dom.same_region(1, 3), "control equivalence alone is not enough");
-        assert!(dom.same_region(0, 3), "setup and exit do run in lockstep");
+        let head = |b| dom.region_head(b);
+        assert_ne!(head(1), head(3), "control equivalence alone is not enough");
+        assert_eq!(head(0), head(3), "setup and exit do run in lockstep");
     }
 
     #[test]
@@ -574,6 +565,6 @@ tail:
         assert_eq!(blocks.len(), 3);
         assert!(!dom.reachable(1));
         assert_eq!(dom.region_head(1), 1, "dead code never merges");
-        assert!(dom.same_region(0, 2));
+        assert_eq!(dom.region_head(0), dom.region_head(2));
     }
 }
