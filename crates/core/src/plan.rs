@@ -530,13 +530,16 @@ skip:
         let body = (analyzed(BODY).0, NO_ANALYSIS);
         let n = body.0.len();
         let spec = count_spec(n, 1);
-        let plan = build_for(&spec, &body, &fns(false), PlanOpts::naive()).unwrap();
-        assert_eq!(plan.sites.len(), n);
-        for calls in plan.sites.values() {
-            assert_eq!(calls[0].args.last(), Some(&Arg::Imm32(1)));
+        // Naive by request, or for want of any partition to merge over.
+        for opts in [PlanOpts::naive(), PlanOpts::default()] {
+            let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+            assert_eq!(plan.sites.len(), n);
+            for calls in plan.sites.values() {
+                assert_eq!(calls[0].args.last(), Some(&Arg::Imm32(1)));
+            }
+            assert!(!plan.stats.cfg_available);
+            assert_eq!(plan.stats.coalesced_away, 0);
         }
-        assert!(!plan.stats.cfg_available);
-        assert_eq!(plan.stats.coalesced_away, 0);
     }
 
     #[test]
@@ -741,20 +744,26 @@ b:
 ";
 
     // Under the ICF exception calls merge within each straight-line run of
-    // the partial partition, never across the `BRX` that ends a run.
+    // the partial partition, never across the `BRX` that ends a run; and
+    // no After-point is lowered, for want of the full CFG.
     #[test]
     fn indirect_control_flow_merges_within_runs_only() {
         let body = analyzed(ICF);
         assert!(matches!(body.1, Err(CfgFailure::IndirectBranch { .. })));
-        let spec = count_spec(body.0.len(), 7);
+        let mut spec = count_spec(body.0.len(), 7);
+        spec.insert_call(0, "f", IPoint::After);
+        spec.add_arg(0, Arg::Imm64(8));
+        spec.set_coalesce(0);
         let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3], "one call per run, at its head");
         assert_eq!(multiplicity(&plan.sites[&0][0]), Some(3), "instrs 0, 1 and the BRX");
         assert_eq!(multiplicity(&plan.sites[&3][0]), Some(3), "instrs 3, 4 and 5");
+        assert_eq!(plan.sites[&0][1].ipoint, IPoint::After);
         assert!(!plan.stats.cfg_available);
         assert_eq!(plan.stats.icf_recovered, 2);
         assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (2, 0));
+        assert_eq!(plan.stats.after_lowered, 0);
     }
 
     /// One coalesce-marked `After` injection per `(site, counter)` pair.

@@ -167,14 +167,39 @@ fn operand_lists_past_the_bound_are_bad_operands() {
 
 /// Decoding arbitrary bytes never panics — it either produces a valid
 /// instruction or a structured error (important: the executor fetches
-/// from memory an instrumentation tool may have mispatched).
+/// from memory an instrumentation tool may have mispatched). A valid one
+/// has its opcode's operand format and names no predicate past `P7`: the
+/// pre-swap verifier, which sees only decoded words, relies on both.
 #[test]
 fn decoding_garbage_never_panics() {
     run_cases("decoding_garbage_never_panics", CASES, |rng| {
         let mut bytes = [0u8; 16];
         rng.fill_bytes(&mut bytes);
-        let _ = Enc64.decode(&bytes[..8]);
-        let _ = Enc128.decode(&bytes[..16]);
+        // Also a valid word with bits flipped: it mostly decodes, with
+        // arbitrary operand and predicate fields.
+        let mut near = [Enc64.encode_stream(&[arb_instruction(rng)]).unwrap(), vec![]];
+        near[1] = Enc128.encode_stream(&[arb_instruction(rng)]).unwrap();
+        for word in &mut near {
+            for _ in 0..4 {
+                let bit = rng.index(word.len() * 8);
+                word[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        for decoded in [
+            Enc64.decode(&bytes[..8]),
+            Enc128.decode(&bytes[..16]),
+            Enc64.decode(&near[0]),
+            Enc128.decode(&near[1]),
+        ] {
+            let Ok(instr) = decoded else { continue };
+            assert!(instr.validate().is_ok(), "{instr}");
+            let preds = instr.operands.iter().filter_map(|o| match o {
+                Operand::Pred { pred, .. } => Some(*pred),
+                _ => None,
+            });
+            let mut named = std::iter::once(instr.guard.pred).chain(preds);
+            assert!(named.all(|p| p.0 <= 7), "{instr}");
+        }
     });
 }
 
