@@ -2304,8 +2304,8 @@ mod tests {
     /// killed before) is killed whole by `LinkMismatch`, a `NOP` standing
     /// only where the plan removes the instruction. No other verdict moved.
     /// Retiring the re-checks of the planner's groups and of what decoding
-    /// guarantees left it unchanged. Differential execution of the survivors is ROADMAP item 4's other
-    /// half.
+    /// guarantees left it unchanged. Differential execution of the
+    /// survivors is ROADMAP item 4's other half.
     #[test]
     fn verifier_verdicts_under_seeded_mutation_are_pinned() {
         let hal = Hal::new(Arch::Volta);

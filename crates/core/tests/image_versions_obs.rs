@@ -8,7 +8,8 @@
 //! from obs spans alone: all six phases are attributed, and a function is
 //! decoded exactly once per lift. And the counters pin the refusal path:
 //! an image the pre-swap verifier rejects is never installed and keeps no
-//! trampoline region.
+//! trampoline region, while an indirect branch (calls merged under the ICF
+//! exception, or a trailing `BRX` instrumented) costs no rejection.
 //!
 //! Each test reads its own driver's recorder, so they run in parallel.
 
