@@ -66,8 +66,14 @@ printf '  %-10s %6d\n' total "$total"
 # multiplicity and lowered origins a planned call carried, `Dom::same_region`)
 # and of what decoding guarantees (operand formats, predicate bounds), net of
 # the one `Instruction::leaves`, lowered it by its measured -103 (9,349).
-printf '  %-10s %6d  (sass + core + common, ceiling 9349)\n' jit "$jit"
-if [ "$jit" -gt 9349 ]; then
+# Counter promotion, the `Promoted` rung, raised it by its measured +275
+# (9,624, past ROADMAP item 9's +150 gate): the classifier that finds a
+# promotable counter by its effect (`codegen::Counter`, `counter_of`), the
+# pass that promotes calls and places the pairs (`plan::promote`), the
+# pairs' zeroing, increment and flush code (`plan::Promotion`), their
+# emission, and the verifier's four checks (+40 in `verify.rs`).
+printf '  %-10s %6d  (sass + core + common, ceiling 9624)\n' jit "$jit"
+if [ "$jit" -gt 9624 ]; then
     echo "sass + core + common grew past its ceiling" >&2
     exit 1
 fi
@@ -76,9 +82,12 @@ fi
 # records rows and gates in one `bench_harness::Report` instead of its own
 # tables and JSON, fig7/fig8/fig9 are one `sampling` bin, `savereduce` is
 # `inject_overhead`'s save-policy section, and the fft/stencil/spmv apps live
-# in `workloads::apps`.
-printf '  %-10s %6d  (bench, ceiling 918)\n' bench "$bench"
-if [ "$bench" -gt 918 ]; then
+# in `workloads::apps`. The `promoted` rung of `inject_overhead`, its gate
+# (every workload's cycles below splicing's) and pinning the save-policy
+# section to the splicing rung, where saves are paid, raised it by its
+# measured +8 (926).
+printf '  %-10s %6d  (bench, ceiling 926)\n' bench "$bench"
+if [ "$bench" -gt 926 ]; then
     echo "bench grew past its ceiling" >&2
     exit 1
 fi
@@ -222,12 +231,13 @@ cargo test --release -q -p nvbit-tools --test differential_saves
 echo "== pressure: save-tier ladder + tool-body shape classifier unit tests =="
 cargo test --release -q -p nvbit-sass --lib pressure
 
-echo "== differential: every rung of the plan ladder (naive/block/region/spliced); wide-tool splices cheaper than the calls they replace =="
+echo "== differential: every rung of the plan ladder (naive/block/region/spliced/promoted); wide-tool splices cheaper than the calls they replace; counters past the register file exact =="
 cargo test --release -q -p nvbit-tools --test differential_plan
 
 echo "== inject_overhead: plan ladder over the workload sweep, sampling x plan, save policy (every gate recorded in results/BENCH_inject_overhead.json) =="
 # Gates: >=25% fft coalescing cut, splicing keeps it; region wins on >=2 of
-# fft/stencil/spmv; tool counts and histograms equal across rungs; one
+# fft/stencil/spmv; promotion cuts every workload's cycles below splicing's;
+# tool counts and histograms equal across rungs; one
 # sampled launch, and the two levers multiply; >=95% exact-save and >=30%
 # wide-tool slot reduction; the wide splice saves no more than its call.
 cargo run --release -q -p nvbit-bench --bin inject_overhead

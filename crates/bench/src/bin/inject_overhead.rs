@@ -4,9 +4,9 @@
 //! 1. **Plan ladder.** Each workload runs natively and under the coalesced
 //!    instruction-count tool at every rung: the naive per-site plan,
 //!    basic-block call coalescing, dominator-region coalescing with
-//!    after-point lowering, and leaf-tool splicing on top. Rows carry the
-//!    executed thread-instructions, cycles and planner accounting, plus the
-//!    Fig. 9-style geometric-mean overhead of each rung.
+//!    after-point lowering, leaf-tool splicing, and counter promotion. Rows
+//!    carry the executed thread-instructions, cycles and planner accounting,
+//!    plus the Fig. 9-style geometric-mean overhead of each rung.
 //! 2. **Sampling × plan** (§6.2 stacked on Fig. 9). The opcode histogram
 //!    with grid-dim sampling over the top rung. Each kernel launches four
 //!    times with identical dimensions, so sampling instruments one launch
@@ -28,11 +28,12 @@
 //! `results/BENCH_inject_overhead.json`, gated on: coalescing alone cuts
 //! ≥25 % of the FFT pipeline's instrumented thread-instructions, and
 //! splicing keeps that cut; region coalescing emits fewer calls than
-//! per-block coalescing on at least two of fft/stencil/spmv; no rung and no
-//! sampling changes what a tool measures; sampling instruments one launch
-//! and multiplies with the plan; exact saves cut ≥95 % of the FFT's saved
-//! slots and the wide tool's ≥30 % (the recorded figures minus a margin),
-//! and the wide splice saves no more than its out-of-line call.
+//! per-block coalescing on at least two of fft/stencil/spmv; promotion cuts
+//! every workload's cycles below splicing's; no rung and no sampling changes
+//! what a tool measures; sampling instruments one launch and multiplies with
+//! the plan; exact saves cut ≥95 % of the FFT's saved slots and the wide
+//! tool's ≥30 % (the recorded figures minus a margin), and the wide splice
+//! saves no more than its out-of-line call.
 
 use bench_harness::{geomean, Report};
 use cuda::{CbId, CbParams, Driver};
@@ -51,18 +52,20 @@ use workloads::specaccel::{self, Size};
 const SAMPLING_ROUNDS: u32 = 4;
 
 /// The rungs of the plan ladder, bottom up.
-const RUNGS: [(&str, PlanLevel); 4] = [
+const RUNGS: [(&str, PlanLevel); 5] = [
     ("naive", PlanLevel::Naive),
     ("block", PlanLevel::Block),
     ("region", PlanLevel::Region),
     ("spliced", PlanLevel::Spliced),
+    ("promoted", PlanLevel::Promoted),
 ];
 
 /// Per instrumented function, the planner's and the code generator's
 /// accounting at its first launch exit.
 type Stats = Rc<RefCell<Vec<(String, PlanStats, SaveStats)>>>;
 
-/// Wraps a tool: pins the save policy at init and collects [`Stats`].
+/// Wraps a tool: pins the save policy and (unless the tool pins its own)
+/// the splicing rung, where saves are paid, at init; collects [`Stats`].
 struct Accounting<T> {
     policy: SavePolicy,
     inner: T,
@@ -72,6 +75,7 @@ struct Accounting<T> {
 impl<T: NvbitTool> NvbitTool for Accounting<T> {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.set_save_policy(self.policy);
+        api.set_plan_opts(PlanOpts { level: PlanLevel::Spliced });
         self.inner.at_init(api);
     }
     fn at_term(&mut self, api: &NvbitApi<'_>) {
@@ -159,6 +163,7 @@ fn plan_ladder(report: &mut Report) {
                 ("after_lowered", sum(|s| s.after_lowered)),
                 ("inline_accepted", sum(|s| s.inline_accepted)),
                 ("inline_declined", sum(|s| s.inline_declined)),
+                ("promoted_calls", sum(|s| s.promoted_calls)),
             ];
             report.row(name, label, &values);
         }
@@ -171,6 +176,8 @@ fn plan_ladder(report: &mut Report) {
     let emitted = |label: &str| report.column(label, "emitted_calls");
     let (block, region) = (emitted("block"), emitted("region"));
     let region_wins = (0..3).filter(|&w| region[w] < block[w]).count();
+    let cycles = |label: &str| report.column(label, "cycles");
+    let uncut = cycles("spliced").iter().zip(&cycles("promoted")).filter(|(s, p)| p >= s).count();
     // The plan never changes what the tool measures.
     let counts = report.column("naive", "tool_count");
     let changed = RUNGS.iter().map(|(label, _)| report.column(label, "tool_count"));
@@ -184,6 +191,7 @@ fn plan_ladder(report: &mut Report) {
     report.at_least("fft: thread-instructions cut by splicing", splice_cut, block_cut);
     let wins = region_wins as f64;
     report.at_least("of fft/stencil/spmv, region emits fewer calls than block", wins, 2.0);
+    report.at_most("workloads whose cycles promotion did not cut", uncut as f64, 0.0);
     report.at_most("workload x rung pairs where the tool count changed", changed as f64, 0.0);
 }
 
@@ -196,8 +204,8 @@ fn sampling_times_plan(report: &mut Report) {
             (results.histogram(), results.instrumented_launches(), cycles as f64)
         };
         let (h_naive, _, naive) = hist(SamplingMode::Full, PlanLevel::Naive);
-        let (h_plan, _, plan) = hist(SamplingMode::Full, PlanLevel::Spliced);
-        let (h_sampled, launches, sampled) = hist(SamplingMode::GridDim, PlanLevel::Spliced);
+        let (h_plan, _, plan) = hist(SamplingMode::Full, PlanLevel::Promoted);
+        let (h_sampled, launches, sampled) = hist(SamplingMode::GridDim, PlanLevel::Promoted);
         drifted += usize::from(h_naive != h_plan) + usize::from(h_plan != h_sampled);
         let (by_plan, by_sampling, combined) = (naive / plan, plan / sampled, naive / sampled);
         let values = [

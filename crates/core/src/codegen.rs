@@ -19,13 +19,13 @@
 //! 4. jumps back to the next original instruction.
 
 use crate::hal::Hal;
-use crate::plan::{InstrumentationPlan, PlanStats, PlannedCall};
+use crate::plan::{InstrumentationPlan, PlanStats, PlannedCall, Promotion};
 use crate::saverestore::{frame_bytes, tier_for, Routines};
 use crate::spec::{abi_slots, arg_window, Arg, IPoint};
 use crate::{NvbitError, Result};
 use cuda::FunctionInfo;
 use sass::inst::span_regs;
-use sass::op::{CfClass, IType};
+use sass::op::{CfClass, CmpOp, IType, SubOp};
 use sass::{Instruction, LiveSet, Mods, Op, Operand, Pred, Reg, RegSet};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -81,6 +81,87 @@ pub struct ToolFn {
     /// `None` when unknown (opaque registration or a body with calls); the
     /// clobber then falls back to `reg_count`.
     pub call_ceiling: Option<u8>,
+    /// Set when the body is spliceable and a promotable counter.
+    pub counter: Option<Counter>,
+}
+
+/// A promotable counter body ([`crate::plan::PlanLevel::Promoted`]): it adds
+/// `value`, zero-extended, to the `u64` at its address argument, where the
+/// predicate argument it tests, if any, is non-zero. Arguments are named by
+/// their ABI slot (`spec::abi_slots`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The predicate argument.
+    pub pred: Option<u8>,
+    /// The address argument.
+    pub addr: u8,
+    /// An argument (`Reg`) or a constant (`Imm`).
+    pub value: Operand,
+}
+
+/// The counter a spliceable `body` is: its one effect an unguarded
+/// `ATOM.ADD.U64` (result unused) or `RED.ADD.U64` of an argument or a
+/// constant, zero-extended, through an address argument — unconditional, or
+/// skipped by the early return an `ISETP.EQ` of an argument against zero
+/// takes. Everything else computes, moves or tests.
+fn counter_of(body: &[Instruction], arch: sass::Arch) -> Option<Counter> {
+    // Per register an argument's entry value (`Reg`), a constant (`Imm`) or,
+    // once written otherwise, nothing known; per predicate the argument it
+    // tests for zero; the early return's argument and join.
+    let mut val: [Option<Operand>; 256] = std::array::from_fn(|r| Some(Operand::Reg(Reg(r as u8))));
+    val[255] = Some(Operand::Imm(0));
+    let (mut tests, mut skip, mut counter) = ([None; 8], None, None);
+    for (pos, ins) in body.iter().enumerate() {
+        let eval = |o: &Operand| o.as_imm().map(Operand::Imm).or_else(|| val[o.as_reg()?.index()]);
+        let pair = |r: Reg| Some((val[r.index()]?, val.get(r.index() + 1).copied()??));
+        let always = ins.guard.is_always();
+        match (ins.op, &ins.operands[..]) {
+            (Op::Atom, [_, Operand::MRef { base, offset: 0 }, Operand::Reg(v), _])
+            | (Op::Red, [Operand::MRef { base, offset: 0 }, Operand::Reg(v)])
+                if always
+                    && counter.is_none()
+                    && (ins.mods.sub, ins.mods.itype) == (SubOp::Add, IType::U64) =>
+            {
+                let written = ins.reg_writes();
+                let read = |l: &Instruction| l.reg_reads().iter().any(|r| written.contains(r));
+                let pred = skip.map(|(slot, join)| (pos < join).then_some(slot));
+                let (Some((Operand::Reg(a), Operand::Reg(b))), Some((value, Operand::Imm(0)))) =
+                    (pair(*base), pair(*v))
+                else {
+                    return None;
+                };
+                if body[pos + 1..].iter().any(read) || pred == Some(None) || b.0 != a.0 + 1 {
+                    return None;
+                }
+                counter = Some(Counter { pred: pred.flatten(), addr: a.0, value });
+            }
+            (Op::Bra, _)
+                if !always && !ins.guard.negated && skip.is_none() && counter.is_none() =>
+            {
+                let join = pos as i64 + 1 + ins.rel_target()? / arch.instruction_size() as i64;
+                skip = Some((tests[ins.guard.pred.index()]?, join as usize));
+            }
+            // Past the count: the arm's way to the join.
+            (Op::Bra | Op::Sync, _) if counter.is_some() => {}
+            (Op::Nop | Op::Ssy | Op::Ret, _) => {}
+            // The categories up to `Warp` compute, move or test.
+            _ if ins.op.category() <= sass::OpCategory::Warp => {}
+            _ => return None,
+        }
+        let moved = match (ins.op, &ins.operands[..]) {
+            (Op::Mov | Op::Mov32i, [_, s]) if always => eval(s),
+            _ => None,
+        };
+        let tested = match (ins.op, ins.mods.cmp, &ins.operands[..]) {
+            (Op::Isetp, CmpOp::Eq, [_, a, b]) if always && eval(b) == Some(Operand::Imm(0)) => {
+                eval(a).and_then(|a| a.as_reg()).map(|r| r.0)
+            }
+            _ => None,
+        };
+        ins.reg_writes().iter().for_each(|r| val[r.index()] = moved);
+        (0..7).filter(|p| ins.pred_writes() >> p & 1 == 1).for_each(|p| tests[p] = tested);
+    }
+    counter
 }
 
 /// Whether `i` transfers control out of the body and back (callee
@@ -108,6 +189,7 @@ impl ToolFn {
             inlinable: false,
             write_ceiling: None,
             call_ceiling: None,
+            counter: None,
         }
     }
 
@@ -137,6 +219,7 @@ impl ToolFn {
             stack_size,
             uses_reg_api,
             call_ceiling,
+            counter: inlinable.then(|| counter_of(&body, arch)).flatten(),
             body: Some(Arc::new(body)),
             inlinable,
             write_ceiling,
@@ -187,9 +270,9 @@ pub enum SavePolicy {
     FullTier,
 }
 
-/// Where an emitted call's spliced body sits within its site: `(offset,
-/// len)`, the final `RET` replaced by `NOP`; `None` for a call made out of
-/// line.
+/// Where an emitted call's code sits within its site: `(offset, len)` of a
+/// spliced body, the final `RET` replaced by `NOP`, or of a promoted call's
+/// one increment; `None` for a call made out of line.
 pub type Splice = Option<(usize, usize)>;
 
 /// Layout record for one injection site's trampoline, used by the
@@ -252,12 +335,20 @@ fn reg_demand(r: u8) -> u32 {
 }
 
 /// The register demand an argument places on the save tier.
-fn arg_demand(arg: &Arg) -> u32 {
+pub(crate) fn arg_demand(arg: &Arg) -> u32 {
     match arg {
         Arg::RegVal(r) => reg_demand(*r),
         Arg::RegVal64(r) => reg_demand(*r).max(reg_demand(r.saturating_add(1))),
         _ => 0,
     }
+}
+
+/// One past the highest register a ladder-saved `call` of `tf` clobbers: R0
+/// (the frame pointer), the ABI argument window and what the standard-ABI
+/// callee leaves clobbered (a spliced body: all it writes).
+pub(crate) fn clobber(call: &PlannedCall, tf: &ToolFn) -> u32 {
+    let ceiling = if call.inline { tf.write_ceiling } else { tf.call_ceiling };
+    ceiling.map_or(tf.reg_count, u32::from).max(u32::from(arg_window(&call.args))).max(1)
 }
 
 /// A function's instrumentation emitted position-independently: everything
@@ -317,10 +408,11 @@ struct Emit<'a> {
     removed: &'a HashSet<usize>,
     tool_fns: &'a ToolFns,
     routines: &'a HashMap<u16, Routines>,
+    promotion: &'a Promotion,
     /// The liveness solution when per-site sizing applies.
     liveness: Option<&'a sass::Dataflow>,
     /// What some argument reads where the application has no further use
-    /// for it: still observed by the tool, so live to every exact save.
+    /// for it, and promotion's registers: live to every exact save.
     observed: LiveSet,
     /// Σ slots exact brackets store, aligned pairs they moved onto dead
     /// registers, and their largest frame in bytes.
@@ -421,6 +513,7 @@ pub(crate) fn prepare(
     };
 
     let mut observed = LiveSet::EMPTY;
+    plan.promotion.registers().for_each(|r| observed.gprs.insert(Reg(r)));
     for (&idx, calls) in &plan.sites {
         for (df, call) in liveness.iter().flat_map(|df| calls.iter().map(move |c| (df, c))) {
             let live = live_at(df, idx, call.ipoint);
@@ -434,6 +527,7 @@ pub(crate) fn prepare(
         removed: &plan.removed,
         tool_fns,
         routines,
+        promotion: &plan.promotion,
         liveness,
         observed,
         exact_slots: 0,
@@ -458,24 +552,18 @@ pub(crate) fn prepare(
         exact.extend(planned.iter().map(|c| cx.exact_live(idx, c)));
         let mut tier = 0u16;
         let mut ladder_calls = 0u64;
-        for (call, _) in planned.iter().zip(&exact).filter(|(_, e)| e.is_none()) {
+        for (call, _) in
+            planned.iter().zip(&exact).filter(|(c, e)| e.is_none() && c.promoted.is_none())
+        {
             ladder_calls += 1;
             let tf = &tool_fns[&call.func];
             let need = match liveness {
                 // Register-device-API tools index save-area slots computed
                 // at run time; only the whole-function tier is safe for them.
                 Some(df) if !tf.uses_reg_api => {
-                    // The call clobbers R0 (the frame pointer), the ABI
-                    // argument window and what the standard-ABI callee
-                    // leaves clobbered (a spliced body: all it writes): save
-                    // what is live at the injection point below that, and
-                    // what an argument reads back.
-                    let ceiling = if call.inline { tf.write_ceiling } else { tf.call_ceiling };
-                    let clobber = ceiling
-                        .map_or(tf.reg_count, u32::from)
-                        .max(u32::from(arg_window(&call.args)))
-                        .max(1);
-                    let ceiling = u8::try_from(clobber).unwrap_or(u8::MAX);
+                    // Save what is live at the injection point below the
+                    // call's clobber window, and what an argument reads back.
+                    let ceiling = u8::try_from(clobber(call, tf)).unwrap_or(u8::MAX);
                     let live = live_at(df, idx, call.ipoint).gprs.max_below(ceiling);
                     let demand = call.args.iter().map(arg_demand).max().unwrap_or(0);
                     let demand = demand.max(live.map_or(0, |r| u32::from(r) + 1));
@@ -584,12 +672,16 @@ fn emit_site(
         Ok(())
     };
 
+    // Counter promotion zeroes its pairs at entry and flushes them ahead of
+    // each `EXIT`, under the `EXIT`'s guard.
+    out.extend(cx.promotion.zeroing().filter(|_| idx == 0));
     emit_calls(cx, IPoint::Before, out)?;
+    let mut orig = if cx.removed.contains(&idx) { Instruction::nop() } else { cx.original[idx] };
+    out.extend(cx.promotion.flush(orig.guard).filter(|_| orig.op == Op::Exit));
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
     // removed (the PROXY-emulation path of §6.3).
     let orig_pos = out.len() - site;
-    let mut orig = if cx.removed.contains(&idx) { Instruction::nop() } else { cx.original[idx] };
     if let Some(rel) = orig.rel_target() {
         // Critically, relative control flow must be re-relativized to
         // its new home (Figure 4's "offset must be adjusted").
@@ -611,11 +703,11 @@ fn emit_site(
     Ok((orig_pos, spans))
 }
 
-/// Emits one planned call — a splice with something `exact` to preserve
-/// inside its exact bracket ([`emit_exact`]), any other as save routine,
-/// frame pointer, arguments, tool call (or spliced body), restore routine —
-/// and returns the span of the spliced body, if any, relative to the `site`
-/// start in `out`.
+/// Emits one planned call — a promoted one as its increment, a splice with
+/// something `exact` to preserve inside its exact bracket ([`emit_exact`]),
+/// any other as save routine, frame pointer, arguments, tool call (or
+/// spliced body), restore routine — and returns its [`Splice`] relative to
+/// the `site` start in `out`.
 ///
 /// With `pred_filter` set on a guarded site, the whole sequence is wrapped
 /// in an `SSY`-bracketed diamond so that guard-false lanes never enter the
@@ -640,6 +732,10 @@ fn emit_call(
 ) -> Result<Option<(usize, usize)>> {
     let tool = &cx.tool_fns[&call.func];
     let guard = cx.original[idx].guard;
+    if let Some(increment) = call.promoted {
+        out.push(increment);
+        return Ok(Some((out.len() - 1 - site, 1)));
+    }
     // The wrapper's targets depend on the length of what it wraps: emitted
     // first with none, set once the sequence is there.
     let wrapper = (call.pred_filter && !guard.is_always()).then_some(out.len());
@@ -999,6 +1095,7 @@ mod tests {
             removed: &plan.removed,
             tool_fns,
             routines: &routines,
+            promotion: &plan.promotion,
             liveness: None,
             observed: LiveSet::EMPTY,
             exact_slots: 0,
@@ -1633,23 +1730,29 @@ mod tests {
         HashMap::from([(name.into(), tf)])
     }
 
-    /// Plans `spec` at the top rung over a 12-register Volta kernel and
+    /// The splicing rung: exact brackets, nothing promoted.
+    const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced };
+
+    /// Plans `spec` at the splicing rung over a 12-register Volta kernel and
     /// generates it under the liveness policy; returns the image and its
     /// trampoline.
     fn exact(text: &str, fns: &ToolFns, spec: &FuncSpec) -> (InstrumentedImage, Vec<Instruction>) {
-        exact_on(Arch::Volta, text, fns, spec)
+        built(Arch::Volta, SPLICED, text, fns, spec)
     }
 
-    /// [`exact`] on either encoding family.
-    fn exact_on(
+    /// `spec` planned under `opts` over a 12-register kernel of either
+    /// encoding family and generated under the liveness policy: the image
+    /// and its trampoline.
+    fn built(
         arch: Arch,
+        opts: PlanOpts,
         text: &str,
         fns: &ToolFns,
         spec: &FuncSpec,
     ) -> (InstrumentedImage, Vec<Instruction>) {
         let (hal, info, instrs) = setup(arch, text);
         let analysis = sass::Analysis::of(&instrs, arch);
-        let plan = plan::build(spec, &instrs, arch, &analysis, fns, PlanOpts::default()).unwrap();
+        let plan = plan::build(spec, &instrs, arch, &analysis, fns, opts).unwrap();
         let img = generate(
             &hal,
             &info,
@@ -1813,7 +1916,7 @@ mod tests {
         fn verify(&self) -> Vec<DiagKind> {
             let hal = Hal::new(Arch::Volta);
             let image = hal.disassemble(&self.img.instrumented).unwrap();
-            let request = (&self.spec, &self.fns, PlanOpts::default());
+            let request = (&self.spec, &self.fns, SPLICED);
             verdict(&hal, &self.code, &self.img, (&image, &self.tramp), request).unwrap()
         }
     }
@@ -1901,7 +2004,7 @@ mod tests {
             spec.insert_call(1, "pair", IPoint::Before);
             spec.add_arg(1, Arg::RegVal(2));
             spec.add_arg(1, Arg::RegVal64(6));
-            let (img, tramp) = exact_on(arch, app, &fns, &spec);
+            let (img, tramp) = built(arch, SPLICED, app, &fns, &spec);
             let expect = sass::asm::assemble_arch(
                 "\
             IADD R1, R1, -0xc ;
@@ -1941,7 +2044,7 @@ mod tests {
             let mut spec = FuncSpec::default();
             spec.insert_call(0, "setp", IPoint::Before);
             spec.add_arg(0, Arg::Imm32(0));
-            let (img, tramp) = exact_on(arch, &app, &fns, &spec);
+            let (img, tramp) = built(arch, SPLICED, &app, &fns, &spec);
             let ops: Vec<Op> = tramp.iter().map(|i| i.op).collect();
             let expect =
                 [Op::Jcal, Op::Mov, Op::Mov32i, Op::Isetp, Op::Nop, Op::Jcal, Op::Mov, Op::Jmp];
@@ -1951,7 +2054,7 @@ mod tests {
 
             let code = hal.assemble_text(&app).unwrap();
             let image = hal.disassemble(&img.instrumented).unwrap();
-            let request = (&spec, &fns, PlanOpts::default());
+            let request = (&spec, &fns, SPLICED);
             let kinds = verdict(&hal, &code, &img, (&image, &tramp), request).unwrap();
             assert_eq!(kinds, vec![]);
             // Behind nothing at all, the write of live P0 is caught.
@@ -2079,6 +2182,148 @@ mod tests {
         opaque.insert("leaf".into(), ToolFn::opaque(0x8000, 100, 0, false));
         let without = run(&opaque);
         assert_eq!(without.sites[0].tier, 128, "R90 inside the 100-register clobber window");
+    }
+
+    // ----- Counter promotion ------------------------------------------------
+
+    #[test]
+    fn the_counting_bodies_classify_by_their_effect() {
+        let hal = Hal::new(Arch::Volta);
+        let counter = |text: &str| {
+            let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
+            ToolFn::with_body(0x8000, 10, 0, false, body, hal.arch()).counter
+        };
+        let pred_mult = Counter { pred: Some(4), addr: 6, value: Operand::Reg(Reg(8)) };
+        assert_eq!(counter(PMULT), Some(pred_mult));
+        // `nvbit_count_one` adds a constant; `nvbit_count_mult` tests no
+        // predicate and finds its address and value through moves.
+        let one = PMULT.replace("MOV R8, R5 ;", "MOV32I R8, 0x1 ;");
+        assert_eq!(counter(&one), Some(Counter { value: Operand::Imm(1), ..pred_mult }));
+        let mult = "MOV R7, R5 ;\nMOV R2, R4 ;\nMOV R4, R6 ;\nMOV R6, R2 ;\nMOV R8, R4 ;\n\
+                    MOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nRET ;";
+        let value = Operand::Reg(Reg(6));
+        assert_eq!(counter(mult), Some(Counter { pred: None, addr: 4, value }));
+        // Not counters: a computed value (`nvbit_count_wide`), a second
+        // effect, a used result, a 32-bit add, a count past the join.
+        for not in [
+            PMULT.replace("MOV R8, R5 ;", "SHL R8, R5, 0x1 ;"),
+            PMULT.replace("MOV R9, RZ ;", "MOV R9, RZ ;\nSTG [R6], R5 ;"),
+            PMULT.replace("R8, RZ ;", "R8, RZ ;\nMOV R5, R4 ;"),
+            PMULT.replace("ATOM.ADD.U64", "ATOM.ADD.U32"),
+            "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\n@P0 BRA join ;\nMOV R8, R5 ;\njoin:\n\
+             MOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nRET ;"
+                .to_string(),
+        ] {
+            assert_eq!(counter(&not), None, "{not}");
+        }
+    }
+
+    /// A guarded `EXIT`, then a block ending in the `EXIT`, every instruction
+    /// counted the way `CoalescedInstrCount::executed` does it, and
+    /// instruction 2 also through the spliced leaf, planned at the top rung.
+    fn promoted_image(arch: Arch) -> Pristine {
+        let hal = Hal::new(arch);
+        let app =
+            "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;";
+        let mut fns = tool(&hal, "pmult", PMULT);
+        fns.extend(leaf_fns(&hal, 8));
+        let (_, _, original) = setup(arch, app);
+        let mut spec = FuncSpec::default();
+        for (idx, ins) in original.iter().enumerate() {
+            spec.insert_call(idx, "pmult", IPoint::Before);
+            spec.add_arg(idx, if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred });
+            spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
+            spec.set_coalesce(idx);
+        }
+        spec.insert_call(2, "leaf", IPoint::Before);
+        let opts = PlanOpts::default();
+        let (img, tramp) = built(arch, opts, app, &fns, &spec);
+        let (code, image) = (hal.assemble(&original).unwrap(), hal.disassemble(&img.instrumented));
+        Pristine { code, image: image.unwrap(), original, img, tramp, spec, fns, opts }
+    }
+
+    #[test]
+    fn promoted_counters_encode_and_verify_on_both_families() {
+        for arch in [Arch::Pascal, Arch::Volta] {
+            let (hal, p) = (Hal::new(arch), promoted_image(arch));
+            let back =
+                |idx: u64| format!("JMP `{:#x} ;", 0x4000 + (idx + 1) * hal.instruction_size());
+            let flush = |guard| {
+                format!(
+                    "MOV32I R16, 0xbeef ;\nMOV32I R17, 0xdead ;\n{guard} RED.ADD.U64 [R16], R18 ;"
+                )
+            };
+            // The zeroing, then each site's increment: the pair sits past
+            // the ABI window, the scratch pair below it.
+            let sites = [
+                format!("IADD.U64 R18, RZ, 0x0 ;\nIADD.U64 R18, R18, 0x1 ;\nISETP.GE.S32 P0, R2, 0x10 ;\n{}", back(0)),
+                format!("@P0 IADD.U64 R18, R18, 0x1 ;\n{}\n@P0 EXIT ;\n{}", flush("@P0"), back(1)),
+                format!("IADD.U64 R18, R18, 0x3 ;\nIADD R4, R4, 0x1 ;\nNOP ;\nIADD R8, R8, 0x1 ;\n{}", back(2)),
+                format!("{}\nEXIT ;", flush("")),
+            ];
+            let expect: Vec<Instruction> =
+                sites.iter().flat_map(|s| sass::asm::assemble_arch(s, arch).unwrap()).collect();
+            assert_eq!(p.tramp, expect, "{arch:?}:\n{}", text_of(&p.tramp));
+            let s = p.img.plan;
+            assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (3, 1, 1));
+            assert_eq!(p.img.sites[2].calls, [Some((0, 1)), Some((1, 2))]);
+            let kinds = verdict(&hal, &p.code, &p.img, (&p.image, &p.tramp), p.request());
+            assert_eq!(kinds, Some(vec![]), "{arch:?}");
+        }
+    }
+
+    /// The kinds the verifier reports for the Volta [`promoted_image`] once
+    /// `corrupt` has changed its trampoline, given each site's start by
+    /// instruction.
+    fn corrupted_promotion(
+        corrupt: impl FnOnce(&mut [Instruction], &dyn Fn(usize) -> usize),
+    ) -> Vec<DiagKind> {
+        let mut p = promoted_image(Arch::Volta);
+        let sites = p.img.sites.clone();
+        let start = |idx: usize| sites.iter().find(|s| s.instr_idx == idx).unwrap().start;
+        corrupt(&mut p.tramp, &start);
+        verdict(&Hal::new(Arch::Volta), &p.code, &p.img, (&p.image, &p.tramp), p.request()).unwrap()
+    }
+
+    #[test]
+    fn a_dropped_flush_is_rejected() {
+        assert_eq!(corrupted_promotion(|_, _| {}), vec![]);
+        // The last EXIT's site: two MOV32Is, the RED, the EXIT.
+        let kinds = corrupted_promotion(|t, site| t[site(4) + 2] = Instruction::nop());
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
+    }
+
+    #[test]
+    fn a_flush_under_another_guard_than_its_exits_is_rejected() {
+        // The guarded EXIT's site: the increment, two MOV32Is, `@P0 RED`.
+        let kinds = corrupted_promotion(|t, site| t[site(1) + 3].guard.negated = true);
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
+        let kinds = corrupted_promotion(|t, site| t[site(1) + 3].guard = sass::Guard::ALWAYS);
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
+    }
+
+    #[test]
+    fn a_dropped_zeroing_is_rejected() {
+        let kinds = corrupted_promotion(|t, site| t[site(0)] = Instruction::nop());
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
+    }
+
+    #[test]
+    fn an_increment_retargeted_onto_an_application_register_is_rejected() {
+        // Instruction 2's increment now adds into R8:R9, which the
+        // application reads right after.
+        let kinds = corrupted_promotion(|t, site| t[site(2)].map_regs(|_| Reg(8), |p| p));
+        assert!(kinds.contains(&DiagKind::PlanMismatch), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_splice_renamed_onto_a_promoted_pair_is_rejected() {
+        // Still a bijection of the loaded body (R4:R5 ↦ R18:R19), so the
+        // splice matches, and R18 is dead to the application — but it holds
+        // the count.
+        let onto_pair = |r: Reg| if r == Reg(4) { Reg(18) } else { r };
+        let kinds = corrupted_promotion(|t, site| t[site(2) + 1].map_regs(onto_pair, |p| p));
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
     }
 
     // ----- The verifier's verdicts under seeded mutation -------------------

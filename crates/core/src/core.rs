@@ -311,6 +311,8 @@ impl CoreState {
             common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
             common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
             common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
+            common::obs::counter("plan.promoted_calls", plan.stats.promoted_calls);
+            common::obs::counter("plan.promoted_pairs", plan.stats.promoted_pairs);
             plan
         };
         // Every trampoline is emitted position-independently first, so an

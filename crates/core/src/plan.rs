@@ -44,17 +44,21 @@
 //!    the trampoline, eliminating the CALL/RET pair. The rule is a static
 //!    property of the body, never of the site; how a splice is *saved* is
 //!    the code generator's business.
+//! 5. **Counter promotion** (LLVM PGO's): a call of a promotable counter
+//!    body becomes one `IADD.U64` into a register pair, zeroed at entry and
+//!    flushed by one `RED.ADD.U64` per thread before each `EXIT` ([`Promotion`]).
 //!
 //! Every coalesce-marked injection follows the **multiplicity protocol**:
 //! the plan appends one trailing `Imm32` argument — 1 when the call stands
 //! alone, *N* when it represents *N* merged sites — so the tool function's
 //! signature (and its output) is identical whether or not the passes run.
 
-use crate::codegen::ToolFn;
-use crate::spec::{Arg, FuncSpec, IPoint, Injection};
+use crate::codegen::{arg_demand, clobber, ToolFn};
+use crate::spec::{abi_slots, Arg, FuncSpec, IPoint, Injection};
 use crate::{NvbitError, Result};
 use sass::cfg::{block_of, BasicBlock};
-use sass::{Analysis, CfgFailure, Instruction};
+use sass::op::{CfClass, IType, SubOp};
+use sass::{Analysis, CfgFailure, Guard, Instruction, Mods, Op, Operand, Reg};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -73,6 +77,8 @@ pub enum PlanLevel {
     /// ([`crate::codegen::ToolFn::inlinable`]) is spliced; any other stays
     /// an out-of-line call.
     Spliced,
+    /// Adds counter promotion ([`Promotion`]).
+    Promoted,
 }
 
 /// Which optimization passes [`build`] runs. Part of the image-cache key:
@@ -86,7 +92,7 @@ pub struct PlanOpts {
 impl Default for PlanOpts {
     /// The top rung.
     fn default() -> Self {
-        PlanOpts { level: PlanLevel::Spliced }
+        PlanOpts { level: PlanLevel::Promoted }
     }
 }
 
@@ -113,6 +119,54 @@ pub struct PlannedCall {
     pub coalesce: bool,
     /// Splice the tool function's body instead of emitting a `JCAL`.
     pub inline: bool,
+    /// Instead of a call or a splice, the increment `[@guard] IADD.U64 pair,
+    /// pair, value` of a promoted call ([`Promotion`]).
+    pub promoted: Option<Instruction>,
+}
+
+/// `op` on 64-bit values.
+fn wide<const N: usize>(op: Op, operands: [Operand; N], sub: SubOp) -> Instruction {
+    Instruction::new(op, operands).with_mods(Mods { itype: IType::U64, sub, ..Mods::default() })
+}
+
+/// Counter promotion's registers ([`PlanLevel::Promoted`], DESIGN §4i): a
+/// pair per counter address, in first-site order, above everything the
+/// image touches, and below them the scratch pair a flush addresses the
+/// counter through. Instruction 0's site zeroes every pair; each `EXIT`'s
+/// site adds every pair to its counter under the `EXIT`'s guard.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Promotion {
+    /// `(counter address, pair)`.
+    pub pairs: Vec<(u64, Reg)>,
+    /// The flushes' address pair.
+    pub scratch: Reg,
+}
+
+impl Promotion {
+    /// The registers promotion owns.
+    pub(crate) fn registers(&self) -> std::ops::Range<u8> {
+        let n = if self.pairs.is_empty() { 0 } else { 2 * self.pairs.len() as u8 + 2 };
+        self.scratch.0..self.scratch.0 + n
+    }
+
+    /// `IADD.U64 pair, RZ, 0` per pair.
+    pub(crate) fn zeroing(&self) -> impl Iterator<Item = Instruction> + '_ {
+        let zero = |p| [Operand::Reg(p), Operand::Reg(Reg::RZ), Operand::Imm(0)];
+        self.pairs.iter().map(move |&(_, p)| wide(Op::Iadd, zero(p), SubOp::None))
+    }
+
+    /// Per pair, the counter's address into the scratch pair, then
+    /// `@guard RED.ADD.U64 [scratch], pair`.
+    pub(crate) fn flush(&self, guard: Guard) -> impl Iterator<Item = Instruction> + '_ {
+        let s = self.scratch;
+        let mov = |r, v| Instruction::new(Op::Mov32i, [Operand::Reg(r), Operand::Imm(v)]);
+        self.pairs.iter().flat_map(move |&(addr, p)| {
+            let red =
+                wide(Op::Red, [Operand::MRef { base: s, offset: 0 }, Operand::Reg(p)], SubOp::Add);
+            let (lo, hi) = (i64::from(addr as i32), i64::from((addr >> 32) as i32));
+            [mov(s, lo), mov(Reg(s.0 + 1), hi), red.with_guard(guard)]
+        })
+    }
 }
 
 /// Per-pass accounting reported through [`crate::codegen::InstrumentedImage`] and
@@ -147,9 +201,13 @@ pub struct PlanStats {
     /// Emitted calls [`PlanLevel::Spliced`] splices inline.
     pub inline_accepted: u64,
     /// Emitted calls [`PlanLevel::Spliced`] leaves out of line because the
-    /// tool body is not spliceable. With `inline_accepted` it sums to
-    /// `emitted_calls` at that rung; both are 0 below it.
+    /// tool body is not spliceable. With `inline_accepted` and
+    /// `promoted_calls` it sums to `emitted_calls`; all three are 0 below it.
     pub inline_declined: u64,
+    /// Emitted calls [`PlanLevel::Promoted`] promotes.
+    pub promoted_calls: u64,
+    /// Register pairs they add into, one per counter address.
+    pub promoted_pairs: u64,
 }
 
 /// The validated, optimized instrumentation plan for one function.
@@ -160,6 +218,8 @@ pub struct InstrumentationPlan {
     pub sites: BTreeMap<usize, Vec<PlannedCall>>,
     /// Instructions whose original operation is removed.
     pub removed: HashSet<usize>,
+    /// Counter promotion's registers.
+    pub promotion: Promotion,
     /// What the passes did.
     pub stats: PlanStats,
 }
@@ -333,10 +393,6 @@ pub fn build(
         args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity)));
         let inline = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
-        if opts.level >= PlanLevel::Spliced {
-            stats.inline_accepted += u64::from(inline);
-            stats.inline_declined += u64::from(!inline);
-        }
         carries[r.site] = 2;
         sites.entry(r.site).or_default().push(PlannedCall {
             func: r.inj.func.clone(),
@@ -345,12 +401,93 @@ pub fn build(
             pred_filter: r.inj.pred_filter,
             coalesce: r.inj.coalesce,
             inline,
+            promoted: None,
         });
     }
     stats.sites_dropped = carries.iter().filter(|c| **c == 1).count() as u64;
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
-    Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), stats })
+    // Pass 5, counter promotion: only with a CFG, which rules out `BRX`.
+    let promotion = match analysis.filter(|_| opts.level >= PlanLevel::Promoted) {
+        Some(_) => promote(&mut sites, body, arch, tool_fns, &spec.removed),
+        None => Promotion::default(),
+    };
+    if opts.level >= PlanLevel::Spliced {
+        for c in sites.values().flatten() {
+            stats.inline_accepted += u64::from(c.inline);
+            stats.promoted_calls += u64::from(c.promoted.is_some());
+            stats.inline_declined += u64::from(!c.inline && c.promoted.is_none());
+        }
+    }
+    stats.promoted_pairs = promotion.pairs.len() as u64;
+    Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), promotion, stats })
+}
+
+/// Promotes each unfiltered call of a [`crate::codegen::Counter`] body whose
+/// address argument is an `Imm64`, value an `Imm32` or constant below 2²²
+/// (an `IADD` immediate on both encodings) and predicate, if tested,
+/// `GuardPred` (the increment takes the site's guard) or a non-zero `Imm32` —
+/// unless the function leaves by anything but `EXIT` (a call, `RET`, trap or
+/// jump), branches to instruction 0 or calls the register device API. Pairs
+/// go above every register the original names, every call's clobber window
+/// and the ABI window, where no splice, call or renaming reaches them; past
+/// `R253` the remaining counters stay as they were. Instruction 0 and every
+/// kept `EXIT` become sites.
+fn promote(
+    sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
+    body: &[Instruction],
+    arch: sass::Arch,
+    tool_fns: &HashMap<Arc<str>, ToolFn>,
+    removed: &HashSet<usize>,
+) -> Promotion {
+    use CfClass::{AbsCall, AbsJump, RelCall, Ret, Trap};
+    let isize = arch.instruction_size() as i64;
+    let leaves = body.iter().enumerate().any(|(i, ins)| {
+        matches!(ins.cf_class(), RelCall | AbsCall | AbsJump | Ret | Trap)
+            || ins.rel_target().is_some_and(|off| i as i64 + 1 + off / isize == 0)
+    });
+    let calls = || sites.values().flatten();
+    if leaves || calls().any(|c| tool_fns[&c.func].uses_reg_api) {
+        return Promotion::default();
+    }
+    let names = body.iter().filter_map(|i| i.max_reg().map(|r| u32::from(r) + 1));
+    let clobbers =
+        calls().flat_map(|c| c.args.iter().map(arg_demand).chain([clobber(c, &tool_fns[&c.func])]));
+    let mut free = (names.chain(clobbers).fold(16, u32::max).next_multiple_of(2)..253).step_by(2);
+    let Some(scratch) = free.next() else { return Promotion::default() };
+    let mut promotion = Promotion { pairs: Vec::new(), scratch: Reg(scratch as u8) };
+    for (&idx, call) in
+        sites.iter_mut().flat_map(|(i, calls)| calls.iter_mut().map(move |c| (i, c)))
+    {
+        let Some(c) = tool_fns[&call.func].counter.filter(|_| !call.pred_filter) else { continue };
+        let arg = |slot: u8| abi_slots(&call.args).find(|(s, _)| *s == slot).map(|(_, a)| *a);
+        let value = match (c.value, c.value.as_reg().and_then(|r| arg(r.0))) {
+            (_, Some(Arg::Imm32(v))) => i64::from(v as u32),
+            (Operand::Imm(v), None) => i64::from(v as u32),
+            _ => continue,
+        };
+        let guard = match c.pred.map(arg) {
+            None => Guard::ALWAYS,
+            Some(Some(Arg::GuardPred)) => body[idx].guard,
+            Some(Some(Arg::Imm32(p))) if p != 0 => Guard::ALWAYS,
+            _ => continue,
+        };
+        let Some(Arg::Imm64(addr)) = arg(c.addr).filter(|_| value < 1 << 22) else { continue };
+        let known = promotion.pairs.iter().find(|(a, _)| *a == addr).map(|&(_, pair)| pair);
+        let Some(pair) = known.or_else(|| free.next().map(|r| Reg(r as u8))) else { continue };
+        if known.is_none() {
+            promotion.pairs.push((addr, pair));
+        }
+        let p = Operand::Reg(pair);
+        let add = wide(Op::Iadd, [p, p, Operand::Imm(value)], SubOp::None);
+        (call.inline, call.promoted) = (false, Some(add.with_guard(guard)));
+    }
+    let exits =
+        body.iter().enumerate().filter(|(i, ins)| ins.op == Op::Exit && !removed.contains(i));
+    for i in [0].into_iter().chain(exits.map(|(i, _)| i)).filter(|_| !promotion.pairs.is_empty()) {
+        sites.entry(i).or_default();
+    }
+    promotion
 }
 
 /// The buffers [`merge_calls`] works in, kept across passes.
@@ -846,5 +983,188 @@ b:
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 1]);
         assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
+    }
+
+    // ----- Counter promotion ------------------------------------------------
+
+    /// The compiled `nvbit_count_pmult(pred, ctr, mult)` as `count`: a
+    /// promotable counter (pred in R4, the address in R6:R7, mult in R8).
+    fn counter() -> HashMap<Arc<str>, ToolFn> {
+        let text = "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\nSSY end ;\n@P0 BRA join ;\n\
+                    MOV R8, R5 ;\nMOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nBRA join ;\n\
+                    join:\nSYNC ;\nend:\nRET ;";
+        let body = assemble_arch(text, Arch::Volta).unwrap();
+        let f = ToolFn::with_body(0x8000, 10, 0, false, body, Arch::Volta);
+        assert_eq!(f.counter.map(|c| (c.pred, c.addr)), Some((Some(4), 6)));
+        HashMap::from([("count".into(), f)])
+    }
+
+    /// Every instruction of `prog` counted the way `CoalescedInstrCount::executed`
+    /// does it, into counter `ctr(idx)`.
+    fn counted(prog: &[Instruction], ctr: impl Fn(usize) -> u64) -> FuncSpec {
+        let mut s = FuncSpec::default();
+        for (idx, ins) in prog.iter().enumerate() {
+            s.insert_call(idx, "count", IPoint::Before);
+            s.add_arg(idx, if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred });
+            s.add_arg(idx, Arg::Imm64(ctr(idx)));
+            s.set_coalesce(idx);
+        }
+        s
+    }
+
+    /// `IADD.U64 pair, pair, by`, under `guard`.
+    fn increment(guard: &str, pair: u8, by: u32) -> Option<Instruction> {
+        let text = format!("{guard} IADD.U64 R{pair}, R{pair}, {by:#x} ;");
+        Some(assemble_arch(&text, Arch::Volta).unwrap()[0])
+    }
+
+    fn promoted(plan: &InstrumentationPlan) -> Vec<(usize, Option<Instruction>)> {
+        let calls = plan.sites.iter().flat_map(|(i, calls)| calls.iter().map(move |c| (*i, c)));
+        calls.map(|(i, c)| (i, c.promoted)).collect()
+    }
+
+    #[test]
+    fn counter_calls_add_into_one_pair_per_address_above_the_image() {
+        // BODY names R0..R3 and the counter clobbers up to R9: the pairs start
+        // past the ABI window, in first-site order, the scratch pair first.
+        let body = analyzed(BODY);
+        let spec = counted(&body.0, |idx| if idx < 3 { 0xa0 } else { 0xb0 });
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        assert_eq!(plan.promotion.pairs, [(0xa0, Reg(18)), (0xb0, Reg(20))]);
+        assert_eq!((plan.promotion.scratch, plan.promotion.registers()), (Reg(16), 16..22));
+        // Instructions 0 and 1 merge; the guarded branch counts under its
+        // guard; 3 and 4 merge; the EXIT was a site already.
+        let expect = [
+            (0, increment("", 18, 2)),
+            (2, increment("@P0", 18, 1)),
+            (3, increment("", 20, 2)),
+            (5, increment("", 20, 1)),
+        ];
+        assert_eq!(promoted(&plan), expect);
+        assert!(plan.sites.values().flatten().all(|c| !c.inline));
+        let s = plan.stats;
+        assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (4, 2, 0));
+        // One rung down nothing is promoted and every call is spliced.
+        let spliced = build_for(&spec, &body, &counter(), at(PlanLevel::Spliced)).unwrap();
+        assert_eq!(spliced.promotion, Promotion::default());
+        assert_eq!((spliced.stats.inline_accepted, spliced.stats.promoted_calls), (4, 0));
+    }
+
+    #[test]
+    fn instruction_0_and_every_exit_become_sites() {
+        // Only instruction 1 is counted; the zeroing needs instruction 0's
+        // site and the flushes both EXITs' (the guarded one included).
+        let body = analyzed("S2R R0, SR_TID.X ;\nIADD R1, R0, 0x1 ;\n@P0 EXIT ;\nEXIT ;");
+        let mut spec = FuncSpec::default();
+        spec.insert_call(1, "count", IPoint::Before);
+        spec.add_arg(1, Arg::Imm32(1));
+        spec.add_arg(1, Arg::Imm64(0xa0));
+        spec.add_arg(1, Arg::Imm32(1));
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        let idxs: Vec<usize> = plan.sites.keys().copied().collect();
+        assert_eq!(idxs, vec![0, 1, 2, 3]);
+        assert_eq!(promoted(&plan), [(1, increment("", 18, 1))]);
+        // Removed, an EXIT no longer exits: it gets no flush.
+        spec.remove_orig(3);
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        assert!(!plan.sites.contains_key(&3));
+    }
+
+    /// Whether `src`, every instruction counted into one counter, promotes
+    /// anything; the calls stay spliced when it does not.
+    fn promotes(src: &str, fns: &HashMap<Arc<str>, ToolFn>, edit: impl Fn(&mut FuncSpec)) -> bool {
+        let body = analyzed(src);
+        let mut spec = counted(&body.0, |_| 0xa0);
+        edit(&mut spec);
+        let plan = build_for(&spec, &body, fns, PlanOpts::default()).unwrap();
+        let s = plan.stats;
+        assert_eq!(s.inline_accepted + s.inline_declined + s.promoted_calls, s.emitted_calls);
+        assert_eq!(
+            s.inline_accepted,
+            plan.sites.values().flatten().filter(|c| c.inline).count() as u64
+        );
+        assert_eq!(s.promoted_pairs, plan.promotion.pairs.len() as u64);
+        s.promoted_calls > 0
+    }
+
+    #[test]
+    fn a_function_that_leaves_otherwise_than_by_exit_promotes_nothing() {
+        let none = |_: &mut FuncSpec| {};
+        assert!(promotes("S2R R0, SR_TID.X ;\nEXIT ;", &counter(), none));
+        for src in [
+            "S2R R0, SR_TID.X ;\nJCAL `0x100 ;\nEXIT ;",
+            "S2R R0, SR_TID.X ;\nCAL .+0x10 ;\nEXIT ;\nRET ;",
+            "S2R R0, SR_TID.X ;\nRET ;",
+            "S2R R0, SR_TID.X ;\nBPT ;\nEXIT ;",
+            "S2R R0, SR_TID.X ;\nJMP `0x100 ;",
+            // Under the ICF exception there is no CFG to promote over.
+            "S2R R0, SR_TID.X ;\nBRX R4 ;\nEXIT ;",
+        ] {
+            assert!(!promotes(src, &counter(), none), "{src}");
+        }
+    }
+
+    #[test]
+    fn a_loop_through_instruction_0_promotes_nothing() {
+        // The zeroing would run again on every trip.
+        let none = |_: &mut FuncSpec| {};
+        assert!(!promotes(&LOOP.replace("MOV32I R0, 0x0 ;\n", ""), &counter(), none));
+        assert!(promotes(LOOP, &counter(), none));
+    }
+
+    #[test]
+    fn a_register_device_api_call_promotes_nothing() {
+        let mut fns = counter();
+        fns.insert("regs".into(), ToolFn::opaque(0x9000, 8, 0, true));
+        let with_regs = |s: &mut FuncSpec| s.insert_call(0, "regs", IPoint::Before);
+        assert!(!promotes(BODY, &fns, with_regs));
+    }
+
+    #[test]
+    fn a_register_value_or_a_predicate_filter_keeps_the_call_spliced() {
+        let body = analyzed(BODY);
+        let mut spec = FuncSpec::default();
+        for idx in [3, 4] {
+            spec.insert_call(idx, "count", IPoint::Before);
+            spec.add_arg(idx, Arg::Imm32(1));
+            spec.add_arg(idx, Arg::Imm64(0xa0));
+            spec.add_arg(idx, if idx == 3 { Arg::RegVal(2) } else { Arg::Imm32(1) });
+        }
+        spec.set_pred_filter(4);
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        assert_eq!(promoted(&plan), [(3, None), (4, None)]);
+        assert!(plan.sites.values().flatten().all(|c| c.inline));
+        // Neither a zero predicate: such a call never counts.
+        let mut spec = counted(&body.0, |_| 0xa0);
+        spec.insert_call(1, "count", IPoint::Before);
+        for arg in [Arg::Imm32(0), Arg::Imm64(0xb0), Arg::Imm32(1)] {
+            spec.add_arg(1, arg);
+        }
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        assert_eq!(plan.promotion.pairs.len(), 1);
+        assert_eq!(plan.stats.inline_accepted, 1);
+    }
+
+    #[test]
+    fn counters_past_the_register_file_stay_spliced() {
+        // R240 leaves room for the scratch pair and five more, R244..R252:
+        // the sixth counter on and its calls stay as the Spliced rung has them.
+        let src = format!("MOV R240, R0 ;\n{}EXIT ;", "IADD R240, R240, 0x1 ;\n".repeat(6));
+        let body = analyzed(&src);
+        let spec = counted(&body.0, |idx| 0x100 + 8 * idx as u64);
+        let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
+        let pairs: Vec<u8> = plan.promotion.pairs.iter().map(|(_, r)| r.0).collect();
+        assert_eq!((plan.promotion.scratch, pairs), (Reg(242), vec![244, 246, 248, 250, 252]));
+        let s = plan.stats;
+        assert_eq!((s.promoted_calls, s.inline_accepted, s.promoted_pairs), (5, 3, 5));
+        assert!(plan
+            .sites
+            .range(5..)
+            .flat_map(|(_, c)| c)
+            .all(|c| c.inline && c.promoted.is_none()));
+        // Past R252 nothing is left, not even the scratch pair.
+        let body = analyzed("MOV R252, R0 ;\nEXIT ;");
+        let plan = build_for(&counted(&body.0, |_| 8), &body, &counter(), PlanOpts::default());
+        assert_eq!(plan.unwrap().promotion, Promotion::default());
     }
 }

@@ -25,7 +25,10 @@
 //! * save discipline on every path of a site: a frame is open before any
 //!   save-area access or tool call and closed wherever the application
 //!   resumes, accesses stay inside it, and what is written is dead there
-//!   or saved and restored.
+//!   or saved and restored;
+//! * counter promotion: only the zeroing opening instruction 0's site, the
+//!   increments and the flush ahead of each relocated `EXIT`, under its
+//!   guard, name a promoted register; the original never does.
 //!
 //! Not re-checked: what decoding guarantees (each operand list in its
 //! opcode's format, no predicate past `P7`), and how the re-derived plan
@@ -100,6 +103,10 @@ pub enum DiagKind {
     /// missing or unplanned, or its calls are not the plan's (function,
     /// count, or spliced where the plan calls out of line and vice versa).
     PlanMismatch = 16,
+    /// The original, or an instruction other than the zeroing, an increment
+    /// or a flush, names a promoted register; or the zeroing of every pair
+    /// or their flush under an `EXIT`'s guard is missing.
+    PromotionMismatch = 17,
 }
 
 /// One verification failure.
@@ -430,7 +437,7 @@ fn check_calls(
             .filter(|c| !after(c))
             .chain(planned.iter().filter(after).filter(|_| falls_through))
     };
-    let called = emitted().filter(|c| !c.inline);
+    let called = emitted().filter(|c| !c.inline && c.promoted.is_none());
     let called = called.map(|c| (after(&c), req.tool_fns.get(&c.func).map(|f| f.addr)));
     let calls =
         body.iter().enumerate().filter_map(|(pos, ins)| match (ins.op, ins.operands.first()) {
@@ -445,11 +452,18 @@ fn check_calls(
 
     for (call, splice) in emitted().zip(&site.calls) {
         let func = &call.func;
-        if call.inline != splice.is_some() {
+        if (call.inline || call.promoted.is_some()) != splice.is_some() {
             let what = format!("`{func}` at {i} is not spliced or called as the plan has it");
             report(DiagKind::PlanMismatch, 0, what);
         }
         let Some((off, len)) = *splice else { continue };
+        if let Some(increment) = call.promoted {
+            if (len, body.get(off)) != (1, Some(&increment)) {
+                let what = format!("`{func}` at {i} is not its increment `{increment}`");
+                report(DiagKind::PlanMismatch, off.min(site.len - 1), what);
+            }
+            continue;
+        }
         let tool = req.tool_fns.get(func);
         let loaded = tool.and_then(|t| t.body.as_deref()).filter(|fn_body| {
             off + len <= site.len
@@ -541,6 +555,14 @@ fn walk(
     // and it is the original, as the plan removes from it, but for a jump
     // to the start of each of the plan's sites.
     let in_image = |kind, index, message| Diagnostic::new(kind, Region::Image, index, message);
+    let (promotion, owned) = (&plan.promotion, plan.promotion.registers());
+    let names = |i: &Instruction| {
+        [i.reg_reads(), i.reg_writes()].iter().flatten().any(|r| owned.contains(&r.0))
+    };
+    if let Some(index) = original.iter().position(names) {
+        let what = "the original names a promoted register".into();
+        diags.push(in_image(DiagKind::PromotionMismatch, index, what));
+    }
     if img.image.last().is_some_and(|l| !l.leaves()) {
         let what = "execution can fall off the end of the image".into();
         diags.push(in_image(DiagKind::FallThrough, img.image.len() - 1, what));
@@ -620,6 +642,24 @@ fn walk(
         };
         check_brackets(hal, (site, body), live, req, &mut pending, &mut diags);
 
+        // Counter promotion: the zeroing opens instruction 0's site, the flush
+        // ends an `EXIT`'s, and they and the increments alone name a pair.
+        let n = promotion.pairs.len();
+        let exit = displaced.filter(|d| d.op == Op::Exit && n > 0);
+        let zero = 0..if i == 0 { n } else { 0 };
+        let flush = exit.map_or(0..0, |_| site.orig_pos.saturating_sub(3 * n)..site.orig_pos);
+        let runs = |at: &std::ops::Range<usize>, code: &mut dyn Iterator<Item = Instruction>| {
+            body.get(at.clone()).is_some_and(|b| b.iter().copied().eq(code))
+        };
+        let owns = |p: usize| {
+            zero.contains(&p) || flush.contains(&p) || site.calls.contains(&Some((p, 1)))
+        };
+        let stray = (0..site.len).find(|&p| n > 0 && names(&body[p]) && !owns(p));
+        let flushed = exit.is_none_or(|d| runs(&flush, &mut promotion.flush(d.guard)));
+        if !runs(&zero, &mut promotion.zeroing().take(zero.len())) || !flushed || stray.is_some() {
+            let what = format!("site for instruction {i} breaks counter promotion");
+            diags.push(at(DiagKind::PromotionMismatch, stray.unwrap_or(0), what));
+        }
         let Some(planned) = plan.sites.get(&i) else {
             diags.push(at(DiagKind::PlanMismatch, 0, format!("the plan has no site at {i}")));
             continue;
@@ -711,6 +751,7 @@ mod tests {
             pred_filter: false,
             coalesce: true,
             inline: false,
+            promoted: None,
         }
     }
 

@@ -482,25 +482,41 @@ DONE:
         assert_eq!(results.per_kernel().len(), 2);
     }
 
+    /// `tool` with the plan options fixed before it instruments anything.
+    struct AtRung<T>(PlanOpts, T);
+
+    impl<T: NvbitTool> NvbitTool for AtRung<T> {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.set_plan_opts(self.0);
+            self.1.at_init(api);
+        }
+        fn at_term(&mut self, api: &NvbitApi<'_>) {
+            self.1.at_term(api);
+        }
+        fn at_cuda_event(&mut self, api: &NvbitApi<'_>, exit: bool, id: CbId, p: &CbParams<'_>) {
+            self.1.at_cuda_event(api, exit, id, p);
+        }
+    }
+
     #[test]
     fn basic_block_variant_is_cheaper_but_close() {
         let native = Driver::new(DeviceSpec::test(Arch::Volta));
         let native_count = run_app(&native);
         let native_cycles = native.total_stats().cycles;
 
-        let run_with = |bb: bool| -> (u64, u64) {
+        let run_with = |bb: bool, level: PlanLevel| -> (u64, u64) {
             let drv = Driver::new(DeviceSpec::test(Arch::Volta));
             let (count, cycles);
             if bb {
                 let (tool, results) = BbInstrCount::new();
-                attach_tool(&drv, tool);
+                attach_tool(&drv, AtRung(PlanOpts { level }, tool));
                 run_app(&drv);
                 drv.shutdown();
                 count = results.total();
                 cycles = drv.total_stats().cycles;
             } else {
                 let (tool, results) = InstrCount::new();
-                attach_tool(&drv, tool);
+                attach_tool(&drv, AtRung(PlanOpts { level }, tool));
                 run_app(&drv);
                 drv.shutdown();
                 count = results.total();
@@ -508,17 +524,26 @@ DONE:
             }
             (count, cycles)
         };
-        let (per_instr_count, per_instr_cycles) = run_with(false);
-        let (bb_count, bb_cycles) = run_with(true);
+        let (per_instr_count, per_instr_cycles) = run_with(false, PlanLevel::Spliced);
+        let (bb_count, bb_cycles) = run_with(true, PlanLevel::Spliced);
         assert_eq!(per_instr_count, native_count);
         // The BB variant approximates within the kernel's size (guarded
         // instructions inside blocks are charged by block-entry).
         let diff = bb_count.abs_diff(native_count) as f64 / native_count as f64;
         assert!(diff < 0.35, "bb count {bb_count} vs native {native_count}");
-        // And it is substantially cheaper than per-instruction counting
-        // while still slower than native.
+        // And where every site pays for its atomic it is substantially
+        // cheaper than per-instruction counting while still slower than
+        // native.
         assert!(bb_cycles < per_instr_cycles / 2, "{bb_cycles} vs {per_instr_cycles}");
         assert!(bb_cycles > native_cycles);
+        // Counter promotion leaves each site one register add and each
+        // thread one flush: both variants get cheaper, with the same counts,
+        // and the per-block one stays the cheaper.
+        let (promoted_count, promoted_cycles) = run_with(false, PlanLevel::Promoted);
+        let (bb_promoted_count, bb_promoted_cycles) = run_with(true, PlanLevel::Promoted);
+        assert_eq!((promoted_count, bb_promoted_count), (per_instr_count, bb_count));
+        assert!(promoted_cycles < per_instr_cycles && bb_promoted_cycles < bb_cycles);
+        assert!(bb_promoted_cycles < promoted_cycles, "{bb_promoted_cycles} vs {promoted_cycles}");
     }
 
     #[test]
@@ -533,16 +558,34 @@ DONE:
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
         let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Block });
-        let (inlined, inlined_cycles) = run_with(PlanOpts::default());
+        let (inlined, inlined_cycles) = run_with(PlanOpts { level: PlanLevel::Spliced });
+        let (promoted, promoted_cycles) = run_with(PlanOpts::default());
         // The multiplicity protocol makes the total independent of whether
         // the passes actually ran.
         assert_eq!(naive, merged);
         assert_eq!(naive, inlined);
+        assert_eq!(naive, promoted);
         // Issue-level counting: 64 threads each issue the whole straight
         // kernel path (predication does not skip issue).
         assert!(naive > 0);
         // Each pass strictly reduces runtime work.
         assert!(merged_cycles < naive_cycles, "{merged_cycles} vs {naive_cycles}");
         assert!(inlined_cycles < merged_cycles, "{inlined_cycles} vs {merged_cycles}");
+        assert!(promoted_cycles < inlined_cycles, "{promoted_cycles} vs {inlined_cycles}");
+    }
+
+    #[test]
+    fn promoted_counts_match_native_on_both_encoding_families() {
+        // `IADD.U64` and `RED.ADD.U64` run, not only encode, on Enc64 too.
+        for arch in [Arch::Pascal, Arch::Volta] {
+            let native = run_app(&Driver::new(DeviceSpec::test(arch)));
+            let drv = Driver::new(DeviceSpec::test(arch));
+            let (tool, results) = CoalescedInstrCount::executed(PlanOpts::default());
+            attach_tool(&drv, tool);
+            run_app(&drv);
+            drv.shutdown();
+            assert_eq!(results.total(), native, "{arch:?}");
+            assert_eq!(drv.total_stats().per_op.get("RED"), Some(&2), "{arch:?}: one per warp");
+        }
     }
 }

@@ -296,7 +296,7 @@ impl NvbitTool for OpcodeHistogram {
 mod tests {
     use super::*;
     use gpu::DeviceSpec;
-    use nvbit::attach_tool;
+    use nvbit::{attach_tool, PlanLevel};
     use sass::Arch;
     use workloads::specaccel::{benchmark, Size};
 
@@ -355,10 +355,13 @@ mod tests {
             (results.histogram(), drv.total_stats().cycles)
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
-        let (merged, merged_cycles) = run_with(PlanOpts::default());
+        let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Spliced });
+        let (promoted, promoted_cycles) = run_with(PlanOpts::default());
         assert!(!naive.is_empty());
         assert_eq!(naive, merged, "multiplicity protocol keeps the histogram exact");
+        assert_eq!(naive, promoted, "one pair per opcode slot keeps it exact");
         assert!(merged_cycles < naive_cycles, "{merged_cycles} vs {naive_cycles}");
+        assert!(promoted_cycles < merged_cycles, "{promoted_cycles} vs {merged_cycles}");
     }
 
     #[test]

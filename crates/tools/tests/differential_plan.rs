@@ -1,7 +1,7 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
 //! every tool × workload pair, a run at every rung above `Naive`
 //! (basic-block call coalescing; after-point lowering and dominator-region
-//! coalescing; leaf-tool splicing) must produce bit-identical guest memory
+//! coalescing; leaf-tool splicing; counter promotion) must produce bit-identical guest memory
 //! and identical tool output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
@@ -10,7 +10,7 @@
 use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::DeviceSpec;
-use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
 use nvbit_tools::{CoalescedInstrCount, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
@@ -78,9 +78,10 @@ const NAIVE: PlanOpts = PlanOpts { level: PlanLevel::Naive };
 const BLOCK: PlanOpts = PlanOpts { level: PlanLevel::Block };
 const REGION: PlanOpts = PlanOpts { level: PlanLevel::Region };
 const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced };
+const PROMOTED: PlanOpts = PlanOpts { level: PlanLevel::Promoted };
 
 /// Every configuration above the naive baseline.
-const OPTIMIZED: [PlanOpts; 3] = [BLOCK, REGION, SPLICED];
+const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, PROMOTED];
 
 /// Runs `app` under `tool` with the given plan options; returns the guest
 /// output bytes, a string signature of the tool's own results, and the
@@ -191,13 +192,102 @@ fn optimized_plans_are_cheaper_on_every_workload() {
         let (_, _, merged) = run_case("coalesced_instr_count", BLOCK, app);
         let (_, _, region) = run_case("coalesced_instr_count", REGION, app);
         let (_, _, spliced) = run_case("coalesced_instr_count", SPLICED, app);
+        let (_, _, promoted) = run_case("coalesced_instr_count", PROMOTED, app);
         assert!(merged < naive, "{app_name}: coalescing should cut cycles: {merged} vs {naive}");
         assert!(region <= merged, "{app_name}: regions must not add cycles: {region} vs {merged}");
         assert!(
             spliced <= region,
             "{app_name}: splicing must not add cycles: {spliced} vs {region}"
         );
+        assert!(
+            promoted < spliced,
+            "{app_name}: promotion must cut cycles: {promoted} vs {spliced}"
+        );
     }
+}
+
+/// Counts every instruction of the first kernel launched into a counter of
+/// its own through `nvbit_count_one`: one counter address per site, more
+/// than the register file has pairs for above the FFT kernel's registers.
+struct PerInstruction {
+    opts: PlanOpts,
+    addrs: Vec<u64>,
+    counts: Rc<RefCell<Vec<u64>>>,
+    stats: Rc<RefCell<Option<PlanStats>>>,
+}
+
+impl NvbitTool for PerInstruction {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.set_plan_opts(self.opts);
+        let count_one = nvbit_tools::TOOL_PTX.iter().find(|(name, _)| *name == "COUNT_FN");
+        api.load_tool_functions(count_one.unwrap().1).unwrap();
+    }
+    fn at_term(&mut self, api: &NvbitApi<'_>) {
+        let read = |addr: &u64| {
+            let mut word = [0u8; 8];
+            api.driver().memcpy_dtoh(&mut word, *addr).unwrap();
+            u64::from_le_bytes(word)
+        };
+        *self.counts.borrow_mut() = self.addrs.iter().map(read).collect();
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if cbid != CbId::LaunchKernel || self.stats.borrow().is_some() {
+            return;
+        }
+        if is_exit {
+            *self.stats.borrow_mut() = api.plan_stats(*func).unwrap();
+            return;
+        }
+        let n = api.get_instrs(*func).unwrap().len();
+        let base = api.driver().with_device(|d| d.alloc(8 * n as u64)).unwrap();
+        for idx in 0..n {
+            api.insert_call(*func, idx, "nvbit_count_one", IPoint::Before).unwrap();
+            api.add_call_arg_guard_pred(*func, idx).unwrap();
+            api.add_call_arg_imm64(*func, idx, base + 8 * idx as u64).unwrap();
+        }
+        self.addrs = (0..n).map(|idx| base + 8 * idx as u64).collect();
+    }
+}
+
+/// `PerInstruction`'s counts, plan statistics and the run's executed
+/// thread instructions under `opts`.
+fn per_instruction(opts: PlanOpts) -> (Vec<u64>, PlanStats, u64) {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let (counts, stats) = (Rc::new(RefCell::new(Vec::new())), Rc::new(RefCell::new(None)));
+    let tool =
+        PerInstruction { opts, addrs: Vec::new(), counts: counts.clone(), stats: stats.clone() };
+    attach_tool(&drv, tool);
+    fft_app(&drv);
+    drv.shutdown();
+    let stats = stats.borrow_mut().take().expect("the kernel was instrumented");
+    (counts.take(), stats, drv.total_stats().thread_instructions)
+}
+
+#[test]
+fn counters_past_the_register_file_stay_exact() {
+    let (naive, _, _) = per_instruction(NAIVE);
+    let (promoted, stats, executed) = per_instruction(PROMOTED);
+    let native = {
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        fft_app(&drv);
+        drv.total_stats().thread_instructions
+    };
+    // Some counters got a pair, the rest stayed spliced when the register
+    // file ran out: every count is still the naive plan's, and they add up
+    // to what the kernel executed.
+    assert!(stats.promoted_pairs > 50 && stats.inline_accepted > 0, "{stats:?}");
+    assert_eq!(stats.promoted_calls, stats.promoted_pairs, "one site per counter");
+    assert_eq!(stats.promoted_calls + stats.inline_accepted, stats.emitted_calls);
+    assert_eq!(promoted, naive);
+    assert_eq!(promoted.iter().sum::<u64>(), native);
+    assert!(executed > native, "the instrumented run executes more");
 }
 
 /// Captures the planner's and the save policy's accounting at launch exit.
