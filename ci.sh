@@ -72,8 +72,16 @@ printf '  %-10s %6d\n' total "$total"
 # pass that promotes calls and places the pairs (`plan::promote`), the
 # pairs' zeroing, increment and flush code (`plan::Promotion`), their
 # emission, and the verifier's four checks (+40 in `verify.rs`).
-printf '  %-10s %6d  (sass + core + common, ceiling 9624)\n' jit "$jit"
-if [ "$jit" -gt 9624 ]; then
+# Effect lowering raised it by its measured +60 (9,684): the counter
+# classifier became one effect classifier (`codegen::Effect`, `effect_of`)
+# whose value walk also follows a sign-extended argument and an argument
+# pair plus one, `plan::promote` lowers a channel push to `IADD.U64` +
+# `CHAN.64` into the reserved scratch pair, a planned call's lowered code is
+# a short inline sequence (`Instruction: Default` in sass), and the verifier
+# owns spans of a lowered call's length; net of the unused
+# `LiveSet::max_gpr`.
+printf '  %-10s %6d  (sass + core + common, ceiling 9684)\n' jit "$jit"
+if [ "$jit" -gt 9684 ]; then
     echo "sass + core + common grew past its ceiling" >&2
     exit 1
 fi
@@ -170,6 +178,15 @@ rechecks=$(grep -rnE '\b(check_groups|CoalesceMismatch|RegionMismatch|AfterMisma
 if [ -n "$rechecks" ]; then
     echo "a retired re-check of the planner or the decoder is back:" >&2
     echo "$rechecks" >&2
+    exit 1
+fi
+# One effect classifier: a tool body's lowerable effect is `ToolFn::effect`
+# (`codegen::effect_of`), counters and channel pushes alike; the counter-only
+# classifier and its field do not come back beside it.
+counter=$(grep -rnE 'counter_of|ToolFn::counter|\.counter\b' crates/*/src || true)
+if [ -n "$counter" ]; then
+    echo "the retired counter-only classifier is back:" >&2
+    echo "$counter" >&2
     exit 1
 fi
 

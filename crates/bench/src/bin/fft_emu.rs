@@ -36,7 +36,7 @@ const COUNT_FN: &str = r#"
 /// Instruction counter + WFFT32 emulation in one tool (paper: "we combined
 /// the FFT instruction emulation tool with the instruction count tool").
 struct CountAndEmulate {
-    counter: Rc<Cell<u64>>,
+    ctr: Rc<Cell<u64>>,
     emulate: bool,
     done: bool,
 }
@@ -47,7 +47,7 @@ impl NvbitTool for CountAndEmulate {
         if self.emulate {
             api.load_tool_functions(&fft::wfft_emu_function_ptx()).unwrap();
         }
-        self.counter.set(api.driver().with_device(|d| d.alloc(8)).unwrap());
+        self.ctr.set(api.driver().with_device(|d| d.alloc(8)).unwrap());
     }
 
     fn at_cuda_event(
@@ -68,7 +68,7 @@ impl NvbitTool for CountAndEmulate {
             // hypothetical one.
             api.insert_call(*func, instr.idx, "bench_count_one", IPoint::Before).unwrap();
             api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
-            api.add_call_arg_imm64(*func, instr.idx, self.counter.get()).unwrap();
+            api.add_call_arg_imm64(*func, instr.idx, self.ctr.get()).unwrap();
             if self.emulate && instr.proxy_id() == Some(id) {
                 let (dst, src) = instr.proxy_regs().unwrap();
                 api.insert_call(*func, instr.idx, "wfft32_emu", IPoint::Before).unwrap();
@@ -83,7 +83,7 @@ impl NvbitTool for CountAndEmulate {
 fn run(src: String, kernel: &str, emulate: bool, warps: u32) -> f64 {
     let drv = titan_v();
     let counter = Rc::new(Cell::new(0u64));
-    attach_tool(&drv, CountAndEmulate { counter: counter.clone(), emulate, done: false });
+    attach_tool(&drv, CountAndEmulate { ctr: counter.clone(), emulate, done: false });
     let ctx = drv.ctx_create().unwrap();
     let m = drv.module_load(&ctx, FatBinary::from_ptx("fft", src)).unwrap();
     let f = drv.module_get_function(&m, kernel).unwrap();

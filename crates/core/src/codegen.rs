@@ -81,87 +81,114 @@ pub struct ToolFn {
     /// `None` when unknown (opaque registration or a body with calls); the
     /// clobber then falls back to `reg_count`.
     pub call_ceiling: Option<u8>,
-    /// Set when the body is spliceable and a promotable counter.
-    pub counter: Option<Counter>,
+    /// Set when the body is spliceable and has one effect it can be lowered to.
+    pub effect: Option<Effect>,
 }
 
-/// A promotable counter body ([`crate::plan::PlanLevel::Promoted`]): it adds
-/// `value`, zero-extended, to the `u64` at its address argument, where the
-/// predicate argument it tests, if any, is non-zero. Arguments are named by
-/// their ABI slot (`spec::abi_slots`).
+/// The one effect of a spliceable body ([`crate::plan::PlanLevel::Promoted`]),
+/// taken where argument `pred`, if the body tests one, is non-zero. Arguments
+/// are named by their ABI slot (`spec::abi_slots`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Counter {
-    /// The predicate argument.
-    pub pred: Option<u8>,
-    /// The address argument.
-    pub addr: u8,
-    /// An argument (`Reg`) or a constant (`Imm`).
-    pub value: Operand,
+#[allow(missing_docs)] // each variant's doc names its fields
+pub enum Effect {
+    /// Adds `value`, an argument (`Reg`) or a constant (`Imm`), zero-extended,
+    /// to the `u64` at argument `addr`.
+    Counter { pred: Option<u8>, addr: u8, value: Operand },
+    /// Pushes argument pair `base` plus argument `off`, sign-extended, to the
+    /// host channel.
+    Push { pred: Option<u8>, base: u8, off: u8 },
 }
 
-/// The counter a spliceable `body` is: its one effect an unguarded
-/// `ATOM.ADD.U64` (result unused) or `RED.ADD.U64` of an argument or a
-/// constant, zero-extended, through an address argument — unconditional, or
-/// skipped by the early return an `ISETP.EQ` of an argument against zero
-/// takes. Everything else computes, moves or tests.
-fn counter_of(body: &[Instruction], arch: sass::Arch) -> Option<Counter> {
-    // Per register an argument's entry value (`Reg`), a constant (`Imm`) or,
-    // once written otherwise, nothing known; per predicate the argument it
-    // tests for zero; the early return's argument and join.
-    let mut val: [Option<Operand>; 256] = std::array::from_fn(|r| Some(Operand::Reg(Reg(r as u8))));
-    val[255] = Some(Operand::Imm(0));
-    let (mut tests, mut skip, mut counter) = ([None; 8], None, None);
+/// What a register holds in [`effect_of`]'s walk: an argument, a constant, an
+/// argument's sign word, or half (`false`: low) of a pair plus an argument.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Val {
+    Param(u8),
+    Imm(i64),
+    Sign(u8),
+    Sum(u8, u8, bool),
+}
+
+/// The effect a spliceable `body` has: one unguarded `ATOM.ADD.U64` (result
+/// unused) or `RED.ADD.U64` of an argument or a constant, zero-extended,
+/// through an address argument, or one unguarded `CHAN.64` of an argument
+/// pair plus an argument, sign-extended — unconditional, or skipped by the
+/// early return an `ISETP.EQ` of an argument against zero takes. Everything
+/// else computes, moves or tests.
+fn effect_of(body: &[Instruction], arch: sass::Arch) -> Option<Effect> {
+    use Val::{Imm, Param, Sign, Sum};
+    // Per register what it holds or, once written otherwise, nothing known;
+    // per predicate the argument it tests for zero; the early return's
+    // argument and join.
+    let mut val: [Option<Val>; 256] = std::array::from_fn(|r| Some(Param(r as u8)));
+    val[255] = Some(Imm(0));
+    let (mut tests, mut skip, mut effect) = ([None; 8], None, None);
     for (pos, ins) in body.iter().enumerate() {
-        let eval = |o: &Operand| o.as_imm().map(Operand::Imm).or_else(|| val[o.as_reg()?.index()]);
-        let pair = |r: Reg| Some((val[r.index()]?, val.get(r.index() + 1).copied()??));
-        let always = ins.guard.is_always();
+        let eval = |o: &Operand| o.as_imm().map(Imm).or_else(|| val[o.as_reg()?.index()]);
+        let pair = |o: &Operand| Some((eval(o)?, val.get(o.as_reg()?.index() + 1).copied()??));
+        let arg = |o: &Operand| eval(o).and_then(|v| if let Param(r) = v { Some(r) } else { None });
+        let (always, mods) = (ins.guard.is_always(), ins.mods);
+        // Before the early return's join an effect takes its argument.
+        let first = always && effect.is_none();
+        let pred = skip.map_or(Some(None), |(slot, join)| (pos < join).then_some(Some(slot)));
         match (ins.op, &ins.operands[..]) {
-            (Op::Atom, [_, Operand::MRef { base, offset: 0 }, Operand::Reg(v), _])
-            | (Op::Red, [Operand::MRef { base, offset: 0 }, Operand::Reg(v)])
-                if always
-                    && counter.is_none()
-                    && (ins.mods.sub, ins.mods.itype) == (SubOp::Add, IType::U64) =>
+            (Op::Atom, [_, Operand::MRef { base, offset: 0 }, v, _])
+            | (Op::Red, [Operand::MRef { base, offset: 0 }, v])
+                if (mods.sub, mods.itype) == (SubOp::Add, IType::U64) =>
             {
                 let written = ins.reg_writes();
                 let read = |l: &Instruction| l.reg_reads().iter().any(|r| written.contains(r));
-                let pred = skip.map(|(slot, join)| (pos < join).then_some(slot));
-                let (Some((Operand::Reg(a), Operand::Reg(b))), Some((value, Operand::Imm(0)))) =
-                    (pair(*base), pair(*v))
-                else {
+                let value = match pair(v)? {
+                    (Param(r), Imm(0)) => Operand::Reg(Reg(r)),
+                    (Imm(c), Imm(0)) => Operand::Imm(c),
+                    _ => return None,
+                };
+                let (Param(addr), Param(hi)) = pair(&Operand::Reg(*base))? else {
                     return None;
                 };
-                if body[pos + 1..].iter().any(read) || pred == Some(None) || b.0 != a.0 + 1 {
-                    return None;
-                }
-                counter = Some(Counter { pred: pred.flatten(), addr: a.0, value });
+                let once = first && hi == addr + 1 && !body[pos + 1..].iter().any(read);
+                effect = Some(once.then_some(Effect::Counter { pred: pred?, addr, value })?);
             }
-            (Op::Bra, _)
-                if !always && !ins.guard.negated && skip.is_none() && counter.is_none() =>
-            {
+            (Op::Chan, [v]) if mods.width == sass::Width::B64 => {
+                let (Sum(base, off, false), hi) = pair(v)? else { return None };
+                let once = first && hi == Sum(base, off, true);
+                effect = Some(once.then_some(Effect::Push { pred: pred?, base, off })?);
+            }
+            (Op::Bra, _) if !always && !ins.guard.negated && skip.is_none() && effect.is_none() => {
                 let join = pos as i64 + 1 + ins.rel_target()? / arch.instruction_size() as i64;
                 skip = Some((tests[ins.guard.pred.index()]?, join as usize));
             }
-            // Past the count: the arm's way to the join.
-            (Op::Bra | Op::Sync, _) if counter.is_some() => {}
+            // Past the effect: the arm's way to the join.
+            (Op::Bra | Op::Sync, _) if effect.is_some() => {}
             (Op::Nop | Op::Ssy | Op::Ret, _) => {}
             // The categories up to `Warp` compute, move or test.
             _ if ins.op.category() <= sass::OpCategory::Warp => {}
             _ => return None,
         }
         let moved = match (ins.op, &ins.operands[..]) {
-            (Op::Mov | Op::Mov32i, [_, s]) if always => eval(s),
-            _ => None,
-        };
-        let tested = match (ins.op, ins.mods.cmp, &ins.operands[..]) {
-            (Op::Isetp, CmpOp::Eq, [_, a, b]) if always && eval(b) == Some(Operand::Imm(0)) => {
-                eval(a).and_then(|a| a.as_reg()).map(|r| r.0)
+            _ if !always => [None; 2],
+            (Op::Mov | Op::Mov32i, [_, s]) => [eval(s), None],
+            (Op::Shr, [_, s, Operand::Imm(31)]) if mods.itype == IType::S32 => {
+                [arg(s).map(Sign), None]
             }
+            (Op::Iadd, [_, a, b]) if mods.itype == IType::U64 => match (pair(a), pair(b)) {
+                (Some((Param(x), Param(y))), Some((Param(o), Sign(s)))) if (y, s) == (x + 1, o) => {
+                    [false, true].map(|hi| Some(Sum(x, o, hi)))
+                }
+                _ => [None; 2],
+            },
+            _ => [None; 2],
+        };
+        let tested = match (ins.op, mods.cmp, &ins.operands[..]) {
+            (Op::Isetp, CmpOp::Eq, [_, a, b]) if always && eval(b) == Some(Imm(0)) => arg(a),
             _ => None,
         };
-        ins.reg_writes().iter().for_each(|r| val[r.index()] = moved);
+        for (i, r) in ins.reg_writes().iter().enumerate() {
+            val[r.index()] = moved.get(i).copied().flatten();
+        }
         (0..7).filter(|p| ins.pred_writes() >> p & 1 == 1).for_each(|p| tests[p] = tested);
     }
-    counter
+    effect
 }
 
 /// Whether `i` transfers control out of the body and back (callee
@@ -189,7 +216,7 @@ impl ToolFn {
             inlinable: false,
             write_ceiling: None,
             call_ceiling: None,
-            counter: None,
+            effect: None,
         }
     }
 
@@ -219,7 +246,7 @@ impl ToolFn {
             stack_size,
             uses_reg_api,
             call_ceiling,
-            counter: inlinable.then(|| counter_of(&body, arch)).flatten(),
+            effect: inlinable.then(|| effect_of(&body, arch)).flatten(),
             body: Some(Arc::new(body)),
             inlinable,
             write_ceiling,
@@ -271,8 +298,8 @@ pub enum SavePolicy {
 }
 
 /// Where an emitted call's code sits within its site: `(offset, len)` of a
-/// spliced body, the final `RET` replaced by `NOP`, or of a promoted call's
-/// one increment; `None` for a call made out of line.
+/// spliced body, the final `RET` replaced by `NOP`, or of a lowered call's
+/// code; `None` for a call made out of line.
 pub type Splice = Option<(usize, usize)>;
 
 /// Layout record for one injection site's trampoline, used by the
@@ -553,7 +580,7 @@ pub(crate) fn prepare(
         let mut tier = 0u16;
         let mut ladder_calls = 0u64;
         for (call, _) in
-            planned.iter().zip(&exact).filter(|(c, e)| e.is_none() && c.promoted.is_none())
+            planned.iter().zip(&exact).filter(|(c, e)| e.is_none() && c.promoted.is_empty())
         {
             ladder_calls += 1;
             let tf = &tool_fns[&call.func];
@@ -703,7 +730,7 @@ fn emit_site(
     Ok((orig_pos, spans))
 }
 
-/// Emits one planned call — a promoted one as its increment, a splice with
+/// Emits one planned call — a lowered one as its code, a splice with
 /// something `exact` to preserve inside its exact bracket ([`emit_exact`]),
 /// any other as save routine, frame pointer, arguments, tool call (or
 /// spliced body), restore routine — and returns its [`Splice`] relative to
@@ -732,9 +759,9 @@ fn emit_call(
 ) -> Result<Option<(usize, usize)>> {
     let tool = &cx.tool_fns[&call.func];
     let guard = cx.original[idx].guard;
-    if let Some(increment) = call.promoted {
-        out.push(increment);
-        return Ok(Some((out.len() - 1 - site, 1)));
+    if !call.promoted.is_empty() {
+        out.extend_from_slice(&call.promoted);
+        return Ok(Some((out.len() - call.promoted.len() - site, call.promoted.len())));
     }
     // The wrapper's targets depend on the length of what it wraps: emitted
     // first with none, set once the sequence is there.
@@ -2184,27 +2211,48 @@ mod tests {
         assert_eq!(without.sites[0].tier, 128, "R90 inside the 100-register clobber window");
     }
 
-    // ----- Counter promotion ------------------------------------------------
+    // ----- Effect lowering --------------------------------------------------
+
+    /// The compiled shape of `nvbit_trace_chan(pred, base, off)`: a push of
+    /// R6:R7 plus R8, sign-extended, inside a guarded diamond over R4..R9.
+    const TRACE: &str = "\
+        MOV R5, R8 ;
+        ISETP.EQ.U32 P0, R4, 0x0 ;
+        SSY end ;
+    @P0 BRA join ;
+        MOV R8, R5 ;
+        SHR.S32 R9, R5, 0x1f ;
+        IADD.U64 R4, R6, R8 ;
+        CHAN.64 R4 ;
+        BRA join ;
+    join:
+        SYNC ;
+    end:
+        RET ;
+    ";
 
     #[test]
     fn the_counting_bodies_classify_by_their_effect() {
         let hal = Hal::new(Arch::Volta);
-        let counter = |text: &str| {
+        let effect = |text: &str| {
             let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
-            ToolFn::with_body(0x8000, 10, 0, false, body, hal.arch()).counter
+            ToolFn::with_body(0x8000, 10, 0, false, body, hal.arch()).effect
         };
-        let pred_mult = Counter { pred: Some(4), addr: 6, value: Operand::Reg(Reg(8)) };
-        assert_eq!(counter(PMULT), Some(pred_mult));
+        let pred_mult = |value| Some(Effect::Counter { pred: Some(4), addr: 6, value });
+        assert_eq!(effect(PMULT), pred_mult(Operand::Reg(Reg(8))));
         // `nvbit_count_one` adds a constant; `nvbit_count_mult` tests no
         // predicate and finds its address and value through moves.
         let one = PMULT.replace("MOV R8, R5 ;", "MOV32I R8, 0x1 ;");
-        assert_eq!(counter(&one), Some(Counter { value: Operand::Imm(1), ..pred_mult }));
+        assert_eq!(effect(&one), pred_mult(Operand::Imm(1)));
         let mult = "MOV R7, R5 ;\nMOV R2, R4 ;\nMOV R4, R6 ;\nMOV R6, R2 ;\nMOV R8, R4 ;\n\
                     MOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nRET ;";
         let value = Operand::Reg(Reg(6));
-        assert_eq!(counter(mult), Some(Counter { pred: None, addr: 4, value }));
-        // Not counters: a computed value (`nvbit_count_wide`), a second
-        // effect, a used result, a 32-bit add, a count past the join.
+        assert_eq!(effect(mult), Some(Effect::Counter { pred: None, addr: 4, value }));
+        // `nvbit_trace_chan` pushes its base plus its offset.
+        assert_eq!(effect(TRACE), Some(Effect::Push { pred: Some(4), base: 6, off: 8 }));
+        // None: a computed value (`nvbit_count_wide`), a second effect, a
+        // used result, a 32-bit add, a count past the join; a push of a
+        // zero-extended offset, of the base alone, of a special register.
         for not in [
             PMULT.replace("MOV R8, R5 ;", "SHL R8, R5, 0x1 ;"),
             PMULT.replace("MOV R9, RZ ;", "MOV R9, RZ ;\nSTG [R6], R5 ;"),
@@ -2213,9 +2261,112 @@ mod tests {
             "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\n@P0 BRA join ;\nMOV R8, R5 ;\njoin:\n\
              MOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nRET ;"
                 .to_string(),
+            TRACE.replace("SHR.S32 R9, R5, 0x1f ;", "MOV R9, RZ ;"),
+            TRACE.replace("CHAN.64 R4 ;", "CHAN.64 R6 ;"),
+            TRACE.replace("CHAN.64 R4 ;", "S2R R4, SR_TID.X ;\nCHAN.64 R4 ;"),
         ] {
-            assert_eq!(counter(&not), None, "{not}");
+            assert_eq!(effect(&not), None, "{not}");
         }
+    }
+
+    /// A guarded load at a negative offset and a store, each traced the way
+    /// `MemTrace` does it, and instruction 2 through the spliced leaf,
+    /// planned at the top rung.
+    fn pushed_image(arch: Arch) -> Pristine {
+        let hal = Hal::new(arch);
+        let app = "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 LDG R8, [R6-0x40] ;\nIADD R8, R8, 0x1 ;\n\
+                   STG [R6], R8 ;\nEXIT ;";
+        let mut fns = tool(&hal, "trace", TRACE);
+        fns.extend(leaf_fns(&hal, 8));
+        let (_, _, original) = setup(arch, app);
+        let mut spec = FuncSpec::default();
+        for (idx, off) in [(1, -0x40), (3, 0)] {
+            spec.insert_call(idx, "trace", IPoint::Before);
+            spec.add_arg(idx, Arg::GuardPred);
+            spec.add_arg(idx, Arg::RegVal64(6));
+            spec.add_arg(idx, Arg::Imm32(off));
+        }
+        spec.insert_call(2, "leaf", IPoint::Before);
+        let opts = PlanOpts::default();
+        let (img, tramp) = built(arch, opts, app, &fns, &spec);
+        let (code, image) = (hal.assemble(&original).unwrap(), hal.disassemble(&img.instrumented));
+        Pristine { code, image: image.unwrap(), original, img, tramp, spec, fns, opts }
+    }
+
+    #[test]
+    fn lowered_pushes_encode_and_verify_on_both_families() {
+        for arch in [Arch::Pascal, Arch::Volta] {
+            let (hal, p) = (Hal::new(arch), pushed_image(arch));
+            let back =
+                |idx: u64| format!("JMP `{:#x} ;", 0x4000 + (idx + 1) * hal.instruction_size());
+            // Each push adds into the scratch pair past the ABI window and
+            // pushes it under the site's guard: no argument, no save.
+            let sites = [
+                format!(
+                    "IADD.U64 R16, R6, -0x40 ;\n@P0 CHAN.64 R16 ;\n@P0 LDG R8, [R6-0x40] ;\n{}",
+                    back(1)
+                ),
+                format!("IADD R4, R4, 0x1 ;\nNOP ;\nIADD R8, R8, 0x1 ;\n{}", back(2)),
+                format!("IADD.U64 R16, R6, 0x0 ;\nCHAN.64 R16 ;\nSTG [R6], R8 ;\n{}", back(3)),
+            ];
+            let expect: Vec<Instruction> =
+                sites.iter().flat_map(|s| sass::asm::assemble_arch(s, arch).unwrap()).collect();
+            assert_eq!(p.tramp, expect, "{arch:?}:\n{}", text_of(&p.tramp));
+            let s = p.img.plan;
+            assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (2, 0, 1));
+            assert_eq!((p.img.saved_slots, p.img.tier), (0, 0));
+            assert_eq!(p.img.sites[0].calls, [Some((0, 2))]);
+            let kinds = verdict(&hal, &p.code, &p.img, (&p.image, &p.tramp), p.request());
+            assert_eq!(kinds, Some(vec![]), "{arch:?}");
+        }
+    }
+
+    /// The kinds the verifier reports for the Volta [`pushed_image`] once
+    /// `corrupt` has changed its trampoline, given each site's start by
+    /// instruction.
+    fn corrupted_push(
+        corrupt: impl FnOnce(&mut [Instruction], &dyn Fn(usize) -> usize),
+    ) -> Vec<DiagKind> {
+        corrupted(pushed_image(Arch::Volta), corrupt)
+    }
+
+    #[test]
+    fn a_dropped_push_is_rejected() {
+        assert_eq!(corrupted_push(|_, _| {}), vec![]);
+        // The guarded load's site: the add, `@P0 CHAN.64`, the load.
+        let kinds = corrupted_push(|t, site| t[site(1) + 1] = Instruction::nop());
+        assert_eq!(kinds, vec![DiagKind::PlanMismatch]);
+    }
+
+    #[test]
+    fn a_push_under_another_guard_than_its_sites_is_rejected() {
+        let kinds = corrupted_push(|t, site| t[site(1) + 1].guard.negated = true);
+        assert_eq!(kinds, vec![DiagKind::PlanMismatch]);
+        let kinds = corrupted_push(|t, site| t[site(1) + 1].guard = sass::Guard::ALWAYS);
+        assert_eq!(kinds, vec![DiagKind::PlanMismatch]);
+    }
+
+    #[test]
+    fn a_push_address_retargeted_onto_an_application_register_is_rejected() {
+        // The add now writes R6:R7, the base the load and the store read.
+        let onto_base = |r: Reg| if r == Reg(16) { Reg(6) } else { r };
+        let kinds = corrupted_push(|t, site| t[site(1)].map_regs(onto_base, |p| p));
+        assert!(kinds.contains(&DiagKind::PlanMismatch), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_push_offset_changed_is_rejected() {
+        let kinds = corrupted_push(|t, site| t[site(1)].operands[2] = Operand::Imm(-0x3c));
+        assert_eq!(kinds, vec![DiagKind::PlanMismatch]);
+    }
+
+    #[test]
+    fn a_splice_renamed_onto_the_scratch_pair_is_rejected() {
+        // Still a bijection of the loaded body (R4:R5 ↦ R16:R17), and R16 is
+        // dead to the application — but it is the pushes' scratch pair.
+        let onto_scratch = |r: Reg| if r == Reg(4) { Reg(16) } else { r };
+        let kinds = corrupted_push(|t, site| t[site(2)].map_regs(onto_scratch, |p| p));
+        assert_eq!(kinds, vec![DiagKind::PromotionMismatch]);
     }
 
     /// A guarded `EXIT`, then a block ending in the `EXIT`, every instruction
@@ -2278,7 +2429,15 @@ mod tests {
     fn corrupted_promotion(
         corrupt: impl FnOnce(&mut [Instruction], &dyn Fn(usize) -> usize),
     ) -> Vec<DiagKind> {
-        let mut p = promoted_image(Arch::Volta);
+        corrupted(promoted_image(Arch::Volta), corrupt)
+    }
+
+    /// The kinds the verifier reports for `p` once `corrupt` has changed its
+    /// trampoline.
+    fn corrupted(
+        mut p: Pristine,
+        corrupt: impl FnOnce(&mut [Instruction], &dyn Fn(usize) -> usize),
+    ) -> Vec<DiagKind> {
         let sites = p.img.sites.clone();
         let start = |idx: usize| sites.iter().find(|s| s.instr_idx == idx).unwrap().start;
         corrupt(&mut p.tramp, &start);

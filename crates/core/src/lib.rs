@@ -46,7 +46,7 @@
 //!
 //! /// Counts every executed thread-level instruction of every kernel.
 //! struct InstrCount {
-//!     counter: Rc<Cell<u64>>, // device address of the managed counter
+//!     ctr: Rc<Cell<u64>>, // device address of the managed counter
 //!     instrumented: std::collections::HashSet<cuda::CuFunction>,
 //! }
 //!
@@ -69,7 +69,7 @@
 //!     fn at_init(&mut self, api: &NvbitApi<'_>) {
 //!         api.load_tool_functions(IFUNC).unwrap();
 //!         let addr = api.driver().with_device(|d| d.alloc(8)).unwrap();
-//!         self.counter.set(addr);
+//!         self.ctr.set(addr);
 //!     }
 //!
 //!     fn at_cuda_event(
@@ -87,7 +87,7 @@
 //!         for idx in 0..n {
 //!             api.insert_call(*func, idx, "count_instrs", IPoint::Before).unwrap();
 //!             api.add_call_arg_guard_pred(*func, idx).unwrap();
-//!             api.add_call_arg_imm64(*func, idx, self.counter.get()).unwrap();
+//!             api.add_call_arg_imm64(*func, idx, self.ctr.get()).unwrap();
 //!         }
 //!     }
 //! }
@@ -95,7 +95,7 @@
 //! // Run an application under the tool.
 //! let counter = Rc::new(Cell::new(0u64));
 //! let drv = Driver::new(DeviceSpec::preset(Arch::Volta));
-//! attach_tool(&drv, InstrCount { counter: counter.clone(), instrumented: Default::default() });
+//! attach_tool(&drv, InstrCount { ctr: counter.clone(), instrumented: Default::default() });
 //! let ctx = drv.ctx_create().unwrap();
 //! let m = drv
 //!     .module_load(&ctx, FatBinary::from_ptx("app", "

@@ -44,21 +44,23 @@
 //!    the trampoline, eliminating the CALL/RET pair. The rule is a static
 //!    property of the body, never of the site; how a splice is *saved* is
 //!    the code generator's business.
-//! 5. **Counter promotion** (LLVM PGO's): a call of a promotable counter
-//!    body becomes one `IADD.U64` into a register pair, zeroed at entry and
-//!    flushed by one `RED.ADD.U64` per thread before each `EXIT` ([`Promotion`]).
+//! 5. **Effect lowering**: a call of a body with one known effect becomes
+//!    that effect's code ([`crate::codegen::Effect`]): a counter one
+//!    `IADD.U64` into a register pair, zeroed at entry and flushed at each
+//!    `EXIT` (LLVM PGO's counter promotion); a push `IADD.U64` and `CHAN.64`.
 //!
 //! Every coalesce-marked injection follows the **multiplicity protocol**:
 //! the plan appends one trailing `Imm32` argument — 1 when the call stands
 //! alone, *N* when it represents *N* merged sites — so the tool function's
 //! signature (and its output) is identical whether or not the passes run.
 
-use crate::codegen::{arg_demand, clobber, ToolFn};
+use crate::codegen::{arg_demand, clobber, Effect, ToolFn};
 use crate::spec::{abi_slots, Arg, FuncSpec, IPoint, Injection};
 use crate::{NvbitError, Result};
+use common::InlineVec;
 use sass::cfg::{block_of, BasicBlock};
 use sass::op::{CfClass, IType, SubOp};
-use sass::{Analysis, CfgFailure, Guard, Instruction, Mods, Op, Operand, Reg};
+use sass::{Analysis, CfgFailure, Guard, Instruction, Mods, Op, Operand, Reg, Width};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -77,7 +79,7 @@ pub enum PlanLevel {
     /// ([`crate::codegen::ToolFn::inlinable`]) is spliced; any other stays
     /// an out-of-line call.
     Spliced,
-    /// Adds counter promotion ([`Promotion`]).
+    /// Adds effect lowering ([`Promotion`]).
     Promoted,
 }
 
@@ -119,9 +121,9 @@ pub struct PlannedCall {
     pub coalesce: bool,
     /// Splice the tool function's body instead of emitting a `JCAL`.
     pub inline: bool,
-    /// Instead of a call or a splice, the increment `[@guard] IADD.U64 pair,
-    /// pair, value` of a promoted call ([`Promotion`]).
-    pub promoted: Option<Instruction>,
+    /// A lowered call's code instead of a call or a splice (empty if none):
+    /// `[@g] IADD.U64 pair, pair, value` or `IADD.U64 s, base, off ; [@g] CHAN.64 s`.
+    pub promoted: InlineVec<Instruction, 2>,
 }
 
 /// `op` on 64-bit values.
@@ -129,24 +131,27 @@ fn wide<const N: usize>(op: Op, operands: [Operand; N], sub: SubOp) -> Instructi
     Instruction::new(op, operands).with_mods(Mods { itype: IType::U64, sub, ..Mods::default() })
 }
 
-/// Counter promotion's registers ([`PlanLevel::Promoted`], DESIGN §4i): a
+/// The immediates one `IADD` carries on both encoding families.
+const IADD_IMM: std::ops::Range<i64> = -(1 << 22)..1 << 22;
+
+/// Effect lowering's registers ([`PlanLevel::Promoted`], DESIGN §4i): a
 /// pair per counter address, in first-site order, above everything the
 /// image touches, and below them the scratch pair a flush addresses the
-/// counter through. Instruction 0's site zeroes every pair; each `EXIT`'s
-/// site adds every pair to its counter under the `EXIT`'s guard.
+/// counter through and a push computes its address in. Instruction 0's site
+/// zeroes every pair; each `EXIT`'s site adds every pair to its counter
+/// under the `EXIT`'s guard.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Promotion {
     /// `(counter address, pair)`.
     pub pairs: Vec<(u64, Reg)>,
-    /// The flushes' address pair.
-    pub scratch: Reg,
+    /// The scratch pair, reserved when any call is lowered.
+    pub scratch: Option<Reg>,
 }
 
 impl Promotion {
-    /// The registers promotion owns.
+    /// The registers lowering reserves.
     pub(crate) fn registers(&self) -> std::ops::Range<u8> {
-        let n = if self.pairs.is_empty() { 0 } else { 2 * self.pairs.len() as u8 + 2 };
-        self.scratch.0..self.scratch.0 + n
+        self.scratch.map_or(0..0, |s| s.0..s.0 + 2 * self.pairs.len() as u8 + 2)
     }
 
     /// `IADD.U64 pair, RZ, 0` per pair.
@@ -158,9 +163,9 @@ impl Promotion {
     /// Per pair, the counter's address into the scratch pair, then
     /// `@guard RED.ADD.U64 [scratch], pair`.
     pub(crate) fn flush(&self, guard: Guard) -> impl Iterator<Item = Instruction> + '_ {
-        let s = self.scratch;
         let mov = |r, v| Instruction::new(Op::Mov32i, [Operand::Reg(r), Operand::Imm(v)]);
-        self.pairs.iter().flat_map(move |&(addr, p)| {
+        let pairs = self.scratch.into_iter().flat_map(|s| self.pairs.iter().map(move |p| (s, p)));
+        pairs.flat_map(move |(s, &(addr, p))| {
             let red =
                 wide(Op::Red, [Operand::MRef { base: s, offset: 0 }, Operand::Reg(p)], SubOp::Add);
             let (lo, hi) = (i64::from(addr as i32), i64::from((addr >> 32) as i32));
@@ -204,7 +209,7 @@ pub struct PlanStats {
     /// tool body is not spliceable. With `inline_accepted` and
     /// `promoted_calls` it sums to `emitted_calls`; all three are 0 below it.
     pub inline_declined: u64,
-    /// Emitted calls [`PlanLevel::Promoted`] promotes.
+    /// Emitted calls [`PlanLevel::Promoted`] lowers, counters and pushes.
     pub promoted_calls: u64,
     /// Register pairs they add into, one per counter address.
     pub promoted_pairs: u64,
@@ -218,7 +223,7 @@ pub struct InstrumentationPlan {
     pub sites: BTreeMap<usize, Vec<PlannedCall>>,
     /// Instructions whose original operation is removed.
     pub removed: HashSet<usize>,
-    /// Counter promotion's registers.
+    /// Effect lowering's registers.
     pub promotion: Promotion,
     /// What the passes did.
     pub stats: PlanStats,
@@ -401,13 +406,13 @@ pub fn build(
             pred_filter: r.inj.pred_filter,
             coalesce: r.inj.coalesce,
             inline,
-            promoted: None,
+            promoted: InlineVec::default(),
         });
     }
     stats.sites_dropped = carries.iter().filter(|c| **c == 1).count() as u64;
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
-    // Pass 5, counter promotion: only with a CFG, which rules out `BRX`.
+    // Pass 5, effect lowering: only with a CFG, which rules out `BRX`.
     let promotion = match analysis.filter(|_| opts.level >= PlanLevel::Promoted) {
         Some(_) => promote(&mut sites, body, arch, tool_fns, &spec.removed),
         None => Promotion::default(),
@@ -415,24 +420,24 @@ pub fn build(
     if opts.level >= PlanLevel::Spliced {
         for c in sites.values().flatten() {
             stats.inline_accepted += u64::from(c.inline);
-            stats.promoted_calls += u64::from(c.promoted.is_some());
-            stats.inline_declined += u64::from(!c.inline && c.promoted.is_none());
+            stats.promoted_calls += u64::from(!c.promoted.is_empty());
+            stats.inline_declined += u64::from(!c.inline && c.promoted.is_empty());
         }
     }
     stats.promoted_pairs = promotion.pairs.len() as u64;
     Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), promotion, stats })
 }
 
-/// Promotes each unfiltered call of a [`crate::codegen::Counter`] body whose
-/// address argument is an `Imm64`, value an `Imm32` or constant below 2²²
-/// (an `IADD` immediate on both encodings) and predicate, if tested,
-/// `GuardPred` (the increment takes the site's guard) or a non-zero `Imm32` —
+/// Lowers each unfiltered call of an [`Effect`] body whose predicate, if
+/// tested, is `GuardPred` (the effect takes the site's guard) or a non-zero
+/// `Imm32`: a counter's address an `Imm64` and value an `Imm32` or constant,
+/// a push's base a `RegVal64` and offset an `Imm32`, both in [`IADD_IMM`] —
 /// unless the function leaves by anything but `EXIT` (a call, `RET`, trap or
-/// jump), branches to instruction 0 or calls the register device API. Pairs
-/// go above every register the original names, every call's clobber window
-/// and the ABI window, where no splice, call or renaming reaches them; past
-/// `R253` the remaining counters stay as they were. Instruction 0 and every
-/// kept `EXIT` become sites.
+/// jump), branches to instruction 0 or calls the register device API. The
+/// scratch pair and the counters' pairs go above every register the original
+/// names, every call's clobber window and the ABI window, where no splice,
+/// call or renaming reaches them; past `R253` the remaining counters stay as
+/// they were. With a counter, instruction 0 and every kept `EXIT` are sites.
 fn promote(
     sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
     body: &[Instruction],
@@ -454,34 +459,55 @@ fn promote(
     let clobbers =
         calls().flat_map(|c| c.args.iter().map(arg_demand).chain([clobber(c, &tool_fns[&c.func])]));
     let mut free = (names.chain(clobbers).fold(16, u32::max).next_multiple_of(2)..253).step_by(2);
-    let Some(scratch) = free.next() else { return Promotion::default() };
-    let mut promotion = Promotion { pairs: Vec::new(), scratch: Reg(scratch as u8) };
+    let Some(scratch) = free.next().map(|r| Reg(r as u8)) else { return Promotion::default() };
+    let mut promotion = Promotion::default();
     for (&idx, call) in
         sites.iter_mut().flat_map(|(i, calls)| calls.iter_mut().map(move |c| (i, c)))
     {
-        let Some(c) = tool_fns[&call.func].counter.filter(|_| !call.pred_filter) else { continue };
+        let (Some(e), false) = (tool_fns[&call.func].effect, call.pred_filter) else { continue };
         let arg = |slot: u8| abi_slots(&call.args).find(|(s, _)| *s == slot).map(|(_, a)| *a);
-        let value = match (c.value, c.value.as_reg().and_then(|r| arg(r.0))) {
-            (_, Some(Arg::Imm32(v))) => i64::from(v as u32),
-            (Operand::Imm(v), None) => i64::from(v as u32),
-            _ => continue,
-        };
-        let guard = match c.pred.map(arg) {
+        let (Effect::Counter { pred, .. } | Effect::Push { pred, .. }) = e;
+        let guard = match pred.map(arg) {
             None => Guard::ALWAYS,
             Some(Some(Arg::GuardPred)) => body[idx].guard,
             Some(Some(Arg::Imm32(p))) if p != 0 => Guard::ALWAYS,
             _ => continue,
         };
-        let Some(Arg::Imm64(addr)) = arg(c.addr).filter(|_| value < 1 << 22) else { continue };
-        let known = promotion.pairs.iter().find(|(a, _)| *a == addr).map(|&(_, pair)| pair);
-        let Some(pair) = known.or_else(|| free.next().map(|r| Reg(r as u8))) else { continue };
-        if known.is_none() {
-            promotion.pairs.push((addr, pair));
-        }
-        let p = Operand::Reg(pair);
-        let add = wide(Op::Iadd, [p, p, Operand::Imm(value)], SubOp::None);
-        (call.inline, call.promoted) = (false, Some(add.with_guard(guard)));
+        call.promoted = match e {
+            Effect::Counter { addr, value, .. } => {
+                let value = match (value, value.as_reg().and_then(|r| arg(r.0))) {
+                    (_, Some(Arg::Imm32(v))) => i64::from(v as u32),
+                    (Operand::Imm(v), None) => i64::from(v as u32),
+                    _ => continue,
+                };
+                let Some(Arg::Imm64(addr)) = arg(addr).filter(|_| IADD_IMM.contains(&value)) else {
+                    continue;
+                };
+                let known = promotion.pairs.iter().find(|(a, _)| *a == addr).map(|&(_, p)| p);
+                let Some(pair) = known.or_else(|| free.next().map(|r| Reg(r as u8))) else {
+                    continue;
+                };
+                if known.is_none() {
+                    promotion.pairs.push((addr, pair));
+                }
+                let p = Operand::Reg(pair);
+                [wide(Op::Iadd, [p, p, Operand::Imm(value)], SubOp::None).with_guard(guard)].into()
+            }
+            Effect::Push { base, off, .. } => match (arg(base), arg(off)) {
+                (Some(Arg::RegVal64(b)), Some(Arg::Imm32(off)))
+                    if IADD_IMM.contains(&i64::from(off)) =>
+                {
+                    let (s, b, off) = (Operand::Reg(scratch), Operand::Reg(Reg(b)), off.into());
+                    let chan = Mods { width: Width::B64, ..Mods::default() };
+                    let push = Instruction::new(Op::Chan, [s]).with_mods(chan).with_guard(guard);
+                    [wide(Op::Iadd, [s, b, Operand::Imm(off)], SubOp::None), push].into()
+                }
+                _ => continue,
+            },
+        };
+        call.inline = false;
     }
+    promotion.scratch = sites.values().flatten().any(|c| !c.promoted.is_empty()).then_some(scratch);
     let exits =
         body.iter().enumerate().filter(|(i, ins)| ins.op == Op::Exit && !removed.contains(i));
     for i in [0].into_iter().chain(exits.map(|(i, _)| i)).filter(|_| !promotion.pairs.is_empty()) {
@@ -995,7 +1021,7 @@ b:
                     join:\nSYNC ;\nend:\nRET ;";
         let body = assemble_arch(text, Arch::Volta).unwrap();
         let f = ToolFn::with_body(0x8000, 10, 0, false, body, Arch::Volta);
-        assert_eq!(f.counter.map(|c| (c.pred, c.addr)), Some((Some(4), 6)));
+        assert!(matches!(f.effect, Some(Effect::Counter { pred: Some(4), addr: 6, .. })));
         HashMap::from([("count".into(), f)])
     }
 
@@ -1013,14 +1039,14 @@ b:
     }
 
     /// `IADD.U64 pair, pair, by`, under `guard`.
-    fn increment(guard: &str, pair: u8, by: u32) -> Option<Instruction> {
-        let text = format!("{guard} IADD.U64 R{pair}, R{pair}, {by:#x} ;");
-        Some(assemble_arch(&text, Arch::Volta).unwrap()[0])
+    fn increment(guard: &str, pair: u8, by: u32) -> Vec<Instruction> {
+        assemble_arch(&format!("{guard} IADD.U64 R{pair}, R{pair}, {by:#x} ;"), Arch::Volta)
+            .unwrap()
     }
 
-    fn promoted(plan: &InstrumentationPlan) -> Vec<(usize, Option<Instruction>)> {
+    fn promoted(plan: &InstrumentationPlan) -> Vec<(usize, Vec<Instruction>)> {
         let calls = plan.sites.iter().flat_map(|(i, calls)| calls.iter().map(move |c| (*i, c)));
-        calls.map(|(i, c)| (i, c.promoted)).collect()
+        calls.map(|(i, c)| (i, c.promoted.to_vec())).collect()
     }
 
     #[test]
@@ -1031,7 +1057,7 @@ b:
         let spec = counted(&body.0, |idx| if idx < 3 { 0xa0 } else { 0xb0 });
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
         assert_eq!(plan.promotion.pairs, [(0xa0, Reg(18)), (0xb0, Reg(20))]);
-        assert_eq!((plan.promotion.scratch, plan.promotion.registers()), (Reg(16), 16..22));
+        assert_eq!((plan.promotion.scratch, plan.promotion.registers()), (Some(Reg(16)), 16..22));
         // Instructions 0 and 1 merge; the guarded branch counts under its
         // guard; 3 and 4 merge; the EXIT was a site already.
         let expect = [
@@ -1132,7 +1158,7 @@ b:
         }
         spec.set_pred_filter(4);
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
-        assert_eq!(promoted(&plan), [(3, None), (4, None)]);
+        assert_eq!(promoted(&plan), [(3, vec![]), (4, vec![])]);
         assert!(plan.sites.values().flatten().all(|c| c.inline));
         // Neither a zero predicate: such a call never counts.
         let mut spec = counted(&body.0, |_| 0xa0);
@@ -1154,17 +1180,79 @@ b:
         let spec = counted(&body.0, |idx| 0x100 + 8 * idx as u64);
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
         let pairs: Vec<u8> = plan.promotion.pairs.iter().map(|(_, r)| r.0).collect();
-        assert_eq!((plan.promotion.scratch, pairs), (Reg(242), vec![244, 246, 248, 250, 252]));
+        assert_eq!(
+            (plan.promotion.scratch, pairs),
+            (Some(Reg(242)), vec![244, 246, 248, 250, 252])
+        );
         let s = plan.stats;
         assert_eq!((s.promoted_calls, s.inline_accepted, s.promoted_pairs), (5, 3, 5));
         assert!(plan
             .sites
             .range(5..)
             .flat_map(|(_, c)| c)
-            .all(|c| c.inline && c.promoted.is_none()));
+            .all(|c| c.inline && c.promoted.is_empty()));
         // Past R252 nothing is left, not even the scratch pair.
         let body = analyzed("MOV R252, R0 ;\nEXIT ;");
         let plan = build_for(&counted(&body.0, |_| 8), &body, &counter(), PlanOpts::default());
         assert_eq!(plan.unwrap().promotion, Promotion::default());
+    }
+
+    // ----- Lowered pushes ---------------------------------------------------
+
+    /// `nvbit_trace_chan(pred, base, off)` as `trace`, at `idx` of BODY with
+    /// the base in R2:R3, planned at the top rung.
+    fn traced(idx: usize, pred: Arg, off: i32, filtered: bool) -> InstrumentationPlan {
+        let text = "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\nSSY end ;\n@P0 BRA join ;\n\
+                    MOV R8, R5 ;\nSHR.S32 R9, R5, 0x1f ;\nIADD.U64 R4, R6, R8 ;\nCHAN.64 R4 ;\n\
+                    BRA join ;\njoin:\nSYNC ;\nend:\nRET ;";
+        let f = ToolFn::with_body(
+            0x8000,
+            10,
+            0,
+            false,
+            assemble_arch(text, Arch::Volta).unwrap(),
+            Arch::Volta,
+        );
+        assert_eq!(f.effect, Some(Effect::Push { pred: Some(4), base: 6, off: 8 }));
+        let mut spec = FuncSpec::default();
+        spec.insert_call(idx, "trace", IPoint::Before);
+        for arg in [pred, Arg::RegVal64(2), Arg::Imm32(off)] {
+            spec.add_arg(idx, arg);
+        }
+        if filtered {
+            spec.set_pred_filter(idx);
+        }
+        let fns = HashMap::from([("trace".into(), f)]);
+        build_for(&spec, &analyzed(BODY), &fns, PlanOpts::default()).unwrap()
+    }
+
+    #[test]
+    fn a_push_adds_into_the_scratch_pair_and_pushes_it_under_the_guard() {
+        // A negative offset, at the guarded branch: the add runs on every
+        // lane, the push on the guard's.
+        let plan = traced(2, Arg::GuardPred, -64, false);
+        let code = "IADD.U64 R16, R2, -0x40 ;\n@P0 CHAN.64 R16 ;";
+        assert_eq!(promoted(&plan), [(2, assemble_arch(code, Arch::Volta).unwrap())]);
+        assert_eq!((plan.promotion.scratch, plan.promotion.registers()), (Some(Reg(16)), 16..18));
+        // No counter: no zeroing, no flush, no sites of their own.
+        assert_eq!(plan.sites.keys().copied().collect::<Vec<_>>(), [2]);
+        let s = plan.stats;
+        assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (1, 0, 0));
+        // The bound is the `IADD` immediate's, on both sides.
+        for off in [-(1 << 22), (1 << 22) - 1] {
+            assert_eq!(traced(4, Arg::Imm32(1), off, false).stats.promoted_calls, 1, "{off}");
+        }
+    }
+
+    #[test]
+    fn a_far_offset_a_zero_predicate_or_a_predicate_filter_keeps_the_push_spliced() {
+        for (pred, off, filtered) in
+            [(Arg::GuardPred, 1 << 22, false), (Arg::Imm32(0), 8, false), (Arg::GuardPred, 8, true)]
+        {
+            let plan = traced(4, pred, off, filtered);
+            assert_eq!(promoted(&plan), [(4, vec![])], "{pred:?} {off} {filtered}");
+            assert!(plan.sites[&4][0].inline);
+            assert_eq!(plan.promotion, Promotion::default());
+        }
     }
 }

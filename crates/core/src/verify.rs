@@ -26,9 +26,10 @@
 //!   save-area access or tool call and closed wherever the application
 //!   resumes, accesses stay inside it, and what is written is dead there
 //!   or saved and restored;
-//! * counter promotion: only the zeroing opening instruction 0's site, the
-//!   increments and the flush ahead of each relocated `EXIT`, under its
-//!   guard, name a promoted register; the original never does.
+//! * effect lowering: each lowered call is the plan's code, verbatim; only
+//!   the zeroing opening instruction 0's site, that code and the flush ahead
+//!   of each relocated `EXIT`, under its guard, name a reserved register;
+//!   the original never does.
 //!
 //! Not re-checked: what decoding guarantees (each operand list in its
 //! opcode's format, no predicate past `P7`), and how the re-derived plan
@@ -103,9 +104,9 @@ pub enum DiagKind {
     /// missing or unplanned, or its calls are not the plan's (function,
     /// count, or spliced where the plan calls out of line and vice versa).
     PlanMismatch = 16,
-    /// The original, or an instruction other than the zeroing, an increment
-    /// or a flush, names a promoted register; or the zeroing of every pair
-    /// or their flush under an `EXIT`'s guard is missing.
+    /// The original, or an instruction other than the zeroing, a lowered
+    /// call's code or a flush, names a reserved register; or the zeroing of
+    /// every pair or their flush under an `EXIT`'s guard is missing.
     PromotionMismatch = 17,
 }
 
@@ -418,9 +419,9 @@ struct Decoded<'a> {
 
 /// A site's calls against the plan's, in emission order: Before calls, the
 /// relocated original, then (if it `falls_through`) After calls. Each is
-/// spliced or called as planned, a call unguarded and on its side of the
-/// original, a splice its body renamed, in an accepted shape. `report`
-/// takes a position within the site.
+/// spliced, called or lowered as planned, a call unguarded and on its side
+/// of the original, a splice its body renamed, in an accepted shape, a
+/// lowered call the plan's code. `report` takes a position within the site.
 fn check_calls(
     hal: &Hal,
     req: &Request<'_>,
@@ -437,7 +438,7 @@ fn check_calls(
             .filter(|c| !after(c))
             .chain(planned.iter().filter(after).filter(|_| falls_through))
     };
-    let called = emitted().filter(|c| !c.inline && c.promoted.is_none());
+    let called = emitted().filter(|c| !c.inline && c.promoted.is_empty());
     let called = called.map(|c| (after(&c), req.tool_fns.get(&c.func).map(|f| f.addr)));
     let calls =
         body.iter().enumerate().filter_map(|(pos, ins)| match (ins.op, ins.operands.first()) {
@@ -452,14 +453,14 @@ fn check_calls(
 
     for (call, splice) in emitted().zip(&site.calls) {
         let func = &call.func;
-        if (call.inline || call.promoted.is_some()) != splice.is_some() {
+        if (call.inline || !call.promoted.is_empty()) != splice.is_some() {
             let what = format!("`{func}` at {i} is not spliced or called as the plan has it");
             report(DiagKind::PlanMismatch, 0, what);
         }
         let Some((off, len)) = *splice else { continue };
-        if let Some(increment) = call.promoted {
-            if (len, body.get(off)) != (1, Some(&increment)) {
-                let what = format!("`{func}` at {i} is not its increment `{increment}`");
+        if !call.promoted.is_empty() {
+            if body.get(off..off + len) != Some(&call.promoted[..]) {
+                let what = format!("`{func}` at {i} is not its lowered code");
                 report(DiagKind::PlanMismatch, off.min(site.len - 1), what);
             }
             continue;
@@ -560,7 +561,7 @@ fn walk(
         [i.reg_reads(), i.reg_writes()].iter().flatten().any(|r| owned.contains(&r.0))
     };
     if let Some(index) = original.iter().position(names) {
-        let what = "the original names a promoted register".into();
+        let what = "the original names a reserved register".into();
         diags.push(in_image(DiagKind::PromotionMismatch, index, what));
     }
     if img.image.last().is_some_and(|l| !l.leaves()) {
@@ -642,8 +643,9 @@ fn walk(
         };
         check_brackets(hal, (site, body), live, req, &mut pending, &mut diags);
 
-        // Counter promotion: the zeroing opens instruction 0's site, the flush
-        // ends an `EXIT`'s, and they and the increments alone name a pair.
+        // Effect lowering: the zeroing opens instruction 0's site, the flush
+        // ends an `EXIT`'s, and they and the spans of a lowered call's length
+        // alone name a reserved register.
         let n = promotion.pairs.len();
         let exit = displaced.filter(|d| d.op == Op::Exit && n > 0);
         let zero = 0..if i == 0 { n } else { 0 };
@@ -651,16 +653,19 @@ fn walk(
         let runs = |at: &std::ops::Range<usize>, code: &mut dyn Iterator<Item = Instruction>| {
             body.get(at.clone()).is_some_and(|b| b.iter().copied().eq(code))
         };
+        let planned = plan.sites.get(&i);
+        let lowered = |l: usize| planned.into_iter().flatten().any(|c| c.promoted.len() == l);
         let owns = |p: usize| {
-            zero.contains(&p) || flush.contains(&p) || site.calls.contains(&Some((p, 1)))
+            let in_lowered = |&(o, l): &(usize, usize)| (o..o + l).contains(&p) && lowered(l);
+            zero.contains(&p) || flush.contains(&p) || site.calls.iter().flatten().any(in_lowered)
         };
-        let stray = (0..site.len).find(|&p| n > 0 && names(&body[p]) && !owns(p));
+        let stray = (0..site.len).find(|&p| !owned.is_empty() && names(&body[p]) && !owns(p));
         let flushed = exit.is_none_or(|d| runs(&flush, &mut promotion.flush(d.guard)));
         if !runs(&zero, &mut promotion.zeroing().take(zero.len())) || !flushed || stray.is_some() {
-            let what = format!("site for instruction {i} breaks counter promotion");
+            let what = format!("site for instruction {i} breaks effect lowering");
             diags.push(at(DiagKind::PromotionMismatch, stray.unwrap_or(0), what));
         }
-        let Some(planned) = plan.sites.get(&i) else {
+        let Some(planned) = planned else {
             diags.push(at(DiagKind::PlanMismatch, 0, format!("the plan has no site at {i}")));
             continue;
         };
@@ -751,7 +756,7 @@ mod tests {
             pred_filter: false,
             coalesce: true,
             inline: false,
-            promoted: None,
+            promoted: InlineVec::default(),
         }
     }
 

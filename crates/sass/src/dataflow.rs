@@ -161,11 +161,6 @@ impl LiveSet {
         changed
     }
 
-    /// Highest live general-purpose register index, if any.
-    pub fn max_gpr(&self) -> Option<u8> {
-        self.gprs.max()
-    }
-
     /// True when a predicate is live.
     pub fn pred_live(&self, p: Pred) -> bool {
         !p.is_true_reg() && self.preds & (1 << p.0) != 0

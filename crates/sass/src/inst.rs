@@ -281,6 +281,13 @@ pub struct Instruction {
     pub operands: Operands,
 }
 
+/// What an unused slot of an inline list of instructions holds: a `NOP`.
+impl Default for Instruction {
+    fn default() -> Instruction {
+        Instruction::nop()
+    }
+}
+
 impl Instruction {
     /// Builds an unguarded instruction with default modifiers from a literal
     /// operand list (an array longer than [`MAX_OPERANDS`] does not compile).

@@ -212,7 +212,7 @@ mod tests {
     use super::*;
     use cuda::{Driver, FatBinary, KernelArg};
     use gpu::{DeviceSpec, Dim3};
-    use nvbit::attach_tool;
+    use nvbit::{attach_tool, PlanLevel, PlanOpts};
     use sass::Arch;
 
     const APP: &str = r#"
@@ -278,5 +278,68 @@ mod tests {
             "every demanded record is either captured or counted as dropped"
         );
         assert_eq!(results.truncated(), results.dropped() > 0);
+    }
+
+    /// [`MemTrace`] planned at `level`.
+    struct AtLevel(PlanLevel, MemTrace);
+
+    impl NvbitTool for AtLevel {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.set_plan_opts(PlanOpts { level: self.0 });
+            self.1.at_init(api);
+        }
+        fn at_term(&mut self, api: &NvbitApi<'_>) {
+            self.1.at_term(api);
+        }
+        fn at_cuda_event(&mut self, api: &NvbitApi<'_>, exit: bool, id: CbId, p: &CbParams<'_>) {
+            self.1.at_cuda_event(api, exit, id, p);
+        }
+    }
+
+    /// A load at a negative offset, guarded by a lane test, and a store.
+    const NEGATIVE: &str = r#"
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<4>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    setp.ge.u32 %p1, %r1, 8;
+    @%p1 ld.global.u32 %r2, [%rd3-64];
+    st.global.u32 [%rd3+64], %r1;
+    exit;
+}
+"#;
+
+    /// The records of two CTAs of `NEGATIVE` under `level`, what each CTA
+    /// should push, and the cycles.
+    fn negative_trace(level: PlanLevel) -> (Vec<u64>, Vec<u64>, u64) {
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        let (tool, results) = MemTrace::channel(Backpressure::Block, 16);
+        attach_tool(&drv, AtLevel(level, tool));
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", NEGATIVE)).unwrap();
+        let f = drv.module_get_function(&m, "k").unwrap();
+        let buf = drv.mem_alloc(1024).unwrap() + 256;
+        drv.launch_kernel(&f, Dim3::linear(2), Dim3::linear(32), &[KernelArg::Ptr(buf)]).unwrap();
+        drv.shutdown();
+        assert_eq!(results.demanded(), 2 * (24 + 32));
+        let loads = (8..32).map(|t| buf + 4 * t - 64);
+        let cta: Vec<u64> = loads.chain((0..32).map(|t| buf + 4 * t + 64)).collect();
+        (results.addresses(), cta, drv.total_stats().cycles)
+    }
+
+    /// At the top rung each push is two instructions, not a spliced body in
+    /// a save bracket: the same records, in the same order, for less.
+    #[test]
+    fn lowered_pushes_trace_what_splices_trace() {
+        let (spliced, cta, spliced_cycles) = negative_trace(PlanLevel::Spliced);
+        let (lowered, _, lowered_cycles) = negative_trace(PlanLevel::Promoted);
+        assert_eq!(spliced, [&cta[..], &cta[..]].concat());
+        assert_eq!(lowered, spliced);
+        assert!(lowered_cycles < spliced_cycles, "{lowered_cycles} vs {spliced_cycles}");
     }
 }

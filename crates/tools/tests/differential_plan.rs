@@ -1,7 +1,7 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
 //! every tool × workload pair, a run at every rung above `Naive`
 //! (basic-block call coalescing; after-point lowering and dominator-region
-//! coalescing; leaf-tool splicing; counter promotion) must produce bit-identical guest memory
+//! coalescing; leaf-tool splicing; effect lowering) must produce bit-identical guest memory
 //! and identical tool output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
@@ -180,9 +180,22 @@ fn wide_instr_count_is_plan_invariant() {
 #[test]
 fn mem_trace_is_plan_invariant() {
     // MemTrace's sites are not coalesce-marked (their address argument is
-    // per-dynamic-instance), so the passes must leave its behaviour — and
-    // output — untouched even when globally enabled.
+    // per-dynamic-instance), so no pass merges them; at the top rung each
+    // push is lowered to an `IADD.U64` and a guarded `CHAN.64`, which must
+    // deliver the same records in the same order as the naive call.
     differential("mem_trace");
+}
+
+#[test]
+fn lowered_pushes_are_cheaper_than_splices_on_every_workload() {
+    for (app_name, app) in APPS {
+        let (_, _, spliced) = run_case("mem_trace", SPLICED, app);
+        let (_, _, promoted) = run_case("mem_trace", PROMOTED, app);
+        assert!(
+            promoted < spliced,
+            "{app_name}: lowering must cut cycles: {promoted} vs {spliced}"
+        );
+    }
 }
 
 #[test]

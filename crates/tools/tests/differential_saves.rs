@@ -7,7 +7,7 @@
 use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
-use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanOpts, SavePolicy, SaveStats};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy, SaveStats};
 use nvbit_tools::{
     BbInstrCount, CoalescedInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram,
     SamplingMode, WfftEmu,
@@ -37,6 +37,32 @@ impl<T: NvbitTool> NvbitTool for WithPolicy<T> {
     }
     fn at_ctx_term(&mut self, api: &NvbitApi<'_>, ctx: cuda::CuContext) {
         self.inner.at_ctx_term(api, ctx);
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        self.inner.at_cuda_event(api, is_exit, cbid, params);
+    }
+}
+
+/// Wraps a tool so the plan options are fixed before anything is lifted or
+/// instrumented (for tools that do not set them themselves).
+struct WithOpts<T> {
+    opts: PlanOpts,
+    inner: T,
+}
+
+impl<T: NvbitTool> NvbitTool for WithOpts<T> {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.set_plan_opts(self.opts);
+        self.inner.at_init(api);
+    }
+    fn at_term(&mut self, api: &NvbitApi<'_>) {
+        self.inner.at_term(api);
     }
     fn at_cuda_event(
         &mut self,
@@ -164,9 +190,13 @@ fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (V
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || format!("{:?}", r.histogram()))
         }
-        "mem_trace" => {
+        // At the splicing rung, where a push pays its save bracket; at the
+        // top rung it is lowered to two instructions and saves nothing.
+        "mem_trace" | "mem_trace_lowered" => {
             let (t, r) = MemTrace::channel(Backpressure::Block, 4096);
-            attach_tool(&drv, WithPolicy { policy, inner: t });
+            let level = if tool == "mem_trace" { PlanLevel::Spliced } else { PlanLevel::Promoted };
+            let inner = WithOpts { opts: PlanOpts { level }, inner: t };
+            attach_tool(&drv, WithPolicy { policy, inner });
             Box::new(move || format!("{} {:?}", r.demanded(), r.addresses()))
         }
         "mem_divergence" => {
@@ -229,6 +259,11 @@ fn opcode_hist_is_policy_invariant() {
 #[test]
 fn mem_trace_is_policy_invariant() {
     differential("mem_trace");
+}
+
+#[test]
+fn lowered_mem_trace_is_policy_invariant() {
+    differential("mem_trace_lowered");
 }
 
 #[test]

@@ -232,7 +232,11 @@ fn instr_count_is_bit_identical_across_schedulers() {
 // the native column and every `out=` / `tool=` suffix did not), and the
 // counting column once more when counter promotion became the top rung
 // (each count an `IADD` into a register, one `RED` per thread at `EXIT`:
-// cycles 3276 → 3208, 36112 → 14168, 37999 → 17715; the same suffixes). The two
+// cycles 3276 → 3208, 36112 → 14168, 37999 → 17715; the same suffixes), and
+// the trace column once more when a channel push of an argument address was
+// lowered at the top rung (an `IADD.U64` and a guarded `CHAN.64` in place of
+// a splice in a save bracket: cycles 2888 → 2640, 21912 → 9528, 28577 →
+// 16775; the same suffixes, the same records in the same order). The two
 // decode counters are pinned apart from the strings, in `PINNED_DECODE`:
 // they were redefined (slots decoded / every other step) when the per-CTA
 // decode overlays became one shared code-page cache, and nothing else moved.
@@ -357,17 +361,17 @@ const PINNED: [[&str; 3]; 3] = [
     [
         r#"ExecStats { warp_instructions: 776, thread_instructions: 24832, cycles: 2552, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 16, "IMAD": 8, "ISETP": 20, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 152, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 4}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=0"#,
         r#"ExecStats { warp_instructions: 808, thread_instructions: 25856, cycles: 3208, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 12, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 96, "MUFU": 40, "RED": 4, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 244, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Atomic: 4, Control: 16}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 128 } } out=b8603c3557e16e12 tool=6100"#,
-        r#"ExecStats { warp_instructions: 912, thread_instructions: 28928, cycles: 2888, per_op: {"BRA": 16, "CHAN": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 28, "JMP": 16, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 124, "MOV32I": 104, "MUFU": 40, "NOP": 8, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 32, "SSY": 8, "STG": 4, "STL": 40, "SYNC": 8}, per_category: {Integer: 168, Float: 240, Conversion: 20, Move: 284, Predicate: 28, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 52, Misc: 16}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=ff766d31aeb3ba25"#,
+        r#"ExecStats { warp_instructions: 808, thread_instructions: 25856, cycles: 2640, per_op: {"CHAN": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 16, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 20, Misc: 8}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=ff766d31aeb3ba25"#,
     ],
     [
         r#"ExecStats { warp_instructions: 1256, thread_instructions: 37568, cycles: 7768, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 160, "IMAD": 128, "ISETP": 64, "ISUB": 96, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 384, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 168}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 } } out=97893c015a8fd601 tool=0"#,
         r#"ExecStats { warp_instructions: 1896, thread_instructions: 55872, cycles: 14168, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 352, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 352, "LDC": 128, "LDG": 128, "MOV32I": 160, "RED": 32, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 576, Float: 128, Move: 288, Predicate: 64, MemGlobal: 160, MemConst: 128, Atomic: 32, Control: 520}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 1024 } } out=97893c015a8fd601 tool=92c0"#,
-        r#"ExecStats { warp_instructions: 4872, thread_instructions: 146432, cycles: 21912, per_op: {"BRA": 384, "CHAN": 160, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 576, "IMAD": 128, "ISETP": 224, "ISUB": 96, "JMP": 320, "LDC": 128, "LDG": 128, "LDL": 448, "MOV": 512, "MOV32I": 416, "NOP": 160, "S2R": 128, "SHR": 160, "SSY": 192, "STG": 32, "STL": 320, "SYNC": 200}, per_category: {Integer: 960, Float: 128, Move: 1056, Predicate: 224, MemGlobal: 160, MemLocal: 768, MemConst: 128, Control: 1128, Misc: 320}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 768, atomics: 0 } } out=97893c015a8fd601 tool=4657b84338f6e365"#,
+        r#"ExecStats { warp_instructions: 1896, thread_instructions: 57728, cycles: 9528, per_op: {"BRA": 64, "CHAN": 160, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 320, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 320, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 544, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 488, Misc: 160}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 } } out=97893c015a8fd601 tool=4657b84338f6e365"#,
     ],
     [
         r#"ExecStats { warp_instructions: 1277, thread_instructions: 22246, cycles: 14465, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 274, "IMAD": 141, "ISETP": 78, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 415, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 235}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 } } out=07f610e15041ac89 tool=0"#,
         r#"ExecStats { warp_instructions: 1987, thread_instructions: 34350, cycles: 17715, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 508, "IMAD": 141, "ISETP": 78, "JMP": 452, "LDC": 48, "LDG": 203, "MOV32I": 156, "RED": 8, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 649, Float: 63, Move: 180, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Atomic: 8, Control: 687}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 256 } } out=07f610e15041ac89 tool=56e6"#,
-        r#"ExecStats { warp_instructions: 5603, thread_instructions: 91426, cycles: 28577, per_op: {"BRA": 561, "CHAN": 210, "EXIT": 8, "FFMA": 63, "IADD": 736, "IMAD": 141, "ISETP": 288, "JMP": 420, "LDC": 48, "LDG": 203, "LDL": 252, "MOV": 840, "MOV32I": 560, "NOP": 210, "S2R": 24, "SHR": 210, "SSY": 225, "STG": 7, "STL": 316, "SYNC": 281}, per_category: {Integer: 1087, Float: 63, Move: 1424, Predicate: 288, MemGlobal: 210, MemLocal: 568, MemConst: 48, Control: 1495, Misc: 420}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 568, atomics: 0 } } out=07f610e15041ac89 tool=e488e4d4eba9"#,
+        r#"ExecStats { warp_instructions: 2117, thread_instructions: 36562, cycles: 16775, per_op: {"BRA": 141, "CHAN": 210, "EXIT": 8, "FFMA": 63, "IADD": 484, "IMAD": 141, "ISETP": 78, "JMP": 420, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 625, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 655, Misc: 210}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 } } out=07f610e15041ac89 tool=e488e4d4eba9"#,
     ],
 ];
 
@@ -375,9 +379,9 @@ const PINNED: [[&str; 3]; 3] = [
 /// launch — misses are the instruction slots decoded, one per distinct
 /// executed instruction; hits every other warp instruction.
 const PINNED_DECODE: [[(u64, u64); 3]; 3] = [
-    [(582, 194), (606, 202), (684, 228)],
-    [(1217, 39), (1837, 59), (4720, 152)],
-    [(1228, 49), (1915, 72), (5440, 163)],
+    [(582, 194), (606, 202), (606, 202)],
+    [(1217, 39), (1837, 59), (1837, 59)],
+    [(1228, 49), (1915, 72), (2044, 73)],
 ];
 
 #[test]
