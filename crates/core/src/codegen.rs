@@ -128,8 +128,8 @@ fn effect_of(body: &[Instruction], arch: sass::Arch) -> Option<Effect> {
         let pair = |o: &Operand| Some((eval(o)?, val.get(o.as_reg()?.index() + 1).copied()??));
         let arg = |o: &Operand| eval(o).and_then(|v| if let Param(r) = v { Some(r) } else { None });
         let (always, mods) = (ins.guard.is_always(), ins.mods);
-        // Before the early return's join an effect takes its argument.
         let first = always && effect.is_none();
+        // Before the early return's join an effect takes its argument.
         let pred = skip.map_or(Some(None), |(slot, join)| (pos < join).then_some(Some(slot)));
         match (ins.op, &ins.operands[..]) {
             (Op::Atom, [_, Operand::MRef { base, offset: 0 }, v, _])
