@@ -1890,7 +1890,8 @@ mod tests {
     /// The kinds `verify::verify` reports for `img` with `image` and
     /// `tramp` assembled as its code (`None` when they do not encode), the
     /// original's bytes `code` at 0x4000, against `spec` planned under
-    /// `opts` with `fns` and the fake routines.
+    /// `opts` over their decode and analysis, with `fns` and the fake
+    /// routines.
     fn verdict(
         hal: &Hal,
         code: &[u8],
@@ -1900,9 +1901,13 @@ mod tests {
     ) -> Option<Vec<DiagKind>> {
         let (instrumented, tramp_code) = (hal.assemble(image).ok()?, hal.assemble(tramp).ok()?);
         let img = InstrumentedImage { instrumented, tramp_code, ..img.clone() };
+        let original = hal.disassemble(code).unwrap();
+        let analysis = sass::Analysis::of(&original, hal.arch());
+        let plan = plan::build(spec, &original, hal.arch(), &analysis, fns, opts).unwrap();
         let routines = fake_routines();
-        let req = Request { spec, opts, tool_fns: fns, routines: &routines, related: &[] };
-        let diags = crate::verify::verify(hal, 0x4000, code, &img, &req).unwrap();
+        let req = Request { tool_fns: fns, routines: &routines, related: &[] };
+        let planned = (code, &original[..], analysis.as_ref().ok());
+        let diags = crate::verify::verify(hal, 0x4000, planned, &plan, &img, &req).unwrap();
         Some(diags.iter().map(|d| d.kind).collect())
     }
 
@@ -2701,14 +2706,16 @@ mod tests {
     /// from `0x0cc4_c71c_e2c1_d267` to here, through 78 guard mutants (34 of
     /// a tier-16 save call, 44 of its restore) that survived before and now
     /// report `UnbalancedFrame`, and from `0x08d0_c4d5_99c1_9363` to here
-    /// when the verifier began checking each image against the plan it
-    /// re-derives from the request: 38 guard mutants that put the
+    /// when the verifier began checking each image against a plan, then
+    /// re-derived from the request: 38 guard mutants that put the
     /// out-of-line tool call under a guard (16 under P0–P6, 22 under `!PT`)
     /// now report `PlanMismatch`, and the NOP class (added then; 70 of 512
     /// killed before) is killed whole by `LinkMismatch`, a `NOP` standing
     /// only where the plan removes the instruction. No other verdict moved.
     /// Retiring the re-checks of the planner's groups and of what decoding
-    /// guarantees left it unchanged. Differential execution of the
+    /// guarantees left it unchanged, and so did handing the verifier the
+    /// build's own plan in place of its second derivation (this helper
+    /// plans as the verifier did). Differential execution of the
     /// survivors is ROADMAP item 4's other half.
     #[test]
     fn verifier_verdicts_under_seeded_mutation_are_pinned() {

@@ -41,7 +41,7 @@ use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn, ToolFns};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
-use crate::plan::{self, PlanOpts, PlanStats};
+use crate::plan::{self, InstrumentationPlan, PlanOpts, PlanStats};
 use crate::saverestore::{restore_text, save_text, Routines, TIERS};
 use crate::spec::{Arg, FuncSpec, IPoint};
 use crate::verify::{self, Diagnostic, Request};
@@ -195,14 +195,14 @@ impl CoreState {
     }
 
     /// The pre-swap verifier's findings on `image` of `func`, checked
-    /// against the request it was built from: `spec` planned under `opts`,
-    /// with the tool functions and routines as loaded, and the code of every
-    /// function `func` may call.
+    /// against `plan`, the plan it was built from over `original` (the
+    /// decode of `lifted`), with the tool functions and routines as loaded,
+    /// and the code of every function `func` may call.
     fn verify(
         &self,
         drv: &Driver,
         func: CuFunction,
-        (lifted, spec, opts): (&Lifted, &FuncSpec, PlanOpts),
+        (lifted, original, plan): (&Lifted, &[sass::Instruction], &InstrumentationPlan),
         image: &InstrumentedImage,
     ) -> Result<Vec<Diagnostic>> {
         let _span = common::obs::span("verify");
@@ -211,9 +211,9 @@ impl CoreState {
             (info.addr, info.related.iter().filter_map(|f| region(f).ok()).collect::<Vec<_>>())
         })?;
         let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
-        let (tool_fns, routines, related) = (&*tool_fns, &*routines, &related[..]);
-        let req = Request { spec, opts, tool_fns, routines, related };
-        verify::verify(&hal_of(drv), addr, &lifted.code, image, &req)
+        let req = Request { tool_fns: &tool_fns, routines: &routines, related: &related };
+        let planned = (&lifted.code[..], original, lifted.analysis.as_ref().ok());
+        verify::verify(&hal_of(drv), addr, planned, plan, image, &req)
     }
 
     /// Loads the embedded save/restore routines on first use (Tool
@@ -295,7 +295,7 @@ impl CoreState {
             let plan =
                 plan::build(&entry.spec, &original, hal.arch(), &lifted.analysis, &tool_fns, opts)?;
             // Why static CFG recovery fell back, counted here and not in the
-            // planner, which the verifier runs again.
+            // planner, which `verify_instrumented` runs again.
             match &lifted.analysis {
                 Err(sass::CfgFailure::IndirectBranch { .. }) => {
                     common::obs::counter("plan.cfg_fail.brx", 1)
@@ -334,7 +334,7 @@ impl CoreState {
                 let _cspan = common::obs::span("codegen");
                 prepared.finish(&hal, tramp_addr)?
             };
-            let diags = self.verify(drv, func, (&lifted, &entry.spec, opts), &image)?;
+            let diags = self.verify(drv, func, (&lifted, &original, &plan), &image)?;
             if !diags.is_empty() {
                 common::obs::counter("instr_image.verify_reject", 1);
                 return Err(NvbitError::VerifyFailed(diags));
@@ -946,13 +946,16 @@ impl<'a> NvbitApi<'a> {
             Err(NvbitError::VerifyFailed(diags)) => return Ok(diags),
             Err(e) => return Err(e),
         }
-        // Re-planned under the options the image was built under.
+        // Planned once, on the lift, under the options the image was built under.
         let entries = self.state.funcs.borrow();
         let Some(entry) = entries.get(&func.raw()) else { return Ok(Vec::new()) };
         let (Some(lifted), Some((image, _, opts))) = (&entry.lifted, &entry.image) else {
             return Ok(Vec::new());
         };
-        self.state.verify(self.drv, func, (lifted, &entry.spec, *opts), image)
+        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
+        let (tool_fns, arch) = (self.state.tool_fns.borrow(), self.drv.arch());
+        let plan = plan::build(&entry.spec, &original, arch, &lifted.analysis, &tool_fns, *opts)?;
+        self.state.verify(self.drv, func, (lifted, &original, &plan), image)
     }
 
     /// Register-save accounting for the instrumented image of `func`

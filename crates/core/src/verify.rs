@@ -6,12 +6,11 @@
 //! before the first instrumented launch (paper §5.1 — the swap is the
 //! point of no return; §5.2 budgets it as part of JIT overhead).
 //!
-//! The verifier takes the *request* an image was built for ([`Request`]:
-//! the [`FuncSpec`], the [`PlanOpts`] and the core's tool-function and
-//! routine tables), never the plan or the lifter's view. It decodes the
-//! original bytes, computes its own [`sass::Analysis`] and re-runs the
-//! deterministic [`plan::build`] on them. One walk over the image's sites
-//! then checks it against that plan:
+//! The verifier takes the build's own decode of the original, its
+//! [`sass::Analysis`], the [`InstrumentationPlan`] made of them and the
+//! core's tool-function and routine tables ([`Request`]): a second run of the
+//! pure planner could only agree with the first. Only the image is decoded
+//! here, since the image is what is checked, site by site, in one walk:
 //!
 //! * the sites are the plan's, and each site's calls, in Before → relocated
 //!   original → After order, are the plan's tool functions, spliced or
@@ -31,15 +30,15 @@
 //!   of each relocated `EXIT`, under its guard, name a reserved register;
 //!   the original never does.
 //!
-//! Not re-checked: what decoding guarantees (each operand list in its
-//! opcode's format, no predicate past `P7`), and how the re-derived plan
-//! grouped calls, the same function of the same analysis as the build's.
+//! Not checked: what decoding guarantees (each operand list in its opcode's
+//! format, no predicate past `P7`), and how the planner grouped calls, which
+//! the `plan` unit tests and the plan-ladder differential pin.
 
 use crate::codegen::{SiteMeta, ToolFns};
 use crate::hal::Hal;
-use crate::plan::{self, InstrumentationPlan, PlanOpts, PlannedCall};
+use crate::plan::{InstrumentationPlan, PlannedCall};
 use crate::saverestore::{frame_slots, Routines};
-use crate::spec::{FuncSpec, IPoint};
+use crate::spec::IPoint;
 use common::InlineVec;
 use sass::op::CfClass;
 use sass::{Analysis, Instruction, Op, Operand, Reg};
@@ -100,7 +99,7 @@ pub enum DiagKind {
     /// A splice is not a straight line or one guarded diamond contained in
     /// it (the body classifier's shapes): it would run code outside.
     DiamondMismatch = 15,
-    /// The image is not the plan re-derived from the request: a site is
+    /// The image is not the plan it was built from: a site is
     /// missing or unplanned, or its calls are not the plan's (function,
     /// count, or spliced where the plan calls out of line and vice versa).
     PlanMismatch = 16,
@@ -135,14 +134,9 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// What an image is verified against: what the tool asked for, and the
-/// tables the core served it from.
+/// The tables the core served an image's plan from, beside that plan.
 #[derive(Clone, Copy)]
 pub struct Request<'a> {
-    /// The function's injections and removals.
-    pub spec: &'a FuncSpec,
-    /// The plan options the image was built under.
-    pub opts: PlanOpts,
     /// The loaded tool functions.
     pub tool_fns: &'a ToolFns,
     /// The save/restore routines, by tier.
@@ -501,9 +495,9 @@ fn check_calls(
     }
 }
 
-/// Checks `img` against `plan`, re-derived over the verifier's own decode of
-/// `original` and its `analysis` (`None` without a CFG: nothing is then
-/// provably dead). Returns every defect (empty = safe to swap).
+/// Checks `img` against `plan`, built over `original` and its `analysis`
+/// (`None` without a CFG: nothing is then provably dead). Returns every
+/// defect (empty = safe to swap).
 fn walk(
     hal: &Hal,
     req: &Request<'_>,
@@ -676,27 +670,27 @@ fn walk(
     diags
 }
 
-/// Disassembles a generated image and verifies it against the plan
-/// re-derived from `req` (see the module docs).
+/// Disassembles a generated image and verifies it against `plan`, built over
+/// `original` (the decode of `code`) and its `analysis` (see the module docs).
 ///
 /// # Errors
 ///
-/// Decode failures on the image, trampoline or original bytes, and a
-/// request the planner refuses (anything else is reported as diagnostics).
+/// Decode failures on the image or trampoline bytes (anything else is
+/// reported as diagnostics).
 pub fn verify(
     hal: &Hal,
     image_addr: u64,
-    original_code: &[u8],
+    (code, original, analysis): (&[u8], &[Instruction], Option<&Analysis>),
+    plan: &InstrumentationPlan,
     img: &crate::codegen::InstrumentedImage,
     req: &Request<'_>,
 ) -> crate::Result<Vec<Diagnostic>> {
-    let original = hal.disassemble(original_code)?;
     // Decode is a function of the word: an image word byte-equal to the
     // original's at its index is the instruction decoded there already.
     let size = hal.instruction_size() as usize;
-    let image = if img.instrumented.len() == original_code.len() {
-        let mut image = original.clone();
-        let words = img.instrumented.chunks(size).zip(original_code.chunks(size));
+    let image = if img.instrumented.len() == code.len() {
+        let mut image = original.to_vec();
+        let words = img.instrumented.chunks(size).zip(code.chunks(size));
         for (ins, (word, _)) in image.iter_mut().zip(words).filter(|(_, (w, was))| w != was) {
             *ins = hal.codec().decode(word)?;
         }
@@ -705,12 +699,9 @@ pub fn verify(
         hal.disassemble(&img.instrumented)?
     };
     let tramp = hal.disassemble(&img.tramp_code)?;
-    // The verifier's own analysis and plan, never the lifter's.
-    let analysis = Analysis::of(&original, hal.arch());
-    let plan = plan::build(req.spec, &original, hal.arch(), &analysis, req.tool_fns, req.opts)?;
     let (tramp_addr, sites) = (img.tramp_addr, &img.sites);
     let decoded = Decoded { image_addr, image: &image, tramp_addr, tramp: &tramp, sites };
-    Ok(walk(hal, req, &original, analysis.as_ref().ok(), &plan, &decoded))
+    Ok(walk(hal, req, original, analysis, plan, &decoded))
 }
 
 #[cfg(test)]
@@ -783,9 +774,7 @@ mod tests {
             16,
             Routines { tier: 16, save_addr: SAVE, restore_addr: RESTORE, frame_bytes: 0 },
         )]);
-        let spec = FuncSpec::default();
-        let opts = PlanOpts::default();
-        let req = Request { spec: &spec, opts, tool_fns: fns, routines: &routines, related: &[] };
+        let req = Request { tool_fns: fns, routines: &routines, related: &[] };
         let analysis = Analysis::of(original, Arch::Volta);
         let img = Decoded { image_addr: IMAGE_ADDR, image, tramp_addr: TRAMP_ADDR, tramp, sites };
         walk(&hal(), &req, original, analysis.as_ref().ok(), plan, &img)

@@ -173,7 +173,7 @@ fn version_flips_reuse_cached_images_and_unload_evicts() {
 /// disassemble, convert, user code, code generation, swap — each show up
 /// as an obs phase with non-zero time, the lifter decodes a function once
 /// (no second decode feeding a stopwatch), and the static analysis runs
-/// once per lift and once per verify.
+/// once per lift: the pre-swap verification takes the lifter's.
 #[test]
 fn jit_phases_attribute_all_six_components() {
     let drv = observed_driver();
@@ -196,13 +196,13 @@ fn jit_phases_attribute_all_six_components() {
     assert_eq!(report.phases["lift"].count, 1);
     assert_eq!(report.phases["disassemble"].count, 1);
     assert_eq!(report.counters["sass.decode"].count, 1, "one decode per lift");
-    // The body is analyzed once by the lifter and once — on its own decode
-    // of the image's original bytes — by each pre-swap verification;
-    // nothing else on the JIT path partitions or solves it again.
+    // The body is analyzed once, by the lifter; the build plans and
+    // verifies on that analysis, and nothing else on the JIT path
+    // partitions or solves it again.
+    assert_eq!(report.phases["verify"].count, 1);
     assert_eq!(
-        report.counters["sass.analysis"].count,
-        report.phases["lift"].count + report.phases["verify"].count,
-        "one analysis per lift plus one per verify"
+        report.counters["sass.analysis"].count, report.phases["lift"].count,
+        "one analysis per lift"
     );
     assert_eq!(report.open_spans, 0);
 }
