@@ -169,7 +169,9 @@ fn operand_lists_past_the_bound_are_bad_operands() {
 /// instruction or a structured error (important: the executor fetches
 /// from memory an instrumentation tool may have mispatched). A valid one
 /// has its opcode's operand format and names no predicate past `P7`: the
-/// pre-swap verifier, which sees only decoded words, relies on both.
+/// pre-swap verifier, which sees only decoded words, relies on both, and
+/// the executor reads every operand by its format position on the strength
+/// of the first.
 #[test]
 fn decoding_garbage_never_panics() {
     run_cases("decoding_garbage_never_panics", CASES, |rng| {
