@@ -1,5 +1,5 @@
 //! Streaming-channel bandwidth (paper §6.1): end-to-end `mem_trace`
-//! throughput through the double-buffered GPU→host channel across flush
+//! throughput through the GPU→host channel across flush
 //! buffer sizes.
 //!
 //! ```text

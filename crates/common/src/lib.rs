@@ -16,9 +16,9 @@
 //!   owns, bound per thread by scope; span guards and named counters that
 //!   aggregate as they record, with JSON and Chrome-trace export (off by
 //!   default; one thread-local load and a branch per hook when disabled);
-//! * [`channel`] — the streaming GPU→host tool channel: double-buffered
-//!   flush, doorbell flip, dedicated receiver thread, `Block`/`DropCount`
-//!   backpressure;
+//! * [`channel`] — the streaming GPU→host tool channel: three flush
+//!   buffers passed by ownership under one lock, dedicated receiver
+//!   thread, `Block`/`DropCount` backpressure;
 //! * [`graph`] — Cooper–Harvey–Kennedy immediate dominators and
 //!   post-dominators over flat successor lists, shared by `ptx::cfg` and
 //!   `sass::dom`;

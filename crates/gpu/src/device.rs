@@ -711,7 +711,7 @@ mod tests {
         );
         let store: Arc<Mutex<Vec<Record>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = store.clone();
-        // A 7-record buffer forces mid-launch doorbell flips.
+        // A 7-record buffer forces mid-launch buffer handovers.
         let (host, chan) = ChannelHost::spawn(
             7,
             Backpressure::Block,
