@@ -37,14 +37,21 @@
 //! an ALU operation is a straight 32-lane loop the compiler can vectorise,
 //! guards and votes are mask algebra, and an `LDL`/`STL` whose active lanes
 //! share one 4-aligned in-bounds address — every `[R1+off]` register
-//! save/restore of a trampoline — is a 128-byte row copy. A global access
-//! or atomic forms its 32 addresses once, as a row the cost model and the
-//! access both read, and `CHAN` hands its lanes' records over as one row.
+//! save/restore of a trampoline — is a 128-byte row copy. An `LDC` whose
+//! active lanes share one address — every `c[0x0][param]` — reads each
+//! word once and fills its destination row, and an `S2R` of a register
+//! that is the same in every lane (all but `SR_TID.*` and `SR_LANEID`) is
+//! evaluated once. A global access or atomic forms its 32 addresses once,
+//! as a row the cost model and the access both read; an `LDG`/`STG` whose
+//! active lanes' words are all aligned and in bounds, validated at once by
+//! `SharedMem::row`, loads each register as a row or stores lane-major
+//! with no per-word check. `CHAN` hands its lanes' records over as one row.
 //! Everything else (partial masks, per-lane or unaligned addresses, faults)
 //! takes the per-lane loop behind the row path — the one in `fill` for
-//! register rows, the lane loop of `load_store` for memory; there is no
-//! other fallback and no switch between the two but the input. A CTA runs
-//! on its worker's `LaunchState`, re-entered rather than allocated.
+//! register rows, the lane loops of `LDC` and `load_store` for memory;
+//! there is no other fallback and no switch between the two but the input.
+//! A CTA runs on its worker's `LaunchState`, re-entered rather than
+//! allocated.
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
@@ -178,6 +185,13 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
 #[inline(always)]
 fn lanes_where(f: impl Fn(usize) -> bool) -> u32 {
     (0..WARP).fold(0, |m, l| m | u32::from(f(l)) << l)
+}
+
+/// The value every lane of `exec` holds in `row`, if they all hold one.
+/// (`execute` runs only with an active lane, so `exec` has a first.)
+fn uniform(row: &Row, exec: u32) -> Option<u32> {
+    let first = row[exec.trailing_zeros() as usize];
+    (lanes_where(|l| row[l] == first) & exec == exec).then_some(first)
 }
 
 /// The lane-mask on which `a[lane] <cmp> b[lane]` (NaN compares not-equal,
@@ -795,7 +809,13 @@ impl<'d> ExecEnv<'d> {
             }
             Op::S2r => {
                 let Operand::SReg(sr) = ops[1] else { return Ok(()) };
-                let v: Row = std::array::from_fn(|lane| self.special(warp, cta, lane, sr, exec));
+                // Only the thread and lane indices differ between lanes.
+                use SpecialReg::{LaneId, TidX, TidY, TidZ};
+                let v: Row = if matches!(sr, TidX | TidY | TidZ | LaneId) {
+                    std::array::from_fn(|lane| self.special(warp, cta, lane, sr, exec))
+                } else {
+                    [self.special(warp, cta, 0, sr, exec); WARP]
+                };
                 warp.set(reg(&ops[0]), exec, |l| v[l]);
             }
             Op::P2r => {
@@ -1002,6 +1022,19 @@ impl<'d> ExecEnv<'d> {
                 let d = reg(&ops[0]);
                 let nregs = self.span_regs(d, instr, pc)?;
                 let bank_data = &self.cbanks[(bank as usize).min(3)];
+                // Row path: a warp-uniform address (every `c[0x0][param]`
+                // load, whose base is `RZ`) whose words are all in the bank
+                // reads each word once for the whole warp.
+                let at = |b: u32| b as usize + offset as usize;
+                let words = uniform(&warp.regs[base.index()], exec)
+                    .and_then(|b| bank_data.get(at(b)..at(b) + 4 * nregs));
+                if let Some(words) = words {
+                    for (k, w) in words.chunks_exact(4).enumerate() {
+                        let v = u32::from_le_bytes(std::array::from_fn(|j| w[j]));
+                        warp.set(Reg(base_plus(d, k)), exec, |_| v);
+                    }
+                    return Ok(());
+                }
                 for lane in lanes(exec) {
                     let idx = warp.reg(lane, base) as usize + offset as usize;
                     for k in 0..nregs {
@@ -1121,15 +1154,10 @@ impl<'d> ExecEnv<'d> {
 
         // Row path: the active lanes of a local access share one 4-aligned,
         // in-bounds address, so each register moves as one masked row.
-        // (`execute` runs only with an active lane, so `exec` has a first.)
-        if space == MemSpace::Local {
-            let bases = warp.regs[base.index()];
-            let first = bases[exec.trailing_zeros() as usize];
+        let first = (space == MemSpace::Local).then(|| uniform(&warp.regs[base.index()], exec));
+        if let Some(first) = first.flatten() {
             let addr = (first as u64).wrapping_add(offset);
-            if addr.is_multiple_of(4)
-                && span(addr, nregs - 1, *local_size).is_some()
-                && lanes(exec).all(|l| bases[l] == first)
-            {
+            if addr.is_multiple_of(4) && span(addr, nregs - 1, *local_size).is_some() {
                 if !is_load {
                     warp.store_to(addr as usize / 4..addr as usize / 4 + nregs);
                 }
@@ -1143,6 +1171,26 @@ impl<'d> ExecEnv<'d> {
                 }
                 return Ok(());
             }
+        }
+        // Row path: every active lane's global words are 4-aligned and in
+        // bounds — validated for all lanes before any is touched — so a load
+        // fills each register as a row; a store stays lane-major, because
+        // the words of neighbouring lanes' wide stores may overlap.
+        let row = (space == MemSpace::Global).then(|| self.mem.row(&self.addrs, exec, nregs));
+        if let Some(word) = row.flatten() {
+            if is_load {
+                for k in 0..nregs {
+                    warp.set(Reg(base_plus(rv, k)), exec, |l| word(l, k).load(Ordering::Relaxed));
+                }
+            } else {
+                for lane in lanes(exec) {
+                    for k in 0..nregs {
+                        let v = warp.reg(lane, Reg(base_plus(rv, k)));
+                        word(lane, k).store(v, Ordering::Relaxed);
+                    }
+                }
+            }
+            return Ok(());
         }
 
         let what = match (space, is_load) {
@@ -1314,6 +1362,13 @@ mod tests {
         let mut out = vec![0u8; 4 * words];
         dev.read(buf, &mut out).unwrap();
         out.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect()
+    }
+
+    /// The little-endian `len`-byte (≤ 8) scalar at `addr` of `dev`.
+    fn scalar(dev: &Device, addr: u64, len: usize) -> u64 {
+        let mut v = [0u8; 8];
+        dev.read(addr, &mut v[..len]).unwrap();
+        u64::from_le_bytes(v)
     }
 
     /// A negative or wrapping shared/local address is an out-of-bounds
@@ -1530,6 +1585,163 @@ EXIT ;";
                 assert!(reason.contains("register quad out of range"), "{reason}")
             }
             other => panic!("expected fault, got {other:?}"),
+        }
+    }
+
+    /// `LDC` through a register base: one that holds the same value in every
+    /// lane reads that address for the whole warp, under a full mask and
+    /// under a guard; one that differs per lane reads each lane's own word.
+    #[test]
+    fn ldc_through_a_uniform_and_a_per_lane_register_base() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x4 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+MOV32I R2, 0x8 ;\n\
+LDC.64 R10, c[0x0][R2+0x160] ;\n\
+SHL R14, R4, 0x2 ;\n\
+LDC R12, c[0x0][R14+0x16c] ;\n\
+LOP.AND R5, R4, 0x1 ;\n\
+ISETP.NE.U32 P0, R5, RZ ;\n\
+MOV R13, RZ ;\n\
+@P0 LDC R13, c[0x0][R2+0x168] ;\n\
+STG [R6], R10 ;\n\
+STG [R6+0x4], R11 ;\n\
+STG [R6+0x8], R12 ;\n\
+STG [R6+0xc], R13 ;\n\
+EXIT ;";
+        let (mut dev, pc) = load(text);
+        let buf = dev.alloc(32 * 16).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        let v = |i: u32| 0x1000 + 0x11 * i;
+        for i in 0..33 {
+            cfg.push_param_u32(v(i));
+        }
+        dev.launch(&cfg).unwrap();
+        for lane in 0..32u32 {
+            let got = scalar(&dev, buf + 16 * lane as u64, 8);
+            assert_eq!(got, v(0) as u64 | (v(1) as u64) << 32, "lane {lane}: uniform pair");
+            let per_lane = scalar(&dev, buf + 16 * lane as u64 + 8, 4);
+            assert_eq!(per_lane, v(lane + 1) as u64, "lane {lane}: its own word");
+            let guarded = scalar(&dev, buf + 16 * lane as u64 + 12, 4);
+            assert_eq!(guarded, if lane % 2 == 1 { v(2) as u64 } else { 0 }, "lane {lane}");
+        }
+    }
+
+    /// A uniform `LDC` whose words leave the bank faults naming the first
+    /// word outside it, through an immediate and through a register base.
+    #[test]
+    fn an_out_of_bounds_uniform_ldc_faults_at_its_first_outside_word() {
+        assert_oob(&[
+            ("LDC.64 R4, c[0x0][0x15c] ;", "constant read out of bounds: c[0][0x160]"),
+            (
+                "MOV32I R2, 0x100000 ;\nLDC R4, c[0x0][R2+0x10] ;",
+                "constant read out of bounds: c[0][0x100010]",
+            ),
+        ]);
+    }
+
+    /// A global load or store in which exactly one lane's access is out of
+    /// bounds — lane 5's `.64` at the last word of memory, whose second word
+    /// is past its end — faults at that lane and word with the per-lane
+    /// text. The store leaves the lanes before it written, lane 5's first
+    /// word stored and the lanes after it untouched.
+    #[test]
+    fn a_global_access_with_one_lane_out_of_bounds_faults_at_that_lane() {
+        for (access, what) in [("LDG.64 R10, [R6]", "load"), ("STG.64 [R6], R10", "store")] {
+            let cap = DeviceSpec::test(Arch::Volta).global_mem;
+            let last = cap - 4;
+            let text = format!(
+                "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x3 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+ISETP.NE.U32 P0, R4, 0x5 ;\n\
+@!P0 MOV32I R6, 0x{:x} ;\n\
+@!P0 MOV32I R7, 0x{:x} ;\n\
+IADD R10, R4, 0x64 ;\n\
+IADD R11, R4, 0xc8 ;\n\
+{access} ;\n\
+EXIT ;",
+                last as u32,
+                (last >> 32) as u32
+            );
+            let (mut dev, pc) = load(&text);
+            let buf = dev.alloc(32 * 8).unwrap();
+            dev.write(buf, &[0x77; 32 * 8]).unwrap();
+            let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+            cfg.push_param_u64(buf);
+            match dev.launch(&cfg) {
+                Err(GpuError::Fault { reason, .. }) => {
+                    let want = format!("global {what} fault at 0x{cap:x} (lane 5)");
+                    assert!(reason.contains(&want), "{reason}");
+                }
+                other => panic!("{access}: expected fault, got {other:?}"),
+            }
+            let stored = what == "store";
+            for lane in 0..32u64 {
+                let got = scalar(&dev, buf + 8 * lane, 8);
+                let want = if stored && lane < 5 {
+                    (100 + lane) | (200 + lane) << 32
+                } else {
+                    0x7777_7777_7777_7777
+                };
+                assert_eq!(got, want, "{access}: lane {lane}");
+            }
+            let tail = scalar(&dev, last, 4);
+            assert_eq!(tail, if stored { 105 } else { 0 }, "{access}: lane 5's first word");
+        }
+    }
+
+    /// `STG.64` and `STG.128` at `base + 4 * lane`, so each lane's words
+    /// overlap its neighbours', land lane-major — all of lane `l`'s words
+    /// before lane `l + 1`'s — over all lanes and over the odd lanes; an
+    /// overlapping `LDG.128` then reads every lane's four words back.
+    #[test]
+    fn overlapping_wide_global_stores_land_lane_major() {
+        for (width, n) in [("64", 2), ("128", 4)] {
+            for (guard, odd_only) in [("", false), ("@P0 ", true)] {
+                let text = format!(
+                    "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x2 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+LOP.AND R5, R4, 0x1 ;\n\
+ISETP.NE.U32 P0, R5, RZ ;\n\
+SHL R12, R4, 0x4 ;\n\
+IADD R13, R12, 0x1 ;\n\
+IADD R14, R12, 0x2 ;\n\
+IADD R15, R12, 0x3 ;\n\
+{guard}STG.{width} [R6], R12 ;\n\
+LDG.128 R16, [R6] ;\n\
+STG.128 [R6+0x100], R16 ;\n\
+EXIT ;"
+                );
+                // Lane-major: of the lanes that write a word, the last wins.
+                let lane_major = |lanes: &[usize], words: &dyn Fn(usize) -> Vec<u32>| {
+                    let mut mem = [0u32; 35];
+                    for &l in lanes {
+                        mem[l..][..words(l).len()].copy_from_slice(&words(l));
+                    }
+                    mem
+                };
+                let active: Vec<usize> = (0..32).filter(|l| !odd_only || l % 2 == 1).collect();
+                let want = lane_major(&active, &|l| (0..n).map(|k| 16 * l as u32 + k).collect());
+                // The read-back is overlapping too: lane `l`'s four words
+                // at `0x100 + 4 * l`.
+                let all: Vec<usize> = (0..32).collect();
+                let back = lane_major(&all, &|l| want[l..l + 4].to_vec());
+                let got = run_on_buffer(&text, 64 + 35, &[]);
+                assert_eq!(got[..35], want, "STG.{width}, odd only: {odd_only}");
+                assert_eq!(got[64..], back, "STG.{width} read back, odd only: {odd_only}");
+            }
         }
     }
 

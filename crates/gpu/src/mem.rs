@@ -253,6 +253,25 @@ impl SharedMem {
         Ok(())
     }
 
+    /// Word `k` of the `n` aligned words at `addrs[lane]`, for every lane of
+    /// `exec`, when each lane's address is 4-aligned and its `4 * n` bytes
+    /// pass `check` like every other access. All lanes are validated before
+    /// any word is touched, so a `None` has read and written nothing and the
+    /// caller's per-lane path meets the first fault itself.
+    pub fn row<'m>(
+        &'m self,
+        addrs: &[u64; 32],
+        exec: u32,
+        n: usize,
+    ) -> Option<impl Fn(usize, usize) -> &'m AtomicU32> {
+        let ok = |a: u64| a.is_multiple_of(4) && check(a, 4 * n as u64, self.len).is_ok();
+        let at = addrs.map(|a| a as usize / 4);
+        (0..32).all(|l| exec >> l & 1 == 0 || ok(addrs[l])).then_some(move |lane: usize, k| {
+            assert!(k < n && exec >> lane & 1 != 0, "a word the row validated");
+            self.word(at[lane] + k)
+        })
+    }
+
     /// Takes the one lock all atomics of all CTA workers serialize on, which
     /// keeps them linearizable; one hold covers a warp instruction's lanes.
     pub fn atomics(&self) -> Atomics<'_> {

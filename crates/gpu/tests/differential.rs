@@ -636,10 +636,11 @@ fn prop_random_programs_agree() {
 // ----- Row paths vs per-lane loops ------------------------------------------
 //
 // The executor runs an operation as one 32-lane row when the warp's whole
-// mask is active (and, for local memory, when the active lanes share one
-// 4-aligned address), and lane by lane otherwise. Nothing switches between
-// the two but the input, so the kernels below are run in shapes that select
-// each: block sizes with a partial (or only a partial) last warp, a
+// mask is active (for local memory and constants: when the active lanes
+// share one address; for global memory: when every active lane's words are
+// 4-aligned and in bounds), and lane by lane otherwise. Nothing switches
+// between the two but the input, so the kernels below are run in shapes that
+// select each: block sizes with a partial (or only a partial) last warp, a
 // data-dependent guard that disables a strict subset of lanes, per-lane
 // different addresses, and addresses that straddle two interleaved words
 // (local memory) or two aligned words (global memory).
@@ -874,4 +875,148 @@ const SHARED_REV_N: &str = r#"
 #[test]
 fn shared_memory_per_lane_offsets_match_under_partial_warps() {
     check_row_shapes(SHARED_REV_N, "revn", 1);
+}
+
+/// Wide global accesses whose lanes overlap: lane `l` of each warp works at
+/// `region + 4 * l`, so a `.u64` load or store of lane `l` shares a word
+/// with lane `l + 1`'s — over all lanes and under a data-dependent guard and
+/// its complement, read back across the stores. Stores land lane-major (all
+/// of lane `l`'s words before lane `l + 1`'s), as the interpreter's do. Each
+/// warp has its own 1 KiB region, so CTAs running in parallel share no word.
+const ROW_WIDE: &str = r#"
+.entry rowwide(.param .u64 buf)
+{
+    .reg .u32 %r<10>;
+    .reg .u64 %rd<10>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %tid.x;
+    shr.u32 %r3, %r2, 5;
+    shl.b32 %r4, %r1, 1;
+    add.u32 %r4, %r4, %r3;
+    shl.b32 %r4, %r4, 10;
+    and.b32 %r5, %r2, 31;
+    shl.b32 %r5, %r5, 2;
+    add.u32 %r6, %r4, %r5;
+    mul.wide.u32 %rd2, %r6, 1;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u64 %rd4, [%rd3];
+    ld.global.u64 %rd5, [%rd3+136];
+    ld.global.u32 %r7, [%rd3+4];
+    and.b32 %r8, %r7, 6;
+    setp.ne.u32 %p1, %r8, 0;
+    add.u64 %rd6, %rd4, %rd2;
+    @%p1 st.global.u64 [%rd3], %rd6;
+    @!%p1 st.global.u64 [%rd3+4], %rd5;
+    st.global.u64 [%rd3+272], %rd4;
+    ld.global.u64 %rd7, [%rd3+4];
+    @!%p1 ld.global.u64 %rd7, [%rd3+268];
+    st.global.u64 [%rd3+408], %rd7;
+    @%p1 st.global.u64 [%rd3+412], %rd5;
+    exit;
+}
+"#;
+
+#[test]
+fn overlapping_wide_global_rows_land_lane_major_under_guards() {
+    check_row_shapes(ROW_WIDE, "rowwide", 8);
+}
+
+/// Gathers at addresses taken from the input: a 4-aligned one (every lane
+/// in bounds), a byte-granular one (some lanes misaligned) and an 8-aligned
+/// `.u64`, all from a read-only first kilobyte, the first under a guard.
+const ROW_GATHER: &str = r#"
+.entry rowgather(.param .u64 buf)
+{
+    .reg .u32 %r<16>;
+    .reg .u64 %rd<12>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %tid.x;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r4, [%rd3];
+    and.b32 %r5, %r4, 1020;
+    mul.wide.u32 %rd4, %r5, 1;
+    add.u64 %rd4, %rd1, %rd4;
+    and.b32 %r10, %r4, 1;
+    setp.ne.u32 %p1, %r10, 0;
+    mov.u32 %r6, 3;
+    @%p1 ld.global.u32 %r6, [%rd4];
+    shr.u32 %r7, %r4, 10;
+    and.b32 %r7, %r7, 1019;
+    mul.wide.u32 %rd5, %r7, 1;
+    add.u64 %rd5, %rd1, %rd5;
+    ld.global.u32 %r8, [%rd5];
+    shr.u32 %r9, %r4, 20;
+    and.b32 %r9, %r9, 1016;
+    mul.wide.u32 %rd6, %r9, 1;
+    add.u64 %rd6, %rd1, %rd6;
+    ld.global.u64 %rd7, [%rd6];
+    mul.wide.u32 %rd8, %r1, 16;
+    add.u64 %rd8, %rd1, %rd8;
+    st.global.u32 [%rd8+1024], %r6;
+    st.global.u32 [%rd8+1028], %r8;
+    st.global.u64 [%rd8+1032], %rd7;
+    exit;
+}
+"#;
+
+#[test]
+fn gathered_global_loads_match_at_input_addresses() {
+    check_row_shapes(ROW_GATHER, "rowgather", 8);
+}
+
+/// Parameter loads (`ld.param`, a constant-bank load from a warp-uniform
+/// address), also under a data-dependent guard and its complement.
+const ROW_PARAM: &str = r#"
+.entry rowparam(.param .u64 buf, .param .u32 a, .param .u32 b)
+{
+    .reg .u32 %r<10>;
+    .reg .u64 %rd<6>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [buf];
+    ld.param.u32 %r1, [a];
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mov.u32 %r4, %tid.x;
+    mad.lo.u32 %r2, %r2, %r3, %r4;
+    mul.wide.u32 %rd2, %r2, 16;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r5, [%rd3];
+    and.b32 %r6, %r5, 6;
+    setp.ne.u32 %p1, %r6, 0;
+    mov.u32 %r7, 5;
+    @%p1 ld.param.u32 %r7, [b];
+    mov.u64 %rd4, %rd3;
+    @!%p1 ld.param.u64 %rd4, [buf];
+    @!%p1 add.u64 %rd4, %rd4, %rd2;
+    add.u32 %r8, %r1, %r7;
+    st.global.u32 [%rd3+4], %r1;
+    st.global.u32 [%rd3+8], %r7;
+    st.global.u32 [%rd4+12], %r8;
+    exit;
+}
+"#;
+
+#[test]
+fn parameter_loads_match_under_guards() {
+    run_cases("rowparam", 4, |rng| {
+        let bytes: Vec<u8> = (0..2 * 64 * 4).flat_map(|_| rng.next_u32().to_le_bytes()).collect();
+        let (a, b) = (rng.next_u32(), rng.next_u32());
+        for block in [1, 17, 33, 64] {
+            check(
+                ROW_PARAM,
+                "rowparam",
+                2,
+                block,
+                &[Param::Ptr(0), Param::U32(a), Param::U32(b)],
+                &bytes,
+            );
+        }
+    });
 }

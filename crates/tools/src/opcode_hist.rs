@@ -10,7 +10,7 @@
 //! methodology, including its error mode: kernels whose control flow
 //! depends on data (not just grid dimensions) make the estimate drift.
 
-use crate::{read_u64, COUNT_FN, COUNT_MULT_FN};
+use crate::{COUNT_FN, COUNT_MULT_FN};
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::Dim3;
 use nvbit::{IPoint, NvbitApi, NvbitTool, PlanOpts};
@@ -95,6 +95,13 @@ struct KernelState {
 
 const SLOTS: usize = 128;
 
+/// A kernel's counter slots at `base`, read in one transfer.
+fn read_counters(drv: &Driver, base: u64) -> Vec<u64> {
+    let mut bytes = [0u8; SLOTS * 8];
+    drv.memcpy_dtoh(&mut bytes, base).expect("counter readback");
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+}
+
 /// The histogram tool.
 pub struct OpcodeHistogram {
     mode: SamplingMode,
@@ -147,10 +154,6 @@ impl OpcodeHistogram {
         (tool, results)
     }
 
-    fn read_counters(&self, drv: &Driver, base: u64) -> Vec<u64> {
-        (0..SLOTS as u64).map(|i| read_u64(drv, base + i * 8)).collect()
-    }
-
     fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) {
         let counters =
             api.driver().with_device(|d| d.alloc(SLOTS as u64 * 8)).expect("counter alloc");
@@ -190,7 +193,7 @@ impl OpcodeHistogram {
     fn publish(&self, drv: &Driver) {
         let mut hist: BTreeMap<String, u64> = BTreeMap::new();
         for state in self.kernels.values() {
-            let now = self.read_counters(drv, state.counters);
+            let now = read_counters(drv, state.counters);
             for (slot, op) in &state.slot_ops {
                 let v = now[*slot];
                 if v > 0 {
@@ -263,10 +266,7 @@ impl NvbitTool for OpcodeHistogram {
             // Snapshot the counters so the exit handler can compute the
             // launch's delta.
             let state = self.kernels.get_mut(&func.raw()).expect("instrumented above");
-            state.snapshot = {
-                let base = state.counters;
-                (0..SLOTS as u64).map(|i| read_u64(api.driver(), base + i * 8)).collect()
-            };
+            state.snapshot = read_counters(api.driver(), state.counters);
             api.enable_instrumented(*func, instrument_this).unwrap();
             *self.results.total_launches.borrow_mut() += 1;
             if instrument_this {
@@ -279,7 +279,7 @@ impl NvbitTool for OpcodeHistogram {
         // (uninstrumented).
         let state = self.kernels.get(&func.raw()).expect("instrumented at entry");
         if self.current_instrumented {
-            let now = self.read_counters(api.driver(), state.counters);
+            let now = read_counters(api.driver(), state.counters);
             let delta: Vec<u64> = now.iter().zip(&state.snapshot).map(|(a, b)| a - b).collect();
             self.estimates.insert(key, delta);
         } else if let Some(delta) = self.estimates.get(&key) {
