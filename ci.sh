@@ -126,9 +126,14 @@ fi
 # which decoding guarantees (`sass/tests/prop.rs::decoding_garbage_never_panics`),
 # so the 32 operand-shape faults no decoded word could reach are gone: the
 # gpu crate's measured 2,565 (from 2,635, the executor 1,354 -> 1,284), net
-# of `LDC` sharing the loads' register-span check.
-printf '  %-10s %6d  (gpu, ceiling 2565)\n' gpu "$gpu"
-if [ "$gpu" -gt 2565 ]; then
+# of `LDC` sharing the loads' register-span check. Row paths for the
+# executor's per-lane loads moved it by its measured +67 (2,632): an `LDC`
+# from a warp-uniform address, an `LDG`/`STG` whose lanes are all aligned
+# and in bounds (through the all-or-nothing `SharedMem::row` accessor) and
+# an `S2R` of a lane-invariant register run once per warp instead of once
+# per lane, net of the local row path sharing the uniform-base test.
+printf '  %-10s %6d  (gpu, ceiling 2632)\n' gpu "$gpu"
+if [ "$gpu" -gt 2632 ]; then
     echo "gpu grew past its ceiling" >&2
     exit 1
 fi
@@ -258,7 +263,7 @@ echo "== tier-1: cargo build --release && cargo test -q (every crate: default-me
 cargo build --release
 cargo test --workspace -q
 
-echo "== gpu (release): executor unit tests (pooled launch-state hygiene, word-granule memory, address row) + executor-vs-interpreter differential, with the vectorised row paths =="
+echo "== gpu (release): executor unit tests (pooled launch-state hygiene, word-granule memory, address row) + executor-vs-interpreter differential, with the vectorised row paths and the constant, global and special-register row paths =="
 # Tier-1 runs these in debug only (which is what catches arithmetic
 # overflow); the row loops are vectorised only in release, and the racing
 # misaligned-store test has the most to race with there.
