@@ -3,10 +3,10 @@
 //!
 //! 1. **Plan ladder.** Each workload runs natively and under the coalesced
 //!    instruction-count tool at every rung: the naive per-site plan,
-//!    basic-block call coalescing, dominator-region coalescing with
-//!    after-point lowering, leaf-tool splicing, and counter promotion. Rows
-//!    carry the executed thread-instructions, cycles and planner accounting,
-//!    plus the Fig. 9-style geometric-mean overhead of each rung.
+//!    basic-block call coalescing, dominator-region coalescing, leaf-tool
+//!    splicing, and counter promotion. Rows carry the executed
+//!    thread-instructions, cycles and planner accounting, plus the Fig.
+//!    9-style geometric-mean overhead of each rung.
 //! 2. **Sampling × plan** (§6.2 stacked on Fig. 9). The opcode histogram
 //!    with grid-dim sampling over the top rung. Each kernel launches four
 //!    times with identical dimensions, so sampling instruments one launch
@@ -160,7 +160,6 @@ fn plan_ladder(report: &mut Report) {
                 ("requested_calls", sum(|s| s.requested_calls)),
                 ("emitted_calls", sum(|s| s.emitted_calls)),
                 ("region_groups", sum(|s| s.region_groups)),
-                ("after_lowered", sum(|s| s.after_lowered)),
                 ("inline_accepted", sum(|s| s.inline_accepted)),
                 ("inline_declined", sum(|s| s.inline_declined)),
                 ("promoted_calls", sum(|s| s.promoted_calls)),

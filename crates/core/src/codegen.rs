@@ -1062,8 +1062,8 @@ mod tests {
     }
 
     /// Naive (pass-free) plan over the spec — the pre-plan pipeline shape.
-    /// (The architecture only matters to the planner under the ICF
-    /// exception, which `NO_ANALYSIS` is not.)
+    /// (The architecture only matters to the planner's effect lowering,
+    /// which needs the analysis `NO_ANALYSIS` withholds.)
     fn plan_of(spec: &FuncSpec, body: &[Instruction], fns: &ToolFns) -> InstrumentationPlan {
         plan::build(spec, body, Arch::Volta, &NO_ANALYSIS, fns, PlanOpts::naive()).unwrap()
     }

@@ -306,9 +306,7 @@ impl CoreState {
                 Ok(_) => {}
             }
             common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
-            common::obs::counter("plan.after_lowered", plan.stats.after_lowered);
             common::obs::counter("plan.region_groups", plan.stats.region_groups);
-            common::obs::counter("plan.icf_recovered", plan.stats.icf_recovered);
             common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
             common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
             common::obs::counter("plan.promoted_calls", plan.stats.promoted_calls);

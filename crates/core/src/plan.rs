@@ -7,44 +7,36 @@
 //! optimization passes over the result — the callback-coalescing and
 //! inlining levers every mature DBI framework applies (Pin, DynamoRIO; see
 //! the DBI survey), mapped onto the paper's Fig. 9 overhead breakdown
-//! (block coalescing from [`PlanLevel::Block`]; after-point lowering and
-//! region coalescing from [`PlanLevel::Region`]; leaf inlining at
-//! [`PlanLevel::Spliced`]):
+//! (block coalescing from [`PlanLevel::Block`]; region coalescing from
+//! [`PlanLevel::Region`]; leaf inlining at [`PlanLevel::Spliced`]). Both
+//! merging passes need the body's CFG: under the ICF exception, where
+//! there is none, the plan merges nothing (the paper's flat view).
 //!
-//! 1. **After-point lowering** (paper Fig. 4 — the trampoline's
-//!    post-original slot): an `IPoint::After` injection at a mid-block
-//!    instruction *i* is observationally identical to an `IPoint::Before`
-//!    injection at *i + 1* — nothing executes between "after *i*" and
-//!    "before *i + 1*" on the fall-through edge, and a mid-block
-//!    instruction always falls through (only block terminators transfer
-//!    control; predication gates effects, not issue). The pass rewrites
-//!    such coalesce-marked injections to the block-exit `Before` position
-//!    so the coalescing passes can merge them; After-points on block
-//!    terminators are never moved (that would cross a taken branch).
-//! 2. **Block coalescing** (opt-in per injection via
+//! 1. **Block coalescing** (opt-in per injection via
 //!    [`crate::spec::Injection::coalesce`]): injections of the same tool
 //!    function with identical *block-invariant* arguments (immediates,
-//!    constant-bank reads) and no predicate filter are merged into a single
-//!    call per basic block carrying a multiplicity argument. This is exact,
-//!    not approximate: the warp's active mask cannot change inside a basic
-//!    block (control flow only occurs at block ends, and predication does
-//!    not alter the mask), so one call with multiplicity *N* observes the
-//!    same active lanes as *N* calls with multiplicity 1.
-//! 3. **Region coalescing**: per-block merged calls are hoisted further,
+//!    constant-bank reads), no predicate filter and an `IPoint::Before`
+//!    point are merged into a single call per basic block carrying a
+//!    multiplicity argument. This is exact, not approximate: the warp's
+//!    active mask cannot change inside a basic block (control flow only
+//!    occurs at block ends, and predication does not alter the mask), so
+//!    one call with multiplicity *N* observes the same active lanes as *N*
+//!    calls with multiplicity 1.
+//! 2. **Region coalescing**: per-block merged calls are hoisted further,
 //!    into one call per [`sass::Dom`] coalescing region — the dominator/
 //!    post-dominator/cycle-equivalence classes whose blocks provably
 //!    execute exactly as often, per lane, as the class head (see
 //!    [`sass::dom`] for the exactness argument). Irreducible control flow
 //!    makes every block its own region, so this pass degrades to a no-op
 //!    rather than to an approximation.
-//! 4. **Leaf inlining**: a call is spliced iff its tool body is spliceable
+//! 3. **Leaf inlining**: a call is spliced iff its tool body is spliceable
 //!    (small, call-free, stack-free, no `nvbit.readreg`/`writereg` use, a
 //!    straight line or one guarded diamond — see
 //!    [`crate::codegen::ToolFn::inlinable`]): the body goes directly into
 //!    the trampoline, eliminating the CALL/RET pair. The rule is a static
 //!    property of the body, never of the site; how a splice is *saved* is
 //!    the code generator's business.
-//! 5. **Effect lowering**: a call of a body with one known effect becomes
+//! 4. **Effect lowering**: a call of a body with one known effect becomes
 //!    that effect's code ([`crate::codegen::Effect`]): a counter one
 //!    `IADD.U64` into a register pair, zeroed at entry and flushed at each
 //!    `EXIT` (LLVM PGO's counter promotion); a push `IADD.U64` and `CHAN.64`.
@@ -58,7 +50,7 @@ use crate::codegen::{arg_demand, clobber, Effect, ToolFn};
 use crate::spec::{abi_slots, Arg, FuncSpec, IPoint, Injection};
 use crate::{NvbitError, Result};
 use common::InlineVec;
-use sass::cfg::{block_of, BasicBlock};
+use sass::cfg::block_of;
 use sass::op::{CfClass, IType, SubOp};
 use sass::{Analysis, CfgFailure, Guard, Instruction, Mods, Op, Operand, Reg, Width};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -73,7 +65,7 @@ pub enum PlanLevel {
     Naive,
     /// Block coalescing over coalesce-marked injections.
     Block,
-    /// Adds after-point lowering and dominator-region coalescing.
+    /// Adds dominator-region coalescing.
     Region,
     /// Adds leaf splicing: every call whose tool body is spliceable
     /// ([`crate::codegen::ToolFn::inlinable`]) is spliced; any other stays
@@ -187,22 +179,12 @@ pub struct PlanStats {
     pub coalesced_away: u64,
     /// Merged groups with more than one member.
     pub coalesced_groups: u64,
-    /// Instrumentation sites left with no calls and dropped entirely (the
-    /// original instruction runs in place, unpatched).
-    pub sites_dropped: u64,
-    /// `IPoint::After` injections lowered to the fall-through `Before`
-    /// slot by the after-lowering pass.
-    pub after_lowered: u64,
     /// Groups merged by the region-coalescing pass (beyond what block
     /// coalescing already merged).
     pub region_groups: u64,
     /// Whether a basic-block partition was available (coalescing needs
     /// one; indirect control flow defeats it — the ICF exception).
     pub cfg_available: bool,
-    /// Groups merged over the conservative *partial* partition recovered
-    /// under the ICF exception ([`sass::cfg::partial_blocks`]) — merges
-    /// the naive fallback would have lost.
-    pub icf_recovered: u64,
     /// Emitted calls [`PlanLevel::Spliced`] splices inline.
     pub inline_accepted: u64,
     /// Emitted calls [`PlanLevel::Spliced`] leaves out of line because the
@@ -229,19 +211,14 @@ pub struct InstrumentationPlan {
     pub stats: PlanStats,
 }
 
-/// One requested injection on its way through the passes: where it sits
-/// now, and the group of requests it has come to stand for. The passes work
-/// on one flat list of these, in emission order; a [`PlannedCall`] is only
-/// made of the ones still standing at the end.
+/// One requested injection on its way through the passes, and the group of
+/// requests it has come to stand for. The passes work on one flat list of
+/// these, in emission order; a [`PlannedCall`] is only made of the ones
+/// still standing at the end, each at its own injection's site.
 struct Request<'a> {
     inj: &'a Injection,
     /// The injection's explicit arguments (no multiplicity argument).
     args: &'a [Arg],
-    /// The site the call is emitted at.
-    site: usize,
-    ipoint: IPoint,
-    /// The call was an `IPoint::After` at `inj.idx`, lowered to `site`.
-    lowered: bool,
     /// The next member of the group this request belongs to; the group's
     /// representative heads the chain.
     next: Option<usize>,
@@ -250,13 +227,14 @@ struct Request<'a> {
 }
 
 impl Request<'_> {
-    /// Coalesce-marked, unfiltered and every explicit argument the same at
-    /// every site of a basic block (it depends on nothing per dynamic
-    /// instance: no guard predicate, no register or predicate value): what
-    /// both the lowering and the merging passes require.
-    fn movable(&self) -> bool {
+    /// Coalesce-marked, unfiltered, before its instruction and every
+    /// explicit argument the same at every site of a basic block (it depends
+    /// on nothing per dynamic instance: no guard predicate, no register or
+    /// predicate value): what the merging passes require.
+    fn mergeable(&self) -> bool {
         let invariant = |a: &Arg| matches!(a, Arg::Imm32(_) | Arg::Imm64(_) | Arg::CBank { .. });
-        self.inj.coalesce && !self.inj.pred_filter && self.args.iter().all(invariant)
+        let (inj, before) = (self.inj, self.inj.ipoint == IPoint::Before);
+        before && inj.coalesce && !inj.pred_filter && self.args.iter().all(invariant)
     }
 }
 
@@ -273,11 +251,8 @@ fn group<'r, 'a>(
 ///
 /// `analysis` is the body's [`sass::Analysis`] as the lifter computed it:
 /// coalescing uses its block partition and region coalescing its dominator
-/// regions. When static CFG recovery failed there is nothing to merge —
-/// except under the ICF exception, where the conservative
-/// [`sass::cfg::partial_blocks`] partition of `body` still supports block
-/// coalescing ([`PlanStats::cfg_available`] and
-/// [`PlanStats::icf_recovered`] record what happened).
+/// regions. When static CFG recovery failed there is nothing to merge
+/// ([`PlanStats::cfg_available`] records it).
 ///
 /// # Errors
 ///
@@ -302,16 +277,9 @@ pub fn build(
         return Err(NvbitError::UnknownToolFunction(inj.func.to_string()));
     }
 
-    // Under the ICF exception, recover the partial partition.
-    let partial: Option<Vec<BasicBlock>> = match analysis {
-        Err(CfgFailure::IndirectBranch { .. }) => Some(sass::cfg::partial_blocks(body, arch)),
-        _ => None,
-    };
     let analysis = analysis.as_ref().ok();
-    let blocks = analysis.map(|a| a.blocks.as_slice());
-
     let mut stats = PlanStats {
-        cfg_available: blocks.is_some(),
+        cfg_available: analysis.is_some(),
         requested_calls: spec.injections().len() as u64,
         ..PlanStats::default()
     };
@@ -321,72 +289,30 @@ pub fn build(
     let mut requests: Vec<Request<'_>> = spec
         .injections()
         .iter()
-        .map(|inj| Request {
-            inj,
-            args: spec.args(inj),
-            site: inj.idx,
-            ipoint: inj.ipoint,
-            lowered: false,
-            next: None,
-            stands: true,
-        })
+        .map(|inj| Request { inj, args: spec.args(inj), next: None, stands: true })
         .collect();
-    requests.sort_by_key(|r| r.site);
-    // Sites that carry a call at some point of the passes (2 while one
-    // still stands there): the ones left empty are counted as dropped.
-    let mut carries = vec![0u8; body_len];
-    requests.iter().for_each(|r| carries[r.site] = 1);
+    requests.sort_by_key(|r| r.inj.idx);
 
-    // Pass 1: after-point lowering (must precede coalescing so the lowered
-    // calls participate in it): an eligible `IPoint::After` call at a
-    // mid-block site moves to the `Before` slot of the next instruction —
-    // the next instruction lies in the same basic block, so the move never
-    // crosses a taken branch — ahead of that site's own calls.
-    if let Some(blocks) = blocks.filter(|_| opts.level >= PlanLevel::Region) {
-        for r in requests.iter_mut().filter(|r| r.ipoint == IPoint::After && r.movable()) {
-            if block_of(blocks, r.site + 1) == block_of(blocks, r.site) {
-                (r.site, r.ipoint, r.lowered) = (r.site + 1, IPoint::Before, true);
-                carries[r.site] = 1;
-                stats.after_lowered += 1;
-            }
-        }
-        requests.sort_by_key(|r| (r.site, !r.lowered));
-    }
-
-    // Pass 2: block coalescing — merge within each basic block. Under the
-    // ICF exception the partial partition still bounds runs of straight-
-    // line code between statically known leaders, so per-block merging
-    // applies there too; `icf_recovered` counts what the naive fallback
-    // would have lost.
+    // Pass 1: block coalescing — merge within each basic block. Pass 2:
+    // region coalescing — merge across control-equivalent, cycle-equivalent
+    // blocks; identity regions under irreducible control flow make it a
+    // no-op, so the walk is skipped. Without a CFG nothing merges.
     let mut scratch = MergeScratch::default();
-    if opts.level >= PlanLevel::Block {
-        if let Some(blocks) = blocks {
-            stats.coalesced_groups +=
-                merge_calls(&mut requests, &mut scratch, |site| block_of(blocks, site));
-        } else if let Some(partial) = &partial {
-            let recovered =
-                merge_calls(&mut requests, &mut scratch, |site| block_of(partial, site));
-            stats.coalesced_groups += recovered;
-            stats.icf_recovered += recovered;
-        }
-    }
-
-    // Pass 3: region coalescing — merge across control-equivalent,
-    // cycle-equivalent blocks. Identity regions under irreducible control
-    // flow make this a no-op, so skip the walk entirely.
-    if opts.level >= PlanLevel::Region {
-        if let Some(a) = analysis.filter(|a| !a.dom.irreducible()) {
+    if let Some(a) = analysis.filter(|_| opts.level >= PlanLevel::Block) {
+        stats.coalesced_groups +=
+            merge_calls(&mut requests, &mut scratch, |site| block_of(&a.blocks, site));
+        if opts.level >= PlanLevel::Region && !a.dom.irreducible() {
             stats.region_groups += merge_calls(&mut requests, &mut scratch, |site| {
                 block_of(&a.blocks, site).map(|b| a.dom.region_head(b))
             });
         }
     }
 
-    // What is left standing is what is emitted; pass 4, inline splicing: a
+    // What is left standing is what is emitted; pass 3, inline splicing: a
     // call is spliced iff its tool body is spliceable. Sites whose calls
-    // were all merged or lowered away are dropped — safe even for sites
-    // also marked removed: the generator NOPs removed-but-callless
-    // instructions in place, with no trampoline needed.
+    // were all merged away are dropped — safe even for sites also marked
+    // removed: the generator NOPs removed-but-callless instructions in
+    // place, with no trampoline needed.
     let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
     for (head, r) in requests.iter().enumerate().filter(|(_, r)| r.stands) {
         let mut args = Vec::with_capacity(r.args.len() + 1);
@@ -398,10 +324,9 @@ pub fn build(
         args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity)));
         let inline = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
-        carries[r.site] = 2;
-        sites.entry(r.site).or_default().push(PlannedCall {
+        sites.entry(r.inj.idx).or_default().push(PlannedCall {
             func: r.inj.func.clone(),
-            ipoint: r.ipoint,
+            ipoint: r.inj.ipoint,
             args,
             pred_filter: r.inj.pred_filter,
             coalesce: r.inj.coalesce,
@@ -409,10 +334,9 @@ pub fn build(
             promoted: InlineVec::default(),
         });
     }
-    stats.sites_dropped = carries.iter().filter(|c| **c == 1).count() as u64;
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
-    // Pass 5, effect lowering: only with a CFG, which rules out `BRX`.
+    // Pass 4, effect lowering: only with a CFG, which rules out `BRX`.
     let promotion = match analysis.filter(|_| opts.level >= PlanLevel::Promoted) {
         Some(_) => promote(&mut sites, body, arch, tool_fns, &spec.removed),
         None => Promotion::default(),
@@ -544,8 +468,8 @@ fn merge_calls(
     candidates.clear();
     candidates.reserve(requests.len());
     for (i, r) in requests.iter().enumerate() {
-        if r.stands && r.ipoint == IPoint::Before && r.movable() {
-            candidates.extend(class_of(r.site).map(|class| (class, i)));
+        if r.stands && r.mergeable() {
+            candidates.extend(class_of(r.inj.idx).map(|class| (class, i)));
         }
     }
     // Calls that merge become neighbours, in emission order. Ordering
@@ -684,7 +608,6 @@ skip:
         assert_eq!(plan.stats.emitted_calls, 3);
         assert_eq!(plan.stats.coalesced_away, 3);
         assert_eq!(plan.stats.coalesced_groups, 2);
-        assert_eq!(plan.stats.sites_dropped, 3);
         assert!(plan.stats.cfg_available);
     }
 
@@ -906,11 +829,11 @@ b:
     EXIT ;
 ";
 
-    // Under the ICF exception calls merge within each straight-line run of
-    // the partial partition, never across the `BRX` that ends a run; and
-    // no After-point is lowered, for want of the full CFG.
+    // Under the ICF exception there is no CFG, and an indirect branch may
+    // land inside any straight-line run: nothing merges, and every site
+    // keeps its own call with multiplicity 1.
     #[test]
-    fn indirect_control_flow_merges_within_runs_only() {
+    fn indirect_control_flow_merges_nothing() {
         let body = analyzed(ICF);
         assert!(matches!(body.1, Err(CfgFailure::IndirectBranch { .. })));
         let mut spec = count_spec(body.0.len(), 7);
@@ -919,62 +842,12 @@ b:
         spec.set_coalesce(0);
         let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
-        assert_eq!(idxs, vec![0, 3], "one call per run, at its head");
-        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(3), "instrs 0, 1 and the BRX");
-        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(3), "instrs 3, 4 and 5");
+        assert_eq!(idxs, (0..body.0.len()).collect::<Vec<_>>(), "one call per site");
+        assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
         assert_eq!(plan.sites[&0][1].ipoint, IPoint::After);
         assert!(!plan.stats.cfg_available);
-        assert_eq!(plan.stats.icf_recovered, 2);
-        assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (2, 0));
-        assert_eq!(plan.stats.after_lowered, 0);
-    }
-
-    /// One coalesce-marked `After` injection per `(site, counter)` pair.
-    fn after_spec(sites: &[(usize, u64)]) -> FuncSpec {
-        let mut s = FuncSpec::default();
-        for &(idx, ctr) in sites {
-            s.insert_call(idx, "f", IPoint::After);
-            s.add_arg(idx, Arg::Imm64(ctr));
-            s.set_coalesce(idx);
-        }
-        s
-    }
-
-    #[test]
-    fn after_points_lower_to_fall_through_slots() {
-        let body = analyzed(BODY);
-        // Sites 0 and 1 are mid-block; site 2 is the block terminator.
-        // Distinct counters keep the lowered calls from merging, so the
-        // lowering is visible on its own.
-        let spec = after_spec(&[(0, 9), (1, 10), (2, 11)]);
-        let opts = at(PlanLevel::Region);
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
-        // Each lowered call is its origin's (its counter), ahead of the
-        // calls of the site it moved to.
-        let at = |site: usize| -> Vec<(IPoint, &[Arg])> {
-            plan.sites[&site].iter().map(|c| (c.ipoint, c.args.as_slice())).collect()
-        };
-        let counted = |ctr| [Arg::Imm64(ctr), Arg::Imm32(1)];
-        assert_eq!(at(1), [(IPoint::Before, &counted(9)[..])]);
-        // The terminator's After-point must not cross the taken branch.
-        assert_eq!(at(2), [(IPoint::Before, &counted(10)[..]), (IPoint::After, &counted(11)[..])]);
-        assert_eq!(plan.stats.after_lowered, 2);
-        assert!(!plan.sites.contains_key(&0), "emptied origin site dropped");
-    }
-
-    #[test]
-    fn lowered_after_points_coalesce_under_the_multiplicity_protocol() {
-        let body = analyzed(BODY);
-        let spec = after_spec(&[(0, 9), (1, 9)]);
-        let opts = at(PlanLevel::Region);
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
-        let idxs: Vec<usize> = plan.sites.keys().copied().collect();
-        assert_eq!(idxs, vec![1], "anchored at origin 0's fall-through slot");
-        let c = &plan.sites[&1][0];
-        assert_eq!(c.ipoint, IPoint::Before);
-        assert_eq!(c.args, vec![Arg::Imm64(9), Arg::Imm32(2)]);
-        assert_eq!(plan.stats.after_lowered, 2);
-        assert_eq!(plan.stats.coalesced_groups, 1);
+        assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (0, 0));
+        assert_eq!(plan.stats.emitted_calls, plan.stats.requested_calls);
     }
 
     #[test]
@@ -986,18 +859,36 @@ b:
         spec.set_coalesce(0);
         let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         assert_eq!(plan.sites[&0][0].ipoint, IPoint::After);
-        assert_eq!(plan.stats.after_lowered, 0);
     }
 
-    // A Before-point at site i and a lowered After-point from the same
-    // site share origin i: they must never merge into one group (the
-    // group would list origin i twice).
+    // No pass moves or merges an After-point: at every rung each stays at
+    // its own site, a call of its own.
+    #[test]
+    fn after_points_stay_after_calls_at_every_rung() {
+        let body = analyzed(BODY);
+        let mut spec = FuncSpec::default();
+        for idx in [0, 1] {
+            spec.insert_call(idx, "f", IPoint::After);
+            spec.add_arg(idx, Arg::Imm64(9));
+            spec.set_coalesce(idx);
+        }
+        use PlanLevel::{Block, Naive, Promoted, Region, Spliced};
+        for level in [Naive, Block, Region, Spliced, Promoted] {
+            let plan = build_for(&spec, &body, &fns(false), at(level)).unwrap();
+            let calls: Vec<_> = plan.sites.iter().map(|(i, c)| (*i, c[0].ipoint)).collect();
+            assert_eq!(calls, [(0, IPoint::After), (1, IPoint::After)], "{level:?}");
+            assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
+        }
+    }
+
+    // Two identical Before-points at site i share origin i: they must never
+    // merge into one group (the group would list origin i twice).
     #[test]
     fn overlapping_origins_never_merge() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
-        for ipoint in [IPoint::Before, IPoint::After] {
-            spec.insert_call(0, "f", ipoint);
+        for _ in 0..2 {
+            spec.insert_call(0, "f", IPoint::Before);
             spec.add_arg(0, Arg::Imm64(9));
             spec.set_coalesce(0);
         }
@@ -1005,9 +896,8 @@ b:
         let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
         assert_eq!(plan.stats.emitted_calls, 2);
         assert_eq!(plan.stats.coalesced_groups, 0);
-        // The Before-point stays at 0, the After-point is lowered to 1.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
-        assert_eq!(idxs, vec![0, 1]);
+        assert_eq!(idxs, vec![0]);
         assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
     }
 

@@ -8,15 +8,18 @@
 //! from obs spans alone: all six phases are attributed, and a function is
 //! decoded exactly once per lift. And the counters pin the refusal path:
 //! an image the pre-swap verifier rejects is never installed and keeps no
-//! trampoline region, while an indirect branch (calls merged under the ICF
-//! exception, or a trailing `BRX` instrumented) costs no rejection.
+//! trampoline region, while an indirect branch (calls planned under the ICF
+//! exception, or a trailing `BRX` instrumented) costs no rejection, and a
+//! `BRX` into a straight-line run is counted exactly at every plan rung.
 //!
 //! Each test reads its own driver's recorder, so they run in parallel.
 
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::saverestore::TIERS;
-use nvbit::{attach_tool, DiagKind, Diagnostic, IPoint, NvbitApi, NvbitTool, SavePolicy};
+use nvbit::{
+    attach_tool, DiagKind, Diagnostic, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy,
+};
 use sass::{Arch, Instruction, Op, Operand};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -373,12 +376,12 @@ fn a_trailing_indirect_branch_gets_no_back_jump() {
     assert_eq!(report.counter_sum("instr_image.build"), 1);
 }
 
-/// Under the ICF exception the planner merges calls over the partial
-/// partition, and the image it merged is the image verified: with a (never
-/// executed) `BRX` behind `k`'s `EXIT` and every instruction before it
-/// counted, the one merged call runs and counts each thread's instructions.
+/// Under the ICF exception the planner merges nothing, and the image it
+/// planned is the image verified: with a (never executed) `BRX` behind `k`'s
+/// `EXIT` and every instruction before it counted, each site's own call runs
+/// and counts each thread's instructions.
 #[test]
-fn calls_merged_under_the_icf_exception_are_verified_and_count_exactly() {
+fn calls_under_the_icf_exception_are_verified_and_count_exactly() {
     let (drv, _, seen) = launch_under_verdict(app_with_trailing(brx()), |n| 0..n - 1);
 
     assert_eq!(seen.diags, vec![]);
@@ -387,5 +390,81 @@ fn calls_merged_under_the_icf_exception_are_verified_and_count_exactly() {
 
     let report = drv.obs().report();
     assert_eq!(report.counter_sum("instr_image.verify_reject"), 0);
-    assert_eq!(report.counter_sum("plan.icf_recovered"), 1);
+}
+
+/// Counts every instruction of every launched kernel through one
+/// coalesce-marked multiplicity counter, planned at `level`.
+struct CountAll {
+    level: PlanLevel,
+    counter: Rc<RefCell<u64>>,
+}
+
+impl NvbitTool for CountAll {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.load_tool_functions(COUNT_MULT_FN).unwrap();
+        api.set_plan_opts(PlanOpts { level: self.level });
+        *self.counter.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if is_exit || cbid != CbId::LaunchKernel {
+            return;
+        }
+        let counter = *self.counter.borrow();
+        for idx in 0..api.get_instrs(*func).unwrap().len() {
+            api.insert_call(*func, idx, "count_mult", IPoint::Before).unwrap();
+            api.add_call_arg_imm64(*func, idx, counter).unwrap();
+            api.set_coalesce(*func, idx).unwrap();
+        }
+    }
+}
+
+/// Launches `.entry k(.param .u64 target)` over 32 threads with its code
+/// replaced by an `LDC` of `target` and a `BRX` to it, past the first of the
+/// two `IADD`s behind it: four instructions run per thread. Returns the
+/// launch's `thread_instructions` and, under [`CountAll`] at `level`, the
+/// tool's total.
+fn brx_into_a_run(level: Option<PlanLevel>) -> (u64, Option<u64>) {
+    const SRC: &str = ".entry k(.param .u64 target)\n{\n    exit;\n}\n";
+    let mut image = ptx::compile_module(SRC, Arch::Volta).unwrap();
+    let text =
+        "LDC.64 R2, c[0x0][0x160] ;\nBRX R2 ;\nIADD R4, R4, 0x1 ;\nIADD R4, R4, 0x1 ;\nEXIT ;";
+    let code = sass::asm::assemble_arch(text, Arch::Volta).unwrap();
+    let k = &mut image.functions[0];
+    k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&code).unwrap();
+    k.reg_count = k.reg_count.max(5);
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let counter = Rc::new(RefCell::new(0));
+    if let Some(level) = level {
+        attach_tool(&drv, CountAll { level, counter: counter.clone() });
+    }
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("brx", SRC).with_image(image)).unwrap();
+    let f = drv.module_get_function(&m, "k").unwrap();
+    let target = drv.function_info(f).unwrap().addr + 3 * Arch::Volta.instruction_size() as u64;
+    drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::U64(target)]).unwrap();
+    let total = level.map(|_| read_u64(&drv, *counter.borrow()));
+    let threads = drv.total_stats().thread_instructions;
+    drv.shutdown();
+    (threads, total)
+}
+
+/// A `BRX` that lands inside a straight-line run skips the calls before the
+/// landing point: no rung may merge a call across it, so the count tool's
+/// total is the native launch's `thread_instructions` at every rung.
+#[test]
+fn a_brx_into_a_straight_line_run_counts_exactly_at_every_rung() {
+    let (native, _) = brx_into_a_run(None);
+    assert_eq!(native, 32 * 4, "LDC, BRX, the second IADD and EXIT per thread");
+    use PlanLevel::{Block, Naive, Promoted, Region, Spliced};
+    for level in [Naive, Block, Region, Spliced, Promoted] {
+        let (_, total) = brx_into_a_run(Some(level));
+        assert_eq!(total, Some(native), "{level:?}");
+    }
 }

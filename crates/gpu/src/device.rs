@@ -28,17 +28,14 @@ pub struct LaunchConfig {
     /// Block dimensions (threads).
     pub block: Dim3,
     /// Constant bank 0 contents. [`LaunchConfig::push_param_u32`] and
-    /// friends append kernel parameters at [`PARAM_BASE`].
+    /// friends append kernel parameters at [`PARAM_BASE`]. Banks 1–3 are
+    /// empty: every read of them is out of bounds.
     pub cbank0: Vec<u8>,
-    /// Additional constant banks (1–3).
-    pub cbanks: [Vec<u8>; 3],
     /// Static shared memory bytes per CTA.
     pub shared_size: u32,
     /// Per-thread local-memory bytes (0 = the device default). NVBit's code
     /// loader raises this to make room for register save areas.
     pub local_size: u32,
-    /// Launch identifier (`SR_GRIDID`).
-    pub launch_id: u64,
 }
 
 impl LaunchConfig {
@@ -49,10 +46,8 @@ impl LaunchConfig {
             grid,
             block,
             cbank0: vec![0u8; PARAM_BASE],
-            cbanks: [Vec::new(), Vec::new(), Vec::new()],
             shared_size: 0,
             local_size: 0,
-            launch_id: 0,
         }
     }
 
@@ -316,15 +311,8 @@ impl Device {
         let local_size = if cfg.local_size == 0 { self.spec.default_local } else { cfg.local_size };
 
         self.launches += 1;
-        let launch_id = if cfg.launch_id != 0 { cfg.launch_id } else { self.launches };
-        let cbanks: [Vec<u8>; 4] = [
-            cfg.cbank0.clone(),
-            cfg.cbanks[0].clone(),
-            cfg.cbanks[1].clone(),
-            cfg.cbanks[2].clone(),
-        ];
-
-        self.code.launch = self.launches;
+        let launch_id = self.launches;
+        self.code.launch = launch_id;
         let shared = self.mem.shared_view();
 
         // Scheduler observability: the workers enter the launching thread's
@@ -344,8 +332,7 @@ impl Device {
             }
             let _cta_span = common::obs::span("cta");
             run_cta(
-                &self.spec, &shared, &self.code, cfg, &cbanks, labels, launch_id, chan, state,
-                cta_linear,
+                &self.spec, &shared, &self.code, cfg, labels, launch_id, chan, state, cta_linear,
             )
         };
 
@@ -439,7 +426,6 @@ fn run_cta(
     mem: &SharedMem,
     code: &CodeCache,
     cfg: &LaunchConfig,
-    cbanks: &[Vec<u8>; 4],
     labels: &CodeLabels,
     launch_id: u64,
     chan: Option<&common::channel::ChannelDev>,
@@ -459,7 +445,7 @@ fn run_cta(
         stats: CtaStats::default(),
         grid: cfg.grid,
         block: cfg.block,
-        cbanks,
+        cbank0: &cfg.cbank0,
         labels,
         launch_id,
         steps: 0,

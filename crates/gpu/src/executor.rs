@@ -515,7 +515,8 @@ pub(crate) struct ExecEnv<'d> {
     pub stats: CtaStats,
     pub grid: Dim3,
     pub block: Dim3,
-    pub cbanks: &'d [Vec<u8>; 4],
+    /// Constant bank 0; banks 1–3 are empty.
+    pub cbank0: &'d [u8],
     /// Code-region labels for fault context (see `Device::label_code`).
     pub labels: &'d crate::device::CodeLabels,
     pub launch_id: u64,
@@ -1021,7 +1022,7 @@ impl<'d> ExecEnv<'d> {
                 let Operand::CBank { bank, base, offset } = ops[1] else { return Ok(()) };
                 let d = reg(&ops[0]);
                 let nregs = self.span_regs(d, instr, pc)?;
-                let bank_data = &self.cbanks[(bank as usize).min(3)];
+                let bank_data = if bank == 0 { self.cbank0 } else { &[] };
                 // Row path: a warp-uniform address (every `c[0x0][param]`
                 // load, whose base is `RZ`) whose words are all in the bank
                 // reads each word once for the whole warp.

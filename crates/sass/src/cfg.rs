@@ -7,7 +7,10 @@
 //! impossible, in which case [`basic_blocks`] returns a [`CfgFailure`]
 //! explaining why and callers must fall back to the flat view — the same
 //! behaviour NVBit documents, with the failure reason made explicit so the
-//! dataflow fallback and the image verifier can report it.
+//! dataflow fallback and the image verifier can report it. There is no
+//! partial partition: an indirect branch may land on any instruction, so
+//! without the full CFG no two instructions are known to execute together,
+//! and the instrumentation planner merges no calls.
 
 use crate::arch::Arch;
 use crate::inst::Instruction;
@@ -119,73 +122,14 @@ pub fn basic_blocks(
         }
     }
 
-    Ok(blocks_led_by(&leader))
-}
-
-/// The partition whose blocks start where `leader` says (it says so of
-/// instruction 0).
-fn blocks_led_by(leader: &[bool]) -> Vec<BasicBlock> {
     let mut blocks = Vec::new();
     let mut start = 0usize;
-    for idx in (1..leader.len()).filter(|idx| leader[*idx]) {
+    for idx in (1..n).filter(|idx| leader[*idx]) {
         blocks.push(BasicBlock { id: blocks.len(), range: start..idx });
         start = idx;
     }
-    blocks.push(BasicBlock { id: blocks.len(), range: start..leader.len() });
-    blocks
-}
-
-/// Conservative partial partition of a body that defeats [`basic_blocks`]
-/// with an indirect branch (the ICF flat-view case).
-///
-/// Indirect branches (`BRX`) have statically unknown targets, so a full
-/// CFG is impossible — but the *statically known* leaders (relative branch
-/// targets, post-terminator fall-throughs, and the instruction after every
-/// `BRX`) still bound maximal single-entry runs. Under the conservative
-/// assumption that indirect branches land only on branch targets (the
-/// compiler-generated jump-table discipline), instructions between two
-/// known leaders execute together, which is exactly the property
-/// basic-block call coalescing needs. Region (dominator) coalescing stays
-/// off: dominance is meaningless without the full edge set.
-///
-/// Every `BRX` terminates its block; misaligned relative targets degrade
-/// that instruction to a single-instruction block (its target is unknown,
-/// so both it and its fall-through must lead). The result partitions the
-/// whole body, like [`basic_blocks`], and is total — it never fails.
-pub fn partial_blocks(instrs: &[Instruction], arch: Arch) -> Vec<BasicBlock> {
-    if instrs.is_empty() {
-        return Vec::new();
-    }
-    let isize = arch.instruction_size() as i64;
-    let n = instrs.len();
-    let mut leader = vec![false; n];
-    leader[0] = true;
-
-    for (idx, i) in instrs.iter().enumerate() {
-        let cf = i.cf_class();
-        if cf == CfClass::IndirectBranch && idx + 1 < n {
-            leader[idx + 1] = true;
-        }
-        if let Some(off) = i.rel_target() {
-            if off % isize != 0 {
-                // Target unknowable: isolate the instruction.
-                leader[idx] = true;
-                if idx + 1 < n {
-                    leader[idx + 1] = true;
-                }
-            } else {
-                let target = idx as i64 + 1 + off / isize;
-                if (0..n as i64).contains(&target) {
-                    leader[target as usize] = true;
-                }
-            }
-        }
-        if cf.ends_block() && idx + 1 < n {
-            leader[idx + 1] = true;
-        }
-    }
-
-    blocks_led_by(&leader)
+    blocks.push(BasicBlock { id: blocks.len(), range: start..n });
+    Ok(blocks)
 }
 
 /// Index of the block containing instruction `idx` within a partition
@@ -402,49 +346,6 @@ merge:
     #[test]
     fn empty_body_yields_no_blocks() {
         assert_eq!(basic_blocks(&[], Arch::Volta), Ok(Vec::new()));
-        assert!(partial_blocks(&[], Arch::Volta).is_empty());
-    }
-
-    #[test]
-    fn partial_blocks_recover_runs_between_known_leaders() {
-        // Straight run, then BRX, then the jump-table cases.
-        let text = "\
-    IADD R1, R0, 0x1 ;
-    IADD R2, R1, 0x1 ;
-    BRX R4 ;
-case:
-    IADD R3, R2, 0x1 ;
-    EXIT ;
-";
-        let prog = assemble_arch(text, Arch::Kepler).unwrap();
-        assert!(basic_blocks(&prog, Arch::Kepler).is_err());
-        let blocks = partial_blocks(&prog, Arch::Kepler);
-        let ranges: Vec<_> = blocks.iter().map(|b| b.range.clone()).collect();
-        // The BRX ends its block; the run before it stays mergeable.
-        assert_eq!(ranges, vec![0..3, 3..5]);
-    }
-
-    #[test]
-    fn partial_blocks_agree_with_the_full_partition_when_it_exists() {
-        let prog = assemble_arch(BODY, Arch::Volta).unwrap();
-        assert_eq!(partial_blocks(&prog, Arch::Volta), basic_blocks(&prog, Arch::Volta).unwrap());
-    }
-
-    #[test]
-    fn partial_blocks_isolate_misaligned_branches() {
-        use crate::inst::{Instruction, Operand};
-        use crate::op::Op;
-        let prog = vec![
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(crate::Reg(1)), Operand::Reg(crate::Reg(0)), Operand::Imm(1)],
-            ),
-            Instruction::new(Op::Bra, [Operand::Rel(3)]),
-            Instruction::new(Op::Exit, []),
-        ];
-        let blocks = partial_blocks(&prog, Arch::Volta);
-        let ranges: Vec<_> = blocks.iter().map(|b| b.range.clone()).collect();
-        assert_eq!(ranges, vec![0..1, 1..2, 2..3]);
     }
 
     #[test]

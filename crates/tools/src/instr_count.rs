@@ -151,9 +151,6 @@ impl NvbitTool for InstrCount {
                 api.add_call_arg_imm64(t, idx, ctr).unwrap();
                 sites += 1;
             }
-            if t != *func {
-                api.enable_instrumented(t, true).unwrap();
-            }
         }
         common::obs::counter("tool.instr_count.sites", sites);
     }
@@ -293,8 +290,8 @@ impl CoalescedInstrCount {
     /// when it issues, so always-guarded block exits (`EXIT`, `RET`) and
     /// lanes dropped by a guarded exit are *not* counted. The totals
     /// therefore differ from the `Before` tool — but they must still be
-    /// identical whichever [`PlanOpts`] the plan is built with, which is
-    /// what makes this the exercise vehicle for the after-lowering pass.
+    /// identical whichever [`PlanOpts`] the plan is built with. No pass
+    /// merges or moves an `After` call, so every rung emits one per site.
     pub fn after(opts: PlanOpts) -> (CoalescedInstrCount, Rc<InstrCountResults>) {
         Self::build(opts, IPoint::After, CountBody::Issued)
     }
@@ -381,9 +378,6 @@ impl NvbitTool for CoalescedInstrCount {
                 api.add_call_arg_imm64(t, idx, ctr).unwrap();
                 api.set_coalesce(t, idx).unwrap();
                 sites += 1;
-            }
-            if t != *func {
-                api.enable_instrumented(t, true).unwrap();
             }
         }
         common::obs::counter("tool.coalesced_instr_count.sites", sites);

@@ -198,9 +198,6 @@ impl NvbitTool for MemDivergence {
                 api.add_call_arg_imm64(t, instr.idx, self.counters).unwrap();
                 sites += 1;
             }
-            if t != *func {
-                api.enable_instrumented(t, true).unwrap();
-            }
         }
         common::obs::counter("tool.mem_divergence.sites", sites);
     }

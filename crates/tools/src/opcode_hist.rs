@@ -181,11 +181,6 @@ impl OpcodeHistogram {
             }
         }
         common::obs::counter("tool.opcode_hist.sites", sites);
-        for t in &targets {
-            if *t != func {
-                api.enable_instrumented(*t, true).unwrap();
-            }
-        }
         self.kernels
             .insert(func.raw(), KernelState { counters, slot_ops, snapshot: vec![0; SLOTS] });
     }

@@ -1,7 +1,7 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
 //! every tool × workload pair, a run at every rung above `Naive`
-//! (basic-block call coalescing; after-point lowering and dominator-region
-//! coalescing; leaf-tool splicing; effect lowering) must produce bit-identical guest memory
+//! (basic-block call coalescing; dominator-region coalescing; leaf-tool
+//! splicing; effect lowering) must produce bit-identical guest memory
 //! and identical tool output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
@@ -351,17 +351,12 @@ fn captured_with(mk: impl FnOnce() -> CoalescedInstrCount, app: App) -> (PlanSta
     (p, s)
 }
 
-fn captured_stats_with(opts: PlanOpts, after: bool, app: App) -> PlanStats {
-    let mk = move || {
-        let (tool, _results) =
-            if after { CoalescedInstrCount::after(opts) } else { CoalescedInstrCount::new(opts) };
-        tool
-    };
-    captured_with(mk, app).0
+fn captured_stats_with(opts: PlanOpts, app: App) -> PlanStats {
+    captured_with(move || CoalescedInstrCount::new(opts).0, app).0
 }
 
 fn captured_stats(opts: PlanOpts) -> PlanStats {
-    captured_stats_with(opts, false, fft_app)
+    captured_stats_with(opts, fft_app)
 }
 
 #[test]
@@ -388,17 +383,13 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
     // has nothing left to hoist there; spmv's loops leave control- and
     // cycle-equivalent blocks (setup, post-loop store) that only the
     // region pass can merge.
-    let spmv_merged = captured_stats_with(BLOCK, false, spmv_app);
-    let spmv_full = captured_stats_with(REGION, false, spmv_app);
+    let spmv_merged = captured_stats_with(BLOCK, spmv_app);
+    let spmv_full = captured_stats_with(REGION, spmv_app);
     assert!(spmv_full.region_groups > 0, "{spmv_full:?}");
     assert!(
         spmv_full.emitted_calls < spmv_merged.emitted_calls,
         "region coalescing must merge beyond per-block groups: {spmv_full:?} vs {spmv_merged:?}"
     );
-
-    let after = captured_stats_with(REGION, true, fft_app);
-    assert!(after.after_lowered > 0, "{after:?}");
-    assert!(after.coalesced_groups > 0, "lowered calls participate in merging: {after:?}");
 }
 
 #[test]
