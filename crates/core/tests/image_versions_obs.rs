@@ -21,7 +21,7 @@ use nvbit::{
     attach_tool, DiagKind, Diagnostic, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy,
 };
 use sass::{Arch, Instruction, Op, Operand};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const COUNT_FN: &str = r#"
@@ -396,14 +396,14 @@ fn calls_under_the_icf_exception_are_verified_and_count_exactly() {
 /// coalesce-marked multiplicity counter, planned at `level`.
 struct CountAll {
     level: PlanLevel,
-    counter: Rc<RefCell<u64>>,
+    counter: Rc<Cell<u64>>,
 }
 
 impl NvbitTool for CountAll {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.load_tool_functions(COUNT_MULT_FN).unwrap();
         api.set_plan_opts(PlanOpts { level: self.level });
-        *self.counter.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+        self.counter.set(api.driver().with_device(|d| d.alloc(8)).unwrap());
     }
     fn at_cuda_event(
         &mut self,
@@ -416,7 +416,7 @@ impl NvbitTool for CountAll {
         if is_exit || cbid != CbId::LaunchKernel {
             return;
         }
-        let counter = *self.counter.borrow();
+        let counter = self.counter.get();
         for idx in 0..api.get_instrs(*func).unwrap().len() {
             api.insert_call(*func, idx, "count_mult", IPoint::Before).unwrap();
             api.add_call_arg_imm64(*func, idx, counter).unwrap();
@@ -438,9 +438,8 @@ fn brx_into_a_run(level: Option<PlanLevel>) -> (u64, Option<u64>) {
     let code = sass::asm::assemble_arch(text, Arch::Volta).unwrap();
     let k = &mut image.functions[0];
     k.code = sass::codec::codec_for(Arch::Volta).encode_stream(&code).unwrap();
-    k.reg_count = k.reg_count.max(5);
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    let counter = Rc::new(RefCell::new(0));
+    let counter = Rc::new(Cell::new(0));
     if let Some(level) = level {
         attach_tool(&drv, CountAll { level, counter: counter.clone() });
     }
@@ -449,7 +448,7 @@ fn brx_into_a_run(level: Option<PlanLevel>) -> (u64, Option<u64>) {
     let f = drv.module_get_function(&m, "k").unwrap();
     let target = drv.function_info(f).unwrap().addr + 3 * Arch::Volta.instruction_size() as u64;
     drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::U64(target)]).unwrap();
-    let total = level.map(|_| read_u64(&drv, *counter.borrow()));
+    let total = level.map(|_| read_u64(&drv, counter.get()));
     let threads = drv.total_stats().thread_instructions;
     drv.shutdown();
     (threads, total)
