@@ -30,12 +30,12 @@
 //! size with the [`SavePolicy`] and [`PlanOpts`] it was built under.
 //! Flipping `enable_instrumented` swaps between the two by one memcpy
 //! (§6.2) and never re-runs codegen. The image is *stale* once the request
-//! was edited ([`FuncSpec::dirty`]) or either setting has moved; the next
-//! build then replaces it — new image from the original's bytes, old
-//! trampoline region freed — so a function owns one trampoline region
-//! however often it is re-instrumented. `cuModuleUnload` evicts every entry
-//! of the dying module and frees its trampolines, so a recycled handle can
-//! never be served a stale lifted image.
+//! was edited or a tool function it calls reloaded ([`FuncSpec::dirty`]),
+//! or either setting has moved; the next build replaces it — new image from
+//! the original's bytes, old trampoline region freed — so a function owns
+//! one trampoline region however often it is re-instrumented. `cuModuleUnload`
+//! evicts every entry of the dying module and frees its trampolines, so a
+//! recycled handle can never be served a stale lifted image.
 
 use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn, ToolFns};
 use crate::hal::Hal;
@@ -623,9 +623,15 @@ impl<'a> NvbitApi<'a> {
             })?;
             let (regs, stack, arch) = (f.reg_count, f.stack_size, hal.arch());
             let tool_fn = ToolFn::with_body(addr, regs, stack, f.uses_reg_api, body, arch);
-            // A reload under a loaded name replaces the function; the code at
-            // its old address stays where it is.
-            self.state.tool_fns.borrow_mut().insert(f.name.as_str().into(), tool_fn);
+            // A reload under a loaded name replaces the function, and every
+            // image that calls it is stale; the code at its old address stays
+            // where it is.
+            let name: Arc<str> = f.name.as_str().into();
+            if self.state.tool_fns.borrow_mut().insert(name.clone(), tool_fn).is_some() {
+                for entry in self.state.funcs.borrow_mut().values_mut() {
+                    entry.spec.dirty |= entry.spec.injections().iter().any(|c| c.func == name);
+                }
+            }
         }
         Ok(())
     }

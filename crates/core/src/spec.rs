@@ -111,8 +111,9 @@ pub struct FuncSpec {
     /// Instructions whose original operation is removed (paper:
     /// `nvbit_remove_orig`).
     pub removed: HashSet<usize>,
-    /// Set by every edit and cleared by the core when it has built an image
-    /// of the spec: a set flag is what makes a function's image stale.
+    /// Set by every edit and by the core when a tool function the spec calls
+    /// is reloaded, cleared by the core when it has built an image of the
+    /// spec: a set flag is what makes a function's image stale.
     pub dirty: bool,
 }
 

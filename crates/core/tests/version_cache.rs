@@ -2,7 +2,8 @@
 //! builds the launched function and what is reachable from it through
 //! `related` — nothing else — with images byte-identical to the ones the
 //! batch pipeline this replaced produced, a request that grows replaces the
-//! function's image instead of adding one, `enable_instrumented` must not
+//! function's image instead of adding one, and so does reloading a tool
+//! function it calls, `enable_instrumented` must not
 //! conjure phantom cache entries, and `reset_instrumented` must clear the
 //! local-memory override regardless of which version was installed at the
 //! time.
@@ -10,9 +11,9 @@
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::saverestore::TIERS;
-use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts};
 use sass::Arch;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const COUNT_FN: &str = r#"
@@ -271,6 +272,81 @@ fn a_request_that_grows_replaces_the_image_and_its_trampoline_region() {
     assert_ne!(installed[1], installed[2], "the grown request is");
     assert_eq!(installed[2], installed[3], "once");
     drv.shutdown();
+}
+
+/// `bump`: adds `n` to the `u64` at `%ctr`, once per thread.
+fn bump_fn(n: u32) -> String {
+    format!(
+        ".func bump(.reg .u64 %ctr)\n{{\n    .reg .u64 %rd<3>;\n    mov.u64 %rd1, {n};\n    \
+         atom.global.add.u64 %rd2, [%ctr], %rd1;\n    ret;\n}}\n"
+    )
+}
+
+#[test]
+fn reloading_a_tool_function_makes_the_images_that_call_it_stale() {
+    /// Calls `bump` (+1) before every instruction from launch 0 on, reloads
+    /// it as +2 at the entry of launch 1 and verifies the image the core
+    /// then runs at its exit.
+    struct ReloadTool {
+        level: PlanLevel,
+        ctr: Rc<Cell<u64>>,
+        launches: u32,
+        diags: Rc<RefCell<Vec<String>>>,
+    }
+    impl NvbitTool for ReloadTool {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.set_plan_opts(PlanOpts { level: self.level });
+            api.load_tool_functions(&bump_fn(1)).unwrap();
+            self.ctr.set(api.driver().with_device(|d| d.alloc(8)).unwrap());
+        }
+        fn at_cuda_event(
+            &mut self,
+            api: &NvbitApi<'_>,
+            is_exit: bool,
+            cbid: CbId,
+            params: &CbParams<'_>,
+        ) {
+            let CbParams::LaunchKernel { func, .. } = params else { return };
+            if cbid != CbId::LaunchKernel {
+                return;
+            }
+            match (is_exit, self.launches) {
+                (false, 0) => {
+                    for idx in 0..api.get_instrs(*func).unwrap().len() {
+                        api.insert_call(*func, idx, "bump", IPoint::Before).unwrap();
+                        api.add_call_arg_imm64(*func, idx, self.ctr.get()).unwrap();
+                    }
+                }
+                (false, _) => api.load_tool_functions(&bump_fn(2)).unwrap(),
+                (true, 1) => {
+                    let diags = api.verify_instrumented(*func).unwrap();
+                    *self.diags.borrow_mut() = diags.iter().map(|d| format!("{d:?}")).collect();
+                }
+                (true, _) => {}
+            }
+            self.launches += u32::from(is_exit);
+        }
+    }
+
+    const ONE: &str = ".entry one()\n{\n    exit;\n}\n";
+    for level in [PlanLevel::Naive, PlanLevel::Spliced, PlanLevel::Promoted] {
+        let (ctr, diags) = (Rc::new(Cell::new(0)), Rc::new(RefCell::new(Vec::new())));
+        let tool = ReloadTool { level, ctr: ctr.clone(), launches: 0, diags: diags.clone() };
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        attach_tool(&drv, tool);
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", ONE)).unwrap();
+        let f = drv.module_get_function(&m, "one").unwrap();
+        assert_eq!(drv.read_code(f).unwrap().len(), Arch::Volta.instruction_size());
+        for _ in 0..2 {
+            drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[]).unwrap();
+        }
+        let mut word = [0u8; 8];
+        drv.memcpy_dtoh(&mut word, ctr.get()).unwrap();
+        drv.shutdown();
+        assert_eq!(u64::from_le_bytes(word), 32 + 2 * 32, "{level:?}: the reload counts");
+        assert!(diags.borrow().is_empty(), "{level:?}: {:?}", diags.borrow());
+    }
 }
 
 /// A kernel that calls `outer`, which calls `inner`, and a kernel of the
