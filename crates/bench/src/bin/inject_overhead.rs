@@ -13,11 +13,11 @@
 //!    and extrapolates the rest exactly, and the two levers multiply.
 //! 3. **Save policy** (§5.1). The register slots the FFT pipeline's sites
 //!    save under the liveness policy against the conservative
-//!    whole-function tier. Every FFT site is an exact-bracket splice that
-//!    finds dead registers to move onto (recorded: 0 of 6,208 slots). The
-//!    register-hungry wide counting body still has live registers to store
-//!    (recorded: 4 slots, against 32 full-tier and 16 for the out-of-line
-//!    call).
+//!    whole-function tier. The FFT kernel is one block, so its 194 counting
+//!    sites merge into one exact-bracket splice, which finds dead registers
+//!    to move onto (recorded: 0 of 32 slots). The register-hungry wide
+//!    counting body still has live registers to store there (recorded: 4
+//!    slots, against 32 full-tier and 16 for the out-of-line call).
 //!
 //! ```text
 //! cargo run --release -p nvbit-bench --bin inject_overhead
@@ -41,7 +41,7 @@ use gpu::DeviceSpec;
 use nvbit::{
     attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SavePolicy, SaveStats,
 };
-use nvbit_tools::{CoalescedInstrCount, InstrCount, OpcodeHistogram, SamplingMode};
+use nvbit_tools::{InstrCount, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -147,7 +147,7 @@ fn plan_ladder(report: &mut Report) {
         let values = [("thread_instructions", native as f64), ("cycles", cycles as f64)];
         report.row(name, "native", &values);
         for (label, level) in RUNGS {
-            let (tool, results) = CoalescedInstrCount::new(PlanOpts { level });
+            let (tool, results) = InstrCount::executed(PlanOpts { level });
             let (instrs, cycles, stats) = accounted(app, SavePolicy::Liveness, tool);
             let sum = |f: fn(&PlanStats) -> u64| {
                 stats.borrow().iter().map(|(_, p, _)| f(p)).sum::<u64>() as f64
@@ -254,7 +254,7 @@ fn save_policy(report: &mut Report) {
     let full = saves(report, "instr_count, full tier", FullTier, InstrCount::new().0);
     // The wide executed-counter body writes past the first save tier, and at
     // the FFT site more registers are live than its pairs can move off.
-    let wide = |level| CoalescedInstrCount::executed_wide(PlanOpts { level }).0;
+    let wide = |level| InstrCount::executed_wide(PlanOpts { level }).0;
     let wide_live = saves(report, "wide spliced, liveness", Liveness, wide(PlanLevel::Spliced));
     let wide_full = saves(report, "wide spliced, full tier", FullTier, wide(PlanLevel::Spliced));
     let wide_called = saves(report, "wide region, liveness", Liveness, wide(PlanLevel::Region));

@@ -2245,8 +2245,8 @@ mod tests {
         };
         let pred_mult = |value| Some(Effect::Counter { pred: Some(4), addr: 6, value });
         assert_eq!(effect(PMULT), pred_mult(Operand::Reg(Reg(8))));
-        // `nvbit_count_one` adds a constant; `nvbit_count_mult` tests no
-        // predicate and finds its address and value through moves.
+        // Listing 1's body adds a constant; an unguarded multiplicity body
+        // tests no predicate and finds its address and value through moves.
         let one = PMULT.replace("MOV R8, R5 ;", "MOV32I R8, 0x1 ;");
         assert_eq!(effect(&one), pred_mult(Operand::Imm(1)));
         let mult = "MOV R7, R5 ;\nMOV R2, R4 ;\nMOV R4, R6 ;\nMOV R6, R2 ;\nMOV R8, R4 ;\n\

@@ -47,7 +47,7 @@ pub enum BodyShape {
     /// A single basic block ending in the trailing `RET` — the classic
     /// inlinable leaf.
     Straight,
-    /// A single guarded forward diamond (the `nvbit_count_one` early-ret
+    /// A single guarded forward diamond (the counting bodies' early-ret
     /// pattern): one conditional branch in the entry block, at most one
     /// fall-through arm, reconverging at a single join that leads
     /// straight to the trailing `RET`.
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn guarded_early_ret_diamonds_classify() {
-        // The compiled `nvbit_count_one` shape: guarded skip over the
+        // The compiled Listing 1 counting shape: guarded skip over the
         // counting arm, SSY/SYNC reconvergence, trailing RET.
         let text = "\
     ISETP.EQ.U32 P0, R4, 0x0 ;

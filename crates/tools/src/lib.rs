@@ -3,13 +3,14 @@
 //! **Paper mapping:** §6 — the tools the paper builds on the framework,
 //! each a thin client of the [`nvbit::NvbitApi`] inspection/injection API.
 //!
-//! * [`InstrCount`] — the thread-level instruction counter of Listing 1,
-//!   plus its basic-block-optimized variant ([`BbInstrCount`]) and the
-//!   planner-driven variant ([`CoalescedInstrCount`]) whose sites opt into
-//!   basic-block call coalescing and leaf inlining.
-//! * [`OpcodeHistogram`] — the per-opcode execution histogram of §6.2, with
-//!   optional **grid-dimension sampling** (instrumented once per unique
-//!   grid, uninstrumented otherwise, with counts extrapolated).
+//! * [`InstrCount`] — the thread-level instruction counter of Listing 1.
+//!   Its sites opt into the planner's call coalescing, which makes the
+//!   per-basic-block variant the paper sketches exact, and its counting
+//!   body is spliced and promoted to a register add from the top rung.
+//! * [`OpcodeHistogram`] — the per-opcode execution histogram of §6.2, the
+//!   same counter with one slot per opcode, with optional **grid-dimension
+//!   sampling** (instrumented once per unique grid, uninstrumented
+//!   otherwise, with counts extrapolated).
 //! * [`MemDivergence`] — the memory-address-divergence tool of Listing 8
 //!   (average unique cache lines per warp-level global memory instruction),
 //!   with a switch to exclude pre-compiled libraries (emulating what a
@@ -52,18 +53,18 @@ pub mod wfft_emu;
 
 pub use cache_sim::{CacheConfig, CacheSim, CacheSimResults, ChannelCacheSim};
 pub use fault::{FaultInjector, FaultSpec};
-pub use instr_count::{BbInstrCount, CoalescedInstrCount, InstrCount, InstrCountResults};
+pub use instr_count::{CoalescedInstrCount, InstrCount, InstrCountResults};
 pub use mem_divergence::{MemDivergence, MemDivergenceResults};
 pub use mem_trace::{MemTrace, MemTraceResults};
 pub use opcode_hist::{OpcodeHistogram, OpcodeHistogramResults, SamplingMode};
 pub use wfft_emu::WfftEmu;
 
+use cuda::CuFunction;
+use nvbit::{IPoint, Instr, NvbitApi};
+
 /// Every PTX source a bundled tool hands to `load_tool_functions`, by the
 /// constant's name: what `tests/ptx_pin.rs` pins the compiled bytes of.
-pub const TOOL_PTX: [(&str, &str); 8] = [
-    ("COUNT_FN", COUNT_FN),
-    ("COUNT_BB_FN", COUNT_BB_FN),
-    ("COUNT_MULT_FN", COUNT_MULT_FN),
+pub const TOOL_PTX: [(&str, &str); 5] = [
     ("COUNT_PMULT_FN", COUNT_PMULT_FN),
     ("COUNT_WIDE_FN", COUNT_WIDE_FN),
     ("MDIV_FN", mem_divergence::MDIV_FN),
@@ -77,54 +78,6 @@ pub(crate) fn read_u64(drv: &cuda::Driver, addr: u64) -> u64 {
     drv.memcpy_dtoh(&mut b, addr).expect("counter readback");
     u64::from_le_bytes(b)
 }
-
-/// The shared `count_one` instrumentation device function (Listing 1's
-/// counting body): bumps a `u64` counter once per executing thread.
-pub(crate) const COUNT_FN: &str = r#"
-.func nvbit_count_one(.reg .u32 %pred, .reg .u64 %ctr)
-{
-    .reg .u64 %rd<3>;
-    .reg .pred %p<2>;
-    setp.eq.u32 %p1, %pred, 0;
-    @%p1 ret;
-    mov.u64 %rd1, 1;
-    atom.global.add.u64 %rd2, [%ctr], %rd1;
-    ret;
-}
-"#;
-
-/// Basic-block counting function: adds the block's instruction count once
-/// per thread entering the block (the optimization the paper sketches after
-/// Listing 1).
-pub(crate) const COUNT_BB_FN: &str = r#"
-.func nvbit_count_block(.reg .u32 %pred, .reg .u32 %len, .reg .u64 %ctr)
-{
-    .reg .u64 %rd<4>;
-    .reg .pred %p<2>;
-    setp.eq.u32 %p1, %pred, 0;
-    @%p1 ret;
-    cvt.u64.u32 %rd1, %len;
-    atom.global.add.u64 %rd2, [%ctr], %rd1;
-    ret;
-}
-"#;
-
-/// Multiplicity-protocol counting function: adds `%mult` to a `u64` counter
-/// once per thread reaching the call. The trailing `%mult` argument is
-/// appended by the planner (1 for an unmerged site, N when the call stands
-/// for N coalesced sites of a basic block). There is deliberately no guard
-/// argument — the count is *issue-level* — and the body is small, call-free
-/// and register-API-free so the inlining pass can splice it into the
-/// trampoline.
-pub(crate) const COUNT_MULT_FN: &str = r#"
-.func nvbit_count_mult(.reg .u64 %ctr, .reg .u32 %mult)
-{
-    .reg .u64 %rd<3>;
-    cvt.u64.u32 %rd1, %mult;
-    atom.global.add.u64 %rd2, [%ctr], %rd1;
-    ret;
-}
-"#;
 
 /// Guarded multiplicity-protocol counting function: adds `%mult` only when
 /// `%pred` is non-zero — *executed*-level counting under the multiplicity
@@ -144,6 +97,30 @@ pub(crate) const COUNT_PMULT_FN: &str = r#"
     ret;
 }
 "#;
+
+/// Counts `instr` of `func` into the `u64` at `ctr` through `body`, a
+/// counting body with [`COUNT_PMULT_FN`]'s parameters, injected before the
+/// instruction and coalesce-marked. A guarded instruction passes its guard
+/// predicate, so lanes where it is false do not count and the call stays
+/// per-site; an unguarded one passes constant 1, so its call is
+/// block-invariant and the planner may merge it with its block's others.
+pub(crate) fn count_site(
+    api: &NvbitApi<'_>,
+    func: CuFunction,
+    instr: &Instr,
+    body: &str,
+    ctr: u64,
+) {
+    let idx = instr.idx;
+    api.insert_call(func, idx, body, IPoint::Before).unwrap();
+    if instr.has_guard() {
+        api.add_call_arg_guard_pred(func, idx).unwrap();
+    } else {
+        api.add_call_arg_imm32(func, idx, 1).unwrap();
+    }
+    api.add_call_arg_imm64(func, idx, ctr).unwrap();
+    api.set_coalesce(func, idx).unwrap();
+}
 
 /// Register-hungry variant of [`COUNT_PMULT_FN`]: computes the same
 /// `+%mult` through a redundant shift/subtract expansion

@@ -10,10 +10,10 @@
 //! methodology, including its error mode: kernels whose control flow
 //! depends on data (not just grid dimensions) make the estimate drift.
 
-use crate::{COUNT_FN, COUNT_MULT_FN};
+use crate::{count_site, COUNT_PMULT_FN};
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::Dim3;
-use nvbit::{IPoint, NvbitApi, NvbitTool, PlanOpts};
+use nvbit::{NvbitApi, NvbitTool, PlanOpts};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -114,12 +114,8 @@ pub struct OpcodeHistogram {
     extrapolated: HashMap<u32, Vec<u64>>,
     /// Whether the in-flight launch is instrumented.
     current_instrumented: bool,
-    /// When set, sites inject the multiplicity-protocol counting function
-    /// and opt into the planner's coalescing pass (same-opcode sites of a
-    /// basic block share their counter-slot address and merge into one
-    /// call). The histogram is then *issue-level*: predicated-off
-    /// instructions count as executed.
-    plan: Option<PlanOpts>,
+    /// The plan options set at `at_init`, if the tool pins them.
+    opts: Option<PlanOpts>,
 }
 
 impl OpcodeHistogram {
@@ -135,22 +131,23 @@ impl OpcodeHistogram {
                 estimates: HashMap::new(),
                 extrapolated: HashMap::new(),
                 current_instrumented: false,
-                plan: None,
+                opts: None,
             },
             results,
         )
     }
 
-    /// Creates the tool in coalesced (issue-level) mode: injections follow
-    /// the multiplicity protocol and the given planner passes run. The
-    /// histogram is invariant under `opts` — only the number of executed
-    /// trampoline calls changes.
+    /// [`OpcodeHistogram::new`] with `opts` set at `at_init`, before any
+    /// kernel is built. Every histogram counts like [`crate::InstrCount`],
+    /// so its coalesce-marked sites merge per opcode slot wherever the
+    /// planner's rung allows: the histogram is invariant under `opts`, and
+    /// only the number of executed trampoline calls changes.
     pub fn coalesced(
         mode: SamplingMode,
         opts: PlanOpts,
     ) -> (OpcodeHistogram, Rc<OpcodeHistogramResults>) {
         let (mut tool, results) = OpcodeHistogram::new(mode);
-        tool.plan = Some(opts);
+        tool.opts = Some(opts);
         (tool, results)
     }
 
@@ -164,19 +161,11 @@ impl OpcodeHistogram {
         let mut sites = 0u64;
         for t in &targets {
             for instr in api.get_instrs(*t).expect("inspection").iter() {
-                let slot = instr.op().index() as usize % SLOTS;
-                if used.insert((slot, instr.opcode_base())) {
-                    slot_ops.push((slot, instr.op().mnemonic().to_string()));
+                let (slot, op) = (instr.op().index() as usize % SLOTS, instr.op().mnemonic());
+                if used.insert((slot, op)) {
+                    slot_ops.push((slot, op.to_string()));
                 }
-                if self.plan.is_some() {
-                    api.insert_call(*t, instr.idx, "nvbit_count_mult", IPoint::Before).unwrap();
-                    api.add_call_arg_imm64(*t, instr.idx, counters + slot as u64 * 8).unwrap();
-                    api.set_coalesce(*t, instr.idx).unwrap();
-                } else {
-                    api.insert_call(*t, instr.idx, "nvbit_count_one", IPoint::Before).unwrap();
-                    api.add_call_arg_guard_pred(*t, instr.idx).unwrap();
-                    api.add_call_arg_imm64(*t, instr.idx, counters + slot as u64 * 8).unwrap();
-                }
+                count_site(api, *t, instr, "nvbit_count_pmult", counters + slot as u64 * 8);
                 sites += 1;
             }
         }
@@ -210,26 +199,12 @@ impl OpcodeHistogram {
     }
 }
 
-/// Convenience accessor on the instruction view used above.
-trait OpcodeBase {
-    fn opcode_base(&self) -> String;
-}
-
-impl OpcodeBase for nvbit::Instr {
-    fn opcode_base(&self) -> String {
-        self.op().mnemonic().to_string()
-    }
-}
-
 impl NvbitTool for OpcodeHistogram {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        match self.plan {
-            Some(opts) => {
-                api.set_plan_opts(opts);
-                api.load_tool_functions(COUNT_MULT_FN).expect("tool functions compile");
-            }
-            None => api.load_tool_functions(COUNT_FN).expect("tool functions compile"),
+        if let Some(opts) = self.opts {
+            api.set_plan_opts(opts);
         }
+        api.load_tool_functions(COUNT_PMULT_FN).expect("tool functions compile");
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {

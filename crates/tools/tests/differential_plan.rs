@@ -11,11 +11,14 @@ use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::DeviceSpec;
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
-use nvbit_tools::{CoalescedInstrCount, MemTrace, OpcodeHistogram, SamplingMode};
+use nvbit_tools::{InstrCount, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
+use shared::CountAfter;
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::apps;
+
+mod shared;
 
 /// Wraps a tool so the plan options are fixed before anything is lifted or
 /// instrumented (for tools that do not set them themselves).
@@ -89,23 +92,24 @@ const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, PROMOTED];
 fn run_case(tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
     let sig: Box<dyn Fn() -> String> = match tool {
+        // The shipped constructor, which pins no rung, under each rung.
         "coalesced_instr_count" => {
-            let (t, r) = CoalescedInstrCount::new(opts);
-            attach_tool(&drv, t);
+            let (t, r) = InstrCount::new();
+            attach_tool(&drv, WithOpts { opts, inner: t });
             Box::new(move || r.total().to_string())
         }
         "after_instr_count" => {
-            let (t, r) = CoalescedInstrCount::after(opts);
-            attach_tool(&drv, t);
-            Box::new(move || r.total().to_string())
+            let (t, total) = CountAfter::new();
+            attach_tool(&drv, WithOpts { opts, inner: t });
+            Box::new(move || total.get().to_string())
         }
         "executed_instr_count" => {
-            let (t, r) = CoalescedInstrCount::executed(opts);
+            let (t, r) = InstrCount::executed(opts);
             attach_tool(&drv, t);
             Box::new(move || r.total().to_string())
         }
         "wide_instr_count" => {
-            let (t, r) = CoalescedInstrCount::executed_wide(opts);
+            let (t, r) = InstrCount::executed_wide(opts);
             attach_tool(&drv, t);
             Box::new(move || r.total().to_string())
         }
@@ -152,9 +156,9 @@ fn coalesced_opcode_hist_is_plan_invariant() {
 
 #[test]
 fn after_point_instr_count_is_plan_invariant() {
-    // Every site injects at `IPoint::After`; from the `Region` rung up the
-    // mid-block ones are lowered to fall-through `Before` slots and
-    // merged, which must not change the count by a single event.
+    // Every site injects at `IPoint::After`. No pass merges or moves an
+    // `After` call, so every rung emits one per site, spliced or promoted
+    // from the top rungs, and the count must not move by a single event.
     differential("after_instr_count");
 }
 
@@ -219,9 +223,23 @@ fn optimized_plans_are_cheaper_on_every_workload() {
     }
 }
 
+/// Listing 1's counting body: adds 1 to `%ctr` where `%pred` is non-zero.
+const COUNT_ONE: &str = r#"
+.func count_one(.reg .u32 %pred, .reg .u64 %ctr)
+{
+    .reg .u64 %rd<3>;
+    .reg .pred %p<2>;
+    setp.eq.u32 %p1, %pred, 0;
+    @%p1 ret;
+    mov.u64 %rd1, 1;
+    atom.global.add.u64 %rd2, [%ctr], %rd1;
+    ret;
+}
+"#;
+
 /// Counts every instruction of the first kernel launched into a counter of
-/// its own through `nvbit_count_one`: one counter address per site, more
-/// than the register file has pairs for above the FFT kernel's registers.
+/// its own through `count_one`: one counter address per site, more than
+/// the register file has pairs for above the FFT kernel's registers.
 struct PerInstruction {
     opts: PlanOpts,
     addrs: Vec<u64>,
@@ -232,8 +250,7 @@ struct PerInstruction {
 impl NvbitTool for PerInstruction {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.set_plan_opts(self.opts);
-        let count_one = nvbit_tools::TOOL_PTX.iter().find(|(name, _)| *name == "COUNT_FN");
-        api.load_tool_functions(count_one.unwrap().1).unwrap();
+        api.load_tool_functions(COUNT_ONE).unwrap();
     }
     fn at_term(&mut self, api: &NvbitApi<'_>) {
         let read = |addr: &u64| {
@@ -261,7 +278,7 @@ impl NvbitTool for PerInstruction {
         let n = api.get_instrs(*func).unwrap().len();
         let base = api.driver().with_device(|d| d.alloc(8 * n as u64)).unwrap();
         for idx in 0..n {
-            api.insert_call(*func, idx, "nvbit_count_one", IPoint::Before).unwrap();
+            api.insert_call(*func, idx, "count_one", IPoint::Before).unwrap();
             api.add_call_arg_guard_pred(*func, idx).unwrap();
             api.add_call_arg_imm64(*func, idx, base + 8 * idx as u64).unwrap();
         }
@@ -339,7 +356,7 @@ impl<T: NvbitTool> NvbitTool for StatsCapture<T> {
     }
 }
 
-fn captured_with(mk: impl FnOnce() -> CoalescedInstrCount, app: App) -> (PlanStats, SaveStats) {
+fn captured_with(mk: impl FnOnce() -> InstrCount, app: App) -> (PlanStats, SaveStats) {
     let stats = Rc::new(RefCell::new(None));
     let saves = Rc::new(RefCell::new(None));
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
@@ -352,7 +369,7 @@ fn captured_with(mk: impl FnOnce() -> CoalescedInstrCount, app: App) -> (PlanSta
 }
 
 fn captured_stats_with(opts: PlanOpts, app: App) -> PlanStats {
-    captured_with(move || CoalescedInstrCount::new(opts).0, app).0
+    captured_with(move || InstrCount::executed(opts).0, app).0
 }
 
 fn captured_stats(opts: PlanOpts) -> PlanStats {
@@ -397,7 +414,7 @@ fn guarded_diamond_bodies_are_spliced() {
     // `nvbit_count_pmult` is a single guarded diamond — past the straight
     // leaf threshold, but accepted by the body classifier — so every
     // emitted call still inlines.
-    let (p, _) = captured_with(|| CoalescedInstrCount::executed(SPLICED).0, fft_app);
+    let (p, _) = captured_with(|| InstrCount::executed(SPLICED).0, fft_app);
     assert!(p.emitted_calls > 0, "{p:?}");
     assert_eq!(
         p.inline_accepted, p.emitted_calls,
@@ -427,9 +444,9 @@ fn wide_splices_are_cheaper_than_the_calls_they_replace() {
         );
 
         let (called, saves_called) =
-            captured_with(move || CoalescedInstrCount::executed_wide(REGION).0, app);
+            captured_with(move || InstrCount::executed_wide(REGION).0, app);
         let (spliced, saves_spliced) =
-            captured_with(move || CoalescedInstrCount::executed_wide(SPLICED).0, app);
+            captured_with(move || InstrCount::executed_wide(SPLICED).0, app);
         assert_eq!(
             (called.inline_accepted, called.inline_declined),
             (0, 0),

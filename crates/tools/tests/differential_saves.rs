@@ -8,14 +8,14 @@ use common::channel::Backpressure;
 use cuda::{CbId, CbParams, CuFunction, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy, SaveStats};
-use nvbit_tools::{
-    BbInstrCount, CoalescedInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram,
-    SamplingMode, WfftEmu,
-};
+use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode, WfftEmu};
 use sass::Arch;
+use shared::CountAfter;
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::{apps, fft};
+
+mod shared;
 
 /// Wraps a tool so the save policy is fixed before anything is lifted or
 /// instrumented.
@@ -180,11 +180,6 @@ fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (V
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || r.total().to_string())
         }
-        "bb_instr_count" => {
-            let (t, r) = BbInstrCount::new();
-            attach_tool(&drv, WithPolicy { policy, inner: t });
-            Box::new(move || r.total().to_string())
-        }
         "opcode_hist" => {
             let (t, r) = OpcodeHistogram::new(SamplingMode::Full);
             attach_tool(&drv, WithPolicy { policy, inner: t });
@@ -206,14 +201,14 @@ fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (V
         }
         // `IPoint::After` sites under the whole plan ladder.
         "count_after" => {
-            let (t, r) = CoalescedInstrCount::after(PlanOpts::default());
+            let (t, total) = CountAfter::new();
             attach_tool(&drv, WithPolicy { policy, inner: t });
-            Box::new(move || r.total().to_string())
+            Box::new(move || total.get().to_string())
         }
         // Guarded sites read their live guard predicate; the spliced body
         // is a diamond with a predicate of its own.
         "count_executed" => {
-            let (t, r) = CoalescedInstrCount::executed(PlanOpts::default());
+            let (t, r) = InstrCount::executed(PlanOpts::default());
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || r.total().to_string())
         }
@@ -244,11 +239,6 @@ fn differential(tool: &str) {
 #[test]
 fn instr_count_is_policy_invariant() {
     differential("instr_count");
-}
-
-#[test]
-fn bb_instr_count_is_policy_invariant() {
-    differential("bb_instr_count");
 }
 
 #[test]

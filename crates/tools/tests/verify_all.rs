@@ -11,9 +11,7 @@ use common::channel::Backpressure;
 use cuda::{CbId, CbParams, Driver};
 use gpu::{DeviceSpec, Dim3};
 use nvbit::{attach_tool, NvbitApi, NvbitTool};
-use nvbit_tools::{
-    BbInstrCount, InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode,
-};
+use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -59,8 +57,7 @@ impl<T: NvbitTool> NvbitTool for VerifyEverything<T> {
     }
 }
 
-const TOOLS: [&str; 5] =
-    ["instr_count", "bb_instr_count", "opcode_hist", "mem_trace", "mem_divergence"];
+const TOOLS: [&str; 4] = ["instr_count", "opcode_hist", "mem_trace", "mem_divergence"];
 
 /// Runs `app` under the named tool with the verifying wrapper; returns how
 /// many instrumented images the verifier accepted.
@@ -70,10 +67,6 @@ fn run_verified(tool: &str, app: &dyn Fn(&Driver)) -> usize {
     match tool {
         "instr_count" => {
             let (t, _r) = InstrCount::new();
-            attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
-        }
-        "bb_instr_count" => {
-            let (t, _r) = BbInstrCount::new();
             attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
         }
         "opcode_hist" => {

@@ -164,7 +164,7 @@ fn splice_bodies_are_byte_identical_to_the_parent_commit() {
 
 /// Every source under the standard ABI on Pascal and Volta, recorded at the
 /// commit that still compiled tool functions under a second, scratch ABI.
-const STANDARD: [(&str, u64); 29] = [
+const STANDARD: [(&str, u64); 26] = [
     ("stencil5", 0xadd2_1b8b_bff6_07a3),
     ("trig_map/1", 0x893a_a8b4_20fa_e5c5),
     ("trig_map/7", 0xf238_ee60_e5b3_4749),
@@ -186,9 +186,6 @@ const STANDARD: [(&str, u64); 29] = [
     ("cudnn", 0xdf53_a027_0a41_0295),
     ("stratum", 0x7c4f_0738_be48_6376),
     ("short_unique/0..64", 0xbbb7_d945_e366_2fa1),
-    ("tool/COUNT_FN", 0xd404_6c94_49cf_7143),
-    ("tool/COUNT_BB_FN", 0xd463_980a_e30f_ea31),
-    ("tool/COUNT_MULT_FN", 0xd987_1c91_19bf_de2d),
     ("tool/COUNT_PMULT_FN", 0xa517_aab7_8dc8_6d22),
     ("tool/COUNT_WIDE_FN", 0xfd5e_bfde_8d26_2c10),
     ("tool/MDIV_FN", 0xef42_627e_1811_46b8),
@@ -198,10 +195,7 @@ const STANDARD: [(&str, u64); 29] = [
 
 /// Every tool function's splice body on Pascal and Volta, recorded as the
 /// scratch-ABI compile of the same commit.
-const LEAF: [(&str, u64); 9] = [
-    ("COUNT_FN/nvbit_count_one", 0x19a5_6476_1953_c117),
-    ("COUNT_BB_FN/nvbit_count_block", 0x027f_2a57_463e_6b77),
-    ("COUNT_MULT_FN/nvbit_count_mult", 0x3684_6505_c608_ea35),
+const LEAF: [(&str, u64); 6] = [
     ("COUNT_PMULT_FN/nvbit_count_pmult", 0x1636_5d37_00cd_69ec),
     ("COUNT_WIDE_FN/nvbit_count_wide", 0x083c_5eae_8357_a6b3),
     ("MDIV_FN/nvbit_mdiv", 0xb485_9f73_2767_af51),
