@@ -68,8 +68,7 @@ pub struct InstrCount {
     body: (&'static str, &'static str),
 }
 
-/// [`InstrCount`] under its former name, for callers of
-/// `CoalescedInstrCount::executed` (the repo benchmark among them).
+/// [`InstrCount`] under its former name, which the repo benchmark calls.
 pub type CoalescedInstrCount = InstrCount;
 
 impl InstrCount {
