@@ -1081,6 +1081,57 @@ EXIT ;";
         }
     }
 
+    /// Each thread stores its `SR_TID.{X,Y,Z}` and its grid-flat index at
+    /// that index. The thread-index rows are the launch's: two launches with
+    /// different block shapes on one `Device`, serial and parallel, each see
+    /// their own shape, in full and partial warps.
+    #[test]
+    fn thread_indices_follow_each_launchs_block_shape() {
+        const TIDS: &str = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R0, SR_TID.X ;\n\
+S2R R1, SR_TID.Y ;\n\
+S2R R2, SR_TID.Z ;\n\
+S2R R8, SR_NTID.X ;\n\
+S2R R9, SR_NTID.Y ;\n\
+S2R R10, SR_NTID.Z ;\n\
+S2R R11, SR_CTAID.X ;\n\
+IMAD R12, R2, R9, R1 ;\n\
+IMAD R12, R12, R8, R0 ;\n\
+IMUL R13, R8, R9 ;\n\
+IMUL R13, R13, R10 ;\n\
+IMAD R12, R11, R13, R12 ;\n\
+SHL R14, R12, 0x4 ;\n\
+MOV R15, RZ ;\n\
+IADD.U64 R6, R6, R14 ;\n\
+STG [R6], R0 ;\n\
+STG [R6+0x4], R1 ;\n\
+STG [R6+0x8], R2 ;\n\
+STG [R6+0xc], R12 ;\n\
+EXIT ;";
+        for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 2 }] {
+            let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+            dev.scheduler = sched;
+            let pc = load(&mut dev, TIDS);
+            for block in [Dim3::xyz(5, 3, 3), Dim3::xyz(8, 4, 2), Dim3::xyz(1, 2, 33)] {
+                let threads = block.count() as u32 * 3;
+                let buf = dev.alloc(16 * threads as u64).unwrap();
+                let mut cfg = LaunchConfig::new(pc, Dim3::linear(3), block);
+                cfg.push_param_u64(buf);
+                dev.launch(&cfg).unwrap();
+                let mut out = vec![0u8; 16 * threads as usize];
+                dev.read(buf, &mut out).unwrap();
+                for (g, got) in out.chunks_exact(16).enumerate() {
+                    let t = g as u32 % block.count() as u32;
+                    let want =
+                        [t % block.x, t / block.x % block.y, t / (block.x * block.y), g as u32];
+                    let want: Vec<u8> = want.into_iter().flat_map(u32::to_le_bytes).collect();
+                    assert_eq!(got, want, "{sched:?}, block {block:?}, thread {g}");
+                }
+            }
+        }
+    }
+
     /// Two CTAs on two workers store, again and again, different misaligned
     /// words that share an aligned word (bytes 1..5 and 5..9 of the buffer)
     /// and read their own back each time. A misaligned store is one atomic

@@ -33,25 +33,25 @@
 //! the register file is register-major (`regs[reg][lane]`), a predicate
 //! register is one `u32` lane-mask, and local memory is interleaved by
 //! 32-bit word (`local[word][lane]`, the layout real GPUs use so that
-//! same-offset per-thread accesses coalesce). Under a full execution mask
-//! an ALU operation is a straight 32-lane loop the compiler can vectorise,
-//! guards and votes are mask algebra, and an `LDL`/`STL` whose active lanes
-//! share one 4-aligned in-bounds address — every `[R1+off]` register
-//! save/restore of a trampoline — is a 128-byte row copy. An `LDC` whose
-//! active lanes share one address — every `c[0x0][param]` — reads each
-//! word once and fills its destination row, and an `S2R` of a register
-//! that is the same in every lane (all but `SR_TID.*` and `SR_LANEID`) is
-//! evaluated once. A global access or atomic forms its 32 addresses once,
-//! as a row the cost model and the access both read; an `LDG`/`STG` whose
-//! active lanes' words are all aligned and in bounds, validated at once by
-//! `SharedMem::row`, loads each register as a row or stores lane-major
-//! with no per-word check. `CHAN` hands its lanes' records over as one row.
-//! Everything else (partial masks, per-lane or unaligned addresses, faults)
-//! takes the per-lane loop behind the row path — the one in `fill` for
-//! register rows, the lane loops of `LDC` and `load_store` for memory;
-//! there is no other fallback and no switch between the two but the input.
-//! A CTA runs on its worker's `LaunchState`, re-entered rather than
-//! allocated.
+//! same-offset per-thread accesses coalesce). Under a full execution mask an
+//! ALU operation is a straight 32-lane loop, kept out of line so that it is
+//! vectorised (`fill`), guards and votes are mask algebra, and an `LDL`/`STL`
+//! whose active lanes share one 4-aligned in-bounds address (every `[R1+off]`
+//! save/restore of a trampoline) is a 128-byte row copy. An `LDC` whose
+//! active lanes share one address reads each word once, and an `S2R` is a
+//! row copy: a warp's `SR_TID.*` rows are divided out once per launch. The
+//! code-page slot carries what decode knows (category, control-flow class,
+//! memory-reference position), so no step classifies or searches operands.
+//! A global access or atomic forms its 32 addresses once, as a row the cost
+//! model and the access both read; an `LDG`/`STG` whose active lanes' words
+//! are all aligned and in bounds, validated at once by `SharedMem::row`,
+//! loads each register as a row or stores lane-major with no per-word check.
+//! `CHAN` hands its lanes' records over as one row. Everything else (partial
+//! masks, per-lane or unaligned addresses, faults) takes the per-lane loop
+//! behind the row path — the one in `fill` for register rows, the lane loops
+//! of `LDC` and `load_store` for memory; there is no other fallback and no
+//! switch between the two but the input. A CTA runs on its worker's
+//! `LaunchState`, re-entered rather than allocated.
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
@@ -59,6 +59,7 @@ use crate::stats::CtaStats;
 use crate::{GpuError, Result};
 use sass::op::{CfClass, IType};
 use sass::{CmpOp, Instruction, MemSpace, Op, OpCategory, Operand, Pred, Reg, SpecialReg, SubOp};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -83,7 +84,28 @@ pub(crate) struct CodePage {
     /// Relaxed: it publishes nothing — `raw` is immutable, the slots
     /// synchronise themselves and the page is published by the map's lock.
     checked: AtomicU64,
-    slots: Box<[OnceLock<std::result::Result<Instruction, String>>]>,
+    slots: Box<[OnceLock<std::result::Result<Slot, String>>]>,
+}
+
+/// A decoded instruction and what every step asks of it, resolved once by the
+/// step that fills the slot: category, control-flow class and the operand
+/// position of a global or atomic memory reference (`u8::MAX`: none), in 8
+/// bytes more than a slot of the bare instruction.
+pub(crate) struct Slot {
+    pub instr: Instruction,
+    pub cat: OpCategory,
+    pub cf: CfClass,
+    pub mref: u8,
+}
+const _: () = assert!(std::mem::size_of::<OnceLock<std::result::Result<Slot, String>>>() <= 96);
+
+impl Slot {
+    pub fn new(instr: Instruction) -> Slot {
+        let (cat, mut ops) = (instr.op.category(), instr.operands.iter());
+        let mref = ops.position(|o| matches!(o, Operand::MRef { .. }));
+        let mref = mref.filter(|_| matches!(cat, OpCategory::MemGlobal | OpCategory::Atomic));
+        Slot { cat, cf: instr.op.cf_class(), mref: mref.map_or(u8::MAX, |i| i as u8), instr }
+    }
 }
 
 impl CodePage {
@@ -207,10 +229,21 @@ fn cmp_mask<T: PartialOrd>(cmp: CmpOp, a: &[T; WARP], b: &[T; WARP]) -> u32 {
     }
 }
 
-/// `row[lane] = f(lane)` on the lanes of `exec`: a straight 32-lane loop
-/// under a full mask (the row path), the per-lane loop otherwise.
+/// `f(lane)` for every lane, [`fill`]ed into a row of its own.
 #[inline(always)]
-fn fill(row: &mut Row, exec: u32, f: impl Fn(usize) -> u32) {
+fn per_lane<T: Copy + Default>(f: impl Fn(usize) -> T) -> [T; WARP] {
+    let mut v = [T::default(); WARP];
+    fill(&mut v, u32::MAX, f);
+    v
+}
+
+/// `row[lane] = f(lane)` on the lanes of `exec`: a straight 32-lane loop
+/// under a full mask (the row path), the per-lane loop otherwise. Out of
+/// line on purpose, as is [`Warp::pairs_into`]: inlined into `execute`, an
+/// unrolled row is split into 32 scalars, where here the stores into `row`
+/// stay a row and the loop is vectorised.
+#[inline(never)]
+fn fill<T>(row: &mut [T; WARP], exec: u32, f: impl Fn(usize) -> T) {
     if exec == u32::MAX {
         for (lane, v) in row.iter_mut().enumerate() {
             *v = f(lane);
@@ -254,6 +287,9 @@ fn target(instr: &Instruction, next: u64) -> u64 {
 pub(crate) struct Warp {
     /// Flat thread index (within the CTA) of lane 0.
     pub base_tid: u32,
+    /// Each lane's `SR_TID.{X,Y,Z}`, divided out by the launch's first `S2R`
+    /// of it: the block's shape is fixed for the launch.
+    tid: [OnceCell<Row>; 3],
     /// The lanes that exist: all 32 but in a block's partial last warp.
     lane_mask: u32,
     pub entries: Vec<Entry>,
@@ -281,6 +317,7 @@ impl Warp {
         let regs = vec![[0u32; WARP]; 256].into_boxed_slice();
         Warp {
             base_tid,
+            tid: Default::default(),
             lane_mask: if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 },
             entries: Vec::new(),
             regs: regs.try_into().expect("256 rows"),
@@ -352,23 +389,32 @@ impl Warp {
         self.regs[reg(o).index()]
     }
 
-    /// The row of a register-or-immediate (`RegRI`) source position.
+    /// The row of a register-or-immediate (`RegRI`) source position: an
+    /// immediate is or-ed into `RZ`'s zero row, one loop for both kinds.
     fn src(&self, o: &Operand) -> Row {
-        match o {
-            Operand::Reg(r) => self.regs[r.index()],
-            Operand::Imm(v) => [*v as u32; WARP],
-            _ => [0; WARP],
+        let (row, imm) = (&self.regs[reg(o).index()], o.as_imm().unwrap_or(0) as u32);
+        per_lane(|l| row[l] | imm)
+    }
+
+    /// [`Warp::pair`] of every lane plus `add`, into `out` (see [`fill`]).
+    #[inline(never)]
+    fn pairs_into(&self, r: Reg, add: u64, out: &mut [u64; WARP]) {
+        let (low, high) = (&self.regs[r.index()], &self.regs[(r.index() + 1).min(255)]);
+        for (l, v) in out.iter_mut().enumerate() {
+            *v = (low[l] as u64 | (high[l] as u64) << 32).wrapping_add(add);
         }
     }
 
-    /// [`Warp::pair`] of every lane: a straight loop over the two rows.
+    /// [`Warp::pair`] of every lane.
     fn pairs(&self, r: Reg) -> [u64; WARP] {
-        let (low, high) = (&self.regs[r.index()], &self.regs[(r.index() + 1).min(255)]);
-        std::array::from_fn(|l| low[l] as u64 | (high[l] as u64) << 32)
+        let mut v = [0; WARP];
+        self.pairs_into(r, 0, &mut v);
+        v
     }
 
     fn doubles(&self, r: Reg) -> [f64; WARP] {
-        self.pairs(r).map(f64::from_bits)
+        let v = self.pairs(r);
+        per_lane(|l| f64::from_bits(v[l]))
     }
 
     /// [`fill`]s register `d`; writes to `RZ` are discarded.
@@ -383,7 +429,7 @@ impl Warp {
     /// [`Warp::set`] of the register pair starting at `d`.
     #[inline(always)]
     fn set_pairs(&mut self, d: Reg, exec: u32, f: impl Fn(usize) -> u64) {
-        let v: [u64; WARP] = std::array::from_fn(f);
+        let v = per_lane(f);
         self.set(d, exec, |l| v[l] as u32);
         if d.index() + 1 < 255 {
             self.set(Reg(d.0 + 1), exec, |l| (v[l] >> 32) as u32);
@@ -597,53 +643,49 @@ impl<'d> ExecEnv<'d> {
             // A miss is counted by the one step that fills the slot (a step
             // that loses the race counts a hit), which keeps the launch's
             // total independent of the CTA schedule.
-            let instr = match page.slots[at >> slot_shift].get_or_init(|| {
+            let slot = match page.slots[at >> slot_shift].get_or_init(|| {
                 self.stats.sum.decode_misses += 1;
                 let word = &page.raw[at..at + isize];
-                codec.decode(word).map_err(|e| format!("undecodable instruction: {e}"))
+                let decoded =
+                    codec.decode(word).map_err(|e| format!("undecodable instruction: {e}"));
+                decoded.map(Slot::new)
             }) {
-                Ok(instr) => instr,
+                Ok(slot) => slot,
                 Err(reason) => return Err(self.fault(pc, reason.as_str())),
             };
-            // Classified once per step; statistics, the cost model and the
-            // dispatch below all read these.
-            let (cat, cf) = (instr.op.category(), instr.op.cf_class());
+            let instr = &slot.instr;
             let exec = mask & warp.pred((instr.guard.pred, instr.guard.negated));
-            self.stats.record(instr.op, cat, exec);
-            self.account_cost(warp, instr, cat, exec);
+            self.stats.record(instr.op, exec);
+            self.account_cost(warp, slot, exec);
 
-            if cf == CfClass::None {
+            if slot.cf == CfClass::None {
                 if exec != 0 {
                     self.execute(warp, cta, instr, exec, pc)?;
                 }
                 warp.top().pc = pc + isize as u64;
-            } else if !self.control_flow(warp, instr, cf, exec, pc, isize as u64)? {
+            } else if !self.control_flow(warp, instr, slot.cf, exec, pc, isize as u64)? {
                 return Ok(()); // barrier or done
             }
         }
     }
 
     /// Timing-model accounting, including memory-divergence cost.
-    fn account_cost(&mut self, warp: &Warp, instr: &Instruction, cat: OpCategory, exec: u32) {
+    fn account_cost(&mut self, warp: &Warp, slot: &Slot, exec: u32) {
         let cost = &self.spec.cost;
-        let mut cycles = cost.issue + cost.category[cat as usize];
-        if exec != 0 && matches!(cat, OpCategory::MemGlobal | OpCategory::Atomic) {
-            let mref = instr.operands.iter().find_map(|o| match o {
-                Operand::MRef { base, offset } => Some((*base, *offset as i64 as u64)),
-                _ => None,
-            });
-            // (An access without a reference does nothing in `execute`.)
-            if let Some((base, offset)) = mref {
-                self.addrs = warp.pairs(base).map(|a| a.wrapping_add(offset));
+        let mut cycles = cost.issue + cost.category[slot.cat as usize];
+        // (An access without a reference does nothing in `execute`.)
+        if exec != 0 && slot.mref != u8::MAX {
+            if let Operand::MRef { base, offset } = slot.instr.operands[slot.mref as usize] {
+                warp.pairs_into(base, offset as i64 as u64, &mut self.addrs);
             }
         }
         let sum = &mut self.stats.sum;
-        match cat {
+        match slot.cat {
             OpCategory::MemGlobal if exec != 0 => {
                 let lines = global_lines(&self.addrs, exec, self.spec.cache_line as u64);
                 sum.mem.global_lines += lines;
                 cycles += cost.global_per_line * lines.saturating_sub(1);
-                if instr.op.is_load() {
+                if slot.instr.op.is_load() {
                     sum.mem.global_loads += 1;
                 } else {
                     sum.mem.global_stores += 1;
@@ -810,13 +852,7 @@ impl<'d> ExecEnv<'d> {
             }
             Op::S2r => {
                 let Operand::SReg(sr) = ops[1] else { return Ok(()) };
-                // Only the thread and lane indices differ between lanes.
-                use SpecialReg::{LaneId, TidX, TidY, TidZ};
-                let v: Row = if matches!(sr, TidX | TidY | TidZ | LaneId) {
-                    std::array::from_fn(|lane| self.special(warp, cta, lane, sr, exec))
-                } else {
-                    [self.special(warp, cta, 0, sr, exec); WARP]
-                };
+                let v = self.special(warp, cta, sr, exec);
                 warp.set(reg(&ops[0]), exec, |l| v[l]);
             }
             Op::P2r => {
@@ -862,12 +898,8 @@ impl<'d> ExecEnv<'d> {
                 warp.set(reg(&ops[0]), exec, |l| v[l].count_ones());
             }
             Op::Iadd | Op::Isub if itype == IType::U64 => {
-                let a = warp.pairs(reg(&ops[1]));
-                let b = match &ops[2] {
-                    Operand::Reg(r) => warp.pairs(*r),
-                    Operand::Imm(v) => [*v as u64; WARP],
-                    _ => [0; WARP],
-                };
+                let (a, mut b) = (warp.pairs(reg(&ops[1])), [0; WARP]);
+                warp.pairs_into(reg(&ops[2]), ops[2].as_imm().unwrap_or(0) as u64, &mut b);
                 if instr.op == Op::Iadd {
                     warp.set_pairs(reg(&ops[0]), exec, |l| a[l].wrapping_add(b[l]));
                 } else {
@@ -932,7 +964,7 @@ impl<'d> ExecEnv<'d> {
             Op::Isetp => {
                 let (a, b) = (warp.row(&ops[1]), warp.src(&ops[2]));
                 let m = if s32 {
-                    cmp_mask(instr.mods.cmp, &a.map(|v| v as i32), &b.map(|v| v as i32))
+                    cmp_mask(instr.mods.cmp, &per_lane(|l| a[l] as i32), &per_lane(|l| b[l] as i32))
                 } else {
                     cmp_mask(instr.mods.cmp, &a, &b)
                 };
@@ -962,7 +994,8 @@ impl<'d> ExecEnv<'d> {
                 warp.set(reg(&ops[0]), exec, |l| f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits());
             }
             Op::Fsetp => {
-                let (a, b) = (warp.row(&ops[1]).map(f), warp.src(&ops[2]).map(f));
+                let (a, b) = (warp.row(&ops[1]), warp.src(&ops[2]));
+                let (a, b) = (per_lane(|l| f(a[l])), per_lane(|l| f(b[l])));
                 warp.set_pred(pred(&ops[0]).0, exec, cmp_mask(instr.mods.cmp, &a, &b));
             }
             Op::Mufu => {
@@ -1087,15 +1120,17 @@ impl<'d> ExecEnv<'d> {
         Ok(())
     }
 
-    fn special(&self, warp: &Warp, cta: &CtaCtx, lane: usize, sr: SpecialReg, exec: u32) -> u32 {
-        // The thread's index in the block is a division per component: only
-        // the `SR_TID` arms pay for theirs.
-        let flat = warp.base_tid + lane as u32;
+    /// The row of special register `sr`: only the thread and lane indices vary.
+    fn special(&self, warp: &Warp, cta: &CtaCtx, sr: SpecialReg, exec: u32) -> Row {
         let b = self.block;
-        match sr {
-            SpecialReg::TidX => flat % b.x,
-            SpecialReg::TidY => (flat / b.x) % b.y,
-            SpecialReg::TidZ => flat / (b.x * b.y),
+        let v = match sr {
+            SpecialReg::TidX | SpecialReg::TidY | SpecialReg::TidZ => {
+                let c = sr as usize - SpecialReg::TidX as usize;
+                let (div, modulo) = ([1, b.x, b.x * b.y][c], [b.x, b.y, u32::MAX][c]);
+                let row = || per_lane(|l| (warp.base_tid + l as u32) / div % modulo);
+                return *warp.tid[c].get_or_init(row);
+            }
+            SpecialReg::LaneId => return per_lane(|l| l as u32),
             SpecialReg::NTidX => b.x,
             SpecialReg::NTidY => b.y,
             SpecialReg::NTidZ => b.z,
@@ -1105,7 +1140,6 @@ impl<'d> ExecEnv<'d> {
             SpecialReg::NCtaIdX => self.grid.x,
             SpecialReg::NCtaIdY => self.grid.y,
             SpecialReg::NCtaIdZ => self.grid.z,
-            SpecialReg::LaneId => lane as u32,
             SpecialReg::WarpId => warp.base_tid / 32,
             SpecialReg::SmId => (cta.cta_linear % self.spec.num_sms as u64) as u32,
             SpecialReg::Clock => self.stats.sum.cycles as u32,
@@ -1119,7 +1153,8 @@ impl<'d> ExecEnv<'d> {
                 ((warp.entries.len() as u32) << 16)
                     | top.map(|e| e.retstack.len() as u32).unwrap_or(0)
             }
-        }
+        };
+        [v; WARP]
     }
 
     /// The number of registers a load or store of `instr`'s width moves
@@ -1306,14 +1341,27 @@ impl<'d> ExecEnv<'d> {
 }
 
 /// Number of distinct cache lines the lanes of `exec` touch at `addrs`. The
-/// line of an address is a shift when the line size is a power of two, and a
-/// lane on the line of the active lane before it — every lane but the first
-/// of a coalesced access — needs no search.
+/// line of an address is a shift when the line size is a power of two. Row
+/// early-out: a full warp whose lines never fall from lane to lane (every
+/// coalesced or strided access) touches one plus one per change. Otherwise a
+/// lane on the line of the active lane before it needs no search.
+#[inline(never)]
 fn global_lines(addrs: &[u64; WARP], exec: u32, line: u64) -> u64 {
     let shift = line.is_power_of_two().then(|| line.trailing_zeros());
+    let line_of = |lane: usize| shift.map_or_else(|| addrs[lane] / line, |s| addrs[lane] >> s);
+    if exec == u32::MAX {
+        let (mut changes, mut falls) = (1, false);
+        for lane in 1..WARP {
+            let (prev, l) = (line_of(lane - 1), line_of(lane));
+            (changes, falls) = (changes + u64::from(l != prev), falls | (l < prev));
+        }
+        if !falls {
+            return changes;
+        }
+    }
     let (mut lines, mut n, mut prev) = ([0u64; WARP], 0, None);
     for lane in lanes(exec) {
-        let l = shift.map_or_else(|| addrs[lane] / line, |s| addrs[lane] >> s);
+        let l = line_of(lane);
         if prev != Some(l) && !lines[..n].contains(&l) {
             lines[n] = l;
             n += 1;
@@ -1540,32 +1588,95 @@ EXIT ;";
     }
 
     /// `global_lines` against sorting and deduplicating the lines, over
-    /// random masks, line sizes (powers of two and not) and address shapes.
+    /// random masks, line sizes (powers of two and not) and address shapes,
+    /// among them the ones that attack its non-decreasing early-out: a rising
+    /// row with one lane back, equal runs with gaps, and a fall that sits on
+    /// an inactive lane only.
     #[test]
     fn global_lines_agrees_with_a_sort_and_dedup_reference() {
         use super::{global_lines, WARP};
         let mut rng = common::Rng::seed_from_u64(0x11e5);
-        for case in 0..1000 {
+        for case in 0..2000 {
             let base = rng.next_u64() >> 20;
             let stride = rng.gen_range(1u64..600);
-            let addrs: [u64; WARP] = match case % 5 {
+            let back = rng.gen_range(1usize..WARP);
+            let mut addrs: [u64; WARP] = match case % 8 {
                 0 => std::array::from_fn(|l| base + 4 * l as u64),
                 1 => std::array::from_fn(|l| base + stride * l as u64),
                 2 => std::array::from_fn(|_| base + rng.gen_range(0u64..4096)),
                 3 => [base; WARP],
-                _ => std::array::from_fn(|l| base + stride * (WARP - l) as u64),
+                4 => std::array::from_fn(|l| base + stride * (WARP - l) as u64),
+                5 => std::array::from_fn(|l| {
+                    base + stride * (2 * l + 3 - 3 * usize::from(l == back)) as u64
+                }),
+                6 => std::array::from_fn(|l| base + 3 * stride * (l / (1 + back % 5)) as u64),
+                _ => std::array::from_fn(|l| base + stride * l as u64),
             };
-            let exec = match case % 7 {
+            let mut exec = match case % 7 {
                 0 => u32::MAX,
                 1 => 1 << rng.gen_range(0u32..32),
                 _ => rng.next_u32() | 1 << rng.gen_range(0u32..32),
             };
+            if case % 8 == 7 {
+                // Lane `back` falls below every other lane; half the time it
+                // is the only fall and inactive.
+                addrs[back] = base.saturating_sub(stride);
+                if case % 16 == 7 {
+                    exec = (exec | 1) & !(1 << back);
+                }
+            }
             let line = *rng.choose(&[128u64, 32, 96, 1, 100, 256]);
             let mut want: Vec<u64> =
                 (0..WARP).filter(|l| exec >> l & 1 != 0).map(|l| addrs[l] / line).collect();
             want.sort_unstable();
             want.dedup();
             assert_eq!(global_lines(&addrs, exec, line), want.len() as u64, "case {case}");
+        }
+    }
+
+    /// A slot's classification is what the step used to derive: for every
+    /// opcode, with an operand list that follows its format, the category,
+    /// the control-flow class and the global or atomic memory reference the
+    /// operand search found.
+    #[test]
+    fn a_slot_agrees_with_the_classification_it_replaces() {
+        use super::Slot;
+        use sass::op::OKind;
+        use sass::{Instruction, Op, OpCategory, Operand, Pred, Reg, SpecialReg};
+        for &op in Op::ALL {
+            let operands: Vec<Operand> = op
+                .format()
+                .iter()
+                .map(|k| match k {
+                    OKind::RegW | OKind::RegR | OKind::RegRI => Operand::Reg(Reg(4)),
+                    OKind::PredW | OKind::PredR => Operand::Pred { pred: Pred(1), negated: false },
+                    OKind::MRef | OKind::MRefAtom => Operand::MRef { base: Reg(6), offset: -8 },
+                    OKind::CBankRef => Operand::CBank { bank: 0, base: Reg::RZ, offset: 0x160 },
+                    OKind::SReg => Operand::SReg(SpecialReg::TidY),
+                    OKind::Rel => Operand::Rel(16),
+                    OKind::Abs => Operand::Abs(0x1000),
+                    OKind::Imm32 => Operand::Imm(3),
+                })
+                .collect();
+            let instr = Instruction::try_new(op, &operands).unwrap();
+            instr.validate().unwrap();
+            let slot = Slot::new(instr);
+            assert_eq!(slot.cat, op.category(), "{op:?}");
+            assert_eq!(slot.cf, op.cf_class(), "{op:?}");
+            let searched = matches!(op.category(), OpCategory::MemGlobal | OpCategory::Atomic)
+                .then(|| {
+                    instr.operands.iter().find_map(|o| match o {
+                        Operand::MRef { base, offset } => Some((*base, *offset)),
+                        _ => None,
+                    })
+                })
+                .flatten();
+            let held =
+                (slot.mref != u8::MAX).then(|| match slot.instr.operands[slot.mref as usize] {
+                    Operand::MRef { base, offset } => (base, offset),
+                    other => panic!("{op:?}: slot names {other:?}"),
+                });
+            assert_eq!(held, searched, "{op:?}");
         }
     }
 

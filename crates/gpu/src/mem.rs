@@ -255,20 +255,26 @@ impl SharedMem {
 
     /// Word `k` of the `n` aligned words at `addrs[lane]`, for every lane of
     /// `exec`, when each lane's address is 4-aligned and its `4 * n` bytes
-    /// pass `check` like every other access. All lanes are validated before
-    /// any word is touched, so a `None` has read and written nothing and the
-    /// caller's per-lane path meets the first fault itself.
+    /// pass `check` like every other access. All lanes are validated, in one
+    /// branch-free pass that builds the mask of bad lanes, before any word is
+    /// touched, so a `None` has read and written nothing and the caller's
+    /// per-lane path meets the first fault itself.
     pub fn row<'m>(
         &'m self,
-        addrs: &[u64; 32],
+        addrs: &'m [u64; 32],
         exec: u32,
         n: usize,
     ) -> Option<impl Fn(usize, usize) -> &'m AtomicU32> {
-        let ok = |a: u64| a.is_multiple_of(4) && check(a, 4 * n as u64, self.len).is_ok();
-        let at = addrs.map(|a| a as usize / 4);
-        (0..32).all(|l| exec >> l & 1 == 0 || ok(addrs[l])).then_some(move |lane: usize, k| {
+        // Good: a multiple of 4 in `4..=top + 4`. `a - 4` rotated right by two
+        // puts a misaligned or null address past any bound: one compare.
+        let top = self.len.checked_sub(4 * n as u64 + 4)?;
+        let mut bad = 0u32;
+        for (lane, &a) in addrs.iter().enumerate() {
+            bad |= u32::from(a.wrapping_sub(4).rotate_right(2) > top >> 2) << lane;
+        }
+        (bad & exec == 0).then_some(move |lane: usize, k| {
             assert!(k < n && exec >> lane & 1 != 0, "a word the row validated");
-            self.word(at[lane] + k)
+            self.word(addrs[lane] as usize / 4 + k)
         })
     }
 
@@ -456,6 +462,50 @@ mod tests {
         assert!(m.shared_view().atomics().rmw(4092, true, |v| v + 1).is_err());
         assert_eq!(m.read_scalar(4088, 8).unwrap(), 5, "a refused atomic stores nothing");
         assert_eq!(m.shared_view().atomics().rmw(4092, false, |v| v + 1), Ok(0));
+    }
+
+    /// `SharedMem::row` declines a row for a bad address in an active lane —
+    /// null, misaligned, its `4 * n` bytes past the end, or an `a + 4 * n`
+    /// that wraps — and never for one in an inactive lane; an accepted row's
+    /// words are the lanes' own. At one, two and four words, on a memory
+    /// that is a whole number of words and on one that is not.
+    #[test]
+    fn a_row_is_declined_by_its_active_lanes_only() {
+        for cap in [4096u64, 4094] {
+            let mut m = Memory::new(cap);
+            for w in 0..1024u32 {
+                m.write(4 * w as u64, &w.to_le_bytes()).unwrap_or(());
+            }
+            let view = m.shared_view();
+            for n in [1usize, 2, 4] {
+                let bytes = 4 * n as u64;
+                let good: [u64; 32] = std::array::from_fn(|l| 256 + 4 * l as u64);
+                let last = (cap - bytes) & !3;
+                let mut edge = good;
+                edge[31] = last;
+                for addrs in [good, edge] {
+                    let word = view.row(&addrs, u32::MAX, n).expect("every lane good");
+                    for (lane, a) in addrs.iter().enumerate() {
+                        for k in 0..n {
+                            let want = view.load(a + 4 * k as u64).unwrap();
+                            assert_eq!(word(lane, k).load(Relaxed), want, "cap {cap}, n {n}");
+                        }
+                    }
+                }
+                let bad = [0, 257, 258, 259, last + 4, cap, u64::MAX - 3, 0u64.wrapping_sub(bytes)];
+                for a in bad {
+                    for lane in [0, 7, 31] {
+                        let mut addrs = good;
+                        addrs[lane] = a;
+                        let what = format!("cap {cap}, n {n}, lane {lane} at {a:#x}");
+                        assert!(view.row(&addrs, u32::MAX, n).is_none(), "{what}: active");
+                        assert!(view.row(&addrs, 1 << lane, n).is_none(), "{what}: alone");
+                        let others = !(1u32 << lane);
+                        assert!(view.row(&addrs, others, n).is_some(), "{what}: inactive");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

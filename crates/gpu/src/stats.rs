@@ -56,39 +56,35 @@ const OP_SLOTS: usize = {
 };
 
 /// What the executor counts while a CTA runs: the scalar fields of
-/// [`ExecStats`] in `sum`, and the two per-instruction histograms as flat
-/// arrays — no `String`, no tree walk per issued instruction. CTAs add up in
-/// CTA-linear order and become the public maps once per launch.
+/// [`ExecStats`] in `sum`, and the per-opcode histogram as a flat array — no
+/// `String`, no tree walk per issued instruction. The warp-instruction count
+/// and the per-category histogram follow from the per-opcode one, so a step
+/// bumps two counters. CTAs add up in CTA-linear order and become the public
+/// maps once per launch.
 pub(crate) struct CtaStats {
-    /// Everything but `per_op` / `per_category`, which stay empty.
+    /// Everything but `warp_instructions`, `per_op` and `per_category`,
+    /// which stay zero and empty until [`CtaStats::finish`].
     pub sum: ExecStats,
     per_op: [u64; OP_SLOTS],
-    per_category: [u64; OpCategory::ALL.len()],
 }
 
 impl Default for CtaStats {
     fn default() -> CtaStats {
-        CtaStats {
-            sum: ExecStats::default(),
-            per_op: [0; OP_SLOTS],
-            per_category: [0; OpCategory::ALL.len()],
-        }
+        CtaStats { sum: ExecStats::default(), per_op: [0; OP_SLOTS] }
     }
 }
 
 impl CtaStats {
-    /// Records one issued instruction of category `cat`.
-    pub fn record(&mut self, op: Op, cat: OpCategory, active: u32) {
-        self.sum.warp_instructions += 1;
-        self.sum.thread_instructions += active.count_ones() as u64;
+    /// Records one issued instruction.
+    pub fn record(&mut self, op: Op, active: u32) {
+        let lanes = if active == u32::MAX { 32 } else { active.count_ones() };
+        self.sum.thread_instructions += lanes as u64;
         self.per_op[op.index() as usize] += 1;
-        self.per_category[cat as usize] += 1;
     }
 
     pub fn add(&mut self, other: &CtaStats) {
         self.sum.merge(&other.sum);
         self.per_op.iter_mut().zip(other.per_op).for_each(|(a, b)| *a += b);
-        self.per_category.iter_mut().zip(other.per_category).for_each(|(a, b)| *a += b);
     }
 
     /// The public statistics: histogram entries exist for executed
@@ -97,13 +93,9 @@ impl CtaStats {
         for op in Op::ALL {
             let n = self.per_op[op.index() as usize];
             if n > 0 {
+                self.sum.warp_instructions += n;
                 *self.sum.per_op.entry(op.mnemonic().to_string()).or_insert(0) += n;
-            }
-        }
-        for cat in OpCategory::ALL {
-            let n = self.per_category[cat as usize];
-            if n > 0 {
-                self.sum.per_category.insert(cat, n);
+                *self.sum.per_category.entry(op.category()).or_insert(0) += n;
             }
         }
         self.sum
@@ -111,14 +103,6 @@ impl CtaStats {
 }
 
 impl ExecStats {
-    /// Records one issued instruction.
-    pub fn record(&mut self, op: Op, active: u32) {
-        self.warp_instructions += 1;
-        self.thread_instructions += active.count_ones() as u64;
-        *self.per_op.entry(op.mnemonic().to_string()).or_insert(0) += 1;
-        *self.per_category.entry(op.category()).or_insert(0) += 1;
-    }
-
     /// Merges another launch's statistics into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         self.warp_instructions += other.warp_instructions;
@@ -158,6 +142,21 @@ impl ExecStats {
 mod tests {
     use super::*;
 
+    /// The map-based reference `CtaStats` is checked against: one issued
+    /// instruction, straight into the public maps.
+    trait Record {
+        fn record(&mut self, op: Op, active: u32);
+    }
+
+    impl Record for ExecStats {
+        fn record(&mut self, op: Op, active: u32) {
+            self.warp_instructions += 1;
+            self.thread_instructions += active.count_ones() as u64;
+            *self.per_op.entry(op.mnemonic().to_string()).or_insert(0) += 1;
+            *self.per_category.entry(op.category()).or_insert(0) += 1;
+        }
+    }
+
     #[test]
     fn record_counts_ops_and_lanes() {
         let mut s = ExecStats::default();
@@ -178,7 +177,7 @@ mod tests {
         let (mut flat, mut cta, mut want) =
             (CtaStats::default(), CtaStats::default(), ExecStats::default());
         for (n, op) in Op::ALL.iter().enumerate().filter(|(n, _)| n % 3 != 1) {
-            cta.record(*op, op.category(), n as u32);
+            cta.record(*op, n as u32);
             want.record(*op, n as u32);
         }
         cta.sum.cycles = 7;

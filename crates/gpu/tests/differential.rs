@@ -59,7 +59,7 @@ fn load_module(dev: &mut Device, module: &ptx::CompiledModule, kernel: &str) -> 
 }
 
 /// Runs `kernel` both ways and asserts the arenas match.
-fn check(src: &str, kernel: &str, grid: u32, block: u32, params: &[Param], arena_init: &[u8]) {
+fn check(src: &str, kernel: &str, grid: Dim3, block: Dim3, params: &[Param], arena_init: &[u8]) {
     let m = ptx::parse_module(src).unwrap();
 
     // Interpreter run.
@@ -72,7 +72,7 @@ fn check(src: &str, kernel: &str, grid: u32, block: u32, params: &[Param], arena
             Param::U32(v) => ParamValue::U32(*v),
         })
         .collect();
-    interpret_entry(&m, kernel, LaunchGrid::linear(grid, block), &iparams, &mut imem)
+    interpret_entry(&m, kernel, LaunchGrid { grid, block }, &iparams, &mut imem)
         .unwrap_or_else(|e| panic!("interp failed for {kernel}: {e}"));
 
     for arch in Arch::ALL {
@@ -85,7 +85,7 @@ fn check(src: &str, kernel: &str, grid: u32, block: u32, params: &[Param], arena
         init[..arena_init.len()].copy_from_slice(arena_init);
         dev.write(arena, &init).unwrap();
 
-        let mut cfg = LaunchConfig::new(entry, Dim3::linear(grid), Dim3::linear(block));
+        let mut cfg = LaunchConfig::new(entry, grid, block);
         cfg.shared_size = shared;
         cfg.local_size = local.max(4096);
         for p in params {
@@ -154,8 +154,8 @@ fn vecadd_matches() {
     check(
         VECADD,
         "vecadd",
-        4,
-        64,
+        Dim3::linear(4),
+        Dim3::linear(64),
         &[Param::Ptr(0), Param::Ptr(1024), Param::Ptr(2048), Param::U32(200)],
         &init,
     );
@@ -192,8 +192,8 @@ JOIN:
 
 #[test]
 fn nested_divergence_matches() {
-    check(DIVERGE, "diverge", 1, 32, &[Param::Ptr(0)], &[]);
-    check(DIVERGE, "diverge", 2, 96, &[Param::Ptr(0)], &[]);
+    check(DIVERGE, "diverge", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &[]);
+    check(DIVERGE, "diverge", Dim3::linear(2), Dim3::linear(96), &[Param::Ptr(0)], &[]);
 }
 
 const TRIANGLE: &str = r#"
@@ -222,8 +222,8 @@ DONE:
 
 #[test]
 fn data_dependent_loop_matches() {
-    check(TRIANGLE, "tri", 1, 32, &[Param::Ptr(0)], &[]);
-    check(TRIANGLE, "tri", 3, 64, &[Param::Ptr(0)], &[]);
+    check(TRIANGLE, "tri", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &[]);
+    check(TRIANGLE, "tri", Dim3::linear(3), Dim3::linear(64), &[Param::Ptr(0)], &[]);
 }
 
 const SHARED_REV: &str = r#"
@@ -255,7 +255,7 @@ const SHARED_REV: &str = r#"
 #[test]
 fn shared_memory_reverse_matches() {
     let init: Vec<u8> = (0..32u32).flat_map(|v| (v * 3 + 7).to_le_bytes()).collect();
-    check(SHARED_REV, "rev", 1, 32, &[Param::Ptr(0)], &init);
+    check(SHARED_REV, "rev", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &init);
 }
 
 const WARP_REDUCE: &str = r#"
@@ -286,7 +286,7 @@ const WARP_REDUCE: &str = r#"
 
 #[test]
 fn warp_shuffle_reduction_matches() {
-    check(WARP_REDUCE, "wsum", 1, 64, &[Param::Ptr(0)], &[]);
+    check(WARP_REDUCE, "wsum", Dim3::linear(1), Dim3::linear(64), &[Param::Ptr(0)], &[]);
 }
 
 const ATOMICS: &str = r#"
@@ -317,7 +317,14 @@ const ATOMICS: &str = r#"
 fn atomic_histogram_matches() {
     let data: Vec<u8> =
         (0..128u32).flat_map(|i| i.wrapping_mul(2654435761).to_le_bytes()).collect();
-    check(ATOMICS, "hist", 4, 32, &[Param::Ptr(0), Param::Ptr(4096)], &data);
+    check(
+        ATOMICS,
+        "hist",
+        Dim3::linear(4),
+        Dim3::linear(32),
+        &[Param::Ptr(0), Param::Ptr(4096)],
+        &data,
+    );
 }
 
 const CALLS: &str = r#"
@@ -345,7 +352,7 @@ const CALLS: &str = r#"
 
 #[test]
 fn device_function_calls_match() {
-    check(CALLS, "k", 2, 32, &[Param::Ptr(0)], &[]);
+    check(CALLS, "k", Dim3::linear(2), Dim3::linear(32), &[Param::Ptr(0)], &[]);
 }
 
 /// `first` ends without `exit`: falling off a kernel's end exits, and the
@@ -372,7 +379,7 @@ const KERNEL_FALLS_OFF: &str = r#"
 
 #[test]
 fn a_kernel_that_falls_off_its_end_exits() {
-    check(KERNEL_FALLS_OFF, "first", 1, 32, &[Param::Ptr(0)], &[]);
+    check(KERNEL_FALLS_OFF, "first", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &[]);
 }
 
 /// `inc` ends without `ret`: falling off a device function's end returns
@@ -404,7 +411,7 @@ const DEVICE_FUNCTION_FALLS_OFF: &str = r#"
 
 #[test]
 fn a_device_function_that_falls_off_its_end_returns() {
-    check(DEVICE_FUNCTION_FALLS_OFF, "k", 1, 32, &[Param::Ptr(0)], &[]);
+    check(DEVICE_FUNCTION_FALLS_OFF, "k", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &[]);
 }
 
 /// `bump` never reads `%unused`: the register allocator places it nowhere,
@@ -432,7 +439,7 @@ const UNREAD_PARAMETER: &str = r#"
 
 #[test]
 fn a_device_function_with_an_unread_parameter_matches() {
-    check(UNREAD_PARAMETER, "k", 1, 32, &[Param::Ptr(0)], &[]);
+    check(UNREAD_PARAMETER, "k", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &[]);
 }
 
 const MATHY: &str = r#"
@@ -466,7 +473,7 @@ const MATHY: &str = r#"
 #[test]
 fn float_math_matches_bit_for_bit() {
     let init = f32_bytes(&(0..64).map(|i| (i as f32 + 0.25) * 1.7).collect::<Vec<_>>());
-    check(MATHY, "mathy", 2, 32, &[Param::Ptr(0)], &init);
+    check(MATHY, "mathy", Dim3::linear(2), Dim3::linear(32), &[Param::Ptr(0)], &init);
 }
 
 const DOUBLES: &str = r#"
@@ -494,7 +501,7 @@ const DOUBLES: &str = r#"
 fn double_precision_matches() {
     let init: Vec<u8> =
         (0..32).flat_map(|i| ((i as f64) * 1.125 - 3.5).to_bits().to_le_bytes()).collect();
-    check(DOUBLES, "dbl", 1, 32, &[Param::Ptr(0)], &init);
+    check(DOUBLES, "dbl", Dim3::linear(1), Dim3::linear(32), &[Param::Ptr(0)], &init);
 }
 
 const SELP_MINMAX: &str = r#"
@@ -522,7 +529,14 @@ const SELP_MINMAX: &str = r#"
 #[test]
 fn selp_and_minmax_match() {
     let init: Vec<u8> = (0..64u32).flat_map(|i| (i * 37 % 97).to_le_bytes()).collect();
-    check(SELP_MINMAX, "clampk", 2, 32, &[Param::Ptr(0), Param::U32(10), Param::U32(80)], &init);
+    check(
+        SELP_MINMAX,
+        "clampk",
+        Dim3::linear(2),
+        Dim3::linear(32),
+        &[Param::Ptr(0), Param::U32(10), Param::U32(80)],
+        &init,
+    );
 }
 
 /// Random inputs and launch geometries keep both implementations in
@@ -537,8 +551,8 @@ fn prop_vecadd_random_inputs() {
         check(
             VECADD,
             "vecadd",
-            blocks,
-            threads,
+            Dim3::linear(blocks),
+            Dim3::linear(threads),
             &[Param::Ptr(0), Param::Ptr(512), Param::Ptr(2048), Param::U32(n)],
             &bytes,
         );
@@ -551,7 +565,14 @@ fn prop_vecadd_random_inputs() {
 fn prop_histogram_random_inputs() {
     run_cases("prop_histogram_random_inputs", 16, |rng| {
         let bytes: Vec<u8> = (0..128).flat_map(|_| rng.next_u32().to_le_bytes()).collect();
-        check(ATOMICS, "hist", 4, 32, &[Param::Ptr(0), Param::Ptr(4096)], &bytes);
+        check(
+            ATOMICS,
+            "hist",
+            Dim3::linear(4),
+            Dim3::linear(32),
+            &[Param::Ptr(0), Param::Ptr(4096)],
+            &bytes,
+        );
     });
 }
 
@@ -562,7 +583,14 @@ fn prop_divergence_random_geometry() {
     run_cases("prop_divergence_random_geometry", 16, |rng| {
         let blocks = rng.gen_range(1u32..3);
         let threads = *rng.choose(&[32u32, 64, 128]);
-        check(DIVERGE, "diverge", blocks, threads, &[Param::Ptr(0)], &[]);
+        check(
+            DIVERGE,
+            "diverge",
+            Dim3::linear(blocks),
+            Dim3::linear(threads),
+            &[Param::Ptr(0)],
+            &[],
+        );
     });
 }
 
@@ -629,7 +657,7 @@ fn prop_random_programs_agree() {
             )
         });
         let src = random_program(&ops);
-        check(&src, "rnd", 1, 64, &[Param::Ptr(0)], &[]);
+        check(&src, "rnd", Dim3::linear(1), Dim3::linear(64), &[Param::Ptr(0)], &[]);
     });
 }
 
@@ -652,7 +680,7 @@ fn check_row_shapes(src: &str, kernel: &str, words: usize) {
         let bytes: Vec<u8> =
             (0..2 * 64 * words).flat_map(|_| rng.next_u32().to_le_bytes()).collect();
         for block in [1, 17, 33, 64] {
-            check(src, kernel, 2, block, &[Param::Ptr(0)], &bytes);
+            check(src, kernel, Dim3::linear(2), Dim3::linear(block), &[Param::Ptr(0)], &bytes);
         }
     });
 }
@@ -1012,11 +1040,59 @@ fn parameter_loads_match_under_guards() {
             check(
                 ROW_PARAM,
                 "rowparam",
-                2,
-                block,
+                Dim3::linear(2),
+                Dim3::linear(block),
                 &[Param::Ptr(0), Param::U32(a), Param::U32(b)],
                 &bytes,
             );
         }
     });
+}
+
+/// Every thread stores its `%tid`, `%ntid` and `%ctaid` at its grid-flat
+/// index. The executor computes each warp's thread-index rows once per
+/// launch: blocks with a `y` and a `z` extent, whole warps and a partial
+/// last one, and a block one thread wide and 33 deep, on a 2-D grid.
+const DIMS: &str = r#"
+.entry dims(.param .u64 out)
+{
+    .reg .u32 %r<20>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %tid.y;
+    mov.u32 %r3, %tid.z;
+    mov.u32 %r4, %ntid.x;
+    mov.u32 %r5, %ntid.y;
+    mov.u32 %r6, %ntid.z;
+    mov.u32 %r7, %ctaid.x;
+    mov.u32 %r8, %ctaid.y;
+    mov.u32 %r9, %ctaid.z;
+    mov.u32 %r10, %nctaid.x;
+    mad.lo.u32 %r11, %r3, %r5, %r2;
+    mad.lo.u32 %r11, %r11, %r4, %r1;
+    mad.lo.u32 %r12, %r8, %r10, %r7;
+    mul.lo.u32 %r13, %r4, %r5;
+    mul.lo.u32 %r13, %r13, %r6;
+    mad.lo.u32 %r14, %r12, %r13, %r11;
+    mul.wide.u32 %rd2, %r14, 36;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r1;
+    st.global.u32 [%rd3+4], %r2;
+    st.global.u32 [%rd3+8], %r3;
+    st.global.u32 [%rd3+12], %r4;
+    st.global.u32 [%rd3+16], %r5;
+    st.global.u32 [%rd3+20], %r6;
+    st.global.u32 [%rd3+24], %r7;
+    st.global.u32 [%rd3+28], %r8;
+    st.global.u32 [%rd3+32], %r9;
+    exit;
+}
+"#;
+
+#[test]
+fn three_dimensional_thread_indices_match() {
+    for block in [Dim3::xyz(5, 3, 3), Dim3::xyz(8, 4, 2), Dim3::xyz(1, 2, 33)] {
+        check(DIMS, "dims", Dim3::xyz(3, 2, 1), block, &[Param::Ptr(0)], &[]);
+    }
 }
