@@ -1,12 +1,13 @@
 //! The static analysis bundle of one function body.
 //!
 //! **Paper mapping:** §5.2 / Fig. 5 — analysis is one of the JIT phases
-//! paid per function, so it runs once: the body is partitioned once, the
-//! successor lists and `SSY` records are built once (`cfg::Edges`), and
-//! the liveness and dominator solutions are both derived from them.
+//! paid per function, so it runs once: the body is partitioned once, its
+//! per-lane flow graph is built once ([`cfg::flow`]: successors plus the
+//! matched `SYNC` resume edges), and the liveness and dominator solutions
+//! both walk that one graph.
 
 use crate::arch::Arch;
-use crate::cfg::{self, BasicBlock, CfgFailure, Edges};
+use crate::cfg::{self, BasicBlock, CfgFailure};
 use crate::dataflow::Dataflow;
 use crate::dom::Dom;
 use crate::inst::Instruction;
@@ -19,10 +20,9 @@ use crate::inst::Instruction;
 pub struct Analysis {
     /// The [`cfg::basic_blocks`] partition of the body.
     pub blocks: Vec<BasicBlock>,
-    /// Per-instruction live sets (coarse `SYNC` edges).
+    /// Per-instruction live sets.
     pub liveness: Dataflow,
-    /// Dominators, post-dominators and coalescing regions (matched `SYNC`
-    /// edges, coarse when the bracket structure cannot be established).
+    /// Dominators, post-dominators and coalescing regions.
     pub dom: Dom,
 }
 
@@ -36,9 +36,9 @@ impl Analysis {
     pub fn of(instrs: &[Instruction], arch: Arch) -> Result<Analysis, CfgFailure> {
         common::obs::counter("sass.analysis", 1);
         let blocks = cfg::basic_blocks(instrs, arch)?;
-        let edges = Edges::of(instrs, &blocks, arch);
-        let liveness = Dataflow::solve(instrs, &blocks, &edges);
-        let dom = Dom::solve(instrs, &blocks, &edges);
+        let flow = cfg::flow(instrs, &blocks, arch);
+        let liveness = Dataflow::solve(instrs, &blocks, &flow);
+        let dom = Dom::solve(instrs, &blocks, &flow);
         Ok(Analysis { blocks, liveness, dom })
     }
 }
@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn bundle_matches_the_standalone_entry_points() {
-        // SSY/SYNC diamond inside a loop: exercises both SYNC edge models.
+        // SSY/SYNC diamond inside a loop: exercises the matched SYNC edges.
         let text = "\
 top:
     SSY join ;

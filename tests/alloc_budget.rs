@@ -348,6 +348,10 @@ const PARENT_HASHES: [u64; 15] = [
     0xe393_a5c9_2981_2c3a,
     0x2163_3dc5_d6cb_ce7f,
     0xa894_c0c9_e34a_2dc3,
-    0x66e3_2417_831e_5d17,
+    // spmv at `Spliced` moved when liveness began walking the matched
+    // `SYNC` resume edges (`sass::cfg::flow`) instead of every `SSY` target:
+    // a splice picked other dead registers; its saved slots (0) and cycles
+    // (977) are unchanged.
+    0xabdc_7ca4_446f_4865,
     0xa261_76c3_1005_4c39,
 ];
