@@ -108,9 +108,18 @@ printf '  %-10s %6d\n' total "$total"
 # `CAL` target and falling back when a `RET` runs inside an open region or
 # no entry reaches a `SYNC` block, and of core naming the tool-call
 # registers and argument slots from `ptx::regalloc` instead of restating
-# them as literals.
-printf '  %-10s %6d  (sass + core + common, ceiling 9387)\n' jit "$jit"
-if [ "$jit" -gt 9387 ]; then
+# them as literals. One implementation each lowered it by its measured -38
+# (9,349): the codec is one struct (`sass::codec::Codec`, the statics `ENC64`
+# and `ENC128`) instead of a trait over two zero-sized types with two copies
+# of the length check (its one decoder is inlined once per family, so the
+# widths stay constants on the simulator's fetch path, and
+# `Arch::instruction_size` reads the codec's), a planned call's lowering is
+# one enum (`plan::Lowering`) instead of a flag and a code list, and a tool function
+# always carries its body, so `ToolFn::opaque` and codegen's and the
+# verifier's handling of a missing body are gone; net of `plan::Promotion`
+# stating the site prologue and epilogue it emits.
+printf '  %-10s %6d  (sass + core + common, ceiling 9349)\n' jit "$jit"
+if [ "$jit" -gt 9349 ]; then
     echo "sass + core + common grew past its ceiling" >&2
     exit 1
 fi
@@ -181,8 +190,13 @@ fi
 # the paper's per-basic-block variant, exact. The basic-block counter, the
 # issue-level and per-site counting bodies, the counter's body selector and
 # the histogram's per-site path are gone: the measured 1,330 (from 1,590).
-printf '  %-10s %6d  (tools, ceiling 1330)\n' tools "$tools"
-if [ "$tools" -gt 1330 ]; then
+# Instrumenting each function once, including a device function two kernels
+# call, moved it by its measured +10 (1,340): one helper (`uninstrumented` in
+# lib.rs) that the counter, the histogram, the divergence tool and the trace
+# channel share in place of their own target lists and per-kernel sets, and
+# the trace channel now instruments the functions a kernel calls too.
+printf '  %-10s %6d  (tools, ceiling 1340)\n' tools "$tools"
+if [ "$tools" -gt 1340 ]; then
     echo "tools grew past its ceiling" >&2
     exit 1
 fi
@@ -315,6 +329,16 @@ shapes=$(awk '/#\[cfg\(test\)\]/ { exit } /"[^"]*( without [a-z]|operands must b
 if [ -n "$shapes" ]; then
     echo "a retired operand-shape fault is back in the executor:" >&2
     echo "$shapes" >&2
+    exit 1
+fi
+
+# One implementation each: one codec struct, one lowering per planned call,
+# one tool-function constructor, whose body is always there. The codec trait,
+# the bodiless registration and the flag-plus-list lowering do not come back.
+twins=$(grep -rnE 'trait Codec|ToolFn::opaque|pub inline: bool|pub promoted:' crates/*/src || true)
+if [ -n "$twins" ]; then
+    echo "a retired second implementation is back:" >&2
+    echo "$twins" >&2
     exit 1
 fi
 

@@ -19,7 +19,7 @@
 //! 4. jumps back to the next original instruction.
 
 use crate::hal::Hal;
-use crate::plan::{InstrumentationPlan, PlanStats, PlannedCall, Promotion};
+use crate::plan::{InstrumentationPlan, Lowering, PlanStats, PlannedCall, Promotion};
 use crate::saverestore::{frame_bytes, tier_for, Routines};
 use crate::spec::{abi_slots, arg_window, Arg, IPoint};
 use crate::{NvbitError, Result};
@@ -59,8 +59,8 @@ pub struct ToolFn {
     /// whole-function tier regardless of liveness.
     pub uses_reg_api: bool,
     /// The function's instruction body as loaded, retained for the inline
-    /// pass and the pre-swap verifier (`None` for opaque registrations).
-    pub body: Option<Arc<Vec<Instruction>>>,
+    /// pass and the pre-swap verifier.
+    pub body: Arc<[Instruction]>,
     /// Set when the body is spliceable: small, call-free, no stack-pointer
     /// writes, no register device API, a single unguarded trailing `RET`, and a
     /// control-flow shape [`sass::pressure::body_shape`] accepts
@@ -79,8 +79,8 @@ pub struct ToolFn {
     /// compiled under the standard ABI, whose epilogue restores every
     /// callee-saved register, so this never exceeds the first
     /// callee-saved register (R16) even when the body itself writes higher.
-    /// `None` when unknown (opaque registration or a body with calls); the
-    /// clobber then falls back to `reg_count`.
+    /// `None` when unknown (a body with calls); the clobber then falls back
+    /// to `reg_count`.
     pub call_ceiling: Option<u8>,
     /// Set when the body is spliceable and has one effect it can be lowered to.
     pub effect: Option<Effect>,
@@ -205,22 +205,6 @@ fn write_ceiling_of(body: &[Instruction]) -> u8 {
 }
 
 impl ToolFn {
-    /// A registration with no retained body: never inlined, clobber sized
-    /// by `reg_count` alone.
-    pub fn opaque(addr: u64, reg_count: u32, stack_size: u32, uses_reg_api: bool) -> ToolFn {
-        ToolFn {
-            addr,
-            reg_count,
-            stack_size,
-            uses_reg_api,
-            body: None,
-            inlinable: false,
-            write_ceiling: None,
-            call_ceiling: None,
-            effect: None,
-        }
-    }
-
     /// The entry of a function installed at `addr` whose compile used
     /// `reg_count` registers and a `stack_size`-byte callee-save frame:
     /// `body` is that compile without its callee-save bracket
@@ -248,7 +232,7 @@ impl ToolFn {
             uses_reg_api,
             call_ceiling,
             effect: inlinable.then(|| effect_of(&body, arch)).flatten(),
-            body: Some(Arc::new(body)),
+            body: body.into(),
             inlinable,
             write_ceiling,
         }
@@ -375,7 +359,8 @@ pub(crate) fn arg_demand(arg: &Arg) -> u32 {
 /// (the frame pointer), the ABI argument window and what the standard-ABI
 /// callee leaves clobbered (a spliced body: all it writes).
 pub(crate) fn clobber(call: &PlannedCall, tf: &ToolFn) -> u32 {
-    let ceiling = if call.inline { tf.write_ceiling } else { tf.call_ceiling };
+    let ceiling =
+        if call.lowering == Lowering::Splice { tf.write_ceiling } else { tf.call_ceiling };
     ceiling.map_or(tf.reg_count, u32::from).max(u32::from(arg_window(&call.args))).max(1)
 }
 
@@ -466,8 +451,8 @@ impl Emit<'_> {
     /// predicates than there are dead unused ones to move them onto (the
     /// routines save the predicate file; an exact bracket does not).
     fn exact_live(&self, idx: usize, call: &PlannedCall) -> Option<LiveSet> {
-        let df = self.liveness.filter(|_| call.inline)?;
-        let body = self.tool_fns[&call.func].body.as_deref()?;
+        let df = self.liveness.filter(|_| call.lowering == Lowering::Splice)?;
+        let body = &self.tool_fns[&call.func].body;
         let mut live = *live_at(df, idx, call.ipoint);
         live.union_with(&self.observed);
         let (used, written) = pred_masks(body);
@@ -494,9 +479,8 @@ impl Emit<'_> {
 ///
 /// # Errors
 ///
-/// [`NvbitError::BadRequest`] for argument-ABI violations, register
-/// demands beyond the register file, or an inline-marked call without a
-/// retained body.
+/// [`NvbitError::BadRequest`] for argument-ABI violations or register
+/// demands beyond the register file.
 #[allow(clippy::too_many_arguments)] // the paper's six codegen inputs + policy
 pub(crate) fn prepare(
     hal: &Hal,
@@ -580,9 +564,10 @@ pub(crate) fn prepare(
         exact.extend(planned.iter().map(|c| cx.exact_live(idx, c)));
         let mut tier = 0u16;
         let mut ladder_calls = 0u64;
-        for (call, _) in
-            planned.iter().zip(&exact).filter(|(c, e)| e.is_none() && c.promoted.is_empty())
-        {
+        let ladder = |(c, e): &(&PlannedCall, &Option<_>)| {
+            e.is_none() && !matches!(c.lowering, Lowering::Code(_))
+        };
+        for (call, _) in planned.iter().zip(&exact).filter(ladder) {
             ladder_calls += 1;
             let tf = &tool_fns[&call.func];
             let need = match liveness {
@@ -702,10 +687,10 @@ fn emit_site(
 
     // Counter promotion zeroes its pairs at entry and flushes them ahead of
     // each `EXIT`, under the `EXIT`'s guard.
-    out.extend(cx.promotion.zeroing().filter(|_| idx == 0));
+    out.extend(cx.promotion.prologue(idx));
     emit_calls(cx, IPoint::Before, out)?;
     let mut orig = if cx.removed.contains(&idx) { Instruction::nop() } else { cx.original[idx] };
-    out.extend(cx.promotion.flush(orig.guard).filter(|_| orig.op == Op::Exit));
+    out.extend(cx.promotion.epilogue(&orig));
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
     // removed (the PROXY-emulation path of §6.3).
@@ -760,10 +745,14 @@ fn emit_call(
 ) -> Result<Option<(usize, usize)>> {
     let tool = &cx.tool_fns[&call.func];
     let guard = cx.original[idx].guard;
-    if !call.promoted.is_empty() {
-        out.extend_from_slice(&call.promoted);
-        return Ok(Some((out.len() - call.promoted.len() - site, call.promoted.len())));
-    }
+    let body = match &call.lowering {
+        Lowering::Code(code) => {
+            out.extend_from_slice(code);
+            return Ok(Some((out.len() - code.len() - site, code.len())));
+        }
+        Lowering::Splice => Some(&tool.body[..]),
+        Lowering::Call => None,
+    };
     // The wrapper's targets depend on the length of what it wraps: emitted
     // first with none, set once the sequence is there.
     let wrapper = (call.pred_filter && !guard.is_always()).then_some(out.len());
@@ -777,13 +766,6 @@ fn emit_call(
         );
     }
 
-    let body = match (call.inline, &tool.body) {
-        (true, None) => {
-            let why = format!("call to `{}` marked inline but no body was retained", call.func);
-            return Err(NvbitError::BadRequest(why));
-        }
-        (inline, body) => body.as_deref().filter(|_| inline),
-    };
     let inline_span = match (exact, body) {
         (Some(live), Some(body)) => Some(emit_exact(cx, live, guard, call, body, out)?),
         _ => {
@@ -1035,6 +1017,15 @@ fn load_reg(r: u8, d: Reg, slot: Option<usize>, frame: u32) -> Instruction {
 }
 
 #[cfg(test)]
+/// A tool function whose body makes a call (`JCAL 0x0 ; RET`): never spliced
+/// or lowered, and an out-of-line call of it clobbers `reg_count` registers.
+pub(crate) fn calling(addr: u64, reg_count: u32, stack_size: u32, uses_reg_api: bool) -> ToolFn {
+    let body = vec![Instruction::new(Op::Jcal, [Operand::Abs(0)]), Instruction::new(Op::Ret, [])];
+    // A body with a call is classified no further, on either family.
+    ToolFn::with_body(addr, reg_count, stack_size, uses_reg_api, body, sass::Arch::Volta)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{self, PlanLevel, PlanOpts, NO_ANALYSIS};
@@ -1146,7 +1137,7 @@ mod tests {
 
     fn tool_fns() -> ToolFns {
         let mut m = HashMap::new();
-        m.insert("ifunc".into(), ToolFn::opaque(0x8000, 8, 16, false));
+        m.insert("ifunc".into(), calling(0x8000, 8, 16, false));
         m
     }
 
@@ -1538,7 +1529,7 @@ mod tests {
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut fns = tool_fns();
-        fns.insert("regapi".into(), ToolFn::opaque(0x8800, 8, 0, true));
+        fns.insert("regapi".into(), calling(0x8800, 8, 0, true));
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "regapi", IPoint::Before);
         let img = generate(
@@ -2211,9 +2202,9 @@ mod tests {
         };
         let with_body = run(&leaf_fns(&hal, 100));
         assert_eq!(with_body.sites[0].tier, 16);
-        let mut opaque = HashMap::new();
-        opaque.insert("leaf".into(), ToolFn::opaque(0x8000, 100, 0, false));
-        let without = run(&opaque);
+        let mut called = HashMap::new();
+        called.insert("leaf".into(), calling(0x8000, 100, 0, false));
+        let without = run(&called);
         assert_eq!(without.sites[0].tier, 128, "R90 inside the 100-register clobber window");
     }
 
@@ -2539,7 +2530,7 @@ mod tests {
             "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;",
         ];
         let spliced = tool(hal, "pmult", PMULT);
-        let out_of_line = HashMap::from([("pmult".into(), ToolFn::opaque(0x8000, 10, 0, false))]);
+        let out_of_line = HashMap::from([("pmult".into(), calling(0x8000, 10, 0, false))]);
         let routines = fake_routines();
         let mut out = Vec::new();
         for app in apps {

@@ -636,7 +636,7 @@ impl<'a> NvbitApi<'a> {
         Ok(())
     }
 
-    /// The loaded tool functions (name → device address).
+    /// The names of the loaded tool functions, sorted.
     pub fn tool_functions(&self) -> Vec<String> {
         let mut v: Vec<String> =
             self.state.tool_fns.borrow().keys().map(|name| name.to_string()).collect();

@@ -54,7 +54,7 @@ impl Hal {
     }
 
     /// The family codec (assembler/disassembler at the binary level).
-    pub fn codec(&self) -> &'static dyn Codec {
+    pub fn codec(&self) -> &'static Codec {
         codec_for(self.arch)
     }
 

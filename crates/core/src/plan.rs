@@ -111,11 +111,20 @@ pub struct PlannedCall {
     pub pred_filter: bool,
     /// The call follows the multiplicity protocol.
     pub coalesce: bool,
-    /// Splice the tool function's body instead of emitting a `JCAL`.
-    pub inline: bool,
-    /// A lowered call's code instead of a call or a splice (empty if none):
+    /// What the code generator emits for the call.
+    pub lowering: Lowering,
+}
+
+/// How a [`PlannedCall`] is emitted: called, spliced or lowered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lowering {
+    /// A `JCAL` of the tool function.
+    Call,
+    /// The tool function's body in place of the `JCAL`/`RET` pair.
+    Splice,
+    /// Effect lowering's code in place of a call or a splice:
     /// `[@g] IADD.U64 pair, pair, value` or `IADD.U64 s, base, off ; [@g] CHAN.64 s`.
-    pub promoted: InlineVec<Instruction, 2>,
+    Code(InlineVec<Instruction, 2>),
 }
 
 /// `op` on 64-bit values.
@@ -146,17 +155,21 @@ impl Promotion {
         self.scratch.map_or(0..0, |s| s.0..s.0 + 2 * self.pairs.len() as u8 + 2)
     }
 
-    /// `IADD.U64 pair, RZ, 0` per pair.
-    pub(crate) fn zeroing(&self) -> impl Iterator<Item = Instruction> + '_ {
+    /// What opens the site of instruction `idx`: at instruction 0, the
+    /// zeroing, `IADD.U64 pair, RZ, 0` per pair.
+    pub(crate) fn prologue(&self, idx: usize) -> impl Iterator<Item = Instruction> + '_ {
         let zero = |p| [Operand::Reg(p), Operand::Reg(Reg::RZ), Operand::Imm(0)];
-        self.pairs.iter().map(move |&(_, p)| wide(Op::Iadd, zero(p), SubOp::None))
+        let pairs = self.pairs.iter().filter(move |_| idx == 0);
+        pairs.map(move |&(_, p)| wide(Op::Iadd, zero(p), SubOp::None))
     }
 
-    /// Per pair, the counter's address into the scratch pair, then
-    /// `@guard RED.ADD.U64 [scratch], pair`.
-    pub(crate) fn flush(&self, guard: Guard) -> impl Iterator<Item = Instruction> + '_ {
+    /// What runs ahead of the relocated original `orig`: when it is an
+    /// `EXIT`, the flush, per pair the counter's address into the scratch
+    /// pair, then `@guard RED.ADD.U64 [scratch], pair` under `orig`'s guard.
+    pub(crate) fn epilogue(&self, orig: &Instruction) -> impl Iterator<Item = Instruction> + '_ {
         let mov = |r, v| Instruction::new(Op::Mov32i, [Operand::Reg(r), Operand::Imm(v)]);
-        let pairs = self.scratch.into_iter().flat_map(|s| self.pairs.iter().map(move |p| (s, p)));
+        let (scratch, guard) = (self.scratch.filter(|_| orig.op == Op::Exit), orig.guard);
+        let pairs = scratch.into_iter().flat_map(|s| self.pairs.iter().map(move |p| (s, p)));
         pairs.flat_map(move |(s, &(addr, p))| {
             let red =
                 wide(Op::Red, [Operand::MRef { base: s, offset: 0 }, Operand::Reg(p)], SubOp::Add);
@@ -322,7 +335,7 @@ pub fn build(
         // plans present identical tool signatures.
         let multiplicity = group(&requests, head).count() as i32;
         args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity)));
-        let inline = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
+        let spliced = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
         sites.entry(r.inj.idx).or_default().push(PlannedCall {
             func: r.inj.func.clone(),
@@ -330,8 +343,7 @@ pub fn build(
             args,
             pred_filter: r.inj.pred_filter,
             coalesce: r.inj.coalesce,
-            inline,
-            promoted: InlineVec::default(),
+            lowering: if spliced { Lowering::Splice } else { Lowering::Call },
         });
     }
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
@@ -343,9 +355,11 @@ pub fn build(
     };
     if opts.level >= PlanLevel::Spliced {
         for c in sites.values().flatten() {
-            stats.inline_accepted += u64::from(c.inline);
-            stats.promoted_calls += u64::from(!c.promoted.is_empty());
-            stats.inline_declined += u64::from(!c.inline && c.promoted.is_empty());
+            match c.lowering {
+                Lowering::Call => stats.inline_declined += 1,
+                Lowering::Splice => stats.inline_accepted += 1,
+                Lowering::Code(_) => stats.promoted_calls += 1,
+            }
         }
     }
     stats.promoted_pairs = promotion.pairs.len() as u64;
@@ -397,7 +411,7 @@ fn promote(
             Some(Some(Arg::Imm32(p))) if p != 0 => Guard::ALWAYS,
             _ => continue,
         };
-        call.promoted = match e {
+        call.lowering = Lowering::Code(match e {
             Effect::Counter { addr, value, .. } => {
                 let value = match (value, value.as_reg().and_then(|r| arg(r.0))) {
                     (_, Some(Arg::Imm32(v))) => i64::from(v as u32),
@@ -428,10 +442,10 @@ fn promote(
                 }
                 _ => continue,
             },
-        };
-        call.inline = false;
+        });
     }
-    promotion.scratch = sites.values().flatten().any(|c| !c.promoted.is_empty()).then_some(scratch);
+    let lowered = |c: &PlannedCall| matches!(c.lowering, Lowering::Code(_));
+    promotion.scratch = sites.values().flatten().any(lowered).then_some(scratch);
     let exits =
         body.iter().enumerate().filter(|(i, ins)| ins.op == Op::Exit && !removed.contains(i));
     for i in [0].into_iter().chain(exits.map(|(i, _)| i)).filter(|_| !promotion.pairs.is_empty()) {
@@ -568,7 +582,7 @@ skip:
 
     fn fns(inlinable: bool) -> HashMap<Arc<str>, ToolFn> {
         let mut m = HashMap::new();
-        let mut f = ToolFn::opaque(0x8000, 8, 0, false);
+        let mut f = crate::codegen::calling(0x8000, 8, 0, false);
         f.inlinable = inlinable;
         m.insert("f".into(), f);
         m
@@ -680,12 +694,16 @@ skip:
         let mut spec = FuncSpec::default();
         spec.insert_call(0, "f", IPoint::Before);
         let on = build_for(&spec, &body, &fns(true), PlanOpts::default()).unwrap();
-        assert!(on.sites[&0][0].inline);
+        assert_eq!(on.sites[&0][0].lowering, Lowering::Splice);
         assert_eq!(on.stats.inline_accepted, 1);
         let off = build_for(&spec, &body, &fns(true), at(PlanLevel::Region)).unwrap();
-        assert!(!off.sites[&0][0].inline, "splicing is the top rung only");
-        let opaque = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
-        assert!(!opaque.sites[&0][0].inline, "non-leaf tools are never inlined");
+        assert_eq!(off.sites[&0][0].lowering, Lowering::Call, "splicing is the top rung only");
+        let non_leaf = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
+        assert_eq!(
+            non_leaf.sites[&0][0].lowering,
+            Lowering::Call,
+            "non-leaf tools are never inlined"
+        );
     }
 
     #[test]
@@ -709,13 +727,16 @@ skip:
         spec.insert_call(2, "f", IPoint::Before);
 
         let top = build_for(&spec, &body, &tool_fns, PlanOpts::default()).unwrap();
-        assert!(top.sites[&1][0].inline, "spliceable body");
-        assert!(!top.sites[&2][0].inline, "opaque body");
+        assert_eq!(top.sites[&1][0].lowering, Lowering::Splice, "spliceable body");
+        assert_eq!(top.sites[&2][0].lowering, Lowering::Call, "body with a call");
         assert_eq!((top.stats.inline_accepted, top.stats.inline_declined), (1, 1));
         assert_eq!(top.stats.emitted_calls, 2);
         for level in [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region] {
             let plan = build_for(&spec, &body, &tool_fns, at(level)).unwrap();
-            assert!(plan.sites.values().flatten().all(|c| !c.inline), "{level:?}");
+            assert!(
+                plan.sites.values().flatten().all(|c| c.lowering == Lowering::Call),
+                "{level:?}"
+            );
             assert_eq!((plan.stats.inline_accepted, plan.stats.inline_declined), (0, 0));
         }
     }
@@ -936,7 +957,11 @@ b:
 
     fn promoted(plan: &InstrumentationPlan) -> Vec<(usize, Vec<Instruction>)> {
         let calls = plan.sites.iter().flat_map(|(i, calls)| calls.iter().map(move |c| (*i, c)));
-        calls.map(|(i, c)| (i, c.promoted.to_vec())).collect()
+        let code = |c: &PlannedCall| match &c.lowering {
+            Lowering::Code(code) => code.to_vec(),
+            Lowering::Call | Lowering::Splice => vec![],
+        };
+        calls.map(|(i, c)| (i, code(c))).collect()
     }
 
     #[test]
@@ -957,7 +982,7 @@ b:
             (5, increment("", 20, 1)),
         ];
         assert_eq!(promoted(&plan), expect);
-        assert!(plan.sites.values().flatten().all(|c| !c.inline));
+        assert!(plan.sites.values().flatten().all(|c| matches!(c.lowering, Lowering::Code(_))));
         let s = plan.stats;
         assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (4, 2, 0));
         // One rung down nothing is promoted and every call is spliced.
@@ -997,7 +1022,7 @@ b:
         assert_eq!(s.inline_accepted + s.inline_declined + s.promoted_calls, s.emitted_calls);
         assert_eq!(
             s.inline_accepted,
-            plan.sites.values().flatten().filter(|c| c.inline).count() as u64
+            plan.sites.values().flatten().filter(|c| c.lowering == Lowering::Splice).count() as u64
         );
         assert_eq!(s.promoted_pairs, plan.promotion.pairs.len() as u64);
         s.promoted_calls > 0
@@ -1031,7 +1056,7 @@ b:
     #[test]
     fn a_register_device_api_call_promotes_nothing() {
         let mut fns = counter();
-        fns.insert("regs".into(), ToolFn::opaque(0x9000, 8, 0, true));
+        fns.insert("regs".into(), crate::codegen::calling(0x9000, 8, 0, true));
         let with_regs = |s: &mut FuncSpec| s.insert_call(0, "regs", IPoint::Before);
         assert!(!promotes(BODY, &fns, with_regs));
     }
@@ -1049,7 +1074,7 @@ b:
         spec.set_pred_filter(4);
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
         assert_eq!(promoted(&plan), [(3, vec![]), (4, vec![])]);
-        assert!(plan.sites.values().flatten().all(|c| c.inline));
+        assert!(plan.sites.values().flatten().all(|c| c.lowering == Lowering::Splice));
         // Neither a zero predicate: such a call never counts.
         let mut spec = counted(&body.0, |_| 0xa0);
         spec.insert_call(1, "count", IPoint::Before);
@@ -1076,11 +1101,7 @@ b:
         );
         let s = plan.stats;
         assert_eq!((s.promoted_calls, s.inline_accepted, s.promoted_pairs), (5, 3, 5));
-        assert!(plan
-            .sites
-            .range(5..)
-            .flat_map(|(_, c)| c)
-            .all(|c| c.inline && c.promoted.is_empty()));
+        assert!(plan.sites.range(5..).flat_map(|(_, c)| c).all(|c| c.lowering == Lowering::Splice));
         // Past R252 nothing is left, not even the scratch pair.
         let body = analyzed("MOV R252, R0 ;\nEXIT ;");
         let plan = build_for(&counted(&body.0, |_| 8), &body, &counter(), PlanOpts::default());
@@ -1141,7 +1162,7 @@ b:
         {
             let plan = traced(4, pred, off, filtered);
             assert_eq!(promoted(&plan), [(4, vec![])], "{pred:?} {off} {filtered}");
-            assert!(plan.sites[&4][0].inline);
+            assert_eq!(plan.sites[&4][0].lowering, Lowering::Splice);
             assert_eq!(plan.promotion, Promotion::default());
         }
     }

@@ -36,7 +36,7 @@
 
 use crate::codegen::{SiteMeta, ToolFns};
 use crate::hal::Hal;
-use crate::plan::{InstrumentationPlan, PlannedCall};
+use crate::plan::{InstrumentationPlan, Lowering, PlannedCall};
 use crate::saverestore::{frame_slots, Routines};
 use crate::spec::IPoint;
 use common::InlineVec;
@@ -432,7 +432,7 @@ fn check_calls(
             .filter(|c| !after(c))
             .chain(planned.iter().filter(after).filter(|_| falls_through))
     };
-    let called = emitted().filter(|c| !c.inline && c.promoted.is_empty());
+    let called = emitted().filter(|c| c.lowering == Lowering::Call);
     let called = called.map(|c| (after(&c), req.tool_fns.get(&c.func).map(|f| f.addr)));
     let calls =
         body.iter().enumerate().filter_map(|(pos, ins)| match (ins.op, ins.operands.first()) {
@@ -447,20 +447,20 @@ fn check_calls(
 
     for (call, splice) in emitted().zip(&site.calls) {
         let func = &call.func;
-        if (call.inline || !call.promoted.is_empty()) != splice.is_some() {
+        if (call.lowering == Lowering::Call) == splice.is_some() {
             let what = format!("`{func}` at {i} is not spliced or called as the plan has it");
             report(DiagKind::PlanMismatch, 0, what);
         }
         let Some((off, len)) = *splice else { continue };
-        if !call.promoted.is_empty() {
-            if body.get(off..off + len) != Some(&call.promoted[..]) {
+        if let Lowering::Code(code) = &call.lowering {
+            if body.get(off..off + len) != Some(&code[..]) {
                 let what = format!("`{func}` at {i} is not its lowered code");
                 report(DiagKind::PlanMismatch, off.min(site.len - 1), what);
             }
             continue;
         }
         let tool = req.tool_fns.get(func);
-        let loaded = tool.and_then(|t| t.body.as_deref()).filter(|fn_body| {
+        let loaded = tool.map(|t| &t.body[..]).filter(|fn_body| {
             off + len <= site.len
                 && len > 0
                 && fn_body.len() == len
@@ -637,25 +637,25 @@ fn walk(
         };
         check_brackets(hal, (site, body), live, req, &mut pending, &mut diags);
 
-        // Effect lowering: the zeroing opens instruction 0's site, the flush
-        // ends an `EXIT`'s, and they and the spans of a lowered call's length
-        // alone name a reserved register.
-        let n = promotion.pairs.len();
-        let exit = displaced.filter(|d| d.op == Op::Exit && n > 0);
-        let zero = 0..if i == 0 { n } else { 0 };
-        let flush = exit.map_or(0..0, |_| site.orig_pos.saturating_sub(3 * n)..site.orig_pos);
+        // Effect lowering: the site's prologue opens it, its epilogue runs
+        // ahead of the relocated original, and they and the spans of a
+        // lowered call's length alone name a reserved register.
+        let epilogue = || displaced.iter().flat_map(|d| promotion.epilogue(d));
+        let (zero, flushes) = (0..promotion.prologue(i).count(), epilogue().count());
+        let flush = site.orig_pos.saturating_sub(flushes)..site.orig_pos;
         let runs = |at: &std::ops::Range<usize>, code: &mut dyn Iterator<Item = Instruction>| {
             body.get(at.clone()).is_some_and(|b| b.iter().copied().eq(code))
         };
         let planned = plan.sites.get(&i);
-        let lowered = |l: usize| planned.into_iter().flatten().any(|c| c.promoted.len() == l);
+        let code = |c: &PlannedCall, l| matches!(&c.lowering, Lowering::Code(k) if k.len() == l);
+        let lowered = |l: usize| planned.into_iter().flatten().any(|c| code(c, l));
         let owns = |p: usize| {
             let in_lowered = |&(o, l): &(usize, usize)| (o..o + l).contains(&p) && lowered(l);
             zero.contains(&p) || flush.contains(&p) || site.calls.iter().flatten().any(in_lowered)
         };
         let stray = (0..site.len).find(|&p| !owned.is_empty() && names(&body[p]) && !owns(p));
-        let flushed = exit.is_none_or(|d| runs(&flush, &mut promotion.flush(d.guard)));
-        if !runs(&zero, &mut promotion.zeroing().take(zero.len())) || !flushed || stray.is_some() {
+        let flushed = flushes == 0 || runs(&flush, &mut epilogue());
+        if !runs(&zero, &mut promotion.prologue(i)) || !flushed || stray.is_some() {
             let what = format!("site for instruction {i} breaks effect lowering");
             diags.push(at(DiagKind::PromotionMismatch, stray.unwrap_or(0), what));
         }
@@ -728,9 +728,9 @@ mod tests {
         Instruction::new(Op::Jcal, [Operand::Abs(addr)])
     }
 
-    /// `f` at `TOOL` with no body the verifier could compare a splice to.
-    fn opaque() -> ToolFns {
-        HashMap::from([("f".into(), ToolFn::opaque(TOOL, 8, 0, false))])
+    /// `f` at `TOOL`, its body a call that no splice in these tests matches.
+    fn unspliced() -> ToolFns {
+        HashMap::from([("f".into(), crate::codegen::calling(TOOL, 8, 0, false))])
     }
 
     /// `f` at `TOOL` with `body` loaded.
@@ -746,8 +746,7 @@ mod tests {
             args: vec![],
             pred_filter: false,
             coalesce: true,
-            inline: false,
-            promoted: InlineVec::default(),
+            lowering: Lowering::Call,
         }
     }
 
@@ -756,7 +755,9 @@ mod tests {
     fn plan_of(sites: &[SiteMeta]) -> InstrumentationPlan {
         let mut plan = InstrumentationPlan::default();
         for site in sites {
-            let call = |s: &Option<_>| PlannedCall { inline: s.is_some(), ..planned() };
+            let lowering =
+                |s: &Option<_>| if s.is_some() { Lowering::Splice } else { Lowering::Call };
+            let call = |s: &Option<_>| PlannedCall { lowering: lowering(s), ..planned() };
             plan.sites.insert(site.instr_idx, site.calls.iter().map(call).collect());
         }
         plan
@@ -832,7 +833,7 @@ mod tests {
         tramp: &[Instruction],
         sites: &[SiteMeta],
     ) -> Vec<Diagnostic> {
-        walk_with(original, (image, tramp, sites), &plan_of(sites), &opaque())
+        walk_with(original, (image, tramp, sites), &plan_of(sites), &unspliced())
     }
 
     /// The kinds reported for [`good`] after `corrupt` had its way with the
@@ -848,7 +849,7 @@ mod tests {
         corrupt(&mut image, &mut tramp);
         let mut plan = plan_of(&sites);
         plan.removed.extend(removed);
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
         d.iter().map(|d| d.kind).collect()
     }
 
@@ -1123,7 +1124,7 @@ mod tests {
         original[1] = tramp[4];
         let mut plan = plan_of(&sites);
         plan.sites.insert(0, vec![planned()]);
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
         let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region, d.index)).collect();
         assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Image, 0)]);
     }
@@ -1134,7 +1135,7 @@ mod tests {
         let mut original = image.clone();
         original[1] = tramp[4];
         let plan = InstrumentationPlan::default();
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &opaque());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
         let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region)).collect();
         assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Trampoline)]);
     }
@@ -1160,7 +1161,7 @@ mod tests {
         let fns = loaded(vec![head, Instruction::new(Op::Ret, [])]);
         let (image, mut tramp, mut sites) = one_site(&original(), 0);
         splice_over_call(&mut tramp, &mut sites, vec![head]);
-        let spliced = PlannedCall { inline: true, ..planned() };
+        let spliced = PlannedCall { lowering: Lowering::Splice, ..planned() };
         assert_eq!(check(&original(), (&image, &tramp, &sites), vec![spliced], &fns), vec![]);
         let d = check(&original(), (&image, &tramp, &sites), vec![planned()], &fns);
         let kinds: Vec<_> = d.iter().map(|d| d.kind).collect();
@@ -1253,7 +1254,7 @@ mod tests {
     ) -> Vec<Diagnostic> {
         let (image, mut tramp, mut sites) = one_site(original, idx);
         splice_over_call(&mut tramp, &mut sites, body);
-        let call = PlannedCall { inline: true, ..planned() };
+        let call = PlannedCall { lowering: Lowering::Splice, ..planned() };
         check(original, (&image, &tramp, &sites), vec![call], fns)
     }
 
@@ -1270,7 +1271,7 @@ mod tests {
         let d = spliced_at(&original(), 0, vec![iadd(5, 3)], &fns);
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
         // So is a splice whose tool body was never retained.
-        let d = spliced_at(&original(), 0, vec![iadd(5, 2)], &opaque());
+        let d = spliced_at(&original(), 0, vec![iadd(5, 2)], &unspliced());
         assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
     }
 
@@ -1380,7 +1381,7 @@ mod tests {
         sites[0].len += 1;
         sites[0].orig_pos += 1;
         let run = |tramp: &[Instruction]| {
-            check(&original(), (&image, tramp, &sites), vec![planned()], &opaque())
+            check(&original(), (&image, tramp, &sites), vec![planned()], &unspliced())
         };
         assert!(run(&tramp).iter().any(|d| d.kind == DiagKind::TierExceeded));
         // The slot just below the bound is fine.

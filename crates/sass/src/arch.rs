@@ -41,10 +41,7 @@ impl Arch {
 
     /// Size in bytes of one encoded instruction on this architecture.
     pub fn instruction_size(self) -> usize {
-        match self.family() {
-            EncodingFamily::Enc64 => 8,
-            EncodingFamily::Enc128 => 16,
-        }
+        crate::codec::codec_for(self).instruction_size()
     }
 
     /// Required alignment in bytes for code placed in device memory.

@@ -11,7 +11,7 @@
 //! negate). Immediate fields are **dynamically sized**: an immediate receives
 //! every payload bit not claimed by the other fields of the format, capped at
 //! 32 bits. This means the same opcode can carry a wider immediate on
-//! `Enc128` than on `Enc64` — exactly the kind of per-family difference
+//! [`ENC128`] than on [`ENC64`] — exactly the kind of per-family difference
 //! NVBit's HAL exists to hide. Encoding a value that does not fit the
 //! family's field yields [`SassError::FieldRange`]; code generators must
 //! legalize (e.g. `MOV32I` + register operand).
@@ -22,14 +22,15 @@ use crate::op::{CmpOp, IType, OKind, Op, SubOp};
 use crate::reg::{Pred, Reg, SpecialReg};
 use crate::{Result, SassError};
 
-/// Field-width parameters distinguishing the two encoding families.
-#[derive(Debug, Clone, Copy)]
-struct Params {
+/// The binary encoder/decoder of one encoding family, [`ENC64`] or [`ENC128`]
+/// ([`codec_for`]): the family's field widths, all that tells the two apart.
+#[derive(Debug)]
+pub struct Codec {
     /// Total instruction size in bytes.
     size: usize,
     /// Bits of the opcode field.
     op_bits: u32,
-    /// Bits of the modifier field (includes the barrier slot on `Enc128`).
+    /// Bits of the modifier field (includes the barrier slot on `ENC128`).
     mods_bits: u32,
     /// Bits available to the operand payload.
     payload_bits: u32,
@@ -43,7 +44,8 @@ struct Params {
     atom_off_bits: u32,
 }
 
-const ENC64: Params = Params {
+/// The 64-bit (8-byte) encoding used by Kepler/Maxwell/Pascal-class devices.
+pub static ENC64: Codec = Codec {
     size: 8,
     op_bits: 8,
     mods_bits: 12,
@@ -54,7 +56,8 @@ const ENC64: Params = Params {
     atom_off_bits: 8,
 };
 
-const ENC128: Params = Params {
+/// The 128-bit (16-byte) encoding used by Volta-class devices.
+pub static ENC128: Codec = Codec {
     size: 16,
     op_bits: 12,
     mods_bits: 16,
@@ -65,12 +68,19 @@ const ENC128: Params = Params {
     atom_off_bits: 16,
 };
 
-/// A binary encoder/decoder for one encoding family.
-///
-/// Implementations are zero-sized; obtain one with [`codec_for`].
-pub trait Codec: Send + Sync {
+/// Returns the codec for an architecture's encoding family.
+pub fn codec_for(arch: Arch) -> &'static Codec {
+    match arch.family() {
+        EncodingFamily::Enc64 => &ENC64,
+        EncodingFamily::Enc128 => &ENC128,
+    }
+}
+
+impl Codec {
     /// Size in bytes of every encoded instruction.
-    fn instruction_size(&self) -> usize;
+    pub fn instruction_size(&self) -> usize {
+        self.size
+    }
 
     /// Appends the [`Codec::instruction_size`] bytes of one instruction's
     /// encoding to `out` (untouched on error).
@@ -79,25 +89,34 @@ pub trait Codec: Send + Sync {
     ///
     /// [`SassError::BadOperands`] if the operand list violates the opcode's
     /// format, [`SassError::FieldRange`] if a field value does not fit.
-    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()>;
+    pub fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()> {
+        let word = encode_with(self, instr)?;
+        out.extend_from_slice(&word.to_le_bytes()[..self.size]);
+        Ok(())
+    }
 
     /// Decodes one instruction from exactly [`Codec::instruction_size`] bytes.
     ///
     /// # Errors
     ///
     /// [`SassError::BadEncoding`] on invalid field values or wrong length.
-    fn decode(&self, bytes: &[u8]) -> Result<Instruction>;
+    pub fn decode(&self, bytes: &[u8]) -> Result<Instruction> {
+        // Decoding is on the simulator's fetch path: a copy per family, widths constant.
+        if self.size == ENC64.size {
+            decode_with(&ENC64, bytes)
+        } else {
+            decode_with(&ENC128, bytes)
+        }
+    }
 
     /// Encodes a sequence of instructions into a contiguous stream.
     ///
     /// # Errors
     ///
     /// Propagates the first per-instruction failure.
-    fn encode_stream(&self, instrs: &[Instruction]) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(instrs.len() * self.instruction_size());
-        for i in instrs {
-            self.encode_into(i, &mut out)?;
-        }
+    pub fn encode_stream(&self, instrs: &[Instruction]) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(instrs.len() * self.size);
+        instrs.iter().try_for_each(|i| self.encode_into(i, &mut out))?;
         Ok(out)
     }
 
@@ -107,71 +126,15 @@ pub trait Codec: Send + Sync {
     ///
     /// [`SassError::TruncatedStream`] if the length is not a multiple of the
     /// instruction size; otherwise the first per-instruction failure.
-    fn decode_stream(&self, bytes: &[u8]) -> Result<Vec<Instruction>> {
-        let sz = self.instruction_size();
-        if !bytes.len().is_multiple_of(sz) {
-            return Err(SassError::TruncatedStream { len: bytes.len(), instr_size: sz });
+    pub fn decode_stream(&self, bytes: &[u8]) -> Result<Vec<Instruction>> {
+        if !bytes.len().is_multiple_of(self.size) {
+            return Err(SassError::TruncatedStream { len: bytes.len(), instr_size: self.size });
         }
-        let mut out = Vec::with_capacity(bytes.len() / sz);
-        for word in bytes.chunks_exact(sz) {
+        let mut out = Vec::with_capacity(bytes.len() / self.size);
+        for word in bytes.chunks_exact(self.size) {
             out.push(self.decode(word)?);
         }
         Ok(out)
-    }
-}
-
-/// The 64-bit (8-byte) encoding used by Kepler/Maxwell/Pascal-class devices.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Enc64;
-
-/// The 128-bit (16-byte) encoding used by Volta-class devices.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Enc128;
-
-impl Codec for Enc64 {
-    fn instruction_size(&self) -> usize {
-        ENC64.size
-    }
-    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()> {
-        let word = encode_with(&ENC64, instr)?;
-        out.extend_from_slice(&(word as u64).to_le_bytes());
-        Ok(())
-    }
-    fn decode(&self, bytes: &[u8]) -> Result<Instruction> {
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| SassError::BadEncoding {
-            offset: 0,
-            reason: format!("expected 8 bytes, got {}", bytes.len()),
-        })?;
-        decode_with(&ENC64, u64::from_le_bytes(arr) as u128)
-    }
-}
-
-impl Codec for Enc128 {
-    fn instruction_size(&self) -> usize {
-        ENC128.size
-    }
-    fn encode_into(&self, instr: &Instruction, out: &mut Vec<u8>) -> Result<()> {
-        let word = encode_with(&ENC128, instr)?;
-        out.extend_from_slice(&word.to_le_bytes());
-        Ok(())
-    }
-    fn decode(&self, bytes: &[u8]) -> Result<Instruction> {
-        let arr: [u8; 16] = bytes.try_into().map_err(|_| SassError::BadEncoding {
-            offset: 0,
-            reason: format!("expected 16 bytes, got {}", bytes.len()),
-        })?;
-        decode_with(&ENC128, u128::from_le_bytes(arr))
-    }
-}
-
-static ENC64_CODEC: Enc64 = Enc64;
-static ENC128_CODEC: Enc128 = Enc128;
-
-/// Returns the codec for an architecture's encoding family.
-pub fn codec_for(arch: Arch) -> &'static dyn Codec {
-    match arch.family() {
-        EncodingFamily::Enc64 => &ENC64_CODEC,
-        EncodingFamily::Enc128 => &ENC128_CODEC,
     }
 }
 
@@ -241,7 +204,7 @@ fn unsigned_fits(v: u64, bits: u32) -> bool {
 
 /// Static payload bits of one operand slot (immediates return `None`: they
 /// are sized dynamically from the remaining budget).
-fn static_bits(p: &Params, kind: OKind) -> Option<u32> {
+fn static_bits(p: &Codec, kind: OKind) -> Option<u32> {
     match kind {
         OKind::RegW | OKind::RegR | OKind::SReg => Some(8),
         OKind::PredW | OKind::PredR => Some(4),
@@ -257,7 +220,7 @@ fn static_bits(p: &Params, kind: OKind) -> Option<u32> {
 /// Width of the immediate field at `idx` in the format: all the payload bits
 /// not consumed by other fields (plus the 1-bit kind flag for `RegRI`),
 /// capped at 32.
-fn imm_bits(p: &Params, fmt: &[OKind], idx: usize) -> u32 {
+fn imm_bits(p: &Codec, fmt: &[OKind], idx: usize) -> u32 {
     let mut used = 0u32;
     for (i, k) in fmt.iter().enumerate() {
         if i == idx {
@@ -272,7 +235,7 @@ fn imm_bits(p: &Params, fmt: &[OKind], idx: usize) -> u32 {
     (p.payload_bits - used).min(32)
 }
 
-fn encode_with(p: &Params, instr: &Instruction) -> Result<u128> {
+fn encode_with(p: &Codec, instr: &Instruction) -> Result<u128> {
     instr.validate()?;
     let range = |field: &'static str| SassError::FieldRange { instr: instr.to_string(), field };
 
@@ -370,10 +333,16 @@ fn encode_with(p: &Params, instr: &Instruction) -> Result<u128> {
     Ok(w.word)
 }
 
-fn decode_with(p: &Params, word: u128) -> Result<Instruction> {
+/// Decodes one word of `p`'s family; [`Codec::decode`] holds a copy per family.
+#[inline(always)]
+fn decode_with(p: &Codec, bytes: &[u8]) -> Result<Instruction> {
     let bad = |reason: String| SassError::BadEncoding { offset: 0, reason };
-
-    let mut r = BitReader::new(word);
+    if bytes.len() != p.size {
+        return Err(bad(format!("expected {} bytes, got {}", p.size, bytes.len())));
+    }
+    let mut word = [0u8; 16];
+    word[..p.size].copy_from_slice(bytes);
+    let mut r = BitReader::new(u128::from_le_bytes(word));
     let op_idx = r.get(p.op_bits) as u16;
     let op = Op::from_index(op_idx).ok_or_else(|| bad(format!("unknown opcode {op_idx}")))?;
 
@@ -447,11 +416,11 @@ mod tests {
     use super::*;
     use crate::inst::Mods;
 
-    fn codecs() -> Vec<&'static dyn Codec> {
-        vec![&ENC64_CODEC, &ENC128_CODEC]
+    fn codecs() -> [&'static Codec; 2] {
+        [&ENC64, &ENC128]
     }
 
-    fn roundtrip(c: &dyn Codec, i: &Instruction) {
+    fn roundtrip(c: &Codec, i: &Instruction) {
         let bytes =
             c.encode_stream(&[*i]).unwrap_or_else(|e| panic!("encode failed for `{i}`: {e}"));
         assert_eq!(bytes.len(), c.instruction_size());
@@ -527,24 +496,24 @@ mod tests {
             Op::Iadd,
             [Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Imm(1 << 29)],
         );
-        assert!(matches!(ENC64_CODEC.encode_stream(&[i]), Err(SassError::FieldRange { .. })));
-        roundtrip(&ENC128_CODEC, &i);
+        assert!(matches!(ENC64.encode_stream(&[i]), Err(SassError::FieldRange { .. })));
+        roundtrip(&ENC128, &i);
 
         // Large memory offsets only fit the wide encoding.
         let far = Instruction::new(
             Op::Ldg,
             [Operand::Reg(Reg(0)), Operand::MRef { base: Reg(2), offset: 1 << 21 }],
         );
-        assert!(ENC64_CODEC.encode_stream(&[far]).is_err());
-        roundtrip(&ENC128_CODEC, &far);
+        assert!(ENC64.encode_stream(&[far]).is_err());
+        roundtrip(&ENC128, &far);
     }
 
     #[test]
     fn barrier_slot_is_volta_only() {
         let ssy = Instruction::new(Op::Ssy, [Operand::Rel(64)])
             .with_mods(Mods { barrier: 3, ..Mods::default() });
-        assert!(ENC64_CODEC.encode_stream(&[ssy]).is_err());
-        roundtrip(&ENC128_CODEC, &ssy);
+        assert!(ENC64.encode_stream(&[ssy]).is_err());
+        roundtrip(&ENC128, &ssy);
     }
 
     #[test]
@@ -552,13 +521,41 @@ mod tests {
         // Opcode field value 200 is unassigned.
         let word = 200u64;
         let bytes = word.to_le_bytes();
-        assert!(matches!(ENC64_CODEC.decode(&bytes), Err(SassError::BadEncoding { .. })));
+        assert!(matches!(ENC64.decode(&bytes), Err(SassError::BadEncoding { .. })));
+    }
+
+    #[test]
+    fn decode_rejects_a_word_one_byte_short_or_long_on_both_families() {
+        for c in codecs() {
+            let word = c.encode_stream(&[Instruction::nop()]).unwrap();
+            let long: Vec<u8> = word.iter().copied().chain([0]).collect();
+            for bytes in [&word[..c.instruction_size() - 1], &long[..]] {
+                assert_eq!(bytes.len().abs_diff(c.instruction_size()), 1);
+                assert!(
+                    matches!(c.decode(bytes), Err(SassError::BadEncoding { .. })),
+                    "{} bytes decoded on the {}-byte family",
+                    bytes.len(),
+                    c.instruction_size()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_one_word() {
+        let exit = Instruction::new(Op::Exit, []);
+        for c in codecs() {
+            let mut out = vec![0xaa; 3];
+            c.encode_into(&exit, &mut out).unwrap();
+            assert_eq!(out.len(), 3 + c.instruction_size());
+            assert_eq!(out[..3], [0xaa; 3]);
+            assert_eq!(c.decode(&out[3..]).unwrap(), exit);
+        }
     }
 
     #[test]
     fn decode_stream_checks_length() {
-        let c: &dyn Codec = &ENC64_CODEC;
-        assert!(matches!(c.decode_stream(&[0u8; 12]), Err(SassError::TruncatedStream { .. })));
+        assert!(matches!(ENC64.decode_stream(&[0u8; 12]), Err(SassError::TruncatedStream { .. })));
     }
 
     #[test]

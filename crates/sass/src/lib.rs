@@ -8,8 +8,8 @@
 //! a fixed-width, binary-encoded machine instruction set with the structural
 //! properties that NVBit's mechanisms depend on:
 //!
-//! * two **encoding families** — [`codec::Enc64`] (8-byte instructions, used
-//!   by the Kepler/Maxwell/Pascal-class architectures) and [`codec::Enc128`]
+//! * two **encoding families** — [`codec::ENC64`] (8-byte instructions, used
+//!   by the Kepler/Maxwell/Pascal-class architectures) and [`codec::ENC128`]
 //!   (16-byte instructions, used by the Volta-class architecture) — so that a
 //!   hardware abstraction layer is genuinely required above it;
 //! * a register file of up to 255 general-purpose registers plus the zero

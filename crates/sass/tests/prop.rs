@@ -3,7 +3,7 @@
 
 use common::prop::{run_cases, vec_of};
 use common::Rng;
-use sass::codec::{codec_for, Codec, Enc128, Enc64};
+use sass::codec::{codec_for, ENC128, ENC64};
 use sass::op::{IType, OKind, SubOp};
 use sass::{
     asm, Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SassError, SpecialReg,
@@ -48,7 +48,7 @@ fn arb_operand(rng: &mut Rng, kind: OKind) -> Operand {
             if rng.gen_bool() {
                 Operand::Reg(arb_reg(rng))
             } else {
-                // SEL's immediate slot is the narrowest at 19 bits on Enc64.
+                // SEL's immediate slot is the narrowest at 19 bits on ENC64.
                 Operand::Imm(rng.gen_range(-(1i64 << 17)..(1i64 << 17)))
             }
         }
@@ -69,7 +69,7 @@ fn arb_operand(rng: &mut Rng, kind: OKind) -> Operand {
         ),
         OKind::Rel => Operand::Rel(rng.gen_range(-(1i64 << 30)..(1i64 << 30))),
         OKind::Abs => Operand::Abs(rng.gen_range(0u64..(1 << 39))),
-        // PROXY's id field is the narrowest Imm32 slot at 24 bits on Enc64.
+        // PROXY's id field is the narrowest Imm32 slot at 24 bits on ENC64.
         OKind::Imm32 => Operand::Imm(rng.gen_range(-(1i64 << 22)..(1i64 << 22))),
     }
 }
@@ -86,7 +86,7 @@ fn arb_instruction(rng: &mut Rng) -> Instruction {
 fn codec_roundtrip_enc64() {
     run_cases("codec_roundtrip_enc64", CASES, |rng| {
         let instr = arb_instruction(rng);
-        let c = Enc64;
+        let c = &ENC64;
         let bytes = c.encode_stream(&[instr]).unwrap();
         assert_eq!(bytes.len(), 8);
         assert_eq!(c.decode(&bytes).unwrap(), instr);
@@ -97,7 +97,7 @@ fn codec_roundtrip_enc64() {
 fn codec_roundtrip_enc128() {
     run_cases("codec_roundtrip_enc128", CASES, |rng| {
         let instr = arb_instruction(rng);
-        let c = Enc128;
+        let c = &ENC128;
         let bytes = c.encode_stream(&[instr]).unwrap();
         assert_eq!(bytes.len(), 16);
         assert_eq!(c.decode(&bytes).unwrap(), instr);
@@ -179,8 +179,8 @@ fn decoding_garbage_never_panics() {
         rng.fill_bytes(&mut bytes);
         // Also a valid word with bits flipped: it mostly decodes, with
         // arbitrary operand and predicate fields.
-        let mut near = [Enc64.encode_stream(&[arb_instruction(rng)]).unwrap(), vec![]];
-        near[1] = Enc128.encode_stream(&[arb_instruction(rng)]).unwrap();
+        let mut near = [ENC64.encode_stream(&[arb_instruction(rng)]).unwrap(), vec![]];
+        near[1] = ENC128.encode_stream(&[arb_instruction(rng)]).unwrap();
         for word in &mut near {
             for _ in 0..4 {
                 let bit = rng.index(word.len() * 8);
@@ -188,10 +188,10 @@ fn decoding_garbage_never_panics() {
             }
         }
         for decoded in [
-            Enc64.decode(&bytes[..8]),
-            Enc128.decode(&bytes[..16]),
-            Enc64.decode(&near[0]),
-            Enc128.decode(&near[1]),
+            ENC64.decode(&bytes[..8]),
+            ENC128.decode(&bytes[..16]),
+            ENC64.decode(&near[0]),
+            ENC128.decode(&near[1]),
         ] {
             let Ok(instr) = decoded else { continue };
             assert!(instr.validate().is_ok(), "{instr}");
@@ -212,11 +212,11 @@ fn decode_then_encode_is_total() {
     run_cases("decode_then_encode_is_total", CASES, |rng| {
         let mut bytes = [0u8; 16];
         rng.fill_bytes(&mut bytes);
-        if let Ok(i) = Enc64.decode(&bytes[..8]) {
-            let _ = Enc64.encode_stream(&[i]);
+        if let Ok(i) = ENC64.decode(&bytes[..8]) {
+            let _ = ENC64.encode_stream(&[i]);
         }
-        if let Ok(i) = Enc128.decode(&bytes[..16]) {
-            let _ = Enc128.encode_stream(&[i]);
+        if let Ok(i) = ENC128.decode(&bytes[..16]) {
+            let _ = ENC128.encode_stream(&[i]);
         }
     });
 }

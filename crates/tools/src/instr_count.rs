@@ -1,10 +1,10 @@
 //! The instruction-count tool (paper Listing 1).
 
-use crate::{count_site, read_u64, COUNT_PMULT_FN, COUNT_WIDE_FN};
+use crate::{count_site, read_u64, uninstrumented, COUNT_PMULT_FN, COUNT_WIDE_FN};
 use cuda::{CbId, CbParams, Driver};
 use nvbit::{NvbitApi, NvbitTool, PlanOpts};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
 /// Results handle of [`InstrCount`], complete at `at_term`;
@@ -58,10 +58,15 @@ impl InstrCountResults {
 /// or promoted to a register add. The total is the executed
 /// thread-instruction count whichever [`PlanOpts`] the plan is built with;
 /// the rungs only change what it costs.
+///
+/// A device function two kernels call is instrumented once and counts into
+/// the first kernel's counter, and so into its [`InstrCountResults::per_kernel`] total.
 pub struct InstrCount {
     results: Rc<InstrCountResults>,
     /// kernel → (counter address, is-library, name, value last published).
     counters: BTreeMap<u32, (u64, bool, String, u64)>,
+    /// The functions instrumented so far.
+    instrumented: HashSet<u32>,
     /// The plan options set at `at_init`, if the tool pins them.
     opts: Option<PlanOpts>,
     /// The counting body: function name and PTX source.
@@ -99,7 +104,8 @@ impl InstrCount {
         body: (&'static str, &'static str),
     ) -> (InstrCount, Rc<InstrCountResults>) {
         let results = Rc::new(InstrCountResults::default());
-        let tool = InstrCount { results: results.clone(), counters: BTreeMap::new(), opts, body };
+        let (counters, instrumented) = (BTreeMap::new(), HashSet::new());
+        let tool = InstrCount { results: results.clone(), counters, instrumented, opts, body };
         (tool, results)
     }
 
@@ -142,25 +148,17 @@ impl NvbitTool for InstrCount {
             return;
         }
         if is_exit {
-            // Publishes the kernel's own counter, so callers can also read
-            // mid-run. Its launch also moves the counter of any kernel
-            // sharing a related device function with it; that gain shows at
-            // the other kernel's next launch exit, or in the `at_term` sweep.
+            // Publishes the kernel's own counter, so callers can read mid-run.
             let entry = self.counters.get_mut(&func.raw());
             entry.into_iter().for_each(|e| Self::fold(&self.results, api.driver(), e));
             return;
         }
-        if self.counters.contains_key(&func.raw()) {
-            return;
-        }
+        let Some(targets) = uninstrumented(api, *func, &mut self.instrumented) else { return };
         let named = |i: &cuda::FunctionInfo| (i.library, i.name.clone());
         let (library, name) =
             api.driver().with_function_info(*func, named).expect("launched function exists");
         let ctr = api.driver().with_device(|d| d.alloc(8)).expect("counter alloc");
         self.counters.insert(func.raw(), (ctr, library, name, 0));
-        // Instrument the kernel and every function it can call.
-        let mut targets = vec![*func];
-        targets.extend(api.get_related_funcs(*func).unwrap_or_default());
         let mut sites = 0u64;
         for t in targets {
             for instr in api.get_instrs(t).unwrap_or_default().iter() {

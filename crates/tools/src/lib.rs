@@ -72,6 +72,22 @@ pub const TOOL_PTX: [(&str, &str); 5] = [
     ("FLIP_FN", fault::FLIP_FN),
 ];
 
+/// What to instrument at a launch of kernel `func`: the kernel and the
+/// functions it can call that are not in `instrumented` yet, which records
+/// them; `None` once the kernel is. A device function two kernels call is
+/// instrumented once, at the first kernel's launch.
+pub(crate) fn uninstrumented(
+    api: &NvbitApi<'_>,
+    func: CuFunction,
+    instrumented: &mut std::collections::HashSet<u32>,
+) -> Option<Vec<CuFunction>> {
+    instrumented.insert(func.raw()).then(|| {
+        let related = api.get_related_funcs(func).unwrap_or_default();
+        let fresh = related.into_iter().filter(|f| instrumented.insert(f.raw()));
+        std::iter::once(func).chain(fresh).collect()
+    })
+}
+
 /// Reads a `u64` device counter.
 pub(crate) fn read_u64(drv: &cuda::Driver, addr: u64) -> u64 {
     let mut b = [0u8; 8];

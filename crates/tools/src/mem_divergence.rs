@@ -14,7 +14,7 @@
 //! view: pre-compiled library kernels are left uninstrumented, which
 //! distorts the result exactly as Figure 6 shows.
 
-use crate::read_u64;
+use crate::{read_u64, uninstrumented};
 use cuda::{CbId, CbParams, Driver};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::cell::RefCell;
@@ -174,16 +174,12 @@ impl NvbitTool for MemDivergence {
             self.publish(api.driver());
             return;
         }
-        if !self.seen.insert(func.raw()) {
-            return;
-        }
         // Reproduce a compiler-based tool by refusing to look inside
         // pre-compiled libraries.
         if !self.include_libraries && api.is_library_function(*func).unwrap_or(false) {
             return;
         }
-        let mut targets = vec![*func];
-        targets.extend(api.get_related_funcs(*func).unwrap_or_default());
+        let Some(targets) = uninstrumented(api, *func, &mut self.seen) else { return };
         let mut sites = 0u64;
         for t in targets {
             for instr in api.get_instrs(t).expect("inspection").iter() {

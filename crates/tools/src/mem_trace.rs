@@ -39,8 +39,8 @@ pub(crate) const TRACE_CHAN_FN: &str = r#"
 /// The address-trace transport shared by [`MemTrace`] and
 /// [`crate::ChannelCacheSim`]: loads the push function, owns the channel
 /// and its drain thread, and instruments every global memory access of
-/// each launched kernel once. The tools differ only in the drain
-/// `consumer` they hand it.
+/// each launched kernel and the functions it calls once. The tools differ
+/// only in the drain `consumer` they hand it.
 pub(crate) struct TraceChannel {
     policy: Backpressure,
     buf_records: usize,
@@ -81,23 +81,22 @@ impl TraceChannel {
         }
     }
 
-    /// Launch-entry hook: instruments `func` on its first launch and
-    /// returns the number of sites (for the tool's `sites` counter).
+    /// Launch-entry hook: instruments `func` and what it can call on its
+    /// first launch and returns the number of sites (for the `sites` counter).
     pub(crate) fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) -> Option<u64> {
-        if !self.seen.insert(func.raw()) {
-            return None;
-        }
         let mut sites = 0u64;
-        for instr in api.get_instrs(func).expect("inspection").iter() {
-            if instr.mem_space() != Some(sass::MemSpace::Global) {
-                continue;
+        for t in crate::uninstrumented(api, func, &mut self.seen)? {
+            for instr in api.get_instrs(t).expect("inspection").iter() {
+                if instr.mem_space() != Some(sass::MemSpace::Global) {
+                    continue;
+                }
+                let Some((base, offset)) = instr.mref() else { continue };
+                api.insert_call(t, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
+                api.add_call_arg_guard_pred(t, instr.idx).unwrap();
+                api.add_call_arg_reg_val64(t, instr.idx, base.0).unwrap();
+                api.add_call_arg_imm32(t, instr.idx, offset).unwrap();
+                sites += 1;
             }
-            let Some((base, offset)) = instr.mref() else { continue };
-            api.insert_call(func, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(func, instr.idx).unwrap();
-            api.add_call_arg_reg_val64(func, instr.idx, base.0).unwrap();
-            api.add_call_arg_imm32(func, instr.idx, offset).unwrap();
-            sites += 1;
         }
         Some(sites)
     }
@@ -137,8 +136,8 @@ impl MemTraceResults {
 
     /// Records dropped by the channel. Always
     /// `demanded() - addresses().len()`, and non-zero only under
-    /// [`Backpressure::DropCount`] with both flush buffers full, or once
-    /// the drain consumer has panicked.
+    /// [`Backpressure::DropCount`] with all three flush buffers full or
+    /// draining, or once the drain consumer has panicked.
     pub fn dropped(&self) -> u64 {
         *self.dropped.borrow()
     }

@@ -10,7 +10,7 @@
 //! methodology, including its error mode: kernels whose control flow
 //! depends on data (not just grid dimensions) make the estimate drift.
 
-use crate::{count_site, COUNT_PMULT_FN};
+use crate::{count_site, uninstrumented, COUNT_PMULT_FN};
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::Dim3;
 use nvbit::{NvbitApi, NvbitTool, PlanOpts};
@@ -107,6 +107,8 @@ pub struct OpcodeHistogram {
     mode: SamplingMode,
     results: Rc<OpcodeHistogramResults>,
     kernels: HashMap<u32, KernelState>,
+    /// The functions instrumented so far.
+    instrumented: HashSet<u32>,
     sampled: HashSet<(u32, Dim3, Dim3)>,
     /// Estimated per-launch deltas per (kernel, grid, block) key.
     estimates: HashMap<(u32, Dim3, Dim3), Vec<u64>>,
@@ -127,6 +129,7 @@ impl OpcodeHistogram {
                 mode,
                 results: results.clone(),
                 kernels: HashMap::new(),
+                instrumented: HashSet::new(),
                 sampled: HashSet::new(),
                 estimates: HashMap::new(),
                 extrapolated: HashMap::new(),
@@ -156,10 +159,8 @@ impl OpcodeHistogram {
             api.driver().with_device(|d| d.alloc(SLOTS as u64 * 8)).expect("counter alloc");
         let mut slot_ops = Vec::new();
         let mut used = HashSet::new();
-        let mut targets = vec![func];
-        targets.extend(api.get_related_funcs(func).unwrap_or_default());
         let mut sites = 0u64;
-        for t in &targets {
+        for t in uninstrumented(api, func, &mut self.instrumented).iter().flatten() {
             for instr in api.get_instrs(*t).expect("inspection").iter() {
                 let (slot, op) = (instr.op().index() as usize % SLOTS, instr.op().mnemonic());
                 if used.insert((slot, op)) {
