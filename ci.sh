@@ -117,9 +117,14 @@ printf '  %-10s %6d\n' total "$total"
 # one enum (`plan::Lowering`) instead of a flag and a code list, and a tool function
 # always carries its body, so `ToolFn::opaque` and codegen's and the
 # verifier's handling of a missing body are gone; net of `plan::Promotion`
-# stating the site prologue and epilogue it emits.
-printf '  %-10s %6d  (sass + core + common, ceiling 9349)\n' jit "$jit"
-if [ "$jit" -gt 9349 ]; then
+# stating the site prologue and epilogue it emits. One launch unit lowered it
+# by its measured -3 (9,346): the core's per-launch closure walk and the
+# verifier's related-function ranges are gone (the driver states a function's
+# whole reach at load, and control flow may leave the image only for a
+# routine, a tool or an address the original names), net of the one helper
+# launch and `enable_instrumented` share.
+printf '  %-10s %6d  (sass + core + common, ceiling 9346)\n' jit "$jit"
+if [ "$jit" -gt 9346 ]; then
     echo "sass + core + common grew past its ceiling" >&2
     exit 1
 fi
@@ -132,9 +137,14 @@ fi
 # (every workload's cycles below splicing's) and pinning the save-policy
 # section to the splicing rung, where saves are paid, raised it by its
 # measured +8 (926). The `after_lowered` column of `inject_overhead`, which
-# the planner no longer reports, lowered it by its measured -1 (925).
-printf '  %-10s %6d  (bench, ceiling 925)\n' bench "$bench"
-if [ "$bench" -gt 925 ]; then
+# the planner no longer reports, lowered it by its measured -1 (925). The
+# device-function app's rows raised it by their measured +46 (971):
+# `spmv_calls` in the ladder, outside the promotion gate (a function that
+# calls, returns or traps stays at the splicing rung), and in the save-policy
+# section, and its sampling row, gated on 0 % error, for which the `sampling`
+# bin measures any app, not only a SpecAccel benchmark.
+printf '  %-10s %6d  (bench, ceiling 971)\n' bench "$bench"
+if [ "$bench" -gt 971 ]; then
     echo "bench grew past its ceiling" >&2
     exit 1
 fi
@@ -194,9 +204,13 @@ fi
 # call, moved it by its measured +10 (1,340): one helper (`uninstrumented` in
 # lib.rs) that the counter, the histogram, the divergence tool and the trace
 # channel share in place of their own target lists and per-kernel sets, and
-# the trace channel now instruments the functions a kernel calls too.
-printf '  %-10s %6d  (tools, ceiling 1340)\n' tools "$tools"
-if [ "$tools" -gt 1340 ]; then
+# the trace channel now instruments the functions a kernel calls too. One
+# histogram counter array lowered it by its measured -38 (1,302): a slot per
+# opcode in one array allocated at `at_init`, so the per-kernel state, its
+# snapshots and slot table, the per-kernel merge and the sampled-key set are
+# gone.
+printf '  %-10s %6d  (tools, ceiling 1302)\n' tools "$tools"
+if [ "$tools" -gt 1302 ]; then
     echo "tools grew past its ceiling" >&2
     exit 1
 fi
@@ -339,6 +353,20 @@ twins=$(grep -rnE 'trait Codec|ToolFn::opaque|pub inline: bool|pub promoted:' cr
 if [ -n "$twins" ]; then
     echo "a retired second implementation is back:" >&2
     echo "$twins" >&2
+    exit 1
+fi
+
+# One launch unit: the driver states a function's reach once, so the
+# histogram keeps no per-kernel counter state and the verifier's request no
+# copy of the related functions' ranges.
+unit=$({
+    grep -nHE 'struct KernelState' crates/tools/src/opcode_hist.rs
+    awk '/^pub struct Request/ { inside = 1 } inside && /^}/ { inside = 0 }
+        inside && /pub related/ { print FILENAME ":" FNR ": " $0 }' crates/core/src/verify.rs
+} || true)
+if [ -n "$unit" ]; then
+    echo "a retired second answer to what a launch runs is back:" >&2
+    echo "$unit" >&2
     exit 1
 fi
 

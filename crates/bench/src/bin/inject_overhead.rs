@@ -24,7 +24,10 @@
 //! ```
 //!
 //! Workloads are the fft, stencil and spmv applications of
-//! `workloads::apps` plus the fifteen SpecAccel-like benchmarks. Writes
+//! `workloads::apps` plus the fifteen SpecAccel-like benchmarks, and last
+//! `spmv_calls`, whose row is two device-function calls deep, in the ladder
+//! and the save-policy section, outside the promotion gate: a function that
+//! calls, returns or traps stays at the splicing rung. Writes
 //! `results/BENCH_inject_overhead.json`, gated on: coalescing alone cuts
 //! ≥25 % of the FFT pipeline's instrumented thread-instructions, and
 //! splicing keeps that cut; region coalescing emits fewer calls than
@@ -118,6 +121,11 @@ fn small_apps(rounds: u32) -> Vec<(&'static str, App)> {
     ]
 }
 
+/// The SpMV whose row is two device-function calls deep, launched once.
+fn spmv_calls() -> (&'static str, App) {
+    ("spmv_calls", Box::new(|d: &Driver| drop(apps::spmv_calls(d, 1).unwrap())))
+}
+
 /// Runs `app` on a fresh test device after `attach` has had the driver;
 /// returns the executed thread-instructions and cycles.
 fn run(app: &App, attach: impl FnOnce(&Driver)) -> (u64, u64) {
@@ -142,6 +150,9 @@ fn plan_ladder(report: &mut Report) {
     for b in specaccel::suite() {
         workloads.push((b.name, Box::new(move |d: &Driver| b.run(d, Size::Small).unwrap())));
     }
+    // Last, and out of the promotion gate: a function that calls, returns
+    // or traps stays at the splicing rung, so its rows show what that costs.
+    workloads.push(spmv_calls());
     for (name, app) in &workloads {
         let (native, cycles) = run(app, |_| {});
         let values = [("thread_instructions", native as f64), ("cycles", cycles as f64)];
@@ -176,7 +187,8 @@ fn plan_ladder(report: &mut Report) {
     let (block, region) = (emitted("block"), emitted("region"));
     let region_wins = (0..3).filter(|&w| region[w] < block[w]).count();
     let cycles = |label: &str| report.column(label, "cycles");
-    let uncut = cycles("spliced").iter().zip(&cycles("promoted")).filter(|(s, p)| p >= s).count();
+    let (spliced, promoted) = (cycles("spliced"), cycles("promoted"));
+    let uncut = (0..workloads.len() - 1).filter(|&w| promoted[w] >= spliced[w]).count();
     // The plan never changes what the tool measures.
     let counts = report.column("naive", "tool_count");
     let changed = RUNGS.iter().map(|(label, _)| report.column(label, "tool_count"));
@@ -226,16 +238,25 @@ fn sampling_times_plan(report: &mut Report) {
     report.at_most("histograms changed by a rung or by sampling", drifted as f64, 0.0);
 }
 
-/// Runs the FFT pipeline under `tool` with `policy` and records its saved
-/// slots as `config`.
+/// Runs `app` (the FFT pipeline by default) under `tool` with `policy` and
+/// records its saved slots as `config`.
 fn saves<T: NvbitTool + 'static>(
     report: &mut Report,
     config: &str,
     policy: SavePolicy,
     tool: T,
 ) -> f64 {
-    let apps = small_apps(1);
-    let (_, _, stats) = accounted(&apps[0].1, policy, tool);
+    saves_of(report, small_apps(1).swap_remove(0), config, policy, tool)
+}
+
+fn saves_of<T: NvbitTool + 'static>(
+    report: &mut Report,
+    (name, app): (&str, App),
+    config: &str,
+    policy: SavePolicy,
+    tool: T,
+) -> f64 {
+    let (_, _, stats) = accounted(&app, policy, tool);
     let stats = stats.borrow();
     let each = || stats.iter().map(|(_, _, s)| s);
     let slots = each().map(|s| s.saved_slots).sum::<u64>() as f64;
@@ -244,7 +265,7 @@ fn saves<T: NvbitTool + 'static>(
         ("max_tier", each().map(|s| s.max_tier).max().unwrap_or(0).into()),
         ("saved_slots", slots),
     ];
-    report.row("fft", config, &values);
+    report.row(name, config, &values);
     slots
 }
 
@@ -263,6 +284,11 @@ fn save_policy(report: &mut Report) {
     report.at_least("fft: saved slots cut by exact saves", cut(live, full), 0.95);
     report.at_least("fft: saved slots cut for the wide tool", cut(wide_live, wide_full), 0.30);
     report.at_most("fft: wide splice's saved slots, against its call's", wide_live, wide_called);
+    for (config, policy) in
+        [("instr_count, liveness", Liveness), ("instr_count, full tier", FullTier)]
+    {
+        saves_of(report, spmv_calls(), config, policy, InstrCount::new().0);
+    }
 }
 
 fn main() {

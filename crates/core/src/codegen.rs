@@ -1897,7 +1897,7 @@ mod tests {
         let analysis = sass::Analysis::of(&original, hal.arch());
         let plan = plan::build(spec, &original, hal.arch(), &analysis, fns, opts).unwrap();
         let routines = fake_routines();
-        let req = Request { tool_fns: fns, routines: &routines, related: &[] };
+        let req = Request { tool_fns: fns, routines: &routines };
         let planned = (code, &original[..], analysis.as_ref().ok());
         let diags = crate::verify::verify(hal, 0x4000, planned, &plan, &img, &req).unwrap();
         Some(diags.iter().map(|d| d.kind).collect())
@@ -1943,6 +1943,33 @@ mod tests {
             let request = (&self.spec, &self.fns, SPLICED);
             verdict(&hal, &self.code, &self.img, (&image, &self.tramp), request).unwrap()
         }
+    }
+
+    /// A site at a call of a device function relocates the call into the
+    /// trampoline. Outside the image and the trampolines the one target it
+    /// may name is the callee's entry, the address the original names: any
+    /// other word of the callee is a `BranchTarget` (and, being no longer
+    /// the original, a `LinkMismatch`).
+    #[test]
+    fn a_relocated_call_retargeted_into_its_callee_is_rejected() {
+        let hal = Hal::new(Arch::Volta);
+        let fns = tool(&hal, "pmult", PMULT);
+        let app = "JCAL `0x6000 ;\nSTG [R2], R9 ;\nEXIT ;";
+        let mut spec = FuncSpec::default();
+        spec.insert_call(0, "pmult", IPoint::Before);
+        spec.add_arg(0, Arg::Imm32(1));
+        spec.add_arg(0, Arg::Imm64(0xdead_0000_beef));
+        spec.add_arg(0, Arg::Imm32(1));
+        let (img, mut tramp) = exact(app, &fns, &spec);
+        let code = hal.assemble_text(app).unwrap();
+        let image = hal.disassemble(&img.instrumented).unwrap();
+        let request = (&spec, &fns, SPLICED);
+        assert_eq!(verdict(&hal, &code, &img, (&image, &tramp), request), Some(vec![]));
+        let call = tramp.iter().position(|i| i.operands.first() == Some(&Operand::Abs(0x6000)));
+        let call = call.unwrap();
+        tramp[call].operands[0] = Operand::Abs(0x6010);
+        let kinds = verdict(&hal, &code, &img, (&image, &tramp), request);
+        assert_eq!(kinds, Some(vec![DiagKind::BranchTarget, DiagKind::LinkMismatch]));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::verify::{self, Diagnostic, Request};
 use crate::{NvbitError, Result};
 use cuda::{CbId, CbParams, CuContext, CuFunction, CuModule, Driver, Interposer};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A user instrumentation tool — the analog of an NVBit tool shared
@@ -196,8 +196,7 @@ impl CoreState {
 
     /// The pre-swap verifier's findings on `image` of `func`, checked
     /// against `plan`, the plan it was built from over `original` (the
-    /// decode of `lifted`), with the tool functions and routines as loaded,
-    /// and the code of every function `func` may call.
+    /// decode of `lifted`), with the tool functions and routines as loaded.
     fn verify(
         &self,
         drv: &Driver,
@@ -206,12 +205,9 @@ impl CoreState {
         image: &InstrumentedImage,
     ) -> Result<Vec<Diagnostic>> {
         let _span = common::obs::span("verify");
-        let region = |f: &CuFunction| drv.with_function_info(*f, |r| (r.addr, r.addr + r.code_len));
-        let (addr, related) = drv.with_function_info(func, |info| {
-            (info.addr, info.related.iter().filter_map(|f| region(f).ok()).collect::<Vec<_>>())
-        })?;
+        let addr = drv.with_function_info(func, |info| info.addr)?;
         let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
-        let req = Request { tool_fns: &tool_fns, routines: &routines, related: &related };
+        let req = Request { tool_fns: &tool_fns, routines: &routines };
         let planned = (&lifted.code[..], original, lifted.analysis.as_ref().ok());
         verify::verify(&hal_of(drv), addr, planned, plan, image, &req)
     }
@@ -448,24 +444,16 @@ impl CoreState {
         }
     }
 
-    /// Launch-entry instrumentation, NVBit's `apply_to_related` rule: the
-    /// launched function and every function reachable from it through
-    /// [`cuda::FunctionInfo::related`] is built and reconciled, in
-    /// ascending handle order, if it is tracked.
+    /// Launch-entry instrumentation, NVBit's `apply_to_related` rule: every
+    /// tracked function of the launch [`unit`] is built and reconciled, in
+    /// ascending handle order.
     fn instrument_for_launch(&self, drv: &Driver, func: CuFunction) {
         // With nothing tracked a launch costs one look at the table: no
         // `FunctionInfo` is read.
         if self.funcs.borrow().is_empty() {
             return;
         }
-        let mut reachable = BTreeSet::from([func]);
-        let mut unvisited = vec![func];
-        while let Some(f) = unvisited.pop() {
-            let _ = drv.with_function_info(f, |info| {
-                unvisited.extend(info.related.iter().copied().filter(|r| reachable.insert(*r)));
-            });
-        }
-        for f in reachable.into_iter().filter(|f| self.tracked(*f)) {
+        for f in unit(drv, func).unwrap_or_default().into_iter().filter(|f| self.tracked(*f)) {
             if let Err(e) = self.apply_one(drv, f) {
                 // Instrumentation failures must not corrupt the
                 // application; drop the request and keep the original.
@@ -474,6 +462,16 @@ impl CoreState {
             }
         }
     }
+}
+
+/// What a launch of `func` runs: `func` and every function it can reach
+/// ([`cuda::FunctionInfo::related`]), in ascending handle order.
+fn unit(drv: &Driver, func: CuFunction) -> Result<Vec<CuFunction>> {
+    Ok(drv.with_function_info(func, |info| {
+        let mut unit = info.related.clone();
+        unit.insert(unit.partition_point(|f| *f < func), func);
+        unit
+    })?)
 }
 
 /// The NVBit core: installed as the driver's interposer; dispatches tool
@@ -698,7 +696,8 @@ impl<'a> NvbitApi<'a> {
         Ok(lifted.analysis.as_ref().ok().map(|a| a.liveness.live_regs(idx)))
     }
 
-    /// Functions the given function may call (`nvbit_get_related_funcs`).
+    /// Every function `func` can reach through calls, itself excluded, by
+    /// handle (`nvbit_get_related_funcs`, [`cuda::FunctionInfo::related`]).
     ///
     /// # Errors
     ///
@@ -864,28 +863,30 @@ impl<'a> NvbitApi<'a> {
 
     /// Selects whether the next launches of `func` run the instrumented or
     /// original version (`nvbit_enable_instrumented`) — the sampling switch
-    /// of §6.2. Takes effect immediately: the function's image is built now
-    /// if it has none, or one that the request, the save policy or the plan
-    /// options have moved away from — which is how a tool pre-builds a
-    /// function ahead of its launch — and otherwise the swap costs one
-    /// memcpy of the function's code and no rebuild, in either direction. A
-    /// no-op for functions that were never instrumented (no spec and no
-    /// image): no phantom state is created.
+    /// of §6.2 — for `func` and every function it reaches, NVBit's
+    /// `apply_to_related` default. Takes effect immediately for each of them
+    /// that was instrumented: its image is built now if it has none, or one
+    /// that the request, the save policy or the plan options have moved away
+    /// from — which is how a tool pre-builds a function ahead of its launch
+    /// — and otherwise the swap costs one memcpy of the function's code and
+    /// no rebuild, in either direction. The others (no spec and no image)
+    /// are left alone: no phantom state is created. A device function
+    /// several kernels reach runs what the last call covering it asked for;
+    /// a sampling tool calls this at every launch entry, so each launch runs
+    /// its own kernel's choice throughout.
     ///
     /// # Errors
     ///
-    /// Build (codegen, verification) failures, and driver failures during
-    /// the swap.
+    /// Invalid handle; build (codegen, verification) failures, and driver
+    /// failures during the swap.
     pub fn enable_instrumented(&self, func: CuFunction, enable: bool) -> Result<()> {
-        match self.state.funcs.borrow_mut().get_mut(&func.raw()) {
-            Some(entry) if entry.tracked() => {
-                entry.desired = if enable { Version::Instrumented } else { Version::Original };
-            }
-            _ => return Ok(()),
+        let desired = if enable { Version::Instrumented } else { Version::Original };
+        for f in unit(self.drv, func)?.into_iter().filter(|f| self.state.tracked(*f)) {
+            self.state.funcs.borrow_mut().entry(f.raw()).or_default().desired = desired;
+            // Builds the image first if needed.
+            self.state.apply_one(self.drv, f)?;
         }
-        // Reconcile now (builds the image first if needed, so callees that
-        // are never launched still get their code swapped in).
-        self.state.apply_one(self.drv, func)
+        Ok(())
     }
 
     /// Discards instrumentation of `func`: restores the original code,

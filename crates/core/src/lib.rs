@@ -26,8 +26,8 @@
 //!   [`NvbitApi::get_related_funcs`]) and injects calls
 //!   ([`NvbitApi::insert_call`], [`NvbitApi::add_call_arg`],
 //!   [`NvbitApi::remove_orig`]);
-//! * [`NvbitApi::enable_instrumented`] switches between the original and
-//!   instrumented versions per launch (sampling);
+//! * [`NvbitApi::enable_instrumented`] switches a kernel and what it reaches
+//!   between the original and instrumented versions per launch (sampling);
 //! * device-API reads/writes of the instrumented thread's registers are
 //!   expressed with the `nvbit.readreg`/`nvbit.writereg` PTX intrinsics,
 //!   which the framework backs with the register save area (writes are

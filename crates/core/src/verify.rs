@@ -19,8 +19,8 @@
 //!   site and a `NOP` where the plan removes an instruction; a site runs
 //!   what it displaced and jumps back behind it; nothing falls off the end;
 //! * control-flow targets are instruction boundaries of the image or the
-//!   trampolines, or routine, tool or related-function code; register
-//!   spans fit the register file;
+//!   trampolines, a routine, a tool or an address the original names (a
+//!   callee's entry); register spans fit the register file;
 //! * save discipline on every path of a site: a frame is open before any
 //!   save-area access or tool call and closed wherever the application
 //!   resumes, accesses stay inside it, and what is written is dead there
@@ -141,9 +141,6 @@ pub struct Request<'a> {
     pub tool_fns: &'a ToolFns,
     /// The save/restore routines, by tier.
     pub routines: &'a HashMap<u16, Routines>,
-    /// `[start, end)` byte ranges of the functions the original may call:
-    /// the one code instrumented control flow may reach that no table holds.
-    pub related: &'a [(u64, u64)],
 }
 
 impl Request<'_> {
@@ -514,9 +511,8 @@ fn walk(
     ];
     let inside =
         |t: u64| regions.into_iter().find(|r| (r.1..r.1 + r.2.len() as u64 * isize).contains(&t));
-    let external = |t| {
-        req.is_routine(t) || req.is_tool(t) || req.related.iter().any(|r| (r.0..r.1).contains(&t))
-    };
+    let named = |t| original.iter().any(|i| i.operands.contains(&Operand::Abs(t)));
+    let external = |t| req.is_routine(t) || req.is_tool(t) || named(t);
     let target_ok =
         |t: u64| inside(t).map_or_else(|| external(t), |r| (t - r.1).is_multiple_of(isize));
     for (region, base, instrs) in regions {
@@ -775,7 +771,7 @@ mod tests {
             16,
             Routines { tier: 16, save_addr: SAVE, restore_addr: RESTORE, frame_bytes: 0 },
         )]);
-        let req = Request { tool_fns: fns, routines: &routines, related: &[] };
+        let req = Request { tool_fns: fns, routines: &routines };
         let analysis = Analysis::of(original, Arch::Volta);
         let img = Decoded { image_addr: IMAGE_ADDR, image, tramp_addr: TRAMP_ADDR, tramp, sites };
         walk(&hal(), &req, original, analysis.as_ref().ok(), plan, &img)

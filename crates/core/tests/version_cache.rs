@@ -466,6 +466,83 @@ fn a_related_device_function_is_built_with_the_kernel_that_calls_it() {
     }
 }
 
+/// `enable_instrumented(kernel, ..)` switches the kernel and every function
+/// it reaches, NVBit's `apply_to_related` default: off puts the callees'
+/// original bytes back with the kernel's, and on puts the same images back,
+/// with no rebuild.
+#[test]
+fn enabling_a_kernel_swaps_the_functions_it_reaches_without_a_rebuild() {
+    /// Counts every instruction of the launched kernel's module at the
+    /// first launch; turns the kernel off at the second launch and on again
+    /// at the third.
+    struct Sampler {
+        counter_addr: Rc<RefCell<u64>>,
+        launches: u32,
+    }
+    impl NvbitTool for Sampler {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            api.load_tool_functions(COUNT_FN).unwrap();
+            *self.counter_addr.borrow_mut() = api.driver().with_device(|d| d.alloc(8)).unwrap();
+        }
+        fn at_cuda_event(
+            &mut self,
+            api: &NvbitApi<'_>,
+            is_exit: bool,
+            cbid: CbId,
+            params: &CbParams<'_>,
+        ) {
+            let CbParams::LaunchKernel { func, .. } = params else { return };
+            if is_exit || cbid != CbId::LaunchKernel {
+                return;
+            }
+            let addr = *self.counter_addr.borrow();
+            match self.launches {
+                0 => {
+                    let module = api.driver().function_info(*func).unwrap().module;
+                    for f in api.driver().module_functions(&module).unwrap() {
+                        for idx in 0..api.get_instrs(f).unwrap().len() {
+                            api.insert_call(f, idx, "count_one", IPoint::Before).unwrap();
+                            api.add_call_arg_guard_pred(f, idx).unwrap();
+                            api.add_call_arg_imm64(f, idx, addr).unwrap();
+                        }
+                    }
+                }
+                n => api.enable_instrumented(*func, n != 1).unwrap(),
+            }
+            self.launches += 1;
+        }
+    }
+
+    let counter_addr = Rc::new(RefCell::new(0u64));
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    attach_tool(&drv, Sampler { counter_addr: counter_addr.clone(), launches: 0 });
+    let ctx = drv.ctx_create().unwrap();
+    let m = drv.module_load(&ctx, FatBinary::from_ptx("app", CALL_CHAIN)).unwrap();
+    let unit = ["caller", "outer", "inner"].map(|n| drv.module_get_function(&m, n).unwrap());
+    let code = || unit.map(|f| drv.read_code(f).unwrap());
+    let pristine = code();
+    let out = drv.mem_alloc(128).unwrap();
+    let launch = || {
+        let args = [KernelArg::Ptr(out)];
+        drv.launch_kernel(&unit[0], Dim3::linear(1), Dim3::linear(32), &args).unwrap();
+        read_counter(&drv, &counter_addr)
+    };
+
+    let counted = launch();
+    let instrumented = code();
+    assert!(counted > 0);
+    for i in 0..3 {
+        assert_ne!(instrumented[i], pristine[i], "function {i} is instrumented at launch");
+    }
+    let allocs = live_allocs(&drv);
+    assert_eq!(launch(), counted, "off: nothing the kernel reaches counts");
+    assert_eq!(code(), pristine, "off: every function of the unit runs its original");
+    assert_eq!(launch(), 2 * counted, "on: the whole unit counts again");
+    assert_eq!(code(), instrumented, "on: the same images, no rebuild");
+    assert_eq!(live_allocs(&drv), allocs, "no trampoline region came or went");
+    drv.shutdown();
+}
+
 /// `enable_instrumented` on a function with no spec and no image is a
 /// no-op: it must succeed, create no phantom cache entry, and leave the
 /// launch at native cost.

@@ -103,7 +103,8 @@ pub struct FunctionInfo {
     pub shared_size: u32,
     /// Kernel parameter layout.
     pub params: Vec<ParamInfo>,
-    /// Functions this function may call (paper: related functions).
+    /// Every function this function can reach through calls, itself
+    /// excluded, by handle (paper: related functions); set at `module_load`.
     pub related: Vec<CuFunction>,
     /// Source-correlation table.
     pub line_table: Vec<LineInfo>,
@@ -389,15 +390,29 @@ impl Driver {
                     st.device.write(base, &patched)?;
                 }
             }
-            // Pass 3: register the functions.
+            // Pass 3: register the functions, each with every function its
+            // calls reach, callees' calls too, each once, by handle.
             let handles: Vec<CuFunction> =
                 funcs.iter().map(|_| CuFunction(st.take_handle())).collect();
-            for ((f, &h), &addr) in funcs.iter().zip(&handles).zip(&addrs) {
-                let related = f.related.iter().filter_map(|n| find(n)).map(|i| handles[i]);
+            let calls = |i: usize| funcs[i].related.iter().filter_map(|n| find(n));
+            for (i, (f, &addr)) in funcs.iter().zip(&addrs).enumerate() {
+                let mut reach: Vec<usize> = calls(i).collect();
+                let mut next = 0;
+                while let Some(&j) = reach.get(next) {
+                    next += 1;
+                    for c in calls(j) {
+                        if !reach.contains(&c) {
+                            reach.push(c);
+                        }
+                    }
+                }
+                let mut related: Vec<CuFunction> =
+                    reach.into_iter().filter(|&j| j != i).map(|j| handles[j]).collect();
+                related.sort_unstable();
                 st.functions.insert(
-                    h.0,
+                    handles[i].0,
                     FunctionInfo {
-                        handle: h,
+                        handle: handles[i],
                         name: f.name.clone(),
                         module,
                         library: fatbin.library,
@@ -409,7 +424,7 @@ impl Driver {
                         stack_size: f.stack_size,
                         shared_size: f.shared_size,
                         params: f.params.clone(),
-                        related: related.collect(),
+                        related,
                         line_table: f.line_table.clone(),
                         local_override: 0,
                     },
@@ -700,8 +715,8 @@ impl Driver {
     }
 
     /// Per-thread local bytes a launch of this kernel needs: its own frame,
-    /// the deepest related-function frame, instrumentation overrides and
-    /// fixed headroom.
+    /// the largest frame of any function it can reach, instrumentation
+    /// overrides and fixed headroom.
     fn local_requirement(&self, info: &FunctionInfo) -> u32 {
         let st = self.state.borrow();
         let related_max = info
@@ -941,6 +956,57 @@ DONE:
         // Kernel listing only includes entries.
         let kernels = drv.module_kernels(&m).unwrap();
         assert_eq!(kernels, vec![k]);
+    }
+
+    /// `k` calls `c`, which calls `b`, which calls `a`; `ping` and `pong`
+    /// call each other, and `k` calls `ping`. Image order is source order,
+    /// so the walk from `k` meets its callees against handle order.
+    const CHAIN: &str = r#"
+.func (.reg .u32 %o) a(.reg .u32 %x) { add.u32 %o, %x, 1; ret; }
+.func (.reg .u32 %o) b(.reg .u32 %x) { call (%o), a, (%x); ret; }
+.func (.reg .u32 %o) c(.reg .u32 %x) { call (%o), b, (%x); ret; }
+.func (.reg .u32 %o) ping(.reg .u32 %x)
+{
+    .reg .pred %p;
+    setp.eq.u32 %p, %x, 0;
+    @%p bra done;
+    sub.u32 %x, %x, 1;
+    call (%x), pong, (%x);
+done:
+    mov.u32 %o, %x;
+    ret;
+}
+.func (.reg .u32 %o) pong(.reg .u32 %x) { call (%o), ping, (%x); ret; }
+.entry k()
+{
+    .reg .u32 %r<3>;
+    mov.u32 %r1, %tid.x;
+    call (%r2), c, (%r1);
+    call (%r2), ping, (%r2);
+    exit;
+}
+"#;
+
+    #[test]
+    fn related_lists_are_the_sorted_transitive_reach() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        // A module loaded and unloaded first leaves low handles to recycle.
+        let old = drv.module_load(&ctx, FatBinary::from_ptx("old", APP)).unwrap();
+        drv.module_unload(old).unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("chain", CHAIN)).unwrap();
+        let f = |name: &str| drv.module_get_function(&m, name).unwrap();
+        let related = |name: &str| drv.function_info(f(name)).unwrap().related;
+        let sorted = |mut v: Vec<CuFunction>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(related("k"), sorted(vec![f("a"), f("b"), f("c"), f("ping"), f("pong")]));
+        assert_eq!(related("c"), sorted(vec![f("a"), f("b")]));
+        assert_eq!(related("a"), vec![]);
+        assert_eq!(related("ping"), vec![f("pong")]);
+        assert_eq!(related("pong"), vec![f("ping")]);
+        drv.launch_kernel(&f("k"), Dim3::linear(1), Dim3::linear(32), &[]).unwrap();
     }
 
     #[test]

@@ -59,8 +59,8 @@ impl InstrCountResults {
 /// thread-instruction count whichever [`PlanOpts`] the plan is built with;
 /// the rungs only change what it costs.
 ///
-/// A device function two kernels call is instrumented once and counts into
-/// the first kernel's counter, and so into its [`InstrCountResults::per_kernel`] total.
+/// A device function two kernels reach, directly or not, is instrumented
+/// once and counts into the first kernel's [`InstrCountResults::per_kernel`] total.
 pub struct InstrCount {
     results: Rc<InstrCountResults>,
     /// kernel → (counter address, is-library, name, value last published).

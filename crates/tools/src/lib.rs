@@ -73,8 +73,9 @@ pub const TOOL_PTX: [(&str, &str); 5] = [
 ];
 
 /// What to instrument at a launch of kernel `func`: the kernel and the
-/// functions it can call that are not in `instrumented` yet, which records
-/// them; `None` once the kernel is. A device function two kernels call is
+/// functions it can reach ([`NvbitApi::get_related_funcs`], callees'
+/// callees included) that are not in `instrumented` yet, which records
+/// them; `None` once the kernel is. A device function two kernels reach is
 /// instrumented once, at the first kernel's launch.
 pub(crate) fn uninstrumented(
     api: &NvbitApi<'_>,

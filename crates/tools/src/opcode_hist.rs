@@ -9,11 +9,17 @@
 //! launch of the same key are added as an estimate — exactly the paper's
 //! methodology, including its error mode: kernels whose control flow
 //! depends on data (not just grid dimensions) make the estimate drift.
+//!
+//! Every function counts into one array, a `u64` per opcode. Launches run
+//! one at a time, so a launch's delta is what the array gained during it,
+//! the functions the kernel reaches included, and the switch flips them
+//! with the kernel: an unsampled launch counts nothing.
 
 use crate::{count_site, uninstrumented, COUNT_PMULT_FN};
 use cuda::{CbId, CbParams, CuFunction, Driver};
 use gpu::Dim3;
 use nvbit::{NvbitApi, NvbitTool, PlanOpts};
+use sass::Op;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -66,56 +72,46 @@ impl OpcodeHistogramResults {
     /// averaged over opcode categories present in either (Figure 9's
     /// metric).
     pub fn error_vs(&self, exact: &OpcodeHistogramResults) -> f64 {
-        let a = self.hist.borrow();
-        let b = exact.hist.borrow();
+        let (a, b) = (self.hist.borrow(), exact.hist.borrow());
         let keys: HashSet<&String> = a.keys().chain(b.keys()).collect();
-        if keys.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for k in &keys {
-            let av = *a.get(*k).unwrap_or(&0) as f64;
-            let bv = *b.get(*k).unwrap_or(&0) as f64;
-            let denom = bv.max(1.0);
-            total += (av - bv).abs() / denom;
-        }
-        total / keys.len() as f64
+        let count = |h: &BTreeMap<String, u64>, k: &String| h.get(k).copied().unwrap_or(0) as f64;
+        let error = |k: &&String| (count(&a, k) - count(&b, k)).abs() / count(&b, k).max(1.0);
+        keys.iter().map(error).sum::<f64>() / keys.len().max(1) as f64
     }
-}
-
-/// Per-kernel instrumentation state.
-struct KernelState {
-    /// Base address of the per-opcode counter array (128 × u64 slots).
-    counters: u64,
-    /// Opcode mnemonic per slot that is actually used.
-    slot_ops: Vec<(usize, String)>,
-    /// Counter snapshot before the current launch.
-    snapshot: Vec<u64>,
 }
 
 const SLOTS: usize = 128;
 
-/// A kernel's counter slots at `base`, read in one transfer.
-fn read_counters(drv: &Driver, base: u64) -> Vec<u64> {
+// A site counts into slot `Op::index()`: every opcode has a slot of its own.
+const _: () = {
+    let mut i = 0;
+    while i < Op::ALL.len() {
+        assert!((Op::ALL[i] as usize) < SLOTS);
+        i += 1;
+    }
+};
+
+/// The counter slots at `base`, read in one transfer.
+fn read_counters(drv: &Driver, base: u64) -> [u64; SLOTS] {
     let mut bytes = [0u8; SLOTS * 8];
     drv.memcpy_dtoh(&mut bytes, base).expect("counter readback");
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+    std::array::from_fn(|i| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
 }
 
 /// The histogram tool.
 pub struct OpcodeHistogram {
     mode: SamplingMode,
     results: Rc<OpcodeHistogramResults>,
-    kernels: HashMap<u32, KernelState>,
+    /// Base address of the tool's one counter array, a `u64` per opcode.
+    counters: u64,
     /// The functions instrumented so far.
     instrumented: HashSet<u32>,
-    sampled: HashSet<(u32, Dim3, Dim3)>,
-    /// Estimated per-launch deltas per (kernel, grid, block) key.
-    estimates: HashMap<(u32, Dim3, Dim3), Vec<u64>>,
+    /// Measured per-launch deltas per (kernel, grid, block) key.
+    estimates: HashMap<(u32, Dim3, Dim3), [u64; SLOTS]>,
     /// Extrapolated counts accumulated for uninstrumented launches.
-    extrapolated: HashMap<u32, Vec<u64>>,
-    /// Whether the in-flight launch is instrumented.
-    current_instrumented: bool,
+    extrapolated: [u64; SLOTS],
+    /// The counters before the in-flight launch, when it is instrumented.
+    snapshot: Option<[u64; SLOTS]>,
     /// The plan options set at `at_init`, if the tool pins them.
     opts: Option<PlanOpts>,
 }
@@ -128,12 +124,11 @@ impl OpcodeHistogram {
             OpcodeHistogram {
                 mode,
                 results: results.clone(),
-                kernels: HashMap::new(),
+                counters: 0,
                 instrumented: HashSet::new(),
-                sampled: HashSet::new(),
                 estimates: HashMap::new(),
-                extrapolated: HashMap::new(),
-                current_instrumented: false,
+                extrapolated: [0; SLOTS],
+                snapshot: None,
                 opts: None,
             },
             results,
@@ -155,48 +150,23 @@ impl OpcodeHistogram {
     }
 
     fn instrument(&mut self, api: &NvbitApi<'_>, func: CuFunction) {
-        let counters =
-            api.driver().with_device(|d| d.alloc(SLOTS as u64 * 8)).expect("counter alloc");
-        let mut slot_ops = Vec::new();
-        let mut used = HashSet::new();
         let mut sites = 0u64;
         for t in uninstrumented(api, func, &mut self.instrumented).iter().flatten() {
             for instr in api.get_instrs(*t).expect("inspection").iter() {
-                let (slot, op) = (instr.op().index() as usize % SLOTS, instr.op().mnemonic());
-                if used.insert((slot, op)) {
-                    slot_ops.push((slot, op.to_string()));
-                }
-                count_site(api, *t, instr, "nvbit_count_pmult", counters + slot as u64 * 8);
+                let ctr = self.counters + instr.op().index() as u64 * 8;
+                count_site(api, *t, instr, "nvbit_count_pmult", ctr);
                 sites += 1;
             }
         }
         common::obs::counter("tool.opcode_hist.sites", sites);
-        self.kernels
-            .insert(func.raw(), KernelState { counters, slot_ops, snapshot: vec![0; SLOTS] });
     }
 
     fn publish(&self, drv: &Driver) {
-        let mut hist: BTreeMap<String, u64> = BTreeMap::new();
-        for state in self.kernels.values() {
-            let now = read_counters(drv, state.counters);
-            for (slot, op) in &state.slot_ops {
-                let v = now[*slot];
-                if v > 0 {
-                    *hist.entry(op.clone()).or_insert(0) += v;
-                }
-            }
-        }
-        for (raw, extra) in &self.extrapolated {
-            if let Some(state) = self.kernels.get(raw) {
-                for (slot, op) in &state.slot_ops {
-                    let v = extra[*slot];
-                    if v > 0 {
-                        *hist.entry(op.clone()).or_insert(0) += v;
-                    }
-                }
-            }
-        }
-        *self.results.hist.borrow_mut() = hist;
+        let now = read_counters(drv, self.counters);
+        let counts =
+            Op::ALL.iter().map(|op| (op, now[*op as usize] + self.extrapolated[*op as usize]));
+        let hist = counts.filter(|(_, v)| *v > 0).map(|(op, v)| (op.mnemonic().to_string(), v));
+        *self.results.hist.borrow_mut() = hist.collect();
     }
 }
 
@@ -206,6 +176,9 @@ impl NvbitTool for OpcodeHistogram {
             api.set_plan_opts(opts);
         }
         api.load_tool_functions(COUNT_PMULT_FN).expect("tool functions compile");
+        let drv = api.driver();
+        self.counters = drv.with_device(|d| d.alloc(SLOTS as u64 * 8)).expect("counter alloc");
+        drv.memcpy_htod(self.counters, &[0; SLOTS * 8]).expect("counter zeroing");
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
@@ -226,36 +199,24 @@ impl NvbitTool for OpcodeHistogram {
         let key = (func.raw(), *grid, *block);
 
         if !is_exit {
-            if !self.kernels.contains_key(&func.raw()) {
-                self.instrument(api, *func);
-            }
-            let instrument_this = match self.mode {
-                SamplingMode::Full => true,
-                SamplingMode::GridDim => self.sampled.insert(key),
-            };
-            self.current_instrumented = instrument_this;
-            // Snapshot the counters so the exit handler can compute the
-            // launch's delta.
-            let state = self.kernels.get_mut(&func.raw()).expect("instrumented above");
-            state.snapshot = read_counters(api.driver(), state.counters);
+            self.instrument(api, *func);
+            let instrument_this =
+                self.mode == SamplingMode::Full || !self.estimates.contains_key(&key);
+            // Launches run one at a time, so what the whole array gains
+            // during this one is its delta, callees included.
+            self.snapshot = instrument_this.then(|| read_counters(api.driver(), self.counters));
             api.enable_instrumented(*func, instrument_this).unwrap();
             *self.results.total_launches.borrow_mut() += 1;
-            if instrument_this {
-                *self.results.instrumented_launches.borrow_mut() += 1;
-            }
+            *self.results.instrumented_launches.borrow_mut() += u64::from(instrument_this);
             return;
         }
 
-        // Exit: record the measured delta (instrumented) or extrapolate
-        // (uninstrumented).
-        let state = self.kernels.get(&func.raw()).expect("instrumented at entry");
-        if self.current_instrumented {
-            let now = read_counters(api.driver(), state.counters);
-            let delta: Vec<u64> = now.iter().zip(&state.snapshot).map(|(a, b)| a - b).collect();
-            self.estimates.insert(key, delta);
+        // Exit: record the measured delta, or extrapolate from it.
+        if let Some(before) = self.snapshot.take() {
+            let now = read_counters(api.driver(), self.counters);
+            self.estimates.insert(key, std::array::from_fn(|i| now[i] - before[i]));
         } else if let Some(delta) = self.estimates.get(&key) {
-            let extra = self.extrapolated.entry(func.raw()).or_insert_with(|| vec![0; SLOTS]);
-            for (e, d) in extra.iter_mut().zip(delta) {
+            for (e, d) in self.extrapolated.iter_mut().zip(delta) {
                 *e += *d;
             }
         }

@@ -157,11 +157,21 @@ fn spmv_app(drv: &Driver) -> Vec<u8> {
     apps::spmv(drv, 1).unwrap()
 }
 
+/// The same product with each row two device-function calls deep.
+fn spmv_calls_app(drv: &Driver) -> Vec<u8> {
+    apps::spmv_calls(drv, 1).unwrap()
+}
+
 /// A deterministic guest application: runs kernels and returns the output
 /// buffer bytes.
 type App = fn(&Driver) -> Vec<u8>;
 
-const APPS: [(&str, App); 3] = [("fft", fft_app), ("stencil", stencil_app), ("spmv", spmv_app)];
+const APPS: [(&str, App); 4] = [
+    ("fft", fft_app),
+    ("stencil", stencil_app),
+    ("spmv", spmv_app),
+    ("spmv_calls", spmv_calls_app),
+];
 
 /// Runs `app` under `tool` with the given save policy on the default
 /// scheduler; returns the guest output bytes and a string signature of the

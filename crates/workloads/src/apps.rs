@@ -1,9 +1,10 @@
-//! The three small applications the plan-ladder and save-policy studies
-//! share: the software warp FFT (one straight-line block), a 5-point
-//! stencil step (grid-determined control flow) and a CSR SpMV
-//! (data-dependent loop trip counts). Each loads its kernel into a fresh
-//! context, launches it `rounds` times over the same deterministic input
-//! and returns its output buffer's bytes.
+//! The small applications the plan-ladder and save-policy studies share:
+//! the software warp FFT (one straight-line block), a 5-point stencil step
+//! (grid-determined control flow), a CSR SpMV (data-dependent loop trip
+//! counts) and the same SpMV with its row in a two-deep device-function
+//! call chain. Each loads its kernel into a fresh context, launches it
+//! `rounds` times over the same deterministic input and returns its output
+//! buffer's bytes.
 //!
 //! # Example
 //!
@@ -71,10 +72,25 @@ pub fn stencil(drv: &Driver, rounds: u32) -> cuda::Result<Vec<u8>> {
 ///
 /// Driver failures.
 pub fn spmv(drv: &Driver, rounds: u32) -> cuda::Result<Vec<u8>> {
+    csr(drv, rounds, "spmv", kernels::spmv_csr("spmv"))
+}
+
+/// [`spmv`] with the row's dot product in a device function that calls
+/// another for each nonzero: a call chain two deep.
+///
+/// # Errors
+///
+/// Driver failures.
+pub fn spmv_calls(drv: &Driver, rounds: u32) -> cuda::Result<Vec<u8>> {
+    csr(drv, rounds, "spmv_calls", kernels::spmv_calls("spmv_calls"))
+}
+
+/// [`spmv`]'s matrix and vectors through kernel `name` of `source`.
+fn csr(drv: &Driver, rounds: u32, name: &str, source: String) -> cuda::Result<Vec<u8>> {
     let rows = 64u32;
     let c = Ctx::new(drv)?;
-    let m = c.module("spmv", &[kernels::spmv_csr("spmv")])?;
-    let f = c.func(&m, "spmv")?;
+    let m = c.module(name, &[source])?;
+    let f = c.func(&m, name)?;
     let mut rowptr = vec![0u32];
     let mut cols = Vec::new();
     for r in 0..rows {

@@ -211,6 +211,77 @@ DONE:
     )
 }
 
+/// [`spmv_csr`] with its row in device functions: the kernel calls
+/// `spmv_row`, whose loop calls `spmv_term` for each nonzero, so the store
+/// is in the kernel and the loads two calls deep.
+pub fn spmv_calls(name: &str) -> String {
+    format!(
+        r#"
+.func (.reg .f32 %t) spmv_term(.reg .u64 %cols, .reg .u64 %vals, .reg .u64 %x, .reg .u32 %j)
+{{
+    .reg .u32 %c;
+    .reg .u64 %rd<6>;
+    .reg .f32 %f<3>;
+    mul.wide.u32 %rd1, %j, 4;
+    add.u64 %rd2, %cols, %rd1;
+    ld.global.u32 %c, [%rd2];
+    add.u64 %rd3, %vals, %rd1;
+    ld.global.f32 %f1, [%rd3];
+    mul.wide.u32 %rd4, %c, 4;
+    add.u64 %rd5, %x, %rd4;
+    ld.global.f32 %f2, [%rd5];
+    mul.f32 %t, %f1, %f2;
+    ret;
+}}
+.func (.reg .f32 %s) spmv_row(.reg .u64 %cols, .reg .u64 %vals, .reg .u64 %x,
+                              .reg .u32 %b, .reg .u32 %e)
+{{
+    .reg .f32 %f<2>;
+    .reg .pred %p<2>;
+    mov.f32 %s, 0f00000000;
+LOOP:
+    setp.ge.u32 %p1, %b, %e;
+    @%p1 bra DONE;
+    call (%f1), spmv_term, (%cols, %vals, %x, %b);
+    add.f32 %s, %s, %f1;
+    add.u32 %b, %b, 1;
+    bra LOOP;
+DONE:
+    ret;
+}}
+.entry {name}(.param .u64 prowptr, .param .u64 pcols, .param .u64 pvals,
+              .param .u64 px, .param .u64 py, .param .u32 pnrows)
+{{
+    .reg .u32 %r<8>;
+    .reg .u64 %rd<10>;
+    .reg .f32 %f<2>;
+    .reg .pred %p<2>;
+    ld.param.u64 %rd1, [prowptr];
+    ld.param.u64 %rd2, [pcols];
+    ld.param.u64 %rd3, [pvals];
+    ld.param.u64 %rd4, [px];
+    ld.param.u64 %rd5, [py];
+    ld.param.u32 %r1, [pnrows];
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mov.u32 %r4, %tid.x;
+    mad.lo.u32 %r2, %r2, %r3, %r4;
+    setp.ge.u32 %p1, %r2, %r1;
+    @%p1 bra DONE;
+    mul.wide.u32 %rd6, %r2, 4;
+    add.u64 %rd7, %rd1, %rd6;
+    ld.global.u32 %r5, [%rd7];
+    ld.global.u32 %r6, [%rd7+4];
+    call (%f1), spmv_row, (%rd2, %rd3, %rd4, %r5, %r6);
+    add.u64 %rd8, %rd5, %rd6;
+    st.global.f32 [%rd8], %f1;
+DONE:
+    exit;
+}}
+"#
+    )
+}
+
 /// Molecular-dynamics-style force kernel: per-particle loop over `nn`
 /// neighbours with a **data-dependent cutoff branch** (md-style).
 pub fn md_force(name: &str) -> String {
