@@ -453,7 +453,7 @@ impl CoreState {
         if self.funcs.borrow().is_empty() {
             return;
         }
-        for f in unit(drv, func).unwrap_or_default().into_iter().filter(|f| self.tracked(*f)) {
+        for f in unit(drv, func).into_iter().flatten().filter(|f| self.tracked(*f)) {
             if let Err(e) = self.apply_one(drv, f) {
                 // Instrumentation failures must not corrupt the
                 // application; drop the request and keep the original.
@@ -466,12 +466,10 @@ impl CoreState {
 
 /// What a launch of `func` runs: `func` and every function it can reach
 /// ([`cuda::FunctionInfo::related`]), in ascending handle order.
-fn unit(drv: &Driver, func: CuFunction) -> Result<Vec<CuFunction>> {
-    Ok(drv.with_function_info(func, |info| {
-        let mut unit = info.related.clone();
-        unit.insert(unit.partition_point(|f| *f < func), func);
-        unit
-    })?)
+fn unit(drv: &Driver, func: CuFunction) -> Result<impl Iterator<Item = CuFunction>> {
+    let mut below = drv.with_function_info(func, |info| info.related.clone())?;
+    let above = below.split_off(below.partition_point(|f| *f < func));
+    Ok(below.into_iter().chain([func]).chain(above))
 }
 
 /// The NVBit core: installed as the driver's interposer; dispatches tool
@@ -881,8 +879,11 @@ impl<'a> NvbitApi<'a> {
     /// failures during the swap.
     pub fn enable_instrumented(&self, func: CuFunction, enable: bool) -> Result<()> {
         let desired = if enable { Version::Instrumented } else { Version::Original };
-        for f in unit(self.drv, func)?.into_iter().filter(|f| self.state.tracked(*f)) {
-            self.state.funcs.borrow_mut().entry(f.raw()).or_default().desired = desired;
+        for f in unit(self.drv, func)? {
+            match self.state.funcs.borrow_mut().get_mut(&f.raw()) {
+                Some(entry) if entry.tracked() => entry.desired = desired,
+                _ => continue,
+            }
             // Builds the image first if needed.
             self.state.apply_one(self.drv, f)?;
         }
