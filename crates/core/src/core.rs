@@ -884,7 +884,6 @@ impl<'a> NvbitApi<'a> {
                 Some(entry) if entry.tracked() => entry.desired = desired,
                 _ => continue,
             }
-            // Builds the image first if needed.
             self.state.apply_one(self.drv, f)?;
         }
         Ok(())

@@ -134,7 +134,7 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// The tables the core served an image's plan from, beside that plan.
+/// The core's tables: the code an image may reach besides itself, its trampolines and its callees.
 #[derive(Clone, Copy)]
 pub struct Request<'a> {
     /// The loaded tool functions.
