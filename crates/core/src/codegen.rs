@@ -1031,7 +1031,7 @@ mod tests {
     use crate::plan::{self, PlanLevel, PlanOpts, NO_ANALYSIS};
     use crate::saverestore::TIERS;
     use crate::spec::FuncSpec;
-    use cuda::{CuFunction, CuModule};
+    use cuda::CuModule;
     use sass::Arch;
 
     /// Both halves of code generation around one `alloc` call, as
@@ -1060,16 +1060,14 @@ mod tests {
         plan::build(spec, body, Arch::Volta, &NO_ANALYSIS, fns, PlanOpts::naive()).unwrap()
     }
 
-    fn fake_info(addr: u64, reg_count: u32, arch: Arch) -> FunctionInfo {
+    fn fake_info(addr: u64, reg_count: u32) -> FunctionInfo {
         FunctionInfo {
-            handle: CuFunction::from_raw(1),
             name: "k".into(),
             module: CuModule::from_raw(1),
             library: false,
             kind: ptx::FunctionKind::Entry,
             addr,
             code_len: 0,
-            arch,
             reg_count,
             stack_size: 0,
             shared_size: 0,
@@ -1131,7 +1129,7 @@ mod tests {
     fn setup(arch: Arch, text: &str) -> (Hal, FunctionInfo, Vec<Instruction>) {
         let hal = Hal::new(arch);
         let instrs = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
-        let info = fake_info(0x4000, 12, arch);
+        let info = fake_info(0x4000, 12);
         (hal, info, instrs)
     }
 
@@ -2512,8 +2510,10 @@ mod tests {
     // ----- The verifier's verdicts under seeded mutation -------------------
 
     /// The single-instruction corruptions of an accepted image the verdict
-    /// pin draws from (ROADMAP item 4's classes, after *WarpGuard*).
-    const CLASSES: [&str; 8] = [
+    /// pins draw from (ROADMAP item 4's classes, after *WarpGuard*). The
+    /// last is the default rung's own code, which only the promoted
+    /// stream draws.
+    const CLASSES: [&str; 9] = [
         "site jump retargeted or replaced",
         "back-jump retargeted",
         "save or reload dropped or moved a slot",
@@ -2522,6 +2522,7 @@ mod tests {
         "frame IADD R1 off by 4",
         "relocated original is its neighbour",
         "application instruction replaced by NOP",
+        "promoted pair, flush, zeroing or push",
     ];
 
     /// An accepted image, decoded for mutation, with the request it was
@@ -2543,67 +2544,81 @@ mod tests {
         }
     }
 
-    /// The pin's images: the `Accepted` app, a loop, an `SSY` diamond and a
-    /// guarded `EXIT`, every instruction counted the way
-    /// `CoalescedInstrCount::executed` does it, at each rung, through the
-    /// spliceable counter and through an out-of-line one.
+    /// The pin's apps: the `Accepted` app, a loop, an `SSY` diamond and a
+    /// guarded `EXIT`.
+    const PIN_APPS: [&str; 4] = [
+        "ISETP.EQ.S32 P0, R2, RZ ;\n@P0 STG [R6], R8 ;\nSTG [R2], R9 ;\nEXIT ;",
+        "MOV R4, RZ ;\ntop:\nIADD R4, R4, 0x1 ;\nISETP.LT.S32 P0, R4, R2 ;\n\
+         @P0 BRA top ;\nSTG [R6], R4 ;\nEXIT ;",
+        "ISETP.EQ.S32 P0, R2, RZ ;\nSSY end ;\n@P0 BRA join ;\nIADD R8, R8, 0x1 ;\n\
+         BRA join ;\njoin:\nSYNC ;\nend:\nSTG [R6], R8 ;\nEXIT ;",
+        "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;",
+    ];
+
+    /// `app` with every instruction counted the way
+    /// `CoalescedInstrCount::executed` does it through `fns`, planned under
+    /// `opts` and accepted by the verifier.
+    fn pristine(hal: &Hal, app: &str, fns: &ToolFns, opts: PlanOpts) -> Pristine {
+        let (_, info, instrs) = setup(hal.arch(), app);
+        let analysis = sass::Analysis::of(&instrs, hal.arch());
+        let mut spec = FuncSpec::default();
+        for (idx, ins) in instrs.iter().enumerate() {
+            spec.insert_call(idx, "pmult", IPoint::Before);
+            let pred = if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred };
+            spec.add_arg(idx, pred);
+            spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
+            spec.set_coalesce(idx);
+        }
+        let plan = plan::build(&spec, &instrs, hal.arch(), &analysis, fns, opts).unwrap();
+        let routines = fake_routines();
+        let img = generate(
+            hal,
+            &info,
+            &instrs,
+            &plan,
+            fns,
+            &routines,
+            &analysis,
+            SavePolicy::Liveness,
+            |_| Ok(0x9000),
+        )
+        .unwrap();
+        let p = Pristine {
+            image: hal.disassemble(&img.instrumented).unwrap(),
+            tramp: hal.disassemble(&img.tramp_code).unwrap(),
+            original: instrs.clone(),
+            code: hal.assemble(&instrs).unwrap(),
+            img,
+            spec,
+            fns: fns.clone(),
+            opts,
+        };
+        let kinds = verdict(hal, &p.code, &p.img, (&p.image, &p.tramp), p.request());
+        assert_eq!(kinds, Some(vec![]), "{app} at {:?}", opts.level);
+        p
+    }
+
+    /// The first pin's images: each of [`PIN_APPS`] at each rung below the
+    /// default, through the spliceable counter and through an out-of-line
+    /// one.
     fn pristine_images(hal: &Hal) -> Vec<Pristine> {
-        let apps = [
-            "ISETP.EQ.S32 P0, R2, RZ ;\n@P0 STG [R6], R8 ;\nSTG [R2], R9 ;\nEXIT ;",
-            "MOV R4, RZ ;\ntop:\nIADD R4, R4, 0x1 ;\nISETP.LT.S32 P0, R4, R2 ;\n\
-             @P0 BRA top ;\nSTG [R6], R4 ;\nEXIT ;",
-            "ISETP.EQ.S32 P0, R2, RZ ;\nSSY end ;\n@P0 BRA join ;\nIADD R8, R8, 0x1 ;\n\
-             BRA join ;\njoin:\nSYNC ;\nend:\nSTG [R6], R8 ;\nEXIT ;",
-            "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;",
-        ];
         let spliced = tool(hal, "pmult", PMULT);
         let out_of_line = HashMap::from([("pmult".into(), calling(0x8000, 10, 0, false))]);
-        let routines = fake_routines();
-        let mut out = Vec::new();
-        for app in apps {
-            let (_, info, instrs) = setup(hal.arch(), app);
-            let analysis = sass::Analysis::of(&instrs, hal.arch());
-            let mut spec = FuncSpec::default();
-            for (idx, ins) in instrs.iter().enumerate() {
-                spec.insert_call(idx, "pmult", IPoint::Before);
-                let pred = if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred };
-                spec.add_arg(idx, pred);
-                spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
-                spec.set_coalesce(idx);
-            }
-            let levels =
-                [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region, PlanLevel::Spliced];
-            for (fns, level) in
-                [&spliced, &out_of_line].into_iter().flat_map(|f| levels.map(|l| (f, l)))
-            {
-                let opts = PlanOpts { level };
-                let plan = plan::build(&spec, &instrs, hal.arch(), &analysis, fns, opts).unwrap();
-                let img = generate(
-                    hal,
-                    &info,
-                    &instrs,
-                    &plan,
-                    fns,
-                    &routines,
-                    &analysis,
-                    SavePolicy::Liveness,
-                    |_| Ok(0x9000),
-                )
-                .unwrap();
-                let p = Pristine {
-                    image: hal.disassemble(&img.instrumented).unwrap(),
-                    tramp: hal.disassemble(&img.tramp_code).unwrap(),
-                    original: instrs.clone(),
-                    code: hal.assemble(&instrs).unwrap(),
-                    img,
-                    spec: spec.clone(),
-                    fns: fns.clone(),
-                    opts,
-                };
-                let kinds = verdict(hal, &p.code, &p.img, (&p.image, &p.tramp), p.request());
-                assert_eq!(kinds, Some(vec![]), "{app} at {level:?}");
-                out.push(p);
-            }
+        let levels = [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region, PlanLevel::Spliced];
+        let each = |app| [&spliced, &out_of_line].map(|fns| levels.map(|level| (app, fns, level)));
+        let all = PIN_APPS.into_iter().flat_map(each).flatten();
+        all.map(|(app, fns, level)| pristine(hal, app, fns, PlanOpts { level })).collect()
+    }
+
+    /// The promoted pin's images, at the default rung: each of
+    /// [`PIN_APPS`] through the spliceable counter, and [`pushed_image`].
+    fn promoted_images(hal: &Hal) -> Vec<Pristine> {
+        let spliced = tool(hal, "pmult", PMULT);
+        let mut out: Vec<Pristine> =
+            PIN_APPS.iter().map(|app| pristine(hal, app, &spliced, PlanOpts::default())).collect();
+        out.push(pushed_image(hal.arch()));
+        for p in &out {
+            assert!(p.img.plan.promoted_calls > 0, "{}", text_of(&p.original));
         }
         out
     }
@@ -2699,7 +2714,7 @@ mod tests {
                 tramp[site.start + site.orig_pos] = *p.original.get(n)?;
             }
             // Nothing in the pin's requests removes an instruction.
-            _ => {
+            7 => {
                 if rng.gen_bool() {
                     let i = rng.index(image.len());
                     if p.img.sites.iter().any(|s| s.instr_idx == i) {
@@ -2708,6 +2723,59 @@ mod tests {
                     image[i] = Instruction::nop();
                 } else {
                     tramp[site.start + site.orig_pos] = Instruction::nop();
+                }
+            }
+            // The default rung's code: a pair's zeroing `IADD.U64 Rp, RZ, 0`,
+            // its increments `IADD.U64 Rp, Rp, n`, its flushes
+            // `RED.ADD.U64 [Rs], Rp`, and a push's `IADD.U64 Rs, Rb, off`
+            // before its `CHAN.64 Rs`.
+            _ => {
+                let wide_add =
+                    |ins: &Instruction| ins.op == Op::Iadd && ins.mods.itype == IType::U64;
+                let zeroing =
+                    |ins: &Instruction| wide_add(ins) && ins.operands[1] == Operand::Reg(Reg::RZ);
+                let counted =
+                    |ins: &Instruction| wide_add(ins) && ins.operands[1] == ins.operands[0];
+                let to = Reg(2 * rng.gen_range(0u8..16));
+                let len = tramp.len();
+                let neighbour = |rng: &mut common::rng::Rng, i: usize| {
+                    let j = if rng.gen_bool() { i + 1 } else { i.checked_sub(1)? };
+                    (j < len).then_some(j)
+                };
+                match rng.index(4) {
+                    // A promoted pair renamed where it is zeroed, counted or flushed.
+                    0 => {
+                        let i =
+                            any(rng, &|_, ins| ins.op == Op::Red || zeroing(ins) || counted(ins))?;
+                        let at = usize::from(tramp[i].op == Op::Red);
+                        let Operand::Reg(from) = tramp[i].operands[at] else { return None };
+                        tramp[i].map_regs(|r| if r == from { to } else { r }, |p| p);
+                    }
+                    // A flush dropped, moved past a neighbour or re-guarded.
+                    1 => {
+                        let i = any(rng, &|_, ins| ins.op == Op::Red)?;
+                        match rng.index(3) {
+                            0 => tramp[i] = Instruction::nop(),
+                            1 => tramp.swap(i, neighbour(rng, i)?),
+                            _ if rng.gen_bool() => tramp[i].guard.negated ^= true,
+                            _ => tramp[i].guard.pred = Pred(rng.gen_range(0u8..8)),
+                        }
+                    }
+                    // The zeroing moved past a neighbour.
+                    2 => {
+                        let i = any(rng, &|_, ins| zeroing(ins))?;
+                        tramp.swap(i, neighbour(rng, i)?);
+                    }
+                    // A push's offset, or its scratch pair in the add or the push.
+                    _ => {
+                        let j = any(rng, &|_, ins| ins.op == Op::Chan)?;
+                        let i = j.checked_sub(1)?;
+                        match (rng.index(3), &mut tramp[i].operands[2]) {
+                            (0, Operand::Imm(off)) => *off += if rng.gen_bool() { 4 } else { -4 },
+                            (1, _) => tramp[i].operands[0] = Operand::Reg(to),
+                            _ => tramp[j].operands[0] = Operand::Reg(to),
+                        }
+                    }
                 }
             }
         }
@@ -2735,26 +2803,46 @@ mod tests {
     /// guarantees left it unchanged, and so did handing the verifier the
     /// build's own plan in place of its second derivation (this helper
     /// plans as the verifier did). Differential execution of the
-    /// survivors is ROADMAP item 4's other half.
+    /// survivors is ROADMAP item 4's other half. This stream draws the
+    /// first eight classes over [`pristine_images`], the rungs below the
+    /// default.
     #[test]
     fn verifier_verdicts_under_seeded_mutation_are_pinned() {
         let hal = Hal::new(Arch::Volta);
-        let images = pristine_images(&hal);
-        let mut rng = common::rng::Rng::seed_from_u64(25);
+        let hash = verdict_hash(&hal, &pristine_images(&hal), 25, 8);
+        assert_eq!(hash, 0x9df6_56fb_42ee_d865);
+    }
+
+    /// The same pin over the default rung's images ([`promoted_images`]),
+    /// with its own seed, drawing every class and the promoted code's own.
+    /// Surviving mutants are ROADMAP item 4's inputs; the pin holds their
+    /// verdicts still, it does not claim them killed.
+    #[test]
+    fn verifier_verdicts_under_seeded_mutation_of_the_default_rung_are_pinned() {
+        let hal = Hal::new(Arch::Volta);
+        let hash = verdict_hash(&hal, &promoted_images(&hal), 41, CLASSES.len());
+        assert_eq!(hash, 0x5847_a67a_9edb_186a);
+    }
+
+    /// Draws 512 mutants of `images` in each of the first `classes` classes
+    /// from `seed`, prints the verifier's kills per class and returns the
+    /// sorted `DiagKind`s of every mutant, hashed with FNV-1a.
+    fn verdict_hash(hal: &Hal, images: &[Pristine], seed: u64, classes: usize) -> u64 {
+        let mut rng = common::rng::Rng::seed_from_u64(seed);
         let (mut made, mut killed) = ([0u32; CLASSES.len()], [0u32; CLASSES.len()]);
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fnv = |b: u8| hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        for class in 0..CLASSES.len() {
+        for class in 0..classes {
             // Each draw picks an image the class applies to: only the
             // spliced rung of the spliceable counter has splices to rename.
             for _ in 0..512 {
                 let draw = (0..64).find_map(|_| {
-                    let p = rng.choose(&images);
+                    let p = rng.choose(images);
                     Some((p, mutant(p, class, &mut rng)?))
                 });
                 let Some((p, (image, tramp))) = draw else { continue };
                 let request = p.request();
-                let Some(kinds) = verdict(&hal, &p.code, &p.img, (&image, &tramp), request) else {
+                let Some(kinds) = verdict(hal, &p.code, &p.img, (&image, &tramp), request) else {
                     continue;
                 };
                 let mut kinds: Vec<u8> = kinds.iter().map(|k| *k as u8).collect();
@@ -2767,15 +2855,15 @@ mod tests {
             }
         }
         println!(
-            "verifier kills, {} mutants of {} accepted images",
+            "verifier kills, {} mutants of {} accepted images (seed {seed})",
             made.iter().sum::<u32>(),
             images.len()
         );
-        for (c, name) in CLASSES.iter().enumerate() {
+        for (c, name) in CLASSES.iter().enumerate().take(classes) {
             println!("  {name:<40} {:>5} / {:<5}", killed[c], made[c]);
         }
         println!("  verdict hash {hash:#018x}");
         assert!(made.iter().sum::<u32>() >= 2_000);
-        assert_eq!(hash, 0x9df6_56fb_42ee_d865);
+        hash
     }
 }

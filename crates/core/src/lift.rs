@@ -51,20 +51,18 @@ pub fn lift(hal: &Hal, info: &FunctionInfo, code: &[u8]) -> Result<Lifted> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuda::{CuFunction, CuModule};
+    use cuda::CuModule;
     use ptx::LineInfo;
     use sass::Arch;
 
     fn fake_info(line_table: Vec<LineInfo>) -> FunctionInfo {
         FunctionInfo {
-            handle: CuFunction::from_raw(1),
             name: "k".into(),
             module: CuModule::from_raw(1),
             library: false,
             kind: ptx::FunctionKind::Entry,
             addr: 0x1000,
             code_len: 0,
-            arch: Arch::Volta,
             reg_count: 8,
             stack_size: 0,
             shared_size: 0,

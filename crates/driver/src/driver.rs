@@ -7,7 +7,6 @@ use gpu::{Device, DeviceSpec, Dim3, ExecStats, LaunchConfig};
 use ptx::{LineInfo, ParamInfo};
 use sass::{Arch, Operand};
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 macro_rules! handle_type {
@@ -24,7 +23,8 @@ macro_rules! handle_type {
             }
 
             /// Reconstructs a handle from a raw value (for tests and
-            /// serialized tool state; the driver validates on use).
+            /// serialized tool state; the driver validates on use that the
+            /// value names a live object of this kind).
             pub fn from_raw(v: u32) -> $name {
                 $name(v)
             }
@@ -76,11 +76,11 @@ impl KernelArg {
 
 /// Public, copyable description of a loaded function — the properties the
 /// paper's Driver Interposer records (§5.1): register usage, stack usage,
-/// dependent functions and the memory location of the instructions.
+/// dependent functions and the memory location of the instructions. It is
+/// what the function's handle names in the driver's object table, so the
+/// handle and the device architecture are not repeated here.
 #[derive(Debug, Clone)]
 pub struct FunctionInfo {
-    /// Function handle.
-    pub handle: CuFunction,
     /// Function name.
     pub name: String,
     /// Owning module.
@@ -93,8 +93,6 @@ pub struct FunctionInfo {
     pub addr: u64,
     /// Code size in bytes.
     pub code_len: u64,
-    /// Architecture the code was generated for.
-    pub arch: Arch,
     /// General-purpose registers used.
     pub reg_count: u32,
     /// Per-thread stack bytes used by the function itself.
@@ -131,10 +129,18 @@ pub struct LaunchRecord {
 struct ModuleState {
     name: String,
     library: bool,
-    #[allow(dead_code)]
-    ctx: CuContext,
     /// The module's functions, ordered by name.
     functions: Vec<CuFunction>,
+}
+
+/// What a handle names: the slot of the driver's object table at the
+/// handle's value.
+enum Object {
+    /// Never issued (slot 0) or released; the lowest is issued next.
+    Free,
+    Context,
+    Module(ModuleState),
+    Function(FunctionInfo),
 }
 
 /// The last of `sorted` (ordered by the name `of` each) that is named `name`.
@@ -145,26 +151,57 @@ fn last_named<'n, T: Copy>(sorted: &[T], name: &str, of: impl Fn(T) -> &'n str) 
 
 struct State {
     device: Device,
-    next_handle: u32,
-    /// Handles released by `module_unload`, reissued lowest-first. Reuse is
-    /// deliberate: real drivers recycle `CUfunction` values, which is
-    /// exactly what makes stale instrumentation code caches dangerous.
-    free_handles: BTreeSet<u32>,
-    contexts: Vec<CuContext>,
-    modules: HashMap<u32, ModuleState>,
-    functions: HashMap<u32, FunctionInfo>,
+    /// Every context, module and function, indexed by its handle's value.
+    /// A released handle is reissued lowest-first. Reuse is deliberate:
+    /// real drivers recycle `CUfunction` values, which is exactly what makes
+    /// stale instrumentation code caches dangerous.
+    objects: Vec<Object>,
+    /// `Free` slots past slot 0, so that issuing scans only when one exists.
+    free: usize,
     launches: Vec<LaunchRecord>,
 }
 
 impl State {
-    /// Issues a handle value: the smallest recycled one, else a fresh one.
-    fn take_handle(&mut self) -> u32 {
-        if let Some(h) = self.free_handles.pop_first() {
-            return h;
+    /// Issues the lowest free handle value, else a new one, naming `obj`.
+    fn issue(&mut self, obj: Object) -> u32 {
+        if self.free == 0 {
+            self.objects.push(obj);
+            return self.objects.len() as u32 - 1;
         }
-        let h = self.next_handle;
-        self.next_handle += 1;
-        h
+        self.free -= 1;
+        let i = 1 + self.objects[1..].iter().position(|o| matches!(o, Object::Free)).unwrap();
+        self.objects[i] = obj;
+        i as u32
+    }
+
+    fn release(&mut self, h: u32) {
+        self.objects[h as usize] = Object::Free;
+        self.free += 1;
+    }
+
+    fn is_context(&self, ctx: &CuContext) -> bool {
+        matches!(self.objects.get(ctx.0 as usize), Some(Object::Context))
+    }
+
+    fn module(&self, h: &CuModule) -> Result<&ModuleState> {
+        match self.objects.get(h.0 as usize) {
+            Some(Object::Module(m)) => Ok(m),
+            _ => Err(DriverError::InvalidHandle(h.to_string())),
+        }
+    }
+
+    fn function(&self, h: CuFunction) -> Result<&FunctionInfo> {
+        match self.objects.get(h.0 as usize) {
+            Some(Object::Function(f)) => Ok(f),
+            _ => Err(DriverError::InvalidHandle(h.to_string())),
+        }
+    }
+
+    fn function_mut(&mut self, h: CuFunction) -> Result<&mut FunctionInfo> {
+        match self.objects.get_mut(h.0 as usize) {
+            Some(Object::Function(f)) => Ok(f),
+            _ => Err(DriverError::InvalidHandle(h.to_string())),
+        }
     }
 }
 
@@ -187,11 +224,8 @@ impl Driver {
             obs: common::obs::Recorder::new(),
             state: RefCell::new(State {
                 device: Device::new(spec),
-                next_handle: 1,
-                free_handles: BTreeSet::new(),
-                contexts: Vec::new(),
-                modules: HashMap::new(),
-                functions: HashMap::new(),
+                objects: vec![Object::Free],
+                free: 0,
                 launches: Vec::new(),
             }),
             interposer: RefCell::new(None),
@@ -284,12 +318,7 @@ impl Driver {
 
     /// `cuCtxCreate`.
     pub fn ctx_create(&self) -> Result<CuContext> {
-        let ctx = {
-            let mut st = self.state.borrow_mut();
-            let ctx = CuContext(st.take_handle());
-            st.contexts.push(ctx);
-            ctx
-        };
+        let ctx = CuContext(self.state.borrow_mut().issue(Object::Context));
         self.event(false, CbId::CtxCreate, &CbParams::Ctx { ctx });
         self.with_interposer(|ip, drv| ip.at_ctx_init(drv, ctx));
         self.event(true, CbId::CtxCreate, &CbParams::Ctx { ctx });
@@ -300,14 +329,12 @@ impl Driver {
     pub fn ctx_destroy(&self, ctx: CuContext) -> Result<()> {
         self.event(false, CbId::CtxDestroy, &CbParams::Ctx { ctx });
         self.with_interposer(|ip, drv| ip.at_ctx_term(drv, ctx));
-        let ok = {
-            let mut st = self.state.borrow_mut();
-            let before = st.contexts.len();
-            st.contexts.retain(|c| *c != ctx);
-            st.contexts.len() != before
-        };
+        let live = self.state.borrow().is_context(&ctx);
+        if live {
+            self.state.borrow_mut().release(ctx.0);
+        }
         self.event(true, CbId::CtxDestroy, &CbParams::Ctx { ctx });
-        if ok {
+        if live {
             Ok(())
         } else {
             Err(DriverError::InvalidHandle(ctx.to_string()))
@@ -319,7 +346,15 @@ impl Driver {
     /// `cuModuleLoad`: selects (or JIT-compiles) the image for the current
     /// device, loads every function into device memory and resolves call
     /// relocations.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::InvalidHandle`] when `ctx` names no live context
+    /// (never issued, destroyed, or another kind of handle).
     pub fn module_load(&self, ctx: &CuContext, fatbin: FatBinary) -> Result<CuModule> {
+        if !self.state.borrow().is_context(ctx) {
+            return Err(DriverError::InvalidHandle(ctx.to_string()));
+        }
         let _obs = self.obs.enter();
         let _span = common::obs::span("module_load");
         common::obs::counter("module.loads", 1);
@@ -339,17 +374,17 @@ impl Driver {
             },
         };
 
-        let module = {
-            let mut st = self.state.borrow_mut();
-            CuModule(st.take_handle())
-        };
+        let (name, library) = (fatbin.name.clone(), fatbin.library);
+        let module = ModuleState { name, library, functions: Vec::new() };
+        let module = CuModule(self.state.borrow_mut().issue(Object::Module(module)));
         self.event(
             false,
             CbId::ModuleLoad,
             &CbParams::Module { module, name: &fatbin.name, library: fatbin.library },
         );
 
-        {
+        // A load that fails releases the module's handle.
+        let loaded = (|| -> Result<()> {
             let mut st = self.state.borrow_mut();
 
             // The image's functions by name, equal names in image order:
@@ -390,12 +425,30 @@ impl Driver {
                     st.device.write(base, &patched)?;
                 }
             }
-            // Pass 3: register the functions, each with every function its
-            // calls reach, callees' calls too, each once, by handle.
-            let handles: Vec<CuFunction> =
-                funcs.iter().map(|_| CuFunction(st.take_handle())).collect();
-            let calls = |i: usize| funcs[i].related.iter().filter_map(|n| find(n));
-            for (i, (f, &addr)) in funcs.iter().zip(&addrs).enumerate() {
+            // Pass 3: register the functions, then give each every function
+            // its calls reach, callees' calls too, each once, by handle. The
+            // relocations are the call edges.
+            let handles: Vec<CuFunction> = (funcs.iter().zip(&addrs))
+                .map(|(f, &addr)| {
+                    CuFunction(st.issue(Object::Function(FunctionInfo {
+                        name: f.name.clone(),
+                        module,
+                        library,
+                        kind: f.kind,
+                        addr,
+                        code_len: f.code.len() as u64,
+                        reg_count: f.reg_count,
+                        stack_size: f.stack_size,
+                        shared_size: f.shared_size,
+                        params: f.params.clone(),
+                        related: Vec::new(),
+                        line_table: f.line_table.clone(),
+                        local_override: 0,
+                    })))
+                })
+                .collect();
+            let calls = |i: usize| funcs[i].relocs.iter().filter_map(|r| find(&r.target));
+            for (i, &h) in handles.iter().enumerate() {
                 let mut reach: Vec<usize> = calls(i).collect();
                 let mut next = 0;
                 while let Some(&j) = reach.get(next) {
@@ -409,37 +462,18 @@ impl Driver {
                 let mut related: Vec<CuFunction> =
                     reach.into_iter().filter(|&j| j != i).map(|j| handles[j]).collect();
                 related.sort_unstable();
-                st.functions.insert(
-                    handles[i].0,
-                    FunctionInfo {
-                        handle: handles[i],
-                        name: f.name.clone(),
-                        module,
-                        library: fatbin.library,
-                        kind: f.kind,
-                        addr,
-                        code_len: f.code.len() as u64,
-                        arch,
-                        reg_count: f.reg_count,
-                        stack_size: f.stack_size,
-                        shared_size: f.shared_size,
-                        params: f.params.clone(),
-                        related,
-                        line_table: f.line_table.clone(),
-                        local_override: 0,
-                    },
-                );
+                related.dedup();
+                st.function_mut(h)?.related = related;
             }
-            st.modules.insert(
-                module.0,
-                ModuleState {
-                    name: fatbin.name.clone(),
-                    library: fatbin.library,
-                    ctx: *ctx,
-                    functions: by_name.iter().map(|&i| handles[i]).collect(),
-                },
-            );
+            if let Object::Module(m) = &mut st.objects[module.0 as usize] {
+                m.functions = by_name.iter().map(|&i| handles[i]).collect();
+            }
+            Ok(())
+        })();
+        if loaded.is_err() {
+            self.state.borrow_mut().release(module.0);
         }
+        loaded?;
 
         self.event(
             true,
@@ -453,11 +487,8 @@ impl Driver {
     pub fn module_get_function(&self, module: &CuModule, name: &str) -> Result<CuFunction> {
         let func = {
             let st = self.state.borrow();
-            let m = st
-                .modules
-                .get(&module.0)
-                .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-            last_named(&m.functions, name, |h| &st.functions[&h.0].name)
+            let of = |h| st.function(h).map_or("", |f| f.name.as_str());
+            last_named(&st.module(module)?.functions, name, of)
                 .ok_or_else(|| DriverError::NotFound { name: name.to_string() })?
         };
         self.event(false, CbId::ModuleGetFunction, &CbParams::GetFunction { func, name });
@@ -480,10 +511,7 @@ impl Driver {
     pub fn module_unload(&self, module: CuModule) -> Result<()> {
         let (name, library, mut funcs) = {
             let st = self.state.borrow();
-            let m = st
-                .modules
-                .get(&module.0)
-                .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
+            let m = st.module(&module)?;
             (m.name.clone(), m.library, m.functions.clone())
         };
         let _obs = self.obs.enter();
@@ -494,13 +522,11 @@ impl Driver {
             let mut st = self.state.borrow_mut();
             funcs.sort_by_key(|f| f.0);
             for f in funcs {
-                if let Some(info) = st.functions.remove(&f.0) {
-                    st.device.free(info.addr)?;
-                    st.free_handles.insert(f.0);
-                }
+                let addr = st.function(f)?.addr;
+                st.device.free(addr)?;
+                st.release(f.0);
             }
-            st.modules.remove(&module.0);
-            st.free_handles.insert(module.0);
+            st.release(module.0);
         }
         self.event(true, CbId::ModuleUnload, &p);
         Ok(())
@@ -514,45 +540,17 @@ impl Driver {
     ///
     /// [`DriverError::InvalidHandle`] for an unknown module.
     pub fn module_functions(&self, module: &CuModule) -> Result<Vec<CuFunction>> {
-        let st = self.state.borrow();
-        let m = st
-            .modules
-            .get(&module.0)
-            .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-        let mut v = m.functions.clone();
+        let mut v = self.state.borrow().module(module)?.functions.clone();
         v.sort_by_key(|h| h.0);
         Ok(v)
     }
 
     /// All kernels (entry functions) of a module, in load order.
     pub fn module_kernels(&self, module: &CuModule) -> Result<Vec<CuFunction>> {
+        let mut v = self.module_functions(module)?;
         let st = self.state.borrow();
-        let m = st
-            .modules
-            .get(&module.0)
-            .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))?;
-        let mut v = m.functions.clone();
-        v.retain(|h| st.functions.get(&h.0).is_some_and(|f| f.kind == ptx::FunctionKind::Entry));
-        v.sort_by_key(|h| h.0);
+        v.retain(|&h| st.function(h).is_ok_and(|f| f.kind == ptx::FunctionKind::Entry));
         Ok(v)
-    }
-
-    /// The name of a module.
-    pub fn module_name(&self, module: &CuModule) -> Result<String> {
-        let st = self.state.borrow();
-        st.modules
-            .get(&module.0)
-            .map(|m| m.name.clone())
-            .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))
-    }
-
-    /// True if the module was loaded from a pre-compiled library binary.
-    pub fn module_is_library(&self, module: &CuModule) -> Result<bool> {
-        let st = self.state.borrow();
-        st.modules
-            .get(&module.0)
-            .map(|m| m.library)
-            .ok_or_else(|| DriverError::InvalidHandle(module.to_string()))
     }
 
     // ----- Functions -----------------------------------------------------
@@ -571,12 +569,7 @@ impl Driver {
         func: CuFunction,
         read: impl FnOnce(&FunctionInfo) -> R,
     ) -> Result<R> {
-        let st = self.state.borrow();
-        let info = st
-            .functions
-            .get(&func.0)
-            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))?;
-        Ok(read(info))
+        Ok(read(self.state.borrow().function(func)?))
     }
 
     /// Reads the function's current code bytes from device memory (the
@@ -585,10 +578,7 @@ impl Driver {
         let _obs = self.obs.enter();
         let _span = common::obs::span("retrieve");
         let st = self.state.borrow();
-        let info = st
-            .functions
-            .get(&func.0)
-            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))?;
+        let info = st.function(func)?;
         let mut buf = vec![0u8; info.code_len as usize];
         st.device.read(info.addr, &mut buf)?;
         Ok(buf)
@@ -597,12 +587,7 @@ impl Driver {
     /// Requests extra per-thread local memory on every launch of `func`
     /// (used by the instrumentation layer for register save areas).
     pub fn set_local_override(&self, func: CuFunction, extra: u32) -> Result<()> {
-        let mut st = self.state.borrow_mut();
-        let f = st
-            .functions
-            .get_mut(&func.0)
-            .ok_or_else(|| DriverError::InvalidHandle(func.to_string()))?;
-        f.local_override = extra;
+        self.state.borrow_mut().function_mut(func)?.local_override = extra;
         Ok(())
     }
 
@@ -666,9 +651,7 @@ impl Driver {
         let _span = common::obs::span("launch");
         common::obs::counter("kernel.launches", 1);
         // Validate the handle before telling anyone about the launch.
-        if !self.state.borrow().functions.contains_key(&func.0) {
-            return Err(DriverError::InvalidHandle(func.to_string()));
-        }
+        self.state.borrow().function(*func)?;
         let p = CbParams::LaunchKernel { func: *func, grid, block, args };
         self.event(false, CbId::LaunchKernel, &p);
 
@@ -722,7 +705,7 @@ impl Driver {
         let related_max = info
             .related
             .iter()
-            .filter_map(|h| st.functions.get(&h.0))
+            .filter_map(|&h| st.function(h).ok())
             .map(|f| f.stack_size + f.local_override)
             .max()
             .unwrap_or(0);
@@ -1009,6 +992,84 @@ done:
         drv.launch_kernel(&f("k"), Dim3::linear(1), Dim3::linear(32), &[]).unwrap();
     }
 
+    fn invalid<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(r, Err(DriverError::InvalidHandle(_)))
+    }
+
+    #[test]
+    fn a_module_loads_only_into_a_live_context() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        let load = |ctx: CuContext| drv.module_load(&ctx, FatBinary::from_ptx("app", APP));
+        assert!(invalid(load(CuContext::from_raw(999))), "never issued");
+        let m = load(ctx).unwrap();
+        assert!(invalid(load(CuContext::from_raw(m.raw()))), "a module handle");
+        let gone = drv.ctx_create().unwrap();
+        drv.ctx_destroy(gone).unwrap();
+        assert!(invalid(load(gone)), "destroyed");
+        assert!(invalid(drv.ctx_destroy(gone)), "destroyed twice");
+    }
+
+    #[test]
+    fn a_handle_of_another_kind_is_invalid() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", CALLS)).unwrap();
+        let k = drv.module_get_function(&m, "k").unwrap();
+        let as_module = CuModule::from_raw(k.raw());
+        assert!(invalid(drv.module_functions(&as_module)));
+        assert!(invalid(drv.module_get_function(&as_module, "k")));
+        assert!(invalid(drv.module_unload(as_module)));
+        assert!(invalid(drv.function_info(CuFunction::from_raw(m.raw()))));
+        assert!(invalid(drv.read_code(CuFunction::from_raw(ctx.raw()))));
+        let launch = |f| drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(1), &[]);
+        assert!(invalid(launch(CuFunction::from_raw(m.raw()))));
+        assert!(invalid(launch(CuFunction::from_raw(0))), "handle 0 is never issued");
+    }
+
+    #[test]
+    fn unloaded_handles_are_reissued_exactly_and_lowest_first() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        let load = |name| drv.module_load(&ctx, FatBinary::from_ptx(name, CALLS)).unwrap();
+        let handles = |m: CuModule| {
+            let funcs = drv.module_functions(&m).unwrap();
+            std::iter::once(m.raw()).chain(funcs.iter().map(CuFunction::raw)).collect::<Vec<_>>()
+        };
+        let first = handles(load("first"));
+        let second = handles(load("second"));
+        assert_eq!((first, second.clone()), (vec![2, 3, 4], vec![5, 6, 7]));
+        drv.module_unload(CuModule::from_raw(2)).unwrap();
+        assert_eq!(handles(load("third")), vec![2, 3, 4], "the freed handles, lowest-first");
+        assert_eq!(handles(load("fourth")), vec![8, 9, 10], "then new ones");
+        assert_eq!(handles(CuModule::from_raw(5)), second, "untouched");
+    }
+
+    #[test]
+    fn a_failed_load_releases_its_module_handle() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        let mut bad = FatBinary::library_from_ptx("bad", CALLS).unwrap();
+        let relocs =
+            bad.images.iter_mut().flat_map(|m| &mut m.functions).flat_map(|f| &mut f.relocs);
+        relocs.for_each(|r| r.target = "gone".into());
+        assert!(matches!(drv.module_load(&ctx, bad), Err(DriverError::NotFound { .. })));
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
+        assert_eq!(m.raw(), 2, "the failed load's handle is issued again");
+    }
+
+    #[test]
+    fn a_destroyed_context_handle_is_reissued_lowest_first() {
+        let drv = driver();
+        let ctxs: Vec<CuContext> = (0..3).map(|_| drv.ctx_create().unwrap()).collect();
+        assert_eq!(ctxs.iter().map(CuContext::raw).collect::<Vec<_>>(), vec![1, 2, 3]);
+        drv.ctx_destroy(ctxs[2]).unwrap();
+        drv.ctx_destroy(ctxs[1]).unwrap();
+        let again: Vec<u32> = (0..3).map(|_| drv.ctx_create().unwrap().raw()).collect();
+        assert_eq!(again, vec![2, 3, 4]);
+        drv.module_load(&CuContext::from_raw(3), FatBinary::from_ptx("app", APP)).unwrap();
+    }
+
     #[test]
     fn sass_only_library_loads_without_jit() {
         let lib = FatBinary::library_from_ptx("libmini", APP).unwrap();
@@ -1016,7 +1077,6 @@ done:
             let drv = Driver::new(DeviceSpec::test(arch));
             let ctx = drv.ctx_create().unwrap();
             let m = drv.module_load(&ctx, lib.clone()).unwrap();
-            assert!(drv.module_is_library(&m).unwrap());
             let f = drv.module_get_function(&m, "scale").unwrap();
             assert!(drv.function_info(f).unwrap().library);
         }

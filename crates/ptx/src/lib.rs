@@ -184,11 +184,9 @@ pub struct CompiledFunction {
     pub shared_size: u32,
     /// Kernel parameter layout (entry functions only).
     pub params: Vec<ParamInfo>,
-    /// Call relocations to patch at load time.
+    /// Call relocations to patch at load time, one per call in call order:
+    /// the function's call edges (paper: `nvbit_get_related_funcs`).
     pub relocs: Vec<Reloc>,
-    /// Names of functions this function may call (paper:
-    /// `nvbit_get_related_funcs`).
-    pub related: Vec<String>,
     /// Source correlation table; empty when compiled without `.loc`.
     pub line_table: Vec<LineInfo>,
     /// True when the function uses the `nvbit.readreg`/`nvbit.writereg`

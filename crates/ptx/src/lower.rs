@@ -290,7 +290,6 @@ struct Emitter<'a> {
     /// Out index per block label id (`usize::MAX` until emitted).
     labels: Vec<usize>,
     relocs: Vec<Reloc>,
-    related: Vec<String>,
     line_table: Vec<LineInfo>,
     params: Vec<ParamInfo>,
     /// Byte offset of each of `f.shared`, in declaration order.
@@ -353,7 +352,6 @@ impl<'a> Emitter<'a> {
             fixups: Vec::new(),
             labels: vec![usize::MAX; 2 * cfg.blocks.len()],
             relocs: Vec::new(),
-            related: Vec::new(),
             line_table: Vec::new(),
             params,
             shared_offsets,
@@ -791,9 +789,6 @@ impl<'a> Emitter<'a> {
                 let at = self.out.len();
                 self.emit(Guard::ALWAYS, Op::Jcal, Mods::default(), [Operand::Abs(0)]);
                 self.relocs.push(Reloc { instr_index: at, target: callee.to_string() });
-                if !self.related.iter().any(|r| r == callee) {
-                    self.related.push(callee.to_string());
-                }
                 if let Some(r) = ret {
                     let d = self.gpr_of(r)?;
                     self.mov(Guard::ALWAYS, d, Reg(FIRST_CALLER), ty_of(r).is_wide());
@@ -1257,7 +1252,6 @@ impl<'a> Emitter<'a> {
             shared_size: self.shared_size,
             params: self.params,
             relocs: self.relocs,
-            related: self.related,
             line_table: self.line_table,
             uses_reg_api: self.uses_reg_api,
         })
@@ -1476,7 +1470,6 @@ TOP:
         assert!(instrs.iter().any(|i| i.op == Op::Jcal));
         assert_eq!(f.relocs.len(), 1);
         assert_eq!(f.relocs[0].target, "helper");
-        assert_eq!(f.related, vec!["helper".to_string()]);
     }
 
     /// Fifteen values live at once (R4 to R18 and up), an early `ret` and a

@@ -1,11 +1,12 @@
 //! The `WFFT32` instruction-emulation tool (paper §6.3, Listing 9).
 //!
 //! Finds the hypothetical warp-wide FFT proxy instruction in launched
-//! kernels, removes it, and injects a functionally-equivalent device
-//! function that reads the source register pair through the device API,
-//! computes the 32-point FFT with warp shuffles, and writes the destination
-//! register pair back permanently.
+//! kernels and the functions they reach, removes it, and injects a
+//! functionally-equivalent device function that reads the source register
+//! pair through the device API, computes the 32-point FFT with warp
+//! shuffles, and writes the destination register pair back permanently.
 
+use crate::uninstrumented;
 use cuda::{CbId, CbParams};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::collections::HashSet;
@@ -38,22 +39,25 @@ impl NvbitTool for WfftEmu {
         params: &CbParams<'_>,
     ) {
         let CbParams::LaunchKernel { func, .. } = params else { return };
-        if is_exit || cbid != CbId::LaunchKernel || !self.seen.insert(func.raw()) {
+        if is_exit || cbid != CbId::LaunchKernel {
             return;
         }
+        let Some(targets) = uninstrumented(api, *func, &mut self.seen) else { return };
         let id = ptx::lower::proxy_id(workloads::fft::WFFT32);
         let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection").iter() {
-            if instr.proxy_id() != Some(id) {
-                continue;
+        for t in targets {
+            for instr in api.get_instrs(t).expect("inspection").iter() {
+                if instr.proxy_id() != Some(id) {
+                    continue;
+                }
+                let (dst, src) = instr.proxy_regs().expect("proxy carries registers");
+                api.insert_call(t, instr.idx, "wfft32_emu", IPoint::Before).unwrap();
+                api.add_call_arg_imm32(t, instr.idx, src.0 as i32).unwrap();
+                api.add_call_arg_imm32(t, instr.idx, dst.0 as i32).unwrap();
+                api.remove_orig(t, instr.idx).unwrap();
+                self.replaced += 1;
+                sites += 1;
             }
-            let (dst, src) = instr.proxy_regs().expect("proxy carries registers");
-            api.insert_call(*func, instr.idx, "wfft32_emu", IPoint::Before).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, src.0 as i32).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, dst.0 as i32).unwrap();
-            api.remove_orig(*func, instr.idx).unwrap();
-            self.replaced += 1;
-            sites += 1;
         }
         common::obs::counter("tool.wfft_emu.sites", sites);
     }

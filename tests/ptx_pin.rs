@@ -57,8 +57,16 @@ fn hash_module(h: &mut Fnv, m: &CompiledModule) {
             h.num(r.instr_index as u64);
             h.text(&r.target);
         }
-        h.num(f.related.len() as u64);
-        f.related.iter().for_each(|r| h.text(r));
+        // The callees, each once in first-call order: the pinned hashes
+        // cover this list.
+        let mut callees: Vec<&str> = Vec::new();
+        for r in &f.relocs {
+            if !callees.contains(&r.target.as_str()) {
+                callees.push(&r.target);
+            }
+        }
+        h.num(callees.len() as u64);
+        callees.iter().for_each(|r| h.text(r));
         h.num(f.line_table.len() as u64);
         for l in &f.line_table {
             h.num(l.instr_index as u64);
