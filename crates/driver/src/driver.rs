@@ -388,7 +388,7 @@ impl Driver {
             let mut st = self.state.borrow_mut();
 
             // The image's functions by name, equal names in image order:
-            // relocations, related lists and `module_get_function` look up.
+            // relocations and `module_get_function` look up.
             let funcs = &image.functions;
             let mut by_name: Vec<usize> = (0..funcs.len()).collect();
             by_name.sort_by_key(|&i| &funcs[i].name);
