@@ -390,23 +390,19 @@ fn live_at(df: &sass::Dataflow, idx: usize, ipoint: IPoint) -> &LiveSet {
 }
 
 /// The application state that materializing `call` at a site guarded by
-/// `guard` reads — register and predicate arguments, the predicate filter —
-/// although it is not in `live` there.
+/// `guard` reads — register and predicate arguments — although it is not in
+/// `live` there.
 fn dead_reads(call: &PlannedCall, guard: sass::Guard, live: &LiveSet) -> LiveSet {
     let mut reads = LiveSet::EMPTY;
-    let guard_bit = if guard.pred.is_true_reg() { 0 } else { 1 << guard.pred.0 };
     for arg in &call.args {
         match *arg {
             Arg::RegVal(r) | Arg::RegVal64(r) => span_regs(Reg(r), arg.slots() as usize)
                 .filter(|r| !live.gprs.contains(*r))
                 .for_each(|r| reads.gprs.insert(r)),
             Arg::PredVal(p) if p < 7 => reads.preds |= 1 << p,
-            Arg::GuardPred => reads.preds |= guard_bit,
+            Arg::GuardPred if !guard.pred.is_true_reg() => reads.preds |= 1 << guard.pred.0,
             _ => {}
         }
-    }
-    if call.pred_filter {
-        reads.preds |= guard_bit;
     }
     reads.preds &= !live.preds;
     reads
@@ -721,19 +717,6 @@ fn emit_site(
 /// any other as save routine, frame pointer, arguments, tool call (or
 /// spliced body), restore routine — and returns its [`Splice`] relative to
 /// the `site` start in `out`.
-///
-/// With `pred_filter` set on a guarded site, the whole sequence is wrapped
-/// in an `SSY`-bracketed diamond so that guard-false lanes never enter the
-/// injected function (the paper's §7 "predicate matching" extension):
-///
-/// ```text
-///       SSY  L_skip
-/// @!Pg  BRA  L_other        ; guard-false lanes take their own path
-///       <save / args / call / restore>
-///       SYNC                ; guard-true path done
-/// L_other: SYNC             ; guard-false path done
-/// L_skip:  ...
-/// ```
 fn emit_call(
     cx: &mut Emit<'_>,
     tier: u16,
@@ -753,19 +736,6 @@ fn emit_call(
         Lowering::Splice => Some(&tool.body[..]),
         Lowering::Call => None,
     };
-    // The wrapper's targets depend on the length of what it wraps: emitted
-    // first with none, set once the sequence is there.
-    let wrapper = (call.pred_filter && !guard.is_always()).then_some(out.len());
-    let barrier = if cx.hal.saves_barrier_state() { 1 } else { 0 };
-    let mods = Mods { barrier, ..Mods::default() };
-    if wrapper.is_some() {
-        out.push(Instruction::new(Op::Ssy, [Operand::Rel(0)]).with_mods(mods));
-        out.push(
-            Instruction::new(Op::Bra, [Operand::Rel(0)])
-                .with_guard(sass::Guard { pred: guard.pred, negated: !guard.negated }),
-        );
-    }
-
     let inline_span = match (exact, body) {
         (Some(live), Some(body)) => Some(emit_exact(cx, live, guard, call, body, out)?),
         _ => {
@@ -805,13 +775,6 @@ fn emit_call(
             span
         }
     };
-    if let Some(wrapper) = wrapper {
-        let isize = cx.hal.instruction_size() as i64;
-        let n = (out.len() - wrapper - 2) as i64;
-        out[wrapper].set_rel_target((n + 3) * isize);
-        out[wrapper + 1].set_rel_target((n + 1) * isize);
-        out.extend([Instruction::new(Op::Sync, []).with_mods(mods); 2]);
-    }
     Ok(inline_span.map(|(at, len)| (at - site, len)))
 }
 
@@ -2112,30 +2075,6 @@ mod tests {
             let kinds = verdict(&hal, &code, &img, (&image, &bare), request).unwrap();
             assert!(kinds.contains(&DiagKind::PressureExceeded), "{kinds:?}");
         }
-    }
-
-    #[test]
-    fn inline_span_shifts_inside_the_pred_filter_diamond() {
-        let (hal, info, instrs) = setup(
-            Arch::Volta,
-            "ISETP.EQ.S32 P0, R4, RZ ;\n\
-             @P0 IADD R7, R7, 0x1 ;\n\
-             EXIT ;",
-        );
-        let fns = leaf_fns(&hal, 8);
-        let mut spec = FuncSpec::default();
-        spec.insert_call(1, "leaf", IPoint::Before);
-        spec.set_pred_filter(1);
-        let plan =
-            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &fns, PlanOpts::default())
-                .unwrap();
-        let (out, _, metas) = ladder_site(&hal, &info, &instrs, &plan, &fns, 1);
-        let (off, len) = metas[0].expect("inlined");
-        assert_eq!(len, 2);
-        assert_eq!(out[off].op, Op::Iadd, "{}", sass::asm::disassemble(&out));
-        assert_eq!(out[off + 1].op, Op::Nop);
-        assert_eq!(out[0].op, Op::Ssy);
-        assert_eq!(out[1].op, Op::Bra);
     }
 
     #[test]

@@ -813,20 +813,6 @@ impl<'a> NvbitApi<'a> {
         self.add_call_arg(func, idx, Arg::Imm64(v))
     }
 
-    /// Enables predicate filtering on the most recent injection at the
-    /// site: lanes whose guard predicate is false skip the injected
-    /// function entirely instead of entering it and returning early — the
-    /// finer-grained thread selection the paper's §7 sketches as future
-    /// work. No-op for unguarded instructions. Warp-level intrinsics inside
-    /// the tool function then observe only the guard-true lanes.
-    ///
-    /// # Errors
-    ///
-    /// [`NvbitError::BadRequest`] when no call was inserted at the site.
-    pub fn set_pred_filter(&self, func: CuFunction, idx: usize) -> Result<()> {
-        self.state.edit_site(func, idx, "set_pred_filter", |spec| spec.set_pred_filter(idx))
-    }
-
     /// Marks the most recent injection at the site as coalescible: the
     /// planner may merge identical such injections within a basic block
     /// into a single call carrying a multiplicity argument. The injection
@@ -835,8 +821,7 @@ impl<'a> NvbitApi<'a> {
     /// stands for N sites), whether or not merging actually happens, so
     /// plans built with coalescing on and off stay behaviourally identical.
     /// Only injections whose explicit arguments are all block-invariant
-    /// (immediates and constant-bank reads) and that carry no predicate
-    /// filter are eligible for merging.
+    /// (immediates and constant-bank reads) are eligible for merging.
     ///
     /// # Errors
     ///

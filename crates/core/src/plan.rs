@@ -15,20 +15,20 @@
 //! 1. **Block coalescing** (opt-in per injection via
 //!    [`crate::spec::Injection::coalesce`]): injections of the same tool
 //!    function with identical *block-invariant* arguments (immediates,
-//!    constant-bank reads), no predicate filter and an `IPoint::Before`
-//!    point are merged into a single call per basic block carrying a
-//!    multiplicity argument. This is exact, not approximate: the warp's
-//!    active mask cannot change inside a basic block (control flow only
-//!    occurs at block ends, and predication does not alter the mask), so
-//!    one call with multiplicity *N* observes the same active lanes as *N*
-//!    calls with multiplicity 1.
-//! 2. **Region coalescing**: per-block merged calls are hoisted further,
-//!    into one call per [`sass::Dom`] coalescing region — the dominator/
+//!    constant-bank reads) and an `IPoint::Before` point are merged into a
+//!    single call per basic block carrying a multiplicity argument. This is
+//!    exact, not approximate: the warp's active mask cannot change inside a
+//!    basic block (control flow only occurs at block ends, and predication
+//!    does not alter the mask), so one call with multiplicity *N* observes
+//!    the same active lanes as *N* calls with multiplicity 1.
+//! 2. **Region coalescing**: the same merge over a wider class, one call
+//!    per [`sass::Dom`] coalescing region — the dominator/
 //!    post-dominator/cycle-equivalence classes whose blocks provably
 //!    execute exactly as often, per lane, as the class head (see
 //!    [`sass::dom`] for the exactness argument). Irreducible control flow
-//!    makes every block its own region, so this pass degrades to a no-op
-//!    rather than to an approximation.
+//!    makes every block its own region, so this rung degrades to block
+//!    coalescing rather than to an approximation. One merge runs per plan,
+//!    over the class its rung names.
 //! 3. **Leaf inlining**: a call is spliced iff its tool body is spliceable
 //!    (small, call-free, stack-free, no `nvbit.readreg`/`writereg` use, a
 //!    straight line or one guarded diamond — see
@@ -107,10 +107,6 @@ pub struct PlannedCall {
     /// Finalized positional arguments. For coalesce-marked calls this
     /// already includes the trailing `Imm32` multiplicity argument.
     pub args: Vec<Arg>,
-    /// Wrap the call in the guard-predicate diamond.
-    pub pred_filter: bool,
-    /// The call follows the multiplicity protocol.
-    pub coalesce: bool,
     /// What the code generator emits for the call.
     pub lowering: Lowering,
 }
@@ -190,10 +186,10 @@ pub struct PlanStats {
     /// Requested calls eliminated by the coalescing pass
     /// (`requested_calls − emitted_calls`).
     pub coalesced_away: u64,
-    /// Merged groups with more than one member.
+    /// Basic blocks holding two or more members of one merged group.
     pub coalesced_groups: u64,
-    /// Groups merged by the region-coalescing pass (beyond what block
-    /// coalescing already merged).
+    /// Merged groups spanning more than one basic block (region
+    /// coalescing).
     pub region_groups: u64,
     /// Whether a basic-block partition was available (coalescing needs
     /// one; indirect control flow defeats it — the ICF exception).
@@ -224,39 +220,29 @@ pub struct InstrumentationPlan {
     pub stats: PlanStats,
 }
 
-/// One requested injection on its way through the passes, and the group of
-/// requests it has come to stand for. The passes work on one flat list of
-/// these, in emission order; a [`PlannedCall`] is only made of the ones
+/// One requested injection on its way through the passes, and how many
+/// requested sites it has come to stand for. The passes work on one flat
+/// list of these, in site order; a [`PlannedCall`] is only made of the ones
 /// still standing at the end, each at its own injection's site.
 struct Request<'a> {
     inj: &'a Injection,
     /// The injection's explicit arguments (no multiplicity argument).
     args: &'a [Arg],
-    /// The next member of the group this request belongs to; the group's
-    /// representative heads the chain.
-    next: Option<usize>,
-    /// False once merged into another request's group.
-    stands: bool,
+    /// The sites the call stands for, its own included; 0 once merged into
+    /// another request's call.
+    sites: i32,
 }
 
 impl Request<'_> {
-    /// Coalesce-marked, unfiltered, before its instruction and every
-    /// explicit argument the same at every site of a basic block (it depends
-    /// on nothing per dynamic instance: no guard predicate, no register or
-    /// predicate value): what the merging passes require.
+    /// Coalesce-marked, before its instruction and every explicit argument
+    /// the same at every site of a basic block (it depends on nothing per
+    /// dynamic instance: no guard predicate, no register or predicate
+    /// value): what merging requires.
     fn mergeable(&self) -> bool {
         let invariant = |a: &Arg| matches!(a, Arg::Imm32(_) | Arg::Imm64(_) | Arg::CBank { .. });
-        let (inj, before) = (self.inj, self.inj.ipoint == IPoint::Before);
-        before && inj.coalesce && !inj.pred_filter && self.args.iter().all(invariant)
+        let before = self.inj.ipoint == IPoint::Before;
+        before && self.inj.coalesce && self.args.iter().all(invariant)
     }
-}
-
-/// The members of the group `head` represents, itself first.
-fn group<'r, 'a>(
-    requests: &'r [Request<'a>],
-    head: usize,
-) -> impl Iterator<Item = &'r Request<'a>> {
-    std::iter::successors(Some(head), |&m| requests[m].next).map(|m| &requests[m])
 }
 
 /// Builds the plan: validates the spec against the function body and the
@@ -302,23 +288,17 @@ pub fn build(
     let mut requests: Vec<Request<'_>> = spec
         .injections()
         .iter()
-        .map(|inj| Request { inj, args: spec.args(inj), next: None, stands: true })
+        .map(|inj| Request { inj, args: spec.args(inj), sites: 1 })
         .collect();
     requests.sort_by_key(|r| r.inj.idx);
 
-    // Pass 1: block coalescing — merge within each basic block. Pass 2:
-    // region coalescing — merge across control-equivalent, cycle-equivalent
-    // blocks; identity regions under irreducible control flow make it a
-    // no-op, so the walk is skipped. Without a CFG nothing merges.
-    let mut scratch = MergeScratch::default();
+    // Passes 1 and 2, coalescing: merge within each basic block at `Block`,
+    // within each control-equivalent, cycle-equivalent region of blocks from
+    // `Region` up (every block is its own region under irreducible control
+    // flow). Without a CFG nothing merges.
     if let Some(a) = analysis.filter(|_| opts.level >= PlanLevel::Block) {
-        stats.coalesced_groups +=
-            merge_calls(&mut requests, &mut scratch, |site| block_of(&a.blocks, site));
-        if opts.level >= PlanLevel::Region && !a.dom.irreducible() {
-            stats.region_groups += merge_calls(&mut requests, &mut scratch, |site| {
-                block_of(&a.blocks, site).map(|b| a.dom.region_head(b))
-            });
-        }
+        (stats.coalesced_groups, stats.region_groups) =
+            merge_calls(&mut requests, a, opts.level >= PlanLevel::Region);
     }
 
     // What is left standing is what is emitted; pass 3, inline splicing: a
@@ -327,22 +307,19 @@ pub fn build(
     // removed: the generator NOPs removed-but-callless instructions in
     // place, with no trampoline needed.
     let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
-    for (head, r) in requests.iter().enumerate().filter(|(_, r)| r.stands) {
+    for r in requests.iter().filter(|r| r.sites > 0) {
         let mut args = Vec::with_capacity(r.args.len() + 1);
         args.extend_from_slice(r.args);
         // The multiplicity protocol's trailing argument — how many requested
         // sites the call stands for — merged or not, so naive and coalesced
         // plans present identical tool signatures.
-        let multiplicity = group(&requests, head).count() as i32;
-        args.extend(r.inj.coalesce.then_some(Arg::Imm32(multiplicity)));
+        args.extend(r.inj.coalesce.then_some(Arg::Imm32(r.sites)));
         let spliced = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
         sites.entry(r.inj.idx).or_default().push(PlannedCall {
             func: r.inj.func.clone(),
             ipoint: r.inj.ipoint,
             args,
-            pred_filter: r.inj.pred_filter,
-            coalesce: r.inj.coalesce,
             lowering: if spliced { Lowering::Splice } else { Lowering::Call },
         });
     }
@@ -366,7 +343,7 @@ pub fn build(
     Ok(InstrumentationPlan { sites, removed: spec.removed.clone(), promotion, stats })
 }
 
-/// Lowers each unfiltered call of an [`Effect`] body whose predicate, if
+/// Lowers each call of an [`Effect`] body whose predicate, if
 /// tested, is `GuardPred` (the effect takes the site's guard) or a non-zero
 /// `Imm32`: a counter's address an `Imm64` and value an `Imm32` or constant,
 /// a push's base a `RegVal64` and offset an `Imm32`, both in [`IADD_IMM`] —
@@ -402,7 +379,7 @@ fn promote(
     for (&idx, call) in
         sites.iter_mut().flat_map(|(i, calls)| calls.iter_mut().map(move |c| (i, c)))
     {
-        let (Some(e), false) = (tool_fns[&call.func].effect, call.pred_filter) else { continue };
+        let Some(e) = tool_fns[&call.func].effect else { continue };
         let arg = |slot: u8| abi_slots(&call.args).find(|(s, _)| *s == slot).map(|(_, a)| *a);
         let (Effect::Counter { pred, .. } | Effect::Push { pred, .. }) = e;
         let guard = match pred.map(arg) {
@@ -454,87 +431,54 @@ fn promote(
     promotion
 }
 
-/// The buffers [`merge_calls`] works in, kept across passes.
-#[derive(Default)]
-struct MergeScratch {
-    /// `(class, request)` of every mergeable standing call.
-    candidates: Vec<(usize, usize)>,
-    /// The members of the group being formed and the origins they cover.
-    members: Vec<usize>,
-    origins: Vec<usize>,
-}
-
-/// Merges mergeable calls whose sites share an equivalence class, as
-/// defined by `class_of` (basic block for the block pass, dominator-region
-/// head for the region pass). Returns the number of groups merged.
+/// Merges mergeable calls whose sites share a class — the basic block, or
+/// with `by_region` the block's dominator-region head — and returns how
+/// many blocks hold two or more members of a group and how many groups span
+/// more than one block.
 ///
 /// Calls merge when they agree on class, tool function and explicit
-/// arguments. The representative is the member with the lowest origin; it
-/// keeps its placement and takes over the members' groups, and the others
-/// stand no longer. Two calls covering a common origin site never merge
-/// (each origin is represented at most once per group).
-fn merge_calls(
-    requests: &mut [Request<'_>],
-    scratch: &mut MergeScratch,
-    class_of: impl Fn(usize) -> Option<usize>,
-) -> u64 {
-    let MergeScratch { candidates, members, origins } = scratch;
-    candidates.clear();
-    candidates.reserve(requests.len());
-    for (i, r) in requests.iter().enumerate() {
-        if r.stands && r.mergeable() {
-            candidates.extend(class_of(r.inj.idx).map(|class| (class, i)));
-        }
-    }
-    // Calls that merge become neighbours, in emission order. Ordering
-    // between different keys has no semantics; it only has to be total.
-    candidates.sort_unstable_by(|&(ca, a), &(cb, b)| {
-        (ca, merge_key(&requests[a]), a).cmp(&(cb, merge_key(&requests[b]), b))
-    });
+/// arguments. Each such run is in site order: the call at its lowest site
+/// stands for the run and counts its sites, and the others stand no longer.
+/// A second call at a site the run already covers stays a call of its own
+/// (a group represents each site once).
+fn merge_calls(requests: &mut [Request<'_>], a: &Analysis, by_region: bool) -> (u64, u64) {
+    let class = |b| if by_region { a.dom.region_head(b) } else { b };
+    let mut candidates: Vec<_> = requests
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.mergeable())
+        .filter_map(|(i, r)| {
+            block_of(&a.blocks, r.inj.idx).map(|b| ((class(b), merge_key(r)), b, i))
+        })
+        .collect();
+    // Calls that merge become neighbours, in site order. Ordering between
+    // different keys has no semantics; it only has to be total.
+    candidates.sort_unstable_by(|(ka, _, a), (kb, _, b)| (ka, a).cmp(&(kb, b)));
 
-    let mut merged_groups = 0u64;
-    let mut rest = candidates.as_slice();
-    while let Some(&(class, first)) = rest.first() {
-        let same = |&(c, i): &(usize, usize)| {
-            c == class && merge_key(&requests[i]) == merge_key(&requests[first])
-        };
-        let (run, later) = rest.split_at(rest.iter().take_while(|c| same(c)).count());
-        rest = later;
-        members.clear();
-        origins.clear();
-        for &(_, i) in run {
-            if group(requests, i).any(|m| origins.contains(&m.inj.idx)) {
-                continue; // overlapping origin — leave this call standalone
+    let (mut block_groups, mut spanning) = (0, 0);
+    for run in candidates.chunk_by(|(ka, ..), (kb, ..)| ka == kb) {
+        let (_, first_block, head) = run[0];
+        let (mut site, mut block, mut in_block) = (requests[head].inj.idx, first_block, 1);
+        for &(_, b, i) in &run[1..] {
+            if requests[i].inj.idx == site {
+                continue; // a site the run covers — leave this call standalone
             }
-            origins.extend(group(requests, i).map(|m| m.inj.idx));
-            members.push(i);
+            site = requests[i].inj.idx;
+            requests[head].sites += 1;
+            requests[i].sites = 0;
+            in_block = if b == block { in_block + 1 } else { 1 };
+            block = b;
+            block_groups += u64::from(in_block == 2);
         }
-        if members.len() < 2 {
-            continue;
-        }
-        // Origins are disjoint across members, so the lowest is unique.
-        let lowest = |i: &usize| group(requests, *i).map(|m| m.inj.idx).min();
-        let rep = *members.iter().min_by_key(|i| lowest(i)).expect("non-empty group");
-        let mut tail = group_tail(requests, rep);
-        for &m in members.iter().filter(|m| **m != rep) {
-            requests[m].stands = false;
-            requests[tail].next = Some(m);
-            tail = group_tail(requests, m);
-        }
-        merged_groups += 1;
+        spanning += u64::from(block != first_block);
     }
-    merged_groups
+    (block_groups, spanning)
 }
 
 /// What two calls of one class must agree on to merge: the tool function
 /// and the explicit arguments, borrowed from the spec.
 fn merge_key<'a>(r: &Request<'a>) -> (&'a str, &'a [Arg]) {
     (&r.inj.func, r.args)
-}
-
-/// The last member of the group `head` represents.
-fn group_tail(requests: &[Request<'_>], head: usize) -> usize {
-    std::iter::successors(Some(head), |&m| requests[m].next).last().expect("the head itself")
 }
 
 /// What the lifter hands down when static CFG recovery failed — for tests
@@ -588,12 +532,12 @@ skip:
         m
     }
 
-    /// The multiplicity a coalesce-marked call passes: its trailing `Imm32`.
-    fn multiplicity(call: &PlannedCall) -> Option<i32> {
-        match call.args.last() {
-            Some(Arg::Imm32(m)) if call.coalesce => Some(*m),
-            _ => None,
-        }
+    /// The multiplicity a call planned from `spec` passes: its trailing
+    /// `Imm32`, when a coalesce-marked injection asked for the rest.
+    fn multiplicity(spec: &FuncSpec, call: &PlannedCall) -> Option<i32> {
+        let (Arg::Imm32(m), explicit) = call.args.split_last()? else { return None };
+        let marked = |inj: &Injection| inj.coalesce && inj.func == call.func;
+        spec.injections().iter().any(|inj| marked(inj) && spec.args(inj) == explicit).then_some(*m)
     }
 
     fn count_spec(n: usize, ctr: u64) -> FuncSpec {
@@ -616,8 +560,8 @@ skip:
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3, 5]);
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(0xdead), Arg::Imm32(3)]);
-        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(2));
-        assert_eq!(multiplicity(&plan.sites[&5][0]), Some(1));
+        assert_eq!(multiplicity(&spec, &plan.sites[&3][0]), Some(2));
+        assert_eq!(multiplicity(&spec, &plan.sites[&5][0]), Some(1));
         assert_eq!(plan.stats.requested_calls, 6);
         assert_eq!(plan.stats.emitted_calls, 3);
         assert_eq!(plan.stats.coalesced_away, 3);
@@ -643,7 +587,7 @@ skip:
     }
 
     #[test]
-    fn per_instance_args_and_pred_filter_block_coalescing() {
+    fn per_instance_args_block_coalescing() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         // Guard-pred argument is per-dynamic-instance.
@@ -653,12 +597,8 @@ skip:
         spec.insert_call(1, "f", IPoint::Before);
         spec.add_arg(1, Arg::GuardPred);
         spec.set_coalesce(1);
-        // Pred-filtered call never merges.
-        spec.insert_call(2, "f", IPoint::Before);
-        spec.set_coalesce(2);
-        spec.set_pred_filter(2);
         let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
-        assert_eq!(plan.sites.len(), 3, "nothing merged");
+        assert_eq!(plan.sites.len(), 2, "nothing merged");
         assert_eq!(plan.stats.coalesced_groups, 0);
     }
 
@@ -673,8 +613,8 @@ skip:
         }
         let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
         // Sites 0 and 1 merge (same counter); site 2 stands alone.
-        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(2));
-        assert_eq!(multiplicity(&plan.sites[&2][0]), Some(1));
+        assert_eq!(multiplicity(&spec, &plan.sites[&0][0]), Some(2));
+        assert_eq!(multiplicity(&spec, &plan.sites[&2][0]), Some(1));
         assert_eq!(plan.stats.coalesced_groups, 1);
     }
 
@@ -785,7 +725,11 @@ skip:
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3], "skip-block call hoisted into the entry call");
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(0xdead), Arg::Imm32(4)]);
-        assert_eq!(multiplicity(&plan.sites[&3][0]), Some(2), "conditional arm stays separate");
+        assert_eq!(
+            multiplicity(&spec, &plan.sites[&3][0]),
+            Some(2),
+            "conditional arm stays separate"
+        );
         assert_eq!(plan.stats.region_groups, 1);
         assert_eq!(plan.stats.coalesced_groups, 2);
         assert_eq!(plan.stats.emitted_calls, 2);
@@ -812,8 +756,8 @@ body:
         // (instrs 1..4) executes more often and must stay out.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 1]);
-        assert_eq!(multiplicity(&plan.sites[&0][0]), Some(3), "instrs 0, 4 and 5");
-        assert_eq!(multiplicity(&plan.sites[&1][0]), Some(3), "instrs 1, 2 and 3");
+        assert_eq!(multiplicity(&spec, &plan.sites[&0][0]), Some(3), "instrs 0, 4 and 5");
+        assert_eq!(multiplicity(&spec, &plan.sites[&1][0]), Some(3), "instrs 1, 2 and 3");
         assert_eq!(plan.stats.region_groups, 1);
     }
 
@@ -864,7 +808,7 @@ b:
         let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, (0..body.0.len()).collect::<Vec<_>>(), "one call per site");
-        assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
+        assert!(plan.sites.values().flatten().all(|c| multiplicity(&spec, c) == Some(1)));
         assert_eq!(plan.sites[&0][1].ipoint, IPoint::After);
         assert!(!plan.stats.cfg_available);
         assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (0, 0));
@@ -898,7 +842,7 @@ b:
             let plan = build_for(&spec, &body, &fns(false), at(level)).unwrap();
             let calls: Vec<_> = plan.sites.iter().map(|(i, c)| (*i, c[0].ipoint)).collect();
             assert_eq!(calls, [(0, IPoint::After), (1, IPoint::After)], "{level:?}");
-            assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
+            assert!(plan.sites.values().flatten().all(|c| multiplicity(&spec, c) == Some(1)));
         }
     }
 
@@ -919,7 +863,27 @@ b:
         assert_eq!(plan.stats.coalesced_groups, 0);
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0]);
-        assert!(plan.sites.values().flatten().all(|c| multiplicity(c) == Some(1)));
+        assert!(plan.sites.values().flatten().all(|c| multiplicity(&spec, c) == Some(1)));
+
+        // Across a region: site 1 is requested twice in the entry block,
+        // whose region takes in the skip block (instr 5). The first call at
+        // site 1 joins site 0's group, which also reaches instr 5; the second
+        // stays a call of its own.
+        let mut spec = FuncSpec::default();
+        for idx in [0, 1, 1, 5] {
+            spec.insert_call(idx, "f", IPoint::Before);
+            spec.add_arg(idx, Arg::Imm64(9));
+            spec.set_coalesce(idx);
+        }
+        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+        let calls: Vec<_> = plan
+            .sites
+            .iter()
+            .flat_map(|(i, c)| c.iter().map(|c| (*i, multiplicity(&spec, c))))
+            .collect();
+        assert_eq!(calls, [(0, Some(3)), (1, Some(1))]);
+        assert_eq!((plan.stats.coalesced_groups, plan.stats.region_groups), (1, 1));
+        assert_eq!(plan.stats.emitted_calls, 2);
     }
 
     // ----- Counter promotion ------------------------------------------------
@@ -1062,18 +1026,15 @@ b:
     }
 
     #[test]
-    fn a_register_value_or_a_predicate_filter_keeps_the_call_spliced() {
+    fn a_register_value_or_a_zero_predicate_keeps_the_call_spliced() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
-        for idx in [3, 4] {
-            spec.insert_call(idx, "count", IPoint::Before);
-            spec.add_arg(idx, Arg::Imm32(1));
-            spec.add_arg(idx, Arg::Imm64(0xa0));
-            spec.add_arg(idx, if idx == 3 { Arg::RegVal(2) } else { Arg::Imm32(1) });
+        spec.insert_call(3, "count", IPoint::Before);
+        for arg in [Arg::Imm32(1), Arg::Imm64(0xa0), Arg::RegVal(2)] {
+            spec.add_arg(3, arg);
         }
-        spec.set_pred_filter(4);
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
-        assert_eq!(promoted(&plan), [(3, vec![]), (4, vec![])]);
+        assert_eq!(promoted(&plan), [(3, vec![])]);
         assert!(plan.sites.values().flatten().all(|c| c.lowering == Lowering::Splice));
         // Neither a zero predicate: such a call never counts.
         let mut spec = counted(&body.0, |_| 0xa0);
@@ -1112,7 +1073,7 @@ b:
 
     /// `nvbit_trace_chan(pred, base, off)` as `trace`, at `idx` of BODY with
     /// the base in R2:R3, planned at the top rung.
-    fn traced(idx: usize, pred: Arg, off: i32, filtered: bool) -> InstrumentationPlan {
+    fn traced(idx: usize, pred: Arg, off: i32) -> InstrumentationPlan {
         let text = "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\nSSY end ;\n@P0 BRA join ;\n\
                     MOV R8, R5 ;\nSHR.S32 R9, R5, 0x1f ;\nIADD.U64 R4, R6, R8 ;\nCHAN.64 R4 ;\n\
                     BRA join ;\njoin:\nSYNC ;\nend:\nRET ;";
@@ -1130,9 +1091,6 @@ b:
         for arg in [pred, Arg::RegVal64(2), Arg::Imm32(off)] {
             spec.add_arg(idx, arg);
         }
-        if filtered {
-            spec.set_pred_filter(idx);
-        }
         let fns = HashMap::from([("trace".into(), f)]);
         build_for(&spec, &analyzed(BODY), &fns, PlanOpts::default()).unwrap()
     }
@@ -1141,7 +1099,7 @@ b:
     fn a_push_adds_into_the_scratch_pair_and_pushes_it_under_the_guard() {
         // A negative offset, at the guarded branch: the add runs on every
         // lane, the push on the guard's.
-        let plan = traced(2, Arg::GuardPred, -64, false);
+        let plan = traced(2, Arg::GuardPred, -64);
         let code = "IADD.U64 R16, R2, -0x40 ;\n@P0 CHAN.64 R16 ;";
         assert_eq!(promoted(&plan), [(2, assemble_arch(code, Arch::Volta).unwrap())]);
         assert_eq!((plan.promotion.scratch, plan.promotion.registers()), (Some(Reg(16)), 16..18));
@@ -1151,17 +1109,15 @@ b:
         assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (1, 0, 0));
         // The bound is the `IADD` immediate's, on both sides.
         for off in [-(1 << 22), (1 << 22) - 1] {
-            assert_eq!(traced(4, Arg::Imm32(1), off, false).stats.promoted_calls, 1, "{off}");
+            assert_eq!(traced(4, Arg::Imm32(1), off).stats.promoted_calls, 1, "{off}");
         }
     }
 
     #[test]
-    fn a_far_offset_a_zero_predicate_or_a_predicate_filter_keeps_the_push_spliced() {
-        for (pred, off, filtered) in
-            [(Arg::GuardPred, 1 << 22, false), (Arg::Imm32(0), 8, false), (Arg::GuardPred, 8, true)]
-        {
-            let plan = traced(4, pred, off, filtered);
-            assert_eq!(promoted(&plan), [(4, vec![])], "{pred:?} {off} {filtered}");
+    fn a_far_offset_or_a_zero_predicate_keeps_the_push_spliced() {
+        for (pred, off) in [(Arg::GuardPred, 1 << 22), (Arg::Imm32(0), 8)] {
+            let plan = traced(4, pred, off);
+            assert_eq!(promoted(&plan), [(4, vec![])], "{pred:?} {off}");
             assert_eq!(plan.sites[&4][0].lowering, Lowering::Splice);
             assert_eq!(plan.promotion, Promotion::default());
         }

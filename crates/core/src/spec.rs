@@ -85,20 +85,14 @@ pub struct Injection {
     pub ipoint: IPoint,
     /// Where the arguments sit in the spec's argument pool: start, count.
     args: (usize, usize),
-    /// When set, lanes whose guard predicate is false skip the injected
-    /// function entirely (the predicate-matching optimization the paper's
-    /// §7 sketches as future work). Warp-level intrinsics inside the tool
-    /// function then see only the guard-true lanes.
-    pub pred_filter: bool,
     /// Opt-in to basic-block call coalescing: the injection follows the
     /// *multiplicity protocol* — the code generator always appends one
     /// trailing `Imm32` multiplicity argument, and the planner may merge
     /// identical coalescible injections within a basic block into a single
     /// call whose multiplicity is the number of sites it represents. Only
     /// injections whose explicit arguments are all block-invariant
-    /// (immediates, constant-bank reads) and that carry no predicate
-    /// filter are merged; the tool function must accept the extra final
-    /// `u32` argument.
+    /// (immediates, constant-bank reads) are merged; the tool function must
+    /// accept the extra final `u32` argument.
     pub coalesce: bool,
 }
 
@@ -142,7 +136,6 @@ impl FuncSpec {
             func: func.into(),
             ipoint,
             args: (self.args.len(), 0),
-            pred_filter: false,
             coalesce: false,
         });
         self.dirty = true;
@@ -175,13 +168,6 @@ impl FuncSpec {
             pool.push(arg);
             call.args.1 += 1;
         })
-    }
-
-    /// Enables predicate filtering on the most recent injection at `idx`.
-    ///
-    /// Returns `false` if no call was inserted there yet.
-    pub fn set_pred_filter(&mut self, idx: usize) -> bool {
-        self.edit_latest(idx, |call, _| call.pred_filter = true)
     }
 
     /// Marks the most recent injection at `idx` as coalescible (opt-in to

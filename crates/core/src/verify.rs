@@ -734,14 +734,12 @@ mod tests {
         HashMap::from([("f".into(), ToolFn::with_body(TOOL, 8, 0, false, body, Arch::Volta))])
     }
 
-    /// A planned `Before` call of `f` under the multiplicity protocol.
+    /// A planned `Before` call of `f`, out of line.
     fn planned() -> PlannedCall {
         PlannedCall {
             func: "f".into(),
             ipoint: IPoint::Before,
             args: vec![],
-            pred_filter: false,
-            coalesce: true,
             lowering: Lowering::Call,
         }
     }

@@ -383,7 +383,9 @@ impl Driver {
             &CbParams::Module { module, name: &fatbin.name, library: fatbin.library },
         );
 
-        // A load that fails releases the module's handle.
+        // A load that fails frees the code it allocated, then releases the
+        // module's handle.
+        let mut addrs = Vec::with_capacity(image.functions.len());
         let loaded = (|| -> Result<()> {
             let mut st = self.state.borrow_mut();
 
@@ -397,7 +399,6 @@ impl Driver {
             // Pass 1: allocate code space for every function. Labels give
             // execution faults a function name and instruction index; the
             // device drops them when the code is freed.
-            let mut addrs = Vec::with_capacity(funcs.len());
             for f in funcs {
                 let addr = st.device.alloc(f.code.len().max(1) as u64)?;
                 st.device.label_code(addr, f.code.len() as u64, &f.name);
@@ -471,7 +472,11 @@ impl Driver {
             Ok(())
         })();
         if loaded.is_err() {
-            self.state.borrow_mut().release(module.0);
+            let mut st = self.state.borrow_mut();
+            for &addr in &addrs {
+                st.device.free(addr)?;
+            }
+            st.release(module.0);
         }
         loaded?;
 
@@ -1053,7 +1058,10 @@ done:
         let relocs =
             bad.images.iter_mut().flat_map(|m| &mut m.functions).flat_map(|f| &mut f.relocs);
         relocs.for_each(|r| r.target = "gone".into());
+        let held = || drv.with_device(|d| (d.memory().live_allocs(), d.decoded_pages()));
+        let before = held();
         assert!(matches!(drv.module_load(&ctx, bad), Err(DriverError::NotFound { .. })));
+        assert_eq!(held(), before, "the code pass 1 allocated is freed");
         let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
         assert_eq!(m.raw(), 2, "the failed load's handle is issued again");
     }

@@ -73,11 +73,6 @@ impl LaunchConfig {
         off as u32
     }
 
-    /// Appends an `f32` parameter.
-    pub fn push_param_f32(&mut self, v: f32) -> u32 {
-        self.push_param_u32(v.to_bits())
-    }
-
     /// Writes raw parameter bytes at a specific offset (used by the driver's
     /// generic launch path).
     pub fn write_param_bytes(&mut self, offset: u32, bytes: &[u8]) {
@@ -199,12 +194,6 @@ impl Device {
         }
     }
 
-    /// Drops the label starting at exactly `addr`, if any ([`Device::free`]
-    /// does this implicitly for freed allocations).
-    pub fn unlabel_code(&mut self, addr: u64) {
-        self.labels.remove(&addr);
-    }
-
     /// The device specification.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
@@ -213,11 +202,6 @@ impl Device {
     /// Direct access to device memory (host-side "PCIe" view).
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutable access to device memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 
     /// Allocates device memory.

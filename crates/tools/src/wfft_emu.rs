@@ -15,7 +15,6 @@ use std::collections::HashSet;
 #[derive(Default)]
 pub struct WfftEmu {
     seen: HashSet<u32>,
-    replaced: usize,
 }
 
 impl WfftEmu {
@@ -55,7 +54,6 @@ impl NvbitTool for WfftEmu {
                 api.add_call_arg_imm32(t, instr.idx, src.0 as i32).unwrap();
                 api.add_call_arg_imm32(t, instr.idx, dst.0 as i32).unwrap();
                 api.remove_orig(t, instr.idx).unwrap();
-                self.replaced += 1;
                 sites += 1;
             }
         }
