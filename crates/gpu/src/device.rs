@@ -5,6 +5,7 @@ use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
 use crate::stats::{CtaStats, ExecStats};
 use crate::{GpuError, Result};
+use sass::PARAM_BASE;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -12,10 +13,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// diagnostic — the executor uses them to say *which function* a fault
 /// landed in instead of reporting a bare pc.
 pub(crate) type CodeLabels = BTreeMap<u64, (u64, String)>;
-
-/// Offset of the kernel parameter area in constant bank 0 (matching the
-/// real ABI's `c[0x0][0x160]`).
-pub const PARAM_BASE: usize = 0x160;
 
 /// A kernel launch description.
 #[derive(Debug, Clone)]
@@ -44,14 +41,14 @@ impl LaunchConfig {
             entry_pc,
             grid,
             block,
-            cbank0: vec![0u8; PARAM_BASE],
+            cbank0: vec![0u8; usize::from(PARAM_BASE)],
             shared_size: 0,
             local_size: 0,
         }
     }
 
     fn pad_to(&mut self, align: usize) {
-        while !(self.cbank0.len() - PARAM_BASE).is_multiple_of(align) {
+        while !(self.cbank0.len() - usize::from(PARAM_BASE)).is_multiple_of(align) {
             self.cbank0.push(0);
         }
     }
@@ -60,7 +57,7 @@ impl LaunchConfig {
     /// parameter area.
     pub fn push_param_u32(&mut self, v: u32) -> u32 {
         self.pad_to(4);
-        let off = self.cbank0.len() - PARAM_BASE;
+        let off = self.cbank0.len() - usize::from(PARAM_BASE);
         self.cbank0.extend_from_slice(&v.to_le_bytes());
         off as u32
     }
@@ -68,7 +65,7 @@ impl LaunchConfig {
     /// Appends a 64-bit parameter (8-byte aligned).
     pub fn push_param_u64(&mut self, v: u64) -> u32 {
         self.pad_to(8);
-        let off = self.cbank0.len() - PARAM_BASE;
+        let off = self.cbank0.len() - usize::from(PARAM_BASE);
         self.cbank0.extend_from_slice(&v.to_le_bytes());
         off as u32
     }
@@ -76,7 +73,7 @@ impl LaunchConfig {
     /// Writes raw parameter bytes at a specific offset (used by the driver's
     /// generic launch path).
     pub fn write_param_bytes(&mut self, offset: u32, bytes: &[u8]) {
-        let start = PARAM_BASE + offset as usize;
+        let start = usize::from(PARAM_BASE) + offset as usize;
         if self.cbank0.len() < start + bytes.len() {
             self.cbank0.resize(start + bytes.len(), 0);
         }
@@ -502,10 +499,11 @@ mod tests {
         let mut cfg = LaunchConfig::new(0, Dim3::linear(1), Dim3::linear(32));
         cfg.push_param_u32(7);
         cfg.push_param_u64(0xdead_beef); // must align to 8
-        assert_eq!(cfg.cbank0.len(), PARAM_BASE + 16);
-        assert_eq!(cfg.cbank0[PARAM_BASE], 7);
+        let base = usize::from(PARAM_BASE);
+        assert_eq!(cfg.cbank0.len(), base + 16);
+        assert_eq!(cfg.cbank0[base], 7);
         assert_eq!(
-            u64::from_le_bytes(cfg.cbank0[PARAM_BASE + 8..PARAM_BASE + 16].try_into().unwrap()),
+            u64::from_le_bytes(cfg.cbank0[base + 8..base + 16].try_into().unwrap()),
             0xdead_beef
         );
     }

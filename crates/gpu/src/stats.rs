@@ -128,14 +128,6 @@ impl ExecStats {
         self.decode_hits += other.decode_hits;
         self.decode_misses += other.decode_misses;
     }
-
-    /// The top `n` opcodes by executed count, descending.
-    pub fn top_ops(&self, n: usize) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self.per_op.iter().map(|(k, c)| (k.clone(), *c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -199,22 +191,5 @@ mod tests {
         assert_eq!(a.per_op["FMUL"], 2);
         assert_eq!(a.cycles, 10);
         assert_eq!(a.thread_instructions, 64);
-    }
-
-    #[test]
-    fn top_ops_sorts_descending_with_stable_ties() {
-        let mut s = ExecStats::default();
-        for _ in 0..5 {
-            s.record(Op::Ffma, 1);
-        }
-        for _ in 0..3 {
-            s.record(Op::Ldg, 1);
-        }
-        for _ in 0..3 {
-            s.record(Op::Iadd, 1);
-        }
-        let top = s.top_ops(2);
-        assert_eq!(top[0].0, "FFMA");
-        assert_eq!(top[1], ("IADD".to_string(), 3)); // tie broken alphabetically
     }
 }

@@ -17,12 +17,11 @@ use common::Rng;
 use gpu::{Device, DeviceSpec, Dim3, GpuError, LaunchConfig};
 use sass::codec::codec_for;
 use sass::op::{CfClass, IType, OKind, SubOp};
-use sass::{Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SpecialReg, Width};
+use sass::{
+    Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SpecialReg, Width, PARAM_BASE,
+};
 
 const CASES: u32 = 1500;
-
-/// The byte offset of the first kernel parameter in constant bank 0.
-const PARAM_BASE: u16 = 0x160;
 
 /// Any of the 256 registers, with `RZ` and the top of the file (where a pair
 /// or a quad would run past its end) drawn more often.

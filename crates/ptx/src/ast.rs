@@ -6,6 +6,7 @@
 //! statement is a `Copy` value and the analyses index vectors by id.
 
 use crate::types::PtxType;
+use sass::{CmpOp, SpecialReg};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -252,62 +253,6 @@ pub enum Space {
     Local,
 }
 
-/// Comparison operator of `setp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PCmp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater or equal.
-    Ge,
-}
-
-impl PCmp {
-    /// Suffix spelling.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            PCmp::Eq => "eq",
-            PCmp::Ne => "ne",
-            PCmp::Lt => "lt",
-            PCmp::Le => "le",
-            PCmp::Gt => "gt",
-            PCmp::Ge => "ge",
-        }
-    }
-
-    /// Parses a suffix spelling.
-    pub fn from_suffix(s: &str) -> Option<PCmp> {
-        Some(match s {
-            "eq" => PCmp::Eq,
-            "ne" => PCmp::Ne,
-            "lt" => PCmp::Lt,
-            "le" => PCmp::Le,
-            "gt" => PCmp::Gt,
-            "ge" => PCmp::Ge,
-            _ => return None,
-        })
-    }
-
-    /// The equivalent machine comparison.
-    pub fn to_sass(self) -> sass::CmpOp {
-        match self {
-            PCmp::Eq => sass::CmpOp::Eq,
-            PCmp::Ne => sass::CmpOp::Ne,
-            PCmp::Lt => sass::CmpOp::Lt,
-            PCmp::Le => sass::CmpOp::Le,
-            PCmp::Gt => sass::CmpOp::Gt,
-            PCmp::Ge => sass::CmpOp::Ge,
-        }
-    }
-}
-
 /// Atomic operation selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomOp {
@@ -330,20 +275,6 @@ pub enum AtomOp {
 }
 
 impl AtomOp {
-    /// Suffix spelling.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            AtomOp::Add => "add",
-            AtomOp::Min => "min",
-            AtomOp::Max => "max",
-            AtomOp::And => "and",
-            AtomOp::Or => "or",
-            AtomOp::Xor => "xor",
-            AtomOp::Exch => "exch",
-            AtomOp::Cas => "cas",
-        }
-    }
-
     /// Parses a suffix spelling.
     pub fn from_suffix(s: &str) -> Option<AtomOp> {
         Some(match s {
@@ -432,55 +363,6 @@ impl MufuFunc {
     }
 }
 
-/// Special-register sources accepted by `mov`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PtxSpecial {
-    /// `%tid.{x,y,z}`.
-    Tid(u8),
-    /// `%ntid.{x,y,z}`.
-    NTid(u8),
-    /// `%ctaid.{x,y,z}`.
-    CtaId(u8),
-    /// `%nctaid.{x,y,z}`.
-    NCtaId(u8),
-    /// `%laneid`.
-    LaneId,
-    /// `%warpid`.
-    WarpId,
-    /// `%smid`.
-    SmId,
-    /// `%clock`.
-    Clock,
-    /// `%activemask` (dialect extension; real PTX uses `activemask.b32`).
-    ActiveMask,
-}
-
-impl PtxSpecial {
-    /// The equivalent machine special register.
-    pub fn to_sass(self) -> sass::SpecialReg {
-        use sass::SpecialReg as S;
-        match self {
-            PtxSpecial::Tid(0) => S::TidX,
-            PtxSpecial::Tid(1) => S::TidY,
-            PtxSpecial::Tid(_) => S::TidZ,
-            PtxSpecial::NTid(0) => S::NTidX,
-            PtxSpecial::NTid(1) => S::NTidY,
-            PtxSpecial::NTid(_) => S::NTidZ,
-            PtxSpecial::CtaId(0) => S::CtaIdX,
-            PtxSpecial::CtaId(1) => S::CtaIdY,
-            PtxSpecial::CtaId(_) => S::CtaIdZ,
-            PtxSpecial::NCtaId(0) => S::NCtaIdX,
-            PtxSpecial::NCtaId(1) => S::NCtaIdY,
-            PtxSpecial::NCtaId(_) => S::NCtaIdZ,
-            PtxSpecial::LaneId => S::LaneId,
-            PtxSpecial::WarpId => S::WarpId,
-            PtxSpecial::SmId => S::SmId,
-            PtxSpecial::Clock => S::Clock,
-            PtxSpecial::ActiveMask => S::ActiveMask,
-        }
-    }
-}
-
 /// A typed PTX operation with its operands.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PtxOp {
@@ -527,7 +409,7 @@ pub enum PtxOp {
         /// Plain source, if register/immediate.
         src: Option<Src>,
         /// Special-register source, if any.
-        special: Option<PtxSpecial>,
+        special: Option<SpecialReg>,
         /// Shared-variable address source, if any.
         shared_addr: Option<Sym>,
     },
@@ -563,7 +445,7 @@ pub enum PtxOp {
     /// `setp.cmp.ty %p, %a, b;`
     Setp {
         /// Comparison operator.
-        cmp: PCmp,
+        cmp: CmpOp,
         /// Operand type.
         ty: PtxType,
         /// Destination predicate.
@@ -766,41 +648,5 @@ impl PtxInstr {
     /// Builds an unguarded instruction.
     pub fn new(op: PtxOp) -> PtxInstr {
         PtxInstr { guard: None, op }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pcmp_roundtrips() {
-        for c in [PCmp::Eq, PCmp::Ne, PCmp::Lt, PCmp::Le, PCmp::Gt, PCmp::Ge] {
-            assert_eq!(PCmp::from_suffix(c.suffix()), Some(c));
-        }
-        assert_eq!(PCmp::from_suffix("zz"), None);
-    }
-
-    #[test]
-    fn atomop_roundtrips() {
-        for a in [
-            AtomOp::Add,
-            AtomOp::Min,
-            AtomOp::Max,
-            AtomOp::And,
-            AtomOp::Or,
-            AtomOp::Xor,
-            AtomOp::Exch,
-            AtomOp::Cas,
-        ] {
-            assert_eq!(AtomOp::from_suffix(a.suffix()), Some(a));
-        }
-    }
-
-    #[test]
-    fn special_maps_to_machine_registers() {
-        assert_eq!(PtxSpecial::Tid(0).to_sass(), sass::SpecialReg::TidX);
-        assert_eq!(PtxSpecial::CtaId(2).to_sass(), sass::SpecialReg::CtaIdZ);
-        assert_eq!(PtxSpecial::LaneId.to_sass(), sass::SpecialReg::LaneId);
     }
 }

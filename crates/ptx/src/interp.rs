@@ -13,6 +13,7 @@ use crate::cfg::{ipostdom, FnCfg, Linear};
 use crate::types::PtxType;
 use crate::{PtxError, Result};
 pub use common::Dim3;
+use sass::{CmpOp, SpecialReg};
 
 /// Launch dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -617,23 +618,25 @@ impl<'m, 'a> Machine<'m, 'a> {
                 if let Some(sp) = special {
                     let tid = thread_coords(tid_flat as u32, launch);
                     let v = match sp {
-                        PtxSpecial::Tid(0) => tid.x,
-                        PtxSpecial::Tid(1) => tid.y,
-                        PtxSpecial::Tid(_) => tid.z,
-                        PtxSpecial::NTid(0) => launch.block.x,
-                        PtxSpecial::NTid(1) => launch.block.y,
-                        PtxSpecial::NTid(_) => launch.block.z,
-                        PtxSpecial::CtaId(0) => block_id.x,
-                        PtxSpecial::CtaId(1) => block_id.y,
-                        PtxSpecial::CtaId(_) => block_id.z,
-                        PtxSpecial::NCtaId(0) => launch.grid.x,
-                        PtxSpecial::NCtaId(1) => launch.grid.y,
-                        PtxSpecial::NCtaId(_) => launch.grid.z,
-                        PtxSpecial::LaneId => lane as u32,
-                        PtxSpecial::WarpId => warp_idx as u32,
-                        PtxSpecial::SmId => 0,
-                        PtxSpecial::Clock => 0,
-                        PtxSpecial::ActiveMask => exec,
+                        SpecialReg::TidX => tid.x,
+                        SpecialReg::TidY => tid.y,
+                        SpecialReg::TidZ => tid.z,
+                        SpecialReg::NTidX => launch.block.x,
+                        SpecialReg::NTidY => launch.block.y,
+                        SpecialReg::NTidZ => launch.block.z,
+                        SpecialReg::CtaIdX => block_id.x,
+                        SpecialReg::CtaIdY => block_id.y,
+                        SpecialReg::CtaIdZ => block_id.z,
+                        SpecialReg::NCtaIdX => launch.grid.x,
+                        SpecialReg::NCtaIdY => launch.grid.y,
+                        SpecialReg::NCtaIdZ => launch.grid.z,
+                        SpecialReg::LaneId => lane as u32,
+                        SpecialReg::WarpId => warp_idx as u32,
+                        SpecialReg::ActiveMask => exec,
+                        SpecialReg::SmId
+                        | SpecialReg::Clock
+                        | SpecialReg::GridId
+                        | SpecialReg::BarrierState => 0,
                     };
                     st.regs[lane][ds] = v as u64;
                 } else if let Some(name) = shared_addr {
@@ -894,9 +897,10 @@ fn thread_coords(flat: u32, launch: LaunchGrid) -> Dim3 {
     Dim3::xyz(x, y, z)
 }
 
-/// Shared scalar evaluation for binary operations (also used in tests to
-/// cross-check the machine executor).
-pub fn eval_bin(kind: BinKind, ty: PtxType, a: u64, b: u64) -> std::result::Result<u64, String> {
+/// The reference's own semantics of a binary operation. The executor has
+/// its own; `gpu/tests/differential.rs` compares the two through whole
+/// kernels, as it does for the three evaluators below.
+fn eval_bin(kind: BinKind, ty: PtxType, a: u64, b: u64) -> std::result::Result<u64, String> {
     use BinKind as K;
     let f32s = |x: u64| f32::from_bits(x as u32);
     let wide = ty.is_wide();
@@ -930,8 +934,8 @@ pub fn eval_bin(kind: BinKind, ty: PtxType, a: u64, b: u64) -> std::result::Resu
     })
 }
 
-/// Shared comparison evaluation.
-pub fn eval_cmp(cmp: PCmp, ty: PtxType, a: u64, b: u64) -> std::result::Result<bool, String> {
+/// The reference's own semantics of a comparison.
+fn eval_cmp(cmp: CmpOp, ty: PtxType, a: u64, b: u64) -> std::result::Result<bool, String> {
     use std::cmp::Ordering;
     let ord: Option<Ordering> = match ty {
         PtxType::F32 => f32::from_bits(a as u32).partial_cmp(&f32::from_bits(b as u32)),
@@ -943,19 +947,19 @@ pub fn eval_cmp(cmp: PCmp, ty: PtxType, a: u64, b: u64) -> std::result::Result<b
         PtxType::Pred => return Err("setp on predicates".into()),
     };
     Ok(match (cmp, ord) {
-        (PCmp::Eq, Some(Ordering::Equal)) => true,
-        (PCmp::Ne, Some(o)) => o != Ordering::Equal,
-        (PCmp::Ne, None) => true, // unordered compares as not-equal
-        (PCmp::Lt, Some(Ordering::Less)) => true,
-        (PCmp::Le, Some(Ordering::Less | Ordering::Equal)) => true,
-        (PCmp::Gt, Some(Ordering::Greater)) => true,
-        (PCmp::Ge, Some(Ordering::Greater | Ordering::Equal)) => true,
+        (CmpOp::Eq, Some(Ordering::Equal)) => true,
+        (CmpOp::Ne, Some(o)) => o != Ordering::Equal,
+        (CmpOp::Ne, None) => true, // unordered compares as not-equal
+        (CmpOp::Lt, Some(Ordering::Less)) => true,
+        (CmpOp::Le, Some(Ordering::Less | Ordering::Equal)) => true,
+        (CmpOp::Gt, Some(Ordering::Greater)) => true,
+        (CmpOp::Ge, Some(Ordering::Greater | Ordering::Equal)) => true,
         _ => false,
     })
 }
 
-/// Shared conversion evaluation.
-pub fn eval_cvt(dty: PtxType, sty: PtxType, v: u64) -> std::result::Result<u64, String> {
+/// The reference's own semantics of a conversion.
+fn eval_cvt(dty: PtxType, sty: PtxType, v: u64) -> std::result::Result<u64, String> {
     Ok(match (dty, sty) {
         (PtxType::U64 | PtxType::B64, PtxType::U32 | PtxType::B32) => v as u32 as u64,
         (PtxType::S64, PtxType::S32) => (v as i32) as i64 as u64,
@@ -978,9 +982,8 @@ pub fn eval_cvt(dty: PtxType, sty: PtxType, v: u64) -> std::result::Result<u64, 
     })
 }
 
-/// Shared special-function evaluation (used by both the interpreter and the
-/// machine executor so results match bit-for-bit).
-pub fn eval_mufu(func: MufuFunc, v: f32) -> f32 {
+/// The reference's own semantics of a special-function operation.
+fn eval_mufu(func: MufuFunc, v: f32) -> f32 {
     match func {
         MufuFunc::Rcp => 1.0 / v,
         MufuFunc::Sqrt => v.sqrt(),

@@ -227,10 +227,6 @@ impl CompiledModule {
     }
 }
 
-/// Offset of the kernel parameter area within constant bank 0, matching the
-/// real CUDA ABI's `c[0x0][0x160]`.
-pub const PARAM_BASE: u32 = 0x160;
-
 /// Parses PTX source into an AST module.
 ///
 /// # Errors

@@ -23,9 +23,10 @@ use crate::ast::*;
 use crate::cfg::{ipostdom, BitRows, FnCfg, Linear};
 use crate::regalloc::{self, Allocation, Loc, FIRST_CALLER, NVBIT_FRAME, SCRATCH_LO};
 use crate::types::PtxType;
-use crate::{CompiledFunction, LineInfo, ParamInfo, PtxError, Reloc, Result, PARAM_BASE};
+use crate::{CompiledFunction, LineInfo, ParamInfo, PtxError, Reloc, Result};
 use sass::{
     codec::codec_for, Arch, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SubOp, Width,
+    PARAM_BASE,
 };
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -629,7 +630,7 @@ impl<'a> Emitter<'a> {
                         self.sem(format!("unknown parameter `{}`", self.names.resolve(param)))
                     })?
                     .offset
-                    .checked_add(PARAM_BASE)
+                    .checked_add(u32::from(PARAM_BASE))
                     .and_then(|off| off.checked_add(offset))
                     .and_then(|off| u16::try_from(off).ok())
                     .ok_or_else(|| {
@@ -656,7 +657,7 @@ impl<'a> Emitter<'a> {
             P::Mov { ty, dst, src, special, shared_addr } => {
                 let d = self.gpr_of(dst)?;
                 if let Some(sp) = special {
-                    self.emit(g, Op::S2r, Mods::default(), [reg(d), Operand::SReg(sp.to_sass())]);
+                    self.emit(g, Op::S2r, Mods::default(), [reg(d), Operand::SReg(sp)]);
                 } else if let Some(name) = shared_addr {
                     let off = self.shared_offset(name)?;
                     self.emit(g, Op::Mov32i, Mods::default(), [reg(d), imm(off as i64)]);
@@ -715,7 +716,7 @@ impl<'a> Emitter<'a> {
                 self.emit(
                     g,
                     op,
-                    Mods { cmp: cmp.to_sass(), itype, ..Mods::default() },
+                    Mods { cmp, itype, ..Mods::default() },
                     [Operand::pred(p), reg(ra), bv.operand()],
                 );
             }

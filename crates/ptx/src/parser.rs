@@ -8,6 +8,7 @@ use crate::ast::*;
 use crate::lexer::{Lexer, SpannedTok, Tok};
 use crate::types::PtxType;
 use crate::{PtxError, Result};
+use sass::{CmpOp, SpecialReg};
 use std::cmp::Reverse;
 
 /// Most registers the `.reg` declarations of one function may add up to.
@@ -549,7 +550,7 @@ impl<'a> Parser<'a> {
             }
             "setp" => {
                 let cmp = part(1)
-                    .and_then(PCmp::from_suffix)
+                    .and_then(|s| CmpOp::ALL.into_iter().find(|c| spells(c.suffix(), s)))
                     .ok_or_else(|| self.err("setp requires a comparison suffix".into()))?;
                 let ty = self.tail_type(opw)?;
                 let (dst, a, b) = self.reg_reg_src(ty)?;
@@ -830,21 +831,21 @@ fn parse_typed_literal(tok: &str, neg: bool, ty: PtxType) -> Option<i64> {
     }
 }
 
-fn parse_special(w: &str) -> Option<PtxSpecial> {
-    let (name, comp) = w.split_once('.').unwrap_or((w, ""));
-    let comp = ["x", "y", "z"].iter().position(|c| *c == comp).map(|c| c as u8);
-    Some(match (name, comp, w) {
-        ("%tid", Some(c), _) => PtxSpecial::Tid(c),
-        ("%ntid", Some(c), _) => PtxSpecial::NTid(c),
-        ("%ctaid", Some(c), _) => PtxSpecial::CtaId(c),
-        ("%nctaid", Some(c), _) => PtxSpecial::NCtaId(c),
-        (_, _, "%laneid") => PtxSpecial::LaneId,
-        (_, _, "%warpid") => PtxSpecial::WarpId,
-        (_, _, "%smid") => PtxSpecial::SmId,
-        (_, _, "%clock") => PtxSpecial::Clock,
-        (_, _, "%activemask") => PtxSpecial::ActiveMask,
-        _ => return None,
-    })
+/// The special register `w` names: its mnemonic without `SR_`, in lowercase
+/// (`%tid.x` is `SR_TID.X`; `%activemask` is this dialect's, real PTX has
+/// `activemask.b32`). No spelling names the grid id or the barrier state.
+fn parse_special(w: &str) -> Option<SpecialReg> {
+    let name = w.strip_prefix('%')?;
+    SpecialReg::ALL
+        .into_iter()
+        .filter(|sr| !matches!(sr, SpecialReg::GridId | SpecialReg::BarrierState))
+        .find(|sr| spells(&sr.mnemonic()[3..], name))
+}
+
+/// True when `s` is the machine spelling `upper` in lowercase, as PTX
+/// writes it.
+fn spells(upper: &str, s: &str) -> bool {
+    upper.bytes().map(|b| b.to_ascii_lowercase()).eq(s.bytes())
 }
 
 #[cfg(test)]
@@ -1054,6 +1055,97 @@ DONE:
 
     fn kernel(body: &str) -> String {
         format!(".entry k(.param .u64 p)\n{{\n    .reg .u64 %rd<4>;\n{body}\n    exit;\n}}\n")
+    }
+
+    /// The first operation of a kernel whose body is `op` over `%r1`-`%r2`,
+    /// `%p1` and `%rd1`.
+    fn first_op(op: &str) -> Result<PtxOp> {
+        let m = parse(&kernel(&format!("    .reg .u32 %r<3>;\n    .reg .pred %p<2>;\n    {op}")))?;
+        Ok(m.functions[0]
+            .body
+            .iter()
+            .find_map(|s| match s {
+                Statement::Instr(i) => Some(i.op),
+                _ => None,
+            })
+            .expect("the kernel has an instruction"))
+    }
+
+    /// The parser owns each PTX spelling of a machine comparison, special
+    /// register and atomic operation: every spelling reads as its value, and
+    /// a near miss reads as none.
+    #[test]
+    fn every_machine_spelling_parses_to_its_value() {
+        use sass::{CmpOp as C, SpecialReg as S};
+        let cmps = [
+            ("eq", C::Eq),
+            ("ne", C::Ne),
+            ("lt", C::Lt),
+            ("le", C::Le),
+            ("gt", C::Gt),
+            ("ge", C::Ge),
+        ];
+        for (s, want) in cmps {
+            let op = first_op(&format!("setp.{s}.u32 %p1, %r1, %r2;")).unwrap();
+            assert!(matches!(op, PtxOp::Setp { cmp, .. } if cmp == want), "setp.{s}: {op:?}");
+        }
+        let specials = [
+            ("%tid.x", S::TidX),
+            ("%tid.y", S::TidY),
+            ("%tid.z", S::TidZ),
+            ("%ntid.x", S::NTidX),
+            ("%ntid.y", S::NTidY),
+            ("%ntid.z", S::NTidZ),
+            ("%ctaid.x", S::CtaIdX),
+            ("%ctaid.y", S::CtaIdY),
+            ("%ctaid.z", S::CtaIdZ),
+            ("%nctaid.x", S::NCtaIdX),
+            ("%nctaid.y", S::NCtaIdY),
+            ("%nctaid.z", S::NCtaIdZ),
+            ("%laneid", S::LaneId),
+            ("%warpid", S::WarpId),
+            ("%smid", S::SmId),
+            ("%clock", S::Clock),
+            ("%activemask", S::ActiveMask),
+        ];
+        for (s, want) in specials {
+            let op = first_op(&format!("mov.u32 %r1, {s};")).unwrap();
+            assert!(
+                matches!(op, PtxOp::Mov { special: Some(sr), .. } if sr == want),
+                "{s}: {op:?}"
+            );
+        }
+        let atoms = [
+            ("add", AtomOp::Add),
+            ("min", AtomOp::Min),
+            ("max", AtomOp::Max),
+            ("and", AtomOp::And),
+            ("or", AtomOp::Or),
+            ("xor", AtomOp::Xor),
+            ("exch", AtomOp::Exch),
+            ("cas", AtomOp::Cas),
+        ];
+        for (s, want) in atoms {
+            let cas = if want == AtomOp::Cas { ", %r2" } else { "" };
+            let op = first_op(&format!("atom.global.{s}.u32 %r1, [%rd1], %r2{cas};")).unwrap();
+            assert!(matches!(op, PtxOp::Atom { op, .. } if op == want), "atom.{s}: {op:?}");
+        }
+
+        for bad in ["setp.zz.u32 %p1, %r1, %r2;", "setp.EQ.u32 %p1, %r1, %r2;"] {
+            assert!(first_op(bad).is_err(), "{bad}");
+        }
+        assert!(first_op("atom.global.bfly.u32 %r1, [%rd1], %r2;").is_err());
+        // A `%` word that names no special register is a register, which
+        // no declaration types.
+        for w in ["%tid.w", "%gridid"] {
+            let op = first_op(&format!("mov.u32 %r1, {w};")).unwrap();
+            assert!(matches!(op, PtxOp::Mov { special: None, src: Some(_), .. }), "{w}: {op:?}");
+            let src = kernel(&format!("    .reg .u32 %r<2>;\n    mov.u32 %r1, {w};"));
+            assert!(matches!(
+                crate::compile_module(&src, sass::Arch::Volta),
+                Err(PtxError::Semantic { .. })
+            ));
+        }
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl PtxType {
         matches!(self, PtxType::F32 | PtxType::F64)
     }
 
-    /// True for signed integer types.
-    pub fn is_signed_int(self) -> bool {
-        matches!(self, PtxType::S32 | PtxType::S64)
-    }
-
     /// The type-suffix spelling (`u32`, `f64`, `pred`, ...).
     pub fn suffix(self) -> &'static str {
         match self {
@@ -98,7 +93,6 @@ mod tests {
         assert!(PtxType::F64.is_wide());
         assert!(!PtxType::F32.is_wide());
         assert!(PtxType::F32.is_float());
-        assert!(PtxType::S32.is_signed_int());
         for t in [
             PtxType::U32,
             PtxType::S32,

@@ -76,35 +76,11 @@ impl Arch {
             Arch::Volta => "volta",
         }
     }
-
-    /// The `sm_XX` compute-capability label used in cubin headers.
-    pub fn sm_label(self) -> &'static str {
-        match self {
-            Arch::Kepler => "sm_35",
-            Arch::Maxwell => "sm_52",
-            Arch::Pascal => "sm_61",
-            Arch::Volta => "sm_70",
-        }
-    }
 }
 
 impl std::fmt::Display for Arch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Arch {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "kepler" | "sm_35" => Ok(Arch::Kepler),
-            "maxwell" | "sm_52" => Ok(Arch::Maxwell),
-            "pascal" | "sm_61" => Ok(Arch::Pascal),
-            "volta" | "sm_70" => Ok(Arch::Volta),
-            other => Err(format!("unknown architecture `{other}`")),
-        }
     }
 }
 
@@ -127,14 +103,5 @@ mod tests {
     fn volta_is_the_only_abi_v2() {
         let v2: Vec<_> = Arch::ALL.iter().filter(|a| a.abi_version() == 2).collect();
         assert_eq!(v2, vec![&Arch::Volta]);
-    }
-
-    #[test]
-    fn arch_roundtrips_through_str() {
-        for arch in Arch::ALL {
-            assert_eq!(arch.name().parse::<Arch>().unwrap(), arch);
-            assert_eq!(arch.sm_label().parse::<Arch>().unwrap(), arch);
-        }
-        assert!("turing".parse::<Arch>().is_err());
     }
 }

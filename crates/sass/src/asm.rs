@@ -82,23 +82,6 @@ pub fn disassemble(instrs: &[Instruction]) -> String {
     out
 }
 
-/// Disassembles instructions as an addressed listing starting at `base`,
-/// annotating resolved PC-relative targets.
-pub fn disassemble_listing(instrs: &[Instruction], base: u64, arch: Arch) -> String {
-    let isize = arch.instruction_size() as u64;
-    let mut out = String::new();
-    for (idx, i) in instrs.iter().enumerate() {
-        let pc = base + idx as u64 * isize;
-        out.push_str(&format!("/*{pc:06x}*/  {i}"));
-        if let Some(off) = i.rel_target() {
-            let target = (pc + isize).wrapping_add(off as u64);
-            out.push_str(&format!("   // -> 0x{target:x}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[derive(Debug, Clone)]
 struct LabelDef {
     index: usize,
@@ -457,13 +440,5 @@ RET ;
             let bytes = codec.encode_stream(&prog).unwrap();
             assert_eq!(codec.decode_stream(&bytes).unwrap(), prog);
         }
-    }
-
-    #[test]
-    fn listing_annotates_targets() {
-        let prog = assemble("BRA .+0x8 ;\nNOP ;\nEXIT ;").unwrap();
-        let listing = disassemble_listing(&prog, 0x1000, Arch::Kepler);
-        assert!(listing.contains("/*001000*/"), "{listing}");
-        assert!(listing.contains("-> 0x1010"), "{listing}");
     }
 }

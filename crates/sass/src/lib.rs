@@ -66,6 +66,11 @@ pub use op::{CmpOp, Op, OpCategory, SubOp};
 pub use pressure::BodyShape;
 pub use reg::{Pred, Reg, SpecialReg};
 
+/// Offset of the kernel parameter area within constant bank 0, matching the
+/// real CUDA ABI's `c[0x0][0x160]`: where a launch writes the parameters
+/// and where compiled code reads them.
+pub const PARAM_BASE: u16 = 0x160;
+
 /// Errors produced by the assembler, codecs and CFG construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SassError {

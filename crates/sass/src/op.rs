@@ -327,12 +327,6 @@ impl CfClass {
     pub fn ends_block(self) -> bool {
         !matches!(self, CfClass::None | CfClass::Ssy | CfClass::Bar)
     }
-
-    /// True if the instruction encodes a PC-relative target that must be
-    /// adjusted when the instruction is relocated (into a trampoline).
-    pub fn is_relative(self) -> bool {
-        matches!(self, CfClass::RelBranch | CfClass::RelCall | CfClass::Ssy)
-    }
 }
 
 /// Operand kind expected at a given position of an opcode's format.
@@ -581,12 +575,8 @@ mod tests {
     fn control_flow_classes_partition() {
         for op in Op::ALL {
             let cf = op.cf_class();
-            if matches!(op, Op::Bra | Op::Cal | Op::Ssy) {
-                assert!(cf.is_relative());
-            }
             if matches!(op, Op::Jmp | Op::Jcal | Op::Brx | Op::Ret | Op::Exit | Op::Sync) {
                 assert!(cf.ends_block());
-                assert!(!cf.is_relative());
             }
         }
         assert!(!CfClass::Ssy.ends_block());

@@ -1,5 +1,6 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
-//! every tool × workload pair, a run at every rung above `Naive`
+//! every tool × workload pair, on one architecture per encoding family
+//! (`shared::FAMILIES`), a run at every rung above `Naive`
 //! (basic-block call coalescing; dominator-region coalescing; leaf-tool
 //! splicing; effect lowering) must produce bit-identical guest memory
 //! and identical tool output to a run with the naive per-site plan. The only observable
@@ -13,7 +14,7 @@ use gpu::DeviceSpec;
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats, SaveStats};
 use nvbit_tools::{InstrCount, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
-use shared::CountAfter;
+use shared::{CountAfter, FAMILIES};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::apps;
@@ -102,11 +103,11 @@ const PROMOTED: PlanOpts = PlanOpts { level: PlanLevel::Promoted };
 /// Every configuration above the naive baseline.
 const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, PROMOTED];
 
-/// Runs `app` under `tool` with the given plan options; returns the guest
+/// Runs `app` on `arch` under `tool` with the given plan options; returns the guest
 /// output bytes, a string signature of the tool's own results, and the
 /// simulated cycle count.
-fn run_case(tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn run_case(arch: Arch, tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let sig: Box<dyn Fn() -> String> = match tool {
         // The shipped constructor, which pins no rung, under each rung.
         "coalesced_instr_count" => {
@@ -150,26 +151,36 @@ fn run_case(tool: &str, opts: PlanOpts, app: App) -> (Vec<u8>, String, u64) {
 /// bit-for-bit with the naive per-site plan on both the guest output and
 /// the tool output, for every workload.
 fn differential(tool: &str) {
-    for (app_name, app) in APPS {
-        let (mem_naive, sig_naive, _) = run_case(tool, NAIVE, app);
-        for opts in &OPTIMIZED {
-            let (mem_opt, sig_opt, _) = run_case(tool, *opts, app);
-            assert_eq!(mem_opt, mem_naive, "guest memory differs: {tool} × {app_name} × {opts:?}");
-            assert_eq!(sig_opt, sig_naive, "tool output differs: {tool} × {app_name} × {opts:?}");
+    for arch in FAMILIES {
+        for (app_name, app) in APPS {
+            let (mem_naive, sig_naive, _) = run_case(arch, tool, NAIVE, app);
+            for opts in &OPTIMIZED {
+                let (mem_opt, sig_opt, _) = run_case(arch, tool, *opts, app);
+                assert_eq!(
+                    mem_opt, mem_naive,
+                    "guest memory differs: {tool} × {app_name} × {opts:?} on {arch}"
+                );
+                assert_eq!(
+                    sig_opt, sig_naive,
+                    "tool output differs: {tool} × {app_name} × {opts:?} on {arch}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn the_count_equals_native_at_every_rung() {
-    for (app_name, app) in APPS {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        app(&drv);
-        drv.shutdown();
-        let native = drv.total_stats().thread_instructions.to_string();
-        for opts in [NAIVE].iter().chain(&OPTIMIZED) {
-            let (_, total, _) = run_case("coalesced_instr_count", *opts, app);
-            assert_eq!(total, native, "{app_name} × {opts:?}");
+    for arch in FAMILIES {
+        for (app_name, app) in APPS {
+            let drv = Driver::new(DeviceSpec::test(arch));
+            app(&drv);
+            drv.shutdown();
+            let native = drv.total_stats().thread_instructions.to_string();
+            for opts in [NAIVE].iter().chain(&OPTIMIZED) {
+                let (_, total, _) = run_case(arch, "coalesced_instr_count", *opts, app);
+                assert_eq!(total, native, "{app_name} × {opts:?} on {arch}");
+            }
         }
     }
 }
@@ -222,34 +233,44 @@ fn mem_trace_is_plan_invariant() {
 
 #[test]
 fn lowered_pushes_are_cheaper_than_splices_on_every_workload() {
-    for (app_name, app) in COST_APPS {
-        let (_, _, spliced) = run_case("mem_trace", SPLICED, app);
-        let (_, _, promoted) = run_case("mem_trace", PROMOTED, app);
-        assert!(
-            promoted < spliced,
-            "{app_name}: lowering must cut cycles: {promoted} vs {spliced}"
-        );
+    for arch in FAMILIES {
+        for (app_name, app) in COST_APPS {
+            let (_, _, spliced) = run_case(arch, "mem_trace", SPLICED, app);
+            let (_, _, promoted) = run_case(arch, "mem_trace", PROMOTED, app);
+            assert!(
+                promoted < spliced,
+                "{arch} {app_name}: lowering must cut cycles: {promoted} vs {spliced}"
+            );
+        }
     }
 }
 
 #[test]
 fn optimized_plans_are_cheaper_on_every_workload() {
-    for (app_name, app) in COST_APPS {
-        let (_, _, naive) = run_case("coalesced_instr_count", NAIVE, app);
-        let (_, _, merged) = run_case("coalesced_instr_count", BLOCK, app);
-        let (_, _, region) = run_case("coalesced_instr_count", REGION, app);
-        let (_, _, spliced) = run_case("coalesced_instr_count", SPLICED, app);
-        let (_, _, promoted) = run_case("coalesced_instr_count", PROMOTED, app);
-        assert!(merged < naive, "{app_name}: coalescing should cut cycles: {merged} vs {naive}");
-        assert!(region <= merged, "{app_name}: regions must not add cycles: {region} vs {merged}");
-        assert!(
-            spliced <= region,
-            "{app_name}: splicing must not add cycles: {spliced} vs {region}"
-        );
-        assert!(
-            promoted < spliced,
-            "{app_name}: promotion must cut cycles: {promoted} vs {spliced}"
-        );
+    for arch in FAMILIES {
+        for (app_name, app) in COST_APPS {
+            let (_, _, naive) = run_case(arch, "coalesced_instr_count", NAIVE, app);
+            let (_, _, merged) = run_case(arch, "coalesced_instr_count", BLOCK, app);
+            let (_, _, region) = run_case(arch, "coalesced_instr_count", REGION, app);
+            let (_, _, spliced) = run_case(arch, "coalesced_instr_count", SPLICED, app);
+            let (_, _, promoted) = run_case(arch, "coalesced_instr_count", PROMOTED, app);
+            assert!(
+                merged < naive,
+                "{arch} {app_name}: coalescing should cut cycles: {merged} vs {naive}"
+            );
+            assert!(
+                region <= merged,
+                "{arch} {app_name}: regions must not add cycles: {region} vs {merged}"
+            );
+            assert!(
+                spliced <= region,
+                "{arch} {app_name}: splicing must not add cycles: {spliced} vs {region}"
+            );
+            assert!(
+                promoted < spliced,
+                "{arch} {app_name}: promotion must cut cycles: {promoted} vs {spliced}"
+            );
+        }
     }
 }
 
@@ -317,9 +338,9 @@ impl NvbitTool for PerInstruction {
 }
 
 /// `PerInstruction`'s counts, plan statistics and the run's executed
-/// thread instructions under `opts`.
-fn per_instruction(opts: PlanOpts) -> (Vec<u64>, PlanStats, u64) {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+/// thread instructions on `arch` under `opts`.
+fn per_instruction(arch: Arch, opts: PlanOpts) -> (Vec<u64>, PlanStats, u64) {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let (counts, stats) = (Rc::new(RefCell::new(Vec::new())), Rc::new(RefCell::new(None)));
     let tool =
         PerInstruction { opts, addrs: Vec::new(), counts: counts.clone(), stats: stats.clone() };
@@ -332,22 +353,24 @@ fn per_instruction(opts: PlanOpts) -> (Vec<u64>, PlanStats, u64) {
 
 #[test]
 fn counters_past_the_register_file_stay_exact() {
-    let (naive, _, _) = per_instruction(NAIVE);
-    let (promoted, stats, executed) = per_instruction(PROMOTED);
-    let native = {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        fft_app(&drv);
-        drv.total_stats().thread_instructions
-    };
-    // Some counters got a pair, the rest stayed spliced when the register
-    // file ran out: every count is still the naive plan's, and they add up
-    // to what the kernel executed.
-    assert!(stats.promoted_pairs > 50 && stats.inline_accepted > 0, "{stats:?}");
-    assert_eq!(stats.promoted_calls, stats.promoted_pairs, "one site per counter");
-    assert_eq!(stats.promoted_calls + stats.inline_accepted, stats.emitted_calls);
-    assert_eq!(promoted, naive);
-    assert_eq!(promoted.iter().sum::<u64>(), native);
-    assert!(executed > native, "the instrumented run executes more");
+    for arch in FAMILIES {
+        let (naive, _, _) = per_instruction(arch, NAIVE);
+        let (promoted, stats, executed) = per_instruction(arch, PROMOTED);
+        let native = {
+            let drv = Driver::new(DeviceSpec::test(arch));
+            fft_app(&drv);
+            drv.total_stats().thread_instructions
+        };
+        // Some counters got a pair, the rest stayed spliced when the register
+        // file ran out: every count is still the naive plan's, and they add up
+        // to what the kernel executed.
+        assert!(stats.promoted_pairs > 50 && stats.inline_accepted > 0, "{stats:?}");
+        assert_eq!(stats.promoted_calls, stats.promoted_pairs, "one site per counter");
+        assert_eq!(stats.promoted_calls + stats.inline_accepted, stats.emitted_calls);
+        assert_eq!(promoted, naive);
+        assert_eq!(promoted.iter().sum::<u64>(), native);
+        assert!(executed > native, "the instrumented run executes more");
+    }
 }
 
 /// Captures the planner's and the save policy's accounting at launch exit.
@@ -386,10 +409,10 @@ impl<T: NvbitTool> NvbitTool for StatsCapture<T> {
     }
 }
 
-fn captured_with(mk: impl FnOnce() -> InstrCount, app: App) -> (PlanStats, SaveStats) {
+fn captured_with(arch: Arch, mk: impl FnOnce() -> InstrCount, app: App) -> (PlanStats, SaveStats) {
     let stats = Rc::new(RefCell::new(None));
     let saves = Rc::new(RefCell::new(None));
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let drv = Driver::new(DeviceSpec::test(arch));
     attach_tool(&drv, StatsCapture { inner: mk(), stats: stats.clone(), saves: saves.clone() });
     app(&drv);
     drv.shutdown();
@@ -398,45 +421,47 @@ fn captured_with(mk: impl FnOnce() -> InstrCount, app: App) -> (PlanStats, SaveS
     (p, s)
 }
 
-fn captured_stats_with(opts: PlanOpts, app: App) -> PlanStats {
-    captured_with(move || InstrCount::executed(opts).0, app).0
+fn captured_stats_with(arch: Arch, opts: PlanOpts, app: App) -> PlanStats {
+    captured_with(arch, move || InstrCount::executed(opts).0, app).0
 }
 
-fn captured_stats(opts: PlanOpts) -> PlanStats {
-    captured_stats_with(opts, fft_app)
+fn captured_stats(arch: Arch, opts: PlanOpts) -> PlanStats {
+    captured_stats_with(arch, opts, fft_app)
 }
 
 #[test]
 fn the_passes_actually_fire_on_the_fft_kernel() {
-    let naive = captured_stats(NAIVE);
-    assert_eq!(naive.emitted_calls, naive.requested_calls);
-    assert_eq!(naive.coalesced_away, 0);
-    assert_eq!((naive.inline_accepted, naive.inline_declined), (0, 0));
+    for arch in FAMILIES {
+        let naive = captured_stats(arch, NAIVE);
+        assert_eq!(naive.emitted_calls, naive.requested_calls);
+        assert_eq!(naive.coalesced_away, 0);
+        assert_eq!((naive.inline_accepted, naive.inline_declined), (0, 0));
 
-    let merged = captured_stats(BLOCK);
-    assert!(merged.cfg_available, "the FFT kernel has a static CFG");
-    assert!(merged.coalesced_groups > 0, "{merged:?}");
-    assert!(merged.coalesced_away > 0, "{merged:?}");
-    assert_eq!(merged.emitted_calls, merged.requested_calls - merged.coalesced_away);
+        let merged = captured_stats(arch, BLOCK);
+        assert!(merged.cfg_available, "the FFT kernel has a static CFG");
+        assert!(merged.coalesced_groups > 0, "{merged:?}");
+        assert!(merged.coalesced_away > 0, "{merged:?}");
+        assert_eq!(merged.emitted_calls, merged.requested_calls - merged.coalesced_away);
 
-    let inlined = captured_stats(SPLICED);
-    assert_eq!(inlined.coalesced_away, merged.coalesced_away, "fft is one block");
-    assert_eq!(
-        inlined.inline_accepted, inlined.emitted_calls,
-        "the counting body is an inlinable leaf, so every emitted call inlines"
-    );
+        let inlined = captured_stats(arch, SPLICED);
+        assert_eq!(inlined.coalesced_away, merged.coalesced_away, "fft is one block");
+        assert_eq!(
+            inlined.inline_accepted, inlined.emitted_calls,
+            "the counting body is an inlinable leaf, so every emitted call inlines"
+        );
 
-    // The FFT kernel is one straight-line basic block, so the region pass
-    // has nothing left to hoist there; spmv's loops leave control- and
-    // cycle-equivalent blocks (setup, post-loop store) that only the
-    // region pass can merge.
-    let spmv_merged = captured_stats_with(BLOCK, spmv_app);
-    let spmv_full = captured_stats_with(REGION, spmv_app);
-    assert!(spmv_full.region_groups > 0, "{spmv_full:?}");
-    assert!(
-        spmv_full.emitted_calls < spmv_merged.emitted_calls,
-        "region coalescing must merge beyond per-block groups: {spmv_full:?} vs {spmv_merged:?}"
-    );
+        // The FFT kernel is one straight-line basic block, so the region pass
+        // has nothing left to hoist there; spmv's loops leave control- and
+        // cycle-equivalent blocks (setup, post-loop store) that only the
+        // region pass can merge.
+        let spmv_merged = captured_stats_with(arch, BLOCK, spmv_app);
+        let spmv_full = captured_stats_with(arch, REGION, spmv_app);
+        assert!(spmv_full.region_groups > 0, "{spmv_full:?}");
+        assert!(
+            spmv_full.emitted_calls < spmv_merged.emitted_calls,
+            "region coalescing must merge beyond per-block groups: {spmv_full:?} vs {spmv_merged:?}"
+        );
+    }
 }
 
 #[test]
@@ -444,12 +469,14 @@ fn guarded_diamond_bodies_are_spliced() {
     // `nvbit_count_pmult` is a single guarded diamond — past the straight
     // leaf threshold, but accepted by the body classifier — so every
     // emitted call still inlines.
-    let (p, _) = captured_with(|| InstrCount::executed(SPLICED).0, fft_app);
-    assert!(p.emitted_calls > 0, "{p:?}");
-    assert_eq!(
-        p.inline_accepted, p.emitted_calls,
-        "the guarded-diamond body must inline at every site: {p:?}"
-    );
+    for arch in FAMILIES {
+        let (p, _) = captured_with(arch, || InstrCount::executed(SPLICED).0, fft_app);
+        assert!(p.emitted_calls > 0, "{p:?}");
+        assert_eq!(
+            p.inline_accepted, p.emitted_calls,
+            "the guarded-diamond body must inline at every site: {p:?}"
+        );
+    }
 }
 
 #[test]
@@ -462,46 +489,57 @@ fn wide_splices_are_cheaper_than_the_calls_they_replace() {
     // saves only what it still clobbers of the site's live registers after
     // renaming: never more slots than the call, strictly fewer cycles, and
     // nothing the guest or the tool can tell apart from the naive plan.
-    for (app_name, app) in COST_APPS {
-        let (mem_naive, sig_naive, _) = run_case("wide_instr_count", NAIVE, app);
-        let (_, _, cycles_called) = run_case("wide_instr_count", REGION, app);
-        let (mem, sig, cycles_spliced) = run_case("wide_instr_count", SPLICED, app);
-        assert_eq!(mem, mem_naive, "{app_name}: guest memory differs from the naive plan");
-        assert_eq!(sig, sig_naive, "{app_name}: tool output differs from the naive plan");
-        assert!(
-            cycles_spliced < cycles_called,
-            "{app_name}: the splice must beat the call: {cycles_spliced} vs {cycles_called}"
-        );
+    for arch in FAMILIES {
+        for (app_name, app) in COST_APPS {
+            let (mem_naive, sig_naive, _) = run_case(arch, "wide_instr_count", NAIVE, app);
+            let (_, _, cycles_called) = run_case(arch, "wide_instr_count", REGION, app);
+            let (mem, sig, cycles_spliced) = run_case(arch, "wide_instr_count", SPLICED, app);
+            assert_eq!(
+                mem, mem_naive,
+                "{arch} {app_name}: guest memory differs from the naive plan"
+            );
+            assert_eq!(
+                sig, sig_naive,
+                "{arch} {app_name}: tool output differs from the naive plan"
+            );
+            assert!(
+                cycles_spliced < cycles_called,
+                "{arch} {app_name}: the splice must beat the call: {cycles_spliced} vs {cycles_called}"
+            );
 
-        let (called, saves_called) =
-            captured_with(move || InstrCount::executed_wide(REGION).0, app);
-        let (spliced, saves_spliced) =
-            captured_with(move || InstrCount::executed_wide(SPLICED).0, app);
-        assert_eq!(
-            (called.inline_accepted, called.inline_declined),
-            (0, 0),
-            "{app_name}: nothing splices below the top rung"
-        );
-        assert_eq!(called.emitted_calls, spliced.emitted_calls, "{app_name}: same merged calls");
-        assert_eq!(
-            (spliced.inline_accepted, spliced.inline_declined),
-            (spliced.emitted_calls, 0),
-            "{app_name}: every emitted call is spliced: {spliced:?}"
-        );
-        assert_eq!(
-            saves_called.saved_slots,
-            16 * called.emitted_calls,
-            "{app_name}: an out-of-line call saves the 16-slot tier: {saves_called:?}"
-        );
-        assert!(
-            saves_spliced.saved_slots <= saves_called.saved_slots,
-            "{app_name}: a splice must never save more than the call it replaces: \
-             {saves_spliced:?} vs {saves_called:?}"
-        );
-        if app_name == "fft" {
-            // One merged call where the kernel's live set peaks: the splice
-            // stores the 4 registers it cannot move off.
-            assert_eq!((saves_spliced.saved_slots, saves_called.saved_slots), (4, 16));
+            let (called, saves_called) =
+                captured_with(arch, move || InstrCount::executed_wide(REGION).0, app);
+            let (spliced, saves_spliced) =
+                captured_with(arch, move || InstrCount::executed_wide(SPLICED).0, app);
+            assert_eq!(
+                (called.inline_accepted, called.inline_declined),
+                (0, 0),
+                "{arch} {app_name}: nothing splices below the top rung"
+            );
+            assert_eq!(
+                called.emitted_calls, spliced.emitted_calls,
+                "{arch} {app_name}: same merged calls"
+            );
+            assert_eq!(
+                (spliced.inline_accepted, spliced.inline_declined),
+                (spliced.emitted_calls, 0),
+                "{arch} {app_name}: every emitted call is spliced: {spliced:?}"
+            );
+            assert_eq!(
+                saves_called.saved_slots,
+                16 * called.emitted_calls,
+                "{arch} {app_name}: an out-of-line call saves the 16-slot tier: {saves_called:?}"
+            );
+            assert!(
+                saves_spliced.saved_slots <= saves_called.saved_slots,
+                "{arch} {app_name}: a splice must never save more than the call it replaces: \
+                 {saves_spliced:?} vs {saves_called:?}"
+            );
+            if app_name == "fft" {
+                // One merged call where the kernel's live set peaks: the splice
+                // stores the 4 registers it cannot move off.
+                assert_eq!((saves_spliced.saved_slots, saves_called.saved_slots), (4, 16));
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Differential testing of liveness-driven save sizing (paper §5.1): for
-//! every tool × workload pair, an instrumented run under the default
+//! every tool × workload pair, on one architecture per encoding family
+//! (`shared::FAMILIES`), an instrumented run under the default
 //! liveness-reduced save policy must produce bit-identical guest memory and
 //! identical tool output to a run under the conservative full-tier policy.
 //! The only observable difference may be cost (fewer saved register slots).
@@ -10,7 +11,7 @@ use gpu::{DeviceSpec, Dim3, Scheduler};
 use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy, SaveStats};
 use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode, WfftEmu};
 use sass::Arch;
-use shared::CountAfter;
+use shared::{CountAfter, FAMILIES};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::{apps, fft};
@@ -173,16 +174,22 @@ const APPS: [(&str, App); 4] = [
     ("spmv_calls", spmv_calls_app),
 ];
 
-/// Runs `app` under `tool` with the given save policy on the default
-/// scheduler; returns the guest output bytes and a string signature of the
-/// tool's own results.
-fn run_case(tool: &str, policy: SavePolicy, app: App) -> (Vec<u8>, String) {
-    run_case_on(tool, policy, app, Scheduler::default())
+/// Runs `app` on `arch` under `tool` with the given save policy on the
+/// default scheduler; returns the guest output bytes and a string signature
+/// of the tool's own results.
+fn run_case(arch: Arch, tool: &str, policy: SavePolicy, app: App) -> (Vec<u8>, String) {
+    run_case_on(arch, tool, policy, app, Scheduler::default())
 }
 
 /// [`run_case`] on an explicit CTA scheduler.
-fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (Vec<u8>, String) {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn run_case_on(
+    arch: Arch,
+    tool: &str,
+    policy: SavePolicy,
+    app: App,
+    sched: Scheduler,
+) -> (Vec<u8>, String) {
+    let drv = Driver::new(DeviceSpec::test(arch));
     drv.with_device(|d| d.scheduler = sched);
     let sig: Box<dyn Fn() -> String> = match tool {
         "instr_count" => {
@@ -238,11 +245,13 @@ fn run_case_on(tool: &str, policy: SavePolicy, app: App, sched: Scheduler) -> (V
 /// The differential itself: liveness vs full-tier must agree bit-for-bit on
 /// both the guest output and the tool output, for every workload.
 fn differential(tool: &str) {
-    for (app_name, app) in APPS {
-        let (mem_full, sig_full) = run_case(tool, SavePolicy::FullTier, app);
-        let (mem_live, sig_live) = run_case(tool, SavePolicy::Liveness, app);
-        assert_eq!(mem_live, mem_full, "guest memory differs: {tool} × {app_name}");
-        assert_eq!(sig_live, sig_full, "tool output differs: {tool} × {app_name}");
+    for arch in FAMILIES {
+        for (app_name, app) in APPS {
+            let (mem_full, sig_full) = run_case(arch, tool, SavePolicy::FullTier, app);
+            let (mem_live, sig_live) = run_case(arch, tool, SavePolicy::Liveness, app);
+            assert_eq!(mem_live, mem_full, "guest memory differs: {tool} × {app_name} on {arch}");
+            assert_eq!(sig_live, sig_full, "tool output differs: {tool} × {app_name} on {arch}");
+        }
     }
 }
 
@@ -285,8 +294,10 @@ fn executed_counter_is_policy_invariant() {
 fn after_point_address_sum_is_policy_invariant() {
     differential("addr_sum_after");
     // The tool saw accesses at all (the sum is not vacuously equal).
-    let (_, sig) = run_case("addr_sum_after", SavePolicy::Liveness, stencil_app);
-    assert_ne!(sig, "(0, 0)");
+    for arch in FAMILIES {
+        let (_, sig) = run_case(arch, "addr_sum_after", SavePolicy::Liveness, stencil_app);
+        assert_ne!(sig, "(0, 0)", "{arch}");
+    }
 }
 
 /// The address trace and the divergence counters are order-free: the
@@ -296,16 +307,19 @@ fn after_point_address_sum_is_policy_invariant() {
 /// running the suite happens to be.
 #[test]
 fn order_free_tools_are_invariant_at_every_scheduler_width() {
-    for tool in ["mem_trace", "mem_divergence", "addr_sum_after"] {
-        for (app_name, app) in APPS {
-            let serial = run_case_on(tool, SavePolicy::Liveness, app, Scheduler::Serial);
-            for threads in [1, 2, 4, 8] {
-                for policy in [SavePolicy::FullTier, SavePolicy::Liveness] {
-                    let got = run_case_on(tool, policy, app, Scheduler::Parallel { threads });
-                    assert!(
-                        got == serial,
-                        "{tool} × {app_name} × {policy:?} diverges at {threads} worker(s)"
-                    );
+    for arch in FAMILIES {
+        for tool in ["mem_trace", "mem_divergence", "addr_sum_after"] {
+            for (app_name, app) in APPS {
+                let serial = run_case_on(arch, tool, SavePolicy::Liveness, app, Scheduler::Serial);
+                for threads in [1, 2, 4, 8] {
+                    for policy in [SavePolicy::FullTier, SavePolicy::Liveness] {
+                        let got =
+                            run_case_on(arch, tool, policy, app, Scheduler::Parallel { threads });
+                        assert!(
+                            got == serial,
+                            "{tool} × {app_name} × {policy:?} on {arch} diverges at {threads} worker(s)"
+                        );
+                    }
                 }
             }
         }
@@ -317,41 +331,44 @@ fn wfft_emulation_is_policy_invariant() {
     // The emulation tool uses the register device API (permanent
     // write-back), which forces the conservative tier at its sites even
     // under the liveness policy — the differential must still hold.
-    let run = |policy| -> Vec<u8> {
-        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-        attach_tool(&drv, WithPolicy { policy, inner: WfftEmu::new() });
-        let ctx = drv.ctx_create().unwrap();
-        let m = drv.module_load(&ctx, FatBinary::from_ptx("wfft", fft::wfft_kernel_ptx())).unwrap();
-        let f = drv.module_get_function(&m, "fft32").unwrap();
-        let bytes = 32 * 8u64;
-        let din = drv.mem_alloc(bytes).unwrap();
-        let dout = drv.mem_alloc(bytes).unwrap();
-        let input: Vec<u8> = (0..32u32)
-            .flat_map(|k| {
-                let mut rec = [0u8; 8];
-                rec[..4].copy_from_slice(&(k as f32 * 0.25).to_le_bytes());
-                rec[4..].copy_from_slice(&(1.0f32 - k as f32 * 0.03).to_le_bytes());
-                rec
-            })
-            .collect();
-        drv.memcpy_htod(din, &input).unwrap();
-        drv.launch_kernel(
-            &f,
-            Dim3::linear(1),
-            Dim3::linear(32),
-            &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
-        )
-        .unwrap();
-        let mut out = vec![0u8; bytes as usize];
-        drv.memcpy_dtoh(&mut out, dout).unwrap();
-        drv.shutdown();
-        out
-    };
-    let full = run(SavePolicy::FullTier);
-    let live = run(SavePolicy::Liveness);
-    assert_eq!(live, full);
-    // The emulated run is meaningful, not all-zero.
-    assert!(full.iter().any(|&b| b != 0));
+    for arch in FAMILIES {
+        let run = |policy| -> Vec<u8> {
+            let drv = Driver::new(DeviceSpec::test(arch));
+            attach_tool(&drv, WithPolicy { policy, inner: WfftEmu::new() });
+            let ctx = drv.ctx_create().unwrap();
+            let m =
+                drv.module_load(&ctx, FatBinary::from_ptx("wfft", fft::wfft_kernel_ptx())).unwrap();
+            let f = drv.module_get_function(&m, "fft32").unwrap();
+            let bytes = 32 * 8u64;
+            let din = drv.mem_alloc(bytes).unwrap();
+            let dout = drv.mem_alloc(bytes).unwrap();
+            let input: Vec<u8> = (0..32u32)
+                .flat_map(|k| {
+                    let mut rec = [0u8; 8];
+                    rec[..4].copy_from_slice(&(k as f32 * 0.25).to_le_bytes());
+                    rec[4..].copy_from_slice(&(1.0f32 - k as f32 * 0.03).to_le_bytes());
+                    rec
+                })
+                .collect();
+            drv.memcpy_htod(din, &input).unwrap();
+            drv.launch_kernel(
+                &f,
+                Dim3::linear(1),
+                Dim3::linear(32),
+                &[KernelArg::Ptr(din), KernelArg::Ptr(dout)],
+            )
+            .unwrap();
+            let mut out = vec![0u8; bytes as usize];
+            drv.memcpy_dtoh(&mut out, dout).unwrap();
+            drv.shutdown();
+            out
+        };
+        let full = run(SavePolicy::FullTier);
+        let live = run(SavePolicy::Liveness);
+        assert_eq!(live, full, "{arch}");
+        // The emulated run is meaningful, not all-zero.
+        assert!(full.iter().any(|&b| b != 0));
+    }
 }
 
 /// Captures the codegen's register-save accounting at launch exit.
@@ -388,18 +405,20 @@ impl<T: NvbitTool> NvbitTool for StatsCapture<T> {
 
 #[test]
 fn liveness_reduces_saved_slots_on_the_fft_kernel() {
-    let stats = Rc::new(RefCell::new(None));
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
-    let (tool, _results) = InstrCount::new();
-    attach_tool(&drv, StatsCapture { inner: tool, stats: stats.clone() });
-    fft_app(&drv);
-    drv.shutdown();
-    let s = stats.borrow().clone().expect("fft kernel was instrumented");
-    assert!(s.fallback.is_none(), "liveness analysis must apply: {:?}", s.fallback);
-    assert!(
-        s.saved_slots < s.full_tier_slots,
-        "liveness should shrink saves: {} vs {}",
-        s.saved_slots,
-        s.full_tier_slots
-    );
+    for arch in FAMILIES {
+        let stats = Rc::new(RefCell::new(None));
+        let drv = Driver::new(DeviceSpec::test(arch));
+        let (tool, _results) = InstrCount::new();
+        attach_tool(&drv, StatsCapture { inner: tool, stats: stats.clone() });
+        fft_app(&drv);
+        drv.shutdown();
+        let s = stats.borrow().clone().expect("fft kernel was instrumented");
+        assert!(s.fallback.is_none(), "liveness analysis must apply on {arch}: {:?}", s.fallback);
+        assert!(
+            s.saved_slots < s.full_tier_slots,
+            "liveness should shrink saves on {arch}: {} vs {}",
+            s.saved_slots,
+            s.full_tier_slots
+        );
+    }
 }

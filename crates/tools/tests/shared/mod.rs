@@ -1,10 +1,17 @@
-//! What more than one differential test builds.
+//! What more than one instrumentation test builds.
+#![allow(dead_code)] // each test uses its part
 
 use cuda::{CbId, CbParams, CuFunction};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
+use sass::Arch;
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::rc::Rc;
+
+/// One architecture per encoding family, each suite runs on both: Pascal
+/// (8-byte words, ABI version 1) and Volta (16-byte words, ABI version 2,
+/// whose calls also save the convergence-barrier state).
+pub const FAMILIES: [Arch; 2] = [Arch::Pascal, Arch::Volta];
 
 /// Counts thread-level instructions once they have retired: the shipped
 /// counting body `nvbit_count_pmult` at `IPoint::After` of every site of

@@ -9,12 +9,16 @@
 //! the store `c` makes. Under grid-dimension sampling every repeat launch
 //! is extrapolated from the first: exact only when an unsampled launch runs
 //! no instrumented callee and a sampled one counts its callees' share.
+//! Every case runs on one architecture per encoding family.
 use common::channel::Backpressure;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, ExecStats};
 use nvbit::attach_tool;
 use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
+use shared::FAMILIES;
+
+mod shared;
 
 const APP: &str = r#"
 .func put(.reg .u64 %p, .reg .u32 %v)
@@ -90,13 +94,13 @@ fn run(drv: &Driver, kernels: &[&str]) -> (ExecStats, Vec<u64>) {
     (drv.total_stats(), stores)
 }
 
-fn native(kernels: &[&str]) -> ExecStats {
-    run(&Driver::new(DeviceSpec::test(Arch::Volta)), kernels).0
+fn native(arch: Arch, kernels: &[&str]) -> ExecStats {
+    run(&Driver::new(DeviceSpec::test(arch)), kernels).0
 }
 
 /// `InstrCount`'s total over `kernels`.
-fn instr_count(kernels: &[&str]) -> u64 {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn instr_count(arch: Arch, kernels: &[&str]) -> u64 {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let (tool, results) = InstrCount::new();
     attach_tool(&drv, tool);
     run(&drv, kernels);
@@ -104,8 +108,8 @@ fn instr_count(kernels: &[&str]) -> u64 {
 }
 
 /// The sum of `OpcodeHistogram`'s histogram under `mode` over `kernels`.
-fn histogram_sum(mode: SamplingMode, kernels: &[&str]) -> u64 {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn histogram_sum(arch: Arch, mode: SamplingMode, kernels: &[&str]) -> u64 {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let (tool, results) = OpcodeHistogram::new(mode);
     attach_tool(&drv, tool);
     run(&drv, kernels);
@@ -113,8 +117,8 @@ fn histogram_sum(mode: SamplingMode, kernels: &[&str]) -> u64 {
 }
 
 /// `MemDivergence`'s warp-level memory instructions over `kernels`.
-fn mem_instructions(kernels: &[&str]) -> u64 {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn mem_instructions(arch: Arch, kernels: &[&str]) -> u64 {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let (tool, results) = MemDivergence::new(true);
     attach_tool(&drv, tool);
     run(&drv, kernels);
@@ -122,8 +126,8 @@ fn mem_instructions(kernels: &[&str]) -> u64 {
 }
 
 /// `MemTrace`'s addresses and the fixture's stores over `kernels`, sorted.
-fn traced_and_stored(kernels: &[&str]) -> (Vec<u64>, Vec<u64>) {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+fn traced_and_stored(arch: Arch, kernels: &[&str]) -> (Vec<u64>, Vec<u64>) {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let (tool, results) = MemTrace::channel(Backpressure::Block, 64);
     attach_tool(&drv, tool);
     let (_, mut stores) = run(&drv, kernels);
@@ -135,66 +139,106 @@ fn traced_and_stored(kernels: &[&str]) -> (Vec<u64>, Vec<u64>) {
 
 #[test]
 fn instr_count_counts_a_shared_callee_once_per_run() {
-    assert_eq!(instr_count(&SHARED), native(&SHARED).thread_instructions);
+    for arch in FAMILIES {
+        assert_eq!(instr_count(arch, &SHARED), native(arch, &SHARED).thread_instructions, "{arch}");
+    }
 }
 
 #[test]
 fn opcode_histogram_counts_a_shared_callee_once_per_run() {
-    assert_eq!(histogram_sum(SamplingMode::Full, &SHARED), native(&SHARED).thread_instructions);
+    for arch in FAMILIES {
+        assert_eq!(
+            histogram_sum(arch, SamplingMode::Full, &SHARED),
+            native(arch, &SHARED).thread_instructions,
+            "{arch}"
+        );
+    }
 }
 
 #[test]
 fn mem_divergence_counts_each_store_of_a_shared_callee_once() {
-    assert_eq!(mem_instructions(&SHARED), native(&SHARED).mem.global_stores);
+    for arch in FAMILIES {
+        assert_eq!(
+            mem_instructions(arch, &SHARED),
+            native(arch, &SHARED).mem.global_stores,
+            "{arch}"
+        );
+    }
 }
 
 #[test]
 fn mem_trace_records_every_store_of_a_shared_callee_once() {
-    let (traced, stores) = traced_and_stored(&SHARED);
-    assert_eq!(traced, stores);
+    for arch in FAMILIES {
+        let (traced, stores) = traced_and_stored(arch, &SHARED);
+        assert_eq!(traced, stores, "{arch}");
+    }
 }
 
 #[test]
 fn instr_count_counts_a_callee_of_a_callee() {
-    assert_eq!(instr_count(&CHAIN), native(&CHAIN).thread_instructions);
+    for arch in FAMILIES {
+        assert_eq!(instr_count(arch, &CHAIN), native(arch, &CHAIN).thread_instructions, "{arch}");
+    }
 }
 
 #[test]
 fn opcode_histogram_counts_a_callee_of_a_callee() {
-    assert_eq!(histogram_sum(SamplingMode::Full, &CHAIN), native(&CHAIN).thread_instructions);
+    for arch in FAMILIES {
+        assert_eq!(
+            histogram_sum(arch, SamplingMode::Full, &CHAIN),
+            native(arch, &CHAIN).thread_instructions,
+            "{arch}"
+        );
+    }
 }
 
 #[test]
 fn mem_divergence_sees_the_store_of_a_callee_of_a_callee() {
-    assert_eq!(mem_instructions(&CHAIN), native(&CHAIN).mem.global_stores);
+    for arch in FAMILIES {
+        assert_eq!(
+            mem_instructions(arch, &CHAIN),
+            native(arch, &CHAIN).mem.global_stores,
+            "{arch}"
+        );
+    }
 }
 
 #[test]
 fn mem_trace_records_the_stores_of_a_callee_of_a_callee() {
-    let (traced, stores) = traced_and_stored(&CHAIN);
-    assert_eq!(traced, stores);
+    for arch in FAMILIES {
+        let (traced, stores) = traced_and_stored(arch, &CHAIN);
+        assert_eq!(traced, stores, "{arch}");
+    }
 }
 
 #[test]
 fn sampled_histogram_of_a_kernel_with_a_callee_is_exact() {
-    let kernels = ["a"; 4];
-    assert_eq!(
-        histogram_sum(SamplingMode::GridDim, &kernels),
-        native(&kernels).thread_instructions
-    );
+    for arch in FAMILIES {
+        let kernels = ["a"; 4];
+        assert_eq!(
+            histogram_sum(arch, SamplingMode::GridDim, &kernels),
+            native(arch, &kernels).thread_instructions,
+            "{arch}"
+        );
+    }
 }
 
 #[test]
 fn sampled_histogram_of_kernels_sharing_a_callee_is_exact() {
-    let sum = histogram_sum(SamplingMode::GridDim, &SHARED);
-    assert_eq!(sum, native(&SHARED).thread_instructions);
+    for arch in FAMILIES {
+        let sum = histogram_sum(arch, SamplingMode::GridDim, &SHARED);
+        assert_eq!(sum, native(arch, &SHARED).thread_instructions, "{arch}");
+    }
 }
 
 #[test]
 fn sampled_histogram_of_a_callee_of_a_callee_is_exact() {
-    let kernels = ["c"; 4];
-    assert_eq!(
-        histogram_sum(SamplingMode::GridDim, &kernels),
-        native(&kernels).thread_instructions
-    );
+    for arch in FAMILIES {
+        let kernels = ["c"; 4];
+        assert_eq!(
+            histogram_sum(arch, SamplingMode::GridDim, &kernels),
+            native(arch, &kernels).thread_instructions,
+            "{arch}"
+        );
+    }
 }

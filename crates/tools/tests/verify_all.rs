@@ -2,7 +2,7 @@
 //! kernel, and the pre-swap static verifier must accept every generated
 //! image with zero diagnostics (paper §5.1 — a bad image corrupts the
 //! *application*, so the verifier is the last line of defense against
-//! codegen bugs).
+//! codegen bugs), on one architecture per encoding family.
 //!
 //! The full sweep is heavy and runs in release under `ci.sh` (the debug
 //! `cargo test` run covers a single-workload slice).
@@ -13,9 +13,12 @@ use gpu::{DeviceSpec, Dim3};
 use nvbit::{attach_tool, NvbitApi, NvbitTool};
 use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
+use shared::FAMILIES;
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::specaccel::{self, Size};
+
+mod shared;
 
 /// Wraps a tool and re-verifies every instrumented function (the launched
 /// kernel and its related functions) at every launch exit.
@@ -59,10 +62,10 @@ impl<T: NvbitTool> NvbitTool for VerifyEverything<T> {
 
 const TOOLS: [&str; 4] = ["instr_count", "opcode_hist", "mem_trace", "mem_divergence"];
 
-/// Runs `app` under the named tool with the verifying wrapper; returns how
-/// many instrumented images the verifier accepted.
-fn run_verified(tool: &str, app: &dyn Fn(&Driver)) -> usize {
-    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+/// Runs `app` on `arch` under the named tool with the verifying wrapper;
+/// returns how many instrumented images the verifier accepted.
+fn run_verified(arch: Arch, tool: &str, app: &dyn Fn(&Driver)) -> usize {
+    let drv = Driver::new(DeviceSpec::test(arch));
     let verified = Rc::new(RefCell::new(0usize));
     match tool {
         "instr_count" => {
@@ -106,21 +109,25 @@ fn every_tool_verifies_on_the_fft_pipeline() {
         )
         .unwrap();
     };
-    for tool in TOOLS {
-        let verified = run_verified(tool, &app);
-        assert!(verified > 0, "{tool} instrumented nothing on the fft pipeline");
+    for arch in FAMILIES {
+        for tool in TOOLS {
+            let verified = run_verified(arch, tool, &app);
+            assert!(verified > 0, "{tool} instrumented nothing on the fft pipeline on {arch}");
+        }
     }
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy; ci.sh runs this in release as the verify_all gate")]
 fn every_tool_verifies_on_every_specaccel_benchmark() {
-    for tool in TOOLS {
-        for bench in specaccel::suite() {
-            let verified = run_verified(tool, &|drv: &Driver| {
-                bench.run(drv, Size::Small).unwrap();
-            });
-            assert!(verified > 0, "{tool} instrumented nothing on {}", bench.name);
+    for arch in FAMILIES {
+        for tool in TOOLS {
+            for bench in specaccel::suite() {
+                let verified = run_verified(arch, tool, &|drv: &Driver| {
+                    bench.run(drv, Size::Small).unwrap();
+                });
+                assert!(verified > 0, "{tool} instrumented nothing on {} on {arch}", bench.name);
+            }
         }
     }
 }
@@ -128,12 +135,14 @@ fn every_tool_verifies_on_every_specaccel_benchmark() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy; ci.sh runs this in release as the verify_all gate")]
 fn every_tool_verifies_on_every_ml_model() {
-    for tool in TOOLS {
-        for model in workloads::ml_models() {
-            let verified = run_verified(tool, &|drv: &Driver| {
-                model.run(drv).unwrap();
-            });
-            assert!(verified > 0, "{tool} instrumented nothing on {}", model.name);
+    for arch in FAMILIES {
+        for tool in TOOLS {
+            for model in workloads::ml_models() {
+                let verified = run_verified(arch, tool, &|drv: &Driver| {
+                    model.run(drv).unwrap();
+                });
+                assert!(verified > 0, "{tool} instrumented nothing on {} on {arch}", model.name);
+            }
         }
     }
 }
