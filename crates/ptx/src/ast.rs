@@ -650,3 +650,92 @@ impl PtxInstr {
         PtxInstr { guard: None, op }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first operation of a kernel whose body is `op` over `%r1`-`%r2`,
+    /// `%p1` and `%rd1`.
+    fn first_op(op: &str) -> PtxOp {
+        let src = format!(
+            ".entry k(.param .u64 p)\n{{\n    .reg .u64 %rd<4>;\n    .reg .u32 %r<3>;\n    \
+             .reg .pred %p<2>;\n    {op}\n    exit;\n}}\n"
+        );
+        let m = crate::parse_module(&src).unwrap_or_else(|e| panic!("{op}: {e}"));
+        m.functions[0]
+            .body
+            .iter()
+            .find_map(|s| match s {
+                Statement::Instr(i) => Some(i.op),
+                _ => None,
+            })
+            .expect("the kernel has an instruction")
+    }
+
+    /// Every machine comparison, spelled as PTX writes it, reads back as
+    /// itself in a `setp`.
+    #[test]
+    fn pcmp_roundtrips() {
+        for c in CmpOp::ALL {
+            let s = c.suffix().to_ascii_lowercase();
+            let op = first_op(&format!("setp.{s}.u32 %p1, %r1, %r2;"));
+            assert!(matches!(op, PtxOp::Setp { cmp, .. } if cmp == c), "setp.{s}: {op:?}");
+        }
+        assert_eq!(CmpOp::ALL.len(), 6);
+    }
+
+    #[test]
+    fn atomop_roundtrips() {
+        let atoms = [
+            ("add", AtomOp::Add),
+            ("min", AtomOp::Min),
+            ("max", AtomOp::Max),
+            ("and", AtomOp::And),
+            ("or", AtomOp::Or),
+            ("xor", AtomOp::Xor),
+            ("exch", AtomOp::Exch),
+            ("cas", AtomOp::Cas),
+        ];
+        for (s, a) in atoms {
+            assert_eq!(AtomOp::from_suffix(s), Some(a));
+            let cas = if a == AtomOp::Cas { ", %r2" } else { "" };
+            let op = first_op(&format!("atom.global.{s}.u32 %r1, [%rd1], %r2{cas};"));
+            assert!(matches!(op, PtxOp::Atom { op, .. } if op == a), "atom.{s}: {op:?}");
+        }
+        assert_eq!(AtomOp::from_suffix("bfly"), None);
+    }
+
+    /// A PTX special register is the machine register itself: all 17
+    /// spellings read as their `SpecialReg`.
+    #[test]
+    fn special_maps_to_machine_registers() {
+        use SpecialReg as S;
+        let specials = [
+            ("%tid.x", S::TidX),
+            ("%tid.y", S::TidY),
+            ("%tid.z", S::TidZ),
+            ("%ntid.x", S::NTidX),
+            ("%ntid.y", S::NTidY),
+            ("%ntid.z", S::NTidZ),
+            ("%ctaid.x", S::CtaIdX),
+            ("%ctaid.y", S::CtaIdY),
+            ("%ctaid.z", S::CtaIdZ),
+            ("%nctaid.x", S::NCtaIdX),
+            ("%nctaid.y", S::NCtaIdY),
+            ("%nctaid.z", S::NCtaIdZ),
+            ("%laneid", S::LaneId),
+            ("%warpid", S::WarpId),
+            ("%smid", S::SmId),
+            ("%clock", S::Clock),
+            ("%activemask", S::ActiveMask),
+        ];
+        for (s, want) in specials {
+            let op = first_op(&format!("mov.u32 %r1, {s};"));
+            assert!(
+                matches!(op, PtxOp::Mov { special: Some(sr), .. } if sr == want),
+                "{s}: {op:?}"
+            );
+        }
+    }
+}
