@@ -3,21 +3,22 @@
 //!
 //! 1. **Plan ladder.** Each workload runs natively and under the coalesced
 //!    instruction-count tool at every rung: the naive per-site plan,
-//!    basic-block call coalescing, dominator-region coalescing, leaf-tool
-//!    splicing, and counter promotion. Rows carry the executed
+//!    basic-block call coalescing, dominator-region coalescing, and effect
+//!    lowering (counter promotion). Rows carry the executed
 //!    thread-instructions, cycles and planner accounting, plus the Fig.
 //!    9-style geometric-mean overhead of each rung.
 //! 2. **Sampling × plan** (§6.2 stacked on Fig. 9). The opcode histogram
 //!    with grid-dim sampling over the top rung. Each kernel launches four
 //!    times with identical dimensions, so sampling instruments one launch
 //!    and extrapolates the rest exactly, and the two levers multiply.
-//! 3. **Save policy** (§5.1). The register slots the FFT pipeline's sites
-//!    save under the liveness policy against the conservative
-//!    whole-function tier. The FFT kernel is one block, so its 194 counting
-//!    sites merge into one exact-bracket splice, which finds dead registers
-//!    to move onto (recorded: 0 of 32 slots). The register-hungry wide
-//!    counting body still has live registers to store there (recorded: 4
-//!    slots, against 32 full-tier and 16 for the out-of-line call).
+//! 3. **Save policy** (§5.1), at the `Region` rung, where every call is
+//!    made out of line between the save routines. The register slots the
+//!    FFT pipeline's sites save under the liveness policy against the
+//!    conservative whole-function tier. The FFT kernel is one block, so its
+//!    194 counting sites merge into one call, which saves the first tier
+//!    where the whole function needs the second (recorded: 16 of 32 slots),
+//!    for the counting body and for the register-hungry wide one alike:
+//!    the out-of-line call's clobber window stops at the callee-save cap.
 //!
 //! ```text
 //! cargo run --release -p nvbit-bench --bin inject_overhead
@@ -26,17 +27,17 @@
 //! Workloads are the fft, stencil and spmv applications of
 //! `workloads::apps` plus the fifteen SpecAccel-like benchmarks, and last
 //! `spmv_calls`, whose row is two device-function calls deep, in the ladder
-//! and the save-policy section, outside the promotion gate: a function that
-//! calls, returns or traps stays at the splicing rung. Writes
-//! `results/BENCH_inject_overhead.json`, gated on: coalescing alone cuts
-//! ≥25 % of the FFT pipeline's instrumented thread-instructions, and
-//! splicing keeps that cut; region coalescing emits fewer calls than
-//! per-block coalescing on at least two of fft/stencil/spmv; promotion cuts
-//! every workload's cycles below splicing's; no rung and no sampling changes
-//! what a tool measures; sampling instruments one launch and multiplies with
-//! the plan; exact saves cut ≥95 % of the FFT's saved slots and the wide
-//! tool's ≥30 % (the recorded figures minus a margin), and the wide splice
-//! saves no more than its out-of-line call.
+//! and the save-policy section, outside the promotion gate: the top rung
+//! lowers no call in a function that calls, returns or traps, and calls
+//! them out of line. Writes `results/BENCH_inject_overhead.json`, gated on:
+//! coalescing alone cuts ≥25 % of the FFT pipeline's instrumented
+//! thread-instructions, and promotion keeps that cut; region coalescing
+//! emits fewer calls than per-block coalescing on at least two of
+//! fft/stencil/spmv; promotion cuts every workload's cycles below the
+//! `Region` rung's; no rung and no sampling changes what a tool measures;
+//! sampling instruments one launch and multiplies with the plan; liveness
+//! sizing cuts ≥50 % of the FFT's saved slots for both counting bodies (the
+//! recorded cut).
 
 use bench_harness::{geomean, Report};
 use cuda::{CbId, CbParams, Driver};
@@ -55,11 +56,10 @@ use workloads::specaccel::{self, Size};
 const SAMPLING_ROUNDS: u32 = 4;
 
 /// The rungs of the plan ladder, bottom up.
-const RUNGS: [(&str, PlanLevel); 5] = [
+const RUNGS: [(&str, PlanLevel); 4] = [
     ("naive", PlanLevel::Naive),
     ("block", PlanLevel::Block),
     ("region", PlanLevel::Region),
-    ("spliced", PlanLevel::Spliced),
     ("promoted", PlanLevel::Promoted),
 ];
 
@@ -68,7 +68,8 @@ const RUNGS: [(&str, PlanLevel); 5] = [
 type Stats = Rc<RefCell<Vec<(String, PlanStats, SaveStats)>>>;
 
 /// Wraps a tool: pins the save policy and (unless the tool pins its own)
-/// the splicing rung, where saves are paid, at init; collects [`Stats`].
+/// the `Region` rung, where every call pays its saves, at init; collects
+/// [`Stats`].
 struct Accounting<T> {
     policy: SavePolicy,
     inner: T,
@@ -78,7 +79,7 @@ struct Accounting<T> {
 impl<T: NvbitTool> NvbitTool for Accounting<T> {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.set_save_policy(self.policy);
-        api.set_plan_opts(PlanOpts { level: PlanLevel::Spliced });
+        api.set_plan_opts(PlanOpts { level: PlanLevel::Region });
         self.inner.at_init(api);
     }
     fn at_term(&mut self, api: &NvbitApi<'_>) {
@@ -150,8 +151,9 @@ fn plan_ladder(report: &mut Report) {
     for b in specaccel::suite() {
         workloads.push((b.name, Box::new(move |d: &Driver| b.run(d, Size::Small).unwrap())));
     }
-    // Last, and out of the promotion gate: a function that calls, returns
-    // or traps stays at the splicing rung, so its rows show what that costs.
+    // Last, and out of the promotion gate: the top rung lowers no call in a
+    // function that calls, returns or traps, so its rows show what that
+    // costs.
     workloads.push(spmv_calls());
     for (name, app) in &workloads {
         let (native, cycles) = run(app, |_| {});
@@ -182,13 +184,13 @@ fn plan_ladder(report: &mut Report) {
     // The ladder's rows hold the workloads in order, fft first.
     let fft = |label: &str| report.column(label, "thread_instructions")[0];
     let cut = |label: &str| 1.0 - fft(label) / fft("naive");
-    let (block_cut, splice_cut) = (cut("block"), cut("spliced"));
+    let (block_cut, promoted_cut) = (cut("block"), cut("promoted"));
     let emitted = |label: &str| report.column(label, "emitted_calls");
     let (block, region) = (emitted("block"), emitted("region"));
     let region_wins = (0..3).filter(|&w| region[w] < block[w]).count();
     let cycles = |label: &str| report.column(label, "cycles");
-    let (spliced, promoted) = (cycles("spliced"), cycles("promoted"));
-    let uncut = (0..workloads.len() - 1).filter(|&w| promoted[w] >= spliced[w]).count();
+    let (region_cycles, promoted) = (cycles("region"), cycles("promoted"));
+    let uncut = (0..workloads.len() - 1).filter(|&w| promoted[w] >= region_cycles[w]).count();
     // The plan never changes what the tool measures.
     let counts = report.column("naive", "tool_count");
     let changed = RUNGS.iter().map(|(label, _)| report.column(label, "tool_count"));
@@ -199,7 +201,7 @@ fn plan_ladder(report: &mut Report) {
         report.row("geomean", label, &[("overhead_vs_native", overhead)]);
     }
     report.at_least("fft: thread-instructions cut by block coalescing", block_cut, 0.25);
-    report.at_least("fft: thread-instructions cut by splicing", splice_cut, block_cut);
+    report.at_least("fft: thread-instructions cut by promotion", promoted_cut, block_cut);
     let wins = region_wins as f64;
     report.at_least("of fft/stencil/spmv, region emits fewer calls than block", wins, 2.0);
     report.at_most("workloads whose cycles promotion did not cut", uncut as f64, 0.0);
@@ -273,17 +275,15 @@ fn save_policy(report: &mut Report) {
     use SavePolicy::{FullTier, Liveness};
     let live = saves(report, "instr_count, liveness", Liveness, InstrCount::new().0);
     let full = saves(report, "instr_count, full tier", FullTier, InstrCount::new().0);
-    // The wide executed-counter body writes past the first save tier, and at
-    // the FFT site more registers are live than its pairs can move off.
-    let wide = |level| InstrCount::executed_wide(PlanOpts { level }).0;
-    let wide_live = saves(report, "wide spliced, liveness", Liveness, wide(PlanLevel::Spliced));
-    let wide_full = saves(report, "wide spliced, full tier", FullTier, wide(PlanLevel::Spliced));
-    let wide_called = saves(report, "wide region, liveness", Liveness, wide(PlanLevel::Region));
+    // The wide counting body writes past R16, but its out-of-line call
+    // clobbers no more than the callee-save cap.
+    let wide = || InstrCount::executed_wide(PlanOpts { level: PlanLevel::Region }).0;
+    let wide_live = saves(report, "wide, liveness", Liveness, wide());
+    let wide_full = saves(report, "wide, full tier", FullTier, wide());
     let cut =
         |saved: f64, baseline: f64| if baseline == 0.0 { 0.0 } else { 1.0 - saved / baseline };
-    report.at_least("fft: saved slots cut by exact saves", cut(live, full), 0.95);
-    report.at_least("fft: saved slots cut for the wide tool", cut(wide_live, wide_full), 0.30);
-    report.at_most("fft: wide splice's saved slots, against its call's", wide_live, wide_called);
+    report.at_least("fft: saved slots cut by liveness sizing", cut(live, full), 0.5);
+    report.at_least("fft: saved slots cut for the wide tool", cut(wide_live, wide_full), 0.5);
     for (config, policy) in
         [("instr_count, liveness", Liveness), ("instr_count, full tier", FullTier)]
     {

@@ -303,7 +303,6 @@ impl CoreState {
             }
             common::obs::counter("plan.coalesced_away", plan.stats.coalesced_away);
             common::obs::counter("plan.region_groups", plan.stats.region_groups);
-            common::obs::counter("plan.splice.accepted", plan.stats.inline_accepted);
             common::obs::counter("plan.splice.declined", plan.stats.inline_declined);
             common::obs::counter("plan.promoted_calls", plan.stats.promoted_calls);
             common::obs::counter("plan.promoted_pairs", plan.stats.promoted_pairs);
@@ -541,8 +540,7 @@ impl Interposer for NvbitCore {
 /// [`NvbitApi::save_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveStats {
-    /// Σ slots stored per call (exact for spliced calls, tier for called
-    /// ones).
+    /// Σ slots stored per out-of-line call: its site's tier.
     pub saved_slots: u64,
     /// Slots the conservative whole-function tier would have saved.
     pub full_tier_slots: u64,
@@ -590,9 +588,9 @@ impl<'a> NvbitApi<'a> {
         // registered: a rejected module must leave no function behind.
         let mut bodies = Vec::with_capacity(module.functions.len());
         for f in &module.functions {
-            // The body the planner classifies and the inline pass splices:
-            // the installed code without its callee-save bracket, since a
-            // splice saves for itself whatever it clobbers at the site.
+            // The body the planner classifies for effect lowering: the
+            // installed code without its callee-save bracket, whose own
+            // writes decide what an out-of-line call can leave clobbered.
             let Some(body) = f.leaf_body() else {
                 return Err(NvbitError::BadRequest(format!(
                     "tool function `{}` calls other functions, which is unsupported",

@@ -8,9 +8,11 @@
 //! inlining levers every mature DBI framework applies (Pin, DynamoRIO; see
 //! the DBI survey), mapped onto the paper's Fig. 9 overhead breakdown
 //! (block coalescing from [`PlanLevel::Block`]; region coalescing from
-//! [`PlanLevel::Region`]; leaf inlining at [`PlanLevel::Spliced`]). Both
+//! [`PlanLevel::Region`]; effect lowering at [`PlanLevel::Promoted`]). Both
 //! merging passes need the body's CFG: under the ICF exception, where
-//! there is none, the plan merges nothing (the paper's flat view).
+//! there is none, the plan merges nothing (the paper's flat view). A
+//! planned call is either called out of line, the paper's trampoline
+//! (§5.1, Fig. 4), or replaced by the code of its effect.
 //!
 //! 1. **Block coalescing** (opt-in per injection via
 //!    [`crate::spec::Injection::coalesce`]): injections of the same tool
@@ -29,17 +31,13 @@
 //!    makes every block its own region, so this rung degrades to block
 //!    coalescing rather than to an approximation. One merge runs per plan,
 //!    over the class its rung names.
-//! 3. **Leaf inlining**: a call is spliced iff its tool body is spliceable
-//!    (small, call-free, stack-free, no `nvbit.readreg`/`writereg` use, a
-//!    straight line or one guarded diamond — see
-//!    [`crate::codegen::ToolFn::inlinable`]): the body goes directly into
-//!    the trampoline, eliminating the CALL/RET pair. The rule is a static
-//!    property of the body, never of the site; how a splice is *saved* is
-//!    the code generator's business.
-//! 4. **Effect lowering**: a call of a body with one known effect becomes
-//!    that effect's code ([`crate::codegen::Effect`]): a counter one
-//!    `IADD.U64` into a register pair, zeroed at entry and flushed at each
-//!    `EXIT` (LLVM PGO's counter promotion); a push `IADD.U64` and `CHAN.64`.
+//! 3. **Effect lowering**: a call of a spliceable body (small, call-free,
+//!    stack-free, no `nvbit.readreg`/`writereg` use, a straight line or one
+//!    guarded diamond — see [`crate::codegen::ToolFn::inlinable`]) with one
+//!    known effect becomes that effect's code ([`crate::codegen::Effect`]):
+//!    a counter one `IADD.U64` into a register pair, zeroed at entry and
+//!    flushed at each `EXIT` (LLVM PGO's counter promotion); a push
+//!    `IADD.U64` and `CHAN.64`. Any other call stays out of line.
 //!
 //! Every coalesce-marked injection follows the **multiplicity protocol**:
 //! the plan appends one trailing `Imm32` argument — 1 when the call stands
@@ -67,11 +65,8 @@ pub enum PlanLevel {
     Block,
     /// Adds dominator-region coalescing.
     Region,
-    /// Adds leaf splicing: every call whose tool body is spliceable
-    /// ([`crate::codegen::ToolFn::inlinable`]) is spliced; any other stays
-    /// an out-of-line call.
-    Spliced,
-    /// Adds effect lowering ([`Promotion`]).
+    /// Adds effect lowering ([`Promotion`]); a call it declines stays out
+    /// of line.
     Promoted,
 }
 
@@ -111,14 +106,12 @@ pub struct PlannedCall {
     pub lowering: Lowering,
 }
 
-/// How a [`PlannedCall`] is emitted: called, spliced or lowered.
+/// How a [`PlannedCall`] is emitted: called or lowered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lowering {
-    /// A `JCAL` of the tool function.
+    /// A `JCAL` of the tool function between the save and restore routines.
     Call,
-    /// The tool function's body in place of the `JCAL`/`RET` pair.
-    Splice,
-    /// Effect lowering's code in place of a call or a splice:
+    /// Effect lowering's code in place of the call:
     /// `[@g] IADD.U64 pair, pair, value` or `IADD.U64 s, base, off ; [@g] CHAN.64 s`.
     Code(InlineVec<Instruction, 2>),
 }
@@ -194,11 +187,11 @@ pub struct PlanStats {
     /// Whether a basic-block partition was available (coalescing needs
     /// one; indirect control flow defeats it — the ICF exception).
     pub cfg_available: bool,
-    /// Emitted calls [`PlanLevel::Spliced`] splices inline.
+    /// Always 0: no rung splices a call inline any more. The benchmark's
+    /// adapter still reads the field.
     pub inline_accepted: u64,
-    /// Emitted calls [`PlanLevel::Spliced`] leaves out of line because the
-    /// tool body is not spliceable. With `inline_accepted` and
-    /// `promoted_calls` it sums to `emitted_calls`; all three are 0 below it.
+    /// Emitted calls [`PlanLevel::Promoted`] leaves out of line. With
+    /// `promoted_calls` it sums to `emitted_calls`; both are 0 below it.
     pub inline_declined: u64,
     /// Emitted calls [`PlanLevel::Promoted`] lowers, counters and pushes.
     pub promoted_calls: u64,
@@ -301,11 +294,10 @@ pub fn build(
             merge_calls(&mut requests, a, opts.level >= PlanLevel::Region);
     }
 
-    // What is left standing is what is emitted; pass 3, inline splicing: a
-    // call is spliced iff its tool body is spliceable. Sites whose calls
-    // were all merged away are dropped — safe even for sites also marked
-    // removed: the generator NOPs removed-but-callless instructions in
-    // place, with no trampoline needed.
+    // What is left standing is what is emitted, as a call. Sites whose
+    // calls were all merged away are dropped — safe even for sites also
+    // marked removed: the generator NOPs removed-but-callless instructions
+    // in place, with no trampoline needed.
     let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
     for r in requests.iter().filter(|r| r.sites > 0) {
         let mut args = Vec::with_capacity(r.args.len() + 1);
@@ -314,27 +306,25 @@ pub fn build(
         // sites the call stands for — merged or not, so naive and coalesced
         // plans present identical tool signatures.
         args.extend(r.inj.coalesce.then_some(Arg::Imm32(r.sites)));
-        let spliced = opts.level >= PlanLevel::Spliced && tool_fns[&r.inj.func].inlinable;
         stats.emitted_calls += 1;
         sites.entry(r.inj.idx).or_default().push(PlannedCall {
             func: r.inj.func.clone(),
             ipoint: r.inj.ipoint,
             args,
-            lowering: if spliced { Lowering::Splice } else { Lowering::Call },
+            lowering: Lowering::Call,
         });
     }
     stats.coalesced_away = stats.requested_calls - stats.emitted_calls;
 
-    // Pass 4, effect lowering: only with a CFG, which rules out `BRX`.
+    // Pass 3, effect lowering: only with a CFG, which rules out `BRX`.
     let promotion = match analysis.filter(|_| opts.level >= PlanLevel::Promoted) {
         Some(_) => promote(&mut sites, body, arch, tool_fns, &spec.removed),
         None => Promotion::default(),
     };
-    if opts.level >= PlanLevel::Spliced {
+    if opts.level >= PlanLevel::Promoted {
         for c in sites.values().flatten() {
             match c.lowering {
                 Lowering::Call => stats.inline_declined += 1,
-                Lowering::Splice => stats.inline_accepted += 1,
                 Lowering::Code(_) => stats.promoted_calls += 1,
             }
         }
@@ -350,9 +340,8 @@ pub fn build(
 /// unless the function leaves by anything but `EXIT` (a call, `RET`, trap or
 /// jump), branches to instruction 0 or calls the register device API. The
 /// scratch pair and the counters' pairs go above every register the original
-/// names, every call's clobber window and the ABI window, where no splice,
-/// call or renaming reaches them; past `R253` the remaining counters stay as
-/// they were. With a counter, instruction 0 and every kept `EXIT` are sites.
+/// names, every call's clobber window and the ABI window, where no call
+/// reaches them; past `R253` the remaining counters stay calls. With a counter, instruction 0 and every kept `EXIT` are sites.
 fn promote(
     sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
     body: &[Instruction],
@@ -628,56 +617,48 @@ skip:
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(7)]);
     }
 
-    #[test]
-    fn inline_pass_marks_inlinable_leaves_only_at_the_top_rung() {
-        let body = analyzed(BODY);
-        let mut spec = FuncSpec::default();
-        spec.insert_call(0, "f", IPoint::Before);
-        let on = build_for(&spec, &body, &fns(true), PlanOpts::default()).unwrap();
-        assert_eq!(on.sites[&0][0].lowering, Lowering::Splice);
-        assert_eq!(on.stats.inline_accepted, 1);
-        let off = build_for(&spec, &body, &fns(true), at(PlanLevel::Region)).unwrap();
-        assert_eq!(off.sites[&0][0].lowering, Lowering::Call, "splicing is the top rung only");
-        let non_leaf = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
-        assert_eq!(
-            non_leaf.sites[&0][0].lowering,
-            Lowering::Call,
-            "non-leaf tools are never inlined"
-        );
+    /// A spliceable body with no effect, `IADD R5, R4, 0x1 ; RET`, as `g`
+    /// beside [`fns`]'s body with a call as `f`.
+    fn effectless() -> HashMap<Arc<str>, ToolFn> {
+        let tool = assemble_arch("IADD R5, R4, 0x1 ;\nRET ;", Arch::Volta).unwrap();
+        let g = ToolFn::with_body(0x8100, 8, 0, false, tool, Arch::Volta);
+        assert!(g.inlinable && g.effect.is_none());
+        let mut m = fns(false);
+        m.insert("g".into(), g);
+        m
     }
 
     #[test]
-    fn a_spliceable_body_is_spliced_whatever_is_live_at_the_site() {
-        // R20 is live across site 1 and the tool body writes up to R23: the
-        // splice the retired tier verdict kept out of line. Where it is
-        // saved is the code generator's business, not the planner's.
-        let src = "\
-    MOV R20, R4 ;
-    IADD R0, R4, 0x1 ;
-    STG [R20], R0 ;
-    EXIT ;
-";
-        let body = analyzed(src);
-        let tool = assemble_arch("IADD R23, R23, 0x1 ;\nRET ;", Arch::Volta).unwrap();
-        let mut tool_fns = fns(false);
-        let g = ToolFn::with_body(0x8000, 8, 0, false, tool, Arch::Volta);
-        tool_fns.insert("g".into(), g);
-        let mut spec = FuncSpec::default();
-        spec.insert_call(1, "g", IPoint::Before);
-        spec.insert_call(2, "f", IPoint::Before);
-
-        let top = build_for(&spec, &body, &tool_fns, PlanOpts::default()).unwrap();
-        assert_eq!(top.sites[&1][0].lowering, Lowering::Splice, "spliceable body");
-        assert_eq!(top.sites[&2][0].lowering, Lowering::Call, "body with a call");
-        assert_eq!((top.stats.inline_accepted, top.stats.inline_declined), (1, 1));
-        assert_eq!(top.stats.emitted_calls, 2);
-        for level in [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region] {
-            let plan = build_for(&spec, &body, &tool_fns, at(level)).unwrap();
-            assert!(
-                plan.sites.values().flatten().all(|c| c.lowering == Lowering::Call),
-                "{level:?}"
-            );
-            assert_eq!((plan.stats.inline_accepted, plan.stats.inline_declined), (0, 0));
+    fn the_top_rung_calls_out_of_line_what_it_does_not_lower() {
+        // A spliceable body without an effect, a body with a call, and a
+        // counter in a function that returns (a device function, like
+        // `spmv_calls`' callees): none is lowered, each is one call out of
+        // line, and the top rung counts them all as declined.
+        let body = analyzed(BODY);
+        let mut spec = counted(&body.0[..2], |_| 0xa0);
+        spec.insert_call(3, "g", IPoint::Before);
+        spec.insert_call(4, "f", IPoint::Before);
+        let mut tool_fns = effectless();
+        tool_fns.extend(counter());
+        let returns = analyzed(&BODY.replace("EXIT", "RET"));
+        for (body, promoted) in [(&body, 1), (&returns, 0)] {
+            let top = build_for(&spec, body, &tool_fns, PlanOpts::default()).unwrap();
+            let s = top.stats;
+            assert_eq!((s.emitted_calls, s.promoted_calls), (3, promoted));
+            assert_eq!(s.promoted_calls + s.inline_declined, s.emitted_calls);
+            assert_eq!(s.inline_accepted, 0);
+            for idx in [3, 4] {
+                assert_eq!(top.sites[&idx][0].lowering, Lowering::Call);
+            }
+            for level in [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region] {
+                let plan = build_for(&spec, body, &tool_fns, at(level)).unwrap();
+                assert!(
+                    plan.sites.values().flatten().all(|c| c.lowering == Lowering::Call),
+                    "{level:?}"
+                );
+                let s = plan.stats;
+                assert_eq!((s.inline_accepted, s.inline_declined, s.promoted_calls), (0, 0, 0));
+            }
         }
     }
 
@@ -837,8 +818,8 @@ b:
             spec.add_arg(idx, Arg::Imm64(9));
             spec.set_coalesce(idx);
         }
-        use PlanLevel::{Block, Naive, Promoted, Region, Spliced};
-        for level in [Naive, Block, Region, Spliced, Promoted] {
+        use PlanLevel::{Block, Naive, Promoted, Region};
+        for level in [Naive, Block, Region, Promoted] {
             let plan = build_for(&spec, &body, &fns(false), at(level)).unwrap();
             let calls: Vec<_> = plan.sites.iter().map(|(i, c)| (*i, c[0].ipoint)).collect();
             assert_eq!(calls, [(0, IPoint::After), (1, IPoint::After)], "{level:?}");
@@ -923,7 +904,7 @@ b:
         let calls = plan.sites.iter().flat_map(|(i, calls)| calls.iter().map(move |c| (*i, c)));
         let code = |c: &PlannedCall| match &c.lowering {
             Lowering::Code(code) => code.to_vec(),
-            Lowering::Call | Lowering::Splice => vec![],
+            Lowering::Call => vec![],
         };
         calls.map(|(i, c)| (i, code(c))).collect()
     }
@@ -949,10 +930,11 @@ b:
         assert!(plan.sites.values().flatten().all(|c| matches!(c.lowering, Lowering::Code(_))));
         let s = plan.stats;
         assert_eq!((s.promoted_calls, s.promoted_pairs, s.inline_accepted), (4, 2, 0));
-        // One rung down nothing is promoted and every call is spliced.
-        let spliced = build_for(&spec, &body, &counter(), at(PlanLevel::Spliced)).unwrap();
-        assert_eq!(spliced.promotion, Promotion::default());
-        assert_eq!((spliced.stats.inline_accepted, spliced.stats.promoted_calls), (4, 0));
+        // One rung down nothing is promoted and every call is out of line.
+        let called = build_for(&spec, &body, &counter(), at(PlanLevel::Region)).unwrap();
+        assert_eq!(called.promotion, Promotion::default());
+        assert!(called.sites.values().flatten().all(|c| c.lowering == Lowering::Call));
+        assert_eq!(called.stats.promoted_calls, 0);
     }
 
     #[test]
@@ -976,17 +958,17 @@ b:
     }
 
     /// Whether `src`, every instruction counted into one counter, promotes
-    /// anything; the calls stay spliced when it does not.
+    /// anything; the calls stay out of line when it does not.
     fn promotes(src: &str, fns: &HashMap<Arc<str>, ToolFn>, edit: impl Fn(&mut FuncSpec)) -> bool {
         let body = analyzed(src);
         let mut spec = counted(&body.0, |_| 0xa0);
         edit(&mut spec);
         let plan = build_for(&spec, &body, fns, PlanOpts::default()).unwrap();
         let s = plan.stats;
-        assert_eq!(s.inline_accepted + s.inline_declined + s.promoted_calls, s.emitted_calls);
+        assert_eq!(s.inline_declined + s.promoted_calls, s.emitted_calls);
         assert_eq!(
-            s.inline_accepted,
-            plan.sites.values().flatten().filter(|c| c.lowering == Lowering::Splice).count() as u64
+            s.inline_declined,
+            plan.sites.values().flatten().filter(|c| c.lowering == Lowering::Call).count() as u64
         );
         assert_eq!(s.promoted_pairs, plan.promotion.pairs.len() as u64);
         s.promoted_calls > 0
@@ -1026,7 +1008,7 @@ b:
     }
 
     #[test]
-    fn a_register_value_or_a_zero_predicate_keeps_the_call_spliced() {
+    fn a_register_value_or_a_zero_predicate_keeps_the_call_out_of_line() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         spec.insert_call(3, "count", IPoint::Before);
@@ -1035,7 +1017,7 @@ b:
         }
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
         assert_eq!(promoted(&plan), [(3, vec![])]);
-        assert!(plan.sites.values().flatten().all(|c| c.lowering == Lowering::Splice));
+        assert!(plan.sites.values().flatten().all(|c| c.lowering == Lowering::Call));
         // Neither a zero predicate: such a call never counts.
         let mut spec = counted(&body.0, |_| 0xa0);
         spec.insert_call(1, "count", IPoint::Before);
@@ -1044,13 +1026,13 @@ b:
         }
         let plan = build_for(&spec, &body, &counter(), PlanOpts::default()).unwrap();
         assert_eq!(plan.promotion.pairs.len(), 1);
-        assert_eq!(plan.stats.inline_accepted, 1);
+        assert_eq!(plan.stats.inline_declined, 1);
     }
 
     #[test]
-    fn counters_past_the_register_file_stay_spliced() {
+    fn counters_past_the_register_file_stay_calls() {
         // R240 leaves room for the scratch pair and five more, R244..R252:
-        // the sixth counter on and its calls stay as the Spliced rung has them.
+        // the sixth counter on and its calls stay out of line.
         let src = format!("MOV R240, R0 ;\n{}EXIT ;", "IADD R240, R240, 0x1 ;\n".repeat(6));
         let body = analyzed(&src);
         let spec = counted(&body.0, |idx| 0x100 + 8 * idx as u64);
@@ -1061,8 +1043,8 @@ b:
             (Some(Reg(242)), vec![244, 246, 248, 250, 252])
         );
         let s = plan.stats;
-        assert_eq!((s.promoted_calls, s.inline_accepted, s.promoted_pairs), (5, 3, 5));
-        assert!(plan.sites.range(5..).flat_map(|(_, c)| c).all(|c| c.lowering == Lowering::Splice));
+        assert_eq!((s.promoted_calls, s.inline_declined, s.promoted_pairs), (5, 3, 5));
+        assert!(plan.sites.range(5..).flat_map(|(_, c)| c).all(|c| c.lowering == Lowering::Call));
         // Past R252 nothing is left, not even the scratch pair.
         let body = analyzed("MOV R252, R0 ;\nEXIT ;");
         let plan = build_for(&counted(&body.0, |_| 8), &body, &counter(), PlanOpts::default());
@@ -1114,11 +1096,11 @@ b:
     }
 
     #[test]
-    fn a_far_offset_or_a_zero_predicate_keeps_the_push_spliced() {
+    fn a_far_offset_or_a_zero_predicate_keeps_the_push_a_call() {
         for (pred, off) in [(Arg::GuardPred, 1 << 22), (Arg::Imm32(0), 8)] {
             let plan = traced(4, pred, off);
             assert_eq!(promoted(&plan), [(4, vec![])], "{pred:?} {off}");
-            assert_eq!(plan.sites[&4][0].lowering, Lowering::Splice);
+            assert_eq!(plan.sites[&4][0].lowering, Lowering::Call);
             assert_eq!(plan.promotion, Promotion::default());
         }
     }

@@ -13,8 +13,8 @@
 //! here, since the image is what is checked, site by site, in one walk:
 //!
 //! * the sites are the plan's, and each site's calls, in Before → relocated
-//!   original → After order, are the plan's tool functions, spliced or
-//!   called as planned, each splice its body renamed, in an accepted shape;
+//!   original → After order, are the plan's tool functions, called or
+//!   lowered as planned;
 //! * Figure 4's links: the image is the original but for a jump to each
 //!   site and a `NOP` where the plan removes an instruction; a site runs
 //!   what it displaced and jumps back behind it; nothing falls off the end;
@@ -23,8 +23,8 @@
 //!   callee's entry); register spans fit the register file;
 //! * save discipline on every path of a site: a frame is open before any
 //!   save-area access or tool call and closed wherever the application
-//!   resumes, accesses stay inside it, and what is written is dead there
-//!   or saved and restored;
+//!   resumes, accesses stay inside it, `R1` is left alone inside it, and
+//!   what is written is dead there or saved and restored;
 //! * effect lowering: each lowered call is the plan's code, verbatim; only
 //!   the zeroing opening instruction 0's site, that code and the flush ahead
 //!   of each relocated `EXIT`, under its guard, name a reserved register;
@@ -39,7 +39,6 @@ use crate::hal::Hal;
 use crate::plan::{InstrumentationPlan, Lowering, PlannedCall};
 use crate::saverestore::{frame_slots, Routines};
 use crate::spec::IPoint;
-use common::InlineVec;
 use sass::op::CfClass;
 use sass::{Analysis, Instruction, Op, Operand, Reg};
 use std::collections::HashMap;
@@ -85,23 +84,19 @@ pub enum DiagKind {
     /// A restore call without a matching save.
     RestoreWithoutSave = 7,
     /// The application resumes (at the relocated original, or behind the
-    /// back-jump) with a save frame open or `R1` off its entry value.
+    /// back-jump) with a save frame open or `R1` off its entry value, or
+    /// injected code writes `R1` inside a save frame, which the restore
+    /// routine rebuilds `R1` from.
     UnbalancedFrame = 8,
-    /// A splice does not reproduce the loaded tool body (trailing `RET` a
-    /// `NOP`) under one injective, aligned-pair-preserving renaming.
-    InlineMismatch = 12,
     /// A save-area access addresses a slot outside the open frame: the
-    /// site's save tier, or the bytes an exact bracket opened.
+    /// site's save tier.
     TierExceeded = 13,
     /// Injected code writes a register or predicate live at its injection
     /// point (recomputed liveness) without saving and restoring it.
     PressureExceeded = 14,
-    /// A splice is not a straight line or one guarded diamond contained in
-    /// it (the body classifier's shapes): it would run code outside.
-    DiamondMismatch = 15,
     /// The image is not the plan it was built from: a site is
     /// missing or unplanned, or its calls are not the plan's (function,
-    /// count, or spliced where the plan calls out of line and vice versa).
+    /// count, or lowered where the plan calls out of line and vice versa).
     PlanMismatch = 16,
     /// The original, or an instruction other than the zeroing, a lowered
     /// call's code or a flush, names a reserved register; or the zeroing of
@@ -169,10 +164,6 @@ struct Bracket {
     sp: i64,
     /// Save-routine frames open.
     depth: u32,
-    /// `(frame offset, register)` slots of the open exact frame holding the
-    /// application's value (at most `INLINE_MAX_REGS` are emitted; a store
-    /// past 32 is not recorded: a diagnostic more, never one less).
-    stores: InlineVec<(i32, Reg), 32>,
     /// Registers and predicates that may no longer hold their values.
     dirty: sass::LiveSet,
 }
@@ -181,7 +172,6 @@ impl Bracket {
     /// Joins the state of another path into this one; `false` when the
     /// paths disagree about the frame.
     fn join(&mut self, other: &Bracket) -> bool {
-        self.stores.retain(|s| other.stores.contains(s));
         self.dirty.union_with(&other.dirty);
         (self.sp, self.depth) == (other.sp, other.depth)
     }
@@ -189,10 +179,10 @@ impl Bracket {
 
 /// Walks a site's injected code along every (forward-only) path and checks
 /// the save discipline against recomputed liveness: frames balance, frame
-/// accesses stay inside the open frame, and whatever is written is dead at
-/// its injection point (`live.0` before the relocated original, `live.1`
-/// after it) or stored before and reloaded on every path before the
-/// application runs again. `pending` is scratch for forward targets.
+/// accesses stay inside the open frame, nothing writes `R1` inside one, and
+/// whatever is written is dead at its injection point (`live.0` before the
+/// relocated original, `live.1` after it) or inside the routines' tier.
+/// `pending` is scratch for forward targets.
 fn check_brackets(
     hal: &Hal,
     (site, body): (&SiteMeta, &[Instruction]),
@@ -268,12 +258,15 @@ fn check_brackets(
             }
             continue;
         }
+        // The restore routine rebuilds `R1` from its value at the restore
+        // call: inside a save frame nothing may write it.
+        if st.depth > 0 && ins.reg_writes().contains(&Reg::SP) {
+            diag(DiagKind::UnbalancedFrame, "R1 written inside a save frame");
+        }
         if let (Op::Iadd, true, [Operand::Reg(Reg::SP), Operand::Reg(Reg::SP), Operand::Imm(by)]) =
             (ins.op, always, &ins.operands[..])
         {
-            // Recorded offsets are relative to the `R1` that just moved.
             st.sp += by;
-            st.stores = InlineVec::default();
             if st.sp > 0 {
                 diag(DiagKind::UnbalancedFrame, "R1 raised past the frame it opened");
             }
@@ -287,7 +280,6 @@ fn check_brackets(
             }
             _ => None,
         });
-        let mut reload = false;
         if let Some(off) = off {
             let slots = if st.depth > 0 { frame_slots(site.tier, hal) as i64 } else { -st.sp / 4 };
             if st.depth == 0 && st.sp >= 0 {
@@ -297,38 +289,13 @@ fn check_brackets(
                 diag(DiagKind::TierExceeded, &what);
             }
         }
-        match (ins.op, off, &ins.operands[..]) {
-            // An unguarded one-word store of a register that still holds
-            // the application's value saves it in that slot.
-            (Op::Stl, Some(off), [_, Operand::Reg(r)])
-                if always && off % 4 == 0 && *ins.reg_reads() == [Reg::SP, *r] =>
-            {
-                st.stores.retain(|(o, _)| *o != off);
-                if st.depth == 0 && !st.dirty.gprs.contains(*r) {
-                    let _ = st.stores.try_push((off, *r));
-                }
-            }
-            // Any other local store may land on any slot.
-            (Op::Stl, ..) => st.stores = InlineVec::default(),
-            // An unguarded one-word load of the slot restores the register.
-            (Op::Ldl, Some(off), [Operand::Reg(r), _])
-                if always && *ins.reg_writes() == [*r] && st.stores.contains(&(off, *r)) =>
-            {
-                st.dirty.gprs.remove(*r);
-                reload = true;
-            }
-            _ => {}
-        }
 
         for &r in &ins.reg_writes() {
-            let saved = (st.depth > 0 && u16::from(r.0) < site.tier)
-                || st.stores.iter().any(|(_, s)| *s == r);
-            if !reload && live_reg(r) && !saved {
+            let saved = st.depth > 0 && u16::from(r.0) < site.tier;
+            if live_reg(r) && !saved {
                 diag(DiagKind::PressureExceeded, &format!("live {r} written but not saved"));
             }
-            if !reload {
-                st.dirty.gprs.insert(r);
-            }
+            st.dirty.gprs.insert(r);
         }
         // Only a save routine's frame holds the predicate file.
         let written = ins.pred_writes();
@@ -355,49 +322,6 @@ fn check_brackets(
     }
 }
 
-/// True when `emitted` reproduces `loaded` under one renaming of registers
-/// and predicates that is injective and moves aligned register pairs as
-/// units (`RZ` and `PT` fixed) — every other field equal.
-fn renamed_match(loaded: &[Instruction], emitted: &[Instruction]) -> bool {
-    /// Binds `from ↦ to` unless either name is bound otherwise: `table`
-    /// holds the renaming in its lower half and the inverse in its upper,
-    /// so injectivity is one lookup.
-    fn bind(table: &mut [Option<u8>], from: u8, to: u8) -> bool {
-        let (f, t) = (from as usize, table.len() / 2 + to as usize);
-        match (table[f], table[t]) {
-            (None, None) => {
-                (table[f], table[t]) = (Some(to), Some(from));
-                true
-            }
-            bound => bound == (Some(to), Some(from)),
-        }
-    }
-    let (mut pairs, mut preds) = ([None; 256], [None; 16]);
-    (pairs[127], pairs[255], preds[7], preds[15]) = (Some(127), Some(127), Some(7), Some(7));
-    let mut reg = |a: Reg, b: Reg| a.0 % 2 == b.0 % 2 && bind(&mut pairs, a.0 / 2, b.0 / 2);
-    let mut pred = |a: sass::Pred, b: sass::Pred| bind(&mut preds, a.0 & 7, b.0 & 7);
-    loaded.len() == emitted.len()
-        && loaded.iter().zip(emitted).all(|(l, e)| {
-            (l.op, l.mods, l.guard.negated, l.operands.len())
-                == (e.op, e.mods, e.guard.negated, e.operands.len())
-                && pred(l.guard.pred, e.guard.pred)
-                && l.operands.iter().zip(&e.operands).all(|pair| match pair {
-                    (Operand::Reg(a), Operand::Reg(b)) => reg(*a, *b),
-                    (Operand::Pred { pred: a, negated }, Operand::Pred { pred: b, negated: n }) => {
-                        negated == n && pred(*a, *b)
-                    }
-                    (Operand::MRef { base: a, offset }, Operand::MRef { base: b, offset: o }) => {
-                        offset == o && reg(*a, *b)
-                    }
-                    (
-                        Operand::CBank { bank, base: a, offset },
-                        Operand::CBank { bank: k, base: b, offset: o },
-                    ) => (bank, offset) == (k, o) && reg(*a, *b),
-                    (a, b) => a == b,
-                })
-        })
-}
-
 /// An instrumented image as the walker reads it: both code regions decoded
 /// and placed, and the code generator's layout of the trampoline sites.
 struct Decoded<'a> {
@@ -410,11 +334,10 @@ struct Decoded<'a> {
 
 /// A site's calls against the plan's, in emission order: Before calls, the
 /// relocated original, then (if it `falls_through`) After calls. Each is
-/// spliced, called or lowered as planned, a call unguarded and on its side
-/// of the original, a splice its body renamed, in an accepted shape, a
-/// lowered call the plan's code. `report` takes a position within the site.
+/// called or lowered as planned, a call unguarded and on its side of the
+/// original, a lowered call the plan's code. `report` takes a position
+/// within the site.
 fn check_calls(
-    hal: &Hal,
     req: &Request<'_>,
     (site, body): (&SiteMeta, &[Instruction]),
     planned: &[PlannedCall],
@@ -442,52 +365,17 @@ fn check_calls(
         report(DiagKind::PlanMismatch, 0, format!("site {i} does not make the plan's calls"));
     }
 
-    for (call, splice) in emitted().zip(&site.calls) {
+    for (call, span) in emitted().zip(&site.calls) {
         let func = &call.func;
-        if (call.lowering == Lowering::Call) == splice.is_some() {
-            let what = format!("`{func}` at {i} is not spliced or called as the plan has it");
+        if (call.lowering == Lowering::Call) == span.is_some() {
+            let what = format!("`{func}` at {i} is not called or lowered as the plan has it");
             report(DiagKind::PlanMismatch, 0, what);
         }
-        let Some((off, len)) = *splice else { continue };
-        if let Lowering::Code(code) = &call.lowering {
+        if let (Lowering::Code(code), Some((off, len))) = (&call.lowering, *span) {
             if body.get(off..off + len) != Some(&code[..]) {
                 let what = format!("`{func}` at {i} is not its lowered code");
                 report(DiagKind::PlanMismatch, off.min(site.len - 1), what);
             }
-            continue;
-        }
-        let tool = req.tool_fns.get(func);
-        let loaded = tool.map(|t| &t.body[..]).filter(|fn_body| {
-            off + len <= site.len
-                && len > 0
-                && fn_body.len() == len
-                && fn_body.last().is_some_and(|i| i.op == Op::Ret)
-                && body[off + len - 1].op == Op::Nop
-                && renamed_match(&fn_body[..len - 1], &body[off..off + len - 1])
-        });
-        if loaded.is_none() {
-            let what = format!("splice of `{func}` at {i} does not match the loaded body");
-            report(DiagKind::InlineMismatch, off.min(site.len - 1), what);
-        }
-        if off + len > site.len || len == 0 {
-            continue; // out of range: already reported
-        }
-        // An escaping or looping splice runs foreign code in the bracket.
-        // A renaming keeps all `body_shape` reads, so a matched splice has
-        // its body's shape, classified at load for every body the planner
-        // splices (`ToolFn::inlinable`); an unmatched one is classified as
-        // emitted, its `NOP` standing for the `RET`.
-        let shaped = match loaded {
-            Some(_) if tool.is_some_and(|t| t.inlinable) => true,
-            Some(b) => sass::pressure::body_shape(b, hal.arch()).is_some(),
-            None => {
-                let spliced = [&body[off..off + len - 1], &[Instruction::new(Op::Ret, [])]];
-                sass::pressure::body_shape(&spliced.concat(), hal.arch()).is_some()
-            }
-        };
-        if !shaped {
-            let what = format!("splice of `{func}` at {i} is not a line or a contained diamond");
-            report(DiagKind::DiamondMismatch, off, what);
         }
     }
 }
@@ -661,7 +549,7 @@ fn walk(
         };
         let falls_through = displaced.is_some_and(|d| !d.leaves());
         let report = |kind, pos, what| diags.push(at(kind, pos, what));
-        check_calls(hal, req, (site, body), planned, falls_through, report);
+        check_calls(req, (site, body), planned, falls_through, report);
     }
     diags
 }
@@ -703,7 +591,6 @@ pub fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codegen::ToolFn;
     use sass::{Arch, Mods, Width};
 
     const IMAGE_ADDR: u64 = 0x4000;
@@ -724,14 +611,9 @@ mod tests {
         Instruction::new(Op::Jcal, [Operand::Abs(addr)])
     }
 
-    /// `f` at `TOOL`, its body a call that no splice in these tests matches.
-    fn unspliced() -> ToolFns {
+    /// `f` at `TOOL`, its body a call.
+    fn out_of_line() -> ToolFns {
         HashMap::from([("f".into(), crate::codegen::calling(TOOL, 8, 0, false))])
-    }
-
-    /// `f` at `TOOL` with `body` loaded.
-    fn loaded(body: Vec<Instruction>) -> ToolFns {
-        HashMap::from([("f".into(), ToolFn::with_body(TOOL, 8, 0, false, body, Arch::Volta))])
     }
 
     /// A planned `Before` call of `f`, out of line.
@@ -745,14 +627,11 @@ mod tests {
     }
 
     /// The plan an image's layout stands for: at each site, one `Before`
-    /// call of `f` per call the site makes, spliced where it is.
+    /// call of `f` per call the site makes out of line.
     fn plan_of(sites: &[SiteMeta]) -> InstrumentationPlan {
         let mut plan = InstrumentationPlan::default();
         for site in sites {
-            let lowering =
-                |s: &Option<_>| if s.is_some() { Lowering::Splice } else { Lowering::Call };
-            let call = |s: &Option<_>| PlannedCall { lowering: lowering(s), ..planned() };
-            plan.sites.insert(site.instr_idx, site.calls.iter().map(call).collect());
+            plan.sites.insert(site.instr_idx, site.calls.iter().map(|_| planned()).collect());
         }
         plan
     }
@@ -827,7 +706,7 @@ mod tests {
         tramp: &[Instruction],
         sites: &[SiteMeta],
     ) -> Vec<Diagnostic> {
-        walk_with(original, (image, tramp, sites), &plan_of(sites), &unspliced())
+        walk_with(original, (image, tramp, sites), &plan_of(sites), &out_of_line())
     }
 
     /// The kinds reported for [`good`] after `corrupt` had its way with the
@@ -843,7 +722,7 @@ mod tests {
         corrupt(&mut image, &mut tramp);
         let mut plan = plan_of(&sites);
         plan.removed.extend(removed);
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &out_of_line());
         d.iter().map(|d| d.kind).collect()
     }
 
@@ -852,42 +731,6 @@ mod tests {
         corrupt: impl FnOnce(&mut Vec<Instruction>, &mut Vec<Instruction>),
     ) -> Vec<DiagKind> {
         corrupted_removing(&[], corrupt)
-    }
-
-    /// A hand-written exact bracket: `injected` in front of the first of
-    /// three stores that keep R2:R3 and R4, R5, R6 live across the site.
-    fn bracket(injected: &str) -> Vec<DiagKind> {
-        let asm = |text: &str| sass::asm::assemble_arch(text, Arch::Volta).unwrap();
-        let mut image = asm("STG [R2], R4 ;\nSTG [R2], R5 ;\nSTG [R2], R6 ;\nEXIT ;");
-        let mut tramp = asm(injected);
-        let orig_pos = tramp.len();
-        tramp.push(std::mem::replace(&mut image[0], jmp(TRAMP_ADDR)));
-        tramp.push(jmp(IMAGE_ADDR + hal().instruction_size()));
-        let (len, calls) = (tramp.len(), vec![]);
-        let site = SiteMeta { instr_idx: 0, start: 0, len, orig_pos, tier: 0, calls };
-        run(&image, &tramp, &[site]).iter().map(|d| d.kind).collect()
-    }
-
-    #[test]
-    fn exact_brackets_are_rederived_slot_by_slot() {
-        let good = "IADD R1, R1, -0x8 ;\nSTL [R1], R4 ;\nSTL [R1+0x4], R6 ;\n\
-                    MOV32I R4, 0x7 ;\nMOV32I R6, 0x7 ;\n\
-                    LDL R4, [R1] ;\nLDL R6, [R1+0x4] ;\nIADD R1, R1, 0x8 ;";
-        assert_eq!(bracket(good), vec![]);
-        // A two-word reload of R4's slot also drops R6's value into live R5.
-        let wide = good.replace("LDL R4, [R1] ;", "LDL.64 R4, [R1] ;");
-        assert!(bracket(&wide).contains(&DiagKind::PressureExceeded));
-        // R1 moves inside the open frame: `[R1]` is no longer R4's slot.
-        let nested = "IADD R1, R1, -0x4 ;\nSTL [R1], R4 ;\nIADD R1, R1, -0x4 ;\n\
-                      MOV32I R4, 0x7 ;\nLDL R4, [R1] ;\nIADD R1, R1, 0x8 ;";
-        assert!(bracket(nested).contains(&DiagKind::PressureExceeded));
-        // A guarded store may have replaced the saved value.
-        let guarded = "IADD R1, R1, -0x4 ;\nSTL [R1], R4 ;\nMOV32I R4, 0x7 ;\n\
-                       @P0 STL [R1], R4 ;\nLDL R4, [R1] ;\nIADD R1, R1, 0x4 ;";
-        assert!(bracket(guarded).contains(&DiagKind::PressureExceeded));
-        // A two-word store into the frame's last slot runs past it.
-        let past = "IADD R1, R1, -0x4 ;\nSTL.64 [R1], R4 ;\nIADD R1, R1, 0x4 ;";
-        assert!(bracket(past).contains(&DiagKind::TierExceeded));
     }
 
     #[test]
@@ -971,6 +814,20 @@ mod tests {
         tramp[3] = Instruction::nop(); // drop the restore call
         let d = run(&image, &tramp, &sites);
         assert!(d.iter().any(|d| d.kind == DiagKind::UnbalancedFrame));
+    }
+
+    #[test]
+    fn an_r1_write_inside_a_save_frame_is_rejected() {
+        // The restore routine rebuilds R1 as `IADD R1, R1, frame` from
+        // whatever R1 holds then: a write of it inside the frame, although
+        // below the tier, resumes the application on a wrong stack pointer.
+        let (image, mut tramp, mut sites) = good();
+        let to_r1 = Instruction::new(Op::Mov, [Operand::Reg(Reg::SP), Operand::Reg(Reg(4))]);
+        tramp.insert(2, to_r1);
+        sites[0].len += 1;
+        sites[0].orig_pos += 1;
+        let kinds: Vec<_> = run(&image, &tramp, &sites).iter().map(|d| d.kind).collect();
+        assert_eq!(kinds, vec![DiagKind::UnbalancedFrame]);
     }
 
     #[test]
@@ -1118,7 +975,7 @@ mod tests {
         original[1] = tramp[4];
         let mut plan = plan_of(&sites);
         plan.sites.insert(0, vec![planned()]);
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &out_of_line());
         let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region, d.index)).collect();
         assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Image, 0)]);
     }
@@ -1129,7 +986,7 @@ mod tests {
         let mut original = image.clone();
         original[1] = tramp[4];
         let plan = InstrumentationPlan::default();
-        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &unspliced());
+        let d = walk_with(&original, (&image, &tramp, &sites), &plan, &out_of_line());
         let kinds: Vec<_> = d.iter().map(|d| (d.kind, d.region)).collect();
         assert_eq!(kinds, vec![(DiagKind::PlanMismatch, Region::Trampoline)]);
     }
@@ -1147,19 +1004,29 @@ mod tests {
     }
 
     #[test]
-    fn a_call_spliced_where_the_plan_calls_it_out_of_line_is_rejected() {
-        let head = Instruction::new(
-            Op::Iadd,
-            [Operand::Reg(Reg(5)), Operand::Reg(Reg(5)), Operand::Imm(2)],
-        );
-        let fns = loaded(vec![head, Instruction::new(Op::Ret, [])]);
+    fn a_call_lowered_where_the_plan_calls_it_out_of_line_is_rejected() {
+        // The site runs one `IADD.U64` where it called `f`, and its layout
+        // records that code's span.
         let (image, mut tramp, mut sites) = one_site(&original(), 0);
-        splice_over_call(&mut tramp, &mut sites, vec![head]);
-        let spliced = PlannedCall { lowering: Lowering::Splice, ..planned() };
-        assert_eq!(check(&original(), (&image, &tramp, &sites), vec![spliced], &fns), vec![]);
-        let d = check(&original(), (&image, &tramp, &sites), vec![planned()], &fns);
-        let kinds: Vec<_> = d.iter().map(|d| d.kind).collect();
-        assert_eq!(kinds, vec![DiagKind::PlanMismatch, DiagKind::PlanMismatch], "{d:?}");
+        let code = Instruction::new(
+            Op::Iadd,
+            [Operand::Reg(Reg(16)), Operand::Reg(Reg(16)), Operand::Imm(1)],
+        )
+        .with_mods(Mods { itype: sass::op::IType::U64, ..Mods::default() });
+        tramp.splice(0..4, [code]);
+        sites[0].len -= 3;
+        sites[0].orig_pos -= 3;
+        sites[0].calls = vec![Some((0, 1))];
+        let lowered = PlannedCall { lowering: Lowering::Code([code].into()), ..planned() };
+        let mut plan = InstrumentationPlan::default();
+        plan.sites.insert(0, vec![lowered]);
+        let walked = |plan: &InstrumentationPlan| {
+            let d = walk_with(&original(), (&image, &tramp, &sites), plan, &out_of_line());
+            d.iter().map(|d| d.kind).collect::<Vec<_>>()
+        };
+        assert_eq!(walked(&plan), vec![]);
+        plan.sites.insert(0, vec![planned()]);
+        assert_eq!(walked(&plan), vec![DiagKind::PlanMismatch, DiagKind::PlanMismatch]);
     }
 
     // ----- One-site images on hand-built plans ----------------------------
@@ -1221,144 +1088,6 @@ mod tests {
         walk_with(original, (image, tramp, sites), &plan, fns)
     }
 
-    // ----- Splices --------------------------------------------------------
-
-    /// Replaces the tool call (position 2) of a `one_site` trampoline with
-    /// `body` plus the `NOP` its trailing `RET` becomes, inside the same
-    /// save/restore pair.
-    fn splice_over_call(
-        tramp: &mut Vec<Instruction>,
-        sites: &mut [SiteMeta],
-        body: Vec<Instruction>,
-    ) {
-        let n = body.len();
-        tramp.splice(2..3, body.into_iter().chain([Instruction::nop()]));
-        sites[0].len += n;
-        sites[0].orig_pos += n;
-        sites[0].calls = vec![Some((2, n + 1))];
-    }
-
-    /// The walker on `original` spliced at `idx` with `body`, against a
-    /// plan that splices `f`.
-    fn spliced_at(
-        original: &[Instruction],
-        idx: usize,
-        body: Vec<Instruction>,
-        fns: &ToolFns,
-    ) -> Vec<Diagnostic> {
-        let (image, mut tramp, mut sites) = one_site(original, idx);
-        splice_over_call(&mut tramp, &mut sites, body);
-        let call = PlannedCall { lowering: Lowering::Splice, ..planned() };
-        check(original, (&image, &tramp, &sites), vec![call], fns)
-    }
-
-    fn iadd(r: u8, by: i64) -> Instruction {
-        Instruction::new(Op::Iadd, [Operand::Reg(Reg(r)), Operand::Reg(Reg(r)), Operand::Imm(by)])
-    }
-
-    #[test]
-    fn inline_splice_must_match_the_loaded_body() {
-        let fns = loaded(vec![iadd(5, 2), Instruction::new(Op::Ret, [])]);
-        // Splice the body over the tool call: IADD at 2, its NOP at 3.
-        assert_eq!(spliced_at(&original(), 0, vec![iadd(5, 2)], &fns), vec![]);
-        // A drifted splice (wrong immediate) is flagged.
-        let d = spliced_at(&original(), 0, vec![iadd(5, 3)], &fns);
-        assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
-        // So is a splice whose tool body was never retained.
-        let d = spliced_at(&original(), 0, vec![iadd(5, 2)], &unspliced());
-        assert!(d.iter().any(|d| d.kind == DiagKind::InlineMismatch));
-    }
-
-    #[test]
-    fn pressure_exceeding_splice_is_rejected() {
-        // Original body where R20 is live across instruction 1 (defined at
-        // 0, read at 2).
-        let original = vec![
-            iadd(20, 1),
-            iadd(4, 1),
-            Instruction::new(
-                Op::Iadd,
-                [Operand::Reg(Reg(5)), Operand::Reg(Reg(20)), Operand::Imm(1)],
-            ),
-            Instruction::new(Op::Exit, []),
-        ];
-        // A loaded body that writes R20 — byte-matched by the splice, so
-        // `InlineMismatch` stays silent; only the recomputed liveness
-        // catches that tier 16 does not cover the clobber.
-        let fns = loaded(vec![iadd(20, 2), Instruction::new(Op::Ret, [])]);
-        let d = spliced_at(&original, 1, vec![iadd(20, 2)], &fns);
-        assert!(d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
-        assert!(!d.iter().any(|d| d.kind == DiagKind::InlineMismatch), "{d:?}");
-
-        // The same splice where R20 is dead (its last read is instruction
-        // 2, so nothing is live across the exit) is fine.
-        let d = spliced_at(&original, 3, vec![iadd(20, 2)], &fns);
-        assert!(!d.iter().any(|d| d.kind == DiagKind::PressureExceeded), "{d:?}");
-    }
-
-    /// `IADD R5, R5, 0x2` behind a `@P0 BRA` over `skip` instructions, then
-    /// `RET`: a contained diamond for `skip` 1, an escaping one for 4.
-    fn diamond(skip: i64) -> Vec<Instruction> {
-        let isize = hal().instruction_size() as i64;
-        vec![
-            Instruction::new(Op::Bra, [Operand::Rel(skip * isize)])
-                .with_guard(sass::Guard { pred: sass::Pred(0), negated: false }),
-            iadd(5, 2),
-            Instruction::new(Op::Ret, []),
-        ]
-    }
-
-    /// The splice kinds reported for `body` without its `RET` spliced at
-    /// `original()`'s instruction 0 as a splice of `f`, checked against
-    /// `fns`.
-    fn splice_kinds(body: &[Instruction], fns: &ToolFns) -> Vec<DiagKind> {
-        let d = spliced_at(&original(), 0, body[..body.len() - 1].to_vec(), fns);
-        let kinds = d.into_iter().map(|d| d.kind);
-        kinds
-            .filter(|k| matches!(k, DiagKind::InlineMismatch | DiagKind::DiamondMismatch))
-            .collect()
-    }
-
-    #[test]
-    fn escaping_diamond_splice_is_rejected() {
-        // A loaded body whose guarded branch escapes past its RET: the
-        // shape classifier rejects it, so even a byte-exact splice of it
-        // must be refused — it would run foreign code inside the
-        // save/restore bracket.
-        let escaping = diamond(4);
-        assert_eq!(splice_kinds(&escaping, &loaded(escaping.clone())), [DiagKind::DiamondMismatch]);
-        // The contained diamond — the branch landing exactly on the
-        // splice's RET slot — is the accepted shape.
-        let contained = diamond(1);
-        assert_eq!(splice_kinds(&contained, &loaded(contained.clone())), []);
-    }
-
-    #[test]
-    fn a_splice_that_does_not_match_its_body_is_shaped_from_what_was_emitted() {
-        use DiagKind::{DiamondMismatch, InlineMismatch};
-        let (escaping, contained) = (diamond(4), diamond(1));
-        // The loaded body's shape is accepted, the splice's is not.
-        assert_eq!(
-            splice_kinds(&escaping, &loaded(contained.clone())),
-            [InlineMismatch, DiamondMismatch]
-        );
-        // A drifted splice of an escaping body has a shape of its own.
-        let mut drifted = contained;
-        drifted[1].operands[2] = Operand::Imm(3);
-        assert_eq!(splice_kinds(&drifted, &loaded(escaping)), [InlineMismatch]);
-    }
-
-    #[test]
-    fn a_reloaded_tool_body_brings_its_own_shape() {
-        use DiagKind::{DiamondMismatch, InlineMismatch};
-        let (escaping, contained) = (diamond(4), diamond(1));
-        let (first, reloaded) = (loaded(escaping.clone()), loaded(contained.clone()));
-        assert_eq!(splice_kinds(&escaping, &first), [DiamondMismatch]);
-        assert_eq!(splice_kinds(&contained, &reloaded), []);
-        assert_eq!(splice_kinds(&escaping, &reloaded), [InlineMismatch, DiamondMismatch]);
-        assert_eq!(splice_kinds(&contained, &first), [InlineMismatch]);
-    }
-
     #[test]
     fn save_area_access_beyond_the_tier_is_rejected() {
         // Tier 16 on Volta addresses slots 0..=17 (16 regs + preds +
@@ -1375,7 +1104,7 @@ mod tests {
         sites[0].len += 1;
         sites[0].orig_pos += 1;
         let run = |tramp: &[Instruction]| {
-            check(&original(), (&image, tramp, &sites), vec![planned()], &unspliced())
+            check(&original(), (&image, tramp, &sites), vec![planned()], &out_of_line())
         };
         assert!(run(&tramp).iter().any(|d| d.kind == DiagKind::TierExceeded));
         // The slot just below the bound is fine.

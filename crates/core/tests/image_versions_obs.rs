@@ -461,8 +461,8 @@ fn brx_into_a_run(level: Option<PlanLevel>) -> (u64, Option<u64>) {
 fn a_brx_into_a_straight_line_run_counts_exactly_at_every_rung() {
     let (native, _) = brx_into_a_run(None);
     assert_eq!(native, 32 * 4, "LDC, BRX, the second IADD and EXIT per thread");
-    use PlanLevel::{Block, Naive, Promoted, Region, Spliced};
-    for level in [Naive, Block, Region, Spliced, Promoted] {
+    use PlanLevel::{Block, Naive, Promoted, Region};
+    for level in [Naive, Block, Region, Promoted] {
         let (_, total) = brx_into_a_run(Some(level));
         assert_eq!(total, Some(native), "{level:?}");
     }

@@ -1010,7 +1010,7 @@ fn tool_functions_may_not_make_calls() {
 }
 
 /// Loading tool functions again under a loaded name replaces the function:
-/// a splice of the new body must be checked against the new body, not the
+/// a call of the new body must be checked against the new body, not the
 /// one the name had before (the verifier's tool bodies are kept as the tool
 /// functions are loaded, not rebuilt per image).
 #[test]
@@ -1049,10 +1049,11 @@ fn a_reloaded_tool_function_is_verified_against_its_new_body() {
     assert_eq!(u64::from_le_bytes(count), 2 * 256, "the new body ran, once per thread");
 }
 
-/// The verifier classifies a tool body's splice shape once, when it is
-/// loaded: a reload under the same name must bring its own. The first body
-/// loops (no spliceable shape), the second is a straight line that the
-/// planner splices; a shape kept from the first would reject that splice.
+/// A tool body's spliceable shape, the precondition of effect lowering, is
+/// classified once, when it is loaded: a reload under the same name must
+/// bring its own. The first body loops (no spliceable shape), the second is
+/// Listing 1's counter, which the top rung lowers to a register add; a
+/// shape kept from the first would keep the call out of line.
 #[test]
 fn a_reloaded_tool_function_brings_its_own_splice_shape() {
     const LOOPING: &str = r#"
@@ -1072,8 +1073,12 @@ AGAIN:
     const STRAIGHT: &str = r#"
 .func count_one(.reg .u32 %pred, .reg .u64 %ctr)
 {
-    .reg .u32 %r<3>;
-    atom.global.add.u32 %r2, [%ctr], %pred;
+    .reg .u64 %rd<3>;
+    .reg .pred %p<2>;
+    setp.eq.u32 %p1, %pred, 0;
+    @%p1 ret;
+    mov.u64 %rd1, 1;
+    atom.global.add.u64 %rd2, [%ctr], %rd1;
     ret;
 }
 "#;
@@ -1093,7 +1098,7 @@ AGAIN:
                 api.add_call_arg_guard_pred(func, 0).unwrap();
                 api.add_call_arg_imm64(func, 0, *at_launch.borrow()).unwrap();
                 assert_eq!(api.verify_instrumented(func).unwrap(), vec![]);
-                assert_eq!(api.plan_stats(func).unwrap().unwrap().inline_accepted, 1);
+                assert_eq!(api.plan_stats(func).unwrap().unwrap().promoted_calls, 1);
             }),
         },
     );

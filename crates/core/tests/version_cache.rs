@@ -179,14 +179,17 @@ fn launch_all_six(fail: Option<usize>) -> (u64, usize, Vec<u64>) {
 /// codegen fails runs uninstrumented, allocates nothing and disturbs no
 /// other kernel. The six installed images hash to what the parent commit's
 /// batch pipeline installed at the first launch (recorded there; it
-/// allocated in the same order), trampoline addresses included.
+/// allocated in the same order), trampoline addresses included. Both
+/// hashes moved when `count_one`, spliceable with no effect to lower, went
+/// from spliced to called out of line: the commit before, planning no
+/// splice, installed these same bytes.
 #[test]
 fn a_launch_builds_exactly_the_launched_kernel() {
     let (images, allocs, counts) = launch_all_six(None);
-    assert_eq!(images, 0x9b5b_4870_e098_81a5, "images differ from the recorded ones");
+    assert_eq!(images, 0x10ad_19a7_c8a2_bac9, "images differ from the recorded ones");
 
     let (images, allocs_failing, counts_failing) = launch_all_six(Some(3));
-    assert_eq!(images, 0xa42c_c060_9cbc_837c, "images differ from the recorded ones");
+    assert_eq!(images, 0xa803_264d_c54f_5015, "images differ from the recorded ones");
     assert_eq!(allocs_failing, allocs - 1, "the failing kernel leaks nothing");
     for (i, (failing, all)) in counts_failing.iter().zip(&counts).enumerate() {
         assert_eq!(*failing, if i == 3 { 0 } else { *all }, "tool count of k{i}");
@@ -329,7 +332,7 @@ fn reloading_a_tool_function_makes_the_images_that_call_it_stale() {
     }
 
     const ONE: &str = ".entry one()\n{\n    exit;\n}\n";
-    for level in [PlanLevel::Naive, PlanLevel::Spliced, PlanLevel::Promoted] {
+    for level in [PlanLevel::Naive, PlanLevel::Region, PlanLevel::Promoted] {
         let (ctr, diags) = (Rc::new(Cell::new(0)), Rc::new(RefCell::new(Vec::new())));
         let tool = ReloadTool { level, ctr: ctr.clone(), launches: 0, diags: diags.clone() };
         let drv = Driver::new(DeviceSpec::test(Arch::Volta));

@@ -650,7 +650,6 @@ impl PtxInstr {
         PtxInstr { guard: None, op }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,9 +53,8 @@ impl InstrCountResults {
 /// predicate, unguarded ones constant 1. From [`nvbit::PlanLevel::Block`]
 /// up the planner merges each basic block's unguarded sites into one call
 /// whose multiplicity is their number — the per-block optimization the
-/// paper sketches after Listing 1, exact — and from
-/// [`nvbit::PlanLevel::Spliced`] up the body is spliced into the trampoline
-/// or promoted to a register add. The total is the executed
+/// paper sketches after Listing 1, exact — and at
+/// [`nvbit::PlanLevel::Promoted`] each call is lowered to a register add. The total is the executed
 /// thread-instruction count whichever [`PlanOpts`] the plan is built with;
 /// the rungs only change what it costs.
 ///
@@ -90,11 +89,11 @@ impl InstrCount {
     }
 
     /// [`InstrCount::executed`] through `nvbit_count_wide`, the
-    /// semantically identical but register-hungry counting body: its write
-    /// window reaches past the first save tier, so where more registers are
-    /// live than its pairs can move off, its splice — spliced like any
-    /// other spliceable body — still has some to store (4 slots on the fft
-    /// pipeline, where `nvbit_count_pmult` stores none).
+    /// semantically identical but register-hungry counting body: it writes
+    /// past R16, where the out-of-line call's callee-save cap stops its
+    /// clobber window, and it is spliceable but has no effect to lower, so
+    /// every rung calls it out of line (the whole-function tier it raises
+    /// is 32 slots on the fft pipeline, the liveness tier 16).
     pub fn executed_wide(opts: PlanOpts) -> (InstrCount, Rc<InstrCountResults>) {
         Self::build(Some(opts), ("nvbit_count_wide", COUNT_WIDE_FN))
     }
@@ -313,16 +312,14 @@ DONE:
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
         let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Block });
-        let (inlined, inlined_cycles) = run_with(PlanOpts { level: PlanLevel::Spliced });
         let (promoted, promoted_cycles) = run_with(PlanOpts::default());
         // The multiplicity protocol makes the total independent of whether
         // the passes actually ran: every rung counts what the kernel
         // executed.
-        assert_eq!([naive, merged, inlined, promoted], [native; 4]);
+        assert_eq!([naive, merged, promoted], [native; 3]);
         // Each pass strictly reduces runtime work.
         assert!(merged_cycles < naive_cycles, "{merged_cycles} vs {naive_cycles}");
-        assert!(inlined_cycles < merged_cycles, "{inlined_cycles} vs {merged_cycles}");
-        assert!(promoted_cycles < inlined_cycles, "{promoted_cycles} vs {inlined_cycles}");
+        assert!(promoted_cycles < merged_cycles, "{promoted_cycles} vs {merged_cycles}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`InstrCount`] — the thread-level instruction counter of Listing 1.
 //!   Its sites opt into the planner's call coalescing, which makes the
-//!   per-basic-block variant the paper sketches exact, and its counting
-//!   body is spliced and promoted to a register add from the top rung.
+//!   per-basic-block variant the paper sketches exact, and at the top rung
+//!   each call of its counting body is lowered to a register add.
 //! * [`OpcodeHistogram`] — the per-opcode execution histogram of §6.2, the
 //!   same counter with one slot per opcode, with optional **grid-dimension
 //!   sampling** (instrumented once per unique grid, uninstrumented
@@ -100,8 +100,8 @@ pub(crate) fn read_u64(drv: &cuda::Driver, addr: u64) -> u64 {
 /// `%pred` is non-zero — *executed*-level counting under the multiplicity
 /// protocol. The guarded early return compiles to the single-diamond shape
 /// ([`sass::pressure::BodyShape::Diamond`]) that the body classifier
-/// accepts past the straight-leaf threshold, so this body is spliced into
-/// the trampoline predicated instead of called.
+/// accepts past the straight-leaf threshold, so its one effect, the guarded
+/// add, is what the top rung lowers each call to.
 pub(crate) const COUNT_PMULT_FN: &str = r#"
 .func nvbit_count_pmult(.reg .u32 %pred, .reg .u64 %ctr, .reg .u32 %mult)
 {
@@ -142,11 +142,10 @@ pub(crate) fn count_site(
 /// Register-hungry variant of [`COUNT_PMULT_FN`]: computes the same
 /// `+%mult` through a redundant shift/subtract expansion
 /// (`64m−32m−16m−8m−4m−2m−m = m`) whose six simultaneously-live
-/// temporaries push the compiled body's write ceiling past the first save
-/// tier (R20 under the scratch ABI). Semantically identical to
-/// `nvbit_count_pmult`; exists to exercise a non-empty exact save — at
-/// sites where more registers are live than its pairs can move off, the
-/// splice stores the few it still clobbers.
+/// temporaries push the compiled body's write ceiling past R16 (R20 under
+/// the scratch ABI). Semantically identical to `nvbit_count_pmult`; exists
+/// as the input whose writes pass the out-of-line call's callee-save cap,
+/// and as a spliceable body with no effect to lower: every rung calls it.
 pub(crate) const COUNT_WIDE_FN: &str = r#"
 .func nvbit_count_wide(.reg .u32 %pred, .reg .u64 %ctr, .reg .u32 %mult)
 {

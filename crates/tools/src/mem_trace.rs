@@ -331,14 +331,14 @@ mod tests {
         (results.addresses(), cta, drv.total_stats().cycles)
     }
 
-    /// At the top rung each push is two instructions, not a spliced body in
-    /// a save bracket: the same records, in the same order, for less.
+    /// At the top rung each push is two instructions, not a call between
+    /// the save routines: the same records, in the same order, for less.
     #[test]
-    fn lowered_pushes_trace_what_splices_trace() {
-        let (spliced, cta, spliced_cycles) = negative_trace(PlanLevel::Spliced);
+    fn lowered_pushes_trace_what_calls_trace() {
+        let (called, cta, called_cycles) = negative_trace(PlanLevel::Region);
         let (lowered, _, lowered_cycles) = negative_trace(PlanLevel::Promoted);
-        assert_eq!(spliced, [&cta[..], &cta[..]].concat());
-        assert_eq!(lowered, spliced);
-        assert!(lowered_cycles < spliced_cycles, "{lowered_cycles} vs {spliced_cycles}");
+        assert_eq!(called, [&cta[..], &cta[..]].concat());
+        assert_eq!(lowered, called);
+        assert!(lowered_cycles < called_cycles, "{lowered_cycles} vs {called_cycles}");
     }
 }

@@ -287,7 +287,7 @@ mod tests {
             (results.histogram(), drv.total_stats().cycles)
         };
         let (naive, naive_cycles) = run_with(PlanOpts::naive());
-        let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Spliced });
+        let (merged, merged_cycles) = run_with(PlanOpts { level: PlanLevel::Region });
         let (promoted, promoted_cycles) = run_with(PlanOpts::default());
         assert!(!naive.is_empty());
         assert_eq!(naive, merged, "multiplicity protocol keeps the histogram exact");

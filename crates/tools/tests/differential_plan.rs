@@ -1,8 +1,8 @@
 //! Differential testing of the instrumentation-plan pass ladder: for
 //! every tool × workload pair, on one architecture per encoding family
 //! (`shared::FAMILIES`), a run at every rung above `Naive`
-//! (basic-block call coalescing; dominator-region coalescing; leaf-tool
-//! splicing; effect lowering) must produce bit-identical guest memory
+//! (basic-block call coalescing; dominator-region coalescing; effect
+//! lowering) must produce bit-identical guest memory
 //! and identical tool output to a run with the naive per-site plan. The only observable
 //! difference may be cost (fewer executed trampoline calls). Mirrors
 //! `differential_saves.rs`, which proves the same property for the
@@ -88,20 +88,18 @@ const APPS: [(&str, App); 4] = [
 ];
 
 /// The applications the rungs' cost gates hold on. `spmv_calls` is not
-/// one: a function that calls, returns or traps stays at the splicing rung
-/// (ROADMAP item 19), so promotion cuts nothing there, and inside its call
-/// chain the wide splice costs more than the call it replaces.
+/// one: the top rung lowers no call in a function that calls, returns or
+/// traps (ROADMAP item 19), so promotion cuts nothing there.
 const COST_APPS: [(&str, App); 3] = [APPS[0], APPS[1], APPS[2]];
 
 /// The rungs of the plan ladder by name — the whole lattice.
 const NAIVE: PlanOpts = PlanOpts { level: PlanLevel::Naive };
 const BLOCK: PlanOpts = PlanOpts { level: PlanLevel::Block };
 const REGION: PlanOpts = PlanOpts { level: PlanLevel::Region };
-const SPLICED: PlanOpts = PlanOpts { level: PlanLevel::Spliced };
 const PROMOTED: PlanOpts = PlanOpts { level: PlanLevel::Promoted };
 
 /// Every configuration above the naive baseline.
-const OPTIMIZED: [PlanOpts; 4] = [BLOCK, REGION, SPLICED, PROMOTED];
+const OPTIMIZED: [PlanOpts; 3] = [BLOCK, REGION, PROMOTED];
 
 /// Runs `app` on `arch` under `tool` with the given plan options; returns the guest
 /// output bytes, a string signature of the tool's own results, and the
@@ -198,8 +196,8 @@ fn coalesced_opcode_hist_is_plan_invariant() {
 #[test]
 fn after_point_instr_count_is_plan_invariant() {
     // Every site injects at `IPoint::After`. No pass merges or moves an
-    // `After` call, so every rung emits one per site, spliced or promoted
-    // from the top rungs, and the count must not move by a single event.
+    // `After` call, so every rung emits one per site, promoted at the top
+    // rung, and the count must not move by a single event.
     differential("after_instr_count");
 }
 
@@ -208,17 +206,17 @@ fn executed_instr_count_is_plan_invariant() {
     // Executed-level counting through the guarded-diamond body
     // `nvbit_count_pmult`: guarded sites pass the dynamic guard predicate
     // (so they never merge), unguarded sites pass constant 1 (so they do).
-    // The total must not move whichever passes — including diamond
-    // splicing — are enabled.
+    // The total must not move whichever passes — including the lowering
+    // of the diamond's guarded add — are enabled.
     differential("executed_instr_count");
 }
 
 #[test]
 fn wide_instr_count_is_plan_invariant() {
-    // Same, through the register-hungry `nvbit_count_wide` body: at the
-    // `Spliced` rung its splices save live registers they could not move
-    // off, which must be as invisible as the out-of-line call of the
-    // `Region` run.
+    // Same, through the register-hungry `nvbit_count_wide` body: it writes
+    // past R16 and has no effect to lower, so every rung calls it out of
+    // line, and the callee-save cap on its clobber window must be as
+    // invisible as the naive run's.
     differential("wide_instr_count");
 }
 
@@ -232,14 +230,14 @@ fn mem_trace_is_plan_invariant() {
 }
 
 #[test]
-fn lowered_pushes_are_cheaper_than_splices_on_every_workload() {
+fn lowered_pushes_are_cheaper_than_calls_on_every_workload() {
     for arch in FAMILIES {
         for (app_name, app) in COST_APPS {
-            let (_, _, spliced) = run_case(arch, "mem_trace", SPLICED, app);
+            let (_, _, called) = run_case(arch, "mem_trace", REGION, app);
             let (_, _, promoted) = run_case(arch, "mem_trace", PROMOTED, app);
             assert!(
-                promoted < spliced,
-                "{arch} {app_name}: lowering must cut cycles: {promoted} vs {spliced}"
+                promoted < called,
+                "{arch} {app_name}: lowering must cut cycles: {promoted} vs {called}"
             );
         }
     }
@@ -252,7 +250,6 @@ fn optimized_plans_are_cheaper_on_every_workload() {
             let (_, _, naive) = run_case(arch, "coalesced_instr_count", NAIVE, app);
             let (_, _, merged) = run_case(arch, "coalesced_instr_count", BLOCK, app);
             let (_, _, region) = run_case(arch, "coalesced_instr_count", REGION, app);
-            let (_, _, spliced) = run_case(arch, "coalesced_instr_count", SPLICED, app);
             let (_, _, promoted) = run_case(arch, "coalesced_instr_count", PROMOTED, app);
             assert!(
                 merged < naive,
@@ -263,12 +260,8 @@ fn optimized_plans_are_cheaper_on_every_workload() {
                 "{arch} {app_name}: regions must not add cycles: {region} vs {merged}"
             );
             assert!(
-                spliced <= region,
-                "{arch} {app_name}: splicing must not add cycles: {spliced} vs {region}"
-            );
-            assert!(
-                promoted < spliced,
-                "{arch} {app_name}: promotion must cut cycles: {promoted} vs {spliced}"
+                promoted < region,
+                "{arch} {app_name}: promotion must cut cycles: {promoted} vs {region}"
             );
         }
     }
@@ -361,12 +354,12 @@ fn counters_past_the_register_file_stay_exact() {
             fft_app(&drv);
             drv.total_stats().thread_instructions
         };
-        // Some counters got a pair, the rest stayed spliced when the register
+        // Some counters got a pair, the rest stayed calls when the register
         // file ran out: every count is still the naive plan's, and they add up
         // to what the kernel executed.
-        assert!(stats.promoted_pairs > 50 && stats.inline_accepted > 0, "{stats:?}");
+        assert!(stats.promoted_pairs > 50 && stats.inline_declined > 0, "{stats:?}");
         assert_eq!(stats.promoted_calls, stats.promoted_pairs, "one site per counter");
-        assert_eq!(stats.promoted_calls + stats.inline_accepted, stats.emitted_calls);
+        assert_eq!(stats.promoted_calls + stats.inline_declined, stats.emitted_calls);
         assert_eq!(promoted, naive);
         assert_eq!(promoted.iter().sum::<u64>(), native);
         assert!(executed > native, "the instrumented run executes more");
@@ -443,11 +436,12 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
         assert!(merged.coalesced_away > 0, "{merged:?}");
         assert_eq!(merged.emitted_calls, merged.requested_calls - merged.coalesced_away);
 
-        let inlined = captured_stats(arch, SPLICED);
-        assert_eq!(inlined.coalesced_away, merged.coalesced_away, "fft is one block");
+        let promoted = captured_stats(arch, PROMOTED);
+        assert_eq!(promoted.coalesced_away, merged.coalesced_away, "fft is one block");
         assert_eq!(
-            inlined.inline_accepted, inlined.emitted_calls,
-            "the counting body is an inlinable leaf, so every emitted call inlines"
+            (promoted.promoted_calls, promoted.inline_declined, promoted.inline_accepted),
+            (promoted.emitted_calls, 0, 0),
+            "the guarded-diamond counting body has one effect, so every emitted call is lowered"
         );
 
         // The FFT kernel is one straight-line basic block, so the region pass
@@ -465,81 +459,21 @@ fn the_passes_actually_fire_on_the_fft_kernel() {
 }
 
 #[test]
-fn guarded_diamond_bodies_are_spliced() {
-    // `nvbit_count_pmult` is a single guarded diamond — past the straight
-    // leaf threshold, but accepted by the body classifier — so every
-    // emitted call still inlines.
+fn declined_calls_run_out_of_line_on_spmv_calls() {
+    // `spmv_calls`' kernel calls its row function, so the top rung lowers
+    // none of its counters: each emitted call is declined and made out of
+    // line, behind the save routines, and the images verify (the core
+    // refuses one that does not). Below the top rung nothing is counted.
     for arch in FAMILIES {
-        let (p, _) = captured_with(arch, || InstrCount::executed(SPLICED).0, fft_app);
-        assert!(p.emitted_calls > 0, "{p:?}");
-        assert_eq!(
-            p.inline_accepted, p.emitted_calls,
-            "the guarded-diamond body must inline at every site: {p:?}"
-        );
-    }
-}
-
-#[test]
-fn wide_splices_are_cheaper_than_the_calls_they_replace() {
-    // The register-hungry `nvbit_count_wide` body writes past the first
-    // save tier. At the `Region` rung every call stays out of line, where
-    // the standard-ABI copy restores its callee-saved registers and each
-    // site saves the 16-slot tier. At the `Spliced` rung every call is
-    // spliced — the body is spliceable, and that is the whole rule — and
-    // saves only what it still clobbers of the site's live registers after
-    // renaming: never more slots than the call, strictly fewer cycles, and
-    // nothing the guest or the tool can tell apart from the naive plan.
-    for arch in FAMILIES {
-        for (app_name, app) in COST_APPS {
-            let (mem_naive, sig_naive, _) = run_case(arch, "wide_instr_count", NAIVE, app);
-            let (_, _, cycles_called) = run_case(arch, "wide_instr_count", REGION, app);
-            let (mem, sig, cycles_spliced) = run_case(arch, "wide_instr_count", SPLICED, app);
-            assert_eq!(
-                mem, mem_naive,
-                "{arch} {app_name}: guest memory differs from the naive plan"
-            );
-            assert_eq!(
-                sig, sig_naive,
-                "{arch} {app_name}: tool output differs from the naive plan"
-            );
-            assert!(
-                cycles_spliced < cycles_called,
-                "{arch} {app_name}: the splice must beat the call: {cycles_spliced} vs {cycles_called}"
-            );
-
-            let (called, saves_called) =
-                captured_with(arch, move || InstrCount::executed_wide(REGION).0, app);
-            let (spliced, saves_spliced) =
-                captured_with(arch, move || InstrCount::executed_wide(SPLICED).0, app);
-            assert_eq!(
-                (called.inline_accepted, called.inline_declined),
-                (0, 0),
-                "{arch} {app_name}: nothing splices below the top rung"
-            );
-            assert_eq!(
-                called.emitted_calls, spliced.emitted_calls,
-                "{arch} {app_name}: same merged calls"
-            );
-            assert_eq!(
-                (spliced.inline_accepted, spliced.inline_declined),
-                (spliced.emitted_calls, 0),
-                "{arch} {app_name}: every emitted call is spliced: {spliced:?}"
-            );
-            assert_eq!(
-                saves_called.saved_slots,
-                16 * called.emitted_calls,
-                "{arch} {app_name}: an out-of-line call saves the 16-slot tier: {saves_called:?}"
-            );
-            assert!(
-                saves_spliced.saved_slots <= saves_called.saved_slots,
-                "{arch} {app_name}: a splice must never save more than the call it replaces: \
-                 {saves_spliced:?} vs {saves_called:?}"
-            );
-            if app_name == "fft" {
-                // One merged call where the kernel's live set peaks: the splice
-                // stores the 4 registers it cannot move off.
-                assert_eq!((saves_spliced.saved_slots, saves_called.saved_slots), (4, 16));
-            }
+        let (top, saves) = captured_with(arch, || InstrCount::executed(PROMOTED).0, spmv_calls_app);
+        assert!(top.emitted_calls > 0, "{top:?}");
+        assert_eq!((top.promoted_calls, top.inline_accepted), (0, 0), "{top:?}");
+        assert_eq!(top.promoted_calls + top.inline_declined, top.emitted_calls);
+        assert!(saves.saved_slots >= 16 * top.emitted_calls, "{saves:?}");
+        for opts in [NAIVE, BLOCK, REGION] {
+            let p = captured_stats_with(arch, opts, spmv_calls_app);
+            let counted = (p.inline_accepted, p.inline_declined, p.promoted_calls);
+            assert_eq!(counted, (0, 0, 0), "{opts:?}");
         }
     }
 }

@@ -78,7 +78,7 @@ impl<T: NvbitTool> NvbitTool for WithOpts<T> {
 
 /// Sums the effective address of every executed global access, observed
 /// *after* the access: `IPoint::After` sites whose `RegVal64` argument names
-/// a base pair inside the spliced body's own register window (the kernels
+/// a base pair inside the called tool's own argument window (the kernels
 /// address through R4:R5 and R8:R9), guarded by the site's predicate. The
 /// sum and the count are order-free, so any scheduler may run it.
 struct AddrSumAfter {
@@ -202,11 +202,12 @@ fn run_case_on(
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || format!("{:?}", r.histogram()))
         }
-        // At the splicing rung, where a push pays its save bracket; at the
-        // top rung it is lowered to two instructions and saves nothing.
+        // Below the top rung, where a push is a call that pays its save
+        // routines; at the top rung it is lowered to two instructions and
+        // saves nothing.
         "mem_trace" | "mem_trace_lowered" => {
             let (t, r) = MemTrace::channel(Backpressure::Block, 4096);
-            let level = if tool == "mem_trace" { PlanLevel::Spliced } else { PlanLevel::Promoted };
+            let level = if tool == "mem_trace" { PlanLevel::Region } else { PlanLevel::Promoted };
             let inner = WithOpts { opts: PlanOpts { level }, inner: t };
             attach_tool(&drv, WithPolicy { policy, inner });
             Box::new(move || format!("{} {:?}", r.demanded(), r.addresses()))
@@ -222,8 +223,8 @@ fn run_case_on(
             attach_tool(&drv, WithPolicy { policy, inner: t });
             Box::new(move || total.get().to_string())
         }
-        // Guarded sites read their live guard predicate; the spliced body
-        // is a diamond with a predicate of its own.
+        // Guarded sites read their live guard predicate, which the lowered
+        // counter adds under.
         "count_executed" => {
             let (t, r) = InstrCount::executed(PlanOpts::default());
             attach_tool(&drv, WithPolicy { policy, inner: t });

@@ -144,12 +144,12 @@ fn any_instrumentation_subset_preserves_semantics() {
     });
 }
 
-// ----- Random SASS kernels under the exact save brackets -------------------
+// ----- Random SASS kernels under a counter at every instruction ------------
 //
 // The PTX compiler allocates registers its own way; to put live ranges
-// wherever the generator wants them across R0–R23 — on top of the spliced
-// body's own R4–R9 window, and sparse enough elsewhere that renaming has
-// dead pairs to move onto — these kernels are built as SASS directly.
+// wherever the generator wants them across R0–R23 — on top of the counting
+// call's own R4–R9 argument window, and below the pairs effect lowering
+// reserves above them — these kernels are built as SASS directly.
 
 /// The registers the generator draws from: R0–R23 minus the stack pointer.
 const POOL: [u8; 23] =
@@ -357,16 +357,19 @@ fn random_live_ranges_survive_instrumentation_at_every_instruction() {
         assert_eq!(full.0, native, "full-tier saves corrupted:\n{listing}");
         for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 2 }] {
             let live = run_sass(&kernel, Some((after.clone(), SavePolicy::Liveness)), sched);
-            assert_eq!(live.0, native, "exact saves corrupted ({after:?}, {sched:?}):\n{listing}");
+            assert_eq!(
+                live.0, native,
+                "instrumentation corrupted ({after:?}, {sched:?}):\n{listing}"
+            );
             assert_eq!(live.1, full.1, "tool count differs ({sched:?}):\n{listing}");
             assert!(live.1 > 0, "the tool counted nothing:\n{listing}");
         }
     });
 }
 
-/// With all seven predicates live across a site, the spliced body's own
-/// predicate has no dead one to move onto: those calls keep the save
-/// routines (which save the predicate file) — same output, same count.
+/// With all seven predicates live across a site, the counter the top rung
+/// lowers adds under the site's guard and writes no predicate — same
+/// output, same count, under both save policies.
 #[test]
 fn a_site_with_every_predicate_live_keeps_the_application_intact() {
     let sets: String =

@@ -6,7 +6,7 @@
 //! the 32-kernel `alloc_budget` stratum and every tool PTX, on one target
 //! of each encoding family. `LEAF`: per tool function (every function of
 //! `nvbit_tools::TOOL_PTX` and the fft emulation function), the code bytes
-//! and register count of the body the planner classifies and splices, on
+//! and register count of the body the planner classifies, on
 //! the same two targets. A compiler change that reorders a tie-break in
 //! register allocation or reconvergence planning shows up here as a
 //! changed hash for the source it affects.
@@ -92,14 +92,14 @@ fn pin(src: &str) -> u64 {
     h.0
 }
 
-/// `(function, code, reg_count)` of each splice body `src` compiles to.
+/// `(function, code, reg_count)` of each leaf body `src` compiles to.
 fn leaf_bodies(src: &str, arch: Arch) -> Vec<(String, Vec<u8>, u32)> {
     let m = compile_module(src, arch).unwrap();
     let code = |f: &ptx::CompiledFunction| codec_for(arch).encode_stream(&f.leaf_body().unwrap());
     m.functions.iter().map(|f| (f.name.clone(), code(f).unwrap(), f.reg_count)).collect()
 }
 
-/// One hash per tool function: its splice body on both encoding families.
+/// One hash per tool function: its leaf body on both encoding families.
 fn leaf_pins() -> Vec<(String, u64)> {
     let tools = nvbit_tools::TOOL_PTX.iter().map(|(n, s)| (*n, s.to_string()));
     let mut rows: Vec<(String, u64)> = Vec::new();
@@ -201,8 +201,9 @@ const STANDARD: [(&str, u64); 26] = [
     ("tool/FLIP_FN", 0x5327_b61e_3401_e281),
 ];
 
-/// Every tool function's splice body on Pascal and Volta, recorded as the
-/// scratch-ABI compile of the same commit.
+/// Every tool function's leaf body (the body a retired splice rung copied
+/// into the trampoline, hence the test's name) on Pascal and Volta,
+/// recorded as the scratch-ABI compile of the same commit.
 const LEAF: [(&str, u64); 6] = [
     ("COUNT_PMULT_FN/nvbit_count_pmult", 0x1636_5d37_00cd_69ec),
     ("COUNT_WIDE_FN/nvbit_count_wide", 0x083c_5eae_8357_a6b3),
