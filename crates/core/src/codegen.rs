@@ -238,16 +238,14 @@ fn classify_body(
     uses_reg_api: bool,
     arch: sass::Arch,
 ) -> bool {
-    // What the body writes is only knowable for call-free bodies that leave
-    // the frame pointer alone; the register device API reaches the save
-    // area behind the analysis's back.
-    let call_free = !body.iter().any(calls);
+    // A lowered call runs none of the body, so everything the body does must
+    // be visible in it: no call, no frame-pointer write, no reach into the
+    // save area through the register device API. The shape classification
+    // requires the single unguarded trailing RET, rejects control flow that
+    // leaves the body, and rejects loops and multi-branch shapes that happen
+    // to stay in-body.
     let writes_sp = body.iter().any(|i| i.reg_writes().contains(&Reg::SP));
-
-    // The shape classification requires the single unguarded trailing RET,
-    // rejects control flow that leaves the body, and rejects loops and
-    // multi-branch shapes that happen to stay in-body.
-    call_free
+    !body.iter().any(calls)
         && !writes_sp
         && !uses_reg_api
         && sass::pressure::body_shape(body, arch).is_some()
