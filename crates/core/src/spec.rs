@@ -56,8 +56,8 @@ impl Arg {
 /// The ABI argument walk: each argument with the first register it is
 /// materialized into, in the PTX compiler's order ([`arg_slot`] from
 /// [`FIRST_CALLER`]). The one definition behind save-tier selection,
-/// exact-save renaming and argument emission (which adds the window limit,
-/// the first callee-saved register).
+/// effect lowering's argument lookup and argument emission (which adds the
+/// window limit, the first callee-saved register).
 pub(crate) fn abi_slots(args: &[Arg]) -> impl Iterator<Item = (u8, &Arg)> {
     let mut next = FIRST_CALLER;
     args.iter().map(move |arg| {

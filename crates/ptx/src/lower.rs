@@ -1320,7 +1320,7 @@ impl CompiledFunction {
     /// instructions and the `k + 1` before the trailing `RET`. `None` when
     /// the function makes calls. With no call, no value is live across one,
     /// so every value sits where it would if no register were callee-saved:
-    /// this is the body a caller that saves what it clobbers can splice. No
+    /// this is the body the core classifies for effect lowering. No
     /// branch moves: branches land on block starts, which the opening half
     /// precedes, and the `RET` takes the closing half's place.
     pub fn leaf_body(&self) -> Option<Vec<Instruction>> {

@@ -25,8 +25,9 @@
 //! ([`mod@cfg`]), liveness dataflow analysis ([`mod@dataflow`]),
 //! dominator/post-dominator analysis with coalescing-region enumeration
 //! ([`mod@dom`]) — bundled per function body as one [`Analysis`] — and the
-//! save-tier ladder with the tool-body shape classifier that decides what
-//! can be spliced inline ([`mod@pressure`]).
+//! save-tier ladder with the tool-body shape classifier that decides which
+//! tool bodies are spliceable, the precondition of effect lowering
+//! ([`mod@pressure`]).
 //!
 //! # Example
 //!

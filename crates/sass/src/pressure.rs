@@ -5,19 +5,17 @@
 //! live here, below both:
 //!
 //! * [`TIERS`] / [`tier_of`] — the sizes of the generic save/restore
-//!   routines a *called* tool (and a splice that cannot keep its
-//!   predicates) goes through, and the map from a register demand to the
-//!   smallest routine covering it. A spliced body under liveness sizing
-//!   does not use the ladder at all: it saves exactly the registers it
-//!   clobbers that are live at the site.
-//! * [`body_shape`] — the control-flow half of the one splice rule. A tool
+//!   routines every out-of-line tool call goes through, and the map from a
+//!   register demand to the smallest routine covering it.
+//! * [`body_shape`] — the control-flow half of the spliceable-body test,
+//!   the precondition of effect lowering. A tool
 //!   body is spliceable when it is a single basic block
 //!   ([`BodyShape::Straight`]) or a single guarded forward diamond
 //!   ([`BodyShape::Diamond`]) — one conditional branch, two arms, one join —
 //!   verified against the immediate (post)dominators of the body's own CFG
 //!   rather than by an ad-hoc instruction scan. Loops, multiple
-//!   conditionals and irreducible shapes are rejected. Whether a call is
-//!   spliced is a static property of its body (this shape plus the size,
+//!   conditionals and irreducible shapes are rejected. Whether a body is
+//!   spliceable is a static property of it (this shape plus the size,
 //!   call, stack and device-API conditions of the core's classifier),
 //!   never of the site.
 
@@ -54,7 +52,7 @@ pub enum BodyShape {
     Diamond,
 }
 
-/// Classifies a tool body's control-flow shape for inline splicing.
+/// Classifies a tool body's control-flow shape for the spliceable-body test.
 ///
 /// Returns `None` when the body is not spliceable: empty, no unguarded
 /// trailing `RET`, an extra `RET`, any backward (loop) branch, more than
