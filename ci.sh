@@ -142,10 +142,26 @@ printf '  %-10s %6d\n' total "$total"
 # renamed match, the shape re-check) and its exact-frame store tracking from
 # verify, net of the rule that no injected code writes `R1` inside a save
 # frame (sass: -1, its shape classifier documented as the lowering
-# precondition).
-printf '  %-10s %6d  (sass + core + common, ceiling 8798)\n' jit "$jit"
-if [ "$jit" -gt 8798 ]; then
+# precondition). Doing only the work a build uses raised it by its measured
+# +143 (8,941): liveness solved on first demand (`Analysis` keeps its flow
+# graph, `Analysis::liveness`) and the verifier's sound bound beside
+# `Dataflow` (`Dataflow::bound`, `LiveSet::written_by` / `meets`,
+# `Analysis::live_around`), the save/restore routines loaded only for a plan
+# that calls out of line, one codec entry that encodes a word in place
+# (`Codec::encode_to`) so `finish` encodes only the body words that change,
+# the code-cache table indexed by function handle (`Funcs`) and the build's
+# phase spans; `verify.rs` stayed at 590.
+printf '  %-10s %6d  (sass + core + common, ceiling 8941)\n' jit "$jit"
+if [ "$jit" -gt 8941 ]; then
     echo "sass + core + common grew past its ceiling" >&2
+    exit 1
+fi
+# The verifier decides from `sass` what liveness a site needs
+# (`Analysis::live_around`); its own walk stays inside this file's ceiling.
+verify_lines=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' crates/core/src/verify.rs)
+printf '  %-10s %6d  (crates/core/src/verify.rs, ceiling 590)\n' verify "$verify_lines"
+if [ "$verify_lines" -gt 590 ]; then
+    echo "verify.rs grew past its ceiling" >&2
     exit 1
 fi
 # The same PR deleted `bench::{ObsCapture, ObsTotals}` (1,471 before it). One
@@ -165,9 +181,13 @@ fi
 # bin measures any app, not only a SpecAccel benchmark. Retiring the splice
 # rung left it at its measured 971: `inject_overhead` lost the `spliced`
 # rung and the exact-save rows, and its save-policy section moved to the
-# `Region` rung, liveness against full tier for both counting bodies.
-printf '  %-10s %6d  (bench, ceiling 971)\n' bench "$bench"
-if [ "$bench" -gt 971 ]; then
+# `Region` rung, liveness against full tier for both counting bodies. Fig.
+# 5's per-phase columns raised it by their measured +16 (987): plan,
+# routines, codegen and verify where one code-generation column was, and
+# the gates that no lift solves liveness twice and that no top-rung build
+# loads a routine set.
+printf '  %-10s %6d  (bench, ceiling 987)\n' bench "$bench"
+if [ "$bench" -gt 987 ]; then
     echo "bench grew past its ceiling" >&2
     exit 1
 fi
@@ -443,6 +463,12 @@ echo "== inject_overhead: plan ladder over the workload sweep, sampling x plan, 
 # sampled launch, and the two levers multiply; >=50% slot reduction by
 # liveness sizing at `Region`, for the counting and the wide body.
 cargo run --release -q -p nvbit-bench --bin inject_overhead
+
+echo "== fig5: the JIT per function, by phase (every gate recorded in results/BENCH_fig5.json) =="
+# Gates: every component but the routines attributed on every benchmark,
+# one decode per lift, at most one liveness solve per lift, and no
+# routine-set load at the top rung, where every count is lowered.
+cargo run --release -q -p nvbit-bench --bin fig5
 
 echo "== module-unload regression: recycled handles never see stale caches =="
 cargo test --release -q -p nvbit-core --test module_unload

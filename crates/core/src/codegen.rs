@@ -357,8 +357,8 @@ pub(crate) struct Prepared {
     /// The image with every address-independent field final; `tramp_addr`,
     /// `tramp_code` and `instrumented` are filled in by `finish`.
     image: InstrumentedImage,
-    /// The original body with removed-but-uninstrumented sites NOPed.
-    patched: Vec<Instruction>,
+    /// The removed instructions no site relocates: `NOP`s in place.
+    nops: Vec<usize>,
     /// Every site's trampoline, relocated originals relative to site
     /// offset 0.
     tramp: Vec<Instruction>,
@@ -436,15 +436,12 @@ pub(crate) fn prepare(
     }
     let whole_tier = tier_for(u16::try_from(whole).unwrap_or(u16::MAX))?;
 
-    // Resolve the liveness solution, falling back to the whole-function
-    // tier when it cannot be applied.
-    let (liveness, fallback): (Option<&sass::Dataflow>, Option<String>) = match (policy, analysis) {
+    // The analysis whose liveness sizes the tiers — solved only once an
+    // out-of-line call asks — or why the whole-function tier applies.
+    let (analysis, fallback) = match (policy, analysis) {
         (SavePolicy::FullTier, _) => (None, Some("full-tier save policy requested".into())),
         (SavePolicy::Liveness, Err(reason)) => (None, Some(reason.to_string())),
-        (SavePolicy::Liveness, Ok(a)) if a.liveness.len() != original.len() => {
-            (None, Some("dataflow analysis does not match the function body".into()))
-        }
-        (SavePolicy::Liveness, Ok(a)) => (Some(&a.liveness), None),
+        (SavePolicy::Liveness, Ok(a)) => (Some(a), None),
     };
 
     let cx = Emit {
@@ -471,13 +468,14 @@ pub(crate) fn prepare(
         for call in planned.iter().filter(|c| c.lowering == Lowering::Call) {
             ladder_calls += 1;
             let tf = &tool_fns[&call.func];
-            let need = match liveness {
+            let need = match analysis {
                 // Register-device-API tools index save-area slots computed
                 // at run time; only the whole-function tier is safe for them.
-                Some(df) if !tf.uses_reg_api => {
+                Some(a) if !tf.uses_reg_api => {
                     // Save what is live at the injection point below the
                     // call's clobber window, and what an argument reads back.
                     let ceiling = u8::try_from(clobber(call, tf)).unwrap_or(u8::MAX);
+                    let df = a.liveness(original);
                     let live = live_at(df, idx, call.ipoint).gprs.max_below(ceiling);
                     let demand = call.args.iter().map(arg_demand).max().unwrap_or(0);
                     let demand = demand.max(live.map_or(0, |r| u32::from(r) + 1));
@@ -500,12 +498,7 @@ pub(crate) fn prepare(
     let ladder_frame = if max_tier > 0 { frame_bytes(max_tier, hal) } else { 0 };
 
     // Removed-but-uninstrumented sites become NOPs in place.
-    let mut patched = original.to_vec();
-    for &idx in &plan.removed {
-        if !sites.iter().any(|site| site.instr_idx == idx) {
-            patched[idx] = Instruction::nop();
-        }
-    }
+    let nops = plan.removed.iter().copied().filter(|&i| !plan.sites.contains_key(&i)).collect();
 
     Ok(Prepared {
         tramp_bytes: (tramp_instrs.len() as u64 * isize).max(isize),
@@ -521,7 +514,7 @@ pub(crate) fn prepare(
             fallback,
             plan: plan_stats,
         },
-        patched,
+        nops,
         tramp: tramp_instrs,
     })
 }
@@ -529,28 +522,40 @@ pub(crate) fn prepare(
 impl Prepared {
     /// The second half of code generation, once the trampoline region sits
     /// at `tramp_addr`: rebase each relocated original's site-relative
-    /// target onto its final address, replace every instrumented site of
-    /// the body with an unconditional jump to its trampoline, and assemble
-    /// both.
+    /// target onto its final address and assemble the trampolines; the body
+    /// is a copy of `code`, the original's bytes, with only the words that
+    /// change encoded — an unconditional jump to its trampoline at every
+    /// instrumented site, a `NOP` at every other removed instruction.
     ///
     /// # Errors
     ///
     /// [`NvbitError::Encode`] when the target family cannot encode the
     /// result.
-    pub(crate) fn finish(self, hal: &Hal, tramp_addr: u64) -> Result<InstrumentedImage> {
-        let Prepared { mut image, mut patched, mut tramp, .. } = self;
-        let isize = hal.instruction_size();
+    pub(crate) fn finish(
+        self,
+        hal: &Hal,
+        code: &[u8],
+        tramp_addr: u64,
+    ) -> Result<InstrumentedImage> {
+        let Prepared { mut image, nops, mut tramp, .. } = self;
+        let (isize, codec) = (hal.instruction_size(), hal.codec());
+        let mut body = code.to_vec();
+        let mut patch = |idx: usize, ins: Instruction| {
+            let at = idx * codec.instruction_size();
+            codec.encode_to(&ins, &mut body[at..at + codec.instruction_size()])
+        };
         for site in &image.sites {
             let site_pc = tramp_addr + site.start as u64 * isize;
             let orig = &mut tramp[site.start + site.orig_pos];
             if let Some(rel) = orig.rel_target() {
                 orig.set_rel_target(rel.wrapping_sub(site_pc as i64));
             }
-            patched[site.instr_idx] = Instruction::new(Op::Jmp, [Operand::Abs(site_pc)]);
+            patch(site.instr_idx, Instruction::new(Op::Jmp, [Operand::Abs(site_pc)]))?;
         }
+        nops.into_iter().try_for_each(|idx| patch(idx, Instruction::nop()))?;
         image.tramp_addr = tramp_addr;
         image.tramp_code = hal.assemble(&tramp)?;
-        image.instrumented = hal.assemble(&patched)?;
+        image.instrumented = body;
         Ok(image)
     }
 }
@@ -755,7 +760,7 @@ mod tests {
     ) -> Result<InstrumentedImage> {
         let prepared = prepare(hal, info, original, plan, tool_fns, routines, analysis, policy)?;
         let tramp_addr = alloc(prepared.tramp_bytes)?;
-        prepared.finish(hal, tramp_addr)
+        prepared.finish(hal, &hal.assemble(original)?, tramp_addr)
     }
 
     /// Naive (pass-free) plan over the spec — the pre-plan pipeline shape.
@@ -1935,6 +1940,11 @@ mod tests {
     /// counted the way `CoalescedInstrCount::executed` does it, and
     /// instruction 2 also through the leaf, planned at the top rung.
     fn promoted_image(arch: Arch) -> Pristine {
+        counted_image(arch, true)
+    }
+
+    /// [`promoted_image`], its leaf call at instruction 2 only if `leaf`.
+    fn counted_image(arch: Arch, leaf: bool) -> Pristine {
         let hal = Hal::new(arch);
         let app =
             "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;";
@@ -1948,7 +1958,9 @@ mod tests {
             spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
             spec.set_coalesce(idx);
         }
-        spec.insert_call(2, "leaf", IPoint::Before);
+        if leaf {
+            spec.insert_call(2, "leaf", IPoint::Before);
+        }
         let opts = PlanOpts::default();
         let (img, tramp) = built(arch, opts, app, &fns, &spec);
         let (code, image) = (hal.assemble(&original).unwrap(), hal.disassemble(&img.instrumented));
@@ -2035,6 +2047,31 @@ mod tests {
         // application reads right after.
         let kinds = corrupted_promotion(|t, site| t[site(2)].map_regs(|_| Reg(8), |p| p));
         assert!(kinds.contains(&DiagKind::PlanMismatch), "{kinds:?}");
+    }
+
+    /// The verifier solves liveness only for a site whose writes meet what
+    /// the body reads: none of the sites of the promoted image without its
+    /// leaf call, whose lowered code writes the reserved pairs only.
+    /// Renamed onto R8:R9, which the body reads, instruction 2's increment
+    /// meets the bound, the solve runs, and R8 — live there — is reported
+    /// written and not saved.
+    #[test]
+    fn a_lowered_pair_renamed_onto_a_register_the_body_reads_is_solved_and_rejected() {
+        fn solves(
+            corrupt: impl FnOnce(&mut [Instruction], &dyn Fn(usize) -> usize),
+        ) -> (u64, Vec<DiagKind>) {
+            let (p, recorder) = (counted_image(Arch::Volta, false), common::obs::Recorder::new());
+            recorder.set_enabled(true);
+            let kinds = {
+                let _scope = recorder.enter();
+                corrupted(p, corrupt)
+            };
+            (recorder.report().counter_sum("sass.liveness"), kinds)
+        }
+        assert_eq!(solves(|_, _| {}), (0, vec![]));
+        let (solved, kinds) = solves(|t, site| t[site(2)].map_regs(|_| Reg(8), |p| p));
+        assert_eq!(solved, 1);
+        assert!(kinds.contains(&DiagKind::PressureExceeded), "{kinds:?}");
     }
 
     // ----- The verifier's verdicts under seeded mutation -------------------

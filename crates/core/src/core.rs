@@ -13,8 +13,11 @@
 //! # What a launch builds
 //!
 //! A function's image is built by `CoreState::build`, straight through on
-//! that thread (paper §5.1): lift → plan → emit → allocate the trampoline
-//! region → assemble → verify → upload → cache. It runs at the entry of a
+//! that thread (paper §5.1): lift → plan → load the save/restore routines,
+//! once per driver and only for a plan that calls out of line → emit →
+//! allocate the trampoline region → assemble → verify → upload → cache.
+//! Each step is one recorder span (`plan`, `routines`, `codegen`, `finish`,
+//! `verify`, `upload`) under the build's `instrument`. It runs at the entry of a
 //! launch for the launched function and every function reachable from it
 //! through [`cuda::FunctionInfo::related`] that carries a request, in
 //! ascending handle order, and from the API calls that need the image at
@@ -41,7 +44,7 @@ use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn, ToolFns};
 use crate::hal::Hal;
 use crate::instr::Instr;
 use crate::lift::{lift, Lifted};
-use crate::plan::{self, InstrumentationPlan, PlanOpts, PlanStats};
+use crate::plan::{self, InstrumentationPlan, Lowering, PlanOpts, PlanStats};
 use crate::saverestore::{restore_text, save_text, Routines, TIERS};
 use crate::spec::{Arg, FuncSpec, IPoint};
 use crate::verify::{self, Diagnostic, Request};
@@ -134,6 +137,37 @@ impl FuncEntry {
     }
 }
 
+/// The code-cache entries by function handle. The driver issues handles as
+/// dense slots of one object table, so a handle indexes this one and no
+/// lookup hashes it; a slot no function holds an entry in holds the empty
+/// entry.
+#[derive(Default)]
+struct Funcs(Vec<FuncEntry>);
+
+impl Funcs {
+    fn get(&self, func: CuFunction) -> Option<&FuncEntry> {
+        self.0.get(func.raw() as usize)
+    }
+
+    fn get_mut(&mut self, func: CuFunction) -> Option<&mut FuncEntry> {
+        self.0.get_mut(func.raw() as usize)
+    }
+
+    /// `func`'s entry, the table grown to hold it.
+    fn entry(&mut self, func: CuFunction) -> &mut FuncEntry {
+        let slot = func.raw() as usize;
+        if slot >= self.0.len() {
+            self.0.resize_with(slot + 1, FuncEntry::default);
+        }
+        &mut self.0[slot]
+    }
+
+    /// Takes `func`'s entry out, leaving the empty one.
+    fn remove(&mut self, func: CuFunction) -> Option<FuncEntry> {
+        self.get_mut(func).map(std::mem::take)
+    }
+}
+
 /// The hardware abstraction layer of `drv`'s device.
 fn hal_of(drv: &Driver) -> Hal {
     Hal::new(drv.arch())
@@ -155,8 +189,8 @@ fn free_tramp(drv: &Driver, tramp_addr: u64) -> gpu::Result<()> {
 pub(crate) struct CoreState {
     tool_fns: RefCell<ToolFns>,
     routines: RefCell<HashMap<u16, Routines>>,
-    /// Per-function code-cache entries, keyed by the raw function handle.
-    funcs: RefCell<HashMap<u32, FuncEntry>>,
+    /// Per-function code-cache entries.
+    funcs: RefCell<Funcs>,
     save_policy: Cell<SavePolicy>,
     plan_opts: Cell<PlanOpts>,
 }
@@ -164,7 +198,7 @@ pub(crate) struct CoreState {
 impl CoreState {
     /// True if `func` has an entry and it is [`FuncEntry::tracked`].
     fn tracked(&self, func: CuFunction) -> bool {
-        self.funcs.borrow().get(&func.raw()).is_some_and(FuncEntry::tracked)
+        self.funcs.borrow().get(func).is_some_and(FuncEntry::tracked)
     }
 
     /// Reads `func`'s pair, if it has an image.
@@ -174,7 +208,7 @@ impl CoreState {
         read: impl FnOnce(&Lifted, &InstrumentedImage) -> R,
     ) -> Option<R> {
         let entries = self.funcs.borrow();
-        let entry = entries.get(&func.raw())?;
+        let entry = entries.get(func)?;
         Some(read(entry.lifted.as_deref()?, &entry.image.as_ref()?.0))
     }
 
@@ -187,7 +221,7 @@ impl CoreState {
         api: &str,
         edit: impl FnOnce(&mut FuncSpec) -> bool,
     ) -> Result<()> {
-        if self.funcs.borrow_mut().get_mut(&func.raw()).is_some_and(|e| edit(&mut e.spec)) {
+        if self.funcs.borrow_mut().get_mut(func).is_some_and(|e| edit(&mut e.spec)) {
             Ok(())
         } else {
             Err(NvbitError::BadRequest(format!("{api} before insert_call at instruction {idx}")))
@@ -213,13 +247,14 @@ impl CoreState {
     }
 
     /// Loads the embedded save/restore routines on first use (Tool
-    /// Functions Loader, the `libnvbit.a`-embedded part). Built fully
-    /// before publication, so a failure leaves the table empty and a
-    /// retry starts clean.
+    /// Functions Loader, the `libnvbit.a`-embedded part): the first build
+    /// whose plan calls out of line. Built fully before publication, so a
+    /// failure leaves the table empty and a retry starts clean.
     fn ensure_routines(&self, drv: &Driver) -> Result<()> {
         if !self.routines.borrow().is_empty() {
             return Ok(());
         }
+        common::obs::counter("routines.load", 1);
         let hal = hal_of(drv);
         let mut built = HashMap::new();
         for tier in TIERS {
@@ -250,7 +285,7 @@ impl CoreState {
 
     /// Lifts (and caches) a function.
     fn lifted_for(&self, drv: &Driver, func: CuFunction) -> Result<Arc<Lifted>> {
-        self.funcs.borrow_mut().entry(func.raw()).or_default().lifted(drv, func)
+        self.funcs.borrow_mut().entry(func).lifted(drv, func)
     }
 
     /// Builds and verifies `func`'s image and puts it in place of the one
@@ -262,7 +297,7 @@ impl CoreState {
         // into the API, and the build borrows the entry's spec, lifted view
         // and pristine bytes instead of copying them.
         let mut entries = self.funcs.borrow_mut();
-        let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
+        let Some(entry) = entries.get_mut(func) else { return Ok(()) };
         if entry.spec.is_empty() {
             return Ok(());
         }
@@ -273,7 +308,6 @@ impl CoreState {
             common::obs::counter("instr_image.reuse", 1);
             return Ok(());
         }
-        self.ensure_routines(drv)?;
         let hal = hal_of(drv);
         let label = drv.with_function_info(func, |i| format!("{}$tramp", i.name))?;
 
@@ -283,7 +317,7 @@ impl CoreState {
         // every image is built from the original the entry read first.
         let lifted = entry.lifted(drv, func)?;
         let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
-        let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
+        let tool_fns = self.tool_fns.borrow();
         // Lower the spec into the plan IR, running the coalescing and
         // inlining passes the options select.
         let plan = {
@@ -308,6 +342,12 @@ impl CoreState {
             common::obs::counter("plan.promoted_pairs", plan.stats.promoted_pairs);
             plan
         };
+        // Only an out-of-line call reaches the save/restore routines.
+        if plan.sites.values().flatten().any(|c| c.lowering == Lowering::Call) {
+            let _rspan = common::obs::span("routines");
+            self.ensure_routines(drv)?;
+        }
+        let routines = self.routines.borrow();
         // Every trampoline is emitted position-independently first, so an
         // emission error has allocated nothing.
         let prepared = {
@@ -317,21 +357,21 @@ impl CoreState {
                 prepare(&hal, info, &original, &plan, &tool_fns, &routines, analysis, policy)
             })??
         };
+        let fspan = common::obs::span("finish");
         let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
         // From here on the region is either owned by the entry's image or
         // given back: rebase and assemble, then pre-swap verification — a
         // bad image corrupts the application, so one with findings is
         // refused — then upload.
         let placed = (|| -> Result<InstrumentedImage> {
-            let image = {
-                let _cspan = common::obs::span("codegen");
-                prepared.finish(&hal, tramp_addr)?
-            };
+            let image = prepared.finish(&hal, &lifted.code, tramp_addr)?;
+            drop(fspan);
             let diags = self.verify(drv, func, (&lifted, &original, &plan), &image)?;
             if !diags.is_empty() {
                 common::obs::counter("instr_image.verify_reject", 1);
                 return Err(NvbitError::VerifyFailed(diags));
             }
+            let _uspan = common::obs::span("upload");
             drv.with_device(|d| -> gpu::Result<()> {
                 d.write(tramp_addr, &image.tramp_code)?;
                 d.label_code(tramp_addr, image.tramp_code.len() as u64, &label);
@@ -362,7 +402,7 @@ impl CoreState {
     /// override (paper §6.2).
     fn reconcile(&self, drv: &Driver, func: CuFunction) -> Result<()> {
         let mut entries = self.funcs.borrow_mut();
-        let Some(entry) = entries.get_mut(&func.raw()) else { return Ok(()) };
+        let Some(entry) = entries.get_mut(func) else { return Ok(()) };
         let (Some(lifted), Some((image, ..))) = (&entry.lifted, &entry.image) else {
             return Ok(());
         };
@@ -394,7 +434,7 @@ impl CoreState {
     /// runs to completion even when a step fails; the first failure is
     /// returned afterwards.
     fn reset(&self, drv: &Driver, func: CuFunction) -> Result<()> {
-        let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else {
+        let Some(entry) = self.funcs.borrow_mut().remove(func) else {
             return Ok(());
         };
         let (Some(lifted), Some((image, ..))) = (entry.lifted, entry.image) else {
@@ -428,7 +468,7 @@ impl CoreState {
         let mut lift_evicted = 0u64;
         let mut image_evicted = 0u64;
         for func in funcs {
-            let Some(entry) = self.funcs.borrow_mut().remove(&func.raw()) else { continue };
+            let Some(entry) = self.funcs.borrow_mut().remove(func) else { continue };
             lift_evicted += u64::from(entry.lifted.is_some());
             if let Some((image, ..)) = entry.image {
                 image_evicted += 1;
@@ -447,9 +487,9 @@ impl CoreState {
     /// tracked function of the launch [`unit`] is built and reconciled, in
     /// ascending handle order.
     fn instrument_for_launch(&self, drv: &Driver, func: CuFunction) {
-        // With nothing tracked a launch costs one look at the table: no
-        // `FunctionInfo` is read.
-        if self.funcs.borrow().is_empty() {
+        // With nothing ever tracked or lifted a launch costs one look at the
+        // table: no `FunctionInfo` is read.
+        if self.funcs.borrow().0.is_empty() {
             return;
         }
         for f in unit(drv, func).into_iter().flatten().filter(|f| self.tracked(*f)) {
@@ -622,7 +662,7 @@ impl<'a> NvbitApi<'a> {
             // where it is.
             let name: Arc<str> = f.name.as_str().into();
             if self.state.tool_fns.borrow_mut().insert(name.clone(), tool_fn).is_some() {
-                for entry in self.state.funcs.borrow_mut().values_mut() {
+                for entry in &mut self.state.funcs.borrow_mut().0 {
                     entry.spec.dirty |= entry.spec.injections().iter().any(|c| c.func == name);
                 }
             }
@@ -689,7 +729,9 @@ impl<'a> NvbitApi<'a> {
         if idx >= lifted.instrs.len() {
             return Err(NvbitError::BadInstrIndex { index: idx, len: lifted.instrs.len() });
         }
-        Ok(lifted.analysis.as_ref().ok().map(|a| a.liveness.live_regs(idx)))
+        let Ok(analysis) = &lifted.analysis else { return Ok(None) };
+        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
+        Ok(Some(analysis.liveness(&original).live_regs(idx)))
     }
 
     /// Every function `func` can reach through calls, itself excluded, by
@@ -748,11 +790,7 @@ impl<'a> NvbitApi<'a> {
         let Some((name, _)) = tool_fns.get_key_value(fname) else {
             return Err(NvbitError::UnknownToolFunction(fname.to_string()));
         };
-        self.state.funcs.borrow_mut().entry(func.raw()).or_default().spec.insert_call(
-            idx,
-            name.clone(),
-            ipoint,
-        );
+        self.state.funcs.borrow_mut().entry(func).spec.insert_call(idx, name.clone(), ipoint);
         Ok(())
     }
 
@@ -836,7 +874,7 @@ impl<'a> NvbitApi<'a> {
     ///
     /// Range errors surface at code generation.
     pub fn remove_orig(&self, func: CuFunction, idx: usize) -> Result<()> {
-        self.state.funcs.borrow_mut().entry(func.raw()).or_default().spec.remove_orig(idx);
+        self.state.funcs.borrow_mut().entry(func).spec.remove_orig(idx);
         Ok(())
     }
 
@@ -863,7 +901,7 @@ impl<'a> NvbitApi<'a> {
     pub fn enable_instrumented(&self, func: CuFunction, enable: bool) -> Result<()> {
         let desired = if enable { Version::Instrumented } else { Version::Original };
         for f in unit(self.drv, func)? {
-            match self.state.funcs.borrow_mut().get_mut(&f.raw()) {
+            match self.state.funcs.borrow_mut().get_mut(f) {
                 Some(entry) if entry.tracked() => entry.desired = desired,
                 _ => continue,
             }
@@ -936,7 +974,7 @@ impl<'a> NvbitApi<'a> {
         }
         // Planned once, on the lift, under the options the image was built under.
         let entries = self.state.funcs.borrow();
-        let Some(entry) = entries.get(&func.raw()) else { return Ok(Vec::new()) };
+        let Some(entry) = entries.get(func) else { return Ok(Vec::new()) };
         let (Some(lifted), Some((image, _, opts))) = (&entry.lifted, &entry.image) else {
             return Ok(Vec::new());
         };

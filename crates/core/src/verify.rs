@@ -40,7 +40,7 @@ use crate::plan::{InstrumentationPlan, Lowering, PlannedCall};
 use crate::saverestore::{frame_slots, Routines};
 use crate::spec::IPoint;
 use sass::op::CfClass;
-use sass::{Analysis, Instruction, Op, Operand, Reg};
+use sass::{Analysis, Instruction, LiveSet, Op, Operand, Reg};
 use std::collections::HashMap;
 
 /// Which code region a diagnostic points into.
@@ -165,7 +165,7 @@ struct Bracket {
     /// Save-routine frames open.
     depth: u32,
     /// Registers and predicates that may no longer hold their values.
-    dirty: sass::LiveSet,
+    dirty: LiveSet,
 }
 
 impl Bracket {
@@ -186,7 +186,7 @@ impl Bracket {
 fn check_brackets(
     hal: &Hal,
     (site, body): (&SiteMeta, &[Instruction]),
-    live: (sass::LiveSet, sass::LiveSet),
+    live: (LiveSet, LiveSet),
     req: &Request<'_>,
     pending: &mut Vec<(usize, Bracket)>,
     diags: &mut Vec<Diagnostic>,
@@ -515,10 +515,10 @@ fn walk(
         }
 
         // Without a CFG nothing is provably dead: everything must be saved.
-        let live = match analysis.map(|a| &a.liveness).filter(|df| i < df.len()) {
-            Some(df) => (*df.live_in(i), *df.live_out(i)),
-            None => (sass::LiveSet::all(), sass::LiveSet::all()),
-        };
+        let writes = body.iter().enumerate().filter(|p| p.0 != site.orig_pos).map(|p| p.1);
+        let writes = LiveSet::written_by(writes);
+        let all = (LiveSet::all(), LiveSet::all());
+        let live = analysis.map_or(all, |a| a.live_around(original, i, &writes));
         check_brackets(hal, (site, body), live, req, &mut pending, &mut diags);
 
         // Effect lowering: the site's prologue opens it, its epilogue runs

@@ -3,14 +3,17 @@
 //! **Paper mapping:** §5.2 / Fig. 5 — analysis is one of the JIT phases
 //! paid per function, so it runs once: the body is partitioned once, its
 //! per-lane flow graph is built once ([`cfg::flow`]: successors plus the
-//! matched `SYNC` resume edges), and the liveness and dominator solutions
-//! both walk that one graph.
+//! matched `SYNC` resume edges), and the dominator solution and — on first
+//! demand, since most builds never read it — the liveness solution both walk
+//! that one graph.
 
 use crate::arch::Arch;
 use crate::cfg::{self, BasicBlock, CfgFailure};
-use crate::dataflow::Dataflow;
+use crate::dataflow::{Dataflow, LiveSet};
 use crate::dom::Dom;
 use crate::inst::Instruction;
+use common::graph::Graph;
+use std::sync::OnceLock;
 
 /// Everything the planner, the code generator and the verifier know
 /// statically about a function body. Either all of it exists or — when
@@ -20,10 +23,14 @@ use crate::inst::Instruction;
 pub struct Analysis {
     /// The [`cfg::basic_blocks`] partition of the body.
     pub blocks: Vec<BasicBlock>,
-    /// Per-instruction live sets.
-    pub liveness: Dataflow,
     /// Dominators, post-dominators and coalescing regions.
     pub dom: Dom,
+    /// The [`cfg::flow`] graph both solutions walk.
+    flow: Graph,
+    /// [`Dataflow::bound`] of the body.
+    bound: LiveSet,
+    /// Per-instruction live sets, solved by [`Analysis::liveness`].
+    liveness: OnceLock<Dataflow>,
 }
 
 impl Analysis {
@@ -37,9 +44,42 @@ impl Analysis {
         common::obs::counter("sass.analysis", 1);
         let blocks = cfg::basic_blocks(instrs, arch)?;
         let flow = cfg::flow(instrs, &blocks, arch);
-        let liveness = Dataflow::solve(instrs, &blocks, &flow);
         let dom = Dom::solve(instrs, &blocks, &flow);
-        Ok(Analysis { blocks, liveness, dom })
+        let bound = Dataflow::bound(instrs, arch);
+        Ok(Analysis { blocks, dom, flow, bound, liveness: OnceLock::new() })
+    }
+
+    /// Per-instruction live sets of `instrs`, the body this analysis was
+    /// made of: solved over the one flow graph on the first call (one
+    /// `sass.liveness` obs event), then kept. Its readers are an
+    /// out-of-line call's save tier, `get_live_regs` and
+    /// [`Analysis::live_around`].
+    pub fn liveness(&self, instrs: &[Instruction]) -> &Dataflow {
+        self.liveness.get_or_init(|| {
+            common::obs::counter("sass.liveness", 1);
+            Dataflow::solve(instrs, &self.blocks, &self.flow)
+        })
+    }
+
+    /// The live sets before and after instruction `idx` of `instrs` as a
+    /// check of `writes` against them sees them, solving liveness only
+    /// when it must: while `writes` does not meet [`Dataflow::bound`], no
+    /// live set holds any of them, and the bound stands in for both.
+    /// Everything is live around an instruction the body does not have.
+    pub fn live_around(
+        &self,
+        instrs: &[Instruction],
+        idx: usize,
+        writes: &LiveSet,
+    ) -> (LiveSet, LiveSet) {
+        if idx >= instrs.len() {
+            (LiveSet::all(), LiveSet::all())
+        } else if !writes.meets(&self.bound) {
+            (self.bound, self.bound)
+        } else {
+            let df = self.liveness(instrs);
+            (*df.live_in(idx), *df.live_out(idx))
+        }
     }
 }
 
@@ -71,9 +111,10 @@ join:
         assert_eq!(a.blocks, cfg::basic_blocks(&prog, Arch::Maxwell).unwrap());
         let df = Dataflow::analyze(&prog, Arch::Maxwell).unwrap();
         let dom = Dom::analyze(&prog, &a.blocks, Arch::Maxwell);
+        let liveness = a.liveness(&prog);
         for idx in 0..prog.len() {
-            assert_eq!(a.liveness.live_in(idx), df.live_in(idx), "live-in {idx}");
-            assert_eq!(a.liveness.live_out(idx), df.live_out(idx), "live-out {idx}");
+            assert_eq!(liveness.live_in(idx), df.live_in(idx), "live-in {idx}");
+            assert_eq!(liveness.live_out(idx), df.live_out(idx), "live-out {idx}");
         }
         for b in 0..a.blocks.len() {
             assert_eq!(a.dom.idom(b), dom.idom(b));

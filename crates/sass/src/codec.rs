@@ -95,6 +95,21 @@ impl Codec {
         Ok(())
     }
 
+    /// Overwrites `word`, exactly [`Codec::instruction_size`] bytes, with one
+    /// instruction's encoding (untouched on error).
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::encode_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is not one instruction long.
+    pub fn encode_to(&self, instr: &Instruction, word: &mut [u8]) -> Result<()> {
+        word.copy_from_slice(&encode_with(self, instr)?.to_le_bytes()[..self.size]);
+        Ok(())
+    }
+
     /// Decodes one instruction from exactly [`Codec::instruction_size`] bytes.
     ///
     /// # Errors

@@ -168,6 +168,22 @@ impl LiveSet {
     pub fn pred_live(&self, p: Pred) -> bool {
         !p.is_true_reg() && self.preds & (1 << p.0) != 0
     }
+
+    /// Every register and predicate `instrs` write, guarded or not.
+    pub fn written_by<'a>(instrs: impl IntoIterator<Item = &'a Instruction>) -> LiveSet {
+        let mut set = LiveSet::EMPTY;
+        for i in instrs {
+            i.reg_writes().iter().for_each(|r| set.gprs.insert(*r));
+            set.preds |= i.pred_writes();
+        }
+        set
+    }
+
+    /// True when a register or predicate is in both sets.
+    pub fn meets(&self, other: &LiveSet) -> bool {
+        let gprs = self.gprs.words.iter().zip(&other.gprs.words).any(|(a, b)| a & b != 0);
+        gprs || self.preds & other.preds != 0
+    }
 }
 
 /// The liveness solution of one function body: per-instruction live-in /
@@ -180,7 +196,7 @@ pub struct Dataflow {
 
 impl Dataflow {
     /// Partitions the body and solves liveness over it. The JIT path gets
-    /// its solution from [`crate::Analysis::of`], which shares the
+    /// its solution from [`crate::Analysis::liveness`], which shares the
     /// partition and flow graph with the dominator analysis; this entry
     /// point serves callers that want liveness alone.
     ///
@@ -192,6 +208,35 @@ impl Dataflow {
     pub fn analyze(instrs: &[Instruction], arch: Arch) -> Result<Dataflow, CfgFailure> {
         let blocks = cfg::basic_blocks(instrs, arch)?;
         Ok(Dataflow::solve(instrs, &blocks, &cfg::flow(instrs, &blocks, arch)))
+    }
+
+    /// A sound bound on every live set of `instrs`' solution, found without
+    /// solving: the registers and predicates the body reads, or everything
+    /// once control can leave the body (a call, `RET`, a trap, an absolute
+    /// jump, an indirect branch or a relative branch out of the body), where
+    /// a solution makes everything live. A set of writes that does not meet
+    /// it writes nothing live anywhere in the body.
+    pub fn bound(instrs: &[Instruction], arch: Arch) -> LiveSet {
+        let isize = arch.instruction_size() as i64;
+        let mut bound = LiveSet::EMPTY;
+        for (idx, i) in instrs.iter().enumerate() {
+            let inside =
+                |off: i64| (0..instrs.len() as i64).contains(&(idx as i64 + 1 + off / isize));
+            let leaves = match i.cf_class() {
+                CfClass::RelCall | CfClass::AbsCall | CfClass::IndirectBranch => true,
+                CfClass::AbsJump | CfClass::Ret | CfClass::Trap => true,
+                CfClass::RelBranch => !i.rel_target().is_some_and(inside),
+                _ => false,
+            };
+            if leaves {
+                return LiveSet::all();
+            }
+            i.each_span(|r, n, w| {
+                span_regs(r, n).filter(|_| !w).for_each(|r| bound.gprs.insert(r))
+            });
+            bound.preds |= i.pred_reads();
+        }
+        bound
     }
 
     /// Solves backward liveness over a partition and its [`cfg::flow`].

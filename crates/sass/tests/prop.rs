@@ -220,3 +220,47 @@ fn decode_then_encode_is_total() {
         }
     });
 }
+
+/// `Dataflow::bound` holds every live set of the solution it bounds, on
+/// random bodies whose relative branches mostly land inside them; half of
+/// the bodies have no call, return, trap or absolute jump, so the bound is
+/// the body's reads rather than everything.
+#[test]
+fn the_liveness_bound_holds_every_live_set() {
+    use sass::op::CfClass;
+    use sass::{Dataflow, LiveSet};
+    run_cases("the_liveness_bound_holds_every_live_set", CASES, |rng| {
+        let stays = rng.gen_bool();
+        let arch = *rng.choose(&Arch::ALL);
+        let isize = arch.instruction_size() as i64;
+        let mut prog = vec_of(rng, 1..40, |rng| loop {
+            let i = arb_instruction(rng);
+            let leaves = matches!(
+                i.cf_class(),
+                CfClass::RelCall
+                    | CfClass::AbsCall
+                    | CfClass::AbsJump
+                    | CfClass::Ret
+                    | CfClass::Trap
+                    | CfClass::IndirectBranch
+            );
+            if !(stays && leaves) {
+                break i;
+            }
+        });
+        let n = prog.len() as i64;
+        for (idx, i) in prog.iter_mut().enumerate() {
+            if i.rel_target().is_some() && rng.gen_range(0u32..4) > 0 {
+                i.set_rel_target((rng.gen_range(0..n) - idx as i64 - 1) * isize);
+            }
+        }
+        let Ok(df) = Dataflow::analyze(&prog, arch) else { return };
+        let bound = Dataflow::bound(&prog, arch);
+        let inside = |l: &LiveSet| {
+            l.gprs.iter().all(|r| bound.gprs.contains(Reg(r))) && l.preds & !bound.preds == 0
+        };
+        for idx in 0..prog.len() {
+            assert!(inside(df.live_in(idx)) && inside(df.live_out(idx)), "{idx} of {prog:?}");
+        }
+    });
+}

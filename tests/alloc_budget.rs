@@ -228,10 +228,17 @@ fn run_stratum(instrumented: bool) -> (Phases, u64, u64) {
 /// per-body vector of the sites that carried a call (it counted the sites
 /// coalescing emptied, which nothing read), one allocation in each plan run:
 /// build measures 179, verify 22 and the total 254, and those ceilings fell
-/// by 1.
+/// by 1. The JIT then began doing only the work a build uses, against a
+/// parent measuring lift 36, build 174, teardown 28 and total 248: at the
+/// top rung every call of these kernels is lowered, so no build loads the
+/// save/restore routines (assembling them from text was 140 of the build's
+/// 174, spread over the 32 functions), the lift solves no liveness (its
+/// three vectors) and the body is the original's bytes with the site
+/// words encoded, not a re-assembled copy. Lift measures 33, build 33,
+/// teardown 27 and the total 104, and those ceilings fell by as much.
 const PARENT: [u64; 5] = [41, 20, 344, 155, 43];
-const CEILING: [u64; 5] = [40, 14, 187, 25, 37];
-const CEILING_TOTAL: u64 = 262;
+const CEILING: [u64; 5] = [37, 14, 46, 25, 36];
+const CEILING_TOTAL: u64 = 118;
 /// `Driver::module_load` of the stratum, natively, per function: what the
 /// commit before the PTX front end moved to borrowed tokens and dense ids
 /// measured here, and the ceiling since.
@@ -301,7 +308,11 @@ fn device_hash(level: PlanLevel, source: &str, entry: &str, params: &[Param]) ->
 
 /// fft / stencil / spmv at the four rungs: the bytes are the parent
 /// commit's (recorded there with this function; `Promoted`, the rung every
-/// benchmark workload runs, last of each app's four).
+/// benchmark workload runs, last of each app's four). The three `Promoted`
+/// hashes moved when the save/restore routines began loading only for a
+/// build that calls out of line: no routine is allocated ahead of the
+/// trampoline there. The parent given only that deferral gives the same
+/// three; the other nine load routines and stay the parent's.
 #[test]
 fn images_are_byte_identical_to_the_parent_commit() {
     use Param::{Buf, U32};
@@ -332,13 +343,13 @@ const PARENT_HASHES: [u64; 12] = [
     0x96dc_803b_bf77_5901,
     0x91e3_ad7e_b409_6cd0,
     0x91e3_ad7e_b409_6cd0,
-    0x352c_2866_c0ed_a903,
+    0x9e28_a0e1_4703_4d32,
     0xc488_ef48_529d_1937,
     0xdd7e_d2ea_2368_6181,
     0xe63b_5849_bf70_90ba,
-    0xa84c_5415_5998_ea80,
+    0x26c5_9f6e_5201_d381,
     0xe393_a5c9_2981_2c3a,
     0x2163_3dc5_d6cb_ce7f,
     0xa894_c0c9_e34a_2dc3,
-    0xa261_76c3_1005_4c39,
+    0xb619_493e_7a6a_289a,
 ];

@@ -1,12 +1,69 @@
 //! Workspace-level integration tests spanning every crate: workloads and
 //! libraries running under instrumentation on the full stack.
 
-use cuda::Driver;
+use cuda::{CbId, CbParams, Driver, FatBinary};
 use gpu::DeviceSpec;
-use nvbit::attach_tool;
+use nvbit::{attach_tool, NvbitApi, NvbitTool};
 use nvbit_tools::{InstrCount, MemDivergence};
 use sass::Arch;
-use workloads::specaccel::{benchmark, Size};
+use std::cell::Cell;
+use std::rc::Rc;
+use workloads::specaccel::{benchmark, suite, Size};
+
+mod shared;
+
+/// At every module load, compares `get_live_regs` at every instruction of
+/// every function with the standalone solve over the same body.
+struct LiveRegsProbe {
+    functions: Rc<Cell<u32>>,
+}
+
+impl NvbitTool for LiveRegsProbe {
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::Module { module, .. } = params else { return };
+        if !is_exit || cbid != CbId::ModuleLoad {
+            return;
+        }
+        for func in api.driver().module_functions(module).unwrap() {
+            let body: Vec<sass::Instruction> =
+                api.get_instrs(func).unwrap().iter().map(|i| *i.raw()).collect();
+            let standalone = sass::Dataflow::analyze(&body, api.hal().arch()).ok();
+            for idx in 0..body.len() {
+                let live = api.get_live_regs(func, idx).unwrap();
+                assert_eq!(live, standalone.as_ref().map(|df| df.live_regs(idx)), "{func} @ {idx}");
+            }
+            self.functions.set(self.functions.get() + 1);
+        }
+    }
+}
+
+/// `get_live_regs` solves liveness on its first demand, over the flow graph
+/// the lift built; on every kernel and device function of every workload —
+/// the SpecAccel suite, the fft / stencil / spmv applications and a
+/// `jit_unique` stratum — it equals `sass::Dataflow::analyze`.
+#[test]
+fn live_regs_equal_the_standalone_solve_on_every_workload_kernel() {
+    let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+    let functions = Rc::new(Cell::new(0));
+    attach_tool(&drv, LiveRegsProbe { functions: functions.clone() });
+    for b in suite() {
+        b.run(&drv, Size::Small).unwrap();
+    }
+    workloads::apps::fft_soft(&drv, 1, 1).unwrap();
+    workloads::apps::stencil(&drv, 1).unwrap();
+    workloads::apps::spmv(&drv, 1).unwrap();
+    workloads::apps::spmv_calls(&drv, 1).unwrap();
+    let ctx = drv.ctx_create().unwrap();
+    drv.module_load(&ctx, FatBinary::from_ptx("stratum", shared::stratum().0)).unwrap();
+    drv.shutdown();
+    assert!(functions.get() > 50, "{} functions checked", functions.get());
+}
 
 /// For a representative slice of the suite, the instruction-count tool's
 /// dynamic count must equal the simulator's native thread-instruction

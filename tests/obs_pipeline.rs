@@ -10,7 +10,7 @@ use common::json::Json;
 use common::obs::Report;
 use cuda::{Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
-use nvbit::attach_tool;
+use nvbit::{attach_tool, PlanLevel, PlanOpts};
 use nvbit_tools::{InstrCount, InstrCountResults, MemTrace, MemTraceResults};
 use sass::Arch;
 use std::collections::BTreeSet;
@@ -145,6 +145,37 @@ fn instrumented_launch_populates_every_pipeline_phase() {
         }
     }
     assert!(complete > 0, "trace contains span events");
+}
+
+/// The JIT does only the work a build uses. At the top rung every call of
+/// the FFT kernel is lowered: no liveness is solved and no save/restore
+/// routine is loaded. At `Region` every call runs out of line: each
+/// function's liveness is solved once, for its save tiers and its
+/// verification both, and the routines are loaded once per driver.
+#[test]
+fn liveness_and_routines_load_on_demand() {
+    let run = |level: PlanLevel| {
+        let drv = driver(true);
+        let (tool, results) = InstrCount::executed(PlanOpts { level });
+        attach_tool(&drv, tool);
+        let ctx = drv.ctx_create().unwrap();
+        let (din, dout) = (drv.mem_alloc(256).unwrap(), drv.mem_alloc(256).unwrap());
+        for _ in 0..2 {
+            let fatbin = FatBinary::from_ptx("fft", soft_fft_kernel_ptx());
+            let m = drv.module_load(&ctx, fatbin).unwrap();
+            let f = drv.module_get_function(&m, "fft32_soft").unwrap();
+            let args = [KernelArg::Ptr(din), KernelArg::Ptr(dout)];
+            drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &args).unwrap();
+        }
+        drv.shutdown();
+        assert!(results.total() > 0);
+        let report = drv.obs().report();
+        assert_eq!(report.phases["lift"].count, 2, "two functions, lifted once each");
+        let counts = ["sass.liveness", "routines.load"].map(|c| report.counter_sum(c));
+        (counts, report.phases.contains_key("routines"))
+    };
+    assert_eq!(run(PlanLevel::Promoted), ([0, 0], false));
+    assert_eq!(run(PlanLevel::Region), ([2, 1], true));
 }
 
 #[test]
@@ -298,8 +329,10 @@ fn jit_overhead_shape_matches_figure5() {
         bench.run(&drv, Size::Small).unwrap();
         drv.shutdown();
         let report = drv.obs().report();
-        let jit_ns = ["retrieve", "disassemble", "convert", "plan", "codegen", "verify", "swap"]
+        let phases = ["retrieve", "disassemble", "convert", "plan", "routines", "codegen"];
+        let jit_ns = phases
             .iter()
+            .chain(&["finish", "verify", "upload", "swap"])
             .map(|p| report.phase_ns(p))
             .sum();
         (jit_ns, native_instrs)

@@ -6,7 +6,7 @@ use common::prop::{run_cases, vec_of};
 use common::Rng;
 use cuda::{CbId, CbParams, Driver, FatBinary, KernelArg};
 use gpu::{DeviceSpec, Dim3, Scheduler};
-use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, SavePolicy};
+use nvbit::{attach_tool, IPoint, NvbitApi, NvbitTool, PlanLevel, PlanOpts, SavePolicy};
 use sass::op::IType;
 use sass::{Arch, CmpOp, Guard, Instruction, Mods, Op, Operand, Pred, Reg, SpecialReg, SubOp};
 
@@ -270,19 +270,31 @@ fn random_kernel(rng: &mut Rng) -> Vec<Instruction> {
     k
 }
 
-/// Injects `pcount` at every instruction, `Before` or `After` per `after`.
+/// How the kernel's image was built: `saved_slots` from `save_stats` and
+/// `promoted_calls` from `plan_stats`, read at the launch's exit.
+#[derive(Clone, Copy, Default)]
+struct Built {
+    saved_slots: u64,
+    promoted_calls: u64,
+}
+
+/// Injects `pcount` at every instruction, `Before` or `After` per `after`,
+/// under `policy` and `level`.
 struct EverywhereTool {
     after: Vec<bool>,
     policy: SavePolicy,
+    level: PlanLevel,
     counter: u64,
     done: bool,
     /// The counter's final value, published at termination.
     count: std::rc::Rc<std::cell::Cell<u64>>,
+    built: std::rc::Rc<std::cell::Cell<Built>>,
 }
 
 impl NvbitTool for EverywhereTool {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         api.set_save_policy(self.policy);
+        api.set_plan_opts(PlanOpts { level: self.level });
         api.load_tool_functions(COUNT_FN).unwrap();
         self.counter = api.driver().with_device(|d| d.alloc(8)).unwrap();
     }
@@ -299,7 +311,16 @@ impl NvbitTool for EverywhereTool {
         params: &CbParams<'_>,
     ) {
         let CbParams::LaunchKernel { func, .. } = params else { return };
-        if is_exit || cbid != CbId::LaunchKernel || std::mem::replace(&mut self.done, true) {
+        if cbid != CbId::LaunchKernel {
+            return;
+        }
+        if is_exit {
+            let saved_slots = api.save_stats(*func).unwrap().unwrap().saved_slots;
+            let promoted_calls = api.plan_stats(*func).unwrap().unwrap().promoted_calls;
+            self.built.set(Built { saved_slots, promoted_calls });
+            return;
+        }
+        if std::mem::replace(&mut self.done, true) {
             return;
         }
         for idx in 0..api.get_instrs(*func).unwrap().len() {
@@ -312,18 +333,20 @@ impl NvbitTool for EverywhereTool {
 }
 
 /// Runs `kernel` (64 threads in 2 CTAs) natively or under the tool and
-/// returns the output buffer plus the tool's count.
+/// returns the output buffer, the tool's count and how the image was built.
 fn run_sass(
     kernel: &[Instruction],
-    tool: Option<(Vec<bool>, SavePolicy)>,
+    tool: Option<(Vec<bool>, SavePolicy, PlanLevel)>,
     sched: Scheduler,
-) -> (Vec<u8>, u64) {
+) -> (Vec<u8>, u64, Built) {
     let drv = Driver::new(DeviceSpec::test(Arch::Volta));
     drv.with_device(|d| d.scheduler = sched);
     let count = std::rc::Rc::new(std::cell::Cell::new(0));
-    if let Some((after, policy)) = tool {
-        let count = count.clone();
-        attach_tool(&drv, EverywhereTool { after, policy, counter: 0, done: false, count });
+    let built = std::rc::Rc::new(std::cell::Cell::new(Built::default()));
+    if let Some((after, policy, level)) = tool {
+        let (count, built) = (count.clone(), built.clone());
+        let (counter, done) = (0, false);
+        attach_tool(&drv, EverywhereTool { after, policy, level, counter, done, count, built });
     }
     // A compiled stub supplies the parameter layout; its code is replaced.
     let mut image =
@@ -339,32 +362,44 @@ fn run_sass(
     let mut out = vec![0u8; 64 * 4];
     drv.memcpy_dtoh(&mut out, buf).unwrap();
     drv.shutdown();
-    (out, count.get())
+    (out, count.get(), built.get())
 }
 
 /// Random straight-line and diamond kernels with random live ranges through
 /// R0–R23, instrumented at every instruction: the output equals native under
-/// both save policies and both schedulers, and the tool counts the same.
+/// both save policies and both schedulers, and the tool counts the same. At
+/// `Region` every call runs out of line, between save routines the liveness
+/// solve sizes (at least half of the kernels save a slot); at the top rung
+/// the counter is lowered.
 #[test]
 fn random_live_ranges_survive_instrumentation_at_every_instruction() {
+    let (mut cases, mut saving) = (0, 0);
     run_cases("random_live_ranges_survive_instrumentation_at_every_instruction", 48, |rng| {
         let kernel = random_kernel(rng);
         let after: Vec<bool> = kernel.iter().map(|_| rng.gen_bool()).collect();
         let listing = sass::asm::disassemble(&kernel);
-        let (native, _) = run_sass(&kernel, None, Scheduler::Serial);
-        let full =
-            run_sass(&kernel, Some((after.clone(), SavePolicy::FullTier)), Scheduler::Serial);
-        assert_eq!(full.0, native, "full-tier saves corrupted:\n{listing}");
-        for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 2 }] {
-            let live = run_sass(&kernel, Some((after.clone(), SavePolicy::Liveness)), sched);
-            assert_eq!(
-                live.0, native,
-                "instrumentation corrupted ({after:?}, {sched:?}):\n{listing}"
-            );
-            assert_eq!(live.1, full.1, "tool count differs ({sched:?}):\n{listing}");
-            assert!(live.1 > 0, "the tool counted nothing:\n{listing}");
+        let (native, ..) = run_sass(&kernel, None, Scheduler::Serial);
+        for level in [PlanLevel::Region, PlanOpts::default().level] {
+            let tool = |policy| Some((after.clone(), policy, level));
+            let full = run_sass(&kernel, tool(SavePolicy::FullTier), Scheduler::Serial);
+            assert_eq!(full.0, native, "full-tier saves corrupted ({level:?}):\n{listing}");
+            for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 2 }] {
+                let live = run_sass(&kernel, tool(SavePolicy::Liveness), sched);
+                let how = format!("{after:?}, {level:?}, {sched:?}");
+                assert_eq!(live.0, native, "instrumentation corrupted ({how}):\n{listing}");
+                assert_eq!(live.1, full.1, "tool count differs ({how}):\n{listing}");
+                assert!(live.1 > 0, "the tool counted nothing:\n{listing}");
+                if level == PlanLevel::Region {
+                    assert_eq!(live.2.promoted_calls, 0, "{how}");
+                    saving += u32::from(sched == Scheduler::Serial && live.2.saved_slots > 0);
+                } else {
+                    assert!(live.2.promoted_calls > 0, "nothing lowered ({how}):\n{listing}");
+                }
+            }
         }
+        cases += 1;
     });
+    assert!(2 * saving >= cases, "{saving} of {cases} kernels save a slot at Region");
 }
 
 /// With all seven predicates live across a site, the counter the top rung
@@ -382,10 +417,12 @@ fn a_site_with_every_predicate_live_keeps_the_application_intact() {
     );
     let kernel = sass::asm::assemble_arch(&text, Arch::Volta).unwrap();
     let after = vec![false; kernel.len()];
-    let (native, _) = run_sass(&kernel, None, Scheduler::Serial);
+    let (native, ..) = run_sass(&kernel, None, Scheduler::Serial);
     assert_eq!(native[4 * 9..4 * 10], 0x7cu32.to_le_bytes(), "lane 9 holds P2..P6");
-    let full = run_sass(&kernel, Some((after.clone(), SavePolicy::FullTier)), Scheduler::Serial);
-    let live = run_sass(&kernel, Some((after, SavePolicy::Liveness)), Scheduler::Serial);
+    let level = PlanOpts::default().level;
+    let full =
+        run_sass(&kernel, Some((after.clone(), SavePolicy::FullTier, level)), Scheduler::Serial);
+    let live = run_sass(&kernel, Some((after, SavePolicy::Liveness, level)), Scheduler::Serial);
     assert_eq!((&full.0, &live.0), (&native, &native));
     assert_eq!(live.1, full.1);
 }
