@@ -18,6 +18,8 @@
 //! 4. jumps back to the next original instruction.
 
 use crate::hal::Hal;
+use crate::instr::Instr;
+use crate::lift::Lifted;
 use crate::plan::{InstrumentationPlan, Lowering, PlanStats, PlannedCall, Promotion};
 use crate::saverestore::{frame_bytes, tier_for, Routines};
 use crate::spec::{abi_slots, arg_window, Arg, IPoint};
@@ -27,7 +29,6 @@ use ptx::regalloc::{FIRST_CALLEE, FIRST_CALLER, NVBIT_FRAME, SCRATCH_HI};
 use sass::op::{CfClass, CmpOp, IType, SubOp};
 use sass::{Instruction, LiveSet, Mods, Op, Operand, Reg};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Size ceiling (in instructions) under which a tool body is spliceable,
 /// the precondition of effect lowering.
@@ -37,9 +38,49 @@ pub const INLINE_MAX_INSTRS: usize = 24;
 /// body's registers, so the cap only has to bound pathological bodies.
 pub const INLINE_MAX_REGS: u32 = 24;
 
-/// The loaded tool functions by name. An injection and every call planned
-/// from it share the name with this table's key.
-pub type ToolFns = HashMap<Arc<str>, ToolFn>;
+/// A loaded tool function's index in [`ToolFns`]: dense, in first-load
+/// order and kept by a reload under the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ToolId(pub usize);
+
+/// The loaded tool functions by [`ToolId`], and their names, which only the
+/// name-taking entry points (`insert_call`, `load_tool_functions`,
+/// `tool_functions`) read.
+#[derive(Debug, Clone, Default)]
+pub struct ToolFns {
+    /// Every loaded function, by id.
+    pub(crate) fns: Vec<ToolFn>,
+    /// The name each function is loaded under, by id.
+    pub(crate) names: Vec<String>,
+}
+
+impl ToolFns {
+    /// The id of the function loaded under `name`, by a scan: a tool loads a
+    /// handful, and comparing their names costs less than hashing one.
+    pub fn id(&self, name: &str) -> Option<ToolId> {
+        self.names.iter().position(|n| n == name).map(ToolId)
+    }
+
+    /// Loads `f` under `name` and returns its id; a reload under a loaded
+    /// name replaces the function and keeps the id.
+    pub fn insert(&mut self, name: &str, f: ToolFn) -> ToolId {
+        let Some(id) = self.id(name) else {
+            self.names.push(name.to_string());
+            self.fns.push(f);
+            return ToolId(self.fns.len() - 1);
+        };
+        self.fns[id.0] = f;
+        id
+    }
+}
+
+impl std::ops::Index<ToolId> for ToolFns {
+    type Output = ToolFn;
+
+    fn index(&self, id: ToolId) -> &ToolFn {
+        &self.fns[id.0]
+    }
+}
 
 /// A tool device function loaded by the Tool Functions Loader.
 #[derive(Debug, Clone)]
@@ -55,16 +96,6 @@ pub struct ToolFn {
     /// time, so sites injecting them always get the conservative
     /// whole-function tier regardless of liveness.
     pub uses_reg_api: bool,
-    /// The function's instruction body as loaded, retained for effect
-    /// classification.
-    pub body: Arc<[Instruction]>,
-    /// Set when the body is spliceable: small, call-free, no stack-pointer
-    /// writes, no register device API, a single unguarded trailing `RET`, and a
-    /// control-flow shape [`sass::pressure::body_shape`] accepts
-    /// (straight-line or a single guarded diamond). This is the
-    /// precondition of effect lowering: only such a body is classified by
-    /// its [`effect`](ToolFn::effect).
-    pub inlinable: bool,
     /// One past the highest general-purpose register an *out-of-line call*
     /// to [`addr`](ToolFn::addr) can leave clobbered. The callable copy is
     /// compiled under the standard ABI, whose epilogue restores every
@@ -73,7 +104,8 @@ pub struct ToolFn {
     /// `None` when unknown (a body with calls); the clobber then falls back
     /// to `reg_count`.
     pub call_ceiling: Option<u8>,
-    /// Set when the body is spliceable and has one effect it can be lowered to.
+    /// Set when the body is spliceable (`classify_body`) and has one
+    /// effect it can be lowered to.
     pub effect: Option<Effect>,
 }
 
@@ -212,7 +244,7 @@ impl ToolFn {
         body: Vec<Instruction>,
         arch: sass::Arch,
     ) -> ToolFn {
-        let inlinable = classify_body(&body, reg_count, uses_reg_api, arch);
+        let spliceable = classify_body(&body, reg_count, uses_reg_api, arch);
         // The installed epilogue restores every callee-saved register.
         let call_ceiling =
             (!body.iter().any(calls)).then(|| write_ceiling_of(&body).min(FIRST_CALLEE));
@@ -222,17 +254,15 @@ impl ToolFn {
             stack_size,
             uses_reg_api,
             call_ceiling,
-            effect: inlinable.then(|| effect_of(&body, arch)).flatten(),
-            body: body.into(),
-            inlinable,
+            effect: spliceable.then(|| effect_of(&body, arch)).flatten(),
         }
     }
 }
 
-/// Whether a loaded tool body is spliceable ([`ToolFn::inlinable`]): a
-/// control-flow shape [`sass::pressure::body_shape`] accepts (straight leaf
-/// or guarded diamond), within the size and register caps.
-fn classify_body(
+/// Whether a loaded tool body is spliceable, the precondition of effect
+/// lowering: a control-flow shape [`sass::pressure::body_shape`] accepts
+/// (straight leaf or guarded diamond), within the size and register caps.
+pub(crate) fn classify_body(
     body: &[Instruction],
     reg_count: u32,
     uses_reg_api: bool,
@@ -377,7 +407,7 @@ fn live_at(df: &sass::Dataflow, idx: usize, ipoint: IPoint) -> &LiveSet {
 struct Emit<'a> {
     hal: &'a Hal,
     info: &'a FunctionInfo,
-    original: &'a [Instruction],
+    original: &'a [Instr],
     removed: &'a HashSet<usize>,
     tool_fns: &'a ToolFns,
     routines: &'a HashMap<u16, Routines>,
@@ -408,11 +438,10 @@ struct Emit<'a> {
 pub(crate) fn prepare(
     hal: &Hal,
     info: &FunctionInfo,
-    original: &[Instruction],
+    original: &Lifted,
     plan: &InstrumentationPlan,
     tool_fns: &ToolFns,
     routines: &HashMap<u16, Routines>,
-    analysis: &std::result::Result<sass::Analysis, sass::CfgFailure>,
     policy: SavePolicy,
 ) -> Result<Prepared> {
     let isize = hal.instruction_size();
@@ -426,7 +455,7 @@ pub(crate) fn prepare(
     let mut tool_stack_max: u32 = 0;
     for calls in plan.sites.values() {
         for call in calls {
-            let tf = &tool_fns[&call.func];
+            let tf = &tool_fns[call.func];
             whole = whole.max(tf.reg_count);
             tool_stack_max = tool_stack_max.max(tf.stack_size);
             for arg in &call.args {
@@ -438,7 +467,7 @@ pub(crate) fn prepare(
 
     // The analysis whose liveness sizes the tiers — solved only once an
     // out-of-line call asks — or why the whole-function tier applies.
-    let (analysis, fallback) = match (policy, analysis) {
+    let (analysis, fallback) = match (policy, &original.analysis) {
         (SavePolicy::FullTier, _) => (None, Some("full-tier save policy requested".into())),
         (SavePolicy::Liveness, Err(reason)) => (None, Some(reason.to_string())),
         (SavePolicy::Liveness, Ok(a)) => (Some(a), None),
@@ -447,7 +476,7 @@ pub(crate) fn prepare(
     let cx = Emit {
         hal,
         info,
-        original,
+        original: &original.instrs,
         removed: &plan.removed,
         tool_fns,
         routines,
@@ -467,7 +496,7 @@ pub(crate) fn prepare(
         let mut ladder_calls = 0u64;
         for call in planned.iter().filter(|c| c.lowering == Lowering::Call) {
             ladder_calls += 1;
-            let tf = &tool_fns[&call.func];
+            let tf = &tool_fns[call.func];
             let need = match analysis {
                 // Register-device-API tools index save-area slots computed
                 // at run time; only the whole-function tier is safe for them.
@@ -475,7 +504,7 @@ pub(crate) fn prepare(
                     // Save what is live at the injection point below the
                     // call's clobber window, and what an argument reads back.
                     let ceiling = u8::try_from(clobber(call, tf)).unwrap_or(u8::MAX);
-                    let df = a.liveness(original);
+                    let df = a.liveness(&original.instrs);
                     let live = live_at(df, idx, call.ipoint).gprs.max_below(ceiling);
                     let demand = call.args.iter().map(arg_demand).max().unwrap_or(0);
                     let demand = demand.max(live.map_or(0, |r| u32::from(r) + 1));
@@ -588,7 +617,8 @@ fn emit_site(
     // each `EXIT`, under the `EXIT`'s guard.
     out.extend(cx.promotion.prologue(idx));
     emit_calls(IPoint::Before, out)?;
-    let mut orig = if cx.removed.contains(&idx) { Instruction::nop() } else { cx.original[idx] };
+    let mut orig =
+        if cx.removed.contains(&idx) { Instruction::nop() } else { *cx.original[idx].raw() };
     out.extend(cx.promotion.epilogue(&orig));
 
     // The relocated original instruction (Figure 4, step 5) — a NOP when
@@ -642,9 +672,9 @@ fn emit_call(
     //    after the tier's registers.
     out.push(Instruction::new(Op::Jcal, [Operand::Abs(routine.save_addr)]));
     out.push(op2(Op::Mov, NVBIT_FRAME, Operand::Reg(Reg::SP)));
-    emit_args(call, cx.original[idx].guard, tier, frame_bytes(tier, cx.hal), out)?;
+    emit_args(call, cx.original[idx].raw().guard, tier, frame_bytes(tier, cx.hal), out)?;
     // 4. Call the tool function; 5. restore the thread state.
-    out.push(Instruction::new(Op::Jcal, [Operand::Abs(cx.tool_fns[&call.func].addr)]));
+    out.push(Instruction::new(Op::Jcal, [Operand::Abs(cx.tool_fns[call.func].addr)]));
     out.push(Instruction::new(Op::Jcal, [Operand::Abs(routine.restore_addr)]));
     Ok(None)
 }
@@ -686,7 +716,7 @@ fn emit_args(
     for (slot, arg) in abi_slots(&call.args) {
         if slot as u32 + arg.slots() as u32 > u32::from(FIRST_CALLEE) {
             return Err(NvbitError::BadRequest(format!(
-                "arguments of `{}` exceed the ABI register window (R{FIRST_CALLER}..R{})",
+                "arguments of {:?} exceed the ABI register window (R{FIRST_CALLER}..R{})",
                 call.func,
                 FIRST_CALLEE - 1
             )));
@@ -738,6 +768,7 @@ pub(crate) fn calling(addr: u64, reg_count: u32, stack_size: u32, uses_reg_api: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lift::lifted;
     use crate::plan::{self, PlanLevel, PlanOpts, NO_ANALYSIS};
     use crate::saverestore::TIERS;
     use crate::spec::FuncSpec;
@@ -758,7 +789,8 @@ mod tests {
         policy: SavePolicy,
         mut alloc: impl FnMut(u64) -> Result<u64>,
     ) -> Result<InstrumentedImage> {
-        let prepared = prepare(hal, info, original, plan, tool_fns, routines, analysis, policy)?;
+        let lifted = lifted(original, analysis.clone());
+        let prepared = prepare(hal, info, &lifted, plan, tool_fns, routines, policy)?;
         let tramp_addr = alloc(prepared.tramp_bytes)?;
         prepared.finish(hal, &hal.assemble(original)?, tramp_addr)
     }
@@ -767,7 +799,7 @@ mod tests {
     /// (The architecture only matters to the planner's effect lowering,
     /// which needs the analysis `NO_ANALYSIS` withholds.)
     fn plan_of(spec: &FuncSpec, body: &[Instruction], fns: &ToolFns) -> InstrumentationPlan {
-        plan::build(spec, body, Arch::Volta, &NO_ANALYSIS, fns, PlanOpts::naive()).unwrap()
+        plan::build(spec, &lifted(body, NO_ANALYSIS), Arch::Volta, fns, PlanOpts::naive()).unwrap()
     }
 
     fn fake_info(addr: u64, reg_count: u32) -> FunctionInfo {
@@ -814,11 +846,11 @@ mod tests {
         tool_fns: &ToolFns,
         idx: usize,
     ) -> (Vec<Instruction>, usize, Vec<CodeSpan>) {
-        let routines = fake_routines();
+        let (routines, original) = (fake_routines(), lifted(original, NO_ANALYSIS));
         let cx = Emit {
             hal,
             info,
-            original,
+            original: &original.instrs,
             removed: &plan.removed,
             tool_fns,
             routines: &routines,
@@ -836,10 +868,33 @@ mod tests {
         (hal, info, instrs)
     }
 
+    impl<const N: usize> From<[(&str, ToolFn); N]> for ToolFns {
+        /// The table with each function loaded in turn: ids `0..N`.
+        fn from(fns: [(&str, ToolFn); N]) -> ToolFns {
+            let mut table = ToolFns::default();
+            fns.into_iter().for_each(|(name, f)| _ = table.insert(name, f));
+            table
+        }
+    }
+
+    /// The first function a table loads: `ifunc` of [`tool_fns`], the
+    /// leaf of [`leaf_fns`], the one function of [`tool`].
+    const FIRST: ToolId = ToolId(0);
+
     fn tool_fns() -> ToolFns {
-        let mut m = HashMap::new();
-        m.insert("ifunc".into(), calling(0x8000, 8, 16, false));
-        m
+        ToolFns::from([("ifunc", calling(0x8000, 8, 16, false))])
+    }
+
+    #[test]
+    fn a_reload_under_a_loaded_name_keeps_its_id() {
+        let mut fns = tool_fns();
+        assert_eq!(fns.insert("other", calling(0x9000, 8, 0, false)), ToolId(1));
+        assert_eq!(fns.insert("ifunc", calling(0xa000, 12, 0, false)), FIRST);
+        assert_eq!(fns.names, ["ifunc", "other"]);
+        assert_eq!(
+            (fns[FIRST].addr, fns[FIRST].reg_count, fns[ToolId(1)].addr),
+            (0xa000, 12, 0x9000)
+        );
     }
 
     #[test]
@@ -853,7 +908,7 @@ mod tests {
                  EXIT ;",
             );
             let mut spec = FuncSpec::default();
-            spec.insert_call(2, "ifunc", IPoint::Before);
+            spec.insert_call(2, FIRST, IPoint::Before);
             spec.add_arg(2, Arg::GuardPred);
             spec.add_arg(2, Arg::Imm64(0xdead_beef_1234));
 
@@ -921,7 +976,7 @@ mod tests {
              EXIT ;",
         );
         let mut spec = FuncSpec::default();
-        spec.insert_call(1, "ifunc", IPoint::Before);
+        spec.insert_call(1, FIRST, IPoint::Before);
         let img = generate(
             &hal,
             &info,
@@ -975,7 +1030,7 @@ mod tests {
         let (hal, info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let args = [Arg::GuardPred, Arg::Imm64(0xdead_beef_1234)];
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         for arg in &args {
             spec.add_arg(0, *arg);
         }
@@ -1011,7 +1066,7 @@ mod tests {
              EXIT ;",
         );
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         spec.remove_orig(0);
         let plan = plan_of(&spec, &instrs, &tool_fns());
         let (out, orig_pos, _) = ladder_site(&hal, &info, &instrs, &plan, &tool_fns(), 0);
@@ -1045,8 +1100,8 @@ mod tests {
     fn before_and_after_injections_bracket_the_original() {
         let (hal, info, instrs) = setup(Arch::Maxwell, "IADD R4, R4, 0x1 ;\nEXIT ;");
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::After);
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::After);
+        spec.insert_call(0, FIRST, IPoint::Before);
         let plan = plan_of(&spec, &instrs, &tool_fns());
         let (out, orig_pos, metas) = ladder_site(&hal, &info, &instrs, &plan, &tool_fns(), 0);
         assert_eq!(metas.len(), 2);
@@ -1064,9 +1119,14 @@ mod tests {
         // Validation moved into the planner, which codegen consumes.
         let (_hal, _info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "missing", IPoint::Before);
-        let e =
-            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &tool_fns(), PlanOpts::naive());
+        spec.insert_call(0, ToolId(1), IPoint::Before);
+        let e = plan::build(
+            &spec,
+            &lifted(&instrs, NO_ANALYSIS),
+            Arch::Volta,
+            &tool_fns(),
+            PlanOpts::naive(),
+        );
         assert!(matches!(e, Err(NvbitError::UnknownToolFunction(_))));
     }
 
@@ -1074,9 +1134,14 @@ mod tests {
     fn out_of_range_site_is_rejected() {
         let (_hal, _info, instrs) = setup(Arch::Volta, "EXIT ;");
         let mut spec = FuncSpec::default();
-        spec.insert_call(5, "ifunc", IPoint::Before);
-        let e =
-            plan::build(&spec, &instrs, Arch::Volta, &NO_ANALYSIS, &tool_fns(), PlanOpts::naive());
+        spec.insert_call(5, FIRST, IPoint::Before);
+        let e = plan::build(
+            &spec,
+            &lifted(&instrs, NO_ANALYSIS),
+            Arch::Volta,
+            &tool_fns(),
+            PlanOpts::naive(),
+        );
         assert!(matches!(e, Err(NvbitError::BadInstrIndex { .. })));
     }
 
@@ -1085,7 +1150,7 @@ mod tests {
         let (hal, mut info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         info.reg_count = 40; // forces tier 64
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         spec.add_arg(0, Arg::RegVal(70)); // forces tier 128
         let img = generate(
             &hal,
@@ -1119,7 +1184,7 @@ mod tests {
         info.reg_count = 40; // whole-function demand => tier 64
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(1, "ifunc", IPoint::Before);
+        spec.insert_call(1, FIRST, IPoint::Before);
         let img = generate(
             &hal,
             &info,
@@ -1162,7 +1227,7 @@ mod tests {
         info.reg_count = 201; // whole-function demand => tier 255
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         spec.add_arg(0, Arg::GuardPred);
         let img = generate(
             &hal,
@@ -1183,7 +1248,7 @@ mod tests {
         // Reading the saved R200 back as an argument *does* demand its
         // save slot, clobber window or not.
         let mut spec2 = FuncSpec::default();
-        spec2.insert_call(0, "ifunc", IPoint::Before);
+        spec2.insert_call(0, FIRST, IPoint::Before);
         spec2.add_arg(0, Arg::RegVal(200));
         let img2 = generate(
             &hal,
@@ -1206,7 +1271,7 @@ mod tests {
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         let img = generate(
             &hal,
             &info,
@@ -1230,9 +1295,9 @@ mod tests {
         info.reg_count = 40;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut fns = tool_fns();
-        fns.insert("regapi".into(), calling(0x8800, 8, 0, true));
+        let regapi = fns.insert("regapi", calling(0x8800, 8, 0, true));
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "regapi", IPoint::Before);
+        spec.insert_call(0, regapi, IPoint::Before);
         let img = generate(
             &hal,
             &info,
@@ -1257,7 +1322,7 @@ mod tests {
         let (hal, info, instrs) = setup(Arch::Volta, "IADD R5, R4, 0x1 ;\nEXIT ;");
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         spec.add_arg(0, Arg::RegVal(70)); // reading saved R70 needs its slot
         let img = generate(
             &hal,
@@ -1284,8 +1349,8 @@ mod tests {
         );
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
-        spec.insert_call(1, "ifunc", IPoint::After);
+        spec.insert_call(0, FIRST, IPoint::Before);
+        spec.insert_call(1, FIRST, IPoint::After);
         let img = generate(
             &hal,
             &info,
@@ -1312,7 +1377,7 @@ mod tests {
     fn too_many_arguments_error() {
         let (hal, info, instrs) = setup(Arch::Volta, "NOP ;\nEXIT ;");
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "ifunc", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         for _ in 0..7 {
             spec.add_arg(0, Arg::Imm64(1)); // 14 slots > 12 available
         }
@@ -1331,12 +1396,15 @@ mod tests {
     }
 
     /// A leaf tool body: bump the first argument register and return.
-    fn leaf_fns(hal: &Hal, reg_count: u32) -> ToolFns {
+    fn leaf_fn(hal: &Hal, reg_count: u32) -> ToolFn {
         let code = hal.assemble_text("IADD R4, R4, 0x1 ;\nRET ;").unwrap();
         let body = hal.disassemble(&code).unwrap();
-        let mut m = HashMap::new();
-        m.insert("leaf".into(), ToolFn::with_body(0x8000, reg_count, 0, false, body, hal.arch()));
-        m
+        ToolFn::with_body(0x8000, reg_count, 0, false, body, hal.arch())
+    }
+
+    /// [`leaf_fn`] loaded as `leaf`.
+    fn leaf_fns(hal: &Hal, reg_count: u32) -> ToolFns {
+        ToolFns::from([("leaf", leaf_fn(hal, reg_count))])
     }
 
     #[test]
@@ -1400,9 +1468,8 @@ mod tests {
     fn tool(hal: &Hal, name: &str, text: &str) -> ToolFns {
         let body = hal.disassemble(&hal.assemble_text(text).unwrap()).unwrap();
         let regs = body.iter().filter_map(Instruction::max_reg).max().map_or(4, |r| r as u32 + 1);
-        let tf = ToolFn::with_body(0x8000, regs, 0, false, body, hal.arch());
-        assert!(tf.inlinable, "{name} must be spliceable");
-        HashMap::from([(name.into(), tf)])
+        assert!(classify_body(&body, regs, false, hal.arch()), "{name} must be spliceable");
+        ToolFns::from([(name, ToolFn::with_body(0x8000, regs, 0, false, body, hal.arch()))])
     }
 
     /// The rung below effect lowering: every call out of line.
@@ -1420,7 +1487,7 @@ mod tests {
     ) -> (InstrumentedImage, Vec<Instruction>) {
         let (hal, info, instrs) = setup(arch, text);
         let analysis = sass::Analysis::of(&instrs, arch);
-        let plan = plan::build(spec, &instrs, arch, &analysis, fns, opts).unwrap();
+        let plan = plan::build(spec, &lifted(&instrs, analysis.clone()), arch, fns, opts).unwrap();
         let img = generate(
             &hal,
             &info,
@@ -1447,11 +1514,11 @@ mod tests {
         // queried by injection point, a Before call of a tool that clobbers
         // 40 registers saves the first tier and an After call the one
         // covering R20.
-        let fns = HashMap::from([("wide".into(), calling(0x8000, 40, 0, false))]);
+        let fns = ToolFns::from([("wide", calling(0x8000, 40, 0, false))]);
         let app = "MOV R20, R2 ;\nSTG [R6], R20 ;\nEXIT ;";
         for (ipoint, tier) in [(IPoint::Before, 16), (IPoint::After, 32)] {
             let mut spec = FuncSpec::default();
-            spec.insert_call(0, "wide", ipoint);
+            spec.insert_call(0, FIRST, ipoint);
             let (img, _) = built(Arch::Volta, REGION, app, &fns, &spec);
             assert_eq!((img.tier, img.saved_slots), (tier, u64::from(tier)), "{ipoint:?}");
         }
@@ -1475,13 +1542,12 @@ mod tests {
     ) -> Option<Vec<DiagKind>> {
         let (instrumented, tramp_code) = (hal.assemble(image).ok()?, hal.assemble(tramp).ok()?);
         let img = InstrumentedImage { instrumented, tramp_code, ..img.clone() };
-        let original = hal.disassemble(code).unwrap();
-        let analysis = sass::Analysis::of(&original, hal.arch());
-        let plan = plan::build(spec, &original, hal.arch(), &analysis, fns, opts).unwrap();
+        // Planned and verified over the lifted views, as the core does.
+        let original = crate::lift::lift(hal, &fake_info(0x4000, 12), code).unwrap();
+        let plan = plan::build(spec, &original, hal.arch(), fns, opts).unwrap();
         let routines = fake_routines();
         let req = Request { tool_fns: fns, routines: &routines };
-        let planned = (code, &original[..], analysis.as_ref().ok());
-        let diags = crate::verify::verify(hal, 0x4000, planned, &plan, &img, &req).unwrap();
+        let diags = crate::verify::verify(hal, 0x4000, &original, &plan, &img, &req).unwrap();
         Some(diags.iter().map(|d| d.kind).collect())
     }
 
@@ -1512,7 +1578,7 @@ mod tests {
             let hal = Hal::new(Arch::Volta);
             let fns = tool(&hal, "pmult", PMULT);
             let mut spec = FuncSpec::default();
-            spec.insert_call(1, "pmult", IPoint::Before);
+            spec.insert_call(1, FIRST, IPoint::Before);
             spec.add_arg(1, Arg::GuardPred);
             spec.add_arg(1, Arg::Imm64(0xdead_0000_beef));
             spec.add_arg(1, Arg::Imm32(3));
@@ -1543,7 +1609,7 @@ mod tests {
         let fns = tool(&hal, "pmult", PMULT);
         let app = "JCAL `0x6000 ;\nSTG [R2], R9 ;\nEXIT ;";
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "pmult", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         spec.add_arg(0, Arg::Imm32(1));
         spec.add_arg(0, Arg::Imm64(0xdead_0000_beef));
         spec.add_arg(0, Arg::Imm32(1));
@@ -1598,7 +1664,7 @@ mod tests {
             let fns = tool(&hal, "pair", "IADD R8, R4, R6 ;\nRET ;");
             let app = "IADD R10, R4, R5 ;\nSTG [R6], R8 ;\nSTG [R2], R10 ;\nEXIT ;";
             let mut spec = FuncSpec::default();
-            spec.insert_call(1, "pair", IPoint::Before);
+            spec.insert_call(1, FIRST, IPoint::Before);
             spec.add_arg(1, Arg::RegVal(2));
             spec.add_arg(1, Arg::RegVal64(6));
             spec.add_arg(1, Arg::RegVal(1));
@@ -1631,7 +1697,7 @@ mod tests {
                 (0..7).map(|p| format!("@P{p} STG [R2], R{} ;\n", 6 + p)).collect();
             let app = format!("MOV R6, R2 ;\n{guarded}EXIT ;");
             let mut spec = FuncSpec::default();
-            spec.insert_call(0, "setp", IPoint::Before);
+            spec.insert_call(0, FIRST, IPoint::Before);
             spec.add_arg(0, Arg::Imm32(0));
             let opts = PlanOpts::default();
             let (img, tramp) = built(arch, opts, &app, &fns, &spec);
@@ -1667,7 +1733,7 @@ mod tests {
             let (_, _, original) = setup(arch, app);
             let mut spec = FuncSpec::default();
             for (idx, ins) in original.iter().enumerate() {
-                spec.insert_call(idx, "pmult", IPoint::Before);
+                spec.insert_call(idx, FIRST, IPoint::Before);
                 let pred = if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred };
                 spec.add_arg(idx, pred);
                 spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
@@ -1698,15 +1764,14 @@ mod tests {
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
         for idx in 0..instrs.len() {
-            spec.insert_call(idx, "ifunc", IPoint::Before);
+            spec.insert_call(idx, FIRST, IPoint::Before);
             spec.add_arg(idx, Arg::Imm64(0xbeef));
             spec.set_coalesce(idx);
         }
         let plan = plan::build(
             &spec,
-            &instrs,
+            &lifted(&instrs, analysis.clone()),
             Arch::Volta,
-            &analysis,
             &tool_fns(),
             PlanOpts { level: PlanLevel::Block },
         )
@@ -1757,7 +1822,7 @@ mod tests {
         info.reg_count = 91;
         let analysis = sass::Analysis::of(&instrs, Arch::Volta);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "leaf", IPoint::Before);
+        spec.insert_call(0, FIRST, IPoint::Before);
         let run = |fns: &ToolFns| {
             let plan = plan_of(&spec, &instrs, fns);
             generate(
@@ -1775,8 +1840,7 @@ mod tests {
         };
         let with_body = run(&leaf_fns(&hal, 100));
         assert_eq!(with_body.sites[0].tier, 16);
-        let mut called = HashMap::new();
-        called.insert("leaf".into(), calling(0x8000, 100, 0, false));
+        let called = ToolFns::from([("leaf", calling(0x8000, 100, 0, false))]);
         let without = run(&called);
         assert_eq!(without.sites[0].tier, 128, "R90 inside the 100-register clobber window");
     }
@@ -1847,16 +1911,16 @@ mod tests {
         let app = "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 LDG R8, [R6-0x40] ;\nIADD R8, R8, 0x1 ;\n\
                    STG [R6], R8 ;\nEXIT ;";
         let mut fns = tool(&hal, "trace", TRACE);
-        fns.extend(leaf_fns(&hal, 8));
+        let leaf = fns.insert("leaf", leaf_fn(&hal, 8));
         let (_, _, original) = setup(arch, app);
         let mut spec = FuncSpec::default();
         for (idx, off) in [(1, -0x40), (3, 0)] {
-            spec.insert_call(idx, "trace", IPoint::Before);
+            spec.insert_call(idx, FIRST, IPoint::Before);
             spec.add_arg(idx, Arg::GuardPred);
             spec.add_arg(idx, Arg::RegVal64(6));
             spec.add_arg(idx, Arg::Imm32(off));
         }
-        spec.insert_call(2, "leaf", IPoint::Before);
+        spec.insert_call(2, leaf, IPoint::Before);
         let opts = PlanOpts::default();
         let (img, tramp) = built(arch, opts, app, &fns, &spec);
         let (code, image) = (hal.assemble(&original).unwrap(), hal.disassemble(&img.instrumented));
@@ -1944,22 +2008,22 @@ mod tests {
     }
 
     /// [`promoted_image`], its leaf call at instruction 2 only if `leaf`.
-    fn counted_image(arch: Arch, leaf: bool) -> Pristine {
+    fn counted_image(arch: Arch, with_leaf: bool) -> Pristine {
         let hal = Hal::new(arch);
         let app =
             "ISETP.GE.S32 P0, R2, 0x10 ;\n@P0 EXIT ;\nIADD R8, R8, 0x1 ;\nSTG [R6], R8 ;\nEXIT ;";
         let mut fns = tool(&hal, "pmult", PMULT);
-        fns.extend(leaf_fns(&hal, 8));
+        let leaf = fns.insert("leaf", leaf_fn(&hal, 8));
         let (_, _, original) = setup(arch, app);
         let mut spec = FuncSpec::default();
         for (idx, ins) in original.iter().enumerate() {
-            spec.insert_call(idx, "pmult", IPoint::Before);
+            spec.insert_call(idx, FIRST, IPoint::Before);
             spec.add_arg(idx, if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred });
             spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
             spec.set_coalesce(idx);
         }
-        if leaf {
-            spec.insert_call(2, "leaf", IPoint::Before);
+        if with_leaf {
+            spec.insert_call(2, leaf, IPoint::Before);
         }
         let opts = PlanOpts::default();
         let (img, tramp) = built(arch, opts, app, &fns, &spec);
@@ -2130,13 +2194,14 @@ mod tests {
         let analysis = sass::Analysis::of(&instrs, hal.arch());
         let mut spec = FuncSpec::default();
         for (idx, ins) in instrs.iter().enumerate() {
-            spec.insert_call(idx, "pmult", IPoint::Before);
+            spec.insert_call(idx, FIRST, IPoint::Before);
             let pred = if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred };
             spec.add_arg(idx, pred);
             spec.add_arg(idx, Arg::Imm64(0xdead_0000_beef));
             spec.set_coalesce(idx);
         }
-        let plan = plan::build(&spec, &instrs, hal.arch(), &analysis, fns, opts).unwrap();
+        let plan =
+            plan::build(&spec, &lifted(&instrs, analysis.clone()), hal.arch(), fns, opts).unwrap();
         let routines = fake_routines();
         let img = generate(
             hal,
@@ -2170,7 +2235,7 @@ mod tests {
     /// call.
     fn pristine_images(hal: &Hal) -> Vec<Pristine> {
         let spliceable = tool(hal, "pmult", PMULT);
-        let calls = HashMap::from([("pmult".into(), calling(0x8000, 10, 0, false))]);
+        let calls = ToolFns::from([("pmult", calling(0x8000, 10, 0, false))]);
         let levels = [PlanLevel::Naive, PlanLevel::Block, PlanLevel::Region];
         let each = |app| [&spliceable, &calls].map(|fns| levels.map(|level| (app, fns, level)));
         let all = PIN_APPS.into_iter().flat_map(each).flatten();

@@ -229,21 +229,20 @@ impl CoreState {
     }
 
     /// The pre-swap verifier's findings on `image` of `func`, checked
-    /// against `plan`, the plan it was built from over `original` (the
-    /// decode of `lifted`), with the tool functions and routines as loaded.
+    /// against `plan`, the plan it was built from over `lifted`, with the
+    /// tool functions and routines as loaded.
     fn verify(
         &self,
         drv: &Driver,
         func: CuFunction,
-        (lifted, original, plan): (&Lifted, &[sass::Instruction], &InstrumentationPlan),
+        (lifted, plan): (&Lifted, &InstrumentationPlan),
         image: &InstrumentedImage,
     ) -> Result<Vec<Diagnostic>> {
         let _span = common::obs::span("verify");
         let addr = drv.with_function_info(func, |info| info.addr)?;
         let (tool_fns, routines) = (self.tool_fns.borrow(), self.routines.borrow());
         let req = Request { tool_fns: &tool_fns, routines: &routines };
-        let planned = (&lifted.code[..], original, lifted.analysis.as_ref().ok());
-        verify::verify(&hal_of(drv), addr, planned, plan, image, &req)
+        verify::verify(&hal_of(drv), addr, lifted, plan, image, &req)
     }
 
     /// Loads the embedded save/restore routines on first use (Tool
@@ -316,14 +315,12 @@ impl CoreState {
         // The code at the function's address may be an instrumented version;
         // every image is built from the original the entry read first.
         let lifted = entry.lifted(drv, func)?;
-        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
         let tool_fns = self.tool_fns.borrow();
         // Lower the spec into the plan IR, running the coalescing and
         // inlining passes the options select.
         let plan = {
             let _pspan = common::obs::span("plan");
-            let plan =
-                plan::build(&entry.spec, &original, hal.arch(), &lifted.analysis, &tool_fns, opts)?;
+            let plan = plan::build(&entry.spec, &lifted, hal.arch(), &tool_fns, opts)?;
             // Why static CFG recovery fell back, counted here and not in the
             // planner, which `verify_instrumented` runs again.
             match &lifted.analysis {
@@ -352,9 +349,8 @@ impl CoreState {
         // emission error has allocated nothing.
         let prepared = {
             let _cspan = common::obs::span("codegen");
-            let analysis = &lifted.analysis;
             drv.with_function_info(func, |info| {
-                prepare(&hal, info, &original, &plan, &tool_fns, &routines, analysis, policy)
+                prepare(&hal, info, &lifted, &plan, &tool_fns, &routines, policy)
             })??
         };
         let fspan = common::obs::span("finish");
@@ -366,7 +362,7 @@ impl CoreState {
         let placed = (|| -> Result<InstrumentedImage> {
             let image = prepared.finish(&hal, &lifted.code, tramp_addr)?;
             drop(fspan);
-            let diags = self.verify(drv, func, (&lifted, &original, &plan), &image)?;
+            let diags = self.verify(drv, func, (&lifted, &plan), &image)?;
             if !diags.is_empty() {
                 common::obs::counter("instr_image.verify_reject", 1);
                 return Err(NvbitError::VerifyFailed(diags));
@@ -657,14 +653,12 @@ impl<'a> NvbitApi<'a> {
             })?;
             let (regs, stack, arch) = (f.reg_count, f.stack_size, hal.arch());
             let tool_fn = ToolFn::with_body(addr, regs, stack, f.uses_reg_api, body, arch);
-            // A reload under a loaded name replaces the function, and every
-            // image that calls it is stale; the code at its old address stays
-            // where it is.
-            let name: Arc<str> = f.name.as_str().into();
-            if self.state.tool_fns.borrow_mut().insert(name.clone(), tool_fn).is_some() {
-                for entry in &mut self.state.funcs.borrow_mut().0 {
-                    entry.spec.dirty |= entry.spec.injections().iter().any(|c| c.func == name);
-                }
+            // A reload under a loaded name replaces the function and keeps its
+            // id, and every image that calls it is stale (a new id no request
+            // holds); the code at its old address stays where it is.
+            let id = self.state.tool_fns.borrow_mut().insert(&f.name, tool_fn);
+            for entry in &mut self.state.funcs.borrow_mut().0 {
+                entry.spec.dirty |= entry.spec.injections().iter().any(|c| c.func == id);
             }
         }
         Ok(())
@@ -672,8 +666,7 @@ impl<'a> NvbitApi<'a> {
 
     /// The names of the loaded tool functions, sorted.
     pub fn tool_functions(&self) -> Vec<String> {
-        let mut v: Vec<String> =
-            self.state.tool_fns.borrow().keys().map(|name| name.to_string()).collect();
+        let mut v = self.state.tool_fns.borrow().names.clone();
         v.sort();
         v
     }
@@ -730,8 +723,7 @@ impl<'a> NvbitApi<'a> {
             return Err(NvbitError::BadInstrIndex { index: idx, len: lifted.instrs.len() });
         }
         let Ok(analysis) = &lifted.analysis else { return Ok(None) };
-        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
-        Ok(Some(analysis.liveness(&original).live_regs(idx)))
+        Ok(Some(analysis.liveness(&lifted.instrs).live_regs(idx)))
     }
 
     /// Every function `func` can reach through calls, itself excluded, by
@@ -786,11 +778,10 @@ impl<'a> NvbitApi<'a> {
         fname: &str,
         ipoint: IPoint,
     ) -> Result<()> {
-        let tool_fns = self.state.tool_fns.borrow();
-        let Some((name, _)) = tool_fns.get_key_value(fname) else {
+        let Some(id) = self.state.tool_fns.borrow().id(fname) else {
             return Err(NvbitError::UnknownToolFunction(fname.to_string()));
         };
-        self.state.funcs.borrow_mut().entry(func).spec.insert_call(idx, name.clone(), ipoint);
+        self.state.funcs.borrow_mut().entry(func).spec.insert_call(idx, id, ipoint);
         Ok(())
     }
 
@@ -978,10 +969,9 @@ impl<'a> NvbitApi<'a> {
         let (Some(lifted), Some((image, _, opts))) = (&entry.lifted, &entry.image) else {
             return Ok(Vec::new());
         };
-        let original: Vec<sass::Instruction> = lifted.instrs.iter().map(|i| *i.raw()).collect();
         let (tool_fns, arch) = (self.state.tool_fns.borrow(), self.drv.arch());
-        let plan = plan::build(&entry.spec, &original, arch, &lifted.analysis, &tool_fns, *opts)?;
-        self.state.verify(self.drv, func, (lifted, &original, &plan), image)
+        let plan = plan::build(&entry.spec, lifted, arch, &tool_fns, *opts)?;
+        self.state.verify(self.drv, func, (lifted, &plan), image)
     }
 
     /// Register-save accounting for the instrumented image of `func`

@@ -2,10 +2,11 @@
 //! `Instr` class (Listing 4).
 
 use sass::{Instruction, MemSpace, Op, Operand};
+use std::sync::Arc;
 
 /// A lifted instruction: one-to-one with a SASS instruction of the
-/// inspected function, in program order. A view owns nothing but its
-/// line-table entry, when the binary has one.
+/// inspected function, in program order. Views of one entry of the line
+/// table share its file name.
 #[derive(Debug, Clone)]
 pub struct Instr {
     /// Index within the function body (what `insert_call` addresses).
@@ -15,7 +16,7 @@ pub struct Instr {
     pub offset: u64,
     /// Source-correlation info, when the binary carries it
     /// (`Instr::getLineInfo`).
-    pub line_info: Option<(String, u32)>,
+    pub line_info: Option<(Arc<str>, u32)>,
     pub(crate) inner: Instruction,
 }
 
@@ -24,7 +25,7 @@ impl Instr {
         idx: usize,
         offset: u64,
         inner: Instruction,
-        line_info: Option<(String, u32)>,
+        line_info: Option<(Arc<str>, u32)>,
     ) -> Instr {
         Instr { idx, offset, line_info, inner }
     }
@@ -131,6 +132,13 @@ impl Instr {
     /// The control-flow class, used by tools that reason about basic blocks.
     pub fn cf_class(&self) -> sass::op::CfClass {
         self.inner.op.cf_class()
+    }
+}
+
+/// Plan, codegen and the verifier read the lifted views as the body.
+impl std::borrow::Borrow<Instruction> for Instr {
+    fn borrow(&self) -> &Instruction {
+        &self.inner
     }
 }
 

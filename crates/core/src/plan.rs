@@ -33,7 +33,7 @@
 //!    over the class its rung names.
 //! 3. **Effect lowering**: a call of a spliceable body (small, call-free,
 //!    stack-free, no `nvbit.readreg`/`writereg` use, a straight line or one
-//!    guarded diamond — see [`crate::codegen::ToolFn::inlinable`]) with one
+//!    guarded diamond — see `codegen::classify_body`) with one
 //!    known effect becomes that effect's code ([`crate::codegen::Effect`]):
 //!    a counter one `IADD.U64` into a register pair, zeroed at entry and
 //!    flushed at each `EXIT` (LLVM PGO's counter promotion); a push
@@ -44,15 +44,15 @@
 //! alone, *N* when it represents *N* merged sites — so the tool function's
 //! signature (and its output) is identical whether or not the passes run.
 
-use crate::codegen::{arg_demand, clobber, Effect, ToolFn};
+use crate::codegen::{arg_demand, clobber, Effect, ToolFns, ToolId};
+use crate::lift::Lifted;
 use crate::spec::{abi_slots, Arg, FuncSpec, IPoint, Injection};
 use crate::{NvbitError, Result};
 use common::InlineVec;
 use sass::cfg::block_of;
 use sass::op::{CfClass, IType, SubOp};
-use sass::{Analysis, CfgFailure, Guard, Instruction, Mods, Op, Operand, Reg, Width};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use sass::{Analysis, Guard, Instruction, Mods, Op, Operand, Reg, Width};
+use std::collections::{BTreeMap, HashSet};
 
 /// How far up the pass ladder [`build`] climbs. Each rung runs every pass
 /// of the rungs below it, so the legal configurations are exactly the
@@ -96,7 +96,7 @@ impl PlanOpts {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedCall {
     /// Tool device function to invoke.
-    pub func: Arc<str>,
+    pub func: ToolId,
     /// Before or after the original instruction.
     pub ipoint: IPoint,
     /// Finalized positional arguments. For coalesce-marked calls this
@@ -238,38 +238,37 @@ impl Request<'_> {
     }
 }
 
-/// Builds the plan: validates the spec against the function body and the
-/// loaded tool functions, then runs the passes up to `opts.level`.
+/// Builds the plan: validates the spec against the lifted `original` and
+/// the loaded tool functions, then runs the passes up to `opts.level`.
 ///
-/// `analysis` is the body's [`sass::Analysis`] as the lifter computed it:
-/// coalescing uses its block partition and region coalescing its dominator
-/// regions. When static CFG recovery failed there is nothing to merge
-/// ([`PlanStats::cfg_available`] records it).
+/// Coalescing uses the block partition of the lift's [`sass::Analysis`],
+/// region coalescing its dominator regions and effect lowering reserves
+/// registers above its [`Analysis::max_reg`]. Without a CFG nothing merges
+/// or is lowered ([`PlanStats::cfg_available`] records it).
 ///
 /// # Errors
 ///
 /// [`NvbitError::BadInstrIndex`] for sites or removals outside the body,
-/// [`NvbitError::UnknownToolFunction`] for unregistered injections.
+/// [`NvbitError::UnknownToolFunction`] for an id outside `tool_fns`.
 pub fn build(
     spec: &FuncSpec,
-    body: &[Instruction],
+    original: &Lifted,
     arch: sass::Arch,
-    analysis: &std::result::Result<Analysis, CfgFailure>,
-    tool_fns: &HashMap<Arc<str>, ToolFn>,
+    tool_fns: &ToolFns,
     opts: PlanOpts,
 ) -> Result<InstrumentationPlan> {
-    let body_len = body.len();
+    let body_len = original.instrs.len();
     // Validation — lifted here from the code generator, which now consumes
     // an already-validated plan.
     let sited = spec.injections().iter().map(|inj| inj.idx);
     if let Some(index) = sited.chain(spec.removed.iter().copied()).find(|idx| *idx >= body_len) {
         return Err(NvbitError::BadInstrIndex { index, len: body_len });
     }
-    if let Some(inj) = spec.injections().iter().find(|inj| !tool_fns.contains_key(&inj.func)) {
-        return Err(NvbitError::UnknownToolFunction(inj.func.to_string()));
+    if let Some(inj) = spec.injections().iter().find(|i| i.func.0 >= tool_fns.fns.len()) {
+        return Err(NvbitError::UnknownToolFunction(format!("{:?}", inj.func)));
     }
 
-    let analysis = analysis.as_ref().ok();
+    let analysis = original.analysis.as_ref().ok();
     let mut stats = PlanStats {
         cfg_available: analysis.is_some(),
         requested_calls: spec.injections().len() as u64,
@@ -308,7 +307,7 @@ pub fn build(
         args.extend(r.inj.coalesce.then_some(Arg::Imm32(r.sites)));
         stats.emitted_calls += 1;
         sites.entry(r.inj.idx).or_default().push(PlannedCall {
-            func: r.inj.func.clone(),
+            func: r.inj.func,
             ipoint: r.inj.ipoint,
             args,
             lowering: Lowering::Call,
@@ -318,7 +317,7 @@ pub fn build(
 
     // Pass 3, effect lowering: only with a CFG, which rules out `BRX`.
     let promotion = match analysis.filter(|_| opts.level >= PlanLevel::Promoted) {
-        Some(_) => promote(&mut sites, body, arch, tool_fns, &spec.removed),
+        Some(a) => promote(&mut sites, (original, a), arch, tool_fns, &spec.removed),
         None => Promotion::default(),
     };
     if opts.level >= PlanLevel::Promoted {
@@ -339,41 +338,43 @@ pub fn build(
 /// a push's base a `RegVal64` and offset an `Imm32`, both in [`IADD_IMM`] —
 /// unless the function leaves by anything but `EXIT` (a call, `RET`, trap or
 /// jump), branches to instruction 0 or calls the register device API. The
-/// scratch pair and the counters' pairs go above every register the original
-/// names, every call's clobber window and the ABI window, where no call
-/// reaches them; past `R253` the remaining counters stay calls. With a counter, instruction 0 and every kept `EXIT` are sites.
+/// scratch pair and the counters' pairs go above [`Analysis::max_reg`], the
+/// highest register the original names, every call's clobber window and the
+/// ABI window, where no call reaches them; past `R253` the remaining
+/// counters stay calls. With a counter, instruction 0 and every kept `EXIT`
+/// are sites.
 fn promote(
     sites: &mut BTreeMap<usize, Vec<PlannedCall>>,
-    body: &[Instruction],
+    (original, analysis): (&Lifted, &Analysis),
     arch: sass::Arch,
-    tool_fns: &HashMap<Arc<str>, ToolFn>,
+    tool_fns: &ToolFns,
     removed: &HashSet<usize>,
 ) -> Promotion {
     use CfClass::{AbsCall, AbsJump, RelCall, Ret, Trap};
-    let isize = arch.instruction_size() as i64;
-    let leaves = body.iter().enumerate().any(|(i, ins)| {
+    let (isize, body) = (arch.instruction_size() as i64, &original.instrs);
+    let leaves = body.iter().any(|ins| {
         matches!(ins.cf_class(), RelCall | AbsCall | AbsJump | Ret | Trap)
-            || ins.rel_target().is_some_and(|off| i as i64 + 1 + off / isize == 0)
+            || ins.raw().rel_target().is_some_and(|off| ins.idx as i64 + 1 + off / isize == 0)
     });
     let calls = || sites.values().flatten();
-    if leaves || calls().any(|c| tool_fns[&c.func].uses_reg_api) {
+    if leaves || calls().any(|c| tool_fns[c.func].uses_reg_api) {
         return Promotion::default();
     }
-    let names = body.iter().filter_map(|i| i.max_reg().map(|r| u32::from(r) + 1));
+    let names = analysis.max_reg.map_or(16, |r| u32::from(r) + 1);
     let clobbers =
-        calls().flat_map(|c| c.args.iter().map(arg_demand).chain([clobber(c, &tool_fns[&c.func])]));
-    let mut free = (names.chain(clobbers).fold(16, u32::max).next_multiple_of(2)..253).step_by(2);
+        calls().flat_map(|c| c.args.iter().map(arg_demand).chain([clobber(c, &tool_fns[c.func])]));
+    let mut free = (clobbers.fold(names.max(16), u32::max).next_multiple_of(2)..253).step_by(2);
     let Some(scratch) = free.next().map(|r| Reg(r as u8)) else { return Promotion::default() };
     let mut promotion = Promotion::default();
     for (&idx, call) in
         sites.iter_mut().flat_map(|(i, calls)| calls.iter_mut().map(move |c| (i, c)))
     {
-        let Some(e) = tool_fns[&call.func].effect else { continue };
+        let Some(e) = tool_fns[call.func].effect else { continue };
         let arg = |slot: u8| abi_slots(&call.args).find(|(s, _)| *s == slot).map(|(_, a)| *a);
         let (Effect::Counter { pred, .. } | Effect::Push { pred, .. }) = e;
         let guard = match pred.map(arg) {
             None => Guard::ALWAYS,
-            Some(Some(Arg::GuardPred)) => body[idx].guard,
+            Some(Some(Arg::GuardPred)) => body[idx].raw().guard,
             Some(Some(Arg::Imm32(p))) if p != 0 => Guard::ALWAYS,
             _ => continue,
         };
@@ -412,9 +413,8 @@ fn promote(
     }
     let lowered = |c: &PlannedCall| matches!(c.lowering, Lowering::Code(_));
     promotion.scratch = sites.values().flatten().any(lowered).then_some(scratch);
-    let exits =
-        body.iter().enumerate().filter(|(i, ins)| ins.op == Op::Exit && !removed.contains(i));
-    for i in [0].into_iter().chain(exits.map(|(i, _)| i)).filter(|_| !promotion.pairs.is_empty()) {
+    let exits = body.iter().filter(|i| i.op() == Op::Exit && !removed.contains(&i.idx));
+    for i in [0].into_iter().chain(exits.map(|i| i.idx)).filter(|_| !promotion.pairs.is_empty()) {
         sites.entry(i).or_default();
     }
     promotion
@@ -466,20 +466,25 @@ fn merge_calls(requests: &mut [Request<'_>], a: &Analysis, by_region: bool) -> (
 
 /// What two calls of one class must agree on to merge: the tool function
 /// and the explicit arguments, borrowed from the spec.
-fn merge_key<'a>(r: &Request<'a>) -> (&'a str, &'a [Arg]) {
-    (&r.inj.func, r.args)
+fn merge_key<'a>(r: &Request<'a>) -> (ToolId, &'a [Arg]) {
+    (r.inj.func, r.args)
 }
 
 /// What the lifter hands down when static CFG recovery failed — for tests
 /// that exercise the no-analysis fallbacks.
 #[cfg(test)]
-pub(crate) const NO_ANALYSIS: std::result::Result<Analysis, CfgFailure> =
-    Err(CfgFailure::MisalignedTarget { index: 0, offset: 0 });
+pub(crate) const NO_ANALYSIS: std::result::Result<Analysis, sass::CfgFailure> =
+    Err(sass::CfgFailure::MisalignedTarget { index: 0, offset: 0 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sass::{asm::assemble_arch, Arch};
+    use crate::codegen::ToolFn;
+    use sass::{asm::assemble_arch, Arch, CfgFailure};
+
+    /// The first function loaded into a table: `f` of [`fns`], `count` of
+    /// [`counter`], `trace` of `traced`.
+    const F: ToolId = ToolId(0);
 
     const BODY: &str = "\
     S2R R0, SR_TID.X ;
@@ -507,18 +512,14 @@ skip:
     fn build_for(
         spec: &FuncSpec,
         (prog, analysis): &Analyzed,
-        tool_fns: &HashMap<Arc<str>, ToolFn>,
+        tool_fns: &ToolFns,
         opts: PlanOpts,
     ) -> Result<InstrumentationPlan> {
-        build(spec, prog, Arch::Volta, analysis, tool_fns, opts)
+        build(spec, &crate::lift::lifted(prog, analysis.clone()), Arch::Volta, tool_fns, opts)
     }
 
-    fn fns(inlinable: bool) -> HashMap<Arc<str>, ToolFn> {
-        let mut m = HashMap::new();
-        let mut f = crate::codegen::calling(0x8000, 8, 0, false);
-        f.inlinable = inlinable;
-        m.insert("f".into(), f);
-        m
+    fn fns() -> ToolFns {
+        ToolFns::from([("f", crate::codegen::calling(0x8000, 8, 0, false))])
     }
 
     /// The multiplicity a call planned from `spec` passes: its trailing
@@ -532,7 +533,7 @@ skip:
     fn count_spec(n: usize, ctr: u64) -> FuncSpec {
         let mut s = FuncSpec::default();
         for idx in 0..n {
-            s.insert_call(idx, "f", IPoint::Before);
+            s.insert_call(idx, F, IPoint::Before);
             s.add_arg(idx, Arg::Imm64(ctr));
             s.set_coalesce(idx);
         }
@@ -544,7 +545,7 @@ skip:
         let body = analyzed(BODY);
         let n = body.0.len();
         let spec = count_spec(n, 0xdead);
-        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
+        let plan = build_for(&spec, &body, &fns(), at(PlanLevel::Block)).unwrap();
         // Blocks are 0..3, 3..5, 5..6 → one call each, at the block heads.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3, 5]);
@@ -565,7 +566,7 @@ skip:
         let spec = count_spec(n, 1);
         // Naive by request, or for want of any partition to merge over.
         for opts in [PlanOpts::naive(), PlanOpts::default()] {
-            let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+            let plan = build_for(&spec, &body, &fns(), opts).unwrap();
             assert_eq!(plan.sites.len(), n);
             for calls in plan.sites.values() {
                 assert_eq!(calls[0].args.last(), Some(&Arg::Imm32(1)));
@@ -580,13 +581,13 @@ skip:
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         // Guard-pred argument is per-dynamic-instance.
-        spec.insert_call(0, "f", IPoint::Before);
+        spec.insert_call(0, F, IPoint::Before);
         spec.add_arg(0, Arg::GuardPred);
         spec.set_coalesce(0);
-        spec.insert_call(1, "f", IPoint::Before);
+        spec.insert_call(1, F, IPoint::Before);
         spec.add_arg(1, Arg::GuardPred);
         spec.set_coalesce(1);
-        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
+        let plan = build_for(&spec, &body, &fns(), at(PlanLevel::Block)).unwrap();
         assert_eq!(plan.sites.len(), 2, "nothing merged");
         assert_eq!(plan.stats.coalesced_groups, 0);
     }
@@ -596,11 +597,11 @@ skip:
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         for (idx, ctr) in [(0usize, 0x10u64), (1, 0x10), (2, 0x20)] {
-            spec.insert_call(idx, "f", IPoint::Before);
+            spec.insert_call(idx, F, IPoint::Before);
             spec.add_arg(idx, Arg::Imm64(ctr));
             spec.set_coalesce(idx);
         }
-        let plan = build_for(&spec, &body, &fns(false), at(PlanLevel::Block)).unwrap();
+        let plan = build_for(&spec, &body, &fns(), at(PlanLevel::Block)).unwrap();
         // Sites 0 and 1 merge (same counter); site 2 stands alone.
         assert_eq!(multiplicity(&spec, &plan.sites[&0][0]), Some(2));
         assert_eq!(multiplicity(&spec, &plan.sites[&2][0]), Some(1));
@@ -611,21 +612,19 @@ skip:
     fn non_coalesce_calls_never_gain_the_multiplicity_arg() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "f", IPoint::Before);
+        spec.insert_call(0, F, IPoint::Before);
         spec.add_arg(0, Arg::Imm64(7));
-        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
+        let plan = build_for(&spec, &body, &fns(), PlanOpts::default()).unwrap();
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(7)]);
     }
 
-    /// A spliceable body with no effect, `IADD R5, R4, 0x1 ; RET`, as `g`
-    /// beside [`fns`]'s body with a call as `f`.
-    fn effectless() -> HashMap<Arc<str>, ToolFn> {
+    /// A spliceable body with no effect, `IADD R5, R4, 0x1 ; RET`.
+    fn effectless() -> ToolFn {
         let tool = assemble_arch("IADD R5, R4, 0x1 ;\nRET ;", Arch::Volta).unwrap();
+        assert!(crate::codegen::classify_body(&tool, 8, false, Arch::Volta));
         let g = ToolFn::with_body(0x8100, 8, 0, false, tool, Arch::Volta);
-        assert!(g.inlinable && g.effect.is_none());
-        let mut m = fns(false);
-        m.insert("g".into(), g);
-        m
+        assert!(g.effect.is_none());
+        g
     }
 
     #[test]
@@ -635,11 +634,12 @@ skip:
         // `spmv_calls`' callees): none is lowered, each is one call out of
         // line, and the top rung counts them all as declined.
         let body = analyzed(BODY);
+        let mut tool_fns = counter();
+        let g = tool_fns.insert("g", effectless());
+        let f = tool_fns.insert("f", fns()[F].clone());
         let mut spec = counted(&body.0[..2], |_| 0xa0);
-        spec.insert_call(3, "g", IPoint::Before);
-        spec.insert_call(4, "f", IPoint::Before);
-        let mut tool_fns = effectless();
-        tool_fns.extend(counter());
+        spec.insert_call(3, g, IPoint::Before);
+        spec.insert_call(4, f, IPoint::Before);
         let returns = analyzed(&BODY.replace("EXIT", "RET"));
         for (body, promoted) in [(&body, 1), (&returns, 0)] {
             let top = build_for(&spec, body, &tool_fns, PlanOpts::default()).unwrap();
@@ -666,21 +666,22 @@ skip:
     fn validation_matches_the_old_codegen_errors() {
         let body = analyzed(BODY);
         let mut s = FuncSpec::default();
-        s.insert_call(99, "f", IPoint::Before);
+        s.insert_call(99, F, IPoint::Before);
         assert!(matches!(
-            build_for(&s, &body, &fns(false), PlanOpts::default()),
+            build_for(&s, &body, &fns(), PlanOpts::default()),
             Err(NvbitError::BadInstrIndex { index: 99, .. })
         ));
+        // An id outside the table: nothing was loaded under it.
         let mut s2 = FuncSpec::default();
-        s2.insert_call(0, "missing", IPoint::Before);
+        s2.insert_call(0, ToolId(1), IPoint::Before);
         assert!(matches!(
-            build_for(&s2, &body, &fns(false), PlanOpts::default()),
+            build_for(&s2, &body, &fns(), PlanOpts::default()),
             Err(NvbitError::UnknownToolFunction(_))
         ));
         let mut s3 = FuncSpec::default();
         s3.remove_orig(99);
         assert!(matches!(
-            build_for(&s3, &body, &fns(false), PlanOpts::default()),
+            build_for(&s3, &body, &fns(), PlanOpts::default()),
             Err(NvbitError::BadInstrIndex { index: 99, .. })
         ));
     }
@@ -690,7 +691,7 @@ skip:
         let body = analyzed(BODY);
         let mut s = FuncSpec::default();
         s.remove_orig(3);
-        let plan = build_for(&s, &body, &fns(false), PlanOpts::default()).unwrap();
+        let plan = build_for(&s, &body, &fns(), PlanOpts::default()).unwrap();
         assert!(plan.sites.is_empty());
         assert!(plan.removed.contains(&3));
     }
@@ -702,7 +703,7 @@ skip:
         let body = analyzed(BODY);
         let spec = count_spec(body.0.len(), 0xdead);
         let opts = at(PlanLevel::Region);
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(), opts).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, vec![0, 3], "skip-block call hoisted into the entry call");
         assert_eq!(plan.sites[&0][0].args, vec![Arg::Imm64(0xdead), Arg::Imm32(4)]);
@@ -732,7 +733,7 @@ body:
         let body = analyzed(LOOP);
         let spec = count_spec(body.0.len(), 1);
         let opts = at(PlanLevel::Region);
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(), opts).unwrap();
         // Setup (instr 0) and tail (instrs 4,5) merge; the loop body
         // (instrs 1..4) executes more often and must stay out.
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
@@ -760,8 +761,8 @@ b:
         let spec = count_spec(body.0.len(), 1);
         let with_region = at(PlanLevel::Region);
         let block_only = at(PlanLevel::Block);
-        let a = build_for(&spec, &body, &fns(false), with_region).unwrap();
-        let b = build_for(&spec, &body, &fns(false), block_only).unwrap();
+        let a = build_for(&spec, &body, &fns(), with_region).unwrap();
+        let b = build_for(&spec, &body, &fns(), block_only).unwrap();
         assert_eq!(a.sites, b.sites, "irreducible graphs degrade to per-block merging");
         assert_eq!(a.stats.region_groups, 0);
     }
@@ -783,10 +784,10 @@ b:
         let body = analyzed(ICF);
         assert!(matches!(body.1, Err(CfgFailure::IndirectBranch { .. })));
         let mut spec = count_spec(body.0.len(), 7);
-        spec.insert_call(0, "f", IPoint::After);
+        spec.insert_call(0, F, IPoint::After);
         spec.add_arg(0, Arg::Imm64(8));
         spec.set_coalesce(0);
-        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
+        let plan = build_for(&spec, &body, &fns(), PlanOpts::default()).unwrap();
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
         assert_eq!(idxs, (0..body.0.len()).collect::<Vec<_>>(), "one call per site");
         assert!(plan.sites.values().flatten().all(|c| multiplicity(&spec, c) == Some(1)));
@@ -800,10 +801,10 @@ b:
     fn per_instance_after_points_stay_in_place() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
-        spec.insert_call(0, "f", IPoint::After);
+        spec.insert_call(0, F, IPoint::After);
         spec.add_arg(0, Arg::GuardPred);
         spec.set_coalesce(0);
-        let plan = build_for(&spec, &body, &fns(false), PlanOpts::default()).unwrap();
+        let plan = build_for(&spec, &body, &fns(), PlanOpts::default()).unwrap();
         assert_eq!(plan.sites[&0][0].ipoint, IPoint::After);
     }
 
@@ -814,13 +815,13 @@ b:
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         for idx in [0, 1] {
-            spec.insert_call(idx, "f", IPoint::After);
+            spec.insert_call(idx, F, IPoint::After);
             spec.add_arg(idx, Arg::Imm64(9));
             spec.set_coalesce(idx);
         }
         use PlanLevel::{Block, Naive, Promoted, Region};
         for level in [Naive, Block, Region, Promoted] {
-            let plan = build_for(&spec, &body, &fns(false), at(level)).unwrap();
+            let plan = build_for(&spec, &body, &fns(), at(level)).unwrap();
             let calls: Vec<_> = plan.sites.iter().map(|(i, c)| (*i, c[0].ipoint)).collect();
             assert_eq!(calls, [(0, IPoint::After), (1, IPoint::After)], "{level:?}");
             assert!(plan.sites.values().flatten().all(|c| multiplicity(&spec, c) == Some(1)));
@@ -834,12 +835,12 @@ b:
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
         for _ in 0..2 {
-            spec.insert_call(0, "f", IPoint::Before);
+            spec.insert_call(0, F, IPoint::Before);
             spec.add_arg(0, Arg::Imm64(9));
             spec.set_coalesce(0);
         }
         let opts = at(PlanLevel::Region);
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(), opts).unwrap();
         assert_eq!(plan.stats.emitted_calls, 2);
         assert_eq!(plan.stats.coalesced_groups, 0);
         let idxs: Vec<usize> = plan.sites.keys().copied().collect();
@@ -852,11 +853,11 @@ b:
         // stays a call of its own.
         let mut spec = FuncSpec::default();
         for idx in [0, 1, 1, 5] {
-            spec.insert_call(idx, "f", IPoint::Before);
+            spec.insert_call(idx, F, IPoint::Before);
             spec.add_arg(idx, Arg::Imm64(9));
             spec.set_coalesce(idx);
         }
-        let plan = build_for(&spec, &body, &fns(false), opts).unwrap();
+        let plan = build_for(&spec, &body, &fns(), opts).unwrap();
         let calls: Vec<_> = plan
             .sites
             .iter()
@@ -871,14 +872,14 @@ b:
 
     /// The compiled `nvbit_count_pmult(pred, ctr, mult)` as `count`: a
     /// promotable counter (pred in R4, the address in R6:R7, mult in R8).
-    fn counter() -> HashMap<Arc<str>, ToolFn> {
+    fn counter() -> ToolFns {
         let text = "MOV R5, R8 ;\nISETP.EQ.U32 P0, R4, 0x0 ;\nSSY end ;\n@P0 BRA join ;\n\
                     MOV R8, R5 ;\nMOV R9, RZ ;\nATOM.ADD.U64 R4, [R6], R8, RZ ;\nBRA join ;\n\
                     join:\nSYNC ;\nend:\nRET ;";
         let body = assemble_arch(text, Arch::Volta).unwrap();
         let f = ToolFn::with_body(0x8000, 10, 0, false, body, Arch::Volta);
         assert!(matches!(f.effect, Some(Effect::Counter { pred: Some(4), addr: 6, .. })));
-        HashMap::from([("count".into(), f)])
+        ToolFns::from([("count", f)])
     }
 
     /// Every instruction of `prog` counted the way `CoalescedInstrCount::executed`
@@ -886,7 +887,7 @@ b:
     fn counted(prog: &[Instruction], ctr: impl Fn(usize) -> u64) -> FuncSpec {
         let mut s = FuncSpec::default();
         for (idx, ins) in prog.iter().enumerate() {
-            s.insert_call(idx, "count", IPoint::Before);
+            s.insert_call(idx, F, IPoint::Before);
             s.add_arg(idx, if ins.guard.is_always() { Arg::Imm32(1) } else { Arg::GuardPred });
             s.add_arg(idx, Arg::Imm64(ctr(idx)));
             s.set_coalesce(idx);
@@ -943,7 +944,7 @@ b:
         // site and the flushes both EXITs' (the guarded one included).
         let body = analyzed("S2R R0, SR_TID.X ;\nIADD R1, R0, 0x1 ;\n@P0 EXIT ;\nEXIT ;");
         let mut spec = FuncSpec::default();
-        spec.insert_call(1, "count", IPoint::Before);
+        spec.insert_call(1, F, IPoint::Before);
         spec.add_arg(1, Arg::Imm32(1));
         spec.add_arg(1, Arg::Imm64(0xa0));
         spec.add_arg(1, Arg::Imm32(1));
@@ -959,7 +960,7 @@ b:
 
     /// Whether `src`, every instruction counted into one counter, promotes
     /// anything; the calls stay out of line when it does not.
-    fn promotes(src: &str, fns: &HashMap<Arc<str>, ToolFn>, edit: impl Fn(&mut FuncSpec)) -> bool {
+    fn promotes(src: &str, fns: &ToolFns, edit: impl Fn(&mut FuncSpec)) -> bool {
         let body = analyzed(src);
         let mut spec = counted(&body.0, |_| 0xa0);
         edit(&mut spec);
@@ -1002,8 +1003,8 @@ b:
     #[test]
     fn a_register_device_api_call_promotes_nothing() {
         let mut fns = counter();
-        fns.insert("regs".into(), crate::codegen::calling(0x9000, 8, 0, true));
-        let with_regs = |s: &mut FuncSpec| s.insert_call(0, "regs", IPoint::Before);
+        let regs = fns.insert("regs", crate::codegen::calling(0x9000, 8, 0, true));
+        let with_regs = |s: &mut FuncSpec| s.insert_call(0, regs, IPoint::Before);
         assert!(!promotes(BODY, &fns, with_regs));
     }
 
@@ -1011,7 +1012,7 @@ b:
     fn a_register_value_or_a_zero_predicate_keeps_the_call_out_of_line() {
         let body = analyzed(BODY);
         let mut spec = FuncSpec::default();
-        spec.insert_call(3, "count", IPoint::Before);
+        spec.insert_call(3, F, IPoint::Before);
         for arg in [Arg::Imm32(1), Arg::Imm64(0xa0), Arg::RegVal(2)] {
             spec.add_arg(3, arg);
         }
@@ -1020,7 +1021,7 @@ b:
         assert!(plan.sites.values().flatten().all(|c| c.lowering == Lowering::Call));
         // Neither a zero predicate: such a call never counts.
         let mut spec = counted(&body.0, |_| 0xa0);
-        spec.insert_call(1, "count", IPoint::Before);
+        spec.insert_call(1, F, IPoint::Before);
         for arg in [Arg::Imm32(0), Arg::Imm64(0xb0), Arg::Imm32(1)] {
             spec.add_arg(1, arg);
         }
@@ -1069,11 +1070,11 @@ b:
         );
         assert_eq!(f.effect, Some(Effect::Push { pred: Some(4), base: 6, off: 8 }));
         let mut spec = FuncSpec::default();
-        spec.insert_call(idx, "trace", IPoint::Before);
+        spec.insert_call(idx, F, IPoint::Before);
         for arg in [pred, Arg::RegVal64(2), Arg::Imm32(off)] {
             spec.add_arg(idx, arg);
         }
-        let fns = HashMap::from([("trace".into(), f)]);
+        let fns = ToolFns::from([("trace", f)]);
         build_for(&spec, &analyzed(BODY), &fns, PlanOpts::default()).unwrap()
     }
 

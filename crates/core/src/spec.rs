@@ -1,9 +1,9 @@
 //! Instrumentation request types: injection points, arguments, and the
 //! per-function instrumentation specification built up by tool calls.
 
+use crate::codegen::ToolId;
 use ptx::regalloc::{arg_slot, FIRST_CALLER};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Where to inject relative to the instrumented instruction (the paper's
 /// `IPOINT_BEFORE` / `IPOINT_AFTER`).
@@ -78,9 +78,8 @@ pub(crate) fn arg_window(args: &[Arg]) -> u8 {
 pub struct Injection {
     /// Index of the instrumented instruction.
     pub idx: usize,
-    /// Name of the tool device function to call (shared with the core's
-    /// table of loaded tool functions).
-    pub func: Arc<str>,
+    /// The tool device function to call, by its id in the core's table.
+    pub func: ToolId,
     /// Before or after the original instruction.
     pub ipoint: IPoint,
     /// Where the arguments sit in the spec's argument pool: start, count.
@@ -130,10 +129,10 @@ impl FuncSpec {
     }
 
     /// Adds an injection, marking the spec dirty.
-    pub fn insert_call(&mut self, idx: usize, func: impl Into<Arc<str>>, ipoint: IPoint) {
+    pub fn insert_call(&mut self, idx: usize, func: ToolId, ipoint: IPoint) {
         self.calls.push(Injection {
             idx,
-            func: func.into(),
+            func,
             ipoint,
             args: (self.args.len(), 0),
             coalesce: false,
@@ -190,6 +189,10 @@ impl FuncSpec {
 mod tests {
     use super::*;
 
+    const A: ToolId = ToolId(0);
+    const B: ToolId = ToolId(1);
+    const C: ToolId = ToolId(2);
+
     impl FuncSpec {
         /// The injections requested at instruction `idx`, in request order.
         fn site(&self, idx: usize) -> impl Iterator<Item = &Injection> {
@@ -200,12 +203,12 @@ mod tests {
     #[test]
     fn multiple_injections_per_site_accumulate_in_order() {
         let mut s = FuncSpec::default();
-        s.insert_call(3, "a", IPoint::Before);
-        s.insert_call(1, "c", IPoint::Before);
-        s.insert_call(3, "b", IPoint::After);
+        s.insert_call(3, A, IPoint::Before);
+        s.insert_call(1, C, IPoint::Before);
+        s.insert_call(3, B, IPoint::After);
         let at3: Vec<&Injection> = s.site(3).collect();
         assert_eq!(at3.len(), 2);
-        assert_eq!(&*at3[0].func, "a");
+        assert_eq!(at3[0].func, A);
         assert_eq!(at3[1].ipoint, IPoint::After);
         assert_eq!(s.injections().len(), 3);
         assert!(s.dirty);
@@ -215,10 +218,10 @@ mod tests {
     fn args_attach_to_the_latest_injection() {
         let mut s = FuncSpec::default();
         assert!(!s.add_arg(0, Arg::GuardPred), "no call inserted yet");
-        s.insert_call(0, "f", IPoint::Before);
+        s.insert_call(0, A, IPoint::Before);
         assert!(s.add_arg(0, Arg::GuardPred));
         assert!(s.add_arg(0, Arg::Imm64(0xdead)));
-        s.insert_call(0, "g", IPoint::Before);
+        s.insert_call(0, B, IPoint::Before);
         assert!(s.add_arg(0, Arg::RegVal(7)));
         let at0: Vec<&[Arg]> = s.site(0).map(|inj| s.args(inj)).collect();
         assert_eq!(at0, [&[Arg::GuardPred, Arg::Imm64(0xdead)][..], &[Arg::RegVal(7)]]);
@@ -229,9 +232,9 @@ mod tests {
         // Site 0's call is followed by site 1's before it gets its second
         // argument: the tool interleaved its requests.
         let mut s = FuncSpec::default();
-        s.insert_call(0, "f", IPoint::Before);
+        s.insert_call(0, A, IPoint::Before);
         s.add_arg(0, Arg::Imm32(1));
-        s.insert_call(1, "g", IPoint::Before);
+        s.insert_call(1, B, IPoint::Before);
         s.add_arg(1, Arg::Imm32(2));
         s.add_arg(0, Arg::Imm32(3));
         s.add_arg(1, Arg::Imm32(4));
@@ -244,7 +247,7 @@ mod tests {
     fn coalesce_attaches_to_the_latest_injection_and_dirties() {
         let mut s = FuncSpec::default();
         assert!(!s.set_coalesce(0), "no call inserted yet");
-        s.insert_call(0, "f", IPoint::Before);
+        s.insert_call(0, A, IPoint::Before);
         s.dirty = false; // as after a build
         assert!(s.set_coalesce(0));
         assert!(s.site(0).all(|inj| inj.coalesce));

@@ -11,6 +11,8 @@
 //! trampoline region, while an indirect branch (calls planned under the ICF
 //! exception, or a trailing `BRX` instrumented) costs no rejection, and a
 //! `BRX` into a straight-line run is counted exactly at every plan rung.
+//! A tool function reloaded under its name keeps its id: only the images
+//! that call it are rebuilt.
 //!
 //! Each test reads its own driver's recorder, so they run in parallel.
 
@@ -465,5 +467,116 @@ fn a_brx_into_a_straight_line_run_counts_exactly_at_every_rung() {
     for level in [Naive, Block, Region, Promoted] {
         let (_, total) = brx_into_a_run(Some(level));
         assert_eq!(total, Some(native), "{level:?}");
+    }
+}
+
+/// `add_<name>`: adds `n` to the `u64` at `%ctr`, once per thread.
+fn adder(name: &str, n: u32) -> String {
+    format!(
+        ".func {name}(.reg .u64 %ctr)\n{{\n    .reg .u64 %rd<3>;\n    mov.u64 %rd1, {n};\n    \
+         atom.global.add.u64 %rd2, [%ctr], %rd1;\n    ret;\n}}\n"
+    )
+}
+
+/// Two kernels of one module, each a single `EXIT`.
+const TWO: &str = ".entry a()\n{\n    exit;\n}\n.entry b()\n{\n    exit;\n}\n";
+
+/// At the first launch, instruments kernel `a` with `bump` and kernel `b`
+/// with `other`, each before its one instruction, and asks for a name no
+/// module loaded; at the entry of the third launch, reloads `bump` as +2.
+struct Reloader {
+    level: PlanLevel,
+    ctrs: Rc<Cell<(u64, u64)>>,
+    launches: u32,
+    unknown: Rc<RefCell<Option<String>>>,
+    names: Rc<RefCell<Vec<Vec<String>>>>,
+}
+
+impl NvbitTool for Reloader {
+    fn at_init(&mut self, api: &NvbitApi<'_>) {
+        api.set_plan_opts(PlanOpts { level: self.level });
+        api.load_tool_functions(&(adder("bump", 1) + &adder("other", 5))).unwrap();
+        let alloc = || api.driver().with_device(|d| d.alloc(8)).unwrap();
+        self.ctrs.set((alloc(), alloc()));
+        self.names.borrow_mut().push(api.tool_functions());
+    }
+    fn at_cuda_event(
+        &mut self,
+        api: &NvbitApi<'_>,
+        is_exit: bool,
+        cbid: CbId,
+        params: &CbParams<'_>,
+    ) {
+        let CbParams::LaunchKernel { func, .. } = params else { return };
+        if is_exit || cbid != CbId::LaunchKernel {
+            return;
+        }
+        match self.launches {
+            0 => {
+                let module = api.driver().function_info(*func).unwrap().module;
+                let kernels = api.driver().module_kernels(&module).unwrap();
+                let (ctr_a, ctr_b) = self.ctrs.get();
+                for (k, name, ctr) in [(kernels[0], "bump", ctr_a), (kernels[1], "other", ctr_b)] {
+                    api.insert_call(k, 0, name, IPoint::Before).unwrap();
+                    api.add_call_arg_imm64(k, 0, ctr).unwrap();
+                }
+                let missing = api.insert_call(*func, 0, "missing", IPoint::Before);
+                *self.unknown.borrow_mut() = missing.err().map(|e| format!("{e:?}"));
+            }
+            2 => {
+                api.load_tool_functions(&adder("bump", 2)).unwrap();
+                self.names.borrow_mut().push(api.tool_functions());
+            }
+            _ => {}
+        }
+        self.launches += 1;
+    }
+}
+
+/// The tool-function table's reload rule: a function reloaded under its
+/// name keeps its id, so the requests that call it call the new body, and
+/// the next launch of a kernel that calls it rebuilds its image while a
+/// kernel that does not reuses its own. A name nothing loaded is refused at
+/// `insert_call`.
+#[test]
+fn a_reload_keeps_the_id_and_rebuilds_only_the_images_that_call_it() {
+    for level in [PlanLevel::Region, PlanLevel::Promoted] {
+        let drv = observed_driver();
+        let ctrs = Rc::new(Cell::new((0, 0)));
+        let (unknown, names) = (Rc::new(RefCell::new(None)), Rc::new(RefCell::new(Vec::new())));
+        let (u, n) = (unknown.clone(), names.clone());
+        let tool = Reloader { level, ctrs: ctrs.clone(), launches: 0, unknown: u, names: n };
+        attach_tool(&drv, tool);
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", TWO)).unwrap();
+        let a = drv.module_get_function(&m, "a").unwrap();
+        let b = drv.module_get_function(&m, "b").unwrap();
+        // a builds, b builds, `bump` reloaded: a rebuilds, b reuses its image.
+        for f in [a, b, a, b] {
+            drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[]).unwrap();
+        }
+        let (ctr_a, ctr_b) = ctrs.get();
+        let counts = (read_u64(&drv, ctr_a), read_u64(&drv, ctr_b));
+        drv.shutdown();
+        assert_eq!(counts, (32 + 2 * 32, 2 * 5 * 32), "{level:?}: the reloaded body runs");
+        let report = drv.obs().report();
+        let builds: Vec<bool> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.name {
+                "instr_image.build" => Some(true),
+                "instr_image.reuse" => Some(false),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(builds, [true, true, true, false], "{level:?}: build (true) / reuse (false)");
+        let names = names.borrow();
+        assert_eq!(names[0], ["bump", "other"], "{level:?}");
+        assert_eq!(names[1], names[0], "{level:?}: a reload adds no name");
+        let unknown = unknown.borrow();
+        assert!(
+            unknown.as_deref().is_some_and(|e| e.contains("UnknownToolFunction")),
+            "{unknown:?}"
+        );
     }
 }

@@ -13,6 +13,7 @@ use crate::dataflow::{Dataflow, LiveSet};
 use crate::dom::Dom;
 use crate::inst::Instruction;
 use common::graph::Graph;
+use std::borrow::Borrow;
 use std::sync::OnceLock;
 
 /// Everything the planner, the code generator and the verifier know
@@ -29,6 +30,8 @@ pub struct Analysis {
     flow: Graph,
     /// [`Dataflow::bound`] of the body.
     bound: LiveSet,
+    /// The highest general-purpose register the body names, if any.
+    pub max_reg: Option<u8>,
     /// Per-instruction live sets, solved by [`Analysis::liveness`].
     liveness: OnceLock<Dataflow>,
 }
@@ -45,16 +48,16 @@ impl Analysis {
         let blocks = cfg::basic_blocks(instrs, arch)?;
         let flow = cfg::flow(instrs, &blocks, arch);
         let dom = Dom::solve(instrs, &blocks, &flow);
-        let bound = Dataflow::bound(instrs, arch);
-        Ok(Analysis { blocks, dom, flow, bound, liveness: OnceLock::new() })
+        let (bound, max_reg) = Dataflow::bound(instrs, arch);
+        Ok(Analysis { blocks, dom, flow, bound, max_reg, liveness: OnceLock::new() })
     }
 
     /// Per-instruction live sets of `instrs`, the body this analysis was
-    /// made of: solved over the one flow graph on the first call (one
-    /// `sass.liveness` obs event), then kept. Its readers are an
+    /// made of, or views of it: solved over the one flow graph on the first
+    /// call (one `sass.liveness` obs event), then kept. Its readers are an
     /// out-of-line call's save tier, `get_live_regs` and
     /// [`Analysis::live_around`].
-    pub fn liveness(&self, instrs: &[Instruction]) -> &Dataflow {
+    pub fn liveness(&self, instrs: &[impl Borrow<Instruction>]) -> &Dataflow {
         self.liveness.get_or_init(|| {
             common::obs::counter("sass.liveness", 1);
             Dataflow::solve(instrs, &self.blocks, &self.flow)
@@ -68,7 +71,7 @@ impl Analysis {
     /// Everything is live around an instruction the body does not have.
     pub fn live_around(
         &self,
-        instrs: &[Instruction],
+        instrs: &[impl Borrow<Instruction>],
         idx: usize,
         writes: &LiveSet,
     ) -> (LiveSet, LiveSet) {

@@ -34,6 +34,7 @@ use crate::inst::{span_regs, Instruction};
 use crate::op::CfClass;
 use crate::reg::{Pred, Reg};
 use common::graph::Graph;
+use std::borrow::Borrow;
 
 /// A bitset over the 255 general-purpose registers `R0`..`R254`.
 ///
@@ -215,32 +216,35 @@ impl Dataflow {
     /// once control can leave the body (a call, `RET`, a trap, an absolute
     /// jump, an indirect branch or a relative branch out of the body), where
     /// a solution makes everything live. A set of writes that does not meet
-    /// it writes nothing live anywhere in the body.
-    pub fn bound(instrs: &[Instruction], arch: Arch) -> LiveSet {
+    /// it writes nothing live anywhere in the body. Beside it, from the same
+    /// walk over every register span, the highest register `instrs` name.
+    pub fn bound(instrs: &[Instruction], arch: Arch) -> (LiveSet, Option<u8>) {
         let isize = arch.instruction_size() as i64;
-        let mut bound = LiveSet::EMPTY;
+        let (mut bound, mut leaves, mut max) = (LiveSet::EMPTY, false, None);
         for (idx, i) in instrs.iter().enumerate() {
             let inside =
                 |off: i64| (0..instrs.len() as i64).contains(&(idx as i64 + 1 + off / isize));
-            let leaves = match i.cf_class() {
+            leaves |= match i.cf_class() {
                 CfClass::RelCall | CfClass::AbsCall | CfClass::IndirectBranch => true,
                 CfClass::AbsJump | CfClass::Ret | CfClass::Trap => true,
                 CfClass::RelBranch => !i.rel_target().is_some_and(inside),
                 _ => false,
             };
-            if leaves {
-                return LiveSet::all();
-            }
             i.each_span(|r, n, w| {
+                max = max.max(span_regs(r, n).last().map(|r| r.0));
                 span_regs(r, n).filter(|_| !w).for_each(|r| bound.gprs.insert(r))
             });
             bound.preds |= i.pred_reads();
         }
-        bound
+        (if leaves { LiveSet::all() } else { bound }, max)
     }
 
     /// Solves backward liveness over a partition and its [`cfg::flow`].
-    pub(crate) fn solve(instrs: &[Instruction], blocks: &[BasicBlock], flow: &Graph) -> Dataflow {
+    pub(crate) fn solve(
+        instrs: &[impl Borrow<Instruction>],
+        blocks: &[BasicBlock],
+        flow: &Graph,
+    ) -> Dataflow {
         let n = instrs.len();
         let mut block_in = vec![LiveSet::EMPTY; blocks.len()];
         let mut changed = true;
@@ -249,7 +253,7 @@ impl Dataflow {
             for b in blocks.iter().rev() {
                 let mut live = block_out(instrs, b, flow.succ(b.id), &block_in);
                 for idx in b.range.clone().rev() {
-                    transfer_backward(&instrs[idx], &mut live);
+                    transfer_backward(instrs[idx].borrow(), &mut live);
                 }
                 changed |= block_in[b.id].union_with(&live);
             }
@@ -261,7 +265,7 @@ impl Dataflow {
             let mut live = block_out(instrs, b, flow.succ(b.id), &block_in);
             for idx in b.range.clone().rev() {
                 live_out[idx] = live;
-                transfer_backward(&instrs[idx], &mut live);
+                transfer_backward(instrs[idx].borrow(), &mut live);
                 live_in[idx] = live;
             }
         }
@@ -312,7 +316,7 @@ impl Dataflow {
 /// the flow graph, or the conservative extreme when control leaves the
 /// function body.
 fn block_out(
-    instrs: &[Instruction],
+    instrs: &[impl Borrow<Instruction>],
     b: &BasicBlock,
     succ: &[usize],
     block_in: &[LiveSet],
@@ -320,8 +324,7 @@ fn block_out(
     if b.is_empty() {
         return LiveSet::EMPTY;
     }
-    let last = &instrs[b.range.end - 1];
-    match last.cf_class() {
+    match instrs[b.range.end - 1].borrow().cf_class() {
         // Control leaves the body for statically unknown code.
         CfClass::AbsJump | CfClass::Ret | CfClass::Trap => return LiveSet::all(),
         // A relative branch whose target is outside the body behaves like

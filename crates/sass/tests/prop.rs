@@ -224,7 +224,8 @@ fn decode_then_encode_is_total() {
 /// `Dataflow::bound` holds every live set of the solution it bounds, on
 /// random bodies whose relative branches mostly land inside them; half of
 /// the bodies have no call, return, trap or absolute jump, so the bound is
-/// the body's reads rather than everything.
+/// the body's reads rather than everything. The highest register its walk
+/// finds is the highest any instruction names.
 #[test]
 fn the_liveness_bound_holds_every_live_set() {
     use sass::op::CfClass;
@@ -255,7 +256,8 @@ fn the_liveness_bound_holds_every_live_set() {
             }
         }
         let Ok(df) = Dataflow::analyze(&prog, arch) else { return };
-        let bound = Dataflow::bound(&prog, arch);
+        let (bound, max_reg) = Dataflow::bound(&prog, arch);
+        assert_eq!(max_reg, prog.iter().filter_map(Instruction::max_reg).max());
         let inside = |l: &LiveSet| {
             l.gprs.iter().all(|r| bound.gprs.contains(Reg(r))) && l.preds & !bound.preds == 0
         };

@@ -2,7 +2,7 @@
 #![allow(dead_code)] // each test uses its part
 
 use cuda::{CbId, CbParams, CuFunction};
-use nvbit::{IPoint, NvbitApi, NvbitTool};
+use nvbit::{IPoint, NvbitApi, NvbitTool, PlanLevel};
 use sass::Arch;
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -12,6 +12,11 @@ use std::rc::Rc;
 /// (8-byte words, ABI version 1) and Volta (16-byte words, ABI version 2,
 /// whose calls also save the convergence-barrier state).
 pub const FAMILIES: [Arch; 2] = [Arch::Pascal, Arch::Volta];
+
+/// The plan rungs a suite that is not about the ladder runs at: `Region`,
+/// where every call is out of line between the save routines, and the
+/// default `Promoted`, where the calls with an effect are lowered.
+pub const RUNGS: [PlanLevel; 2] = [PlanLevel::Region, PlanLevel::Promoted];
 
 /// Counts thread-level instructions once they have retired: the shipped
 /// counting body `nvbit_count_pmult` at `IPoint::After` of every site of

@@ -2,34 +2,50 @@
 //! kernel, and the pre-swap static verifier must accept every generated
 //! image with zero diagnostics (paper §5.1 — a bad image corrupts the
 //! *application*, so the verifier is the last line of defense against
-//! codegen bugs), on one architecture per encoding family.
+//! codegen bugs), on one architecture per encoding family and at each of
+//! [`RUNGS`]: out-of-line brackets at `Region`, lowered code at `Promoted`.
+//! Each suite proves from `plan_stats` that it reached both: `instr_count`
+//! calls out of line at `Region` and lowers calls at `Promoted`.
 //!
-//! The full sweep is heavy and runs in release under `ci.sh` (the debug
-//! `cargo test` run covers a single-workload slice).
+//! The full sweep is heavy and runs in release under `ci.sh`, which prints
+//! the suite × rung matrix (the debug `cargo test` run covers the fft
+//! slice).
 
 use common::channel::Backpressure;
 use cuda::{CbId, CbParams, Driver};
 use gpu::{DeviceSpec, Dim3};
-use nvbit::{attach_tool, NvbitApi, NvbitTool};
+use nvbit::{attach_tool, NvbitApi, NvbitTool, PlanLevel, PlanOpts, PlanStats};
 use nvbit_tools::{InstrCount, MemDivergence, MemTrace, OpcodeHistogram, SamplingMode};
 use sass::Arch;
-use shared::FAMILIES;
+use shared::{FAMILIES, RUNGS};
 use std::cell::RefCell;
 use std::rc::Rc;
 use workloads::specaccel::{self, Size};
 
 mod shared;
 
-/// Wraps a tool and re-verifies every instrumented function (the launched
-/// kernel and its related functions) at every launch exit.
+/// What a verified run reached: images accepted, and the calls their
+/// plans emitted and lowered.
+#[derive(Clone, Copy, Default)]
+struct Reached {
+    verified: usize,
+    emitted: u64,
+    promoted: u64,
+}
+
+/// Wraps a tool, sets `level` after the tool's own `at_init`, and
+/// re-verifies every instrumented function (the launched kernel and its
+/// related functions) at every launch exit.
 struct VerifyEverything<T> {
     inner: T,
-    verified: Rc<RefCell<usize>>,
+    level: PlanLevel,
+    reached: Rc<RefCell<Reached>>,
 }
 
 impl<T: NvbitTool> NvbitTool for VerifyEverything<T> {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
         self.inner.at_init(api);
+        api.set_plan_opts(PlanOpts { level: self.level });
     }
     fn at_term(&mut self, api: &NvbitApi<'_>) {
         self.inner.at_term(api);
@@ -54,42 +70,79 @@ impl<T: NvbitTool> NvbitTool for VerifyEverything<T> {
             }
             let name = api.get_func_name(target).unwrap_or_default();
             let diags = api.verify_instrumented(target).unwrap();
-            assert!(diags.is_empty(), "verifier rejected `{name}`: {:?}", diags);
-            *self.verified.borrow_mut() += 1;
+            assert!(diags.is_empty(), "verifier rejected `{name}` at {:?}: {diags:?}", self.level);
+            let PlanStats { emitted_calls, promoted_calls, .. } =
+                api.plan_stats(target).unwrap().unwrap_or_default();
+            let mut reached = self.reached.borrow_mut();
+            reached.verified += 1;
+            reached.emitted += emitted_calls;
+            reached.promoted += promoted_calls;
         }
     }
 }
 
 const TOOLS: [&str; 4] = ["instr_count", "opcode_hist", "mem_trace", "mem_divergence"];
 
-/// Runs `app` on `arch` under the named tool with the verifying wrapper;
-/// returns how many instrumented images the verifier accepted.
-fn run_verified(arch: Arch, tool: &str, app: &dyn Fn(&Driver)) -> usize {
-    let drv = Driver::new(DeviceSpec::test(arch));
-    let verified = Rc::new(RefCell::new(0usize));
-    match tool {
-        "instr_count" => {
-            let (t, _r) = InstrCount::new();
-            attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
-        }
-        "opcode_hist" => {
-            let (t, _r) = OpcodeHistogram::new(SamplingMode::Full);
-            attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
-        }
-        "mem_trace" => {
-            let (t, _r) = MemTrace::channel(Backpressure::Block, 1024);
-            attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
-        }
-        "mem_divergence" => {
-            let (t, _r) = MemDivergence::new(true);
-            attach_tool(&drv, VerifyEverything { inner: t, verified: verified.clone() });
-        }
-        other => unreachable!("unknown tool {other}"),
+/// Runs `app` on `arch` under the named tool with the verifying wrapper at
+/// `level`; returns what the verifier accepted and the plans reached.
+fn run_verified(arch: Arch, level: PlanLevel, tool: &str, app: &dyn Fn(&Driver)) -> Reached {
+    fn attach(
+        drv: &Driver,
+        inner: impl NvbitTool + 'static,
+        level: PlanLevel,
+    ) -> Rc<RefCell<Reached>> {
+        let reached = Rc::new(RefCell::new(Reached::default()));
+        attach_tool(drv, VerifyEverything { inner, level, reached: reached.clone() });
+        reached
     }
+    let drv = Driver::new(DeviceSpec::test(arch));
+    let reached = match tool {
+        "instr_count" => attach(&drv, InstrCount::new().0, level),
+        "opcode_hist" => attach(&drv, OpcodeHistogram::new(SamplingMode::Full).0, level),
+        "mem_trace" => attach(&drv, MemTrace::channel(Backpressure::Block, 1024).0, level),
+        "mem_divergence" => attach(&drv, MemDivergence::new(true).0, level),
+        other => unreachable!("unknown tool {other}"),
+    };
     app(&drv);
     drv.shutdown();
-    let n = *verified.borrow();
-    n
+    let r = *reached.borrow();
+    r
+}
+
+/// Runs `app` under every tool on every family at every rung, requiring
+/// each run to verify some image and `instr_count` to reach out-of-line
+/// calls at `Region` and lowered ones at `Promoted`; prints `suite`'s row
+/// of the suite × rung matrix.
+fn sweep(suite: &str, app: &dyn Fn(&Driver)) {
+    for level in RUNGS {
+        let mut total = Reached::default();
+        for arch in FAMILIES {
+            for tool in TOOLS {
+                let r = run_verified(arch, level, tool, app);
+                assert!(r.verified > 0, "{tool} instrumented nothing on {suite} on {arch}");
+                if tool == "instr_count" && level == PlanLevel::Region {
+                    assert!(
+                        r.emitted > 0 && r.promoted == 0,
+                        "{suite} on {arch}: no call out of line"
+                    );
+                }
+                if tool == "instr_count" && level == PlanLevel::Promoted {
+                    assert!(r.promoted > 0, "{suite} on {arch}: no call lowered");
+                }
+                total.verified += r.verified;
+                total.emitted += r.emitted;
+                total.promoted += r.promoted;
+            }
+        }
+        let out_of_line = total.emitted - total.promoted;
+        println!(
+            "verify_all {suite:<10} {:<9} images {:>6}  calls out of line {:>7}  lowered {:>7}",
+            format!("{level:?}"),
+            total.verified,
+            out_of_line,
+            total.promoted
+        );
+    }
 }
 
 #[test]
@@ -109,40 +162,21 @@ fn every_tool_verifies_on_the_fft_pipeline() {
         )
         .unwrap();
     };
-    for arch in FAMILIES {
-        for tool in TOOLS {
-            let verified = run_verified(arch, tool, &app);
-            assert!(verified > 0, "{tool} instrumented nothing on the fft pipeline on {arch}");
-        }
-    }
+    sweep("fft", &app);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy; ci.sh runs this in release as the verify_all gate")]
 fn every_tool_verifies_on_every_specaccel_benchmark() {
-    for arch in FAMILIES {
-        for tool in TOOLS {
-            for bench in specaccel::suite() {
-                let verified = run_verified(arch, tool, &|drv: &Driver| {
-                    bench.run(drv, Size::Small).unwrap();
-                });
-                assert!(verified > 0, "{tool} instrumented nothing on {} on {arch}", bench.name);
-            }
-        }
+    for bench in specaccel::suite() {
+        sweep(bench.name, &|drv: &Driver| bench.run(drv, Size::Small).unwrap());
     }
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy; ci.sh runs this in release as the verify_all gate")]
 fn every_tool_verifies_on_every_ml_model() {
-    for arch in FAMILIES {
-        for tool in TOOLS {
-            for model in workloads::ml_models() {
-                let verified = run_verified(arch, tool, &|drv: &Driver| {
-                    model.run(drv).unwrap();
-                });
-                assert!(verified > 0, "{tool} instrumented nothing on {} on {arch}", model.name);
-            }
-        }
+    for model in workloads::ml_models() {
+        sweep(model.name, &|drv: &Driver| model.run(drv).unwrap());
     }
 }

@@ -235,10 +235,15 @@ fn run_stratum(instrumented: bool) -> (Phases, u64, u64) {
 /// 174, spread over the 32 functions), the lift solves no liveness (its
 /// three vectors) and the body is the original's bytes with the site
 /// words encoded, not a re-assembled copy. Lift measures 33, build 33,
-/// teardown 27 and the total 104, and those ceilings fell by as much.
+/// teardown 27 and the total 104, and those ceilings fell by as much. The
+/// planner, the code generator and the verifier then began reading the
+/// lift's views in place: the build and `verify_instrumented` no longer
+/// collect the body into a vector of their own, so against a parent
+/// measuring build 33, verify 19 and total 104, build measures 32, verify
+/// 18 and the total 103, and those ceilings fell by 1.
 const PARENT: [u64; 5] = [41, 20, 344, 155, 43];
-const CEILING: [u64; 5] = [37, 14, 46, 25, 36];
-const CEILING_TOTAL: u64 = 118;
+const CEILING: [u64; 5] = [37, 14, 45, 24, 36];
+const CEILING_TOTAL: u64 = 117;
 /// `Driver::module_load` of the stratum, natively, per function: what the
 /// commit before the PTX front end moved to borrowed tokens and dense ids
 /// measured here, and the ceiling since.
