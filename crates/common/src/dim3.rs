@@ -5,7 +5,7 @@
 //! tuples.
 
 /// A 3-component launch dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// x component.
     pub x: u32,

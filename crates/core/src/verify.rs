@@ -259,9 +259,9 @@ fn check_brackets(
             }
             continue;
         }
-        // The restore routine rebuilds `R1` from its value at the restore
-        // call: inside a save frame nothing may write it.
-        if st.depth > 0 && ins.reg_writes().contains(&Reg::SP) {
+        // The restore routine rebuilds `R1`: inside a save frame nothing may write it.
+        let writes = ins.reg_writes();
+        if st.depth > 0 && writes.contains(&Reg::SP) {
             diag(DiagKind::UnbalancedFrame, "R1 written inside a save frame");
         }
         if let (Op::Iadd, true, [Operand::Reg(Reg::SP), Operand::Reg(Reg::SP), Operand::Imm(by)]) =
@@ -291,7 +291,7 @@ fn check_brackets(
             }
         }
 
-        for &r in &ins.reg_writes() {
+        for &r in &writes {
             let saved = st.depth > 0 && u16::from(r.0) < site.tier;
             if live_reg(r) && !saved {
                 diag(DiagKind::PressureExceeded, &format!("live {r} written but not saved"));

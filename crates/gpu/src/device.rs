@@ -145,6 +145,9 @@ pub struct Device {
     /// Producer half of the attached tool record channel; injected tool
     /// code reaches it through the executor's `CHAN` instruction.
     channel: Option<common::channel::ChannelDev>,
+    /// One CTA worker state per worker of the last launch, kept for the
+    /// next one (DESIGN.md "Per-worker launch state").
+    states: Vec<LaunchState>,
 }
 
 impl Device {
@@ -159,6 +162,7 @@ impl Device {
             launches: 0,
             labels: CodeLabels::new(),
             channel: None,
+            states: Vec::new(),
         }
     }
 
@@ -305,7 +309,6 @@ impl Device {
 
         let labels = &self.labels;
         let chan = self.channel.as_ref();
-        let new_state = || LaunchState::new(block_threads as u32, local_size, cfg.shared_size);
         let run_one = |state: &mut LaunchState, cta_linear: u64| -> Result<CtaStats> {
             if let Some(t0) = exec_t0 {
                 common::obs::counter("cta.queue_wait_ns", t0.elapsed().as_nanos() as u64);
@@ -319,39 +322,45 @@ impl Device {
         // One worker loop: CTA indices are handed out in increasing order,
         // so by the time any CTA faults, every lower index has already been
         // claimed and will produce a result. Each worker returns its own
-        // `(index, result)` list.
+        // `(index, result)` list. Their states are out of the device while
+        // they run: a panic drops them rather than leave them half reset.
         let workers = self.scheduler.workers().max(1).min(cta_count as usize);
+        let mut states = std::mem::take(&mut self.states);
+        states.resize_with(workers, LaunchState::default);
         let next = AtomicU64::new(0);
         let failed = AtomicBool::new(false);
-        let work = || {
-            let mut state = new_state();
+        let work = |state: &mut LaunchState| {
+            state.reshape(block_threads as u32, local_size, cfg.shared_size);
             let mut done = Vec::with_capacity((cta_count as usize).div_ceil(workers));
             while !failed.load(Ordering::Relaxed) {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= cta_count {
                     break;
                 }
-                let r = run_one(&mut state, i);
+                let r = run_one(state, i);
                 if r.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
                 done.push((i, r));
             }
+            // A page is validated per launch: the next one starts with none.
+            state.pages.fill(None);
             done
         };
         let mut results = if workers <= 1 {
-            work()
+            work(&mut states[0])
         } else {
-            let worker = || {
+            let worker = |state| {
                 let _obs = recorder.as_ref().map(common::obs::Recorder::enter);
-                work()
+                work(state)
             };
             std::thread::scope(|s| {
-                let spawned: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+                let spawned: Vec<_> = states.iter_mut().map(|st| s.spawn(|| worker(st))).collect();
                 let joined = spawned.into_iter().map(|h| h.join());
                 joined.flat_map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
             })
         };
+        self.states = states;
         drop(exec_span);
 
         // Kernel-completion barrier: every CTA worker has joined, so the
@@ -1050,6 +1059,145 @@ EXIT ;";
                 dev.read(buf, &mut out).unwrap();
                 let dirty = out.chunks_exact(16).position(|slot| slot != [0; 16]);
                 assert_eq!(dirty, None, "{sched:?}, block {block}, local {local}: {out:x?}");
+            }
+        }
+    }
+
+    /// Each thread stores, before it dirties anything, what a fresh CTA must
+    /// read: the or of two registers nothing wrote and its predicates, the or
+    /// of its whole local frame, the or of its share of shared memory (every
+    /// `T`-th word, `T` the block's threads), its `SR_TID.X | SR_TID.Y << 16`
+    /// and the marker the first instruction loads. After a barrier it writes
+    /// all of that: the registers, every predicate, the frame in a per-lane
+    /// order and at its top through `[R1-0x4]`, and shared memory.
+    const DIRTIES_WHAT_IT_READ: &str = "\
+MOV32I R19, 0x1 ;\n\
+S2R R4, SR_TID.X ;\n\
+S2R R5, SR_TID.Y ;\n\
+S2R R6, SR_NTID.X ;\n\
+S2R R7, SR_NTID.Y ;\n\
+S2R R20, SR_CTAID.X ;\n\
+IMAD R8, R5, R6, R4 ;\n\
+IMUL R9, R6, R7 ;\n\
+IMAD R10, R20, R9, R8 ;\n\
+SHL R10, R10, 0x5 ;\n\
+MOV R11, RZ ;\n\
+LDC.64 R12, c[0x0][0x160] ;\n\
+IADD.U64 R12, R12, R10 ;\n\
+LOP.OR R14, R200, R201 ;\n\
+P2R R15 ;\n\
+LOP.OR R14, R14, R15 ;\n\
+STG [R12], R14 ;\n\
+MOV R16, RZ ;\n\
+MOV R17, RZ ;\n\
+scan_local:\n\
+ISETP.GE.U32 P0, R17, R1 ;\n\
+@P0 BRA local_done ;\n\
+LDL R18, [R17] ;\n\
+LOP.OR R16, R16, R18 ;\n\
+IADD R17, R17, 0x4 ;\n\
+BRA scan_local ;\n\
+local_done:\n\
+STG [R12+0x4], R16 ;\n\
+LDC R21, c[0x0][0x168] ;\n\
+SHL R22, R8, 0x2 ;\n\
+SHL R23, R9, 0x2 ;\n\
+MOV R16, RZ ;\n\
+MOV R17, RZ ;\n\
+scan_shared:\n\
+ISETP.GE.U32 P0, R17, R21 ;\n\
+@P0 BRA shared_done ;\n\
+IADD R24, R17, R22 ;\n\
+ISETP.LT.U32 P1, R24, R21 ;\n\
+@P1 LDS R18, [R24] ;\n\
+@P1 LOP.OR R16, R16, R18 ;\n\
+IADD R17, R17, R23 ;\n\
+BRA scan_shared ;\n\
+shared_done:\n\
+STG [R12+0x8], R16 ;\n\
+SHL R25, R5, 0x10 ;\n\
+LOP.OR R25, R25, R4 ;\n\
+STG [R12+0xc], R25 ;\n\
+STG [R12+0x10], R19 ;\n\
+BAR ;\n\
+MOV32I R200, 0x5eadbeef ;\n\
+LDC R201, c[0x0][0x160] ;\n\
+S2R R27, SR_LANEID ;\n\
+LOP.AND R27, R27, 0x1 ;\n\
+ISETP.NE.U32 P1, R27, RZ ;\n\
+MOV R17, RZ ;\n\
+fill_local:\n\
+ISUB R28, R1, R17 ;\n\
+ISUB R28, R28, 0x4 ;\n\
+@!P1 MOV R28, R17 ;\n\
+STL [R28], R200 ;\n\
+IADD R17, R17, 0x4 ;\n\
+ISETP.LT.U32 P0, R17, R1 ;\n\
+@P0 BRA fill_local ;\n\
+STL [R1-0x4], R200 ;\n\
+MOV R17, RZ ;\n\
+fill_shared:\n\
+ISETP.GE.U32 P0, R17, R21 ;\n\
+@P0 BRA shared_filled ;\n\
+IADD R24, R17, R22 ;\n\
+ISETP.LT.U32 P2, R24, R21 ;\n\
+@P2 STS [R24], R200 ;\n\
+IADD R17, R17, R23 ;\n\
+BRA fill_shared ;\n\
+shared_filled:\n\
+MOV32I R26, 0x7f ;\n\
+R2P R26 ;\n\
+EXIT ;";
+
+    /// A CTA cannot tell who ran before it on its worker in an earlier
+    /// launch either: launches in sequence on one `Device`, under every
+    /// scheduler and worker count, each read zero registers, predicates,
+    /// local and shared memory, their own thread indices and the code as it
+    /// stands. Between launches the block shrinks and grows (with partial
+    /// last warps, and 64×1 after 32×2: the same threads in another shape),
+    /// the local frame grows, shrinks and grows, the shared size moves and
+    /// the code is patched.
+    #[test]
+    fn a_launch_starts_clean_whatever_launched_before_it_on_the_device() {
+        let scheds = [Scheduler::Serial]
+            .into_iter()
+            .chain([1, 2, 4].map(|threads| Scheduler::Parallel { threads }));
+        for sched in scheds {
+            let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+            dev.scheduler = sched;
+            let pc = load(&mut dev, DIRTIES_WHAT_IT_READ);
+            let mut marker = 1;
+            let launches = [
+                (Dim3::xyz(48, 1, 1), 256, 512, None),
+                (Dim3::xyz(32, 2, 1), 64, 128, None),
+                (Dim3::xyz(64, 1, 1), 512, 1024, Some(2)),
+                (Dim3::xyz(17, 1, 1), 128, 0, None),
+                (Dim3::xyz(40, 2, 1), 384, 256, Some(3)),
+            ];
+            for (block, local, shared, patch) in launches {
+                if let Some(m) = patch {
+                    dev.write(pc, &encode(Arch::Volta, &format!("MOV32I R19, 0x{m:x} ;"))).unwrap();
+                    marker = m;
+                }
+                let threads = 8 * block.count() as usize;
+                let buf = dev.alloc(32 * threads as u64).unwrap();
+                dev.write(buf, &vec![0xff; 32 * threads]).unwrap();
+                let mut cfg = LaunchConfig::new(pc, Dim3::linear(8), block);
+                (cfg.local_size, cfg.shared_size) = (local, shared);
+                cfg.push_param_u64(buf);
+                cfg.push_param_u32(shared);
+                dev.launch(&cfg).unwrap();
+                let mut out = vec![0u8; 32 * threads];
+                dev.read(buf, &mut out).unwrap();
+                for (g, slot) in out.chunks_exact(32).enumerate() {
+                    let t = g as u32 % block.count() as u32;
+                    let want = [0, 0, 0, (t % block.x) | (t / block.x) << 16, marker];
+                    let got: Vec<u32> = slot[..20]
+                        .chunks_exact(4)
+                        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+                        .collect();
+                    assert_eq!(got, want, "{sched:?}, block {block:?}, local {local}, thread {g}");
+                }
             }
         }
     }

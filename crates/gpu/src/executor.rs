@@ -46,12 +46,13 @@
 //! model and the access both read; an `LDG`/`STG` whose active lanes' words
 //! are all aligned and in bounds, validated at once by `SharedMem::row`,
 //! loads each register as a row or stores lane-major with no per-word check.
-//! `CHAN` hands its lanes' records over as one row. Everything else (partial
-//! masks, per-lane or unaligned addresses, faults) takes the per-lane loop
-//! behind the row path — the one in `fill` for register rows, the lane loops
-//! of `LDC` and `load_store` for memory; there is no other fallback and no
-//! switch between the two but the input. A CTA runs on its worker's
-//! `LaunchState`, re-entered rather than allocated.
+//! `CHAN` hands its lanes' records over as one row, a same-address `RED` its
+//! lanes' combined operand. Everything else (partial masks, per-lane or
+//! unaligned addresses, faults) takes the per-lane loop behind the row path —
+//! the one in `fill` for register rows, the lane loops of `LDC`, `load_store`
+//! and `atomic` for memory; there is no other fallback and no switch between
+//! the two but the input. A CTA runs on its worker's `LaunchState`, kept by
+//! the device across launches and re-entered rather than allocated.
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
@@ -171,13 +172,13 @@ impl CodeCache {
 
 /// The code pages one worker has already fetched in this launch,
 /// direct-mapped by page number. An entry is valid by construction — the
-/// table is born after [`CodeCache::launch`] is set and dropped with the
-/// launch, and a page validated in a launch is never replaced in it — so a
-/// hit is a compare with no lock, hash or refcount, and nothing ever has to
-/// invalidate the table. Only a miss goes to [`CodeCache::page`]. (128
-/// entries: 32 already leave the coalesced benchmark workloads with first
-/// touches only; `sample_swap`'s per-instruction trampolines miss on 6 % of
-/// page switches at 64 and on 1 % here.)
+/// table is emptied when the worker's launch ends, so it fills only after
+/// [`CodeCache::launch`] is set, and a page validated in a launch is never
+/// replaced in it — so a hit is a compare with no lock, hash or refcount,
+/// and nothing has to invalidate an entry. Only a miss goes to
+/// [`CodeCache::page`]. (128 entries: 32 already leave the coalesced benchmark
+/// workloads with first touches only; `sample_swap`'s per-instruction
+/// trampolines miss on 6 % of page switches at 64 and on 1 % here.)
 pub(crate) type PageTable = [Option<(u64, Arc<CodePage>)>; 128];
 
 /// One 32-bit value per lane: a register, or one word of local memory.
@@ -211,7 +212,7 @@ fn lanes_where(f: impl Fn(usize) -> bool) -> u32 {
 
 /// The value every lane of `exec` holds in `row`, if they all hold one.
 /// (`execute` runs only with an active lane, so `exec` has a first.)
-fn uniform(row: &Row, exec: u32) -> Option<u32> {
+fn uniform<T: Copy + PartialEq>(row: &[T; WARP], exec: u32) -> Option<T> {
     let first = row[exec.trailing_zeros() as usize];
     (lanes_where(|l| row[l] == first) & exec == exec).then_some(first)
 }
@@ -310,15 +311,15 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
-    /// A warp of `lanes` threads with all-zero registers; [`Warp::reset`]
-    /// makes it runnable.
-    pub fn new(base_tid: u32, lanes: u32) -> Warp {
+    /// A warp with all-zero registers; [`Warp::shape`] places it in a
+    /// launch's block and [`Warp::reset`] makes it runnable.
+    pub fn new() -> Warp {
         // 256 rows by construction, so the conversion to the array holds.
         let regs = vec![[0u32; WARP]; 256].into_boxed_slice();
         Warp {
-            base_tid,
+            base_tid: 0,
             tid: Default::default(),
-            lane_mask: if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 },
+            lane_mask: 0,
             entries: Vec::new(),
             regs: regs.try_into().expect("256 rows"),
             high: 0,
@@ -329,6 +330,23 @@ impl Warp {
         }
     }
 
+    /// Places this warp at thread `base_tid` of a block of `threads`,
+    /// forgetting the `SR_TID` rows of the block shape it last ran.
+    fn shape(&mut self, base_tid: u32, threads: u32) {
+        self.base_tid = base_tid;
+        self.lane_mask = u32::MAX >> (32 - (threads - base_tid).min(32));
+        self.tid = Default::default();
+    }
+
+    /// Zeroes what stores left in `rows`, this warp's local memory in the
+    /// layout they were made in.
+    fn clear_local(&mut self, rows: &mut [Row]) {
+        if self.stored.0 < self.stored.1 {
+            rows[self.stored.0..self.stored.1].fill([0; WARP]);
+        }
+        self.stored = (usize::MAX, 0);
+    }
+
     /// CTA entry state — every register zero but `R1`, which the ABI starts
     /// at the top of the thread's local memory (stacks grow downward);
     /// predicates zero, `PT` set; one SIMT entry at `entry_pc`; `rows`, this
@@ -337,10 +355,7 @@ impl Warp {
         self.regs[..self.high].fill([0; WARP]);
         self.regs[Reg::SP.index()] = [local_size; WARP];
         self.high = Reg::SP.index() + 1;
-        if self.stored.0 < self.stored.1 {
-            rows[self.stored.0..self.stored.1].fill([0; WARP]);
-        }
-        self.stored = (usize::MAX, 0);
+        self.clear_local(rows);
         self.preds = [0, 0, 0, 0, 0, 0, 0, u32::MAX];
         self.entries.clear();
         self.entries.push(Entry { pc: entry_pc, mask: self.lane_mask, retstack: Vec::new() });
@@ -461,6 +476,7 @@ impl Warp {
 }
 
 /// The execution context of one CTA.
+#[derive(Default)]
 pub(crate) struct CtaCtx {
     /// CTA coordinates within the grid.
     pub cta: Dim3,
@@ -478,40 +494,54 @@ pub(crate) struct CtaCtx {
     pub local_size: usize,
 }
 
-/// What one CTA worker (the serial loop included) keeps for the length of a
-/// launch and re-enters for each CTA it runs, instead of allocating a
-/// register file and a local memory per CTA. It is born after the launch's
-/// geometry is fixed and dropped with the launch: a worst-case block is
-/// 16 MiB of local rows, not something to keep on the device.
+/// What one CTA worker (the serial loop included) runs its CTAs on,
+/// re-entered for each CTA instead of allocating a register file and a local
+/// memory per CTA. The device keeps it across launches, and each launch
+/// [`LaunchState::reshape`]s it to its own geometry first; between launches
+/// it holds no code page, and no more memory than the last launch needed.
 pub(crate) struct LaunchState {
     pub warps: Vec<Warp>,
     pub cta: CtaCtx,
     pub pages: PageTable,
 }
 
+impl Default for LaunchState {
+    fn default() -> LaunchState {
+        LaunchState { warps: Vec::new(), cta: CtaCtx::default(), pages: [const { None }; 128] }
+    }
+}
+
+/// Resizes `v` to `n` elements, new ones `zero`, holding no capacity past them.
+fn fit<T: Clone>(v: &mut Vec<T>, n: usize, zero: T) {
+    v.reserve_exact(n.saturating_sub(v.len()));
+    v.resize(n, zero);
+    v.shrink_to_fit();
+}
+
 impl LaunchState {
-    pub fn new(block_threads: u32, local_size: u32, shared_size: u32) -> LaunchState {
-        let warps: Vec<Warp> = (0..block_threads.div_ceil(32))
-            .map(|w| Warp::new(32 * w, (block_threads - 32 * w).min(32)))
-            .collect();
-        let local_words = local_size.div_ceil(4) as usize;
-        LaunchState {
-            cta: CtaCtx {
-                cta: Dim3::linear(0),
-                cta_linear: 0,
-                shared: vec![0u8; shared_size.max(4) as usize],
-                local: vec![[0u32; WARP]; warps.len() * local_words],
-                local_words,
-                local_size: local_size as usize,
-            },
-            warps,
-            pages: std::array::from_fn(|_| None),
+    /// Fits this state to a launch's block, local and shared sizes. Local
+    /// rows are cleared in the layout the last CTA stored in before they are
+    /// laid out anew; only what this launch needs beyond what is here is
+    /// allocated and zeroed.
+    pub fn reshape(&mut self, block_threads: u32, local_size: u32, shared_size: u32) {
+        let CtaCtx { shared, local, local_words, .. } = &mut self.cta;
+        for (w, warp) in self.warps.iter_mut().enumerate() {
+            warp.clear_local(&mut local[w * *local_words..][..*local_words]);
         }
+        self.warps.resize_with(block_threads.div_ceil(32) as usize, Warp::new);
+        for (w, warp) in self.warps.iter_mut().enumerate() {
+            warp.shape(32 * w as u32, block_threads);
+        }
+        *local_words = local_size.div_ceil(4) as usize;
+        fit(local, self.warps.len() * *local_words, [0; WARP]);
+        fit(shared, shared_size.max(4) as usize, 0);
+        self.cta.local_size = local_size as usize;
     }
 
     /// Makes this the state of CTA `cta_linear` at its entry. A CTA cannot
-    /// tell who ran here before it: shared memory is cleared whole, each
-    /// warp clears the registers and local rows its predecessor wrote.
+    /// tell who ran here before it, in this launch or an earlier one: shared
+    /// memory is cleared whole, each warp clears the registers and local rows
+    /// its predecessor wrote (an earlier launch's rows, [`Self::reshape`]).
     pub fn enter(&mut self, cta: Dim3, cta_linear: u64, entry_pc: u64) {
         let CtaCtx { shared, local, local_words, local_size, .. } = &mut self.cta;
         shared.fill(0);
@@ -1320,6 +1350,22 @@ impl<'d> ExecEnv<'d> {
         // One lock round-trip per warp instruction: holding it across the
         // lanes, applied in ascending order, is a legal linearisation.
         let atomics = self.mem.atomics();
+        // Row path: a `RED` whose active lanes share one address applies
+        // their combined operand in one read-modify-write. An integer `ADD`,
+        // `MIN`, `MAX`, `AND`, `OR` or `XOR` is associative and commutative,
+        // and `RED` returns no old value, so memory ends as the lanes leave it.
+        use SubOp::{Add, And, Max, Min, Or, Xor};
+        let folds = instr.op == Op::Red
+            && instr.mods.itype != IType::F32
+            && matches!(instr.mods.sub, Add | Min | Max | And | Or | Xor);
+        if let Some(addr) = uniform(&self.addrs, exec).filter(|_| folds) {
+            let value = |l| if wide { warp.pair(l, src) } else { warp.reg(l, src) as u64 };
+            let v = lanes(exec).map(value).reduce(|a, b| op(a, b, 0)).expect("an active lane");
+            atomics
+                .rmw(addr, wide, |old| op(old, v, 0))
+                .map_err(|_| self.fault(pc, format!("atomic fault at 0x{addr:x}")))?;
+            return Ok(());
+        }
         for lane in lanes(exec) {
             let addr = self.addrs[lane];
             let (sv, s2v) = if wide {
@@ -1585,6 +1631,127 @@ EXIT ;";
             .collect();
         let got = run_on_buffer(text, 6, &init);
         assert_eq!(got, [0x7777_7777, 0x55, 0x66, 0x7777_7777, 0x10, 0x1]);
+    }
+
+    /// Every lane of `guard`'s lanes (all, the odd ones, the first 13) applies
+    /// `op`.`ty` of its own value — 32 values that mix signs, whose sums wrap
+    /// in 32 and in 64 bits — at one address, as a `RED` or, through the
+    /// per-lane loop, as an `ATOM`; returns the buffer: a word before the
+    /// target, the 64-bit target and a word behind it.
+    fn reduce_at_one_address(atom: bool, op: &str, ty: &str, guard: &str) -> Vec<u32> {
+        let access = if atom {
+            format!("{guard}ATOM.{op}.{ty} R14, [R6+0x4], R8, RZ ;")
+        } else {
+            format!("{guard}RED.{op}.{ty} [R6+0x4], R8 ;")
+        };
+        let text = format!(
+            "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+MOV32I R10, 0x5e3779b9 ;\n\
+MOV32I R11, 0x7ffffff0 ;\n\
+IMAD R8, R4, R10, R11 ;\n\
+MOV32I R10, 0x45ebca6b ;\n\
+IMUL R9, R4, R10 ;\n\
+LOP.XOR R9, R9, R8 ;\n\
+LOP.AND R12, R4, 0x1 ;\n\
+ISETP.NE.U32 P0, R12, RZ ;\n\
+ISETP.LT.U32 P1, R4, 0xd ;\n\
+{access}\n\
+EXIT ;"
+        );
+        let init: Vec<u8> = [0x7777_7777u32, 0xffff_fff9, 0x8000_0007, 0x7777_7777]
+            .into_iter()
+            .flat_map(u32::to_le_bytes)
+            .collect();
+        run_on_buffer(&text, 4, &init)
+    }
+
+    /// A `RED` whose active lanes share one address is folded into one
+    /// read-modify-write; memory must end as the per-lane `ATOM` leaves it,
+    /// for every foldable operation and type, under full and partial masks.
+    #[test]
+    fn a_same_address_red_leaves_what_the_per_lane_path_leaves() {
+        for ty in ["U32", "S32", "U64"] {
+            for op in ["ADD", "MIN", "MAX", "AND", "OR", "XOR"] {
+                for guard in ["", "@P0 ", "@P1 "] {
+                    let red = reduce_at_one_address(false, op, ty, guard);
+                    let atom = reduce_at_one_address(true, op, ty, guard);
+                    assert_eq!(red, atom, "{guard}RED.{op}.{ty}");
+                    if op == "ADD" {
+                        assert_ne!(red[1], 0xffff_fff9, "{guard}RED.{op}.{ty} added nothing");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What a fold would change stays lane by lane: an `F32` add of 1.0 from
+    /// each of 32 lanes to 1e8 rounds back to 1e8 at every lane (their sum
+    /// of 32 would not), and a `RED` whose lanes do not share one address
+    /// applies the lanes before the one that faults, at that lane's address.
+    #[test]
+    fn an_f32_red_and_a_red_at_divergent_addresses_apply_lane_by_lane() {
+        let text = "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+MOV32I R8, 0x3f800000 ;\n\
+RED.ADD.F32 [R6], R8 ;\n\
+EXIT ;";
+        assert_eq!(run_on_buffer(text, 1, &1e8f32.to_le_bytes()), [1e8f32.to_bits()]);
+
+        let cap = DeviceSpec::test(Arch::Volta).global_mem;
+        let text = format!(
+            "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+ISETP.NE.U32 P0, R4, 0x5 ;\n\
+@!P0 MOV32I R6, 0x{:x} ;\n\
+@!P0 MOV32I R7, 0x{:x} ;\n\
+MOV32I R8, 0x1 ;\n\
+RED.ADD.U32 [R6], R8 ;\n\
+EXIT ;",
+            cap as u32,
+            (cap >> 32) as u32
+        );
+        let (mut dev, pc) = load(&text);
+        let buf = dev.alloc(4).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32));
+        cfg.push_param_u64(buf);
+        match dev.launch(&cfg) {
+            Err(GpuError::Fault { reason, .. }) => {
+                assert_eq!(reason, format!("atomic fault at 0x{cap:x}"))
+            }
+            other => panic!("expected fault, got {other:?}"),
+        }
+        assert_eq!(scalar(&dev, buf, 4), 5, "lanes 0-4 applied, none after lane 5");
+    }
+
+    /// A same-address `RED` at an address memory refuses, whole or in its
+    /// high word, faults with the per-lane text and stores nothing.
+    #[test]
+    fn a_same_address_red_outside_memory_faults_as_the_per_lane_path_does() {
+        let cap = DeviceSpec::test(Arch::Volta).global_mem;
+        for (ty, at) in [("U32", cap), ("U64", cap - 4)] {
+            let text = format!(
+                "\
+MOV32I R6, 0x{:x} ;\n\
+MOV32I R7, 0x{:x} ;\n\
+MOV32I R8, 0x1 ;\n\
+MOV R9, RZ ;\n\
+RED.ADD.{ty} [R6], R8 ;\n\
+EXIT ;",
+                at as u32,
+                (at >> 32) as u32
+            );
+            let (mut dev, pc) = load(&text);
+            match dev.launch(&LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32))) {
+                Err(GpuError::Fault { reason, .. }) => {
+                    assert_eq!(reason, format!("atomic fault at 0x{at:x}"), "{ty}")
+                }
+                other => panic!("{ty}: expected fault, got {other:?}"),
+            }
+            assert_eq!(scalar(&dev, cap - 4, 4), 0, "{ty}: a refused atomic stores nothing");
+        }
     }
 
     /// `global_lines` against sorting and deduplicating the lines, over

@@ -284,6 +284,36 @@ fn the_jit_stays_inside_its_allocation_budget() {
     assert!(total <= CEILING_TOTAL, "total: {total} > {CEILING_TOTAL}");
 }
 
+/// Allocations of one `launch_kernel` of a 128-thread block of a kernel whose
+/// instrumented image is already built, under `CoalescedInstrCount::executed`:
+/// what the parent commit measured here, when each launch built its CTA
+/// worker's state (the warp list, each warp's register file and SIMT stack,
+/// local and shared memory) and dropped it, and the ceiling, what this commit
+/// measures with the device keeping that state.
+const LAUNCH_PARENT: u64 = 65;
+const LAUNCH_CEILING: u64 = 54;
+
+#[test]
+fn a_repeated_launch_stays_inside_its_allocation_budget() {
+    let (source, kernels_) = stratum();
+    let drv = serial_driver();
+    let (tool, _results) = CoalescedInstrCount::executed(PlanOpts::default());
+    attach_tool(&drv, tool);
+    let ctx = drv.ctx_create().unwrap();
+    let module = drv.module_load(&ctx, FatBinary::from_ptx("stratum", source)).unwrap();
+    let (name, params) = &kernels_[0];
+    let f = drv.module_get_function(&module, name).unwrap();
+    let args = launch_args(&drv, params);
+    let launch = || drop(drv.launch_kernel(&f, Dim3::linear(2), Dim3::linear(128), &args).unwrap());
+    launch();
+    let ((), n) = counted(|| (0..16).for_each(|_| launch()));
+    let per = n.div_ceil(16);
+    println!("allocations per repeated launch_kernel, 2 CTAs of 128 threads, instrumented");
+    println!("  parent {LAUNCH_PARENT}, measured {per}, ceiling {LAUNCH_CEILING}");
+    assert!(per <= LAUNCH_CEILING, "launch_kernel: {per} > {LAUNCH_CEILING}");
+    drv.shutdown();
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
