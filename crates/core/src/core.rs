@@ -15,7 +15,7 @@
 //! A function's image is built by `CoreState::build`, straight through on
 //! that thread (paper §5.1): lift → plan → load the save/restore routines,
 //! once per driver and only for a plan that calls out of line → emit →
-//! allocate the trampoline region → assemble → verify → upload → cache.
+//! allocate the body → place and link → verify → upload → cache.
 //! Each step is one recorder span (`plan`, `routines`, `codegen`, `finish`,
 //! `verify`, `upload`) under the build's `instrument`. It runs at the entry of a
 //! launch for the launched function and every function reachable from it
@@ -35,9 +35,9 @@
 //! (§6.2) and never re-runs codegen. The image is *stale* once the request
 //! was edited or a tool function it calls reloaded ([`FuncSpec::dirty`]),
 //! or either setting has moved; the next build replaces it — new image from
-//! the original's bytes, old trampoline region freed — so a function owns
-//! one trampoline region however often it is re-instrumented. `cuModuleUnload`
-//! evicts every entry of the dying module and frees its trampolines, so a
+//! the original's bytes, old body freed — so a function owns one relocated
+//! body however often it is re-instrumented. `cuModuleUnload` evicts every
+//! entry of the dying module and frees its bodies, so a
 //! recycled handle can never be served a stale lifted image.
 
 use crate::codegen::{prepare, InstrumentedImage, SavePolicy, ToolFn, ToolFns};
@@ -109,7 +109,7 @@ struct FuncEntry {
     /// What the tool asked for (`enable_instrumented`). Defaults to
     /// instrumented once instrumentation exists, like NVBit.
     desired: Version,
-    /// Trampoline address of the image whose bytes sit at the function's
+    /// Body address of the image whose bytes sit at the function's
     /// code address (`None` = the original code). A replaced image's region
     /// is not its successor's, so what it left installed reads as neither
     /// version and `reconcile` writes over it.
@@ -173,10 +173,10 @@ fn hal_of(drv: &Driver) -> Hal {
     Hal::new(drv.arch())
 }
 
-/// Frees a trampoline region, counting `tramp.free_fail` when the device
-/// refuses.
-fn free_tramp(drv: &Driver, tramp_addr: u64) -> gpu::Result<()> {
-    let freed = drv.with_device(|d| d.free(tramp_addr));
+/// Frees an image's relocated body, counting `tramp.free_fail` when the
+/// device refuses.
+fn free_body(drv: &Driver, body_addr: u64) -> gpu::Result<()> {
+    let freed = drv.with_device(|d| d.free(body_addr));
     if freed.is_err() {
         common::obs::counter("tramp.free_fail", 1);
     }
@@ -308,7 +308,7 @@ impl CoreState {
             return Ok(());
         }
         let hal = hal_of(drv);
-        let label = drv.with_function_info(func, |i| format!("{}$tramp", i.name))?;
+        let (name, addr) = drv.with_function_info(func, |i| (i.name.clone(), i.addr))?;
 
         let _span = common::obs::span("instrument");
         common::obs::counter("instr_image.build", 1);
@@ -345,8 +345,8 @@ impl CoreState {
             self.ensure_routines(drv)?;
         }
         let routines = self.routines.borrow();
-        // Every trampoline is emitted position-independently first, so an
-        // emission error has allocated nothing.
+        // The body is emitted position-independently first, so an emission
+        // error has allocated nothing.
         let prepared = {
             let _cspan = common::obs::span("codegen");
             drv.with_function_info(func, |info| {
@@ -354,13 +354,13 @@ impl CoreState {
             })??
         };
         let fspan = common::obs::span("finish");
-        let tramp_addr = drv.with_device(|d| d.alloc(prepared.tramp_bytes))?;
+        let body_addr = drv.with_device(|d| d.alloc(prepared.body_bytes))?;
         // From here on the region is either owned by the entry's image or
-        // given back: rebase and assemble, then pre-swap verification — a
-        // bad image corrupts the application, so one with findings is
-        // refused — then upload.
+        // given back: place and link, then pre-swap verification — a bad
+        // image corrupts the application, so one with findings is refused —
+        // then upload, the body labelled with where each word comes from.
         let placed = (|| -> Result<InstrumentedImage> {
-            let image = prepared.finish(&hal, &lifted.code, tramp_addr)?;
+            let mut image = prepared.finish(&hal, &lifted, &plan.removed, (addr, body_addr))?;
             drop(fspan);
             let diags = self.verify(drv, func, (&lifted, &plan), &image)?;
             if !diags.is_empty() {
@@ -369,8 +369,8 @@ impl CoreState {
             }
             let _uspan = common::obs::span("upload");
             drv.with_device(|d| -> gpu::Result<()> {
-                d.write(tramp_addr, &image.tramp_code)?;
-                d.label_code(tramp_addr, image.tramp_code.len() as u64, &label);
+                d.write(body_addr, &image.body_code)?;
+                d.label_body(body_addr, &name, addr, std::mem::take(&mut image.origin));
                 Ok(())
             })?;
             Ok(image)
@@ -378,16 +378,15 @@ impl CoreState {
         match placed {
             Ok(image) => {
                 entry.spec.dirty = false;
-                // One trampoline region per function: the stale image's goes
-                // (a failure is counted on `tramp.free_fail`, and costs the
-                // region, not the build).
+                // One body per function: the stale image's goes (a failure
+                // counts on `tramp.free_fail`, costing the region, not the build).
                 if let Some((stale, ..)) = entry.image.replace((image, policy, opts)) {
-                    let _ = free_tramp(drv, stale.tramp_addr);
+                    let _ = free_body(drv, stale.body_addr);
                 }
                 Ok(())
             }
             Err(e) => {
-                let _ = free_tramp(drv, tramp_addr);
+                let _ = free_body(drv, body_addr);
                 Err(e)
             }
         }
@@ -402,7 +401,7 @@ impl CoreState {
         let (Some(lifted), Some((image, ..))) = (&entry.lifted, &entry.image) else {
             return Ok(());
         };
-        let target = (entry.desired == Version::Instrumented).then_some(image.tramp_addr);
+        let target = (entry.desired == Version::Instrumented).then_some(image.body_addr);
         if entry.installed == target {
             return Ok(());
         }
@@ -426,7 +425,7 @@ impl CoreState {
     }
 
     /// Drops a function's entry: restores the original code, clears the
-    /// local-memory override and frees the image's trampolines. Cleanup
+    /// local-memory override and frees the image's body. Cleanup
     /// runs to completion even when a step fails; the first failure is
     /// returned afterwards.
     fn reset(&self, drv: &Driver, func: CuFunction) -> Result<()> {
@@ -449,14 +448,14 @@ impl CoreState {
                 first_err.get_or_insert(e.into());
             }
         }
-        if let Err(e) = free_tramp(drv, image.tramp_addr) {
+        if let Err(e) = free_body(drv, image.body_addr) {
             first_err.get_or_insert(e.into());
         }
         first_err.map_or(Ok(()), Err)
     }
 
     /// `cuModuleUnload` entry: evicts every cached entry of the dying
-    /// module and frees its trampolines. Runs while the module is still
+    /// module and frees their bodies. Runs while the module is still
     /// queryable; afterwards the driver recycles the handles, so anything
     /// left here would serve stale code to their next owner.
     fn evict_module(&self, drv: &Driver, module: &CuModule) {
@@ -468,7 +467,7 @@ impl CoreState {
             lift_evicted += u64::from(entry.lifted.is_some());
             if let Some((image, ..)) = entry.image {
                 image_evicted += 1;
-                let _ = free_tramp(drv, image.tramp_addr);
+                let _ = free_body(drv, image.body_addr);
             }
         }
         if lift_evicted > 0 {
@@ -902,11 +901,11 @@ impl<'a> NvbitApi<'a> {
     }
 
     /// Discards instrumentation of `func`: restores the original code,
-    /// clears the local-memory override, frees the image's trampolines and
+    /// clears the local-memory override, frees the image's body and
     /// drops the spec (`nvbit_reset_instrumented`).
     ///
     /// Cleanup runs to completion even when a step fails; the first
-    /// failure is returned afterwards, and trampoline-free failures are
+    /// failure is returned afterwards, and body-free failures are
     /// additionally counted on `tramp.free_fail`.
     ///
     /// # Errors
@@ -920,7 +919,7 @@ impl<'a> NvbitApi<'a> {
     /// image builds: liveness-driven per-site tiers (the default) or the
     /// conservative whole-function tier. A function keeps one image, so a
     /// changed policy makes the image it has stale: it is rebuilt under the
-    /// new policy, and its trampoline region freed, when the function is
+    /// new policy, and its body freed, when the function is
     /// next built — its own next launch (or one it is related to), not the
     /// next launch of anything. Set it once, before instrumenting; moving
     /// it back later costs another rebuild.

@@ -66,7 +66,7 @@ pub mod mem;
 pub mod spec;
 pub mod stats;
 
-pub use device::{Device, LaunchConfig, Scheduler};
+pub use device::{Device, LaunchConfig, Origin, Scheduler};
 pub use mem::Memory;
 pub use spec::{CostModel, DeviceSpec, Dim3};
 pub use stats::{ExecStats, MemStats};

@@ -236,7 +236,13 @@ fn instr_count_is_bit_identical_across_schedulers() {
 // the trace column once more when a channel push of an argument address was
 // lowered at the top rung (an `IADD.U64` and a guarded `CHAN.64` in place of
 // a splice in a save bracket: cycles 2888 → 2640, 21912 → 9528, 28577 →
-// 16775; the same suffixes, the same records in the same order). The two
+// 16775; the same suffixes, the same records in the same order). Both tool
+// columns were re-recorded again, with their decode pairs, when each
+// instrumented function became one relocated body entered by one `JMP` per
+// warp: no site jump or back-jump runs (`JMP` 12 → 4, 352 → 32, 452 → 8 in
+// the counting column; cycles 3208 → 3184, 14168 → 13208, 17715 → 16383;
+// 2640 → 2604, 9528 → 8664, 16775 → 15539 in the trace column), and the
+// native column and every suffix did not move. The two
 // decode counters are pinned apart from the strings, in `PINNED_DECODE`:
 // they were redefined (slots decoded / every other step) when the per-CTA
 // decode overlays became one shared code-page cache, and nothing else moved.
@@ -360,18 +366,18 @@ const PIN_APPS: [(&str, PinApp); 3] =
 const PINNED: [[&str; 3]; 3] = [
     [
         r#"ExecStats { warp_instructions: 776, thread_instructions: 24832, cycles: 2552, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 16, "IMAD": 8, "ISETP": 20, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 152, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 4}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=0"#,
-        r#"ExecStats { warp_instructions: 808, thread_instructions: 25856, cycles: 3208, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 12, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 96, "MUFU": 40, "RED": 4, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 244, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Atomic: 4, Control: 16}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 128 } } out=b8603c3557e16e12 tool=6100"#,
-        r#"ExecStats { warp_instructions: 808, thread_instructions: 25856, cycles: 2640, per_op: {"CHAN": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 16, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 20, Misc: 8}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=ff766d31aeb3ba25"#,
+        r#"ExecStats { warp_instructions: 800, thread_instructions: 25600, cycles: 3184, per_op: {"EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 4, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 96, "MUFU": 40, "RED": 4, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 244, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Atomic: 4, Control: 8}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 128 } } out=b8603c3557e16e12 tool=6100"#,
+        r#"ExecStats { warp_instructions: 796, thread_instructions: 25472, cycles: 2604, per_op: {"CHAN": 8, "EXIT": 4, "FADD": 40, "FFMA": 80, "FMUL": 80, "I2F": 20, "IADD": 24, "IMAD": 8, "ISETP": 20, "JMP": 4, "LDC": 8, "LDG": 4, "LOP": 80, "MOV": 92, "MOV32I": 88, "MUFU": 40, "S2R": 16, "SEL": 40, "SHFL": 48, "SHL": 24, "SHR": 24, "STG": 4, "STL": 40}, per_category: {Integer: 160, Float: 240, Conversion: 20, Move: 236, Predicate: 20, Warp: 48, MemGlobal: 8, MemLocal: 40, MemConst: 8, Control: 8, Misc: 8}, mem: MemStats { global_loads: 4, global_stores: 4, global_lines: 16, shared_accesses: 0, local_accesses: 40, atomics: 0 } } out=b8603c3557e16e12 tool=ff766d31aeb3ba25"#,
     ],
     [
         r#"ExecStats { warp_instructions: 1256, thread_instructions: 37568, cycles: 7768, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 160, "IMAD": 128, "ISETP": 64, "ISUB": 96, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 384, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 168}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 } } out=97893c015a8fd601 tool=0"#,
-        r#"ExecStats { warp_instructions: 1896, thread_instructions: 55872, cycles: 14168, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 352, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 352, "LDC": 128, "LDG": 128, "MOV32I": 160, "RED": 32, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 576, Float: 128, Move: 288, Predicate: 64, MemGlobal: 160, MemConst: 128, Atomic: 32, Control: 520}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 1024 } } out=97893c015a8fd601 tool=92c0"#,
-        r#"ExecStats { warp_instructions: 1896, thread_instructions: 57728, cycles: 9528, per_op: {"BRA": 64, "CHAN": 160, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 320, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 320, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 544, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 488, Misc: 160}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 } } out=97893c015a8fd601 tool=4657b84338f6e365"#,
+        r#"ExecStats { warp_instructions: 1576, thread_instructions: 45744, cycles: 13208, per_op: {"BRA": 64, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 352, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 32, "LDC": 128, "LDG": 128, "MOV32I": 160, "RED": 32, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 576, Float: 128, Move: 288, Predicate: 64, MemGlobal: 160, MemConst: 128, Atomic: 32, Control: 200}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 1024 } } out=97893c015a8fd601 tool=92c0"#,
+        r#"ExecStats { warp_instructions: 1608, thread_instructions: 48672, cycles: 8664, per_op: {"BRA": 64, "CHAN": 160, "EXIT": 32, "FADD": 96, "FMUL": 32, "IADD": 320, "IMAD": 128, "ISETP": 64, "ISUB": 96, "JMP": 32, "LDC": 128, "LDG": 128, "MOV32I": 96, "S2R": 128, "SSY": 32, "STG": 32, "SYNC": 40}, per_category: {Integer: 544, Float: 128, Move: 224, Predicate: 64, MemGlobal: 160, MemConst: 128, Control: 200, Misc: 160}, mem: MemStats { global_loads: 128, global_stores: 32, global_lines: 256, shared_accesses: 0, local_accesses: 0, atomics: 0 } } out=97893c015a8fd601 tool=4657b84338f6e365"#,
     ],
     [
         r#"ExecStats { warp_instructions: 1277, thread_instructions: 22246, cycles: 14465, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 274, "IMAD": 141, "ISETP": 78, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 415, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 235}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 } } out=07f610e15041ac89 tool=0"#,
-        r#"ExecStats { warp_instructions: 1987, thread_instructions: 34350, cycles: 17715, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 508, "IMAD": 141, "ISETP": 78, "JMP": 452, "LDC": 48, "LDG": 203, "MOV32I": 156, "RED": 8, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 649, Float: 63, Move: 180, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Atomic: 8, Control: 687}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 256 } } out=07f610e15041ac89 tool=56e6"#,
-        r#"ExecStats { warp_instructions: 2117, thread_instructions: 36562, cycles: 16775, per_op: {"BRA": 141, "CHAN": 210, "EXIT": 8, "FFMA": 63, "IADD": 484, "IMAD": 141, "ISETP": 78, "JMP": 420, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 625, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 655, Misc: 210}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 } } out=07f610e15041ac89 tool=e488e4d4eba9"#,
+        r#"ExecStats { warp_instructions: 1543, thread_instructions: 26424, cycles: 16383, per_op: {"BRA": 141, "EXIT": 8, "FFMA": 63, "IADD": 508, "IMAD": 141, "ISETP": 78, "JMP": 8, "LDC": 48, "LDG": 203, "MOV32I": 156, "RED": 8, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 649, Float: 63, Move: 180, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Atomic: 8, Control: 243}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 256 } } out=07f610e15041ac89 tool=56e6"#,
+        r#"ExecStats { warp_instructions: 1705, thread_instructions: 29660, cycles: 15539, per_op: {"BRA": 141, "CHAN": 210, "EXIT": 8, "FFMA": 63, "IADD": 484, "IMAD": 141, "ISETP": 78, "JMP": 8, "LDC": 48, "LDG": 203, "MOV32I": 140, "S2R": 24, "SSY": 15, "STG": 7, "STL": 64, "SYNC": 71}, per_category: {Integer: 625, Float: 63, Move: 164, Predicate: 78, MemGlobal: 210, MemLocal: 64, MemConst: 48, Control: 243, Misc: 210}, mem: MemStats { global_loads: 203, global_stores: 7, global_lines: 944, shared_accesses: 0, local_accesses: 64, atomics: 0 } } out=07f610e15041ac89 tool=e488e4d4eba9"#,
     ],
 ];
 
@@ -379,9 +385,9 @@ const PINNED: [[&str; 3]; 3] = [
 /// launch — misses are the instruction slots decoded, one per distinct
 /// executed instruction; hits every other warp instruction.
 const PINNED_DECODE: [[(u64, u64); 3]; 3] = [
-    [(582, 194), (606, 202), (606, 202)],
-    [(1217, 39), (1837, 59), (1837, 59)],
-    [(1228, 49), (1915, 72), (2044, 73)],
+    [(582, 194), (600, 200), (597, 199)],
+    [(1217, 39), (1527, 49), (1558, 50)],
+    [(1228, 49), (1483, 60), (1643, 62)],
 ];
 
 #[test]
