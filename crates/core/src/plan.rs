@@ -71,7 +71,7 @@ pub enum PlanLevel {
 }
 
 /// Which optimization passes [`build`] runs. Part of the image-cache key:
-/// different options produce different trampolines for the same spec.
+/// different options produce different bodies for the same spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanOpts {
     /// The highest rung of the pass ladder to run.
@@ -295,8 +295,8 @@ pub fn build(
 
     // What is left standing is what is emitted, as a call. Sites whose
     // calls were all merged away are dropped — safe even for sites also
-    // marked removed: the generator NOPs removed-but-callless instructions
-    // in place, with no trampoline needed.
+    // marked removed: the generator relocates a removed instruction as a
+    // NOP whether or not a site holds it.
     let mut sites: BTreeMap<usize, Vec<PlannedCall>> = BTreeMap::new();
     for r in requests.iter().filter(|r| r.sites > 0) {
         let mut args = Vec::with_capacity(r.args.len() + 1);

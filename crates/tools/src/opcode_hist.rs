@@ -139,7 +139,7 @@ impl OpcodeHistogram {
     /// kernel is built. Every histogram counts like [`crate::InstrCount`],
     /// so its coalesce-marked sites merge per opcode slot wherever the
     /// planner's rung allows: the histogram is invariant under `opts`, and
-    /// only the number of executed trampoline calls changes.
+    /// only the number of executed tool calls changes.
     pub fn coalesced(
         mode: SamplingMode,
         opts: PlanOpts,
