@@ -1,6 +1,7 @@
 //! The PTX front door on hostile text: whatever the bytes, `compile_module`
 //! answers `Ok` or a structured `Err`, promptly — never a panic, a hang or
-//! a slice inside a code point.
+//! a slice inside a code point — and which `Err`, over a fixed-seed corpus
+//! of mutated sources, is pinned.
 
 use common::prop::run_cases;
 use common::Rng;
@@ -258,4 +259,56 @@ fn mutated_sources_compile_or_fail_cleanly_within_the_deadline() {
         let n = tally.get(kind).copied().unwrap_or(0);
         assert!(total < 1000 || n > total / share, "{kind}: {tally:?}");
     }
+}
+
+/// Cases in the diagnostics pin, and the seed of its one stream.
+const DIAG_CASES: usize = 4_000;
+const DIAG_SEED: u64 = 0x0d1a_9505_7c5e_0001;
+
+/// FNV-1a over every case's outcome, recorded at the commit before the
+/// front end read its tokens through a cursor.
+const DIAG_PIN: u64 = 0x71c7_6fd9_20b2_38e1;
+
+/// Which error the front end reports is part of its contract: over
+/// `DIAG_CASES` mutated sources, each outcome's variant and text (a parse
+/// error's line and reason; the function and reason of the others) hash to
+/// the pinned value.
+#[test]
+fn the_mutated_corpus_reports_the_pinned_diagnostics() {
+    let seeds = seeds();
+    let mut rng = Rng::seed_from_u64(DIAG_SEED);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fnv = |bytes: &[u8]| {
+        for b in bytes {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut tally = std::collections::BTreeMap::new();
+    for _ in 0..DIAG_CASES {
+        let mut text = rng.choose(&seeds).clone().into_bytes();
+        for _ in 0..1 + rng.index(4) {
+            mutate(&mut rng, &mut text, &seeds);
+        }
+        let src = String::from_utf8_lossy(&text);
+        let (variant, text) = match compile_module(&src, Arch::Volta) {
+            Ok(_) => ("ok", String::new()),
+            Err(e) => {
+                let variant = match e {
+                    PtxError::Parse { .. } => "parse",
+                    PtxError::Semantic { .. } => "semantic",
+                    PtxError::OutOfRegisters { .. } => "registers",
+                    PtxError::Encode { .. } => "encode",
+                    PtxError::Interp { .. } => "interp",
+                };
+                (variant, e.to_string())
+            }
+        };
+        *tally.entry(variant).or_insert(0u32) += 1;
+        for part in [variant, &text] {
+            fnv(&(part.len() as u64).to_le_bytes());
+            fnv(part.as_bytes());
+        }
+    }
+    println!("\n  diagnostics pin, {DIAG_CASES} cases: {tally:?}");
+    assert_eq!(h, DIAG_PIN, "recorded {h:#018x}");
 }

@@ -9,9 +9,14 @@
 //! and register count of the body the planner classifies, on
 //! the same two targets. A compiler change that reorders a tie-break in
 //! register allocation or reconvergence planning shows up here as a
-//! changed hash for the source it affects.
+//! changed hash for the source it affects. `AST`: per source, FNV-1a over
+//! every field of every function [`ptx::parse_module`] builds (its `Debug`
+//! text, in which names are ids) and the spelling of every name id it
+//! holds, so a front end that interns in another order or types, numbers
+//! or orders anything differently moves the hash.
 
-use ptx::{compile_module, CompiledModule};
+use ptx::ast::{AddrBase, Sym};
+use ptx::{compile_module, parse_module, CompiledModule, Function, PtxOp, Statement};
 use sass::codec::codec_for;
 use sass::Arch;
 use workloads::{fft, kernels};
@@ -92,6 +97,53 @@ fn pin(src: &str) -> u64 {
     h.0
 }
 
+/// Every name id `f` holds, in field and statement order.
+fn syms(f: &Function) -> Vec<Sym> {
+    let mut out = vec![f.name];
+    out.extend(f.params.iter().map(|p| p.0));
+    out.extend(f.regs.iter().map(|r| r.name));
+    out.extend(&f.labels);
+    out.extend(f.shared.iter().map(|s| s.name));
+    for s in &f.body {
+        match s {
+            Statement::Loc { file, .. } => out.push(*file),
+            Statement::Instr(i) => match i.op {
+                PtxOp::LdParam { param: n, .. }
+                | PtxOp::Mov { shared_addr: Some(n), .. }
+                | PtxOp::Call { func: n, .. }
+                | PtxOp::Proxy { name: n, .. } => out.push(n),
+                PtxOp::Ld { addr, .. }
+                | PtxOp::St { addr, .. }
+                | PtxOp::Atom { addr, .. }
+                | PtxOp::Red { addr, .. } => {
+                    if let AddrBase::Shared(n) = addr.base {
+                        out.push(n);
+                    }
+                }
+                _ => {}
+            },
+            Statement::Label(_) => {}
+        }
+    }
+    out
+}
+
+/// One hash per source: the module `parse_module` builds, or its error.
+fn ast_pin(src: &str) -> u64 {
+    let mut h = Fnv(SEED);
+    match parse_module(src) {
+        Ok(m) => {
+            h.num(m.functions.len() as u64);
+            for f in &m.functions {
+                h.text(&format!("{f:?}"));
+                syms(f).into_iter().for_each(|s| h.text(m.names.resolve(s)));
+            }
+        }
+        Err(e) => h.text(&e.to_string()),
+    }
+    h.0
+}
+
 /// `(function, code, reg_count)` of each leaf body `src` compiles to.
 fn leaf_bodies(src: &str, arch: Arch) -> Vec<(String, Vec<u8>, u32)> {
     let m = compile_module(src, arch).unwrap();
@@ -166,6 +218,12 @@ fn compiled_modules_are_byte_identical_to_the_parent_commit() {
 }
 
 #[test]
+fn parsed_modules_are_identical_to_the_parent_commit() {
+    let got: Vec<(String, u64)> = sources().into_iter().map(|(n, s)| (n, ast_pin(&s))).collect();
+    assert_pinned(&got, &AST);
+}
+
+#[test]
 fn splice_bodies_are_byte_identical_to_the_parent_commit() {
     assert_pinned(&leaf_pins(), &LEAF);
 }
@@ -211,4 +269,35 @@ const LEAF: [(&str, u64); 6] = [
     ("TRACE_CHAN_FN/nvbit_trace_chan", 0x8ff9_40ae_f3f7_9aec),
     ("FLIP_FN/nvbit_flip", 0xaca4_fb01_5774_994d),
     ("wfft_emu_function/wfft32_emu", 0x987f_5ed5_5d63_d929),
+];
+
+/// Every source's parsed module, recorded at the commit before the front
+/// end read its tokens through a cursor.
+const AST: [(&str, u64); 26] = [
+    ("stencil5", 0x4461_894c_23aa_6ce5),
+    ("trig_map/1", 0xffdc_a3ad_a165_4805),
+    ("trig_map/7", 0x37c3_8383_1828_c104),
+    ("axpby", 0xb66f_e497_88bb_adf5),
+    ("rng_hist/3", 0xfc3c_e9b2_9991_b37a),
+    ("rng_hist/16", 0x3d66_283c_fca6_2ebb),
+    ("spmv_csr", 0x458c_2935_89c4_0cee),
+    ("md_force", 0xa7cb_7188_6f86_2c98),
+    ("lbm_stream/6", 0x8015_2459_629e_c671),
+    ("lbm_stream/19", 0xde01_9377_6eb3_3979),
+    ("reduce_sum", 0x066a_1583_7322_0f84),
+    ("line_sweep", 0xc26a_0aab_82f0_5558),
+    ("transpose_naive", 0xe4ab_7417_6592_9359),
+    ("gather", 0xd2f8_3edb_1cd0_800e),
+    ("wfft_kernel", 0xd9e4_2784_f6e8_0aa4),
+    ("soft_fft_kernel", 0xb149_b9e3_e112_45ad),
+    ("wfft_emu_function", 0xbd26_4cd7_1dd1_46ab),
+    ("cublas", 0x25f3_34b2_d638_737d),
+    ("cudnn", 0x6e76_0a0c_d7c5_ac42),
+    ("stratum", 0xd48b_fc6b_7176_d3b1),
+    ("short_unique/0..64", 0x6093_f2dd_4e05_60e8),
+    ("tool/COUNT_PMULT_FN", 0xdc83_0cc7_7a80_5c1d),
+    ("tool/COUNT_WIDE_FN", 0xfb7c_3d07_2f32_c067),
+    ("tool/MDIV_FN", 0x9264_3789_052c_d0de),
+    ("tool/TRACE_CHAN_FN", 0x9422_5198_0f4a_ebeb),
+    ("tool/FLIP_FN", 0x4e88_cea0_2d92_4d54),
 ];
