@@ -6,12 +6,15 @@
 //!
 //! A [`Graph`] is two arrays, offsets and targets, so building one,
 //! reversing it and solving over it cost a fixed handful of allocations
-//! whatever the node count. Immediate dominators are unique, so the result
-//! depends only on the edge set, never on successor order.
+//! whatever the node count, and none when a caller that solves many graphs
+//! keeps them and a [`Dominators`] for the next. Immediate dominators are
+//! unique, so the result depends only on the edge set, never on successor
+//! order.
 
 /// A directed graph over nodes `0..nodes()` as flat successor lists: the
-/// successors of node `b` are `targets[offsets[b]..offsets[b + 1]]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// successors of node `b` are `targets[offsets[b]..offsets[b + 1]]`
+/// (`offsets` is `[0]` or empty when there is no node).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     targets: Vec<usize>,
@@ -27,7 +30,7 @@ impl Graph {
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Successors of node `b`, in insertion order.
@@ -38,24 +41,44 @@ impl Graph {
 
     /// Appends the next node, with `succ` as its successor list.
     pub fn push_node(&mut self, succ: impl IntoIterator<Item = usize>) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
         self.targets.extend(succ);
         self.offsets.push(self.targets.len());
     }
 
+    /// Removes every node, keeping the storage.
+    pub fn clear(&mut self) {
+        self.offsets.clear();
+        self.targets.clear();
+    }
+
     /// The graph with every edge turned around (node count unchanged).
     pub fn reversed(&self) -> Graph {
+        let mut out = Graph::with_capacity(self.nodes(), self.targets.len());
+        self.reverse_into(&mut out);
+        out
+    }
+
+    /// Makes `out` this graph with every edge turned around, in `out`'s
+    /// storage.
+    pub fn reverse_into(&self, out: &mut Graph) {
         let n = self.nodes();
         // In-degrees, then their prefix sums: `offsets[b]` is where `b`'s
         // list starts. Filling advances each start to its list's end — the
         // next list's start — so one shift restores the offsets.
-        let mut offsets = vec![0; n + 1];
+        let Graph { offsets, targets } = out;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
         for &t in &self.targets {
             offsets[t + 1] += 1;
         }
         for b in 0..n {
             offsets[b + 1] += offsets[b];
         }
-        let mut targets = vec![0; self.targets.len()];
+        targets.clear();
+        targets.resize(self.targets.len(), 0);
         for b in 0..n {
             for &t in self.succ(b) {
                 targets[offsets[t]] = b;
@@ -64,13 +87,12 @@ impl Graph {
         }
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
-        Graph { offsets, targets }
     }
 }
 
 /// Immediate dominators from one root, plus the traversal that produced
 /// them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomTree {
     /// Immediate dominator per node; `None` for the root and for nodes
     /// unreachable from it.
@@ -80,13 +102,62 @@ pub struct DomTree {
     pub rpo: Vec<usize>,
 }
 
-/// Reverse postorder of the nodes reachable from `root`, and each node's
-/// position in it (`usize::MAX` for the others).
-fn reverse_postorder(succ: &Graph, root: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut post = Vec::with_capacity(succ.nodes());
+/// The buffers of a solve, kept for the next: a caller that solves one
+/// small graph after another (a compiler, one per function) allocates only
+/// while they grow.
+#[derive(Debug, Default)]
+pub struct Dominators {
+    /// The graph solved over and its reversal (for post-dominators, the
+    /// caller's graph plus the virtual exit).
+    graph: Graph,
+    reversed: Graph,
+    /// Per node, its position in the reverse postorder.
+    order: Vec<usize>,
+    /// The depth-first walk's `(node, next successor)` stack.
+    stack: Vec<(usize, usize)>,
+    tree: DomTree,
+}
+
+impl Dominators {
+    /// [`post_idoms`] in these buffers: the result has one entry per node of
+    /// `succ`, and lives until the next solve.
+    pub fn post_idoms(
+        &mut self,
+        succ: &Graph,
+        is_exit: impl Fn(usize) -> bool,
+    ) -> &[Option<usize>] {
+        let n = succ.nodes();
+        let Dominators { graph, reversed, order, stack, tree } = self;
+        graph.clear();
+        graph.offsets.reserve(n + 2);
+        graph.targets.reserve(succ.targets.len() + n);
+        for b in 0..n {
+            graph.push_node(succ.succ(b).iter().copied().chain(is_exit(b).then_some(n)));
+        }
+        graph.push_node([]);
+        graph.reverse_into(reversed);
+        solve(reversed, graph, n, order, stack, tree);
+        &tree.idom[..n]
+    }
+}
+
+/// Writes into `post` the reverse postorder of the nodes reachable from
+/// `root`, and into `order` each node's position in it (`usize::MAX` for
+/// the others).
+fn reverse_postorder(
+    succ: &Graph,
+    root: usize,
+    post: &mut Vec<usize>,
+    order: &mut Vec<usize>,
+    stack: &mut Vec<(usize, usize)>,
+) {
+    post.clear();
+    post.reserve(succ.nodes());
     // Doubles as the visited mark until the positions are known.
-    let mut order = vec![usize::MAX; succ.nodes()];
-    let mut stack = Vec::with_capacity(succ.nodes());
+    order.clear();
+    order.resize(succ.nodes(), usize::MAX);
+    stack.clear();
+    stack.reserve(succ.nodes());
     stack.push((root, 0usize));
     order[root] = 0;
     while let Some(&mut (b, ref mut i)) = stack.last_mut() {
@@ -105,7 +176,6 @@ fn reverse_postorder(succ: &Graph, root: usize) -> (Vec<usize>, Vec<usize>) {
     for (pos, &b) in post.iter().enumerate() {
         order[b] = pos;
     }
-    (post, order)
 }
 
 /// The CHK two-finger walk: nearest common dominator of `a` and `b`.
@@ -121,10 +191,20 @@ fn intersect(idom: &[Option<usize>], order: &[usize], mut a: usize, mut b: usize
     a
 }
 
-/// The CHK iteration over `succ` from `root`, given `succ`'s reversal.
-fn solve(succ: &Graph, pred: &Graph, root: usize) -> DomTree {
-    let (rpo, order) = reverse_postorder(succ, root);
-    let mut idom: Vec<Option<usize>> = vec![None; succ.nodes()];
+/// The CHK iteration over `succ` from `root`, given `succ`'s reversal, into
+/// `tree`.
+fn solve(
+    succ: &Graph,
+    pred: &Graph,
+    root: usize,
+    order: &mut Vec<usize>,
+    stack: &mut Vec<(usize, usize)>,
+    tree: &mut DomTree,
+) {
+    let DomTree { idom, rpo } = tree;
+    reverse_postorder(succ, root, rpo, order, stack);
+    idom.clear();
+    idom.resize(succ.nodes(), None);
     idom[root] = Some(root); // self-loop sentinel during iteration
     let mut changed = true;
     while changed {
@@ -137,7 +217,7 @@ fn solve(succ: &Graph, pred: &Graph, root: usize) -> DomTree {
                 }
                 new = Some(match new {
                     None => p,
-                    Some(cur) => intersect(&idom, &order, cur, p),
+                    Some(cur) => intersect(idom, order, cur, p),
                 });
             }
             if new.is_some() && idom[b] != new {
@@ -147,7 +227,6 @@ fn solve(succ: &Graph, pred: &Graph, root: usize) -> DomTree {
         }
     }
     idom[root] = None; // drop the sentinel
-    DomTree { idom, rpo }
 }
 
 /// Immediate dominators of every node reachable from `root`.
@@ -156,7 +235,9 @@ fn solve(succ: &Graph, pred: &Graph, root: usize) -> DomTree {
 ///
 /// When `root` or a successor id is out of range.
 pub fn idoms(succ: &Graph, root: usize) -> DomTree {
-    solve(succ, &succ.reversed(), root)
+    let (mut order, mut stack, mut tree) = (Vec::new(), Vec::new(), DomTree::default());
+    solve(succ, &succ.reversed(), root, &mut order, &mut stack, &mut tree);
+    tree
 }
 
 /// Immediate post-dominators: [`idoms`] on the reversed graph, rooted at a
@@ -167,14 +248,10 @@ pub fn idoms(succ: &Graph, root: usize) -> DomTree {
 /// the virtual exit post-dominates the node, `None` when the node cannot
 /// reach any exit.
 pub fn post_idoms(succ: &Graph, is_exit: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
-    let n = succ.nodes();
-    let mut with_exit = Graph::with_capacity(n + 1, succ.targets.len() + n);
-    for b in 0..n {
-        with_exit.push_node(succ.succ(b).iter().copied().chain(is_exit(b).then_some(n)));
-    }
-    with_exit.push_node([]);
-    let mut idom = solve(&with_exit.reversed(), &with_exit, n).idom;
-    idom.truncate(n);
+    let mut solver = Dominators::default();
+    solver.post_idoms(succ, is_exit);
+    let mut idom = solver.tree.idom;
+    idom.truncate(succ.nodes());
     idom
 }
 

@@ -19,6 +19,8 @@
 //! * [`channel`] — the streaming GPU→host tool channel: three flush
 //!   buffers passed by ownership under one lock, dedicated receiver
 //!   thread, `Block`/`DropCount` backpressure;
+//! * [`hash`] — a multiplicative hasher for short keys whose collisions
+//!   cost only their author (a PTX module's names);
 //! * [`graph`] — Cooper–Harvey–Kennedy immediate dominators and
 //!   post-dominators over flat successor lists, shared by `ptx::cfg` and
 //!   `sass::dom`;
@@ -32,6 +34,7 @@
 pub mod channel;
 pub mod dim3;
 pub mod graph;
+pub mod hash;
 pub mod inline;
 pub mod json;
 pub mod obs;

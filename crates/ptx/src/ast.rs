@@ -6,6 +6,7 @@
 //! statement is a `Copy` value and the analyses index vectors by id.
 
 use crate::types::PtxType;
+use common::hash::FastHash;
 use sass::{CmpOp, SpecialReg};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,16 +39,18 @@ impl Sym {
 }
 
 /// The module's one owner of name text: each distinct spelling is stored
-/// once, whatever the number of functions that use it.
+/// once, whatever the number of functions that use it. Looked up by a
+/// [`FastHash`]: the names are the module's own, so names crafted to
+/// collide slow only their own module's load.
 #[derive(Debug, Clone)]
 pub struct Interner {
-    ids: HashMap<Arc<str>, Sym>,
+    ids: HashMap<Arc<str>, Sym, FastHash>,
     names: Vec<Arc<str>>,
 }
 
 impl Default for Interner {
     fn default() -> Interner {
-        let mut names = Interner { ids: HashMap::new(), names: Vec::new() };
+        let mut names = Interner { ids: HashMap::default(), names: Vec::new() };
         assert_eq!(names.intern("$ret_merge"), Sym::RET_MERGE);
         assert_eq!(names.intern("$retval"), Sym::RETVAL);
         names

@@ -9,9 +9,10 @@
 //! executed by the simulator must produce byte-identical global memory.
 
 use crate::ast::*;
-use crate::cfg::{ipostdom, FnCfg, Linear};
+use crate::cfg::{FnCfg, Linear};
 use crate::types::PtxType;
 use crate::{PtxError, Result};
+use common::graph::Dominators;
 pub use common::Dim3;
 use sass::{CmpOp, SpecialReg};
 
@@ -108,7 +109,7 @@ pub fn interpret_entry(
 /// Per-function interpretation context, reused for device-function calls.
 struct Frame<'a> {
     f: &'a Function,
-    lin: Linear<'a>,
+    lin: Linear,
     cfg: FnCfg,
     /// Per-instruction reconvergence PC (first instruction of the branch
     /// block's immediate post-dominator), if any.
@@ -120,7 +121,7 @@ impl<'a> Frame<'a> {
     fn new(names: &'a Interner, f: &'a Function) -> Frame<'a> {
         let lin = Linear::of(f);
         let cfg = FnCfg::build(&lin);
-        let ipd = ipostdom(&cfg);
+        let ipd: Vec<Option<usize>> = cfg.ipostdom(&mut Dominators::default()).collect();
         let rpc_of = (0..lin.instrs.len())
             .map(|idx| {
                 let b = cfg.instr_block[idx];
@@ -310,7 +311,7 @@ impl<'m, 'a> Machine<'m, 'a> {
                 return Ok(());
             }
 
-            let i = frame.lin.instrs[top.pc];
+            let i = &frame.lin.instrs[top.pc];
             let exec_mask = self.eval_guard(frame, st, i, top.mask)?;
             self.outcome.warp_instructions += 1;
             self.outcome.thread_instructions += exec_mask.count_ones() as u64;

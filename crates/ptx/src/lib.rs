@@ -251,9 +251,10 @@ pub fn compile_module(src: &str, arch: Arch) -> Result<CompiledModule> {
 ///
 /// See [`compile_module`].
 pub fn compile_ast(module: &Module, arch: Arch) -> Result<CompiledModule> {
+    let mut cx = lower::Context::default();
     let mut functions = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        functions.push(lower::compile_function(&module.names, f, arch)?);
+        functions.push(cx.compile(&module.names, f, arch)?);
     }
     Ok(CompiledModule { arch, functions })
 }

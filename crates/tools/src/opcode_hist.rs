@@ -34,28 +34,44 @@ pub enum SamplingMode {
     GridDim,
 }
 
-/// Results handle of [`OpcodeHistogram`].
-#[derive(Debug, Default)]
+/// Results handle of [`OpcodeHistogram`]: the counts per opcode slot as
+/// of the last launch, which the readers turn into names.
+#[derive(Debug)]
 pub struct OpcodeHistogramResults {
-    hist: RefCell<BTreeMap<String, u64>>,
+    counts: RefCell<[u64; SLOTS]>,
     instrumented_launches: RefCell<u64>,
     total_launches: RefCell<u64>,
 }
 
+impl Default for OpcodeHistogramResults {
+    fn default() -> Self {
+        OpcodeHistogramResults {
+            counts: RefCell::new([0; SLOTS]),
+            instrumented_launches: RefCell::default(),
+            total_launches: RefCell::default(),
+        }
+    }
+}
+
 impl OpcodeHistogramResults {
+    /// The opcodes that executed and their counts, in `Op::ALL` order.
+    fn counted(&self) -> Vec<(Op, u64)> {
+        let counts = self.counts.borrow();
+        Op::ALL.iter().map(|&op| (op, counts[op as usize])).filter(|&(_, n)| n > 0).collect()
+    }
+
     /// The opcode → executed thread-instructions histogram (measured +
     /// extrapolated under sampling).
     pub fn histogram(&self) -> BTreeMap<String, u64> {
-        self.hist.borrow().clone()
+        self.counted().into_iter().map(|(op, n)| (op.mnemonic().to_string(), n)).collect()
     }
 
     /// The top-`n` opcodes by count, descending (Figure 7's Top-5).
     pub fn top(&self, n: usize) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> =
-            self.hist.borrow().iter().map(|(k, c)| (k.clone(), *c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut v = self.counted();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.mnemonic().cmp(b.0.mnemonic())));
         v.truncate(n);
-        v
+        v.into_iter().map(|(op, n)| (op.mnemonic().to_string(), n)).collect()
     }
 
     /// Number of launches that ran instrumented.
@@ -72,11 +88,10 @@ impl OpcodeHistogramResults {
     /// averaged over opcode categories present in either (Figure 9's
     /// metric).
     pub fn error_vs(&self, exact: &OpcodeHistogramResults) -> f64 {
-        let (a, b) = (self.hist.borrow(), exact.hist.borrow());
-        let keys: HashSet<&String> = a.keys().chain(b.keys()).collect();
-        let count = |h: &BTreeMap<String, u64>, k: &String| h.get(k).copied().unwrap_or(0) as f64;
-        let error = |k: &&String| (count(&a, k) - count(&b, k)).abs() / count(&b, k).max(1.0);
-        keys.iter().map(error).sum::<f64>() / keys.len().max(1) as f64
+        let (a, b) = (self.counts.borrow(), exact.counts.borrow());
+        let present = (0..SLOTS).filter(|&i| a[i] > 0 || b[i] > 0);
+        let error = |i: usize| (a[i] as f64 - b[i] as f64).abs() / (b[i] as f64).max(1.0);
+        present.clone().map(error).sum::<f64>() / present.count().max(1) as f64
     }
 }
 
@@ -163,10 +178,7 @@ impl OpcodeHistogram {
 
     fn publish(&self, drv: &Driver) {
         let now = read_counters(drv, self.counters);
-        let counts =
-            Op::ALL.iter().map(|op| (op, now[*op as usize] + self.extrapolated[*op as usize]));
-        let hist = counts.filter(|(_, v)| *v > 0).map(|(op, v)| (op.mnemonic().to_string(), v));
-        *self.results.hist.borrow_mut() = hist.collect();
+        *self.results.counts.borrow_mut() = std::array::from_fn(|i| now[i] + self.extrapolated[i]);
     }
 }
 
@@ -304,4 +316,69 @@ mod tests {
         assert!(err > 0.0, "md has data-dependent control flow; error should be > 0");
         assert!(err < 0.5, "error should stay small, got {err}");
     }
+
+    /// Forwards to the histogram tool and, at every launch's exit, reads
+    /// back what its results handle shows then.
+    struct EveryLaunch {
+        inner: OpcodeHistogram,
+        results: Rc<OpcodeHistogramResults>,
+        exact: Rc<OpcodeHistogramResults>,
+        seen: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl NvbitTool for EveryLaunch {
+        fn at_init(&mut self, api: &NvbitApi<'_>) {
+            self.inner.at_init(api);
+        }
+        fn at_term(&mut self, api: &NvbitApi<'_>) {
+            self.inner.at_term(api);
+        }
+        fn at_cuda_event(
+            &mut self,
+            api: &NvbitApi<'_>,
+            is_exit: bool,
+            cbid: CbId,
+            params: &CbParams<'_>,
+        ) {
+            self.inner.at_cuda_event(api, is_exit, cbid, params);
+            if is_exit && cbid == CbId::LaunchKernel {
+                let r = &self.results;
+                self.seen.borrow_mut().push(format!(
+                    "{:?} {:?} {:.9e} {} {}",
+                    r.histogram(),
+                    r.top(3),
+                    r.error_vs(&self.exact),
+                    r.instrumented_launches(),
+                    r.total_launches()
+                ));
+            }
+        }
+    }
+
+    /// What the histogram reads after every launch of `md` and `ostencil`
+    /// under grid-dimension sampling (the map, its top three and its error
+    /// against the exact run), hashed: recorded when each launch exit
+    /// rebuilt the map.
+    #[test]
+    fn the_histogram_read_after_each_launch_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for bench in ["md", "ostencil"] {
+            let (exact, _) = run(bench, SamplingMode::Full);
+            let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+            let (inner, results) = OpcodeHistogram::new(SamplingMode::GridDim);
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            attach_tool(&drv, EveryLaunch { inner, results, exact, seen: seen.clone() });
+            benchmark(bench).unwrap().run(&drv, Size::Small).unwrap();
+            drv.shutdown();
+            assert!(seen.borrow().len() > 1, "{bench}");
+            for line in seen.borrow().iter() {
+                for b in line.bytes().chain([b'\n']) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, PER_LAUNCH, "recorded {h:#018x}");
+    }
+
+    const PER_LAUNCH: u64 = 0x96f9_e5c9_5112_5db2;
 }
