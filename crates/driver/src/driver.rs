@@ -3,7 +3,7 @@
 use crate::cubin::FatBinary;
 use crate::interpose::{CbId, CbParams, Interposer};
 use crate::{DriverError, Result};
-use gpu::{Device, DeviceSpec, Dim3, ExecStats, LaunchConfig};
+use gpu::{Device, DeviceSpec, Dim3, ExecStats, LaunchConfig, LaunchStats};
 use ptx::{LineInfo, ParamInfo};
 use sass::{Arch, Operand};
 use std::cell::{Cell, RefCell, RefMut};
@@ -65,11 +65,12 @@ pub enum KernelArg {
 }
 
 impl KernelArg {
-    fn bytes(&self) -> Vec<u8> {
-        match self {
-            KernelArg::U32(v) => v.to_le_bytes().to_vec(),
-            KernelArg::U64(v) | KernelArg::Ptr(v) => v.to_le_bytes().to_vec(),
-            KernelArg::F32(v) => v.to_bits().to_le_bytes().to_vec(),
+    /// The argument's bytes: the first `len` of the array.
+    fn bytes(&self) -> ([u8; 8], usize) {
+        match *self {
+            KernelArg::U32(v) => (u64::from(v).to_le_bytes(), 4),
+            KernelArg::U64(v) | KernelArg::Ptr(v) => (v.to_le_bytes(), 8),
+            KernelArg::F32(v) => (u64::from(v.to_bits()).to_le_bytes(), 4),
         }
     }
 }
@@ -111,7 +112,8 @@ pub struct FunctionInfo {
     pub local_override: u32,
 }
 
-/// A record of one kernel launch, including execution statistics.
+/// A record of one kernel launch, including execution statistics, as
+/// [`Driver::launches`] builds it from the driver's compact record.
 #[derive(Debug, Clone)]
 pub struct LaunchRecord {
     /// The launched kernel.
@@ -124,6 +126,16 @@ pub struct LaunchRecord {
     pub block: Dim3,
     /// Device statistics of the launch.
     pub stats: ExecStats,
+}
+
+/// One launch as the driver keeps it: its scalar statistics (the maps stay
+/// empty) and its executed opcodes' counts, `State::op_counts[ops]`.
+struct Launch {
+    func: CuFunction,
+    grid: Dim3,
+    block: Dim3,
+    scalars: ExecStats,
+    ops: std::ops::Range<usize>,
 }
 
 struct ModuleState {
@@ -158,7 +170,12 @@ struct State {
     objects: Vec<Object>,
     /// `Free` slots past slot 0, so that issuing scans only when one exists.
     free: usize,
-    launches: Vec<LaunchRecord>,
+    launches: Vec<Launch>,
+    op_counts: Vec<(sass::Op, u64)>,
+    /// `(function, launches before its unload, name)` for each unloaded
+    /// function, so a launch's record names the kernel it ran even after
+    /// the handle is reissued.
+    unloaded: Vec<(CuFunction, usize, String)>,
 }
 
 impl State {
@@ -227,6 +244,8 @@ impl Driver {
                 objects: vec![Object::Free],
                 free: 0,
                 launches: Vec::new(),
+                op_counts: Vec::new(),
+                unloaded: Vec::new(),
             }),
             interposer: RefCell::new(None),
             in_callback: Cell::new(false),
@@ -237,11 +256,6 @@ impl Driver {
     /// The device architecture.
     pub fn arch(&self) -> Arch {
         self.state.borrow().device.spec().arch
-    }
-
-    /// The device specification.
-    pub fn device_spec(&self) -> DeviceSpec {
-        self.state.borrow().device.spec().clone()
     }
 
     /// This driver's observability recorder: disabled until
@@ -523,18 +537,21 @@ impl Driver {
         common::obs::counter("module.unloads", 1);
         let p = CbParams::Module { module, name: &name, library };
         self.event(false, CbId::ModuleUnload, &p);
-        {
-            let mut st = self.state.borrow_mut();
+        let freed = (|| -> Result<()> {
+            let st = &mut *self.state.borrow_mut();
             funcs.sort_by_key(|f| f.0);
             for f in funcs {
                 let addr = st.function(f)?.addr;
                 st.device.free(addr)?;
+                let name = std::mem::take(&mut st.function_mut(f)?.name);
+                st.unloaded.push((f, st.launches.len(), name));
                 st.release(f.0);
             }
             st.release(module.0);
-        }
+            Ok(())
+        })();
         self.event(true, CbId::ModuleUnload, &p);
-        Ok(())
+        freed
     }
 
     /// All functions of a module (kernels and device functions), ordered by
@@ -601,9 +618,10 @@ impl Driver {
     /// `cuMemAlloc`.
     pub fn mem_alloc(&self, bytes: u64) -> Result<u64> {
         self.event(false, CbId::MemAlloc, &CbParams::MemAlloc { bytes, dptr: 0 });
-        let dptr = self.device_mut().alloc(bytes)?;
+        let r = self.device_mut().alloc(bytes);
+        let dptr = *r.as_ref().unwrap_or(&0);
         self.event(true, CbId::MemAlloc, &CbParams::MemAlloc { bytes, dptr });
-        Ok(dptr)
+        Ok(r?)
     }
 
     /// `cuMemFree`.
@@ -644,14 +662,15 @@ impl Driver {
 
     /// `cuLaunchKernel`. Interposers see the entry callback *before* launch
     /// parameters are read, so instrumentation applied there (code swaps,
-    /// local-memory overrides) affects this very launch.
+    /// local-memory overrides) affects this very launch; the exit callback
+    /// fires whatever the launch returns.
     pub fn launch_kernel(
         &self,
         func: &CuFunction,
         grid: Dim3,
         block: Dim3,
         args: &[KernelArg],
-    ) -> Result<ExecStats> {
+    ) -> Result<LaunchStats> {
         let _obs = self.obs.enter();
         let _span = common::obs::span("launch");
         common::obs::counter("kernel.launches", 1);
@@ -659,47 +678,51 @@ impl Driver {
         self.state.borrow().function(*func)?;
         let p = CbParams::LaunchKernel { func: *func, grid, block, args };
         self.event(false, CbId::LaunchKernel, &p);
-
-        // Re-read the function state: the interposer may have changed it.
-        let (cfg, name) = self.with_function_info(*func, |info| {
-            if info.kind != ptx::FunctionKind::Entry {
-                return Err(DriverError::BadArgs(format!("`{}` is not a kernel", info.name)));
-            }
-            if args.len() != info.params.len() {
-                return Err(DriverError::BadArgs(format!(
-                    "`{}` takes {} arguments, got {}",
-                    info.name,
-                    info.params.len(),
-                    args.len()
-                )));
-            }
-
-            let mut cfg = LaunchConfig::new(info.addr, grid, block);
-            for (arg, pinfo) in args.iter().zip(&info.params) {
-                let bytes = arg.bytes();
-                if bytes.len() != pinfo.size as usize {
+        let launched = (|| {
+            // Re-read the function state: the interposer may have changed it.
+            let cfg = self.with_function_info(*func, |info| {
+                if info.kind != ptx::FunctionKind::Entry {
+                    return Err(DriverError::BadArgs(format!("`{}` is not a kernel", info.name)));
+                }
+                if args.len() != info.params.len() {
                     return Err(DriverError::BadArgs(format!(
-                        "argument `{}` of `{}` is {} bytes, got {}",
-                        pinfo.name,
+                        "`{}` takes {} arguments, got {}",
                         info.name,
-                        pinfo.size,
-                        bytes.len()
+                        info.params.len(),
+                        args.len()
                     )));
                 }
-                cfg.write_param_bytes(pinfo.offset, &bytes);
-            }
-            cfg.shared_size = info.shared_size;
-            cfg.local_size = self.local_requirement(info);
-            Ok((cfg, info.name.clone()))
-        })??;
 
-        let stats = self.device_mut().launch(&cfg)?;
-        {
-            let mut st = self.state.borrow_mut();
-            st.launches.push(LaunchRecord { func: *func, name, grid, block, stats: stats.clone() });
-        }
+                let mut cfg = LaunchConfig::new(info.addr, grid, block);
+                for (arg, pinfo) in args.iter().zip(&info.params) {
+                    let (bytes, len) = arg.bytes();
+                    let bytes = &bytes[..len];
+                    if bytes.len() != pinfo.size as usize {
+                        return Err(DriverError::BadArgs(format!(
+                            "argument `{}` of `{}` is {} bytes, got {}",
+                            pinfo.name,
+                            info.name,
+                            pinfo.size,
+                            bytes.len()
+                        )));
+                    }
+                    cfg.write_param_bytes(pinfo.offset, bytes);
+                }
+                cfg.shared_size = info.shared_size;
+                cfg.local_size = self.local_requirement(info);
+                Ok(cfg)
+            })??;
+
+            let stats = self.device_mut().launch(&cfg)?;
+            let st = &mut *self.state.borrow_mut();
+            let start = st.op_counts.len();
+            st.op_counts.extend(stats.ops());
+            let (scalars, ops) = (stats.scalars(), start..st.op_counts.len());
+            st.launches.push(Launch { func: *func, grid, block, scalars, ops });
+            Ok(stats)
+        })();
         self.event(true, CbId::LaunchKernel, &p);
-        Ok(stats)
+        launched
     }
 
     /// Per-thread local bytes a launch of this kernel needs: its own frame,
@@ -719,9 +742,22 @@ impl Driver {
 
     // ----- Bookkeeping ---------------------------------------------------
 
-    /// All launches recorded so far.
+    /// All launches recorded so far, each named by the kernel it ran (also
+    /// after that kernel's module was unloaded and its handle reissued).
     pub fn launches(&self) -> Vec<LaunchRecord> {
-        self.state.borrow().launches.clone()
+        let st = self.state.borrow();
+        let record = |(i, l): (usize, &Launch)| LaunchRecord {
+            func: l.func,
+            // The name at the first unload of the handle after launch `i`.
+            name: match st.unloaded.iter().find(|u| u.0 == l.func && u.1 > i) {
+                Some((.., name)) => name.clone(),
+                None => st.function(l.func).map_or(String::new(), |f| f.name.clone()),
+            },
+            grid: l.grid,
+            block: l.block,
+            stats: l.scalars.clone().with_ops(st.op_counts[l.ops.clone()].iter().copied()),
+        };
+        st.launches.iter().enumerate().map(record).collect()
     }
 
     /// Number of launches recorded.
@@ -734,9 +770,9 @@ impl Driver {
         let st = self.state.borrow();
         let mut total = ExecStats::default();
         for l in &st.launches {
-            total.merge(&l.stats);
+            total.merge(&l.scalars);
         }
-        total
+        total.with_ops(st.op_counts.iter().copied())
     }
 }
 
@@ -899,6 +935,85 @@ DONE:
         assert_eq!(allocs.len(), 2);
         assert!(evs.iter().any(|(_, c)| *c == CbId::ModuleLoad));
         assert!(evs.iter().any(|(_, c)| *c == CbId::CtxCreate));
+    }
+
+    #[test]
+    fn every_entry_callback_is_followed_by_its_exit_callback_on_error_too() {
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let drv = driver();
+        drv.install_interposer(Box::new(Recorder { events: events.clone(), ..Default::default() }));
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", APP)).unwrap();
+        let f = drv.module_get_function(&m, "scale").unwrap();
+        let calls = |cbid| {
+            let evs = events.borrow();
+            let n = |exit| evs.iter().filter(|&&e| e == (exit, cbid)).count();
+            (n(false), n(true))
+        };
+        // Every lane loads from an address nothing maps: a device fault.
+        let args = [KernelArg::Ptr(1 << 40), KernelArg::U32(32), KernelArg::F32(1.0)];
+        let e = drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &args);
+        assert!(matches!(e, Err(DriverError::Gpu(gpu::GpuError::Fault { .. }))), "{e:?}");
+        assert_eq!(calls(CbId::LaunchKernel), (1, 1));
+        // An argument error found after the entry callback.
+        let e = drv.launch_kernel(&f, Dim3::linear(1), Dim3::linear(32), &[KernelArg::U32(1)]);
+        assert!(matches!(e, Err(DriverError::BadArgs(_))), "{e:?}");
+        assert_eq!(calls(CbId::LaunchKernel), (2, 2));
+        assert!(drv.mem_alloc(u64::MAX).is_err());
+        assert_eq!(calls(CbId::MemAlloc), (1, 1));
+        assert_eq!(drv.launch_count(), 0, "a failed launch leaves no record");
+    }
+
+    /// A one-kernel module: loaded after `APP`'s is unloaded, its kernel
+    /// takes the handle `scale` had.
+    const FILL: &str = r#"
+.entry fill(.param .u64 buf)
+{
+    .reg .u32 %r<2>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mul.wide.u32 %rd2, %r1, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r1;
+    exit;
+}
+"#;
+
+    #[test]
+    fn a_launch_record_keeps_its_kernel_after_the_handle_is_reissued() {
+        let drv = driver();
+        let ctx = drv.ctx_create().unwrap();
+        let buf = drv.mem_alloc(1024).unwrap();
+        let scale_args = [KernelArg::Ptr(buf), KernelArg::U32(20), KernelArg::F32(2.0)];
+        let mut returned = Vec::new();
+        let mut launch = |src: &str, name: &'static str, grid: u32, args: &[KernelArg]| {
+            let m = drv.module_load(&ctx, FatBinary::from_ptx(name, src)).unwrap();
+            let f = drv.module_get_function(&m, name).unwrap();
+            let stats = drv.launch_kernel(&f, Dim3::linear(grid), Dim3::linear(64), args).unwrap();
+            returned.push((f, name, grid, ExecStats::from(&stats)));
+            m
+        };
+        let m = launch(APP, "scale", 1, &scale_args);
+        drv.module_unload(m).unwrap();
+        let m = launch(FILL, "fill", 2, &[KernelArg::Ptr(buf)]);
+        drv.module_unload(m).unwrap();
+        launch(APP, "scale", 3, &scale_args);
+        assert!(returned.iter().all(|r| r.0 == returned[0].0), "one handle, reissued");
+        assert_ne!(returned[0].3, returned[1].3);
+
+        let records = drv.launches();
+        assert_eq!(records.len(), returned.len());
+        for (r, (func, name, grid, stats)) in records.iter().zip(&returned) {
+            assert_eq!(
+                (r.func, r.name.as_str(), r.grid, r.block),
+                (*func, *name, Dim3::linear(*grid), Dim3::linear(64))
+            );
+            assert_eq!(&r.stats, stats, "{name}");
+        }
+        let mut folded = ExecStats::default();
+        records.iter().for_each(|r| folded.merge(&r.stats));
+        assert_eq!(drv.total_stats(), folded);
     }
 
     const CALLS: &str = r#"

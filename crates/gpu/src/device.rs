@@ -3,7 +3,7 @@
 use crate::executor::{CodeCache, ExecEnv, LaunchState, WARP};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
-use crate::stats::{CtaStats, ExecStats};
+use crate::stats::LaunchStats;
 use crate::{GpuError, Result};
 use sass::PARAM_BASE;
 use std::collections::BTreeMap;
@@ -293,7 +293,7 @@ impl Device {
     /// the fault of the lowest CTA-linear index is reported, matching
     /// serial execution; device memory after a fault is unspecified under
     /// [`Scheduler::Parallel`].
-    pub fn launch(&mut self, cfg: &LaunchConfig) -> Result<ExecStats> {
+    pub fn launch(&mut self, cfg: &LaunchConfig) -> Result<LaunchStats> {
         let block_threads = cfg.block.count();
         if block_threads == 0 || block_threads > 1024 {
             return Err(GpuError::BadLaunch(format!(
@@ -327,7 +327,7 @@ impl Device {
 
         let labels = &self.labels;
         let chan = self.channel.as_ref();
-        let run_one = |state: &mut LaunchState, cta_linear: u64| -> Result<CtaStats> {
+        let run_one = |state: &mut LaunchState, cta_linear: u64| -> Result<LaunchStats> {
             if let Some(t0) = exec_t0 {
                 common::obs::counter("cta.queue_wait_ns", t0.elapsed().as_nanos() as u64);
             }
@@ -396,14 +396,14 @@ impl Device {
         let merge_span = common::obs::span("merge");
         let mut order: Vec<usize> = (0..results.len()).collect();
         order.sort_unstable_by_key(|&k| results[k].0);
-        let mut stats = CtaStats::default();
+        let mut stats = LaunchStats::default();
         let fault = order.iter().enumerate().find_map(|(n, &k)| {
             debug_assert_eq!(results[k].0, n as u64, "CTA indices merge from 0 without a gap");
             let Ok(s) = &results[k].1 else { return Some(k) };
             stats.add(s);
             None
         });
-        let mut stats = stats.finish();
+        stats.warp_instructions = stats.ops().map(|(_, n)| n).sum();
         // Every step fetched one slot; the steps that filled theirs are the
         // misses. (Only CTAs that ran to completion are summed, and those
         // recorded every step that counted a miss.)
@@ -430,7 +430,7 @@ fn run_cta(
     chan: Option<&common::channel::ChannelDev>,
     state: &mut LaunchState,
     cta_linear: u64,
-) -> Result<CtaStats> {
+) -> Result<LaunchStats> {
     let g = cfg.grid;
     let cta_coords = Dim3::xyz(
         (cta_linear % g.x as u64) as u32,
@@ -441,7 +441,7 @@ fn run_cta(
         spec,
         mem,
         code,
-        stats: CtaStats::default(),
+        stats: LaunchStats::default(),
         grid: cfg.grid,
         block: cfg.block,
         cbank0: &cfg.cbank0,
@@ -550,7 +550,7 @@ mod tests {
         assert_eq!(stats.warp_instructions, 12);
         assert_eq!(stats.thread_instructions, 3 * 128);
         assert!(stats.cycles > 0);
-        assert_eq!(stats.per_op["IADD"], 4);
+        assert_eq!(stats.op_count(sass::Op::Iadd), 4);
     }
 
     #[test]
@@ -946,7 +946,7 @@ mod tests {
         assert_eq!(run_store(&mut dev, pc, buf), ((0, 24), 2));
     }
 
-    fn fault_of(r: Result<ExecStats>) -> (u64, String) {
+    fn fault_of(r: Result<LaunchStats>) -> (u64, String) {
         match r {
             Err(GpuError::Fault { pc, reason }) => (pc, reason),
             other => panic!("expected a fault, got {other:?}"),

@@ -56,7 +56,7 @@
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
-use crate::stats::CtaStats;
+use crate::stats::LaunchStats;
 use crate::{GpuError, Origin, Result};
 use sass::op::{CfClass, IType};
 use sass::{CmpOp, Instruction, MemSpace, Op, OpCategory, Operand, Pred, Reg, SpecialReg, SubOp};
@@ -588,7 +588,7 @@ pub(crate) struct ExecEnv<'d> {
     pub spec: &'d DeviceSpec,
     pub mem: &'d SharedMem,
     pub code: &'d CodeCache,
-    pub stats: CtaStats,
+    pub stats: LaunchStats,
     pub grid: Dim3,
     pub block: Dim3,
     /// Constant bank 0; banks 1–3 are empty.
@@ -686,7 +686,7 @@ impl<'d> ExecEnv<'d> {
             // that loses the race counts a hit), which keeps the launch's
             // total independent of the CTA schedule.
             let slot = match page.slots[at >> slot_shift].get_or_init(|| {
-                self.stats.sum.decode_misses += 1;
+                self.stats.decode_misses += 1;
                 let word = &page.raw[at..at + isize];
                 let decoded =
                     codec.decode(word).map_err(|e| format!("undecodable instruction: {e}"));
@@ -721,7 +721,7 @@ impl<'d> ExecEnv<'d> {
                 warp.pairs_into(base, offset as i64 as u64, &mut self.addrs);
             }
         }
-        let sum = &mut self.stats.sum;
+        let sum = &mut self.stats;
         match slot.cat {
             OpCategory::MemGlobal if exec != 0 => {
                 let lines = global_lines(&self.addrs, exec, self.spec.cache_line as u64);
@@ -1184,7 +1184,7 @@ impl<'d> ExecEnv<'d> {
             SpecialReg::NCtaIdZ => self.grid.z,
             SpecialReg::WarpId => warp.base_tid / 32,
             SpecialReg::SmId => (cta.cta_linear % self.spec.num_sms as u64) as u32,
-            SpecialReg::Clock => self.stats.sum.cycles as u32,
+            SpecialReg::Clock => self.stats.cycles as u32,
             SpecialReg::ActiveMask => exec,
             SpecialReg::GridId => self.launch_id as u32,
             SpecialReg::BarrierState => {
@@ -1452,7 +1452,7 @@ mod tests {
         (dev, addr)
     }
 
-    fn run(text: &str) -> crate::Result<crate::ExecStats> {
+    fn run(text: &str) -> crate::Result<crate::LaunchStats> {
         let (mut dev, addr) = load(text);
         dev.launch(&LaunchConfig::new(addr, Dim3::linear(1), Dim3::linear(32)))
     }

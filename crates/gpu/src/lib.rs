@@ -69,7 +69,7 @@ pub mod stats;
 pub use device::{Device, LaunchConfig, Origin, Scheduler};
 pub use mem::Memory;
 pub use spec::{CostModel, DeviceSpec, Dim3};
-pub use stats::{ExecStats, MemStats};
+pub use stats::{ExecStats, LaunchStats, MemStats};
 
 /// Errors raised by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -81,7 +81,8 @@ impl Memory {
     ///
     /// [`GpuError::OutOfMemory`] when no region fits.
     pub fn alloc(&mut self, len: u64) -> Result<u64> {
-        let size = len.max(1).div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
+        let size = (len.max(1).checked_next_multiple_of(ALLOC_ALIGN))
+            .ok_or(GpuError::OutOfMemory { requested: len, available: 0 })?;
         // First fit among freed blocks.
         if let Some(pos) = self.free.iter().position(|(_, flen)| *flen >= size) {
             let (addr, flen) = self.free.remove(pos);

@@ -55,50 +55,93 @@ const OP_SLOTS: usize = {
     n
 };
 
-/// What the executor counts while a CTA runs: the scalar fields of
-/// [`ExecStats`] in `sum`, and the per-opcode histogram as a flat array — no
-/// `String`, no tree walk per issued instruction. The warp-instruction count
-/// and the per-category histogram follow from the per-opcode one, so a step
-/// bumps two counters. CTAs add up in CTA-linear order and become the public
-/// maps once per launch.
-pub(crate) struct CtaStats {
-    /// Everything but `warp_instructions`, `per_op` and `per_category`,
-    /// which stay zero and empty until [`CtaStats::finish`].
-    pub sum: ExecStats,
-    per_op: [u64; OP_SLOTS],
+/// Statistics of one launch as the executor counts them: the scalar fields
+/// of [`ExecStats`] by name and the per-opcode histogram as a flat array — no
+/// `String`, no tree walk per issued instruction. A step bumps two counters;
+/// `warp_instructions` and `decode_hits` follow from the histogram at launch
+/// end, and the per-category histogram when [`ExecStats`] is built from it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LaunchStats {
+    /// Warp-level instructions executed: the histogram's sum.
+    pub warp_instructions: u64,
+    /// Thread-level instructions (sum of active lanes per issue).
+    pub thread_instructions: u64,
+    /// Simulated cycles under the cost model.
+    pub cycles: u64,
+    /// Memory counters.
+    pub mem: MemStats,
+    /// Warp instructions fetched from an already decoded slot.
+    pub decode_hits: u64,
+    /// Instruction slots the launch decoded.
+    pub decode_misses: u64,
+    per_op: OpCounts,
 }
 
-impl Default for CtaStats {
-    fn default() -> CtaStats {
-        CtaStats { sum: ExecStats::default(), per_op: [0; OP_SLOTS] }
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OpCounts([u64; OP_SLOTS]);
+
+impl Default for OpCounts {
+    fn default() -> OpCounts {
+        OpCounts([0; OP_SLOTS])
     }
 }
 
-impl CtaStats {
+impl LaunchStats {
     /// Records one issued instruction.
-    pub fn record(&mut self, op: Op, active: u32) {
+    pub(crate) fn record(&mut self, op: Op, active: u32) {
         let lanes = if active == u32::MAX { 32 } else { active.count_ones() };
-        self.sum.thread_instructions += lanes as u64;
-        self.per_op[op.index() as usize] += 1;
+        self.thread_instructions += lanes as u64;
+        self.per_op.0[op.index() as usize] += 1;
     }
 
-    pub fn add(&mut self, other: &CtaStats) {
-        self.sum.merge(&other.sum);
-        self.per_op.iter_mut().zip(other.per_op).for_each(|(a, b)| *a += b);
+    /// Adds a CTA's counters; the histogram's sums are left to launch end.
+    pub(crate) fn add(&mut self, other: &LaunchStats) {
+        self.thread_instructions += other.thread_instructions;
+        self.cycles += other.cycles;
+        self.mem.add(&other.mem);
+        self.decode_misses += other.decode_misses;
+        self.per_op.0.iter_mut().zip(other.per_op.0).for_each(|(a, b)| *a += b);
     }
 
-    /// The public statistics: histogram entries exist for executed
-    /// opcodes and categories only.
-    pub fn finish(mut self) -> ExecStats {
-        for op in Op::ALL {
-            let n = self.per_op[op.index() as usize];
-            if n > 0 {
-                self.sum.warp_instructions += n;
-                *self.sum.per_op.entry(op.mnemonic().to_string()).or_insert(0) += n;
-                *self.sum.per_category.entry(op.category()).or_insert(0) += n;
-            }
+    /// Warp-level instructions of opcode `op` the launch executed.
+    pub fn op_count(&self, op: Op) -> u64 {
+        self.per_op.0[op.index() as usize]
+    }
+
+    /// Every executed opcode with its count, in [`Op::ALL`] order.
+    pub fn ops(&self) -> impl Iterator<Item = (Op, u64)> + '_ {
+        Op::ALL.iter().map(|&op| (op, self.op_count(op))).filter(|&(_, n)| n > 0)
+    }
+
+    /// The scalar fields, as an [`ExecStats`] with empty maps.
+    pub fn scalars(&self) -> ExecStats {
+        ExecStats {
+            warp_instructions: self.warp_instructions,
+            thread_instructions: self.thread_instructions,
+            cycles: self.cycles,
+            mem: self.mem.clone(),
+            decode_hits: self.decode_hits,
+            decode_misses: self.decode_misses,
+            ..ExecStats::default()
         }
-        self.sum
+    }
+}
+
+/// Histogram entries exist for executed opcodes and categories only.
+impl From<&LaunchStats> for ExecStats {
+    fn from(s: &LaunchStats) -> ExecStats {
+        s.scalars().with_ops(s.ops())
+    }
+}
+
+impl MemStats {
+    fn add(&mut self, o: &MemStats) {
+        self.global_loads += o.global_loads;
+        self.global_stores += o.global_stores;
+        self.global_lines += o.global_lines;
+        self.shared_accesses += o.shared_accesses;
+        self.local_accesses += o.local_accesses;
+        self.atomics += o.atomics;
     }
 }
 
@@ -109,24 +152,27 @@ impl ExecStats {
         self.thread_instructions += other.thread_instructions;
         self.cycles += other.cycles;
         for (k, v) in &other.per_op {
-            // No key clone for an opcode both sides already have.
-            if let Some(c) = self.per_op.get_mut(k) {
-                *c += v;
-            } else {
-                self.per_op.insert(k.clone(), *v);
-            }
+            *self.per_op.entry(k.clone()).or_insert(0) += v;
         }
         for (k, v) in &other.per_category {
             *self.per_category.entry(*k).or_insert(0) += v;
         }
-        self.mem.global_loads += other.mem.global_loads;
-        self.mem.global_stores += other.mem.global_stores;
-        self.mem.global_lines += other.mem.global_lines;
-        self.mem.shared_accesses += other.mem.shared_accesses;
-        self.mem.local_accesses += other.mem.local_accesses;
-        self.mem.atomics += other.mem.atomics;
+        self.mem.add(&other.mem);
         self.decode_hits += other.decode_hits;
         self.decode_misses += other.decode_misses;
+    }
+
+    /// Adds per-opcode warp-instruction counts to `per_op` and
+    /// `per_category`; the scalar fields are left as they are.
+    pub fn with_ops(mut self, ops: impl IntoIterator<Item = (Op, u64)>) -> ExecStats {
+        for (op, n) in ops {
+            match self.per_op.get_mut(op.mnemonic()) {
+                Some(c) => *c += n,
+                None => drop(self.per_op.insert(op.mnemonic().to_string(), n)),
+            }
+            *self.per_category.entry(op.category()).or_insert(0) += n;
+        }
+        self
     }
 }
 
@@ -134,7 +180,7 @@ impl ExecStats {
 mod tests {
     use super::*;
 
-    /// The map-based reference `CtaStats` is checked against: one issued
+    /// The map-based reference `LaunchStats` is checked against: one issued
     /// instruction, straight into the public maps.
     trait Record {
         fn record(&mut self, op: Op, active: u32);
@@ -167,17 +213,24 @@ mod tests {
             assert_eq!(*cat as usize, i, "flat arrays index by declaration order");
         }
         let (mut flat, mut cta, mut want) =
-            (CtaStats::default(), CtaStats::default(), ExecStats::default());
+            (LaunchStats::default(), LaunchStats::default(), ExecStats::default());
         for (n, op) in Op::ALL.iter().enumerate().filter(|(n, _)| n % 3 != 1) {
             cta.record(*op, n as u32);
             want.record(*op, n as u32);
+            assert_eq!(cta.op_count(*op), 1);
         }
-        cta.sum.cycles = 7;
+        cta.cycles = 7;
         want.cycles = 7;
         want.merge(&want.clone());
         flat.add(&cta);
         flat.add(&cta);
-        assert_eq!(flat.finish(), want);
+        // What `Device::launch` derives at launch end.
+        flat.warp_instructions = flat.ops().map(|(_, n)| n).sum();
+        assert_eq!(ExecStats::from(&flat), want);
+        // `with_ops` adds into existing entries and leaves the scalars.
+        let doubled = flat.scalars().with_ops(flat.ops().chain(flat.ops()));
+        assert_eq!(doubled.per_op.values().sum::<u64>(), 2 * want.warp_instructions);
+        assert_eq!(doubled.warp_instructions, want.warp_instructions);
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn encode(arch: Arch, instrs: &[Instruction], refused: &mut usize) -> Vec<u8> {
     code
 }
 
-fn launch(arch: Arch, code: &[u8]) -> gpu::Result<gpu::ExecStats> {
+fn launch(arch: Arch, code: &[u8]) -> gpu::Result<gpu::LaunchStats> {
     let mut spec = DeviceSpec::test(arch);
     spec.global_mem = 1 << 20;
     let mut dev = Device::new(spec);

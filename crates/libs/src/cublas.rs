@@ -5,7 +5,7 @@
 //! the host wrapper dispatches among them per call.
 
 use cuda::{CuContext, CuFunction, CuModule, Driver, KernelArg};
-use gpu::{Dim3, ExecStats};
+use gpu::{Dim3, LaunchStats};
 use std::fmt::Write as _;
 
 /// Threads per block used by the library's 1-D kernels.
@@ -302,7 +302,7 @@ impl Cublas {
         b: u64,
         beta: f32,
         c: u64,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         let tn = match (ta, tb) {
             (Transpose::N, Transpose::N) => "nn",
             (Transpose::N, Transpose::T) => "nt",
@@ -349,7 +349,7 @@ impl Cublas {
         b: u64,
         beta: f32,
         c: u64,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         self.sgemm(drv, Transpose::N, Transpose::N, m, n, k, alpha, a, b, beta, c)
     }
 
@@ -358,7 +358,7 @@ impl Cublas {
     /// # Errors
     ///
     /// Driver failures.
-    pub fn saxpy(&self, drv: &Driver, n: u32, a: f32, x: u64, y: u64) -> cuda::Result<ExecStats> {
+    pub fn saxpy(&self, drv: &Driver, n: u32, a: f32, x: u64, y: u64) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "saxpy")?;
         drv.launch_kernel(
             &f,
@@ -373,7 +373,7 @@ impl Cublas {
     /// # Errors
     ///
     /// Driver failures.
-    pub fn sscal(&self, drv: &Driver, n: u32, a: f32, x: u64) -> cuda::Result<ExecStats> {
+    pub fn sscal(&self, drv: &Driver, n: u32, a: f32, x: u64) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "sscal")?;
         drv.launch_kernel(
             &f,
@@ -389,7 +389,14 @@ impl Cublas {
     /// # Errors
     ///
     /// Driver failures.
-    pub fn sdot(&self, drv: &Driver, n: u32, x: u64, y: u64, out: u64) -> cuda::Result<ExecStats> {
+    pub fn sdot(
+        &self,
+        drv: &Driver,
+        n: u32,
+        x: u64,
+        y: u64,
+        out: u64,
+    ) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "sdot")?;
         drv.launch_kernel(
             &f,

@@ -2,7 +2,7 @@
 //! SASS-only binary.
 
 use cuda::{CuContext, CuFunction, CuModule, Driver, KernelArg};
-use gpu::{Dim3, ExecStats};
+use gpu::{Dim3, LaunchStats};
 
 const BLOCK: u32 = 128;
 
@@ -341,7 +341,7 @@ impl Cudnn {
         w: u32,
         k: u32,
         r: u32,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_conv2d_f32")?;
         let (oh, ow) = (h - r + 1, w - r + 1);
         drv.launch_kernel(
@@ -362,7 +362,7 @@ impl Cudnn {
     }
 
     /// ReLU over `n` elements.
-    pub fn relu(&self, drv: &Driver, x: u64, y: u64, n: u32) -> cuda::Result<ExecStats> {
+    pub fn relu(&self, drv: &Driver, x: u64, y: u64, n: u32) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_relu_f32")?;
         drv.launch_kernel(
             &f,
@@ -381,7 +381,7 @@ impl Cudnn {
         c: u32,
         h: u32,
         w: u32,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_maxpool2_f32")?;
         drv.launch_kernel(
             &f,
@@ -405,7 +405,7 @@ impl Cudnn {
         y: u64,
         rows: u32,
         cols: u32,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_softmax_row_f32")?;
         drv.launch_kernel(
             &f,
@@ -416,7 +416,7 @@ impl Cudnn {
     }
 
     /// Scalar bias add over `n` elements.
-    pub fn bias(&self, drv: &Driver, x: u64, y: u64, n: u32, b: f32) -> cuda::Result<ExecStats> {
+    pub fn bias(&self, drv: &Driver, x: u64, y: u64, n: u32, b: f32) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_bias_f32")?;
         drv.launch_kernel(
             &f,
@@ -436,7 +436,7 @@ impl Cudnn {
         n: u32,
         scale: f32,
         shift: f32,
-    ) -> cuda::Result<ExecStats> {
+    ) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_batchnorm_f32")?;
         drv.launch_kernel(
             &f,
@@ -453,7 +453,7 @@ impl Cudnn {
     }
 
     /// Tensor add: `y = x + y` over `n` elements.
-    pub fn add(&self, drv: &Driver, x: u64, y: u64, n: u32) -> cuda::Result<ExecStats> {
+    pub fn add(&self, drv: &Driver, x: u64, y: u64, n: u32) -> cuda::Result<LaunchStats> {
         let f = self.func(drv, "cudnn_add_f32")?;
         drv.launch_kernel(
             &f,

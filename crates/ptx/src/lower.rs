@@ -343,6 +343,9 @@ struct Emitter<'a> {
     shared_size: u32,
     frame_bytes: u32,
     uses_reg_api: bool,
+    /// The highest register any emitted instruction names, kept as each is
+    /// written: the register count needs no pass over the code.
+    max_reg: Option<u8>,
 }
 
 impl<'a> Emitter<'a> {
@@ -408,6 +411,7 @@ impl<'a> Emitter<'a> {
             shared_size: soff,
             frame_bytes,
             uses_reg_api: false,
+            max_reg: None,
         })
     }
 
@@ -417,7 +421,9 @@ impl<'a> Emitter<'a> {
 
     /// Appends `op operands` under `guard`.
     fn emit<const N: usize>(&mut self, guard: Guard, op: Op, mods: Mods, operands: [Operand; N]) {
-        self.t.out.push(Instruction::new(op, operands).with_mods(mods).with_guard(guard));
+        let i = Instruction::new(op, operands).with_mods(mods).with_guard(guard);
+        self.max_reg = self.max_reg.max(i.max_reg());
+        self.t.out.push(i);
     }
 
     /// `MOV d, s`, then `MOV d+1, s+1` when `wide`.
@@ -1285,15 +1291,7 @@ impl<'a> Emitter<'a> {
             function: self.names.resolve(self.f.name).to_string(),
             source,
         })?;
-        let reg_count = self
-            .t
-            .out
-            .iter()
-            .filter_map(|i| i.max_reg())
-            .max()
-            .map(|m| m as u32 + 1)
-            .unwrap_or(0)
-            .max(4);
+        let reg_count = self.max_reg.map_or(0, |m| m as u32 + 1).max(4);
         Ok(CompiledFunction {
             name: self.names.resolve(self.f.name).to_string(),
             kind: self.f.kind,

@@ -96,11 +96,19 @@ pub fn benchmark(name: &str) -> Option<Benchmark> {
 pub(crate) struct Ctx<'a> {
     pub(crate) drv: &'a Driver,
     pub(crate) ctx: CuContext,
+    /// What each launch through [`Ctx::launch`] returned, in order.
+    #[cfg(test)]
+    returned: std::cell::RefCell<Vec<gpu::LaunchStats>>,
 }
 
 impl<'a> Ctx<'a> {
     pub(crate) fn new(drv: &'a Driver) -> cuda::Result<Ctx<'a>> {
-        Ok(Ctx { drv, ctx: drv.ctx_create()? })
+        Ok(Ctx {
+            drv,
+            ctx: drv.ctx_create()?,
+            #[cfg(test)]
+            returned: Default::default(),
+        })
     }
 
     pub(crate) fn module(&self, name: &str, sources: &[String]) -> cuda::Result<CuModule> {
@@ -126,9 +134,21 @@ impl<'a> Ctx<'a> {
         Ok(a)
     }
 
-    fn launch1d(&self, f: &CuFunction, n: u32, args: &[KernelArg]) -> cuda::Result<()> {
-        self.drv.launch_kernel(f, Dim3::linear(n.div_ceil(128).max(1)), Dim3::linear(128), args)?;
+    fn launch(&self, f: &CuFunction, grid: Dim3, args: &[KernelArg]) -> cuda::Result<()> {
+        let _stats = self.drv.launch_kernel(f, grid, Dim3::linear(128), args)?;
+        #[cfg(test)]
+        self.returned.borrow_mut().push(_stats);
         Ok(())
+    }
+
+    fn launch1d(&self, f: &CuFunction, n: u32, args: &[KernelArg]) -> cuda::Result<()> {
+        self.launch(f, Dim3::linear(n.div_ceil(128).max(1)), args)
+    }
+
+    /// One sweep of the 2-D stencil `f` from `src` into `dst` over `h` × `w`.
+    fn sweep(&self, f: &CuFunction, (src, dst): (u64, u64), h: u32, w: u32) -> cuda::Result<()> {
+        let args = [KernelArg::Ptr(src), KernelArg::Ptr(dst), KernelArg::U32(h), KernelArg::U32(w)];
+        self.launch(f, Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1), &args)
     }
 }
 
@@ -142,12 +162,7 @@ fn ostencil(c: &Ctx<'_>, size: Size) -> cuda::Result<()> {
     let b = c.alloc_f32(h * w, |_| 0.0)?;
     for it in 0..iters {
         let (src, dst) = if it % 2 == 0 { (a, b) } else { (b, a) };
-        c.drv.launch_kernel(
-            &f,
-            Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1),
-            Dim3::linear(128),
-            &[KernelArg::Ptr(src), KernelArg::Ptr(dst), KernelArg::U32(h), KernelArg::U32(w)],
-        )?;
+        c.sweep(&f, (src, dst), h, w)?;
     }
     Ok(())
 }
@@ -271,12 +286,7 @@ fn palm(c: &Ctx<'_>, size: Size) -> cuda::Result<()> {
                 KernelArg::F32(0.1),
             ],
         )?;
-        c.drv.launch_kernel(
-            &diffuse,
-            Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1),
-            Dim3::linear(128),
-            &[KernelArg::Ptr(v), KernelArg::Ptr(u), KernelArg::U32(h), KernelArg::U32(w)],
-        )?;
+        c.sweep(&diffuse, (v, u), h, w)?;
         c.launch1d(
             &buoy,
             h * w,
@@ -425,12 +435,7 @@ fn seismic(c: &Ctx<'_>, size: Size) -> cuda::Result<()> {
     let b = c.alloc_f32(h * w, |_| 0.0)?;
     for _ in 0..iters {
         for (f, src, dst) in [(&p, a, b), (&v, b, a)] {
-            c.drv.launch_kernel(
-                f,
-                Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1),
-                Dim3::linear(128),
-                &[KernelArg::Ptr(src), KernelArg::Ptr(dst), KernelArg::U32(h), KernelArg::U32(w)],
-            )?;
+            c.sweep(f, (src, dst), h, w)?;
         }
     }
     Ok(())
@@ -473,12 +478,7 @@ fn mini_ghost(c: &Ctx<'_>, size: Size) -> cuda::Result<()> {
     let acc = c.alloc_f32(1, |_| 0.0)?;
     for it in 0..iters {
         let (src, dst) = if it % 2 == 0 { (a, b) } else { (b, a) };
-        c.drv.launch_kernel(
-            &st,
-            Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1),
-            Dim3::linear(128),
-            &[KernelArg::Ptr(src), KernelArg::Ptr(dst), KernelArg::U32(h), KernelArg::U32(w)],
-        )?;
+        c.sweep(&st, (src, dst), h, w)?;
         c.launch1d(&ck, h * w, &[KernelArg::Ptr(dst), KernelArg::Ptr(acc), KernelArg::U32(h * w)])?;
     }
     Ok(())
@@ -542,12 +542,7 @@ fn swim(c: &Ctx<'_>, size: Size) -> cuda::Result<()> {
                 KernelArg::F32(0.7),
             ],
         )?;
-        c.drv.launch_kernel(
-            &c3,
-            Dim3::xyz(h - 2, (w - 2).div_ceil(128), 1),
-            Dim3::linear(128),
-            &[KernelArg::Ptr(u), KernelArg::Ptr(v), KernelArg::U32(h), KernelArg::U32(w)],
-        )?;
+        c.sweep(&c3, (u, v), h, w)?;
     }
     Ok(())
 }
@@ -643,6 +638,30 @@ mod tests {
         benchmark("ostencil").unwrap().run(&drv, Size::Small).unwrap();
         let counts: Vec<u64> = drv.launches().iter().map(|l| l.stats.warp_instructions).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    /// Each launch's record is what the launch returned, and the driver's
+    /// total is the fold of its records, under either scheduler.
+    #[test]
+    fn launch_records_match_what_each_launch_returned() {
+        for sched in [gpu::Scheduler::Serial, gpu::Scheduler::Parallel { threads: 2 }] {
+            let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+            drv.with_device(|d| d.scheduler = sched);
+            let mut returned = Vec::new();
+            for b in suite() {
+                let c = Ctx::new(&drv).unwrap();
+                (b.runner)(&c, Size::Small).unwrap_or_else(|e| panic!("{} failed: {e}", b.name));
+                returned.extend(c.returned.take());
+            }
+            let records = drv.launches();
+            assert_eq!(records.len(), returned.len(), "{sched:?}");
+            for (r, s) in records.iter().zip(&returned) {
+                assert_eq!(r.stats, gpu::ExecStats::from(s), "{} under {sched:?}", r.name);
+            }
+            let mut folded = gpu::ExecStats::default();
+            records.iter().for_each(|r| folded.merge(&r.stats));
+            assert_eq!(drv.total_stats(), folded, "{sched:?}");
+        }
     }
 
     #[test]

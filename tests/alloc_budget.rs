@@ -248,9 +248,13 @@ fn run_stratum(instrumented: bool) -> (Phases, u64, u64) {
 /// original's, and the body's origin table goes to its code label and is
 /// freed at teardown. Build measures 29, verify 17, teardown 28 and the
 /// total 101; the build, verify and total ceilings fell by 3, 1 and 2.
+/// Launch statistics kept as counters, not named maps, against a parent
+/// measuring teardown 28 and total 99: the driver's launch records hold no
+/// name and no map to free. Teardown measures 26 and the total 97, and every
+/// ceiling is now what this commit measures.
 const PARENT: [u64; 5] = [41, 20, 344, 155, 43];
-const CEILING: [u64; 5] = [37, 14, 42, 23, 36];
-const CEILING_TOTAL: u64 = 115;
+const CEILING: [u64; 5] = [33, 12, 27, 17, 26];
+const CEILING_TOTAL: u64 = 97;
 /// `Driver::module_load` of the stratum, natively, per function, and of it
 /// the PTX front end's parse and compile, each counted on its own: what the
 /// parent commit measured here (58, parse 11 and compile 41, when every
@@ -299,32 +303,58 @@ fn the_jit_stays_inside_its_allocation_budget() {
 
 /// Allocations of one `launch_kernel` of a 128-thread block of a kernel whose
 /// instrumented image is already built, under `CoalescedInstrCount::executed`:
-/// what the parent commit measured here, when each launch built its CTA
-/// worker's state (the warp list, each warp's register file and SIMT stack,
-/// local and shared memory) and dropped it, and the ceiling, what this commit
-/// measures with the device keeping that state.
-const LAUNCH_PARENT: u64 = 65;
-const LAUNCH_CEILING: u64 = 54;
+/// what the parent commit measured here, when every launch built its
+/// statistics as named maps (a `String` per executed opcode), copied them
+/// and the kernel's name into its record and put each argument's bytes in a
+/// vector, and the ceiling, what this commit measures with the statistics
+/// kept as counters until read. (65 before the device kept its CTA workers'
+/// state between launches.)
+const LAUNCH_PARENT: u64 = 54;
+const LAUNCH_CEILING: u64 = 9;
 
-#[test]
-fn a_repeated_launch_stays_inside_its_allocation_budget() {
+/// Allocations per repeated `launch_kernel` of 2 CTAs of 128 threads of the
+/// stratum's first kernel, with the counting tool attached or natively.
+fn repeated_launch_allocs(instrumented: bool) -> u64 {
     let (source, kernels_) = stratum();
     let drv = serial_driver();
-    let (tool, _results) = CoalescedInstrCount::executed(PlanOpts::default());
-    attach_tool(&drv, tool);
+    if instrumented {
+        let (tool, _results) = CoalescedInstrCount::executed(PlanOpts::default());
+        attach_tool(&drv, tool);
+    }
     let ctx = drv.ctx_create().unwrap();
     let module = drv.module_load(&ctx, FatBinary::from_ptx("stratum", source)).unwrap();
     let (name, params) = &kernels_[0];
     let f = drv.module_get_function(&module, name).unwrap();
     let args = launch_args(&drv, params);
-    let launch = || drop(drv.launch_kernel(&f, Dim3::linear(2), Dim3::linear(128), &args).unwrap());
+    let launch = || {
+        drv.launch_kernel(&f, Dim3::linear(2), Dim3::linear(128), &args).unwrap();
+    };
     launch();
     let ((), n) = counted(|| (0..16).for_each(|_| launch()));
-    let per = n.div_ceil(16);
+    drv.shutdown();
+    n.div_ceil(16)
+}
+
+#[test]
+fn a_repeated_launch_stays_inside_its_allocation_budget() {
+    let per = repeated_launch_allocs(true);
     println!("allocations per repeated launch_kernel, 2 CTAs of 128 threads, instrumented");
     println!("  parent {LAUNCH_PARENT}, measured {per}, ceiling {LAUNCH_CEILING}");
     assert!(per <= LAUNCH_CEILING, "launch_kernel: {per} > {LAUNCH_CEILING}");
-    drv.shutdown();
+}
+
+/// The same launch with no tool attached: the parent commit's count, with
+/// the named maps, the record's copies and the argument vectors, and this
+/// commit's.
+const NATIVE_LAUNCH_PARENT: u64 = 48;
+const NATIVE_LAUNCH_CEILING: u64 = 7;
+
+#[test]
+fn a_repeated_native_launch_stays_inside_its_allocation_budget() {
+    let per = repeated_launch_allocs(false);
+    println!("allocations per repeated launch_kernel, 2 CTAs of 128 threads, native");
+    println!("  parent {NATIVE_LAUNCH_PARENT}, measured {per}, ceiling {NATIVE_LAUNCH_CEILING}");
+    assert!(per <= NATIVE_LAUNCH_CEILING, "launch_kernel: {per} > {NATIVE_LAUNCH_CEILING}");
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
