@@ -693,20 +693,17 @@ impl Driver {
                     )));
                 }
 
-                let mut cfg = LaunchConfig::new(info.addr, grid, block);
+                let size = info.params.iter().map(|p| p.offset + p.size).max().unwrap_or(0);
+                let mut cfg = LaunchConfig::with_params(info.addr, grid, block, size);
                 for (arg, pinfo) in args.iter().zip(&info.params) {
                     let (bytes, len) = arg.bytes();
-                    let bytes = &bytes[..len];
-                    if bytes.len() != pinfo.size as usize {
+                    if len != pinfo.size as usize {
                         return Err(DriverError::BadArgs(format!(
-                            "argument `{}` of `{}` is {} bytes, got {}",
-                            pinfo.name,
-                            info.name,
-                            pinfo.size,
-                            bytes.len()
+                            "argument `{}` of `{}` is {} bytes, got {len}",
+                            pinfo.name, info.name, pinfo.size
                         )));
                     }
-                    cfg.write_param_bytes(pinfo.offset, bytes);
+                    cfg.write_param_bytes(pinfo.offset, &bytes[..len]);
                 }
                 cfg.shared_size = info.shared_size;
                 cfg.local_size = self.local_requirement(info);

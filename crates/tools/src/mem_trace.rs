@@ -7,10 +7,12 @@
 //! kernel runs*. Under [`Backpressure::Block`] the trace is lossless
 //! whatever its size relative to the flush buffer; under
 //! [`Backpressure::DropCount`] kernel-side stalls are bounded and every
-//! drop is accounted exactly. [`MemTrace`] stores the records;
-//! [`crate::ChannelCacheSim`] feeds them straight into a cache model.
+//! drop is accounted exactly. [`MemTrace`] stores the delivered addresses
+//! at 8 bytes each, in drain order, with one `(tag, start)` entry per run
+//! of equal tags, and orders them by tag once, when they are read;
+//! [`crate::ChannelCacheSim`] feeds the records straight into a cache model.
 
-use common::channel::{Backpressure, ChannelHost, Consumer, Record};
+use common::channel::{Backpressure, ChannelHost, Consumer};
 use cuda::{CbId, CbParams, CuFunction};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::cell::RefCell;
@@ -102,11 +104,14 @@ impl TraceChannel {
     }
 }
 
+/// Every delivered payload in drain order, and the `(tag, start)` of each
+/// maximal run of equal tags in it; the drain thread appends.
+type Trace = (Vec<u64>, Vec<(u64, usize)>);
+
 /// Results handle of [`MemTrace`].
 #[derive(Debug, Default)]
 pub struct MemTraceResults {
-    /// Every delivered record, in drain order (the drain thread appends).
-    store: Arc<Mutex<Vec<Record>>>,
+    store: Arc<Mutex<Trace>>,
     demanded: RefCell<u64>,
     dropped: RefCell<u64>,
 }
@@ -114,15 +119,21 @@ pub struct MemTraceResults {
 impl MemTraceResults {
     /// The captured addresses as the canonical stream (CTA-linear major,
     /// per-CTA push order), which is identical across scheduler
-    /// configurations: a stable sort by CTA tag keeps each CTA's
-    /// push-ordered subsequence intact, so the result is independent of
-    /// worker interleaving. Complete once the launch has returned — the
-    /// kernel-completion flush inside `Device::launch` pushes every record
-    /// through the drain thread first.
+    /// configurations: a stable sort of the drained runs by CTA tag keeps
+    /// each CTA's push-ordered subsequence intact, so the result is
+    /// independent of worker interleaving. Complete once the launch has
+    /// returned — the kernel-completion flush inside `Device::launch`
+    /// pushes every record through the drain thread first.
     pub fn addresses(&self) -> Vec<u64> {
-        let mut records = self.store.lock().unwrap().clone();
-        records.sort_by_key(|r| r.tag);
-        records.iter().map(|r| r.payload).collect()
+        let (payloads, runs) = &*self.store.lock().unwrap();
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_by_key(|&i| runs[i].0);
+        let mut out = Vec::with_capacity(payloads.len());
+        for i in order {
+            let end = runs.get(i + 1).map_or(payloads.len(), |&(_, start)| start);
+            out.extend_from_slice(&payloads[runs[i].1..end]);
+        }
+        out
     }
 
     /// Total records the kernel tried to append, whether or not they were
@@ -165,7 +176,15 @@ impl MemTrace {
         let chan = TraceChannel::new(
             policy,
             buf_records,
-            Box::new(move |batch| sink.lock().unwrap().extend_from_slice(batch)),
+            Box::new(move |batch| {
+                let (payloads, runs) = &mut *sink.lock().unwrap();
+                for r in batch {
+                    if runs.last().is_none_or(|&(tag, _)| tag != r.tag) {
+                        runs.push((r.tag, payloads.len()));
+                    }
+                    payloads.push(r.payload);
+                }
+            }),
         );
         (MemTrace { chan, results: results.clone() }, results)
     }
@@ -209,8 +228,9 @@ impl NvbitTool for MemTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::channel::Record;
     use cuda::{Driver, FatBinary, KernelArg};
-    use gpu::{DeviceSpec, Dim3};
+    use gpu::{DeviceSpec, Dim3, Scheduler};
     use nvbit::{attach_tool, PlanLevel, PlanOpts};
     use sass::Arch;
 
@@ -340,5 +360,131 @@ mod tests {
         assert_eq!(called, [&cta[..], &cta[..]].concat());
         assert_eq!(lowered, called);
         assert!(lowered_cycles < called_cycles, "{lowered_cycles} vs {called_cycles}");
+    }
+
+    /// The stream `addresses` stood for before the run table: a stable
+    /// sort by tag over every drained record.
+    fn oracle(drained: &[Record]) -> Vec<u64> {
+        let mut records = drained.to_vec();
+        records.sort_by_key(|r| r.tag);
+        records.iter().map(|r| r.payload).collect()
+    }
+
+    /// Each CTA's threads load and store their own word, so every tag's
+    /// payloads are distinct, and `buf` moves them apart per launch.
+    const CTAS: &str = r#"
+.entry k(.param .u64 buf)
+{
+    .reg .u32 %r<6>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [buf];
+    mov.u32 %r1, %tid.x;
+    mov.u32 %r2, %ctaid.x;
+    mov.u32 %r3, %ntid.x;
+    mad.lo.u32 %r4, %r2, %r3, %r1;
+    mul.wide.u32 %rd2, %r4, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    ld.global.u32 %r5, [%rd3];
+    st.global.u32 [%rd3+4], %r5;
+    exit;
+}
+"#;
+
+    /// Four launches of 16 CTAs of 32 threads of `CTAS` under a
+    /// [`MemTrace`] whose consumer also keeps every record it is handed
+    /// (after `delay`, to let a `DropCount` channel fill up). Returns the
+    /// results and the drained records.
+    fn teed(
+        sched: Scheduler,
+        policy: Backpressure,
+        buf_records: usize,
+        delay: std::time::Duration,
+    ) -> (Rc<MemTraceResults>, Vec<Record>) {
+        let (mut tool, results) = MemTrace::channel(policy, buf_records);
+        let mut store = tool.chan.consumer.take().unwrap();
+        let drained = Arc::new(Mutex::new(Vec::new()));
+        let tee = drained.clone();
+        tool.chan.consumer = Some(Box::new(move |batch| {
+            std::thread::sleep(delay);
+            tee.lock().unwrap().extend_from_slice(batch);
+            store(batch);
+        }));
+        let drv = Driver::new(DeviceSpec::test(Arch::Volta));
+        drv.with_device(|d| d.scheduler = sched);
+        attach_tool(&drv, tool);
+        let ctx = drv.ctx_create().unwrap();
+        let m = drv.module_load(&ctx, FatBinary::from_ptx("app", CTAS)).unwrap();
+        let f = drv.module_get_function(&m, "k").unwrap();
+        let buf = drv.mem_alloc(4 * 4096).unwrap();
+        for launch in 0..4 {
+            let arg = [KernelArg::Ptr(buf + 4096 * launch)];
+            drv.launch_kernel(&f, Dim3::linear(16), Dim3::linear(32), &arg).unwrap();
+        }
+        drv.shutdown();
+        let drained = drained.lock().unwrap().clone();
+        (results, drained)
+    }
+
+    /// Every tag recurs in each launch (64 runs even serially, enough that
+    /// an unstable sort of them reorders equal tags), and under a worker
+    /// pool the CTAs' rows interleave: the ordered runs are the stable sort
+    /// of the records, whatever the schedule.
+    #[test]
+    fn addresses_are_the_stable_tag_sort_of_the_drained_records() {
+        let mut streams = Vec::new();
+        for threads in [1, 2, 4] {
+            let sched = match threads {
+                1 => Scheduler::Serial,
+                threads => Scheduler::Parallel { threads },
+            };
+            let (results, drained) = teed(sched, Backpressure::Block, 4096, Default::default());
+            assert_eq!(drained.len(), 4 * 16 * 32 * 2, "{sched:?}");
+            assert_eq!(results.addresses(), oracle(&drained), "{sched:?}");
+            streams.push(results.addresses());
+        }
+        assert!(streams.iter().all(|s| *s == streams[0]));
+    }
+
+    /// A buffer smaller than one warp row splits every row, and with it
+    /// most runs, across batches.
+    #[test]
+    fn rows_split_across_batches_order_like_the_records() {
+        for sched in [Scheduler::Serial, Scheduler::Parallel { threads: 4 }] {
+            let (results, drained) = teed(sched, Backpressure::Block, 8, Default::default());
+            assert_eq!(results.dropped(), 0, "{sched:?}");
+            assert_eq!(results.addresses(), oracle(&drained), "{sched:?}");
+        }
+    }
+
+    /// A slow consumer behind a `DropCount` channel loses row suffixes: the
+    /// records that did arrive order like the old stream of them.
+    #[test]
+    fn a_truncated_trace_orders_what_was_delivered() {
+        let delay = std::time::Duration::from_micros(200);
+        let (results, drained) =
+            teed(Scheduler::Parallel { threads: 4 }, Backpressure::DropCount, 8, delay);
+        assert!(results.truncated());
+        let addrs = results.addresses();
+        assert_eq!(addrs.len() as u64 + results.dropped(), results.demanded());
+        assert_eq!(addrs, oracle(&drained));
+    }
+
+    /// A run that continues into the next batch stays one run, and a tag
+    /// that recurs in a later launch opens a new one, ordered after the
+    /// first.
+    #[test]
+    fn the_store_keeps_one_run_per_stretch_of_equal_tags() {
+        let (mut tool, results) = MemTrace::channel(Backpressure::Block, 4);
+        let mut store = tool.chan.consumer.take().unwrap();
+        let rec = |tag, payload| Record { tag, payload };
+        let batches = [
+            vec![rec(0, 10), rec(0, 11)],
+            vec![rec(0, 12), rec(1, 20)],
+            vec![rec(1, 21), rec(0, 13), rec(1, 22)],
+        ];
+        batches.iter().for_each(|batch| store(batch));
+        assert_eq!(results.store.lock().unwrap().1, [(0, 0), (1, 3), (0, 5), (1, 6)]);
+        assert_eq!(results.addresses(), [10, 11, 12, 13, 20, 21, 22]);
+        assert_eq!(results.addresses(), oracle(&batches.concat()));
     }
 }

@@ -303,14 +303,15 @@ fn the_jit_stays_inside_its_allocation_budget() {
 
 /// Allocations of one `launch_kernel` of a 128-thread block of a kernel whose
 /// instrumented image is already built, under `CoalescedInstrCount::executed`:
-/// what the parent commit measured here, when every launch built its
-/// statistics as named maps (a `String` per executed opcode), copied them
-/// and the kernel's name into its record and put each argument's bytes in a
-/// vector, and the ceiling, what this commit measures with the statistics
-/// kept as counters until read. (65 before the device kept its CTA workers'
-/// state between launches.)
-const LAUNCH_PARENT: u64 = 54;
-const LAUNCH_CEILING: u64 = 9;
+/// what the parent commit measured here, when the constant bank grew into
+/// its parameters, each CTA worker returned a list of per-CTA results and
+/// the merge sorted a list of their positions, and the ceiling, what this
+/// commit measures with the bank allocated once at its final size and each
+/// worker returning its sum. (54 while every launch built its statistics as
+/// named maps, 65 before the device kept its CTA workers' state between
+/// launches.)
+const LAUNCH_PARENT: u64 = 9;
+const LAUNCH_CEILING: u64 = 6;
 
 /// Allocations per repeated `launch_kernel` of 2 CTAs of 128 threads of the
 /// stratum's first kernel, with the counting tool attached or natively.
@@ -344,10 +345,10 @@ fn a_repeated_launch_stays_inside_its_allocation_budget() {
 }
 
 /// The same launch with no tool attached: the parent commit's count, with
-/// the named maps, the record's copies and the argument vectors, and this
-/// commit's.
-const NATIVE_LAUNCH_PARENT: u64 = 48;
-const NATIVE_LAUNCH_CEILING: u64 = 7;
+/// the growing bank and the two lists, and this commit's. (48 with the named
+/// maps, the record's copies and the argument vectors.)
+const NATIVE_LAUNCH_PARENT: u64 = 7;
+const NATIVE_LAUNCH_CEILING: u64 = 4;
 
 #[test]
 fn a_repeated_native_launch_stays_inside_its_allocation_budget() {
