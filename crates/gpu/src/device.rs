@@ -365,7 +365,7 @@ impl Device {
                 }
             }
             // A page is validated per launch: the next one starts with none.
-            state.pages.fill(None);
+            state.pages.clear();
             (sum, fault)
         };
         let (mut stats, fault) = if workers <= 1 {
@@ -450,6 +450,7 @@ fn run_cta(
         steps: 0,
         chan,
         addrs: [0; WARP],
+        unit: false,
     };
     state.enter(cta_coords, cta_linear, cfg.entry_pc);
     let LaunchState { warps, cta, pages } = state;

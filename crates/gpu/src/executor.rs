@@ -43,9 +43,10 @@
 //! code-page slot carries what decode knows (category, control-flow class,
 //! memory-reference position), so no step classifies or searches operands.
 //! A global access or atomic forms its 32 addresses once, as a row the cost
-//! model and the access both read; an `LDG`/`STG` whose active lanes' words
-//! are all aligned and in bounds, validated at once by `SharedMem::row`,
-//! loads each register as a row or stores lane-major with no per-word check.
+//! model and the access both read. A `.32` unit run (all lanes on consecutive
+//! words) is one bounds check and a row copy; any other `LDG`/`STG` whose
+//! active lanes' words are aligned and in bounds, validated at once by
+//! `SharedMem::row`, loads each register as a row or stores lane-major.
 //! `CHAN` hands its lanes' records over as one row, a same-address `RED` its
 //! lanes' combined operand. Everything else (partial masks, per-lane or
 //! unaligned addresses, faults) takes the per-lane loop behind the row path —
@@ -179,7 +180,21 @@ impl CodeCache {
 /// [`CodeCache::page`]. (128 entries: 32 already leave the coalesced benchmark
 /// workloads with first touches only; `sample_swap`'s per-instruction
 /// trampolines miss on 6 % of page switches at 64 and on 1 % here.)
-pub(crate) type PageTable = [Option<(u64, Arc<CodePage>)>; 128];
+pub(crate) struct PageTable {
+    entries: [Option<(u64, Arc<CodePage>)>; 128],
+    /// Bit `i`: `entries[i]` was filled since the last [`PageTable::clear`].
+    filled: u128,
+}
+
+impl PageTable {
+    /// Empties the entries that were filled, and only those.
+    pub fn clear(&mut self) {
+        while self.filled != 0 {
+            self.entries[self.filled.trailing_zeros() as usize] = None;
+            self.filled &= self.filled - 1;
+        }
+    }
+}
 
 /// One 32-bit value per lane: a register, or one word of local memory.
 pub(crate) type Row = [u32; WARP];
@@ -507,7 +522,8 @@ pub(crate) struct LaunchState {
 
 impl Default for LaunchState {
     fn default() -> LaunchState {
-        LaunchState { warps: Vec::new(), cta: CtaCtx::default(), pages: [const { None }; 128] }
+        let pages = PageTable { entries: [const { None }; 128], filled: 0 };
+        LaunchState { warps: Vec::new(), cta: CtaCtx::default(), pages }
     }
 }
 
@@ -603,6 +619,8 @@ pub(crate) struct ExecEnv<'d> {
     /// offset included: built once per warp instruction by `account_cost`,
     /// read by its line count and by the access itself.
     pub addrs: [u64; WARP],
+    /// Whether the current `LDG`/`STG` is a unit run, as `account_cost` classified it.
+    pub unit: bool,
 }
 
 impl<'d> ExecEnv<'d> {
@@ -673,9 +691,11 @@ impl<'d> ExecEnv<'d> {
             }
             if !matches!(cur, Some((base, _)) if pc.wrapping_sub(base) < PAGE) {
                 let base = pc & !(PAGE - 1);
-                let entry = &mut pages[(base / PAGE) as usize % pages.len()];
+                let i = (base / PAGE) as usize % pages.entries.len();
+                let entry = &mut pages.entries[i];
                 if !matches!(entry, Some((b, _)) if *b == base) {
                     *entry = Some((base, self.code.page(self.mem, base, isize)));
+                    pages.filled |= 1 << i;
                 }
                 cur = entry.as_ref().map(|(b, p)| (*b, &**p));
             }
@@ -724,7 +744,12 @@ impl<'d> ExecEnv<'d> {
         let sum = &mut self.stats;
         match slot.cat {
             OpCategory::MemGlobal if exec != 0 => {
-                let lines = global_lines(&self.addrs, exec, self.spec.cache_line as u64);
+                // A unit run: all 32 lanes, lane `l` at `addrs[0] + 4 * l` (one xor-or).
+                let step = |x, (l, a): (_, &u64)| x | a ^ self.addrs[0].wrapping_add(4 * l as u64);
+                self.unit = exec == u32::MAX && self.addrs.iter().enumerate().fold(0, step) == 0;
+                let line = self.spec.cache_line as u64;
+                let run = self.unit.then(|| run_lines(self.addrs[0], line)).flatten();
+                let lines = run.unwrap_or_else(|| global_lines(&self.addrs, exec, line));
                 sum.mem.global_lines += lines;
                 cycles += cost.global_per_line * lines.saturating_sub(1);
                 if slot.instr.op.is_load() {
@@ -1250,6 +1275,16 @@ impl<'d> ExecEnv<'d> {
                 return Ok(());
             }
         }
+        // Row path: a `.32` unit run is checked once and moves as one row.
+        let run = (space == MemSpace::Global && nregs == 1 && self.unit).then(|| self.addrs[0]);
+        if let Some(word) = run.and_then(|a| self.mem.run(a)) {
+            if is_load {
+                warp.set(rv, exec, |l| word(l).load(Ordering::Relaxed));
+            } else {
+                (0..WARP).for_each(|l| word(l).store(warp.reg(l, rv), Ordering::Relaxed));
+            }
+            return Ok(());
+        }
         // Row path: every active lane's global words are 4-aligned and in
         // bounds — validated for all lanes before any is touched — so a load
         // fills each register as a row; a store stays lane-major, because
@@ -1396,6 +1431,14 @@ impl<'d> ExecEnv<'d> {
         }
         Ok(())
     }
+}
+
+/// [`global_lines`] of the unit run at `a` from its first and last lane, on a
+/// power-of-two line of 4 bytes or more (which no lane skips); else `None`.
+fn run_lines(a: u64, line: u64) -> Option<u64> {
+    let last = a.checked_add(4 * (WARP as u64 - 1))?;
+    let s = line.trailing_zeros();
+    (line.is_power_of_two() && s >= 2).then(|| (last >> s) - (a >> s) + 1)
 }
 
 /// Number of distinct cache lines the lanes of `exec` touch at `addrs`. The
@@ -1810,6 +1853,140 @@ EXIT ;",
             want.sort_unstable();
             want.dedup();
             assert_eq!(global_lines(&addrs, exec, line), want.len() as u64, "case {case}");
+        }
+    }
+
+    /// A unit run's arithmetic line count is `global_lines`' and the sort and
+    /// dedup reference's at every word offset of a 128-byte line, on
+    /// power-of-two lines of 4 bytes or more; on other lines, and where the
+    /// run wraps near `u64::MAX`, there is none and `global_lines` counts.
+    #[test]
+    fn a_unit_run_counts_the_lines_global_lines_counts() {
+        use super::{global_lines, run_lines, WARP};
+        let mut rng = common::Rng::seed_from_u64(0x5e1f);
+        let bases = [0, 1 << 40, rng.next_u64() >> 8, u64::MAX - 124, u64::MAX - 0x100];
+        for base in bases {
+            for off in (0..128).step_by(4) {
+                for line in [1u64, 2, 4, 32, 96, 100, 128, 256] {
+                    let a = (base & !127).wrapping_add(off);
+                    let addrs: [u64; WARP] = std::array::from_fn(|l| a.wrapping_add(4 * l as u64));
+                    let mut want: Vec<u64> = addrs.iter().map(|x| x / line).collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let counted = global_lines(&addrs, u32::MAX, line);
+                    assert_eq!(counted, want.len() as u64, "a 0x{a:x}, line {line}");
+                    let arithmetic = line.is_power_of_two() && line >= 4 && a <= u64::MAX - 124;
+                    let want = arithmetic.then_some(counted);
+                    assert_eq!(run_lines(a, line), want, "a 0x{a:x}, line {line}");
+                }
+            }
+        }
+    }
+
+    /// A `.32` `LDG` and `STG` whose 32 lanes address consecutive words move
+    /// what lane-by-lane loads and stores would, at every word offset of a
+    /// 128-byte line; a misaligned start, a 31-lane mask and an overlapping
+    /// `.64` access at `base + 4 * lane`, which are not unit runs, move what
+    /// they always did. The loaded registers are read back by a stride-16
+    /// store, which is no unit run, so the load and the store are each
+    /// checked on their own against a per-lane reference.
+    #[test]
+    fn unit_runs_and_their_near_misses_move_what_the_per_lane_path_moves() {
+        let unit = (0..128).step_by(4).map(|off| ("", "", off));
+        let near = [("", "", 1), ("", "", 2), ("", "", 7), ("@P0 ", "", 4), ("", ".64", 0)];
+        for (guard, width, off) in unit.chain(near) {
+            let text = format!(
+                "\
+LDC.64 R6, c[0x0][0x160] ;\n\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x2 ;\n\
+MOV R9, RZ ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+IADD.U64 R12, R6, R8 ;\n\
+IADD.U64 R12, R12, R8 ;\n\
+IADD.U64 R12, R12, R8 ;\n\
+ISETP.NE.U32 P0, R4, 0x1e ;\n\
+MOV32I R10, 0xdead ;\n\
+MOV32I R11, 0xbeef ;\n\
+{guard}LDG{width} R10, [R6+0x{off:x}] ;\n\
+STG.64 [R12+0x400], R10 ;\n\
+IADD R10, R4, 0x500 ;\n\
+IADD R11, R4, 0x600 ;\n\
+{guard}STG{width} [R6+0x{:x}], R10 ;\n\
+EXIT ;",
+                0x200 + off
+            );
+            let init: Vec<u8> = (0..0x200u32).map(|i| (i * 7 + 3) as u8).collect();
+            // Lane by lane: the load reads the initial bytes, the read-back
+            // stores both registers, the store goes lane-major.
+            let mut want = init.clone();
+            want.resize(0x600, 0);
+            let n = if width.is_empty() { 1 } else { 2 };
+            for lane in (0..32).filter(|&l| guard.is_empty() || l != 30) {
+                let mut regs = [0xdead_u32, 0xbeef];
+                for (k, r) in regs.iter_mut().enumerate().take(n) {
+                    let at = off + 4 * (lane + k);
+                    *r = u32::from_le_bytes(init[at..at + 4].try_into().unwrap());
+                }
+                for (k, r) in regs.iter().enumerate() {
+                    want[0x400 + 16 * lane + 4 * k..][..4].copy_from_slice(&r.to_le_bytes());
+                }
+                for (k, v) in [0x500 + lane as u32, 0x600 + lane as u32].iter().enumerate().take(n)
+                {
+                    want[0x200 + off + 4 * (lane + k)..][..4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            if !guard.is_empty() {
+                want[0x400 + 16 * 30..][..8].copy_from_slice(&[0xad, 0xde, 0, 0, 0xef, 0xbe, 0, 0]);
+            }
+            let want: Vec<u32> =
+                want.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+            let got = run_on_buffer(&text, 0x600 / 4, &init);
+            assert_eq!(got, want, "{guard}LDG{width}/STG{width} at +0x{off:x}");
+        }
+    }
+
+    /// A unit run whose last lanes pass the end of memory, and one that wraps
+    /// past `u64::MAX`, fault at their first lane outside, at the access's
+    /// pc and with the per-lane text; a store leaves the lanes before it
+    /// stored.
+    #[test]
+    fn a_unit_run_past_the_end_of_memory_faults_at_its_first_lane_outside() {
+        let cap = DeviceSpec::test(Arch::Volta).global_mem;
+        for (access, what) in [("LDG R10, [R6]", "load"), ("STG [R6], R10", "store")] {
+            for (start, first) in [(cap - 20, 5), (cap - 124, 31), (cap, 0), (u64::MAX - 63, 0)] {
+                let text = format!(
+                    "\
+S2R R4, SR_LANEID ;\n\
+SHL R8, R4, 0x2 ;\n\
+MOV R9, RZ ;\n\
+MOV32I R6, {} ;\n\
+MOV32I R7, {} ;\n\
+IADD.U64 R6, R6, R8 ;\n\
+IADD R10, R4, 0x64 ;\n\
+{access} ;\n\
+EXIT ;",
+                    start as u32 as i32,
+                    (start >> 32) as u32 as i32
+                );
+                let (mut dev, pc) = load(&text);
+                match dev.launch(&LaunchConfig::new(pc, Dim3::linear(1), Dim3::linear(32))) {
+                    Err(GpuError::Fault { pc: at, reason }) => {
+                        let a = start + 4 * first;
+                        assert_eq!(
+                            reason,
+                            format!("global {what} fault at 0x{a:x} (lane {first})")
+                        );
+                        // The access is instruction 7, of 16 bytes on Volta.
+                        assert_eq!(at, pc + 7 * 16, "{access} at 0x{start:x}");
+                    }
+                    other => panic!("{access} at 0x{start:x}: expected a fault, got {other:?}"),
+                }
+                for lane in 0..first {
+                    let stored = if what == "store" { 100 + lane } else { 0 };
+                    assert_eq!(scalar(&dev, start + 4 * lane, 4), stored, "{access}: lane {lane}");
+                }
+            }
         }
     }
 

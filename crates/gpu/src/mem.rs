@@ -294,6 +294,12 @@ impl SharedMem {
         })
     }
 
+    /// Word `l % 32` of the 32 at `addr`, if 4-aligned and `check`ed as one.
+    pub fn run<'m>(&'m self, addr: u64) -> Option<impl Fn(usize) -> &'m AtomicU32> {
+        check(addr, 4 * 32, self.len).ok().filter(|_| addr.is_multiple_of(4))?;
+        Some(move |l: usize| self.word(addr as usize / 4 + l % 32))
+    }
+
     /// Takes the one lock all atomics of all CTA workers serialize on, which
     /// keeps them linearizable; one hold covers a warp instruction's lanes.
     pub fn atomics(&self) -> Atomics<'_> {
